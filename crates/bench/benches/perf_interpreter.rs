@@ -38,11 +38,7 @@ fn bench_interpreter(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(text.len() as u64));
     group.bench_function("tokenizer_per_record", |b| {
         let mut interp = Interpreter::new(&program);
-        b.iter(|| {
-            interp
-                .call(&mut NoHost, "process", vec![Value::Str(black_box(text).to_string())])
-                .unwrap()
-        })
+        b.iter(|| interp.call(&mut NoHost, "process", vec![Value::from(black_box(text))]).unwrap())
     });
 
     group.bench_function("parse_tokenizer_source", |b| {

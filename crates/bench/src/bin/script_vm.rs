@@ -37,10 +37,10 @@ struct Workload {
 
 fn record(name: &str, city: &str, n: i64) -> Value {
     let mut m = BTreeMap::new();
-    m.insert("name".to_string(), Value::Str(format!("  {name} ")));
-    m.insert("city".to_string(), Value::Str(format!(" {city}")));
+    m.insert("name".to_string(), Value::from(format!("  {name} ")));
+    m.insert("city".to_string(), Value::from(format!(" {city}")));
     m.insert("n".to_string(), Value::Int(n));
-    Value::Map(m)
+    Value::from(m)
 }
 
 fn workloads() -> Vec<Workload> {
@@ -69,7 +69,7 @@ fn workloads() -> Vec<Workload> {
                     return len(cleaned);
                 }
             "#,
-            arg: Value::List(rows.clone()),
+            arg: Value::from(rows.clone()),
         },
         Workload {
             name: "score-recursive",
@@ -98,13 +98,13 @@ fn workloads() -> Vec<Workload> {
                     return join(lines, "|");
                 }
             "#,
-            arg: Value::List(rows),
+            arg: Value::from(rows),
         },
     ]
 }
 
-/// Executions/sec for the tree-walker: parse once, then a fresh interpreter
-/// per execution over the shared AST (what `LlmgcModule::invoke` did).
+/// Executions/sec for the tree-walking oracle: parse once, then a fresh
+/// interpreter per execution over the shared AST.
 fn run_interp(program: &Program, entry: &str, arg: &Value, execs: usize) -> f64 {
     let start = Instant::now();
     for _ in 0..execs {
@@ -115,7 +115,7 @@ fn run_interp(program: &Program, entry: &str, arg: &Value, execs: usize) -> f64 
 }
 
 /// Executions/sec for the VM: compile once, then a fresh VM per execution
-/// over the shared bytecode (what `LlmgcModule::invoke` does now).
+/// over the shared bytecode (what `LlmgcModule::invoke` does).
 fn run_vm(compiled: &Arc<CompiledScript>, entry: &str, arg: &Value, execs: usize) -> f64 {
     let start = Instant::now();
     for _ in 0..execs {
@@ -134,16 +134,11 @@ fn flag_value(name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Pull the gated metric out of a previously committed results file without
-/// needing a JSON parser: the writer emits `"gate_speedup": <value>`.
+/// The gated metric of a previously committed results file.
 fn read_baseline_gate(path: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
-    let idx = text.find("\"gate_speedup\"")?;
-    let rest = &text[idx..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
+    let results: serde_json::Value = serde_json::from_str(&text).ok()?;
+    results["gate_speedup"].as_f64()
 }
 
 fn main() {

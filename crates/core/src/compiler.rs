@@ -16,12 +16,12 @@
 //! 5. Otherwise: compile error.
 
 use crate::context::ExecContext;
-use crate::data::{script_to_cell, Data};
+use crate::data::Data;
 use crate::error::CoreError;
 use crate::modules::{CustomModule, LlmModule, LlmgcModule, Module, ModuleKind, PromptBuilder};
 use crate::pipeline::{LogicalOp, Pipeline};
 use crate::validation::OutputValidator;
-use lingua_dataset::{csv, Record, Schema, Table};
+use lingua_dataset::{csv, Record, Schema, Table, Value as CellValue};
 use lingua_llm_sim::{CodeGenSpec, TemplateKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -336,9 +336,7 @@ pub fn strings_to_table(name: &str, column: &str, values: &[String]) -> Table {
     let schema = Schema::of_names([column]);
     let mut table = Table::new(name, schema);
     for value in values {
-        table
-            .push(Record::new(vec![script_to_cell(&lingua_script::Value::Str(value.clone()))]))
-            .expect("single column");
+        table.push(Record::new(vec![CellValue::Str(value.clone())])).expect("single column");
     }
     table
 }

@@ -124,14 +124,14 @@ impl Data {
             Data::Bool(b) => ScriptValue::Bool(*b),
             Data::Int(i) => ScriptValue::Int(*i),
             Data::Float(f) => ScriptValue::Float(*f),
-            Data::Str(s) => ScriptValue::Str(s.clone()),
-            Data::List(items) => ScriptValue::List(items.iter().map(Data::to_script).collect()),
-            Data::Map(map) => {
-                ScriptValue::Map(map.iter().map(|(k, v)| (k.clone(), v.to_script())).collect())
-            }
-            Data::Table(table) => ScriptValue::List(
-                table.rows().iter().map(|row| record_to_script(table.schema(), row)).collect(),
+            Data::Str(s) => ScriptValue::from(s.as_str()),
+            Data::List(items) => items.iter().map(Data::to_script).collect(),
+            Data::Map(map) => ScriptValue::from(
+                map.iter().map(|(k, v)| (k.clone(), v.to_script())).collect::<BTreeMap<_, _>>(),
             ),
+            Data::Table(table) => {
+                table.rows().iter().map(|row| record_to_script(table.schema(), row)).collect()
+            }
             Data::Record { schema, record } => record_to_script(schema, record),
         }
     }
@@ -143,7 +143,7 @@ impl Data {
             ScriptValue::Bool(b) => Data::Bool(*b),
             ScriptValue::Int(i) => Data::Int(*i),
             ScriptValue::Float(f) => Data::Float(*f),
-            ScriptValue::Str(s) => Data::Str(s.clone()),
+            ScriptValue::Str(s) => Data::Str(s.to_string()),
             ScriptValue::List(items) => Data::List(items.iter().map(Data::from_script).collect()),
             ScriptValue::Map(map) => {
                 Data::Map(map.iter().map(|(k, v)| (k.clone(), Data::from_script(v))).collect())
@@ -183,12 +183,12 @@ impl Data {
 }
 
 fn record_to_script(schema: &Schema, record: &Record) -> ScriptValue {
-    let mut map = std::collections::BTreeMap::new();
+    let mut map = BTreeMap::new();
     for (i, value) in record.iter().enumerate() {
         let name = if i < schema.len() { schema.name(i).to_string() } else { format!("col{i}") };
         map.insert(name, cell_to_script(value));
     }
-    ScriptValue::Map(map)
+    ScriptValue::from(map)
 }
 
 /// Convert a dataset cell into a script value.
@@ -198,7 +198,7 @@ pub fn cell_to_script(value: &CellValue) -> ScriptValue {
         CellValue::Bool(b) => ScriptValue::Bool(*b),
         CellValue::Int(i) => ScriptValue::Int(*i),
         CellValue::Float(f) => ScriptValue::Float(*f),
-        CellValue::Str(s) => ScriptValue::Str(s.clone()),
+        CellValue::Str(s) => ScriptValue::from(s.as_str()),
     }
 }
 
@@ -209,7 +209,7 @@ pub fn script_to_cell(value: &ScriptValue) -> CellValue {
         ScriptValue::Bool(b) => CellValue::Bool(*b),
         ScriptValue::Int(i) => CellValue::Int(*i),
         ScriptValue::Float(f) => CellValue::Float(*f),
-        ScriptValue::Str(s) => CellValue::Str(s.clone()),
+        ScriptValue::Str(s) => CellValue::Str(s.to_string()),
         other => CellValue::Str(other.to_string()),
     }
 }
@@ -323,7 +323,7 @@ mod tests {
     fn cell_conversions() {
         assert_eq!(script_to_cell(&ScriptValue::Int(3)), CellValue::Int(3));
         assert_eq!(
-            script_to_cell(&ScriptValue::List(vec![ScriptValue::Int(1)])),
+            script_to_cell(&ScriptValue::from(vec![ScriptValue::Int(1)])),
             CellValue::Str("[1]".into())
         );
         assert_eq!(Data::from(CellValue::Str("a".into())), Data::Str("a".into()));

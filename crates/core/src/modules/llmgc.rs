@@ -8,7 +8,7 @@ use crate::data::Data;
 use crate::error::{CoreError, TrapKind};
 use crate::modules::{Module, ModuleKind};
 use lingua_llm_sim::{CodeGenSpec, GeneratedCode};
-use lingua_script::{parse, CompileCache, CompiledScript, Program, ScriptError, Vm};
+use lingua_script::{parse, CompileCache, CompiledScript, ScriptError, Vm};
 use std::sync::{Arc, OnceLock};
 
 /// Default interpreter fuel for one module invocation.
@@ -37,7 +37,6 @@ pub struct LlmgcModule {
     name: String,
     spec: CodeGenSpec,
     source: String,
-    program: Program,
     /// Bytecode compiled once per generation (shared through the global
     /// [`compile_cache`]); every invocation runs this, not the AST.
     compiled: Arc<CompiledScript>,
@@ -64,23 +63,9 @@ impl LlmgcModule {
         spec: CodeGenSpec,
         generated: GeneratedCode,
     ) -> Result<LlmgcModule, CoreError> {
-        let program = parse(&generated.source)?;
-        let compiled = compile_cache().get_or_compile(&generated.source, &program);
-        let entry = if spec.function_name.is_empty() {
-            "process".to_string()
-        } else {
-            spec.function_name.clone()
-        };
-        Ok(LlmgcModule {
-            name: name.into(),
-            source: generated.source.clone(),
-            program,
-            compiled,
-            entry,
-            fuel: DEFAULT_FUEL,
-            spec,
-            generation: Some(generated),
-        })
+        let mut module = LlmgcModule::from_source(name, spec, generated.source.as_str())?;
+        module.generation = Some(generated);
+        Ok(module)
     }
 
     /// Build from hand-supplied source (a user pasting code is also §3.1's
@@ -91,8 +76,7 @@ impl LlmgcModule {
         source: impl Into<String>,
     ) -> Result<LlmgcModule, CoreError> {
         let source = source.into();
-        let program = parse(&source)?;
-        let compiled = compile_cache().get_or_compile(&source, &program);
+        let compiled = load(&source)?;
         let entry = if spec.function_name.is_empty() {
             "process".to_string()
         } else {
@@ -101,7 +85,6 @@ impl LlmgcModule {
         Ok(LlmgcModule {
             name: name.into(),
             source,
-            program,
             compiled,
             entry,
             fuel: DEFAULT_FUEL,
@@ -131,13 +114,18 @@ impl LlmgcModule {
     /// source carries a new fingerprint, so this is the one place a repair
     /// triggers a recompile.
     pub fn replace_program(&mut self, generated: GeneratedCode) -> Result<(), CoreError> {
-        let program = parse(&generated.source)?;
-        self.compiled = compile_cache().get_or_compile(&generated.source, &program);
-        self.program = program;
+        self.compiled = load(&generated.source)?;
         self.source = generated.source.clone();
         self.generation = Some(generated);
         Ok(())
     }
+}
+
+/// Parse `source` and fetch (or build) its bytecode from [`compile_cache`] —
+/// the one path every constructor and the repair cycle load a program by.
+fn load(source: &str) -> Result<Arc<CompiledScript>, CoreError> {
+    let program = parse(source)?;
+    Ok(compile_cache().get_or_compile(source, &program))
 }
 
 impl Module for LlmgcModule {
@@ -197,7 +185,6 @@ impl Module for LlmgcModule {
             name: self.name.clone(),
             spec: self.spec.clone(),
             source: self.source.clone(),
-            program: self.program.clone(),
             compiled: Arc::clone(&self.compiled),
             entry: self.entry.clone(),
             fuel: self.fuel,
@@ -264,6 +251,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(module.invoke(Data::Null, &mut ctx).unwrap(), Data::Int(2));
+    }
+
+    #[test]
+    fn a_script_mutating_a_tool_result_does_not_change_the_tool() {
+        // `register_list` hands every caller the same `Arc`; a `push` onto it
+        // must unshare the script's copy, not grow the registry's list.
+        let mut ctx = ctx();
+        ctx.tools.register_list("vocabulary", vec!["Sony".into(), "Canon".into()]);
+        let mut module = LlmgcModule::from_source(
+            "grower",
+            spec("grow the vocabulary"),
+            r#"fn process(x) { let v = call_tool("vocabulary"); push(v, "Nikon"); return len(v); }"#,
+        )
+        .unwrap();
+        for _ in 0..3 {
+            assert_eq!(module.invoke(Data::Null, &mut ctx).unwrap(), Data::Int(3));
+        }
+        let (first, second) = (
+            ctx.tools.call("vocabulary", &[]).unwrap(),
+            ctx.tools.call("vocabulary", &[]).unwrap(),
+        );
+        assert_eq!(first.as_list().map(<[_]>::len), Some(2));
+        match (&first, &second) {
+            (lingua_script::Value::List(a), lingua_script::Value::List(b)) => {
+                assert!(Arc::ptr_eq(a, b), "list tools must hand out one shared list")
+            }
+            other => panic!("expected two lists, got {other:?}"),
+        }
     }
 
     #[test]

@@ -427,7 +427,7 @@ mod tests {
         // A teacher whose answers are pure hash noise — unlearnable.
         let teacher = Box::new(CustomModule::new("noise", |input, _| {
             let text = input.render();
-            Ok(Data::Bool(lingua_ml::features::fxhash(text.as_bytes()) % 2 == 0))
+            Ok(Data::Bool(lingua_ml::fnv::fingerprint(&text) % 2 == 0))
         }));
         let mut sim = Simulated::new(
             teacher,

@@ -44,10 +44,11 @@ impl ToolRegistry {
         }
     }
 
-    /// Register a constant list tool (e.g. a vocabulary).
+    /// Register a constant list tool (e.g. a vocabulary). Every call hands
+    /// out the same shared list; a script that mutates its copy unshares it.
     pub fn register_list(&mut self, name: impl Into<String>, items: Vec<String>) {
-        let values: Vec<ScriptValue> = items.into_iter().map(ScriptValue::Str).collect();
-        self.register(name, move |_args| Ok(ScriptValue::List(values.clone())));
+        let list: ScriptValue = items.into_iter().map(ScriptValue::from).collect();
+        self.register(name, move |_args| Ok(list.clone()));
     }
 }
 
@@ -65,18 +66,21 @@ impl std::fmt::Debug for ToolRegistry {
 pub fn stopwords_tool_from_world(
     world: &lingua_dataset::world::WorldSpec,
 ) -> impl Fn(&[ScriptValue]) -> Result<ScriptValue, String> + Send + Sync + 'static {
-    let by_lang: BTreeMap<String, Vec<String>> = world
+    let by_lang: BTreeMap<String, ScriptValue> = world
         .lexicons
         .iter()
-        .map(|(lang, lex)| (lang.code().to_string(), lex.function_words.clone()))
+        .map(|(lang, lex)| {
+            let words = lex.function_words.iter().map(|w| ScriptValue::from(w.as_str()));
+            (lang.code().to_string(), words.collect())
+        })
         .collect();
     move |args: &[ScriptValue]| {
         let code = args
             .first()
             .and_then(|v| v.as_str())
             .ok_or_else(|| "stopwords expects a language code".to_string())?;
-        let words = by_lang.get(code).or_else(|| by_lang.get("en")).cloned().unwrap_or_default();
-        Ok(ScriptValue::List(words.into_iter().map(ScriptValue::Str).collect()))
+        let words = by_lang.get(code).or_else(|| by_lang.get("en")).cloned();
+        Ok(words.unwrap_or_else(|| ScriptValue::from(Vec::new())))
     }
 }
 
@@ -104,7 +108,7 @@ mod tests {
         let result = registry.call("vocabulary", &[]).unwrap();
         assert_eq!(
             result,
-            ScriptValue::List(vec![
+            ScriptValue::from(vec![
                 ScriptValue::Str("Sony".into()),
                 ScriptValue::Str("Canon".into())
             ])

@@ -12,7 +12,7 @@ use crate::calibration::Calibration;
 use crate::knowledge::KnowledgeBase;
 use crate::noise;
 use crate::prompt::ParsedPrompt;
-use lingua_ml::features::fxhash;
+use lingua_ml::fnv::fingerprint;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -60,7 +60,7 @@ pub fn respond(
     let guess = if vocabulary.is_empty() {
         "Unknown".to_string()
     } else {
-        vocabulary[(fxhash(text.as_bytes()) as usize) % vocabulary.len()].clone()
+        vocabulary[(fingerprint(text) as usize) % vocabulary.len()].clone()
     };
     noise::render_category(rng, &guess, verbose_rate)
 }
@@ -70,7 +70,7 @@ fn pick_other(vocabulary: &[String], not: &str, key: &str) -> String {
     if others.is_empty() {
         return not.to_string();
     }
-    others[(fxhash(key.as_bytes()) as usize) % others.len()].clone()
+    others[(fingerprint(key) as usize) % others.len()].clone()
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use crate::knowledge::KnowledgeBase;
 use crate::noise;
 use crate::prompt::ParsedPrompt;
 use lingua_dataset::world::Language;
-use lingua_ml::features::fxhash;
+use lingua_ml::fnv::fingerprint;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -81,7 +81,7 @@ pub fn respond(
     if !covered {
         // Out-of-knowledge phrase: unstable guess, biased to "no", stable per
         // phrase so repeated queries agree.
-        let draw = (fxhash(phrase.as_bytes()) >> 9) as f64 / (1u64 << 55) as f64;
+        let draw = (fingerprint(phrase) >> 9) as f64 / (1u64 << 55) as f64;
         verdict = draw < 0.22;
     }
     if rng.gen_bool(calibration.hallucination_rate) {
@@ -110,7 +110,7 @@ mod tests {
             "Is the following phrase a person name?\n{lang_line}Text: {phrase}\nAnswer yes or no.",
         );
         let parsed = prompt::parse(&text);
-        let mut rng = StdRng::seed_from_u64(fxhash(phrase.as_bytes()));
+        let mut rng = StdRng::seed_from_u64(fingerprint(phrase));
         noise::parse_bool_robust(&respond(kb, cal, &parsed, &mut rng)).unwrap_or(false)
     }
 

@@ -485,7 +485,7 @@ mod tests {
         assert_eq!(tokens, vec!["Hello", "world", "A", "fine", "day"]);
         // Null guard works.
         let result = interp.call(&mut NoHost, "process", vec![Value::Null]).unwrap();
-        assert_eq!(result, Value::List(vec![]));
+        assert_eq!(result, Value::from(vec![]));
     }
 
     #[test]
@@ -511,7 +511,7 @@ mod tests {
         let result = Interpreter::new(&program)
             .call(&mut NoHost, "process", vec![Value::Str("hello".into())])
             .unwrap();
-        assert_eq!(result, Value::List(vec![Value::Str("hell".into())]));
+        assert_eq!(result, Value::from(vec![Value::Str("hell".into())]));
     }
 
     #[test]
@@ -521,10 +521,10 @@ mod tests {
         let tokens: Vec<Value> =
             ["Yesterday", "John", "Smith", "met", "the", "board", "of", "Acme", "Corp"]
                 .iter()
-                .map(|s| Value::Str(s.to_string()))
+                .map(|s| Value::from(*s))
                 .collect();
         let result = Interpreter::new(&program)
-            .call(&mut NoHost, "process", vec![Value::List(tokens)])
+            .call(&mut NoHost, "process", vec![Value::from(tokens)])
             .unwrap();
         let phrases: Vec<&str> =
             result.as_list().unwrap().iter().map(|v| v.as_str().unwrap()).collect();
@@ -539,12 +539,10 @@ mod tests {
             Some(BugKind::TruncatedStopwords),
         );
         let program = parse(&code).unwrap();
-        let tokens: Vec<Value> = ["Yesterday", "John", "Smith", "spoke"]
-            .iter()
-            .map(|s| Value::Str(s.to_string()))
-            .collect();
+        let tokens: Vec<Value> =
+            ["Yesterday", "John", "Smith", "spoke"].iter().map(|s| Value::from(*s)).collect();
         let result = Interpreter::new(&program)
-            .call(&mut NoHost, "process", vec![Value::List(tokens)])
+            .call(&mut NoHost, "process", vec![Value::from(tokens)])
             .unwrap();
         let phrases: Vec<&str> =
             result.as_list().unwrap().iter().map(|v| v.as_str().unwrap()).collect();
@@ -560,12 +558,10 @@ mod tests {
             Some(BugKind::EagerReturn),
         );
         let program = parse(&code).unwrap();
-        let tokens: Vec<Value> = ["John", "Smith", "met", "Mary", "Brown"]
-            .iter()
-            .map(|s| Value::Str(s.to_string()))
-            .collect();
+        let tokens: Vec<Value> =
+            ["John", "Smith", "met", "Mary", "Brown"].iter().map(|s| Value::from(*s)).collect();
         let result = Interpreter::new(&program)
-            .call(&mut NoHost, "process", vec![Value::List(tokens)])
+            .call(&mut NoHost, "process", vec![Value::from(tokens)])
             .unwrap();
         assert_eq!(result.as_list().unwrap().len(), 1);
     }

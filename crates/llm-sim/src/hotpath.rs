@@ -30,58 +30,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// The canonical 64-bit prompt fingerprint: FNV-1a over the raw bytes.
-///
-/// This is bit-identical to the key `lingua-gateway` has always used for
-/// backoff jitter and fault-plan decisions (`prompt_key`), so adopting it as
-/// the shared fingerprint changed no replayed chaos schedule.
-pub fn fingerprint(text: &str) -> u64 {
-    let mut hasher = Fnv1a::new();
-    hasher.write(text.as_bytes());
-    hasher.finish()
-}
-
-/// Incremental FNV-1a 64-bit hasher, shared by prompt fingerprints here and
-/// structured input fingerprints in `lingua-serve`.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-}
-
-impl Fnv1a {
-    pub fn new() -> Fnv1a {
-        Fnv1a::default()
-    }
-
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    pub fn write_u64(&mut self, value: u64) {
-        self.write(&value.to_le_bytes());
-    }
-
-    /// Hash a length-prefixed string (prefixing prevents concatenation
-    /// ambiguity: `("ab","c")` must differ from `("a","bc")`).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// The canonical 64-bit prompt fingerprint and its incremental hasher:
+/// FNV-1a, defined once in `lingua-ml` and re-exported here for the serving
+/// layers. Bit-identical to the key `lingua-gateway` has always used for
+/// backoff jitter and fault-plan decisions (`prompt_key`), so replayed chaos
+/// schedules depend on these values never changing.
+pub use lingua_ml::fnv::{fingerprint, Fnv1a};
 
 /// Point-in-time counters of a [`ShardedLru`] (plus the coalescing counter
 /// its owner folds in). Snapshots read atomics only — they never take a
@@ -486,14 +440,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::sync::Barrier;
-
-    #[test]
-    fn fingerprint_is_fnv1a() {
-        // Locked constants: gateway fault plans replay against these values.
-        assert_eq!(fingerprint(""), FNV_OFFSET);
-        assert_eq!(fingerprint("a"), (FNV_OFFSET ^ 0x61).wrapping_mul(FNV_PRIME));
-        assert_ne!(fingerprint("ab"), fingerprint("ba"));
-    }
 
     #[test]
     fn lru_evicts_least_recently_used_not_oldest() {

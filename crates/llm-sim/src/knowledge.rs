@@ -6,7 +6,7 @@
 
 use crate::calibration::Calibration;
 use lingua_dataset::world::{Language, WorldSpec};
-use lingua_ml::features::fxhash;
+use lingua_ml::fnv::fingerprint;
 use lingua_ml::textsim;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,7 +57,7 @@ fn normalize(text: &str) -> String {
 
 /// Stable pseudo-random draw in [0,1) for a `(seed, key)` pair.
 fn stable_draw(seed: u64, key: &str) -> f64 {
-    let h = fxhash(format!("{seed}:{key}").as_bytes());
+    let h = fingerprint(&format!("{seed}:{key}"));
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 

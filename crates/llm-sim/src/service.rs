@@ -14,7 +14,7 @@ use crate::hotpath::{fingerprint, CacheStats, Flight, ShardedLru, Singleflight, 
 use crate::knowledge::KnowledgeBase;
 use crate::prompt::{self, TaskIntent};
 use lingua_dataset::world::WorldSpec;
-use lingua_ml::features::{fxhash, HashingVectorizer};
+use lingua_ml::features::HashingVectorizer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -275,7 +275,7 @@ impl SimLlm {
         let parsed = prompt::parse(prompt_text);
         // Per-call RNG: pure function of (service seed, prompt) — temperature-0
         // semantics; identical prompts always answer identically.
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ fxhash(prompt_text.as_bytes()));
+        let mut rng = StdRng::seed_from_u64(self.config.seed ^ fingerprint(prompt_text));
         match parsed.intent {
             TaskIntent::EntityMatch => behaviors::entity_match::respond(
                 &self.knowledge,
@@ -330,7 +330,7 @@ impl SimLlm {
     fn generate_code_impl(&self, spec: &CodeGenSpec) -> GeneratedCode {
         let nonce = self.codegen_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let mut rng = StdRng::seed_from_u64(
-            self.config.seed ^ fxhash(spec.task.as_bytes()) ^ nonce.wrapping_mul(0x9e37),
+            self.config.seed ^ fingerprint(&spec.task) ^ nonce.wrapping_mul(0x9e37),
         );
         let code = codegen::generate(spec, &self.config.calibration, &mut rng);
         self.meter(&spec.task, &code.source);
@@ -352,7 +352,7 @@ impl SimLlm {
     ) -> GeneratedCode {
         let nonce = self.codegen_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let mut rng = StdRng::seed_from_u64(
-            self.config.seed ^ fxhash(previous.source.as_bytes()) ^ nonce.wrapping_mul(0x517c_c1b7),
+            self.config.seed ^ fingerprint(&previous.source) ^ nonce.wrapping_mul(0x517c_c1b7),
         );
         let code = codegen::repair(spec, &self.config.calibration, previous, suggestion, &mut rng);
         let request = format!("{}\n{suggestion}", previous.source);

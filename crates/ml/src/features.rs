@@ -1,6 +1,7 @@
 //! Feature extraction: record-pair similarity features for entity matching
 //! and a hashing vectorizer for free text.
 
+use crate::fnv::fingerprint;
 use crate::textsim;
 
 use crate::FeatureVec;
@@ -110,11 +111,11 @@ impl HashingVectorizer {
         let mut v = vec![0.0; self.dims];
         let toks = textsim::tokens(text);
         for t in &toks {
-            v[fxhash(t.as_bytes()) as usize % self.dims] += 1.0;
+            v[fingerprint(t) as usize % self.dims] += 1.0;
         }
         for w in toks.windows(2) {
             let bigram = format!("{} {}", w[0], w[1]);
-            v[fxhash(bigram.as_bytes()) as usize % self.dims] += 1.0;
+            v[fingerprint(&bigram) as usize % self.dims] += 1.0;
         }
         let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
         if norm > 0.0 {
@@ -124,17 +125,6 @@ impl HashingVectorizer {
         }
         v
     }
-}
-
-/// FNV-1a 64-bit hash — stable across runs and platforms (unlike
-/// `DefaultHasher`, which is randomly keyed per process).
-pub fn fxhash(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Z-score standardizer fit on training data, applied at inference.
@@ -248,12 +238,6 @@ mod tests {
         let b = v.transform("garmin gps navigator unit");
         let dot: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!(dot < 0.4, "dot {dot}");
-    }
-
-    #[test]
-    fn fxhash_is_deterministic() {
-        assert_eq!(fxhash(b"abc"), fxhash(b"abc"));
-        assert_ne!(fxhash(b"abc"), fxhash(b"abd"));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! All training is seeded and deterministic.
 
 pub mod features;
+pub mod fnv;
 pub mod forest;
 pub mod knn;
 pub mod logreg;

@@ -60,7 +60,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
         }
         "typeof" => {
             arity(name, args, 1, span)?;
-            Ok(Value::Str(args[0].type_name().to_string()))
+            Ok(Value::from(args[0].type_name()))
         }
         "is_null" => {
             arity(name, args, 1, span)?;
@@ -70,15 +70,15 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
         // -- strings ----------------------------------------------------------
         "lower" => {
             arity(name, args, 1, span)?;
-            Ok(Value::Str(want_str(name, args, 0, span)?.to_lowercase()))
+            Ok(Value::from(want_str(name, args, 0, span)?.to_lowercase()))
         }
         "upper" => {
             arity(name, args, 1, span)?;
-            Ok(Value::Str(want_str(name, args, 0, span)?.to_uppercase()))
+            Ok(Value::from(want_str(name, args, 0, span)?.to_uppercase()))
         }
         "trim" => {
             arity(name, args, 1, span)?;
-            Ok(Value::Str(want_str(name, args, 0, span)?.trim().to_string()))
+            Ok(Value::from(want_str(name, args, 0, span)?.trim()))
         }
         "capitalize" => {
             arity(name, args, 1, span)?;
@@ -88,18 +88,17 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
                 Some(c) => c.to_uppercase().collect::<String>() + chars.as_str(),
                 None => String::new(),
             };
-            Ok(Value::Str(out))
+            Ok(Value::from(out))
         }
         "split" => {
             arity(name, args, 2, span)?;
             let s = want_str(name, args, 0, span)?;
             let sep = want_str(name, args, 1, span)?;
-            let parts: Vec<Value> = if sep.is_empty() {
-                s.split_whitespace().map(|p| Value::Str(p.to_string())).collect()
+            Ok(if sep.is_empty() {
+                s.split_whitespace().map(Value::from).collect()
             } else {
-                s.split(sep).map(|p| Value::Str(p.to_string())).collect()
-            };
-            Ok(Value::List(parts))
+                s.split(sep).map(Value::from).collect()
+            })
         }
         "join" => {
             arity(name, args, 2, span)?;
@@ -108,18 +107,16 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
                 .ok_or_else(|| err(span, "join: first argument must be a list"))?;
             let sep = want_str(name, args, 1, span)?;
             let parts: Vec<String> = items.iter().map(|v| v.to_string()).collect();
-            Ok(Value::Str(parts.join(sep)))
+            Ok(Value::from(parts.join(sep)))
         }
         "contains" => {
             arity(name, args, 2, span)?;
             match (&args[0], &args[1]) {
-                (Value::Str(hay), Value::Str(needle)) => {
-                    Ok(Value::Bool(hay.contains(needle.as_str())))
-                }
+                (Value::Str(hay), Value::Str(needle)) => Ok(Value::Bool(hay.contains(&**needle))),
                 (Value::List(items), needle) => {
                     Ok(Value::Bool(items.iter().any(|v| v.loose_eq(needle))))
                 }
-                (Value::Map(map), Value::Str(key)) => Ok(Value::Bool(map.contains_key(key))),
+                (Value::Map(map), Value::Str(key)) => Ok(Value::Bool(map.contains_key(&**key))),
                 (a, b) => Err(err(
                     span,
                     format!("contains: unsupported types {} / {}", a.type_name(), b.type_name()),
@@ -143,7 +140,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
             let s = want_str(name, args, 0, span)?;
             let from = want_str(name, args, 1, span)?;
             let to = want_str(name, args, 2, span)?;
-            Ok(Value::Str(s.replace(from, to)))
+            Ok(Value::from(s.replace(from, to)))
         }
         "substr" => {
             arity(name, args, 3, span)?;
@@ -151,7 +148,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
             let start = want_int(name, args, 1, span)?.max(0) as usize;
             let count = want_int(name, args, 2, span)?.max(0) as usize;
             let out: String = s.iter().skip(start).take(count).collect();
-            Ok(Value::Str(out))
+            Ok(Value::from(out))
         }
         "index_of" => {
             arity(name, args, 2, span)?;
@@ -166,7 +163,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
         "chars" => {
             arity(name, args, 1, span)?;
             let s = want_str(name, args, 0, span)?;
-            Ok(Value::List(s.chars().map(|c| Value::Str(c.to_string())).collect()))
+            Ok(s.chars().map(Value::from).collect())
         }
         "is_alpha" => {
             arity(name, args, 1, span)?;
@@ -188,7 +185,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
         "tokenize" => {
             arity(name, args, 1, span)?;
             let s = want_str(name, args, 0, span)?;
-            Ok(Value::List(textsim::tokens(s).into_iter().map(Value::Str).collect()))
+            Ok(textsim::tokens(s).into_iter().map(Value::from).collect())
         }
         "levenshtein" => {
             arity(name, args, 2, span)?;
@@ -269,7 +266,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
         // -- conversions -------------------------------------------------------
         "to_str" => {
             arity(name, args, 1, span)?;
-            Ok(Value::Str(args[0].to_string()))
+            Ok(Value::from(args[0].to_string()))
         }
         "to_int" => {
             arity(name, args, 1, span)?;
@@ -316,7 +313,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
                 2 => (want_int(name, args, 0, span)?, want_int(name, args, 1, span)?),
                 n => return Err(err(span, format!("range expects 1 or 2 arguments, got {n}"))),
             };
-            Ok(Value::List((lo..hi).map(Value::Int).collect()))
+            Ok((lo..hi).map(Value::Int).collect())
         }
         "sort" => {
             arity(name, args, 1, span)?;
@@ -328,13 +325,13 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
                 (Value::Str(x), Value::Str(y)) => x.cmp(y),
                 _ => a.as_f64().partial_cmp(&b.as_f64()).unwrap_or(std::cmp::Ordering::Equal),
             });
-            Ok(Value::List(items))
+            Ok(Value::from(items))
         }
         "reverse" => {
             arity(name, args, 1, span)?;
             match &args[0] {
-                Value::List(items) => Ok(Value::List(items.iter().rev().cloned().collect())),
-                Value::Str(s) => Ok(Value::Str(s.chars().rev().collect())),
+                Value::List(items) => Ok(items.iter().rev().cloned().collect()),
+                Value::Str(s) => Ok(s.chars().rev().collect::<String>().into()),
                 other => Err(err(span, format!("reverse: cannot reverse a {}", other.type_name()))),
             }
         }
@@ -346,7 +343,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
             let start = want_int(name, args, 1, span)?.max(0) as usize;
             let end = (want_int(name, args, 2, span)?.max(0) as usize).min(items.len());
             let out = if start >= end { vec![] } else { items[start..end].to_vec() };
-            Ok(Value::List(out))
+            Ok(Value::from(out))
         }
         "concat" => {
             arity(name, args, 2, span)?;
@@ -356,7 +353,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
                 args[1].as_list().ok_or_else(|| err(span, "concat: arguments must be lists"))?;
             let mut out = a.to_vec();
             out.extend(b.iter().cloned());
-            Ok(Value::List(out))
+            Ok(Value::from(out))
         }
         "unique" => {
             arity(name, args, 1, span)?;
@@ -368,7 +365,7 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
                     out.push(item.clone());
                 }
             }
-            Ok(Value::List(out))
+            Ok(Value::from(out))
         }
         "sum" => {
             arity(name, args, 1, span)?;
@@ -395,13 +392,13 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
         "keys" => {
             arity(name, args, 1, span)?;
             let map = args[0].as_map().ok_or_else(|| err(span, "keys: argument must be a map"))?;
-            Ok(Value::List(map.keys().cloned().map(Value::Str).collect()))
+            Ok(map.keys().map(|k| Value::from(k.as_str())).collect())
         }
         "values" => {
             arity(name, args, 1, span)?;
             let map =
                 args[0].as_map().ok_or_else(|| err(span, "values: argument must be a map"))?;
-            Ok(Value::List(map.values().cloned().collect()))
+            Ok(map.values().cloned().collect())
         }
         "has_key" => {
             arity(name, args, 2, span)?;
@@ -435,19 +432,21 @@ fn number(result: f64, a: &Value, b: &Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{Interpreter, NoHost};
-    use crate::parse;
+    use crate::{compile, parse, NoHost, Vm};
+    use std::sync::Arc;
+
+    fn run(expr: &str) -> Result<Value, ScriptError> {
+        let src = format!("fn main() {{ return {expr}; }}");
+        let script = Arc::new(compile(&parse(&src).unwrap()));
+        Vm::new(script).call(&mut NoHost, "main", vec![])
+    }
 
     fn eval(expr: &str) -> Value {
-        let src = format!("fn main() {{ return {expr}; }}");
-        let program = parse(&src).unwrap();
-        Interpreter::new(&program).call(&mut NoHost, "main", vec![]).unwrap()
+        run(expr).unwrap()
     }
 
     fn eval_err(expr: &str) -> ScriptError {
-        let src = format!("fn main() {{ return {expr}; }}");
-        let program = parse(&src).unwrap();
-        Interpreter::new(&program).call(&mut NoHost, "main", vec![]).unwrap_err()
+        run(expr).unwrap_err()
     }
 
     #[test]
@@ -497,7 +496,7 @@ mod tests {
         assert!(matches!(eval(r#"overlap("a b", "a b c")"#), Value::Float(f) if f == 1.0));
         assert_eq!(
             eval(r#"tokenize("Hello, World!")"#),
-            Value::List(vec![Value::Str("hello".into()), Value::Str("world".into())])
+            Value::from(vec![Value::Str("hello".into()), Value::Str("world".into())])
         );
     }
 
@@ -528,26 +527,26 @@ mod tests {
     #[test]
     fn list_builtins() {
         assert_eq!(eval("len(range(5))"), Value::Int(5));
-        assert_eq!(eval("range(2, 4)"), Value::List(vec![Value::Int(2), Value::Int(3)]));
+        assert_eq!(eval("range(2, 4)"), Value::from(vec![Value::Int(2), Value::Int(3)]));
         assert_eq!(
             eval("sort([3, 1, 2])"),
-            Value::List(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
+            Value::from(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
         );
         assert_eq!(
             eval(r#"sort(["b", "a"])"#),
-            Value::List(vec![Value::Str("a".into()), Value::Str("b".into())])
+            Value::from(vec![Value::Str("a".into()), Value::Str("b".into())])
         );
-        assert_eq!(eval("reverse([1, 2])"), Value::List(vec![Value::Int(2), Value::Int(1)]));
+        assert_eq!(eval("reverse([1, 2])"), Value::from(vec![Value::Int(2), Value::Int(1)]));
         assert_eq!(eval(r#"reverse("abc")"#), Value::Str("cba".into()));
         assert_eq!(
             eval("slice([1, 2, 3, 4], 1, 3)"),
-            Value::List(vec![Value::Int(2), Value::Int(3)])
+            Value::from(vec![Value::Int(2), Value::Int(3)])
         );
-        assert_eq!(eval("slice([1], 5, 9)"), Value::List(vec![]));
+        assert_eq!(eval("slice([1], 5, 9)"), Value::from(vec![]));
         assert_eq!(eval("len(concat([1], [2, 3]))"), Value::Int(3));
         assert_eq!(
             eval("unique([1, 2, 1, 3, 2])"),
-            Value::List(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
+            Value::from(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
         );
         assert_eq!(eval("sum([1, 2, 3])"), Value::Int(6));
         assert_eq!(eval("sum([1, 2.5])"), Value::Float(3.5));
@@ -557,9 +556,9 @@ mod tests {
     fn map_builtins() {
         assert_eq!(
             eval(r#"keys({"b": 1, "a": 2})"#),
-            Value::List(vec![Value::Str("a".into()), Value::Str("b".into())])
+            Value::from(vec![Value::Str("a".into()), Value::Str("b".into())])
         );
-        assert_eq!(eval(r#"values({"a": 2})"#), Value::List(vec![Value::Int(2)]));
+        assert_eq!(eval(r#"values({"a": 2})"#), Value::from(vec![Value::Int(2)]));
         assert_eq!(eval(r#"has_key({"a": 1}, "a")"#), Value::Bool(true));
         assert_eq!(eval(r#"get_or({"a": 1}, "b", 9)"#), Value::Int(9));
         assert_eq!(eval(r#"get_or({"a": 1}, "a", 9)"#), Value::Int(1));

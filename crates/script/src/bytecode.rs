@@ -27,7 +27,7 @@
 //! argument counts.
 
 use crate::error::Span;
-use crate::vm::VmValue;
+use crate::value::Value;
 use std::collections::HashMap;
 
 /// The mutating special forms (`push`/`pop`/`insert`/`delete`), which operate
@@ -151,7 +151,7 @@ pub struct CompiledFn {
     /// Per-instruction source span for error reporting, parallel to `code`.
     pub spans: Vec<Span>,
     /// Constant pool.
-    pub consts: Vec<VmValue>,
+    pub consts: Vec<Value>,
     /// Builtin names and compile-time error messages.
     pub strings: Vec<String>,
     /// Key lists for map literals.

@@ -37,7 +37,8 @@
 use crate::ast::*;
 use crate::bytecode::{CompiledFn, CompiledScript, Instr, MutOp};
 use crate::error::Span;
-use crate::vm::VmValue;
+use crate::value::Value;
+use lingua_ml::fnv::fingerprint;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -70,7 +71,7 @@ struct FnCompiler<'p> {
     costs: Vec<u32>,
     spans: Vec<Span>,
     pending: u32,
-    consts: Vec<VmValue>,
+    consts: Vec<Value>,
     strings: Vec<String>,
     keysets: Vec<Vec<String>>,
     slot_names: Vec<String>,
@@ -118,7 +119,7 @@ impl<'p> FnCompiler<'p> {
         self.stmts(body);
         // Implicit `return null` — the interpreter charges nothing for it.
         debug_assert_eq!(self.pending, 0, "statements must flush their pending fuel");
-        let null = self.const_idx(VmValue::Null);
+        let null = self.const_idx(Value::Null);
         self.emit(Instr::Const(null), Span::default());
         self.emit(Instr::Ret, Span::default());
         for (pos, label) in std::mem::take(&mut self.patches) {
@@ -304,7 +305,7 @@ impl<'p> FnCompiler<'p> {
         self.emit(make(u32::MAX), span);
     }
 
-    fn const_idx(&mut self, v: VmValue) -> u32 {
+    fn const_idx(&mut self, v: Value) -> u32 {
         self.consts.push(v);
         (self.consts.len() - 1) as u32
     }
@@ -395,7 +396,7 @@ impl<'p> FnCompiler<'p> {
                 match value {
                     Some(e) => self.expr(e),
                     None => {
-                        let null = self.const_idx(VmValue::Null);
+                        let null = self.const_idx(Value::Null);
                         self.emit(Instr::Const(null), Span::default());
                     }
                 }
@@ -413,7 +414,7 @@ impl<'p> FnCompiler<'p> {
                 // interpreter's Flow::Break reaches the frame and yields
                 // null, exactly like running off the end of the body.
                 None => {
-                    let null = self.const_idx(VmValue::Null);
+                    let null = self.const_idx(Value::Null);
                     self.emit(Instr::Const(null), Span::default());
                     self.emit(Instr::Ret, Span::default());
                 }
@@ -424,7 +425,7 @@ impl<'p> FnCompiler<'p> {
                     self.emit_jump(Instr::Jump, head, Span::default());
                 }
                 None => {
-                    let null = self.const_idx(VmValue::Null);
+                    let null = self.const_idx(Value::Null);
                     self.emit(Instr::Const(null), Span::default());
                     self.emit(Instr::Ret, Span::default());
                 }
@@ -438,23 +439,23 @@ impl<'p> FnCompiler<'p> {
         self.charge(); // eval entry tick
         match e {
             Expr::Null(_) => {
-                let i = self.const_idx(VmValue::Null);
+                let i = self.const_idx(Value::Null);
                 self.emit(Instr::Const(i), Span::default());
             }
             Expr::Bool(b, _) => {
-                let i = self.const_idx(VmValue::Bool(*b));
+                let i = self.const_idx(Value::Bool(*b));
                 self.emit(Instr::Const(i), Span::default());
             }
             Expr::Int(v, _) => {
-                let i = self.const_idx(VmValue::Int(*v));
+                let i = self.const_idx(Value::Int(*v));
                 self.emit(Instr::Const(i), Span::default());
             }
             Expr::Float(v, _) => {
-                let i = self.const_idx(VmValue::Float(*v));
+                let i = self.const_idx(Value::Float(*v));
                 self.emit(Instr::Const(i), Span::default());
             }
             Expr::Str(s, _) => {
-                let i = self.const_idx(VmValue::Str(Arc::from(s.as_str())));
+                let i = self.const_idx(Value::from(s.as_str()));
                 self.emit(Instr::Const(i), Span::default());
             }
             Expr::Var(name, span) => {
@@ -585,17 +586,6 @@ impl<'p> FnCompiler<'p> {
 // Compile cache
 // ---------------------------------------------------------------------------
 
-/// FNV-1a fingerprint of a program source — the cache key. The same hash
-/// family the rest of the system uses for prompt fingerprints.
-pub fn source_fingerprint(source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in source.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[derive(Debug)]
 struct CacheEntry {
     script: Arc<CompiledScript>,
@@ -623,7 +613,7 @@ impl CompileCache {
     /// Fetch the compiled form of `source`, compiling `program` on a miss.
     /// Compilation happens under the lock, so a key compiles at most once.
     pub fn get_or_compile(&self, source: &str, program: &Program) -> Arc<CompiledScript> {
-        let key = source_fingerprint(source);
+        let key = fingerprint(source);
         let mut inner = self.inner.lock().expect("compile cache poisoned");
         match inner.get_mut(&key) {
             Some(entry) => {
@@ -640,7 +630,7 @@ impl CompileCache {
 
     /// `(compiles, hits)` recorded for this source (0, 0 if never seen).
     pub fn stats(&self, source: &str) -> (u64, u64) {
-        let key = source_fingerprint(source);
+        let key = fingerprint(source);
         let inner = self.inner.lock().expect("compile cache poisoned");
         inner.get(&key).map(|e| (e.compiles, e.hits)).unwrap_or((0, 0))
     }

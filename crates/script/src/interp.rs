@@ -1,52 +1,16 @@
-//! Tree-walking interpreter with a fuel budget and a host bridge.
+//! The tree-walking interpreter: the reference semantics the bytecode
+//! [`crate::Vm`] is differential-tested against. Nothing in production runs
+//! it — it shares [`Value`], the operator helpers and the builtins with the
+//! VM, so all it adds is a second, obviously-correct evaluation order.
 
 use crate::ast::*;
 use crate::builtins;
+use crate::bytecode::MutOp;
 use crate::error::{ScriptError, Span};
+use crate::host::{Host, DEFAULT_FUEL, DEFAULT_MAX_DEPTH};
+use crate::ops;
 use crate::value::Value;
-use std::collections::HashMap;
-
-/// The capabilities a running script gets from its embedding system.
-///
-/// In `lingua-core`, the executor implements `Host` so LLMGC modules can call
-/// the (simulated) LLM, other modules in the pipeline, and registered external
-/// tools — the composition §3.1 of the paper describes.
-pub trait Host {
-    /// `call_llm(prompt)` — ask the LLM for a free-text completion.
-    fn call_llm(&mut self, prompt: &str) -> Result<String, String>;
-    /// `call_module(name, input)` — invoke another module.
-    fn call_module(&mut self, name: &str, input: Value) -> Result<Value, String>;
-    /// `call_tool(name, args...)` — invoke a registered external tool.
-    fn call_tool(&mut self, name: &str, args: &[Value]) -> Result<Value, String>;
-}
-
-/// A host that rejects all host calls — for pure scripts and tests.
-pub struct NoHost;
-
-impl Host for NoHost {
-    fn call_llm(&mut self, _prompt: &str) -> Result<String, String> {
-        Err("no LLM available in this context".into())
-    }
-    fn call_module(&mut self, _name: &str, _input: Value) -> Result<Value, String> {
-        Err("no modules available in this context".into())
-    }
-    fn call_tool(&mut self, name: &str, _args: &[Value]) -> Result<Value, String> {
-        Err(format!("no tool `{name}` available in this context"))
-    }
-}
-
-/// Default fuel budget: generous for real modules, tight enough that an
-/// accidental `while true {}` fails fast.
-pub const DEFAULT_FUEL: u64 = 1_000_000;
-
-/// Default call-depth limit. Each interpreter call frame recurses on the
-/// *host* stack (`call_function` → `run_block` → … → `call_function`), so
-/// unbounded script recursion would overflow the host thread's stack and
-/// abort the process — unwinding never happens and `catch_unwind` isolation
-/// upstream is useless against it. 64 frames is far deeper than any
-/// generated module calls and far shallower than what a default thread
-/// stack can absorb.
-pub const DEFAULT_MAX_DEPTH: usize = 64;
+use std::collections::{BTreeMap, HashMap};
 
 /// Control flow signal threaded through statement execution.
 enum Flow {
@@ -211,7 +175,7 @@ impl<'p> Interpreter<'p> {
                         let container = scope.get_mut(name).ok_or_else(|| {
                             ScriptError::runtime(*span, format!("unknown variable `{name}`"))
                         })?;
-                        assign_index(container, &index, v, *span)?;
+                        ops::assign_index(container, &index, v, *span)?;
                     }
                 }
                 Ok(Flow::Normal)
@@ -245,18 +209,7 @@ impl<'p> Interpreter<'p> {
             }
             Stmt::For { var, iterable, body, span } => {
                 let iter_value = self.eval(host, iterable, scope)?;
-                let items: Vec<Value> = match iter_value {
-                    Value::List(items) => items,
-                    Value::Map(map) => map.keys().cloned().map(Value::Str).collect(),
-                    Value::Str(s) => s.chars().map(|c| Value::Str(c.to_string())).collect(),
-                    other => {
-                        return Err(ScriptError::runtime(
-                            *span,
-                            format!("cannot iterate a {}", other.type_name()),
-                        ))
-                    }
-                };
-                for item in items {
+                for item in ops::iterate(iter_value, *span)? {
                     self.tick()?;
                     scope.insert(var.clone(), item);
                     match self.run_block(host, body, scope)? {
@@ -291,7 +244,7 @@ impl<'p> Interpreter<'p> {
             Expr::Bool(b, _) => Ok(Value::Bool(*b)),
             Expr::Int(i, _) => Ok(Value::Int(*i)),
             Expr::Float(f, _) => Ok(Value::Float(*f)),
-            Expr::Str(s, _) => Ok(Value::Str(s.clone())),
+            Expr::Str(s, _) => Ok(Value::from(s.as_str())),
             Expr::Var(name, span) => scope
                 .get(name)
                 .cloned()
@@ -301,27 +254,20 @@ impl<'p> Interpreter<'p> {
                 for item in items {
                     out.push(self.eval(host, item, scope)?);
                 }
-                Ok(Value::List(out))
+                Ok(Value::from(out))
             }
             Expr::Map(pairs, _) => {
-                let mut out = std::collections::BTreeMap::new();
+                let mut out = BTreeMap::new();
                 for (k, v) in pairs {
                     let value = self.eval(host, v, scope)?;
                     out.insert(k.clone(), value);
                 }
-                Ok(Value::Map(out))
+                Ok(Value::from(out))
             }
             Expr::Unary(op, inner, span) => {
                 let v = self.eval(host, inner, scope)?;
                 match op {
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(ScriptError::runtime(
-                            *span,
-                            format!("cannot negate a {}", other.type_name()),
-                        )),
-                    },
+                    UnOp::Neg => ops::negate(v, *span),
                     UnOp::Not => Ok(Value::Bool(!v.truthy())),
                 }
             }
@@ -332,7 +278,7 @@ impl<'p> Interpreter<'p> {
             Expr::Index(base, index, span) => {
                 let b = self.eval(host, base, scope)?;
                 let i = self.eval(host, index, scope)?;
-                read_index(&b, &i, *span)
+                ops::read_index(&b, &i, *span)
             }
         }
     }
@@ -366,14 +312,7 @@ impl<'p> Interpreter<'p> {
 
         let l = self.eval(host, left, scope)?;
         let r = self.eval(host, right, scope)?;
-        match op {
-            BinOp::Eq => Ok(Value::Bool(l.loose_eq(&r))),
-            BinOp::Ne => Ok(Value::Bool(!l.loose_eq(&r))),
-            BinOp::Add => add_values(&l, &r, span),
-            BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => arith(op, &l, &r, span),
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => compare(op, &l, &r, span),
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
-        }
+        ops::binary(op, &l, &r, span)
     }
 
     fn eval_call(
@@ -385,11 +324,8 @@ impl<'p> Interpreter<'p> {
         scope: &mut HashMap<String, Value>,
     ) -> Result<Value, ScriptError> {
         // Mutating special forms: the first argument must be an lvalue.
-        match name {
-            "push" | "pop" | "insert" | "delete" => {
-                return self.eval_mutating_call(host, name, args, span, scope)
-            }
-            _ => {}
+        if let Some(op) = MutOp::from_name(name) {
+            return self.eval_mutating_call(host, op, args, span, scope);
         }
 
         let mut values = Vec::with_capacity(args.len());
@@ -410,7 +346,7 @@ impl<'p> Interpreter<'p> {
                 })?;
                 return host
                     .call_llm(prompt)
-                    .map(Value::Str)
+                    .map(Value::from)
                     .map_err(|message| ScriptError::Host { message });
             }
             "call_module" => {
@@ -452,11 +388,12 @@ impl<'p> Interpreter<'p> {
     fn eval_mutating_call(
         &mut self,
         host: &mut dyn Host,
-        name: &str,
+        op: MutOp,
         args: &[Expr],
         span: Span,
         scope: &mut HashMap<String, Value>,
     ) -> Result<Value, ScriptError> {
+        let name = op.name();
         let Some((target, rest)) = args.split_first() else {
             return Err(ScriptError::runtime(span, format!("{name} expects a container argument")));
         };
@@ -466,12 +403,9 @@ impl<'p> Interpreter<'p> {
         }
         // Resolve the target to a mutable container reference.
         let (var, index) = match target {
-            Expr::Var(v, _) => (v.clone(), None),
+            Expr::Var(v, _) => (v, None),
             Expr::Index(base, idx, _) => match &**base {
-                Expr::Var(v, _) => {
-                    let i = self.eval(host, idx, scope)?;
-                    (v.clone(), Some(i))
-                }
+                Expr::Var(v, _) => (v, Some(self.eval(host, idx, scope)?)),
                 _ => {
                     return Err(ScriptError::runtime(
                         span,
@@ -487,227 +421,20 @@ impl<'p> Interpreter<'p> {
             }
         };
         let container = scope
-            .get_mut(&var)
+            .get_mut(var)
             .ok_or_else(|| ScriptError::runtime(span, format!("unknown variable `{var}`")))?;
         let slot: &mut Value = match &index {
             None => container,
-            Some(i) => index_mut(container, i, span)?,
+            Some(i) => ops::index_mut(container, i, span)?,
         };
-        match (name, slot) {
-            ("push", Value::List(items)) => {
-                let v = rest_values
-                    .first()
-                    .cloned()
-                    .ok_or_else(|| ScriptError::runtime(span, "push expects (list, value)"))?;
-                items.push(v);
-                Ok(Value::Null)
-            }
-            ("pop", Value::List(items)) => Ok(items.pop().unwrap_or(Value::Null)),
-            ("insert", Value::Map(map)) => {
-                let [k, v] = rest_values.as_slice() else {
-                    return Err(ScriptError::runtime(span, "insert expects (map, key, value)"));
-                };
-                let key = k
-                    .as_str()
-                    .ok_or_else(|| ScriptError::runtime(span, "map keys must be strings"))?;
-                map.insert(key.to_string(), v.clone());
-                Ok(Value::Null)
-            }
-            ("delete", Value::Map(map)) => {
-                let k = rest_values
-                    .first()
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| ScriptError::runtime(span, "delete expects (map, key)"))?;
-                Ok(map.remove(k).unwrap_or(Value::Null))
-            }
-            (_, other) => Err(ScriptError::runtime(
-                span,
-                format!("{name} cannot operate on a {}", other.type_name()),
-            )),
-        }
+        ops::mutate(op, slot, &rest_values, span)
     }
-}
-
-fn read_index(base: &Value, index: &Value, span: Span) -> Result<Value, ScriptError> {
-    match (base, index) {
-        (Value::List(items), Value::Int(i)) => {
-            let idx = normalize_index(*i, items.len());
-            idx.and_then(|i| items.get(i))
-                .cloned()
-                .ok_or_else(|| ScriptError::runtime(span, format!("list index {i} out of bounds")))
-        }
-        (Value::Map(map), Value::Str(k)) => Ok(map.get(k).cloned().unwrap_or(Value::Null)),
-        (Value::Str(s), Value::Int(i)) => {
-            let chars: Vec<char> = s.chars().collect();
-            let idx = normalize_index(*i, chars.len());
-            idx.and_then(|i| chars.get(i)).map(|c| Value::Str(c.to_string())).ok_or_else(|| {
-                ScriptError::runtime(span, format!("string index {i} out of bounds"))
-            })
-        }
-        (b, i) => Err(ScriptError::runtime(
-            span,
-            format!("cannot index {} with {}", b.type_name(), i.type_name()),
-        )),
-    }
-}
-
-fn index_mut<'v>(
-    base: &'v mut Value,
-    index: &Value,
-    span: Span,
-) -> Result<&'v mut Value, ScriptError> {
-    match (base, index) {
-        (Value::List(items), Value::Int(i)) => {
-            let len = items.len();
-            normalize_index(*i, len)
-                .and_then(move |idx| items.get_mut(idx))
-                .ok_or_else(|| ScriptError::runtime(span, format!("list index {i} out of bounds")))
-        }
-        (Value::Map(map), Value::Str(k)) => map
-            .get_mut(k)
-            .ok_or_else(|| ScriptError::runtime(span, format!("missing map key `{k}`"))),
-        (b, i) => Err(ScriptError::runtime(
-            span,
-            format!("cannot index {} with {}", b.type_name(), i.type_name()),
-        )),
-    }
-}
-
-fn assign_index(
-    container: &mut Value,
-    index: &Value,
-    value: Value,
-    span: Span,
-) -> Result<(), ScriptError> {
-    match (container, index) {
-        (Value::List(items), Value::Int(i)) => {
-            let len = items.len();
-            let idx = normalize_index(*i, len).ok_or_else(|| {
-                ScriptError::runtime(span, format!("list index {i} out of bounds"))
-            })?;
-            items[idx] = value;
-            Ok(())
-        }
-        (Value::Map(map), Value::Str(k)) => {
-            map.insert(k.clone(), value);
-            Ok(())
-        }
-        (c, i) => Err(ScriptError::runtime(
-            span,
-            format!("cannot index-assign {} with {}", c.type_name(), i.type_name()),
-        )),
-    }
-}
-
-/// Negative indices count from the end (Python-style).
-fn normalize_index(i: i64, len: usize) -> Option<usize> {
-    if i >= 0 {
-        let idx = i as usize;
-        (idx < len).then_some(idx)
-    } else {
-        let back = (-i) as usize;
-        (back <= len).then(|| len - back)
-    }
-}
-
-fn add_values(l: &Value, r: &Value, span: Span) -> Result<Value, ScriptError> {
-    match (l, r) {
-        (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
-        (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
-        // String + anything stringifies the other side (handy for prompts).
-        (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}"))),
-        (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
-        (Value::List(a), Value::List(b)) => {
-            let mut out = a.clone();
-            out.extend(b.iter().cloned());
-            Ok(Value::List(out))
-        }
-        (a, b) => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => Ok(Value::Float(x + y)),
-            _ => Err(ScriptError::runtime(
-                span,
-                format!("cannot add {} and {}", a.type_name(), b.type_name()),
-            )),
-        },
-    }
-}
-
-fn arith(op: BinOp, l: &Value, r: &Value, span: Span) -> Result<Value, ScriptError> {
-    if let (Value::Int(a), Value::Int(b)) = (l, r) {
-        return match op {
-            BinOp::Sub => Ok(Value::Int(a.wrapping_sub(*b))),
-            BinOp::Mul => Ok(Value::Int(a.wrapping_mul(*b))),
-            BinOp::Div => {
-                if *b == 0 {
-                    Err(ScriptError::runtime(span, "division by zero"))
-                } else {
-                    Ok(Value::Int(a.wrapping_div(*b)))
-                }
-            }
-            BinOp::Rem => {
-                if *b == 0 {
-                    Err(ScriptError::runtime(span, "remainder by zero"))
-                } else {
-                    Ok(Value::Int(a.wrapping_rem(*b)))
-                }
-            }
-            _ => unreachable!(),
-        };
-    }
-    match (l.as_f64(), r.as_f64()) {
-        (Some(x), Some(y)) => match op {
-            BinOp::Sub => Ok(Value::Float(x - y)),
-            BinOp::Mul => Ok(Value::Float(x * y)),
-            BinOp::Div => {
-                if y == 0.0 {
-                    Err(ScriptError::runtime(span, "division by zero"))
-                } else {
-                    Ok(Value::Float(x / y))
-                }
-            }
-            BinOp::Rem => Ok(Value::Float(x % y)),
-            _ => unreachable!(),
-        },
-        _ => Err(ScriptError::runtime(
-            span,
-            format!("cannot apply `{}` to {} and {}", op.symbol(), l.type_name(), r.type_name()),
-        )),
-    }
-}
-
-fn compare(op: BinOp, l: &Value, r: &Value, span: Span) -> Result<Value, ScriptError> {
-    let ord = match (l, r) {
-        (Value::Str(a), Value::Str(b)) => a.cmp(b),
-        _ => match (l.as_f64(), r.as_f64()) {
-            (Some(x), Some(y)) => {
-                x.partial_cmp(&y).ok_or_else(|| ScriptError::runtime(span, "cannot compare NaN"))?
-            }
-            _ => {
-                return Err(ScriptError::runtime(
-                    span,
-                    format!(
-                        "cannot compare {} and {} with `{}`",
-                        l.type_name(),
-                        r.type_name(),
-                        op.symbol()
-                    ),
-                ))
-            }
-        },
-    };
-    let result = match op {
-        BinOp::Lt => ord.is_lt(),
-        BinOp::Le => ord.is_le(),
-        BinOp::Gt => ord.is_gt(),
-        BinOp::Ge => ord.is_ge(),
-        _ => unreachable!(),
-    };
-    Ok(Value::Bool(result))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::NoHost;
     use crate::parse;
 
     fn run(src: &str, func: &str, args: Vec<Value>) -> Result<Value, ScriptError> {
@@ -906,7 +633,7 @@ mod tests {
                 Ok(format!("echo:{prompt}"))
             }
             fn call_module(&mut self, name: &str, input: Value) -> Result<Value, String> {
-                Ok(Value::Str(format!("{name}<{input}>")))
+                Ok(Value::from(format!("{name}<{input}>")))
             }
             fn call_tool(&mut self, _name: &str, args: &[Value]) -> Result<Value, String> {
                 Ok(Value::Int(args.len() as i64))

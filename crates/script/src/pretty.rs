@@ -273,7 +273,8 @@ mod tests {
 
     #[test]
     fn semantics_preserved_through_roundtrip() {
-        use crate::interp::{Interpreter, NoHost};
+        use crate::host::NoHost;
+        use crate::interp::Interpreter;
         use crate::value::Value;
         let src = r#"
             fn main() {

@@ -2,18 +2,24 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-/// A MangaScript runtime value.
+/// A MangaScript runtime value — the one representation both engines, the
+/// builtins and the host bridge share. Scalars are inline; strings, lists
+/// and maps sit behind an `Arc`, so a clone (variable load, argument pass,
+/// host call) is a refcount bump. Mutation goes through `Arc::make_mut`
+/// (copy-on-write), which keeps the language's pass-by-value semantics: a
+/// callee or host mutating its copy never affects the caller's.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(String),
-    List(Vec<Value>),
+    Str(Arc<str>),
+    List(Arc<Vec<Value>>),
     /// Maps have string keys and preserve key order (sorted).
-    Map(BTreeMap<String, Value>),
+    Map(Arc<BTreeMap<String, Value>>),
 }
 
 impl Value {
@@ -78,7 +84,7 @@ impl Value {
                 self.as_f64() == other.as_f64()
             }
             (Value::List(a), Value::List(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.loose_eq(y))
+                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.loose_eq(y))
             }
             (Value::Map(a), Value::Map(b)) => {
                 a.len() == b.len()
@@ -137,12 +143,17 @@ impl fmt::Display for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
+    }
+}
+impl From<char> for Value {
+    fn from(c: char) -> Self {
+        Value::Str(Arc::from(&*c.encode_utf8(&mut [0; 4])))
     }
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 impl From<i64> for Value {
@@ -162,7 +173,17 @@ impl From<bool> for Value {
 }
 impl From<Vec<Value>> for Value {
     fn from(items: Vec<Value>) -> Self {
-        Value::List(items)
+        Value::List(Arc::new(items))
+    }
+}
+impl FromIterator<Value> for Value {
+    fn from_iter<I: IntoIterator<Item = Value>>(items: I) -> Self {
+        Value::List(Arc::new(items.into_iter().collect()))
+    }
+}
+impl From<BTreeMap<String, Value>> for Value {
+    fn from(map: BTreeMap<String, Value>) -> Self {
+        Value::Map(Arc::new(map))
     }
 }
 
@@ -176,15 +197,15 @@ mod tests {
         assert!(!Value::Bool(false).truthy());
         assert!(Value::Bool(true).truthy());
         assert!(Value::Int(0).truthy()); // numbers are always truthy
-        assert!(Value::Str(String::new()).truthy());
-        assert!(Value::List(vec![]).truthy());
+        assert!(Value::Str("".into()).truthy());
+        assert!(Value::List(vec![].into()).truthy());
     }
 
     #[test]
     fn loose_eq_coerces_numbers() {
         assert!(Value::Int(2).loose_eq(&Value::Float(2.0)));
         assert!(!Value::Int(2).loose_eq(&Value::Float(2.5)));
-        assert!(Value::List(vec![Value::Int(1)]).loose_eq(&Value::List(vec![Value::Float(1.0)])));
+        assert!(Value::from(vec![Value::Int(1)]).loose_eq(&Value::from(vec![Value::Float(1.0)])));
         assert!(!Value::Str("2".into()).loose_eq(&Value::Int(2)));
     }
 
@@ -193,12 +214,12 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "null");
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(
-            Value::List(vec![Value::Int(1), Value::Str("x".into())]).to_string(),
+            Value::from(vec![Value::Int(1), Value::Str("x".into())]).to_string(),
             "[1, \"x\"]"
         );
         let mut m = BTreeMap::new();
         m.insert("k".to_string(), Value::Int(1));
-        assert_eq!(Value::Map(m).to_string(), "{\"k\": 1}");
+        assert_eq!(Value::from(m).to_string(), "{\"k\": 1}");
     }
 
     #[test]
@@ -207,5 +228,12 @@ mod tests {
         assert_eq!(Value::Str("a".into()).as_str(), Some("a"));
         assert_eq!(Value::Null.as_list(), None);
         assert_eq!(Value::from("x"), Value::Str("x".into()));
+    }
+
+    #[test]
+    fn representation_stays_small() {
+        // Tag + a fat `Arc<str>`. ROADMAP item 3 asks to "measure ours": 24
+        // bytes, against 9–16 for Rune's (SNIPPETS.md Snippet 3).
+        assert!(std::mem::size_of::<Value>() <= 24);
     }
 }

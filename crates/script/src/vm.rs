@@ -1,180 +1,29 @@
 //! The bytecode VM: a register-style (slot-indexed) execution engine over
-//! [`CompiledScript`], behaviourally identical to the tree-walking
-//! interpreter — same results, same error messages, same trap kinds, same
-//! fuel accounting, same host-call order (differential-tested).
+//! [`CompiledScript`] — the engine every LLMGC module runs on. The
+//! tree-walking [`crate::Interpreter`] is kept as its differential oracle:
+//! same results, same error messages, same trap kinds, same fuel accounting,
+//! same host-call order (see `tests/vm_differential.rs`).
 //!
-//! The performance story versus the tree-walker:
+//! Where the time goes, compared with walking the AST:
 //!
-//! * values are an inline-primitive [`VmValue`] — unit/bool/int/float
-//!   unboxed, strings/lists/maps behind `Arc` with copy-on-write mutation,
-//!   so variable loads are an `Arc` bump instead of a deep clone;
 //! * locals are dense slots resolved at compile time instead of per-access
-//!   `HashMap<String, Value>` lookups;
+//!   `HashMap<String, Value>` lookups, and loading one is an `Arc` bump
+//!   ([`Value`] shares its containers copy-on-write);
 //! * calls push explicit frames on a VM-owned stack instead of recursing on
-//!   the host stack (and no longer clone the callee's entire body AST, which
-//!   the tree-walker does on every single call);
+//!   the host stack;
 //! * fuel is charged per instruction from a precomputed cost table instead
-//!   of a branch per AST node.
+//!   of a branch per AST node;
+//! * arguments, builtin calls and host calls take and return the [`Value`]s
+//!   the stack already holds — nothing is converted at any boundary.
 
-use crate::ast::BinOp;
 use crate::builtins;
-use crate::bytecode::{CompiledFn, CompiledScript, Instr, MutOp};
+use crate::bytecode::{CompiledFn, CompiledScript, Instr};
 use crate::error::{ScriptError, Span};
-use crate::interp::{Host, DEFAULT_FUEL, DEFAULT_MAX_DEPTH};
+use crate::host::{Host, DEFAULT_FUEL, DEFAULT_MAX_DEPTH};
+use crate::ops;
 use crate::value::Value;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
-
-/// The VM's value representation. Scalars are unboxed; containers are
-/// `Arc`-shared with copy-on-write mutation, which preserves the language's
-/// pass-by-value semantics (a callee mutating its argument never affects the
-/// caller) while making loads and argument passing O(1).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum VmValue {
-    /// Internal sentinel for a slot that has not been assigned yet. Never
-    /// escapes the VM: loading one raises "unknown variable".
-    #[default]
-    Undefined,
-    Null,
-    Bool(bool),
-    Int(i64),
-    Float(f64),
-    Str(Arc<str>),
-    List(Arc<Vec<VmValue>>),
-    Map(Arc<BTreeMap<String, VmValue>>),
-}
-
-impl VmValue {
-    pub fn from_value(v: Value) -> VmValue {
-        match v {
-            Value::Null => VmValue::Null,
-            Value::Bool(b) => VmValue::Bool(b),
-            Value::Int(i) => VmValue::Int(i),
-            Value::Float(f) => VmValue::Float(f),
-            Value::Str(s) => VmValue::Str(Arc::from(s.as_str())),
-            Value::List(items) => {
-                VmValue::List(Arc::new(items.into_iter().map(VmValue::from_value).collect()))
-            }
-            Value::Map(map) => VmValue::Map(Arc::new(
-                map.into_iter().map(|(k, v)| (k, VmValue::from_value(v))).collect(),
-            )),
-        }
-    }
-
-    pub fn to_value(&self) -> Value {
-        match self {
-            VmValue::Undefined => Value::Null,
-            VmValue::Null => Value::Null,
-            VmValue::Bool(b) => Value::Bool(*b),
-            VmValue::Int(i) => Value::Int(*i),
-            VmValue::Float(f) => Value::Float(*f),
-            VmValue::Str(s) => Value::Str(s.to_string()),
-            VmValue::List(items) => Value::List(items.iter().map(VmValue::to_value).collect()),
-            VmValue::Map(map) => {
-                Value::Map(map.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
-            }
-        }
-    }
-
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            VmValue::Undefined => "undefined",
-            VmValue::Null => "null",
-            VmValue::Bool(_) => "bool",
-            VmValue::Int(_) => "int",
-            VmValue::Float(_) => "float",
-            VmValue::Str(_) => "str",
-            VmValue::List(_) => "list",
-            VmValue::Map(_) => "map",
-        }
-    }
-
-    pub fn truthy(&self) -> bool {
-        !matches!(self, VmValue::Null | VmValue::Bool(false))
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            VmValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            VmValue::Int(i) => Some(*i as f64),
-            VmValue::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// `==` semantics, mirroring `Value::loose_eq`.
-    fn loose_eq(&self, other: &VmValue) -> bool {
-        match (self, other) {
-            (VmValue::Int(_) | VmValue::Float(_), VmValue::Int(_) | VmValue::Float(_)) => {
-                self.as_f64() == other.as_f64()
-            }
-            (VmValue::List(a), VmValue::List(b)) => {
-                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.loose_eq(y))
-            }
-            (VmValue::Map(a), VmValue::Map(b)) => {
-                a.len() == b.len()
-                    && a.iter()
-                        .zip(b.iter())
-                        .all(|((ka, va), (kb, vb))| ka == kb && va.loose_eq(vb))
-            }
-            _ => self == other,
-        }
-    }
-}
-
-/// Mirrors `Value`'s Display exactly (strings bare at top level, quoted
-/// inside containers, whole floats with one decimal).
-impl fmt::Display for VmValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VmValue::Undefined => write!(f, "undefined"),
-            VmValue::Null => write!(f, "null"),
-            VmValue::Bool(b) => write!(f, "{b}"),
-            VmValue::Int(i) => write!(f, "{i}"),
-            VmValue::Float(x) => {
-                if x.fract() == 0.0 && x.is_finite() {
-                    write!(f, "{x:.1}")
-                } else {
-                    write!(f, "{x}")
-                }
-            }
-            VmValue::Str(s) => write!(f, "{s}"),
-            VmValue::List(items) => {
-                write!(f, "[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    match item {
-                        VmValue::Str(s) => write!(f, "{:?}", &**s)?,
-                        other => write!(f, "{other}")?,
-                    }
-                }
-                write!(f, "]")
-            }
-            VmValue::Map(map) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    match v {
-                        VmValue::Str(s) => write!(f, "{k:?}: {:?}", &**s)?,
-                        other => write!(f, "{k:?}: {other}")?,
-                    }
-                }
-                write!(f, "}}")
-            }
-        }
-    }
-}
 
 /// One call frame: which function, where in it, and where this frame's
 /// locals, operand stack and iterators start.
@@ -186,9 +35,7 @@ struct Frame {
     iter_base: usize,
 }
 
-/// A (re-usable) VM over one compiled program. The API mirrors
-/// [`crate::Interpreter`]: `with_fuel`, `with_max_depth`, `fuel_used`,
-/// `output`, and `call` taking/returning the public [`Value`].
+/// A (re-usable) VM over one compiled program.
 pub struct Vm {
     script: Arc<CompiledScript>,
     fuel_budget: u64,
@@ -251,8 +98,7 @@ impl Vm {
                 ),
             ));
         }
-        let vm_args: Vec<VmValue> = args.into_iter().map(VmValue::from_value).collect();
-        self.run(host, &script, entry, vm_args)
+        self.run(host, &script, entry, args)
     }
 
     fn charge(&mut self, cost: u32) -> Result<(), ScriptError> {
@@ -272,11 +118,17 @@ impl Vm {
         host: &mut dyn Host,
         script: &CompiledScript,
         entry: usize,
-        args: Vec<VmValue>,
+        args: Vec<Value>,
     ) -> Result<Value, ScriptError> {
-        let mut stack: Vec<VmValue> = Vec::with_capacity(16);
-        let mut locals: Vec<VmValue> = Vec::with_capacity(16);
-        let mut iters: Vec<(Vec<VmValue>, usize)> = Vec::new();
+        let mut stack: Vec<Value> = Vec::with_capacity(16);
+        // Whether a slot has been assigned yet is tracked beside the slots,
+        // not inside them: loading an unassigned one raises "unknown
+        // variable", and no sentinel value exists for a script to observe.
+        // (`Vec<Option<Value>>` is the same size through the tag niche but
+        // measured ~1.7x slower on pure interpretation — see DESIGN.md §14.)
+        let mut locals: Vec<Value> = Vec::with_capacity(16);
+        let mut assigned: Vec<bool> = Vec::with_capacity(16);
+        let mut iters: Vec<std::vec::IntoIter<Value>> = Vec::new();
         // Suspended callers only; the running frame lives in the locals
         // below so the dispatch loop never re-indexes the frame stack.
         let mut frames: Vec<Frame> = Vec::with_capacity(8);
@@ -287,10 +139,10 @@ impl Vm {
         let mut floor: usize = 0;
         let mut iter_base: usize = 0;
 
-        locals.resize(func.n_slots, VmValue::Undefined);
-        for (i, a) in args.into_iter().enumerate() {
-            locals[i] = a;
-        }
+        assigned.resize(args.len(), true);
+        locals.extend(args);
+        locals.resize(func.n_slots, Value::Null);
+        assigned.resize(func.n_slots, false);
 
         loop {
             let ip = pc;
@@ -302,23 +154,21 @@ impl Vm {
             match &func.code[ip] {
                 Instr::Const(i) => stack.push(func.consts[*i as usize].clone()),
                 Instr::LoadSlot(s) => {
-                    let v = &locals[base + *s as usize];
-                    if matches!(v, VmValue::Undefined) {
-                        return Err(ScriptError::runtime(
-                            func.spans[ip],
-                            format!("unknown variable `{}`", func.slot_names[*s as usize]),
-                        ));
+                    let slot = base + *s as usize;
+                    if !assigned[slot] {
+                        return Err(unknown_variable(func, *s, func.spans[ip]));
                     }
-                    stack.push(v.clone());
+                    stack.push(locals[slot].clone());
                 }
                 Instr::StoreSlot(s) => {
-                    let v = stack.pop().expect("store with empty stack");
-                    locals[base + *s as usize] = v;
+                    let slot = base + *s as usize;
+                    locals[slot] = stack.pop().expect("store with empty stack");
+                    assigned[slot] = true;
                 }
                 Instr::StoreChecked(s) => {
                     let v = stack.pop().expect("store with empty stack");
-                    let slot = &mut locals[base + *s as usize];
-                    if matches!(slot, VmValue::Undefined) {
+                    let slot = base + *s as usize;
+                    if !assigned[slot] {
                         return Err(ScriptError::runtime(
                             func.spans[ip],
                             format!(
@@ -327,7 +177,7 @@ impl Vm {
                             ),
                         ));
                     }
-                    *slot = v;
+                    locals[slot] = v;
                 }
                 Instr::Pop => {
                     stack.pop();
@@ -335,73 +185,45 @@ impl Vm {
                 Instr::Fuel => {}
                 Instr::MakeList(n) => {
                     let items = stack.split_off(stack.len() - *n as usize);
-                    stack.push(VmValue::List(Arc::new(items)));
+                    stack.push(Value::from(items));
                 }
                 Instr::MakeMap(k) => {
                     let keys = &func.keysets[*k as usize];
                     let values = stack.split_off(stack.len() - keys.len());
-                    let mut map = BTreeMap::new();
-                    for (key, value) in keys.iter().zip(values) {
-                        map.insert(key.clone(), value);
-                    }
-                    stack.push(VmValue::Map(Arc::new(map)));
+                    let map: BTreeMap<String, Value> = keys.iter().cloned().zip(values).collect();
+                    stack.push(Value::from(map));
                 }
                 Instr::ReadIndex => {
                     let i = stack.pop().expect("index with empty stack");
                     let b = stack.pop().expect("index with empty stack");
-                    stack.push(read_index(&b, &i, func.spans[ip])?);
+                    stack.push(ops::read_index(&b, &i, func.spans[ip])?);
                 }
                 Instr::StoreIndex(s) => {
                     let span = func.spans[ip];
                     let index = stack.pop().expect("store-index with empty stack");
                     let value = stack.pop().expect("store-index with empty stack");
-                    let container = &mut locals[base + *s as usize];
-                    if matches!(container, VmValue::Undefined) {
-                        return Err(ScriptError::runtime(
-                            span,
-                            format!("unknown variable `{}`", func.slot_names[*s as usize]),
-                        ));
+                    let slot = base + *s as usize;
+                    if !assigned[slot] {
+                        return Err(unknown_variable(func, *s, span));
                     }
-                    assign_index(container, &index, value, span)?;
+                    ops::assign_index(&mut locals[slot], &index, value, span)?;
                 }
                 Instr::Neg => {
                     let v = stack.pop().expect("neg with empty stack");
-                    match v {
-                        VmValue::Int(i) => stack.push(VmValue::Int(-i)),
-                        VmValue::Float(f) => stack.push(VmValue::Float(-f)),
-                        other => {
-                            return Err(ScriptError::runtime(
-                                func.spans[ip],
-                                format!("cannot negate a {}", other.type_name()),
-                            ))
-                        }
-                    }
+                    stack.push(ops::negate(v, func.spans[ip])?);
                 }
                 Instr::Not => {
                     let v = stack.pop().expect("not with empty stack");
-                    stack.push(VmValue::Bool(!v.truthy()));
+                    stack.push(Value::Bool(!v.truthy()));
                 }
                 Instr::ToBool => {
                     let v = stack.pop().expect("tobool with empty stack");
-                    stack.push(VmValue::Bool(v.truthy()));
+                    stack.push(Value::Bool(v.truthy()));
                 }
                 Instr::Bin(op) => {
                     let r = stack.pop().expect("binop with empty stack");
                     let l = stack.pop().expect("binop with empty stack");
-                    let span = func.spans[ip];
-                    let out = match op {
-                        BinOp::Eq => VmValue::Bool(l.loose_eq(&r)),
-                        BinOp::Ne => VmValue::Bool(!l.loose_eq(&r)),
-                        BinOp::Add => add_values(&l, &r, span)?,
-                        BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
-                            arith(*op, &l, &r, span)?
-                        }
-                        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                            compare(*op, &l, &r, span)?
-                        }
-                        BinOp::And | BinOp::Or => unreachable!("logical ops compile to jumps"),
-                    };
-                    stack.push(out);
+                    stack.push(ops::binary(*op, &l, &r, func.spans[ip])?);
                 }
                 Instr::Jump(t) => pc = *t as usize,
                 Instr::JumpIfFalse(t) => {
@@ -413,51 +235,35 @@ impl Vm {
                 Instr::AndJump(t) => {
                     let v = stack.pop().expect("jump with empty stack");
                     if !v.truthy() {
-                        stack.push(VmValue::Bool(false));
+                        stack.push(Value::Bool(false));
                         pc = *t as usize;
                     }
                 }
                 Instr::OrJump(t) => {
                     let v = stack.pop().expect("jump with empty stack");
                     if v.truthy() {
-                        stack.push(VmValue::Bool(true));
+                        stack.push(Value::Bool(true));
                         pc = *t as usize;
                     }
                 }
                 Instr::ForPrep => {
                     let iterable = stack.pop().expect("for with empty stack");
-                    let items: Vec<VmValue> = match iterable {
-                        VmValue::List(items) => {
-                            Arc::try_unwrap(items).unwrap_or_else(|a| (*a).clone())
-                        }
-                        VmValue::Map(map) => {
-                            map.keys().map(|k| VmValue::Str(Arc::from(k.as_str()))).collect()
-                        }
-                        VmValue::Str(s) => s
-                            .chars()
-                            .map(|c| VmValue::Str(Arc::from(c.to_string().as_str())))
-                            .collect(),
-                        other => {
-                            return Err(ScriptError::runtime(
-                                func.spans[ip],
-                                format!("cannot iterate a {}", other.type_name()),
-                            ))
-                        }
-                    };
-                    iters.push((items, 0));
+                    iters.push(ops::iterate(iterable, func.spans[ip])?.into_iter());
                 }
                 Instr::ForNext { slot, end } => {
-                    let (items, next) = iters.last_mut().expect("for-next without iterator");
-                    if *next < items.len() {
-                        // One tick per yielded item, exactly where the
-                        // interpreter ticks before binding the loop var.
-                        self.charge(1)?;
-                        let item = std::mem::take(&mut items[*next]);
-                        *next += 1;
-                        locals[base + *slot as usize] = item;
-                    } else {
-                        iters.pop();
-                        pc = *end as usize;
+                    let items = iters.last_mut().expect("for-next without iterator");
+                    match items.next() {
+                        Some(item) => {
+                            // One tick per yielded item, exactly where the
+                            // interpreter ticks before binding the loop var.
+                            self.charge(1)?;
+                            locals[base + *slot as usize] = item;
+                            assigned[base + *slot as usize] = true;
+                        }
+                        None => {
+                            iters.pop();
+                            pc = *end as usize;
+                        }
                     }
                 }
                 Instr::IterPop => {
@@ -481,9 +287,11 @@ impl Vm {
                         ));
                     }
                     let new_base = locals.len();
-                    locals.resize(new_base + callee_fn.n_slots, VmValue::Undefined);
+                    locals.resize(new_base + callee_fn.n_slots, Value::Null);
+                    assigned.resize(new_base + callee_fn.n_slots, false);
                     for i in (0..argc).rev() {
                         locals[new_base + i] = stack.pop().expect("call with missing args");
+                        assigned[new_base + i] = true;
                     }
                     frames.push(Frame { func: fidx, pc, base, floor, iter_base });
                     fidx = *callee as usize;
@@ -494,23 +302,11 @@ impl Vm {
                     iter_base = iters.len();
                 }
                 Instr::Builtin { name, argc } => {
-                    let name = func.strings[*name as usize].as_str();
-                    if *argc == 1 {
-                        let v = stack.pop().expect("builtin with empty stack");
-                        match fast_builtin1(name, &v) {
-                            Some(out) => stack.push(out),
-                            None => {
-                                let args = [v.to_value()];
-                                let out = builtins::call(name, &args, func.spans[ip])?;
-                                stack.push(VmValue::from_value(out));
-                            }
-                        }
-                    } else {
-                        let vm_args = stack.split_off(stack.len() - *argc as usize);
-                        let args: Vec<Value> = vm_args.iter().map(VmValue::to_value).collect();
-                        let out = builtins::call(name, &args, func.spans[ip])?;
-                        stack.push(VmValue::from_value(out));
-                    }
+                    let at = stack.len() - *argc as usize;
+                    let name = &func.strings[*name as usize];
+                    let out = builtins::call(name, &stack[at..], func.spans[ip])?;
+                    stack.truncate(at);
+                    stack.push(out);
                 }
                 Instr::HostLlm { argc } => {
                     let span = func.spans[ip];
@@ -520,45 +316,41 @@ impl Vm {
                     })?;
                     let response =
                         host.call_llm(prompt).map_err(|message| ScriptError::Host { message })?;
-                    stack.push(VmValue::Str(Arc::from(response.as_str())));
+                    stack.push(Value::from(response));
                 }
                 Instr::HostModule { argc } => {
                     let span = func.spans[ip];
                     let values = stack.split_off(stack.len() - *argc as usize);
-                    if values.len() != 2 {
+                    let [module, input] = values.as_slice() else {
                         return Err(ScriptError::runtime(
                             span,
                             "call_module expects (name, input)",
                         ));
-                    }
-                    let module = values[0]
-                        .as_str()
-                        .ok_or_else(|| ScriptError::runtime(span, "module name must be a string"))?
-                        .to_string();
+                    };
+                    let module = module.as_str().ok_or_else(|| {
+                        ScriptError::runtime(span, "module name must be a string")
+                    })?;
                     let out = host
-                        .call_module(&module, values[1].to_value())
+                        .call_module(module, input.clone())
                         .map_err(|message| ScriptError::Host { message })?;
-                    stack.push(VmValue::from_value(out));
+                    stack.push(out);
                 }
                 Instr::HostTool { argc } => {
                     let span = func.spans[ip];
                     let values = stack.split_off(stack.len() - *argc as usize);
-                    let tool = values
-                        .first()
-                        .and_then(|v| v.as_str())
-                        .ok_or_else(|| ScriptError::runtime(span, "call_tool expects a tool name"))?
-                        .to_string();
-                    let rest: Vec<Value> = values[1..].iter().map(VmValue::to_value).collect();
+                    let tool = values.first().and_then(|v| v.as_str()).ok_or_else(|| {
+                        ScriptError::runtime(span, "call_tool expects a tool name")
+                    })?;
                     let out = host
-                        .call_tool(&tool, &rest)
+                        .call_tool(tool, &values[1..])
                         .map_err(|message| ScriptError::Host { message })?;
-                    stack.push(VmValue::from_value(out));
+                    stack.push(out);
                 }
                 Instr::Print { argc } => {
                     let values = stack.split_off(stack.len() - *argc as usize);
                     let line = values.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" ");
                     self.output.push(line);
-                    stack.push(VmValue::Null);
+                    stack.push(Value::Null);
                 }
                 Instr::Mutate { op, slot, argc, indexed } => {
                     let span = func.spans[ip];
@@ -568,18 +360,15 @@ impl Vm {
                         None
                     };
                     let rest = stack.split_off(stack.len() - *argc as usize);
-                    let container = &mut locals[base + *slot as usize];
-                    if matches!(container, VmValue::Undefined) {
-                        return Err(ScriptError::runtime(
-                            span,
-                            format!("unknown variable `{}`", func.slot_names[*slot as usize]),
-                        ));
+                    if !assigned[base + *slot as usize] {
+                        return Err(unknown_variable(func, *slot, span));
                     }
-                    let target: &mut VmValue = match &index {
+                    let container = &mut locals[base + *slot as usize];
+                    let target: &mut Value = match &index {
                         None => container,
-                        Some(i) => index_mut(container, i, span)?,
+                        Some(i) => ops::index_mut(container, i, span)?,
                     };
-                    stack.push(mutate(*op, target, &rest, span)?);
+                    stack.push(ops::mutate(*op, target, &rest, span)?);
                 }
                 Instr::Fail(m) => {
                     return Err(ScriptError::runtime(
@@ -590,10 +379,11 @@ impl Vm {
                 Instr::Ret => {
                     let value = stack.pop().expect("return with empty stack");
                     locals.truncate(base);
+                    assigned.truncate(base);
                     stack.truncate(floor);
                     iters.truncate(iter_base);
                     match frames.pop() {
-                        None => return Ok(value.to_value()),
+                        None => return Ok(value),
                         Some(parent) => {
                             fidx = parent.func;
                             func = &script.funcs[fidx];
@@ -610,259 +400,15 @@ impl Vm {
     }
 }
 
-/// Allocation-light native paths for the hottest single-argument builtins.
-/// Returns `None` on any type the shared `builtins::call` would reject (or
-/// any name not covered), so error messages and edge semantics come from the
-/// one canonical implementation.
-fn fast_builtin1(name: &str, v: &VmValue) -> Option<VmValue> {
-    match (name, v) {
-        ("typeof", _) => Some(VmValue::Str(Arc::from(v.type_name()))),
-        ("is_null", _) => Some(VmValue::Bool(matches!(v, VmValue::Null))),
-        ("len", VmValue::Str(s)) => Some(VmValue::Int(s.chars().count() as i64)),
-        ("len", VmValue::List(items)) => Some(VmValue::Int(items.len() as i64)),
-        ("len", VmValue::Map(map)) => Some(VmValue::Int(map.len() as i64)),
-        ("trim", VmValue::Str(s)) => Some(VmValue::Str(Arc::from(s.trim()))),
-        ("lower", VmValue::Str(s)) => Some(VmValue::Str(Arc::from(s.to_lowercase().as_str()))),
-        ("upper", VmValue::Str(s)) => Some(VmValue::Str(Arc::from(s.to_uppercase().as_str()))),
-        ("to_str", _) => Some(VmValue::Str(Arc::from(v.to_string().as_str()))),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Operator semantics: byte-for-byte mirrors of the interpreter's helpers,
-// lifted onto VmValue with Arc copy-on-write for the mutating paths.
-// ---------------------------------------------------------------------------
-
-fn mutate(
-    op: MutOp,
-    target: &mut VmValue,
-    rest: &[VmValue],
-    span: Span,
-) -> Result<VmValue, ScriptError> {
-    match (op, target) {
-        (MutOp::Push, VmValue::List(items)) => {
-            let v = rest
-                .first()
-                .cloned()
-                .ok_or_else(|| ScriptError::runtime(span, "push expects (list, value)"))?;
-            Arc::make_mut(items).push(v);
-            Ok(VmValue::Null)
-        }
-        (MutOp::Pop, VmValue::List(items)) => {
-            Ok(Arc::make_mut(items).pop().unwrap_or(VmValue::Null))
-        }
-        (MutOp::Insert, VmValue::Map(map)) => {
-            let [k, v] = rest else {
-                return Err(ScriptError::runtime(span, "insert expects (map, key, value)"));
-            };
-            let key =
-                k.as_str().ok_or_else(|| ScriptError::runtime(span, "map keys must be strings"))?;
-            Arc::make_mut(map).insert(key.to_string(), v.clone());
-            Ok(VmValue::Null)
-        }
-        (MutOp::Delete, VmValue::Map(map)) => {
-            let k = rest
-                .first()
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| ScriptError::runtime(span, "delete expects (map, key)"))?
-                .to_string();
-            Ok(Arc::make_mut(map).remove(&k).unwrap_or(VmValue::Null))
-        }
-        (op, other) => Err(ScriptError::runtime(
-            span,
-            format!("{} cannot operate on a {}", op.name(), other.type_name()),
-        )),
-    }
-}
-
-fn read_index(base: &VmValue, index: &VmValue, span: Span) -> Result<VmValue, ScriptError> {
-    match (base, index) {
-        (VmValue::List(items), VmValue::Int(i)) => {
-            let idx = normalize_index(*i, items.len());
-            idx.and_then(|i| items.get(i))
-                .cloned()
-                .ok_or_else(|| ScriptError::runtime(span, format!("list index {i} out of bounds")))
-        }
-        (VmValue::Map(map), VmValue::Str(k)) => Ok(map.get(&**k).cloned().unwrap_or(VmValue::Null)),
-        (VmValue::Str(s), VmValue::Int(i)) => {
-            let chars: Vec<char> = s.chars().collect();
-            let idx = normalize_index(*i, chars.len());
-            idx.and_then(|i| chars.get(i))
-                .map(|c| VmValue::Str(Arc::from(c.to_string().as_str())))
-                .ok_or_else(|| {
-                    ScriptError::runtime(span, format!("string index {i} out of bounds"))
-                })
-        }
-        (b, i) => Err(ScriptError::runtime(
-            span,
-            format!("cannot index {} with {}", b.type_name(), i.type_name()),
-        )),
-    }
-}
-
-fn index_mut<'v>(
-    base: &'v mut VmValue,
-    index: &VmValue,
-    span: Span,
-) -> Result<&'v mut VmValue, ScriptError> {
-    match (base, index) {
-        (VmValue::List(items), VmValue::Int(i)) => {
-            let items = Arc::make_mut(items);
-            let len = items.len();
-            normalize_index(*i, len)
-                .and_then(move |idx| items.get_mut(idx))
-                .ok_or_else(|| ScriptError::runtime(span, format!("list index {i} out of bounds")))
-        }
-        (VmValue::Map(map), VmValue::Str(k)) => Arc::make_mut(map)
-            .get_mut(&**k)
-            .ok_or_else(|| ScriptError::runtime(span, format!("missing map key `{k}`"))),
-        (b, i) => Err(ScriptError::runtime(
-            span,
-            format!("cannot index {} with {}", b.type_name(), i.type_name()),
-        )),
-    }
-}
-
-fn assign_index(
-    container: &mut VmValue,
-    index: &VmValue,
-    value: VmValue,
-    span: Span,
-) -> Result<(), ScriptError> {
-    match (container, index) {
-        (VmValue::List(items), VmValue::Int(i)) => {
-            let items = Arc::make_mut(items);
-            let len = items.len();
-            let idx = normalize_index(*i, len).ok_or_else(|| {
-                ScriptError::runtime(span, format!("list index {i} out of bounds"))
-            })?;
-            items[idx] = value;
-            Ok(())
-        }
-        (VmValue::Map(map), VmValue::Str(k)) => {
-            Arc::make_mut(map).insert(k.to_string(), value);
-            Ok(())
-        }
-        (c, i) => Err(ScriptError::runtime(
-            span,
-            format!("cannot index-assign {} with {}", c.type_name(), i.type_name()),
-        )),
-    }
-}
-
-fn normalize_index(i: i64, len: usize) -> Option<usize> {
-    if i >= 0 {
-        let idx = i as usize;
-        (idx < len).then_some(idx)
-    } else {
-        let back = (-i) as usize;
-        (back <= len).then(|| len - back)
-    }
-}
-
-fn add_values(l: &VmValue, r: &VmValue, span: Span) -> Result<VmValue, ScriptError> {
-    match (l, r) {
-        (VmValue::Int(a), VmValue::Int(b)) => Ok(VmValue::Int(a.wrapping_add(*b))),
-        (VmValue::Str(a), VmValue::Str(b)) => {
-            Ok(VmValue::Str(Arc::from(format!("{a}{b}").as_str())))
-        }
-        (VmValue::Str(a), b) => Ok(VmValue::Str(Arc::from(format!("{a}{b}").as_str()))),
-        (a, VmValue::Str(b)) => Ok(VmValue::Str(Arc::from(format!("{a}{b}").as_str()))),
-        (VmValue::List(a), VmValue::List(b)) => {
-            let mut out = (**a).clone();
-            out.extend(b.iter().cloned());
-            Ok(VmValue::List(Arc::new(out)))
-        }
-        (a, b) => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => Ok(VmValue::Float(x + y)),
-            _ => Err(ScriptError::runtime(
-                span,
-                format!("cannot add {} and {}", a.type_name(), b.type_name()),
-            )),
-        },
-    }
-}
-
-fn arith(op: BinOp, l: &VmValue, r: &VmValue, span: Span) -> Result<VmValue, ScriptError> {
-    if let (VmValue::Int(a), VmValue::Int(b)) = (l, r) {
-        return match op {
-            BinOp::Sub => Ok(VmValue::Int(a.wrapping_sub(*b))),
-            BinOp::Mul => Ok(VmValue::Int(a.wrapping_mul(*b))),
-            BinOp::Div => {
-                if *b == 0 {
-                    Err(ScriptError::runtime(span, "division by zero"))
-                } else {
-                    Ok(VmValue::Int(a.wrapping_div(*b)))
-                }
-            }
-            BinOp::Rem => {
-                if *b == 0 {
-                    Err(ScriptError::runtime(span, "remainder by zero"))
-                } else {
-                    Ok(VmValue::Int(a.wrapping_rem(*b)))
-                }
-            }
-            _ => unreachable!(),
-        };
-    }
-    match (l.as_f64(), r.as_f64()) {
-        (Some(x), Some(y)) => match op {
-            BinOp::Sub => Ok(VmValue::Float(x - y)),
-            BinOp::Mul => Ok(VmValue::Float(x * y)),
-            BinOp::Div => {
-                if y == 0.0 {
-                    Err(ScriptError::runtime(span, "division by zero"))
-                } else {
-                    Ok(VmValue::Float(x / y))
-                }
-            }
-            BinOp::Rem => Ok(VmValue::Float(x % y)),
-            _ => unreachable!(),
-        },
-        _ => Err(ScriptError::runtime(
-            span,
-            format!("cannot apply `{}` to {} and {}", op.symbol(), l.type_name(), r.type_name()),
-        )),
-    }
-}
-
-fn compare(op: BinOp, l: &VmValue, r: &VmValue, span: Span) -> Result<VmValue, ScriptError> {
-    let ord = match (l, r) {
-        (VmValue::Str(a), VmValue::Str(b)) => a.cmp(b),
-        _ => match (l.as_f64(), r.as_f64()) {
-            (Some(x), Some(y)) => {
-                x.partial_cmp(&y).ok_or_else(|| ScriptError::runtime(span, "cannot compare NaN"))?
-            }
-            _ => {
-                return Err(ScriptError::runtime(
-                    span,
-                    format!(
-                        "cannot compare {} and {} with `{}`",
-                        l.type_name(),
-                        r.type_name(),
-                        op.symbol()
-                    ),
-                ))
-            }
-        },
-    };
-    let result = match op {
-        BinOp::Lt => ord.is_lt(),
-        BinOp::Le => ord.is_le(),
-        BinOp::Gt => ord.is_gt(),
-        BinOp::Ge => ord.is_ge(),
-        _ => unreachable!(),
-    };
-    Ok(VmValue::Bool(result))
+fn unknown_variable(func: &CompiledFn, slot: u32, span: Span) -> ScriptError {
+    ScriptError::runtime(span, format!("unknown variable `{}`", func.slot_names[slot as usize]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile;
-    use crate::interp::{Interpreter, NoHost};
-    use crate::parse;
+    // The parity tests below run the tree-walking oracle next to the VM.
+    use crate::{compile, parse, Interpreter, NoHost};
 
     fn compile_src(src: &str) -> Arc<CompiledScript> {
         Arc::new(compile(&parse(src).unwrap()))
@@ -1077,7 +623,7 @@ mod tests {
                 Ok(format!("echo:{prompt}"))
             }
             fn call_module(&mut self, name: &str, input: Value) -> Result<Value, String> {
-                Ok(Value::Str(format!("{name}<{input}>")))
+                Ok(Value::from(format!("{name}<{input}>")))
             }
             fn call_tool(&mut self, _name: &str, args: &[Value]) -> Result<Value, String> {
                 Ok(Value::Int(args.len() as i64))
@@ -1185,29 +731,6 @@ mod tests {
             let ie = i.expect_err("interpreter should error");
             let ve = v.expect_err("vm should error");
             assert_eq!(ie.to_string(), ve.to_string(), "message parity for {src:?}");
-        }
-    }
-
-    #[test]
-    fn value_display_matches_across_representations() {
-        let samples = [
-            Value::Null,
-            Value::Bool(true),
-            Value::Int(-7),
-            Value::Float(2.0),
-            Value::Float(2.5),
-            Value::Str("hi".into()),
-            Value::List(vec![Value::Str("a".into()), Value::Int(1), Value::Float(3.0)]),
-            Value::Map(
-                [("k".to_string(), Value::Str("v".into())), ("n".to_string(), Value::Int(2))]
-                    .into_iter()
-                    .collect(),
-            ),
-        ];
-        for v in samples {
-            let vm = VmValue::from_value(v.clone());
-            assert_eq!(v.to_string(), vm.to_string());
-            assert_eq!(vm.to_value(), v);
         }
     }
 

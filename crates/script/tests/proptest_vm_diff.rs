@@ -197,7 +197,7 @@ impl Host for RecordingHost {
 
     fn call_module(&mut self, name: &str, input: Value) -> Result<Value, String> {
         self.log.push(format!("module:{name}:{input}"));
-        Ok(Value::Str(format!("M<{name}:{input}>")))
+        Ok(Value::from(format!("M<{name}:{input}>")))
     }
 
     fn call_tool(&mut self, name: &str, args: &[Value]) -> Result<Value, String> {

@@ -215,7 +215,7 @@ impl Host for RecordingHost {
 
     fn call_module(&mut self, name: &str, input: Value) -> Result<Value, String> {
         self.log.push(format!("module:{name}:{input}"));
-        Ok(Value::Str(format!("M<{name}:{input}>")))
+        Ok(Value::from(format!("M<{name}:{input}>")))
     }
 
     fn call_tool(&mut self, name: &str, args: &[Value]) -> Result<Value, String> {
@@ -263,6 +263,67 @@ fn random_programs_agree_between_interpreter_and_vm() {
     // The corpus must genuinely exercise both sides of the contract.
     assert!(ok > 50, "corpus too error-heavy: only {ok} clean runs");
     assert!(errs > 50, "corpus too clean: only {errs} erroring runs");
+}
+
+/// Hand-picked programs the random generator is unlikely to hit: integer
+/// extremes reached through wrapping arithmetic, and every way one `Arc` can
+/// end up behind two names now that containers are shared copy-on-write.
+/// Each entry pins the expected outcome *and* goes through
+/// `assert_equivalent`, so both engines must agree on it.
+#[test]
+fn corner_cases_agree_between_interpreter_and_vm() {
+    const MIN: &str = "let i = 0 - 9223372036854775807 - 1;";
+    let int = |i: i64| Ok(Value::Int(i));
+    let err = |needle: &'static str| Err(needle);
+    let cases: Vec<(String, Result<Value, &'static str>)> = vec![
+        // i64::MIN as an index is out of bounds, not a negation overflow.
+        (format!("fn main() {{ {MIN} let xs = [1, 2]; return xs[i]; }}"), err("out of bounds")),
+        (format!("fn main() {{ {MIN} let s = \"ab\"; return s[i]; }}"), err("out of bounds")),
+        (format!("fn main() {{ {MIN} let xs = [1, 2]; xs[i] = 9; return xs; }}"), err("out of bounds")),
+        (format!("fn main() {{ {MIN} let xs = [[1]]; push(xs[i], 2); return xs; }}"), err("out of bounds")),
+        (format!("fn main() {{ {MIN} return -i == i; }}"), Ok(Value::Bool(true))),
+        // Ordinary negative indices still count from the end.
+        ("fn main() { let xs = [1, 2, 3]; xs[-3] = 7; return xs[-3] + xs[-1]; }".into(), int(10)),
+        ("fn main() { let xs = [1, 2, 3]; return xs[-4]; }".into(), err("out of bounds")),
+        // Aliasing: a copy is a copy, whichever side is mutated.
+        ("fn main() { let a = [0]; let b = a; push(b, 1); return len(a) * 10 + len(b); }".into(), int(12)),
+        ("fn main() { let a = [0]; let b = a; push(a, 1); return len(a) * 10 + len(b); }".into(), int(21)),
+        ("fn main() { let a = {\"k\": 1}; let b = a; b[\"k\"] = 2; return a[\"k\"] * 10 + b[\"k\"]; }".into(), int(12)),
+        // Nested map-of-list mutated through one index level.
+        (
+            "fn main() { let m = {\"xs\": [1]}; let n = m; push(n[\"xs\"], 2); \
+             return len(m[\"xs\"]) * 10 + len(n[\"xs\"]); }"
+                .into(),
+            int(12),
+        ),
+        (
+            "fn main() { let inner = [1]; let m = {\"xs\": inner}; push(m[\"xs\"], 2); \
+             return len(inner) * 10 + len(m[\"xs\"]); }"
+                .into(),
+            int(12),
+        ),
+        // An argument mutated in the callee never reaches the caller.
+        (
+            "fn grow(xs) { push(xs, 9); xs[0] = 5; return xs; } \
+             fn main() { let a = [1]; let b = grow(a); return a[0] * 100 + len(a) * 10 + len(b); }"
+                .into(),
+            int(112),
+        ),
+        // A list iterated while the loop body mutates the variable it came from.
+        ("fn main() { let xs = [1, 2, 3]; let n = 0; for x in xs { push(xs, x); n = n + 1; } return n * 10 + len(xs); }".into(), int(36)),
+    ];
+    for (src, expected) in cases {
+        let program = parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let got = assert_equivalent(&program, 10_000, &src);
+        match (got, expected) {
+            (Ok(v), Ok(want)) => assert_eq!(v, want, "{src}"),
+            (Err(e), Err(needle)) => {
+                assert!(matches!(e, ScriptError::Runtime { .. }), "{src}: {e:?}");
+                assert!(e.to_string().contains(needle), "{src}: {e}");
+            }
+            (got, want) => panic!("{src}: got {got:?}, wanted {want:?}"),
+        }
+    }
 }
 
 #[test]

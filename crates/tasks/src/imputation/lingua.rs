@@ -23,7 +23,7 @@ pub fn register_tools(ctx: &mut ExecContext, vocabulary: &[String]) {
             .first()
             .and_then(|v| v.as_str())
             .ok_or_else(|| "normalize_brand expects a string".to_string())?;
-        Ok(ScriptValue::Str(normalize_category(raw, &vocab).to_string()))
+        Ok(ScriptValue::from(normalize_category(raw, &vocab)))
     });
 }
 
