@@ -9,7 +9,9 @@
 //! survives CI-runner throughput spread. A fourth measurement replays the
 //! file journal and times recovery itself.
 
-use lingua_bench::{arg_usize, fmt_mean_std, mean, write_json, TextTable};
+use lingua_bench::{
+    arg_usize, check_baseline, fmt_mean_std, has_flag, mean, write_json, TextTable,
+};
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
 use lingua_durable::{CrashInjector, Journal, JournalTuning, KillPoint, SimStorage};
@@ -60,27 +62,6 @@ fn temp_journal_path(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("lingua-durability-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir.join(format!("{tag}.journal"))
-}
-
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Pull the gated metric out of a previously committed results file without
-/// needing a JSON parser: the writer emits `"gate_overhead_ratio": <value>`.
-fn read_baseline_gate(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let idx = text.find("\"gate_overhead_ratio\"")?;
-    let rest = &text[idx..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
 }
 
 fn main() {
@@ -193,27 +174,16 @@ fn main() {
         }),
     );
 
-    if let Some(path) = flag_value("--check-baseline") {
-        match read_baseline_gate(&path) {
-            Some(baseline) => {
-                println!(
-                    "\nRegression gate: file-journal overhead = {gate_overhead_ratio:.2}x \
-                     vs baseline {baseline:.2}x"
-                );
-                // Generous headroom: fail only when journaling costs more
-                // than double the committed overhead AND is substantial in
-                // absolute terms — small baselines jitter.
-                if gate_overhead_ratio > baseline * 2.0 && gate_overhead_ratio > 1.5 {
-                    eprintln!(
-                        "REGRESSION: write-ahead journaling slowed the serve hot path \
-                         far beyond the committed overhead — check the append path"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("no usable baseline at {path}; skipping the regression gate");
-            }
-        }
-    }
+    check_baseline(
+        "gate_overhead_ratio",
+        |baseline| {
+            format!("file-journal overhead = {gate_overhead_ratio:.2}x vs baseline {baseline:.2}x")
+        },
+        // Generous headroom: fail only when journaling costs more than double
+        // the committed overhead AND is substantial in absolute terms — small
+        // baselines jitter.
+        |baseline| gate_overhead_ratio > baseline * 2.0 && gate_overhead_ratio > 1.5,
+        "write-ahead journaling slowed the serve hot path far beyond the committed \
+         overhead — check the append path",
+    );
 }

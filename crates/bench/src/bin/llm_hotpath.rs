@@ -25,7 +25,7 @@
 //! different machine would make the gate flap on shared CI runners).
 //! `--smoke` shrinks iteration counts for CI.
 
-use lingua_bench::{arg_usize, mean, write_json, TextTable};
+use lingua_bench::{arg_usize, check_baseline, has_flag, mean, write_json, TextTable};
 use lingua_dataset::world::WorldSpec;
 use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::{fingerprint, CompletionRequest, LlmService, SimLlm, SimLlmConfig, Usage};
@@ -236,27 +236,6 @@ fn run_coalesce_storm(engine: Arc<dyn Engine>, threads: usize, rounds: usize) ->
 // Harness
 // ---------------------------------------------------------------------------
 
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Pull the gated metric out of a previously committed results file without
-/// needing a JSON parser: the writer emits `"gate_speedup": <value>`.
-fn read_baseline_gate(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let idx = text.find("\"gate_speedup\"")?;
-    let rest = &text[idx..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
-}
-
 fn main() {
     let smoke = has_flag("--smoke");
     let reps = arg_usize("--reps", if smoke { 1 } else { 3 });
@@ -374,28 +353,20 @@ fn main() {
         }),
     );
 
-    if let Some(path) = flag_value("--check-baseline") {
-        match read_baseline_gate(&path) {
-            Some(baseline) => {
-                // Gate on the same-run sharded/legacy ratio, not absolute
-                // ops/sec: both engines ran on this host in this process, so
-                // the ratio is machine-relative and survives the severalfold
-                // throughput spread across shared CI runners.
-                println!(
-                    "\nRegression gate: sharded/legacy hit-heavy speedup @{GATE_THREADS}t = \
-                     {gate_speedup:.2}x vs baseline {baseline:.2}x"
-                );
-                if gate_speedup < baseline / 2.0 {
-                    eprintln!(
-                        "REGRESSION: contended hit-path speedup over the single-mutex \
-                         baseline engine fell more than 2x below the committed ratio"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("no usable baseline at {path}; skipping the regression gate");
-            }
-        }
-    }
+    // Gate on the same-run sharded/legacy ratio, not absolute ops/sec: both
+    // engines ran on this host in this process, so the ratio is
+    // machine-relative and survives the severalfold throughput spread across
+    // shared CI runners.
+    check_baseline(
+        "gate_speedup",
+        |baseline| {
+            format!(
+                "sharded/legacy hit-heavy speedup @{GATE_THREADS}t = {gate_speedup:.2}x vs \
+                 baseline {baseline:.2}x"
+            )
+        },
+        |baseline| gate_speedup < baseline / 2.0,
+        "contended hit-path speedup over the single-mutex baseline engine fell more than \
+         2x below the committed ratio",
+    );
 }

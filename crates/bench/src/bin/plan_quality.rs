@@ -24,7 +24,7 @@
 //! cheaper than always-LLM, or if the plan's accuracy floor was not met on
 //! the stream — those are the acceptance claims this binary exists to check.
 
-use lingua_bench::{arg_usize, write_json, TextTable};
+use lingua_bench::{arg_usize, check_baseline, has_flag, write_json, TextTable};
 use lingua_core::modules::{Module, ModuleKind};
 use lingua_core::{Compiler, CurationStage, Data, ExecContext, Executor, LogicalOp, Pipeline};
 use lingua_dataset::generators::er::{generate, ErDataset};
@@ -56,7 +56,7 @@ fn pair_input(pair: &LabeledPair, schema: &Schema) -> Data {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = has_flag("--smoke");
     let seeds = arg_usize("--seeds", 10);
     let calibration = arg_usize("--calibration", 64);
     println!("Planner P1: planned vs always-LLM over {seeds} {} seeds\n", DATASET.name());
@@ -308,41 +308,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    if let Some(path) = flag_value("--check-baseline") {
-        match read_baseline_gate(&path) {
-            Some(baseline) => {
-                println!(
-                    "\nRegression gate: naive/planned $ ratio = {gate_ratio:.2}x vs \
-                     baseline {baseline:.2}x"
-                );
-                if gate_ratio < baseline / 2.0 {
-                    eprintln!(
-                        "REGRESSION: the planner's $ advantage over always-LLM fell \
-                         more than 2x below the committed ratio"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("no usable baseline at {path}; skipping the regression gate");
-            }
-        }
-    }
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Pull the gated metric out of a committed results file without a JSON
-/// parser: the writer emits `"gate_ratio": <value>`.
-fn read_baseline_gate(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let idx = text.find("\"gate_ratio\"")?;
-    let rest = &text[idx..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
+    check_baseline(
+        "gate_ratio",
+        |baseline| format!("naive/planned $ ratio = {gate_ratio:.2}x vs baseline {baseline:.2}x"),
+        |baseline| gate_ratio < baseline / 2.0,
+        "the planner's $ advantage over always-LLM fell more than 2x below the committed ratio",
+    );
 }

@@ -20,7 +20,7 @@
 //! cancels out — against a previously committed results file and exits
 //! nonzero if the ratio fell more than 2x. `--smoke` shrinks counts for CI.
 
-use lingua_bench::{arg_usize, mean, write_json, TextTable};
+use lingua_bench::{arg_usize, check_baseline, has_flag, mean, write_json, TextTable};
 use lingua_script::{compile, parse, CompiledScript, Interpreter, NoHost, Program, Value, Vm};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -125,22 +125,6 @@ fn run_vm(compiled: &Arc<CompiledScript>, entry: &str, arg: &Value, execs: usize
     execs as f64 / start.elapsed().as_secs_f64()
 }
 
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The gated metric of a previously committed results file.
-fn read_baseline_gate(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let results: serde_json::Value = serde_json::from_str(&text).ok()?;
-    results["gate_speedup"].as_f64()
-}
-
 fn main() {
     let smoke = has_flag("--smoke");
     let reps = arg_usize("--reps", if smoke { 2 } else { 5 });
@@ -226,27 +210,18 @@ fn main() {
         }),
     );
 
-    if let Some(path) = flag_value("--check-baseline") {
-        match read_baseline_gate(&path) {
-            Some(baseline) => {
-                // Gate on the same-run VM/interpreter ratio, not absolute
-                // exec/sec: both engines ran on this host in this process, so
-                // the ratio survives shared-runner speed spread.
-                println!(
-                    "\nRegression gate: VM/interpreter clean-records speedup = \
-                     {gate_speedup:.2}x vs baseline {baseline:.2}x"
-                );
-                if gate_speedup < baseline / 2.0 {
-                    eprintln!(
-                        "REGRESSION: VM speedup over the tree-walking interpreter \
-                         fell more than 2x below the committed ratio"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("no usable baseline at {path}; skipping the regression gate");
-            }
-        }
-    }
+    // Gate on the same-run VM/interpreter ratio, not absolute exec/sec: both
+    // engines ran on this host in this process, so the ratio survives
+    // shared-runner speed spread.
+    check_baseline(
+        "gate_speedup",
+        |baseline| {
+            format!(
+                "VM/interpreter clean-records speedup = {gate_speedup:.2}x vs baseline \
+                 {baseline:.2}x"
+            )
+        },
+        |baseline| gate_speedup < baseline / 2.0,
+        "VM speedup over the tree-walking interpreter fell more than 2x below the committed ratio",
+    );
 }

@@ -17,7 +17,9 @@
 //! is the same-run unbatched/batched round-trip ratio — machine-relative,
 //! like the hotpath gate.
 
-use lingua_bench::{arg_usize, fmt_mean_std, mean, write_json, TextTable};
+use lingua_bench::{
+    arg_usize, check_baseline, fmt_mean_std, has_flag, mean, write_json, TextTable,
+};
 use lingua_core::modules::{CustomModule, LlmModule, Module, PipelinedMapModule, PromptBuilder};
 use lingua_core::validation::OutputValidator;
 use lingua_core::{ContextFactory, CoreError, Data, LogicalOp, PhysicalPipeline};
@@ -348,27 +350,6 @@ fn batch_arm(
     (secs, llm.round_trips(), snapshot)
 }
 
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Pull the gated metric out of a previously committed results file without
-/// needing a JSON parser: the writer emits `"gate_round_trip_ratio": <value>`.
-fn read_baseline_gate(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let idx = text.find("\"gate_round_trip_ratio\"")?;
-    let rest = &text[idx..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
-}
-
 fn main() {
     let smoke = has_flag("--smoke");
     // 48 x 8 = 384 records per workload, within the 450-pair ER split.
@@ -546,24 +527,16 @@ fn main() {
         }),
     );
 
-    if let Some(path) = flag_value("--check-baseline") {
-        match read_baseline_gate(&path) {
-            Some(baseline) => {
-                println!(
-                    "\nRegression gate: unbatched/batched round-trip ratio @{batch_workers}w = \
-                     {gate_round_trip_ratio:.2}x vs baseline {baseline:.2}x"
-                );
-                if gate_round_trip_ratio < baseline / 2.0 {
-                    eprintln!(
-                        "REGRESSION: continuous batching collapsed fewer provider round \
-                         trips than half the committed ratio — the batcher is not filling"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("no usable baseline at {path}; skipping the regression gate");
-            }
-        }
-    }
+    check_baseline(
+        "gate_round_trip_ratio",
+        |baseline| {
+            format!(
+                "unbatched/batched round-trip ratio @{batch_workers}w = \
+                 {gate_round_trip_ratio:.2}x vs baseline {baseline:.2}x"
+            )
+        },
+        |baseline| gate_round_trip_ratio < baseline / 2.0,
+        "continuous batching collapsed fewer provider round trips than half the committed \
+         ratio — the batcher is not filling",
+    );
 }

@@ -26,7 +26,7 @@
 //! `--smoke` shrinks only the sustained arm (the counting arm is cheap and
 //! must keep its record count for the ratio to be comparable).
 
-use lingua_bench::{arg_usize, write_json, TextTable};
+use lingua_bench::{arg_usize, check_baseline, has_flag, write_json, TextTable};
 use lingua_core::ContextFactory;
 use lingua_dataset::world::WorldSpec;
 use lingua_dataset::{Record, Value};
@@ -177,7 +177,7 @@ fn rescan_comparisons(stream: &[(u64, String)]) -> u64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = has_flag("--smoke");
     let comparison_records = arg_usize("--records", 10_000);
     let sustained_records = arg_usize("--sustained", if smoke { 2_000 } else { 10_000 });
 
@@ -279,42 +279,13 @@ fn main() {
         }),
     );
 
-    if let Some(path) = flag_value("--check-baseline") {
-        match read_baseline_gate(&path) {
-            Some(baseline) => {
-                println!(
-                    "\nRegression gate: rescan/incremental ratio = {gate_ratio:.1}x \
-                     vs baseline {baseline:.1}x"
-                );
-                if gate_ratio < baseline / 2.0 {
-                    eprintln!(
-                        "REGRESSION: the windowed path's advantage over the \
-                         never-forgetting baseline fell more than 2x below the \
-                         committed ratio — per-record work is no longer O(window)"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("no usable baseline at {path}; skipping the regression gate");
-            }
-        }
-    }
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Pull the gated metric out of a committed results file without a JSON
-/// parser: the writer emits `"gate_ratio": <value>`.
-fn read_baseline_gate(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let idx = text.find("\"gate_ratio\"")?;
-    let rest = &text[idx..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
+    check_baseline(
+        "gate_ratio",
+        |baseline| {
+            format!("rescan/incremental ratio = {gate_ratio:.1}x vs baseline {baseline:.1}x")
+        },
+        |baseline| gate_ratio < baseline / 2.0,
+        "the windowed path's advantage over the never-forgetting baseline fell more than 2x \
+         below the committed ratio — per-record work is no longer O(window)",
+    );
 }

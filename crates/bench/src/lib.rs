@@ -18,12 +18,56 @@ use std::path::PathBuf;
 
 /// Parse `--seeds N` style args (very small, zero-dependency).
 pub fn arg_usize(name: &str, default: usize) -> usize {
+    flag_value(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// Whether the bare flag `name` (e.g. `--smoke`) is on the command line.
+pub fn has_flag(name: &str) -> bool {
+    std::env::args().any(|a| a == name)
+}
+
+/// The argument following `name` (e.g. the path after `--check-baseline`).
+fn flag_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+}
+
+/// The number a results file stores under `key`, found by string search —
+/// [`write_json`] emits `"<key>": <value>`, and a baseline written by an
+/// older run must stay readable whatever else its document holds.
+fn baseline_value(text: &str, key: &str) -> Option<f64> {
+    let rest = &text[text.find(&format!("\"{key}\""))?..];
+    let tail = rest[rest.find(':')? + 1..].trim_start();
+    let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
+    tail[..end].trim().parse().ok()
+}
+
+/// The `--check-baseline <path>` regression gate the gated bench bins end
+/// with: read the committed value of `key` from `<path>`, print the
+/// comparison `headline(baseline)` describes, and exit 1 with `regression`
+/// when `regressed(baseline)`. Without the flag this does nothing; an
+/// unreadable baseline skips the gate with a note.
+///
+/// The run has already overwritten `results/<name>.json` by the time this
+/// runs, so callers copy the committed file aside first (as CI does).
+pub fn check_baseline(
+    key: &str,
+    headline: impl FnOnce(f64) -> String,
+    regressed: impl FnOnce(f64) -> bool,
+    regression: &str,
+) {
+    let Some(path) = flag_value("--check-baseline") else { return };
+    let baseline = std::fs::read_to_string(&path).ok().and_then(|text| baseline_value(&text, key));
+    match baseline {
+        Some(baseline) => {
+            println!("\nRegression gate: {}", headline(baseline));
+            if regressed(baseline) {
+                eprintln!("REGRESSION: {regression}");
+                std::process::exit(1);
+            }
+        }
+        None => eprintln!("no usable baseline at {path}; skipping the regression gate"),
+    }
 }
 
 /// Where experiment outputs land (workspace `results/`, created on demand).
@@ -161,6 +205,16 @@ impl SeriesSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn baseline_value_finds_the_keyed_number() {
+        let text = "{\n  \"gate_ratio\": 152.1,\n  \"gate_speedup\": 2.5\n}";
+        assert_eq!(baseline_value(text, "gate_ratio"), Some(152.1));
+        assert_eq!(baseline_value(text, "gate_speedup"), Some(2.5));
+        assert_eq!(baseline_value("{\"gate_ratio\":3}", "gate_ratio"), Some(3.0));
+        assert_eq!(baseline_value(text, "gate_overhead_ratio"), None);
+        assert_eq!(baseline_value("{\"gate_ratio\": \"n/a\"}", "gate_ratio"), None);
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -1,16 +1,19 @@
-//! Journal wire codec: `JournalRecord` ⇄ JSON bytes.
+//! Journal wire codec: `JournalRecord` ⇄ payload bytes.
 //!
-//! The encoding is explicit, field-by-field construction of a
-//! `serde_json::Value` tree (and the reverse), not generic serde — the
-//! concrete `Value` surface is the one codec available in every
-//! environment the workspace builds in, and an explicit codec doubles as
-//! the wire-format specification: what this module writes is exactly the
-//! table documented in DESIGN.md §15.
+//! One direct binary encoding, specified in DESIGN.md §15. Every durable
+//! type is written down once — a struct as its field list in wire order
+//! (`wire_structs!`), an enum as tag bytes and each variant's fields
+//! (`wire_enums!`) — and both directions come from that one spelling via the
+//! [`Wire`] trait. A payload starts with [`FORMAT`], so a reader can tell "a
+//! log I do not speak" from damage.
 //!
-//! Decoding is total and strict: any structural surprise returns
-//! [`CodecError`], which recovery treats as record damage, never a panic.
+//! Decoding is total and strict: every length is checked against the bytes
+//! remaining *before* anything is allocated; an unknown tag, unordered map
+//! keys, invalid UTF-8 or a trailing byte is a [`CodecError`], never a panic.
+//!
+//! To read a log by eye, scan it and print the records:
+//! `for r in JournalReader::scan(&bytes).records { println!("{r:?}") }`.
 
-use crate::json;
 use crate::record::{
     Checkpoint, FinishedJob, JournalRecord, PendingJob, StreamCheckpoint, WindowCloseRecord,
     WindowReportRecord,
@@ -19,9 +22,19 @@ use lingua_core::Data;
 use lingua_dataset::generators::stream::StreamItem;
 use lingua_dataset::{ColumnType, Record, Schema, Table, Value as CellValue};
 use lingua_llm_sim::Usage;
-use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// First byte of every payload: the version of this encoding. The format
+/// before it (JSON text) began with `{`, so an old log is recognised as one.
+pub const FORMAT: u8 = 1;
+
+/// Tag byte of [`JournalRecord::Checkpoint`].
+const CHECKPOINT: u8 = 8;
+
+/// `List`/`Map` values may nest this deep; a crafted payload nesting deeper
+/// is refused before it can exhaust the stack.
+const MAX_DEPTH: u32 = 128;
 
 /// A payload that is checksum-valid but not a well-formed record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,548 +48,300 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn bad(context: &str) -> CodecError {
-    CodecError(context.to_string())
+fn bad<T>(context: impl Into<String>) -> Result<T, CodecError> {
+    Err(CodecError(context.into()))
 }
 
-/// Encode a record as JSON bytes (the frame payload).
-pub fn encode(record: &JournalRecord) -> Vec<u8> {
-    let value = record_to_value(record);
-    serde_json::to_string(&value).expect("value trees always serialize").into_bytes()
+/// Append `record`'s payload to `out` — the writer passes the frame buffer,
+/// so the payload is never copied.
+pub fn encode_into(record: &JournalRecord, out: &mut Vec<u8>) {
+    out.push(FORMAT);
+    record.put(out);
+}
+
+/// Append the payload of `JournalRecord::Checkpoint(checkpoint)` without
+/// owning the checkpoint: the journal passes its live fold.
+pub(crate) fn encode_checkpoint_into(checkpoint: &Checkpoint, out: &mut Vec<u8>) {
+    out.extend_from_slice(&[FORMAT, CHECKPOINT]);
+    checkpoint.put(out);
 }
 
 /// Decode a frame payload back into a record.
 pub fn decode(payload: &[u8]) -> Result<JournalRecord, CodecError> {
-    let value = json::parse(payload).map_err(|e| bad(&e.to_string()))?;
-    record_from_value(&value)
-}
-
-// ---- helpers ---------------------------------------------------------
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    let mut map = Map::new();
-    for (key, value) in fields {
-        map.insert(key.to_string(), value);
+    let mut reader = Reader { bytes: payload, depth: 0 };
+    match reader.array()? {
+        [FORMAT] => {}
+        [other] => return bad(format!("unknown payload format {other:#04x}")),
     }
-    Value::Object(map)
-}
-
-fn get<'a>(value: &'a Value, key: &str) -> Result<&'a Value, CodecError> {
-    value.get(key).ok_or_else(|| bad(&format!("missing field `{key}`")))
-}
-
-fn get_u64(value: &Value, key: &str) -> Result<u64, CodecError> {
-    get(value, key)?.as_u64().ok_or_else(|| bad(&format!("field `{key}` is not a u64")))
-}
-
-fn get_usize(value: &Value, key: &str) -> Result<usize, CodecError> {
-    usize::try_from(get_u64(value, key)?).map_err(|_| bad(&format!("field `{key}` overflows")))
-}
-
-fn get_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, CodecError> {
-    get(value, key)?.as_str().ok_or_else(|| bad(&format!("field `{key}` is not a string")))
-}
-
-fn get_arr<'a>(value: &'a Value, key: &str) -> Result<&'a Vec<Value>, CodecError> {
-    get(value, key)?.as_array().ok_or_else(|| bad(&format!("field `{key}` is not an array")))
-}
-
-// ---- Usage -----------------------------------------------------------
-
-fn usage_to_value(u: &Usage) -> Value {
-    obj(vec![
-        ("calls", Value::from(u.calls)),
-        ("tokens_in", Value::from(u.tokens_in)),
-        ("tokens_out", Value::from(u.tokens_out)),
-        ("cached_calls", Value::from(u.cached_calls)),
-        ("tokens_in_saved", Value::from(u.tokens_in_saved)),
-        ("tokens_out_saved", Value::from(u.tokens_out_saved)),
-        ("failed_calls", Value::from(u.failed_calls)),
-    ])
-}
-
-fn usage_from_value(value: &Value) -> Result<Usage, CodecError> {
-    Ok(Usage {
-        calls: get_u64(value, "calls")?,
-        tokens_in: get_u64(value, "tokens_in")?,
-        tokens_out: get_u64(value, "tokens_out")?,
-        cached_calls: get_u64(value, "cached_calls")?,
-        tokens_in_saved: get_u64(value, "tokens_in_saved")?,
-        tokens_out_saved: get_u64(value, "tokens_out_saved")?,
-        failed_calls: get_u64(value, "failed_calls")?,
-    })
-}
-
-// ---- dataset values --------------------------------------------------
-
-fn cell_to_value(cell: &CellValue) -> Value {
-    match cell {
-        CellValue::Null => Value::Null,
-        CellValue::Bool(b) => obj(vec![("b", Value::Bool(*b))]),
-        CellValue::Int(i) => obj(vec![("i", Value::from(*i))]),
-        CellValue::Float(f) => obj(vec![("f", Value::from(*f))]),
-        CellValue::Str(s) => obj(vec![("s", Value::String(s.clone()))]),
+    let record = JournalRecord::take(&mut reader)?;
+    if !reader.bytes.is_empty() {
+        return bad("trailing bytes after the record");
     }
+    Ok(record)
 }
 
-fn cell_from_value(value: &Value) -> Result<CellValue, CodecError> {
-    if value.is_null() {
-        return Ok(CellValue::Null);
-    }
-    let map = value.as_object().ok_or_else(|| bad("cell is not null or an object"))?;
-    if let Some(b) = map.get("b") {
-        return b.as_bool().map(CellValue::Bool).ok_or_else(|| bad("cell `b` is not a bool"));
-    }
-    if let Some(i) = map.get("i") {
-        return i.as_i64().map(CellValue::Int).ok_or_else(|| bad("cell `i` is not an i64"));
-    }
-    if let Some(f) = map.get("f") {
-        return f.as_f64().map(CellValue::Float).ok_or_else(|| bad("cell `f` is not an f64"));
-    }
-    if let Some(s) = map.get("s") {
-        return s
-            .as_str()
-            .map(|s| CellValue::Str(s.to_string()))
-            .ok_or_else(|| bad("cell `s` is not a string"));
-    }
-    Err(bad("cell object has no known tag"))
+/// One wire form per type: `put` appends it, `take` consumes exactly it.
+pub(crate) trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 }
 
-fn record_to_json(record: &Record) -> Value {
-    Value::Array(record.values().iter().map(cell_to_value).collect())
+/// The undecoded rest of a payload.
+pub(crate) struct Reader<'a> {
+    bytes: &'a [u8],
+    depth: u32,
 }
 
-fn record_from_json(value: &Value) -> Result<Record, CodecError> {
-    let cells = value.as_array().ok_or_else(|| bad("record is not an array"))?;
-    Ok(Record::new(cells.iter().map(cell_from_value).collect::<Result<_, _>>()?))
-}
-
-fn column_type_name(ty: ColumnType) -> &'static str {
-    match ty {
-        ColumnType::Any => "any",
-        ColumnType::Bool => "bool",
-        ColumnType::Int => "int",
-        ColumnType::Float => "float",
-        ColumnType::Str => "str",
-    }
-}
-
-fn column_type_from_name(name: &str) -> Result<ColumnType, CodecError> {
-    Ok(match name {
-        "any" => ColumnType::Any,
-        "bool" => ColumnType::Bool,
-        "int" => ColumnType::Int,
-        "float" => ColumnType::Float,
-        "str" => ColumnType::Str,
-        other => return Err(bad(&format!("unknown column type `{other}`"))),
-    })
-}
-
-fn schema_to_value(schema: &Schema) -> Value {
-    Value::Array(
-        schema
-            .iter()
-            .map(|(name, ty)| {
-                Value::Array(vec![
-                    Value::String(name.to_string()),
-                    Value::String(column_type_name(ty).to_string()),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn schema_from_value(value: &Value) -> Result<Schema, CodecError> {
-    let columns = value.as_array().ok_or_else(|| bad("schema is not an array"))?;
-    let mut out = Vec::with_capacity(columns.len());
-    for column in columns {
-        let pair = column.as_array().ok_or_else(|| bad("schema column is not a pair"))?;
-        if pair.len() != 2 {
-            return Err(bad("schema column is not a pair"));
+impl<'a> Reader<'a> {
+    fn slice(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if n > self.bytes.len() {
+            return bad("payload ends mid-value");
         }
-        let name = pair[0].as_str().ok_or_else(|| bad("column name is not a string"))?;
-        let ty = pair[1].as_str().ok_or_else(|| bad("column type is not a string"))?;
-        out.push((name.to_string(), column_type_from_name(ty)?));
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
     }
-    Ok(Schema::new(out))
-}
 
-fn table_to_value(table: &Table) -> Value {
-    obj(vec![
-        ("name", Value::String(table.name().to_string())),
-        ("schema", schema_to_value(table.schema())),
-        ("rows", Value::Array(table.rows().iter().map(record_to_json).collect())),
-    ])
-}
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.slice(N)?.try_into().expect("slice(N) is N bytes"))
+    }
 
-fn table_from_value(value: &Value) -> Result<Table, CodecError> {
-    let name = get_str(value, "name")?;
-    let schema = schema_from_value(get(value, "schema")?)?;
-    let rows =
-        get_arr(value, "rows")?.iter().map(record_from_json).collect::<Result<Vec<_>, _>>()?;
-    Table::with_rows(name, schema, rows).map_err(|e| bad(&format!("table rejects rows: {e}")))
-}
-
-// ---- Data ------------------------------------------------------------
-
-fn data_to_value(data: &Data) -> Value {
-    match data {
-        Data::Null => Value::Null,
-        Data::Bool(b) => obj(vec![("bool", Value::Bool(*b))]),
-        Data::Int(i) => obj(vec![("int", Value::from(*i))]),
-        Data::Float(f) => obj(vec![("float", Value::from(*f))]),
-        Data::Str(s) => obj(vec![("str", Value::String(s.clone()))]),
-        Data::List(items) => {
-            obj(vec![("list", Value::Array(items.iter().map(data_to_value).collect()))])
+    /// A `u32` length prefix. Every element and string byte takes at least one
+    /// payload byte, so a count past the bytes remaining is refused unallocated.
+    fn len(&mut self) -> Result<usize, CodecError> {
+        let n = u32::from_le_bytes(self.array()?) as usize;
+        if n > self.bytes.len() {
+            return bad("declared length exceeds the payload");
         }
-        Data::Map(entries) => {
-            let mut map = Map::new();
-            for (key, value) in entries {
-                map.insert(key.clone(), data_to_value(value));
+        Ok(n)
+    }
+
+    /// The elements of a length-prefixed container, one nesting level down.
+    /// Collected without a size hint: memory grows with what decodes.
+    fn seq<T, C: FromIterator<T>>(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<C, CodecError> {
+        let n = self.len()?;
+        if self.depth == MAX_DEPTH {
+            return bad("containers nested too deep");
+        }
+        self.depth += 1;
+        let out = (0..n).map(|_| element(self)).collect();
+        self.depth -= 1;
+        out
+    }
+}
+
+fn put_len(out: &mut Vec<u8>, n: usize) {
+    let n = u32::try_from(n).expect("a journal sequence stays far below u32::MAX elements");
+    out.extend_from_slice(&n.to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_len(out, s.len());
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_seq<'a, T: Wire + 'a>(out: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
+    put_len(out, items.len());
+    items.for_each(|item| item.put(out));
+}
+
+/// Scalars travel as fixed-width little-endian integers: `type as carrier: out, back`.
+macro_rules! wire_scalars {
+    ($($ty:ty as $via:ty: $to:expr, $from:expr;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                let via: $via = ($to)(*self);
+                out.extend_from_slice(&via.to_le_bytes());
             }
-            obj(vec![("map", Value::Object(map))])
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                ($from)(<$via>::from_le_bytes(r.array()?))
+            }
         }
-        Data::Table(table) => obj(vec![("table", table_to_value(table))]),
-        Data::Record { schema, record } => obj(vec![(
-            "record",
-            obj(vec![("schema", schema_to_value(schema)), ("row", record_to_json(record))]),
-        )]),
+    )*};
+}
+
+wire_scalars! {
+    u64 as u64: |v| v, Ok;
+    i64 as i64: |v| v, Ok;
+    usize as u64: |v| v as u64, |v| usize::try_from(v).or_else(|_| bad("count overflows usize"));
+    f64 as u64: f64::to_bits, |bits| Ok(f64::from_bits(bits));
+    bool as u8: u8::from, |v| if v < 2 { Ok(v == 1) } else { bad("bool byte is not 0 or 1") };
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
     }
-}
-
-fn data_from_value(value: &Value) -> Result<Data, CodecError> {
-    if value.is_null() {
-        return Ok(Data::Null);
-    }
-    let map = value.as_object().ok_or_else(|| bad("data is not null or an object"))?;
-    if let Some(b) = map.get("bool") {
-        return b.as_bool().map(Data::Bool).ok_or_else(|| bad("data `bool` tag"));
-    }
-    if let Some(i) = map.get("int") {
-        return i.as_i64().map(Data::Int).ok_or_else(|| bad("data `int` tag"));
-    }
-    if let Some(f) = map.get("float") {
-        return f.as_f64().map(Data::Float).ok_or_else(|| bad("data `float` tag"));
-    }
-    if let Some(s) = map.get("str") {
-        return s.as_str().map(|s| Data::Str(s.to_string())).ok_or_else(|| bad("data `str` tag"));
-    }
-    if let Some(items) = map.get("list") {
-        let items = items.as_array().ok_or_else(|| bad("data `list` tag"))?;
-        return Ok(Data::List(items.iter().map(data_from_value).collect::<Result<_, _>>()?));
-    }
-    if let Some(entries) = map.get("map") {
-        let entries = entries.as_object().ok_or_else(|| bad("data `map` tag"))?;
-        let mut out = BTreeMap::new();
-        for (key, value) in entries.iter() {
-            out.insert(key.clone(), data_from_value(value)?);
-        }
-        return Ok(Data::Map(out));
-    }
-    if let Some(table) = map.get("table") {
-        return Ok(Data::Table(table_from_value(table)?));
-    }
-    if let Some(record) = map.get("record") {
-        let schema = schema_from_value(get(record, "schema")?)?;
-        let row = record_from_json(get(record, "row")?)?;
-        return Ok(Data::Record { schema, record: row });
-    }
-    Err(bad("data object has no known tag"))
-}
-
-fn env_to_value(env: &BTreeMap<String, Data>) -> Value {
-    let mut map = Map::new();
-    for (key, value) in env {
-        map.insert(key.clone(), data_to_value(value));
-    }
-    Value::Object(map)
-}
-
-fn env_from_value(value: &Value) -> Result<BTreeMap<String, Data>, CodecError> {
-    let map = value.as_object().ok_or_else(|| bad("env is not an object"))?;
-    let mut out = BTreeMap::new();
-    for (key, value) in map.iter() {
-        out.insert(key.clone(), data_from_value(value)?);
-    }
-    Ok(out)
-}
-
-// ---- stream types ----------------------------------------------------
-
-fn item_to_value(item: &StreamItem) -> Value {
-    obj(vec![
-        ("event_time", Value::from(item.event_time)),
-        ("entity", Value::from(item.entity)),
-        ("record", record_to_json(&item.record)),
-    ])
-}
-
-fn item_from_value(value: &Value) -> Result<StreamItem, CodecError> {
-    Ok(StreamItem {
-        event_time: get_u64(value, "event_time")?,
-        entity: get_u64(value, "entity")?,
-        record: record_from_json(get(value, "record")?)?,
-    })
-}
-
-fn close_to_value(close: &WindowCloseRecord) -> Value {
-    obj(vec![
-        ("window", Value::from(close.window)),
-        ("start", Value::from(close.start)),
-        ("end", Value::from(close.end)),
-        ("records", Value::from(close.records)),
-        ("candidate_pairs", Value::from(close.candidate_pairs)),
-        ("comparisons", Value::from(close.comparisons)),
-        ("true_duplicates", Value::from(close.true_duplicates)),
-        ("inline_judged", Value::from(close.inline_judged)),
-        ("inline_matched", Value::from(close.inline_matched)),
-        ("inputs", env_to_value(&close.inputs)),
-    ])
-}
-
-fn close_from_value(value: &Value) -> Result<WindowCloseRecord, CodecError> {
-    Ok(WindowCloseRecord {
-        window: get_u64(value, "window")?,
-        start: get_u64(value, "start")?,
-        end: get_u64(value, "end")?,
-        records: get_usize(value, "records")?,
-        candidate_pairs: get_usize(value, "candidate_pairs")?,
-        comparisons: get_u64(value, "comparisons")?,
-        true_duplicates: get_usize(value, "true_duplicates")?,
-        inline_judged: get_u64(value, "inline_judged")?,
-        inline_matched: get_u64(value, "inline_matched")?,
-        inputs: env_from_value(get(value, "inputs")?)?,
-    })
-}
-
-fn report_to_value(report: &WindowReportRecord) -> Value {
-    obj(vec![
-        ("window", Value::from(report.window)),
-        ("start", Value::from(report.start)),
-        ("end", Value::from(report.end)),
-        ("records", Value::from(report.records)),
-        ("candidate_pairs", Value::from(report.candidate_pairs)),
-        ("comparisons", Value::from(report.comparisons)),
-        ("judged", Value::from(report.judged)),
-        ("matched", Value::from(report.matched)),
-        ("true_duplicates", Value::from(report.true_duplicates)),
-        ("llm", usage_to_value(&report.llm)),
-    ])
-}
-
-fn report_from_value(value: &Value) -> Result<WindowReportRecord, CodecError> {
-    Ok(WindowReportRecord {
-        window: get_u64(value, "window")?,
-        start: get_u64(value, "start")?,
-        end: get_u64(value, "end")?,
-        records: get_usize(value, "records")?,
-        candidate_pairs: get_usize(value, "candidate_pairs")?,
-        comparisons: get_u64(value, "comparisons")?,
-        judged: get_u64(value, "judged")?,
-        matched: get_u64(value, "matched")?,
-        true_duplicates: get_usize(value, "true_duplicates")?,
-        llm: usage_from_value(get(value, "llm")?)?,
-    })
-}
-
-// ---- jobs ------------------------------------------------------------
-
-fn pending_to_value(job: &PendingJob) -> Value {
-    obj(vec![
-        ("pipeline", Value::String(job.pipeline.clone())),
-        ("fingerprint", Value::from(job.fingerprint)),
-        ("inputs", env_to_value(&job.inputs)),
-    ])
-}
-
-fn pending_from_value(value: &Value) -> Result<PendingJob, CodecError> {
-    Ok(PendingJob {
-        pipeline: get_str(value, "pipeline")?.to_string(),
-        fingerprint: get_u64(value, "fingerprint")?,
-        inputs: env_from_value(get(value, "inputs")?)?,
-    })
-}
-
-fn finished_to_value(job: &FinishedJob) -> Value {
-    obj(vec![
-        ("pipeline", Value::String(job.pipeline.clone())),
-        ("fingerprint", Value::from(job.fingerprint)),
-        ("env", env_to_value(&job.env)),
-        ("llm", usage_to_value(&job.llm)),
-        ("wall_us", Value::from(job.wall_us)),
-    ])
-}
-
-fn finished_from_value(value: &Value) -> Result<FinishedJob, CodecError> {
-    Ok(FinishedJob {
-        pipeline: get_str(value, "pipeline")?.to_string(),
-        fingerprint: get_u64(value, "fingerprint")?,
-        env: env_from_value(get(value, "env")?)?,
-        llm: usage_from_value(get(value, "llm")?)?,
-        wall_us: get_u64(value, "wall_us")?,
-    })
-}
-
-// ---- checkpoint ------------------------------------------------------
-
-fn windows_map_to_value<T>(map: &BTreeMap<u64, T>, f: impl Fn(&T) -> Value) -> Value {
-    let mut out = Map::new();
-    for (window, value) in map {
-        out.insert(window.to_string(), f(value));
-    }
-    Value::Object(out)
-}
-
-fn windows_map_from_value<T>(
-    value: &Value,
-    f: impl Fn(&Value) -> Result<T, CodecError>,
-) -> Result<BTreeMap<u64, T>, CodecError> {
-    let map = value.as_object().ok_or_else(|| bad("window map is not an object"))?;
-    let mut out = BTreeMap::new();
-    for (key, value) in map.iter() {
-        let window: u64 = key.parse().map_err(|_| bad("window key is not a u64"))?;
-        out.insert(window, f(value)?);
-    }
-    Ok(out)
-}
-
-fn stream_to_value(stream: &StreamCheckpoint) -> Value {
-    obj(vec![
-        ("watermark", Value::from(stream.watermark)),
-        ("max_event_time", Value::from(stream.max_event_time)),
-        (
-            "open_windows",
-            windows_map_to_value(&stream.open_windows, |items| {
-                Value::Array(items.iter().map(item_to_value).collect())
-            }),
-        ),
-        ("closed_unreported", windows_map_to_value(&stream.closed_unreported, close_to_value)),
-        ("reported", windows_map_to_value(&stream.reported, report_to_value)),
-    ])
-}
-
-fn stream_from_value(value: &Value) -> Result<StreamCheckpoint, CodecError> {
-    Ok(StreamCheckpoint {
-        watermark: get_u64(value, "watermark")?,
-        max_event_time: get_u64(value, "max_event_time")?,
-        open_windows: windows_map_from_value(get(value, "open_windows")?, |items| {
-            items
-                .as_array()
-                .ok_or_else(|| bad("open window items is not an array"))?
-                .iter()
-                .map(item_from_value)
-                .collect()
-        })?,
-        closed_unreported: windows_map_from_value(
-            get(value, "closed_unreported")?,
-            close_from_value,
-        )?,
-        reported: windows_map_from_value(get(value, "reported")?, report_from_value)?,
-    })
-}
-
-fn checkpoint_to_value(checkpoint: &Checkpoint) -> Value {
-    obj(vec![
-        ("finished", Value::Array(checkpoint.finished.iter().map(finished_to_value).collect())),
-        ("pending", Value::Array(checkpoint.pending.iter().map(pending_to_value).collect())),
-        ("cumulative", usage_to_value(&checkpoint.cumulative)),
-        ("stream", stream_to_value(&checkpoint.stream)),
-    ])
-}
-
-fn checkpoint_from_value(value: &Value) -> Result<Checkpoint, CodecError> {
-    Ok(Checkpoint {
-        finished: get_arr(value, "finished")?
-            .iter()
-            .map(finished_from_value)
-            .collect::<Result<_, _>>()?,
-        pending: get_arr(value, "pending")?
-            .iter()
-            .map(pending_from_value)
-            .collect::<Result<_, _>>()?,
-        cumulative: usage_from_value(get(value, "cumulative")?)?,
-        stream: stream_from_value(get(value, "stream")?)?,
-    })
-}
-
-// ---- the record envelope ---------------------------------------------
-
-fn record_to_value(record: &JournalRecord) -> Value {
-    let kind = Value::String(record.kind().to_string());
-    match record {
-        JournalRecord::JobAccepted(job) => {
-            obj(vec![("kind", kind), ("job", pending_to_value(job))])
-        }
-        JournalRecord::JobStarted { pipeline, fingerprint } => obj(vec![
-            ("kind", kind),
-            ("pipeline", Value::String(pipeline.clone())),
-            ("fingerprint", Value::from(*fingerprint)),
-        ]),
-        JournalRecord::JobFinished(job) => {
-            obj(vec![("kind", kind), ("job", finished_to_value(job))])
-        }
-        JournalRecord::JobFailed { pipeline, fingerprint, llm, reason } => obj(vec![
-            ("kind", kind),
-            ("pipeline", Value::String(pipeline.clone())),
-            ("fingerprint", Value::from(*fingerprint)),
-            ("llm", usage_to_value(llm)),
-            ("reason", Value::String(reason.clone())),
-        ]),
-        JournalRecord::StreamIngest { item, windows } => obj(vec![
-            ("kind", kind),
-            ("item", item_to_value(item)),
-            ("windows", Value::Array(windows.iter().map(|w| Value::from(*w)).collect())),
-        ]),
-        JournalRecord::WatermarkAdvance { watermark, max_event_time } => obj(vec![
-            ("kind", kind),
-            ("watermark", Value::from(*watermark)),
-            ("max_event_time", Value::from(*max_event_time)),
-        ]),
-        JournalRecord::WindowClose(close) => {
-            obj(vec![("kind", kind), ("close", close_to_value(close))])
-        }
-        JournalRecord::ReportSubmitted(report) => {
-            obj(vec![("kind", kind), ("report", report_to_value(report))])
-        }
-        JournalRecord::Checkpoint(checkpoint) => {
-            obj(vec![("kind", kind), ("checkpoint", checkpoint_to_value(checkpoint))])
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.len()?;
+        match std::str::from_utf8(r.slice(n)?) {
+            Ok(s) => Ok(s.to_owned()),
+            Err(_) => bad("string is not UTF-8"),
         }
     }
 }
 
-fn record_from_value(value: &Value) -> Result<JournalRecord, CodecError> {
-    match get_str(value, "kind")? {
-        "job_accepted" => Ok(JournalRecord::JobAccepted(pending_from_value(get(value, "job")?)?)),
-        "job_started" => Ok(JournalRecord::JobStarted {
-            pipeline: get_str(value, "pipeline")?.to_string(),
-            fingerprint: get_u64(value, "fingerprint")?,
-        }),
-        "job_finished" => Ok(JournalRecord::JobFinished(finished_from_value(get(value, "job")?)?)),
-        "job_failed" => Ok(JournalRecord::JobFailed {
-            pipeline: get_str(value, "pipeline")?.to_string(),
-            fingerprint: get_u64(value, "fingerprint")?,
-            llm: usage_from_value(get(value, "llm")?)?,
-            reason: get_str(value, "reason")?.to_string(),
-        }),
-        "stream_ingest" => Ok(JournalRecord::StreamIngest {
-            item: item_from_value(get(value, "item")?)?,
-            windows: get_arr(value, "windows")?
-                .iter()
-                .map(|w| w.as_u64().ok_or_else(|| bad("window id is not a u64")))
-                .collect::<Result<_, _>>()?,
-        }),
-        "watermark_advance" => Ok(JournalRecord::WatermarkAdvance {
-            watermark: get_u64(value, "watermark")?,
-            max_event_time: get_u64(value, "max_event_time")?,
-        }),
-        "window_close" => Ok(JournalRecord::WindowClose(close_from_value(get(value, "close")?)?)),
-        "report_submitted" => {
-            Ok(JournalRecord::ReportSubmitted(report_from_value(get(value, "report")?)?))
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self.iter());
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.seq(T::take)
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(out, self.len());
+        for (key, value) in self {
+            key.put(out);
+            value.put(out);
         }
-        "checkpoint" => {
-            Ok(JournalRecord::Checkpoint(checkpoint_from_value(get(value, "checkpoint")?)?))
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let entries: Vec<(K, V)> = r.seq(|r| Ok((K::take(r)?, V::take(r)?)))?;
+        // Canonical form only: `put` writes keys strictly ascending.
+        if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return bad("map keys are not strictly ascending");
         }
-        other => Err(bad(&format!("unknown record kind `{other}`"))),
+        Ok(entries.into_iter().collect())
+    }
+}
+
+/// A struct is its fields, in the order listed.
+macro_rules! wire_structs {
+    ($($ty:ident { $($field:ident),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok($ty { $($field: Wire::take(r)?),* })
+            }
+        }
+    )*};
+}
+
+/// An enum is a tag byte, then the variant's fields in the order listed.
+macro_rules! wire_enums {
+    ($($ty:ident { $(
+        $tag:tt => $variant:ident $(($($tuple:ident),*))? $({$($named:ident),*})?
+    ),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {$(
+                    Self::$variant $(($($tuple),*))? $({$($named),*})? => {
+                        out.push($tag);
+                        $($($tuple.put(out);)*)?
+                        $($($named.put(out);)*)?
+                    }
+                )*}
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                match r.array()? {
+                    $([$tag] => {
+                        $($(let $tuple = Wire::take(r)?;)*)?
+                        $($(let $named = Wire::take(r)?;)*)?
+                        Ok(Self::$variant $(($($tuple),*))? $({$($named),*})?)
+                    })*
+                    [other] => bad(format!("unknown {} tag {other:#04x}", stringify!($ty))),
+                }
+            }
+        }
+    )*};
+}
+
+wire_enums! {
+    ColumnType { 0 => Any, 1 => Bool, 2 => Int, 3 => Float, 4 => Str }
+    CellValue { 0 => Null, 1 => Bool(b), 2 => Int(i), 3 => Float(f), 4 => Str(s) }
+    Data {
+        0 => Null, 1 => Bool(b), 2 => Int(i), 3 => Float(f), 4 => Str(s), 5 => List(items),
+        6 => Map(entries), 7 => Table(table), 8 => Record { schema, record }
+    }
+    JournalRecord {
+        0 => JobAccepted(job),
+        1 => JobStarted { pipeline, fingerprint },
+        2 => JobFinished(job),
+        3 => JobFailed { pipeline, fingerprint, llm, reason },
+        4 => StreamIngest { item, windows },
+        5 => WatermarkAdvance { watermark, max_event_time },
+        6 => WindowClose(close),
+        7 => ReportSubmitted(report),
+        CHECKPOINT => Checkpoint(checkpoint)
+    }
+}
+
+wire_structs! {
+    Usage {
+        calls, tokens_in, tokens_out, cached_calls, tokens_in_saved, tokens_out_saved, failed_calls
+    }
+    StreamItem { event_time, entity, record }
+    PendingJob { pipeline, fingerprint, inputs }
+    FinishedJob { pipeline, fingerprint, env, llm, wall_us }
+    WindowCloseRecord {
+        window, start, end, records, candidate_pairs, comparisons, true_duplicates, inline_judged,
+        inline_matched, inputs
+    }
+    WindowReportRecord {
+        window, start, end, records, candidate_pairs, comparisons, judged, matched,
+        true_duplicates, llm
+    }
+    StreamCheckpoint { watermark, max_event_time, open_windows, closed_unreported, reported }
+}
+
+// Private fields: `Record`, `Schema` and `Table` travel as their constructors' parts.
+impl Wire for Record {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self.values().iter());
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Record::new(Wire::take(r)?))
+    }
+}
+
+impl Wire for Schema {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(out, self.len());
+        for (name, ty) in self.iter() {
+            put_str(out, name);
+            ty.put(out);
+        }
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Schema::new(r.seq(|r| Ok((Wire::take(r)?, Wire::take(r)?)))?))
+    }
+}
+
+impl Wire for Table {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self.name());
+        self.schema().put(out);
+        put_seq(out, self.rows().iter());
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (name, schema, rows) = (String::take(r)?, Wire::take(r)?, Wire::take(r)?);
+        Table::with_rows(name, schema, rows).or_else(|e| bad(format!("table rejects rows: {e}")))
+    }
+}
+
+/// Job maps travel as plain job sequences; each job's key is rebuilt on the way in.
+impl Wire for Checkpoint {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self.finished.values());
+        put_seq(out, self.pending.values());
+        self.cumulative.put(out);
+        self.stream.put(out);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Checkpoint {
+            finished: r.seq(|r| FinishedJob::take(r).map(|job| (job.key(), job)))?,
+            pending: r.seq(|r| PendingJob::take(r).map(|job| (job.key(), job)))?,
+            cumulative: Wire::take(r)?,
+            stream: Wire::take(r)?,
+        })
     }
 }
 
@@ -584,17 +349,40 @@ fn record_from_value(value: &Value) -> Result<JournalRecord, CodecError> {
 mod tests {
     use super::*;
 
+    fn encode(record: &JournalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_into(record, &mut out);
+        out
+    }
+
+    /// All nine `Data` arms, with the edge values the format must carry.
     fn sample_env() -> BTreeMap<String, Data> {
-        let schema = Schema::of_names(["name", "abv"]);
-        let record = Record::new(vec![CellValue::Str("Pliny".into()), CellValue::Float(8.0)]);
-        let table = Table::with_rows("beers", schema.clone(), vec![record.clone()]).unwrap();
+        let schema = Schema::new(vec![
+            ("name".to_string(), ColumnType::Str),
+            ("abv".to_string(), ColumnType::Float),
+            ("any".to_string(), ColumnType::Any),
+        ]);
+        let record = Record::new(vec![
+            CellValue::Str("Pliny".into()),
+            CellValue::Float(8.0),
+            CellValue::Null,
+        ]);
+        let other = Record::new(vec![CellValue::Str(String::new()), CellValue::Null, true.into()]);
+        let table = Table::with_rows("beers", schema.clone(), vec![record.clone(), other]).unwrap();
+        let nested = Data::List(vec![
+            Data::Int(1),
+            Data::Null,
+            Data::List(vec![Data::Map(BTreeMap::from([("deep".to_string(), Data::List(vec![]))]))]),
+        ]);
         BTreeMap::from([
+            (String::new(), Data::Str(String::new())),
             ("null".to_string(), Data::Null),
             ("flag".to_string(), Data::Bool(true)),
-            ("n".to_string(), Data::Int(-5)),
+            ("n".to_string(), Data::Int(i64::MIN)),
             ("x".to_string(), Data::Float(2.5)),
-            ("s".to_string(), Data::Str("line\n\"quoted\" 🦀".into())),
-            ("xs".to_string(), Data::List(vec![Data::Int(1), Data::Null])),
+            ("s".to_string(), Data::Str("line\n\"quoted\" héllo 🦀 \u{0007}".into())),
+            ("xs".to_string(), nested),
+            ("empty".to_string(), Data::Map(BTreeMap::new())),
             (
                 "m".to_string(),
                 Data::Map(BTreeMap::from([("k".to_string(), Data::Str("v".into()))])),
@@ -604,6 +392,14 @@ mod tests {
         ])
     }
 
+    fn sample_checkpoint() -> Checkpoint {
+        let JournalRecord::Checkpoint(checkpoint) = samples().pop().unwrap() else {
+            panic!("the last sample is the checkpoint");
+        };
+        checkpoint
+    }
+
+    /// All nine record variants.
     fn samples() -> Vec<JournalRecord> {
         let mut llm = Usage::default();
         llm.record(100, 25);
@@ -638,6 +434,13 @@ mod tests {
             true_duplicates: 2,
             llm,
         };
+        let finished = FinishedJob {
+            pipeline: "clean".into(),
+            fingerprint: 9,
+            env: sample_env(),
+            llm,
+            wall_us: 12345,
+        };
         vec![
             JournalRecord::JobAccepted(PendingJob {
                 pipeline: "clean".into(),
@@ -645,13 +448,7 @@ mod tests {
                 inputs: sample_env(),
             }),
             JournalRecord::JobStarted { pipeline: "clean".into(), fingerprint: 9 },
-            JournalRecord::JobFinished(FinishedJob {
-                pipeline: "clean".into(),
-                fingerprint: 9,
-                env: sample_env(),
-                llm,
-                wall_us: 12345,
-            }),
+            JournalRecord::JobFinished(finished.clone()),
             JournalRecord::JobFailed {
                 pipeline: "clean".into(),
                 fingerprint: 10,
@@ -663,18 +460,27 @@ mod tests {
             JournalRecord::WindowClose(close.clone()),
             JournalRecord::ReportSubmitted(report.clone()),
             JournalRecord::Checkpoint(Checkpoint {
-                finished: vec![FinishedJob {
-                    pipeline: "p".into(),
-                    fingerprint: 1,
-                    env: BTreeMap::new(),
-                    llm,
-                    wall_us: 1,
-                }],
-                pending: vec![PendingJob {
+                finished: [
+                    finished,
+                    FinishedJob {
+                        pipeline: "p".into(),
+                        fingerprint: 1,
+                        env: BTreeMap::new(),
+                        llm,
+                        wall_us: 1,
+                    },
+                ]
+                .into_iter()
+                .map(|job| (job.key(), job))
+                .collect(),
+                pending: [PendingJob {
                     pipeline: "p".into(),
                     fingerprint: 2,
                     inputs: BTreeMap::new(),
-                }],
+                }]
+                .into_iter()
+                .map(|job| (job.key(), job))
+                .collect(),
                 cumulative: llm,
                 stream: StreamCheckpoint {
                     watermark: 64,
@@ -689,25 +495,177 @@ mod tests {
 
     #[test]
     fn every_record_roundtrips() {
+        let mut variants = std::collections::HashSet::new();
         for record in samples() {
             let bytes = encode(&record);
             let back = decode(&bytes).expect("decodes");
-            assert_eq!(back, record, "roundtrip failed for {}", record.kind());
+            assert_eq!(back, record);
+            assert_eq!(encode(&back), bytes, "the encoding is canonical: {record:?}");
+            variants.insert(std::mem::discriminant(&record));
+        }
+        assert_eq!(variants.len(), 9, "one sample per variant");
+        let arms: std::collections::BTreeSet<_> =
+            sample_env().values().map(Data::type_name).collect();
+        assert_eq!(arms.len(), 9, "one sample per Data arm");
+    }
+
+    #[test]
+    fn default_checkpoint_roundtrips() {
+        let record = JournalRecord::Checkpoint(Checkpoint::default());
+        assert_eq!(decode(&encode(&record)).unwrap(), record);
+    }
+
+    /// The layout DESIGN.md §15 documents, byte for byte.
+    #[test]
+    fn layout_is_the_documented_one() {
+        let started = JournalRecord::JobStarted { pipeline: "p".into(), fingerprint: 9 };
+        assert_eq!(encode(&started), [FORMAT, 1, 1, 0, 0, 0, b'p', 9, 0, 0, 0, 0, 0, 0, 0]);
+
+        let accepted = JournalRecord::JobAccepted(PendingJob {
+            pipeline: String::new(),
+            fingerprint: u64::MAX,
+            inputs: BTreeMap::from([("k".to_string(), Data::Float(-0.0))]),
+        });
+        let mut expected = vec![FORMAT, 0, 0, 0, 0, 0];
+        expected.extend_from_slice(&[0xFF; 8]);
+        expected.extend_from_slice(&[1, 0, 0, 0, 1, 0, 0, 0, b'k', 3]);
+        expected.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 0x80]);
+        assert_eq!(encode(&accepted), expected);
+    }
+
+    #[test]
+    fn floats_travel_as_their_bits() {
+        let odd_nan = f64::from_bits(0x7FF8_0000_0000_BEEF);
+        for f in [f64::NAN, odd_nan, f64::INFINITY, f64::NEG_INFINITY, -0.0, f64::MIN_POSITIVE] {
+            let record = JournalRecord::JobAccepted(PendingJob {
+                pipeline: "p".into(),
+                fingerprint: 1,
+                inputs: BTreeMap::from([("f".to_string(), Data::Float(f))]),
+            });
+            let JournalRecord::JobAccepted(job) = decode(&encode(&record)).unwrap() else {
+                panic!("variant changed");
+            };
+            let Data::Float(back) = job.inputs["f"] else { panic!("arm changed") };
+            assert_eq!(back.to_bits(), f.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_borrowed_checkpoint_encodes_as_the_checkpoint_record() {
+        let checkpoint = sample_checkpoint();
+        let mut borrowed = Vec::new();
+        encode_checkpoint_into(&checkpoint, &mut borrowed);
+        assert_eq!(borrowed, encode(&JournalRecord::Checkpoint(checkpoint)));
+    }
+
+    #[test]
+    fn every_proper_prefix_is_an_error() {
+        for record in samples() {
+            let bytes = encode(&record);
+            for cut in 0..bytes.len() {
+                assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} of {record:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_trailing_byte_is_an_error() {
+        for record in samples() {
+            let mut bytes = encode(&record);
+            bytes.push(0);
+            assert!(decode(&bytes).is_err(), "{record:?}");
+        }
+    }
+
+    /// A count of `u32::MAX` is refused by the length check; had the decoder
+    /// reserved for it first, these would abort on allocation instead.
+    #[test]
+    fn a_huge_declared_length_is_refused_before_allocating() {
+        let huge = u32::MAX.to_le_bytes();
+        // JobStarted: the pipeline string claims 4 GiB.
+        let mut string = vec![FORMAT, 1];
+        string.extend_from_slice(&huge);
+        // StreamIngest: a real item, then 4 Gi window ids.
+        let ingest = JournalRecord::StreamIngest {
+            item: StreamItem { event_time: 1, entity: 1, record: Record::new(vec![]) },
+            windows: vec![],
+        };
+        let mut windows = encode(&ingest);
+        let at = windows.len() - 4;
+        windows[at..].copy_from_slice(&huge);
+        // Checkpoint: 4 Gi finished jobs.
+        let mut jobs = vec![FORMAT, CHECKPOINT];
+        jobs.extend_from_slice(&huge);
+        // JobAccepted: 4 Gi env entries, with bytes behind the count.
+        let mut entries =
+            encode(&JournalRecord::JobStarted { pipeline: "p".into(), fingerprint: 2 });
+        entries[1] = 0;
+        entries.extend_from_slice(&huge);
+        entries.extend_from_slice(&[0; 64]);
+        for payload in [string, windows, jobs, entries] {
+            assert!(decode(&payload).is_err());
         }
     }
 
     #[test]
     fn decode_rejects_wrong_shapes_without_panicking() {
-        for bad in [
-            &b"not json"[..],
-            b"{}",
-            b"{\"kind\":\"no_such_kind\"}",
-            b"{\"kind\":\"job_accepted\"}",
-            b"{\"kind\":\"job_finished\",\"job\":{\"pipeline\":3}}",
-            b"[1,2,3]",
-            b"{\"kind\":\"watermark_advance\",\"watermark\":-1,\"max_event_time\":0}",
-        ] {
-            assert!(decode(bad).is_err());
+        let started = |pipeline: &[u8]| {
+            let mut bytes = vec![FORMAT, 1, pipeline.len() as u8, 0, 0, 0];
+            bytes.extend_from_slice(pipeline);
+            bytes.extend_from_slice(&7u64.to_le_bytes());
+            bytes
+        };
+        assert!(decode(&started(b"ok")).is_ok());
+        let env_of = |entries: &[u8], count: u8| {
+            let mut bytes = vec![FORMAT, 0, 0, 0, 0, 0];
+            bytes.extend_from_slice(&7u64.to_le_bytes());
+            bytes.extend_from_slice(&[count, 0, 0, 0]);
+            bytes.extend_from_slice(entries);
+            bytes
+        };
+        assert!(decode(&env_of(&[1, 0, 0, 0, b'a', 1, 1, 1, 0, 0, 0, b'b', 0], 2)).is_ok());
+        let mut bomb = env_of(&[1, 0, 0, 0, b'k'], 1);
+        for _ in 0..=MAX_DEPTH {
+            bomb.extend_from_slice(&[5, 1, 0, 0, 0]);
         }
+        bomb.push(0);
+        for (what, payload) in [
+            ("empty payload", vec![]),
+            ("format byte only", vec![FORMAT]),
+            ("a parent-commit JSON payload", b"{\"kind\":\"watermark_advance\"}".to_vec()),
+            ("a future format byte", vec![FORMAT + 1, 5]),
+            ("unknown record tag", vec![FORMAT, 9]),
+            ("invalid UTF-8", started(&[0xC3, 0x28])),
+            ("unknown Data tag", env_of(&[1, 0, 0, 0, b'k', 9], 1)),
+            ("bool byte 2", env_of(&[1, 0, 0, 0, b'k', 1, 2], 1)),
+            ("duplicate map key", env_of(&[1, 0, 0, 0, b'a', 0, 1, 0, 0, 0, b'a', 0], 2)),
+            ("descending map keys", env_of(&[1, 0, 0, 0, b'b', 0, 1, 0, 0, 0, b'a', 0], 2)),
+            ("nesting past MAX_DEPTH", bomb),
+        ] {
+            assert!(decode(&payload).is_err(), "{what} must be refused");
+        }
+    }
+
+    #[test]
+    fn a_table_whose_rows_break_its_schema_is_refused() {
+        let schema = Schema::of_names(["a", "b"]);
+        let table =
+            Table::with_rows("t", schema, vec![Record::new(vec![1i64.into(), 2i64.into()])]);
+        let record = JournalRecord::JobAccepted(PendingJob {
+            pipeline: "p".into(),
+            fingerprint: 1,
+            inputs: BTreeMap::from([("t".to_string(), Data::Table(table.unwrap()))]),
+        });
+        let bytes = encode(&record);
+        assert!(decode(&bytes).is_ok());
+        // Drop the row's second cell: arity 1 under a two-column schema.
+        let cell = [2u8, 2, 0, 0, 0, 0, 0, 0, 0];
+        let mut short = bytes[..bytes.len() - cell.len()].to_vec();
+        assert_eq!(&bytes[bytes.len() - cell.len()..], &cell);
+        let count = short.len() - cell.len() - 4;
+        assert_eq!(&short[count..count + 4], &[2, 0, 0, 0]);
+        short[count] = 1;
+        let error = decode(&short).unwrap_err();
+        assert!(error.0.contains("table rejects rows"), "{error}");
     }
 }

@@ -38,13 +38,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Build one frame whose payload `fill` writes in place: the header is
+/// reserved first and back-patched once the payload's length and checksum
+/// are known, so the payload is never copied.
+pub fn build_frame(fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = vec![0; FRAME_HEADER];
+    fill(&mut frame);
+    let payload = &frame[FRAME_HEADER..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    frame
+}
+
 /// Encode one payload as a framed record.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+    build_frame(|frame| frame.extend_from_slice(payload))
 }
 
 /// Outcome of attempting to read the frame starting at an offset.
@@ -122,14 +131,9 @@ mod tests {
             let torn = &buf[..cut];
             let mut offset = 0;
             let mut seen = 0;
-            loop {
-                match decode_frame(torn, offset) {
-                    FrameOutcome::Valid { next, .. } => {
-                        offset = next;
-                        seen += 1;
-                    }
-                    FrameOutcome::End | FrameOutcome::Damaged => break,
-                }
+            while let FrameOutcome::Valid { next, .. } = decode_frame(torn, offset) {
+                offset = next;
+                seen += 1;
             }
             assert!(seen <= 2);
         }

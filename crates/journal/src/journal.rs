@@ -1,24 +1,25 @@
 //! The [`Journal`]: a write-ahead log with an always-current fold.
 //!
 //! Every append both frames the record to storage *and* folds it into an
-//! in-memory [`Checkpoint`]-shaped state. That one fold serves three
-//! masters: it is the checkpoint payload when compaction fires, it is the
-//! recovery state when a journal is reopened, and it keeps compaction O(1)
-//! in journal length (no re-scan to build a checkpoint).
+//! in-memory [`Checkpoint`]. That one fold serves three masters: it is the
+//! checkpoint payload when compaction fires (encoded by reference, never
+//! copied), it is the recovery state when a journal is reopened, and it
+//! keeps compaction O(1) in journal length (no re-scan to build a
+//! checkpoint).
 //!
 //! Write-ahead ordering is the caller's contract: record the event *before*
 //! making its effect observable (finishing a job, handing out a report).
 //! The journal's own contract is that whatever prefix of records reached
 //! storage is recoverable, regardless of where the process died.
 
-use crate::kill::CrashInjector;
+use crate::frame::build_frame;
+use crate::kill::{CrashInjector, KillPoint};
 use crate::reader::JournalReader;
 use crate::record::{
     Checkpoint, FinishedJob, JournalRecord, PendingJob, StreamCheckpoint, WindowCloseRecord,
     WindowReportRecord,
 };
 use crate::storage::{FileStorage, SimStorage, Storage};
-use crate::writer::JournalWriter;
 use lingua_llm_sim::Usage;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -97,98 +98,76 @@ pub struct Recovered {
     pub stream: StreamCheckpoint,
 }
 
-/// Fold state: the live mirror of what a checkpoint would say right now.
-#[derive(Default)]
-struct Fold {
-    finished: BTreeMap<(String, u64), FinishedJob>,
-    pending: BTreeMap<(String, u64), PendingJob>,
-    cumulative: Usage,
-    stream: StreamCheckpoint,
-}
-
-impl Fold {
-    fn apply(&mut self, record: &JournalRecord) {
+impl Checkpoint {
+    /// Fold one record in. Takes it by value: the record's payload moves
+    /// into the fold, so an append never copies it a second time.
+    fn apply(&mut self, record: JournalRecord) {
         match record {
             JournalRecord::JobAccepted(job) => {
-                let key = (job.pipeline.clone(), job.fingerprint);
+                let key = job.key();
                 // A finished job re-accepted (client retry) stays finished.
                 if !self.finished.contains_key(&key) {
-                    self.pending.insert(key, job.clone());
+                    self.pending.insert(key, job);
                 }
             }
             // Started is diagnostic only: a started-but-unfinished job is
             // recovered exactly like a queued one.
             JournalRecord::JobStarted { .. } => {}
             JournalRecord::JobFinished(job) => {
-                let key = (job.pipeline.clone(), job.fingerprint);
+                let key = job.key();
                 self.pending.remove(&key);
                 self.cumulative.merge(&job.llm);
-                self.finished.insert(key, job.clone());
+                self.finished.insert(key, job);
             }
             JournalRecord::JobFailed { pipeline, fingerprint, llm, .. } => {
-                self.pending.remove(&(pipeline.clone(), *fingerprint));
-                self.cumulative.merge(llm);
+                self.pending.remove(&(pipeline, fingerprint));
+                self.cumulative.merge(&llm);
             }
             JournalRecord::StreamIngest { item, windows } => {
-                for window in windows {
-                    self.stream.open_windows.entry(*window).or_default().push(item.clone());
-                }
                 self.stream.max_event_time = self.stream.max_event_time.max(item.event_time);
+                // One copy per window the item sits in; the last takes the
+                // record's own.
+                if let Some((last, rest)) = windows.split_last() {
+                    for window in rest {
+                        self.stream.open_windows.entry(*window).or_default().push(item.clone());
+                    }
+                    self.stream.open_windows.entry(*last).or_default().push(item);
+                }
             }
             JournalRecord::WatermarkAdvance { watermark, max_event_time } => {
-                self.stream.watermark = (*watermark).max(self.stream.watermark);
-                self.stream.max_event_time = (*max_event_time).max(self.stream.max_event_time);
+                self.stream.watermark = watermark.max(self.stream.watermark);
+                self.stream.max_event_time = max_event_time.max(self.stream.max_event_time);
             }
             JournalRecord::WindowClose(close) => {
                 self.stream.open_windows.remove(&close.window);
                 if !self.stream.reported.contains_key(&close.window) {
-                    self.stream.closed_unreported.insert(close.window, close.clone());
+                    self.stream.closed_unreported.insert(close.window, close);
                 }
             }
             JournalRecord::ReportSubmitted(report) => {
                 self.stream.closed_unreported.remove(&report.window);
-                self.stream.reported.insert(report.window, report.clone());
+                self.stream.reported.insert(report.window, report);
             }
-            JournalRecord::Checkpoint(checkpoint) => {
-                *self = Fold::from_checkpoint(checkpoint);
-            }
-        }
-    }
-
-    fn from_checkpoint(checkpoint: &Checkpoint) -> Self {
-        let mut fold = Fold {
-            cumulative: checkpoint.cumulative,
-            stream: checkpoint.stream.clone(),
-            ..Fold::default()
-        };
-        for job in &checkpoint.finished {
-            fold.finished.insert((job.pipeline.clone(), job.fingerprint), job.clone());
-        }
-        for job in &checkpoint.pending {
-            fold.pending.insert((job.pipeline.clone(), job.fingerprint), job.clone());
-        }
-        fold
-    }
-
-    fn to_checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            finished: self.finished.values().cloned().collect(),
-            pending: self.pending.values().cloned().collect(),
-            cumulative: self.cumulative,
-            stream: self.stream.clone(),
+            JournalRecord::Checkpoint(checkpoint) => *self = checkpoint,
         }
     }
 }
 
 struct Inner {
-    fold: Fold,
+    /// The live mirror of what a checkpoint would say right now.
+    fold: Checkpoint,
     appends_since_checkpoint: usize,
 }
 
 /// Append-only journal with checkpoint compaction. Clone the [`Arc`] it
 /// lives in; the journal itself is internally synchronized.
+///
+/// Every storage write is threaded through the crash injector. Once it
+/// reports dead, every write is silently dropped — the simulated process
+/// no longer exists, so nothing it "does" can reach storage.
 pub struct Journal {
-    writer: JournalWriter,
+    storage: Arc<dyn Storage>,
+    injector: Arc<CrashInjector>,
     checkpoint_interval: usize,
     inner: Mutex<Inner>,
 }
@@ -197,20 +176,36 @@ impl Journal {
     /// Open (or create) a journal over `tuning.storage`: scan the log,
     /// truncate any damaged suffix so future appends stay readable, and
     /// seed the fold from what survived.
+    ///
+    /// A log holding an intact frame this build cannot decode (written
+    /// before the binary codec, or by a later one) is not damage: `open`
+    /// fails with [`io::ErrorKind::InvalidData`] and storage is left
+    /// byte-for-byte as it was found.
     pub fn open(tuning: JournalTuning) -> io::Result<(Self, Recovered)> {
         let bytes = tuning.storage.read()?;
         let scan = JournalReader::scan(&bytes);
+        if let Some(error) = &scan.unreadable {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "journal frame at byte {} is intact but unreadable ({error}); \
+                     refusing to truncate the log",
+                    scan.valid_len
+                ),
+            ));
+        }
         if scan.valid_len < bytes.len() {
             // Repair the tail: appending after torn bytes would make every
             // future record unreachable.
             tuning.storage.replace(&bytes[..scan.valid_len])?;
         }
-        let mut fold = Fold::default();
-        for record in &scan.records {
+        let replayed = scan.records.len();
+        let mut fold = Checkpoint::default();
+        for record in scan.records {
             fold.apply(record);
         }
         let recovered = Recovered {
-            replayed: scan.records.len() as u64,
+            replayed: replayed as u64,
             corrupt_records_skipped: scan.corrupt_records_skipped,
             finished: fold.finished.values().cloned().collect(),
             pending: fold.pending.values().cloned().collect(),
@@ -218,21 +213,22 @@ impl Journal {
             stream: fold.stream.clone(),
         };
         let journal = Journal {
-            writer: JournalWriter::new(tuning.storage, tuning.injector),
+            storage: tuning.storage,
+            injector: tuning.injector,
             checkpoint_interval: tuning.checkpoint_interval.max(1),
-            inner: Mutex::new(Inner { fold, appends_since_checkpoint: scan.records.len() }),
+            inner: Mutex::new(Inner { fold, appends_since_checkpoint: replayed }),
         };
         Ok((journal, recovered))
     }
 
     pub fn injector(&self) -> &Arc<CrashInjector> {
-        self.writer.injector()
+        &self.injector
     }
 
     /// Whether the simulated process has crashed (always false in
     /// production, where the injector is inert).
     pub fn dead(&self) -> bool {
-        self.writer.dead()
+        self.injector.dead()
     }
 
     /// Append one record, fold it, and compact if the interval elapsed.
@@ -241,22 +237,43 @@ impl Journal {
     /// write, so harnesses can tell "journaled" from "lost" exactly.
     fn append(&self, record: JournalRecord) -> io::Result<bool> {
         let mut inner = self.inner.lock();
-        if self.writer.dead() {
+        if self.injector.fire(KillPoint::BeforeJournal) {
             return Ok(false);
         }
-        let written = self.writer.append_record(&record)?;
-        if !written {
+        let frame = build_frame(|out| crate::codec::encode_into(&record, out));
+        if self.injector.fire(KillPoint::MidWrite) {
+            // Torn write: the first half of the frame reaches storage, the
+            // process dies before the rest.
+            self.storage.append(&frame[..frame.len() / 2])?;
             return Ok(false);
         }
-        inner.fold.apply(&record);
+        self.storage.append(&frame)?;
+        self.injector.fire(KillPoint::AfterJournal);
+        inner.fold.apply(record);
         inner.appends_since_checkpoint += 1;
-        if inner.appends_since_checkpoint >= self.checkpoint_interval && !self.writer.dead() {
-            let checkpoint = inner.fold.to_checkpoint();
-            if self.writer.write_checkpoint(&checkpoint)? {
-                inner.appends_since_checkpoint = 0;
-            }
+        if inner.appends_since_checkpoint >= self.checkpoint_interval {
+            self.compact(&mut inner)?;
         }
         Ok(true)
+    }
+
+    /// Checkpoint and compact: atomically replace the whole log with one
+    /// checkpoint frame, encoded from the live fold by reference, so
+    /// recovery replays only records appended after it.
+    fn compact(&self, inner: &mut Inner) -> io::Result<()> {
+        if self.injector.dead() {
+            return Ok(());
+        }
+        let frame = build_frame(|out| crate::codec::encode_checkpoint_into(&inner.fold, out));
+        if self.injector.fire(KillPoint::MidCheckpoint) {
+            // The checkpoint frame tears mid-append, before compaction
+            // replaced anything: the old log survives with a damaged tail.
+            return self.storage.append(&frame[..frame.len() / 2]);
+        }
+        self.storage.replace(&frame)?;
+        self.injector.fire(KillPoint::AfterCheckpoint);
+        inner.appends_since_checkpoint = 0;
+        Ok(())
     }
 
     pub fn record_job_accepted(
@@ -317,19 +334,14 @@ impl Journal {
 
     /// Force a checkpoint + compaction now (shutdown path).
     pub fn checkpoint_now(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        if self.writer.dead() {
-            return Ok(());
-        }
-        let checkpoint = inner.fold.to_checkpoint();
-        if self.writer.write_checkpoint(&checkpoint)? {
-            inner.appends_since_checkpoint = 0;
-        }
-        Ok(())
+        self.compact(&mut self.inner.lock())
     }
 
     pub fn flush(&self) -> io::Result<()> {
-        self.writer.flush()
+        if self.injector.dead() {
+            return Ok(());
+        }
+        self.storage.flush()
     }
 }
 

@@ -1,15 +1,21 @@
 //! A small, strict JSON parser producing `serde_json::Value`.
 //!
-//! The journal's wire format is JSON text, but decoding cannot lean on
-//! generic serde deserialization: the workspace builds against a minimal
-//! std-backed serde in offline environments, where only the concrete
-//! `Value` tree exists. Parsing here — against the common `Value` surface —
-//! keeps the journal byte-compatible everywhere the workspace compiles.
+//! **The journal no longer uses this module.** Its payloads were JSON text
+//! once; they are the binary encoding of [`crate::codec`] now. The parser
+//! stays, unchanged and exported, for one reason: the benchmark crate
+//! (`crates/e2e/src/report.rs`, `crates/e2e/tests/selftest.rs`) calls
+//! `lingua_durable::json::parse` to read its own JSON documents, and files
+//! under `crates/e2e` can only be edited by a `[benchmark]` PR. The next one
+//! should move this file (or a `serde_json::from_str` call) into
+//! `crates/e2e` and delete it here, together with this crate's
+//! `serde_json` dependency — see ROADMAP item 4.
 //!
-//! Strictness matters more than features: a journal payload is either
-//! exactly what the writer produced or it is damage, so the parser rejects
-//! trailing garbage, unpaired surrogates, and malformed numbers instead of
-//! guessing.
+//! Why it was hand-written: the workspace builds against a minimal
+//! std-backed serde in offline environments, where only the concrete
+//! `Value` tree exists and generic deserialization does not.
+//!
+//! It is strict rather than featureful: trailing garbage, unpaired
+//! surrogates and malformed numbers are rejected instead of guessed at.
 
 use serde_json::{Map, Value};
 use std::fmt;

@@ -11,6 +11,10 @@
 //!   and a deterministic in-memory sim ([`SimStorage`]) for the harness.
 //! - [`record`]: the durable vocabulary — serve-job lifecycle and stream
 //!   engine state, plus compacted [`Checkpoint`]s.
+//! - [`codec`]: the payload encoding — one binary form per type, bit-exact
+//!   for floats, strict and total on the way back in.
+//! - [`reader`]: the front-to-back scan, which tells a *damaged* tail
+//!   (truncated) from an intact frame it cannot read (never touched).
 //! - [`journal`]: the write-ahead [`Journal`] with an always-current fold,
 //!   checkpoint compaction, and longest-valid-prefix recovery.
 //! - [`kill`]: the crash-injection harness — named [`KillPoint`]s and a
@@ -29,6 +33,12 @@
 //!    billed usage equals the uninterrupted run's bill, to the cent.
 //! 4. **Damage tolerance** — a torn or bit-flipped tail costs at most the
 //!    damaged suffix, counted in `corrupt_records_skipped`, never a panic.
+//! 5. **Foreign bytes are not damage** — a checksum-valid frame in a format
+//!    this build does not decode fails `Journal::open` with `InvalidData`
+//!    and is never truncated away.
+//!
+//! [`json`] is a leftover the journal itself no longer uses; see its
+//! module doc.
 
 pub mod codec;
 pub mod frame;
@@ -38,7 +48,6 @@ pub mod kill;
 pub mod reader;
 pub mod record;
 pub mod storage;
-mod writer;
 
 pub use journal::{Journal, JournalTuning, Recovered};
 pub use kill::{CrashInjector, KillPoint};
@@ -48,4 +57,3 @@ pub use record::{
     WindowCloseRecord, WindowReportRecord,
 };
 pub use storage::{FileStorage, SimStorage, Storage};
-pub use writer::JournalWriter;

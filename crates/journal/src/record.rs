@@ -6,20 +6,22 @@
 //! self-contained: recovery needs no live engine to interpret them, only
 //! the fold in [`crate::journal`].
 //!
-//! JSON (via the explicit [`crate::codec`]) is the payload format —
-//! records are small control-plane events, the hot data plane never flows
-//! through the journal, and a human-readable log is worth far more during
-//! a 3am recovery than a few saved bytes.
+//! On the wire a record is the compact binary form of [`crate::codec`]
+//! (DESIGN.md §15): a job's whole output env rides in `JobFinished` and a
+//! checkpoint carries every finished job, so encoding is on the path of
+//! every job, and only a bit-exact form keeps `NaN`/`±∞`/`-0.0` intact.
+//! Every type here derives `Debug`; to read a log at 3am, print it:
+//! `JournalReader::scan(&bytes).records` with `{:?}`.
 
 use lingua_core::Data;
 use lingua_dataset::generators::stream::StreamItem;
 use lingua_llm_sim::Usage;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A serve job that was accepted but has not yet finished. Carries the full
 /// inputs so recovery can resubmit it without the original caller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingJob {
     pub pipeline: String,
     /// Input fingerprint — the dedup key that makes recovery exactly-once.
@@ -27,9 +29,16 @@ pub struct PendingJob {
     pub inputs: BTreeMap<String, Data>,
 }
 
+impl PendingJob {
+    /// `(pipeline, fingerprint)`: what the journal keys jobs by.
+    pub(crate) fn key(&self) -> (String, u64) {
+        (self.pipeline.clone(), self.fingerprint)
+    }
+}
+
 /// A serve job that ran to completion, with everything needed to restore
 /// its result into the serve-side result cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FinishedJob {
     pub pipeline: String,
     pub fingerprint: u64,
@@ -41,9 +50,16 @@ pub struct FinishedJob {
     pub wall_us: u64,
 }
 
+impl FinishedJob {
+    /// `(pipeline, fingerprint)`: what the journal keys jobs by.
+    pub(crate) fn key(&self) -> (String, u64) {
+        (self.pipeline.clone(), self.fingerprint)
+    }
+}
+
 /// A closed-but-not-yet-reported stream window: the pending-report metadata
 /// plus the serve-job inputs needed to resubmit the window job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowCloseRecord {
     pub window: u64,
     pub start: u64,
@@ -60,7 +76,7 @@ pub struct WindowCloseRecord {
 }
 
 /// A fully reported window — the durable mirror of a stream `WindowReport`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowReportRecord {
     pub window: u64,
     pub start: u64,
@@ -75,7 +91,7 @@ pub struct WindowReportRecord {
 }
 
 /// One durable event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A job entered the serve queue.
     JobAccepted(PendingJob),
@@ -104,32 +120,17 @@ pub enum JournalRecord {
     Checkpoint(Checkpoint),
 }
 
-impl JournalRecord {
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JournalRecord::JobAccepted(_) => "job_accepted",
-            JournalRecord::JobStarted { .. } => "job_started",
-            JournalRecord::JobFinished(_) => "job_finished",
-            JournalRecord::JobFailed { .. } => "job_failed",
-            JournalRecord::StreamIngest { .. } => "stream_ingest",
-            JournalRecord::WatermarkAdvance { .. } => "watermark_advance",
-            JournalRecord::WindowClose(_) => "window_close",
-            JournalRecord::ReportSubmitted(_) => "report_submitted",
-            JournalRecord::Checkpoint(_) => "checkpoint",
-        }
-    }
-}
-
-/// The compacted state the journal folds every record into. A checkpoint
-/// frame carries this snapshot verbatim; recovery seeds its fold from the
+/// The compacted state the journal folds every record into — the journal's
+/// live fold *is* one of these. A checkpoint frame carries it verbatim
+/// (encoded from the fold by reference); recovery seeds its fold from the
 /// last checkpoint and replays only the records after it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// Finished jobs keyed by `(pipeline, fingerprint)` — the durable dedup
     /// index and result cache.
-    pub finished: Vec<FinishedJob>,
+    pub finished: BTreeMap<(String, u64), FinishedJob>,
     /// Accepted-but-unfinished jobs, to resubmit on recovery.
-    pub pending: Vec<PendingJob>,
+    pub pending: BTreeMap<(String, u64), PendingJob>,
     /// Cumulative billed usage across finished and failed jobs — the
     /// ledger's durable shadow.
     pub cumulative: Usage,
@@ -138,7 +139,7 @@ pub struct Checkpoint {
 }
 
 /// Stream-engine portion of a checkpoint.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamCheckpoint {
     pub watermark: u64,
     pub max_event_time: u64,
@@ -153,7 +154,7 @@ pub struct StreamCheckpoint {
 
 /// What recovery found, surfaced through `MetricsSnapshot` so operators can
 /// see that a restart replayed state and how much of the tail was damaged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RecoverySnapshot {
     /// Journal records (including the seeding checkpoint) replayed.
     pub replayed: u64,
@@ -165,37 +166,4 @@ pub struct RecoverySnapshot {
     /// Damaged tail records skipped (0 on a clean log, 1 after a torn or
     /// bit-flipped tail — frames after the first damage are unreachable).
     pub corrupt_records_skipped: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn records_roundtrip_through_json() {
-        let mut usage = Usage::default();
-        usage.record(120, 8);
-        let records = vec![
-            JournalRecord::JobAccepted(PendingJob {
-                pipeline: "clean".into(),
-                fingerprint: 42,
-                inputs: BTreeMap::from([("text".to_string(), Data::Str("x".into()))]),
-            }),
-            JournalRecord::JobStarted { pipeline: "clean".into(), fingerprint: 42 },
-            JournalRecord::JobFinished(FinishedJob {
-                pipeline: "clean".into(),
-                fingerprint: 42,
-                env: BTreeMap::from([("out".to_string(), Data::Int(7))]),
-                llm: usage,
-                wall_us: 1500,
-            }),
-            JournalRecord::WatermarkAdvance { watermark: 64, max_event_time: 71 },
-            JournalRecord::Checkpoint(Checkpoint::default()),
-        ];
-        for record in records {
-            let bytes = crate::codec::encode(&record);
-            let back = crate::codec::decode(&bytes).unwrap();
-            assert_eq!(back, record);
-        }
-    }
 }

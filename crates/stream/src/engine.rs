@@ -386,7 +386,7 @@ impl StreamEngine {
             };
             self.submit_restored(job)?;
         }
-        self.tracer.end(span, || Vec::new());
+        self.tracer.end(span, Vec::new);
         Ok(())
     }
 
