@@ -8,15 +8,24 @@
 //! ratio — machine-relative, like the serve and hotpath gates, so it
 //! survives CI-runner throughput spread. A fourth measurement replays the
 //! file journal and times recovery itself.
+//!
+//! The gated arms serve 256 jobs — 768 appends, a log barely past its first
+//! checkpoint — so they cannot see what a long run pays for compaction. The
+//! long arm does: 8,192 jobs, file journal against journal off, with the
+//! checkpoints taken and the bytes they rewrote counted at the storage
+//! boundary. It is reported, not gated.
 
 use lingua_bench::{
     arg_usize, check_baseline, fmt_mean_std, has_flag, mean, write_json, TextTable,
 };
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
-use lingua_durable::{CrashInjector, Journal, JournalTuning, KillPoint, SimStorage};
+use lingua_durable::{
+    CrashInjector, FileStorage, Journal, JournalTuning, KillPoint, SimStorage, Storage,
+};
 use lingua_llm_sim::{SimLlm, SimLlmConfig};
 use lingua_serve::{PipelineServer, ServeConfig, SubmitRequest};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,6 +65,35 @@ fn serve_once(jobs: usize, workers: usize, journal: Option<JournalTuning>) -> f6
     let secs = start.elapsed().as_secs_f64();
     server.shutdown();
     secs
+}
+
+/// A file journal that counts what compaction costs it.
+struct CountingFile {
+    file: FileStorage,
+    appended_bytes: AtomicU64,
+    replaced_bytes: AtomicU64,
+    checkpoints: AtomicU64,
+}
+
+impl Storage for CountingFile {
+    fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
+        self.appended_bytes.fetch_add(bytes.len() as u64, Relaxed);
+        self.file.append(bytes)
+    }
+
+    fn read(&self) -> std::io::Result<Vec<u8>> {
+        self.file.read()
+    }
+
+    fn replace(&self, bytes: &[u8]) -> std::io::Result<()> {
+        self.replaced_bytes.fetch_add(bytes.len() as u64, Relaxed);
+        self.checkpoints.fetch_add(1, Relaxed);
+        self.file.replace(bytes)
+    }
+
+    fn flush(&self) -> std::io::Result<()> {
+        self.file.flush()
+    }
 }
 
 fn temp_journal_path(tag: &str) -> std::path::PathBuf {
@@ -126,6 +164,25 @@ fn main() {
         Journal::open(JournalTuning::file(&replay_path).expect("reopen")).expect("recover");
     let replay_secs = replay_start.elapsed().as_secs_f64();
 
+    // The long arm: enough jobs that compaction cadence, not framing, is
+    // what the file journal pays for.
+    let long_jobs = if smoke { 1024 } else { 8192 };
+    let long_off = serve_once(long_jobs, workers, None);
+    let long_path = temp_journal_path("long");
+    std::fs::remove_file(&long_path).ok();
+    let counted = Arc::new(CountingFile {
+        file: FileStorage::open(&long_path).expect("temp journal opens"),
+        appended_bytes: AtomicU64::new(0),
+        replaced_bytes: AtomicU64::new(0),
+        checkpoints: AtomicU64::new(0),
+    });
+    let long_file = serve_once(long_jobs, workers, Some(JournalTuning::over(counted.clone())));
+    let (long_appended, long_replaced, long_checkpoints) = (
+        counted.appended_bytes.load(Relaxed),
+        counted.replaced_bytes.load(Relaxed),
+        counted.checkpoints.load(Relaxed),
+    );
+
     let mut table = TextTable::new(["Arm", "Wall (s)", "Jobs/sec", "Overhead vs off"]);
     let base = mean(&off);
     for (label, secs) in [("journal off", &off), ("journal sim", &sim), ("journal file", &file)] {
@@ -145,11 +202,18 @@ fn main() {
         recovered.finished.len(),
     );
     println!(
+        "\nLong run: {long_jobs} jobs, file {long_file:.3}s vs off {long_off:.3}s = {:.2}x; \
+         {long_checkpoints} checkpoints (shutdown's included) rewrote {long_replaced} bytes \
+         for {long_appended} appended ({:.2}x)",
+        long_file / long_off,
+        long_replaced as f64 / long_appended as f64,
+    );
+    println!(
         "\nShape: the jobs here are nearly free, so this is worst-case pressure — \
          the three CRC-framed records journaled per job are the whole cost and \
          the ratio is an upper bound; any real LLM latency amortizes it toward \
-         1x. Replay cost is linear in the un-compacted tail, which \
-         checkpointing bounds in production."
+         1x. Replay cost is linear in the log, which size-ratio compaction \
+         keeps within about twice the live state."
     );
 
     write_json(
@@ -162,6 +226,15 @@ fn main() {
                          "overhead": mean(&sim) / base },
                 "file": { "secs": mean(&file), "jobs_per_sec": jobs as f64 / mean(&file),
                           "overhead": gate_overhead_ratio },
+            },
+            "long": {
+                "jobs": long_jobs,
+                "off_secs": long_off,
+                "file_secs": long_file,
+                "overhead": long_file / long_off,
+                "checkpoints": long_checkpoints,
+                "appended_bytes": long_appended,
+                "replaced_bytes": long_replaced,
             },
             "recovery": {
                 "records_replayed": recovered.replayed,

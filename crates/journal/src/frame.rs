@@ -21,19 +21,69 @@ pub const FRAME_HEADER: usize = 8;
 
 /// Largest payload a frame may declare. Guards the scanner against reading
 /// a torn header whose garbage length would otherwise look like a
-/// multi-gigabyte record.
+/// multi-gigabyte record, and bounds what the journal will write: a frame
+/// past it would be classified as damage and truncated away on reopen.
+#[cfg(not(test))]
 pub const MAX_FRAME_PAYLOAD: usize = 64 * 1024 * 1024;
+/// Lowered for this crate's unit tests, so the oversize refusals are
+/// reachable without writing 64 MiB of state.
+#[cfg(test)]
+pub const MAX_FRAME_PAYLOAD: usize = 64 * 1024;
+
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight input bytes fold into the state with eight
+/// independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
 /// CRC-32/IEEE (the Ethernet/zip polynomial, reflected form 0xEDB88320),
 /// implemented here so durability adds no external dependency.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -42,13 +92,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// reserved first and back-patched once the payload's length and checksum
 /// are known, so the payload is never copied.
 pub fn build_frame(fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut frame = vec![0; FRAME_HEADER];
+    // Most records (a stream item, a job start, a watermark) fit in this,
+    // so framing one allocates once.
+    let mut frame = Vec::with_capacity(256);
+    frame.extend_from_slice(&[0; FRAME_HEADER]);
     fill(&mut frame);
     let payload = &frame[FRAME_HEADER..];
     let (len, crc) = (payload.len() as u32, crc32(payload));
     frame[..4].copy_from_slice(&len.to_le_bytes());
     frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
     frame
+}
+
+/// Byte length of the whole frame at the front of `buf`, for a frame
+/// [`decode_frame`] has already accepted there.
+pub(crate) fn frame_len(buf: &[u8]) -> usize {
+    FRAME_HEADER + u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize
 }
 
 /// Encode one payload as a framed record.
@@ -102,12 +161,58 @@ pub fn decode_frame(buf: &[u8], offset: usize) -> FrameOutcome<'_> {
 mod tests {
     use super::*;
 
+    /// The definition, one bit at a time: what `crc32` must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    const KNOWN_VECTORS: [(&[u8], u32); 3] = [
+        // Canonical CRC-32/IEEE check values.
+        (b"", 0),
+        (b"123456789", 0xCBF4_3926),
+        (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+    ];
+
     #[test]
     fn crc32_matches_known_vectors() {
-        // Canonical CRC-32/IEEE check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        for (input, expected) in KNOWN_VECTORS {
+            assert_eq!(crc32(input), expected);
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_reference() {
+        for (input, expected) in KNOWN_VECTORS {
+            assert_eq!(crc32_bitwise(input), expected);
+        }
+        // splitmix64 stream: a seeded buffer with no structure the tables
+        // could be accidentally right about.
+        let mut state = 0x5EED_u64;
+        let buffer: Vec<u8> = (0..(1 << 20) + 7)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        // Every split of head / 8-byte body / tail, at every alignment.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &buffer[start..start + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "start {start}, len {len}");
+            }
+        }
+        let mib = &buffer[3..3 + (1 << 20)];
+        assert_eq!(crc32(mib), crc32_bitwise(mib));
     }
 
     #[test]

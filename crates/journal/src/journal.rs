@@ -7,12 +7,18 @@
 //! keeps compaction O(1) in journal length (no re-scan to build a
 //! checkpoint).
 //!
+//! Compaction rewrites the whole fold, so it fires by *size ratio*, not by
+//! count alone: only once the bytes appended behind the last checkpoint
+//! match that checkpoint's own bytes (the log has doubled). Bytes rewritten
+//! over a run are then a constant multiple of bytes appended, however long
+//! the run, and a reopened log is at most about twice the live state.
+//!
 //! Write-ahead ordering is the caller's contract: record the event *before*
 //! making its effect observable (finishing a job, handing out a report).
 //! The journal's own contract is that whatever prefix of records reached
 //! storage is recoverable, regardless of where the process died.
 
-use crate::frame::build_frame;
+use crate::frame::{build_frame, frame_len, FRAME_HEADER, MAX_FRAME_PAYLOAD};
 use crate::kill::{CrashInjector, KillPoint};
 use crate::reader::JournalReader;
 use crate::record::{
@@ -32,8 +38,9 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct JournalTuning {
     pub storage: Arc<dyn Storage>,
-    /// Appends between compacted checkpoints. Larger = longer recovery
-    /// replay, smaller = more compaction work on the write path.
+    /// Fewest appends between compacted checkpoints: the floor under the
+    /// size-ratio rule (see [`Journal`]), which is what spaces checkpoints
+    /// once the checkpoint outweighs this many records.
     pub checkpoint_interval: usize,
     /// Crash injector; [`CrashInjector::inert`] in production.
     pub injector: Arc<CrashInjector>,
@@ -157,10 +164,41 @@ struct Inner {
     /// The live mirror of what a checkpoint would say right now.
     fold: Checkpoint,
     appends_since_checkpoint: usize,
+    /// Bytes of the checkpoint frame the log starts with (0: none yet).
+    checkpoint_bytes: usize,
+    /// Bytes of the record frames behind it.
+    tail_bytes: usize,
+    /// The fold no longer fits one frame: `append` stops trying to compact
+    /// (each try encodes the whole fold) and the log just grows.
+    checkpoint_refused: bool,
+}
+
+/// Frame one payload, refusing what no reader would accept: a frame past
+/// [`MAX_FRAME_PAYLOAD`] scans as damage, and everything from it on would be
+/// truncated away by the next [`Journal::open`].
+fn bounded_frame(what: &str, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<Vec<u8>> {
+    let frame = build_frame(fill);
+    let payload = frame.len() - FRAME_HEADER;
+    if payload > MAX_FRAME_PAYLOAD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{what} payload of {payload} bytes exceeds the frame bound of {MAX_FRAME_PAYLOAD}"
+            ),
+        ));
+    }
+    Ok(frame)
 }
 
 /// Append-only journal with checkpoint compaction. Clone the [`Arc`] it
 /// lives in; the journal itself is internally synchronized.
+///
+/// An append compacts when `checkpoint_interval` appends have passed *and*
+/// the record bytes behind the last checkpoint are at least that
+/// checkpoint's bytes. Each compaction is therefore paid for by as many
+/// appended bytes as it found, so rewriting stays within a constant factor
+/// of appending, and the log stays within twice its leading checkpoint plus
+/// one interval of records — which bounds what [`Journal::open`] replays.
 ///
 /// Every storage write is threaded through the crash injector. Once it
 /// reports dead, every write is silently dropped — the simulated process
@@ -200,6 +238,10 @@ impl Journal {
             tuning.storage.replace(&bytes[..scan.valid_len])?;
         }
         let replayed = scan.records.len();
+        // Resume the size-ratio rule where the last process left it: a big
+        // checkpoint with a short tail is not due for a rewrite.
+        let leading_checkpoint = matches!(scan.records.first(), Some(JournalRecord::Checkpoint(_)));
+        let checkpoint_bytes = if leading_checkpoint { frame_len(&bytes) } else { 0 };
         let mut fold = Checkpoint::default();
         for record in scan.records {
             fold.apply(record);
@@ -216,7 +258,13 @@ impl Journal {
             storage: tuning.storage,
             injector: tuning.injector,
             checkpoint_interval: tuning.checkpoint_interval.max(1),
-            inner: Mutex::new(Inner { fold, appends_since_checkpoint: replayed }),
+            inner: Mutex::new(Inner {
+                fold,
+                appends_since_checkpoint: replayed - usize::from(leading_checkpoint),
+                checkpoint_bytes,
+                tail_bytes: scan.valid_len - checkpoint_bytes,
+                checkpoint_refused: false,
+            }),
         };
         Ok((journal, recovered))
     }
@@ -231,16 +279,22 @@ impl Journal {
         self.injector.dead()
     }
 
-    /// Append one record, fold it, and compact if the interval elapsed.
+    /// Append one record, fold it, and compact if the log has doubled.
     /// Returns whether the record was durably written — `false` only when
     /// the crash injector killed the simulated process before or during the
     /// write, so harnesses can tell "journaled" from "lost" exactly.
+    ///
+    /// An error from the compaction step (storage, or the one-time
+    /// oversize-checkpoint refusal) arrives after the record itself was
+    /// written.
     fn append(&self, record: JournalRecord) -> io::Result<bool> {
+        // Encoded and checksummed before the lock: writers serialise only
+        // on the write, the fold and the compaction decision.
+        let frame = bounded_frame("record", |out| crate::codec::encode_into(&record, out))?;
         let mut inner = self.inner.lock();
         if self.injector.fire(KillPoint::BeforeJournal) {
             return Ok(false);
         }
-        let frame = build_frame(|out| crate::codec::encode_into(&record, out));
         if self.injector.fire(KillPoint::MidWrite) {
             // Torn write: the first half of the frame reaches storage, the
             // process dies before the rest.
@@ -251,7 +305,11 @@ impl Journal {
         self.injector.fire(KillPoint::AfterJournal);
         inner.fold.apply(record);
         inner.appends_since_checkpoint += 1;
-        if inner.appends_since_checkpoint >= self.checkpoint_interval {
+        inner.tail_bytes += frame.len();
+        if inner.appends_since_checkpoint >= self.checkpoint_interval
+            && inner.tail_bytes >= inner.checkpoint_bytes
+            && !inner.checkpoint_refused
+        {
             self.compact(&mut inner)?;
         }
         Ok(true)
@@ -260,11 +318,19 @@ impl Journal {
     /// Checkpoint and compact: atomically replace the whole log with one
     /// checkpoint frame, encoded from the live fold by reference, so
     /// recovery replays only records appended after it.
+    ///
+    /// A fold too large for one frame is refused with the log left as it
+    /// is: replacing it would leave a frame the scanner calls damage at
+    /// offset 0, and the next `open` would truncate the log to nothing.
     fn compact(&self, inner: &mut Inner) -> io::Result<()> {
         if self.injector.dead() {
             return Ok(());
         }
-        let frame = build_frame(|out| crate::codec::encode_checkpoint_into(&inner.fold, out));
+        let framed = bounded_frame("checkpoint", |out| {
+            crate::codec::encode_checkpoint_into(&inner.fold, out)
+        });
+        inner.checkpoint_refused = framed.is_err();
+        let frame = framed?;
         if self.injector.fire(KillPoint::MidCheckpoint) {
             // The checkpoint frame tears mid-append, before compaction
             // replaced anything: the old log survives with a damaged tail.
@@ -273,6 +339,8 @@ impl Journal {
         self.storage.replace(&frame)?;
         self.injector.fire(KillPoint::AfterCheckpoint);
         inner.appends_since_checkpoint = 0;
+        inner.checkpoint_bytes = frame.len();
+        inner.tail_bytes = 0;
         Ok(())
     }
 
@@ -332,7 +400,8 @@ impl Journal {
         self.append(JournalRecord::ReportSubmitted(report))
     }
 
-    /// Force a checkpoint + compaction now (shutdown path).
+    /// Force a checkpoint + compaction now, whatever the log's size
+    /// (shutdown path).
     pub fn checkpoint_now(&self) -> io::Result<()> {
         self.compact(&mut self.inner.lock())
     }
@@ -392,26 +461,107 @@ mod tests {
 
     #[test]
     fn checkpoint_compacts_the_log_and_preserves_state() {
+        const INTERVAL: usize = 4;
+        const JOBS: u64 = 120;
+        let storage = SimStorage::new();
+        let tuning = JournalTuning::sim(storage.clone()).with_checkpoint_interval(INTERVAL);
+        let (journal, _) = Journal::open(tuning).unwrap();
+        let mut largest_record = 0;
+        let mut compactions = 0;
+        for fp in 0..JOBS {
+            let before = storage.len();
+            journal.record_job_accepted("p", fp, &inputs(fp as i64)).unwrap();
+            journal.record_job_finished(finished("p", fp, 10)).unwrap();
+            let bytes = storage.snapshot();
+            match bytes.len().checked_sub(before) {
+                Some(grown) => largest_record = largest_record.max(grown),
+                None => compactions += 1,
+            }
+            // The size-ratio invariant: the tail behind the leading
+            // checkpoint never outgrows it by more than the record that
+            // tipped it over, or the interval floor.
+            let first = JournalReader::scan(&bytes).records.into_iter().next();
+            let leading = if matches!(first, Some(JournalRecord::Checkpoint(_))) {
+                frame_len(&bytes)
+            } else {
+                0
+            };
+            assert!(
+                bytes.len() <= 2 * leading + INTERVAL * largest_record,
+                "after job {fp}: log {} bytes, leading checkpoint {leading}",
+                bytes.len()
+            );
+        }
+        drop(journal);
+        // Doubling, not one per interval (which would be 60).
+        assert!((3..=12).contains(&compactions), "{compactions} compactions");
+
+        let (_journal, recovered) = Journal::open(JournalTuning::sim(storage)).unwrap();
+        assert_eq!(recovered.finished.len(), JOBS as usize);
+        assert_eq!(recovered.pending.len(), 0);
+        assert_eq!(recovered.cumulative.calls, JOBS);
+    }
+
+    /// A finished job whose one output is `bytes` long.
+    fn bulky(fp: u64, bytes: usize) -> FinishedJob {
+        let mut job = finished("p", fp, 10);
+        job.env.insert("out".to_string(), Data::Str("x".repeat(bytes)));
+        job
+    }
+
+    #[test]
+    fn oversize_checkpoint_is_refused_and_the_log_survives() {
+        // Enough 1 KiB jobs that the fold outgrows one frame twice over.
+        let jobs = 2 * MAX_FRAME_PAYLOAD as u64 / 1024;
         let storage = SimStorage::new();
         let tuning = JournalTuning::sim(storage.clone()).with_checkpoint_interval(4);
         let (journal, _) = Journal::open(tuning).unwrap();
-        for fp in 0..10 {
-            journal.record_job_accepted("p", fp, &inputs(fp as i64)).unwrap();
-            journal.record_job_finished(finished("p", fp, 10)).unwrap();
+        let mut refusals = 0;
+        for fp in 0..jobs {
+            match journal.record_job_finished(bulky(fp, 1024)) {
+                Ok(written) => assert!(written),
+                Err(err) => {
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+                    refusals += 1;
+                }
+            }
         }
+        // Asking outright is refused too.
+        let before = storage.snapshot();
+        let forced = journal.checkpoint_now();
+        let after_forced = storage.snapshot();
         drop(journal);
 
-        let bytes = storage.snapshot();
-        let scan = JournalReader::scan(&bytes);
-        // Compaction keeps the log short: one checkpoint plus a tail
-        // shorter than the interval.
-        assert!(scan.records.len() <= 4, "log held {} records", scan.records.len());
-        assert!(matches!(scan.records[0], JournalRecord::Checkpoint(_)));
+        // Every frame in the log is one a reader accepts, so reopening cuts
+        // nothing — an oversize checkpoint frame would read as damage at
+        // offset 0 and be "repaired" to an empty log. The job whose append
+        // carried the refusal is there too.
+        let (_journal, recovered) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
+        assert_eq!(recovered.finished.len(), jobs as usize);
+        assert_eq!(recovered.corrupt_records_skipped, 0);
+        assert_eq!(storage.snapshot(), before);
 
+        assert!(before.len() > MAX_FRAME_PAYLOAD);
+        assert_eq!(refusals, 1, "the refusal is reported once, then appends carry on");
+        assert_eq!(forced.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(after_forced, before, "a refused checkpoint touches nothing");
+    }
+
+    #[test]
+    fn oversize_record_is_refused_before_anything_is_written() {
+        let storage = SimStorage::new();
+        let (journal, _) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
+        journal.record_job_finished(bulky(1, 1024)).unwrap();
+        let before = storage.snapshot();
+        let err = journal.record_job_finished(bulky(2, MAX_FRAME_PAYLOAD)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(storage.snapshot(), before);
+        // Refused outright: no kill point saw it.
+        assert_eq!(journal.injector().counts()[&KillPoint::BeforeJournal], 1);
+        journal.record_job_finished(bulky(3, 1024)).unwrap();
+        drop(journal);
         let (_journal, recovered) = Journal::open(JournalTuning::sim(storage)).unwrap();
-        assert_eq!(recovered.finished.len(), 10);
-        assert_eq!(recovered.pending.len(), 0);
-        assert_eq!(recovered.cumulative.calls, 10);
+        assert_eq!(recovered.finished.len(), 2);
     }
 
     #[test]

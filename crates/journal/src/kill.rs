@@ -13,10 +13,8 @@
 //! byte of the same record every time.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 /// Durability-relevant instants where a crash is injectable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,27 +66,25 @@ impl KillPoint {
 pub struct CrashInjector {
     /// `Some((point, occurrence))`: die the `occurrence`-th (1-based) time
     /// `point` fires. `None`: never die.
-    armed: Mutex<Option<(KillPoint, u64)>>,
-    /// How many times each point has fired so far.
-    counts: Mutex<BTreeMap<KillPoint, u64>>,
+    armed: Option<(KillPoint, u64)>,
+    /// How many times each point has fired so far, indexed by the point's
+    /// position in [`KillPoint::ALL`]. Atomics, not a locked map: every
+    /// append fires three points, armed or not.
+    counts: [AtomicU64; KillPoint::ALL.len()],
     dead: AtomicBool,
 }
 
 impl CrashInjector {
     /// An injector that never fires — production configuration.
     pub fn inert() -> Arc<Self> {
-        Arc::new(Self {
-            armed: Mutex::new(None),
-            counts: Mutex::new(BTreeMap::new()),
-            dead: AtomicBool::new(false),
-        })
+        Arc::new(Self { armed: None, counts: Default::default(), dead: AtomicBool::new(false) })
     }
 
     /// Die the `occurrence`-th (1-based) time `point` is reached.
     pub fn armed_at(point: KillPoint, occurrence: u64) -> Arc<Self> {
         Arc::new(Self {
-            armed: Mutex::new(Some((point, occurrence.max(1)))),
-            counts: Mutex::new(BTreeMap::new()),
+            armed: Some((point, occurrence.max(1))),
+            counts: Default::default(),
             dead: AtomicBool::new(false),
         })
     }
@@ -114,13 +110,8 @@ impl CrashInjector {
         if self.dead.load(Ordering::Acquire) {
             return true;
         }
-        let count = {
-            let mut counts = self.counts.lock();
-            let c = counts.entry(point).or_insert(0);
-            *c += 1;
-            *c
-        };
-        if let Some((armed_point, occurrence)) = *self.armed.lock() {
+        let count = self.counts[point as usize].fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some((armed_point, occurrence)) = self.armed {
             if armed_point == point && count == occurrence {
                 self.dead.store(true, Ordering::Release);
                 return true;
@@ -137,12 +128,16 @@ impl CrashInjector {
     /// Times each kill point has fired (diagnostics; also how a matrix
     /// driver discovers how many occurrences exist to sweep).
     pub fn counts(&self) -> BTreeMap<KillPoint, u64> {
-        self.counts.lock().clone()
+        KillPoint::ALL
+            .into_iter()
+            .map(|point| (point, self.counts[point as usize].load(Ordering::Relaxed)))
+            .filter(|(_, count)| *count > 0)
+            .collect()
     }
 
     /// What the injector is armed at, if anything.
     pub fn armed(&self) -> Option<(KillPoint, u64)> {
-        *self.armed.lock()
+        self.armed
     }
 }
 

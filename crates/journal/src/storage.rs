@@ -27,8 +27,9 @@ pub trait Storage: Send + Sync {
     fn flush(&self) -> io::Result<()>;
 }
 
-/// File-backed storage. `replace` writes a sibling temp file and renames it
-/// over the log, which is the standard atomic-on-POSIX compaction move.
+/// File-backed storage. `replace` writes and syncs a sibling temp file,
+/// renames it over the log and syncs the directory, which is the standard
+/// atomic-and-durable-on-POSIX compaction move.
 pub struct FileStorage {
     path: PathBuf,
     file: Mutex<File>,
@@ -71,7 +72,14 @@ impl Storage for FileStorage {
         // Reopen so subsequent appends land on the new inode, not the
         // renamed-away one.
         *file = OpenOptions::new().append(true).open(&self.path)?;
-        Ok(())
+        // The rename lives in the directory: until that is synced, power
+        // loss can bring the old log back. A bare file name has the empty
+        // path as its parent, meaning the current directory.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()
     }
 
     fn flush(&self) -> io::Result<()> {
@@ -182,5 +190,21 @@ mod tests {
         let s = FileStorage::open(&path).unwrap();
         assert_eq!(s.read().unwrap(), b"compacted+tail");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replace_works_on_a_path_with_no_parent_component() {
+        // Relative to the test's working directory; the name is this
+        // test's alone and the file is removed on the way out.
+        let name = format!("lingua-durable-bare-{}.journal", std::process::id());
+        assert_eq!(Path::new(&name).parent(), Some(Path::new("")));
+        let s = FileStorage::open(&name).unwrap();
+        s.append(b"old").unwrap();
+        let replaced = s.replace(b"new");
+        s.append(b"+tail").unwrap();
+        let read = s.read();
+        std::fs::remove_file(&name).ok();
+        replaced.unwrap();
+        assert_eq!(read.unwrap(), b"new+tail");
     }
 }

@@ -59,6 +59,10 @@ fn recovery_matches_uninterrupted_at_every_kill_point() {
         (0..JOBS).map(|i| server.run(request(i)).unwrap().get("out").unwrap().render()).collect();
     let reference_usage = llm.usage();
     assert!(reference_usage.calls > 0, "the workload must actually bill the LLM");
+    // The checkpoint rows must crash a compaction the run itself triggered,
+    // not only the one shutdown forces.
+    let fired = server.journal().expect("journal attached").injector().counts();
+    assert!(fired.contains_key(&KillPoint::AfterCheckpoint), "no compaction in {JOBS} jobs");
     drop(server);
 
     for point in KillPoint::ALL {
@@ -69,7 +73,7 @@ fn recovery_matches_uninterrupted_at_every_kill_point() {
             let injector = CrashInjector::armed_at(point, occurrence);
             let tuning = JournalTuning::sim(storage.clone())
                 .with_checkpoint_interval(CHECKPOINT_INTERVAL)
-                .with_injector(injector);
+                .with_injector(injector.clone());
             let (server, _run1_llm) = server_with(tuning);
             for i in 0..JOBS {
                 server.run(request(i)).unwrap();
@@ -79,6 +83,17 @@ fn recovery_matches_uninterrupted_at_every_kill_point() {
             }
             // No clean shutdown: the process is gone. Only `storage` survives.
             drop(server);
+            // Every point the serve path can reach must be reached at least
+            // once, or its rows pass vacuously as "nothing happened".
+            // `MidReport` is the stream engine's (see `stream_recovery`).
+            if occurrence == 1 && point != KillPoint::MidReport {
+                assert_eq!(
+                    injector.counts().get(&point),
+                    Some(&1),
+                    "{}@1 never fired: raise JOBS until the journal reaches it",
+                    point.as_str()
+                );
+            }
 
             // Run 2: recover from the surviving bytes and retry the whole
             // workload (the client's crash story: resubmit everything).

@@ -97,6 +97,10 @@ fn stream_recovery_matches_uninterrupted_at_every_kill_point() {
     let reference_usage = llm.usage();
     assert!(!reference.is_empty(), "the stream must actually close windows");
     assert!(reference_usage.calls > 0, "the workload must actually bill the LLM");
+    // The checkpoint rows must crash a compaction the run itself triggered,
+    // not only the one shutdown forces.
+    let fired = engine.journal().expect("journal attached").injector().counts();
+    assert!(fired.contains_key(&KillPoint::AfterCheckpoint), "no compaction in {RECORDS} records");
     drop(engine);
 
     for point in KillPoint::ALL {
@@ -106,10 +110,11 @@ fn stream_recovery_matches_uninterrupted_at_every_kill_point() {
 
             // Run 1: dies at the armed kill point (or survives if that
             // point never fires this often — recovery is then a no-op).
+            let injector = CrashInjector::armed_at(point, occurrence);
             let (engine, _llm1) = engine_with(
                 JournalTuning::sim(storage.clone())
                     .with_checkpoint_interval(CHECKPOINT_INTERVAL)
-                    .with_injector(CrashInjector::armed_at(point, occurrence)),
+                    .with_injector(injector.clone()),
             );
             let mut resume_from = items.len();
             for (i, item) in items.iter().enumerate() {
@@ -126,6 +131,15 @@ fn stream_recovery_matches_uninterrupted_at_every_kill_point() {
             // journaled-and-delivered before the crash, possibly none).
             let reports1 = engine.finish().unwrap_or_else(|err| panic!("{label}: {err}"));
             drop(engine);
+            // Every point must be reached at least once, or its rows pass
+            // vacuously as "nothing happened".
+            if occurrence == 1 {
+                assert_eq!(
+                    injector.counts().get(&point),
+                    Some(&1),
+                    "{label} never fired: raise RECORDS until the journal reaches it"
+                );
+            }
 
             // Run 2: recover from the surviving bytes, replay the tail of
             // the stream, and drain.
