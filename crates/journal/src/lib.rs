@@ -22,7 +22,7 @@
 //!   occurrence of an exact instant.
 //!
 //! The recovery invariants (proven by the crash matrix in
-//! `lingua-serve`/`lingua-stream` tests and the corruption proptests here):
+//! `lingua-serve`/`lingua-stream` tests and the corruption property tests here):
 //!
 //! 1. **Prefix durability** — whatever prefix of records reached storage is
 //!    recovered, wherever the process died.

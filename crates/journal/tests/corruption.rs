@@ -5,7 +5,7 @@
 //!
 //! These sweeps are exhaustive over one representative log (every record
 //! variant, a checkpoint frame in front). The randomized generalization —
-//! arbitrary logs, arbitrary damage — lives in `proptest_corruption.rs`.
+//! arbitrary logs, arbitrary damage — lives in `prop_corruption.rs`.
 
 use lingua_core::Data;
 use lingua_dataset::generators::stream::{ProductStream, StreamItem, StreamSpec};

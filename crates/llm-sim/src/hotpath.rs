@@ -438,7 +438,7 @@ impl<V: Clone> Singleflight<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use lingua_ml::check::check;
     use std::sync::Barrier;
 
     #[test]
@@ -585,9 +585,7 @@ mod tests {
     }
 
     /// Reference model for single-shard LRU: keys in recency order, most
-    /// recent first. Only referenced from inside `proptest!`, which offline
-    /// stub builds expand to nothing — hence the `allow`.
-    #[allow(dead_code)]
+    /// recent first.
     fn model_get(model: &mut Vec<u64>, key: u64) -> bool {
         if let Some(pos) = model.iter().position(|&k| k == key) {
             let k = model.remove(pos);
@@ -598,7 +596,6 @@ mod tests {
         }
     }
 
-    #[allow(dead_code)]
     fn model_insert(model: &mut Vec<u64>, key: u64, capacity: usize) {
         if capacity == 0 {
             return;
@@ -611,42 +608,47 @@ mod tests {
         model.insert(0, key);
     }
 
-    proptest! {
-        /// The sharded cache never exceeds its total capacity, whatever the
-        /// shard count and key stream.
-        #[test]
-        fn sharded_len_never_exceeds_capacity(
-            capacity in 0usize..48,
-            shards in 1usize..24,
-            keys in proptest::collection::vec(0u64..64, 0..400),
-        ) {
-            let cache: ShardedLru<u64> = ShardedLru::new(capacity, shards);
-            for key in keys {
-                cache.insert(key, key);
-                prop_assert!(cache.len() <= capacity);
-            }
-            prop_assert_eq!(cache.len(), cache.stats().len);
-        }
-
-        /// With a single shard the cache is an exact LRU: every get and every
-        /// eviction matches a reference recency-list model.
-        #[test]
-        fn single_shard_is_exact_lru(
-            capacity in 1usize..16,
-            ops in proptest::collection::vec((any::<bool>(), 0u64..32), 0..300),
-        ) {
-            let cache: ShardedLru<u64> = ShardedLru::new(capacity, 1);
-            let mut model: Vec<u64> = Vec::new();
-            for (is_insert, key) in ops {
-                if is_insert {
+    /// The sharded cache never exceeds its total capacity, whatever the
+    /// shard count and key stream.
+    #[test]
+    fn sharded_len_never_exceeds_capacity() {
+        check(
+            "sharded_len_never_exceeds_capacity",
+            256,
+            |g| (g.int(0usize..48), g.int(1usize..24), g.vec(0..400, |g| g.int(0u64..64))),
+            |(capacity, shards, keys)| {
+                let cache: ShardedLru<u64> = ShardedLru::new(capacity, shards);
+                for key in keys {
                     cache.insert(key, key);
-                    model_insert(&mut model, key, capacity);
-                } else {
-                    let hit = cache.get(key).is_some();
-                    prop_assert_eq!(hit, model_get(&mut model, key));
+                    assert!(cache.len() <= capacity);
                 }
-                prop_assert_eq!(cache.len(), model.len());
-            }
-        }
+                assert_eq!(cache.len(), cache.stats().len);
+            },
+        );
+    }
+
+    /// With a single shard the cache is an exact LRU: every get and every
+    /// eviction matches a reference recency-list model.
+    #[test]
+    fn single_shard_is_exact_lru() {
+        check(
+            "single_shard_is_exact_lru",
+            256,
+            |g| (g.int(1usize..16), g.vec(0..300, |g| (g.bool(), g.int(0u64..32)))),
+            |(capacity, ops)| {
+                let cache: ShardedLru<u64> = ShardedLru::new(capacity, 1);
+                let mut model: Vec<u64> = Vec::new();
+                for (is_insert, key) in ops {
+                    if is_insert {
+                        cache.insert(key, key);
+                        model_insert(&mut model, key, capacity);
+                    } else {
+                        let hit = cache.get(key).is_some();
+                        assert_eq!(hit, model_get(&mut model, key));
+                    }
+                    assert_eq!(cache.len(), model.len());
+                }
+            },
+        );
     }
 }

@@ -18,8 +18,13 @@
 //! * [`tree`] / [`forest`] — CART decision trees and random forests.
 //! * [`metrics`] — accuracy, precision/recall/F1, confusion matrices.
 //!
+//! It also hosts two workspace-wide utilities, here because this is the
+//! lowest crate everything else builds on: [`fnv`], the one stable hash, and
+//! [`check`], the seeded property runner every `prop_*` suite draws from.
+//!
 //! All training is seeded and deterministic.
 
+pub mod check;
 pub mod features;
 pub mod fnv;
 pub mod forest;

@@ -7,7 +7,7 @@
 //! both axes can never become optimal by prepending more ops, because cost
 //! adds and accuracy multiplies monotonically. The memoized winner therefore
 //! equals the exhaustive cross-product winner ([`exhaustive_assignment`]
-//! exists to prove exactly that, property-tested in `tests/proptest_plan.rs`).
+//! exists to prove exactly that, property-tested in `tests/prop_plan.rs`).
 
 use crate::cost::{CostEstimate, CostEstimator, Objective, PlanError};
 use crate::physical::{MemoModule, PhysicalAlt};

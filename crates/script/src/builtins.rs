@@ -4,6 +4,7 @@
 //! generated code and the ML substrate agree on semantics.
 
 use crate::error::{ScriptError, Span};
+use crate::host::DEFAULT_FUEL;
 use crate::value::Value;
 use lingua_ml::textsim;
 
@@ -227,7 +228,8 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
         "abs" => {
             arity(name, args, 1, span)?;
             match &args[0] {
-                Value::Int(i) => Ok(Value::Int(i.abs())),
+                // Wraps like unary minus: `abs(i64::MIN)` is `i64::MIN`.
+                Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
                 Value::Float(f) => Ok(Value::Float(f.abs())),
                 other => Err(err(span, format!("abs: cannot take abs of {}", other.type_name()))),
             }
@@ -313,6 +315,12 @@ pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError
                 2 => (want_int(name, args, 0, span)?, want_int(name, args, 1, span)?),
                 n => return Err(err(span, format!("range expects 1 or 2 arguments, got {n}"))),
             };
+            // One call costs one fuel tick whatever it builds, and a failed
+            // allocation aborts instead of unwinding, so the length is bounded
+            // here: no default-budget program could finish iterating more.
+            if hi.saturating_sub(lo) > DEFAULT_FUEL as i64 {
+                return Err(err(span, format!("range: {lo}..{hi} is longer than {DEFAULT_FUEL}")));
+            }
             Ok((lo..hi).map(Value::Int).collect())
         }
         "sort" => {
@@ -504,6 +512,7 @@ mod tests {
     fn numeric_builtins() {
         assert_eq!(eval("abs(-3)"), Value::Int(3));
         assert_eq!(eval("abs(-3.5)"), Value::Float(3.5));
+        assert_eq!(eval("abs(0 - 9223372036854775807 - 1)"), Value::Int(i64::MIN));
         assert_eq!(eval("min(3, 5)"), Value::Int(3));
         assert_eq!(eval("max(3, 5.0)"), Value::Float(5.0));
         assert_eq!(eval("round(2.5)"), Value::Int(3));
@@ -528,6 +537,18 @@ mod tests {
     fn list_builtins() {
         assert_eq!(eval("len(range(5))"), Value::Int(5));
         assert_eq!(eval("range(2, 4)"), Value::from(vec![Value::Int(2), Value::Int(3)]));
+        assert_eq!(eval("range(4, 2)"), Value::from(vec![]));
+        assert_eq!(eval("len(range(1000000))"), Value::Int(1_000_000));
+        // Refused before anything is allocated, as an error the caller sees.
+        for too_long in [
+            "range(1000001)",
+            "range(1099511627776)",
+            "range(-9223372036854775807 - 1, 9223372036854775807)",
+        ] {
+            let e = eval_err(too_long);
+            assert!(matches!(e, ScriptError::Runtime { .. }), "{too_long}: {e:?}");
+            assert!(e.to_string().contains("is longer than 1000000"), "{too_long}: {e}");
+        }
         assert_eq!(
             eval("sort([3, 1, 2])"),
             Value::from(vec![Value::Int(1), Value::Int(2), Value::Int(3)])

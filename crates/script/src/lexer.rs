@@ -222,7 +222,11 @@ impl<'a> Lexer<'a> {
                 .map(TokenKind::Float)
                 .map_err(|e| self.error(start, format!("bad float: {e}")))
         } else {
+            // Integer arithmetic wraps, and so does the one literal a single
+            // step past `i64::MAX`: it is how `-9223372036854775808`, the
+            // printer's spelling of `i64::MIN`, reads back as that constant.
             text.parse::<i64>()
+                .or_else(|e| if text.parse() == Ok(1u64 << 63) { Ok(i64::MIN) } else { Err(e) })
                 .map(TokenKind::Int)
                 .map_err(|e| self.error(start, format!("bad integer: {e}")))
         }
@@ -282,6 +286,10 @@ mod tests {
         // `1.` is Int then error-free only if followed by non-digit: `1 .` is
         // not valid syntax later, but the lexer treats `1.x` as Int(1) + ...
         assert_eq!(kinds("1")[0], TokenKind::Int(1));
+        // One past i64::MAX wraps; anything larger is still an error.
+        assert_eq!(kinds("9223372036854775807")[0], TokenKind::Int(i64::MAX));
+        assert_eq!(kinds("9223372036854775808")[0], TokenKind::Int(i64::MIN));
+        assert!(lex("9223372036854775809").is_err());
     }
 
     #[test]

@@ -159,11 +159,16 @@ fn expr_prec(e: &Expr, parent_prec: u8) -> String {
             format!("{name}({})", inner.join(", "))
         }
         Expr::Index(base, index, _) => {
-            // Base must be a postfix-safe expression.
-            let base_text = match **base {
-                Expr::Binary(..) | Expr::Unary(..) => format!("({})", expr_prec(base, 0)),
-                _ => expr_prec(base, 7),
+            // Base must be a postfix-safe expression; a negative constant is
+            // not, `-1[i]` reads as `-(1[i])`.
+            let wrap = match **base {
+                Expr::Binary(..) | Expr::Unary(..) => true,
+                Expr::Int(v, _) => v < 0,
+                Expr::Float(v, _) => v.is_sign_negative(),
+                _ => false,
             };
+            let base_text =
+                if wrap { format!("({})", expr_prec(base, 0)) } else { expr_prec(base, 7) };
             format!("{base_text}[{}]", expr_prec(index, 0))
         }
     }
@@ -206,6 +211,10 @@ mod tests {
         // rather than `Neg(Int(5))`, so strict AST equality holds.
         roundtrip(r#"fn f() { return -5 + -2.5; }"#);
         roundtrip(r#"fn f() { return [-1, -0.125, {"k": -9}]; }"#);
+        // i64::MIN has no positive counterpart to negate, and still reads back.
+        roundtrip(r#"fn f() { return -9223372036854775808; }"#);
+        // As an index base a negative constant keeps its own parentheses.
+        roundtrip(r#"fn f() { return (-1)[0] + (-0.5)["k"] + -x[0]; }"#);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! with a matching `path` attribute. This test drives one of each path
 //! through a single-worker server and checks the books balance both ways:
 //! counter identities over the snapshot, and span-path tallies over the
-//! rebuilt trace tree. (`proptest_serve_trace.rs` re-checks the invariants
+//! rebuilt trace tree. (`prop_serve_trace.rs` re-checks the invariants
 //! under arbitrary multi-worker pools.)
 
 use lingua_core::modules::{CustomModule, Module};

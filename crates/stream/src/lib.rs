@@ -22,7 +22,7 @@
 //!
 //! Everything is deterministic under a seed: the synthetic source
 //! ([`source`]), window assignment, watermark advancement, and the simulated
-//! matcher all replay identically, which is what lets the proptest and
+//! matcher all replay identically, which is what lets the property and
 //! sustained-load suites assert conservation laws exactly.
 //!
 //! ```no_run
