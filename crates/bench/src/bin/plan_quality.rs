@@ -24,7 +24,7 @@
 //! cheaper than always-LLM, or if the plan's accuracy floor was not met on
 //! the stream — those are the acceptance claims this binary exists to check.
 
-use lingua_bench::{arg_usize, check_baseline, has_flag, write_json, TextTable};
+use lingua_bench::{arg_usize, check_baseline, has_flag, read_baseline, write_json, TextTable};
 use lingua_core::modules::{Module, ModuleKind};
 use lingua_core::{Compiler, CurationStage, Data, ExecContext, Executor, LogicalOp, Pipeline};
 use lingua_dataset::generators::er::{generate, ErDataset};
@@ -56,6 +56,7 @@ fn pair_input(pair: &LabeledPair, schema: &Schema) -> Data {
 }
 
 fn main() {
+    let baseline = read_baseline("gate_ratio");
     let smoke = has_flag("--smoke");
     let seeds = arg_usize("--seeds", 10);
     let calibration = arg_usize("--calibration", 64);
@@ -309,7 +310,7 @@ fn main() {
     }
 
     check_baseline(
-        "gate_ratio",
+        baseline,
         |baseline| format!("naive/planned $ ratio = {gate_ratio:.2}x vs baseline {baseline:.2}x"),
         |baseline| gate_ratio < baseline / 2.0,
         "the planner's $ advantage over always-LLM fell more than 2x below the committed ratio",

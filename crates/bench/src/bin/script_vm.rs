@@ -20,7 +20,9 @@
 //! cancels out — against a previously committed results file and exits
 //! nonzero if the ratio fell more than 2x. `--smoke` shrinks counts for CI.
 
-use lingua_bench::{arg_usize, check_baseline, has_flag, mean, write_json, TextTable};
+use lingua_bench::{
+    arg_usize, check_baseline, has_flag, mean, read_baseline, write_json, TextTable,
+};
 use lingua_script::{compile, parse, CompiledScript, Interpreter, NoHost, Program, Value, Vm};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -126,6 +128,7 @@ fn run_vm(compiled: &Arc<CompiledScript>, entry: &str, arg: &Value, execs: usize
 }
 
 fn main() {
+    let baseline = read_baseline("gate_speedup");
     let smoke = has_flag("--smoke");
     let reps = arg_usize("--reps", if smoke { 2 } else { 5 });
     let execs = arg_usize("--execs", if smoke { 300 } else { 2_000 });
@@ -214,7 +217,7 @@ fn main() {
     // engines ran on this host in this process, so the ratio survives
     // shared-runner speed spread.
     check_baseline(
-        "gate_speedup",
+        baseline,
         |baseline| {
             format!(
                 "VM/interpreter clean-records speedup = {gate_speedup:.2}x vs baseline \

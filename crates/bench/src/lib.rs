@@ -10,11 +10,16 @@
 //! cargo run --release -p lingua-bench --bin table1_entity_resolution
 //! ```
 //!
-//! Every binary accepts `--seeds N` (averaging over N world seeds) and
-//! writes a JSON record under `results/`.
+//! The multi-seed experiments (`table1_*`, `table2_*`, `fig3_*`,
+//! `ablation_label_efficiency`, `plan_quality`) accept `--seeds N`; each
+//! binary's header names the flags it reads. All but `trace_export` write a
+//! JSON record to `results/<bin>.json`. Performance and resilience of the
+//! serving stack are measured by `lingua-e2e` (`crates/e2e/run.sh`), not
+//! here; `script_vm` and `plan_quality` stay because they have no serving
+//! path for it to drive, and end in a `--check-baseline` gate.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Parse `--seeds N` style args (very small, zero-dependency).
 pub fn arg_usize(name: &str, default: usize) -> usize {
@@ -42,39 +47,51 @@ fn baseline_value(text: &str, key: &str) -> Option<f64> {
     tail[..end].trim().parse().ok()
 }
 
-/// The `--check-baseline <path>` regression gate the gated bench bins end
-/// with: read the committed value of `key` from `<path>`, print the
-/// comparison `headline(baseline)` describes, and exit 1 with `regression`
-/// when `regressed(baseline)`. Without the flag this does nothing; an
-/// unreadable baseline skips the gate with a note.
-///
-/// The run has already overwritten `results/<name>.json` by the time this
-/// runs, so callers copy the committed file aside first (as CI does).
+/// The committed value of `key` in the results file at `path`. A gate that
+/// was asked for and cannot be evaluated is an error, never a pass.
+fn load_baseline(path: &Path, key: &str) -> Result<f64, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
+    baseline_value(&text, key)
+        .ok_or_else(|| format!("baseline {} holds no number under \"{key}\"", path.display()))
+}
+
+/// Resolve `--check-baseline <path>` to the committed value of `key`; `None`
+/// without the flag. Gated bins call this first thing in `main`: the flag
+/// usually names `results/<bin>.json`, the very file the run's
+/// [`write_json`] overwrites, so reading it any later would compare the run
+/// with itself. An unreadable or keyless baseline exits 2.
+pub fn read_baseline(key: &str) -> Option<f64> {
+    let path = flag_value("--check-baseline")?;
+    Some(load_baseline(Path::new(&path), key).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    }))
+}
+
+/// The regression gate the gated bins end with, against what
+/// [`read_baseline`] returned: print the comparison `headline(baseline)`
+/// describes, and exit 1 with `regression` when `regressed(baseline)`.
+/// Without a baseline this does nothing.
 pub fn check_baseline(
-    key: &str,
+    baseline: Option<f64>,
     headline: impl FnOnce(f64) -> String,
     regressed: impl FnOnce(f64) -> bool,
     regression: &str,
 ) {
-    let Some(path) = flag_value("--check-baseline") else { return };
-    let baseline = std::fs::read_to_string(&path).ok().and_then(|text| baseline_value(&text, key));
-    match baseline {
-        Some(baseline) => {
-            println!("\nRegression gate: {}", headline(baseline));
-            if regressed(baseline) {
-                eprintln!("REGRESSION: {regression}");
-                std::process::exit(1);
-            }
-        }
-        None => eprintln!("no usable baseline at {path}; skipping the regression gate"),
+    let Some(baseline) = baseline else { return };
+    println!("\nRegression gate: {}", headline(baseline));
+    if regressed(baseline) {
+        eprintln!("REGRESSION: {regression}");
+        std::process::exit(1);
     }
 }
 
-/// Where experiment outputs land (workspace `results/`, created on demand).
+/// Where experiment outputs land: `results/` under the directory the binary
+/// runs in (the workspace root, for it to be the committed one), created on
+/// demand.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("LINGUA_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"));
+    let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir).ok();
     dir
 }
@@ -214,6 +231,29 @@ mod tests {
         assert_eq!(baseline_value("{\"gate_ratio\":3}", "gate_ratio"), Some(3.0));
         assert_eq!(baseline_value(text, "gate_overhead_ratio"), None);
         assert_eq!(baseline_value("{\"gate_ratio\": \"n/a\"}", "gate_ratio"), None);
+    }
+
+    fn committed(file: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results").join(file)
+    }
+
+    #[test]
+    fn an_unusable_baseline_is_an_error_not_a_pass() {
+        let missing = load_baseline(&committed("no_such_bin.json"), "gate_speedup");
+        assert!(missing.unwrap_err().contains("cannot read baseline"));
+        let keyless = load_baseline(&committed("script_vm.json"), "gate_ratio");
+        assert!(keyless.unwrap_err().contains("no number under \"gate_ratio\""));
+        let non_numeric = load_baseline(&committed("script_vm.json"), "gate_metric");
+        assert!(non_numeric.unwrap_err().contains("no number under \"gate_metric\""));
+    }
+
+    #[test]
+    fn the_committed_files_hold_the_values_ci_gates_on() {
+        for (file, key) in [("script_vm.json", "gate_speedup"), ("plan_quality.json", "gate_ratio")]
+        {
+            let baseline = load_baseline(&committed(file), key).expect("committed baseline");
+            assert!(baseline > 1.0, "{file} {key} = {baseline}");
+        }
     }
 
     #[test]

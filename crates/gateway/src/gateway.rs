@@ -80,6 +80,26 @@ enum Resilient<T> {
     Cancelled,
 }
 
+/// One batched wire call, its reply checked before it is believed: a
+/// transport is where real providers plug in, so an `Ok` that does not carry
+/// one response per request is malformed output, not an answer.
+fn batch_reply(
+    transport: &dyn LlmTransport,
+    requests: &[CompletionRequest],
+) -> Result<BatchOutcome, TransportError> {
+    let outcome = transport.complete_batch(requests)?;
+    if outcome.responses.len() != requests.len() {
+        return Err(TransportError::MalformedOutput {
+            preview: format!(
+                "{} responses for {} requests",
+                outcome.responses.len(),
+                requests.len()
+            ),
+        });
+    }
+    Ok(outcome)
+}
+
 struct Backend {
     name: String,
     transport: Arc<dyn LlmTransport>,
@@ -379,7 +399,7 @@ impl Gateway {
             self.tracer.instant(SpanKind::Gateway, "attempt", || {
                 vec![("backend".into(), backend.name.clone()), ("retry".into(), "false".into())]
             });
-            return match backend.transport.complete_batch(requests) {
+            return match batch_reply(backend.transport.as_ref(), requests) {
                 Ok(outcome) => {
                     backend.breaker.on_success();
                     self.metrics.served(idx);
@@ -545,7 +565,7 @@ impl LlmService for Gateway {
             let member_key = request.fingerprint();
             let est_tokens = count_tokens(&request.prompt) as u64;
             match self.call_resilient(member_key, est_tokens, |transport| {
-                transport.complete_batch(std::slice::from_ref(request))
+                batch_reply(transport, std::slice::from_ref(request))
             }) {
                 Resilient::Served(mut single) => {
                     let response = single.responses.pop().expect("single-member batch");
@@ -964,6 +984,104 @@ mod tests {
         assert_eq!(snap.degraded(), 0, "per-member retries absorbed the member faults");
         assert_eq!(snap.batches, 1);
         assert_eq!(snap.batch_splits, 1, "the faulted wire call split the batch");
+    }
+
+    /// A provider that answers at most `max_members` members of any batch
+    /// and still says `Ok` — the short reply a real batched endpoint can send.
+    struct ShortReply {
+        inner: ServiceTransport,
+        max_members: usize,
+    }
+
+    impl LlmTransport for ShortReply {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn complete(&self, request: &CompletionRequest) -> Result<String, TransportError> {
+            self.inner.complete(request)
+        }
+        fn complete_batch(
+            &self,
+            requests: &[CompletionRequest],
+        ) -> Result<BatchOutcome, TransportError> {
+            let mut outcome = self.inner.complete_batch(requests)?;
+            outcome.responses.truncate(self.max_members);
+            outcome.splits.truncate(self.max_members);
+            Ok(outcome)
+        }
+        fn embed(&self, text: &str) -> Result<Vec<f64>, TransportError> {
+            self.inner.embed(text)
+        }
+        fn usage(&self) -> Usage {
+            self.inner.usage()
+        }
+        fn simulated_latency_ms(&self) -> u64 {
+            self.inner.simulated_latency_ms()
+        }
+        fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
+            self.inner.generate_code(spec)
+        }
+        fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
+            self.inner.suggest_fix(source, failures)
+        }
+        fn repair_code(
+            &self,
+            spec: &CodeGenSpec,
+            previous: &GeneratedCode,
+            suggestion: &str,
+        ) -> GeneratedCode {
+            self.inner.repair_code(spec, previous, suggestion)
+        }
+    }
+
+    #[test]
+    fn a_short_batch_reply_is_a_malformed_fault_and_splits() {
+        // Two members answered for three requests: the `Ok` is not believed,
+        // the batch splits, and each member is served as a batch of one.
+        let reference = sim(21);
+        let short = ShortReply { inner: ServiceTransport::new("short", sim(21)), max_members: 2 };
+        let gateway = Gateway::over(Arc::new(short));
+        let requests: Vec<CompletionRequest> = (0..3).map(prompt).collect();
+        let outcome = gateway.complete_batch(&requests);
+        assert_eq!(outcome.responses.len(), requests.len(), "one response per request");
+        assert_eq!(outcome.splits.len(), requests.len());
+        for (request, response) in requests.iter().zip(&outcome.responses) {
+            assert_eq!(response.as_ref(), reference.complete(request));
+        }
+        let snap = gateway.snapshot();
+        assert_eq!(snap.batch_splits, 1);
+        assert_eq!(snap.faults(), 1, "exactly the short wire reply");
+        assert_eq!(snap.backends[0].counters.malformed, 1);
+        assert_eq!(snap.backends[0].counters.served, 3, "the three single-member calls");
+        assert_eq!(snap.degraded(), 0);
+    }
+
+    #[test]
+    fn an_empty_batch_reply_degrades_each_member_without_a_panic() {
+        // The primary is down, so the batch splits; the standby then answers
+        // every single-member batch with `Ok` and no members at all.
+        let dead = FaultInjector::new("dead", sim(22), FaultPlan::transient(1.0, 41));
+        let empty = ShortReply { inner: ServiceTransport::new("empty", sim(22)), max_members: 0 };
+        let cheap = sim(22);
+        let gateway = Gateway::builder()
+            .backend(Arc::new(dead))
+            .backend(Arc::new(empty))
+            .fallback(Arc::new(ServiceTransport::new("cheap", cheap.clone())))
+            .build();
+        let requests: Vec<CompletionRequest> = (0..3).map(prompt).collect();
+        let outcome = gateway.complete_batch(&requests);
+        assert_eq!(outcome.responses.len(), requests.len());
+        for (request, response) in requests.iter().zip(&outcome.responses) {
+            assert_eq!(response.as_ref(), cheap.complete(request));
+        }
+        let snap = gateway.snapshot();
+        assert_eq!(snap.batch_splits, 1);
+        assert_eq!(snap.degraded_fallbacks, 3);
+        // One attempt per member: malformed output is not retried on the
+        // backend that produced it.
+        assert_eq!(snap.backends[1].counters.attempts, 3);
+        assert_eq!(snap.backends[1].counters.malformed, 3);
+        assert_eq!(snap.backends[1].counters.served, 0);
     }
 
     #[test]

@@ -27,7 +27,8 @@ pub trait LlmTransport: Send + Sync {
     /// fails the whole batch (that is what a single batched HTTP call does);
     /// the gateway places a batch as one wire call first and, when that call
     /// faults, re-dispatches the members through its resilient loop
-    /// individually.
+    /// individually. An `Ok` reply carries one response per request, in
+    /// order; the gateway books any other shape as malformed output.
     ///
     /// The default adapts [`LlmTransport::complete`] one member at a time,
     /// attributing each member the usage delta its call produced; fault

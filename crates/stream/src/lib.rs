@@ -51,7 +51,6 @@
 pub mod engine;
 pub mod error;
 pub mod incremental;
-pub mod join;
 pub mod metrics;
 pub mod report;
 pub mod source;
@@ -60,7 +59,6 @@ pub mod window;
 pub use engine::{entity_prompt, StreamConfig, StreamEngine, WINDOW_PIPELINE};
 pub use error::StreamError;
 pub use incremental::{blocking_keys, InsertOutcome, WindowState};
-pub use join::{JoinedWindow, Side, WindowJoin};
 pub use metrics::{StreamMetrics, StreamSnapshot};
 pub use report::{ReportStrategy, WindowReport};
 pub use source::{StreamSource, SyntheticSource};
