@@ -8,9 +8,9 @@ use crate::modules::Module;
 use crate::stats::ExecStats;
 use crate::tools::ToolRegistry;
 use lingua_llm_sim::{CancelToken, CompletionRequest, LlmService};
+use lingua_ml::sync::Mutex;
 use lingua_script::{Host, Value as ScriptValue};
 use lingua_trace::{SpanKind, TracedLlm, Tracer};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// A value flowing through a pipeline.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Data {
     Null,
     Bool(bool),

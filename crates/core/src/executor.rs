@@ -175,28 +175,33 @@ where
     let mut results: Vec<Option<U>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
     let chunk = items.len().div_ceil(threads);
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for (slot_chunk, item_chunk) in results.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
-                    if cancel.check().is_err() {
-                        return;
+    let panicked = std::thread::scope(|scope| {
+        let lanes: Vec<_> = results
+            .chunks_mut(chunk)
+            .zip(items.chunks(chunk))
+            .map(|(slot_chunk, item_chunk)| {
+                let f = &f;
+                scope.spawn(move || {
+                    for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
+                        if cancel.check().is_err() {
+                            return;
+                        }
+                        *slot = Some(f(item));
                     }
-                    *slot = Some(f(item));
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        // Join every lane (an unjoined panic would surface as the scope's
+        // own "a scoped thread panicked") and keep the first payload in
+        // item order.
+        lanes.into_iter().fold(None, |first, lane| {
+            let payload = lane.join().err();
+            first.or(payload)
+        })
     });
-    if let Err(payload) = scope_result {
-        // A worker panicked. Re-raise the original payload (unwrapping
-        // crossbeam's aggregation when exactly one thread panicked) so the
-        // caller's panic isolation sees what the module actually threw.
-        let payload = match payload.downcast::<Vec<Box<dyn std::any::Any + Send + 'static>>>() {
-            Ok(mut panics) if panics.len() == 1 => panics.pop().expect("length checked"),
-            Ok(panics) => panics,
-            Err(other) => other,
-        };
+    if let Some(payload) = panicked {
+        // Re-raise what the module actually threw, so the caller's panic
+        // isolation reports it.
         std::panic::resume_unwind(payload);
     }
     if let Some(reason) = cancel.status() {
@@ -447,18 +452,35 @@ mod tests {
             })
         }));
         let payload = result.unwrap_err();
-        // Real crossbeam hands the child's payload back through `Err` and we
-        // re-raise it verbatim. The offline stub's scope (std-backed)
-        // replaces the payload with its own static message — accept both so
-        // the test documents rather than trips on the divergence.
-        match payload.downcast_ref::<String>() {
-            Some(message) => assert_eq!(message, "module blew up on item 37"),
-            None => {
-                let message =
-                    payload.downcast_ref::<&str>().expect("panic payload is a string type");
-                assert_eq!(*message, "a scoped thread panicked");
-            }
-        }
+        let message = payload.downcast_ref::<String>().expect("the module's own payload");
+        assert_eq!(message, "module blew up on item 37");
+    }
+
+    #[test]
+    fn parallel_map_reraises_the_first_panic_in_item_order() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let items: Vec<u64> = (0..64).collect();
+        // Lanes of 16: items 21 and 58 die on different threads, and 21
+        // waits until 58 already has — first means item order, not time.
+        let later_died = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map(&items, 4, |&i| {
+                if i == 58 {
+                    later_died.store(true, Ordering::SeqCst);
+                    panic!("module blew up on item {i}");
+                }
+                if i == 21 {
+                    while !later_died.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    panic!("module blew up on item {i}");
+                }
+                i
+            })
+        }));
+        let payload = result.unwrap_err();
+        let message = payload.downcast_ref::<String>().expect("the module's own payload");
+        assert_eq!(message, "module blew up on item 21");
     }
 
     #[test]

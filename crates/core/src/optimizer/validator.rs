@@ -297,7 +297,7 @@ mod tests {
         let clean = lingua_llm_sim::codegen::generate(
             &spec(),
             &lingua_llm_sim::Calibration { codegen_bug_rate: 0.0, ..Default::default() },
-            &mut rand::SeedableRng::seed_from_u64(1),
+            &mut lingua_ml::rng::Rng::seed_from_u64(1),
         );
         let mut module = LlmgcModule::from_generated("tok", spec(), clean).unwrap();
         let validator = Validator::new(tokenizer_cases());
@@ -314,7 +314,7 @@ mod tests {
         let buggy = lingua_llm_sim::codegen::generate(
             &spec(),
             &lingua_llm_sim::Calibration { codegen_bug_rate: 1.0, ..Default::default() },
-            &mut rand::SeedableRng::seed_from_u64(3),
+            &mut lingua_ml::rng::Rng::seed_from_u64(3),
         );
         assert!(buggy.bug.is_some());
         let mut module = LlmgcModule::from_generated("tok", spec(), buggy).unwrap();

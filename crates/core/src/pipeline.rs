@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 /// Source/sink plumbing (`load_csv`, `save_csv`, `limit`, ...) is
 /// `Transform`: it has exactly one sensible physical form and the planner
 /// passes it through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CurationStage {
     Extract,
     Match,

@@ -45,7 +45,7 @@ impl ExecStats {
 }
 
 /// Per-column shape statistics for planning.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     pub name: String,
     /// Null cells in the column.
@@ -60,7 +60,7 @@ pub struct ColumnStats {
 /// cardinality, null rate, and average token length per column, plus the
 /// observed match selectivity of a labeled pair sample. All numbers come
 /// from one pass over an actual [`Table`] — nothing is assumed.
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DatasetStats {
     /// Rows scanned (the planner's per-record multiplier).
     pub rows: u64,

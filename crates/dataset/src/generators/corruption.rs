@@ -4,10 +4,10 @@
 //! Each function takes an explicit RNG so callers control determinism, and an
 //! intensity in `[0, 1]` where it applies.
 
-use rand::Rng;
+use lingua_ml::rng::Rng;
 
 /// Introduce `n` character-level typos (swap / delete / duplicate / replace).
-pub fn typos<R: Rng>(rng: &mut R, text: &str, n: usize) -> String {
+pub fn typos(rng: &mut Rng, text: &str, n: usize) -> String {
     let mut chars: Vec<char> = text.chars().collect();
     for _ in 0..n {
         if chars.len() < 2 {
@@ -34,7 +34,7 @@ pub fn typos<R: Rng>(rng: &mut R, text: &str, n: usize) -> String {
 
 /// Abbreviate some words: keep the first `k` letters with a trailing period,
 /// mimicking "Boulevard" -> "Blvd."-style damage without a dictionary.
-pub fn abbreviate<R: Rng>(rng: &mut R, text: &str, probability: f64) -> String {
+pub fn abbreviate(rng: &mut Rng, text: &str, probability: f64) -> String {
     text.split_whitespace()
         .map(|word| {
             if word.chars().count() > 5 && rng.gen_bool(probability) {
@@ -51,7 +51,7 @@ pub fn abbreviate<R: Rng>(rng: &mut R, text: &str, probability: f64) -> String {
 }
 
 /// Drop each token independently with `probability` (never drops all tokens).
-pub fn drop_tokens<R: Rng>(rng: &mut R, text: &str, probability: f64) -> String {
+pub fn drop_tokens(rng: &mut Rng, text: &str, probability: f64) -> String {
     let tokens: Vec<&str> = text.split_whitespace().collect();
     if tokens.len() <= 1 {
         return text.to_string();
@@ -65,7 +65,7 @@ pub fn drop_tokens<R: Rng>(rng: &mut R, text: &str, probability: f64) -> String 
 }
 
 /// Swap two adjacent tokens with `probability`.
-pub fn reorder_tokens<R: Rng>(rng: &mut R, text: &str, probability: f64) -> String {
+pub fn reorder_tokens(rng: &mut Rng, text: &str, probability: f64) -> String {
     let mut tokens: Vec<&str> = text.split_whitespace().collect();
     if tokens.len() >= 2 && rng.gen_bool(probability) {
         let i = rng.gen_range(0..tokens.len() - 1);
@@ -75,7 +75,7 @@ pub fn reorder_tokens<R: Rng>(rng: &mut R, text: &str, probability: f64) -> Stri
 }
 
 /// Randomly change the case style of the whole string.
-pub fn case_jitter<R: Rng>(rng: &mut R, text: &str) -> String {
+pub fn case_jitter(rng: &mut Rng, text: &str) -> String {
     match rng.gen_range(0..3) {
         0 => text.to_lowercase(),
         1 => text.to_uppercase(),
@@ -84,7 +84,7 @@ pub fn case_jitter<R: Rng>(rng: &mut R, text: &str) -> String {
 }
 
 /// Reformat a `ddd-ddd-dddd` phone number into one of several styles.
-pub fn phone_jitter<R: Rng>(rng: &mut R, phone: &str) -> String {
+pub fn phone_jitter(rng: &mut Rng, phone: &str) -> String {
     let digits: String = phone.chars().filter(|c| c.is_ascii_digit()).collect();
     if digits.len() != 10 {
         return phone.to_string();
@@ -101,7 +101,7 @@ pub fn phone_jitter<R: Rng>(rng: &mut R, phone: &str) -> String {
 
 /// Append a decorative suffix like "(Remastered)" / "[Deluxe Edition]" —
 /// the iTunes-Amazon style of damage that fools naive matchers.
-pub fn decorate_title<R: Rng>(rng: &mut R, title: &str, probability: f64) -> String {
+pub fn decorate_title(rng: &mut Rng, title: &str, probability: f64) -> String {
     const SUFFIXES: &[&str] = &[
         "(Remastered)",
         "[Deluxe Edition]",
@@ -120,7 +120,7 @@ pub fn decorate_title<R: Rng>(rng: &mut R, title: &str, probability: f64) -> Str
 
 /// Format seconds either as `m:ss` or as raw seconds — unit variance across
 /// the two sides of a matched song pair.
-pub fn format_duration<R: Rng>(rng: &mut R, seconds: u32) -> String {
+pub fn format_duration(rng: &mut Rng, seconds: u32) -> String {
     if rng.gen_bool(0.5) {
         format!("{}:{:02}", seconds / 60, seconds % 60)
     } else {
@@ -130,7 +130,7 @@ pub fn format_duration<R: Rng>(rng: &mut R, seconds: u32) -> String {
 
 /// Apply a composite corruption pipeline at the given `intensity`
 /// (0 = identity, 1 = heavy damage).
-pub fn corrupt<R: Rng>(rng: &mut R, text: &str, intensity: f64) -> String {
+pub fn corrupt(rng: &mut Rng, text: &str, intensity: f64) -> String {
     let mut out = text.to_string();
     if intensity <= 0.0 {
         return out;
@@ -157,11 +157,9 @@ pub fn corrupt<R: Rng>(rng: &mut R, text: &str, intensity: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(42)
     }
 
     #[test]
@@ -243,8 +241,8 @@ mod tests {
 
     #[test]
     fn corrupt_is_deterministic_per_seed() {
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
+        let mut a = Rng::seed_from_u64(9);
+        let mut b = Rng::seed_from_u64(9);
         assert_eq!(
             corrupt(&mut a, "Golden Lantern Imperial Stout", 0.7),
             corrupt(&mut b, "Golden Lantern Imperial Stout", 0.7)

@@ -20,8 +20,7 @@ use crate::record::Record;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::world::{BeerFact, RestaurantFact, SongFact, WorldSpec};
-use rand::prelude::*;
-use rand::rngs::StdRng;
+use lingua_ml::rng::Rng;
 
 /// Which of the paper's three ER datasets to emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,7 +72,7 @@ impl ErDataset {
 
 /// Generate the pair benchmark for `dataset` from `world`, split 3:1:1.
 pub fn generate(world: &WorldSpec, dataset: ErDataset, seed: u64) -> PairSplit {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xe17_0000 ^ dataset.name().len() as u64);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xe17_0000 ^ dataset.name().len() as u64);
     let (total, positives) = dataset.paper_sizes();
     let negatives = total - positives;
 
@@ -82,7 +81,7 @@ pub fn generate(world: &WorldSpec, dataset: ErDataset, seed: u64) -> PairSplit {
         ErDataset::FodorsZagats => restaurant_pairs(world, &mut rng, positives, negatives, dataset),
         ErDataset::ItunesAmazon => song_pairs(world, &mut rng, positives, negatives, dataset),
     };
-    pairs.shuffle(&mut rng);
+    rng.shuffle(&mut pairs);
     PairSplit::from_fractions(schema, pairs, 0.6, 0.2)
 }
 
@@ -101,7 +100,7 @@ pub(crate) fn beer_record(b: &BeerFact) -> Record {
     ])
 }
 
-pub(crate) fn corrupt_beer(rng: &mut StdRng, b: &BeerFact, intensity: f64) -> Record {
+pub(crate) fn corrupt_beer(rng: &mut Rng, b: &BeerFact, intensity: f64) -> Record {
     let mut name = corruption::corrupt(rng, &b.name, intensity);
     // RateBeer-style listing damage: heavy abbreviation and style suffixes
     // glued onto the name. Character-level features survive this; plain
@@ -130,7 +129,7 @@ pub(crate) fn corrupt_beer(rng: &mut StdRng, b: &BeerFact, intensity: f64) -> Re
 
 fn beer_pairs(
     world: &WorldSpec,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     positives: usize,
     negatives: usize,
     dataset: ErDataset,
@@ -141,7 +140,7 @@ fn beer_pairs(
     let mut pairs = Vec::with_capacity(positives + negatives);
 
     let mut indices: Vec<usize> = (0..beers.len()).collect();
-    indices.shuffle(rng);
+    rng.shuffle(&mut indices);
     for &i in indices.iter().take(positives) {
         let b = &beers[i];
         pairs.push(LabeledPair {
@@ -220,7 +219,7 @@ fn restaurant_record(r: &RestaurantFact) -> Record {
     ])
 }
 
-fn corrupt_restaurant(rng: &mut StdRng, r: &RestaurantFact, intensity: f64) -> Record {
+fn corrupt_restaurant(rng: &mut Rng, r: &RestaurantFact, intensity: f64) -> Record {
     Record::new(vec![
         Value::Str(corruption::corrupt(rng, &r.name, intensity)),
         Value::Str(corruption::abbreviate(rng, &r.addr, 0.4)),
@@ -232,7 +231,7 @@ fn corrupt_restaurant(rng: &mut StdRng, r: &RestaurantFact, intensity: f64) -> R
 
 fn restaurant_pairs(
     world: &WorldSpec,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     positives: usize,
     negatives: usize,
     dataset: ErDataset,
@@ -243,7 +242,7 @@ fn restaurant_pairs(
     let mut pairs = Vec::with_capacity(positives + negatives);
 
     let mut indices: Vec<usize> = (0..rs.len()).collect();
-    indices.shuffle(rng);
+    rng.shuffle(&mut indices);
     for &i in indices.iter().take(positives) {
         let r = &rs[i];
         pairs.push(LabeledPair {
@@ -312,7 +311,7 @@ fn song_record(s: &SongFact) -> Record {
     ])
 }
 
-fn corrupt_song(rng: &mut StdRng, s: &SongFact, intensity: f64) -> Record {
+fn corrupt_song(rng: &mut Rng, s: &SongFact, intensity: f64) -> Record {
     let title = corruption::decorate_title(rng, &s.title, 0.80);
     let title = corruption::corrupt(rng, &title, intensity * 0.8);
     let artist = if rng.gen_bool(0.45) {
@@ -338,7 +337,7 @@ fn corrupt_song(rng: &mut StdRng, s: &SongFact, intensity: f64) -> Record {
 
 fn song_pairs(
     world: &WorldSpec,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     positives: usize,
     negatives: usize,
     dataset: ErDataset,
@@ -349,7 +348,7 @@ fn song_pairs(
     let mut pairs = Vec::with_capacity(positives + negatives);
 
     let mut indices: Vec<usize> = (0..songs.len()).collect();
-    indices.shuffle(rng);
+    rng.shuffle(&mut indices);
     for &i in indices.iter().take(positives) {
         let s = &songs[i];
         pairs.push(LabeledPair {

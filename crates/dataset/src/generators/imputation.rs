@@ -12,12 +12,10 @@ use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 use crate::world::{BrandMention, ProductFact, WorldConfig, WorldSpec};
-use rand::prelude::*;
-use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
+use lingua_ml::rng::Rng;
 
 /// The imputation benchmark: a table with a hole, plus hidden ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ImputationBenchmark {
     /// `name, description, manufacturer` — manufacturer is all-NULL.
     pub table: Table,
@@ -48,9 +46,9 @@ impl ImputationBenchmark {
 
 /// Build the benchmark from a world's product universe.
 pub fn generate(world: &WorldSpec, seed: u64) -> ImputationBenchmark {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x1b_u64);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x1b_u64);
     let mut products: Vec<&ProductFact> = world.products.iter().collect();
-    products.shuffle(&mut rng);
+    rng.shuffle(&mut products);
     build(products.into_iter())
 }
 

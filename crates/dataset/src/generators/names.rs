@@ -10,12 +10,10 @@
 //! extended by a language-detection module and multilingual tools.
 
 use crate::world::{Language, Lexicon, WorldSpec};
-use rand::prelude::*;
-use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
+use lingua_ml::rng::Rng;
 
 /// One labeled passage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Passage {
     pub text: String,
     pub language: Language,
@@ -56,7 +54,7 @@ impl Default for NamesConfig {
 
 /// Generate a corpus.
 pub fn generate(world: &WorldSpec, config: &NamesConfig, seed: u64) -> Vec<Passage> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9a3e);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x9a3e);
     let total_weight: f64 = config.language_mix.iter().map(|(_, w)| w).sum();
     let mut corpus = Vec::with_capacity(config.passages);
     for _ in 0..config.passages {
@@ -75,14 +73,14 @@ pub fn generate(world: &WorldSpec, config: &NamesConfig, seed: u64) -> Vec<Passa
     corpus
 }
 
-fn full_name(rng: &mut StdRng, lexicon: &Lexicon) -> String {
+fn full_name(rng: &mut Rng, lexicon: &Lexicon) -> String {
     let given = &lexicon.given_names[rng.gen_range(0..lexicon.given_names.len())];
     let surname = &lexicon.surnames[rng.gen_range(0..lexicon.surnames.len())];
     format!("{given} {surname}")
 }
 
 fn passage(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     language: Language,
     lexicon: &Lexicon,
     sentences: (usize, usize),

@@ -18,12 +18,11 @@ use crate::generators::er::{beer_record, corrupt_beer, BEER_SCHEMA};
 use crate::record::Record;
 use crate::schema::Schema;
 use crate::world::{BeerFact, WorldSpec};
-use rand::prelude::*;
-use rand::rngs::StdRng;
+use lingua_ml::rng::Rng;
 use std::collections::VecDeque;
 
 /// One element of an unbounded record stream.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamItem {
     /// Logical event-time tick. Mostly monotone in emission order; an item
     /// may be stamped up to [`StreamSpec::disorder`] ticks behind the
@@ -73,7 +72,7 @@ impl Default for StreamSpec {
 /// An unbounded beer-listing stream over a generated world. `Iterator::next`
 /// never returns `None`; callers decide how much of the stream to consume.
 pub struct ProductStream {
-    rng: StdRng,
+    rng: Rng,
     beers: Vec<BeerFact>,
     schema: Schema,
     spec: StreamSpec,
@@ -95,7 +94,7 @@ impl ProductStream {
         assert!(spec.dup_lag > 0, "dup_lag must be > 0");
         assert!(spec.mean_gap > 0, "mean_gap must be > 0");
         ProductStream {
-            rng: StdRng::seed_from_u64(spec.seed ^ 0x57ea_0000),
+            rng: Rng::seed_from_u64(spec.seed ^ 0x57ea_0000),
             beers: world.beers.clone(),
             schema: Schema::of_names(BEER_SCHEMA),
             spec,

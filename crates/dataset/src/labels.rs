@@ -2,10 +2,9 @@
 
 use crate::record::Record;
 use crate::schema::Schema;
-use serde::{Deserialize, Serialize};
 
 /// A labeled candidate pair for entity resolution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledPair {
     /// Hidden ground-truth entity id behind the left record.
     pub left_entity: u64,
@@ -18,7 +17,7 @@ pub struct LabeledPair {
 }
 
 /// A 3:1:1-style split of labeled pairs (the Magellan repository convention).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairSplit {
     pub schema: Schema,
     pub train: Vec<LabeledPair>,

@@ -1,13 +1,12 @@
 //! A single row of values.
 
 use crate::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A row. Records are positional; pairing with a [`crate::Schema`] gives the
 /// columns names. Most record-at-a-time module interfaces in `lingua-core`
 /// pass records together with their schema.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Record {
     values: Vec<Value>,
 }

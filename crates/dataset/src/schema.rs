@@ -1,12 +1,11 @@
 //! Table schemas: named, typed columns.
 
 use crate::error::DataError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Declared type of a column. `Any` admits every value (including mixed types),
 /// which is the common case for scraped / uncurated data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     Any,
     Bool,
@@ -46,7 +45,7 @@ impl fmt::Display for ColumnType {
 }
 
 /// An ordered list of `(name, type)` columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<(String, ColumnType)>,
 }

@@ -4,14 +4,13 @@ use crate::error::DataError;
 use crate::record::Record;
 use crate::schema::{ColumnType, Schema};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A named, schema-ful, row-oriented table.
 ///
 /// Tables are the unit of data that flows between pipeline operators in
 /// `lingua-core`, and the object the mini-SQL engine queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     schema: Schema,

@@ -1,6 +1,5 @@
 //! Dynamically-typed cell values.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// `Value` is deliberately small and cheap to clone for everything except
 /// strings. Numeric comparisons between `Int` and `Float` coerce to `f64`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL / missing.
     Null,

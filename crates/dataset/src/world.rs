@@ -8,9 +8,7 @@
 //! pre-trained model relates to real enterprise data: overlapping but not
 //! complete knowledge.
 
-use rand::prelude::*;
-use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
+use lingua_ml::rng::Rng;
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
@@ -18,7 +16,7 @@ use std::collections::BTreeMap;
 // ---------------------------------------------------------------------------
 
 /// Where the manufacturer is recoverable from for an imputation row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BrandMention {
     /// Brand token appears verbatim in the product name (easy case).
     InName,
@@ -30,7 +28,7 @@ pub enum BrandMention {
 }
 
 /// A product in the world (Buy-dataset style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProductFact {
     pub id: u64,
     pub name: String,
@@ -44,7 +42,7 @@ pub struct ProductFact {
 }
 
 /// A beer (BeerAdvo-RateBeer style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeerFact {
     pub id: u64,
     pub name: String,
@@ -54,7 +52,7 @@ pub struct BeerFact {
 }
 
 /// A restaurant (Fodors-Zagats style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RestaurantFact {
     pub id: u64,
     pub name: String,
@@ -65,7 +63,7 @@ pub struct RestaurantFact {
 }
 
 /// A song (iTunes-Amazon style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SongFact {
     pub id: u64,
     pub title: String,
@@ -83,7 +81,7 @@ pub struct SongFact {
 // ---------------------------------------------------------------------------
 
 /// Languages used by the multilingual name-extraction corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Language {
     English,
     French,
@@ -129,7 +127,7 @@ impl Language {
 
 /// Per-language word material for generating passages and for the LLM's
 /// knowledge of names and of language identity signals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lexicon {
     pub given_names: Vec<String>,
     pub surnames: Vec<String>,
@@ -149,7 +147,7 @@ pub struct Lexicon {
 // ---------------------------------------------------------------------------
 
 /// The complete ground-truth universe for one experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldSpec {
     pub seed: u64,
     pub products: Vec<ProductFact>,
@@ -194,7 +192,7 @@ impl WorldSpec {
 
     /// Generate a world from a seed and explicit sizes.
     pub fn generate_with(seed: u64, config: &WorldConfig) -> WorldSpec {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x1e57_c0de);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x1e57_c0de);
         let (products, product_line_owners) = gen_products(&mut rng, config);
         WorldSpec {
             seed,
@@ -516,12 +514,12 @@ const GENRES: &[&str] = &[
 // Entity generation
 // ---------------------------------------------------------------------------
 
-fn pick<'a, R: Rng>(rng: &mut R, bank: &'a [&'a str]) -> &'a str {
+fn pick<'a>(rng: &mut Rng, bank: &'a [&'a str]) -> &'a str {
     bank[rng.gen_range(0..bank.len())]
 }
 
 fn gen_products(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     config: &WorldConfig,
 ) -> (Vec<ProductFact>, BTreeMap<String, String>) {
     // Each manufacturer owns a few product lines. A product line name never
@@ -609,7 +607,7 @@ fn gen_products(
     (products, line_owner)
 }
 
-fn gen_beers(rng: &mut StdRng, n: usize) -> Vec<BeerFact> {
+fn gen_beers(rng: &mut Rng, n: usize) -> Vec<BeerFact> {
     let mut beers = Vec::with_capacity(n);
     let mut seen = std::collections::BTreeSet::new();
     while beers.len() < n {
@@ -631,7 +629,7 @@ fn gen_beers(rng: &mut StdRng, n: usize) -> Vec<BeerFact> {
     beers
 }
 
-fn gen_restaurants(rng: &mut StdRng, n: usize) -> Vec<RestaurantFact> {
+fn gen_restaurants(rng: &mut Rng, n: usize) -> Vec<RestaurantFact> {
     let mut out = Vec::with_capacity(n);
     let mut seen = std::collections::BTreeSet::new();
     while out.len() < n {
@@ -660,7 +658,7 @@ fn gen_restaurants(rng: &mut StdRng, n: usize) -> Vec<RestaurantFact> {
     out
 }
 
-fn gen_songs(rng: &mut StdRng, n: usize) -> Vec<SongFact> {
+fn gen_songs(rng: &mut Rng, n: usize) -> Vec<SongFact> {
     let mut out = Vec::with_capacity(n);
     let mut seen = std::collections::BTreeSet::new();
     while out.len() < n {

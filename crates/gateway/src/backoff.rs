@@ -6,12 +6,10 @@
 //! an outage), and the draw is seeded so a given `(seed, key, attempt)` always
 //! produces the same delay — chaos tests stay exact.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use lingua_ml::rng::Rng;
 
 /// Retry policy: attempt budget plus the jittered-backoff schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffPolicy {
     /// Base delay; retry `n` (1-based) is bounded by `base · 2ⁿ`.
     pub base_ms: u64,
@@ -47,7 +45,7 @@ impl BackoffPolicy {
             return 0;
         }
         let stream = self.seed ^ key ^ u64::from(attempt).wrapping_mul(0x517c_c1b7_2722_0a95);
-        let mut rng = StdRng::seed_from_u64(stream);
+        let mut rng = Rng::seed_from_u64(stream);
         rng.gen_range(0..=ceiling)
     }
 }

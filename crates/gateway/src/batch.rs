@@ -44,9 +44,8 @@ use lingua_llm_sim::cancel::{self, CancelToken, CANCELLED_NOTICE};
 use lingua_llm_sim::{
     BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage,
 };
+use lingua_ml::sync::{Condvar, Mutex};
 use lingua_trace::{SpanKind, Tracer};
-use parking_lot::{Condvar, Mutex};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,7 +75,7 @@ impl Default for BatchConfig {
 }
 
 /// Why a batch flushed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushReason {
     /// The batch reached `max_batch_size`.
     Size,
@@ -94,7 +93,7 @@ impl FlushReason {
 }
 
 /// One flushed batch, as recorded in the replay log.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlushRecord {
     /// Members the batch held when it flushed (live + cancelled).
     pub occupancy: usize,
@@ -111,7 +110,7 @@ pub struct FlushRecord {
 }
 
 /// Point-in-time batching counters. Exact once submitters quiesce.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchSnapshot {
     /// Batches flushed.
     pub batches: u64,
@@ -184,7 +183,7 @@ impl MemberCell {
     fn wait(&self) -> Arc<str> {
         let mut slot = self.slot.lock();
         while slot.is_none() {
-            self.ready.wait(&mut slot);
+            slot = self.ready.wait(slot);
         }
         Arc::clone(slot.as_ref().expect("slot filled"))
     }
@@ -395,7 +394,8 @@ impl Batcher {
             // Timer leader: hold the window open for up to `max_wait`.
             let deadline = Instant::now() + self.config.max_wait;
             loop {
-                let timed_out = self.flush_cv.wait_until(&mut state, deadline).timed_out();
+                let timed_out;
+                (state, timed_out) = self.flush_cv.wait_until(state, deadline);
                 if state.generation != my_generation {
                     // A size flush took the batch (this member included).
                     drop(state);

@@ -11,12 +11,11 @@
 //! keeps the state machine a pure function of the call sequence — which is
 //! what lets chaos tests assert exact transition counts.
 
-use parking_lot::Mutex;
-use serde::Serialize;
+use lingua_ml::sync::Mutex;
 use std::collections::VecDeque;
 
 /// Breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     Closed,
     Open,
@@ -34,7 +33,7 @@ impl BreakerState {
 }
 
 /// Tuning knobs for [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
     /// Rolling outcome-window size.
     pub window: usize,
@@ -65,7 +64,7 @@ impl Default for BreakerConfig {
 }
 
 /// Lifetime transition counters, exported into gateway metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BreakerStats {
     /// Closed/HalfOpen → Open transitions.
     pub opened: u64,

@@ -6,12 +6,11 @@
 //! deadline misses, load shedding, 5xx-style hiccups, and syntactically broken
 //! payloads.
 
-use serde::Serialize;
 use std::fmt;
 
 /// The class of a transport fault, used as a metrics key and by the
 /// fault-injection plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     Timeout,
     RateLimited,

@@ -9,10 +9,8 @@
 
 use crate::{FaultClass, LlmTransport, TransportError};
 use lingua_llm_sim::{CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm, Usage};
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use lingua_ml::rng::Rng;
+use lingua_ml::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -29,7 +27,7 @@ pub fn prompt_key(text: &str) -> u64 {
 /// Rates are probabilities in `[0, 1]` and are applied as cumulative bands
 /// over one uniform draw per attempt, so the total fault probability is the
 /// sum of the four rates (callers keep the sum ≤ 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     pub seed: u64,
     pub timeout_rate: f64,
@@ -94,7 +92,7 @@ impl FaultPlan {
             return None;
         }
         let stream = self.seed ^ key ^ attempt.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut rng = StdRng::seed_from_u64(stream);
+        let mut rng = Rng::seed_from_u64(stream);
         let draw: f64 = rng.gen_range(0.0..1.0);
         let mut band = self.timeout_rate;
         if draw < band {
@@ -117,7 +115,7 @@ impl FaultPlan {
 }
 
 /// Counters kept by the injector, one bucket per fault class plus totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultCounts {
     pub injected: u64,
     pub passed: u64,

@@ -6,11 +6,10 @@
 //! the breaker's cooldown, so behaviour is a pure function of the request
 //! sequence rather than wall time).
 
-use parking_lot::Mutex;
-use serde::Serialize;
+use lingua_ml::sync::Mutex;
 
 /// Bucket parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TokenBudgetConfig {
     /// Bucket capacity: the largest burst of tokens admitted back-to-back.
     pub capacity: u64,

@@ -1,17 +1,16 @@
 //! Gateway metrics: per-backend counters plus gateway-level routing counters.
 //!
 //! Same discipline as `lingua-serve`'s metrics: all mutation behind one
-//! mutex, snapshots are plain serializable values, and everything the
+//! mutex, snapshots are plain values, and everything the
 //! resilience machinery does — attempts, retries, faults by class, breaker
 //! transitions, budget denials, fallback hits, added latency — is visible in
 //! one place.
 
 use crate::{BreakerState, BreakerStats, FaultClass};
-use parking_lot::Mutex;
-use serde::Serialize;
+use lingua_ml::sync::Mutex;
 
 /// Counters for a single backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BackendCounters {
     /// Transport calls placed (first tries and retries).
     pub attempts: u64,
@@ -178,7 +177,7 @@ impl GatewayMetrics {
 }
 
 /// Point-in-time view of one backend.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendSnapshot {
     pub name: String,
     pub counters: BackendCounters,
@@ -187,7 +186,7 @@ pub struct BackendSnapshot {
 }
 
 /// Point-in-time view of the whole gateway.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatewaySnapshot {
     /// Requests entering the gateway (one per `complete`/`embed` call).
     pub requests: u64,

@@ -23,7 +23,7 @@ use lingua_llm_sim::{
     BatchOutcome, CancelScope, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode,
     LlmService, SimLlm, SimLlmConfig, TokenPricing, Usage, CANCELLED_NOTICE,
 };
-use parking_lot::Mutex;
+use lingua_ml::sync::Mutex;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 

@@ -27,7 +27,7 @@ use crate::record::{
 };
 use crate::storage::{FileStorage, SimStorage, Storage};
 use lingua_llm_sim::Usage;
-use parking_lot::Mutex;
+use lingua_ml::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;

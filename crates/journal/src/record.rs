@@ -16,7 +16,6 @@
 use lingua_core::Data;
 use lingua_dataset::generators::stream::StreamItem;
 use lingua_llm_sim::Usage;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A serve job that was accepted but has not yet finished. Carries the full
@@ -154,7 +153,7 @@ pub struct StreamCheckpoint {
 
 /// What recovery found, surfaced through `MetricsSnapshot` so operators can
 /// see that a restart replayed state and how much of the tail was damaged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoverySnapshot {
     /// Journal records (including the seeding checkpoint) replayed.
     pub replayed: u64,

@@ -7,7 +7,7 @@
 //! byte-for-byte like a file that survives the process, and tests can tear
 //! or flip its tail directly.
 
-use parking_lot::Mutex;
+use lingua_ml::sync::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};

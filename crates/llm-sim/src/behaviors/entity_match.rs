@@ -14,9 +14,8 @@ use crate::calibration::Calibration;
 use crate::knowledge::{EntityDomain, KnowledgeBase};
 use crate::noise;
 use crate::prompt::ParsedPrompt;
+use lingua_ml::rng::Rng;
 use lingua_ml::textsim;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 
 /// Infer the entity domain from record field names.
@@ -158,7 +157,7 @@ pub fn respond(
     kb: &KnowledgeBase,
     calibration: &Calibration,
     parsed: &ParsedPrompt,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> String {
     let verbose_rate = if parsed.format_pinned {
         calibration.verbose_answer_rate_pinned
@@ -225,7 +224,6 @@ mod tests {
     use super::*;
     use crate::prompt;
     use lingua_dataset::world::WorldSpec;
-    use rand::SeedableRng;
 
     fn setup() -> (WorldSpec, KnowledgeBase, Calibration) {
         let world = WorldSpec::generate(5);
@@ -265,7 +263,7 @@ mod tests {
                 record_line("B", &[("beer_name", &beer.name), ("brewery", &beer.brewery)]),
             );
             let parsed = prompt::parse(&text);
-            let mut rng = StdRng::seed_from_u64(beer.id);
+            let mut rng = Rng::seed_from_u64(beer.id);
             let response = respond(&kb, &cal, &parsed, &mut rng);
             if crate::noise::parse_bool_robust(&response) == Some(true) {
                 correct += 1;
@@ -288,7 +286,7 @@ mod tests {
         let parsed = prompt::parse(&text);
         let mut yes = 0;
         for seed in 0..20 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let response = respond(&kb, &cal, &parsed, &mut rng);
             if crate::noise::parse_bool_robust(&response) == Some(true) {
                 yes += 1;
@@ -338,7 +336,7 @@ mod tests {
     fn missing_records_get_a_clarification() {
         let (_, kb, cal) = setup();
         let parsed = prompt::parse("Are these the same entity?");
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         let response = respond(&kb, &cal, &parsed, &mut rng);
         assert!(response.contains("two records"));
     }

@@ -13,15 +13,14 @@ use crate::knowledge::KnowledgeBase;
 use crate::noise;
 use crate::prompt::ParsedPrompt;
 use lingua_ml::fnv::fingerprint;
-use rand::prelude::*;
-use rand::rngs::StdRng;
+use lingua_ml::rng::Rng;
 
 /// Produce the response text for an imputation prompt.
 pub fn respond(
     kb: &KnowledgeBase,
     calibration: &Calibration,
     parsed: &ParsedPrompt,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> String {
     // Categorical answers drift less than free-form prose: even unpinned,
     // a model asked for a manufacturer mostly emits a short name.
@@ -78,7 +77,6 @@ mod tests {
     use super::*;
     use crate::prompt;
     use lingua_dataset::world::{BrandMention, WorldSpec};
-    use rand::SeedableRng;
 
     fn setup() -> (WorldSpec, KnowledgeBase, Calibration) {
         let world = WorldSpec::generate(5);
@@ -92,7 +90,7 @@ mod tests {
             "Fill in the missing manufacturer.\nProduct: {name} - {desc}\nAnswer with only the manufacturer name.",
         );
         let parsed = prompt::parse(&text);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         respond(kb, cal, &parsed, &mut rng)
     }
 
@@ -145,7 +143,7 @@ mod tests {
     fn empty_product_asks_for_input() {
         let (_, kb, cal) = setup();
         let parsed = prompt::parse("Fill in the missing manufacturer.");
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         assert!(respond(&kb, &cal, &parsed, &mut rng).contains("provide"));
     }
 }

@@ -4,8 +4,7 @@
 use crate::calibration::Calibration;
 use crate::knowledge::KnowledgeBase;
 use crate::prompt::ParsedPrompt;
-use rand::prelude::*;
-use rand::rngs::StdRng;
+use lingua_ml::rng::Rng;
 
 /// Produce the response for a language-detection prompt: the ISO-ish code,
 /// possibly wrapped in prose when the format is not pinned.
@@ -13,7 +12,7 @@ pub fn respond(
     kb: &KnowledgeBase,
     calibration: &Calibration,
     parsed: &ParsedPrompt,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> String {
     let text = parsed.payload.trim();
     if text.is_empty() {
@@ -76,7 +75,6 @@ mod tests {
     use crate::prompt;
     use lingua_dataset::generators::names::{generate, NamesConfig};
     use lingua_dataset::world::{Language, WorldSpec};
-    use rand::SeedableRng;
 
     #[test]
     fn detects_each_language_robustly() {
@@ -91,7 +89,7 @@ mod tests {
             for (i, passage) in corpus.iter().enumerate() {
                 let text = format!("What language is this text?\nText: {}", passage.text);
                 let parsed = prompt::parse(&text);
-                let mut rng = StdRng::seed_from_u64(i as u64);
+                let mut rng = Rng::seed_from_u64(i as u64);
                 let response = respond(&kb, &cal, &parsed, &mut rng);
                 if parse_language_code(&response) == Some(lang.code()) {
                     correct += 1;
@@ -117,7 +115,7 @@ mod tests {
         let cal = Calibration::default();
         let kb = KnowledgeBase::from_world(&world, &cal, 5);
         let parsed = prompt::parse("What language is this text?");
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         assert!(respond(&kb, &cal, &parsed, &mut rng).contains("provide"));
     }
 }

@@ -12,8 +12,7 @@ use crate::noise;
 use crate::prompt::ParsedPrompt;
 use lingua_dataset::world::Language;
 use lingua_ml::fnv::fingerprint;
-use rand::prelude::*;
-use rand::rngs::StdRng;
+use lingua_ml::rng::Rng;
 
 /// Judge whether `phrase` is a person name under `language` knowledge.
 /// Returns the verdict plus whether the phrase was actually covered by the
@@ -62,7 +61,7 @@ pub fn respond(
     kb: &KnowledgeBase,
     calibration: &Calibration,
     parsed: &ParsedPrompt,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> String {
     let verbose_rate = if parsed.format_pinned {
         calibration.verbose_answer_rate_pinned
@@ -95,7 +94,6 @@ mod tests {
     use super::*;
     use crate::prompt;
     use lingua_dataset::world::WorldSpec;
-    use rand::SeedableRng;
 
     fn setup() -> (WorldSpec, KnowledgeBase, Calibration) {
         let world = WorldSpec::generate(5);
@@ -110,7 +108,7 @@ mod tests {
             "Is the following phrase a person name?\n{lang_line}Text: {phrase}\nAnswer yes or no.",
         );
         let parsed = prompt::parse(&text);
-        let mut rng = StdRng::seed_from_u64(fingerprint(phrase));
+        let mut rng = Rng::seed_from_u64(fingerprint(phrase));
         noise::parse_bool_robust(&respond(kb, cal, &parsed, &mut rng)).unwrap_or(false)
     }
 

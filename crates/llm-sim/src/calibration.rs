@@ -6,10 +6,8 @@
 //! experiment results are *emergent* from the simulation rather than
 //! hard-coded.
 
-use serde::{Deserialize, Serialize};
-
 /// Behavioural parameters of the simulated LLM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     // -- knowledge coverage ---------------------------------------------------
     /// Probability the LLM "knows" a given beer entity (brewery + name).

@@ -9,12 +9,10 @@
 //! at every step.
 
 use crate::calibration::Calibration;
-use rand::prelude::*;
-use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
+use lingua_ml::rng::Rng;
 
 /// The program templates the simulated LLM can produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TemplateKind {
     /// Case-preserving tokenizer (`process(text) -> [token]`).
     Tokenizer,
@@ -73,7 +71,7 @@ impl TemplateKind {
 
 /// The catalogue of injectable bugs — each a realistic LLM coding slip that
 /// produces a *behavioural* failure the Validator can observe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BugKind {
     /// Forgot to lowercase before a dictionary/substring lookup.
     MissingLowercase,
@@ -131,7 +129,7 @@ pub struct GeneratedCode {
 }
 
 /// Generate a (possibly buggy) program for the spec.
-pub fn generate(spec: &CodeGenSpec, calibration: &Calibration, rng: &mut StdRng) -> GeneratedCode {
+pub fn generate(spec: &CodeGenSpec, calibration: &Calibration, rng: &mut Rng) -> GeneratedCode {
     let template = TemplateKind::detect(&spec.task, &spec.hints);
     let candidates = BugKind::applicable(template);
     let bug = if !candidates.is_empty() && rng.gen_bool(calibration.codegen_bug_rate) {
@@ -199,7 +197,7 @@ pub fn repair(
     calibration: &Calibration,
     previous: &GeneratedCode,
     _suggestion: &str,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> GeneratedCode {
     if rng.gen_bool(calibration.repair_success_rate) {
         GeneratedCode {
@@ -420,7 +418,6 @@ fn field_cleaner(entry: &str, bug: Option<BugKind>) -> String {
 mod tests {
     use super::*;
     use lingua_script::{parse, Interpreter, NoHost, Value};
-    use rand::SeedableRng;
 
     fn spec(task: &str) -> CodeGenSpec {
         CodeGenSpec { task: task.into(), function_name: "process".into(), hints: vec![] }
@@ -588,7 +585,7 @@ mod tests {
         let s = spec("tokenize the text");
         let mut buggy = 0;
         for seed in 0..200 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let code = generate(&s, &cal, &mut rng);
             if code.bug.is_some() {
                 buggy += 1;
@@ -598,7 +595,7 @@ mod tests {
         assert!((rate - cal.codegen_bug_rate).abs() < 0.1, "bug rate {rate}");
 
         // Repair loop converges quickly.
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         let mut code = GeneratedCode {
             source: render(TemplateKind::Tokenizer, &s, Some(BugKind::OffByOne)),
             template: TemplateKind::Tokenizer,

@@ -5,7 +5,6 @@
 //! call through [`crate::SimLlm`] is metered here so benchmark binaries can
 //! report call counts and simulated spend.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Approximate tokenizer: whitespace-split words plus a surcharge for long
@@ -22,7 +21,7 @@ pub fn count_tokens(text: &str) -> usize {
 }
 
 /// Per-1k-token pricing, defaulting to GPT-3.5-era rates (USD).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TokenPricing {
     pub input_per_1k: f64,
     pub output_per_1k: f64,
@@ -35,7 +34,7 @@ impl Default for TokenPricing {
 }
 
 /// Cumulative usage across a service's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Usage {
     pub calls: u64,
     pub tokens_in: u64,

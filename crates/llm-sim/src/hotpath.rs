@@ -24,8 +24,7 @@
 //!    a pure function of `(seed, prompt)`, so the calibration and
 //!    golden-trace suites see byte-identical outputs.
 
-use parking_lot::{Condvar, Mutex};
-use serde::Serialize;
+use lingua_ml::sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,7 +39,7 @@ pub use lingua_ml::fnv::{fingerprint, Fnv1a};
 /// Point-in-time counters of a [`ShardedLru`] (plus the coalescing counter
 /// its owner folds in). Snapshots read atomics only — they never take a
 /// shard lock, so observing a busy cache cannot stall its writers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -400,7 +399,7 @@ impl<V: Clone> Singleflight<V> {
                 let mut state = cell.result.lock();
                 loop {
                     match &*state {
-                        FlightState::Pending => cell.ready.wait(&mut state),
+                        FlightState::Pending => state = cell.ready.wait(state),
                         FlightState::Published(value) => {
                             self.coalesced.fetch_add(1, Ordering::Relaxed);
                             return Flight::Coalesced(value.clone());

@@ -5,8 +5,7 @@
 //! explicitly calls for output validation because of this (§3.1). This module
 //! renders boolean / categorical answers through that instability, seeded.
 
-use rand::prelude::*;
-use rand::rngs::StdRng;
+use lingua_ml::rng::Rng;
 
 /// Verbose surface forms for a *yes* answer.
 const YES_FORMS: &[&str] = &[
@@ -28,7 +27,7 @@ const NO_FORMS: &[&str] = &[
 
 /// Render a boolean answer. `verbose_rate` is the probability of a decorated
 /// phrasing instead of the bare token.
-pub fn render_bool(rng: &mut StdRng, answer: bool, verbose_rate: f64) -> String {
+pub fn render_bool(rng: &mut Rng, answer: bool, verbose_rate: f64) -> String {
     if rng.gen_bool(verbose_rate.clamp(0.0, 1.0)) {
         let forms = if answer { YES_FORMS } else { NO_FORMS };
         forms[rng.gen_range(0..forms.len())].to_string()
@@ -43,7 +42,7 @@ pub fn render_bool(rng: &mut StdRng, answer: bool, verbose_rate: f64) -> String 
 /// Render a categorical answer (e.g. a manufacturer name). Verbose forms wrap
 /// the value in prose, which breaks exact-match consumers that skip output
 /// validation.
-pub fn render_category(rng: &mut StdRng, value: &str, verbose_rate: f64) -> String {
+pub fn render_category(rng: &mut Rng, value: &str, verbose_rate: f64) -> String {
     if rng.gen_bool(verbose_rate.clamp(0.0, 1.0)) {
         let templates = [
             format!("The manufacturer is {value}."),
@@ -102,10 +101,9 @@ pub fn normalize_category<'a>(text: &'a str, vocabulary: &'a [String]) -> &'a st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(3)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(3)
     }
 
     #[test]
@@ -160,7 +158,7 @@ mod tests {
             assert_eq!(normalize_category(&text, &vocab), "Sony", "{text}");
         }
         // Without validation, verbose forms fail exact match.
-        let verbose = render_category(&mut StdRng::seed_from_u64(1), "Sony", 1.0);
+        let verbose = render_category(&mut Rng::seed_from_u64(1), "Sony", 1.0);
         assert_ne!(verbose, "Sony");
         // Unknown answers pass through trimmed.
         assert_eq!(normalize_category("  Frobozz  ", &vocab), "Frobozz");

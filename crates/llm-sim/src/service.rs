@@ -15,8 +15,7 @@ use crate::knowledge::KnowledgeBase;
 use crate::prompt::{self, TaskIntent};
 use lingua_dataset::world::WorldSpec;
 use lingua_ml::features::HashingVectorizer;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use lingua_ml::rng::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -275,7 +274,7 @@ impl SimLlm {
         let parsed = prompt::parse(prompt_text);
         // Per-call RNG: pure function of (service seed, prompt) — temperature-0
         // semantics; identical prompts always answer identically.
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ fingerprint(prompt_text));
+        let mut rng = Rng::seed_from_u64(self.config.seed ^ fingerprint(prompt_text));
         match parsed.intent {
             TaskIntent::EntityMatch => behaviors::entity_match::respond(
                 &self.knowledge,
@@ -329,7 +328,7 @@ impl SimLlm {
 
     fn generate_code_impl(&self, spec: &CodeGenSpec) -> GeneratedCode {
         let nonce = self.codegen_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut rng = StdRng::seed_from_u64(
+        let mut rng = Rng::seed_from_u64(
             self.config.seed ^ fingerprint(&spec.task) ^ nonce.wrapping_mul(0x9e37),
         );
         let code = codegen::generate(spec, &self.config.calibration, &mut rng);
@@ -351,7 +350,7 @@ impl SimLlm {
         suggestion: &str,
     ) -> GeneratedCode {
         let nonce = self.codegen_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut rng = StdRng::seed_from_u64(
+        let mut rng = Rng::seed_from_u64(
             self.config.seed ^ fingerprint(&previous.source) ^ nonce.wrapping_mul(0x517c_c1b7),
         );
         let code = codegen::repair(spec, &self.config.calibration, previous, suggestion, &mut rng);

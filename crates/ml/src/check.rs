@@ -5,9 +5,8 @@
 //! panics (plain `assert!`) when it is broken. [`check`] runs the law on
 //! `cases` values; each case's seed is derived from the property's name and
 //! the case number, so a failure is reproduced by re-running the test, and
-//! the inputs are the same in every build mode: the generator below is this
-//! module's own splitmix64, never `rand`, whose offline stand-in draws a
-//! different stream from the published crate.
+//! the inputs are the same on every host: the generator below is a bare
+//! [`splitmix64`] stream, the same step that seeds [`crate::rng::Rng`].
 //!
 //! There is no shrink tree. A case's `size` limits how much of what it
 //! draws is kept: a collection draws its full length and all its items and
@@ -20,6 +19,7 @@
 //! every suite can reach without a dependency cycle.
 
 use crate::fnv;
+use crate::rng::splitmix64;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -102,13 +102,8 @@ impl Gen {
         Gen { state: seed, size, budget: size }
     }
 
-    /// splitmix64.
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// Uniform over `range`, which may reach the type's own limits
@@ -261,9 +256,9 @@ mod tests {
         panic_message(payload.as_ref()).to_string()
     }
 
-    /// Pins the generator: debug, release, registry and stand-in builds all
-    /// draw these values, so they all run the same cases. The first five are
-    /// the published splitmix64 test vector for this seed.
+    /// Pins the generator: every build draws these values, so every build
+    /// runs the same cases. The first five are the published splitmix64 test
+    /// vector for this seed.
     #[test]
     fn first_eight_outputs_are_pinned() {
         let mut g = Gen::new(1_234_567, FULL_SIZE);

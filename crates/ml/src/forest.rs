@@ -1,10 +1,9 @@
 //! Random forests: bagged CART trees with per-split feature subsampling.
 //! This is the engine of the simulated-Magellan entity-matching baseline.
 
+use crate::rng::Rng;
 use crate::tree::{DecisionTree, TreeConfig};
 use crate::Example;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 /// Forest hyperparameters.
 #[derive(Debug, Clone)]
@@ -34,7 +33,7 @@ impl RandomForest {
         let n_features = examples[0].features.len();
         // sqrt(d) features per split, the standard default.
         let max_features = (n_features as f64).sqrt().ceil() as usize;
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let trees = (0..config.n_trees)
             .map(|t| {
                 // Bootstrap sample.
@@ -92,7 +91,7 @@ mod tests {
     use super::*;
 
     fn noisy_blobs(n: usize, seed: u64) -> Vec<Example> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         (0..n)
             .map(|i| {
                 let label = i % 2;

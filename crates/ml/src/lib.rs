@@ -18,9 +18,12 @@
 //! * [`tree`] / [`forest`] — CART decision trees and random forests.
 //! * [`metrics`] — accuracy, precision/recall/F1, confusion matrices.
 //!
-//! It also hosts two workspace-wide utilities, here because this is the
-//! lowest crate everything else builds on: [`fnv`], the one stable hash, and
-//! [`check`], the seeded property runner every `prop_*` suite draws from.
+//! It also hosts the workspace-wide utilities, here because this is the
+//! lowest crate everything else builds on, and the reason the workspace
+//! needs nothing beyond `std`: [`fnv`], the one stable hash; [`check`], the
+//! seeded property runner every `prop_*` suite draws from; [`rng`], the one
+//! seeded generator behind every dataset, fault plan and simulated answer;
+//! and [`sync`], the one poison-free lock.
 //!
 //! All training is seeded and deterministic.
 
@@ -32,6 +35,8 @@ pub mod knn;
 pub mod logreg;
 pub mod metrics;
 pub mod naive_bayes;
+pub mod rng;
+pub mod sync;
 pub mod textsim;
 pub mod tree;
 

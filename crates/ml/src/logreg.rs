@@ -1,11 +1,9 @@
 //! Binary logistic regression trained with mini-batch SGD.
 
+use crate::rng::Rng;
 use crate::Example;
 #[cfg(test)]
 use crate::FeatureVec;
-use rand::prelude::*;
-use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters.
 #[derive(Debug, Clone)]
@@ -25,7 +23,7 @@ impl Default for LogRegConfig {
 }
 
 /// A trained binary logistic-regression model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogReg {
     pub weights: Vec<f64>,
     pub bias: f64,
@@ -48,11 +46,11 @@ impl LogReg {
         let dims = examples[0].features.len();
         let mut weights = vec![0.0; dims];
         let mut bias = 0.0;
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let mut order: Vec<usize> = (0..examples.len()).collect();
 
         for epoch in 0..config.epochs {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             // Simple 1/sqrt decay keeps late epochs stable.
             let lr = config.learning_rate / (1.0 + epoch as f64).sqrt();
             for batch in order.chunks(config.batch_size.max(1)) {
@@ -129,7 +127,7 @@ mod tests {
 
     /// Linearly separable blob data.
     fn blobs(n: usize, seed: u64) -> Vec<Example> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         (0..n)
             .map(|i| {
                 let label = i % 2;
@@ -184,7 +182,7 @@ mod tests {
     #[test]
     fn threshold_tuning_improves_f1_on_imbalanced_data() {
         // 10% positives with overlapping distributions.
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let data: Vec<Example> = (0..400)
             .map(|i| {
                 let label = usize::from(i % 10 == 0);

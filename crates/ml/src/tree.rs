@@ -89,7 +89,7 @@ impl DecisionTree {
 }
 
 /// xorshift step — a tiny deterministic RNG for feature subsampling so the
-/// tree itself does not need a full `StdRng`.
+/// tree itself does not need a full `Rng`.
 fn next_u64(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;

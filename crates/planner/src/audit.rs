@@ -15,7 +15,7 @@ use lingua_llm_sim::Usage;
 use lingua_trace::{SpanKind, TraceEvent, TraceTree};
 
 /// Per-op reconciliation inside one plan.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpAudit {
     pub op: String,
     /// The chosen physical alternative's stable name.
@@ -29,7 +29,7 @@ pub struct OpAudit {
 }
 
 /// One plan span reconciled against its runs.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanAudit {
     pub pipeline: String,
     pub objective: String,

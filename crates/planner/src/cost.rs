@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 /// What the planner minimizes: a weighted blend of dollars and milliseconds,
 /// subject to a plan-level accuracy floor (the product of per-op accuracies
 /// must stay at or above it).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Objective {
     /// Weight on total plan dollars.
     pub usd_weight: f64,
@@ -64,7 +64,7 @@ impl Objective {
 
 /// Per-op cost estimate: marginal per-record terms plus one-time setup terms
 /// (code generation, model training labels), and an accuracy figure.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimate {
     pub usd_per_record: f64,
     pub ms_per_record: f64,

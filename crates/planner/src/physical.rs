@@ -10,13 +10,13 @@ use lingua_dataset::labels::LabeledPair;
 use lingua_dataset::Schema;
 use lingua_ml::features::rich_pair_features;
 use lingua_ml::forest::{ForestConfig, RandomForest};
+use lingua_ml::sync::Mutex;
 use lingua_ml::Example;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// The physical forms a logical curation op can take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhysicalAlt {
     /// Hand-written code behind a registered compiler factory.
     CustomCode,

@@ -3,7 +3,7 @@
 use crate::error::ServeError;
 use lingua_core::Data;
 use lingua_llm_sim::{CancelToken, Usage};
-use parking_lot::{Condvar, Mutex};
+use lingua_ml::sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,7 +121,7 @@ impl JobCore {
     fn wait(&self) -> Result<Arc<JobOutput>, ServeError> {
         let mut state = self.state.lock();
         while state.result.is_none() {
-            self.done.wait(&mut state);
+            state = self.done.wait(state);
         }
         // Invariant: the condvar loop above only exits with `result` set.
         state.result.clone().expect("checked above")
@@ -131,7 +131,9 @@ impl JobCore {
         let mut state = self.state.lock();
         let deadline = std::time::Instant::now() + timeout;
         while state.result.is_none() {
-            if self.done.wait_until(&mut state, deadline).timed_out() {
+            let timed_out;
+            (state, timed_out) = self.done.wait_until(state, deadline);
+            if timed_out {
                 return state.result.clone();
             }
         }

@@ -77,6 +77,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod job;
 pub mod metrics;
+mod queue;
 pub mod registry;
 pub mod server;
 pub mod supervisor;

@@ -14,9 +14,8 @@ use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::{
     CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage, CANCELLED_NOTICE,
 };
+use lingua_ml::sync::Mutex;
 use lingua_trace::TraceSummary;
-use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,7 +45,6 @@ struct Inner {
     traps: TrapCounters,
     workers_restarted: u64,
     stuck_jobs: u64,
-    queue_depth: u64,
     latencies_ms: VecDeque<f64>,
     llm: Usage,
     /// Usage billed by jobs that did *not* complete (deadline-exceeded,
@@ -79,15 +77,6 @@ impl Metrics {
         let mut inner = self.inner.lock();
         inner.accepted += 1;
         inner.cache_hits += 1;
-    }
-
-    pub(crate) fn enqueue(&self) {
-        self.inner.lock().queue_depth += 1;
-    }
-
-    pub(crate) fn dequeue(&self) {
-        let mut inner = self.inner.lock();
-        inner.queue_depth = inner.queue_depth.saturating_sub(1);
     }
 
     pub(crate) fn complete(&self, latency: Duration, llm: Usage) {
@@ -162,7 +151,7 @@ impl Metrics {
             cancelled: inner.cancelled,
             deadline_exceeded: inner.deadline_exceeded,
             traps: inner.traps,
-            queue_depth: inner.queue_depth,
+            queue_depth: 0,
             workers: 0,
             p50_latency_ms: percentile(&sorted, 0.50),
             p95_latency_ms: percentile(&sorted, 0.95),
@@ -196,7 +185,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// [`lingua_core::TrapKind`]). Traps are a *flavor* of failed job — each trap
 /// also increments `failed` — broken out so operators can tell a runaway loop
 /// from runaway recursion from a deadline-starved budget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrapCounters {
     /// Scripts that exhausted their own fuel budget (runaway loops).
     pub out_of_fuel: u64,
@@ -214,7 +203,7 @@ impl TrapCounters {
 
 /// Supervision health: the worker pool's vital signs, folded into
 /// [`MetricsSnapshot`] by `PipelineServer::metrics`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthSnapshot {
     /// Workers currently alive and serving (after any panics/restarts).
     pub live_workers: usize,
@@ -229,7 +218,7 @@ pub struct HealthSnapshot {
 }
 
 /// A point-in-time view of the server's counters.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Submissions admitted (including deduplicated ones).
     pub accepted: u64,
@@ -253,7 +242,8 @@ pub struct MetricsSnapshot {
     pub deadline_exceeded: u64,
     /// Script traps by kind (each also counted in `failed`).
     pub traps: TrapCounters,
-    /// Jobs currently waiting in the queue.
+    /// Jobs currently waiting in the queue, read from the queue itself by
+    /// `PipelineServer::metrics` (zero when a bare `Metrics` is snapshotted).
     pub queue_depth: u64,
     /// Size of the worker pool serving this snapshot — the resolved value
     /// when `ServeConfig.workers` was left unset (filled in by
@@ -504,16 +494,12 @@ mod tests {
         metrics.coalesce();
         metrics.cache_hit();
         metrics.reject();
-        metrics.enqueue();
-        metrics.enqueue();
-        metrics.dequeue();
         metrics.fail(Usage::default());
         metrics.time_out();
         let snap = metrics.snapshot();
         assert_eq!(snap.accepted, 3);
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.deduped(), 2);
-        assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.timed_out, 1);
     }

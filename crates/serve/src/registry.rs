@@ -9,7 +9,7 @@
 
 use crate::error::ServeError;
 use lingua_core::{Compiler, ExecContext, PhysicalPipeline, Pipeline};
-use parking_lot::Mutex;
+use lingua_ml::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

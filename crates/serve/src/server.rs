@@ -1,6 +1,6 @@
-//! The serving engine: a bounded two-lane job queue, a worker pool over
-//! per-worker pipeline instances, request deduplication, and graceful
-//! shutdown.
+//! The serving engine: a bounded two-lane job queue (`queue.rs`), a worker
+//! pool over per-worker pipeline instances, request deduplication, and
+//! graceful shutdown.
 //!
 //! Life of a request:
 //!
@@ -18,9 +18,9 @@ use crate::error::ServeError;
 use crate::fingerprint::{fingerprint_inputs, job_key};
 use crate::job::{JobCore, JobHandle, JobId, JobOutput};
 use crate::metrics::{Metrics, MetricsSnapshot, UsageMeter};
+use crate::queue::{JobQueue, Refused};
 use crate::registry::PipelineRegistry;
 use crate::supervisor::{supervisor_loop, EscapePanic, SupervisePolicy, Supervision, WorkerGuard};
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use lingua_core::{Compiler, ContextFactory, CoreError, Data, Executor, PhysicalPipeline};
 use lingua_durable::{
     FinishedJob, Journal, JournalTuning, PendingJob, RecoverySnapshot, StreamCheckpoint,
@@ -28,8 +28,8 @@ use lingua_durable::{
 use lingua_gateway::{BatchConfig, Batcher, Gateway};
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
 use lingua_llm_sim::{CancelReason, CancelScope, CancelToken, LlmService, ShardedLru, Usage};
+use lingua_ml::sync::Mutex;
 use lingua_trace::{ManualSpan, SpanKind};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -303,6 +303,8 @@ struct Shared {
     factory: ContextFactory,
     registry: Arc<PipelineRegistry>,
     metrics: Arc<Metrics>,
+    /// Admitted jobs waiting for a worker; `queue_capacity` per lane.
+    queue: JobQueue<QueueItem>,
     /// Jobs admitted but not yet finished, keyed by the exact
     /// `(pipeline id, input fingerprint)` pair — the pipeline string is kept
     /// verbatim so a fingerprint collision across pipelines can never attach
@@ -365,13 +367,6 @@ struct QueueItem {
 /// The embedded pipeline-serving engine.
 pub struct PipelineServer {
     shared: Arc<Shared>,
-    high_tx: Option<Sender<QueueItem>>,
-    normal_tx: Option<Sender<QueueItem>>,
-    /// Receiver clones kept for the shutdown drain: if the whole pool died
-    /// (every slot crashed past its restart budget), leftover queue items
-    /// are failed here instead of hanging their waiters.
-    high_rx: Receiver<QueueItem>,
-    normal_rx: Receiver<QueueItem>,
     supervision: Arc<Supervision>,
     supervisor: Option<JoinHandle<()>>,
     next_id: AtomicU64,
@@ -382,17 +377,13 @@ pub struct PipelineServer {
 fn spawn_worker(
     shared: &Arc<Shared>,
     supervision: &Arc<Supervision>,
-    high_rx: &Receiver<QueueItem>,
-    normal_rx: &Receiver<QueueItem>,
     index: usize,
 ) -> Result<JoinHandle<()>, ServeError> {
     let shared = Arc::clone(shared);
     let supervision = Arc::clone(supervision);
-    let high_rx = high_rx.clone();
-    let normal_rx = normal_rx.clone();
     std::thread::Builder::new()
         .name(format!("lingua-serve-{index}"))
-        .spawn(move || worker_loop(&shared, &supervision, index, &high_rx, &normal_rx))
+        .spawn(move || worker_loop(&shared, &supervision, index))
         .map_err(|err| ServeError::Spawn { reason: err.to_string() })
 }
 
@@ -437,6 +428,7 @@ impl PipelineServer {
             factory,
             registry,
             metrics,
+            queue: JobQueue::new(config.queue_capacity),
             in_flight: Mutex::new(HashMap::new()),
             results: ShardedLru::new(config.result_cache_capacity, DEFAULT_SHARDS),
             config: config.clone(),
@@ -492,16 +484,15 @@ impl PipelineServer {
                 stream: recovered.stream,
             };
         }
-        let (high_tx, high_rx) = bounded(config.queue_capacity);
-        let (normal_tx, normal_rx) = bounded(config.queue_capacity);
         let workers = config.resolved_workers();
         let supervision = Arc::new(Supervision::new(workers));
         // If any spawn fails, unwind what was started: stop the supervisor
-        // loop from ever restarting anything, close the queues, and join the
+        // loop from ever restarting anything, close the queue, and join the
         // workers already running — then report the failure instead of
         // panicking with a half-built pool.
         let abort = |supervision: &Arc<Supervision>, err: ServeError| {
             supervision.shutdown.store(true, Ordering::Release);
+            shared.queue.close();
             for handle in supervision.take_handles() {
                 let _ = handle.join();
             }
@@ -509,7 +500,7 @@ impl PipelineServer {
         };
         let mut spawn_err = None;
         for index in 0..workers {
-            match spawn_worker(&shared, &supervision, &high_rx, &normal_rx, index) {
+            match spawn_worker(&shared, &supervision, index) {
                 Ok(handle) => supervision.install(index, handle),
                 Err(err) => {
                     spawn_err = Some(err);
@@ -518,38 +509,28 @@ impl PipelineServer {
             }
         }
         if let Some(err) = spawn_err {
-            drop(high_tx);
-            drop(normal_tx);
             return abort(&supervision, err);
         }
         let supervisor = {
             let shared_sup = Arc::clone(&shared);
             let supervision_sup = Arc::clone(&supervision);
-            let high_rx_sup = high_rx.clone();
-            let normal_rx_sup = normal_rx.clone();
             let policy = config.supervise_policy();
             let tracer = shared.factory.tracer().clone();
             let metrics = Arc::clone(&shared.metrics);
             std::thread::Builder::new().name("lingua-serve-supervisor".into()).spawn(move || {
                 supervisor_loop(&supervision_sup, &metrics, &tracer, policy, |index| {
-                    spawn_worker(&shared_sup, &supervision_sup, &high_rx_sup, &normal_rx_sup, index)
+                    spawn_worker(&shared_sup, &supervision_sup, index)
                 })
             })
         };
         let supervisor = match supervisor {
             Ok(handle) => handle,
             Err(err) => {
-                drop(high_tx);
-                drop(normal_tx);
                 return abort(&supervision, ServeError::Spawn { reason: err.to_string() });
             }
         };
         Ok(PipelineServer {
             shared,
-            high_tx: Some(high_tx),
-            normal_tx: Some(normal_tx),
-            high_rx,
-            normal_rx,
             supervision,
             supervisor: Some(supervisor),
             next_id: AtomicU64::new(1),
@@ -693,6 +674,7 @@ impl PipelineServer {
     /// when a gateway is attached, and worker-pool health).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snapshot = self.shared.metrics.snapshot();
+        snapshot.queue_depth = self.shared.queue.len() as u64;
         snapshot.workers = self.supervision.slot_count();
         snapshot.health.live_workers = self.supervision.live_workers();
         snapshot.health.workers_gave_up = self.supervision.gave_up_count();
@@ -720,10 +702,9 @@ impl PipelineServer {
         if !self.shared.registry.contains(&request.pipeline) {
             return Err(ServeError::UnknownPipeline(request.pipeline));
         }
-        let (high_tx, normal_tx) = match (&self.high_tx, &self.normal_tx) {
-            (Some(h), Some(n)) => (h, n),
-            _ => return Err(ServeError::Shutdown),
-        };
+        if self.supervision.shutdown.load(Ordering::Acquire) {
+            return Err(ServeError::Shutdown);
+        }
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
         // A journal needs the fingerprint even with dedup off: it is the
         // durable identity that recovery and the exactly-once guard key on.
@@ -738,34 +719,11 @@ impl PipelineServer {
         let now = Instant::now();
         let timeout = request.timeout.or(self.shared.config.default_timeout);
         let deadline = timeout.map(|t| now + t);
-        // The job's cancel token carries the same deadline the queue enforces,
-        // so once execution starts the executor, gateway, and script fuel cap
-        // all race the identical instant.
-        let new_core = || {
-            JobCore::with_cancel(match deadline {
-                Some(at) => CancelToken::with_deadline(at),
-                None => CancelToken::unbounded(),
-            })
-        };
         let tracer = self.shared.factory.tracer();
-        let item =
-            |core: Arc<JobCore>, fingerprint: Option<u64>, span: Option<ManualSpan>| QueueItem {
-                core,
-                pipeline: request.pipeline.clone(),
-                inputs: request.inputs.clone(),
-                fingerprint,
-                enqueued: now,
-                deadline,
-                span,
-            };
-        let lane = match request.priority {
-            Priority::High => high_tx,
-            Priority::Normal => normal_tx,
-        };
 
+        // Result-cache hits resolve against the sharded LRU without ever
+        // touching the in-flight mutex.
         if let Some(fp) = fp {
-            // Result-cache hits resolve against the sharded LRU without ever
-            // touching the in-flight mutex.
             let key = job_key(&request.pipeline, fp);
             if let Some(output) = self.shared.results.get(key) {
                 let core = JobCore::finished(Ok(output));
@@ -786,91 +744,77 @@ impl PipelineServer {
                 tracer.end(span, || vec![("path".into(), "cache_hit".into())]);
                 return Ok(JobHandle::new(id, core));
             }
-            // The in-flight lock is held across the (non-blocking) try_send
-            // so that reservation + admission are atomic: workers can't
-            // complete-and-remove a key between our lookup and our
-            // reservation. (A job finishing between the cache probe above and
-            // this lock re-executes at worst — the result cache is fed before
-            // the reservation is released, so the window is the probe itself.)
-            let flight_key = (request.pipeline.clone(), fp);
-            let mut in_flight = self.shared.in_flight.lock();
-            if self.shared.config.dedup_inflight {
-                if let Some(core) = in_flight.get(&flight_key) {
-                    metrics.coalesce();
-                    let span = tracer
-                        .begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, Some(fp)));
-                    tracer.end(span, || vec![("path".into(), "dedup_hit".into())]);
-                    return Ok(JobHandle::new(id, Arc::clone(core)));
-                }
+        }
+        // A fingerprinted job holds the in-flight lock across the
+        // (non-blocking) push so that reservation + admission are atomic:
+        // workers can't complete-and-remove a key between our lookup and our
+        // reservation. (A job finishing between the cache probe above and
+        // this lock re-executes at worst — the result cache is fed before
+        // the reservation is released, so the window is the probe itself.)
+        let dedup = self.shared.config.dedup_inflight;
+        let in_flight = fp.map(|fp| (self.shared.in_flight.lock(), (request.pipeline.clone(), fp)));
+        if let Some((table, flight_key)) = in_flight.as_ref().filter(|_| dedup) {
+            if let Some(core) = table.get(flight_key) {
+                metrics.coalesce();
+                let span =
+                    tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, fp));
+                tracer.end(span, || vec![("path".into(), "dedup_hit".into())]);
+                return Ok(JobHandle::new(id, Arc::clone(core)));
             }
-            let core = new_core();
-            let span =
-                tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, Some(fp)));
-            tracer.instant_under(Some(span.id()), SpanKind::ServeJob, "queued", Vec::new);
-            // WAL ordering: the accept is durable *before* the job can be
-            // observed queued, so a crash at any later instant recovers it.
-            // A storage failure refuses the submission — a silently
-            // non-durable server would be worse than a rejected job.
-            if let Some(journal) = &self.shared.journal {
-                journal
-                    .record_job_accepted(&request.pipeline, fp, &request.inputs)
-                    .map_err(|err| ServeError::Journal { reason: err.to_string() })?;
+        }
+        // The job's cancel token carries the same deadline the queue enforces,
+        // so once execution starts the executor, gateway, and script fuel cap
+        // all race the identical instant.
+        let core = JobCore::with_cancel(match deadline {
+            Some(at) => CancelToken::with_deadline(at),
+            None => CancelToken::unbounded(),
+        });
+        let span = tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, fp));
+        tracer.instant_under(Some(span.id()), SpanKind::ServeJob, "queued", Vec::new);
+        // WAL ordering: the accept is durable *before* the job can be
+        // observed queued, so a crash at any later instant recovers it.
+        // A storage failure refuses the submission — a silently
+        // non-durable server would be worse than a rejected job.
+        if let (Some(journal), Some(fp)) = (&self.shared.journal, fp) {
+            journal
+                .record_job_accepted(&request.pipeline, fp, &request.inputs)
+                .map_err(|err| ServeError::Journal { reason: err.to_string() })?;
+        }
+        let item = QueueItem {
+            core: Arc::clone(&core),
+            pipeline: request.pipeline.clone(),
+            inputs: request.inputs,
+            fingerprint: fp,
+            enqueued: now,
+            deadline,
+            span: Some(span),
+        };
+        match self.shared.queue.try_push(request.priority, item) {
+            Ok(()) => {
+                if let Some((mut table, flight_key)) = in_flight.filter(|_| dedup) {
+                    table.insert(flight_key, Arc::clone(&core));
+                }
+                metrics.accept();
+                Ok(JobHandle::new(id, core))
             }
-            // queue_depth is incremented *before* the send: a worker can pop
-            // and dequeue() the item the instant try_send returns, and with a
-            // saturating decrement an enqueue() landing after it would leave
-            // the depth stuck one too high. Rejections undo the increment.
-            metrics.enqueue();
-            match lane.try_send(item(Arc::clone(&core), Some(fp), Some(span))) {
-                Ok(()) => {
-                    if self.shared.config.dedup_inflight {
-                        in_flight.insert(flight_key, Arc::clone(&core));
-                    }
-                    metrics.accept();
-                    Ok(JobHandle::new(id, core))
+            Err(refused) => {
+                metrics.reject();
+                let (Refused::Full(returned) | Refused::Closed(returned)) = refused;
+                // Balance the journal: the accepted record is already
+                // durable, and without this the next recovery would
+                // resurrect a job the caller was told is rejected.
+                if let (Some(journal), Some(fp)) = (&self.shared.journal, fp) {
+                    let _ = journal.record_job_failed(
+                        &returned.pipeline,
+                        fp,
+                        Usage::default(),
+                        "rejected_full",
+                    );
                 }
-                Err(err) => {
-                    metrics.dequeue();
-                    metrics.reject();
-                    // Balance the journal: the accepted record is already
-                    // durable, and without this the next recovery would
-                    // resurrect a job the caller was told is rejected.
-                    if let Some(journal) = &self.shared.journal {
-                        let _ = journal.record_job_failed(
-                            &request.pipeline,
-                            fp,
-                            Usage::default(),
-                            "rejected_full",
-                        );
-                    }
-                    let (TrySendError::Full(returned) | TrySendError::Disconnected(returned)) = err;
-                    if let Some(span) = returned.span {
-                        tracer.end(span, || vec![("path".into(), "rejected_full".into())]);
-                    }
-                    Err(ServeError::Full { capacity: self.shared.config.queue_capacity })
+                if let Some(span) = returned.span {
+                    tracer.end(span, || vec![("path".into(), "rejected_full".into())]);
                 }
-            }
-        } else {
-            let core = new_core();
-            let span = tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, None));
-            tracer.instant_under(Some(span.id()), SpanKind::ServeJob, "queued", Vec::new);
-            // Same ordering as the fingerprinted branch: enqueue before the
-            // send so a racing worker's dequeue can never precede it.
-            metrics.enqueue();
-            match lane.try_send(item(Arc::clone(&core), None, Some(span))) {
-                Ok(()) => {
-                    metrics.accept();
-                    Ok(JobHandle::new(id, core))
-                }
-                Err(err) => {
-                    metrics.dequeue();
-                    metrics.reject();
-                    let (TrySendError::Full(returned) | TrySendError::Disconnected(returned)) = err;
-                    if let Some(span) = returned.span {
-                        tracer.end(span, || vec![("path".into(), "rejected_full".into())]);
-                    }
-                    Err(ServeError::Full { capacity: self.shared.config.queue_capacity })
-                }
+                Err(ServeError::Full { capacity: self.shared.config.queue_capacity })
             }
         }
     }
@@ -890,8 +834,7 @@ impl PipelineServer {
     /// invoked on drop.
     pub fn shutdown(&mut self) {
         self.supervision.shutdown.store(true, Ordering::Release);
-        self.high_tx.take();
-        self.normal_tx.take();
+        self.shared.queue.close();
         if let Some(supervisor) = self.supervisor.take() {
             let _ = supervisor.join();
         }
@@ -906,19 +849,16 @@ impl PipelineServer {
             let _ = journal.checkpoint_now();
             let _ = journal.flush();
         }
+        // Leftovers exist only if the whole pool died (every slot crashed
+        // past its restart budget): fail them instead of hanging their waiters.
         let tracer = self.shared.factory.tracer();
-        let drain = |rx: &Receiver<QueueItem>| {
-            while let Ok(mut item) = rx.try_recv() {
-                self.shared.metrics.dequeue();
-                self.shared.metrics.fail(Usage::default());
-                if let Some(span) = item.span.take() {
-                    tracer.end(span, || vec![("path".into(), "shutdown".into())]);
-                }
-                finish(&self.shared, &item, Err(ServeError::ShuttingDown));
+        for mut item in self.shared.queue.drain() {
+            self.shared.metrics.fail(Usage::default());
+            if let Some(span) = item.span.take() {
+                tracer.end(span, || vec![("path".into(), "shutdown".into())]);
             }
-        };
-        drain(&self.high_rx);
-        drain(&self.normal_rx);
+            finish(&self.shared, &item, Err(ServeError::ShuttingDown));
+        }
     }
 }
 
@@ -937,58 +877,13 @@ fn job_attrs(id: JobId, fingerprint: Option<u64>) -> Vec<(String, String)> {
     attrs
 }
 
-/// Blocking dequeue honouring priority: the high lane is drained before the
-/// normal lane is consulted. Returns `None` once both lanes are closed and
-/// empty (shutdown).
-fn next_item(high: &Receiver<QueueItem>, normal: &Receiver<QueueItem>) -> Option<QueueItem> {
-    loop {
-        let mut high_closed = false;
-        let mut normal_closed = false;
-        match high.try_recv() {
-            Ok(item) => return Some(item),
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => high_closed = true,
-        }
-        match normal.try_recv() {
-            Ok(item) => return Some(item),
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => normal_closed = true,
-        }
-        if high_closed && normal_closed {
-            return None;
-        }
-        // Both lanes empty: block until either produces. Between wake-ups
-        // the loop re-checks the high lane first, so priority inversion is
-        // bounded to the single message `select!` hands us.
-        crossbeam::select! {
-            recv(high) -> msg => {
-                if let Ok(item) = msg {
-                    return Some(item);
-                }
-            }
-            recv(normal) -> msg => {
-                if let Ok(item) = msg {
-                    return Some(item);
-                }
-            }
-        }
-    }
-}
-
-fn worker_loop(
-    shared: &Arc<Shared>,
-    supervision: &Arc<Supervision>,
-    index: usize,
-    high: &Receiver<QueueItem>,
-    normal: &Receiver<QueueItem>,
-) {
+fn worker_loop(shared: &Arc<Shared>, supervision: &Arc<Supervision>, index: usize) {
     // Dropped on every exit — clean drain or escaping panic — marking the
     // slot dead for the supervisor and failing any orphaned job.
     let _guard = WorkerGuard::new(Arc::clone(supervision), Arc::clone(&shared.metrics), index);
     // Per-worker instance cache: (generation, executable pipeline copy).
     let mut instances: HashMap<String, (u64, PhysicalPipeline)> = HashMap::new();
-    while let Some(item) = next_item(high, normal) {
-        shared.metrics.dequeue();
+    while let Some(item) = shared.queue.pop() {
         process(shared, supervision, index, &mut instances, item);
     }
 }

@@ -24,8 +24,8 @@
 use crate::error::ServeError;
 use crate::job::JobCore;
 use crate::metrics::Metrics;
+use lingua_ml::sync::Mutex;
 use lingua_trace::{SpanKind, Tracer};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;

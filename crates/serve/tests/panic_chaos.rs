@@ -5,15 +5,17 @@
 //! returned, with `llm + llm_partial` reconciling against the shared
 //! service's ledger to the token.
 
-use lingua_core::modules::{CustomModule, Module};
-use lingua_core::{Compiler, ContextFactory, CoreError, Data, TrapKind};
+use lingua_core::modules::{CustomModule, Module, PipelinedMapModule};
+use lingua_core::{
+    Compiler, ContextFactory, CoreError, Data, LogicalOp, PhysicalPipeline, TrapKind,
+};
 use lingua_dataset::world::WorldSpec;
 use lingua_gateway::{FaultInjector, FaultPlan, Gateway, ServiceTransport};
 use lingua_llm_sim::{LlmService, SimLlm};
+use lingua_ml::sync::{Condvar, Mutex};
 use lingua_serve::{
     EscapePanic, JobStatus, PipelineServer, ServeConfig, ServeError, SubmitRequest,
 };
-use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,7 +38,7 @@ impl Gate {
     fn wait(&self) {
         let mut open = self.open.lock();
         while !*open {
-            self.cv.wait(&mut open);
+            open = self.cv.wait(open);
         }
     }
 }
@@ -153,6 +155,70 @@ fn a_panicking_pipeline_fails_alone_and_the_worker_survives() {
     assert_eq!(snap.completed, 1);
     assert_eq!(snap.health.live_workers, 2);
     assert_eq!(snap.health.workers_restarted, 0, "contained panics don't burn restarts");
+}
+
+/// A `PipelinedMapModule` runs its elements on scoped lane threads. A lane
+/// that panics must reach the caller as the module's own message (not the
+/// scope's), and — DESIGN §9 — a lane that dies *holding a lock its siblings
+/// need* must not wedge them: the tally lock below is taken by every
+/// element of every job.
+#[test]
+fn a_panic_inside_a_pipelined_map_lane_keeps_its_message_and_wedges_no_lock() {
+    let gate = Gate::new();
+    gate.open();
+    let server = chaos_server(2, gate, sim(78));
+    let tally = Arc::new(Mutex::new(Vec::<String>::new()));
+    let lanes = {
+        let tally = Arc::clone(&tally);
+        PipelinedMapModule::new("lanes", 4, move || {
+            let tally = Arc::clone(&tally);
+            Box::new(CustomModule::stateless("lane", move |input, _| {
+                let text = input.as_str().expect("string elements").to_string();
+                let mut seen = tally.lock();
+                if text.starts_with("cursed") {
+                    panic!("lane blew up on element `{text}`");
+                }
+                seen.push(text);
+                Ok(input)
+            })) as Box<dyn Module>
+        })
+    };
+    let pipeline = PhysicalPipeline {
+        name: "lanes".into(),
+        ops: vec![(LogicalOp::new("lanes").output("out").input("batch"), Box::new(lanes) as _)],
+    };
+    server.register_pipeline("lanes", pipeline).unwrap();
+    let batch = |job: &str, cursed: &[usize]| {
+        let items = (0..8).map(|i| {
+            let prefix = if cursed.contains(&i) { "cursed" } else { "fine" };
+            Data::Str(format!("{prefix} {job}/{i}"))
+        });
+        SubmitRequest::new("lanes").input("batch", Data::List(items.collect()))
+    };
+
+    // Two elements panic on different lanes; the first in item order wins.
+    let doomed = server.submit(batch("doomed", &[5, 2])).unwrap();
+    let siblings: Vec<_> =
+        (0..4).map(|job| server.submit(batch(&format!("ok{job}"), &[])).unwrap()).collect();
+    match doomed.wait().unwrap_err() {
+        ServeError::Panicked { pipeline, payload } => {
+            assert_eq!(pipeline, "lanes");
+            assert_eq!(payload, "lane blew up on element `cursed doomed/2`");
+        }
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    for sibling in &siblings {
+        let output = sibling.wait().expect("siblings take the same lock and complete");
+        assert_eq!(output.get("out").unwrap().as_list().unwrap().len(), 8);
+    }
+    let snap = server.metrics();
+    assert_eq!((snap.panicked, snap.completed), (1, 4));
+    assert_eq!(snap.health.live_workers, 2);
+    assert_eq!(snap.health.workers_restarted, 0, "contained at the job boundary");
+    // The lock the dead lanes held still works, and holds what they wrote.
+    let seen = tally.lock();
+    assert_eq!(seen.iter().filter(|text| text.contains("ok")).count(), 32);
+    assert!(seen.iter().all(|text| text.starts_with("fine")));
 }
 
 #[test]

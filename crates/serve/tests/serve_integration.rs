@@ -5,8 +5,8 @@ use lingua_core::modules::{CustomModule, Module};
 use lingua_core::{Compiler, ContextFactory, Data, Executor, Pipeline};
 use lingua_dataset::world::WorldSpec;
 use lingua_llm_sim::{LlmService, SimLlm};
+use lingua_ml::sync::{Condvar, Mutex};
 use lingua_serve::{JobStatus, PipelineServer, Priority, ServeConfig, ServeError, SubmitRequest};
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,7 +30,7 @@ impl Gate {
     fn wait(&self) {
         let mut open = self.open.lock();
         while !*open {
-            self.cv.wait(&mut open);
+            open = self.cv.wait(open);
         }
     }
 }

@@ -13,11 +13,11 @@ use lingua_core::modules::{CustomModule, Module};
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
 use lingua_llm_sim::{SimLlm, Usage};
+use lingua_ml::sync::{Condvar, Mutex};
 use lingua_serve::{
     JobStatus, MetricsSnapshot, PipelineServer, ServeConfig, ServeError, SubmitRequest,
 };
 use lingua_trace::{ring_tracer, SpanKind, TraceTree};
-use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,7 +40,7 @@ impl Gate {
     fn wait(&self) {
         let mut open = self.open.lock();
         while !*open {
-            self.cv.wait(&mut open);
+            open = self.cv.wait(open);
         }
     }
 }

@@ -34,12 +34,12 @@ use lingua_dataset::generators::stream::StreamItem;
 use lingua_dataset::Schema;
 use lingua_durable::{Journal, KillPoint, StreamCheckpoint, WindowCloseRecord, WindowReportRecord};
 use lingua_llm_sim::{CompletionRequest, LlmService};
+use lingua_ml::sync::Mutex;
 use lingua_serve::{
     JobHandle, MetricsSnapshot, PipelineServer, Priority, ServeConfig, ServeError, StreamTuning,
     SubmitRequest, UsageMeter,
 };
 use lingua_trace::{SpanKind, Tracer};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;

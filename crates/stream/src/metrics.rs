@@ -8,7 +8,7 @@
 //! `windows_opened == windows_closed + windows_open`.
 
 use lingua_llm_sim::Usage;
-use parking_lot::Mutex;
+use lingua_ml::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free streaming counters (relaxed atomics; exact under quiescence).

@@ -1,7 +1,8 @@
 //! Sustained concurrent load: 10k records through 8 ingesting threads, then
 //! the books must balance exactly.
 //!
-//! Three families of invariant, all checked after quiescence:
+//! Three families of invariant, all checked after quiescence, all true
+//! under any interleaving of the ingesting threads:
 //!
 //! 1. **Conservation laws** — every record either landed in ≥1 window or
 //!    was dropped late (`ingested == assigned + late`); every opened window
@@ -12,6 +13,14 @@
 //! 3. **Cent-exact billing** — the shared simulator's ledger equals, to the
 //!    call and the token, the sum of what the engine's inline meter and the
 //!    serve layer's job meters booked. No call is lost or double-billed.
+//!
+//! How many records arrive *late* is not among them: with eight threads on
+//! fewer cores a descheduled thread falls behind the event-time frontier the
+//! others advance, and the share it loses is the scheduler's, not the
+//! engine's. That claim is made where it is a function of the seed — the
+//! same 10k records ingested by one thread, whose disorder (a few ticks)
+//! never reaches the allowed lateness: nothing is dropped
+//! (`single_threaded_ingest_drops_nothing_late`).
 
 use lingua_core::ContextFactory;
 use lingua_dataset::world::WorldSpec;
@@ -19,15 +28,19 @@ use lingua_gateway::{Gateway, ServiceTransport};
 use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig, TokenPricing, Usage};
 use lingua_serve::{ServeConfig, StreamTuning};
 use lingua_stream::{
-    ReportStrategy, StreamConfig, StreamEngine, StreamSource, StreamSpec, SyntheticSource,
+    ReportStrategy, StreamConfig, StreamEngine, StreamItem, StreamSource, StreamSpec,
+    SyntheticSource,
 };
 use std::sync::Arc;
 
 const THREADS: usize = 8;
-const PER_THREAD: usize = 1250;
-const TOTAL: usize = THREADS * PER_THREAD;
+const TOTAL: usize = 10_000;
 
-fn run_sustained(strategy: ReportStrategy) {
+/// The simulator, an engine over it, and the seeded 10k records.
+fn start(
+    strategy: ReportStrategy,
+    max_block_size: usize,
+) -> (Arc<SimLlm>, Arc<StreamEngine>, Vec<StreamItem>) {
     let seed = 99;
     let world = WorldSpec::generate(seed);
     let llm = Arc::new(SimLlm::new(&world, SimLlmConfig { seed, ..Default::default() }));
@@ -42,6 +55,7 @@ fn run_sustained(strategy: ReportStrategy) {
         // the others advance — give the watermark generous slack.
         allowed_lateness: 256,
         strategy,
+        max_block_size,
         // This test measures conservation under load, not backpressure (that
         // is `tiny_queue_backpressure_survives`). An undersized queue couples
         // ingest progress to drain speed: on a small machine the 8 producers
@@ -59,6 +73,11 @@ fn run_sustained(strategy: ReportStrategy) {
         )
         .expect("engine starts"),
     );
+    (llm, engine, records)
+}
+
+fn run_sustained(strategy: ReportStrategy) {
+    let (llm, engine, records) = start(strategy, StreamConfig::default().max_block_size);
 
     // Strided split: thread i takes records i, i+8, i+16, … so all threads
     // move through event time together (a contiguous split would have the
@@ -91,13 +110,6 @@ fn run_sustained(strategy: ReportStrategy) {
     assert_eq!(snap.reports as usize, reports.len());
     let closed_records: usize = reports.iter().map(|r| r.records).sum();
     assert_eq!(closed_records as u64, snap.assignments, "every landed membership closed");
-    // Scheduling skew decides exactly how many records arrive late, so only
-    // the weak form is deterministic: most records land.
-    assert!(
-        snap.late_dropped * 2 < snap.ingested,
-        "late drops should be the exception: {}",
-        snap.report()
-    );
 
     // 2. O(window) work, not O(corpus).
     let max_occupancy = reports.iter().map(|r| r.records).max().unwrap_or(0) as u64;
@@ -157,6 +169,25 @@ fn sustained_load_on_window_close() {
 #[test]
 fn sustained_load_continuous() {
     run_sustained(ReportStrategy::Continuous);
+}
+
+/// The same records from one thread: lateness is the generator's disorder
+/// alone, far inside `allowed_lateness`, so every record lands. Lateness does
+/// not depend on the matcher, so this run gets none (a zero block size
+/// yields no candidate pairs) and costs what assigning 10k records costs.
+#[test]
+fn single_threaded_ingest_drops_nothing_late() {
+    let (_, engine, records) = start(ReportStrategy::OnWindowClose, 0);
+    for item in records {
+        engine.ingest(item).expect("ingest");
+    }
+    engine.finish().expect("drain");
+    let snap = engine.metrics();
+    assert_eq!(snap.ingested, TOTAL as u64);
+    assert_eq!(snap.late_dropped, 0, "{}", snap.report());
+    assert!(snap.record_conservation_holds(), "{}", snap.report());
+    assert!(snap.window_conservation_holds(), "{}", snap.report());
+    assert_eq!(snap.assigned_records, TOTAL as u64, "{}", snap.report());
 }
 
 /// A tiny serve queue forces the submission path through its backpressure

@@ -10,9 +10,8 @@ use lingua_dataset::labels::PairSplit;
 use lingua_dataset::{Record, Schema};
 use lingua_ml::features::{rich_pair_features, Standardizer};
 use lingua_ml::logreg::{tune_threshold, LogReg, LogRegConfig};
+use lingua_ml::rng::Rng;
 use lingua_ml::Example;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 /// A trained Ditto-style matcher.
 pub struct DittoMatcher {
@@ -25,7 +24,7 @@ impl DittoMatcher {
     /// Train on the split's train pairs (with augmentation), tuning the
     /// threshold on the validation pairs.
     pub fn train(split: &PairSplit, seed: u64) -> DittoMatcher {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xd177);
+        let mut rng = Rng::seed_from_u64(seed ^ 0xd177);
         let mut raw: Vec<(Vec<String>, Vec<String>, bool)> = split
             .train
             .iter()
@@ -35,7 +34,7 @@ impl DittoMatcher {
         // Augmentation: swapped sides (symmetry) and self-pairs (identity).
         let swapped: Vec<_> = raw.iter().map(|(l, r, y)| (r.clone(), l.clone(), *y)).collect();
         raw.extend(swapped);
-        for pair in split.train.iter().choose_multiple(&mut rng, split.train.len() / 4) {
+        for pair in rng.choose_multiple(split.train.iter(), split.train.len() / 4) {
             let fields = record_fields(&pair.left);
             raw.push((fields.clone(), fields, true));
         }

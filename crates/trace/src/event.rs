@@ -6,14 +6,13 @@
 //! wall time, so a seeded run emits a bit-identical event stream every time.
 
 use lingua_llm_sim::Usage;
-use serde::Serialize;
 
 /// What layer of the system a span or instant belongs to.
 ///
 /// The taxonomy mirrors the stack: serve jobs contain pipeline runs, which
 /// contain op/module invocations, which contain optimizer decisions and LLM
 /// calls, which (behind a gateway) contain gateway requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
     /// One serve-layer job: queued → deduped/cached/executed.
     ServeJob,
@@ -82,7 +81,7 @@ impl SpanKind {
 }
 
 /// Which edge of a span an event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     Begin,
     End,
@@ -90,7 +89,7 @@ pub enum Phase {
 }
 
 /// One record in the trace stream.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Logical timestamp: strictly increasing across the whole process.
     pub seq: u64,

@@ -8,7 +8,7 @@
 
 use crate::event::TraceEvent;
 use crate::summary::TraceSummary;
-use parking_lot::Mutex;
+use lingua_ml::sync::Mutex;
 use std::collections::VecDeque;
 
 /// Receives every emitted event. Implementations must be thread-safe.

@@ -2,12 +2,11 @@
 //! snapshots (`lingua-serve` folds one into its `MetricsSnapshot`).
 
 use crate::event::{Phase, SpanKind, TraceEvent};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Rolled-up trace counters: how many spans of each kind, how much LLM
 /// traffic the trace attributes, and whether the sink lost anything.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSummary {
     /// Events currently retained by the sink.
     pub events: u64,
