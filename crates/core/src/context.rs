@@ -61,8 +61,9 @@ pub struct ExecContext {
     /// Trace emitter (disabled by default — every emit is one branch).
     pub tracer: Tracer,
     /// Cooperative cancellation: the job's deadline / cancel flag, checked by
-    /// the executor between ops and by `invoke_module`. Unbounded by default,
-    /// in which case every check is a no-op. Doubles as the worker heartbeat
+    /// the executor between ops and by `invoke_module`, and attached to every
+    /// completion [`ExecContext::complete`] places. Unbounded by default, in
+    /// which case every check is a no-op. Doubles as the worker heartbeat
     /// (each check bumps a logical progress counter the watchdog reads).
     pub cancel: CancelToken,
 }
@@ -171,6 +172,14 @@ impl ExecContext {
         self
     }
 
+    /// Place a completion on behalf of this context's job — the one way
+    /// modules call the LLM. The request carries [`ExecContext::cancel`], so
+    /// the batcher, gateway and simulator stop placing, retrying and billing
+    /// the call once the job is dead, on whichever thread they run it.
+    pub fn complete(&self, prompt: impl Into<String>) -> String {
+        self.llm.complete(&CompletionRequest::new(prompt).with_cancel(self.cancel.clone()))
+    }
+
     /// Invoke a registered module by name.
     ///
     /// Note: a module invoking *itself* through the registry would deadlock
@@ -213,7 +222,7 @@ pub struct HostBridge<'a> {
 
 impl Host for HostBridge<'_> {
     fn call_llm(&mut self, prompt: &str) -> Result<String, String> {
-        Ok(self.ctx.llm.complete(&CompletionRequest::new(prompt)))
+        Ok(self.ctx.complete(prompt))
     }
 
     fn call_module(&mut self, name: &str, input: ScriptValue) -> Result<ScriptValue, String> {
@@ -270,13 +279,27 @@ mod tests {
     }
 
     #[test]
+    fn completions_carry_the_jobs_token() {
+        use lingua_llm_sim::CANCELLED_NOTICE;
+        let mut ctx = ctx();
+        assert_ne!(ctx.complete("Summarize.\nText: a b c"), CANCELLED_NOTICE);
+        let billed = ctx.llm.usage();
+        ctx.cancel.cancel();
+        assert_eq!(ctx.complete("Summarize.\nText: d e f"), CANCELLED_NOTICE);
+        // A script's `llm(...)` call goes the same way.
+        let mut bridge = HostBridge { ctx: &mut ctx };
+        assert_eq!(bridge.call_llm("Summarize.\nText: g h i").unwrap(), CANCELLED_NOTICE);
+        assert_eq!(ctx.llm.usage(), billed, "a dead job's calls are never placed or billed");
+    }
+
+    #[test]
     fn context_factory_shares_services_but_not_run_state() {
         let world = WorldSpec::generate(2);
         let factory = ContextFactory::new(Arc::new(SimLlm::with_seed(&world, 2)));
         let mut a = factory.build();
         let mut b = factory.build();
         // Shared LLM: usage metered in one context is visible in the other.
-        a.llm.complete(&lingua_llm_sim::CompletionRequest::new("Summarize.\nText: x y z"));
+        a.complete("Summarize.\nText: x y z");
         assert_eq!(b.llm.usage().calls, 1);
         // Private per-run state: stats and module registries do not leak.
         a.stats.record_invocation("only_in_a");
@@ -301,7 +324,7 @@ mod tests {
         let factory =
             ContextFactory::new(original.clone()).with_tools(tools).with_llm(replacement.clone());
         let ctx = factory.build();
-        ctx.llm.complete(&lingua_llm_sim::CompletionRequest::new("Summarize.\nText: x"));
+        ctx.complete("Summarize.\nText: x");
         assert_eq!(replacement.usage().calls, 1, "calls land on the swapped-in service");
         assert_eq!(original.usage().calls, 0, "the original service is untouched");
         assert!(ctx.tools.contains("vocab"), "tools survive the swap");

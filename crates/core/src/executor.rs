@@ -5,7 +5,7 @@ use crate::compiler::PhysicalPipeline;
 use crate::context::ExecContext;
 use crate::data::Data;
 use crate::error::CoreError;
-use lingua_llm_sim::{CancelScope, CancelToken, Usage};
+use lingua_llm_sim::{CancelToken, Usage};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -125,31 +125,14 @@ impl Executor {
     }
 }
 
-/// Parallel map over items with a pure function, using scoped threads.
-/// Used by record-at-a-time stages (feature extraction, blocking) where the
-/// work is CPU-bound and independent per item.
-///
-/// A panic in `f` propagates to the caller with its original payload (serve's
-/// per-job `catch_unwind` isolation relies on this). For deadline-aware
-/// callers, see [`try_parallel_map`].
-pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    match try_parallel_map(items, threads, &CancelToken::unbounded(), f) {
-        Ok(out) => out,
-        Err(_) => unreachable!("an unbounded token never cancels"),
-    }
-}
-
-/// Cancellable [`parallel_map`]: every worker checks `cancel` before each
-/// item (which also heartbeats the token), so a fired deadline stops the
-/// whole scan within one item per thread instead of finishing the batch.
-/// Returns `CoreError::Cancelled` if the token fired; partial results are
-/// discarded. A panic in `f` still propagates with its original payload
-/// after all workers have stopped.
+/// Cancellable parallel map over items, using scoped threads: up to
+/// `threads` lanes, results in item order. Every lane checks `cancel` before
+/// each item (which also heartbeats the token), so a fired deadline stops the
+/// whole scan within one item per lane instead of finishing it. Returns
+/// `CoreError::Cancelled` if the token fired; partial results are discarded.
+/// A panic in `f` propagates to the caller with its original payload after
+/// all lanes have stopped (serve's per-job `catch_unwind` isolation relies
+/// on this).
 pub fn try_parallel_map<T, U, F>(
     items: &[T],
     threads: usize,
@@ -210,39 +193,6 @@ where
     Ok(results.into_iter().map(|r| r.expect("all slots filled when not cancelled")).collect())
 }
 
-/// Pipelined [`try_parallel_map`] for stages that **block on a service**
-/// rather than burn CPU: the scan runs at `threads × depth` concurrent
-/// lanes, so while one in-flight call sits inside the continuous batcher's
-/// micro-batch window, up to `depth - 1` sibling calls from the same worker
-/// are waiting alongside it. That oversubscription is what lets a single
-/// serve worker fill size-triggered batches instead of trickling one
-/// request per window.
-///
-/// Unlike [`try_parallel_map`], `f` runs with `cancel` installed as the
-/// thread-local [`CancelScope`] on every lane, so service layers behind
-/// `LlmService` (the batcher, the gateway, the simulator) observe the job's
-/// deadline from spawned threads exactly as they do on the worker thread
-/// itself — a cancelled job's in-flight batch members resolve to the
-/// cancellation notice and bill nothing.
-pub fn try_parallel_map_pipelined<T, U, F>(
-    items: &[T],
-    threads: usize,
-    depth: usize,
-    cancel: &CancelToken,
-    f: F,
-) -> Result<Vec<U>, CoreError>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let lanes = threads.max(1).saturating_mul(depth.max(1));
-    try_parallel_map(items, lanes, cancel, |item| {
-        let _scope = CancelScope::enter(cancel);
-        f(item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +206,16 @@ mod tests {
     fn ctx() -> ExecContext {
         let world = WorldSpec::generate(14);
         ExecContext::new(Arc::new(SimLlm::with_seed(&world, 14)))
+    }
+
+    /// [`try_parallel_map`] under a token that never fires.
+    fn parallel_map<T: Sync, U: Send, F: Fn(&T) -> U + Sync>(
+        items: &[T],
+        threads: usize,
+        f: F,
+    ) -> Vec<U> {
+        try_parallel_map(items, threads, &CancelToken::unbounded(), f)
+            .expect("an unbounded token never cancels")
     }
 
     fn compiler_with_test_ops() -> Compiler {
@@ -485,32 +445,14 @@ mod tests {
 
     #[test]
     fn pipelined_map_matches_sequential_at_any_depth() {
+        // `PipelinedMapModule` is `try_parallel_map` at `depth` lanes.
         let items: Vec<i64> = (0..200).collect();
         let sequential: Vec<i64> = items.iter().map(|x| x * 3).collect();
         let token = CancelToken::unbounded();
-        for threads in [1, 2, 4] {
-            for depth in [0, 1, 4, 16] {
-                let out = try_parallel_map_pipelined(&items, threads, depth, &token, |x| x * 3)
-                    .expect("live token");
-                assert_eq!(out, sequential, "threads={threads} depth={depth}");
-            }
+        for depth in [0, 1, 4, 16, 64] {
+            let out = try_parallel_map(&items, depth, &token, |x| x * 3).expect("live token");
+            assert_eq!(out, sequential, "depth={depth}");
         }
-    }
-
-    #[test]
-    fn pipelined_map_installs_the_cancel_scope_on_every_lane() {
-        use lingua_llm_sim::cancel;
-        let items: Vec<u64> = (0..32).collect();
-        let token = CancelToken::unbounded();
-        let out = try_parallel_map_pipelined(&items, 2, 4, &token, |_| {
-            // The service layers read the job token from the thread-local
-            // scope; the pipelined map must have installed it on this lane.
-            cancel::current().is_some()
-        })
-        .expect("live token");
-        assert!(out.iter().all(|&scoped| scoped), "every lane saw the scope");
-        // And the scope does not leak onto the caller's thread.
-        assert!(cancel::current().is_none());
     }
 
     #[test]
@@ -518,7 +460,7 @@ mod tests {
         use lingua_llm_sim::CancelReason;
         let items: Vec<u64> = (0..256).collect();
         let token = CancelToken::unbounded();
-        let err = try_parallel_map_pipelined(&items, 2, 4, &token, |&i| {
+        let err = try_parallel_map(&items, 8, &token, |&i| {
             if i == 10 {
                 token.cancel();
             }

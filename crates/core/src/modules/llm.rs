@@ -8,7 +8,6 @@ use crate::data::Data;
 use crate::error::CoreError;
 use crate::modules::{Module, ModuleKind};
 use crate::validation::OutputValidator;
-use lingua_llm_sim::CompletionRequest;
 
 /// How the module turns its input [`Data`] into a prompt.
 #[derive(Debug, Clone)]
@@ -132,14 +131,14 @@ impl Module for LlmModule {
     fn invoke(&mut self, input: Data, ctx: &mut ExecContext) -> Result<Data, CoreError> {
         let pin = if self.pin_format { self.validator.strict_instruction() } else { "" };
         let prompt = self.builder.build(&input, pin)?;
-        let raw = ctx.llm.complete(&CompletionRequest::new(&prompt));
+        let raw = ctx.complete(&prompt);
         if let Some(data) = self.validator.validate(&raw) {
             return Ok(data);
         }
         if self.retry_on_invalid {
             ctx.tracer.instant(lingua_trace::SpanKind::Module, "output_retry", Vec::new);
             let strict_prompt = format!("{prompt}\n{}", self.validator.strict_instruction());
-            let raw = ctx.llm.complete(&CompletionRequest::new(&strict_prompt));
+            let raw = ctx.complete(strict_prompt);
             if let Some(data) = self.validator.validate(&raw) {
                 return Ok(data);
             }

@@ -1,5 +1,5 @@
-//! Pipelined fan-out over a list: the module-level client of
-//! [`crate::executor::try_parallel_map_pipelined`].
+//! Pipelined fan-out over a list: [`crate::executor::try_parallel_map`] at
+//! `depth` lanes.
 //!
 //! An LLM-bound stage spends its time *waiting*, not computing — so a worker
 //! that dispatches one record at a time can never fill a continuous batcher's
@@ -13,7 +13,7 @@
 use crate::context::{ExecContext, ModuleRegistry};
 use crate::data::Data;
 use crate::error::CoreError;
-use crate::executor::try_parallel_map_pipelined;
+use crate::executor::try_parallel_map;
 use crate::modules::{Module, ModuleKind};
 use crate::stats::ExecStats;
 use std::sync::Arc;
@@ -29,10 +29,10 @@ type InnerFactory = dyn Fn() -> Box<dyn Module> + Send + Sync;
 /// inner stage.
 ///
 /// Each lane runs a **fresh instance** of the inner module against a private
-/// context (shared LLM service and tools, private registry and stats), with
-/// the job's [`CancelToken`](lingua_llm_sim::CancelToken) installed as the
-/// lane's thread-local cancel scope — service layers observe the job's
-/// deadline from every lane exactly as they would on the worker thread.
+/// context (shared LLM service and tools, private registry and stats) that
+/// holds a clone of the job's [`CancelToken`](lingua_llm_sim::CancelToken),
+/// so every completion a lane places carries the job's deadline exactly as
+/// one placed on the worker thread would.
 pub struct PipelinedMapModule {
     name: String,
     depth: usize,
@@ -101,9 +101,10 @@ impl Module for PipelinedMapModule {
         // caller's (mutably borrowed) context.
         let template = lane_context(ctx);
         let cancel = ctx.cancel.clone();
-        // One lane thread group from this worker: `threads == 1`, with
-        // `depth` overlapping in-flight calls.
-        let results = try_parallel_map_pipelined(&items, 1, self.depth, &cancel, |item| {
+        // The lanes block on the service rather than burn CPU, so `depth` of
+        // them from this one worker is what lets a continuous batcher fill
+        // size-triggered batches instead of trickling one request a window.
+        let results = try_parallel_map(&items, self.depth, &cancel, |item| {
             let mut lane_ctx = lane_context(&template);
             self.run_one(item.clone(), &mut lane_ctx)
         })?;
@@ -208,6 +209,34 @@ mod tests {
         ctx.cancel = token;
         let input = Data::List((0..4).map(|i| Data::Str(format!("item {i}"))).collect());
         assert!(matches!(module.invoke(input, &mut ctx), Err(CoreError::Cancelled { .. })));
+    }
+
+    #[test]
+    fn lanes_place_completions_under_the_jobs_token() {
+        use lingua_llm_sim::CANCELLED_NOTICE;
+        use lingua_ml::sync::Mutex;
+        // Every lane kills the job, then asks the LLM: the lane's context
+        // holds the job's own token, so the completion it places is refused.
+        let answers = Arc::new(Mutex::new(Vec::new()));
+        let mut module = PipelinedMapModule::new("doomed", 4, {
+            let answers = Arc::clone(&answers);
+            move || {
+                let answers = Arc::clone(&answers);
+                Box::new(CustomModule::stateless("doomed", move |input, ctx| {
+                    ctx.cancel.cancel();
+                    answers.lock().push(ctx.complete("Summarize.\nText: too late"));
+                    Ok(input)
+                }))
+            }
+        });
+        let mut ctx = ctx();
+        let input = Data::List((0..4).map(Data::Int).collect());
+        assert!(matches!(module.invoke(input, &mut ctx), Err(CoreError::Cancelled { .. })));
+        assert!(ctx.cancel.is_cancelled(), "the lanes held the job's token, not a copy");
+        let answers = answers.lock();
+        assert!(!answers.is_empty());
+        assert!(answers.iter().all(|answer| answer == CANCELLED_NOTICE));
+        assert_eq!(ctx.llm.usage().calls, 0, "a dead job's calls are never placed");
     }
 
     #[test]

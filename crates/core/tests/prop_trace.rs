@@ -1,11 +1,11 @@
-//! Property tests for trace well-formedness under `parallel_map`: spans
+//! Property tests for trace well-formedness under `try_parallel_map`: spans
 //! emitted concurrently from scoped worker threads must always reassemble
 //! into a well-formed forest — every span closed exactly once, every child
 //! strictly nested inside its parent's logical-clock window, timestamps
 //! unique — and per-span usage rollups must reconcile with the workload.
 
-use lingua_core::executor::parallel_map;
-use lingua_llm_sim::Usage;
+use lingua_core::executor::try_parallel_map;
+use lingua_llm_sim::{CancelToken, Usage};
 use lingua_ml::check::check;
 use lingua_trace::{ring_tracer, SpanKind, SpanNode, TraceTree};
 
@@ -32,7 +32,8 @@ fn parallel_map_traces_stay_well_formed() {
         |g| (g.vec(0..24, |g| (g.int(1u32..500), g.int(1u32..200))), g.int(0usize..9)),
         |(items, threads)| {
             let (tracer, sink) = ring_tracer(1 << 12);
-            let outputs = parallel_map(&items, threads, |&(tokens_in, tokens_out)| {
+            let live = CancelToken::unbounded();
+            let outputs = try_parallel_map(&items, threads, &live, |&(tokens_in, tokens_out)| {
                 let mut op = tracer.span(SpanKind::Op, "work");
                 op.attr("tokens_in", tokens_in.to_string());
                 tracer.instant(SpanKind::Op, "checkpoint", Vec::new);
@@ -43,7 +44,8 @@ fn parallel_map_traces_stay_well_formed() {
                     call.set_usage(usage);
                 }
                 tokens_in as u64 + tokens_out as u64
-            });
+            })
+            .expect("an unbounded token never cancels");
             assert_eq!(outputs.len(), items.len());
             assert_eq!(tracer.dropped(), 0);
 
@@ -88,9 +90,10 @@ fn logical_clock_is_strictly_monotone_per_stream() {
         |(n, threads)| {
             let (tracer, sink) = ring_tracer(1 << 12);
             let items: Vec<usize> = (0..n).collect();
-            parallel_map(&items, threads, |&i| {
+            try_parallel_map(&items, threads, &CancelToken::unbounded(), |&i| {
                 tracer.instant(SpanKind::Module, "tick", || vec![("i".into(), i.to_string())]);
-            });
+            })
+            .expect("an unbounded token never cancels");
             let mut seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
             assert_eq!(seqs.len(), n);
             seqs.sort_unstable();

@@ -28,21 +28,19 @@
 //!
 //! # Cancellation
 //!
-//! Each member captures its job's [`CancelToken`] (the thread-local scope)
-//! at submit time. At flush time, members whose token has fired are answered
-//! with [`CANCELLED_NOTICE`] and **excluded from the backend call** — a
-//! cancelled member leaves the batch unbilled without poisoning its
-//! siblings. The flush runs on one member's thread, and that member's
-//! deadline is not its siblings' problem — so the flusher's own thread-local
-//! cancel scope is **suspended** ([`cancel::suspend`]) around the backend
-//! call. Without the shield, a cancellation-aware backend (the gateway's
-//! retry loop consults the thread-local scope) would answer the *entire*
-//! batch with the cancelled notice whenever the flushing member's token had
-//! fired; with it, every layer below sees uncancellable shared work.
+//! Each member's request carries its job's cancel token
+//! ([`CompletionRequest::cancelled`]). At flush time, members whose token has
+//! fired are answered with [`CANCELLED_NOTICE`] and **excluded from the
+//! backend call** — a cancelled member leaves the batch unbilled without
+//! poisoning its siblings. The flush runs on one member's thread, but that
+//! decides nothing: every layer below asks each request's own token, so the
+//! flusher's deadline is not its siblings' problem, and a member whose job
+//! dies later (while the gateway re-dispatches a faulted batch member by
+//! member) stops being worked for without taking anyone with it.
 
-use lingua_llm_sim::cancel::{self, CancelToken, CANCELLED_NOTICE};
 use lingua_llm_sim::{
     BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage,
+    CANCELLED_NOTICE,
 };
 use lingua_ml::sync::{Condvar, Mutex};
 use lingua_trace::{SpanKind, Tracer};
@@ -191,9 +189,6 @@ impl MemberCell {
 
 struct Member {
     request: CompletionRequest,
-    /// The submitting job's cancel token, captured from the thread-local
-    /// scope at submit time (the flush runs on a different thread).
-    cancel: Option<CancelToken>,
     cell: Arc<MemberCell>,
 }
 
@@ -292,7 +287,7 @@ impl Batcher {
         }
     }
 
-    /// The first [`FLUSH_LOG_CAP`] flushed batches, in flush order — the
+    /// The first `FLUSH_LOG_CAP` (1024) flushed batches, in flush order — the
     /// replay suite's oracle for exact compositions and flush reasons.
     pub fn flush_log(&self) -> Vec<FlushRecord> {
         self.flush_log.lock().clone()
@@ -306,8 +301,7 @@ impl Batcher {
         let mut live_cells: Vec<Arc<MemberCell>> = Vec::with_capacity(occupancy);
         let mut cancelled = 0usize;
         for member in batch {
-            let dead = member.cancel.as_ref().is_some_and(|token| token.status().is_some());
-            if dead {
+            if member.request.cancelled().is_some() {
                 cancelled += 1;
                 member.cell.fill(Arc::from(CANCELLED_NOTICE));
             } else {
@@ -324,13 +318,6 @@ impl Batcher {
             // If the backend panics, the guard answers every unfilled cell
             // with the abort notice before the panic leaves this frame.
             let _abort = AbortGuard { cells: &live_cells };
-            // The flush runs on one member's thread, but the call it places
-            // belongs to every live sibling. Suspend the flusher's own
-            // cancel scope so a cancellation-aware backend (the gateway's
-            // retry loop) cannot turn the whole batch into a cancelled
-            // notice just because the flusher's token fired — per-member
-            // cancellation was already settled by the filter above.
-            let _shield = cancel::suspend();
             let outcome = self.inner.complete_batch(&live_requests);
             for (cell, response) in live_cells.iter().zip(&outcome.responses) {
                 cell.fill(Arc::clone(response));
@@ -375,8 +362,7 @@ impl Batcher {
     /// docs for the three exits (filler, timer leader, follower).
     fn submit(&self, request: &CompletionRequest) -> Arc<str> {
         let cell = MemberCell::new();
-        let member =
-            Member { request: request.clone(), cancel: cancel::current(), cell: Arc::clone(&cell) };
+        let member = Member { request: request.clone(), cell: Arc::clone(&cell) };
         let mut state = self.state.lock();
         let my_generation = state.generation;
         state.pending.push(member);
@@ -425,7 +411,7 @@ impl LlmService for Batcher {
     fn complete_shared(&self, request: &CompletionRequest) -> Arc<str> {
         // A job that is already dead never joins a batch: same short-circuit
         // as the simulator and gateway, nothing billed anywhere.
-        if cancel::current_cancelled().is_some() {
+        if request.cancelled().is_some() {
             return Arc::from(CANCELLED_NOTICE);
         }
         self.submit(request)
@@ -471,7 +457,7 @@ impl LlmService for Batcher {
 mod tests {
     use super::*;
     use lingua_dataset::world::WorldSpec;
-    use lingua_llm_sim::{CancelScope, SimLlm, SimLlmConfig};
+    use lingua_llm_sim::{CancelToken, SimLlm, SimLlmConfig};
     use std::sync::Barrier;
 
     fn sim(seed: u64) -> Arc<SimLlm> {
@@ -557,10 +543,7 @@ mod tests {
             let doomed = {
                 let batcher = Arc::clone(&batcher);
                 let token = token.clone();
-                scope.spawn(move || {
-                    let _scope = CancelScope::enter(&token);
-                    batcher.complete(&prompt(0))
-                })
+                scope.spawn(move || batcher.complete(&prompt(0).with_cancel(token)))
             };
             // Wait for the doomed member to join the batch, cancel its job,
             // then fill the batch so the flush happens on this thread.
@@ -590,9 +573,9 @@ mod tests {
         use crate::{Gateway, ServiceTransport};
         // The regression this guards: the window-timer leader's own job is
         // cancelled while it holds the window open. It is filtered from the
-        // batch, but the flush still runs on ITS thread — and the gateway's
-        // resilient loop consults the thread-local cancel scope. Without the
-        // suspend shield in `flush`, the whole batch came back as the
+        // batch, but the flush still runs on ITS thread — and when the
+        // gateway's resilient loop asked the running thread (not the
+        // request) whose job was dead, the whole batch came back as the
         // cancelled notice and the live sibling was poisoned.
         let service = sim(7);
         let reference = sim(7);
@@ -607,12 +590,9 @@ mod tests {
             let doomed = {
                 let batcher = Arc::clone(&batcher);
                 let token = token.clone();
-                scope.spawn(move || {
-                    // First to join: becomes the timer leader, so the window
-                    // flush will run on this (cancelled) thread.
-                    let _scope = CancelScope::enter(&token);
-                    batcher.complete(&prompt(0))
-                })
+                // First to join: becomes the timer leader, so the window
+                // flush will run on this (cancelled) member's thread.
+                scope.spawn(move || batcher.complete(&prompt(0).with_cancel(token)))
             };
             while batcher.pending_members() < 1 {
                 std::thread::yield_now();
@@ -625,7 +605,7 @@ mod tests {
                 std::thread::yield_now();
             }
             // Cancel the leader's job while it holds the window open; the
-            // deadline then fires on its thread with the scope installed.
+            // window deadline then fires on its thread.
             token.cancel();
             assert_eq!(doomed.join().expect("no panic"), CANCELLED_NOTICE);
             assert_eq!(
@@ -740,8 +720,7 @@ mod tests {
         let batcher = Batcher::new(service.clone(), BatchConfig::default());
         let token = CancelToken::unbounded();
         token.cancel();
-        let _scope = CancelScope::enter(&token);
-        assert_eq!(batcher.complete(&prompt(0)), CANCELLED_NOTICE);
+        assert_eq!(batcher.complete(&prompt(0).with_cancel(token)), CANCELLED_NOTICE);
         assert_eq!(batcher.snapshot().batches, 0);
         assert_eq!(service.usage(), Usage::default());
     }

@@ -27,7 +27,6 @@ use crate::{
     BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, GatewayMetrics, GatewaySnapshot,
     LlmTransport, TokenBudget, TokenBudgetConfig, TransportError,
 };
-use lingua_llm_sim::cancel;
 use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
 use lingua_llm_sim::{
@@ -259,18 +258,20 @@ impl Gateway {
     /// `Served` carries the first success; `Exhausted` means every backend
     /// was exhausted and the caller should degrade; `Cancelled` means the
     /// calling job's deadline passed (or it was cancelled) and the loop
-    /// stopped burning attempts and backoff on it. The cancellation checks
-    /// consult the thread-local [`cancel::CancelScope`]; with no scope
-    /// entered they are strict no-ops, so standalone gateway behavior (and
-    /// every deterministic counter walk in the chaos tests) is unchanged.
+    /// stopped burning attempts and backoff on it. `cancelled` asks the
+    /// request the call is for ([`CompletionRequest::cancelled`]); for a
+    /// request without a token it is a strict no-op, so standalone gateway
+    /// behavior (and every deterministic counter walk in the chaos tests) is
+    /// unchanged.
     fn call_resilient<T>(
         &self,
         key: u64,
         est_tokens: u64,
+        cancelled: impl Fn() -> bool,
         op: impl Fn(&dyn LlmTransport) -> Result<T, TransportError>,
     ) -> Resilient<T> {
         for (idx, backend) in self.backends.iter().enumerate() {
-            if cancel::current_cancelled().is_some() {
+            if cancelled() {
                 return Resilient::Cancelled;
             }
             if idx > 0 {
@@ -290,7 +291,7 @@ impl Gateway {
             }
             let mut attempt: u32 = 0;
             loop {
-                if attempt > 0 && cancel::current_cancelled().is_some() {
+                if attempt > 0 && cancelled() {
                     return Resilient::Cancelled;
                 }
                 if !backend.breaker.acquire() {
@@ -344,7 +345,7 @@ impl Gateway {
                         }
                         // A job past its deadline must not be charged backoff
                         // it will never wait out.
-                        if cancel::current_cancelled().is_some() {
+                        if cancelled() {
                             return Resilient::Cancelled;
                         }
                         let mut delay = self.config.backoff.delay_ms(key, attempt);
@@ -424,46 +425,38 @@ impl Gateway {
         None
     }
 
-    /// Degraded ladder for a single batch member: stale cache, then the
-    /// fallback backend, then the static notice.
-    fn degrade_member(&self, request: &CompletionRequest, outcome: &mut BatchOutcome) {
-        let member_key = request.fingerprint();
-        let est = count_tokens(&request.prompt);
-        if let Some(stale) = self.recall(member_key) {
+    /// The degraded ladder for one request no backend could serve: stale
+    /// cache, then the fallback backend, then the static notice. Returns the
+    /// answer, the usage it booked, and the span path it took.
+    fn degrade(&self, request: &CompletionRequest) -> (Arc<str>, Usage, &'static str) {
+        let key = request.fingerprint();
+        if let Some(stale) = self.recall(key) {
             self.metrics.degraded_cache_hit();
             self.tracer.instant(SpanKind::Gateway, "degraded_cache_hit", Vec::new);
-            let mut split = Usage::default();
-            split.record_cached(est, count_tokens(&stale));
-            self.degraded_usage.record_cached(est, count_tokens(&stale));
-            outcome.batch_usage.merge(&split);
-            outcome.splits.push(split);
-            outcome.responses.push(stale);
-            return;
+            let mut usage = Usage::default();
+            usage.record_cached(count_tokens(&request.prompt), count_tokens(&stale));
+            self.degraded_usage.merge(&usage);
+            return (stale, usage, "degraded_cache");
         }
         if let Some(fallback) = &self.fallback {
             let before = fallback.usage();
             if let Ok(response) = fallback.complete(request) {
                 self.metrics.degraded_fallback();
                 self.tracer.instant(SpanKind::Gateway, "degraded_fallback", Vec::new);
-                let split = fallback.usage().since(&before);
-                self.remember(member_key, &response);
-                outcome.batch_usage.merge(&split);
-                outcome.splits.push(split);
-                outcome.responses.push(Arc::from(response));
-                return;
+                self.remember(key, &response);
+                let usage = fallback.usage().since(&before);
+                return (Arc::from(response), usage, "degraded_fallback");
             }
         }
         self.metrics.degraded_static();
         self.tracer.instant(SpanKind::Gateway, "degraded_static", Vec::new);
-        outcome.splits.push(Usage::default());
-        outcome.responses.push(Arc::from(DEGRADED_NOTICE));
+        (Arc::from(DEGRADED_NOTICE), Usage::default(), "degraded_static")
     }
 
-    /// Book a cancelled request: counter, trace instant, span path.
-    fn note_cancelled(&self, span: &mut lingua_trace::SpanGuard) {
+    /// Book one cancelled request: counter and trace instant.
+    fn note_cancelled(&self) {
         self.metrics.cancelled();
         self.tracer.instant(SpanKind::Gateway, "cancelled", Vec::new);
-        span.attr("path", "cancelled");
     }
 
     /// The backend the infallible code-generation endpoints route to: the
@@ -484,39 +477,24 @@ impl LlmService for Gateway {
         // the simulator, or this call — every later layer reuses the value.
         let key = request.fingerprint();
         let est_tokens = count_tokens(&request.prompt) as u64;
-        match self.call_resilient(key, est_tokens, |transport| transport.complete(request)) {
+        let cancelled = || request.cancelled().is_some();
+        match self.call_resilient(key, est_tokens, cancelled, |t| t.complete(request)) {
             Resilient::Served(response) => {
                 span.attr("path", "served");
                 self.remember(key, &response);
-                return response;
+                response
             }
             Resilient::Cancelled => {
-                self.note_cancelled(&mut span);
-                return CANCELLED_NOTICE.to_string();
+                self.note_cancelled();
+                span.attr("path", "cancelled");
+                CANCELLED_NOTICE.to_string()
             }
-            Resilient::Exhausted => {}
-        }
-        // Degraded mode: stale cache, then fallback backend, then notice.
-        if let Some(stale) = self.recall(key) {
-            self.metrics.degraded_cache_hit();
-            self.tracer.instant(SpanKind::Gateway, "degraded_cache_hit", Vec::new);
-            span.attr("path", "degraded_cache");
-            self.degraded_usage.record_cached(est_tokens as usize, count_tokens(&stale));
-            return stale.as_ref().to_string();
-        }
-        if let Some(fallback) = &self.fallback {
-            if let Ok(response) = fallback.complete(request) {
-                self.metrics.degraded_fallback();
-                self.tracer.instant(SpanKind::Gateway, "degraded_fallback", Vec::new);
-                span.attr("path", "degraded_fallback");
-                self.remember(key, &response);
-                return response;
+            Resilient::Exhausted => {
+                let (response, _, path) = self.degrade(request);
+                span.attr("path", path);
+                response.as_ref().to_string()
             }
         }
-        self.metrics.degraded_static();
-        self.tracer.instant(SpanKind::Gateway, "degraded_static", Vec::new);
-        span.attr("path", "degraded_static");
-        DEGRADED_NOTICE.to_string()
     }
 
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
@@ -526,8 +504,11 @@ impl LlmService for Gateway {
         self.metrics.batch(requests.len());
         let mut span = self.tracer.span(SpanKind::Gateway, "complete_batch");
         span.attr("members", requests.len().to_string());
-        if cancel::current_cancelled().is_some() {
-            self.note_cancelled(&mut span);
+        // Nobody left to answer. (A batch with *some* dead members is its
+        // assembler's to thin — the batcher's flush filter does.)
+        if requests.iter().all(|request| request.cancelled().is_some()) {
+            requests.iter().for_each(|_| self.note_cancelled());
+            span.attr("path", "cancelled");
             return BatchOutcome {
                 responses: requests.iter().map(|_| Arc::from(CANCELLED_NOTICE)).collect(),
                 splits: vec![Usage::default(); requests.len()],
@@ -548,43 +529,40 @@ impl LlmService for Gateway {
         // fault and let one persistently poisoned member drag its siblings
         // into degraded mode, so the retry splits per member: each rides the
         // full resilient loop — retry schedule, breakers, failover — as a
-        // single-member batch, and only exhausted members degrade.
+        // single-member batch under its *own* token, so a member whose job
+        // dies mid-split stops burning attempts and backoff while its
+        // siblings carry on, and only exhausted members degrade.
         span.attr("path", "split");
         self.metrics.batch_split();
         self.tracer.instant(SpanKind::Gateway, "batch_split", || {
             vec![("members".into(), requests.len().to_string())]
         });
         let mut outcome = BatchOutcome::with_capacity(requests.len());
-        let mut cancelled = false;
         for request in requests {
-            if cancelled {
-                outcome.splits.push(Usage::default());
-                outcome.responses.push(Arc::from(CANCELLED_NOTICE));
-                continue;
-            }
             let member_key = request.fingerprint();
             let est_tokens = count_tokens(&request.prompt) as u64;
-            match self.call_resilient(member_key, est_tokens, |transport| {
-                batch_reply(transport, std::slice::from_ref(request))
-            }) {
-                Resilient::Served(mut single) => {
-                    let response = single.responses.pop().expect("single-member batch");
-                    let split = single.splits.pop().unwrap_or(single.batch_usage);
-                    self.remember(member_key, &response);
-                    outcome.batch_usage.merge(&split);
-                    outcome.splits.push(split);
-                    outcome.responses.push(response);
-                }
-                Resilient::Cancelled => {
-                    // The job died mid-split: notice this member and every
-                    // remaining sibling without burning further attempts.
-                    self.note_cancelled(&mut span);
-                    cancelled = true;
-                    outcome.splits.push(Usage::default());
-                    outcome.responses.push(Arc::from(CANCELLED_NOTICE));
-                }
-                Resilient::Exhausted => self.degrade_member(request, &mut outcome),
-            }
+            let cancelled = || request.cancelled().is_some();
+            let (response, split) =
+                match self.call_resilient(member_key, est_tokens, cancelled, |transport| {
+                    batch_reply(transport, std::slice::from_ref(request))
+                }) {
+                    Resilient::Served(mut single) => {
+                        let response = single.responses.pop().expect("single-member batch");
+                        self.remember(member_key, &response);
+                        (response, single.splits.pop().unwrap_or(single.batch_usage))
+                    }
+                    Resilient::Cancelled => {
+                        self.note_cancelled();
+                        (Arc::from(CANCELLED_NOTICE), Usage::default())
+                    }
+                    Resilient::Exhausted => {
+                        let (response, split, _) = self.degrade(request);
+                        (response, split)
+                    }
+                };
+            outcome.batch_usage.merge(&split);
+            outcome.splits.push(split);
+            outcome.responses.push(response);
         }
         outcome
     }
@@ -594,16 +572,14 @@ impl LlmService for Gateway {
         let mut span = self.tracer.span(SpanKind::Gateway, "embed");
         let key = prompt_key(text);
         let est_tokens = count_tokens(text) as u64;
-        match self.call_resilient(key, est_tokens, |transport| transport.embed(text)) {
-            Resilient::Served(embedding) => {
-                span.attr("path", "served");
-                return embedding;
-            }
-            Resilient::Cancelled => {
-                self.note_cancelled(&mut span);
-                return vec![0.0; DEGRADED_EMBED_DIM];
-            }
-            Resilient::Exhausted => {}
+        // An embedding carries no request, hence no token: the loop runs
+        // its schedule out and the executor's between-op check ends a dead
+        // job.
+        if let Resilient::Served(embedding) =
+            self.call_resilient(key, est_tokens, || false, |transport| transport.embed(text))
+        {
+            span.attr("path", "served");
+            return embedding;
         }
         if let Some(fallback) = &self.fallback {
             if let Ok(embedding) = fallback.embed(text) {
@@ -848,14 +824,13 @@ mod tests {
 
     #[test]
     fn cancelled_scope_short_circuits_before_any_attempt() {
-        use lingua_llm_sim::{CancelScope, CancelToken};
+        use lingua_llm_sim::CancelToken;
         let service = sim(12);
         let injector = Arc::new(FaultInjector::new("down", service, FaultPlan::transient(1.0, 17)));
         let gateway = Gateway::over(injector);
         let token = CancelToken::unbounded();
         token.cancel();
-        let _scope = CancelScope::enter(&token);
-        assert_eq!(gateway.complete(&prompt(0)), CANCELLED_NOTICE);
+        assert_eq!(gateway.complete(&prompt(0).with_cancel(token)), CANCELLED_NOTICE);
         let snap = gateway.snapshot();
         assert_eq!(snap.cancelled, 1);
         assert_eq!(snap.backends[0].counters.attempts, 0, "no attempt for a dead job");
@@ -867,9 +842,9 @@ mod tests {
 
     #[test]
     fn deadline_firing_mid_retry_stops_backoff_and_attempts() {
-        use lingua_llm_sim::{CancelScope, CancelToken};
+        use lingua_llm_sim::CancelToken;
 
-        /// Faults every call, and cancels the current scope's token on the
+        /// Faults every call, and cancels the request's token on the
         /// first — modelling a deadline that fires while the gateway is in
         /// its retry loop.
         struct CancelOnFirstCall {
@@ -911,8 +886,7 @@ mod tests {
 
         let token = CancelToken::unbounded();
         let gateway = Gateway::over(Arc::new(CancelOnFirstCall { token: token.clone() }));
-        let _scope = CancelScope::enter(&token);
-        assert_eq!(gateway.complete(&prompt(0)), CANCELLED_NOTICE);
+        assert_eq!(gateway.complete(&prompt(0).with_cancel(token)), CANCELLED_NOTICE);
         let snap = gateway.snapshot();
         let primary = &snap.backends[0].counters;
         assert_eq!(primary.attempts, 1, "exactly the in-flight attempt");
@@ -1154,28 +1128,28 @@ mod tests {
 
     #[test]
     fn cancelled_batch_returns_notices_and_bills_nothing() {
-        use lingua_llm_sim::{CancelScope, CancelToken};
+        use lingua_llm_sim::CancelToken;
         let service = sim(17);
         let gateway = Gateway::over(Arc::new(ServiceTransport::new("sim", service)));
         let token = CancelToken::unbounded();
         token.cancel();
-        let _scope = CancelScope::enter(&token);
-        let requests: Vec<CompletionRequest> = (0..3).map(prompt).collect();
+        let requests: Vec<CompletionRequest> =
+            (0..3).map(|i| prompt(i).with_cancel(token.clone())).collect();
         let outcome = gateway.complete_batch(&requests);
         assert!(outcome.responses.iter().all(|r| r.as_ref() == CANCELLED_NOTICE));
         assert_eq!(outcome.batch_usage, Usage::default());
         assert!(outcome.splits.iter().all(|s| *s == Usage::default()));
         assert_eq!(gateway.usage().calls, 0);
-        assert_eq!(gateway.snapshot().cancelled, 1);
+        assert_eq!(gateway.snapshot().cancelled, 3, "one per abandoned member");
     }
 
     #[test]
     fn cancelled_fallback_notice_is_never_remembered() {
-        use lingua_llm_sim::{CancelScope, CancelToken};
+        use lingua_llm_sim::CancelToken;
 
-        /// Cancels the scope's token mid-attempt, then fails with a
-        /// non-retryable fault — the one shape that reaches the degraded
-        /// ladder while the thread-local scope is already cancelled.
+        /// Cancels the requests' token mid-attempt, then fails with a
+        /// non-retryable fault, so the rest of the batch runs for a job that
+        /// is already dead.
         struct CancelThenMalformed {
             token: CancelToken,
         }
@@ -1220,22 +1194,20 @@ mod tests {
             .fallback(Arc::new(ServiceTransport::new("cheap", cheap)))
             .build();
         let requests: Vec<CompletionRequest> = (0..2).map(prompt).collect();
-        {
-            // First batch: the backend cancels the job mid-attempt and fails
-            // non-retryably, so the degraded per-member ladder runs under a
-            // cancelled scope and the fallback (a scope-aware simulator)
-            // answers every member with the cancellation notice.
-            let _scope = CancelScope::enter(&token);
-            let outcome = gateway.complete_batch(&requests);
-            assert!(outcome.responses.iter().all(|r| r.as_ref() == CANCELLED_NOTICE));
-            // The notice is a verdict on this job, not an answer to the
-            // prompt: it must not enter the stale cache.
-            for request in &requests {
-                assert!(
-                    gateway.recall(request.fingerprint()).is_none(),
-                    "cancellation notice poisoned the stale cache"
-                );
-            }
+        // First batch: the backend cancels the job mid-attempt and fails
+        // non-retryably, so every member is answered with the cancellation
+        // notice.
+        let doomed: Vec<CompletionRequest> =
+            requests.iter().map(|r| r.clone().with_cancel(token.clone())).collect();
+        let outcome = gateway.complete_batch(&doomed);
+        assert!(outcome.responses.iter().all(|r| r.as_ref() == CANCELLED_NOTICE));
+        // The notice is a verdict on this job, not an answer to the
+        // prompt: it must not enter the stale cache.
+        for request in &requests {
+            assert!(
+                gateway.recall(request.fingerprint()).is_none(),
+                "cancellation notice poisoned the stale cache"
+            );
         }
         // A later uncancelled job over the same prompts must get real
         // fallback answers, not a replayed notice.

@@ -194,6 +194,8 @@ pub struct GatewaySnapshot {
     pub failovers: u64,
     /// Requests abandoned because the caller's deadline passed or the job was
     /// cancelled mid-flight; the gateway stops retrying and bills nothing.
+    /// Counted per request, like `requests`: every batch member whose own
+    /// token fired is one.
     pub cancelled: u64,
     /// Requests answered from the degraded-mode response cache.
     pub degraded_cache_hits: u64,

@@ -18,10 +18,13 @@
 //! token for token, and therefore dollar for dollar to the cent.
 
 use lingua_dataset::world::WorldSpec;
-use lingua_gateway::{BatchConfig, Batcher, FaultInjector, FaultPlan, FlushReason, Gateway};
+use lingua_gateway::{
+    BatchConfig, Batcher, FaultInjector, FaultPlan, FlushReason, Gateway, LlmTransport,
+    TransportError, DEGRADED_NOTICE,
+};
 use lingua_llm_sim::{
-    BatchOutcome, CancelScope, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode,
-    LlmService, SimLlm, SimLlmConfig, TokenPricing, Usage, CANCELLED_NOTICE,
+    BatchOutcome, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm,
+    SimLlmConfig, TokenPricing, Usage, CANCELLED_NOTICE,
 };
 use lingua_ml::sync::Mutex;
 use std::sync::{Arc, Barrier};
@@ -44,16 +47,16 @@ fn prompt(thread: usize, round: usize) -> CompletionRequest {
     ))
 }
 
-/// Forwards everything to a shared simulator while keeping every
+/// Forwards everything to a shared service while keeping every
 /// [`BatchOutcome`] the batcher's flushes produced — the oracle for
 /// member-level split conservation under contention.
 struct Recording {
-    inner: Arc<SimLlm>,
+    inner: Arc<dyn LlmService>,
     outcomes: Mutex<Vec<BatchOutcome>>,
 }
 
 impl Recording {
-    fn new(inner: Arc<SimLlm>) -> Recording {
+    fn new(inner: Arc<dyn LlmService>) -> Recording {
         Recording { inner, outcomes: Mutex::new(Vec::new()) }
     }
 
@@ -361,10 +364,7 @@ fn cancelled_members_are_excluded_from_the_replayed_composition() {
             .map(|i| {
                 let batcher = Arc::clone(&batcher);
                 let token = tokens[i].clone();
-                scope.spawn(move || {
-                    let _scope = CancelScope::enter(&token);
-                    batcher.complete(&prompt(i, 0))
-                })
+                scope.spawn(move || batcher.complete(&prompt(i, 0).with_cancel(token)))
             })
             .collect();
         // Wait until all seven are in the filling batch, cancel the first
@@ -404,4 +404,156 @@ fn cancelled_members_are_excluded_from_the_replayed_composition() {
     assert_eq!(ledger.tokens_in, unbatched.tokens_in, "cancelled members billed nothing");
     assert_eq!(ledger.tokens_out, unbatched.tokens_out);
     assert_eq!(log[0].usage, ledger, "the flush record carries the exact billed usage");
+}
+
+/// A flaky backend with one hook: when `doomed` arrives as a batch of one —
+/// the gateway has begun re-dispatching a faulted batch member by member —
+/// its job's token is cancelled before the backend answers.
+struct CancelMidSplit {
+    inner: FaultInjector,
+    doomed: u64,
+    token: CancelToken,
+}
+
+impl LlmTransport for CancelMidSplit {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn complete(&self, request: &CompletionRequest) -> Result<String, TransportError> {
+        self.inner.complete(request)
+    }
+
+    fn complete_batch(
+        &self,
+        requests: &[CompletionRequest],
+    ) -> Result<BatchOutcome, TransportError> {
+        if let [only] = requests {
+            if only.fingerprint() == self.doomed {
+                self.token.cancel();
+            }
+        }
+        self.inner.complete_batch(requests)
+    }
+
+    fn embed(&self, text: &str) -> Result<Vec<f64>, TransportError> {
+        self.inner.embed(text)
+    }
+
+    fn usage(&self) -> Usage {
+        self.inner.usage()
+    }
+
+    fn simulated_latency_ms(&self) -> u64 {
+        self.inner.simulated_latency_ms()
+    }
+
+    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
+        self.inner.generate_code(spec)
+    }
+
+    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
+        self.inner.suggest_fix(source, failures)
+    }
+
+    fn repair_code(
+        &self,
+        spec: &CodeGenSpec,
+        previous: &GeneratedCode,
+        suggestion: &str,
+    ) -> GeneratedCode {
+        self.inner.repair_code(spec, previous, suggestion)
+    }
+}
+
+/// Per-member cancellation inside a flush: the batched wire call faults, the
+/// gateway splits, and one member's job dies *during* the split. That member
+/// is answered with the notice at once — no retry, no backoff, nothing
+/// remembered — while its siblings are served as if it had never been there,
+/// and the splits, the batch usage and the ledger agree exactly.
+#[test]
+fn member_cancelled_mid_split_stops_alone_and_unbilled() {
+    // Rate limits only: a refused call bills nothing, so the ledger can be
+    // compared field for field.
+    let plan = FaultPlan { rate_limit_rate: 0.5, ..FaultPlan::none(61) };
+    let candidates = || (0..50_000).map(|i| format!("Summarize. Text: mid-split candidate {i}"));
+    // The doomed member is refused on every attempt it could ever see: 0
+    // fails the wire call (it joins first, so no sibling is reached there),
+    // 1 is its split dispatch, 2..=5 what a later caller would burn.
+    let doomed = candidates()
+        .find(|p| (0..=5).all(|attempt| plan.decide(p, attempt).is_some()))
+        .map(CompletionRequest::new)
+        .expect("an always-refused prompt exists at 50%");
+    // The siblings first execute during the split, and pass.
+    let siblings: Vec<CompletionRequest> = candidates()
+        .filter(|p| plan.decide(p, 0).is_none())
+        .take(2)
+        .map(CompletionRequest::new)
+        .collect();
+
+    let service = sim(606, false);
+    let reference = sim(606, false);
+    let token = CancelToken::unbounded();
+    let backend = Arc::new(CancelMidSplit {
+        inner: FaultInjector::new("flaky", service.clone(), plan),
+        doomed: doomed.fingerprint(),
+        token: token.clone(),
+    });
+    let gateway = Arc::new(Gateway::over(backend.clone()));
+    let recording = Arc::new(Recording::new(gateway.clone()));
+    let batcher = Arc::new(Batcher::new(
+        recording.clone() as Arc<dyn LlmService>,
+        BatchConfig { max_batch_size: 3, max_wait: Duration::from_secs(3600) },
+    ));
+    std::thread::scope(|scope| {
+        // Join order is batch order: the doomed member first.
+        let join = |request: CompletionRequest, pending: usize| {
+            let member = Arc::clone(&batcher);
+            let handle = scope.spawn(move || member.complete(&request));
+            while batcher.pending_members() < pending {
+                std::thread::yield_now();
+            }
+            handle
+        };
+        let cancelled = join(doomed.clone().with_cancel(token.clone()), 1);
+        let first = join(siblings[0].clone(), 2);
+        // The third arrival fills the batch and flushes on this thread.
+        assert_eq!(batcher.complete(&siblings[1]), reference.complete(&siblings[1]));
+        assert_eq!(first.join().expect("no panic"), reference.complete(&siblings[0]));
+        assert_eq!(cancelled.join().expect("no panic"), CANCELLED_NOTICE);
+    });
+
+    // The batcher saw three live members: the job died after its filter.
+    let snap = batcher.snapshot();
+    assert_eq!((snap.batches, snap.members, snap.cancelled_members), (1, 3, 0));
+    // One attempt for the wire call, one each for the three members, and
+    // nothing after the doomed member's token fired.
+    let snap = gateway.snapshot();
+    let primary = &snap.backends[0].counters;
+    assert_eq!(snap.batch_splits, 1);
+    assert_eq!(primary.attempts, 4);
+    assert_eq!(primary.retries, 0, "a dead job's member is not retried");
+    assert_eq!(snap.added_backoff_ms(), 0, "nor charged backoff");
+    assert_eq!(snap.cancelled, 1);
+    assert_eq!(snap.degraded(), 0);
+    let counts = backend.inner.counts();
+    assert_eq!((counts.injected, counts.passed), (2, 2));
+
+    // sum(splits) == batch usage == ledger delta: two billed calls, the
+    // siblings'; the cancelled member's split is empty.
+    let outcomes = recording.outcomes();
+    assert_eq!(outcomes.len(), 1);
+    let mut summed = Usage::default();
+    for split in &outcomes[0].splits {
+        summed.merge(split);
+    }
+    assert_eq!(outcomes[0].splits[0], Usage::default());
+    assert_eq!(summed, outcomes[0].batch_usage);
+    assert_eq!(outcomes[0].batch_usage, service.usage());
+    assert_eq!(service.usage(), reference.usage());
+
+    // The notice never entered the stale cache: a later live caller that
+    // exhausts the backend on the same prompt finds nothing to recall.
+    assert_eq!(gateway.complete(&doomed), DEGRADED_NOTICE);
+    assert_eq!(gateway.snapshot().degraded_cache_hits, 0);
 }

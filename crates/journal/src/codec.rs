@@ -4,7 +4,7 @@
 //! type is written down once — a struct as its field list in wire order
 //! (`wire_structs!`), an enum as tag bytes and each variant's fields
 //! (`wire_enums!`) — and both directions come from that one spelling via the
-//! [`Wire`] trait. A payload starts with [`FORMAT`], so a reader can tell "a
+//! `Wire` trait. A payload starts with [`FORMAT`], so a reader can tell "a
 //! log I do not speak" from damage.
 //!
 //! Decoding is total and strict: every length is checked against the bytes

@@ -1,9 +1,13 @@
 //! Cooperative cancellation: a shared [`CancelToken`] carrying a deadline
-//! and/or an explicit cancel flag, plus a thread-local [`CancelScope`] so
-//! layers behind the infallible [`LlmService`](crate::LlmService) trait
-//! (the simulator itself, the gateway's retry loop) can consult the token
-//! of the job currently executing on this thread without any signature
-//! changes.
+//! and/or an explicit cancel flag.
+//!
+//! The token travels **with the work it governs**, never with the thread
+//! that happens to run it: the executor reads it off its context, and a
+//! completion carries it on its [`CompletionRequest`](crate::CompletionRequest),
+//! so every layer behind the infallible [`LlmService`](crate::LlmService)
+//! trait (batcher, gateway, simulator) asks the request it was handed — also
+//! when one job's thread places calls on behalf of others, as a batch flush
+//! does.
 //!
 //! This crate is the bottom of the workspace dependency graph, so the token
 //! lives here and every layer above (core's executor, the gateway, the serve
@@ -22,7 +26,6 @@
 //!   and [`CancelToken::touch`] bump a logical progress counter that the
 //!   serve watchdog reads to distinguish "slow but advancing" from "wedged".
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -160,89 +163,6 @@ impl CancelToken {
     }
 }
 
-thread_local! {
-    static CURRENT: RefCell<Vec<CancelToken>> = const { RefCell::new(Vec::new()) };
-}
-
-/// RAII guard installing a token as the current thread's cancel scope.
-/// Layers that cannot thread a token through their signatures (anything
-/// behind `LlmService`) read it back via [`current`]. Scopes nest; the
-/// innermost wins. The guard is `!Send` by construction (it must drop on
-/// the thread that entered it) — unwinding drops it correctly, so a panic
-/// inside a scope cannot leak a stale token onto the worker thread.
-pub struct CancelScope {
-    /// Keeps the type `!Send`/`!Sync` so the scope cannot migrate threads.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl CancelScope {
-    /// Push `token` as the innermost scope for this thread.
-    pub fn enter(token: &CancelToken) -> CancelScope {
-        CURRENT.with(|stack| stack.borrow_mut().push(token.clone()));
-        CancelScope { _not_send: std::marker::PhantomData }
-    }
-}
-
-impl Drop for CancelScope {
-    fn drop(&mut self) {
-        CURRENT.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-    }
-}
-
-/// RAII guard that temporarily removes **every** cancel scope from the
-/// current thread, restoring the stack when dropped. See [`suspend`].
-pub struct SuspendedScopes {
-    saved: Vec<CancelToken>,
-    /// Keeps the type `!Send`/`!Sync` — the stack must be restored on the
-    /// thread it was taken from.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for SuspendedScopes {
-    fn drop(&mut self) {
-        CURRENT.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Scopes entered while suspended sit *inside* the saved ones.
-            let entered_meanwhile = std::mem::take(&mut *stack);
-            *stack = std::mem::take(&mut self.saved);
-            stack.extend(entered_meanwhile);
-        });
-    }
-}
-
-/// Detach the current thread from every entered cancel scope until the
-/// returned guard drops.
-///
-/// This exists for **donated work**: when one job's thread executes a call
-/// on behalf of many jobs (a batcher member flushing a shared batch), the
-/// flusher's own token must not decide the fate of its siblings' requests.
-/// Suspending the scope makes [`current`] / [`current_cancelled`] report "no
-/// scope", so cancellation-aware layers below treat the call as
-/// uncancellable shared work; per-job cancellation stays the caller's
-/// responsibility (filter members before, re-check after).
-pub fn suspend() -> SuspendedScopes {
-    SuspendedScopes {
-        saved: CURRENT.with(|stack| std::mem::take(&mut *stack.borrow_mut())),
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-/// The innermost token entered on this thread, if any.
-pub fn current() -> Option<CancelToken> {
-    CURRENT.with(|stack| stack.borrow().last().cloned())
-}
-
-/// Cancellation state of the innermost scope (`None` when no scope is
-/// entered or the scope's token is live). This is the single hook the
-/// simulator and gateway consult: with no scope entered it is a few
-/// nanoseconds and changes nothing, so code paths outside serve (unit
-/// tests, benches, chaos replays) behave bit-identically.
-pub fn current_cancelled() -> Option<CancelReason> {
-    CURRENT.with(|stack| stack.borrow().last().and_then(|token| token.status()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,93 +201,5 @@ mod tests {
         let token = CancelToken::with_deadline(Instant::now() - Duration::from_secs(1));
         assert_eq!(token.remaining(), Some(Duration::ZERO));
         assert!(CancelToken::unbounded().remaining().is_none());
-    }
-
-    #[test]
-    fn scope_stack_nests_and_unwinds() {
-        assert!(current().is_none());
-        let outer = CancelToken::unbounded();
-        let inner = CancelToken::after(Duration::from_secs(60));
-        {
-            let _outer = CancelScope::enter(&outer);
-            assert!(current().unwrap().deadline().is_none());
-            {
-                let _inner = CancelScope::enter(&inner);
-                assert!(current().unwrap().deadline().is_some());
-            }
-            assert!(current().unwrap().deadline().is_none());
-        }
-        assert!(current().is_none());
-    }
-
-    #[test]
-    fn scope_survives_unwind() {
-        let token = CancelToken::unbounded();
-        let result = std::panic::catch_unwind(|| {
-            let _scope = CancelScope::enter(&token);
-            panic!("boom");
-        });
-        assert!(result.is_err());
-        // The guard dropped during unwind; no stale token remains.
-        assert!(current().is_none());
-    }
-
-    #[test]
-    fn suspend_hides_every_scope_and_restores_on_drop() {
-        let outer = CancelToken::unbounded();
-        let inner = CancelToken::unbounded();
-        outer.cancel();
-        inner.cancel();
-        let _outer = CancelScope::enter(&outer);
-        let _inner = CancelScope::enter(&inner);
-        assert!(current_cancelled().is_some());
-        {
-            let _shield = suspend();
-            // Donated work sees no scope at all — not even the outer one.
-            assert!(current().is_none());
-            assert_eq!(current_cancelled(), None);
-        }
-        // Both scopes restored, innermost still on top.
-        assert_eq!(current_cancelled(), Some(CancelReason::Cancelled));
-        assert!(current().is_some());
-    }
-
-    #[test]
-    fn scopes_entered_while_suspended_nest_inside_restored_ones() {
-        let outer = CancelToken::unbounded();
-        let fresh = CancelToken::after(Duration::from_secs(60));
-        let _outer = CancelScope::enter(&outer);
-        let shield = suspend();
-        let entered = CancelScope::enter(&fresh);
-        assert!(current().unwrap().deadline().is_some());
-        drop(shield);
-        // The scope entered during suspension stays innermost.
-        assert!(current().unwrap().deadline().is_some());
-        drop(entered);
-        assert!(current().unwrap().deadline().is_none());
-    }
-
-    #[test]
-    fn suspend_restores_during_unwind() {
-        let token = CancelToken::unbounded();
-        token.cancel();
-        let _scope = CancelScope::enter(&token);
-        let result = std::panic::catch_unwind(|| {
-            let _shield = suspend();
-            panic!("boom");
-        });
-        assert!(result.is_err());
-        // The shield dropped during unwind; the original scope is back.
-        assert_eq!(current_cancelled(), Some(CancelReason::Cancelled));
-    }
-
-    #[test]
-    fn current_cancelled_reflects_innermost_scope() {
-        assert_eq!(current_cancelled(), None);
-        let token = CancelToken::unbounded();
-        let _scope = CancelScope::enter(&token);
-        assert_eq!(current_cancelled(), None);
-        token.cancel();
-        assert_eq!(current_cancelled(), Some(CancelReason::Cancelled));
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::behaviors;
 use crate::calibration::Calibration;
-use crate::cancel::{self, CANCELLED_NOTICE};
+use crate::cancel::{CancelReason, CancelToken, CANCELLED_NOTICE};
 use crate::codegen::{self, CodeGenSpec, GeneratedCode};
 use crate::cost::{count_tokens, AtomicUsage, TokenPricing, Usage};
 use crate::hotpath::{fingerprint, CacheStats, Flight, ShardedLru, Singleflight, DEFAULT_SHARDS};
@@ -26,15 +26,34 @@ use std::sync::OnceLock;
 /// The request also memoizes its prompt's 64-bit fingerprint, so a call chain
 /// that crosses several caching layers (gateway stale cache → simulator
 /// response cache → fault plan) hashes the prompt bytes exactly once.
+///
+/// And it carries the placing job's [`CancelToken`], so every layer asks the
+/// request it was handed whether its job is still alive — whichever thread
+/// runs the call (a batch flush runs every member's on one).
 #[derive(Debug, Clone)]
 pub struct CompletionRequest {
     pub prompt: String,
     fingerprint: OnceLock<u64>,
+    cancel: Option<CancelToken>,
 }
 
 impl CompletionRequest {
+    /// A request no job governs: never cancelled.
     pub fn new(prompt: impl Into<String>) -> Self {
-        CompletionRequest { prompt: prompt.into(), fingerprint: OnceLock::new() }
+        CompletionRequest { prompt: prompt.into(), fingerprint: OnceLock::new(), cancel: None }
+    }
+
+    /// Attach the placing job's token (`ExecContext::complete` does).
+    pub fn with_cancel(mut self, token: CancelToken) -> Self {
+        self.cancel = Some(token);
+        self
+    }
+
+    /// Why the placing job is dead, if it is: the call must not be placed,
+    /// retried or billed. `None` for a live job and for a request without a
+    /// token.
+    pub fn cancelled(&self) -> Option<CancelReason> {
+        self.cancel.as_ref().and_then(CancelToken::status)
     }
 
     /// The prompt's FNV-1a fingerprint, computed on first use and shared by
@@ -366,12 +385,11 @@ impl LlmService for SimLlm {
     }
 
     fn complete_shared(&self, request: &CompletionRequest) -> Arc<str> {
-        // Cooperative cancellation: if the job driving this thread is already
+        // Cooperative cancellation: if the job that placed this request is
         // past its deadline (or explicitly cancelled), the call is never
         // placed and nothing bills — at this layer or any wrapper (meters and
-        // tracers recognise the notice). With no scope entered this is a
-        // thread-local read and the path is byte-identical to before.
-        if cancel::current_cancelled().is_some() {
+        // tracers recognise the notice).
+        if request.cancelled().is_some() {
             return Arc::from(CANCELLED_NOTICE);
         }
         if !self.config.cache_enabled {
@@ -416,11 +434,10 @@ impl LlmService for SimLlm {
     }
 
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
-        // Deliberately NO thread-local cancellation check here: a batch flush
-        // runs on one member's thread, and that member's scope must not
-        // decide for its siblings. Per-member cancellation is the batcher's
-        // job — cancelled members are removed *before* the flush reaches this
-        // entry point, so every request arriving here is live.
+        // Every member is answered: whoever assembled the batch (the
+        // batcher's flush filter) settled which members are alive, and its
+        // `cancelled_members` count is what the per-job meters reconcile
+        // against.
         //
         // The batch also bypasses the singleflight: identical prompts inside
         // one batch coalesce through the cache insert below, and identical
@@ -678,7 +695,6 @@ mod tests {
 
     #[test]
     fn cancelled_scope_short_circuits_and_bills_nothing() {
-        use crate::cancel::{CancelScope, CancelToken};
         let world = WorldSpec::generate(5);
         let svc = SimLlm::new(
             &world,
@@ -691,19 +707,18 @@ mod tests {
         let latency_before = svc.simulated_latency_ms();
         let token = CancelToken::unbounded();
         token.cancel();
-        {
-            let _scope = CancelScope::enter(&token);
-            // Even a cacheable repeat prompt returns the notice: the job is
-            // dead, so no savings are booked either.
-            assert_eq!(svc.complete(&req), CANCELLED_NOTICE);
-            assert_eq!(
-                svc.complete(&CompletionRequest::new("Summarize. Text: never placed")),
-                CANCELLED_NOTICE
-            );
-        }
+        // Even a cacheable repeat prompt returns the notice: the job is
+        // dead, so no savings are booked either.
+        assert_eq!(svc.complete(&req.clone().with_cancel(token.clone())), CANCELLED_NOTICE);
+        assert_eq!(
+            svc.complete(
+                &CompletionRequest::new("Summarize. Text: never placed").with_cancel(token)
+            ),
+            CANCELLED_NOTICE
+        );
         assert_eq!(svc.usage(), usage_before, "cancelled calls bill nothing");
         assert_eq!(svc.simulated_latency_ms(), latency_before);
-        // Scope dropped: the service answers normally again.
+        // The same prompt from a live job is answered normally.
         assert_eq!(svc.complete(&req), live);
     }
 

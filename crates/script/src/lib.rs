@@ -9,7 +9,7 @@
 //!
 //! Design goals:
 //!
-//! * **Real execution** — programs compile once to bytecode ([`compile`])
+//! * **Real execution** — programs compile once to bytecode ([`compile()`])
 //!   and run on the [`Vm`] under a *fuel* budget, so buggy generated code
 //!   (infinite loops included) is safely bounded; fuel exhaustion is the
 //!   paper's validation "timeout".

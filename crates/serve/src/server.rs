@@ -10,11 +10,12 @@
 //!    the bounded queue — or is rejected with [`ServeError::Full`].
 //! 2. A worker dequeues (high-priority lane first), replicates the compiled
 //!    pipeline if its cached instance is stale, and executes it on a fresh
-//!    [`ExecContext`] whose LLM is a per-job [`UsageMeter`].
+//!    [`ExecContext`](lingua_core::ExecContext) whose LLM is a per-job
+//!    [`UsageMeter`].
 //! 3. Completion wakes every attached waiter, updates the dedup tables, and
 //!    records metrics.
 
-use crate::error::ServeError;
+use crate::error::{InvalidConfig, ServeError};
 use crate::fingerprint::{fingerprint_inputs, job_key};
 use crate::job::{JobCore, JobHandle, JobId, JobOutput};
 use crate::metrics::{Metrics, MetricsSnapshot, UsageMeter};
@@ -25,9 +26,9 @@ use lingua_core::{Compiler, ContextFactory, CoreError, Data, Executor, PhysicalP
 use lingua_durable::{
     FinishedJob, Journal, JournalTuning, PendingJob, RecoverySnapshot, StreamCheckpoint,
 };
-use lingua_gateway::{BatchConfig, Batcher, Gateway};
+use lingua_gateway::{Batcher, Gateway};
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
-use lingua_llm_sim::{CancelReason, CancelScope, CancelToken, LlmService, ShardedLru, Usage};
+use lingua_llm_sim::{CancelReason, CancelToken, LlmService, ShardedLru, Usage};
 use lingua_ml::sync::Mutex;
 use lingua_trace::{ManualSpan, SpanKind};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -76,7 +77,10 @@ pub struct ServeConfig {
     /// factory's LLM service in a [`Batcher`] so completions from
     /// concurrent jobs share batched backend calls; its counters surface
     /// in [`MetricsSnapshot::batch`]. `None` leaves the LLM path
-    /// untouched.
+    /// untouched. Unlike the batcher itself — which tolerates a zero window
+    /// by degenerating to per-call flushing — `start()` rejects zero knobs:
+    /// asking for batching and configuring it to never batch is a bug worth
+    /// failing over.
     pub batch: Option<BatchTuning>,
     /// Write-ahead journaling (`lingua-durable`). When set, `start()`
     /// replays the journal — restoring finished results into the result
@@ -115,7 +119,6 @@ impl Default for StreamTuning {
 impl StreamTuning {
     /// Check the streaming knobs (see [`ServeConfig::validate`]).
     pub fn validate(&self) -> Result<(), ServeError> {
-        use crate::error::InvalidConfig;
         if self.window == 0 {
             return Err(ServeError::InvalidConfig(InvalidConfig::ZeroWindow));
         }
@@ -135,47 +138,9 @@ impl StreamTuning {
     }
 }
 
-/// Micro-batching knobs for the continuous batcher riding this server.
-///
-/// These mirror [`BatchConfig`] one field for one field; the serving layer
-/// keeps its own copy so a [`ServeConfig`] stays a plain value describing
-/// *intent*, validated here with typed [`InvalidConfig`] reasons before any
-/// batcher exists. Unlike the gateway-layer batcher — which tolerates a zero
-/// window by degenerating to per-call flushing — the serving layer rejects
-/// zero knobs outright: asking for batching and configuring it to never
-/// batch is a bug worth failing `start()` over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchTuning {
-    /// Flush a batch as soon as this many members are pending.
-    pub max_batch_size: usize,
-    /// Flush when the oldest pending member has waited this long.
-    pub max_wait: Duration,
-}
-
-impl Default for BatchTuning {
-    fn default() -> Self {
-        BatchTuning { max_batch_size: 8, max_wait: Duration::from_millis(2) }
-    }
-}
-
-impl BatchTuning {
-    /// Check the batching knobs (see [`ServeConfig::validate`]).
-    pub fn validate(&self) -> Result<(), ServeError> {
-        use crate::error::InvalidConfig;
-        if self.max_batch_size == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroBatchSize));
-        }
-        if self.max_wait.is_zero() {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroBatchWindow));
-        }
-        Ok(())
-    }
-
-    /// The gateway-layer batcher configuration this tuning resolves to.
-    pub fn to_config(&self) -> BatchConfig {
-        BatchConfig { max_batch_size: self.max_batch_size, max_wait: self.max_wait }
-    }
-}
+/// Micro-batching knobs for the continuous batcher riding this server: the
+/// batcher's own configuration, under the name serve's callers know.
+pub use lingua_gateway::BatchConfig as BatchTuning;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -210,7 +175,6 @@ impl ServeConfig {
     /// broken streaming knobs would stall a stream forever. Each rejection
     /// is a typed [`InvalidConfig`] naming the knob.
     pub fn validate(&self) -> Result<(), ServeError> {
-        use crate::error::InvalidConfig;
         if self.workers == Some(0) {
             return Err(ServeError::InvalidConfig(InvalidConfig::ZeroWorkers));
         }
@@ -230,7 +194,12 @@ impl ServeConfig {
             stream.validate()?;
         }
         if let Some(batch) = &self.batch {
-            batch.validate()?;
+            if batch.max_batch_size == 0 {
+                return Err(ServeError::InvalidConfig(InvalidConfig::ZeroBatchSize));
+            }
+            if batch.max_wait.is_zero() {
+                return Err(ServeError::InvalidConfig(InvalidConfig::ZeroBatchWindow));
+            }
         }
         if let Some(journal) = &self.journal {
             if journal.checkpoint_interval == 0 {
@@ -414,8 +383,7 @@ impl PipelineServer {
         let (factory, batcher) = match &config.batch {
             Some(tuning) => {
                 let tracer = factory.tracer().clone();
-                let batcher =
-                    Arc::new(Batcher::new(factory.llm(), tuning.to_config()).with_tracer(tracer));
+                let batcher = Arc::new(Batcher::new(factory.llm(), *tuning).with_tracer(tracer));
                 let wrapped =
                     factory.with_llm(Arc::clone(&batcher) as Arc<dyn lingua_llm_sim::LlmService>);
                 (wrapped, Some(batcher))
@@ -594,13 +562,17 @@ impl PipelineServer {
     /// `skipped_duplicates`); the rest re-enter the queue through the
     /// normal admission path (counted as `resumed_jobs`). Jobs naming an
     /// unregistered pipeline, or bounced by a full queue, stay pending for
-    /// a later call (and remain journaled for the next recovery).
+    /// a later call (and remain journaled for the next recovery). Any other
+    /// admission error (the journal refusing the accept record, shutdown)
+    /// ends the call with that error; the refused job and every job not yet
+    /// visited stay pending too, and the jobs already resumed keep running.
     pub fn resume_recovered(&self) -> Result<Vec<JobHandle>, ServeError> {
-        let pending = std::mem::take(&mut self.shared.recovery.lock().pending);
+        let mut pending = std::mem::take(&mut self.shared.recovery.lock().pending).into_iter();
         let mut handles = Vec::new();
         let mut stranded = Vec::new();
         let (mut resumed, mut skipped) = (0u64, 0u64);
-        for job in pending {
+        let mut failure = None;
+        for job in pending.by_ref() {
             if !self.shared.registry.contains(&job.pipeline) {
                 stranded.push(job);
                 continue;
@@ -621,16 +593,21 @@ impl PipelineServer {
                     handles.push(handle);
                 }
                 Err(ServeError::Full { .. }) => stranded.push(job),
-                Err(err) => return Err(err),
+                Err(err) => {
+                    stranded.push(job);
+                    failure = Some(err);
+                    break;
+                }
             }
         }
+        stranded.extend(pending);
         let mut recovery = self.shared.recovery.lock();
         recovery.pending = stranded;
         if let Some(snapshot) = recovery.snapshot.as_mut() {
             snapshot.resumed_jobs += resumed;
             snapshot.skipped_duplicates += skipped;
         }
-        Ok(handles)
+        failure.map_or(Ok(handles), Err)
     }
 
     /// The pipeline registry (register/unregister/list).
@@ -776,9 +753,10 @@ impl PipelineServer {
         // A storage failure refuses the submission — a silently
         // non-durable server would be worse than a rejected job.
         if let (Some(journal), Some(fp)) = (&self.shared.journal, fp) {
-            journal
-                .record_job_accepted(&request.pipeline, fp, &request.inputs)
-                .map_err(|err| ServeError::Journal { reason: err.to_string() })?;
+            if let Err(err) = journal.record_job_accepted(&request.pipeline, fp, &request.inputs) {
+                tracer.end(span, || vec![("path".into(), "journal_refused".into())]);
+                return Err(ServeError::Journal { reason: err.to_string() });
+            }
         }
         let item = QueueItem {
             core: Arc::clone(&core),
@@ -979,8 +957,9 @@ fn process(
     };
 
     // Fresh context per run: shared LLM + tools behind a per-job meter, the
-    // job's cancel token threaded in so the executor, `parallel_map`, the
-    // script fuel cap, and the LLM layers all observe the same deadline.
+    // job's cancel token threaded in so the executor, `try_parallel_map`, the
+    // script fuel cap, and — on every completion `ctx.complete` places — the
+    // LLM layers all observe the same deadline.
     let meter = Arc::new(UsageMeter::new(shared.factory.llm()));
     let token = item.core.cancel.clone();
     let mut ctx = shared
@@ -998,10 +977,8 @@ fn process(
     // survives. The context and pipeline instance are only touched inside;
     // both are discarded on unwind (the instance cache entry explicitly), so
     // no torn state is observed afterwards and AssertUnwindSafe is sound.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let _scope = CancelScope::enter(&token);
-        Executor::run(pipeline, &mut ctx, item.inputs.clone())
-    }));
+    let result =
+        catch_unwind(AssertUnwindSafe(|| Executor::run(pipeline, &mut ctx, item.inputs.clone())));
     let wall = start.elapsed();
     supervision.end_job(worker);
     drop(enter);
@@ -1216,7 +1193,6 @@ mod tests {
 
     #[test]
     fn unusable_configurations_are_rejected_at_start() {
-        use crate::error::InvalidConfig;
         let start_err =
             |config: ServeConfig| PipelineServer::start(factory(), config).map(|_| ()).unwrap_err();
         let err = start_err(ServeConfig { workers: Some(0), ..Default::default() });
@@ -1243,7 +1219,6 @@ mod tests {
 
     #[test]
     fn broken_streaming_knobs_are_rejected_at_start() {
-        use crate::error::InvalidConfig;
         let start_err = |tuning: StreamTuning| {
             let config = ServeConfig { stream: Some(tuning), ..Default::default() };
             PipelineServer::start(factory(), config).map(|_| ()).unwrap_err()
@@ -1276,7 +1251,6 @@ mod tests {
 
     #[test]
     fn broken_batching_knobs_are_rejected_at_start() {
-        use crate::error::InvalidConfig;
         let start_err = |tuning: BatchTuning| {
             let config = ServeConfig { batch: Some(tuning), ..Default::default() };
             PipelineServer::start(factory(), config).map(|_| ()).unwrap_err()
@@ -1287,10 +1261,8 @@ mod tests {
         let err = start_err(BatchTuning { max_wait: Duration::ZERO, ..Default::default() });
         assert_eq!(err, ServeError::InvalidConfig(InvalidConfig::ZeroBatchWindow));
 
-        assert!(BatchTuning::default().validate().is_ok());
-        let resolved = BatchTuning::default().to_config();
-        assert_eq!(resolved.max_batch_size, 8);
-        assert_eq!(resolved.max_wait, Duration::from_millis(2));
+        let default = ServeConfig { batch: Some(BatchTuning::default()), ..Default::default() };
+        assert!(default.validate().is_ok());
     }
 
     #[test]

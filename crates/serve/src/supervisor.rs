@@ -9,7 +9,7 @@
 //!    poisoned pipeline instance, and the *thread keeps serving*.
 //! 2. **Worker death** — a panic that escapes containment (serving-layer
 //!    bookkeeping bugs, or the [`EscapePanic`] test sentinel) kills the
-//!    thread. A drop guard ([`WorkerGuard`]) marks the slot dead and fails
+//!    thread. A drop guard (`WorkerGuard`) marks the slot dead and fails
 //!    any job the thread died holding, so no waiter ever hangs. The
 //!    supervisor thread notices the dead slot and restarts it — up to
 //!    `ServeConfig::max_worker_restarts` times per slot, with exponential

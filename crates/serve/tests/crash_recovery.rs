@@ -10,12 +10,15 @@
 //! what the first execution billed — so the ledger reconciliation holds to
 //! the cent, not approximately.
 
+mod support;
+
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
-use lingua_durable::{CrashInjector, JournalTuning, KillPoint, SimStorage};
+use lingua_durable::{CrashInjector, Journal, JournalTuning, KillPoint, SimStorage};
 use lingua_llm_sim::{LlmService, SimLlm, TokenPricing};
-use lingua_serve::{PipelineServer, ServeConfig, ServeError, SubmitRequest};
+use lingua_serve::{fingerprint_inputs, PipelineServer, ServeConfig, ServeError, SubmitRequest};
 use std::sync::Arc;
+use support::FailNextAppend;
 
 const SEED: u64 = 77;
 const CHECKPOINT_INTERVAL: usize = 8;
@@ -239,4 +242,35 @@ fn shutdown_fails_queued_jobs_typed_and_keeps_them_journaled() {
     for handle in resumed {
         handle.wait().expect("resurrected jobs run to completion");
     }
+}
+
+/// A storage error while resuming is transient, not terminal: the call
+/// reports it, and every job it did not resume — the refused one included —
+/// is still pending for the next call.
+#[test]
+fn resume_after_a_storage_error_loses_no_recovered_job() {
+    const JOBS: usize = 4;
+    // A crashed incarnation's log: four jobs accepted, none finished.
+    let log = SimStorage::new();
+    let (journal, _) = Journal::open(JournalTuning::sim(log.clone())).expect("fresh log opens");
+    for i in 0..JOBS {
+        let inputs = request(i).inputs;
+        journal.record_job_accepted("curate", fingerprint_inputs(&inputs), &inputs).unwrap();
+    }
+    drop(journal);
+
+    let storage = FailNextAppend::over(log);
+    let (server, _llm) = server_with(JournalTuning::over(storage.clone()));
+    storage.arm();
+    let err = server.resume_recovered().expect_err("the accept record cannot be journaled");
+    assert!(matches!(err, ServeError::Journal { .. }), "got {err:?}");
+    assert_eq!(server.recovery().expect("journaled server").resumed_jobs, 0);
+
+    let resumed = server.resume_recovered().expect("the storage error was transient");
+    assert_eq!(resumed.len(), JOBS, "every recovered job is resumed, the refused one included");
+    for handle in resumed {
+        handle.wait().expect("resumed jobs run to completion");
+    }
+    assert_eq!(server.recovery().expect("journaled server").resumed_jobs, JOBS as u64);
+    assert!(server.resume_recovered().expect("nothing left").is_empty());
 }

@@ -9,9 +9,12 @@
 //! rebuilt trace tree. (`prop_serve_trace.rs` re-checks the invariants
 //! under arbitrary multi-worker pools.)
 
+mod support;
+
 use lingua_core::modules::{CustomModule, Module};
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
+use lingua_durable::{JournalTuning, SimStorage};
 use lingua_llm_sim::{SimLlm, Usage};
 use lingua_ml::sync::{Condvar, Mutex};
 use lingua_serve::{
@@ -20,6 +23,7 @@ use lingua_serve::{
 use lingua_trace::{ring_tracer, SpanKind, TraceTree};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::FailNextAppend;
 
 /// A reusable latch: modules built over it block until the test opens it.
 struct Gate {
@@ -190,4 +194,37 @@ fn every_submission_path_balances_counters_against_the_trace() {
     assert_eq!(summary.tokens_in, metrics.llm.tokens_in);
     assert_eq!(summary.tokens_out, metrics.llm.tokens_out);
     assert_eq!(summary.dropped, 0);
+}
+
+/// A submission the journal refuses is a path like any other: its
+/// `serve_job` span is closed, naming it. (`TraceTree::build` rejects a
+/// stream with a begin edge and no end edge.)
+#[test]
+fn a_submission_the_journal_refuses_closes_its_span() {
+    let world = WorldSpec::generate(47);
+    let llm: Arc<SimLlm> = Arc::new(SimLlm::with_seed(&world, 47));
+    let (tracer, sink) = ring_tracer(1 << 10);
+    let storage = FailNextAppend::over(SimStorage::new());
+    let server = PipelineServer::start(
+        ContextFactory::new(llm).with_tracer(tracer.clone()),
+        ServeConfig {
+            workers: Some(1),
+            journal: Some(JournalTuning::over(storage.clone())),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    server.register_dsl("gated", GATED_LLM_PIPELINE, &test_compiler(Gate::new())).unwrap();
+
+    storage.arm();
+    let err = server
+        .submit(SubmitRequest::new("gated").input("text", Data::Str("refused".into())))
+        .expect_err("the accept record cannot be journaled");
+    assert!(matches!(err, ServeError::Journal { .. }), "got {err:?}");
+    drop(server);
+
+    assert_eq!(tracer.dropped(), 0);
+    let tree = TraceTree::build(&sink.events()).expect("every begun span is closed");
+    assert_eq!(tree.spans_of_kind(SpanKind::ServeJob).len(), 1);
+    assert_eq!(path_count(&tree, "journal_refused"), 1);
 }

@@ -209,7 +209,7 @@ fn window_report_module() -> CustomModule {
                 let Some(pair) = pair.as_map() else { continue };
                 let a = pair.get("a").and_then(Data::as_str).unwrap_or("");
                 let b = pair.get("b").and_then(Data::as_str).unwrap_or("");
-                let response = ctx.llm.complete(&CompletionRequest::new(entity_prompt(a, b)));
+                let response = ctx.complete(entity_prompt(a, b));
                 judged += 1;
                 if is_yes(&response) {
                     matched += 1;

@@ -7,7 +7,6 @@ use crate::er::PairMatcher;
 use lingua_core::ExecContext;
 use lingua_dataset::{Record, Schema};
 use lingua_llm_sim::noise::parse_bool_naive;
-use lingua_llm_sim::CompletionRequest;
 
 /// The zero-shot prompt-only matcher.
 pub struct FmsMatcher;
@@ -38,7 +37,7 @@ impl PairMatcher for FmsMatcher {
         ctx: &mut ExecContext,
     ) -> bool {
         let prompt = FmsMatcher::prompt(schema, left, right);
-        let response = ctx.llm.complete(&CompletionRequest::new(prompt));
+        let response = ctx.complete(prompt);
         parse_bool_naive(&response)
     }
 }

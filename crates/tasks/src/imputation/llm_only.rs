@@ -12,7 +12,6 @@ use crate::imputation::Imputer;
 use lingua_core::modules::{LlmModule, Module, PromptBuilder};
 use lingua_core::validation::OutputValidator;
 use lingua_core::{Data, ExecContext};
-use lingua_llm_sim::CompletionRequest;
 
 /// The validated LLM-module imputer.
 pub struct LlmOnlyImputer {
@@ -65,7 +64,7 @@ impl Imputer for FmsImputer {
             "Fill in the missing manufacturer for this product.\n\
              Product: name: {name}; description: {description}"
         );
-        ctx.llm.complete(&CompletionRequest::new(prompt)).trim().to_string()
+        ctx.complete(prompt).trim().to_string()
     }
 }
 

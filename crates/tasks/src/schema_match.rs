@@ -4,7 +4,6 @@
 //! renamings.
 
 use lingua_core::ExecContext;
-use lingua_llm_sim::CompletionRequest;
 
 /// A proposed column alignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,7 +19,7 @@ pub fn match_schemas(left: &[String], right: &[String], ctx: &mut ExecContext) -
         left.join(", "),
         right.join(", ")
     );
-    let response = ctx.llm.complete(&CompletionRequest::new(prompt));
+    let response = ctx.complete(prompt);
     parse_alignment(&response)
 }
 
