@@ -37,14 +37,10 @@ fn flag_value(name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
-/// The number a results file stores under `key`, found by string search —
-/// [`write_json`] emits `"<key>": <value>`, and a baseline written by an
-/// older run must stay readable whatever else its document holds.
+/// The number a results file stores under the top-level `key`; `None` when
+/// the text is not JSON, has no such key, or holds a non-number there.
 fn baseline_value(text: &str, key: &str) -> Option<f64> {
-    let rest = &text[text.find(&format!("\"{key}\""))?..];
-    let tail = rest[rest.find(':')? + 1..].trim_start();
-    let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
+    serde_json::from_str(text).ok()?.get(key)?.as_f64()
 }
 
 /// The committed value of `key` in the results file at `path`. A gate that
@@ -231,6 +227,13 @@ mod tests {
         assert_eq!(baseline_value("{\"gate_ratio\":3}", "gate_ratio"), Some(3.0));
         assert_eq!(baseline_value(text, "gate_overhead_ratio"), None);
         assert_eq!(baseline_value("{\"gate_ratio\": \"n/a\"}", "gate_ratio"), None);
+        // Only the top-level key counts: not one nested deeper, not one quoted in a string.
+        let nested = r#"{"earlier": {"gate_ratio": 9.0}, "gate_ratio": 2.0}"#;
+        assert_eq!(baseline_value(nested, "gate_ratio"), Some(2.0));
+        let in_a_string = r#"{"a_note": "see \"gate_ratio", "earlier": 9.0, "gate_ratio": 2.0}"#;
+        assert_eq!(baseline_value(in_a_string, "gate_ratio"), Some(2.0));
+        assert_eq!(baseline_value(r#"{"earlier": {"gate_ratio": 9.0}}"#, "gate_ratio"), None);
+        assert_eq!(baseline_value("{\"gate_ratio\": 2.0", "gate_ratio"), None, "not a document");
     }
 
     fn committed(file: &str) -> PathBuf {

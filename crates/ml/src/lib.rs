@@ -14,7 +14,6 @@
 //!   for free text.
 //! * [`logreg`] — binary logistic regression trained with mini-batch SGD.
 //! * [`naive_bayes`] — multinomial naive Bayes for multiclass text problems.
-//! * [`knn`] — k-nearest-neighbour classification.
 //! * [`tree`] / [`forest`] — CART decision trees and random forests.
 //! * [`metrics`] — accuracy, precision/recall/F1, confusion matrices.
 //!
@@ -31,7 +30,6 @@ pub mod check;
 pub mod features;
 pub mod fnv;
 pub mod forest;
-pub mod knn;
 pub mod logreg;
 pub mod metrics;
 pub mod naive_bayes;

@@ -45,6 +45,7 @@ struct Inner {
     traps: TrapCounters,
     workers_restarted: u64,
     stuck_jobs: u64,
+    journal_append_errors: u64,
     latencies_ms: VecDeque<f64>,
     llm: Usage,
     /// Usage billed by jobs that did *not* complete (deadline-exceeded,
@@ -134,6 +135,10 @@ impl Metrics {
         self.inner.lock().stuck_jobs += 1;
     }
 
+    pub(crate) fn journal_append_error(&self) {
+        self.inner.lock().journal_append_errors += 1;
+    }
+
     /// A consistent point-in-time snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock();
@@ -158,6 +163,7 @@ impl Metrics {
             latency_samples: sorted.len(),
             llm: inner.llm,
             llm_partial: inner.llm_partial,
+            journal_append_errors: inner.journal_append_errors,
             health: HealthSnapshot {
                 live_workers: 0,
                 workers_restarted: inner.workers_restarted,
@@ -260,6 +266,11 @@ pub struct MetricsSnapshot {
     /// LLM usage billed by jobs that did not complete. `llm + llm_partial`
     /// reconciles with the shared service's ledger to the token.
     pub llm_partial: Usage,
+    /// Journal appends that failed after their job was accepted (`started`,
+    /// `finished`, `failed` records). The jobs' outcomes stood, but recovery
+    /// will not see those records: a lost `finished` is a job the next
+    /// incarnation re-executes and re-bills. Always zero without a journal.
+    pub journal_append_errors: u64,
     /// Worker-pool vital signs (live workers filled in by
     /// `PipelineServer::metrics`; counter fields always populated).
     pub health: HealthSnapshot,
@@ -362,6 +373,12 @@ impl MetricsSnapshot {
         }
         if let Some(batch) = &self.batch {
             out.push_str(&batch.report());
+        }
+        if self.journal_append_errors > 0 {
+            out.push_str(&format!(
+                "\x20 journal errors  {} append(s) failed after accept (recovery cannot see them)\n",
+                self.journal_append_errors,
+            ));
         }
         if let Some(recovery) = &self.recovery {
             out.push_str(&format!(

@@ -781,14 +781,7 @@ impl PipelineServer {
                 // Balance the journal: the accepted record is already
                 // durable, and without this the next recovery would
                 // resurrect a job the caller was told is rejected.
-                if let (Some(journal), Some(fp)) = (&self.shared.journal, fp) {
-                    let _ = journal.record_job_failed(
-                        &returned.pipeline,
-                        fp,
-                        Usage::default(),
-                        "rejected_full",
-                    );
-                }
+                journal_failure(&self.shared, &returned, "rejected_full", Usage::default());
                 if let Some(span) = returned.span {
                     tracer.end(span, || vec![("path".into(), "rejected_full".into())]);
                 }
@@ -895,8 +888,8 @@ fn process(
     if let Some(deadline) = item.deadline {
         if Instant::now() > deadline {
             shared.metrics.time_out();
-            end_span(&mut item, "timeout");
             journal_failure(shared, &item, "timeout", Usage::default());
+            end_span(&mut item, "timeout");
             finish(shared, &item, Err(ServeError::Timeout { waited: item.enqueued.elapsed() }));
             return;
         }
@@ -904,8 +897,8 @@ fn process(
     // Cancelled while queued: fail it before spending any execution.
     if item.core.cancel.explicitly_cancelled() {
         shared.metrics.cancel_job(Usage::default());
-        end_span(&mut item, "cancelled");
         journal_failure(shared, &item, "cancelled", Usage::default());
+        end_span(&mut item, "cancelled");
         finish(shared, &item, Err(ServeError::Cancelled));
         return;
     }
@@ -913,7 +906,7 @@ fn process(
     if let (Some(journal), Some(fp)) = (&shared.journal, item.fingerprint) {
         // Diagnostic only (recovery treats started exactly like queued), so
         // best-effort: a failed append must not fail the job.
-        let _ = journal.record_job_started(&item.pipeline, fp);
+        book_append(shared, &item, "started", journal.record_job_started(&item.pipeline, fp));
     }
 
     // Refresh the cached instance if missing or stale.
@@ -927,8 +920,8 @@ fn process(
             }
             Err(err) => {
                 shared.metrics.fail(Usage::default());
-                end_span(&mut item, "failed");
                 journal_failure(shared, &item, "instantiate_failed", Usage::default());
+                end_span(&mut item, "failed");
                 finish(shared, &item, Err(err));
                 return;
             }
@@ -940,8 +933,8 @@ fn process(
             // Unreachable after a successful refresh; fail the job rather
             // than unwind the worker on a broken internal assumption.
             shared.metrics.fail(Usage::default());
-            end_span(&mut item, "failed");
             journal_failure(shared, &item, "internal", Usage::default());
+            end_span(&mut item, "failed");
             finish(
                 shared,
                 &item,
@@ -986,6 +979,7 @@ fn process(
         Ok(Ok(report)) => {
             let output = Arc::new(JobOutput { env: report.env, llm: meter.usage(), wall });
             shared.metrics.complete(item.enqueued.elapsed(), output.llm);
+            journal_finished(shared, &item, &output);
             end_span(&mut item, "executed");
             finish(shared, &item, Ok(output));
         }
@@ -993,14 +987,14 @@ fn process(
             // Partial usage was billed before the deadline fired; route it to
             // the `llm_partial` meter so ledgers still reconcile to the cent.
             shared.metrics.deadline_exceed(meter.usage());
-            end_span(&mut item, "deadline_exceeded");
             journal_failure(shared, &item, "deadline_exceeded", meter.usage());
+            end_span(&mut item, "deadline_exceeded");
             finish(shared, &item, Err(ServeError::DeadlineExceeded { elapsed: wall }));
         }
         Ok(Err(CoreError::Cancelled { reason: CancelReason::Cancelled })) => {
             shared.metrics.cancel_job(meter.usage());
-            end_span(&mut item, "cancelled");
             journal_failure(shared, &item, "cancelled", meter.usage());
+            end_span(&mut item, "cancelled");
             finish(shared, &item, Err(ServeError::Cancelled));
         }
         Ok(Err(err)) => {
@@ -1008,8 +1002,8 @@ fn process(
                 shared.metrics.trap(*trap);
             }
             shared.metrics.fail(meter.usage());
-            end_span(&mut item, "failed");
             journal_failure(shared, &item, "failed", meter.usage());
+            end_span(&mut item, "failed");
             finish(shared, &item, Err(ServeError::Core(err)));
         }
         Err(payload) => {
@@ -1017,8 +1011,8 @@ fn process(
             // next job replicates a fresh copy from the registry.
             instances.remove(&item.pipeline);
             shared.metrics.panic_job(meter.usage());
-            end_span(&mut item, "panicked");
             journal_failure(shared, &item, "panicked", meter.usage());
+            end_span(&mut item, "panicked");
             tracer.instant(SpanKind::Supervisor, "job_panicked", || {
                 vec![
                     ("worker".into(), worker.to_string()),
@@ -1042,14 +1036,53 @@ fn process(
     }
 }
 
-/// Journal a terminal failure before its result is published (WAL
-/// ordering). Best-effort: the job already failed, and a storage error must
-/// not unwind the worker. Shutdown-drained jobs are deliberately *not*
-/// routed here — they stay journaled as pending so the next incarnation
+/// Book the outcome of a journal append made after the job was accepted.
+/// Such an append is best-effort: the job's result stands whether or not the
+/// record reached storage, and a storage error must not unwind the worker.
+/// But a lost record is not harmless — without its `finished`, the next
+/// recovery re-executes and re-bills a job whose caller already has the
+/// answer — so a failure is counted in `journal_append_errors` and marked on
+/// the job's span, which must still be open.
+fn book_append(shared: &Shared, item: &QueueItem, record: &str, appended: std::io::Result<bool>) {
+    let Err(err) = appended else { return };
+    shared.metrics.journal_append_error();
+    let span = item.span.as_ref().map(ManualSpan::id);
+    shared.factory.tracer().instant_under(
+        span,
+        SpanKind::ServeJob,
+        "journal_append_failed",
+        || vec![("record".into(), record.to_string()), ("error".into(), err.to_string())],
+    );
+}
+
+/// Journal a terminal failure before its result is published (WAL ordering)
+/// and before the job's span closes. Shutdown-drained jobs are deliberately
+/// *not* routed here — they stay journaled as pending so the next incarnation
 /// resurrects them.
 fn journal_failure(shared: &Shared, item: &QueueItem, reason: &str, llm: Usage) {
     if let (Some(journal), Some(fp)) = (&shared.journal, item.fingerprint) {
-        let _ = journal.record_job_failed(&item.pipeline, fp, llm, reason);
+        book_append(
+            shared,
+            item,
+            "failed",
+            journal.record_job_failed(&item.pipeline, fp, llm, reason),
+        );
+    }
+}
+
+/// Journal a completed job. WAL ordering: the finish is durable before the
+/// result becomes observable through the cache or any waiter ([`finish`]), so
+/// a recovered journal can never claim a job finished that no caller saw.
+fn journal_finished(shared: &Shared, item: &QueueItem, output: &JobOutput) {
+    if let (Some(journal), Some(fp)) = (&shared.journal, item.fingerprint) {
+        let finished = FinishedJob {
+            pipeline: item.pipeline.clone(),
+            fingerprint: fp,
+            env: output.env.clone(),
+            llm: output.llm,
+            wall_us: output.wall.as_micros() as u64,
+        };
+        book_append(shared, item, "finished", journal.record_job_finished(finished));
     }
 }
 
@@ -1060,18 +1093,6 @@ fn journal_failure(shared: &Shared, item: &QueueItem, reason: &str, llm: Usage) 
 fn finish(shared: &Shared, item: &QueueItem, result: Result<Arc<JobOutput>, ServeError>) {
     if let Some(fp) = item.fingerprint {
         if let Ok(output) = &result {
-            // WAL ordering: the finish is durable before the result becomes
-            // observable through the cache or any waiter, so a recovered
-            // journal can never claim a job finished that no caller saw.
-            if let Some(journal) = &shared.journal {
-                let _ = journal.record_job_finished(FinishedJob {
-                    pipeline: item.pipeline.clone(),
-                    fingerprint: fp,
-                    env: output.env.clone(),
-                    llm: output.llm,
-                    wall_us: output.wall.as_micros() as u64,
-                });
-            }
             shared.results.insert(job_key(&item.pipeline, fp), Arc::clone(output));
         }
         shared.in_flight.lock().remove(&(item.pipeline.clone(), fp));

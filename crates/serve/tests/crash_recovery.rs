@@ -12,11 +12,13 @@
 
 mod support;
 
+use lingua_core::modules::{CustomModule, Module};
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
 use lingua_durable::{CrashInjector, Journal, JournalTuning, KillPoint, SimStorage};
 use lingua_llm_sim::{LlmService, SimLlm, TokenPricing};
 use lingua_serve::{fingerprint_inputs, PipelineServer, ServeConfig, ServeError, SubmitRequest};
+use lingua_trace::{ring_tracer, SpanKind, TraceTree};
 use std::sync::Arc;
 use support::FailNextAppend;
 
@@ -273,4 +275,66 @@ fn resume_after_a_storage_error_loses_no_recovered_job() {
     }
     assert_eq!(server.recovery().expect("journaled server").resumed_jobs, JOBS as u64);
     assert!(server.resume_recovered().expect("nothing left").is_empty());
+}
+
+/// A `finished` record that fails to append must not fail the job — the
+/// waiter gets its output — but it must not vanish either: the journal still
+/// holds the job as pending, so the next recovery re-executes and re-bills
+/// it. The server counts the lost append and marks it on the job's span.
+#[test]
+fn a_lost_finished_append_is_counted_and_the_job_still_answers() {
+    let log = SimStorage::new();
+    let storage = FailNextAppend::over(log.clone());
+    let world = WorldSpec::generate(SEED);
+    let (tracer, sink) = ring_tracer(1 << 10);
+    let server = PipelineServer::start(
+        ContextFactory::new(Arc::new(SimLlm::with_seed(&world, SEED))).with_tracer(tracer),
+        ServeConfig {
+            workers: Some(1),
+            journal: Some(JournalTuning::over(storage.clone())),
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    // `arm` runs inside the job — after its `accepted` and `started` records,
+    // before its `finished` — so the append it fails is exactly that one.
+    let mut compiler = Compiler::with_builtins();
+    let armed = Arc::clone(&storage);
+    compiler.register("arm", move |_op, _ctx| {
+        let storage = Arc::clone(&armed);
+        Ok(Box::new(CustomModule::stateless("arm", move |input, _| {
+            storage.arm();
+            Ok(input)
+        })) as Box<dyn Module>)
+    });
+    const ARMED: &str = r#"pipeline armed {
+        held = arm(text);
+        out = summarize(held) using llm with { desc: "summarize the following document" };
+    }"#;
+    server.register_dsl("armed", ARMED, &compiler).expect("register");
+
+    let output = server
+        .run(SubmitRequest::new("armed").input("text", Data::Str("brewery field report".into())))
+        .expect("the job's result stands without its journal record");
+    assert!(!output.get("out").expect("out is bound").render().is_empty());
+
+    let metrics = server.metrics();
+    assert_eq!(metrics.journal_append_errors, 1);
+    assert_eq!((metrics.accepted, metrics.completed), (1, 1));
+    assert_eq!(metrics.accepted, metrics.finished() + metrics.deduped(), "accepted == Σ terminals");
+    drop(server);
+
+    let tree = TraceTree::build(&sink.events()).expect("the mark lands on a span that is open");
+    let jobs = tree.spans_of_kind(SpanKind::ServeJob);
+    let marks: Vec<_> = jobs
+        .iter()
+        .flat_map(|job| &job.instants)
+        .filter(|i| i.name == "journal_append_failed")
+        .collect();
+    assert_eq!(marks.len(), 1, "{jobs:?}");
+    assert_eq!(marks[0].attrs.get("record").map(String::as_str), Some("finished"));
+
+    // What the counter warns of: the next incarnation finds the job pending.
+    let (_journal, recovered) = Journal::open(JournalTuning::sim(log)).expect("the log reopens");
+    assert_eq!(recovered.pending.len(), 1, "the answered job comes back to be run again");
 }

@@ -2,21 +2,13 @@
 //!
 //! Every `[dependencies]` / `[dev-dependencies]` / `[workspace.dependencies]`
 //! entry in the root manifest and in each `crates/*/Cargo.toml` must be a
-//! `lingua-*` path crate. The one exception is `serde_json`, for the three
-//! crates that still write JSON through it (`lingua-trace`, `lingua-bench`,
-//! `lingua-durable`) and the workspace table that pins its version.
-//! `crates/e2e` is the benchmark's own and out of scope. A failure names the
-//! file and the key.
+//! path crate of this workspace: a `lingua-*` crate, or `serde_json`, which is
+//! `crates/json` under the name `crates/e2e` asks for. `Cargo.lock` must not
+//! name a package source at all. `crates/e2e` is the benchmark's own and out
+//! of scope. A failure names the file and the key.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-
-const SERDE_JSON_ALLOWED: [&str; 4] = [
-    "Cargo.toml",
-    "crates/trace/Cargo.toml",
-    "crates/bench/Cargo.toml",
-    "crates/journal/Cargo.toml",
-];
 
 fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -49,17 +41,14 @@ fn dependency_entries(manifest: &str) -> Vec<(String, String)> {
     entries
 }
 
-/// Why `key = value` in `file` is not allowed, if it is not.
-fn objection(file: &str, key: &str, value: &str) -> Option<&'static str> {
+/// Why `key = value` is not allowed in a dependency table, if it is not.
+fn objection(key: &str, value: &str) -> Option<&'static str> {
     let compact: String = value.split_whitespace().collect();
-    if key == "serde_json" {
-        return (!SERDE_JSON_ALLOWED.contains(&file)).then_some("serde_json is not allowed here");
-    }
-    if !key.starts_with("lingua-") {
-        return Some("not a lingua-* crate");
+    if key != "serde_json" && !key.starts_with("lingua-") {
+        return Some("not a crate of this workspace");
     }
     (!compact.contains("path=") && !compact.contains("workspace=true"))
-        .then_some("a lingua-* crate must come from the workspace, by path")
+        .then_some("a crate of this workspace must come from it, by path")
 }
 
 #[test]
@@ -78,13 +67,27 @@ fn every_dependency_is_a_workspace_path_crate() {
         let text = fs::read_to_string(root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
         for (key, value) in dependency_entries(&text) {
             checked += 1;
-            if let Some(why) = objection(file, &key, &value) {
+            if let Some(why) = objection(&key, &value) {
                 objections.push(format!("{file}: {key} — {why}"));
             }
         }
     }
     assert!(checked > 50, "the scan found only {checked} entries: the parser is not reading them");
     assert!(objections.is_empty(), "registry dependencies crept back:\n{}", objections.join("\n"));
+}
+
+/// A registry (or git) package carries a `source = "…"` line in the lock; a
+/// path crate carries none. So this is "no registry package at all", and it
+/// reads the file `cargo build --locked --offline` builds from.
+#[test]
+fn the_lockfile_names_no_package_source() {
+    let lock = fs::read_to_string(root().join("Cargo.lock")).expect("Cargo.lock is committed");
+    let packages = lock.lines().filter(|line| line.trim() == "[[package]]").count();
+    let members = fs::read_dir(root().join("crates")).expect("crates/ is readable").count();
+    assert_eq!(packages, members, "the lock lists one package per crate under crates/");
+    let sourced: Vec<&str> =
+        lock.lines().filter(|line| line.trim_start().starts_with("source")).collect();
+    assert!(sourced.is_empty(), "Cargo.lock names package sources:\n{}", sourced.join("\n"));
 }
 
 #[test]
@@ -111,11 +114,11 @@ fn the_scanner_reads_the_forms_a_manifest_can_take() {
     assert_eq!(keys, ["lingua-ml", "rand", "serde", "lingua-core", "lingua-evil", "libc", "regex"]);
     let refused: Vec<&str> = entries
         .iter()
-        .filter(|(key, value)| objection("crates/x/Cargo.toml", key, value).is_some())
+        .filter(|(key, value)| objection(key, value).is_some())
         .map(|(key, _)| key.as_str())
         .collect();
     assert_eq!(refused, ["rand", "serde", "lingua-evil", "libc", "regex"]);
-    assert!(objection("crates/core/Cargo.toml", "serde_json", "{ workspace = true }").is_some());
-    assert!(objection("crates/trace/Cargo.toml", "serde_json", "{ workspace = true }").is_none());
-    assert!(objection("Cargo.toml", "serde_json", "\"1\"").is_none());
+    assert!(objection("serde_json", "{ workspace = true }").is_none());
+    assert!(objection("serde_json", "{ path = \"crates/json\" }").is_none());
+    assert!(objection("serde_json", "\"1\"").is_some());
 }
