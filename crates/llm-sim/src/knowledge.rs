@@ -3,12 +3,25 @@
 //! Construction draws deterministic "does the model know this?" coin flips
 //! per fact, keyed by `(seed, fact)`, so knowledge is stable across calls —
 //! the model either knows a beer or it doesn't, every time it is asked.
+//!
+//! Recognising a record ([`KnowledgeBase::resolve`]) is an index lookup. The
+//! first entity question about a domain builds that domain's `DomainIndex`:
+//! every distinct token of the known entities' match keys, interned once as
+//! `Vec<char>`, and each entity reduced to two lists of token ids. A lookup
+//! then scores the record's few primary-key tokens against that *vocabulary*
+//! — one Jaro-Winkler table per record, not one Monge-Elkan per entity — and
+//! every entity's score is row and column maxima of the table, summed in the
+//! order and divided by the count a per-entity `textsim::monge_elkan` would
+//! use, so each `f64`, and with it every verdict, is the one that scan
+//! produced (DESIGN.md §8). A knowledge base that is never asked an entity
+//! question builds no index.
 
 use crate::calibration::Calibration;
 use lingua_dataset::world::{Language, WorldSpec};
 use lingua_ml::fnv::fingerprint;
 use lingua_ml::textsim;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// Which entity universe a record belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,14 +31,144 @@ pub enum EntityDomain {
     Song,
 }
 
-/// One entity the model knows, with normalized match keys.
+/// One entity the model knows, as the world spells it: what a
+/// [`DomainIndex`] is built from.
+#[derive(Debug, Clone)]
+struct KnownEntity {
+    id: u64,
+    /// Beer name / restaurant name / song title.
+    primary: String,
+    /// Brewery / address and city / artist.
+    secondary: String,
+}
+
+/// One domain of entity knowledge and, once a question has been asked about
+/// it, its match index.
+#[derive(Debug, Clone)]
+struct Domain {
+    known: Vec<KnownEntity>,
+    index: OnceLock<DomainIndex>,
+}
+
+impl Domain {
+    fn new(known: impl Iterator<Item = KnownEntity>) -> Domain {
+        Domain { known: known.collect(), index: OnceLock::new() }
+    }
+
+    fn index(&self) -> &DomainIndex {
+        self.index.get_or_init(|| DomainIndex::build(&self.known))
+    }
+}
+
+/// One indexed entity: its match keys as ids into [`DomainIndex::vocab`], in
+/// key order, repeats kept.
 #[derive(Debug, Clone)]
 struct KbEntity {
     id: u64,
-    /// Normalized primary key text (beer name / restaurant name / song title).
-    primary: String,
-    /// Normalized secondary key text (brewery / city+addr / artist).
-    secondary: String,
+    primary: Vec<usize>,
+    secondary: Vec<usize>,
+}
+
+/// The match keys of one domain's known entities, tokenised once.
+#[derive(Debug, Clone)]
+struct DomainIndex {
+    /// Every distinct key token. Those some primary key uses come first
+    /// (`..primary_vocab`): they are the ones a lookup scores its record
+    /// against.
+    vocab: Vec<Vec<char>>,
+    primary_vocab: usize,
+    /// In [`Domain::known`] order.
+    entities: Vec<KbEntity>,
+}
+
+/// The tokens a match key is compared by, or `None` for a key that
+/// normalises to nothing. They are the tokens of the *normalised* text:
+/// normalising is not idempotent under [`textsim::tokens`] — `İ` lowercases
+/// to `i` plus a combining dot, which a second pass trims — and two passes
+/// are what the comparison has always seen.
+fn key_tokens(text: &str) -> Option<Vec<Vec<char>>> {
+    let normalized = normalize(text);
+    (!normalized.is_empty()).then(|| textsim::token_chars(&normalized))
+}
+
+/// The Jaro-Winkler of every token of one query key against some of the
+/// vocabulary, and the Monge-Elkan scores that can be read off it.
+struct JwTable {
+    /// Query tokens.
+    rows: usize,
+    /// `jw[i * vocab.len() + v]`: query token `i` against vocabulary token
+    /// `v` — and `v` against `i`, Jaro-Winkler being symmetric to the bit
+    /// (`lingua_ml::textsim`'s tests). Zero where `v` was not asked for.
+    jw: Vec<f64>,
+    /// The maximum of each column.
+    column_max: Vec<f64>,
+}
+
+impl JwTable {
+    /// `max(me(query→key), me(key→query))` for a key whose tokens were among
+    /// the columns scored: the symmetric Monge-Elkan both match keys are
+    /// judged by. `me(query→key)` is the sum over rows of the row's maximum
+    /// at `key`'s columns, over the row count; `me(key→query)` is the sum
+    /// over `key`'s columns of the column maximum, over `key`'s length —
+    /// the terms a Monge-Elkan of the two strings adds, in the order it adds
+    /// them, so the result is the same `f64`.
+    fn either_way(&self, key: &[usize]) -> f64 {
+        if self.rows == 0 || key.is_empty() {
+            // Monge-Elkan's reading of an empty side.
+            return if self.rows == 0 && key.is_empty() { 1.0 } else { 0.0 };
+        }
+        let width = self.column_max.len();
+        let forward: f64 = self
+            .jw
+            .chunks_exact(width)
+            .map(|row| key.iter().map(|&v| row[v]).fold(0.0f64, f64::max))
+            .sum();
+        let backward: f64 = key.iter().map(|&v| self.column_max[v]).sum();
+        (forward / self.rows as f64).max(backward / key.len() as f64)
+    }
+}
+
+impl DomainIndex {
+    fn build(known: &[KnownEntity]) -> DomainIndex {
+        let mut ids: BTreeMap<Vec<char>, usize> = BTreeMap::new();
+        let mut intern = |text: &str| -> Vec<usize> {
+            key_tokens(text)
+                .unwrap_or_default()
+                .into_iter()
+                .map(|token| {
+                    let next = ids.len();
+                    *ids.entry(token).or_insert(next)
+                })
+                .collect()
+        };
+        let primaries: Vec<Vec<usize>> = known.iter().map(|e| intern(&e.primary)).collect();
+        let primary_vocab = primaries.iter().flatten().max().map_or(0, |&last| last + 1);
+        let entities = known
+            .iter()
+            .zip(primaries)
+            .map(|(e, primary)| KbEntity { id: e.id, primary, secondary: intern(&e.secondary) })
+            .collect();
+        let mut vocab = vec![Vec::new(); ids.len()];
+        for (token, id) in ids {
+            vocab[id] = token;
+        }
+        DomainIndex { vocab, primary_vocab, entities }
+    }
+
+    /// Score a query key against the vocabulary tokens `columns` names.
+    fn score(&self, query: &[Vec<char>], columns: impl Iterator<Item = usize>) -> JwTable {
+        let width = self.vocab.len();
+        let mut jw = vec![0.0f64; query.len() * width];
+        let mut column_max = vec![0.0f64; width];
+        for v in columns {
+            for (i, q) in query.iter().enumerate() {
+                let score = textsim::jaro_winkler_chars(q, &self.vocab[v]);
+                jw[i * width + v] = score;
+                column_max[v] = column_max[v].max(score);
+            }
+        }
+        JwTable { rows: query.len(), jw, column_max }
+    }
 }
 
 /// Per-language name knowledge.
@@ -38,9 +181,9 @@ struct NameKnowledge {
 /// The knowledge base.
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
-    beers: Vec<KbEntity>,
-    restaurants: Vec<KbEntity>,
-    songs: Vec<KbEntity>,
+    beers: Domain,
+    restaurants: Domain,
+    songs: Domain,
     /// Known product-line → manufacturer facts (lowercased line).
     line_owners: BTreeMap<String, String>,
     /// The full manufacturer vocabulary (brand names are common knowledge).
@@ -65,45 +208,48 @@ impl KnowledgeBase {
     /// Build the knowledge base from a world, keeping each fact with its
     /// calibrated coverage probability.
     pub fn from_world(world: &WorldSpec, calibration: &Calibration, seed: u64) -> KnowledgeBase {
-        let beers = world
-            .beers
-            .iter()
-            .filter(|b| {
-                stable_draw(seed, &format!("beer:{}:{}", b.brewery, b.name))
-                    < calibration.beer_entity_coverage
-            })
-            .map(|b| KbEntity {
-                id: b.id,
-                primary: normalize(&b.name),
-                secondary: normalize(&b.brewery),
-            })
-            .collect();
-        let restaurants = world
-            .restaurants
-            .iter()
-            .filter(|r| {
-                stable_draw(seed, &format!("rest:{}:{}", r.name, r.city))
-                    < calibration.restaurant_entity_coverage
-            })
-            .map(|r| KbEntity {
-                id: r.id,
-                primary: normalize(&r.name),
-                secondary: normalize(&format!("{} {}", r.addr, r.city)),
-            })
-            .collect();
-        let songs = world
-            .songs
-            .iter()
-            .filter(|s| {
-                stable_draw(seed, &format!("song:{}:{}", s.artist, s.title))
-                    < calibration.song_entity_coverage
-            })
-            .map(|s| KbEntity {
-                id: s.id,
-                primary: normalize(&s.title),
-                secondary: normalize(&s.artist),
-            })
-            .collect();
+        let beers = Domain::new(
+            world
+                .beers
+                .iter()
+                .filter(|b| {
+                    stable_draw(seed, &format!("beer:{}:{}", b.brewery, b.name))
+                        < calibration.beer_entity_coverage
+                })
+                .map(|b| KnownEntity {
+                    id: b.id,
+                    primary: b.name.clone(),
+                    secondary: b.brewery.clone(),
+                }),
+        );
+        let restaurants = Domain::new(
+            world
+                .restaurants
+                .iter()
+                .filter(|r| {
+                    stable_draw(seed, &format!("rest:{}:{}", r.name, r.city))
+                        < calibration.restaurant_entity_coverage
+                })
+                .map(|r| KnownEntity {
+                    id: r.id,
+                    primary: r.name.clone(),
+                    secondary: format!("{} {}", r.addr, r.city),
+                }),
+        );
+        let songs = Domain::new(
+            world
+                .songs
+                .iter()
+                .filter(|s| {
+                    stable_draw(seed, &format!("song:{}:{}", s.artist, s.title))
+                        < calibration.song_entity_coverage
+                })
+                .map(|s| KnownEntity {
+                    id: s.id,
+                    primary: s.title.clone(),
+                    secondary: s.artist.clone(),
+                }),
+        );
 
         let line_owners = world
             .product_line_owners
@@ -165,7 +311,7 @@ impl KnowledgeBase {
         }
     }
 
-    fn entities(&self, domain: EntityDomain) -> &[KbEntity] {
+    fn domain(&self, domain: EntityDomain) -> &Domain {
         match domain {
             EntityDomain::Beer => &self.beers,
             EntityDomain::Restaurant => &self.restaurants,
@@ -175,7 +321,7 @@ impl KnowledgeBase {
 
     /// How many entities the model knows in a domain.
     pub fn known_count(&self, domain: EntityDomain) -> usize {
-        self.entities(domain).len()
+        self.domain(domain).known.len()
     }
 
     /// Try to resolve a (possibly corrupted) record to a known entity.
@@ -184,30 +330,30 @@ impl KnowledgeBase {
     /// primary and secondary keys; resolves only with a confident, unambiguous
     /// top match. Returns the ground-truth entity id.
     pub fn resolve(&self, domain: EntityDomain, primary: &str, secondary: &str) -> Option<u64> {
-        let primary = normalize(primary);
-        let secondary = normalize(secondary);
-        if primary.is_empty() {
-            return None;
-        }
+        let primary = key_tokens(primary)?;
+        let secondary = key_tokens(secondary);
+        let index = self.domain(domain).index();
         let mut best: Option<(f64, u64)> = None;
         let mut second_best = 0.0f64;
-        for entity in self.entities(domain) {
-            // Token-aligned similarity: each token must find a close partner.
-            // Character-level measures (Jaro-Winkler) are too lenient here —
-            // shared adjectives ("Howling X" vs "Howling Y") score ~0.9.
-            let p = textsim::monge_elkan(&primary, &entity.primary)
-                .max(textsim::monge_elkan(&entity.primary, &primary));
+        // Token-aligned similarity: each token must find a close partner.
+        // Character-level measures (Jaro-Winkler) are too lenient here —
+        // shared adjectives ("Howling X" vs "Howling Y") score ~0.9.
+        // The record's primary key meets the vocabulary once, here; the
+        // loop below only reads the table.
+        let against_primaries = index.score(&primary, 0..index.primary_vocab);
+        for entity in &index.entities {
+            let p = against_primaries.either_way(&entity.primary);
             // Both keys must individually be plausible: a same-named entity
             // from a clearly different secondary context (brewery / artist /
             // address) is *not* a recall of this entity.
             if p < 0.88 {
                 continue;
             }
-            let s = if secondary.is_empty() {
-                0.7 // neutral-ish when the record lacks the secondary field
-            } else {
-                textsim::monge_elkan(&secondary, &entity.secondary)
-                    .max(textsim::monge_elkan(&entity.secondary, &secondary))
+            let s = match &secondary {
+                None => 0.7, // neutral-ish when the record lacks the secondary field
+                Some(secondary) => index
+                    .score(secondary, entity.secondary.iter().copied())
+                    .either_way(&entity.secondary),
             };
             if s < 0.80 {
                 continue;
@@ -245,20 +391,14 @@ impl KnowledgeBase {
         primary: &str,
         secondary: &str,
     ) -> Option<bool> {
-        let entity = self.entities(domain).iter().find(|e| e.id == id)?;
-        let primary = normalize(primary);
-        let secondary = normalize(secondary);
-        if primary.is_empty() {
-            return None;
-        }
-        let p = textsim::monge_elkan(&primary, &entity.primary)
-            .max(textsim::monge_elkan(&entity.primary, &primary));
-        let s = if secondary.is_empty() {
-            0.75
-        } else {
-            textsim::monge_elkan(&secondary, &entity.secondary)
-                .max(textsim::monge_elkan(&entity.secondary, &secondary))
+        let index = self.domain(domain).index();
+        let entity = index.entities.iter().find(|e| e.id == id)?;
+        let judged = |query: &[Vec<char>], key: &[usize]| {
+            index.score(query, key.iter().copied()).either_way(key)
         };
+        let p = judged(&key_tokens(primary)?, &entity.primary);
+        let s =
+            key_tokens(secondary).map_or(0.75, |secondary| judged(&secondary, &entity.secondary));
         Some(p >= 0.80 && s >= 0.70)
     }
 
@@ -424,6 +564,291 @@ mod tests {
         let (_, kb) = kb();
         assert_eq!(kb.resolve(EntityDomain::Beer, "completely unheard of brew", "nowhere"), None);
         assert_eq!(kb.resolve(EntityDomain::Beer, "", ""), None);
+    }
+
+    /// What an entity used to hold: its two keys, normalised, as strings.
+    struct ScannedEntity {
+        id: u64,
+        primary: String,
+        secondary: String,
+    }
+
+    fn scanned(kb: &KnowledgeBase, domain: EntityDomain) -> Vec<ScannedEntity> {
+        let normalized = |e: &KnownEntity| ScannedEntity {
+            id: e.id,
+            primary: normalize(&e.primary),
+            secondary: normalize(&e.secondary),
+        };
+        kb.domain(domain).known.iter().map(normalized).collect()
+    }
+
+    fn either_way(a: &str, b: &str) -> f64 {
+        textsim::monge_elkan(a, b).max(textsim::monge_elkan(b, a))
+    }
+
+    /// `resolve` as it was before the index: one string Monge-Elkan pair per
+    /// entity, two more for those whose primary key passes.
+    fn resolve_by_scan(entities: &[ScannedEntity], primary: &str, secondary: &str) -> Option<u64> {
+        let primary = normalize(primary);
+        let secondary = normalize(secondary);
+        if primary.is_empty() {
+            return None;
+        }
+        let mut best: Option<(f64, u64)> = None;
+        let mut second_best = 0.0f64;
+        for entity in entities {
+            let p = either_way(&primary, &entity.primary);
+            if p < 0.88 {
+                continue;
+            }
+            let s =
+                if secondary.is_empty() { 0.7 } else { either_way(&secondary, &entity.secondary) };
+            if s < 0.80 {
+                continue;
+            }
+            let score = 0.65 * p + 0.35 * s;
+            match best {
+                Some((b, _)) if score <= b => second_best = second_best.max(score),
+                _ => {
+                    if let Some((b, _)) = best {
+                        second_best = b;
+                    }
+                    best = Some((score, entity.id));
+                }
+            }
+        }
+        let (score, id) = best?;
+        (score > 0.86 && score - second_best > 0.03).then_some(id)
+    }
+
+    fn matches_known_by_scan(
+        entities: &[ScannedEntity],
+        id: u64,
+        primary: &str,
+        secondary: &str,
+    ) -> Option<bool> {
+        let entity = entities.iter().find(|e| e.id == id)?;
+        let primary = normalize(primary);
+        let secondary = normalize(secondary);
+        if primary.is_empty() {
+            return None;
+        }
+        let p = either_way(&primary, &entity.primary);
+        let s = if secondary.is_empty() { 0.75 } else { either_way(&secondary, &entity.secondary) };
+        Some(p >= 0.80 && s >= 0.70)
+    }
+
+    const DOMAINS: [EntityDomain; 3] =
+        [EntityDomain::Beer, EntityDomain::Restaurant, EntityDomain::Song];
+
+    /// One drawn lookup: which knowledge base, which domain, the record's two
+    /// keys and the entity `matches_known` is anchored on.
+    #[derive(Debug)]
+    struct Lookup {
+        kb: usize,
+        domain: EntityDomain,
+        primary: String,
+        secondary: String,
+        anchor: lingua_ml::check::Index,
+    }
+
+    #[test]
+    fn the_index_answers_as_the_per_entity_scan_did() {
+        use lingua_dataset::generators::corruption;
+        use lingua_ml::check::{check, Gen};
+        use lingua_ml::rng::Rng;
+
+        // Three worlds, each known to a differently seeded model, and in each
+        // domain three entities whose keys only compare right if the index
+        // tokenises the *normalised* key: a token ending in `İ` keeps its
+        // combining dot through one pass of `tokens` and loses it in the second.
+        let kbs: Vec<(WorldSpec, KnowledgeBase)> = [(5, 7), (11, 11), (29, 3)]
+            .into_iter()
+            .map(|(world_seed, seed)| {
+                let world = WorldSpec::generate(world_seed);
+                let mut kb = KnowledgeBase::from_world(&world, &Calibration::default(), seed);
+                for domain in [&mut kb.beers, &mut kb.restaurants, &mut kb.songs] {
+                    for (n, (primary, secondary)) in
+                        [("Kadıİ Ale", "Efeİ Brewing"), ("Straße İİ", "İ"), ("...", "")]
+                            .iter()
+                            .enumerate()
+                    {
+                        domain.known.push(KnownEntity {
+                            id: 1_000_000 + n as u64,
+                            primary: primary.to_string(),
+                            secondary: secondary.to_string(),
+                        });
+                    }
+                }
+                (world, kb)
+            })
+            .collect();
+        let scans: Vec<[Vec<ScannedEntity>; 3]> =
+            kbs.iter().map(|(_, kb)| DOMAINS.map(|domain| scanned(kb, domain))).collect();
+
+        let key_text = |g: &mut Gen,
+                        known: &[KnownEntity],
+                        lexicon_names: &[&String]|
+         -> (String, String) {
+            let entity = g.pick(known);
+            let mut rng = Rng::seed_from_u64(g.int(..));
+            match g.int(0..8u32) {
+                // As the world spells it.
+                0 => (entity.primary.clone(), entity.secondary.clone()),
+                // The listing damage the ER generators apply, and more of it.
+                1 | 2 => {
+                    let damage = |rng: &mut Rng, text: &str| {
+                        let text = corruption::corrupt(rng, text, 0.9);
+                        let text = corruption::abbreviate(rng, &text, 0.5);
+                        let text = corruption::drop_tokens(rng, &text, 0.3);
+                        let text = corruption::reorder_tokens(rng, &text, 0.5);
+                        corruption::case_jitter(rng, &text)
+                    };
+                    (damage(&mut rng, &entity.primary), damage(&mut rng, &entity.secondary))
+                }
+                // One entity's name under another's brewery / address / artist,
+                // or the two names run together.
+                3 => {
+                    let other = g.pick(known);
+                    if g.bool() {
+                        (entity.primary.clone(), other.secondary.clone())
+                    } else {
+                        (format!("{} {}", entity.primary, other.primary), entity.secondary.clone())
+                    }
+                }
+                // Nothing, blanks, punctuation only — on either key.
+                4 => {
+                    let blank = |g: &mut Gen| {
+                        g.pick(&["", "   ", "\t\n", "--- ... !!", "(/;,)"]).to_string()
+                    };
+                    match g.int(0..3u32) {
+                        0 => (blank(g), entity.secondary.clone()),
+                        1 => (entity.primary.clone(), blank(g)),
+                        _ => (blank(g), blank(g)),
+                    }
+                }
+                // Names the lexicons hold: accents, CJK, no shared script.
+                5 => (
+                    format!("{} {}", g.pick(lexicon_names), g.pick(lexicon_names)),
+                    g.pick(lexicon_names).to_string(),
+                ),
+                // Characters whose lowercase `tokens` does not leave alone.
+                6 => {
+                    let dotted = |text: &str| text.replace(['e', 's'], "İ").replace('a', "ß");
+                    (dotted(&entity.primary), dotted(&entity.secondary).to_uppercase())
+                }
+                // A typo or two: the near misses the thresholds decide.
+                _ => (
+                    corruption::typos(&mut rng, &entity.primary, g.int(1..=2)),
+                    corruption::typos(&mut rng, &entity.secondary, g.int(0..=1)),
+                ),
+            }
+        };
+
+        check(
+            "the_index_answers_as_the_per_entity_scan_did",
+            240,
+            |g| {
+                let kb = g.int(0..kbs.len());
+                let domain = *g.pick(&DOMAINS);
+                let (world, knowledge) = &kbs[kb];
+                let names: Vec<&String> = world
+                    .lexicons
+                    .values()
+                    .flat_map(|lexicon| lexicon.given_names.iter().chain(&lexicon.surnames))
+                    .collect();
+                let (primary, secondary) = key_text(g, &knowledge.domain(domain).known, &names);
+                Lookup { kb, domain, primary, secondary, anchor: g.index() }
+            },
+            |Lookup { kb, domain, primary, secondary, anchor }| {
+                let knowledge = &kbs[kb].1;
+                let scan = &scans[kb][DOMAINS.iter().position(|d| *d == domain).unwrap()];
+                assert_eq!(
+                    knowledge.resolve(domain, &primary, &secondary),
+                    resolve_by_scan(scan, &primary, &secondary),
+                    "resolve"
+                );
+                // Anchored on a known entity, and now and then on an unknown one.
+                let anchor = match anchor.of(scan.len() + 1) {
+                    unknown if unknown == scan.len() => u64::MAX,
+                    known => scan[known].id,
+                };
+                assert_eq!(
+                    knowledge.matches_known(domain, anchor, &primary, &secondary),
+                    matches_known_by_scan(scan, anchor, &primary, &secondary),
+                    "matches_known"
+                );
+
+                // Not only the verdicts: every score, to the bit, for every
+                // entity — also those the thresholds would not have looked at.
+                let index = knowledge.domain(domain).index();
+                let every_score_matches =
+                    |key: &str,
+                     scanned_key: fn(&ScannedEntity) -> &String,
+                     indexed_key: fn(&KbEntity) -> &Vec<usize>| {
+                        let Some(tokens) = key_tokens(key) else { return };
+                        let everything = index.score(&tokens, 0..index.vocab.len());
+                        for (entity, old) in index.entities.iter().zip(scan) {
+                            let one = index.score(&tokens, indexed_key(entity).iter().copied());
+                            let expected = either_way(&normalize(key), scanned_key(old));
+                            for table in [&everything, &one] {
+                                assert_eq!(
+                                    table.either_way(indexed_key(entity)).to_bits(),
+                                    expected.to_bits(),
+                                    "{key:?} against {:?}",
+                                    scanned_key(old)
+                                );
+                            }
+                        }
+                    };
+                every_score_matches(&primary, |e| &e.primary, |e| &e.primary);
+                every_score_matches(&secondary, |e| &e.secondary, |e| &e.secondary);
+            },
+        );
+    }
+
+    #[test]
+    fn primary_key_tokens_come_first_in_the_vocabulary() {
+        // `resolve` scores its record against `..primary_vocab` only.
+        let (_, kb) = kb();
+        for domain in DOMAINS {
+            let index = kb.domain(domain).index();
+            assert_eq!(index.entities.len(), kb.known_count(domain));
+            let used: BTreeSet<usize> =
+                index.entities.iter().flat_map(|e| e.primary.iter().copied()).collect();
+            assert_eq!(used, (0..index.primary_vocab).collect::<BTreeSet<usize>>());
+            assert!(index.primary_vocab <= index.vocab.len());
+            let distinct: BTreeSet<&Vec<char>> = index.vocab.iter().collect();
+            assert_eq!(distinct.len(), index.vocab.len(), "a token is interned once");
+        }
+    }
+
+    #[test]
+    fn an_index_is_built_by_the_first_entity_question_about_its_domain() {
+        use crate::service::{CompletionRequest, LlmService, SimLlm};
+        let world = WorldSpec::generate(5);
+        let llm = SimLlm::with_seed(&world, 5);
+        let built = || DOMAINS.map(|domain| llm.knowledge().domain(domain).index.get().is_some());
+        assert_eq!(built(), [false; 3], "construction builds none");
+
+        llm.complete(&CompletionRequest::new(
+            "Summarize. Text: a stout and a porter walk into a bar",
+        ));
+        llm.complete(&CompletionRequest::new(format!(
+            "Fill in the missing manufacturer.\nProduct: name: {}\nAnswer with only the manufacturer name.",
+            world.products[0].name
+        )));
+        assert!(llm.knowledge().known_count(EntityDomain::Beer) > 0);
+        assert_eq!(built(), [false; 3], "summaries, imputations and counts need none");
+
+        let beer = &world.beers[0];
+        llm.complete(&CompletionRequest::new(format!(
+            "Do these two records refer to the same entity?\n\
+             Record A: beer_name: {0}; brewery: {1}\nRecord B: beer_name: {0}; brewery: {1}\n\
+             Answer yes or no.",
+            beer.name, beer.brewery
+        )));
+        assert_eq!(built(), [true, false, false], "the first beer question builds the beer index");
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! operate on Unicode scalar values, and are case-sensitive — callers that
 //! want case-insensitive behaviour should lowercase first (the feature
 //! extractor does).
+//!
+//! There is one Jaro loop, over `&[char]`. The `&str` entry points [`jaro`],
+//! [`jaro_winkler`] and [`monge_elkan`] split their arguments and run it; a
+//! caller that compares one side many times (the simulator's knowledge base)
+//! splits once with [`token_chars`] and calls [`jaro_winkler_chars`] itself.
+//! Both routes run the same arithmetic, so they agree to the bit.
 
 use std::collections::BTreeSet;
 
@@ -43,17 +49,47 @@ pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
 
 /// Jaro similarity.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+    jaro_chars(&chars(a), &chars(b))
+}
+
+/// Jaro-Winkler similarity with the standard 0.1 prefix scale, capped at a
+/// 4-character common prefix.
+pub fn jaro_winkler(a: &str, b: &str) -> f64 {
+    jaro_winkler_chars(&chars(a), &chars(b))
+}
+
+fn chars(text: &str) -> Vec<char> {
+    text.chars().collect()
+}
+
+/// [`jaro`] over scalar values already split out — the kernel every Jaro,
+/// Jaro-Winkler and Monge-Elkan in this module runs on. It allocates nothing
+/// for strings of up to 32 characters (a token, a name), and takes any
+/// length.
+fn jaro_chars(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
+    if a.len() <= INLINE_FLAGS && b.len() <= INLINE_FLAGS {
+        jaro_flagged(a, b, &mut [false; INLINE_FLAGS], &mut [false; INLINE_FLAGS])
+    } else {
+        jaro_flagged(a, b, &mut vec![false; a.len()], &mut vec![false; b.len()])
+    }
+}
+
+/// Longest string whose matched flags [`jaro_chars`] keeps on the stack.
+const INLINE_FLAGS: usize = 32;
+
+/// The Jaro loop, over non-empty strings and cleared flag buffers at least as
+/// long as they are. The matching is greedy — each character of `a` takes the
+/// first free equal character of `b` inside the window — and still symmetric:
+/// `jaro(a, b)` and `jaro(b, a)` are the same `f64`
+/// (`jaro_is_symmetric_to_the_bit`).
+fn jaro_flagged(a: &[char], b: &[char], a_matched: &mut [bool], b_matched: &mut [bool]) -> f64 {
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut a_matched = vec![false; a.len()];
-    let mut b_matched = vec![false; b.len()];
     let mut matches = 0usize;
     for (i, &ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
@@ -73,12 +109,12 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     // Transpositions.
     let mut transpositions = 0usize;
     let mut j = 0usize;
-    for (i, &flag) in a_matched.iter().enumerate() {
-        if flag {
+    for (i, &ca) in a.iter().enumerate() {
+        if a_matched[i] {
             while !b_matched[j] {
                 j += 1;
             }
-            if a[i] != b[j] {
+            if ca != b[j] {
                 transpositions += 1;
             }
             j += 1;
@@ -88,11 +124,10 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64 / 2.0) / m) / 3.0
 }
 
-/// Jaro-Winkler similarity with the standard 0.1 prefix scale, capped at a
-/// 4-character common prefix.
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let base = jaro(a, b);
-    let prefix = a.chars().zip(b.chars()).take(4).take_while(|(x, y)| x == y).count() as f64;
+/// [`jaro_winkler`] over scalar values already split out.
+pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
+    let base = jaro_chars(a, b);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
     base + prefix * 0.1 * (1.0 - base)
 }
 
@@ -157,11 +192,16 @@ pub fn trigram_cosine(a: &str, b: &str) -> f64 {
     dot / (na * nb)
 }
 
+/// [`tokens`], each split into scalar values for [`jaro_winkler_chars`].
+pub fn token_chars(text: &str) -> Vec<Vec<char>> {
+    tokens(text).iter().map(|t| chars(t)).collect()
+}
+
 /// Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in `b`.
 /// Asymmetric; callers usually take `max(me(a,b), me(b,a))`.
 pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    let ta = tokens(a);
-    let tb = tokens(b);
+    let ta = token_chars(a);
+    let tb = token_chars(b);
     if ta.is_empty() {
         return if tb.is_empty() { 1.0 } else { 0.0 };
     }
@@ -169,7 +209,7 @@ pub fn monge_elkan(a: &str, b: &str) -> f64 {
         return 0.0;
     }
     let total: f64 =
-        ta.iter().map(|x| tb.iter().map(|y| jaro_winkler(x, y)).fold(0.0f64, f64::max)).sum();
+        ta.iter().map(|x| tb.iter().map(|y| jaro_winkler_chars(x, y)).fold(0.0f64, f64::max)).sum();
     total / ta.len() as f64
 }
 
@@ -258,6 +298,115 @@ mod tests {
         assert_eq!(jaro_winkler("", ""), 1.0);
         assert_eq!(jaro_winkler("a", ""), 0.0);
         assert!(jaro_winkler("dwayne", "duane") > 0.8);
+    }
+
+    /// Jaro as the textbook states it, every buffer on the heap.
+    fn jaro_reference(a: &[char], b: &[char]) -> f64 {
+        if a.is_empty() || b.is_empty() {
+            return if a.is_empty() && b.is_empty() { 1.0 } else { 0.0 };
+        }
+        let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+        let (mut a_matched, mut b_matched) = (vec![false; a.len()], vec![false; b.len()]);
+        for i in 0..a.len() {
+            let hi = (i + window + 1).min(b.len());
+            if let Some(j) = (i.saturating_sub(window)..hi).find(|&j| !b_matched[j] && b[j] == a[i])
+            {
+                a_matched[i] = true;
+                b_matched[j] = true;
+            }
+        }
+        let matched = |s: &[char], flags: &[bool]| -> Vec<char> {
+            s.iter().zip(flags).filter(|(_, &m)| m).map(|(&c, _)| c).collect()
+        };
+        let (ma, mb) = (matched(a, &a_matched), matched(b, &b_matched));
+        if ma.is_empty() {
+            return 0.0;
+        }
+        let m = ma.len() as f64;
+        let transpositions = ma.iter().zip(&mb).filter(|(x, y)| x != y).count();
+        (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64 / 2.0) / m) / 3.0
+    }
+
+    #[test]
+    fn char_kernel_equals_the_textbook_jaro() {
+        use crate::check::{check, Gen};
+        // Small alphabets so characters repeat and the greedy matching has
+        // choices to make; astral code points so nothing assumes UTF-16 or
+        // bytes; lengths on both sides of the inline flag buffer.
+        let word = |g: &mut Gen| -> Vec<char> {
+            let alphabet: &[char] = match g.int(0..4u32) {
+                0 => &['a', 'b'],
+                1 => &['a', 'b', 'c', 'd', 'e', 'r', 's', 't'],
+                2 => &['é', '完', '𝒳', '😀', '𐍈', 'a'],
+                _ => &['x'],
+            };
+            let len = match g.int(0..6u32) {
+                0 => 0,
+                1 => 1,
+                2 => 200,
+                3 => g.int(INLINE_FLAGS - 1..=INLINE_FLAGS + 1),
+                _ => g.int(2..12usize),
+            };
+            (0..len).map(|_| *g.pick(alphabet)).collect()
+        };
+        check(
+            "char_kernel_equals_the_textbook_jaro",
+            2_000,
+            |g| {
+                let a = word(g);
+                // Half the time `b` is `a` damaged, so there is something to match.
+                let b = if g.bool() {
+                    let mut b = a.clone();
+                    for _ in 0..g.int(0..4u32) {
+                        if b.len() > 1 {
+                            let (i, j) = (g.index().of(b.len()), g.index().of(b.len()));
+                            b.swap(i, j);
+                            b.remove(g.index().of(b.len()));
+                        }
+                    }
+                    b
+                } else {
+                    word(g)
+                };
+                (a, b)
+            },
+            |(a, b)| {
+                assert_eq!(jaro_chars(&a, &b).to_bits(), jaro_chars(&b, &a).to_bits());
+                for (x, y) in [(&a, &b), (&b, &a)] {
+                    let expected = jaro_reference(x, y);
+                    assert_eq!(jaro_chars(x, y).to_bits(), expected.to_bits());
+                    let (sx, sy): (String, String) = (x.iter().collect(), y.iter().collect());
+                    assert_eq!(jaro(&sx, &sy).to_bits(), expected.to_bits());
+                    let prefix = x.iter().zip(y.iter()).take(4).take_while(|(p, q)| p == q).count();
+                    let winkler = expected + prefix as f64 * 0.1 * (1.0 - expected);
+                    assert_eq!(jaro_winkler_chars(x, y).to_bits(), winkler.to_bits());
+                    assert_eq!(jaro_winkler(&sx, &sy).to_bits(), winkler.to_bits());
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn jaro_is_symmetric_to_the_bit() {
+        // Within one character the greedy matching is a two-pointer merge of
+        // the two position lists (match the two smallest if they are within
+        // the window, else drop the smaller), which reads the same from
+        // either side; the window and the final expression are symmetric
+        // too. The knowledge base's index leans on this — it fills one
+        // `jw(query token, vocabulary token)` table and reads it in both
+        // directions — so it is checked, exhaustively where that is cheap.
+        let words: Vec<Vec<char>> = (1..=8u32)
+            .flat_map(|len| {
+                (0..1u32 << len).map(move |bits| {
+                    (0..len).map(|i| if bits >> i & 1 == 1 { 'a' } else { 'b' }).collect()
+                })
+            })
+            .collect();
+        for (i, a) in words.iter().enumerate() {
+            for b in &words[..i] {
+                assert_eq!(jaro_chars(a, b).to_bits(), jaro_chars(b, a).to_bits(), "{a:?} {b:?}");
+            }
+        }
     }
 
     #[test]

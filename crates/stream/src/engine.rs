@@ -23,7 +23,7 @@
 //! under sustained concurrent load.
 
 use crate::error::StreamError;
-use crate::incremental::WindowState;
+use crate::incremental::{record_keys, WindowState};
 use crate::metrics::{StreamMetrics, StreamSnapshot};
 use crate::report::{ReportStrategy, WindowReport};
 use crate::window::{closed_through, windows_for, Watermark, WindowId};
@@ -404,24 +404,56 @@ impl StreamEngine {
             self.last_ingest_durable.store(false, std::sync::atomic::Ordering::Relaxed);
             return Ok(());
         }
+        // The record's blocking keys are its own, whichever windows take it.
+        let keys = record_keys(&item, self.key_index);
         let mut closings = Vec::new();
         {
             let mut state = self.state.lock();
+            // Decide, journal, apply — in that order, so that an ingest the
+            // journal refuses has touched neither a window nor a counter.
+            let floor = closed_through(&self.tuning, state.watermark.get());
+            let mut landed_windows = Vec::new();
+            let mut missed = 0u64;
+            for k in windows_for(&self.tuning, item.event_time) {
+                if floor.is_some_and(|f| k <= f) || state.reported.contains(&k) {
+                    missed += 1;
+                } else {
+                    landed_windows.push(k);
+                }
+            }
+
+            if let Some(journal) = &self.journal {
+                // Journaled even when no window took the item: the record
+                // still moved the event-time frontier, and recovery must see
+                // the same frontier the crashed process saw. A journal I/O
+                // failure refuses the ingest (the caller must not believe a
+                // record is durable when it is not).
+                let durable = journal
+                    .record_stream_ingest(&item, &landed_windows)
+                    .map_err(|err| ServeError::Journal { reason: err.to_string() })?;
+                self.last_ingest_durable.store(durable, Relaxed);
+            }
+
             self.metrics.ingested.fetch_add(1, Relaxed);
             if item.event_time > state.max_event_time {
                 state.max_event_time = item.event_time;
                 self.metrics.max_event_time.store(item.event_time, Relaxed);
             }
+            if landed_windows.is_empty() {
+                self.metrics.late_dropped.fetch_add(1, Relaxed);
+                let t = item.event_time;
+                self.tracer.instant(SpanKind::StreamWindow, "late_drop", || {
+                    vec![("event_time".to_string(), t.to_string())]
+                });
+            } else {
+                self.metrics.assigned_records.fetch_add(1, Relaxed);
+                self.metrics.assignments.fetch_add(landed_windows.len() as u64, Relaxed);
+                self.metrics.missed_assignments.fetch_add(missed, Relaxed);
+            }
 
-            let floor = closed_through(&self.tuning, state.watermark.get());
-            let mut landed = 0u64;
-            let mut missed = 0u64;
-            let mut landed_windows = Vec::new();
-            for k in windows_for(&self.tuning, item.event_time) {
-                if floor.is_some_and(|f| k <= f) || state.reported.contains(&k) {
-                    missed += 1;
-                    continue;
-                }
+            // Every window the record lands in holds the same allocation.
+            let item = Arc::new(item);
+            for k in landed_windows {
                 let window = state.open.entry(k).or_insert_with(|| {
                     self.metrics.windows_opened.fetch_add(1, Relaxed);
                     let mut w = WindowState::new(WindowId(k));
@@ -435,10 +467,8 @@ impl StreamEngine {
                     }));
                     w
                 });
-                let outcome = window.insert(item.clone(), self.key_index, self.max_block_size);
+                let outcome = window.insert_keyed(Arc::clone(&item), &keys, self.max_block_size);
                 self.metrics.comparisons.fetch_add(outcome.candidates.len() as u64, Relaxed);
-                landed += 1;
-                landed_windows.push(k);
                 if self.strategy == ReportStrategy::Continuous {
                     // Judge surfaced pairs immediately through the metered
                     // inline path. SimLlm never sleeps, so holding the state
@@ -457,29 +487,6 @@ impl StreamEngine {
                         }
                     }
                 }
-            }
-            if landed > 0 {
-                self.metrics.assigned_records.fetch_add(1, Relaxed);
-                self.metrics.assignments.fetch_add(landed, Relaxed);
-                self.metrics.missed_assignments.fetch_add(missed, Relaxed);
-            } else {
-                self.metrics.late_dropped.fetch_add(1, Relaxed);
-                let t = item.event_time;
-                self.tracer.instant(SpanKind::StreamWindow, "late_drop", || {
-                    vec![("event_time".to_string(), t.to_string())]
-                });
-            }
-
-            if let Some(journal) = &self.journal {
-                // Journaled even when no window took the item: the record
-                // still moved the event-time frontier, and recovery must see
-                // the same frontier the crashed process saw. A journal I/O
-                // failure refuses the ingest (the caller must not believe a
-                // record is durable when it is not).
-                let durable = journal
-                    .record_stream_ingest(&item, &landed_windows)
-                    .map_err(|err| ServeError::Journal { reason: err.to_string() })?;
-                self.last_ingest_durable.store(durable, Relaxed);
             }
 
             state.since_advance += 1;
@@ -874,6 +881,81 @@ mod tests {
         for pair in reports.windows(2) {
             assert!(pair[0].window.0 < pair[1].window.0);
         }
+        engine.shutdown();
+    }
+
+    /// Sim storage that fails one append on request (a full disk, an EIO).
+    struct FlakyStorage {
+        inner: Arc<lingua_durable::SimStorage>,
+        fail_next_append: AtomicBool,
+    }
+
+    impl lingua_durable::Storage for FlakyStorage {
+        fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
+            if self.fail_next_append.swap(false, std::sync::atomic::Ordering::Relaxed) {
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            self.inner.append(bytes)
+        }
+        fn read(&self) -> std::io::Result<Vec<u8>> {
+            self.inner.read()
+        }
+        fn replace(&self, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.replace(bytes)
+        }
+        fn flush(&self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn a_refused_ingest_leaves_nothing_behind() {
+        let world = WorldSpec::generate(5);
+        let llm = Arc::new(SimLlm::new(&world, SimLlmConfig::default()));
+        let mut source = SyntheticSource::with_seed(5);
+        let storage = Arc::new(FlakyStorage {
+            inner: lingua_durable::SimStorage::new(),
+            fail_next_append: AtomicBool::new(false),
+        });
+        let config = StreamConfig {
+            serve: ServeConfig {
+                workers: Some(1),
+                journal: Some(lingua_durable::JournalTuning::over(storage.clone())),
+                ..ServeConfig::default()
+            },
+            ..StreamConfig::default()
+        };
+        let mut engine =
+            StreamEngine::start(ContextFactory::new(llm), source.schema().clone(), config)
+                .expect("engine starts");
+        let occupancy = |engine: &StreamEngine| -> Vec<(u64, usize)> {
+            engine.state.lock().open.iter().map(|(k, w)| (*k, w.occupancy())).collect()
+        };
+
+        let mut items = source.take_records(41);
+        let refused = items.pop().expect("41 items");
+        for item in items {
+            engine.ingest(item).expect("ingest");
+        }
+        let (windows, counters) = (occupancy(&engine), engine.metrics());
+        assert!(windows.len() >= 2, "overlapping windows are open: {windows:?}");
+
+        storage.fail_next_append.store(true, std::sync::atomic::Ordering::Relaxed);
+        let err = engine.ingest(refused.clone()).expect_err("the journal refused the record");
+        assert!(matches!(err, StreamError::Serve(ServeError::Journal { .. })), "{err:?}");
+        assert_eq!(occupancy(&engine), windows, "a refused record is in no window");
+        assert_eq!(engine.metrics(), counters, "a refused record is in no counter");
+
+        // The caller retries: the record lands once, in each of its windows.
+        engine.ingest(refused.clone()).expect("retry");
+        let mut expected: BTreeMap<u64, usize> = windows.into_iter().collect();
+        for k in windows_for(&engine.tuning, refused.event_time) {
+            *expected.entry(k).or_default() += 1;
+        }
+        assert_eq!(occupancy(&engine), expected.into_iter().collect::<Vec<_>>());
+        let after = engine.metrics();
+        assert_eq!(after.ingested, counters.ingested + 1);
+        assert_eq!(after.assigned_records, counters.assigned_records + 1);
         engine.shutdown();
     }
 

@@ -17,7 +17,8 @@ use lingua_dataset::generators::stream::StreamItem;
 use lingua_dataset::Schema;
 use lingua_ml::textsim::tokens;
 use lingua_trace::ManualSpan;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Blocking keys for a record's key field: the first three characters of
 /// each token, deduplicated. Prefixes are what survive the listing damage
@@ -32,6 +33,13 @@ pub fn blocking_keys(key: &str) -> Vec<String> {
     keys.sort();
     keys.dedup();
     keys
+}
+
+/// [`blocking_keys`] of a record's key column — what
+/// [`WindowState::insert_keyed`] probes with. It depends on the record alone,
+/// so a record landing in several windows derives it once.
+pub(crate) fn record_keys(item: &StreamItem, key_index: usize) -> Vec<String> {
+    blocking_keys(&item.record.get(key_index).map(|v| v.render()).unwrap_or_default())
 }
 
 /// Outcome of inserting one record into one window.
@@ -51,7 +59,8 @@ pub struct InsertOutcome {
 /// blocking index, and the candidate pairs generated so far.
 pub struct WindowState {
     pub id: WindowId,
-    records: Vec<StreamItem>,
+    /// Shared with the record's other (overlapping) windows.
+    records: Vec<Arc<StreamItem>>,
     /// Blocking key ([`blocking_keys`] token prefix) → indices of records
     /// whose key field contains it. This is the blocking index; it dies with
     /// the window, so it can never grow beyond window occupancy ×
@@ -97,25 +106,43 @@ impl WindowState {
         key_index: usize,
         max_block_size: usize,
     ) -> InsertOutcome {
+        let keys = record_keys(&item, key_index);
+        self.insert_keyed(Arc::new(item), &keys, max_block_size)
+    }
+
+    /// [`WindowState::insert`] for a record whose [`record_keys`] the caller
+    /// already holds: the ingest path, which puts one record into every
+    /// window that overlaps its event time.
+    pub(crate) fn insert_keyed(
+        &mut self,
+        item: Arc<StreamItem>,
+        keys: &[String],
+        max_block_size: usize,
+    ) -> InsertOutcome {
         let occupancy_before = self.records.len();
         let index = occupancy_before;
-        let key = item.record.get(key_index).map(|v| v.render()).unwrap_or_default();
-        let mut partners: BTreeSet<usize> = BTreeSet::new();
-        for token in blocking_keys(&key) {
-            let block = self.blocks.entry(token).or_default();
+        let mut partners: Vec<usize> = Vec::new();
+        for key in keys {
+            let Some(block) = self.blocks.get_mut(key.as_str()) else {
+                self.blocks.insert(key.clone(), vec![index]);
+                continue;
+            };
             // A block already at the stop-token threshold contributes no
             // partners (matching batch blocking's "skip oversized blocks"),
             // but the record still joins it so the threshold keeps binding.
             if block.len() <= max_block_size {
-                partners.extend(block.iter().copied());
+                partners.extend_from_slice(block);
             }
             block.push(index);
         }
+        // A partner sharing two keys with the record is still one pair.
+        partners.sort_unstable();
+        partners.dedup();
         self.records.push(item);
         self.comparisons += partners.len() as u64;
         let candidates: Vec<(usize, usize)> = partners.into_iter().map(|p| (p, index)).collect();
         debug_assert!(candidates.len() <= occupancy_before);
-        self.candidates.extend(candidates.iter().copied());
+        self.candidates.extend_from_slice(&candidates);
         InsertOutcome { index, candidates, occupancy_before }
     }
 
@@ -123,7 +150,7 @@ impl WindowState {
         self.records.len()
     }
 
-    pub fn records(&self) -> &[StreamItem] {
+    pub fn records(&self) -> &[Arc<StreamItem>] {
         &self.records
     }
 
@@ -230,7 +257,7 @@ mod tests {
         for item in items {
             window.insert(item, 0, 16);
         }
-        let mut seen = BTreeSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &(a, b) in window.candidates() {
             assert!(a < b);
             assert!(seen.insert((a, b)), "pair ({a},{b}) generated twice");
