@@ -7,7 +7,7 @@ use crate::error::CoreError;
 use crate::modules::Module;
 use crate::stats::ExecStats;
 use crate::tools::ToolRegistry;
-use lingua_llm_sim::{CancelToken, CompletionRequest, LlmService};
+use lingua_llm_sim::{CancelToken, CompletionRequest, LlmService, NoAnswer};
 use lingua_ml::sync::Mutex;
 use lingua_script::{Host, Value as ScriptValue};
 use lingua_trace::{SpanKind, TracedLlm, Tracer};
@@ -175,9 +175,12 @@ impl ExecContext {
     /// Place a completion on behalf of this context's job — the one way
     /// modules call the LLM. The request carries [`ExecContext::cancel`], so
     /// the batcher, gateway and simulator stop placing, retrying and billing
-    /// the call once the job is dead, on whichever thread they run it.
-    pub fn complete(&self, prompt: impl Into<String>) -> String {
-        self.llm.complete(&CompletionRequest::new(prompt).with_cancel(self.cancel.clone()))
+    /// the call once the job is dead, on whichever thread they run it. What
+    /// comes back is an answer or a typed [`NoAnswer`]; `?` turns the latter
+    /// into a [`CoreError`] (`Cancelled` for a dead job).
+    pub fn complete(&self, prompt: impl Into<String>) -> Result<Arc<str>, NoAnswer> {
+        let request = CompletionRequest::new(prompt).with_cancel(self.cancel.clone());
+        self.llm.complete_batch(std::slice::from_ref(&request)).into_single().0
     }
 
     /// Invoke a registered module by name.
@@ -221,8 +224,11 @@ pub struct HostBridge<'a> {
 }
 
 impl Host for HostBridge<'_> {
+    /// A non-answer fails the script's call (`LlmgcModule` maps it back to
+    /// `Cancelled` when the job is dead) instead of handing it a notice to
+    /// read as text.
     fn call_llm(&mut self, prompt: &str) -> Result<String, String> {
-        Ok(self.ctx.complete(prompt))
+        self.ctx.complete(prompt).map(|text| text.to_string()).map_err(|no| no.to_string())
     }
 
     fn call_module(&mut self, name: &str, input: ScriptValue) -> Result<ScriptValue, String> {
@@ -280,15 +286,17 @@ mod tests {
 
     #[test]
     fn completions_carry_the_jobs_token() {
-        use lingua_llm_sim::CANCELLED_NOTICE;
+        use lingua_llm_sim::CancelReason;
         let mut ctx = ctx();
-        assert_ne!(ctx.complete("Summarize.\nText: a b c"), CANCELLED_NOTICE);
+        assert!(ctx.complete("Summarize.\nText: a b c").is_ok());
         let billed = ctx.llm.usage();
         ctx.cancel.cancel();
-        assert_eq!(ctx.complete("Summarize.\nText: d e f"), CANCELLED_NOTICE);
-        // A script's `llm(...)` call goes the same way.
+        let refused = NoAnswer::Cancelled(CancelReason::Cancelled);
+        assert_eq!(ctx.complete("Summarize.\nText: d e f"), Err(refused));
+        // A script's `llm(...)` call fails the same way, instead of reading
+        // a notice as its answer.
         let mut bridge = HostBridge { ctx: &mut ctx };
-        assert_eq!(bridge.call_llm("Summarize.\nText: g h i").unwrap(), CANCELLED_NOTICE);
+        assert_eq!(bridge.call_llm("Summarize.\nText: g h i"), Err(refused.to_string()));
         assert_eq!(ctx.llm.usage(), billed, "a dead job's calls are never placed or billed");
     }
 
@@ -299,7 +307,7 @@ mod tests {
         let mut a = factory.build();
         let mut b = factory.build();
         // Shared LLM: usage metered in one context is visible in the other.
-        a.complete("Summarize.\nText: x y z");
+        a.complete("Summarize.\nText: x y z").expect("answered");
         assert_eq!(b.llm.usage().calls, 1);
         // Private per-run state: stats and module registries do not leak.
         a.stats.record_invocation("only_in_a");
@@ -324,7 +332,7 @@ mod tests {
         let factory =
             ContextFactory::new(original.clone()).with_tools(tools).with_llm(replacement.clone());
         let ctx = factory.build();
-        ctx.complete("Summarize.\nText: x");
+        ctx.complete("Summarize.\nText: x").expect("answered");
         assert_eq!(replacement.usage().calls, 1, "calls land on the swapped-in service");
         assert_eq!(original.usage().calls, 0, "the original service is untouched");
         assert!(ctx.tools.contains("vocab"), "tools survive the swap");

@@ -1,6 +1,6 @@
 //! The crate-wide error type.
 
-use lingua_llm_sim::CancelReason;
+use lingua_llm_sim::{CancelReason, NoAnswer};
 use std::fmt;
 
 /// The runtime traps a supervised script execution can hit. Each kind is a
@@ -59,6 +59,9 @@ pub enum CoreError {
     /// cancelled. Carries whatever the run produced so far only in the form
     /// of already-metered usage — the data output is discarded.
     Cancelled { reason: CancelReason },
+    /// The LLM gave no answer for a live job — the gateway withheld it, or
+    /// its batch flush aborted. (A dead job's refused call is `Cancelled`.)
+    NoAnswer(NoAnswer),
     /// A script execution hit a bounded-resource trap (see [`TrapKind`]).
     Trap { module: String, trap: TrapKind },
 }
@@ -93,6 +96,7 @@ impl fmt::Display for CoreError {
             CoreError::Cancelled { reason } => {
                 write!(f, "execution cancelled: {}", reason.label())
             }
+            CoreError::NoAnswer(no_answer) => write!(f, "no LLM answer: {no_answer}"),
             CoreError::Trap { module, trap } => {
                 write!(f, "module `{module}` trapped: {}", trap.label())
             }
@@ -101,6 +105,15 @@ impl fmt::Display for CoreError {
 }
 
 impl std::error::Error for CoreError {}
+
+impl From<NoAnswer> for CoreError {
+    fn from(no_answer: NoAnswer) -> Self {
+        match no_answer {
+            NoAnswer::Cancelled(reason) => CoreError::Cancelled { reason },
+            other => CoreError::NoAnswer(other),
+        }
+    }
+}
 
 impl From<lingua_dataset::DataError> for CoreError {
     fn from(err: lingua_dataset::DataError) -> Self {
@@ -133,5 +146,9 @@ mod tests {
         assert!(matches!(err, CoreError::Data(_)));
         let err: CoreError = lingua_script::ScriptError::OutOfFuel.into();
         assert!(matches!(err, CoreError::Script(_)));
+        let err: CoreError = NoAnswer::Cancelled(CancelReason::DeadlineExceeded).into();
+        assert_eq!(err, CoreError::Cancelled { reason: CancelReason::DeadlineExceeded });
+        let err: CoreError = NoAnswer::Unavailable.into();
+        assert_eq!(err, CoreError::NoAnswer(NoAnswer::Unavailable));
     }
 }

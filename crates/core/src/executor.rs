@@ -114,9 +114,9 @@ impl Executor {
                 env.insert(op.output.clone(), output);
             }
         }
-        // Final check: if the deadline passed during the last op, its LLM
-        // calls were answered with cancellation notices — the outputs are
-        // not trustworthy and must not be reported as a completed run.
+        // Final check: a run whose deadline passed during its last op is past
+        // its deadline like one that passed between ops, and must not be
+        // reported as a completed run.
         if let Err(reason) = ctx.cancel.check() {
             pipeline_span.attr("cancelled", reason.label());
             return Err(CoreError::Cancelled { reason });

@@ -1,7 +1,9 @@
 //! LLM modules: the LLM itself as a module (§3.1), with a prompt builder and
 //! an output validator. On an unusable answer the module retries once with
 //! the validator's strict instruction appended — the simplest form of the
-//! paper's "proper validation" of LLM output.
+//! paper's "proper validation" of LLM output. A non-answer is not output:
+//! it is neither validated nor retried, but fails the invocation
+//! (`CoreError::Cancelled` for a dead job, `CoreError::NoAnswer` otherwise).
 
 use crate::context::ExecContext;
 use crate::data::Data;
@@ -113,10 +115,6 @@ impl LlmModule {
         self.retry_on_invalid = false;
         self
     }
-
-    pub fn validator(&self) -> &OutputValidator {
-        &self.validator
-    }
 }
 
 impl Module for LlmModule {
@@ -131,14 +129,14 @@ impl Module for LlmModule {
     fn invoke(&mut self, input: Data, ctx: &mut ExecContext) -> Result<Data, CoreError> {
         let pin = if self.pin_format { self.validator.strict_instruction() } else { "" };
         let prompt = self.builder.build(&input, pin)?;
-        let raw = ctx.complete(&prompt);
+        let raw = ctx.complete(&prompt)?;
         if let Some(data) = self.validator.validate(&raw) {
             return Ok(data);
         }
         if self.retry_on_invalid {
             ctx.tracer.instant(lingua_trace::SpanKind::Module, "output_retry", Vec::new);
             let strict_prompt = format!("{prompt}\n{}", self.validator.strict_instruction());
-            let raw = ctx.complete(strict_prompt);
+            let raw = ctx.complete(strict_prompt)?;
             if let Some(data) = self.validator.validate(&raw) {
                 return Ok(data);
             }
@@ -146,7 +144,7 @@ impl Module for LlmModule {
         // Unvalidatable output: surface the raw text rather than fail the
         // pipeline; downstream consumers decide.
         ctx.tracer.instant(lingua_trace::SpanKind::Module, "output_unvalidated", Vec::new);
-        Ok(Data::Str(raw))
+        Ok(Data::Str(raw.to_string()))
     }
 
     fn describe(&self) -> String {

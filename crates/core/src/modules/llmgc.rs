@@ -165,9 +165,15 @@ impl Module for LlmgcModule {
                 ScriptError::RecursionLimit { .. } => {
                     CoreError::Trap { module: self.name.clone(), trap: TrapKind::Recursion }
                 }
-                other => {
-                    CoreError::Module { module: self.name.clone(), message: other.to_string() }
-                }
+                // A host call refused because the job died (`call_llm`'s
+                // `NoAnswer::Cancelled`): the job was cancelled, the program
+                // did not fail.
+                other => match (&other, bridge.ctx.cancel.status()) {
+                    (ScriptError::Host { .. }, Some(reason)) => CoreError::Cancelled { reason },
+                    _ => {
+                        CoreError::Module { module: self.name.clone(), message: other.to_string() }
+                    }
+                },
             })?;
         Ok(Data::from_script(&result))
     }

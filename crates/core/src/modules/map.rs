@@ -49,11 +49,6 @@ impl PipelinedMapModule {
         PipelinedMapModule { name: name.into(), depth: depth.max(1), inner: Arc::new(inner) }
     }
 
-    /// The configured in-flight depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Run one element through a fresh inner instance in a lane-private
     /// context.
     fn run_one(&self, item: Data, lane_ctx: &mut ExecContext) -> Result<Data, CoreError> {
@@ -213,7 +208,7 @@ mod tests {
 
     #[test]
     fn lanes_place_completions_under_the_jobs_token() {
-        use lingua_llm_sim::CANCELLED_NOTICE;
+        use lingua_llm_sim::{CancelReason, NoAnswer};
         use lingua_ml::sync::Mutex;
         // Every lane kills the job, then asks the LLM: the lane's context
         // holds the job's own token, so the completion it places is refused.
@@ -235,7 +230,8 @@ mod tests {
         assert!(ctx.cancel.is_cancelled(), "the lanes held the job's token, not a copy");
         let answers = answers.lock();
         assert!(!answers.is_empty());
-        assert!(answers.iter().all(|answer| answer == CANCELLED_NOTICE));
+        let refused = Err(NoAnswer::Cancelled(CancelReason::Cancelled));
+        assert!(answers.iter().all(|answer| *answer == refused));
         assert_eq!(ctx.llm.usage().calls, 0, "a dead job's calls are never placed");
     }
 

@@ -3,9 +3,10 @@
 //!
 //! [`Batcher`] sits between the serve workers and whatever [`LlmService`]
 //! answers completions (the simulator directly, or a [`crate::Gateway`]).
-//! Each `complete` call *joins* the currently-filling batch and blocks until
-//! the batch flushes; the flush itself is one [`LlmService::complete_batch`]
-//! call, so N members pay one backend round trip between them.
+//! Each [`LlmService::complete_batch`] call *enqueues* its members into the
+//! currently-filling batch and blocks until they flush; the flush itself is
+//! one `complete_batch` call below, so N members pay one backend round trip
+//! between them.
 //!
 //! # Flush state machine
 //!
@@ -23,14 +24,15 @@
 //!    whatever accumulated — possibly just itself — and flushes.
 //!
 //! Members that are neither leader nor filler simply wait on their response
-//! cell. A panic inside the flush fills every unfilled cell with an abort
-//! notice (RAII guard), so siblings never hang on a poisoned batch.
+//! cell. A panic inside the flush answers every unfilled cell
+//! [`NoAnswer::Aborted`] (RAII guard), so siblings never hang on a poisoned
+//! batch.
 //!
 //! # Cancellation
 //!
 //! Each member's request carries its job's cancel token
 //! ([`CompletionRequest::cancelled`]). At flush time, members whose token has
-//! fired are answered with [`CANCELLED_NOTICE`] and **excluded from the
+//! fired are answered [`NoAnswer::Cancelled`] and **excluded from the
 //! backend call** — a cancelled member leaves the batch unbilled without
 //! poisoning its siblings. The flush runs on one member's thread, but that
 //! decides nothing: every layer below asks each request's own token, so the
@@ -39,21 +41,13 @@
 //! member) stops being worked for without taking anyone with it.
 
 use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage,
-    CANCELLED_NOTICE,
+    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer, Usage,
 };
 use lingua_ml::sync::{Condvar, Mutex};
 use lingua_trace::{SpanKind, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Response handed to members of a batch whose flush panicked before their
-/// response was produced. The panic itself propagates on the flusher's
-/// thread (serve's panic isolation turns it into a typed job failure);
-/// siblings get this notice instead of hanging.
-const BATCH_ABORTED_NOTICE: &str =
-    "[batch aborted] the batch flush failed before this member's response was produced";
 
 /// Micro-batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +91,7 @@ pub struct FlushRecord {
     pub occupancy: usize,
     /// Members that reached the backend.
     pub live: usize,
-    /// Members answered with the cancelled notice and excluded unbilled.
+    /// Members refused as cancelled and excluded unbilled.
     pub cancelled: usize,
     /// Live members answered without billing (cache hits and in-batch
     /// coalesces; see [`BatchOutcome::saved_members`]).
@@ -156,10 +150,13 @@ impl BatchSnapshot {
     }
 }
 
+/// One member's result and the usage split attributed to it.
+type Answer = (Result<Arc<str>, NoAnswer>, Usage);
+
 /// One member's response slot: filled exactly once by whichever thread runs
 /// the flush, waited on by the member that submitted it.
 struct MemberCell {
-    slot: Mutex<Option<Arc<str>>>,
+    slot: Mutex<Option<Answer>>,
     ready: Condvar,
 }
 
@@ -170,20 +167,20 @@ impl MemberCell {
 
     /// Fill the slot if still empty and wake the waiter. First write wins,
     /// so the abort guard cannot clobber a real response.
-    fn fill(&self, response: Arc<str>) {
+    fn fill(&self, answer: Answer) {
         let mut slot = self.slot.lock();
         if slot.is_none() {
-            *slot = Some(response);
+            *slot = Some(answer);
             self.ready.notify_all();
         }
     }
 
-    fn wait(&self) -> Arc<str> {
+    fn wait(&self) -> Answer {
         let mut slot = self.slot.lock();
         while slot.is_none() {
             slot = self.ready.wait(slot);
         }
-        Arc::clone(slot.as_ref().expect("slot filled"))
+        slot.clone().expect("slot filled")
     }
 }
 
@@ -214,8 +211,10 @@ struct BatchCounters {
 /// past it.
 const FLUSH_LOG_CAP: usize = 1024;
 
-/// Fills every still-empty member cell with the abort notice if the flush
-/// unwinds, so a panicking backend cannot strand sibling members.
+/// Answers every still-empty member cell [`NoAnswer::Aborted`] if the flush
+/// unwinds, so a panicking backend cannot strand sibling members. The panic
+/// itself propagates on the flusher's thread (serve's panic isolation turns
+/// it into a typed job failure).
 struct AbortGuard<'a> {
     cells: &'a [Arc<MemberCell>],
 }
@@ -223,7 +222,7 @@ struct AbortGuard<'a> {
 impl Drop for AbortGuard<'_> {
     fn drop(&mut self) {
         for cell in self.cells {
-            cell.fill(Arc::from(BATCH_ABORTED_NOTICE));
+            cell.fill((Err(NoAnswer::Aborted), Usage::default()));
         }
     }
 }
@@ -260,15 +259,6 @@ impl Batcher {
         self
     }
 
-    pub fn config(&self) -> &BatchConfig {
-        &self.config
-    }
-
-    /// The service underneath (for tests and metric fold-ins).
-    pub fn inner(&self) -> &Arc<dyn LlmService> {
-        &self.inner
-    }
-
     /// Members currently waiting in the filling batch.
     pub fn pending_members(&self) -> usize {
         self.state.lock().pending.len()
@@ -301,9 +291,9 @@ impl Batcher {
         let mut live_cells: Vec<Arc<MemberCell>> = Vec::with_capacity(occupancy);
         let mut cancelled = 0usize;
         for member in batch {
-            if member.request.cancelled().is_some() {
+            if let Some(why) = member.request.cancelled() {
                 cancelled += 1;
-                member.cell.fill(Arc::from(CANCELLED_NOTICE));
+                member.cell.fill((Err(NoAnswer::Cancelled(why)), Usage::default()));
             } else {
                 live_requests.push(member.request);
                 live_cells.push(member.cell);
@@ -316,11 +306,12 @@ impl Batcher {
         span.attr("cancelled", cancelled.to_string());
         let outcome = {
             // If the backend panics, the guard answers every unfilled cell
-            // with the abort notice before the panic leaves this frame.
+            // `Aborted` before the panic leaves this frame.
             let _abort = AbortGuard { cells: &live_cells };
             let outcome = self.inner.complete_batch(&live_requests);
-            for (cell, response) in live_cells.iter().zip(&outcome.responses) {
-                cell.fill(Arc::clone(response));
+            let answers = outcome.responses.iter().cloned().zip(outcome.splits.iter().copied());
+            for (cell, answer) in live_cells.iter().zip(answers) {
+                cell.fill(answer);
             }
             outcome
         };
@@ -358,69 +349,67 @@ impl Batcher {
         }
     }
 
-    /// Join the filling batch and block until it flushes. See the module
-    /// docs for the three exits (filler, timer leader, follower).
-    fn submit(&self, request: &CompletionRequest) -> Arc<str> {
-        let cell = MemberCell::new();
-        let member = Member { request: request.clone(), cell: Arc::clone(&cell) };
+    /// Push `members` into the filling batch, flushing each batch one of them
+    /// fills, and hold the window open if one of them opened it. Returns
+    /// once this thread has no flush left to run; the members' cells are
+    /// answered by whichever thread flushes them. See the module docs for the
+    /// three exits (filler, timer leader, follower).
+    fn enqueue(&self, members: Vec<Member>) {
         let mut state = self.state.lock();
-        let my_generation = state.generation;
-        state.pending.push(member);
-        if state.pending.len() >= self.config.max_batch_size {
-            // Size trigger: this arrival filled the batch. Take it, advance
-            // the generation (the timer leader wakes, sees the new
-            // generation, and falls through to waiting on its cell), flush
-            // on this thread.
-            let batch = std::mem::take(&mut state.pending);
-            state.generation += 1;
-            self.flush_cv.notify_all();
-            drop(state);
-            self.flush(batch, FlushReason::Size);
-        } else if state.pending.len() == 1 {
-            // Timer leader: hold the window open for up to `max_wait`.
-            let deadline = Instant::now() + self.config.max_wait;
-            loop {
-                let timed_out;
-                (state, timed_out) = self.flush_cv.wait_until(state, deadline);
-                if state.generation != my_generation {
-                    // A size flush took the batch (this member included).
-                    drop(state);
-                    break;
-                }
-                if timed_out {
-                    let batch = std::mem::take(&mut state.pending);
-                    state.generation += 1;
-                    drop(state);
-                    self.flush(batch, FlushReason::Window);
-                    break;
-                }
-                // Spurious wakeup: same generation, deadline not reached.
+        // The generation whose window this thread opened, and its deadline.
+        let mut leading = None;
+        for member in members {
+            state.pending.push(member);
+            if state.pending.len() >= self.config.max_batch_size {
+                // Size trigger: this arrival filled the batch. Take it,
+                // advance the generation (the timer leader wakes, sees the
+                // new generation, and falls through to waiting on its cell),
+                // flush on this thread.
+                let batch = std::mem::take(&mut state.pending);
+                state.generation += 1;
+                self.flush_cv.notify_all();
+                drop(state);
+                self.flush(batch, FlushReason::Size);
+                state = self.state.lock();
+            } else if state.pending.len() == 1 {
+                // Timer leader: hold the window open for up to `max_wait`.
+                leading = Some((state.generation, Instant::now() + self.config.max_wait));
             }
-        } else {
-            drop(state);
         }
-        cell.wait()
+        let Some((generation, deadline)) = leading else { return };
+        // A size flush took the batch (this thread's members included) once
+        // the generation moves on; otherwise the deadline flushes it here.
+        while state.generation == generation {
+            let timed_out;
+            (state, timed_out) = self.flush_cv.wait_until(state, deadline);
+            if timed_out && state.generation == generation {
+                let batch = std::mem::take(&mut state.pending);
+                state.generation += 1;
+                drop(state);
+                self.flush(batch, FlushReason::Window);
+                return;
+            }
+            // Spurious wakeup: same generation, deadline not reached.
+        }
     }
 }
 
 impl LlmService for Batcher {
-    fn complete(&self, request: &CompletionRequest) -> String {
-        self.complete_shared(request).as_ref().to_string()
-    }
-
-    fn complete_shared(&self, request: &CompletionRequest) -> Arc<str> {
-        // A job that is already dead never joins a batch: same short-circuit
-        // as the simulator and gateway, nothing billed anywhere.
-        if request.cancelled().is_some() {
-            return Arc::from(CANCELLED_NOTICE);
-        }
-        self.submit(request)
-    }
-
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
-        // Already a batch: forward it whole rather than re-queueing the
-        // members one at a time behind the window.
-        self.inner.complete_batch(requests)
+        let cells: Vec<Arc<MemberCell>> = requests.iter().map(|_| MemberCell::new()).collect();
+        // A member whose job is already dead never joins a batch: refused on
+        // the spot, nothing billed anywhere.
+        let mut live = Vec::with_capacity(requests.len());
+        for (request, cell) in requests.iter().zip(&cells) {
+            match request.cancelled() {
+                Some(why) => cell.fill((Err(NoAnswer::Cancelled(why)), Usage::default())),
+                None => live.push(Member { request: request.clone(), cell: Arc::clone(cell) }),
+            }
+        }
+        if !live.is_empty() {
+            self.enqueue(live);
+        }
+        cells.iter().map(|cell| cell.wait()).collect()
     }
 
     fn embed(&self, text: &str) -> Vec<f64> {
@@ -471,6 +460,14 @@ mod tests {
     fn prompt(i: usize) -> CompletionRequest {
         CompletionRequest::new(format!("Summarize. Text: batch member number {i}"))
     }
+
+    /// The typed answer to one request.
+    fn answer(batcher: &Batcher, request: &CompletionRequest) -> Result<Arc<str>, NoAnswer> {
+        batcher.complete_batch(std::slice::from_ref(request)).into_single().0
+    }
+
+    const REFUSED: Result<Arc<str>, NoAnswer> =
+        Err(NoAnswer::Cancelled(lingua_llm_sim::CancelReason::Cancelled));
 
     #[test]
     fn lone_member_window_flushes_and_matches_direct_answers() {
@@ -543,7 +540,7 @@ mod tests {
             let doomed = {
                 let batcher = Arc::clone(&batcher);
                 let token = token.clone();
-                scope.spawn(move || batcher.complete(&prompt(0).with_cancel(token)))
+                scope.spawn(move || answer(&batcher, &prompt(0).with_cancel(token)))
             };
             // Wait for the doomed member to join the batch, cancel its job,
             // then fill the batch so the flush happens on this thread.
@@ -553,7 +550,7 @@ mod tests {
             token.cancel();
             let survivor = batcher.complete(&prompt(1));
             assert_eq!(survivor, reference.complete(&prompt(1)));
-            assert_eq!(doomed.join().expect("no panic"), CANCELLED_NOTICE);
+            assert_eq!(doomed.join().expect("no panic"), REFUSED);
         });
         // Only the survivor billed; the reference service made the identical
         // single call, so the ledgers must agree exactly.
@@ -592,7 +589,7 @@ mod tests {
                 let token = token.clone();
                 // First to join: becomes the timer leader, so the window
                 // flush will run on this (cancelled) member's thread.
-                scope.spawn(move || batcher.complete(&prompt(0).with_cancel(token)))
+                scope.spawn(move || answer(&batcher, &prompt(0).with_cancel(token)))
             };
             while batcher.pending_members() < 1 {
                 std::thread::yield_now();
@@ -607,7 +604,7 @@ mod tests {
             // Cancel the leader's job while it holds the window open; the
             // window deadline then fires on its thread.
             token.cancel();
-            assert_eq!(doomed.join().expect("no panic"), CANCELLED_NOTICE);
+            assert_eq!(doomed.join().expect("no panic"), REFUSED);
             assert_eq!(
                 survivor.join().expect("no panic"),
                 reference.complete(&prompt(1)),
@@ -660,9 +657,6 @@ mod tests {
         /// A service whose batched entry point always panics.
         struct Exploding;
         impl LlmService for Exploding {
-            fn complete(&self, _request: &CompletionRequest) -> String {
-                panic!("backend exploded")
-            }
             fn complete_batch(&self, _requests: &[CompletionRequest]) -> BatchOutcome {
                 panic!("backend exploded")
             }
@@ -697,20 +691,20 @@ mod tests {
         std::thread::scope(|scope| {
             let follower = {
                 let batcher = Arc::clone(&batcher);
-                scope.spawn(move || batcher.complete(&prompt(0)))
+                scope.spawn(move || batcher.complete_batch(&[prompt(0)]))
             };
             while batcher.pending_members() < 1 {
                 std::thread::yield_now();
             }
             // Filling the batch flushes on this thread; the backend panics
-            // here, and the sibling must be released with the abort notice
-            // rather than hang.
+            // here, and the sibling must be released `Aborted`, with nothing
+            // attributed to it, rather than hang.
             let flusher = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 batcher.complete(&prompt(1))
             }));
             assert!(flusher.is_err(), "the flusher observes the panic");
             let sibling = follower.join().expect("follower must not panic");
-            assert!(sibling.starts_with("[batch aborted]"), "got: {sibling}");
+            assert_eq!(sibling.into_single(), (Err(NoAnswer::Aborted), Usage::default()));
         });
     }
 
@@ -720,7 +714,7 @@ mod tests {
         let batcher = Batcher::new(service.clone(), BatchConfig::default());
         let token = CancelToken::unbounded();
         token.cancel();
-        assert_eq!(batcher.complete(&prompt(0).with_cancel(token)), CANCELLED_NOTICE);
+        assert_eq!(answer(&batcher, &prompt(0).with_cancel(token)), REFUSED);
         assert_eq!(batcher.snapshot().batches, 0);
         assert_eq!(service.usage(), Usage::default());
     }

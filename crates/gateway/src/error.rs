@@ -1,7 +1,8 @@
 //! Typed transport faults.
 //!
 //! Everything below the gateway speaks `Result<_, TransportError>`; everything
-//! above it keeps the infallible [`lingua_llm_sim::LlmService`] contract. The
+//! above it speaks [`lingua_llm_sim::LlmService`], where a fault the gateway
+//! could not absorb is a typed [`lingua_llm_sim::NoAnswer`] member. The
 //! four fault classes model the failures a hosted LLM API actually produces:
 //! deadline misses, load shedding, 5xx-style hiccups, and syntactically broken
 //! payloads.

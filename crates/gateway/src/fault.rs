@@ -8,7 +8,9 @@
 //! retry/failover counts instead of asserting "roughly 20%".
 
 use crate::{FaultClass, LlmTransport, TransportError};
-use lingua_llm_sim::{CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm, Usage};
+use lingua_llm_sim::{
+    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm, Usage,
+};
 use lingua_ml::rng::Rng;
 use lingua_ml::sync::Mutex;
 use std::collections::HashMap;
@@ -146,7 +148,7 @@ struct InjectorState {
 
 /// A [`SimLlm`] backend that fails completion calls per a [`FaultPlan`].
 ///
-/// Only `complete` is faulted — it is the hot per-record path the gateway's
+/// Only completions are faulted — the hot per-record path the gateway's
 /// retry/failover machinery protects. Embeddings and the code-generation
 /// endpoints pass straight through.
 pub struct FaultInjector {
@@ -166,17 +168,8 @@ impl FaultInjector {
         }
     }
 
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     pub fn counts(&self) -> FaultCounts {
         self.state.lock().counts
-    }
-
-    /// The wrapped service (for billing assertions in tests).
-    pub fn service(&self) -> &Arc<SimLlm> {
-        &self.inner
     }
 
     fn next_attempt(&self, key: u64) -> u64 {
@@ -199,36 +192,49 @@ impl LlmTransport for FaultInjector {
         &self.name
     }
 
-    fn complete(&self, request: &CompletionRequest) -> Result<String, TransportError> {
-        let key = request.fingerprint();
-        let attempt = self.next_attempt(key);
-        let Some(class) = self.plan.decide_key(key, attempt) else {
-            self.state.lock().counts.passed += 1;
-            return Ok(self.inner.complete(request));
-        };
-        self.state.lock().counts.record(class);
-        match class {
-            // The prompt was transmitted and compute was spent before the
-            // deadline fired: the aborted call still bills input tokens.
-            FaultClass::Timeout => {
-                self.inner.meter_failed_call(&request.prompt);
-                Err(TransportError::Timeout { waited_ms: self.plan.timeout_ms })
-            }
-            // Load shedding rejects the call at the door; nothing billed.
-            FaultClass::RateLimited => {
-                Err(TransportError::RateLimited { retry_after_ms: self.plan.retry_after_ms })
-            }
-            FaultClass::TransientServer => {
-                self.inner.meter_failed_call(&request.prompt);
-                Err(TransportError::TransientServer { message: "upstream worker crashed".into() })
-            }
-            // The model really answered (and billed) but the payload arrived
-            // broken.
-            FaultClass::MalformedOutput => {
-                let good = self.inner.complete(request);
-                Err(TransportError::MalformedOutput { preview: mangle(&good) })
-            }
+    /// Members are decided in order, each as one call to the simulator (its
+    /// cache and singleflight path), and the first fault fails the whole
+    /// batch — after the members before it were computed and billed, as a
+    /// batched wire call that dies mid-way would have.
+    fn complete_batch(
+        &self,
+        requests: &[CompletionRequest],
+    ) -> Result<BatchOutcome, TransportError> {
+        let mut outcome = BatchOutcome::with_capacity(requests.len());
+        for request in requests {
+            let key = request.fingerprint();
+            let attempt = self.next_attempt(key);
+            let Some(class) = self.plan.decide_key(key, attempt) else {
+                self.state.lock().counts.passed += 1;
+                let (response, split) =
+                    self.inner.complete_batch(std::slice::from_ref(request)).into_single();
+                outcome.push(response, split);
+                continue;
+            };
+            self.state.lock().counts.record(class);
+            return Err(match class {
+                // The prompt was transmitted and compute was spent before the
+                // deadline fired: the aborted call still bills input tokens.
+                FaultClass::Timeout => {
+                    self.inner.meter_failed_call(&request.prompt);
+                    TransportError::Timeout { waited_ms: self.plan.timeout_ms }
+                }
+                // Load shedding rejects the call at the door; nothing billed.
+                FaultClass::RateLimited => {
+                    TransportError::RateLimited { retry_after_ms: self.plan.retry_after_ms }
+                }
+                FaultClass::TransientServer => {
+                    self.inner.meter_failed_call(&request.prompt);
+                    TransportError::TransientServer { message: "upstream worker crashed".into() }
+                }
+                // The model really answered (and billed) but the payload
+                // arrived broken.
+                FaultClass::MalformedOutput => TransportError::MalformedOutput {
+                    preview: mangle(&self.inner.complete(request)),
+                },
+            });
         }
+        Ok(outcome)
     }
 
     fn embed(&self, text: &str) -> Result<Vec<f64>, TransportError> {

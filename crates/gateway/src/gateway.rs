@@ -1,4 +1,4 @@
-//! The gateway: infallible façade over fallible backends.
+//! The gateway: one service façade over fallible backends.
 //!
 //! [`Gateway`] implements [`LlmService`], so it drops into
 //! `ContextFactory::build_with_llm` and the serve registry unchanged, and
@@ -13,11 +13,13 @@
 //!    request moves to the next backend in priority order.
 //! 4. **Degraded mode** — when every backend fails: answer from the stale
 //!    response cache if this prompt succeeded before, else ask the (cheap,
-//!    reliable) fallback backend, else return a static degraded notice.
+//!    reliable) fallback backend, else withhold the answer
+//!    ([`NoAnswer::Unavailable`]).
 //! 5. **Batch splitting** — a batch is first placed as one wire call; if
 //!    that call faults, each member is re-dispatched through the resilient
-//!    loop individually, so one poisoned member cannot exhaust the retry
-//!    budget of (or degrade) its healthy siblings.
+//!    loop as a batch of one — the path a lone request takes from the start —
+//!    so one poisoned member cannot exhaust the retry budget of (or degrade)
+//!    its healthy siblings.
 //!
 //! Backoff delays are charged to the simulated-latency counter rather than
 //! slept, like every latency in this workspace — deterministic and fast.
@@ -30,16 +32,12 @@ use crate::{
 use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
 use lingua_llm_sim::{
-    AtomicUsage, BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService,
-    ShardedLru, Usage, CANCELLED_NOTICE,
+    AtomicUsage, BatchOutcome, CancelReason, CodeGenSpec, CompletionRequest, GeneratedCode,
+    LlmService, NoAnswer, ShardedLru, Usage,
 };
 use lingua_trace::{SpanKind, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Answer returned when every backend and every degraded path is gone.
-pub const DEGRADED_NOTICE: &str =
-    "[gateway degraded] all backends unavailable; answer withheld, retry later";
 
 /// Embedding dimension of the degraded-mode zero vector (the simulator's
 /// hashing-vectorizer width).
@@ -71,23 +69,23 @@ impl Default for GatewayConfig {
 
 /// Outcome of the resilient call loop. `Cancelled` is distinct from
 /// `Exhausted` so a job whose deadline fired mid-retry does not fall through
-/// to the degraded ladder (stale cache / fallback / static notice) — the
+/// to the degraded ladder (stale cache / fallback / withheld answer) — the
 /// caller is gone, so serving a degraded answer would only distort metrics.
 enum Resilient<T> {
     Served(T),
     Exhausted,
-    Cancelled,
+    Cancelled(CancelReason),
 }
 
 /// One batched wire call, its reply checked before it is believed: a
 /// transport is where real providers plug in, so an `Ok` that does not carry
-/// one response per request is malformed output, not an answer.
+/// one response and one split per request is malformed output, not an answer.
 fn batch_reply(
     transport: &dyn LlmTransport,
     requests: &[CompletionRequest],
 ) -> Result<BatchOutcome, TransportError> {
     let outcome = transport.complete_batch(requests)?;
-    if outcome.responses.len() != requests.len() {
+    if outcome.responses.len() != requests.len() || outcome.splits.len() != requests.len() {
         return Err(TransportError::MalformedOutput {
             preview: format!(
                 "{} responses for {} requests",
@@ -219,14 +217,6 @@ impl Gateway {
         Gateway::builder().backend(transport).build()
     }
 
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
-    pub fn backend_names(&self) -> Vec<&str> {
-        self.backends.iter().map(|b| b.name.as_str()).collect()
-    }
-
     /// Breaker state of the backend at `index` (registration order).
     pub fn breaker_state(&self, index: usize) -> BreakerState {
         self.backends[index].breaker.state()
@@ -240,14 +230,12 @@ impl Gateway {
         self.metrics.snapshot(&names, &breakers)
     }
 
-    fn remember(&self, key: u64, response: &str) {
-        // A cancellation notice is a verdict about one job's deadline, not
-        // an answer to the prompt — caching it would poison future degraded
-        // recalls of the same fingerprint with a stale "[cancelled]" reply.
-        if response == CANCELLED_NOTICE {
-            return;
+    /// Keep an answer for degraded recalls. A [`NoAnswer`] is a verdict
+    /// about one call, not an answer to the prompt, so it is never kept.
+    fn remember(&self, key: u64, response: &Result<Arc<str>, NoAnswer>) {
+        if let Ok(text) = response {
+            self.stale.insert(key, Arc::clone(text));
         }
-        self.stale.insert(key, Arc::from(response));
     }
 
     fn recall(&self, key: u64) -> Option<Arc<str>> {
@@ -262,17 +250,19 @@ impl Gateway {
     /// request the call is for ([`CompletionRequest::cancelled`]); for a
     /// request without a token it is a strict no-op, so standalone gateway
     /// behavior (and every deterministic counter walk in the chaos tests) is
-    /// unchanged.
+    /// unchanged. Without `retry` the first fault ends the call `Exhausted` —
+    /// a batched first attempt, whose members then retry one by one.
     fn call_resilient<T>(
         &self,
         key: u64,
         est_tokens: u64,
-        cancelled: impl Fn() -> bool,
+        retry: bool,
+        cancelled: impl Fn() -> Option<CancelReason>,
         op: impl Fn(&dyn LlmTransport) -> Result<T, TransportError>,
     ) -> Resilient<T> {
         for (idx, backend) in self.backends.iter().enumerate() {
-            if cancelled() {
-                return Resilient::Cancelled;
+            if let Some(reason) = cancelled() {
+                return Resilient::Cancelled(reason);
             }
             if idx > 0 {
                 self.metrics.failover();
@@ -291,8 +281,8 @@ impl Gateway {
             }
             let mut attempt: u32 = 0;
             loop {
-                if attempt > 0 && cancelled() {
-                    return Resilient::Cancelled;
+                if let Some(reason) = (attempt > 0).then(&cancelled).flatten() {
+                    return Resilient::Cancelled(reason);
                 }
                 if !backend.breaker.acquire() {
                     self.metrics.breaker_denied(idx);
@@ -340,13 +330,16 @@ impl Gateway {
                             attrs
                         });
                         attempt += 1;
+                        if !retry {
+                            return Resilient::Exhausted;
+                        }
                         if !err.is_retryable() || attempt >= self.config.backoff.max_attempts {
                             break;
                         }
                         // A job past its deadline must not be charged backoff
                         // it will never wait out.
-                        if cancelled() {
-                            return Resilient::Cancelled;
+                        if let Some(reason) = cancelled() {
+                            return Resilient::Cancelled(reason);
                         }
                         let mut delay = self.config.backoff.delay_ms(key, attempt);
                         if let Some(hint) = err.retry_after_ms() {
@@ -367,68 +360,38 @@ impl Gateway {
         Resilient::Exhausted
     }
 
-    /// One batched wire call against the first backend whose budget and
-    /// breaker admit it. `None` means the attempt faulted (or no backend
-    /// admitted the batch); the caller then re-dispatches per member instead
-    /// of replaying every healthy member against the same fault.
-    fn batch_first_attempt(&self, requests: &[CompletionRequest]) -> Option<BatchOutcome> {
-        let est_tokens: u64 = requests.iter().map(|r| count_tokens(&r.prompt) as u64).sum();
-        for (idx, backend) in self.backends.iter().enumerate() {
-            if idx > 0 {
-                self.metrics.failover();
-                self.tracer.instant(SpanKind::Gateway, "failover", || {
-                    vec![("to".into(), backend.name.clone())]
-                });
+    /// One member through the resilient loop as a batch of one — retry
+    /// schedule, breakers and failover under its *own* token — then down the
+    /// degraded ladder if every backend is exhausted. Returns the member's
+    /// one-member outcome and the `path` its span reports.
+    fn complete_member(&self, request: &CompletionRequest) -> (BatchOutcome, &'static str) {
+        // The memoized fingerprint: whoever hashed this prompt first — serve,
+        // the simulator, or this call — every later layer reuses the value.
+        let key = request.fingerprint();
+        let est_tokens = count_tokens(&request.prompt) as u64;
+        match self.call_resilient(
+            key,
+            est_tokens,
+            true,
+            || request.cancelled(),
+            |transport| batch_reply(transport, std::slice::from_ref(request)),
+        ) {
+            Resilient::Served(single) => {
+                self.remember(key, &single.responses[0]);
+                (single, "served")
             }
-            if let Some(budget) = &backend.budget {
-                if !budget.try_consume(est_tokens) {
-                    self.metrics.budget_denied(idx);
-                    self.tracer.instant(SpanKind::Gateway, "budget_denied", || {
-                        vec![("backend".into(), backend.name.clone())]
-                    });
-                    continue;
-                }
+            Resilient::Cancelled(reason) => {
+                self.note_cancelled();
+                let refused = (Err(NoAnswer::Cancelled(reason)), Usage::default());
+                (std::iter::once(refused).collect(), "cancelled")
             }
-            if !backend.breaker.acquire() {
-                self.metrics.breaker_denied(idx);
-                self.tracer.instant(SpanKind::Gateway, "breaker_denied", || {
-                    vec![("backend".into(), backend.name.clone())]
-                });
-                continue;
-            }
-            self.metrics.attempt(idx, false);
-            self.tracer.instant(SpanKind::Gateway, "attempt", || {
-                vec![("backend".into(), backend.name.clone()), ("retry".into(), "false".into())]
-            });
-            return match batch_reply(backend.transport.as_ref(), requests) {
-                Ok(outcome) => {
-                    backend.breaker.on_success();
-                    self.metrics.served(idx);
-                    self.tracer.instant(SpanKind::Gateway, "served", || {
-                        vec![("backend".into(), backend.name.clone())]
-                    });
-                    Some(outcome)
-                }
-                Err(err) => {
-                    backend.breaker.on_failure();
-                    self.metrics.fault(idx, err.class());
-                    self.tracer.instant(SpanKind::Gateway, "fault", || {
-                        vec![
-                            ("backend".into(), backend.name.clone()),
-                            ("class".into(), err.class().label().into()),
-                        ]
-                    });
-                    None
-                }
-            };
+            Resilient::Exhausted => self.degrade(request),
         }
-        None
     }
 
     /// The degraded ladder for one request no backend could serve: stale
-    /// cache, then the fallback backend, then the static notice. Returns the
-    /// answer, the usage it booked, and the span path it took.
-    fn degrade(&self, request: &CompletionRequest) -> (Arc<str>, Usage, &'static str) {
+    /// cache, then the fallback backend, then a withheld answer.
+    fn degrade(&self, request: &CompletionRequest) -> (BatchOutcome, &'static str) {
         let key = request.fingerprint();
         if let Some(stale) = self.recall(key) {
             self.metrics.degraded_cache_hit();
@@ -436,21 +399,20 @@ impl Gateway {
             let mut usage = Usage::default();
             usage.record_cached(count_tokens(&request.prompt), count_tokens(&stale));
             self.degraded_usage.merge(&usage);
-            return (stale, usage, "degraded_cache");
+            return (std::iter::once((Ok(stale), usage)).collect(), "degraded_cache");
         }
         if let Some(fallback) = &self.fallback {
-            let before = fallback.usage();
-            if let Ok(response) = fallback.complete(request) {
+            if let Ok(single) = batch_reply(fallback.as_ref(), std::slice::from_ref(request)) {
                 self.metrics.degraded_fallback();
                 self.tracer.instant(SpanKind::Gateway, "degraded_fallback", Vec::new);
-                self.remember(key, &response);
-                let usage = fallback.usage().since(&before);
-                return (Arc::from(response), usage, "degraded_fallback");
+                self.remember(key, &single.responses[0]);
+                return (single, "degraded_fallback");
             }
         }
         self.metrics.degraded_static();
         self.tracer.instant(SpanKind::Gateway, "degraded_static", Vec::new);
-        (Arc::from(DEGRADED_NOTICE), Usage::default(), "degraded_static")
+        let withheld = (Err(NoAnswer::Unavailable), Usage::default());
+        (std::iter::once(withheld).collect(), "degraded_static")
     }
 
     /// Book one cancelled request: counter and trace instant.
@@ -470,34 +432,16 @@ impl Gateway {
 }
 
 impl LlmService for Gateway {
-    fn complete(&self, request: &CompletionRequest) -> String {
-        self.metrics.request();
-        let mut span = self.tracer.span(SpanKind::Gateway, "complete");
-        // The memoized fingerprint: whoever hashed this prompt first — serve,
-        // the simulator, or this call — every later layer reuses the value.
-        let key = request.fingerprint();
-        let est_tokens = count_tokens(&request.prompt) as u64;
-        let cancelled = || request.cancelled().is_some();
-        match self.call_resilient(key, est_tokens, cancelled, |t| t.complete(request)) {
-            Resilient::Served(response) => {
-                span.attr("path", "served");
-                self.remember(key, &response);
-                response
-            }
-            Resilient::Cancelled => {
-                self.note_cancelled();
-                span.attr("path", "cancelled");
-                CANCELLED_NOTICE.to_string()
-            }
-            Resilient::Exhausted => {
-                let (response, _, path) = self.degrade(request);
-                span.attr("path", path);
-                response.as_ref().to_string()
-            }
-        }
-    }
-
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+        if let [request] = requests {
+            // One request: straight into the resilient loop — no batched
+            // first attempt, no batch metrics.
+            self.metrics.request();
+            let mut span = self.tracer.span(SpanKind::Gateway, "complete");
+            let (outcome, path) = self.complete_member(request);
+            span.attr("path", path);
+            return outcome;
+        }
         if requests.is_empty() {
             return BatchOutcome::default();
         }
@@ -506,18 +450,25 @@ impl LlmService for Gateway {
         span.attr("members", requests.len().to_string());
         // Nobody left to answer. (A batch with *some* dead members is its
         // assembler's to thin — the batcher's flush filter does.)
-        if requests.iter().all(|request| request.cancelled().is_some()) {
-            requests.iter().for_each(|_| self.note_cancelled());
+        if let Some(reasons) =
+            requests.iter().map(CompletionRequest::cancelled).collect::<Option<Vec<_>>>()
+        {
             span.attr("path", "cancelled");
-            return BatchOutcome {
-                responses: requests.iter().map(|_| Arc::from(CANCELLED_NOTICE)).collect(),
-                splits: vec![Usage::default(); requests.len()],
-                batch_usage: Usage::default(),
-            };
+            return reasons
+                .into_iter()
+                .map(|reason| {
+                    self.note_cancelled();
+                    (Err(NoAnswer::Cancelled(reason)), Usage::default())
+                })
+                .collect();
         }
-        // First try: the whole batch as ONE wire call, so the no-fault
-        // common case keeps its single-call amortization.
-        if let Some(outcome) = self.batch_first_attempt(requests) {
+        // First try: the whole batch as ONE wire call on the first backend
+        // that admits it, so the no-fault common case keeps its single-call
+        // amortization. (Never retried, so no backoff key.)
+        let est_tokens = requests.iter().map(|r| count_tokens(&r.prompt) as u64).sum();
+        if let Resilient::Served(outcome) =
+            self.call_resilient(0, est_tokens, false, || None, |t| batch_reply(t, requests))
+        {
             span.attr("path", "served");
             for (request, response) in requests.iter().zip(&outcome.responses) {
                 self.remember(request.fingerprint(), response);
@@ -528,43 +479,15 @@ impl LlmService for Gateway {
         // whole batch would replay every healthy member against the same
         // fault and let one persistently poisoned member drag its siblings
         // into degraded mode, so the retry splits per member: each rides the
-        // full resilient loop — retry schedule, breakers, failover — as a
-        // single-member batch under its *own* token, so a member whose job
-        // dies mid-split stops burning attempts and backoff while its
-        // siblings carry on, and only exhausted members degrade.
+        // full resilient loop as a batch of one under its *own* token, so a
+        // member whose job dies mid-split stops burning attempts and backoff
+        // while its siblings carry on, and only exhausted members degrade.
         span.attr("path", "split");
         self.metrics.batch_split();
         self.tracer.instant(SpanKind::Gateway, "batch_split", || {
             vec![("members".into(), requests.len().to_string())]
         });
-        let mut outcome = BatchOutcome::with_capacity(requests.len());
-        for request in requests {
-            let member_key = request.fingerprint();
-            let est_tokens = count_tokens(&request.prompt) as u64;
-            let cancelled = || request.cancelled().is_some();
-            let (response, split) =
-                match self.call_resilient(member_key, est_tokens, cancelled, |transport| {
-                    batch_reply(transport, std::slice::from_ref(request))
-                }) {
-                    Resilient::Served(mut single) => {
-                        let response = single.responses.pop().expect("single-member batch");
-                        self.remember(member_key, &response);
-                        (response, single.splits.pop().unwrap_or(single.batch_usage))
-                    }
-                    Resilient::Cancelled => {
-                        self.note_cancelled();
-                        (Arc::from(CANCELLED_NOTICE), Usage::default())
-                    }
-                    Resilient::Exhausted => {
-                        let (response, split, _) = self.degrade(request);
-                        (response, split)
-                    }
-                };
-            outcome.batch_usage.merge(&split);
-            outcome.splits.push(split);
-            outcome.responses.push(response);
-        }
-        outcome
+        requests.iter().map(|request| self.complete_member(request).0.into_single()).collect()
     }
 
     fn embed(&self, text: &str) -> Vec<f64> {
@@ -576,7 +499,7 @@ impl LlmService for Gateway {
         // its schedule out and the executor's between-op check ends a dead
         // job.
         if let Resilient::Served(embedding) =
-            self.call_resilient(key, est_tokens, || false, |transport| transport.embed(text))
+            self.call_resilient(key, est_tokens, true, || None, |transport| transport.embed(text))
         {
             span.attr("path", "served");
             return embedding;
@@ -651,6 +574,11 @@ mod tests {
         CompletionRequest::new(format!("Summarize. Text: gateway request number {i}"))
     }
 
+    /// The typed answer to one request.
+    fn answer(gateway: &Gateway, request: &CompletionRequest) -> Result<Arc<str>, NoAnswer> {
+        gateway.complete_batch(std::slice::from_ref(request)).into_single().0
+    }
+
     #[test]
     fn transparent_over_a_healthy_backend() {
         let service = sim(1);
@@ -714,7 +642,7 @@ mod tests {
         let service = sim(4);
         let injector = Arc::new(FaultInjector::new("down", service, FaultPlan::transient(1.0, 5)));
         let gateway = Gateway::over(injector);
-        assert_eq!(gateway.complete(&prompt(0)), DEGRADED_NOTICE);
+        assert_eq!(answer(&gateway, &prompt(0)), Err(NoAnswer::Unavailable));
         assert_eq!(gateway.snapshot().degraded_static, 1);
     }
 
@@ -732,9 +660,9 @@ mod tests {
         let injector = Arc::new(FaultInjector::new("flaky", service.clone(), plan));
         let gateway = Gateway::over(injector);
         let request = CompletionRequest::new(candidate);
-        let first = gateway.complete(&request);
-        assert_ne!(first, DEGRADED_NOTICE);
-        let second = gateway.complete(&request);
+        let first = answer(&gateway, &request);
+        assert!(first.is_ok());
+        let second = answer(&gateway, &request);
         assert_eq!(second, first, "stale cache must replay the last good answer");
         let snap = gateway.snapshot();
         assert_eq!(snap.degraded_cache_hits, 1);
@@ -800,8 +728,7 @@ mod tests {
         // Give the request somewhere to go: the standby's bucket is
         // independent and equally empty, so this exercises the budget-denied
         // counters on both.
-        let response = gateway.complete(&prompt(0));
-        assert_eq!(response, DEGRADED_NOTICE);
+        assert_eq!(answer(&gateway, &prompt(0)), Err(NoAnswer::Unavailable));
         let snap = gateway.snapshot();
         assert_eq!(snap.backends[0].counters.budget_denied, 1);
         assert_eq!(snap.backends[1].counters.budget_denied, 1);
@@ -830,7 +757,8 @@ mod tests {
         let gateway = Gateway::over(injector);
         let token = CancelToken::unbounded();
         token.cancel();
-        assert_eq!(gateway.complete(&prompt(0).with_cancel(token)), CANCELLED_NOTICE);
+        let refused = Err(NoAnswer::Cancelled(CancelReason::Cancelled));
+        assert_eq!(answer(&gateway, &prompt(0).with_cancel(token)), refused);
         let snap = gateway.snapshot();
         assert_eq!(snap.cancelled, 1);
         assert_eq!(snap.backends[0].counters.attempts, 0, "no attempt for a dead job");
@@ -854,7 +782,10 @@ mod tests {
             fn name(&self) -> &str {
                 "cancel-on-first"
             }
-            fn complete(&self, _request: &CompletionRequest) -> Result<String, TransportError> {
+            fn complete_batch(
+                &self,
+                _requests: &[CompletionRequest],
+            ) -> Result<BatchOutcome, TransportError> {
                 self.token.cancel();
                 Err(TransportError::TransientServer { message: "boom".into() })
             }
@@ -886,7 +817,8 @@ mod tests {
 
         let token = CancelToken::unbounded();
         let gateway = Gateway::over(Arc::new(CancelOnFirstCall { token: token.clone() }));
-        assert_eq!(gateway.complete(&prompt(0).with_cancel(token)), CANCELLED_NOTICE);
+        let refused = Err(NoAnswer::Cancelled(CancelReason::Cancelled));
+        assert_eq!(answer(&gateway, &prompt(0).with_cancel(token)), refused);
         let snap = gateway.snapshot();
         let primary = &snap.backends[0].counters;
         assert_eq!(primary.attempts, 1, "exactly the in-flight attempt");
@@ -904,7 +836,7 @@ mod tests {
         let requests: Vec<CompletionRequest> = (0..3).map(prompt).collect();
         let outcome = gateway.complete_batch(&requests);
         for (request, response) in requests.iter().zip(&outcome.responses) {
-            assert_eq!(response.as_ref(), reference.complete(request));
+            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
         }
         let mut summed = Usage::default();
         for split in &outcome.splits {
@@ -947,7 +879,7 @@ mod tests {
         let requests: Vec<CompletionRequest> = (0..6).map(prompt).collect();
         let outcome = gateway.complete_batch(&requests);
         for (request, response) in requests.iter().zip(&outcome.responses) {
-            assert_eq!(response.as_ref(), reference.complete(request));
+            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
         }
         let mut summed = Usage::default();
         for split in &outcome.splits {
@@ -970,9 +902,6 @@ mod tests {
     impl LlmTransport for ShortReply {
         fn name(&self) -> &str {
             self.inner.name()
-        }
-        fn complete(&self, request: &CompletionRequest) -> Result<String, TransportError> {
-            self.inner.complete(request)
         }
         fn complete_batch(
             &self,
@@ -1020,7 +949,7 @@ mod tests {
         assert_eq!(outcome.responses.len(), requests.len(), "one response per request");
         assert_eq!(outcome.splits.len(), requests.len());
         for (request, response) in requests.iter().zip(&outcome.responses) {
-            assert_eq!(response.as_ref(), reference.complete(request));
+            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
         }
         let snap = gateway.snapshot();
         assert_eq!(snap.batch_splits, 1);
@@ -1046,7 +975,7 @@ mod tests {
         let outcome = gateway.complete_batch(&requests);
         assert_eq!(outcome.responses.len(), requests.len());
         for (request, response) in requests.iter().zip(&outcome.responses) {
-            assert_eq!(response.as_ref(), cheap.complete(request));
+            assert_eq!(response.as_deref(), Ok(cheap.complete(request).as_str()));
         }
         let snap = gateway.snapshot();
         assert_eq!(snap.batch_splits, 1);
@@ -1091,11 +1020,11 @@ mod tests {
             .fallback(Arc::new(ServiceTransport::new("cheap", cheap)))
             .build();
         let outcome = gateway.complete_batch(&requests);
-        assert_eq!(outcome.responses[0].as_ref(), reference.complete(&requests[0]));
-        assert_eq!(outcome.responses[2].as_ref(), reference.complete(&requests[2]));
+        assert_eq!(outcome.responses[0].as_deref(), Ok(reference.complete(&requests[0]).as_str()));
+        assert_eq!(outcome.responses[2].as_deref(), Ok(reference.complete(&requests[2]).as_str()));
         assert_eq!(
-            outcome.responses[1].as_ref(),
-            cheap_reference.complete(&requests[1]),
+            outcome.responses[1].as_deref(),
+            Ok(cheap_reference.complete(&requests[1]).as_str()),
             "the poisoned member is answered by the fallback"
         );
         let snap = gateway.snapshot();
@@ -1116,7 +1045,7 @@ mod tests {
         let requests: Vec<CompletionRequest> = (0..4).map(prompt).collect();
         let outcome = gateway.complete_batch(&requests);
         for (request, response) in requests.iter().zip(&outcome.responses) {
-            assert_eq!(response.as_ref(), cheap.complete(request));
+            assert_eq!(response.as_deref(), Ok(cheap.complete(request).as_str()));
         }
         let mut summed = Usage::default();
         for split in &outcome.splits {
@@ -1136,7 +1065,8 @@ mod tests {
         let requests: Vec<CompletionRequest> =
             (0..3).map(|i| prompt(i).with_cancel(token.clone())).collect();
         let outcome = gateway.complete_batch(&requests);
-        assert!(outcome.responses.iter().all(|r| r.as_ref() == CANCELLED_NOTICE));
+        let refused = Err(NoAnswer::Cancelled(CancelReason::Cancelled));
+        assert!(outcome.responses.iter().all(|r| *r == refused));
         assert_eq!(outcome.batch_usage, Usage::default());
         assert!(outcome.splits.iter().all(|s| *s == Usage::default()));
         assert_eq!(gateway.usage().calls, 0);
@@ -1157,7 +1087,10 @@ mod tests {
             fn name(&self) -> &str {
                 "cancel-then-malformed"
             }
-            fn complete(&self, _request: &CompletionRequest) -> Result<String, TransportError> {
+            fn complete_batch(
+                &self,
+                _requests: &[CompletionRequest],
+            ) -> Result<BatchOutcome, TransportError> {
                 self.token.cancel();
                 Err(TransportError::MalformedOutput { preview: "garbage".into() })
             }
@@ -1195,25 +1128,25 @@ mod tests {
             .build();
         let requests: Vec<CompletionRequest> = (0..2).map(prompt).collect();
         // First batch: the backend cancels the job mid-attempt and fails
-        // non-retryably, so every member is answered with the cancellation
-        // notice.
+        // non-retryably, so every member is refused as cancelled.
         let doomed: Vec<CompletionRequest> =
             requests.iter().map(|r| r.clone().with_cancel(token.clone())).collect();
         let outcome = gateway.complete_batch(&doomed);
-        assert!(outcome.responses.iter().all(|r| r.as_ref() == CANCELLED_NOTICE));
-        // The notice is a verdict on this job, not an answer to the
+        let refused = Err(NoAnswer::Cancelled(CancelReason::Cancelled));
+        assert!(outcome.responses.iter().all(|r| *r == refused));
+        // The refusal is a verdict on this job, not an answer to the
         // prompt: it must not enter the stale cache.
         for request in &requests {
             assert!(
                 gateway.recall(request.fingerprint()).is_none(),
-                "cancellation notice poisoned the stale cache"
+                "a refusal poisoned the stale cache"
             );
         }
         // A later uncancelled job over the same prompts must get real
-        // fallback answers, not a replayed notice.
+        // fallback answers, not a replayed refusal.
         let outcome = gateway.complete_batch(&requests);
         for (request, response) in requests.iter().zip(&outcome.responses) {
-            assert_eq!(response.as_ref(), reference.complete(request));
+            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
         }
     }
 

@@ -5,13 +5,14 @@
 //! The paper treats the LLM as an expensive black box and spends its
 //! optimizer budget minimizing *calls*; a production deployment must also
 //! survive the calls that *fail*. This crate restores fallibility at the
-//! transport layer and then hides it again behind the infallible
+//! transport layer and then hides it again behind the
 //! [`lingua_llm_sim::LlmService`] contract the rest of the system programs
-//! against:
+//! against, where all that is left of a failure is a typed
+//! [`lingua_llm_sim::NoAnswer`] member:
 //!
 //! ```text
 //!   modules / serve workers
-//!            │ LlmService (infallible)
+//!            │ LlmService (answer or NoAnswer per member)
 //!            ▼
 //!        ┌─────────┐   retry + backoff, circuit breaking,
 //!        │ Gateway │   failover, token budget, degraded mode
@@ -42,7 +43,7 @@ pub use batch::{BatchConfig, BatchSnapshot, Batcher, FlushReason, FlushRecord};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use error::{FaultClass, TransportError};
 pub use fault::{prompt_key, FaultCounts, FaultInjector, FaultPlan};
-pub use gateway::{Gateway, GatewayBuilder, GatewayConfig, DEGRADED_NOTICE};
+pub use gateway::{Gateway, GatewayBuilder, GatewayConfig};
 pub use limiter::{TokenBudget, TokenBudgetConfig};
 pub use metrics::{BackendCounters, BackendSnapshot, GatewayMetrics, GatewaySnapshot};
 pub use transport::{LlmTransport, ServiceTransport};

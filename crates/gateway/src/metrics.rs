@@ -201,7 +201,8 @@ pub struct GatewaySnapshot {
     pub degraded_cache_hits: u64,
     /// Requests answered by the degraded-mode fallback backend.
     pub degraded_fallbacks: u64,
-    /// Requests answered with the static degraded notice (nothing left).
+    /// Requests whose answer was withheld, `NoAnswer::Unavailable` (nothing
+    /// left).
     pub degraded_static: u64,
     /// Batched calls placed (one per `complete_batch` entering the gateway).
     pub batches: u64,

@@ -2,7 +2,7 @@
 //!
 //! [`LlmTransport`] is the [`lingua_llm_sim::LlmService`] contract with the
 //! truth restored: calls over a network can fail. [`ServiceTransport`] adapts
-//! any infallible service into a transport that never faults (the shape a
+//! any service into a transport that never faults (the shape a
 //! perfectly reliable backend would have); [`crate::FaultInjector`] is the
 //! adversarial counterpart.
 
@@ -21,33 +21,23 @@ use std::sync::Arc;
 pub trait LlmTransport: Send + Sync {
     /// Stable backend name, used as the metrics key.
     fn name(&self) -> &str;
-    /// Free-text completion.
-    fn complete(&self, request: &CompletionRequest) -> Result<String, TransportError>;
-    /// Batched completion: all-or-nothing over the wire. One faulted member
-    /// fails the whole batch (that is what a single batched HTTP call does);
-    /// the gateway places a batch as one wire call first and, when that call
-    /// faults, re-dispatches the members through its resilient loop
-    /// individually. An `Ok` reply carries one response per request, in
-    /// order; the gateway books any other shape as malformed output.
-    ///
-    /// The default adapts [`LlmTransport::complete`] one member at a time,
-    /// attributing each member the usage delta its call produced; fault
-    /// injectors therefore inherit per-member fault decisions for free.
-    /// Transports over a genuinely batchable service override it.
+    /// Batched completion — the one completion method a transport
+    /// implements: all-or-nothing over the wire. One faulted member fails the
+    /// whole batch (that is what a single batched HTTP call does); the gateway
+    /// places a batch as one wire call first and, when that call faults,
+    /// re-dispatches the members through its resilient loop as batches of
+    /// one. An `Ok` reply carries one member per request, in order, each an
+    /// answer or a typed [`NoAnswer`](lingua_llm_sim::NoAnswer); the gateway
+    /// books any other shape as malformed output.
     fn complete_batch(
         &self,
         requests: &[CompletionRequest],
-    ) -> Result<BatchOutcome, TransportError> {
-        let mut outcome = BatchOutcome::with_capacity(requests.len());
-        for request in requests {
-            let before = self.usage();
-            let response = self.complete(request)?;
-            let split = self.usage().since(&before);
-            outcome.batch_usage.merge(&split);
-            outcome.splits.push(split);
-            outcome.responses.push(Arc::from(response));
-        }
-        Ok(outcome)
+    ) -> Result<BatchOutcome, TransportError>;
+    /// Free-text completion for a human or a test: a batch of one, with a
+    /// non-answer rendered as its notice.
+    fn complete(&self, request: &CompletionRequest) -> Result<String, TransportError> {
+        let (response, _) = self.complete_batch(std::slice::from_ref(request))?.into_single();
+        Ok(response.map_or_else(|no_answer| no_answer.to_string(), |text| text.to_string()))
     }
     /// Deterministic text embedding.
     fn embed(&self, text: &str) -> Result<Vec<f64>, TransportError>;
@@ -68,7 +58,7 @@ pub trait LlmTransport: Send + Sync {
     ) -> GeneratedCode;
 }
 
-/// Adapter lifting an infallible [`LlmService`] into a transport that never
+/// Adapter lifting an [`LlmService`] into a transport that never
 /// faults.
 pub struct ServiceTransport {
     name: String,
@@ -84,10 +74,6 @@ impl ServiceTransport {
 impl LlmTransport for ServiceTransport {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn complete(&self, request: &CompletionRequest) -> Result<String, TransportError> {
-        Ok(self.service.complete(request))
     }
 
     fn complete_batch(

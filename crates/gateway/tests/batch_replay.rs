@@ -20,11 +20,11 @@
 use lingua_dataset::world::WorldSpec;
 use lingua_gateway::{
     BatchConfig, Batcher, FaultInjector, FaultPlan, FlushReason, Gateway, LlmTransport,
-    TransportError, DEGRADED_NOTICE,
+    TransportError,
 };
 use lingua_llm_sim::{
-    BatchOutcome, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm,
-    SimLlmConfig, TokenPricing, Usage, CANCELLED_NOTICE,
+    BatchOutcome, CancelReason, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode,
+    LlmService, NoAnswer, SimLlm, SimLlmConfig, TokenPricing, Usage,
 };
 use lingua_ml::sync::Mutex;
 use std::sync::{Arc, Barrier};
@@ -47,6 +47,13 @@ fn prompt(thread: usize, round: usize) -> CompletionRequest {
     ))
 }
 
+/// The typed answer to one request.
+fn answer(service: &dyn LlmService, request: &CompletionRequest) -> Result<Arc<str>, NoAnswer> {
+    service.complete_batch(std::slice::from_ref(request)).into_single().0
+}
+
+const REFUSED: Result<Arc<str>, NoAnswer> = Err(NoAnswer::Cancelled(CancelReason::Cancelled));
+
 /// Forwards everything to a shared service while keeping every
 /// [`BatchOutcome`] the batcher's flushes produced — the oracle for
 /// member-level split conservation under contention.
@@ -66,10 +73,6 @@ impl Recording {
 }
 
 impl LlmService for Recording {
-    fn complete(&self, request: &CompletionRequest) -> String {
-        self.inner.complete(request)
-    }
-
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
         let outcome = self.inner.complete_batch(requests);
         self.outcomes.lock().push(outcome.clone());
@@ -305,7 +308,8 @@ fn split_batch_replays_exact_per_member_attempt_schedules() {
     let outcome = gateway.complete_batch(&requests);
 
     for (request, response) in requests.iter().zip(&outcome.responses) {
-        assert_eq!(response.as_ref(), reference.complete(request), "split answers diverged");
+        let expected = reference.complete(request);
+        assert_eq!(response.as_deref(), Ok(expected.as_str()), "split answers diverged");
     }
     let mut summed = Usage::default();
     for split in &outcome.splits {
@@ -364,7 +368,7 @@ fn cancelled_members_are_excluded_from_the_replayed_composition() {
             .map(|i| {
                 let batcher = Arc::clone(&batcher);
                 let token = tokens[i].clone();
-                scope.spawn(move || batcher.complete(&prompt(i, 0).with_cancel(token)))
+                scope.spawn(move || answer(&*batcher, &prompt(i, 0).with_cancel(token)))
             })
             .collect();
         // Wait until all seven are in the filling batch, cancel the first
@@ -380,9 +384,10 @@ fn cancelled_members_are_excluded_from_the_replayed_composition() {
         for (i, handle) in handles.into_iter().enumerate() {
             let answer = handle.join().expect("no member panicked");
             if i < DOOMED {
-                assert_eq!(answer, CANCELLED_NOTICE, "member {i} was cancelled in-batch");
+                assert_eq!(answer, REFUSED, "member {i} was cancelled in-batch");
             } else {
-                assert_eq!(answer, reference.complete(&prompt(i, 0)), "member {i} survived");
+                let expected = reference.complete(&prompt(i, 0));
+                assert_eq!(answer.as_deref(), Ok(expected.as_str()), "member {i} survived");
             }
         }
     });
@@ -418,10 +423,6 @@ struct CancelMidSplit {
 impl LlmTransport for CancelMidSplit {
     fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    fn complete(&self, request: &CompletionRequest) -> Result<String, TransportError> {
-        self.inner.complete(request)
     }
 
     fn complete_batch(
@@ -468,7 +469,7 @@ impl LlmTransport for CancelMidSplit {
 
 /// Per-member cancellation inside a flush: the batched wire call faults, the
 /// gateway splits, and one member's job dies *during* the split. That member
-/// is answered with the notice at once — no retry, no backoff, nothing
+/// is refused as cancelled at once — no retry, no backoff, nothing
 /// remembered — while its siblings are served as if it had never been there,
 /// and the splits, the batch usage and the ledger agree exactly.
 #[test]
@@ -509,7 +510,7 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
         // Join order is batch order: the doomed member first.
         let join = |request: CompletionRequest, pending: usize| {
             let member = Arc::clone(&batcher);
-            let handle = scope.spawn(move || member.complete(&request));
+            let handle = scope.spawn(move || answer(&*member, &request));
             while batcher.pending_members() < pending {
                 std::thread::yield_now();
             }
@@ -519,8 +520,9 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
         let first = join(siblings[0].clone(), 2);
         // The third arrival fills the batch and flushes on this thread.
         assert_eq!(batcher.complete(&siblings[1]), reference.complete(&siblings[1]));
-        assert_eq!(first.join().expect("no panic"), reference.complete(&siblings[0]));
-        assert_eq!(cancelled.join().expect("no panic"), CANCELLED_NOTICE);
+        let first = first.join().expect("no panic");
+        assert_eq!(first.as_deref(), Ok(reference.complete(&siblings[0]).as_str()));
+        assert_eq!(cancelled.join().expect("no panic"), REFUSED);
     });
 
     // The batcher saw three live members: the job died after its filter.
@@ -552,8 +554,8 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
     assert_eq!(outcomes[0].batch_usage, service.usage());
     assert_eq!(service.usage(), reference.usage());
 
-    // The notice never entered the stale cache: a later live caller that
+    // The refusal never entered the stale cache: a later live caller that
     // exhausts the backend on the same prompt finds nothing to recall.
-    assert_eq!(gateway.complete(&doomed), DEGRADED_NOTICE);
+    assert_eq!(answer(&*gateway, &doomed), Err(NoAnswer::Unavailable));
     assert_eq!(gateway.snapshot().degraded_cache_hits, 0);
 }

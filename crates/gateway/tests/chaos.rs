@@ -10,7 +10,7 @@
 use lingua_dataset::world::WorldSpec;
 use lingua_gateway::{
     prompt_key, BackendCounters, BackoffPolicy, BreakerConfig, FaultClass, FaultInjector,
-    FaultPlan, Gateway, ServiceTransport, DEGRADED_NOTICE,
+    FaultPlan, Gateway, ServiceTransport,
 };
 use lingua_llm_sim::{CompletionRequest, LlmService, SimLlm};
 use std::sync::Arc;
@@ -123,8 +123,9 @@ fn chaos_counters_match_the_plan_replay_exactly() {
         .build();
 
     for prompt in &workload {
-        let response = gateway.complete(&CompletionRequest::new(prompt.clone()));
-        assert_ne!(response, DEGRADED_NOTICE, "the clean fallback absorbs every outage");
+        let request = CompletionRequest::new(prompt.clone());
+        let (response, _) = gateway.complete_batch(&[request]).into_single();
+        assert!(response.is_ok(), "the clean fallback absorbs every outage");
     }
 
     let expected = replay(&[primary_plan, standby_plan], &backoff, &workload);

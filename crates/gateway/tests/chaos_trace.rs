@@ -10,7 +10,7 @@
 use lingua_dataset::world::WorldSpec;
 use lingua_gateway::{
     prompt_key, BackoffPolicy, BreakerConfig, FaultClass, FaultInjector, FaultPlan, Gateway,
-    ServiceTransport, DEGRADED_NOTICE,
+    ServiceTransport,
 };
 use lingua_llm_sim::{CompletionRequest, LlmService, SimLlm};
 use lingua_trace::{ring_tracer, SpanKind, TraceTree};
@@ -100,8 +100,9 @@ fn trace_replays_the_same_story_as_the_counters() {
         .tracer(tracer.clone())
         .build();
     for prompt in &workload {
-        let response = gateway.complete(&CompletionRequest::new(prompt.clone()));
-        assert_ne!(response, DEGRADED_NOTICE, "the clean fallback absorbs every outage");
+        let request = CompletionRequest::new(prompt.clone());
+        let (response, _) = gateway.complete_batch(&[request]).into_single();
+        assert!(response.is_ok(), "the clean fallback absorbs every outage");
     }
 
     assert_eq!(tracer.dropped(), 0, "the ring must be sized for the workload");

@@ -4,8 +4,9 @@
 //! The token travels **with the work it governs**, never with the thread
 //! that happens to run it: the executor reads it off its context, and a
 //! completion carries it on its [`CompletionRequest`](crate::CompletionRequest),
-//! so every layer behind the infallible [`LlmService`](crate::LlmService)
-//! trait (batcher, gateway, simulator) asks the request it was handed — also
+//! so every layer behind the [`LlmService`](crate::LlmService) trait
+//! (batcher, gateway, simulator) asks the request it was handed — and answers
+//! a dead job's member with [`NoAnswer::Cancelled`] — also
 //! when one job's thread places calls on behalf of others, as a batch flush
 //! does.
 //!
@@ -26,16 +27,55 @@
 //!   and [`CancelToken::touch`] bump a logical progress counter that the
 //!   serve watchdog reads to distinguish "slow but advancing" from "wedged".
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Response text returned by cancellation-aware LLM layers (the simulator,
-/// the gateway) when the calling job's token is already cancelled: the call
-/// is never placed and **nothing is billed** at any layer, so per-job meters
-/// and the shared service ledger stay reconciled to the cent.
-pub const CANCELLED_NOTICE: &str =
-    "[cancelled] job deadline passed or job was cancelled before this LLM call was placed";
+/// Why a completion member carries no answer. A non-answer is a type, not a
+/// text: no layer bills, meters, caches or validates it as a response, and
+/// its `Display` is only the notice a human reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NoAnswer {
+    /// The placing job was dead before the call was placed (or retried), so
+    /// it never was — and nothing was billed for it at any layer.
+    Cancelled(CancelReason),
+    /// Every backend and every degraded path failed: the gateway withheld
+    /// the answer.
+    Unavailable,
+    /// The batch flush carrying this member failed before its response was
+    /// produced.
+    Aborted,
+}
+
+impl NoAnswer {
+    /// Stable lowercase label (used in trace attributes and reports).
+    pub fn label(&self) -> &'static str {
+        match self {
+            NoAnswer::Cancelled(reason) => reason.label(),
+            NoAnswer::Unavailable => "unavailable",
+            NoAnswer::Aborted => "aborted",
+        }
+    }
+}
+
+impl fmt::Display for NoAnswer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            NoAnswer::Cancelled(_) => {
+                "[cancelled] job deadline passed or job was cancelled before this LLM call was placed"
+            }
+            NoAnswer::Unavailable => {
+                "[gateway degraded] all backends unavailable; answer withheld, retry later"
+            }
+            NoAnswer::Aborted => {
+                "[batch aborted] the batch flush failed before this member's response was produced"
+            }
+        })
+    }
+}
+
+impl std::error::Error for NoAnswer {}
 
 /// Why a token reports cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

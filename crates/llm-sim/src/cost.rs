@@ -170,17 +170,6 @@ impl AtomicUsage {
         }
     }
 
-    /// Zero every counter (between experiment arms).
-    pub fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.tokens_in.store(0, Ordering::Relaxed);
-        self.tokens_out.store(0, Ordering::Relaxed);
-        self.cached_calls.store(0, Ordering::Relaxed);
-        self.tokens_in_saved.store(0, Ordering::Relaxed);
-        self.tokens_out_saved.store(0, Ordering::Relaxed);
-        self.failed_calls.store(0, Ordering::Relaxed);
-    }
-
     /// Merge a finished [`Usage`] tally into the atomic counters.
     pub fn merge(&self, other: &Usage) {
         self.calls.fetch_add(other.calls, Ordering::Relaxed);
@@ -277,8 +266,6 @@ mod tests {
         atomic.merge(&reference);
         assert_eq!(atomic.snapshot().calls, 2);
         assert_eq!(atomic.snapshot().tokens_in, 2060);
-        atomic.reset();
-        assert_eq!(atomic.snapshot(), Usage::default());
     }
 
     #[test]

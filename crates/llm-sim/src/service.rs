@@ -7,7 +7,7 @@
 
 use crate::behaviors;
 use crate::calibration::Calibration;
-use crate::cancel::{CancelReason, CancelToken, CANCELLED_NOTICE};
+use crate::cancel::{CancelReason, CancelToken, NoAnswer};
 use crate::codegen::{self, CodeGenSpec, GeneratedCode};
 use crate::cost::{count_tokens, AtomicUsage, TokenPricing, Usage};
 use crate::hotpath::{fingerprint, CacheStats, Flight, ShardedLru, Singleflight, DEFAULT_SHARDS};
@@ -63,22 +63,23 @@ impl CompletionRequest {
     }
 }
 
-/// The result of one batched completion: per-member shared responses, a
-/// per-member [`Usage`] split, and the batch-level usage booked against the
-/// service ledger.
+/// The result of one batched completion: per-member results, a per-member
+/// [`Usage`] split, and the batch-level usage booked against the layer's
+/// ledger.
 ///
-/// Conservation law: `sum(splits) == batch_usage`, field for field — so a
-/// suite that prices both sides gets equality to the cent, not within an
-/// epsilon. The whole batch counts as **one** backend call: exactly one
-/// split carries `calls == 1` (the first billed member); cache-answered and
-/// coalesced members carry pure savings.
+/// A member is an answer or a [`NoAnswer`]; a non-answer's split is empty,
+/// so it bills nothing. Conservation law: `sum(splits) == batch_usage`,
+/// field for field — so a suite that prices both sides gets equality to the
+/// cent, not within an epsilon. A simulator batch counts as **one** backend
+/// call: exactly one split carries `calls == 1` (the first billed member);
+/// cache-answered and coalesced members carry pure savings.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
-    /// One response per request, in request order.
-    pub responses: Vec<Arc<str>>,
+    /// One result per request, in request order.
+    pub responses: Vec<Result<Arc<str>, NoAnswer>>,
     /// The exact usage attributed to each member, in request order.
     pub splits: Vec<Usage>,
-    /// Sum of the splits: what this batch added to the service ledger.
+    /// Sum of the splits: what this batch added to the layer's ledger.
     pub batch_usage: Usage,
 }
 
@@ -91,6 +92,20 @@ impl BatchOutcome {
         }
     }
 
+    /// Append one member's result and the usage attributed to it.
+    pub fn push(&mut self, response: Result<Arc<str>, NoAnswer>, split: Usage) {
+        self.batch_usage.merge(&split);
+        self.splits.push(split);
+        self.responses.push(response);
+    }
+
+    /// The first member's result and split — what a batch of one was placed
+    /// for. A reply without members produced no answer: `Aborted`.
+    pub fn into_single(self) -> (Result<Arc<str>, NoAnswer>, Usage) {
+        let response = self.responses.into_iter().next().unwrap_or(Err(NoAnswer::Aborted));
+        (response, self.splits.into_iter().next().unwrap_or(self.batch_usage))
+    }
+
     /// Members answered without billing: cache hits, plus members coalesced
     /// onto an identical prompt computed earlier in the same batch.
     pub fn saved_members(&self) -> usize {
@@ -98,41 +113,39 @@ impl BatchOutcome {
     }
 }
 
+/// Members in request order, each with the usage attributed to it.
+impl FromIterator<(Result<Arc<str>, NoAnswer>, Usage)> for BatchOutcome {
+    fn from_iter<I: IntoIterator<Item = (Result<Arc<str>, NoAnswer>, Usage)>>(members: I) -> Self {
+        let mut outcome = BatchOutcome::default();
+        members.into_iter().for_each(|(response, split)| outcome.push(response, split));
+        outcome
+    }
+}
+
 /// The service interface `lingua-core` programs against. Implementations must
 /// be shareable across threads (the executor may parallelize record batches).
 pub trait LlmService: Send + Sync {
-    /// Free-text completion.
-    fn complete(&self, request: &CompletionRequest) -> String;
-    /// Free-text completion returning a shared, clone-free response.
+    /// Answer a batch of requests — the one completion method a layer
+    /// implements; a single call is a batch of one.
     ///
-    /// Cache-backed services override this so repeat prompts hand out another
-    /// reference to the cached `Arc<str>` instead of copying the bytes; the
-    /// default adapts [`LlmService::complete`], so wrappers (meters, tracers,
-    /// gateways) keep their interception semantics without opting in.
-    fn complete_shared(&self, request: &CompletionRequest) -> Arc<str> {
-        Arc::from(self.complete(request))
+    /// Each member is an answer or a typed [`NoAnswer`] (its job was dead,
+    /// the gateway withheld it, its flush aborted), never a notice text, so
+    /// no cache, meter or validator above can mistake one for the other.
+    /// Implementations must uphold `sum(splits) == batch_usage`, attribute
+    /// each member the usage of the layer that billed it, and add exactly
+    /// `batch_usage` to [`LlmService::usage`] (exact once callers quiesce).
+    fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome;
+    /// Free-text completion for a human or a test: a batch of one, with a
+    /// non-answer rendered as its notice. Code that must tell the two apart
+    /// reads the typed member of [`LlmService::complete_batch`].
+    fn complete(&self, request: &CompletionRequest) -> String {
+        self.complete_shared(request).to_string()
     }
-    /// Answer several requests in one batched backend round trip.
-    ///
-    /// Implementations must uphold `sum(splits) == batch_usage` and must add
-    /// exactly `batch_usage` to [`LlmService::usage`] (exact once callers
-    /// quiesce). The default adapts [`LlmService::complete_shared`] one
-    /// member at a time, attributing each member the ledger delta its call
-    /// produced — correct for any wrapper (splits may over-attribute under
-    /// concurrent foreign traffic, but the conservation law still holds by
-    /// construction). Services with a genuine batched entry point (the
-    /// simulator, the gateway, the batcher) override it.
-    fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
-        let mut outcome = BatchOutcome::with_capacity(requests.len());
-        for request in requests {
-            let before = self.usage();
-            let response = self.complete_shared(request);
-            let split = self.usage().since(&before);
-            outcome.batch_usage.merge(&split);
-            outcome.splits.push(split);
-            outcome.responses.push(response);
-        }
-        outcome
+    /// [`LlmService::complete`] without copying the response out of its
+    /// shared `Arc<str>`.
+    fn complete_shared(&self, request: &CompletionRequest) -> Arc<str> {
+        let (response, _) = self.complete_batch(std::slice::from_ref(request)).into_single();
+        response.unwrap_or_else(|no_answer| Arc::from(no_answer.to_string()))
     }
     /// Deterministic text embedding (for data-discovery tasks).
     fn embed(&self, text: &str) -> Vec<f64>;
@@ -261,10 +274,6 @@ impl SimLlm {
         &self.knowledge
     }
 
-    pub fn calibration(&self) -> &Calibration {
-        &self.config.calibration
-    }
-
     pub fn pricing(&self) -> &TokenPricing {
         &self.config.pricing
     }
@@ -281,12 +290,6 @@ impl SimLlm {
         let mut stats = self.cache.as_ref().map(ShardedLru::stats).unwrap_or_default();
         stats.coalesced = self.flights.coalesced();
         stats
-    }
-
-    /// Zero the usage counters (between experiment arms).
-    pub fn reset_usage(&self) {
-        self.usage.reset();
-        self.latency_ms.store(0, Ordering::Relaxed);
     }
 
     fn respond(&self, prompt_text: &str) -> String {
@@ -332,6 +335,63 @@ impl SimLlm {
     fn meter(&self, prompt_text: &str, response: &str) {
         self.usage.record(count_tokens(prompt_text), count_tokens(response));
         self.latency_ms.fetch_add(self.config.latency_ms_per_call, Ordering::Relaxed);
+    }
+
+    /// Book `usage` on the ledger, with one round trip's latency if it
+    /// placed a backend call.
+    fn bill(&self, usage: &Usage) {
+        self.usage.merge(usage);
+        if usage.calls > 0 {
+            self.latency_ms.fetch_add(self.config.latency_ms_per_call, Ordering::Relaxed);
+        }
+    }
+
+    /// A batch of one: refused unbilled if its job is dead, else answered
+    /// from the cache, coalesced onto an identical call in flight (the
+    /// singleflight), or computed and billed.
+    fn complete_one(&self, request: &CompletionRequest) -> (Result<Arc<str>, NoAnswer>, Usage) {
+        let mut split = Usage::default();
+        if let Some(reason) = request.cancelled() {
+            return (Err(NoAnswer::Cancelled(reason)), split);
+        }
+        if !self.config.cache_enabled {
+            let response = self.respond(&request.prompt);
+            split.record(count_tokens(&request.prompt), count_tokens(&response));
+            self.bill(&split);
+            return (Ok(Arc::from(response)), split);
+        }
+        // The fingerprint is computed once per call chain (memoized on the
+        // request) and doubles as cache key, shard selector, and
+        // singleflight key.
+        let key = request.fingerprint();
+        // A hit books the exact tokens it avoided billing — counted once at
+        // insert time, not re-tokenized per hit.
+        if let Some(entry) = self.cache.as_ref().and_then(|cache| cache.get(key)) {
+            split.record_cached(entry.tokens_in, entry.tokens_out);
+            self.bill(&split);
+            return (Ok(entry.text), split);
+        }
+        let flight = self.flights.join(key, || {
+            let response = self.respond(&request.prompt);
+            let entry = CachedResponse {
+                tokens_in: count_tokens(&request.prompt),
+                tokens_out: count_tokens(&response),
+                text: Arc::from(response),
+            };
+            if let Some(cache) = &self.cache {
+                cache.insert(key, entry.clone());
+            }
+            entry
+        });
+        match &flight {
+            Flight::Led(entry) => split.record(entry.tokens_in, entry.tokens_out),
+            // A coalesced call shares the leader's computation: billed
+            // nothing, booked as a cache saving.
+            Flight::Coalesced(entry) => split.record_cached(entry.tokens_in, entry.tokens_out),
+        }
+        self.bill(&split);
+        let (Flight::Led(entry) | Flight::Coalesced(entry)) = flight;
+        (Ok(entry.text), split)
     }
 
     /// Fault-injection hook (used by `lingua-gateway`'s chaos substrate):
@@ -380,84 +440,30 @@ impl SimLlm {
 }
 
 impl LlmService for SimLlm {
-    fn complete(&self, request: &CompletionRequest) -> String {
-        self.complete_shared(request).as_ref().to_string()
-    }
-
-    fn complete_shared(&self, request: &CompletionRequest) -> Arc<str> {
-        // Cooperative cancellation: if the job that placed this request is
-        // past its deadline (or explicitly cancelled), the call is never
-        // placed and nothing bills — at this layer or any wrapper (meters and
-        // tracers recognise the notice).
-        if request.cancelled().is_some() {
-            return Arc::from(CANCELLED_NOTICE);
-        }
-        if !self.config.cache_enabled {
-            let response = self.respond(&request.prompt);
-            self.meter(&request.prompt, &response);
-            return Arc::from(response);
-        }
-        // The fingerprint is computed once per call chain (memoized on the
-        // request) and doubles as cache key, shard selector, and
-        // singleflight key.
-        let key = request.fingerprint();
-        if let Some(cache) = &self.cache {
-            if let Some(entry) = cache.get(key) {
-                // Book the exact tokens the hit avoided billing — counted
-                // once at insert time, not re-tokenized per hit.
-                self.usage.record_cached(entry.tokens_in, entry.tokens_out);
-                return entry.text;
-            }
-        }
-        match self.flights.join(key, || {
-            let response = self.respond(&request.prompt);
-            let entry = CachedResponse {
-                tokens_in: count_tokens(&request.prompt),
-                tokens_out: count_tokens(&response),
-                text: Arc::from(response),
-            };
-            self.usage.record(entry.tokens_in, entry.tokens_out);
-            self.latency_ms.fetch_add(self.config.latency_ms_per_call, Ordering::Relaxed);
-            if let Some(cache) = &self.cache {
-                cache.insert(key, entry.clone());
-            }
-            entry
-        }) {
-            Flight::Led(entry) => entry.text,
-            Flight::Coalesced(entry) => {
-                // A coalesced call shares the leader's computation: billed
-                // nothing, booked as a cache saving.
-                self.usage.record_cached(entry.tokens_in, entry.tokens_out);
-                entry.text
-            }
-        }
-    }
-
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
-        // Every member is answered: whoever assembled the batch (the
+        if let [request] = requests {
+            return std::iter::once(self.complete_one(request)).collect();
+        }
+        let mut outcome = BatchOutcome::with_capacity(requests.len());
+        // A larger batch answers every member: whoever assembled it (the
         // batcher's flush filter) settled which members are alive, and its
         // `cancelled_members` count is what the per-job meters reconcile
         // against.
         //
-        // The batch also bypasses the singleflight: identical prompts inside
-        // one batch coalesce through the cache insert below, and identical
+        // It also bypasses the singleflight: identical prompts inside one
+        // batch coalesce through the cache insert below, and identical
         // misses racing across concurrent flushes at worst recompute a
         // deterministic response (billing stays exact per flush).
-        let mut outcome = BatchOutcome::with_capacity(requests.len());
         let mut billed_any = false;
         for request in requests {
             let key = request.fingerprint();
             let mut split = Usage::default();
-            if let Some(cache) = &self.cache {
-                if let Some(entry) = cache.get(key) {
-                    // A hit — or a member coalescing onto an identical
-                    // prompt computed earlier in this very batch.
-                    split.record_cached(entry.tokens_in, entry.tokens_out);
-                    outcome.batch_usage.merge(&split);
-                    outcome.splits.push(split);
-                    outcome.responses.push(entry.text);
-                    continue;
-                }
+            // A hit — or a member coalescing onto an identical prompt
+            // computed earlier in this very batch.
+            if let Some(entry) = self.cache.as_ref().and_then(|cache| cache.get(key)) {
+                split.record_cached(entry.tokens_in, entry.tokens_out);
+                outcome.push(Ok(entry.text), split);
+                continue;
             }
             let response = self.respond(&request.prompt);
             let tokens_in = count_tokens(&request.prompt);
@@ -476,16 +482,11 @@ impl LlmService for SimLlm {
                 cache
                     .insert(key, CachedResponse { text: Arc::clone(&text), tokens_in, tokens_out });
             }
-            outcome.batch_usage.merge(&split);
-            outcome.splits.push(split);
-            outcome.responses.push(text);
+            outcome.push(Ok(text), split);
         }
         // Book the ledger once for the whole batch, and accrue one round
         // trip's latency — the amortization batching exists to buy.
-        self.usage.merge(&outcome.batch_usage);
-        if billed_any {
-            self.latency_ms.fetch_add(self.config.latency_ms_per_call, Ordering::Relaxed);
-        }
+        self.bill(&outcome.batch_usage);
         outcome
     }
 
@@ -555,8 +556,6 @@ mod tests {
         assert_eq!(usage.calls, 1);
         assert!(usage.tokens_in > 0);
         assert!(svc.simulated_latency_ms() > 0);
-        svc.reset_usage();
-        assert_eq!(svc.usage().calls, 0);
     }
 
     #[test]
@@ -701,25 +700,28 @@ mod tests {
             SimLlmConfig { seed: 5, cache_enabled: true, ..Default::default() },
         );
         let req = CompletionRequest::new("Summarize. Text: a document worth billing for");
-        let live = svc.complete(&req);
-        assert_ne!(live, CANCELLED_NOTICE);
+        let answer = |request: CompletionRequest| {
+            svc.complete_batch(std::slice::from_ref(&request)).into_single()
+        };
+        let (live, _) = answer(req.clone());
+        assert!(live.is_ok());
         let usage_before = svc.usage();
         let latency_before = svc.simulated_latency_ms();
         let token = CancelToken::unbounded();
         token.cancel();
-        // Even a cacheable repeat prompt returns the notice: the job is
-        // dead, so no savings are booked either.
-        assert_eq!(svc.complete(&req.clone().with_cancel(token.clone())), CANCELLED_NOTICE);
+        // Even a cacheable repeat prompt is refused: the job is dead, so no
+        // savings are booked either.
+        let refused = Err(NoAnswer::Cancelled(CancelReason::Cancelled));
         assert_eq!(
-            svc.complete(
-                &CompletionRequest::new("Summarize. Text: never placed").with_cancel(token)
-            ),
-            CANCELLED_NOTICE
+            answer(req.clone().with_cancel(token.clone())),
+            (refused.clone(), Usage::default())
         );
+        let never_placed = CompletionRequest::new("Summarize. Text: never placed");
+        assert_eq!(answer(never_placed.with_cancel(token)), (refused, Usage::default()));
         assert_eq!(svc.usage(), usage_before, "cancelled calls bill nothing");
         assert_eq!(svc.simulated_latency_ms(), latency_before);
         // The same prompt from a live job is answered normally.
-        assert_eq!(svc.complete(&req), live);
+        assert_eq!(answer(req).0, live);
     }
 
     #[test]
@@ -753,7 +755,7 @@ mod tests {
         assert!(outcome.splits.iter().all(|s| s.tokens_in > 0 && s.tokens_out > 0));
         // Responses match the single-call path byte for byte.
         for (request, response) in requests.iter().zip(&outcome.responses) {
-            assert_eq!(svc.respond(&request.prompt), response.as_ref());
+            assert_eq!(Ok(svc.respond(&request.prompt).as_str()), response.as_deref());
         }
     }
 
@@ -810,14 +812,14 @@ mod tests {
     }
 
     #[test]
-    fn default_trait_batch_upholds_conservation() {
-        // A wrapper that only forwards `complete` exercises the trait's
-        // default `complete_batch`: per-member ledger deltas must still sum
-        // to the batch usage.
+    fn provided_complete_is_a_batch_of_one() {
+        // A wrapper that implements only `complete_batch`: the provided
+        // `complete` reaches it as a batch of one, bills like the direct
+        // call, and renders a non-answer as its notice.
         struct Fwd(SimLlm);
         impl LlmService for Fwd {
-            fn complete(&self, request: &CompletionRequest) -> String {
-                self.0.complete(request)
+            fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+                self.0.complete_batch(requests)
             }
             fn embed(&self, text: &str) -> Vec<f64> {
                 self.0.embed(text)
@@ -845,18 +847,15 @@ mod tests {
         }
         let world = WorldSpec::generate(5);
         let svc = Fwd(SimLlm::with_seed(&world, 5));
-        let requests = vec![
-            CompletionRequest::new("Summarize. Text: alpha"),
-            CompletionRequest::new("Summarize. Text: beta"),
-        ];
-        let outcome = svc.complete_batch(&requests);
-        let mut summed = Usage::default();
-        for split in &outcome.splits {
-            summed.merge(split);
-        }
-        assert_eq!(summed, outcome.batch_usage);
-        assert_eq!(outcome.batch_usage.calls, 2, "default path has no amortization");
-        assert_eq!(svc.usage(), outcome.batch_usage);
+        let reference = SimLlm::with_seed(&world, 5);
+        let request = CompletionRequest::new("Summarize. Text: alpha");
+        assert_eq!(svc.complete(&request), reference.respond(&request.prompt));
+        assert_eq!(svc.usage().calls, 1, "one call, billed once");
+        let token = CancelToken::unbounded();
+        token.cancel();
+        let refused = svc.complete(&request.with_cancel(token));
+        assert_eq!(refused, NoAnswer::Cancelled(CancelReason::Cancelled).to_string());
+        assert_eq!(svc.usage().calls, 1, "the refused call billed nothing");
     }
 
     #[test]

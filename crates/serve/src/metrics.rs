@@ -12,7 +12,7 @@ use lingua_durable::RecoverySnapshot;
 use lingua_gateway::{BatchSnapshot, GatewaySnapshot};
 use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::{
-    CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage, CANCELLED_NOTICE,
+    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage,
 };
 use lingua_ml::sync::Mutex;
 use lingua_trace::TraceSummary;
@@ -423,15 +423,23 @@ impl UsageMeter {
 }
 
 impl LlmService for UsageMeter {
-    fn complete(&self, request: &CompletionRequest) -> String {
-        let response = self.inner.complete(request);
-        // The cancellation notice means no call was placed and nothing was
-        // billed downstream; metering it here would make the per-job total
-        // diverge from the shared ledger.
-        if response != CANCELLED_NOTICE {
-            self.record(&request.prompt, &response);
+    fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+        let mut outcome = self.inner.complete_batch(requests);
+        // The job is billed for what it was answered: a member without an
+        // answer was never placed or billed downstream, and metering it here
+        // would make the per-job total diverge from the shared ledger.
+        let mut billed = Usage::default();
+        let members = requests.iter().zip(&outcome.responses).zip(&mut outcome.splits);
+        for ((request, response), split) in members {
+            *split = Usage::default();
+            if let Ok(text) = response {
+                split.record(count_tokens(&request.prompt), count_tokens(text));
+            }
+            billed.merge(split);
         }
-        response
+        outcome.batch_usage = billed;
+        self.local.lock().merge(&billed);
+        outcome
     }
 
     fn embed(&self, text: &str) -> Vec<f64> {
@@ -480,7 +488,8 @@ impl LlmService for UsageMeter {
 mod tests {
     use super::*;
     use lingua_dataset::world::WorldSpec;
-    use lingua_llm_sim::SimLlm;
+    use lingua_gateway::{BatchConfig, Batcher};
+    use lingua_llm_sim::{CancelReason, NoAnswer, SimLlm};
 
     #[test]
     fn percentiles_over_known_samples() {
@@ -554,40 +563,73 @@ mod tests {
         assert!(snap.report().contains("llm partial"));
     }
 
+    /// A backend that refuses every member (`members`) or panics
+    /// (`None`): the two ways a member comes back without an answer.
+    struct NoAnswers(Option<NoAnswer>);
+
+    impl LlmService for NoAnswers {
+        fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+            let no_answer = self.0.expect("backend exploded");
+            let mut outcome = BatchOutcome::with_capacity(requests.len());
+            requests.iter().for_each(|_| outcome.push(Err(no_answer), Usage::default()));
+            outcome
+        }
+        fn embed(&self, _text: &str) -> Vec<f64> {
+            Vec::new()
+        }
+        fn usage(&self) -> Usage {
+            Usage::default()
+        }
+        fn simulated_latency_ms(&self) -> u64 {
+            0
+        }
+        fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
+            unreachable!()
+        }
+        fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
+            unreachable!()
+        }
+        fn repair_code(
+            &self,
+            _spec: &CodeGenSpec,
+            _previous: &GeneratedCode,
+            _suggestion: &str,
+        ) -> GeneratedCode {
+            unreachable!()
+        }
+    }
+
     #[test]
     fn usage_meter_skips_the_cancellation_notice() {
-        struct AlwaysCancelled;
-        impl LlmService for AlwaysCancelled {
-            fn complete(&self, _request: &CompletionRequest) -> String {
-                CANCELLED_NOTICE.to_string()
-            }
-            fn embed(&self, _text: &str) -> Vec<f64> {
-                Vec::new()
-            }
-            fn usage(&self) -> Usage {
-                Usage::default()
-            }
-            fn simulated_latency_ms(&self) -> u64 {
-                0
-            }
-            fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
-                unreachable!()
-            }
-            fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
-                unreachable!()
-            }
-            fn repair_code(
-                &self,
-                _spec: &CodeGenSpec,
-                _previous: &GeneratedCode,
-                _suggestion: &str,
-            ) -> GeneratedCode {
-                unreachable!()
-            }
-        }
-        let meter = UsageMeter::new(Arc::new(AlwaysCancelled));
-        assert_eq!(meter.complete(&CompletionRequest::new("prompt")), CANCELLED_NOTICE);
+        let refused = NoAnswer::Cancelled(CancelReason::Cancelled);
+        let meter = UsageMeter::new(Arc::new(NoAnswers(Some(refused))));
+        let outcome = meter.complete_batch(&[CompletionRequest::new("prompt")]);
+        assert_eq!(outcome.into_single(), (Err(refused), Usage::default()));
         assert_eq!(meter.usage().calls, 0, "nothing billed for a short-circuited call");
+    }
+
+    #[test]
+    fn usage_meter_attributes_nothing_to_an_aborted_batch_sibling() {
+        // A meter above a batcher whose flush panics: the sibling released
+        // `Aborted` bills nothing. (Its notice text was once billed as a call.)
+        let batcher = Arc::new(Batcher::new(
+            Arc::new(NoAnswers(None)),
+            BatchConfig { max_batch_size: 2, max_wait: Duration::from_secs(30) },
+        ));
+        let meter = UsageMeter::new(Arc::clone(&batcher) as Arc<dyn LlmService>);
+        std::thread::scope(|scope| {
+            let sibling = scope.spawn(|| meter.complete_batch(&[CompletionRequest::new("a")]));
+            while batcher.pending_members() < 1 {
+                std::thread::yield_now();
+            }
+            let flusher = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                batcher.complete(&CompletionRequest::new("b"))
+            }));
+            assert!(flusher.is_err(), "the flusher observes the panic");
+            let outcome = sibling.join().expect("the sibling is released, not panicked");
+            assert_eq!(outcome.into_single(), (Err(NoAnswer::Aborted), Usage::default()));
+        });
+        assert_eq!(meter.usage(), Usage::default());
     }
 
     #[test]

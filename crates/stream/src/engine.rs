@@ -209,7 +209,9 @@ fn window_report_module() -> CustomModule {
                 let Some(pair) = pair.as_map() else { continue };
                 let a = pair.get("a").and_then(Data::as_str).unwrap_or("");
                 let b = pair.get("b").and_then(Data::as_str).unwrap_or("");
-                let response = ctx.complete(entity_prompt(a, b));
+                // A non-answer fails the window job, typed (cancelled for a
+                // dead job); it is never read as a verdict.
+                let response = ctx.complete(entity_prompt(a, b))?;
                 judged += 1;
                 if is_yes(&response) {
                     matched += 1;
@@ -476,9 +478,10 @@ impl StreamEngine {
                     // parallelism that matters.
                     for &pair in &outcome.candidates {
                         let (a, b) = window.describe_pair(pair, &self.schema);
-                        let response = self
-                            .inline_llm
-                            .complete(&CompletionRequest::new(entity_prompt(&a, &b)));
+                        let request = CompletionRequest::new(entity_prompt(&a, &b));
+                        let single = self.inline_llm.complete_batch(std::slice::from_ref(&request));
+                        // A pair the LLM gave no answer for is not judged.
+                        let Ok(response) = single.into_single().0 else { continue };
                         window.judged_inline += 1;
                         self.metrics.pairs_judged.fetch_add(1, Relaxed);
                         if is_yes(&response) {

@@ -37,8 +37,8 @@ impl PairMatcher for FmsMatcher {
         ctx: &mut ExecContext,
     ) -> bool {
         let prompt = FmsMatcher::prompt(schema, left, right);
-        let response = ctx.complete(prompt);
-        parse_bool_naive(&response)
+        // No answer, no match.
+        ctx.complete(prompt).is_ok_and(|response| parse_bool_naive(&response))
     }
 }
 

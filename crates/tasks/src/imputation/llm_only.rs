@@ -64,7 +64,7 @@ impl Imputer for FmsImputer {
             "Fill in the missing manufacturer for this product.\n\
              Product: name: {name}; description: {description}"
         );
-        ctx.complete(prompt).trim().to_string()
+        ctx.complete(prompt).map(|answer| answer.trim().to_string()).unwrap_or_default()
     }
 }
 

@@ -19,8 +19,7 @@ pub fn match_schemas(left: &[String], right: &[String], ctx: &mut ExecContext) -
         left.join(", "),
         right.join(", ")
     );
-    let response = ctx.complete(prompt);
-    parse_alignment(&response)
+    ctx.complete(prompt).map(|response| parse_alignment(&response)).unwrap_or_default()
 }
 
 /// Parse `a -> x; b -> y` responses.

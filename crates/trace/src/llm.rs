@@ -1,5 +1,7 @@
 //! [`TracedLlm`]: an [`LlmService`] wrapper that emits one `LlmCall` span
-//! per call with exact token attribution.
+//! per call with exact token attribution. A batch of one — every call a
+//! module places — is a `complete` span; a larger batch one `complete_batch`
+//! span over all its members.
 //!
 //! The accounting mirrors `lingua-serve`'s `UsageMeter` formula for formula:
 //! tokens are recomputed with [`count_tokens`] over the *same strings* the
@@ -11,7 +13,7 @@ use crate::event::SpanKind;
 use crate::tracer::Tracer;
 use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::{
-    CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage, CANCELLED_NOTICE,
+    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage,
 };
 use std::sync::Arc;
 
@@ -40,21 +42,28 @@ impl TracedLlm {
 }
 
 impl LlmService for TracedLlm {
-    fn complete(&self, request: &CompletionRequest) -> String {
-        let mut span = self.tracer.span(SpanKind::LlmCall, "complete");
-        let response = self.inner.complete(request);
-        if response == CANCELLED_NOTICE {
-            // The call was never placed and nothing was billed downstream;
-            // attributing usage here would desync the span rollup from the
-            // meters (which all skip the notice).
-            span.attr("cancelled", "true");
-        } else {
-            span.set_usage(Self::call_usage(
-                count_tokens(&request.prompt),
-                count_tokens(&response),
-            ));
+    fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+        let name = if requests.len() == 1 { "complete" } else { "complete_batch" };
+        let mut span = self.tracer.span(SpanKind::LlmCall, name);
+        let outcome = self.inner.complete_batch(requests);
+        // Only answers are attributed: a member without one billed nothing
+        // downstream, and the meters skip it too, so the span rollup and the
+        // per-job usage stay equal.
+        let mut usage = Usage::default();
+        let mut unanswered = Vec::new();
+        for (request, response) in requests.iter().zip(&outcome.responses) {
+            match response {
+                Ok(text) => usage.record(count_tokens(&request.prompt), count_tokens(text)),
+                Err(no_answer) => unanswered.push(no_answer.label()),
+            }
         }
-        response
+        if usage.calls > 0 {
+            span.set_usage(usage);
+        }
+        if !unanswered.is_empty() {
+            span.attr("no_answer", unanswered.join(","));
+        }
+        outcome
     }
 
     fn embed(&self, text: &str) -> Vec<f64> {
