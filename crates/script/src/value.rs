@@ -232,8 +232,9 @@ mod tests {
 
     #[test]
     fn representation_stays_small() {
-        // Tag + a fat `Arc<str>`. ROADMAP item 3 asks to "measure ours": 24
-        // bytes, against 9–16 for Rune's (SNIPPETS.md Snippet 3).
+        // Tag + a fat `Arc<str>`: 24 bytes, against 9–16 for Rune's
+        // (SNIPPETS.md Snippet 3). Shrinking it is ROADMAP's parked thin
+        // string pointer entry, after item 7.
         assert!(std::mem::size_of::<Value>() <= 24);
     }
 }

@@ -50,6 +50,56 @@ impl JobOutput {
     }
 }
 
+/// How a job ended. Every ending in the server is one of these values, and
+/// `server::settle` derives the rest from the variant: the journal record,
+/// the counter, the `path` of the job's `serve_job` span, and the output or
+/// [`ServeError`] its waiters see.
+pub(crate) enum Terminal {
+    /// Ran to completion.
+    Executed(Arc<JobOutput>),
+    /// Answered from the result cache at submission.
+    CacheHit,
+    /// Attached to an identical in-flight job at submission.
+    DedupHit,
+    /// Refused at submission: its queue lane was full (or closing).
+    RejectedFull,
+    /// Refused at submission: the journal could not record the accept.
+    JournalRefused(String),
+    /// Waited in the queue past its timeout; never ran.
+    Timeout { waited: Duration },
+    /// Cancelled by a handle or the watchdog, queued or running.
+    Cancelled,
+    /// Its deadline passed while it ran.
+    DeadlineExceeded { elapsed: Duration },
+    /// A typed failure: a `Core` error (traps and `NoAnswer` included), a
+    /// replication error, or `Internal`.
+    Failed(ServeError),
+    /// Panicked in its worker, making its replica or running it.
+    Panicked { payload: String },
+    /// Still queued when shutdown found no worker left to run it.
+    ShuttingDown,
+}
+
+impl Terminal {
+    /// The `path` the job's `serve_job` span closes with; a `failed` journal
+    /// record carries the same word as its reason.
+    pub(crate) fn path(&self) -> &'static str {
+        match self {
+            Terminal::Executed(_) => "executed",
+            Terminal::CacheHit => "cache_hit",
+            Terminal::DedupHit => "dedup_hit",
+            Terminal::RejectedFull => "rejected_full",
+            Terminal::JournalRefused(_) => "journal_refused",
+            Terminal::Timeout { .. } => "timeout",
+            Terminal::Cancelled => "cancelled",
+            Terminal::DeadlineExceeded { .. } => "deadline_exceeded",
+            Terminal::Failed(_) => "failed",
+            Terminal::Panicked { .. } => "panicked",
+            Terminal::ShuttingDown => "shutdown",
+        }
+    }
+}
+
 struct JobState {
     status: JobStatus,
     result: Option<Result<Arc<JobOutput>, ServeError>>,
@@ -93,8 +143,7 @@ impl JobCore {
     }
 
     /// Publish the result and wake every waiter. Idempotent: the first
-    /// completion wins, so the worker's normal path and the supervisor's
-    /// crash-cleanup path can never double-publish or clobber each other.
+    /// completion wins, and a later one can never clobber it.
     pub(crate) fn finish(&self, result: Result<Arc<JobOutput>, ServeError>) {
         let mut state = self.state.lock();
         if state.result.is_some() {
@@ -104,10 +153,6 @@ impl JobCore {
         state.result = Some(result);
         drop(state);
         self.done.notify_all();
-    }
-
-    pub(crate) fn is_finished(&self) -> bool {
-        self.state.lock().result.is_some()
     }
 
     fn status(&self) -> JobStatus {
@@ -256,8 +301,8 @@ mod tests {
         let core = JobCore::new();
         core.finish(Ok(output()));
         core.finish(Err(ServeError::Shutdown));
-        assert!(core.is_finished());
         let handle = JobHandle::new(JobId(7), core);
+        assert_eq!(handle.status(), JobStatus::Done);
         assert!(handle.wait().is_ok(), "the second finish must not clobber the first");
     }
 

@@ -73,6 +73,7 @@
 //! println!("{}", server.metrics().report());
 //! ```
 
+mod config;
 pub mod error;
 pub mod fingerprint;
 pub mod job;

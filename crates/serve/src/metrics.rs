@@ -7,7 +7,9 @@
 //! service with job-local counters so each job's usage is exact under
 //! concurrency, and [`Metrics`] aggregates the server-wide view.
 
-use lingua_core::TrapKind;
+use crate::error::ServeError;
+use crate::job::Terminal;
+use lingua_core::{CoreError, TrapKind};
 use lingua_durable::RecoverySnapshot;
 use lingua_gateway::{BatchSnapshot, GatewaySnapshot};
 use lingua_llm_sim::cost::count_tokens;
@@ -34,6 +36,7 @@ pub struct Metrics {
 struct Inner {
     accepted: u64,
     rejected: u64,
+    journal_refused: u64,
     coalesced: u64,
     cache_hits: u64,
     completed: u64,
@@ -64,67 +67,50 @@ impl Metrics {
         self.inner.lock().accepted += 1;
     }
 
-    pub(crate) fn reject(&self) {
-        self.inner.lock().rejected += 1;
-    }
-
-    pub(crate) fn coalesce(&self) {
-        let mut inner = self.inner.lock();
-        inner.accepted += 1;
-        inner.coalesced += 1;
-    }
-
-    pub(crate) fn cache_hit(&self) {
-        let mut inner = self.inner.lock();
-        inner.accepted += 1;
-        inner.cache_hits += 1;
-    }
-
-    pub(crate) fn complete(&self, latency: Duration, llm: Usage) {
-        let mut inner = self.inner.lock();
-        inner.completed += 1;
-        if inner.latencies_ms.len() == LATENCY_WINDOW {
-            inner.latencies_ms.pop_front();
-        }
-        inner.latencies_ms.push_back(latency.as_secs_f64() * 1e3);
-        inner.llm.merge(&llm);
-    }
-
-    pub(crate) fn fail(&self, partial: Usage) {
-        let mut inner = self.inner.lock();
-        inner.failed += 1;
-        inner.llm_partial.merge(&partial);
-    }
-
-    pub(crate) fn time_out(&self) {
-        self.inner.lock().timed_out += 1;
-    }
-
-    pub(crate) fn panic_job(&self, partial: Usage) {
-        let mut inner = self.inner.lock();
-        inner.panicked += 1;
-        inner.llm_partial.merge(&partial);
-    }
-
-    pub(crate) fn cancel_job(&self, partial: Usage) {
-        let mut inner = self.inner.lock();
-        inner.cancelled += 1;
-        inner.llm_partial.merge(&partial);
-    }
-
-    pub(crate) fn deadline_exceed(&self, partial: Usage) {
-        let mut inner = self.inner.lock();
-        inner.deadline_exceeded += 1;
-        inner.llm_partial.merge(&partial);
-    }
-
-    pub(crate) fn trap(&self, kind: TrapKind) {
-        let mut inner = self.inner.lock();
-        match kind {
-            TrapKind::OutOfFuel => inner.traps.out_of_fuel += 1,
-            TrapKind::Recursion => inner.traps.recursion += 1,
-            TrapKind::DeadlineFuel => inner.traps.deadline_fuel += 1,
-        }
+    /// Count one job ending: the counter its variant names, plus what the
+    /// job consumed — an executed job's latency and bill, or the partial
+    /// bill of any other ending (zero for one that never ran).
+    pub(crate) fn settle(&self, terminal: &Terminal, latency: Duration, usage: Usage) {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let counter = match terminal {
+            Terminal::Executed(_) => {
+                if inner.latencies_ms.len() == LATENCY_WINDOW {
+                    inner.latencies_ms.pop_front();
+                }
+                inner.latencies_ms.push_back(latency.as_secs_f64() * 1e3);
+                inner.llm.merge(&usage);
+                inner.completed += 1;
+                return;
+            }
+            Terminal::CacheHit => {
+                inner.accepted += 1;
+                &mut inner.cache_hits
+            }
+            Terminal::DedupHit => {
+                inner.accepted += 1;
+                &mut inner.coalesced
+            }
+            Terminal::RejectedFull => &mut inner.rejected,
+            Terminal::JournalRefused(_) => &mut inner.journal_refused,
+            Terminal::Timeout { .. } => &mut inner.timed_out,
+            Terminal::Cancelled => &mut inner.cancelled,
+            Terminal::DeadlineExceeded { .. } => &mut inner.deadline_exceeded,
+            Terminal::Failed(err) => {
+                if let ServeError::Core(CoreError::Trap { trap, .. }) = err {
+                    match trap {
+                        TrapKind::OutOfFuel => inner.traps.out_of_fuel += 1,
+                        TrapKind::Recursion => inner.traps.recursion += 1,
+                        TrapKind::DeadlineFuel => inner.traps.deadline_fuel += 1,
+                    }
+                }
+                &mut inner.failed
+            }
+            Terminal::Panicked { .. } => &mut inner.panicked,
+            Terminal::ShuttingDown => &mut inner.failed,
+        };
+        *counter += 1;
+        inner.llm_partial.merge(&usage);
     }
 
     pub(crate) fn worker_restarted(&self) {
@@ -147,6 +133,7 @@ impl Metrics {
         MetricsSnapshot {
             accepted: inner.accepted,
             rejected: inner.rejected,
+            journal_refused: inner.journal_refused,
             coalesced: inner.coalesced,
             cache_hits: inner.cache_hits,
             completed: inner.completed,
@@ -230,6 +217,9 @@ pub struct MetricsSnapshot {
     pub accepted: u64,
     /// Submissions rejected by admission control (queue full).
     pub rejected: u64,
+    /// Submissions refused because the journal could not record their
+    /// accept (`ServeError::Journal`). Like `rejected`, never `accepted`.
+    pub journal_refused: u64,
     /// Submissions coalesced onto an identical in-flight job.
     pub coalesced: u64,
     /// Submissions answered from the result cache.
@@ -296,10 +286,13 @@ impl MetricsSnapshot {
         self.coalesced + self.cache_hits
     }
 
-    /// Jobs that reached a terminal state through a worker (every accepted
-    /// job that was neither deduplicated nor still in flight). The serving
-    /// conservation law is
-    /// `accepted == finished() + deduped() + still-in-flight`.
+    /// Jobs that reached a terminal state after admission: the sum over
+    /// the job endings a worker (or the shutdown drain) settles — executed
+    /// (`completed`), failed or shut down (`failed`), timed out, panicked,
+    /// cancelled, deadline exceeded. The two endings at submission that
+    /// still admit a job are [`deduped`](Self::deduped); the two that refuse
+    /// it are `rejected` and `journal_refused`. The serving conservation law
+    /// is `accepted == finished() + deduped() + still-in-flight`.
     pub fn finished(&self) -> u64 {
         self.completed
             + self.failed
@@ -324,6 +317,7 @@ impl MetricsSnapshot {
             "serving metrics\n\
              \x20 accepted        {}\n\
              \x20 rejected (full) {}\n\
+             \x20 journal refused {}\n\
              \x20 deduplicated    {} ({} in-flight, {} cached)\n\
              \x20 completed       {}\n\
              \x20 failed          {} ({} traps: {} fuel, {} recursion, {} deadline-fuel)\n\
@@ -338,6 +332,7 @@ impl MetricsSnapshot {
              \x20 llm partial     {} call(s), {} tokens in, {} tokens out (unfinished jobs)\n",
             self.accepted,
             self.rejected,
+            self.journal_refused,
             self.deduped(),
             self.coalesced,
             self.cache_hits,
@@ -487,15 +482,26 @@ impl LlmService for UsageMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobOutput;
     use lingua_dataset::world::WorldSpec;
     use lingua_gateway::{BatchConfig, Batcher};
     use lingua_llm_sim::{CancelReason, NoAnswer, SimLlm};
+
+    fn executed() -> Terminal {
+        let output =
+            JobOutput { env: Default::default(), llm: Usage::default(), wall: Duration::ZERO };
+        Terminal::Executed(Arc::new(output))
+    }
+
+    fn trapped(trap: TrapKind) -> Terminal {
+        Terminal::Failed(ServeError::Core(CoreError::Trap { module: "script".into(), trap }))
+    }
 
     #[test]
     fn percentiles_over_known_samples() {
         let metrics = Metrics::new();
         for ms in 1..=100u64 {
-            metrics.complete(Duration::from_millis(ms), Usage::default());
+            metrics.settle(&executed(), Duration::from_millis(ms), Usage::default());
         }
         let snap = metrics.snapshot();
         assert_eq!(snap.completed, 100);
@@ -517,14 +523,21 @@ mod tests {
     fn counters_accumulate() {
         let metrics = Metrics::new();
         metrics.accept();
-        metrics.coalesce();
-        metrics.cache_hit();
-        metrics.reject();
-        metrics.fail(Usage::default());
-        metrics.time_out();
+        let waited = Duration::from_millis(3);
+        for terminal in [
+            Terminal::DedupHit,
+            Terminal::CacheHit,
+            Terminal::RejectedFull,
+            Terminal::JournalRefused("disk full".into()),
+            Terminal::Failed(ServeError::Internal { reason: "x".into() }),
+            Terminal::Timeout { waited },
+        ] {
+            metrics.settle(&terminal, Duration::ZERO, Usage::default());
+        }
         let snap = metrics.snapshot();
         assert_eq!(snap.accepted, 3);
         assert_eq!(snap.rejected, 1);
+        assert_eq!(snap.journal_refused, 1);
         assert_eq!(snap.deduped(), 2);
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.timed_out, 1);
@@ -535,21 +548,22 @@ mod tests {
         let metrics = Metrics::new();
         let mut partial = Usage::default();
         partial.record(10, 0);
-        metrics.panic_job(Usage::default());
-        metrics.cancel_job(partial);
-        metrics.deadline_exceed(partial);
-        metrics.fail(partial);
-        metrics.trap(TrapKind::OutOfFuel);
-        metrics.trap(TrapKind::Recursion);
-        metrics.trap(TrapKind::DeadlineFuel);
-        metrics.trap(TrapKind::OutOfFuel);
+        let elapsed = Duration::from_millis(5);
+        let panicked = Terminal::Panicked { payload: "boom".into() };
+        metrics.settle(&panicked, Duration::ZERO, Usage::default());
+        metrics.settle(&Terminal::Cancelled, Duration::ZERO, partial);
+        metrics.settle(&Terminal::DeadlineExceeded { elapsed }, Duration::ZERO, partial);
+        metrics.settle(&trapped(TrapKind::OutOfFuel), Duration::ZERO, partial);
+        for trap in [TrapKind::Recursion, TrapKind::DeadlineFuel, TrapKind::OutOfFuel] {
+            metrics.settle(&trapped(trap), Duration::ZERO, Usage::default());
+        }
         metrics.worker_restarted();
         metrics.stuck_job();
         let snap = metrics.snapshot();
         assert_eq!(snap.panicked, 1);
         assert_eq!(snap.cancelled, 1);
         assert_eq!(snap.deadline_exceeded, 1);
-        assert_eq!(snap.failed, 1);
+        assert_eq!(snap.failed, 4, "every trap is a failed job");
         assert_eq!(snap.traps.out_of_fuel, 2);
         assert_eq!(snap.traps.recursion, 1);
         assert_eq!(snap.traps.deadline_fuel, 1);
@@ -558,7 +572,7 @@ mod tests {
         assert_eq!(snap.health.stuck_jobs, 1);
         assert_eq!(snap.llm_partial.calls, 3);
         assert_eq!(snap.llm_partial.tokens_in, 30);
-        assert_eq!(snap.finished(), 4);
+        assert_eq!(snap.finished(), 7);
         assert!(snap.report().contains("panicked"));
         assert!(snap.report().contains("llm partial"));
     }

@@ -7,7 +7,7 @@
 //! [`JobQueue::close`] stops admission; workers drain what is queued and
 //! then see `None`.
 
-use crate::server::Priority;
+use crate::config::Priority;
 use lingua_ml::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 

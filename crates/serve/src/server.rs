@@ -12,20 +12,20 @@
 //!    pipeline if its cached instance is stale, and executes it on a fresh
 //!    [`ExecContext`](lingua_core::ExecContext) whose LLM is a per-job
 //!    [`UsageMeter`].
-//! 3. Completion wakes every attached waiter, updates the dedup tables, and
-//!    records metrics.
+//! 3. However the job ends — at submission, in the queue, in the worker,
+//!    or at shutdown — the ending is a `Terminal` value, and one `settle`
+//!    journals it, counts it, closes its span and wakes its waiters.
 
-use crate::error::{InvalidConfig, ServeError};
+pub use crate::config::{BatchTuning, Priority, ServeConfig, StreamTuning, SubmitRequest};
+use crate::error::ServeError;
 use crate::fingerprint::{fingerprint_inputs, job_key};
-use crate::job::{JobCore, JobHandle, JobId, JobOutput};
+use crate::job::{JobCore, JobHandle, JobId, JobOutput, Terminal};
 use crate::metrics::{Metrics, MetricsSnapshot, UsageMeter};
 use crate::queue::{JobQueue, Refused};
 use crate::registry::PipelineRegistry;
-use crate::supervisor::{supervisor_loop, EscapePanic, SupervisePolicy, Supervision, WorkerGuard};
+use crate::supervisor::{supervisor_loop, EscapePanic, Supervision, WorkerGuard};
 use lingua_core::{Compiler, ContextFactory, CoreError, Data, Executor, PhysicalPipeline};
-use lingua_durable::{
-    FinishedJob, Journal, JournalTuning, PendingJob, RecoverySnapshot, StreamCheckpoint,
-};
+use lingua_durable::{FinishedJob, Journal, PendingJob, RecoverySnapshot, StreamCheckpoint};
 use lingua_gateway::{Batcher, Gateway};
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
 use lingua_llm_sim::{CancelReason, CancelToken, LlmService, ShardedLru, Usage};
@@ -38,242 +38,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Serving knobs.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads executing pipelines. `None` sizes the pool to
-    /// [`std::thread::available_parallelism`]; the resolved count is surfaced
-    /// in [`MetricsSnapshot::workers`].
-    pub workers: Option<usize>,
-    /// Bounded capacity of each queue lane; submissions beyond it are
-    /// rejected with [`ServeError::Full`].
-    pub queue_capacity: usize,
-    /// Coalesce identical in-flight submissions onto one execution.
-    pub dedup_inflight: bool,
-    /// Completed results cached in a sharded LRU keyed by
-    /// `job_key(pipeline, input fingerprint)`, capped at this many entries.
-    /// `0` disables the result cache.
-    pub result_cache_capacity: usize,
-    /// Default queue timeout applied to jobs that don't set their own.
-    pub default_timeout: Option<Duration>,
-    /// Times the supervisor will restart any one crashed worker slot before
-    /// abandoning it (see `DESIGN.md` §"Supervised execution").
-    pub max_worker_restarts: u32,
-    /// Base delay before a crashed worker is restarted; doubles per restart
-    /// of that slot.
-    pub restart_backoff: Duration,
-    /// Supervisor tick interval (watchdog + restart passes).
-    pub supervisor_tick: Duration,
-    /// A job is "stuck" once it has run this many times its deadline budget
-    /// without heartbeat progress; the watchdog then nudges it with a
-    /// cooperative cancel. Jobs without a deadline are never flagged.
-    pub stuck_multiplier: u32,
-    /// Streaming-engine knobs, when this server backs a `lingua-stream`
-    /// engine. Validated here so a misconfigured stream fails at `start()`
-    /// with a typed [`InvalidConfig`] instead of silently stalling (a window
-    /// that never closes looks exactly like a slow stream from the outside).
-    pub stream: Option<StreamTuning>,
-    /// Continuous micro-batching knobs. When set, `start()` wraps the
-    /// factory's LLM service in a [`Batcher`] so completions from
-    /// concurrent jobs share batched backend calls; its counters surface
-    /// in [`MetricsSnapshot::batch`]. `None` leaves the LLM path
-    /// untouched. Unlike the batcher itself — which tolerates a zero window
-    /// by degenerating to per-call flushing — `start()` rejects zero knobs:
-    /// asking for batching and configuring it to never batch is a bug worth
-    /// failing over.
-    pub batch: Option<BatchTuning>,
-    /// Write-ahead journaling (`lingua-durable`). When set, `start()`
-    /// replays the journal — restoring finished results into the result
-    /// cache, the billed ledger into the LLM service, and queued-but-
-    /// unfinished jobs for [`PipelineServer::resume_recovered`] — and every
-    /// job lifecycle event is journaled before its effect becomes
-    /// observable. `None` keeps the server purely in-memory.
-    pub journal: Option<JournalTuning>,
-}
-
-/// Event-time knobs for a windowed streaming engine riding this server.
-///
-/// All quantities are in *event-time ticks* — the logical timestamps stamped
-/// on stream records — not wall time, so a seeded replay closes the same
-/// windows at the same points regardless of host speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamTuning {
-    /// Window length in event-time ticks.
-    pub window: u64,
-    /// Slide between consecutive window starts; `slide == window` makes the
-    /// windows tumbling, `slide < window` sliding (records land in
-    /// `window / slide` windows). Must not exceed `window`.
-    pub slide: u64,
-    /// Ingests between watermark recomputations. `1` re-derives the
-    /// watermark on every record; larger values batch the (cheap) window
-    /// close scan.
-    pub watermark_interval: u64,
-}
-
-impl Default for StreamTuning {
-    fn default() -> Self {
-        StreamTuning { window: 64, slide: 32, watermark_interval: 8 }
-    }
-}
-
-impl StreamTuning {
-    /// Check the streaming knobs (see [`ServeConfig::validate`]).
-    pub fn validate(&self) -> Result<(), ServeError> {
-        if self.window == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroWindow));
-        }
-        if self.slide == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroSlide));
-        }
-        if self.slide > self.window {
-            return Err(ServeError::InvalidConfig(InvalidConfig::SlideExceedsWindow {
-                slide: self.slide,
-                window: self.window,
-            }));
-        }
-        if self.watermark_interval == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroWatermarkInterval));
-        }
-        Ok(())
-    }
-}
-
-/// Micro-batching knobs for the continuous batcher riding this server: the
-/// batcher's own configuration, under the name serve's callers know.
-pub use lingua_gateway::BatchConfig as BatchTuning;
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            workers: None,
-            queue_capacity: 256,
-            dedup_inflight: true,
-            result_cache_capacity: 1024,
-            default_timeout: None,
-            max_worker_restarts: 8,
-            restart_backoff: Duration::from_millis(2),
-            supervisor_tick: Duration::from_millis(2),
-            stuck_multiplier: 4,
-            stream: None,
-            batch: None,
-            journal: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// The worker-pool size this config resolves to: the explicit setting,
-    /// else the machine's available parallelism.
-    pub fn resolved_workers(&self) -> usize {
-        self.workers
-            .unwrap_or_else(|| std::thread::available_parallelism().map(usize::from).unwrap_or(4))
-    }
-
-    /// Reject unusable configurations up front: zero workers would hang
-    /// every job, a zero-capacity queue would reject every submission, a
-    /// zero default deadline would time every job out before it ran, and
-    /// broken streaming knobs would stall a stream forever. Each rejection
-    /// is a typed [`InvalidConfig`] naming the knob.
-    pub fn validate(&self) -> Result<(), ServeError> {
-        if self.workers == Some(0) {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroWorkers));
-        }
-        if self.queue_capacity == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroQueueCapacity));
-        }
-        if self.default_timeout == Some(Duration::ZERO) {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroDefaultTimeout));
-        }
-        if self.supervisor_tick.is_zero() {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroSupervisorTick));
-        }
-        if self.stuck_multiplier == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroStuckMultiplier));
-        }
-        if let Some(stream) = &self.stream {
-            stream.validate()?;
-        }
-        if let Some(batch) = &self.batch {
-            if batch.max_batch_size == 0 {
-                return Err(ServeError::InvalidConfig(InvalidConfig::ZeroBatchSize));
-            }
-            if batch.max_wait.is_zero() {
-                return Err(ServeError::InvalidConfig(InvalidConfig::ZeroBatchWindow));
-            }
-        }
-        if let Some(journal) = &self.journal {
-            if journal.checkpoint_interval == 0 {
-                return Err(ServeError::InvalidConfig(InvalidConfig::ZeroCheckpointInterval));
-            }
-        }
-        Ok(())
-    }
-
-    fn supervise_policy(&self) -> SupervisePolicy {
-        SupervisePolicy {
-            max_worker_restarts: self.max_worker_restarts,
-            restart_backoff: self.restart_backoff,
-            tick: self.supervisor_tick,
-            stuck_multiplier: self.stuck_multiplier,
-        }
-    }
-}
-
-/// Queue lane selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    #[default]
-    Normal,
-    /// Drained before any normal-priority work.
-    High,
-}
-
-/// A pipeline-execution request.
-#[derive(Debug, Clone)]
-pub struct SubmitRequest {
-    /// Registry id of the pipeline to run.
-    pub pipeline: String,
-    /// Initial variable environment for the run.
-    pub inputs: BTreeMap<String, Data>,
-    pub priority: Priority,
-    /// Maximum time the job may wait in the queue (overrides the config
-    /// default). Exceeding it fails the job with [`ServeError::Timeout`].
-    pub timeout: Option<Duration>,
-}
-
-impl SubmitRequest {
-    pub fn new(pipeline: impl Into<String>) -> SubmitRequest {
-        SubmitRequest {
-            pipeline: pipeline.into(),
-            inputs: BTreeMap::new(),
-            priority: Priority::Normal,
-            timeout: None,
-        }
-    }
-
-    pub fn input(mut self, name: impl Into<String>, value: Data) -> SubmitRequest {
-        self.inputs.insert(name.into(), value);
-        self
-    }
-
-    pub fn priority(mut self, priority: Priority) -> SubmitRequest {
-        self.priority = priority;
-        self
-    }
-
-    pub fn timeout(mut self, timeout: Duration) -> SubmitRequest {
-        self.timeout = Some(timeout);
-        self
-    }
-}
-
 /// State shared between the submitter and every worker.
 struct Shared {
     factory: ContextFactory,
     registry: Arc<PipelineRegistry>,
     metrics: Arc<Metrics>,
     /// Admitted jobs waiting for a worker; `queue_capacity` per lane.
-    queue: JobQueue<QueueItem>,
+    queue: JobQueue<Job>,
     /// Jobs admitted but not yet finished, keyed by the exact
     /// `(pipeline id, input fingerprint)` pair — the pipeline string is kept
     /// verbatim so a fingerprint collision across pipelines can never attach
@@ -319,7 +90,9 @@ struct RecoveryState {
     stream: StreamCheckpoint,
 }
 
-struct QueueItem {
+/// One submission as the server holds it until [`settle`] ends it — at
+/// submission, or queued and then taken by a worker (or the shutdown drain).
+struct Job {
     core: Arc<JobCore>,
     pipeline: String,
     inputs: BTreeMap<String, Data>,
@@ -328,9 +101,9 @@ struct QueueItem {
     fingerprint: Option<u64>,
     enqueued: Instant,
     deadline: Option<Instant>,
-    /// The job's `serve_job` span, begun at submission; the worker (or the
-    /// timeout path) closes it with the path the job actually took.
-    span: Option<ManualSpan>,
+    /// The job's `serve_job` span, begun at submission; `settle` closes it
+    /// with the path the job took.
+    span: ManualSpan,
 }
 
 /// The embedded pipeline-serving engine.
@@ -675,8 +448,8 @@ impl PipelineServer {
     /// Submit a job. Returns immediately with a handle; poll or
     /// [`JobHandle::wait`] for the result.
     pub fn submit(&self, request: SubmitRequest) -> Result<JobHandle, ServeError> {
-        let metrics = &self.shared.metrics;
-        if !self.shared.registry.contains(&request.pipeline) {
+        let shared = &*self.shared;
+        if !shared.registry.contains(&request.pipeline) {
             return Err(ServeError::UnknownPipeline(request.pipeline));
         }
         if self.supervision.shutdown.load(Ordering::Acquire) {
@@ -685,109 +458,114 @@ impl PipelineServer {
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
         // A journal needs the fingerprint even with dedup off: it is the
         // durable identity that recovery and the exactly-once guard key on.
-        let dedup_enabled = self.shared.config.dedup_inflight
-            || self.shared.config.result_cache_capacity > 0
-            || self.shared.journal.is_some();
+        let dedup_enabled = shared.config.dedup_inflight
+            || shared.config.result_cache_capacity > 0
+            || shared.journal.is_some();
         // Fingerprint the inputs once; the result cache hashes it with the
         // pipeline id into a compact u64 job key, while the in-flight table
         // keeps the pipeline id exact.
         let fp = dedup_enabled.then(|| fingerprint_inputs(&request.inputs));
 
         let now = Instant::now();
-        let timeout = request.timeout.or(self.shared.config.default_timeout);
+        let timeout = request.timeout.or(shared.config.default_timeout);
         let deadline = timeout.map(|t| now + t);
-        let tracer = self.shared.factory.tracer();
+        let tracer = shared.factory.tracer();
+        let span = tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, fp));
 
         // Result-cache hits resolve against the sharded LRU without ever
         // touching the in-flight mutex.
-        if let Some(fp) = fp {
+        let cached = fp.and_then(|fp| {
             let key = job_key(&request.pipeline, fp);
-            if let Some(output) = self.shared.results.get(key) {
-                let core = JobCore::finished(Ok(output));
-                metrics.cache_hit();
+            shared.results.get(key).map(|output| (key, output))
+        });
+        // A fingerprinted job that missed the cache holds the in-flight lock
+        // across the (non-blocking) push so that reservation + admission are
+        // atomic: workers can't complete-and-remove a key between our lookup
+        // and our reservation. (A job finishing between the cache probe
+        // above and this lock re-executes at worst — the result cache is fed
+        // before the reservation is released, so the window is the probe
+        // itself.)
+        let dedup = shared.config.dedup_inflight;
+        let in_flight = match cached {
+            Some(_) => None,
+            None => fp.map(|fp| (shared.in_flight.lock(), (request.pipeline.clone(), fp))),
+        };
+        let leader = in_flight.as_ref().filter(|_| dedup).and_then(|(table, key)| table.get(key));
+        let (core, ended) = match (cached, leader) {
+            (Some((key, output)), _) => {
                 // A hit served from a journal-restored output is a crash
                 // retry the exactly-once guard answered without
                 // re-execution; count it for the recovery snapshot.
-                if self.shared.journal.is_some() {
-                    let mut recovery = self.shared.recovery.lock();
+                if shared.journal.is_some() {
+                    let mut recovery = shared.recovery.lock();
                     if recovery.restored.contains(&key) {
                         if let Some(snapshot) = recovery.snapshot.as_mut() {
                             snapshot.skipped_duplicates += 1;
                         }
                     }
                 }
-                let span =
-                    tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, Some(fp)));
-                tracer.end(span, || vec![("path".into(), "cache_hit".into())]);
-                return Ok(JobHandle::new(id, core));
+                (JobCore::finished(Ok(output)), Some(Terminal::CacheHit))
             }
-        }
-        // A fingerprinted job holds the in-flight lock across the
-        // (non-blocking) push so that reservation + admission are atomic:
-        // workers can't complete-and-remove a key between our lookup and our
-        // reservation. (A job finishing between the cache probe above and
-        // this lock re-executes at worst — the result cache is fed before
-        // the reservation is released, so the window is the probe itself.)
-        let dedup = self.shared.config.dedup_inflight;
-        let in_flight = fp.map(|fp| (self.shared.in_flight.lock(), (request.pipeline.clone(), fp)));
-        if let Some((table, flight_key)) = in_flight.as_ref().filter(|_| dedup) {
-            if let Some(core) = table.get(flight_key) {
-                metrics.coalesce();
-                let span =
-                    tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, fp));
-                tracer.end(span, || vec![("path".into(), "dedup_hit".into())]);
-                return Ok(JobHandle::new(id, Arc::clone(core)));
-            }
-        }
-        // The job's cancel token carries the same deadline the queue enforces,
-        // so once execution starts the executor, gateway, and script fuel cap
-        // all race the identical instant.
-        let core = JobCore::with_cancel(match deadline {
-            Some(at) => CancelToken::with_deadline(at),
-            None => CancelToken::unbounded(),
-        });
-        let span = tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, fp));
-        tracer.instant_under(Some(span.id()), SpanKind::ServeJob, "queued", Vec::new);
-        // WAL ordering: the accept is durable *before* the job can be
-        // observed queued, so a crash at any later instant recovers it.
-        // A storage failure refuses the submission — a silently
-        // non-durable server would be worse than a rejected job.
-        if let (Some(journal), Some(fp)) = (&self.shared.journal, fp) {
-            if let Err(err) = journal.record_job_accepted(&request.pipeline, fp, &request.inputs) {
-                tracer.end(span, || vec![("path".into(), "journal_refused".into())]);
-                return Err(ServeError::Journal { reason: err.to_string() });
-            }
-        }
-        let item = QueueItem {
+            (None, Some(leader)) => (Arc::clone(leader), Some(Terminal::DedupHit)),
+            // The job's cancel token carries the same deadline the queue
+            // enforces, so once execution starts the executor, gateway, and
+            // script fuel cap all race the identical instant.
+            (None, None) => (
+                JobCore::with_cancel(match deadline {
+                    Some(at) => CancelToken::with_deadline(at),
+                    None => CancelToken::unbounded(),
+                }),
+                None,
+            ),
+        };
+        let mut job = Job {
             core: Arc::clone(&core),
-            pipeline: request.pipeline.clone(),
+            pipeline: request.pipeline,
             inputs: request.inputs,
             fingerprint: fp,
             enqueued: now,
             deadline,
-            span: Some(span),
+            span,
         };
-        match self.shared.queue.try_push(request.priority, item) {
-            Ok(()) => {
-                if let Some((mut table, flight_key)) = in_flight.filter(|_| dedup) {
-                    table.insert(flight_key, Arc::clone(&core));
+        let terminal = match ended {
+            Some(terminal) => terminal,
+            None => {
+                tracer.instant_under(Some(job.span.id()), SpanKind::ServeJob, "queued", Vec::new);
+                // WAL ordering: the accept is durable *before* the job can be
+                // observed queued, so a crash at any later instant recovers
+                // it. A storage failure refuses the submission — a silently
+                // non-durable server would be worse than a rejected job.
+                let accepted = match (&shared.journal, fp) {
+                    (Some(journal), Some(fp)) => {
+                        journal.record_job_accepted(&job.pipeline, fp, &job.inputs)
+                    }
+                    _ => Ok(true),
+                };
+                match accepted {
+                    Err(err) => Terminal::JournalRefused(err.to_string()),
+                    Ok(_) => match shared.queue.try_push(request.priority, job) {
+                        Ok(()) => {
+                            if let Some((mut table, key)) = in_flight.filter(|_| dedup) {
+                                table.insert(key, Arc::clone(&core));
+                            }
+                            shared.metrics.accept();
+                            return Ok(JobHandle::new(id, core));
+                        }
+                        // Settling journals the refusal, balancing the
+                        // accept record that is already durable: the next
+                        // recovery must not resurrect a job the caller was
+                        // told is rejected.
+                        Err(Refused::Full(returned) | Refused::Closed(returned)) => {
+                            job = returned;
+                            Terminal::RejectedFull
+                        }
+                    },
                 }
-                metrics.accept();
-                Ok(JobHandle::new(id, core))
             }
-            Err(refused) => {
-                metrics.reject();
-                let (Refused::Full(returned) | Refused::Closed(returned)) = refused;
-                // Balance the journal: the accepted record is already
-                // durable, and without this the next recovery would
-                // resurrect a job the caller was told is rejected.
-                journal_failure(&self.shared, &returned, "rejected_full", Usage::default());
-                if let Some(span) = returned.span {
-                    tracer.end(span, || vec![("path".into(), "rejected_full".into())]);
-                }
-                Err(ServeError::Full { capacity: self.shared.config.queue_capacity })
-            }
-        }
+        };
+        // A refusal answers with its error; every other ending here already
+        // holds its answer in `core`.
+        settle(shared, job, terminal, Usage::default()).map(|()| JobHandle::new(id, core))
     }
 
     /// Submit and block for the result.
@@ -822,13 +600,8 @@ impl PipelineServer {
         }
         // Leftovers exist only if the whole pool died (every slot crashed
         // past its restart budget): fail them instead of hanging their waiters.
-        let tracer = self.shared.factory.tracer();
-        for mut item in self.shared.queue.drain() {
-            self.shared.metrics.fail(Usage::default());
-            if let Some(span) = item.span.take() {
-                tracer.end(span, || vec![("path".into(), "shutdown".into())]);
-            }
-            finish(&self.shared, &item, Err(ServeError::ShuttingDown));
+        for job in self.shared.queue.drain() {
+            let _ = settle(&self.shared, job, Terminal::ShuttingDown, Usage::default());
         }
     }
 }
@@ -850,12 +623,12 @@ fn job_attrs(id: JobId, fingerprint: Option<u64>) -> Vec<(String, String)> {
 
 fn worker_loop(shared: &Arc<Shared>, supervision: &Arc<Supervision>, index: usize) {
     // Dropped on every exit — clean drain or escaping panic — marking the
-    // slot dead for the supervisor and failing any orphaned job.
-    let _guard = WorkerGuard::new(Arc::clone(supervision), Arc::clone(&shared.metrics), index);
+    // slot dead for the supervisor.
+    let _guard = WorkerGuard::new(Arc::clone(supervision), index);
     // Per-worker instance cache: (generation, executable pipeline copy).
     let mut instances: HashMap<String, (u64, PhysicalPipeline)> = HashMap::new();
-    while let Some(item) = shared.queue.pop() {
-        process(shared, supervision, index, &mut instances, item);
+    while let Some(job) = shared.queue.pop() {
+        process(shared, supervision, index, &mut instances, job);
     }
 }
 
@@ -877,162 +650,101 @@ fn process(
     supervision: &Supervision,
     worker: usize,
     instances: &mut HashMap<String, (u64, PhysicalPipeline)>,
-    mut item: QueueItem,
+    mut job: Job,
 ) {
-    let tracer = shared.factory.tracer();
-    let end_span = |item: &mut QueueItem, path: &str| {
-        if let Some(span) = item.span.take() {
-            tracer.end(span, || vec![("path".into(), path.to_string())]);
+    let mut escaped = false;
+    let (terminal, usage) = if job.deadline.is_some_and(|deadline| Instant::now() > deadline) {
+        (Terminal::Timeout { waited: job.enqueued.elapsed() }, Usage::default())
+    } else if job.core.cancel.explicitly_cancelled() {
+        // Cancelled while queued: settled before spending any execution.
+        (Terminal::Cancelled, Usage::default())
+    } else {
+        job.core.set_running();
+        if let (Some(journal), Some(fp)) = (&shared.journal, job.fingerprint) {
+            // Diagnostic only (recovery treats started exactly like queued),
+            // so best-effort: a failed append must not fail the job.
+            book_append(shared, &job, "started", journal.record_job_started(&job.pipeline, fp));
         }
-    };
-    if let Some(deadline) = item.deadline {
-        if Instant::now() > deadline {
-            shared.metrics.time_out();
-            journal_failure(shared, &item, "timeout", Usage::default());
-            end_span(&mut item, "timeout");
-            finish(shared, &item, Err(ServeError::Timeout { waited: item.enqueued.elapsed() }));
-            return;
-        }
-    }
-    // Cancelled while queued: fail it before spending any execution.
-    if item.core.cancel.explicitly_cancelled() {
-        shared.metrics.cancel_job(Usage::default());
-        journal_failure(shared, &item, "cancelled", Usage::default());
-        end_span(&mut item, "cancelled");
-        finish(shared, &item, Err(ServeError::Cancelled));
-        return;
-    }
-    item.core.set_running();
-    if let (Some(journal), Some(fp)) = (&shared.journal, item.fingerprint) {
-        // Diagnostic only (recovery treats started exactly like queued), so
-        // best-effort: a failed append must not fail the job.
-        book_append(shared, &item, "started", journal.record_job_started(&item.pipeline, fp));
-    }
-
-    // Refresh the cached instance if missing or stale.
-    let current = shared.registry.generation(&item.pipeline);
-    let cached = instances.get(&item.pipeline).map(|(generation, _)| *generation);
-    if current.is_none() || cached != current {
-        instances.remove(&item.pipeline);
-        match shared.registry.instantiate(&item.pipeline) {
-            Ok((generation, instance)) => {
-                instances.insert(item.pipeline.clone(), (generation, instance));
+        // Fresh context per run: shared LLM + tools behind a per-job meter,
+        // the job's cancel token threaded in so the executor,
+        // `try_parallel_map`, the script fuel cap, and — on every completion
+        // `ctx.complete` places — the LLM layers all observe the same
+        // deadline.
+        let meter = Arc::new(UsageMeter::new(shared.factory.llm()));
+        let token = job.core.cancel.clone();
+        let mut ctx = shared
+            .factory
+            .build_with_llm(Arc::clone(&meter) as Arc<dyn lingua_llm_sim::LlmService>)
+            .with_cancel(token.clone());
+        // Nest the execution under the job span begun at submission.
+        let tracer = shared.factory.tracer();
+        tracer.instant_under(Some(job.span.id()), SpanKind::ServeJob, "dequeued", Vec::new);
+        let enter = tracer.enter(&job.span);
+        let inputs = std::mem::take(&mut job.inputs);
+        supervision.begin_job(worker, &job.core, &job.pipeline, token.remaining());
+        let start = Instant::now();
+        // Contain panics at the job boundary — a user module's
+        // `fresh_instance` as much as its `invoke` — so the job fails and the
+        // worker survives. The context and pipeline instance are only touched
+        // inside; both are discarded on unwind (the instance cache entry
+        // explicitly), so no torn state is observed afterwards and
+        // AssertUnwindSafe is sound.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            // Refresh the cached instance if missing or stale.
+            let current = shared.registry.generation(&job.pipeline);
+            let cached = instances.get(&job.pipeline).map(|(generation, _)| *generation);
+            if current.is_none() || cached != current {
+                instances.remove(&job.pipeline);
+                let fresh = shared.registry.instantiate(&job.pipeline)?;
+                instances.insert(job.pipeline.clone(), fresh);
             }
-            Err(err) => {
-                shared.metrics.fail(Usage::default());
-                journal_failure(shared, &item, "instantiate_failed", Usage::default());
-                end_span(&mut item, "failed");
-                finish(shared, &item, Err(err));
-                return;
-            }
-        }
-    }
-    let (_, pipeline) = match instances.get_mut(&item.pipeline) {
-        Some(entry) => entry,
-        None => {
-            // Unreachable after a successful refresh; fail the job rather
-            // than unwind the worker on a broken internal assumption.
-            shared.metrics.fail(Usage::default());
-            journal_failure(shared, &item, "internal", Usage::default());
-            end_span(&mut item, "failed");
-            finish(
-                shared,
-                &item,
-                Err(ServeError::Internal {
+            let Some((_, pipeline)) = instances.get_mut(&job.pipeline) else {
+                return Err(ServeError::Internal {
                     reason: format!(
                         "worker {worker} holds no instance of `{}` after refreshing it",
-                        item.pipeline
+                        job.pipeline
                     ),
-                }),
-            );
-            return;
-        }
+                });
+            };
+            Executor::run(pipeline, &mut ctx, inputs).map_err(ServeError::Core)
+        }));
+        let wall = start.elapsed();
+        supervision.end_job(worker);
+        drop(enter);
+        let terminal = match result {
+            Ok(Ok(report)) => Terminal::Executed(Arc::new(JobOutput {
+                env: report.env,
+                llm: meter.usage(),
+                wall,
+            })),
+            Ok(Err(ServeError::Core(CoreError::Cancelled { reason }))) => match reason {
+                CancelReason::DeadlineExceeded => Terminal::DeadlineExceeded { elapsed: wall },
+                CancelReason::Cancelled => Terminal::Cancelled,
+            },
+            Ok(Err(err)) => Terminal::Failed(err),
+            Err(payload) => {
+                // The instance may be poisoned mid-mutation: discard it so
+                // the next job replicates a fresh copy from the registry.
+                instances.remove(&job.pipeline);
+                tracer.instant(SpanKind::Supervisor, "job_panicked", || {
+                    vec![
+                        ("worker".into(), worker.to_string()),
+                        ("pipeline".into(), job.pipeline.clone()),
+                    ]
+                });
+                escaped = payload.is::<EscapePanic>();
+                Terminal::Panicked { payload: panic_text(payload.as_ref()) }
+            }
+        };
+        // Partial usage of a job that did not complete is billed too: it
+        // lands in `llm_partial`, so ledgers still reconcile to the cent.
+        (terminal, meter.usage())
     };
-
-    // Fresh context per run: shared LLM + tools behind a per-job meter, the
-    // job's cancel token threaded in so the executor, `try_parallel_map`, the
-    // script fuel cap, and — on every completion `ctx.complete` places — the
-    // LLM layers all observe the same deadline.
-    let meter = Arc::new(UsageMeter::new(shared.factory.llm()));
-    let token = item.core.cancel.clone();
-    let mut ctx = shared
-        .factory
-        .build_with_llm(Arc::clone(&meter) as Arc<dyn lingua_llm_sim::LlmService>)
-        .with_cancel(token.clone());
-    // Nest the execution under the job span begun at submission.
-    let enter = item.span.as_ref().map(|span| {
-        tracer.instant_under(Some(span.id()), SpanKind::ServeJob, "dequeued", Vec::new);
-        tracer.enter(span)
-    });
-    supervision.begin_job(worker, &item.core, &item.pipeline, token.remaining());
-    let start = Instant::now();
-    // Contain pipeline panics at the job boundary: the job fails, the worker
-    // survives. The context and pipeline instance are only touched inside;
-    // both are discarded on unwind (the instance cache entry explicitly), so
-    // no torn state is observed afterwards and AssertUnwindSafe is sound.
-    let result =
-        catch_unwind(AssertUnwindSafe(|| Executor::run(pipeline, &mut ctx, item.inputs.clone())));
-    let wall = start.elapsed();
-    supervision.end_job(worker);
-    drop(enter);
-    match result {
-        Ok(Ok(report)) => {
-            let output = Arc::new(JobOutput { env: report.env, llm: meter.usage(), wall });
-            shared.metrics.complete(item.enqueued.elapsed(), output.llm);
-            journal_finished(shared, &item, &output);
-            end_span(&mut item, "executed");
-            finish(shared, &item, Ok(output));
-        }
-        Ok(Err(CoreError::Cancelled { reason: CancelReason::DeadlineExceeded })) => {
-            // Partial usage was billed before the deadline fired; route it to
-            // the `llm_partial` meter so ledgers still reconcile to the cent.
-            shared.metrics.deadline_exceed(meter.usage());
-            journal_failure(shared, &item, "deadline_exceeded", meter.usage());
-            end_span(&mut item, "deadline_exceeded");
-            finish(shared, &item, Err(ServeError::DeadlineExceeded { elapsed: wall }));
-        }
-        Ok(Err(CoreError::Cancelled { reason: CancelReason::Cancelled })) => {
-            shared.metrics.cancel_job(meter.usage());
-            journal_failure(shared, &item, "cancelled", meter.usage());
-            end_span(&mut item, "cancelled");
-            finish(shared, &item, Err(ServeError::Cancelled));
-        }
-        Ok(Err(err)) => {
-            if let CoreError::Trap { trap, .. } = &err {
-                shared.metrics.trap(*trap);
-            }
-            shared.metrics.fail(meter.usage());
-            journal_failure(shared, &item, "failed", meter.usage());
-            end_span(&mut item, "failed");
-            finish(shared, &item, Err(ServeError::Core(err)));
-        }
-        Err(payload) => {
-            // The instance may be poisoned mid-mutation: discard it so the
-            // next job replicates a fresh copy from the registry.
-            instances.remove(&item.pipeline);
-            shared.metrics.panic_job(meter.usage());
-            journal_failure(shared, &item, "panicked", meter.usage());
-            end_span(&mut item, "panicked");
-            tracer.instant(SpanKind::Supervisor, "job_panicked", || {
-                vec![
-                    ("worker".into(), worker.to_string()),
-                    ("pipeline".into(), item.pipeline.clone()),
-                ]
-            });
-            finish(
-                shared,
-                &item,
-                Err(ServeError::Panicked {
-                    pipeline: item.pipeline.clone(),
-                    payload: panic_text(payload.as_ref()),
-                }),
-            );
-            // The kill sentinel escapes containment on purpose — after the
-            // job is failed and counted — to exercise worker resurrection.
-            if payload.downcast_ref::<EscapePanic>().is_some() {
-                resume_unwind(payload);
-            }
-        }
+    let _ = settle(shared, job, terminal, usage);
+    // The kill sentinel escapes containment on purpose — after its job is
+    // settled — to exercise worker resurrection.
+    if escaped {
+        resume_unwind(Box::new(EscapePanic));
     }
 }
 
@@ -1043,66 +755,93 @@ fn process(
 /// recovery re-executes and re-bills a job whose caller already has the
 /// answer — so a failure is counted in `journal_append_errors` and marked on
 /// the job's span, which must still be open.
-fn book_append(shared: &Shared, item: &QueueItem, record: &str, appended: std::io::Result<bool>) {
+fn book_append(shared: &Shared, job: &Job, record: &str, appended: std::io::Result<bool>) {
     let Err(err) = appended else { return };
     shared.metrics.journal_append_error();
-    let span = item.span.as_ref().map(ManualSpan::id);
     shared.factory.tracer().instant_under(
-        span,
+        Some(job.span.id()),
         SpanKind::ServeJob,
         "journal_append_failed",
         || vec![("record".into(), record.to_string()), ("error".into(), err.to_string())],
     );
 }
 
-/// Journal a terminal failure before its result is published (WAL ordering)
-/// and before the job's span closes. Shutdown-drained jobs are deliberately
-/// *not* routed here — they stay journaled as pending so the next incarnation
-/// resurrects them.
-fn journal_failure(shared: &Shared, item: &QueueItem, reason: &str, llm: Usage) {
-    if let (Some(journal), Some(fp)) = (&shared.journal, item.fingerprint) {
-        book_append(
-            shared,
-            item,
-            "failed",
-            journal.record_job_failed(&item.pipeline, fp, llm, reason),
-        );
-    }
-}
-
-/// Journal a completed job. WAL ordering: the finish is durable before the
-/// result becomes observable through the cache or any waiter ([`finish`]), so
-/// a recovered journal can never claim a job finished that no caller saw.
-fn journal_finished(shared: &Shared, item: &QueueItem, output: &JobOutput) {
-    if let (Some(journal), Some(fp)) = (&shared.journal, item.fingerprint) {
-        let finished = FinishedJob {
-            pipeline: item.pipeline.clone(),
-            fingerprint: fp,
-            env: output.env.clone(),
-            llm: output.llm,
-            wall_us: output.wall.as_micros() as u64,
+/// End a job: the one place a job's ending takes effect, whatever it was.
+/// Everything is derived from `terminal`, in WAL order:
+///
+/// 1. the journal record — `finished`, or `failed` with the span path as its
+///    reason — durable before the ending is observable. None for an ending
+///    at submission that never admitted a job, and none for `ShuttingDown`:
+///    that job stays journaled as pending, so the next incarnation
+///    resurrects it;
+/// 2. the counter;
+/// 3. the `path` of the job's `serve_job` span;
+/// 4. the outcome. A refusal at submission is returned as the submitter's
+///    error; a cache or dedup hit already holds its answer; any other ending
+///    feeds the result cache (an output), then releases the in-flight
+///    reservation and wakes every waiter. The cache is fed *before* the
+///    reservation is dropped, so a concurrent duplicate always finds the
+///    job in one of the two tables.
+fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result<(), ServeError> {
+    let latency = job.enqueued.elapsed();
+    if let (Some(journal), Some(fp)) = (&shared.journal, job.fingerprint) {
+        let appended = match &terminal {
+            Terminal::CacheHit
+            | Terminal::DedupHit
+            | Terminal::JournalRefused(_)
+            | Terminal::ShuttingDown => None,
+            Terminal::Executed(output) => Some((
+                "finished",
+                journal.record_job_finished(FinishedJob {
+                    pipeline: job.pipeline.clone(),
+                    fingerprint: fp,
+                    env: output.env.clone(),
+                    llm: output.llm,
+                    wall_us: output.wall.as_micros() as u64,
+                }),
+            )),
+            _ => Some((
+                "failed",
+                journal.record_job_failed(&job.pipeline, fp, usage, terminal.path()),
+            )),
         };
-        book_append(shared, item, "finished", journal.record_job_finished(finished));
-    }
-}
-
-/// Completion bookkeeping: feed the result cache, release the in-flight
-/// reservation, wake every waiter. The cache is fed *before* the reservation
-/// is dropped so a concurrent duplicate always finds the job in one of the
-/// two tables.
-fn finish(shared: &Shared, item: &QueueItem, result: Result<Arc<JobOutput>, ServeError>) {
-    if let Some(fp) = item.fingerprint {
-        if let Ok(output) = &result {
-            shared.results.insert(job_key(&item.pipeline, fp), Arc::clone(output));
+        if let Some((record, appended)) = appended {
+            book_append(shared, &job, record, appended);
         }
-        shared.in_flight.lock().remove(&(item.pipeline.clone(), fp));
     }
-    item.core.finish(result);
+    shared.metrics.settle(&terminal, latency, usage);
+    let path = terminal.path();
+    shared.factory.tracer().end(job.span, || vec![("path".into(), path.into())]);
+    let result = match terminal {
+        Terminal::CacheHit | Terminal::DedupHit => return Ok(()),
+        Terminal::RejectedFull => {
+            return Err(ServeError::Full { capacity: shared.config.queue_capacity })
+        }
+        Terminal::JournalRefused(reason) => return Err(ServeError::Journal { reason }),
+        Terminal::Executed(output) => Ok(output),
+        Terminal::Timeout { waited } => Err(ServeError::Timeout { waited }),
+        Terminal::Cancelled => Err(ServeError::Cancelled),
+        Terminal::DeadlineExceeded { elapsed } => Err(ServeError::DeadlineExceeded { elapsed }),
+        Terminal::Failed(err) => Err(err),
+        Terminal::Panicked { payload } => {
+            Err(ServeError::Panicked { pipeline: job.pipeline.clone(), payload })
+        }
+        Terminal::ShuttingDown => Err(ServeError::ShuttingDown),
+    };
+    if let Some(fp) = job.fingerprint {
+        if let Ok(output) = &result {
+            shared.results.insert(job_key(&job.pipeline, fp), Arc::clone(output));
+        }
+        shared.in_flight.lock().remove(&(job.pipeline, fp));
+    }
+    job.core.finish(result);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::InvalidConfig;
     use lingua_dataset::world::WorldSpec;
     use lingua_llm_sim::SimLlm;
 

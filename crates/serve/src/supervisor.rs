@@ -9,8 +9,9 @@
 //!    poisoned pipeline instance, and the *thread keeps serving*.
 //! 2. **Worker death** — a panic that escapes containment (serving-layer
 //!    bookkeeping bugs, or the [`EscapePanic`] test sentinel) kills the
-//!    thread. A drop guard (`WorkerGuard`) marks the slot dead and fails
-//!    any job the thread died holding, so no waiter ever hangs. The
+//!    thread. A drop guard (`WorkerGuard`) marks the slot dead. No job dies
+//!    with it: replication and execution both run inside the containment,
+//!    and the sentinel is re-raised only after its job is settled. The
 //!    supervisor thread notices the dead slot and restarts it — up to
 //!    `ServeConfig::max_worker_restarts` times per slot, with exponential
 //!    backoff — restoring the pool to full strength.
@@ -33,8 +34,8 @@ use std::time::{Duration, Instant};
 
 /// Panic payload that deliberately escapes the worker's per-job containment.
 ///
-/// `server::process` re-raises a panic carrying this payload *after* failing
-/// the job and recording metrics, killing the worker thread. Chaos tests
+/// `server::process` re-raises a panic carrying this payload *after* settling
+/// its job, killing the worker thread. Chaos tests
 /// panic with `std::panic::panic_any(EscapePanic)` to prove the supervisor
 /// restores the pool; production modules have no reason to use it.
 pub struct EscapePanic;
@@ -140,45 +141,22 @@ impl Supervision {
 }
 
 /// Drop guard a worker thread holds for its whole life. Runs on every exit —
-/// clean drain or panic unwind — and (a) marks the slot dead so the
-/// supervisor can see it, (b) fails any job the thread died holding so no
-/// waiter blocks forever.
+/// clean drain or panic unwind — and marks the slot dead so the supervisor
+/// can see it. Every job the thread took was settled before it could die.
 pub(crate) struct WorkerGuard {
     supervision: Arc<Supervision>,
-    metrics: Arc<Metrics>,
     index: usize,
 }
 
 impl WorkerGuard {
-    pub(crate) fn new(
-        supervision: Arc<Supervision>,
-        metrics: Arc<Metrics>,
-        index: usize,
-    ) -> WorkerGuard {
-        WorkerGuard { supervision, metrics, index }
+    pub(crate) fn new(supervision: Arc<Supervision>, index: usize) -> WorkerGuard {
+        WorkerGuard { supervision, index }
     }
 }
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        let orphan = {
-            let mut slots = self.supervision.slots.lock();
-            let slot = &mut slots[self.index];
-            slot.alive = false;
-            slot.current.take()
-        };
-        // Normally `process` publishes a result before any panic can escape;
-        // this path only fires if the thread died in serving-layer
-        // bookkeeping outside the per-job containment.
-        if let Some(active) = orphan {
-            if !active.core.is_finished() {
-                self.metrics.panic_job(lingua_llm_sim::Usage::default());
-                active.core.finish(Err(ServeError::Panicked {
-                    pipeline: active.pipeline,
-                    payload: "worker thread died outside the execution guard".into(),
-                }));
-            }
-        }
+        self.supervision.slots.lock()[self.index].alive = false;
     }
 }
 
@@ -340,34 +318,15 @@ mod tests {
     use crate::job::JobId;
 
     #[test]
-    fn worker_guard_fails_an_orphaned_job_on_drop() {
-        let supervision = Arc::new(Supervision::new(1));
-        let metrics = Arc::new(Metrics::new());
-        let core = JobCore::new();
-        supervision.begin_job(0, &core, "pipe", None);
-        {
-            let slots = supervision.slots.lock();
-            assert!(slots[0].current.is_some());
-        }
-        drop(WorkerGuard::new(Arc::clone(&supervision), Arc::clone(&metrics), 0));
-        let handle = JobHandle::new(JobId(1), core);
-        let err = handle.wait().unwrap_err();
-        assert!(matches!(err, ServeError::Panicked { .. }));
-        assert_eq!(metrics.snapshot().panicked, 1);
-        assert_eq!(supervision.live_workers(), 0);
-    }
-
-    #[test]
     fn worker_guard_leaves_finished_jobs_alone() {
         let supervision = Arc::new(Supervision::new(1));
-        let metrics = Arc::new(Metrics::new());
         let core = JobCore::new();
         supervision.begin_job(0, &core, "pipe", None);
         core.finish(Err(ServeError::Shutdown));
-        drop(WorkerGuard::new(Arc::clone(&supervision), Arc::clone(&metrics), 0));
+        drop(WorkerGuard::new(Arc::clone(&supervision), 0));
         let handle = JobHandle::new(JobId(1), core);
         assert!(matches!(handle.wait().unwrap_err(), ServeError::Shutdown));
-        assert_eq!(metrics.snapshot().panicked, 0);
+        assert_eq!(supervision.live_workers(), 0, "the guard marks its slot dead");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Chaos tests for supervised execution: panicking pipelines must fail
-//! *alone*, killed workers must be resurrected, deadlines must be honoured
+//! Chaos tests for supervised execution: panicking pipelines — and pipelines
+//! whose replication panics — must fail *alone*, killed workers must be
+//! resurrected, deadlines must be honoured
 //! in bounded time, and the serving conservation law must hold under
 //! contention — `accepted == finished() + deduped()` once every waiter has
 //! returned, with `llm + llm_partial` reconciling against the shared
 //! service's ledger to the token.
 
-use lingua_core::modules::{CustomModule, Module, PipelinedMapModule};
+use lingua_core::modules::{CustomModule, Module, ModuleKind, PipelinedMapModule};
 use lingua_core::{
-    Compiler, ContextFactory, CoreError, Data, LogicalOp, PhysicalPipeline, TrapKind,
+    Compiler, ContextFactory, CoreError, Data, ExecContext, LogicalOp, PhysicalPipeline, TrapKind,
 };
 use lingua_dataset::world::WorldSpec;
 use lingua_gateway::{FaultInjector, FaultPlan, Gateway, ServiceTransport};
@@ -16,6 +17,7 @@ use lingua_ml::sync::{Condvar, Mutex};
 use lingua_serve::{
     EscapePanic, JobStatus, PipelineServer, ServeConfig, ServeError, SubmitRequest,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -219,6 +221,66 @@ fn a_panic_inside_a_pipelined_map_lane_keeps_its_message_and_wedges_no_lock() {
     let seen = tally.lock();
     assert_eq!(seen.iter().filter(|text| text.contains("ok")).count(), 32);
     assert!(seen.iter().all(|text| text.starts_with("fine")));
+}
+
+/// A replicable module whose every replica but the first panics while it is
+/// made. Registration's replication probe takes the first, so the worker's
+/// own replication is what panics.
+struct FragileReplica(Arc<AtomicUsize>);
+
+impl Module for FragileReplica {
+    fn name(&self) -> &str {
+        "fragile"
+    }
+    fn kind(&self) -> ModuleKind {
+        ModuleKind::Custom
+    }
+    fn invoke(&mut self, input: Data, _ctx: &mut ExecContext) -> Result<Data, CoreError> {
+        Ok(input)
+    }
+    fn fresh_instance(&self) -> Option<Box<dyn Module>> {
+        if self.0.fetch_add(1, Ordering::SeqCst) > 0 {
+            panic!("chaos: replica blew up while being made");
+        }
+        Some(Box::new(FragileReplica(Arc::clone(&self.0))))
+    }
+}
+
+/// Replication runs a user module's `fresh_instance` in the worker, so it is
+/// contained like execution: the job fails `Panicked`, its waiter wakes, an
+/// identical resubmission runs (and fails) afresh instead of coalescing onto
+/// a dead job, and the worker survives without a restart.
+#[test]
+fn a_replica_that_panics_while_being_made_fails_its_job_and_hangs_no_waiter() {
+    let server = PipelineServer::start(
+        ContextFactory::new(sim(79)),
+        ServeConfig { workers: Some(1), ..Default::default() },
+    )
+    .unwrap();
+    let module = FragileReplica(Arc::new(AtomicUsize::new(0)));
+    let pipeline = PhysicalPipeline {
+        name: "fragile".into(),
+        ops: vec![(LogicalOp::new("fragile").output("out").input("text"), Box::new(module) as _)],
+    };
+    server.register_pipeline("fragile", pipeline).unwrap();
+
+    for attempt in 0..2 {
+        let handle = server
+            .submit(SubmitRequest::new("fragile").input("text", Data::Str("same input".into())))
+            .unwrap();
+        match handle.wait_timeout(Duration::from_secs(5)) {
+            Some(Err(ServeError::Panicked { pipeline, payload })) => {
+                assert_eq!(pipeline, "fragile");
+                assert!(payload.contains("blew up while being made"), "payload kept: {payload}");
+            }
+            other => panic!("attempt {attempt}: expected Panicked, got {other:?}"),
+        }
+    }
+    let snap = server.metrics();
+    assert_eq!((snap.panicked, snap.coalesced, snap.completed), (2, 0, 0));
+    assert_eq!(snap.health.live_workers, 1);
+    assert_eq!(snap.health.workers_restarted, 0, "contained: no restart burned");
+    assert_eq!(snap.accepted, snap.finished() + snap.deduped());
 }
 
 #[test]

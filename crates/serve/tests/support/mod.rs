@@ -2,30 +2,51 @@
 //! server.
 
 use lingua_durable::{SimStorage, Storage};
+use lingua_ml::sync::Mutex;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Sim storage whose next `append` fails once [`FailNextAppend::arm`]ed — a
+/// Sim storage whose appends fail once [`FailNextAppend::arm`]ed — a
 /// transient write error (disk full, EIO), after which the log works again.
 pub struct FailNextAppend {
     inner: Arc<SimStorage>,
-    armed: AtomicBool,
+    /// Appends still to let through, then appends to fail.
+    plan: Mutex<(usize, usize)>,
 }
 
 impl FailNextAppend {
     pub fn over(inner: Arc<SimStorage>) -> Arc<FailNextAppend> {
-        Arc::new(FailNextAppend { inner, armed: AtomicBool::new(false) })
+        Arc::new(FailNextAppend { inner, plan: Mutex::new((0, 0)) })
     }
 
+    /// Fail the next append.
     pub fn arm(&self) {
-        self.armed.store(true, Ordering::SeqCst);
+        self.arm_after(0, 1);
+    }
+
+    /// Let `skip` appends through, then fail the `fail` after them.
+    pub fn arm_after(&self, skip: usize, fail: usize) {
+        *self.plan.lock() = (skip, fail);
     }
 }
 
 impl Storage for FailNextAppend {
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        if self.armed.swap(false, Ordering::SeqCst) {
+        let failing = {
+            let mut plan = self.plan.lock();
+            match *plan {
+                (0, 0) => false,
+                (0, fail) => {
+                    plan.1 = fail - 1;
+                    true
+                }
+                (skip, _) => {
+                    plan.0 = skip - 1;
+                    false
+                }
+            }
+        };
+        if failing {
             return Err(io::Error::other("injected append failure"));
         }
         self.inner.append(bytes)

@@ -3,24 +3,26 @@
 //! Every submission takes exactly one path through the server — executed,
 //! coalesced, cache-served, timed out, failed, or rejected — and each path
 //! increments exactly one counter and closes exactly one `serve_job` span
-//! with a matching `path` attribute. This test drives one of each path
-//! through a single-worker server and checks the books balance both ways:
-//! counter identities over the snapshot, and span-path tallies over the
-//! rebuilt trace tree. (`prop_serve_trace.rs` re-checks the invariants
-//! under arbitrary multi-worker pools.)
+//! with a matching `path` attribute. These tests drive the paths through a
+//! single-worker server and check the books balance both ways: counter
+//! identities over the snapshot, and span-path tallies over the rebuilt
+//! trace tree — the last one drives every way a job can end, with each
+//! ending's journal record made to fail. (`prop_serve_trace.rs` re-checks
+//! the invariants under arbitrary multi-worker pools.)
 
 mod support;
 
 use lingua_core::modules::{CustomModule, Module};
-use lingua_core::{Compiler, ContextFactory, Data};
+use lingua_core::{Compiler, ContextFactory, CoreError, Data};
 use lingua_dataset::world::WorldSpec;
-use lingua_durable::{JournalTuning, SimStorage};
+use lingua_durable::{Journal, JournalTuning, SimStorage};
 use lingua_llm_sim::{SimLlm, Usage};
 use lingua_ml::sync::{Condvar, Mutex};
 use lingua_serve::{
-    JobStatus, MetricsSnapshot, PipelineServer, ServeConfig, ServeError, SubmitRequest,
+    EscapePanic, JobStatus, MetricsSnapshot, PipelineServer, ServeConfig, ServeError, SubmitRequest,
 };
 use lingua_trace::{ring_tracer, SpanKind, TraceTree};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use support::FailNextAppend;
@@ -29,11 +31,13 @@ use support::FailNextAppend;
 struct Gate {
     open: Mutex<bool>,
     cv: Condvar,
+    /// Modules that have reached the gate.
+    arrived: AtomicUsize,
 }
 
 impl Gate {
     fn new() -> Arc<Gate> {
-        Arc::new(Gate { open: Mutex::new(false), cv: Condvar::new() })
+        Arc::new(Gate { open: Mutex::new(false), cv: Condvar::new(), arrived: AtomicUsize::new(0) })
     }
 
     fn open(&self) {
@@ -42,6 +46,7 @@ impl Gate {
     }
 
     fn wait(&self) {
+        self.arrived.fetch_add(1, Ordering::SeqCst);
         let mut open = self.open.lock();
         while !*open {
             open = self.cv.wait(open);
@@ -101,10 +106,11 @@ fn assert_conserved(metrics: &MetricsSnapshot, tree: &TraceTree) {
     assert_eq!(path_count(tree, "dedup_hit"), metrics.coalesced);
     assert_eq!(path_count(tree, "cache_hit"), metrics.cache_hits);
     assert_eq!(path_count(tree, "rejected_full"), metrics.rejected);
+    assert_eq!(path_count(tree, "journal_refused"), metrics.journal_refused);
     assert_eq!(
         tree.spans_of_kind(SpanKind::ServeJob).len() as u64,
-        metrics.accepted + metrics.rejected,
-        "every submission — accepted or rejected — leaves exactly one span"
+        metrics.accepted + metrics.rejected + metrics.journal_refused,
+        "every submission — accepted, rejected or refused — leaves exactly one span"
     );
 }
 
@@ -221,10 +227,189 @@ fn a_submission_the_journal_refuses_closes_its_span() {
         .submit(SubmitRequest::new("gated").input("text", Data::Str("refused".into())))
         .expect_err("the accept record cannot be journaled");
     assert!(matches!(err, ServeError::Journal { .. }), "got {err:?}");
+    let metrics = server.metrics();
     drop(server);
 
+    assert_eq!((metrics.accepted, metrics.journal_refused), (0, 1), "refused is counted");
+    assert_eq!(metrics.journal_append_errors, 0, "a refusal is not a lost record");
+    assert!(metrics.report().contains("journal refused 1"), "{}", metrics.report());
     assert_eq!(tracer.dropped(), 0);
     let tree = TraceTree::build(&sink.events()).expect("every begun span is closed");
     assert_eq!(tree.spans_of_kind(SpanKind::ServeJob).len(), 1);
     assert_eq!(path_count(&tree, "journal_refused"), 1);
+    assert_conserved(&metrics, &tree);
+}
+
+/// The terminal counters and `journal_append_errors`, for telling which of
+/// them a step moved.
+fn books(m: &MetricsSnapshot) -> [(&'static str, u64); 11] {
+    [
+        ("completed", m.completed),
+        ("cache_hits", m.cache_hits),
+        ("coalesced", m.coalesced),
+        ("rejected", m.rejected),
+        ("journal_refused", m.journal_refused),
+        ("timed_out", m.timed_out),
+        ("cancelled", m.cancelled),
+        ("deadline_exceeded", m.deadline_exceeded),
+        ("failed", m.failed),
+        ("panicked", m.panicked),
+        ("journal_append_errors", m.journal_append_errors),
+    ]
+}
+
+/// Each counter that moved between two snapshots, once per unit it moved.
+fn moved(before: &MetricsSnapshot, after: &MetricsSnapshot) -> Vec<&'static str> {
+    let (before, after) = (books(before), books(after));
+    let deltas = before.iter().zip(&after).map(|((name, b), (_, a))| (*name, a - b));
+    deltas.flat_map(|(name, delta)| std::iter::repeat(name).take(delta as usize)).collect()
+}
+
+/// Every way a job ends, one at a time, on one worker over a journal whose
+/// appends fail on demand. For each ending: its waiter wakes with its output
+/// or typed error, exactly its counter moves (by one), the one journal
+/// append it makes — armed to fail — is counted in `journal_append_errors`,
+/// and its `serve_job` span is closed with its path. `ShuttingDown` appends
+/// nothing: the job stays journaled as pending.
+#[test]
+fn every_way_a_job_ends_settles_its_span_waiter_counter_and_journal_record() {
+    let world = WorldSpec::generate(48);
+    let (tracer, sink) = ring_tracer(1 << 12);
+    let log = SimStorage::new();
+    let storage = FailNextAppend::over(log.clone());
+    let mut server = PipelineServer::start(
+        ContextFactory::new(Arc::new(SimLlm::with_seed(&world, 48))).with_tracer(tracer.clone()),
+        ServeConfig {
+            workers: Some(1),
+            queue_capacity: 1,
+            max_worker_restarts: 0,
+            journal: Some(JournalTuning::over(storage.clone())),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    // `arm` runs inside its job, after the `accepted` and `started` records,
+    // so the append it fails is the job's terminal record.
+    let gate = Gate::new();
+    let mut compiler = test_compiler(Arc::clone(&gate));
+    let armed = Arc::clone(&storage);
+    compiler.register("arm", move |_op, _ctx| {
+        let storage = Arc::clone(&armed);
+        Ok(Box::new(CustomModule::stateless("arm", move |input, _| {
+            storage.arm();
+            Ok(input)
+        })) as Box<dyn Module>)
+    });
+    compiler.register("fail", |_op, _ctx| {
+        Ok(Box::new(CustomModule::stateless("fail", |_, _| {
+            Err(CoreError::Module { module: "fail".into(), message: "deliberate".into() })
+        })) as Box<dyn Module>)
+    });
+    compiler.register("nap", |_op, _ctx| {
+        Ok(Box::new(CustomModule::stateless("nap", |input, _| {
+            std::thread::sleep(Duration::from_millis(300));
+            Ok(input)
+        })) as Box<dyn Module>)
+    });
+    compiler.register("kill", |_op, _ctx| {
+        Ok(Box::new(CustomModule::stateless("kill", |_, _| std::panic::panic_any(EscapePanic)))
+            as Box<dyn Module>)
+    });
+    for (id, body) in [
+        ("echo", "out = arm(text);"),
+        ("fails", "held = arm(text); out = fail(held);"),
+        ("late", "held = arm(text); out = nap(held);"),
+        ("kill", "held = arm(text); out = kill(held);"),
+        ("park", "out = gate(text);"),
+    ] {
+        server.register_dsl(id, &format!("pipeline {id} {{ {body} }}"), &compiler).unwrap();
+    }
+    let request =
+        |id: &str, text: &str| SubmitRequest::new(id).input("text", Data::Str(text.into()));
+    let mut before = server.metrics();
+    let mut step = |server: &PipelineServer, expected: &[&str]| {
+        let after = server.metrics();
+        assert_eq!(moved(&before, &after), expected);
+        before = after;
+    };
+
+    let executed = server.run(request("echo", "once")).unwrap();
+    step(&server, &["completed", "journal_append_errors"]);
+    let cached = server.run(request("echo", "once")).unwrap();
+    assert!(Arc::ptr_eq(&executed, &cached));
+    step(&server, &["cache_hits"]);
+    let err = server.run(request("fails", "fails")).unwrap_err();
+    assert!(matches!(err, ServeError::Core(CoreError::Module { .. })), "got {err:?}");
+    step(&server, &["failed", "journal_append_errors"]);
+    let err = server.run(request("late", "late").timeout(Duration::from_millis(150))).unwrap_err();
+    assert!(matches!(err, ServeError::DeadlineExceeded { .. }), "got {err:?}");
+    step(&server, &["deadline_exceeded", "journal_append_errors"]);
+
+    // Park a job at the gate: its `started` record is written before it runs.
+    let blocker = server.submit(request("park", "blocker")).unwrap();
+    wait_until("the blocker to reach the gate", || gate.arrived.load(Ordering::SeqCst) == 1);
+    let follower = server.submit(request("park", "blocker")).unwrap();
+    step(&server, &["coalesced"]);
+    storage.arm();
+    let err = server.submit(request("park", "refused")).unwrap_err();
+    assert!(matches!(err, ServeError::Journal { .. }), "got {err:?}");
+    step(&server, &["journal_refused"]);
+    let stale = server.submit(request("park", "stale").timeout(Duration::ZERO)).unwrap();
+    // The overflow's `accepted` record goes through; its `failed` does not.
+    storage.arm_after(1, 1);
+    let err = server.submit(request("park", "overflow")).unwrap_err();
+    assert_eq!(err, ServeError::Full { capacity: 1 });
+    step(&server, &["rejected", "journal_append_errors"]);
+    // The blocker and then the stale job end back to back on the worker.
+    storage.arm_after(0, 2);
+    blocker.cancel();
+    gate.open();
+    assert_eq!(blocker.wait().unwrap_err(), ServeError::Cancelled);
+    assert_eq!(follower.wait().unwrap_err(), ServeError::Cancelled, "it shares the ending");
+    assert!(matches!(stale.wait(), Err(ServeError::Timeout { .. })));
+    step(&server, &["timed_out", "cancelled", "journal_append_errors", "journal_append_errors"]);
+    match server.run(request("kill", "kill")).unwrap_err() {
+        ServeError::Panicked { pipeline, payload } => {
+            assert_eq!(pipeline, "kill");
+            assert!(payload.contains("EscapePanic"), "{payload}");
+        }
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    step(&server, &["panicked", "journal_append_errors"]);
+    // The only worker is dead and not restarted: this job outlives the pool.
+    wait_until("the killed worker to die", || server.live_worker_count() == 0);
+    let orphan = server.submit(request("park", "orphan")).unwrap();
+    server.shutdown();
+    assert_eq!(orphan.wait().unwrap_err(), ServeError::ShuttingDown);
+    step(&server, &["failed"]);
+
+    let metrics = server.metrics();
+    assert_eq!(metrics.accepted, metrics.finished() + metrics.deduped(), "accepted == Σ terminals");
+    assert_eq!(metrics.queue_depth, 0);
+    drop(server);
+    assert_eq!(tracer.dropped(), 0);
+    let tree = TraceTree::build(&sink.events()).expect("every begun span is closed");
+    for path in [
+        "executed",
+        "cache_hit",
+        "dedup_hit",
+        "rejected_full",
+        "journal_refused",
+        "timeout",
+        "cancelled",
+        "deadline_exceeded",
+        "failed",
+        "panicked",
+        "shutdown",
+    ] {
+        assert_eq!(path_count(&tree, path), 1, "path `{path}`");
+    }
+    assert_eq!(
+        tree.spans_of_kind(SpanKind::ServeJob).len() as u64,
+        metrics.accepted + metrics.rejected + metrics.journal_refused,
+    );
+    // Every terminal record failed, so the journal holds each of the eight
+    // accepted records as pending — the shut-down job by design.
+    let (_journal, recovered) = Journal::open(JournalTuning::sim(log)).expect("the log reopens");
+    assert_eq!((recovered.finished.len(), recovered.pending.len()), (0, 8));
 }
