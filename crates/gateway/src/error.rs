@@ -5,8 +5,10 @@
 //! could not absorb is a typed [`lingua_llm_sim::NoAnswer`] member. The
 //! four fault classes model the failures a hosted LLM API actually produces:
 //! deadline misses, load shedding, 5xx-style hiccups, and syntactically broken
-//! payloads.
+//! payloads. A batched call that dies partway carries the answers it had
+//! already delivered beside its fault ([`TransportError::Partial`]).
 
+use lingua_llm_sim::BatchOutcome;
 use std::fmt;
 
 /// The class of a transport fault, used as a metrics key and by the
@@ -44,7 +46,7 @@ impl fmt::Display for FaultClass {
 }
 
 /// A failed transport call.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TransportError {
     /// The backend did not answer within its deadline.
     Timeout { waited_ms: u64 },
@@ -54,6 +56,11 @@ pub enum TransportError {
     TransientServer { message: String },
     /// The backend answered, but the payload failed output validation.
     MalformedOutput { preview: String },
+    /// A batched call that died at member *k*: `delivered` holds the answers
+    /// for members `0..k`, which the backend computed and billed, and `fault`
+    /// is member *k*'s. Members after *k* were never reached. Its class, retry
+    /// verdict and hint are the fault's.
+    Partial { delivered: BatchOutcome, fault: Box<TransportError> },
 }
 
 impl TransportError {
@@ -63,6 +70,7 @@ impl TransportError {
             TransportError::RateLimited { .. } => FaultClass::RateLimited,
             TransportError::TransientServer { .. } => FaultClass::TransientServer,
             TransportError::MalformedOutput { .. } => FaultClass::MalformedOutput,
+            TransportError::Partial { fault, .. } => fault.class(),
         }
     }
 
@@ -73,7 +81,7 @@ impl TransportError {
     /// same prompt regenerates the same broken payload — so the gateway fails
     /// over to the next backend instead of burning retries.
     pub fn is_retryable(&self) -> bool {
-        !matches!(self, TransportError::MalformedOutput { .. })
+        self.class() != FaultClass::MalformedOutput
     }
 
     /// A server-suggested minimum delay before retrying, if the fault carried
@@ -81,6 +89,7 @@ impl TransportError {
     pub fn retry_after_ms(&self) -> Option<u64> {
         match self {
             TransportError::RateLimited { retry_after_ms } => Some(*retry_after_ms),
+            TransportError::Partial { fault, .. } => fault.retry_after_ms(),
             _ => None,
         }
     }
@@ -100,6 +109,9 @@ impl fmt::Display for TransportError {
             }
             TransportError::MalformedOutput { preview } => {
                 write!(f, "backend returned malformed output: {preview:?}")
+            }
+            TransportError::Partial { delivered, fault } => {
+                write!(f, "{fault}, after {} delivered members", delivered.responses.len())
             }
         }
     }
@@ -138,5 +150,25 @@ mod tests {
     fn rate_limits_carry_a_retry_hint() {
         assert_eq!(TransportError::RateLimited { retry_after_ms: 75 }.retry_after_ms(), Some(75));
         assert_eq!(TransportError::Timeout { waited_ms: 75 }.retry_after_ms(), None);
+    }
+
+    #[test]
+    fn a_partial_call_answers_for_its_fault() {
+        let errors = [
+            TransportError::Timeout { waited_ms: 100 },
+            TransportError::RateLimited { retry_after_ms: 50 },
+            TransportError::TransientServer { message: "oops".into() },
+            TransportError::MalformedOutput { preview: "{...".into() },
+        ];
+        for fault in errors {
+            let partial = TransportError::Partial {
+                delivered: BatchOutcome::default(),
+                fault: Box::new(fault.clone()),
+            };
+            assert_eq!(partial.class(), fault.class());
+            assert_eq!(partial.is_retryable(), fault.is_retryable());
+            assert_eq!(partial.retry_after_ms(), fault.retry_after_ms());
+            assert!(partial.to_string().starts_with(&fault.to_string()));
+        }
     }
 }

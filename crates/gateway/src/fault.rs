@@ -193,9 +193,12 @@ impl LlmTransport for FaultInjector {
     }
 
     /// Members are decided in order, each as one call to the simulator (its
-    /// cache and singleflight path), and the first fault fails the whole
-    /// batch — after the members before it were computed and billed, as a
-    /// batched wire call that dies mid-way would have.
+    /// cache and singleflight path), and the first fault ends the call, as a
+    /// batched wire call that dies mid-way would: the members before it were
+    /// computed and billed and come back as the delivered prefix of a
+    /// [`TransportError::Partial`], and the members after it are never
+    /// reached. A batch of one has no prefix to deliver and fails with the
+    /// plain fault.
     fn complete_batch(
         &self,
         requests: &[CompletionRequest],
@@ -212,7 +215,7 @@ impl LlmTransport for FaultInjector {
                 continue;
             };
             self.state.lock().counts.record(class);
-            return Err(match class {
+            let fault = match class {
                 // The prompt was transmitted and compute was spent before the
                 // deadline fired: the aborted call still bills input tokens.
                 FaultClass::Timeout => {
@@ -232,6 +235,11 @@ impl LlmTransport for FaultInjector {
                 FaultClass::MalformedOutput => TransportError::MalformedOutput {
                     preview: mangle(&self.inner.complete(request)),
                 },
+            };
+            return Err(if requests.len() == 1 {
+                fault
+            } else {
+                TransportError::Partial { delivered: outcome, fault: Box::new(fault) }
             });
         }
         Ok(outcome)
@@ -354,6 +362,47 @@ mod tests {
         assert_eq!(delta.calls, 0);
         assert!(delta.tokens_in > 0);
         assert_eq!(delta.tokens_out, 0);
+    }
+
+    #[test]
+    fn a_batch_faulted_partway_delivers_the_members_before_the_fault() {
+        let plan = FaultPlan::transient(0.5, 13);
+        let prompts = (0..5_000).map(|i| format!("Summarize. Text: partial batch candidate {i}"));
+        let mut passing = prompts.clone().filter(|p| plan.decide(p, 0).is_none());
+        // Faults its attempt 0 inside the batch and its attempt 1 alone.
+        let faulting = prompts
+            .clone()
+            .find(|p| plan.decide(p, 0).is_some() && plan.decide(p, 1).is_some())
+            .expect("a twice-faulting prompt exists at 50%");
+        let requests: Vec<CompletionRequest> =
+            [passing.next().unwrap(), passing.next().unwrap(), faulting, passing.next().unwrap()]
+                .map(CompletionRequest::new)
+                .into_iter()
+                .collect();
+        let service = sim();
+        let reference = sim();
+        let injector = FaultInjector::new("sim", service.clone(), plan);
+        let Err(TransportError::Partial { delivered, fault }) = injector.complete_batch(&requests)
+        else {
+            panic!("a multi-member batch faulted partway is a partial call");
+        };
+        assert_eq!(fault.class(), FaultClass::TransientServer);
+        assert_eq!(delivered.responses.len(), 2, "the members before the fault");
+        for (request, response) in requests.iter().zip(&delivered.responses) {
+            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+        }
+        // The delivered members and the aborted one billed; the last was
+        // never reached.
+        let ledger = service.usage();
+        assert_eq!(ledger.calls, delivered.batch_usage.calls);
+        assert_eq!(ledger.failed_calls, 1);
+        assert_eq!(
+            injector.counts(),
+            FaultCounts { injected: 1, passed: 2, transient: 1, ..Default::default() }
+        );
+        // A batch of one keeps the plain fault.
+        let lone = injector.complete_batch(&requests[2..3]).unwrap_err();
+        assert!(!matches!(lone, TransportError::Partial { .. }));
     }
 
     #[test]

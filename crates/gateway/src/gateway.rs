@@ -15,11 +15,16 @@
 //!    response cache if this prompt succeeded before, else ask the (cheap,
 //!    reliable) fallback backend, else withhold the answer
 //!    ([`NoAnswer::Unavailable`]).
-//! 5. **Batch splitting** — a batch is first placed as one wire call; if
-//!    that call faults, each member is re-dispatched through the resilient
-//!    loop as a batch of one — the path a lone request takes from the start —
-//!    so one poisoned member cannot exhaust the retry budget of (or degrade)
-//!    its healthy siblings.
+//! 5. **Partial batches** — a batch is first placed as one wire call. A call
+//!    that dies at member *k* keeps the answers it delivered for members
+//!    `0..k` (computed and billed, so never re-sent), re-dispatches member *k*
+//!    through the resilient loop as a batch of one — the path a lone request
+//!    takes from the start — and places the unreached tail as one more
+//!    batched call, which may itself die partway (a tail of one, or one in
+//!    which a job died meanwhile, goes member by member). One poisoned member
+//!    therefore cannot exhaust the retry budget of (or degrade) its healthy
+//!    siblings. A fault that names no member (a malformed reply, or no
+//!    backend admitting the call) re-dispatches every member alone.
 //!
 //! Backoff delays are charged to the simulated-latency counter rather than
 //! slept, like every latency in this workspace — deterministic and fast.
@@ -71,30 +76,46 @@ impl Default for GatewayConfig {
 /// `Exhausted` so a job whose deadline fired mid-retry does not fall through
 /// to the degraded ladder (stale cache / fallback / withheld answer) — the
 /// caller is gone, so serving a degraded answer would only distort metrics.
+/// `Faulted` carries the fault that ended a call placed without retry.
 enum Resilient<T> {
     Served(T),
     Exhausted,
     Cancelled(CancelReason),
+    Faulted(TransportError),
 }
 
 /// One batched wire call, its reply checked before it is believed: a
 /// transport is where real providers plug in, so an `Ok` that does not carry
-/// one response and one split per request is malformed output, not an answer.
+/// one response and one split per request is malformed output, not an answer
+/// — and so is a partial reply whose delivered answers are not a strict
+/// prefix of the requests with one split each.
 fn batch_reply(
     transport: &dyn LlmTransport,
     requests: &[CompletionRequest],
 ) -> Result<BatchOutcome, TransportError> {
-    let outcome = transport.complete_batch(requests)?;
-    if outcome.responses.len() != requests.len() || outcome.splits.len() != requests.len() {
-        return Err(TransportError::MalformedOutput {
-            preview: format!(
-                "{} responses for {} requests",
-                outcome.responses.len(),
-                requests.len()
-            ),
-        });
+    let malformed = |outcome: &BatchOutcome| TransportError::MalformedOutput {
+        preview: format!(
+            "{} responses and {} splits for {} requests",
+            outcome.responses.len(),
+            outcome.splits.len(),
+            requests.len()
+        ),
+    };
+    match transport.complete_batch(requests) {
+        Ok(outcome)
+            if outcome.responses.len() != requests.len()
+                || outcome.splits.len() != requests.len() =>
+        {
+            Err(malformed(&outcome))
+        }
+        Err(TransportError::Partial { delivered, .. })
+            if delivered.responses.len() >= requests.len()
+                || delivered.splits.len() != delivered.responses.len() =>
+        {
+            Err(malformed(&delivered))
+        }
+        reply => reply,
     }
-    Ok(outcome)
 }
 
 struct Backend {
@@ -250,8 +271,8 @@ impl Gateway {
     /// request the call is for ([`CompletionRequest::cancelled`]); for a
     /// request without a token it is a strict no-op, so standalone gateway
     /// behavior (and every deterministic counter walk in the chaos tests) is
-    /// unchanged. Without `retry` the first fault ends the call `Exhausted` —
-    /// a batched first attempt, whose members then retry one by one.
+    /// unchanged. Without `retry` the first fault ends the call `Faulted` —
+    /// a batched wire call, whose reply tells which members to re-send.
     fn call_resilient<T>(
         &self,
         key: u64,
@@ -331,7 +352,7 @@ impl Gateway {
                         });
                         attempt += 1;
                         if !retry {
-                            return Resilient::Exhausted;
+                            return Resilient::Faulted(err);
                         }
                         if !err.is_retryable() || attempt >= self.config.backoff.max_attempts {
                             break;
@@ -386,7 +407,22 @@ impl Gateway {
                 (std::iter::once(refused).collect(), "cancelled")
             }
             Resilient::Exhausted => self.degrade(request),
+            Resilient::Faulted(_) => unreachable!("a retried call never ends Faulted"),
         }
+    }
+
+    /// Keep the answers one batched wire call delivered for `requests`:
+    /// remember each for degraded recalls and append it to `outcome`.
+    fn keep(
+        &self,
+        requests: &[CompletionRequest],
+        reply: BatchOutcome,
+        outcome: &mut BatchOutcome,
+    ) {
+        for (request, response) in requests.iter().zip(&reply.responses) {
+            self.remember(request.fingerprint(), response);
+        }
+        outcome.extend(reply.responses.into_iter().zip(reply.splits));
     }
 
     /// The degraded ladder for one request no backend could serve: stale
@@ -462,32 +498,70 @@ impl LlmService for Gateway {
                 })
                 .collect();
         }
-        // First try: the whole batch as ONE wire call on the first backend
-        // that admits it, so the no-fault common case keeps its single-call
-        // amortization. (Never retried, so no backoff key.)
-        let est_tokens = requests.iter().map(|r| count_tokens(&r.prompt) as u64).sum();
-        if let Resilient::Served(outcome) =
-            self.call_resilient(0, est_tokens, false, || None, |t| batch_reply(t, requests))
-        {
-            span.attr("path", "served");
-            for (request, response) in requests.iter().zip(&outcome.responses) {
-                self.remember(request.fingerprint(), response);
+        // The whole batch goes out as ONE wire call on the first backend that
+        // admits it, so the no-fault common case keeps its single-call
+        // amortization. (Never retried, so no backoff key.) Retrying the whole
+        // batch after a fault would re-bill every member already answered and
+        // let one poisoned member drag its siblings into degraded mode. So a
+        // call that dies at member k keeps what it delivered for 0..k, sends
+        // member k alone through the resilient loop under its *own* token, and
+        // places the unreached tail as one more batched call.
+        let mut outcome = BatchOutcome::with_capacity(requests.len());
+        let (mut faulted, mut salvaged) = (false, 0);
+        let mut rest = requests;
+        loop {
+            let est_tokens = rest.iter().map(|r| count_tokens(&r.prompt) as u64).sum();
+            let placed =
+                self.call_resilient(0, est_tokens, false, || None, |t| batch_reply(t, rest));
+            // `None`: a fault that names no member, or no backend admitted
+            // the call.
+            let delivered = match placed {
+                Resilient::Served(reply) => {
+                    self.keep(rest, reply, &mut outcome);
+                    break;
+                }
+                Resilient::Faulted(TransportError::Partial { delivered, .. }) => Some(delivered),
+                _ => None,
+            };
+            faulted = true;
+            let kept = delivered.as_ref().map_or(0, |d| d.responses.len());
+            self.tracer.instant(SpanKind::Gateway, "batch_split", || {
+                vec![
+                    ("members".into(), rest.len().to_string()),
+                    ("delivered".into(), kept.to_string()),
+                ]
+            });
+            if let Some(delivered) = delivered {
+                let (answered, unreached) = rest.split_at(kept);
+                let (member, tail) =
+                    unreached.split_first().expect("batch_reply admits only a strict prefix");
+                salvaged += kept;
+                self.keep(answered, delivered, &mut outcome);
+                outcome.extend([self.complete_member(member).0.into_single()]);
+                rest = tail;
+                // The tail goes out as one more batched call, unless it is a
+                // lone request or a job in it died while member k was retried:
+                // then each member goes alone, and a dead one is refused
+                // before any attempt.
+                if rest.len() > 1 && rest.iter().all(|r| r.cancelled().is_none()) {
+                    continue;
+                }
             }
-            return outcome;
+            outcome.extend(rest.iter().map(|r| self.complete_member(r).0.into_single()));
+            break;
         }
-        // The batched call faulted (or nothing admitted it). Retrying the
-        // whole batch would replay every healthy member against the same
-        // fault and let one persistently poisoned member drag its siblings
-        // into degraded mode, so the retry splits per member: each rides the
-        // full resilient loop as a batch of one under its *own* token, so a
-        // member whose job dies mid-split stops burning attempts and backoff
-        // while its siblings carry on, and only exhausted members degrade.
-        span.attr("path", "split");
-        self.metrics.batch_split();
-        self.tracer.instant(SpanKind::Gateway, "batch_split", || {
-            vec![("members".into(), requests.len().to_string())]
-        });
-        requests.iter().map(|request| self.complete_member(request).0.into_single()).collect()
+        if faulted {
+            self.metrics.batch_split(salvaged);
+        }
+        match (faulted, salvaged) {
+            (false, _) => span.attr("path", "served"),
+            (true, 0) => span.attr("path", "split"),
+            (true, _) => {
+                span.attr("path", "partial");
+                span.attr("salvaged", salvaged.to_string());
+            }
+        }
+        outcome
     }
 
     fn embed(&self, text: &str) -> Vec<f64> {
@@ -856,27 +930,72 @@ mod tests {
         }
     }
 
+    /// The partial-batch schedule replayed from a transient-only plan over
+    /// one primary: a batched call passes its members in order until one
+    /// faults, keeps the members before it, sends the faulted member alone
+    /// (up to `max_attempts` calls, every fault retryable) and places the
+    /// tail again; a tail of one goes alone from the start. Attempt numbers
+    /// advance per prompt, as the injector counts them. Returns the
+    /// primary's wire calls, the members it served, and the members kept
+    /// from faulted calls.
+    fn replay_partial_walk(plan: &FaultPlan, prompts: &[&str], max_attempts: u32) -> [u64; 3] {
+        let n = prompts.len();
+        let mut next = vec![0u64; n];
+        let [mut calls, mut served, mut salvaged] = [0u64; 3];
+        let mut decide = |i: usize| {
+            next[i] += 1;
+            plan.decide(prompts[i], next[i] - 1)
+        };
+        let mut start = 0;
+        while start < n {
+            let alone = if start + 1 < n {
+                calls += 1;
+                let Some(k) = (start..n).find(|&i| decide(i).is_some()) else {
+                    served += (n - start) as u64;
+                    break;
+                };
+                salvaged += (k - start) as u64;
+                served += (k - start) as u64;
+                k
+            } else {
+                start
+            };
+            for _ in 0..max_attempts {
+                calls += 1;
+                if decide(alone).is_none() {
+                    served += 1;
+                    break;
+                }
+            }
+            start = alone + 1;
+        }
+        [calls, served, salvaged]
+    }
+
     #[test]
     fn batch_faults_split_into_per_member_retries() {
-        // A faulted batched call no longer retries the whole batch: the
-        // members split and ride the resilient loop individually, so the
-        // transient members are absorbed by their own retry schedules.
+        // A faulted batched call keeps the members it answered before the
+        // fault, retries only the faulted member on its own schedule, and
+        // places the unreached tail again; every expectation is the plan's.
         let service = sim(15);
         let plan = FaultPlan::transient(0.3, 23);
+        let requests: Vec<CompletionRequest> = (0..6).map(prompt).collect();
+        let prompts: Vec<&str> = requests.iter().map(|r| r.prompt.as_str()).collect();
         // Make the first wire call fault deterministically: at least one of
-        // the six members must fault on its attempt 0.
+        // the six members must fault on its attempt 0, after at least one
+        // member passed.
+        let first_fault = prompts.iter().position(|p| plan.decide(p, 0).is_some());
         assert!(
-            (0..6).any(|i| plan.decide(&prompt(i).prompt, 0).is_some()),
-            "seed must fault the batched first attempt"
+            matches!(first_fault, Some(k) if k > 0),
+            "seed must fault the batched first attempt partway"
         );
-        let injector = Arc::new(FaultInjector::new("flaky", service, plan));
+        let injector = Arc::new(FaultInjector::new("flaky", service.clone(), plan));
         let standby = sim(15);
         let reference = sim(15);
         let gateway = Gateway::builder()
-            .backend(injector)
+            .backend(injector.clone())
             .backend(Arc::new(ServiceTransport::new("standby", standby)))
             .build();
-        let requests: Vec<CompletionRequest> = (0..6).map(prompt).collect();
         let outcome = gateway.complete_batch(&requests);
         for (request, response) in requests.iter().zip(&outcome.responses) {
             assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
@@ -889,7 +1008,17 @@ mod tests {
         let snap = gateway.snapshot();
         assert_eq!(snap.degraded(), 0, "per-member retries absorbed the member faults");
         assert_eq!(snap.batches, 1);
-        assert_eq!(snap.batch_splits, 1, "the faulted wire call split the batch");
+        assert_eq!(snap.batch_splits, 1, "the faulted wire calls split the batch once");
+
+        let [calls, served, salvaged] = replay_partial_walk(&plan, &prompts, 4);
+        assert_eq!(served, 6, "the plan lets the primary answer every member");
+        assert_eq!(snap.backends[0].counters.attempts, calls);
+        assert_eq!(snap.salvaged_members, salvaged);
+        // Nothing answered was computed twice: the injector passed each
+        // member once, and the ledger billed one call per member, as the
+        // reference did.
+        assert_eq!(injector.counts().passed, 6);
+        assert_eq!(service.usage().calls, reference.usage().calls);
     }
 
     /// A provider that answers at most `max_members` members of any batch
@@ -990,14 +1119,12 @@ mod tests {
     #[test]
     fn a_poisoned_member_degrades_alone_after_the_split() {
         // One member that faults on every attempt it will ever see must not
-        // drag its healthy siblings into degraded mode: after the split the
-        // siblings are served by the primary and only the poisoned member
-        // walks the degraded ladder.
+        // drag its healthy siblings into degraded mode: the member before it
+        // is kept from the faulted batched call, the one after it is served
+        // alone as the tail, and only the poisoned member walks the degraded
+        // ladder. Every count is the plan's.
         let plan = FaultPlan::transient(0.35, 57);
-        // Healthy members pass every attempt they can see (batched attempt 0
-        // plus up to four split attempts); the poisoned member faults on all
-        // of them.
-        let healthy = |p: &str| (0..=4).all(|a| plan.decide(p, a).is_none());
+        let healthy = |p: &str| plan.decide(p, 0).is_none();
         let poisoned = |p: &str| (0..=4).all(|a| plan.decide(p, a).is_some());
         let candidates =
             || (0..50_000).map(|i| format!("Summarize. Text: poisoned member candidate {i}"));
@@ -1014,9 +1141,9 @@ mod tests {
         let reference = sim(19);
         let cheap = sim(20);
         let cheap_reference = sim(20);
-        let injector = Arc::new(FaultInjector::new("flaky", service, plan));
+        let injector = Arc::new(FaultInjector::new("flaky", service.clone(), plan));
         let gateway = Gateway::builder()
-            .backend(injector)
+            .backend(injector.clone())
             .fallback(Arc::new(ServiceTransport::new("cheap", cheap)))
             .build();
         let outcome = gateway.complete_batch(&requests);
@@ -1031,6 +1158,17 @@ mod tests {
         assert_eq!(snap.batch_splits, 1);
         assert_eq!(snap.degraded_fallbacks, 1, "exactly the poisoned member degraded");
         assert_eq!(snap.degraded(), 1);
+
+        let prompts: Vec<&str> = requests.iter().map(|r| r.prompt.as_str()).collect();
+        let [calls, served, salvaged] = replay_partial_walk(&plan, &prompts, 4);
+        assert_eq!((served, salvaged), (2, 1), "both healthy members, the first kept");
+        assert_eq!(snap.backends[0].counters.attempts, calls);
+        assert_eq!(snap.salvaged_members, salvaged);
+        // Each healthy member was computed once, and the poisoned member's
+        // faults are its own: one inside the batch, four alone.
+        let counts = injector.counts();
+        assert_eq!((counts.passed, counts.injected), (served, 1 + 4));
+        assert_eq!(service.usage().calls, reference.usage().calls);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use lingua_ml::sync::Mutex;
 pub struct BackendCounters {
     /// Transport calls placed (first tries and retries).
     pub attempts: u64,
-    /// Requests this backend answered successfully.
+    /// Transport calls this backend answered successfully: a batched wire
+    /// call counts once, whatever its members.
     pub served: u64,
     /// Retries against this backend (attempts beyond a request's first).
     pub retries: u64,
@@ -58,6 +59,7 @@ struct MetricsInner {
     batches: u64,
     batch_members: u64,
     batch_splits: u64,
+    salvaged_members: u64,
 }
 
 /// Interior-mutable metrics registry owned by the gateway.
@@ -125,10 +127,12 @@ impl GatewayMetrics {
         inner.requests += members as u64;
     }
 
-    /// Book a batched call whose single wire attempt faulted and whose
-    /// members were re-dispatched through the per-member resilient loop.
-    pub(crate) fn batch_split(&self) {
-        self.inner.lock().batch_splits += 1;
+    /// Book a batched call whose wire placement faulted, and the `salvaged`
+    /// members whose answers its faulted wire calls had already delivered.
+    pub(crate) fn batch_split(&self, salvaged: usize) {
+        let mut inner = self.inner.lock();
+        inner.batch_splits += 1;
+        inner.salvaged_members += salvaged as u64;
     }
 
     pub(crate) fn degraded_cache_hit(&self) {
@@ -171,6 +175,7 @@ impl GatewayMetrics {
             batches: inner.batches,
             batch_members: inner.batch_members,
             batch_splits: inner.batch_splits,
+            salvaged_members: inner.salvaged_members,
             backends,
         }
     }
@@ -188,7 +193,8 @@ pub struct BackendSnapshot {
 /// Point-in-time view of the whole gateway.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatewaySnapshot {
-    /// Requests entering the gateway (one per `complete`/`embed` call).
+    /// Logical requests entering the gateway: one per lone completion or
+    /// `embed` call, and one per member of a batched call.
     pub requests: u64,
     /// Requests that moved past an attempted or shielded backend to the next.
     pub failovers: u64,
@@ -208,9 +214,14 @@ pub struct GatewaySnapshot {
     pub batches: u64,
     /// Member requests carried by those batched calls (also in `requests`).
     pub batch_members: u64,
-    /// Batches whose first wire call faulted and fell back to per-member
-    /// resilient dispatch.
+    /// Batched calls whose wire placement faulted, counted once per batched
+    /// call however many of its wire calls faulted. The member a fault named
+    /// was re-dispatched alone, and so was every member of a call whose fault
+    /// named none.
     pub batch_splits: u64,
+    /// Members answered by the delivered prefix of a faulted batched wire
+    /// call: kept, never re-sent (also in `batch_members`).
+    pub salvaged_members: u64,
     pub backends: Vec<BackendSnapshot>,
 }
 
@@ -262,11 +273,13 @@ impl GatewaySnapshot {
         );
         if self.batches > 0 {
             out.push_str(&format!(
-                "\x20 batches         {} ({} members, {:.2} mean occupancy, {} split)\n",
+                "\x20 batches         {} ({} members, {:.2} mean occupancy, {} split, \
+                 {} salvaged)\n",
                 self.batches,
                 self.batch_members,
                 self.mean_batch_occupancy(),
                 self.batch_splits,
+                self.salvaged_members,
             ));
         }
         for backend in &self.backends {
@@ -344,5 +357,16 @@ mod tests {
         assert_eq!(snap.degraded_fallbacks, 1);
         assert_eq!(snap.degraded_static, 1);
         assert!(snap.report().contains("breaker open"));
+    }
+
+    #[test]
+    fn salvaged_members_ride_the_batch_line() {
+        let metrics = GatewayMetrics::new(1);
+        metrics.batch(8);
+        metrics.batch_split(3);
+        let snap = metrics
+            .snapshot(&["only".to_string()], &[(BreakerState::Closed, BreakerStats::default())]);
+        assert_eq!((snap.batch_splits, snap.salvaged_members), (1, 3));
+        assert!(snap.report().contains("1 split, 3 salvaged"), "{}", snap.report());
     }
 }

@@ -22,13 +22,17 @@ pub trait LlmTransport: Send + Sync {
     /// Stable backend name, used as the metrics key.
     fn name(&self) -> &str;
     /// Batched completion — the one completion method a transport
-    /// implements: all-or-nothing over the wire. One faulted member fails the
-    /// whole batch (that is what a single batched HTTP call does); the gateway
-    /// places a batch as one wire call first and, when that call faults,
-    /// re-dispatches the members through its resilient loop as batches of
-    /// one. An `Ok` reply carries one member per request, in order, each an
-    /// answer or a typed [`NoAnswer`](lingua_llm_sim::NoAnswer); the gateway
-    /// books any other shape as malformed output.
+    /// implements. An `Ok` reply carries one member per request, in order,
+    /// each an answer or a typed [`NoAnswer`](lingua_llm_sim::NoAnswer). A
+    /// call that dies at member *k* may return
+    /// [`TransportError::Partial`]: the answers it delivered for members
+    /// `0..k` (computed and billed) beside member *k*'s fault; members after
+    /// *k* were never reached. The gateway keeps that prefix, retries member
+    /// *k* alone and places the tail as one more batched call; a plain error
+    /// names no member, so every member is re-dispatched alone. The gateway
+    /// books any other reply shape — an `Ok` without one member and one split
+    /// per request, or a delivered prefix that is not strictly shorter than
+    /// the batch — as malformed output.
     fn complete_batch(
         &self,
         requests: &[CompletionRequest],

@@ -273,8 +273,8 @@ fn single_threaded_replay_is_all_window_flushes() {
     assert_eq!(service.usage(), reference.usage(), "occupancy-1 batching bills identically");
 }
 
-/// Gateway batch-split replay: a faulted batched first attempt re-dispatches
-/// the members through the per-member resilient loop, and because the fault
+/// Gateway partial-batch replay: a faulted batched first attempt keeps the
+/// members it delivered and re-dispatches the rest, and because the fault
 /// plan is a pure function of `(seed, prompt, attempt)`, the *entire*
 /// per-member attempt schedule replays exactly — which member faulted where,
 /// how many attempts and retries each burned, and what the ledger billed.
@@ -317,10 +317,11 @@ fn split_batch_replays_exact_per_member_attempt_schedules() {
     }
     assert_eq!(summed, outcome.batch_usage, "member splits conserve the batch usage");
 
-    // The injector saw exactly the schedule above: A passed 0 and 1, B
-    // faulted 0 and 1 then passed 2, C faulted 0 then passed 1.
+    // The injector saw exactly the schedule above: A passed 0 inside the
+    // batch and was kept, never re-sent; B faulted 0 and 1 then passed 2
+    // alone; C, the unreached tail of one, faulted 0 then passed 1 alone.
     let counts = injector.counts();
-    assert_eq!(counts.passed, 4, "A twice, B once, C once");
+    assert_eq!(counts.passed, 3, "A, B and C once each");
     assert_eq!(counts.injected, 3, "B twice, C once");
     assert_eq!(counts.transient, 3);
 
@@ -329,23 +330,67 @@ fn split_batch_replays_exact_per_member_attempt_schedules() {
     // attempts counted as retries.
     let snap = gateway.snapshot();
     let primary = &snap.backends[0].counters;
-    assert_eq!(primary.attempts, 6);
+    assert_eq!(primary.attempts, 5);
     assert_eq!(primary.retries, 2);
     assert_eq!(primary.faults(), 3);
-    assert_eq!(primary.served, 3, "each member serves once after the split");
+    assert_eq!(primary.served, 2, "B's and C's lone calls; A rode the faulted batch");
+    assert_eq!(snap.salvaged_members, 1, "A was kept");
     assert_eq!(snap.batches, 1);
     assert_eq!(snap.batch_members, 3);
     assert_eq!(snap.batch_splits, 1);
     assert_eq!(snap.degraded(), 0, "per-member retries absorbed every fault");
     assert!(snap.added_backoff_ms() > 0, "B's and C's retries charged backoff");
 
-    // Ledger: the split recomputed A once (the wire call's partial work is
-    // discarded), so four billed calls serve three logical requests, and the
-    // three transient faults billed their aborted prompts.
+    // Ledger: A was kept, not recomputed, so three billed calls serve three
+    // logical requests, as in the reference, and the three transient faults
+    // billed their aborted prompts.
     let ledger = service.usage();
-    assert_eq!(ledger.calls, 4);
+    assert_eq!(ledger.calls, 3);
     assert_eq!(ledger.failed_calls, 3);
     assert_eq!(reference.usage().calls, 3);
+}
+
+/// A fault in the middle of a batch: the members before it are kept, the
+/// faulted member is retried alone, and the unreached tail goes out as one
+/// more batched call — exactly three transport calls, whose answers are the
+/// reference's and whose ledger is the reference's, call for call.
+#[test]
+fn a_mid_batch_fault_keeps_the_head_retries_the_member_and_batches_the_tail() {
+    let plan = FaultPlan::transient(0.35, 71);
+    let candidates = || (0..50_000).map(|i| format!("Summarize. Text: mid-batch candidate {i}"));
+    let mut passing = candidates().filter(|p| plan.decide(p, 0).is_none());
+    let mut next = || CompletionRequest::new(passing.next().expect("a passing prompt exists"));
+    // The faulted member fails its attempt 0 inside the batch and passes
+    // attempt 1 alone; every other member passes the one attempt it sees.
+    let faulted = candidates()
+        .find(|p| plan.decide(p, 0).is_some() && plan.decide(p, 1).is_none())
+        .map(CompletionRequest::new)
+        .expect("a fault-then-pass prompt exists");
+    let requests = vec![next(), next(), faulted, next(), next()];
+
+    let service = sim(707, false);
+    let reference = sim(707, false);
+    let backend =
+        Arc::new(CancelMidSplit::new(FaultInjector::new("flaky", service.clone(), plan), None));
+    let gateway = Gateway::over(backend.clone());
+    let outcome = gateway.complete_batch(&requests);
+
+    assert_eq!(backend.sizes(), [5, 1, 2], "the batch, the faulted member alone, the tail");
+    for (request, response) in requests.iter().zip(&outcome.responses) {
+        assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+    }
+    let mut summed = Usage::default();
+    for split in &outcome.splits {
+        summed.merge(split);
+    }
+    assert_eq!(summed, outcome.batch_usage);
+    let counts = backend.inner.counts();
+    assert_eq!((counts.passed, counts.injected), (5, 1), "each member computed once");
+    assert_eq!(service.usage().calls, reference.usage().calls);
+    let snap = gateway.snapshot();
+    assert_eq!((snap.batch_splits, snap.salvaged_members), (1, 2));
+    assert_eq!(snap.backends[0].counters.attempts, 3);
+    assert_eq!(snap.backends[0].counters.served, 2, "the lone member and the tail");
 }
 
 /// Mid-batch cancellation replay: seven members join, three are cancelled
@@ -411,13 +456,31 @@ fn cancelled_members_are_excluded_from_the_replayed_composition() {
     assert_eq!(log[0].usage, ledger, "the flush record carries the exact billed usage");
 }
 
-/// A flaky backend with one hook: when `doomed` arrives as a batch of one —
-/// the gateway has begun re-dispatching a faulted batch member by member —
-/// its job's token is cancelled before the backend answers.
+/// A flaky backend that logs the size of every batch it is sent, with one
+/// hook: when `doomed` arrives as a batch of one — the gateway has begun
+/// re-dispatching a faulted batch's member alone — its job's token is
+/// cancelled before the backend answers.
 struct CancelMidSplit {
     inner: FaultInjector,
-    doomed: u64,
+    doomed: Option<u64>,
     token: CancelToken,
+    sizes: Mutex<Vec<usize>>,
+}
+
+impl CancelMidSplit {
+    fn new(inner: FaultInjector, doomed: Option<&CompletionRequest>) -> CancelMidSplit {
+        CancelMidSplit {
+            inner,
+            doomed: doomed.map(CompletionRequest::fingerprint),
+            token: CancelToken::unbounded(),
+            sizes: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The size of each batch the backend was sent, in order.
+    fn sizes(&self) -> Vec<usize> {
+        self.sizes.lock().clone()
+    }
 }
 
 impl LlmTransport for CancelMidSplit {
@@ -429,8 +492,9 @@ impl LlmTransport for CancelMidSplit {
         &self,
         requests: &[CompletionRequest],
     ) -> Result<BatchOutcome, TransportError> {
+        self.sizes.lock().push(requests.len());
         if let [only] = requests {
-            if only.fingerprint() == self.doomed {
+            if Some(only.fingerprint()) == self.doomed {
                 self.token.cancel();
             }
         }
@@ -494,12 +558,11 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
 
     let service = sim(606, false);
     let reference = sim(606, false);
-    let token = CancelToken::unbounded();
-    let backend = Arc::new(CancelMidSplit {
-        inner: FaultInjector::new("flaky", service.clone(), plan),
-        doomed: doomed.fingerprint(),
-        token: token.clone(),
-    });
+    let backend = Arc::new(CancelMidSplit::new(
+        FaultInjector::new("flaky", service.clone(), plan),
+        Some(&doomed),
+    ));
+    let token = backend.token.clone();
     let gateway = Arc::new(Gateway::over(backend.clone()));
     let recording = Arc::new(Recording::new(gateway.clone()));
     let batcher = Arc::new(Batcher::new(
@@ -528,12 +591,16 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
     // The batcher saw three live members: the job died after its filter.
     let snap = batcher.snapshot();
     assert_eq!((snap.batches, snap.members, snap.cancelled_members), (1, 3, 0));
-    // One attempt for the wire call, one each for the three members, and
-    // nothing after the doomed member's token fired.
+    // One attempt for the batch, which faults at the doomed member before
+    // delivering any answer, one for the doomed member alone, one for the
+    // two siblings as one batch, and nothing after the doomed member's
+    // token fired.
     let snap = gateway.snapshot();
     let primary = &snap.backends[0].counters;
     assert_eq!(snap.batch_splits, 1);
-    assert_eq!(primary.attempts, 4);
+    assert_eq!(snap.salvaged_members, 0);
+    assert_eq!(primary.attempts, 3);
+    assert_eq!(backend.sizes(), [3, 1, 2]);
     assert_eq!(primary.retries, 0, "a dead job's member is not retried");
     assert_eq!(snap.added_backoff_ms(), 0, "nor charged backoff");
     assert_eq!(snap.cancelled, 1);
@@ -558,4 +625,53 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
     // exhausts the backend on the same prompt finds nothing to recall.
     assert_eq!(answer(&*gateway, &doomed), Err(NoAnswer::Unavailable));
     assert_eq!(gateway.snapshot().degraded_cache_hits, 0);
+}
+
+/// A tail member whose job dies while the faulted member is retried: the
+/// tail is not placed as a batch, since that would bill a dead job, so each
+/// tail member goes alone and the dead one is refused before any attempt,
+/// counted, and billed nothing.
+#[test]
+fn a_tail_member_whose_job_died_mid_split_is_refused_unbilled() {
+    let plan = FaultPlan { rate_limit_rate: 0.5, ..FaultPlan::none(61) };
+    let candidates = || (0..50_000).map(|i| format!("Summarize. Text: mid-split candidate {i}"));
+    // Refused at attempt 0 inside the batch and at attempt 1 alone.
+    let doomed = candidates()
+        .find(|p| (0..=1).all(|attempt| plan.decide(p, attempt).is_some()))
+        .map(CompletionRequest::new)
+        .expect("a twice-refused prompt exists at 50%");
+    let mut passing =
+        candidates().filter(|p| plan.decide(p, 0).is_none()).map(CompletionRequest::new);
+
+    let service = sim(808, false);
+    let reference = sim(808, false);
+    let backend = Arc::new(CancelMidSplit::new(
+        FaultInjector::new("flaky", service.clone(), plan),
+        Some(&doomed),
+    ));
+    let token = backend.token.clone();
+    let gateway = Gateway::over(backend.clone());
+    // The doomed member leads; the last tail member belongs to its job.
+    let live = [passing.next().unwrap(), passing.next().unwrap()];
+    let requests = vec![
+        doomed.with_cancel(token.clone()),
+        live[0].clone(),
+        live[1].clone(),
+        passing.next().unwrap().with_cancel(token),
+    ];
+    let outcome = gateway.complete_batch(&requests);
+
+    assert_eq!(outcome.responses[0], REFUSED);
+    assert_eq!(outcome.responses[3], REFUSED);
+    for (request, response) in live.iter().zip(&outcome.responses[1..3]) {
+        assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+    }
+    assert_eq!(backend.sizes(), [4, 1, 1, 1], "the dead member took no call");
+    assert_eq!(outcome.splits[3], Usage::default());
+    let snap = gateway.snapshot();
+    assert_eq!(snap.cancelled, 2, "the doomed member and its job's tail member");
+    assert_eq!(snap.backends[0].counters.retries, 0);
+    assert_eq!(backend.inner.counts().passed, 2);
+    assert_eq!(outcome.batch_usage, service.usage());
+    assert_eq!(service.usage(), reference.usage());
 }

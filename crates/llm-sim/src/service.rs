@@ -73,7 +73,7 @@ impl CompletionRequest {
 /// cent, not within an epsilon. A simulator batch counts as **one** backend
 /// call: exactly one split carries `calls == 1` (the first billed member);
 /// cache-answered and coalesced members carry pure savings.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchOutcome {
     /// One result per request, in request order.
     pub responses: Vec<Result<Arc<str>, NoAnswer>>,
@@ -117,8 +117,15 @@ impl BatchOutcome {
 impl FromIterator<(Result<Arc<str>, NoAnswer>, Usage)> for BatchOutcome {
     fn from_iter<I: IntoIterator<Item = (Result<Arc<str>, NoAnswer>, Usage)>>(members: I) -> Self {
         let mut outcome = BatchOutcome::default();
-        members.into_iter().for_each(|(response, split)| outcome.push(response, split));
+        outcome.extend(members);
         outcome
+    }
+}
+
+/// Append members, in order, each with the usage attributed to it.
+impl Extend<(Result<Arc<str>, NoAnswer>, Usage)> for BatchOutcome {
+    fn extend<I: IntoIterator<Item = (Result<Arc<str>, NoAnswer>, Usage)>>(&mut self, members: I) {
+        members.into_iter().for_each(|(response, split)| self.push(response, split));
     }
 }
 
