@@ -51,10 +51,6 @@ impl Catalog {
         self.tables.get(&name.to_ascii_lowercase())
     }
 
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(|s| s.as_str())
-    }
-
     /// Parse and execute a query against this catalog.
     pub fn execute(&self, sql: &str) -> Result<Table, DataError> {
         let query = Query::parse(sql)?;

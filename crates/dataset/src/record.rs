@@ -40,10 +40,6 @@ impl Record {
         &self.values
     }
 
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = &Value> {
         self.values.iter()
     }

@@ -86,16 +86,6 @@ impl Table {
             .ok_or_else(|| DataError::QueryExec(format!("row {row} out of bounds")))
     }
 
-    /// Replace a cell.
-    pub fn set_cell(&mut self, row: usize, column: &str, value: Value) -> Result<(), DataError> {
-        let col = self.schema.require(column)?;
-        if row >= self.rows.len() {
-            return Err(DataError::QueryExec(format!("row {row} out of bounds")));
-        }
-        self.rows[row].set(col, value);
-        Ok(())
-    }
-
     /// All values of one column, in row order.
     pub fn column(&self, column: &str) -> Result<Vec<Value>, DataError> {
         let col = self.schema.require(column)?;

@@ -25,9 +25,10 @@ use lingua_llm_sim::Usage;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// First byte of every payload: the version of this encoding. The format
-/// before it (JSON text) began with `{`, so an old log is recognised as one.
-pub const FORMAT: u8 = 1;
+/// First byte of every payload: the version of this encoding. Format 1's
+/// `WindowClose` carried two more fields; the format before it (JSON text)
+/// began with `{`. Either is recognised as a log this reader does not speak.
+pub const FORMAT: u8 = 2;
 
 /// Tag byte of [`JournalRecord::Checkpoint`].
 const CHECKPOINT: u8 = 8;
@@ -282,8 +283,7 @@ wire_structs! {
     PendingJob { pipeline, fingerprint, inputs }
     FinishedJob { pipeline, fingerprint, env, llm, wall_us }
     WindowCloseRecord {
-        window, start, end, records, candidate_pairs, comparisons, true_duplicates, inline_judged,
-        inline_matched, inputs
+        window, start, end, records, candidate_pairs, comparisons, true_duplicates, inputs
     }
     WindowReportRecord {
         window, start, end, records, candidate_pairs, comparisons, judged, matched,
@@ -418,8 +418,6 @@ mod tests {
             candidate_pairs: 3,
             comparisons: 30,
             true_duplicates: 2,
-            inline_judged: 1,
-            inline_matched: 1,
             inputs: sample_env(),
         };
         let report = WindowReportRecord {

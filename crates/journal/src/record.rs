@@ -67,9 +67,6 @@ pub struct WindowCloseRecord {
     pub candidate_pairs: usize,
     pub comparisons: u64,
     pub true_duplicates: usize,
-    /// Pairs judged inline before close (continuous strategy).
-    pub inline_judged: u64,
-    pub inline_matched: u64,
     /// Inputs of the window-report serve job.
     pub inputs: BTreeMap<String, Data>,
 }

@@ -66,8 +66,6 @@ fn pristine(items: &[StreamItem]) -> Arc<SimStorage> {
             candidate_pairs: 1,
             comparisons: 1,
             true_duplicates: 1,
-            inline_judged: 0,
-            inline_matched: 0,
             inputs: inputs(3),
         })
         .unwrap();

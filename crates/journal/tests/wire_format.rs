@@ -14,15 +14,29 @@ fn inputs(n: i64) -> BTreeMap<String, Data> {
     BTreeMap::from([("n".to_string(), Data::Int(n))])
 }
 
-/// Valid records followed by a CRC-valid frame whose payload is a record as
-/// the commit before the binary codec wrote it (JSON text). Opening must
-/// fail with `InvalidData` and leave storage byte-for-byte untouched — at
-/// that commit this frame was filed under "damage" and the log was cut.
+/// A `WindowClose` as format 1 encoded it: the tag, nine `u64` fields — the
+/// last two the inline verdict counts format 2 dropped — and `{"n": 3}`.
+fn format_1_window_close() -> Vec<u8> {
+    let mut payload = vec![1, 6];
+    for field in [3u64, 48, 80, 2, 1, 1, 1, 1, 1] {
+        payload.extend_from_slice(&field.to_le_bytes());
+    }
+    payload.extend_from_slice(&[1, 0, 0, 0, 1, 0, 0, 0, b'n', 2]);
+    payload.extend_from_slice(&3i64.to_le_bytes());
+    payload
+}
+
+/// Valid records followed by a CRC-valid frame whose payload is a record in
+/// a format this build does not speak: JSON text (the commit before the
+/// binary codec, which filed such a frame under "damage" and cut the log),
+/// format 1, or a future format. Opening must fail with `InvalidData` and
+/// leave storage byte-for-byte untouched.
 #[test]
 fn unreadable_frame_fails_open_and_leaves_storage_untouched() {
-    let old_payload: &[u8] = br#"{"kind":"job_started","pipeline":"curate","fingerprint":2}"#;
+    let json_payload: &[u8] = br#"{"kind":"job_started","pipeline":"curate","fingerprint":2}"#;
+    let format_1_payload = format_1_window_close();
     let future_payload: &[u8] = &[0xFF, 1, 2, 3];
-    for payload in [old_payload, future_payload] {
+    for payload in [json_payload, &format_1_payload, future_payload] {
         let storage = SimStorage::new();
         let (journal, _) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
         journal.record_job_accepted("curate", 1, &inputs(1)).unwrap();

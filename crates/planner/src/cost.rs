@@ -179,10 +179,6 @@ impl CostEstimator {
         CostEstimator { pricing: TokenPricing::default(), observed: BTreeMap::new() }
     }
 
-    pub fn with_pricing(pricing: TokenPricing) -> CostEstimator {
-        CostEstimator { pricing, observed: BTreeMap::new() }
-    }
-
     pub fn pricing(&self) -> &TokenPricing {
         &self.pricing
     }

@@ -247,17 +247,14 @@ pub struct Planner {
     compiler: Compiler,
     estimator: CostEstimator,
     models: BTreeMap<CurationStage, Box<dyn Module>>,
-    cache_capacity: usize,
 }
+
+/// Capacity of the memo a `CachedLlm` choice compiles to.
+const CACHE_CAPACITY: usize = 4096;
 
 impl Planner {
     pub fn new(compiler: Compiler) -> Planner {
-        Planner {
-            compiler,
-            estimator: CostEstimator::new(),
-            models: BTreeMap::new(),
-            cache_capacity: 4096,
-        }
+        Planner { compiler, estimator: CostEstimator::new(), models: BTreeMap::new() }
     }
 
     pub fn estimator(&self) -> &CostEstimator {
@@ -266,12 +263,6 @@ impl Planner {
 
     pub fn estimator_mut(&mut self) -> &mut CostEstimator {
         &mut self.estimator
-    }
-
-    /// Capacity of the memo a `CachedLlm` choice compiles to.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Planner {
-        self.cache_capacity = capacity.max(1);
-        self
     }
 
     /// Install a trained model as the `MlModel` alternative for a stage. The
@@ -473,7 +464,7 @@ impl Planner {
                 PhysicalAlt::CachedLlm => {
                     let mut op = planned.op.clone();
                     op.kind = Some(ModuleKind::Llm);
-                    Box::new(MemoModule::new(self.compiler.bind(&op, ctx)?, self.cache_capacity))
+                    Box::new(MemoModule::new(self.compiler.bind(&op, ctx)?, CACHE_CAPACITY))
                 }
                 PhysicalAlt::MlModel => {
                     let model = self.models.get(&planned.stage).ok_or_else(|| {

@@ -38,11 +38,6 @@ pub struct ServeConfig {
     /// without heartbeat progress; the watchdog then nudges it with a
     /// cooperative cancel. Jobs without a deadline are never flagged.
     pub stuck_multiplier: u32,
-    /// Streaming-engine knobs, when this server backs a `lingua-stream`
-    /// engine. Validated here so a misconfigured stream fails at `start()`
-    /// with a typed [`InvalidConfig`] instead of silently stalling (a window
-    /// that never closes looks exactly like a slow stream from the outside).
-    pub stream: Option<StreamTuning>,
     /// Continuous micro-batching knobs. When set, `start()` wraps the
     /// factory's LLM service in a [`Batcher`](lingua_gateway::Batcher) so completions from
     /// concurrent jobs share batched backend calls; its counters surface
@@ -61,53 +56,6 @@ pub struct ServeConfig {
     pub journal: Option<JournalTuning>,
 }
 
-/// Event-time knobs for a windowed streaming engine riding this server.
-///
-/// All quantities are in *event-time ticks* — the logical timestamps stamped
-/// on stream records — not wall time, so a seeded replay closes the same
-/// windows at the same points regardless of host speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamTuning {
-    /// Window length in event-time ticks.
-    pub window: u64,
-    /// Slide between consecutive window starts; `slide == window` makes the
-    /// windows tumbling, `slide < window` sliding (records land in
-    /// `window / slide` windows). Must not exceed `window`.
-    pub slide: u64,
-    /// Ingests between watermark recomputations. `1` re-derives the
-    /// watermark on every record; larger values batch the (cheap) window
-    /// close scan.
-    pub watermark_interval: u64,
-}
-
-impl Default for StreamTuning {
-    fn default() -> Self {
-        StreamTuning { window: 64, slide: 32, watermark_interval: 8 }
-    }
-}
-
-impl StreamTuning {
-    /// Check the streaming knobs (see [`ServeConfig::validate`]).
-    pub fn validate(&self) -> Result<(), ServeError> {
-        if self.window == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroWindow));
-        }
-        if self.slide == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroSlide));
-        }
-        if self.slide > self.window {
-            return Err(ServeError::InvalidConfig(InvalidConfig::SlideExceedsWindow {
-                slide: self.slide,
-                window: self.window,
-            }));
-        }
-        if self.watermark_interval == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroWatermarkInterval));
-        }
-        Ok(())
-    }
-}
-
 /// Micro-batching knobs for the continuous batcher riding this server: the
 /// batcher's own configuration, under the name serve's callers know.
 pub use lingua_gateway::BatchConfig as BatchTuning;
@@ -124,7 +72,6 @@ impl Default for ServeConfig {
             restart_backoff: Duration::from_millis(2),
             supervisor_tick: Duration::from_millis(2),
             stuck_multiplier: 4,
-            stream: None,
             batch: None,
             journal: None,
         }
@@ -141,9 +88,8 @@ impl ServeConfig {
 
     /// Reject unusable configurations up front: zero workers would hang
     /// every job, a zero-capacity queue would reject every submission, a
-    /// zero default deadline would time every job out before it ran, and
-    /// broken streaming knobs would stall a stream forever. Each rejection
-    /// is a typed [`InvalidConfig`] naming the knob.
+    /// zero default deadline would time every job out before it ran. Each
+    /// rejection is a typed [`InvalidConfig`] naming the knob.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.workers == Some(0) {
             return Err(ServeError::InvalidConfig(InvalidConfig::ZeroWorkers));
@@ -159,9 +105,6 @@ impl ServeConfig {
         }
         if self.stuck_multiplier == 0 {
             return Err(ServeError::InvalidConfig(InvalidConfig::ZeroStuckMultiplier));
-        }
-        if let Some(stream) = &self.stream {
-            stream.validate()?;
         }
         if let Some(batch) = &self.batch {
             if batch.max_batch_size == 0 {

@@ -6,11 +6,8 @@ use std::time::Duration;
 
 /// Machine-readable reasons a [`crate::ServeConfig`] is unusable.
 ///
-/// Typed (rather than a free-form string) so callers — the streaming engine
-/// in particular — can branch on *which* knob is broken: a zero window and a
-/// slide wider than its window are both configuration bugs, but only the
-/// latter carries the two durations a caller needs to print a useful
-/// diagnostic or clamp the knob programmatically.
+/// Typed (rather than a free-form string) so callers can branch on *which*
+/// knob is broken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvalidConfig {
     /// `workers == Some(0)`: no worker would ever dequeue a job.
@@ -24,19 +21,6 @@ pub enum InvalidConfig {
     /// `stuck_multiplier == 0`: every deadlined job would be flagged stuck
     /// immediately.
     ZeroStuckMultiplier,
-    /// Streaming: `window == 0` event-time ticks — no record could ever land
-    /// in a window, so the stream would ingest forever and emit nothing.
-    ZeroWindow,
-    /// Streaming: `slide == 0` — window assignment divides event time by the
-    /// slide, and a zero slide would put every record in unboundedly many
-    /// windows.
-    ZeroSlide,
-    /// Streaming: the slide is wider than the window, leaving event-time
-    /// gaps that silently drop every record falling between windows.
-    SlideExceedsWindow { slide: u64, window: u64 },
-    /// Streaming: `watermark_interval == 0` — the watermark would never
-    /// advance, so no window would ever close.
-    ZeroWatermarkInterval,
     /// Batching: `max_batch_size == 0` — no batch could ever admit a
     /// member, so every completion would block on a flush that never
     /// comes. (The gateway-layer batcher clamps this to 1 defensively;
@@ -73,22 +57,6 @@ impl fmt::Display for InvalidConfig {
                     "stuck_multiplier must be > 0 (every deadlined job would be \
                      flagged stuck immediately)"
                 )
-            }
-            InvalidConfig::ZeroWindow => {
-                write!(f, "stream window must be > 0 ticks (no record could land in a window)")
-            }
-            InvalidConfig::ZeroSlide => {
-                write!(f, "stream slide must be > 0 ticks (window assignment would not terminate)")
-            }
-            InvalidConfig::SlideExceedsWindow { slide, window } => {
-                write!(
-                    f,
-                    "stream slide ({slide} ticks) exceeds the window ({window} ticks); \
-                     records falling in the gaps would be dropped silently"
-                )
-            }
-            InvalidConfig::ZeroWatermarkInterval => {
-                write!(f, "stream watermark_interval must be > 0 (no window would ever close)")
             }
             InvalidConfig::ZeroBatchSize => {
                 write!(f, "batch max_batch_size must be > 0 (no batch could admit a member)")
@@ -219,16 +187,12 @@ mod tests {
     fn invalid_config_names_the_knob() {
         // Every variant's message names the offending knob, so `start()`
         // failures stay actionable even when only the string is logged.
-        let cases: [(InvalidConfig, &str); 12] = [
+        let cases: [(InvalidConfig, &str); 8] = [
             (InvalidConfig::ZeroWorkers, "workers"),
             (InvalidConfig::ZeroQueueCapacity, "queue_capacity"),
             (InvalidConfig::ZeroDefaultTimeout, "default_timeout"),
             (InvalidConfig::ZeroSupervisorTick, "supervisor_tick"),
             (InvalidConfig::ZeroStuckMultiplier, "stuck_multiplier"),
-            (InvalidConfig::ZeroWindow, "window"),
-            (InvalidConfig::ZeroSlide, "slide"),
-            (InvalidConfig::SlideExceedsWindow { slide: 9, window: 4 }, "slide"),
-            (InvalidConfig::ZeroWatermarkInterval, "watermark_interval"),
             (InvalidConfig::ZeroBatchSize, "max_batch_size"),
             (InvalidConfig::ZeroBatchWindow, "max_wait"),
             (InvalidConfig::ZeroCheckpointInterval, "checkpoint_interval"),
@@ -237,8 +201,6 @@ mod tests {
             assert!(which.to_string().contains(knob), "{which:?} should mention {knob}");
             assert!(ServeError::InvalidConfig(which).to_string().contains(knob));
         }
-        let gap = InvalidConfig::SlideExceedsWindow { slide: 9, window: 4 }.to_string();
-        assert!(gap.contains('9') && gap.contains('4'), "carries both durations: {gap}");
     }
 
     #[test]

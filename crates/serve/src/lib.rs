@@ -86,7 +86,7 @@ pub mod supervisor;
 pub use error::{InvalidConfig, ServeError};
 pub use fingerprint::{fingerprint_inputs, job_key};
 pub use job::{JobHandle, JobId, JobOutput, JobStatus};
-pub use metrics::{HealthSnapshot, Metrics, MetricsSnapshot, TrapCounters, UsageMeter};
+pub use metrics::{HealthSnapshot, Metrics, MetricsSnapshot, TrapCounters};
 pub use registry::PipelineRegistry;
-pub use server::{BatchTuning, PipelineServer, Priority, ServeConfig, StreamTuning, SubmitRequest};
+pub use server::{BatchTuning, PipelineServer, Priority, ServeConfig, SubmitRequest};
 pub use supervisor::EscapePanic;

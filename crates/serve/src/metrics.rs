@@ -3,7 +3,7 @@
 //!
 //! The paper's efficiency story is counted in LLM calls and dollars; a
 //! serving layer has to keep that story visible per job even when many
-//! workers share one metered [`LlmService`]. [`UsageMeter`] wraps the shared
+//! workers share one metered [`LlmService`]. `UsageMeter` wraps the shared
 //! service with job-local counters so each job's usage is exact under
 //! concurrency, and [`Metrics`] aggregates the server-wide view.
 
@@ -402,7 +402,7 @@ impl MetricsSnapshot {
 /// traffic the job generated. Because [`UsageMeter::usage`] reports the
 /// *local* counters, the executor's per-op usage traces are also exact
 /// per job.
-pub struct UsageMeter {
+pub(crate) struct UsageMeter {
     inner: Arc<dyn LlmService>,
     local: Mutex<Usage>,
 }

@@ -11,12 +11,12 @@
 //! 2. A worker dequeues (high-priority lane first), replicates the compiled
 //!    pipeline if its cached instance is stale, and executes it on a fresh
 //!    [`ExecContext`](lingua_core::ExecContext) whose LLM is a per-job
-//!    [`UsageMeter`].
+//!    `UsageMeter`.
 //! 3. However the job ends — at submission, in the queue, in the worker,
 //!    or at shutdown — the ending is a `Terminal` value, and one `settle`
 //!    journals it, counts it, closes its span and wakes its waiters.
 
-pub use crate::config::{BatchTuning, Priority, ServeConfig, StreamTuning, SubmitRequest};
+pub use crate::config::{BatchTuning, Priority, ServeConfig, SubmitRequest};
 use crate::error::ServeError;
 use crate::fingerprint::{fingerprint_inputs, job_key};
 use crate::job::{JobCore, JobHandle, JobId, JobOutput, Terminal};
@@ -276,14 +276,6 @@ impl PipelineServer {
             supervisor: Some(supervisor),
             next_id: AtomicU64::new(1),
         })
-    }
-
-    /// Start with default configuration.
-    pub fn with_defaults(factory: ContextFactory) -> PipelineServer {
-        // Invariant: `start` only fails on invalid config knobs or a journal
-        // I/O error; the defaults validate and configure no journal.
-        PipelineServer::start(factory, ServeConfig::default())
-            .expect("the default configuration is valid")
     }
 
     /// Surface a [`Gateway`]'s resilience metrics in this server's
@@ -975,38 +967,6 @@ mod tests {
         let ok =
             ServeConfig { default_timeout: Some(Duration::from_secs(30)), ..Default::default() };
         assert!(ok.validate().is_ok());
-    }
-
-    #[test]
-    fn broken_streaming_knobs_are_rejected_at_start() {
-        let start_err = |tuning: StreamTuning| {
-            let config = ServeConfig { stream: Some(tuning), ..Default::default() };
-            PipelineServer::start(factory(), config).map(|_| ()).unwrap_err()
-        };
-        let err = start_err(StreamTuning { window: 0, ..Default::default() });
-        assert_eq!(err, ServeError::InvalidConfig(InvalidConfig::ZeroWindow));
-
-        let err = start_err(StreamTuning { slide: 0, ..Default::default() });
-        assert_eq!(err, ServeError::InvalidConfig(InvalidConfig::ZeroSlide));
-
-        let err = start_err(StreamTuning { window: 16, slide: 48, watermark_interval: 1 });
-        assert_eq!(
-            err,
-            ServeError::InvalidConfig(InvalidConfig::SlideExceedsWindow { slide: 48, window: 16 })
-        );
-
-        let err = start_err(StreamTuning { watermark_interval: 0, ..Default::default() });
-        assert_eq!(err, ServeError::InvalidConfig(InvalidConfig::ZeroWatermarkInterval));
-
-        // Tumbling (slide == window) and sliding (slide < window) both pass.
-        assert!(StreamTuning { window: 16, slide: 16, watermark_interval: 1 }.validate().is_ok());
-        assert!(StreamTuning::default().validate().is_ok());
-        let mut server = summarize_server(ServeConfig {
-            workers: Some(1),
-            stream: Some(StreamTuning::default()),
-            ..Default::default()
-        });
-        server.shutdown();
     }
 
     #[test]

@@ -25,19 +25,18 @@
 use crate::error::StreamError;
 use crate::incremental::{record_keys, WindowState};
 use crate::metrics::{StreamMetrics, StreamSnapshot};
-use crate::report::{ReportStrategy, WindowReport};
-use crate::window::{closed_through, windows_for, Watermark, WindowId};
+use crate::report::WindowReport;
+use crate::window::{closed_through, windows_for, StreamTuning, Watermark, WindowId};
 use lingua_core::modules::{CustomModule, Module};
 use lingua_core::validation::OutputValidator;
 use lingua_core::{Compiler, ContextFactory, CoreError, Data, LogicalOp, Pipeline};
 use lingua_dataset::generators::stream::StreamItem;
 use lingua_dataset::Schema;
 use lingua_durable::{Journal, KillPoint, StreamCheckpoint, WindowCloseRecord, WindowReportRecord};
-use lingua_llm_sim::{CompletionRequest, LlmService};
+use lingua_ml::rng::splitmix64;
 use lingua_ml::sync::Mutex;
 use lingua_serve::{
-    JobHandle, MetricsSnapshot, PipelineServer, Priority, ServeConfig, ServeError, StreamTuning,
-    SubmitRequest, UsageMeter,
+    JobHandle, MetricsSnapshot, PipelineServer, Priority, ServeConfig, ServeError, SubmitRequest,
 };
 use lingua_trace::{SpanKind, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,13 +50,11 @@ pub const WINDOW_PIPELINE: &str = "stream_window_report";
 /// Full engine configuration: event-time tuning plus execution knobs.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Window/slide/watermark-interval, validated by the serve layer at
-    /// [`StreamEngine::start`] (it is embedded into [`ServeConfig::stream`]).
+    /// Window/slide/watermark-interval, validated at [`StreamEngine::start`].
     pub tuning: StreamTuning,
     /// How far (in event-time ticks) the watermark trails the frontier.
     /// Records more out-of-order than this are dropped late.
     pub allowed_lateness: u64,
-    pub strategy: ReportStrategy,
     /// Schema column whose tokens drive window-scoped blocking.
     pub key_column: String,
     /// Stop-token threshold for the per-window blocking index.
@@ -80,7 +77,6 @@ impl Default for StreamConfig {
         StreamConfig {
             tuning: StreamTuning::default(),
             allowed_lateness: 8,
-            strategy: ReportStrategy::default(),
             key_column: "beer_name".to_string(),
             max_block_size: 24,
             serve: ServeConfig::default(),
@@ -107,32 +103,10 @@ struct EngineState {
     reported: BTreeSet<u64>,
 }
 
-/// A closed window turned into a serve submission — built under the state
-/// lock, submitted outside it so backpressure retries never hold the lock.
-struct CloseJob {
-    window: WindowId,
-    start: u64,
-    end: u64,
-    records: usize,
-    candidate_pairs: usize,
-    comparisons: u64,
-    true_duplicates: usize,
-    inline_judged: u64,
-    inline_matched: u64,
-    inputs: BTreeMap<String, Data>,
-}
-
-/// A submitted window-close job awaiting its result.
+/// A submitted window job awaiting its result: the window's close record,
+/// whose inputs went into the submission, and the job's handle.
 struct PendingWindow {
-    window: WindowId,
-    start: u64,
-    end: u64,
-    records: usize,
-    candidate_pairs: usize,
-    comparisons: u64,
-    true_duplicates: usize,
-    inline_judged: u64,
-    inline_matched: u64,
+    close: WindowCloseRecord,
     handle: JobHandle,
 }
 
@@ -144,16 +118,12 @@ struct PendingWindow {
 pub struct StreamEngine {
     tuning: StreamTuning,
     allowed_lateness: u64,
-    strategy: ReportStrategy,
     key_index: usize,
     max_block_size: usize,
     submit_retries: u32,
     submit_backoff: Duration,
     schema: Schema,
     server: PipelineServer,
-    /// Meters inline (continuous-strategy) judgments separately from serve
-    /// jobs so the billing reconciliation can split the ledger exactly.
-    inline_llm: Arc<UsageMeter>,
     tracer: Tracer,
     metrics: StreamMetrics,
     state: Mutex<EngineState>,
@@ -191,16 +161,14 @@ fn int_field(map: &BTreeMap<String, Data>, key: &str) -> i64 {
 }
 
 /// The window-close module: judges the payload's candidate pairs (if any)
-/// and returns `{judged, matched}` totals folded over any counts the
-/// continuous strategy already accumulated inline.
+/// and returns the `{judged, matched}` totals.
 fn window_report_module() -> CustomModule {
     CustomModule::stateless("window_report", |input, ctx| {
         let payload = input.as_map().ok_or(CoreError::DataShape {
-            expected: "map payload with pairs/judged/matched",
+            expected: "map payload with pairs",
             got: "non-map window payload".to_string(),
         })?;
-        let mut judged = int_field(payload, "judged");
-        let mut matched = int_field(payload, "matched");
+        let (mut judged, mut matched) = (0, 0);
         if let Some(pairs) = payload.get("pairs").and_then(Data::as_list) {
             for pair in pairs {
                 // Cooperative cancellation between judgments, so a deadline
@@ -226,9 +194,9 @@ fn window_report_module() -> CustomModule {
 }
 
 impl StreamEngine {
-    /// Start the engine: validate the tuning (through the serve layer, so a
-    /// zero window or slide > window fails *here*, typed), boot the server,
-    /// and register the window-report pipeline.
+    /// Start the engine: validate the tuning (so a zero window or slide >
+    /// window fails *here*, typed), boot the server, and register the
+    /// window-report pipeline.
     pub fn start(
         factory: ContextFactory,
         schema: Schema,
@@ -237,12 +205,9 @@ impl StreamEngine {
         let key_index = schema
             .index_of(&config.key_column)
             .ok_or_else(|| StreamError::UnknownKeyColumn { column: config.key_column.clone() })?;
-
-        let mut serve_config = config.serve.clone();
-        serve_config.stream = Some(config.tuning);
+        config.tuning.validate()?;
 
         let tracer = factory.tracer().clone();
-        let inline_llm = Arc::new(UsageMeter::new(factory.llm()));
 
         // Compile the window-report pipeline against the same factory the
         // server will replicate contexts from.
@@ -260,21 +225,19 @@ impl StreamEngine {
             .compile(&logical, &mut ctx)
             .map_err(|err| StreamError::Serve(ServeError::Core(err)))?;
 
-        let server = PipelineServer::start(factory, serve_config)?;
+        let server = PipelineServer::start(factory, config.serve)?;
         server.register_pipeline(WINDOW_PIPELINE, physical)?;
 
         let journal = server.journal();
         let engine = StreamEngine {
             tuning: config.tuning,
             allowed_lateness: config.allowed_lateness,
-            strategy: config.strategy,
             key_index,
             max_block_size: config.max_block_size,
             submit_retries: config.submit_retries,
             submit_backoff: config.submit_backoff,
             schema,
             server,
-            inline_llm,
             tracer,
             metrics: StreamMetrics::new(),
             state: Mutex::new(EngineState {
@@ -299,12 +262,6 @@ impl StreamEngine {
     /// counts come back identical), resubmit every closed-but-unreported
     /// window job, and remember reported windows so they are never closed
     /// twice.
-    ///
-    /// Continuous-strategy inline judgments are *not* re-run here: their
-    /// verdict counters died with the crashed process (they are journaled
-    /// only at window close), and re-judging would double-bill the inline
-    /// ledger. Crash-exact reports are therefore an
-    /// [`ReportStrategy::OnWindowClose`] guarantee.
     fn restore(&self, checkpoint: StreamCheckpoint) -> Result<(), StreamError> {
         use std::sync::atomic::Ordering::Relaxed;
         if checkpoint == StreamCheckpoint::default() {
@@ -364,29 +321,17 @@ impl StreamEngine {
             }
             closings
         };
-        for job in closings {
-            self.submit_close(job)?;
+        for close in closings {
+            self.submit_close(close)?;
         }
         // Closed-but-unreported windows: the close was durable but the
-        // report never went out. Resubmit the journaled job inputs; if the
-        // job itself finished before the crash, the serve layer's restored
-        // result cache answers without re-executing (exactly-once).
+        // report never went out. Resubmit the journaled record as it is; if
+        // the job itself finished before the crash, the serve layer's
+        // restored result cache answers without re-executing (exactly-once).
         for (_, close) in checkpoint.closed_unreported {
             self.metrics.windows_opened.fetch_add(1, Relaxed);
             self.metrics.windows_closed.fetch_add(1, Relaxed);
-            let job = CloseJob {
-                window: WindowId(close.window),
-                start: close.start,
-                end: close.end,
-                records: close.records,
-                candidate_pairs: close.candidate_pairs,
-                comparisons: close.comparisons,
-                true_duplicates: close.true_duplicates,
-                inline_judged: close.inline_judged,
-                inline_matched: close.inline_matched,
-                inputs: close.inputs,
-            };
-            self.submit_restored(job)?;
+            self.submit_pending(close)?;
         }
         self.tracer.end(span, Vec::new);
         Ok(())
@@ -471,25 +416,6 @@ impl StreamEngine {
                 });
                 let outcome = window.insert_keyed(Arc::clone(&item), &keys, self.max_block_size);
                 self.metrics.comparisons.fetch_add(outcome.candidates.len() as u64, Relaxed);
-                if self.strategy == ReportStrategy::Continuous {
-                    // Judge surfaced pairs immediately through the metered
-                    // inline path. SimLlm never sleeps, so holding the state
-                    // lock here is microseconds; serve jobs provide the
-                    // parallelism that matters.
-                    for &pair in &outcome.candidates {
-                        let (a, b) = window.describe_pair(pair, &self.schema);
-                        let request = CompletionRequest::new(entity_prompt(&a, &b));
-                        let single = self.inline_llm.complete_batch(std::slice::from_ref(&request));
-                        // A pair the LLM gave no answer for is not judged.
-                        let Ok(response) = single.into_single().0 else { continue };
-                        window.judged_inline += 1;
-                        self.metrics.pairs_judged.fetch_add(1, Relaxed);
-                        if is_yes(&response) {
-                            window.matched_inline += 1;
-                            self.metrics.pairs_matched.fetch_add(1, Relaxed);
-                        }
-                    }
-                }
             }
 
             state.since_advance += 1;
@@ -499,16 +425,20 @@ impl StreamEngine {
                 closings = self.advance_watermark_locked(&mut state, candidate);
             }
         }
-        for job in closings {
-            self.submit_close(job)?;
+        for close in closings {
+            self.submit_close(close)?;
         }
         Ok(())
     }
 
     /// Advance the watermark (monotone) and pull every window it passed out
-    /// of the open set. Must hold the state lock; returns jobs to submit
-    /// *after* releasing it.
-    fn advance_watermark_locked(&self, state: &mut EngineState, candidate: u64) -> Vec<CloseJob> {
+    /// of the open set. Must hold the state lock; returns the closes to
+    /// submit *after* releasing it, so backpressure retries never hold it.
+    fn advance_watermark_locked(
+        &self,
+        state: &mut EngineState,
+        candidate: u64,
+    ) -> Vec<WindowCloseRecord> {
         use std::sync::atomic::Ordering::Relaxed;
         if !state.watermark.advance(candidate) {
             return Vec::new();
@@ -540,8 +470,9 @@ impl StreamEngine {
             .collect()
     }
 
-    /// Turn a closed window into a serve submission payload.
-    fn close_window(&self, mut window: WindowState) -> CloseJob {
+    /// Turn a closed window into its close record: the report's metadata and
+    /// the inputs of the window job that judges its candidate pairs.
+    fn close_window(&self, mut window: WindowState) -> WindowCloseRecord {
         use std::sync::atomic::Ordering::Relaxed;
         self.metrics.windows_closed.fetch_add(1, Relaxed);
         let records = window.occupancy();
@@ -556,54 +487,36 @@ impl StreamEngine {
             });
         }
         let (start, end) = window.id.range(&self.tuning);
-        let mut pairs = Vec::new();
-        if self.strategy == ReportStrategy::OnWindowClose {
-            for &pair in window.candidates() {
+        let pairs = window
+            .candidates()
+            .iter()
+            .map(|&pair| {
                 let (a, b) = window.describe_pair(pair, &self.schema);
-                pairs.push(Data::map([
-                    ("a".to_string(), Data::Str(a)),
-                    ("b".to_string(), Data::Str(b)),
-                ]));
-            }
-        }
-        let mut payload = BTreeMap::new();
-        payload.insert("window".to_string(), Data::Int(window.id.0 as i64));
-        payload.insert("pairs".to_string(), Data::List(pairs));
-        payload.insert("judged".to_string(), Data::Int(window.judged_inline as i64));
-        payload.insert("matched".to_string(), Data::Int(window.matched_inline as i64));
-        let mut inputs = BTreeMap::new();
-        inputs.insert("payload".to_string(), Data::Map(payload));
-        CloseJob {
-            window: window.id,
+                Data::map([("a".to_string(), Data::Str(a)), ("b".to_string(), Data::Str(b))])
+            })
+            .collect();
+        let payload = Data::map([
+            ("pairs".to_string(), Data::List(pairs)),
+            ("window".to_string(), Data::Int(window.id.0 as i64)),
+        ]);
+        WindowCloseRecord {
+            window: window.id.0,
             start,
             end,
             records,
             candidate_pairs,
             comparisons,
             true_duplicates: window.true_duplicate_pairs(),
-            inline_judged: window.judged_inline,
-            inline_matched: window.matched_inline,
-            inputs,
+            inputs: BTreeMap::from([("payload".to_string(), payload)]),
         }
     }
 
-    /// Submit a window-close job, journaling the close first so a crash
-    /// between close and report leaves the window resubmittable.
-    fn submit_close(&self, job: CloseJob) -> Result<(), StreamError> {
+    /// Submit a window job, journaling the close first so a crash between
+    /// close and report leaves the window resubmittable.
+    fn submit_close(&self, close: WindowCloseRecord) -> Result<(), StreamError> {
         if let Some(journal) = &self.journal {
             journal
-                .record_window_close(WindowCloseRecord {
-                    window: job.window.0,
-                    start: job.start,
-                    end: job.end,
-                    records: job.records,
-                    candidate_pairs: job.candidate_pairs,
-                    comparisons: job.comparisons,
-                    true_duplicates: job.true_duplicates,
-                    inline_judged: job.inline_judged,
-                    inline_matched: job.inline_matched,
-                    inputs: job.inputs.clone(),
-                })
+                .record_window_close(close.clone())
                 .map_err(|err| ServeError::Journal { reason: err.to_string() })?;
             if journal.dead() {
                 // Simulated crash during the close record: the dead process
@@ -612,13 +525,7 @@ impl StreamEngine {
                 return Ok(());
             }
         }
-        self.submit_pending(job)
-    }
-
-    /// Resubmit a window job restored from the journal — the close record is
-    /// already durable, so only the serve submission runs.
-    fn submit_restored(&self, job: CloseJob) -> Result<(), StreamError> {
-        self.submit_pending(job)
+        self.submit_pending(close)
     }
 
     /// Deterministic backoff jitter in `[0.5, 1.5) × base`, decorrelated
@@ -626,13 +533,8 @@ impl StreamEngine {
     /// closers don't stampede the queue in lockstep — while keeping replay
     /// runs byte-identical (no wall-clock or RNG state involved).
     fn jittered(base: Duration, window: u64, attempt: u32) -> Duration {
-        let mut z = window
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(u64::from(attempt))
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let mut state = window.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(u64::from(attempt));
+        let z = splitmix64(&mut state);
         // Map the hash's top bits onto [500, 1500) thousandths of the base.
         let thousandths = 500 + ((z >> 44) % 1000) as u32;
         base * thousandths / 1000
@@ -640,19 +542,21 @@ impl StreamEngine {
 
     /// The backpressure retry loop: resubmit through [`ServeError::Full`]
     /// with jittered backoff until the retry budget is exhausted, then
-    /// surface [`StreamError::Saturated`] with the exact attempt count.
-    fn submit_pending(&self, job: CloseJob) -> Result<(), StreamError> {
+    /// surface [`StreamError::Saturated`] with the exact attempt count. The
+    /// close's inputs go into the submission; the pending window keeps the
+    /// rest of the record.
+    fn submit_pending(&self, mut close: WindowCloseRecord) -> Result<(), StreamError> {
         use std::sync::atomic::Ordering::Relaxed;
+        let mut request = SubmitRequest::new(WINDOW_PIPELINE).priority(Priority::High);
+        request.inputs = std::mem::take(&mut close.inputs);
         let mut attempts = 0u32;
         let handle = loop {
-            let mut request = SubmitRequest::new(WINDOW_PIPELINE).priority(Priority::High);
-            request.inputs = job.inputs.clone();
-            match self.server.submit(request) {
+            match self.server.submit(request.clone()) {
                 Ok(handle) => break handle,
                 Err(ServeError::Full { .. }) if attempts < self.submit_retries => {
                     attempts += 1;
                     self.metrics.backpressure_stalls.fetch_add(1, Relaxed);
-                    std::thread::sleep(Self::jittered(self.submit_backoff, job.window.0, attempts));
+                    std::thread::sleep(Self::jittered(self.submit_backoff, close.window, attempts));
                 }
                 Err(ServeError::Full { .. }) => {
                     return Err(StreamError::Saturated { attempts });
@@ -660,18 +564,7 @@ impl StreamEngine {
                 Err(err) => return Err(err.into()),
             }
         };
-        self.pending.lock().push(PendingWindow {
-            window: job.window,
-            start: job.start,
-            end: job.end,
-            records: job.records,
-            candidate_pairs: job.candidate_pairs,
-            comparisons: job.comparisons,
-            true_duplicates: job.true_duplicates,
-            inline_judged: job.inline_judged,
-            inline_matched: job.inline_matched,
-            handle,
-        });
+        self.pending.lock().push(PendingWindow { close, handle });
         Ok(())
     }
 
@@ -690,22 +583,31 @@ impl StreamEngine {
             let horizon = state.max_event_time + self.tuning.window + self.allowed_lateness + 1;
             self.advance_watermark_locked(&mut state, horizon)
         };
-        for job in closings {
-            self.submit_close(job)?;
+        for close in closings {
+            self.submit_close(close)?;
         }
         let pending = std::mem::take(&mut *self.pending.lock());
         let mut reports = Vec::with_capacity(pending.len());
-        for p in pending {
+        for PendingWindow { close, handle } in pending {
             if self.journal.as_ref().is_some_and(|journal| journal.dead()) {
                 // Simulated crash: unreported windows stay journaled as
                 // closed-unreported; the next incarnation reports them.
                 break;
             }
-            let output = p.handle.wait()?;
-            let report = output.get("report")?;
-            let report = report.as_map().cloned().unwrap_or_default();
-            let judged = int_field(&report, "judged").max(0) as u64;
-            let matched = int_field(&report, "matched").max(0) as u64;
+            let output = handle.wait()?;
+            let verdicts = output.get("report")?.as_map().cloned().unwrap_or_default();
+            let report = WindowReportRecord {
+                window: close.window,
+                start: close.start,
+                end: close.end,
+                records: close.records,
+                candidate_pairs: close.candidate_pairs,
+                comparisons: close.comparisons,
+                judged: int_field(&verdicts, "judged").max(0) as u64,
+                matched: int_field(&verdicts, "matched").max(0) as u64,
+                true_duplicates: close.true_duplicates,
+                llm: output.llm,
+            };
             if let Some(journal) = &self.journal {
                 // Write-ahead ordering: the report is journaled as submitted
                 // *before* it is handed to the application, so a recovered
@@ -716,49 +618,24 @@ impl StreamEngine {
                     break;
                 }
                 let durable = journal
-                    .record_report_submitted(WindowReportRecord {
-                        window: p.window.0,
-                        start: p.start,
-                        end: p.end,
-                        records: p.records,
-                        candidate_pairs: p.candidate_pairs,
-                        comparisons: p.comparisons,
-                        judged,
-                        matched,
-                        true_duplicates: p.true_duplicates,
-                        llm: output.llm,
-                    })
+                    .record_report_submitted(report.clone())
                     .map_err(|err| ServeError::Journal { reason: err.to_string() })?;
                 if !durable {
                     break;
                 }
             }
-            self.state.lock().reported.insert(p.window.0);
-            // Job-side judgments (beyond what ran inline) join the counters.
-            self.metrics.pairs_judged.fetch_add(judged.saturating_sub(p.inline_judged), Relaxed);
-            self.metrics.pairs_matched.fetch_add(matched.saturating_sub(p.inline_matched), Relaxed);
+            self.state.lock().reported.insert(report.window);
+            self.metrics.pairs_judged.fetch_add(report.judged, Relaxed);
+            self.metrics.pairs_matched.fetch_add(report.matched, Relaxed);
             self.metrics.reports.fetch_add(1, Relaxed);
-            reports.push(WindowReport {
-                window: p.window,
-                start: p.start,
-                end: p.end,
-                records: p.records,
-                candidate_pairs: p.candidate_pairs,
-                comparisons: p.comparisons,
-                judged,
-                matched,
-                true_duplicates: p.true_duplicates,
-                llm: output.llm,
-            });
+            reports.push(WindowReport::from(report));
         }
         reports.sort_by_key(|r| r.window.0);
         Ok(reports)
     }
 
-    /// Streaming counters. The inline-LLM ledger is copied from the engine's
-    /// meter at snapshot time, so it is exact under quiescence.
+    /// Streaming counters (exact under quiescence).
     pub fn metrics(&self) -> StreamSnapshot {
-        *self.metrics.inline_llm.lock() = self.inline_llm.usage();
         self.metrics.snapshot()
     }
 
@@ -805,14 +682,13 @@ mod tests {
     use lingua_dataset::world::WorldSpec;
     use lingua_llm_sim::{SimLlm, SimLlmConfig};
 
-    fn engine(strategy: ReportStrategy) -> (StreamEngine, SyntheticSource) {
+    fn engine() -> (StreamEngine, SyntheticSource) {
         let world = WorldSpec::generate(5);
         let llm = Arc::new(SimLlm::new(&world, SimLlmConfig::default()));
         let factory = ContextFactory::new(llm);
         let source = SyntheticSource::with_seed(5);
         let schema = source.schema().clone();
         let config = StreamConfig {
-            strategy,
             serve: ServeConfig { workers: Some(2), ..ServeConfig::default() },
             ..StreamConfig::default()
         };
@@ -836,28 +712,45 @@ mod tests {
     #[test]
     fn broken_tuning_fails_at_start_typed() {
         let world = WorldSpec::generate(1);
-        let llm = Arc::new(SimLlm::new(&world, SimLlmConfig::default()));
-        let factory = ContextFactory::new(llm);
+        let llm: Arc<dyn lingua_llm_sim::LlmService> =
+            Arc::new(SimLlm::new(&world, SimLlmConfig::default()));
         let schema = SyntheticSource::with_seed(1).schema().clone();
-        let config = StreamConfig {
-            tuning: StreamTuning { window: 8, slide: 16, watermark_interval: 4 },
-            ..StreamConfig::default()
-        };
-        let err = match StreamEngine::start(factory, schema, config) {
-            Ok(_) => panic!("start must reject slide > window"),
-            Err(e) => e,
-        };
-        assert!(matches!(
-            err,
-            StreamError::Serve(ServeError::InvalidConfig(
-                lingua_serve::InvalidConfig::SlideExceedsWindow { slide: 16, window: 8 }
-            ))
-        ));
+        let fine = StreamTuning::default();
+        let cases = [
+            (StreamTuning { window: 0, ..fine }, StreamError::ZeroWindow, "window"),
+            (StreamTuning { slide: 0, ..fine }, StreamError::ZeroSlide, "slide"),
+            (
+                StreamTuning { window: 8, slide: 16, watermark_interval: 4 },
+                StreamError::SlideExceedsWindow { slide: 16, window: 8 },
+                "slide (16 ticks) exceeds the window (8 ticks)",
+            ),
+            (
+                StreamTuning { watermark_interval: 0, ..fine },
+                StreamError::ZeroWatermarkInterval,
+                "watermark_interval",
+            ),
+        ];
+        for (tuning, expected, knob) in cases {
+            let config = StreamConfig { tuning, ..StreamConfig::default() };
+            let factory = ContextFactory::new(Arc::clone(&llm));
+            let err = match StreamEngine::start(factory, schema.clone(), config) {
+                Ok(_) => panic!("start must reject {tuning:?}"),
+                Err(e) => e,
+            };
+            assert_eq!(err, expected);
+            assert!(err.to_string().contains(knob), "{err} should name {knob}");
+        }
+        // Tumbling (slide == window) and sliding (slide < window) both pass.
+        assert_eq!(
+            StreamTuning { window: 16, slide: 16, watermark_interval: 1 }.validate(),
+            Ok(())
+        );
+        assert_eq!(fine.validate(), Ok(()));
     }
 
     #[test]
     fn end_to_end_close_reports_and_conserves() {
-        let (mut engine, mut source) = engine(ReportStrategy::OnWindowClose);
+        let (mut engine, mut source) = engine();
         for item in source.take_records(800) {
             engine.ingest(item).expect("ingest");
         }
@@ -877,8 +770,7 @@ mod tests {
         assert_eq!(judged, snap.pairs_judged);
         assert_eq!(matched, snap.pairs_matched);
         assert!(matched > 0, "seeded duplicates must surface as matches");
-        // On-window-close bills through serve jobs, not the inline meter.
-        assert_eq!(snap.inline_llm.calls, 0);
+        // Every judgment is a window job's call.
         assert!(engine.server_metrics().llm.calls >= judged);
         // Window ids are sorted and unique.
         for pair in reports.windows(2) {
@@ -963,26 +855,9 @@ mod tests {
     }
 
     #[test]
-    fn continuous_strategy_bills_inline() {
-        let (mut engine, mut source) = engine(ReportStrategy::Continuous);
-        for item in source.take_records(400) {
-            engine.ingest(item).expect("ingest");
-        }
-        let reports = engine.finish().expect("finish");
-        let judged: u64 = reports.iter().map(|r| r.judged).sum();
-        let snap = engine.metrics();
-        assert_eq!(judged, snap.pairs_judged);
-        assert!(judged > 0);
-        assert_eq!(snap.inline_llm.calls, judged, "continuous judgments are metered inline");
-        // The window jobs themselves judge nothing.
-        assert_eq!(engine.server_metrics().llm.calls, 0);
-        engine.shutdown();
-    }
-
-    #[test]
     fn same_seed_same_reports() {
         let run = |n: usize| {
-            let (mut engine, mut source) = engine(ReportStrategy::OnWindowClose);
+            let (mut engine, mut source) = engine();
             for item in source.take_records(n) {
                 engine.ingest(item).expect("ingest");
             }
@@ -1014,5 +889,8 @@ mod tests {
         // Decorrelated: synchronized closers spread out instead of
         // stampeding the queue in lockstep.
         assert!(distinct.len() > 100, "only {} distinct delays", distinct.len());
+        // Pinned: the delays move only if the hash behind them does.
+        assert_eq!(StreamEngine::jittered(base, 0, 1), Duration::from_micros(582));
+        assert_eq!(StreamEngine::jittered(base, 7, 3), Duration::from_micros(1388));
     }
 }

@@ -6,11 +6,20 @@ use std::fmt;
 /// Everything that can go wrong starting or driving a [`crate::StreamEngine`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamError {
-    /// The serving substrate rejected a configuration or a job. Misconfigured
-    /// streaming knobs surface here as
-    /// [`ServeError::InvalidConfig`](lingua_serve::InvalidConfig) at
-    /// `start()` — before any record is ingested.
+    /// The serving substrate rejected a configuration or a job.
     Serve(ServeError),
+    /// `window == 0` event-time ticks — no record could ever land in a
+    /// window, so the stream would ingest forever and emit nothing.
+    ZeroWindow,
+    /// `slide == 0` — window assignment divides event time by the slide,
+    /// and a zero slide would put every record in unboundedly many windows.
+    ZeroSlide,
+    /// The slide is wider than the window, leaving event-time gaps that
+    /// silently drop every record falling between windows.
+    SlideExceedsWindow { slide: u64, window: u64 },
+    /// `watermark_interval == 0` — the watermark would never advance, so no
+    /// window would ever close.
+    ZeroWatermarkInterval,
     /// The configured blocking-key column is not in the stream schema.
     UnknownKeyColumn { column: String },
     /// Backpressure retry budget exhausted: the serve queue stayed full
@@ -25,6 +34,22 @@ impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StreamError::Serve(inner) => write!(f, "stream serving error: {inner}"),
+            StreamError::ZeroWindow => {
+                write!(f, "stream window must be > 0 ticks (no record could land in a window)")
+            }
+            StreamError::ZeroSlide => {
+                write!(f, "stream slide must be > 0 ticks (window assignment would not terminate)")
+            }
+            StreamError::SlideExceedsWindow { slide, window } => {
+                write!(
+                    f,
+                    "stream slide ({slide} ticks) exceeds the window ({window} ticks); \
+                     records falling in the gaps would be dropped silently"
+                )
+            }
+            StreamError::ZeroWatermarkInterval => {
+                write!(f, "stream watermark_interval must be > 0 (no window would ever close)")
+            }
             StreamError::UnknownKeyColumn { column } => {
                 write!(f, "blocking key column {column:?} is not in the stream schema")
             }
@@ -43,7 +68,7 @@ impl std::error::Error for StreamError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StreamError::Serve(inner) => Some(inner),
-            StreamError::UnknownKeyColumn { .. } | StreamError::Saturated { .. } => None,
+            _ => None,
         }
     }
 }
@@ -57,14 +82,13 @@ impl From<ServeError> for StreamError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lingua_serve::InvalidConfig;
 
     #[test]
     fn displays_carry_context() {
         let err = StreamError::UnknownKeyColumn { column: "color".into() };
         assert!(err.to_string().contains("color"));
-        let err: StreamError = ServeError::InvalidConfig(InvalidConfig::ZeroWindow).into();
-        assert!(err.to_string().contains("window"));
+        let err: StreamError = ServeError::UnknownPipeline("report".into()).into();
+        assert!(err.to_string().contains("report"));
         let err = StreamError::Saturated { attempts: 37 };
         assert!(err.to_string().contains("37"), "carries the retry count: {err}");
     }

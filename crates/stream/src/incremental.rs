@@ -70,10 +70,6 @@ pub struct WindowState {
     candidates: Vec<(usize, usize)>,
     /// Blocking probes performed (sum of candidate-set sizes per insert).
     comparisons: u64,
-    /// Matches confirmed so far (continuous strategy fills this as pairs are
-    /// judged; on-window-close leaves it to the serve job).
-    pub matched_inline: u64,
-    pub judged_inline: u64,
     /// Cross-thread trace span covering the window's open→close lifetime.
     pub span: Option<ManualSpan>,
 }
@@ -86,8 +82,6 @@ impl WindowState {
             blocks: BTreeMap::new(),
             candidates: Vec::new(),
             comparisons: 0,
-            matched_inline: 0,
-            judged_inline: 0,
             span: None,
         }
     }

@@ -60,12 +60,10 @@ pub use engine::{entity_prompt, StreamConfig, StreamEngine, WINDOW_PIPELINE};
 pub use error::StreamError;
 pub use incremental::{blocking_keys, InsertOutcome, WindowState};
 pub use metrics::{StreamMetrics, StreamSnapshot};
-pub use report::{ReportStrategy, WindowReport};
+pub use report::WindowReport;
 pub use source::{StreamSource, SyntheticSource};
-pub use window::{closed_through, windows_for, Watermark, WindowId};
+pub use window::{closed_through, windows_for, StreamTuning, Watermark, WindowId};
 
-// The event-time tuning lives in the serve crate (it is validated by
-// `ServeConfig`), and stream items come from the dataset generator; re-export
-// both so engine users need only this crate.
+// Stream items come from the dataset generator; re-export them so engine
+// users need only this crate.
 pub use lingua_dataset::generators::stream::{StreamItem, StreamSpec};
-pub use lingua_serve::StreamTuning;

@@ -7,8 +7,6 @@
 //! exact — `ingested == assigned_records + late_dropped` and
 //! `windows_opened == windows_closed + windows_open`.
 
-use lingua_llm_sim::Usage;
-use lingua_ml::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free streaming counters (relaxed atomics; exact under quiescence).
@@ -28,7 +26,7 @@ pub struct StreamMetrics {
     pub(crate) windows_closed: AtomicU64,
     /// Blocking-index probes (candidate comparisons generated).
     pub(crate) comparisons: AtomicU64,
-    /// Candidate pairs judged by the matcher (inline or in serve jobs).
+    /// Candidate pairs judged by the matcher in window jobs.
     pub(crate) pairs_judged: AtomicU64,
     pub(crate) pairs_matched: AtomicU64,
     /// Watermark advances observed.
@@ -36,9 +34,6 @@ pub struct StreamMetrics {
     /// Submissions that hit a full serve queue and had to retry.
     pub(crate) backpressure_stalls: AtomicU64,
     pub(crate) reports: AtomicU64,
-    /// Usage billed by *inline* (continuous-strategy) judgments. Serve-job
-    /// usage is booked by the serve layer's own meters.
-    pub(crate) inline_llm: Mutex<Usage>,
     /// Event-time frontier (max event time seen) and current watermark.
     pub(crate) max_event_time: AtomicU64,
     pub(crate) watermark: AtomicU64,
@@ -69,7 +64,6 @@ impl StreamMetrics {
             watermark_advances: self.watermark_advances.load(Ordering::Relaxed),
             backpressure_stalls: self.backpressure_stalls.load(Ordering::Relaxed),
             reports: self.reports.load(Ordering::Relaxed),
-            inline_llm: *self.inline_llm.lock(),
             max_event_time,
             watermark,
             watermark_lag: max_event_time.saturating_sub(watermark),
@@ -94,9 +88,6 @@ pub struct StreamSnapshot {
     pub watermark_advances: u64,
     pub backpressure_stalls: u64,
     pub reports: u64,
-    /// Usage billed by inline (continuous) judgments; serve-side usage lives
-    /// in the serve `MetricsSnapshot`.
-    pub inline_llm: Usage,
     pub max_event_time: u64,
     pub watermark: u64,
     /// How far the watermark trails the event-time frontier.

@@ -1,25 +1,8 @@
-//! Window match reports and the strategies that produce them.
+//! Window match reports.
 
 use crate::window::WindowId;
+use lingua_durable::WindowReportRecord;
 use lingua_llm_sim::Usage;
-
-/// When match verdicts are produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReportStrategy {
-    /// Defer every judgment to window close: candidate pairs accumulate
-    /// while the window is open, then one serve job judges the whole batch
-    /// under panic isolation, deadlines, and result caching. Cheapest per
-    /// pair (one job per window) and the natural fit for cost-capped
-    /// curation.
-    #[default]
-    OnWindowClose,
-    /// Judge each candidate pair the moment blocking surfaces it, through
-    /// the engine's metered inline path. Matches surface with minimal
-    /// latency; the window-close job only aggregates. Costs the same number
-    /// of LLM calls, but spends them earlier and without the serve batch
-    /// protections.
-    Continuous,
-}
 
 /// The per-window result emitted when a window closes.
 #[derive(Debug, Clone)]
@@ -40,9 +23,25 @@ pub struct WindowReport {
     pub matched: u64,
     /// Ground-truth duplicate pairs in the window (hidden-entity oracle).
     pub true_duplicates: usize,
-    /// LLM usage billed for this window's judgments (job-side for
-    /// on-window-close; zero for continuous, whose usage is inline).
+    /// LLM usage billed by the window job that judged the candidates.
     pub llm: Usage,
+}
+
+impl From<WindowReportRecord> for WindowReport {
+    fn from(record: WindowReportRecord) -> WindowReport {
+        WindowReport {
+            window: WindowId(record.window),
+            start: record.start,
+            end: record.end,
+            records: record.records,
+            candidate_pairs: record.candidate_pairs,
+            comparisons: record.comparisons,
+            judged: record.judged,
+            matched: record.matched,
+            true_duplicates: record.true_duplicates,
+            llm: record.llm,
+        }
+    }
 }
 
 impl WindowReport {
@@ -89,10 +88,5 @@ mod tests {
         assert!(line.contains("matched"));
         assert!(line.contains('9'));
         assert!(line.contains("truth"));
-    }
-
-    #[test]
-    fn default_strategy_is_on_window_close() {
-        assert_eq!(ReportStrategy::default(), ReportStrategy::OnWindowClose);
     }
 }

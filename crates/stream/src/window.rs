@@ -8,7 +8,53 @@
 //! integer arithmetic over ticks — no clocks, no floats — so the same record
 //! sequence produces the same window assignments on every run.
 
-use lingua_serve::StreamTuning;
+use crate::error::StreamError;
+
+/// Event-time knobs for the windows.
+///
+/// All quantities are in *event-time ticks* — the logical timestamps stamped
+/// on stream records — not wall time, so a seeded replay closes the same
+/// windows at the same points regardless of host speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamTuning {
+    /// Window length in event-time ticks.
+    pub window: u64,
+    /// Slide between consecutive window starts; `slide == window` makes the
+    /// windows tumbling, `slide < window` sliding (records land in
+    /// `window / slide` windows). Must not exceed `window`.
+    pub slide: u64,
+    /// Ingests between watermark recomputations. `1` re-derives the
+    /// watermark on every record; larger values batch the (cheap) window
+    /// close scan.
+    pub watermark_interval: u64,
+}
+
+impl Default for StreamTuning {
+    fn default() -> Self {
+        StreamTuning { window: 64, slide: 32, watermark_interval: 8 }
+    }
+}
+
+impl StreamTuning {
+    /// Reject knobs that would stall the stream: a window that never closes
+    /// looks exactly like a slow stream from the outside, so a broken tuning
+    /// fails at `start()`, typed, naming the knob.
+    pub fn validate(&self) -> Result<(), StreamError> {
+        if self.window == 0 {
+            return Err(StreamError::ZeroWindow);
+        }
+        if self.slide == 0 {
+            return Err(StreamError::ZeroSlide);
+        }
+        if self.slide > self.window {
+            return Err(StreamError::SlideExceedsWindow { slide: self.slide, window: self.window });
+        }
+        if self.watermark_interval == 0 {
+            return Err(StreamError::ZeroWatermarkInterval);
+        }
+        Ok(())
+    }
+}
 
 /// A window's index; window `k` covers `[k·slide, k·slide + len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -13,10 +13,10 @@ use lingua_core::ContextFactory;
 use lingua_dataset::world::WorldSpec;
 use lingua_llm_sim::{SimLlm, SimLlmConfig};
 use lingua_ml::check::check;
-use lingua_serve::{ServeConfig, StreamTuning};
+use lingua_serve::ServeConfig;
 use lingua_stream::{
     closed_through, windows_for, StreamConfig, StreamEngine, StreamSource, StreamSpec,
-    SyntheticSource,
+    StreamTuning, SyntheticSource,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

@@ -6,23 +6,18 @@
 //! restored ledger plus replayed executions bill exactly what the
 //! uninterrupted run billed.
 //!
-//! Exactness preconditions (documented as recovery invariants in
-//! DESIGN.md §15):
-//!
-//! - `watermark_interval == 1`, so the recovered engine's advance cadence
-//!   matches the crashed one's (the watermark is re-derived from the
-//!   journaled frontier at restore).
-//! - [`ReportStrategy::OnWindowClose`]: continuous inline verdicts are not
-//!   re-run at restore, so crash-exact reports are a close-strategy
-//!   guarantee.
+//! Exactness precondition (documented as a recovery invariant in
+//! DESIGN.md §15): `watermark_interval == 1`, so the recovered engine's
+//! advance cadence matches the crashed one's (the watermark is re-derived
+//! from the journaled frontier at restore).
 
 use lingua_core::ContextFactory;
 use lingua_dataset::world::WorldSpec;
 use lingua_durable::{CrashInjector, JournalTuning, KillPoint, SimStorage};
 use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig, TokenPricing, Usage};
-use lingua_serve::{ServeConfig, StreamTuning};
+use lingua_serve::ServeConfig;
 use lingua_stream::{
-    ReportStrategy, StreamConfig, StreamEngine, StreamItem, StreamSource, StreamSpec,
+    StreamConfig, StreamEngine, StreamItem, StreamSource, StreamSpec, StreamTuning,
     SyntheticSource, WindowReport,
 };
 use std::sync::Arc;
@@ -35,7 +30,6 @@ fn stream_config(journal: JournalTuning) -> StreamConfig {
     StreamConfig {
         tuning: StreamTuning { window: 32, slide: 16, watermark_interval: 1 },
         allowed_lateness: 8,
-        strategy: ReportStrategy::OnWindowClose,
         serve: ServeConfig { workers: Some(2), journal: Some(journal), ..ServeConfig::default() },
         ..StreamConfig::default()
     }

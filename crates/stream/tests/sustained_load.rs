@@ -11,8 +11,9 @@
 //!    `assignments × max window occupancy`, and are orders of magnitude
 //!    below the corpus-quadratic count a full rescan would have paid.
 //! 3. **Cent-exact billing** — the shared simulator's ledger equals, to the
-//!    call and the token, the sum of what the engine's inline meter and the
-//!    serve layer's job meters booked. No call is lost or double-billed.
+//!    call and the token, what the serve layer's job meters booked: every
+//!    call the stream makes is a window job's. No call is lost or
+//!    double-billed.
 //!
 //! How many records arrive *late* is not among them: with eight threads on
 //! fewer cores a descheduled thread falls behind the event-time frontier the
@@ -26,10 +27,9 @@ use lingua_core::ContextFactory;
 use lingua_dataset::world::WorldSpec;
 use lingua_gateway::{Gateway, ServiceTransport};
 use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig, TokenPricing, Usage};
-use lingua_serve::{ServeConfig, StreamTuning};
+use lingua_serve::ServeConfig;
 use lingua_stream::{
-    ReportStrategy, StreamConfig, StreamEngine, StreamItem, StreamSource, StreamSpec,
-    SyntheticSource,
+    StreamConfig, StreamEngine, StreamItem, StreamSource, StreamSpec, StreamTuning, SyntheticSource,
 };
 use std::sync::Arc;
 
@@ -37,10 +37,7 @@ const THREADS: usize = 8;
 const TOTAL: usize = 10_000;
 
 /// The simulator, an engine over it, and the seeded 10k records.
-fn start(
-    strategy: ReportStrategy,
-    max_block_size: usize,
-) -> (Arc<SimLlm>, Arc<StreamEngine>, Vec<StreamItem>) {
+fn start(max_block_size: usize) -> (Arc<SimLlm>, Arc<StreamEngine>, Vec<StreamItem>) {
     let seed = 99;
     let world = WorldSpec::generate(seed);
     let llm = Arc::new(SimLlm::new(&world, SimLlmConfig { seed, ..Default::default() }));
@@ -54,7 +51,6 @@ fn start(
         // a descheduled thread can fall arbitrarily far behind the frontier
         // the others advance — give the watermark generous slack.
         allowed_lateness: 256,
-        strategy,
         max_block_size,
         // This test measures conservation under load, not backpressure (that
         // is `tiny_queue_backpressure_survives`). An undersized queue couples
@@ -76,8 +72,9 @@ fn start(
     (llm, engine, records)
 }
 
-fn run_sustained(strategy: ReportStrategy) {
-    let (llm, engine, records) = start(strategy, StreamConfig::default().max_block_size);
+#[test]
+fn sustained_load_on_window_close() {
+    let (llm, engine, records) = start(StreamConfig::default().max_block_size);
 
     // Strided split: thread i takes records i, i+8, i+16, … so all threads
     // move through event time together (a contiguous split would have the
@@ -127,10 +124,9 @@ fn run_sustained(strategy: ReportStrategy) {
         snap.comparisons
     );
 
-    // 3. Cent-exact billing: shared ledger == inline meter + job meters.
+    // 3. Cent-exact billing: shared ledger == the window jobs' meters.
     let ledger = llm.usage();
     let mut booked = Usage::default();
-    booked.merge(&snap.inline_llm);
     booked.merge(&serve.llm);
     booked.merge(&serve.llm_partial);
     assert_eq!(booked.calls, ledger.calls, "call counts reconcile");
@@ -144,31 +140,12 @@ fn run_sustained(strategy: ReportStrategy) {
     // The matcher actually did work under load.
     assert!(snap.pairs_judged > 0);
     assert!(snap.pairs_matched > 0);
-    match strategy {
-        ReportStrategy::OnWindowClose => {
-            assert_eq!(snap.inline_llm.calls, 0, "close strategy bills via serve jobs");
-            assert_eq!(snap.pairs_judged, snap.inline_llm.calls + serve.llm.calls);
-        }
-        ReportStrategy::Continuous => {
-            assert_eq!(snap.pairs_judged, snap.inline_llm.calls, "continuous bills inline");
-            assert_eq!(serve.llm.calls, 0, "window jobs only aggregate");
-        }
-    }
+    assert_eq!(snap.pairs_judged, serve.llm.calls, "one window-job call per judged pair");
 
     // Serve-side books for the window jobs themselves.
     assert_eq!(serve.accepted, snap.windows_closed, "one job per closed window");
     assert_eq!(serve.completed, snap.windows_closed);
     assert_eq!(serve.failed + serve.timed_out + serve.panicked + serve.cancelled, 0);
-}
-
-#[test]
-fn sustained_load_on_window_close() {
-    run_sustained(ReportStrategy::OnWindowClose);
-}
-
-#[test]
-fn sustained_load_continuous() {
-    run_sustained(ReportStrategy::Continuous);
 }
 
 /// The same records from one thread: lateness is the generator's disorder
@@ -177,7 +154,7 @@ fn sustained_load_continuous() {
 /// yields no candidate pairs) and costs what assigning 10k records costs.
 #[test]
 fn single_threaded_ingest_drops_nothing_late() {
-    let (_, engine, records) = start(ReportStrategy::OnWindowClose, 0);
+    let (_, engine, records) = start(0);
     for item in records {
         engine.ingest(item).expect("ingest");
     }

@@ -11,8 +11,8 @@
 use lingua_core::ContextFactory;
 use lingua_dataset::world::WorldSpec;
 use lingua_llm_sim::{SimLlm, SimLlmConfig, TokenPricing};
-use lingua_serve::{ServeConfig, StreamTuning};
-use lingua_stream::{StreamConfig, StreamEngine, StreamSource, SyntheticSource};
+use lingua_serve::ServeConfig;
+use lingua_stream::{StreamConfig, StreamEngine, StreamSource, StreamTuning, SyntheticSource};
 use std::sync::Arc;
 
 fn main() {
@@ -53,12 +53,7 @@ fn main() {
     let pricing = TokenPricing::default();
     let job_usage = engine.server_metrics().llm;
     println!("\n{}", snapshot.report());
-    println!(
-        "cost: ${:.4} across {} window jobs (inline ${:.4})",
-        job_usage.cost_usd(&pricing),
-        reports.len(),
-        snapshot.inline_llm.cost_usd(&pricing),
-    );
+    println!("cost: ${:.4} across {} window jobs", job_usage.cost_usd(&pricing), reports.len(),);
     println!(
         "incremental work: {} blocking probes for {} records — bounded by window \
          occupancy, not stream length",
