@@ -37,11 +37,27 @@
 //! poisoning its siblings. The flush runs on one member's thread, but that
 //! decides nothing: every layer below asks each request's own token, so the
 //! flusher's deadline is not its siblings' problem, and a member whose job
-//! dies later (while the gateway re-dispatches a faulted batch member by
-//! member) stops being worked for without taking anyone with it.
+//! dies later (while the gateway walks it down the failover ladder) stops
+//! being worked for without taking anyone with it.
+//!
+//! # Re-sending
+//!
+//! A member the backend answers [`NoAnswer::Resend`] — the gateway placed it
+//! and got no answer, and it has attempts left — re-enters the filling batch
+//! on its own thread, exactly as it first arrived, with the attempts it has
+//! spent on its request. It therefore rides the next flush beside other
+//! jobs' members instead of paying for a wire call of its own. Its token is
+//! checked again first: a member whose job died meanwhile is refused
+//! [`NoAnswer::Cancelled`], unbilled, and counted in `cancelled_members`.
+//! The resend verdict never leaves the batcher.
+//!
+//! For the whole of a member's [`LlmService::complete_batch`] its job's token
+//! carries a [`WaitMark`], so the serve supervisor can tell a worker waiting
+//! here from one that computes.
 
 use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer, Usage,
+    BatchOutcome, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer,
+    Usage, WaitMark,
 };
 use lingua_ml::sync::{Condvar, Mutex};
 use lingua_trace::{SpanKind, Tracer};
@@ -96,6 +112,9 @@ pub struct FlushRecord {
     /// Live members answered without billing (cache hits and in-batch
     /// coalesces; see [`BatchOutcome::saved_members`]).
     pub saved: usize,
+    /// Live members the backend answered [`NoAnswer::Resend`]; each rides a
+    /// later flush.
+    pub resent: usize,
     pub reason: FlushReason,
     /// Exact usage the backend booked for this flush.
     pub usage: Usage,
@@ -106,7 +125,8 @@ pub struct FlushRecord {
 pub struct BatchSnapshot {
     /// Batches flushed.
     pub batches: u64,
-    /// Members across all flushed batches (live + cancelled).
+    /// Members across all flushed batches (live + cancelled), a re-sent
+    /// member once per flush it rode.
     pub members: u64,
     /// Flushes triggered by reaching `max_batch_size`.
     pub size_flushes: u64,
@@ -114,7 +134,8 @@ pub struct BatchSnapshot {
     pub window_flushes: u64,
     /// Live members answered without billing (cache/coalesce savings).
     pub saved_members: u64,
-    /// Members dropped from their batch by cancellation, unbilled.
+    /// Members dropped from their batch by cancellation, unbilled — at a
+    /// flush, or while waiting to re-enter after a resend.
     pub cancelled_members: u64,
     /// Largest occupancy any flush reached.
     pub max_occupancy: u64,
@@ -316,6 +337,11 @@ impl Batcher {
             outcome
         };
         let saved = outcome.saved_members();
+        let resent = outcome
+            .responses
+            .iter()
+            .filter(|response| matches!(response, Err(NoAnswer::Resend { .. })))
+            .count();
         for (index, split) in outcome.splits.iter().enumerate() {
             self.tracer.instant_under(Some(span.id()), SpanKind::Batch, "split", || {
                 vec![
@@ -343,6 +369,7 @@ impl Batcher {
                 live: live_requests.len(),
                 cancelled,
                 saved,
+                resent,
                 reason,
                 usage: outcome.batch_usage,
             });
@@ -396,20 +423,50 @@ impl Batcher {
 
 impl LlmService for Batcher {
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
-        let cells: Vec<Arc<MemberCell>> = requests.iter().map(|_| MemberCell::new()).collect();
-        // A member whose job is already dead never joins a batch: refused on
-        // the spot, nothing billed anywhere.
-        let mut live = Vec::with_capacity(requests.len());
-        for (request, cell) in requests.iter().zip(&cells) {
-            match request.cancelled() {
-                Some(why) => cell.fill((Err(NoAnswer::Cancelled(why)), Usage::default())),
-                None => live.push(Member { request: request.clone(), cell: Arc::clone(cell) }),
+        let _waiting: Vec<WaitMark> =
+            requests.iter().filter_map(|r| r.token().map(CancelToken::wait_mark)).collect();
+        let mut answers: Vec<Option<Answer>> = vec![None; requests.len()];
+        // Members still to (re-)enter: index, request, and whether a flush
+        // already carried it.
+        let mut entering: Vec<(usize, CompletionRequest, bool)> =
+            requests.iter().cloned().enumerate().map(|(index, r)| (index, r, false)).collect();
+        while !entering.is_empty() {
+            // A member whose job is dead never (re-)joins a batch: refused on
+            // the spot, nothing billed anywhere.
+            let mut joined = Vec::with_capacity(entering.len());
+            for (index, request, resent) in entering.drain(..) {
+                match request.cancelled() {
+                    Some(why) => {
+                        if resent {
+                            self.counters.cancelled_members.fetch_add(1, Ordering::Relaxed);
+                        }
+                        answers[index] = Some((Err(NoAnswer::Cancelled(why)), Usage::default()));
+                    }
+                    None => joined.push((index, request, MemberCell::new())),
+                }
+            }
+            if joined.is_empty() {
+                break;
+            }
+            self.enqueue(
+                joined
+                    .iter()
+                    .map(|(_, request, cell)| Member {
+                        request: request.clone(),
+                        cell: Arc::clone(cell),
+                    })
+                    .collect(),
+            );
+            for (index, request, cell) in joined {
+                match cell.wait() {
+                    (Err(NoAnswer::Resend { attempts }), _) => {
+                        entering.push((index, request.with_attempts(attempts), true));
+                    }
+                    answer => answers[index] = Some(answer),
+                }
             }
         }
-        if !live.is_empty() {
-            self.enqueue(live);
-        }
-        cells.iter().map(|cell| cell.wait()).collect()
+        answers.into_iter().map(|answer| answer.expect("every member answered")).collect()
     }
 
     fn embed(&self, text: &str) -> Vec<f64> {
@@ -731,6 +788,150 @@ mod tests {
         let snap = batcher.snapshot();
         assert_eq!(snap.size_flushes, 1, "size trigger fires immediately at capacity 1");
         assert_eq!(snap.window_flushes, 0);
+    }
+
+    /// Answers `Resend` the first time it is sent a member of `prompt`
+    /// (cancelling `token` first, if set), unbilled, and everything else
+    /// from `inner`; logs each call's prompts.
+    struct ResendOnce {
+        inner: Arc<SimLlm>,
+        prompt: String,
+        token: Option<CancelToken>,
+        calls: Mutex<Vec<Vec<String>>>,
+    }
+
+    impl ResendOnce {
+        fn new(inner: Arc<SimLlm>, prompt: &CompletionRequest) -> ResendOnce {
+            ResendOnce {
+                inner,
+                prompt: prompt.prompt.clone(),
+                token: None,
+                calls: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl LlmService for ResendOnce {
+        fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+            let first = self.calls.lock().iter().flatten().all(|p| *p != self.prompt);
+            self.calls.lock().push(requests.iter().map(|r| r.prompt.clone()).collect());
+            requests
+                .iter()
+                .map(|request| {
+                    if first && request.prompt == self.prompt {
+                        if let Some(token) = &self.token {
+                            token.cancel();
+                        }
+                        return (Err(NoAnswer::Resend { attempts: 1 }), Usage::default());
+                    }
+                    self.inner.complete_batch(std::slice::from_ref(request)).into_single()
+                })
+                .collect()
+        }
+        fn embed(&self, text: &str) -> Vec<f64> {
+            self.inner.embed(text)
+        }
+        fn usage(&self) -> Usage {
+            self.inner.usage()
+        }
+        fn simulated_latency_ms(&self) -> u64 {
+            0
+        }
+        fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
+            unreachable!("not exercised")
+        }
+        fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
+            unreachable!("not exercised")
+        }
+        fn repair_code(
+            &self,
+            _spec: &CodeGenSpec,
+            _previous: &GeneratedCode,
+            _suggestion: &str,
+        ) -> GeneratedCode {
+            unreachable!("not exercised")
+        }
+    }
+
+    #[test]
+    fn a_resent_member_rides_a_later_flush_with_another_callers_member() {
+        let (resent, sibling, later) = (prompt(0), prompt(1), prompt(2));
+        let service = sim(9);
+        let reference = sim(9);
+        let backend = Arc::new(ResendOnce::new(service.clone(), &resent));
+        let batcher = Arc::new(Batcher::new(
+            backend.clone(),
+            BatchConfig { max_batch_size: 2, max_wait: Duration::from_secs(30) },
+        ));
+        let token = CancelToken::unbounded();
+        std::thread::scope(|scope| {
+            let member = {
+                let (batcher, request) = (Arc::clone(&batcher), resent.clone());
+                let request = request.with_cancel(token.clone());
+                scope.spawn(move || answer(&batcher, &request))
+            };
+            while batcher.pending_members() < 1 {
+                std::thread::yield_now();
+            }
+            assert!(token.is_waiting(), "a member in a filling batch marks its job waiting");
+            // Filling the batch flushes it here; the resent member re-enters
+            // on its own thread and waits for the next caller.
+            assert_eq!(batcher.complete(&sibling), reference.complete(&sibling));
+            while batcher.pending_members() < 1 {
+                std::thread::yield_now();
+            }
+            assert!(token.is_waiting(), "still waiting while it waits to re-enter");
+            assert_eq!(batcher.complete(&later), reference.complete(&later));
+            let answered = member.join().expect("no panic");
+            assert_eq!(answered.as_deref(), Ok(reference.complete(&resent).as_str()));
+        });
+        assert!(!token.is_waiting(), "the mark ends with the call");
+        let prompts = |requests: &[&CompletionRequest]| -> Vec<String> {
+            requests.iter().map(|r| r.prompt.clone()).collect()
+        };
+        assert_eq!(
+            *backend.calls.lock(),
+            [prompts(&[&resent, &sibling]), prompts(&[&resent, &later])],
+            "the member rode both flushes"
+        );
+        let log = batcher.flush_log();
+        let flushes: Vec<(usize, usize, FlushReason)> =
+            log.iter().map(|f| (f.occupancy, f.resent, f.reason)).collect();
+        assert_eq!(flushes, [(2, 1, FlushReason::Size), (2, 0, FlushReason::Size)]);
+        assert_eq!(service.usage(), reference.usage(), "each member billed once");
+        let snap = batcher.snapshot();
+        assert_eq!((snap.batches, snap.members, snap.cancelled_members), (2, 4, 0));
+    }
+
+    #[test]
+    fn a_member_whose_job_dies_before_it_re_enters_is_refused_unbilled() {
+        let (doomed, sibling) = (prompt(0), prompt(1));
+        let service = sim(10);
+        let reference = sim(10);
+        let token = CancelToken::unbounded();
+        let backend = Arc::new(ResendOnce {
+            token: Some(token.clone()),
+            ..ResendOnce::new(service.clone(), &doomed)
+        });
+        let batcher = Arc::new(Batcher::new(
+            backend.clone(),
+            BatchConfig { max_batch_size: 2, max_wait: Duration::from_secs(30) },
+        ));
+        std::thread::scope(|scope| {
+            let member = {
+                let (batcher, request) = (Arc::clone(&batcher), doomed.clone());
+                scope.spawn(move || answer(&batcher, &request.with_cancel(token)))
+            };
+            while batcher.pending_members() < 1 {
+                std::thread::yield_now();
+            }
+            assert_eq!(batcher.complete(&sibling), reference.complete(&sibling));
+            assert_eq!(member.join().expect("no panic"), REFUSED);
+        });
+        assert_eq!(backend.calls.lock().len(), 1, "the refused member rode no second flush");
+        assert_eq!(service.usage(), reference.usage(), "only the sibling billed");
+        let snap = batcher.snapshot();
+        assert_eq!((snap.batches, snap.members, snap.cancelled_members), (1, 2, 1));
     }
 
     #[test]

@@ -5,11 +5,16 @@
 //! could not absorb is a typed [`lingua_llm_sim::NoAnswer`] member. The
 //! four fault classes model the failures a hosted LLM API actually produces:
 //! deadline misses, load shedding, 5xx-style hiccups, and syntactically broken
-//! payloads. A batched call that dies partway carries the answers it had
-//! already delivered beside its fault ([`TransportError::Partial`]).
+//! payloads. A batched call that did not answer every member carries one
+//! verdict per member it reached ([`TransportError::Partial`]).
 
-use lingua_llm_sim::BatchOutcome;
+use lingua_llm_sim::{NoAnswer, Usage};
 use std::fmt;
+use std::sync::Arc;
+
+/// One member's verdict in a batched call: its answer and the usage billed
+/// for it, or the fault that member alone drew.
+pub type Verdict = Result<(Result<Arc<str>, NoAnswer>, Usage), TransportError>;
 
 /// The class of a transport fault, used as a metrics key and by the
 /// fault-injection plan.
@@ -28,6 +33,14 @@ impl FaultClass {
         FaultClass::TransientServer,
         FaultClass::MalformedOutput,
     ];
+
+    /// Whether a fault belongs to one member of a batched call rather than to
+    /// the connection carrying it. The model failing on one prompt (a crashed
+    /// worker, a broken payload) leaves the call's other members answered; a
+    /// deadline or a shed connection ends the whole call where it struck.
+    pub fn is_member_scoped(self) -> bool {
+        matches!(self, FaultClass::TransientServer | FaultClass::MalformedOutput)
+    }
 
     pub fn label(self) -> &'static str {
         match self {
@@ -56,11 +69,13 @@ pub enum TransportError {
     TransientServer { message: String },
     /// The backend answered, but the payload failed output validation.
     MalformedOutput { preview: String },
-    /// A batched call that died at member *k*: `delivered` holds the answers
-    /// for members `0..k`, which the backend computed and billed, and `fault`
-    /// is member *k*'s. Members after *k* were never reached. Its class, retry
-    /// verdict and hint are the fault's.
-    Partial { delivered: BatchOutcome, fault: Box<TransportError> },
+    /// A batched call that did not answer every member. `verdicts[i]` is
+    /// member *i*'s answer or its own member-scoped fault. When `cut` is set,
+    /// a connection-scoped fault ended the call at member `verdicts.len()`:
+    /// that member drew it, and the members after it were never reached. Its
+    /// class, retry verdict and hint are those of the cut, else of its first
+    /// member fault.
+    Partial { verdicts: Vec<Verdict>, cut: Option<Box<TransportError>> },
 }
 
 impl TransportError {
@@ -70,7 +85,22 @@ impl TransportError {
             TransportError::RateLimited { .. } => FaultClass::RateLimited,
             TransportError::TransientServer { .. } => FaultClass::TransientServer,
             TransportError::MalformedOutput { .. } => FaultClass::MalformedOutput,
-            TransportError::Partial { fault, .. } => fault.class(),
+            // A partial call without a fault is itself a malformed reply.
+            TransportError::Partial { .. } => {
+                self.fault().map_or(FaultClass::MalformedOutput, TransportError::class)
+            }
+        }
+    }
+
+    /// The fault that answers for this error: itself, or for a partial call
+    /// the cut, else its first member fault.
+    fn fault(&self) -> Option<&TransportError> {
+        match self {
+            TransportError::Partial { verdicts, cut } => cut
+                .as_deref()
+                .or_else(|| verdicts.iter().find_map(|verdict| verdict.as_ref().err()))
+                .and_then(TransportError::fault),
+            plain => Some(plain),
         }
     }
 
@@ -89,7 +119,7 @@ impl TransportError {
     pub fn retry_after_ms(&self) -> Option<u64> {
         match self {
             TransportError::RateLimited { retry_after_ms } => Some(*retry_after_ms),
-            TransportError::Partial { fault, .. } => fault.retry_after_ms(),
+            TransportError::Partial { .. } => self.fault()?.retry_after_ms(),
             _ => None,
         }
     }
@@ -110,8 +140,12 @@ impl fmt::Display for TransportError {
             TransportError::MalformedOutput { preview } => {
                 write!(f, "backend returned malformed output: {preview:?}")
             }
-            TransportError::Partial { delivered, fault } => {
-                write!(f, "{fault}, after {} delivered members", delivered.responses.len())
+            TransportError::Partial { verdicts, .. } => {
+                let answered = verdicts.iter().filter(|verdict| verdict.is_ok()).count();
+                match self.fault() {
+                    Some(fault) => write!(f, "{fault}, beside {answered} answered members"),
+                    None => write!(f, "a partial call without a fault"),
+                }
             }
         }
     }
@@ -160,15 +194,33 @@ mod tests {
             TransportError::TransientServer { message: "oops".into() },
             TransportError::MalformedOutput { preview: "{...".into() },
         ];
+        let answered: Verdict = Ok((Ok(Arc::from("yes")), Usage::default()));
         for fault in errors {
-            let partial = TransportError::Partial {
-                delivered: BatchOutcome::default(),
-                fault: Box::new(fault.clone()),
+            let cut = TransportError::Partial {
+                verdicts: vec![
+                    answered.clone(),
+                    Err(TransportError::TransientServer { message: "member".into() }),
+                ],
+                cut: Some(Box::new(fault.clone())),
             };
-            assert_eq!(partial.class(), fault.class());
-            assert_eq!(partial.is_retryable(), fault.is_retryable());
-            assert_eq!(partial.retry_after_ms(), fault.retry_after_ms());
-            assert!(partial.to_string().starts_with(&fault.to_string()));
+            let member = TransportError::Partial {
+                verdicts: vec![answered.clone(), Err(fault.clone())],
+                cut: None,
+            };
+            for partial in [cut, member] {
+                assert_eq!(partial.class(), fault.class());
+                assert_eq!(partial.is_retryable(), fault.is_retryable());
+                assert_eq!(partial.retry_after_ms(), fault.retry_after_ms());
+                assert!(partial.to_string().starts_with(&fault.to_string()));
+            }
         }
+        let faultless = TransportError::Partial { verdicts: vec![answered], cut: None };
+        assert_eq!(faultless.class(), FaultClass::MalformedOutput);
+    }
+
+    #[test]
+    fn only_the_model_failing_on_a_prompt_is_member_scoped() {
+        let scoped: Vec<bool> = FaultClass::ALL.iter().map(|c| c.is_member_scoped()).collect();
+        assert_eq!(scoped, [false, false, true, true]);
     }
 }

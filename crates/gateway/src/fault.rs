@@ -7,7 +7,7 @@
 //! across prompts — so chaos tests can *replay* the plan and assert exact
 //! retry/failover counts instead of asserting "roughly 20%".
 
-use crate::{FaultClass, LlmTransport, TransportError};
+use crate::{FaultClass, LlmTransport, TransportError, Verdict};
 use lingua_llm_sim::{
     BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm, Usage,
 };
@@ -193,25 +193,28 @@ impl LlmTransport for FaultInjector {
     }
 
     /// Members are decided in order, each as one call to the simulator (its
-    /// cache and singleflight path), and the first fault ends the call, as a
-    /// batched wire call that dies mid-way would: the members before it were
-    /// computed and billed and come back as the delivered prefix of a
-    /// [`TransportError::Partial`], and the members after it are never
-    /// reached. A batch of one has no prefix to deliver and fails with the
-    /// plain fault.
+    /// cache and singleflight path), and each gets its own verdict, as a
+    /// batch interface reports one per request. A member-scoped fault
+    /// ([`FaultClass::is_member_scoped`]) fails that member alone, billed as
+    /// a lone call's fault would be, and the call goes on; a
+    /// connection-scoped one cuts the call at the member that drew it, and
+    /// the members after it are never reached. Either way the reply is a
+    /// [`TransportError::Partial`]. A batch of one fails with the plain
+    /// fault.
     fn complete_batch(
         &self,
         requests: &[CompletionRequest],
     ) -> Result<BatchOutcome, TransportError> {
-        let mut outcome = BatchOutcome::with_capacity(requests.len());
+        let mut verdicts: Vec<Verdict> = Vec::with_capacity(requests.len());
         for request in requests {
             let key = request.fingerprint();
             let attempt = self.next_attempt(key);
             let Some(class) = self.plan.decide_key(key, attempt) else {
                 self.state.lock().counts.passed += 1;
-                let (response, split) =
-                    self.inner.complete_batch(std::slice::from_ref(request)).into_single();
-                outcome.push(response, split);
+                verdicts.push(Ok(self
+                    .inner
+                    .complete_batch(std::slice::from_ref(request))
+                    .into_single()));
                 continue;
             };
             self.state.lock().counts.record(class);
@@ -236,13 +239,18 @@ impl LlmTransport for FaultInjector {
                     preview: mangle(&self.inner.complete(request)),
                 },
             };
-            return Err(if requests.len() == 1 {
-                fault
-            } else {
-                TransportError::Partial { delivered: outcome, fault: Box::new(fault) }
-            });
+            if requests.len() == 1 {
+                return Err(fault);
+            }
+            if !class.is_member_scoped() {
+                return Err(TransportError::Partial { verdicts, cut: Some(Box::new(fault)) });
+            }
+            verdicts.push(Err(fault));
         }
-        Ok(outcome)
+        if verdicts.iter().all(Result::is_ok) {
+            return verdicts.into_iter().collect();
+        }
+        Err(TransportError::Partial { verdicts, cut: None })
     }
 
     fn embed(&self, text: &str) -> Result<Vec<f64>, TransportError> {
@@ -364,44 +372,76 @@ mod tests {
         assert_eq!(delta.tokens_out, 0);
     }
 
+    /// Prompts whose attempt 0 draws `pick` under `plan`.
+    fn drawing(
+        plan: FaultPlan,
+        pick: impl Fn(Option<FaultClass>) -> bool,
+    ) -> impl Iterator<Item = String> {
+        (0..50_000)
+            .map(|i| format!("Summarize. Text: verdict candidate {i}"))
+            .filter(move |p| pick(plan.decide(p, 0)))
+    }
+
     #[test]
-    fn a_batch_faulted_partway_delivers_the_members_before_the_fault() {
+    fn a_member_scoped_fault_fails_its_member_alone() {
         let plan = FaultPlan::transient(0.5, 13);
-        let prompts = (0..5_000).map(|i| format!("Summarize. Text: partial batch candidate {i}"));
-        let mut passing = prompts.clone().filter(|p| plan.decide(p, 0).is_none());
-        // Faults its attempt 0 inside the batch and its attempt 1 alone.
-        let faulting = prompts
-            .clone()
-            .find(|p| plan.decide(p, 0).is_some() && plan.decide(p, 1).is_some())
-            .expect("a twice-faulting prompt exists at 50%");
+        let mut passing = drawing(plan, |class| class.is_none());
+        let faulting = drawing(plan, |class| class.is_some()).next().unwrap();
         let requests: Vec<CompletionRequest> =
-            [passing.next().unwrap(), passing.next().unwrap(), faulting, passing.next().unwrap()]
+            [passing.next().unwrap(), faulting, passing.next().unwrap()]
                 .map(CompletionRequest::new)
                 .into_iter()
                 .collect();
         let service = sim();
         let reference = sim();
         let injector = FaultInjector::new("sim", service.clone(), plan);
-        let Err(TransportError::Partial { delivered, fault }) = injector.complete_batch(&requests)
+        let Err(TransportError::Partial { verdicts, cut: None }) =
+            injector.complete_batch(&requests)
         else {
-            panic!("a multi-member batch faulted partway is a partial call");
+            panic!("a member-scoped fault leaves the call standing");
         };
-        assert_eq!(fault.class(), FaultClass::TransientServer);
-        assert_eq!(delivered.responses.len(), 2, "the members before the fault");
-        for (request, response) in requests.iter().zip(&delivered.responses) {
-            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+        assert_eq!(verdicts.len(), 3, "every member has its verdict");
+        for index in [0, 2] {
+            let (answer, _) = verdicts[index].as_ref().expect("answered");
+            assert_eq!(answer.as_deref(), Ok(reference.complete(&requests[index]).as_str()));
         }
-        // The delivered members and the aborted one billed; the last was
-        // never reached.
+        assert_eq!(verdicts[1].as_ref().unwrap_err().class(), FaultClass::TransientServer);
+        // Both answers and the aborted member billed, as three lone calls.
         let ledger = service.usage();
-        assert_eq!(ledger.calls, delivered.batch_usage.calls);
-        assert_eq!(ledger.failed_calls, 1);
+        assert_eq!((ledger.calls, ledger.failed_calls), (2, 1));
         assert_eq!(
             injector.counts(),
             FaultCounts { injected: 1, passed: 2, transient: 1, ..Default::default() }
         );
+    }
+
+    #[test]
+    fn a_batch_faulted_partway_delivers_the_members_before_the_fault() {
+        let plan = FaultPlan { timeout_rate: 0.5, ..FaultPlan::none(13) };
+        let mut passing = drawing(plan, |class| class.is_none());
+        // Draws a timeout at attempt 0 inside the batch and at 1 alone.
+        let cutting =
+            drawing(plan, |class| class.is_some()).find(|p| plan.decide(p, 1).is_some()).unwrap();
+        let requests: Vec<CompletionRequest> =
+            [passing.next().unwrap(), cutting, passing.next().unwrap()]
+                .map(CompletionRequest::new)
+                .into_iter()
+                .collect();
+        let service = sim();
+        let injector = FaultInjector::new("sim", service.clone(), plan);
+        let Err(TransportError::Partial { verdicts, cut: Some(cut) }) =
+            injector.complete_batch(&requests)
+        else {
+            panic!("a timeout cuts the call");
+        };
+        assert_eq!(cut.class(), FaultClass::Timeout);
+        assert_eq!(verdicts.len(), 1, "the member before the cut");
+        assert!(verdicts[0].is_ok());
+        // The last member was never reached: its attempt 0 is still ahead.
+        assert_eq!(injector.counts().passed + injector.counts().injected, 2);
+        assert_eq!(service.usage().calls, 1);
         // A batch of one keeps the plain fault.
-        let lone = injector.complete_batch(&requests[2..3]).unwrap_err();
+        let lone = injector.complete_batch(&requests[1..2]).unwrap_err();
         assert!(!matches!(lone, TransportError::Partial { .. }));
     }
 

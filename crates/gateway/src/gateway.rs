@@ -15,16 +15,16 @@
 //!    response cache if this prompt succeeded before, else ask the (cheap,
 //!    reliable) fallback backend, else withhold the answer
 //!    ([`NoAnswer::Unavailable`]).
-//! 5. **Partial batches** — a batch is first placed as one wire call. A call
-//!    that dies at member *k* keeps the answers it delivered for members
-//!    `0..k` (computed and billed, so never re-sent), re-dispatches member *k*
-//!    through the resilient loop as a batch of one — the path a lone request
-//!    takes from the start — and places the unreached tail as one more
-//!    batched call, which may itself die partway (a tail of one, or one in
-//!    which a job died meanwhile, goes member by member). One poisoned member
-//!    therefore cannot exhaust the retry budget of (or degrade) its healthy
-//!    siblings. A fault that names no member (a malformed reply, or no
-//!    backend admitting the call) re-dispatches every member alone.
+//! 5. **Per-member placement** — a batch of more than one is placed once, as
+//!    one wire call on the first backend that admits it, and every answer it
+//!    brings back is kept. A member it did not answer — its own fault, or
+//!    never reached past a cut — comes back [`NoAnswer::Resend`] with the
+//!    attempts it has spent (its backoff charged), and the batcher re-sends it
+//!    in a later flush beside other jobs' members. A member whose attempt
+//!    budget is spent, or whose fault is not retryable, goes alone down the
+//!    failover and degraded ladder, and so does every member of a batch no
+//!    backend admits. A batch of one is a lone request: the resilient loop,
+//!    from the attempts it carries.
 //!
 //! Backoff delays are charged to the simulated-latency counter rather than
 //! slept, like every latency in this workspace — deterministic and fast.
@@ -32,7 +32,7 @@
 use crate::fault::prompt_key;
 use crate::{
     BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, GatewayMetrics, GatewaySnapshot,
-    LlmTransport, TokenBudget, TokenBudgetConfig, TransportError,
+    LlmTransport, TokenBudget, TokenBudgetConfig, TransportError, Verdict,
 };
 use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
@@ -72,50 +72,42 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Outcome of the resilient call loop. `Cancelled` is distinct from
-/// `Exhausted` so a job whose deadline fired mid-retry does not fall through
-/// to the degraded ladder (stale cache / fallback / withheld answer) — the
-/// caller is gone, so serving a degraded answer would only distort metrics.
-/// `Faulted` carries the fault that ended a call placed without retry.
+/// Outcome of the resilient call loop, with the index of the backend that
+/// served or faulted. `Cancelled` is distinct from `Exhausted` so a job whose
+/// deadline fired mid-retry does not fall through to the degraded ladder
+/// (stale cache / fallback / withheld answer) — the caller is gone, so
+/// serving a degraded answer would only distort metrics. `Faulted` carries
+/// the fault that ended a call placed without retry.
 enum Resilient<T> {
-    Served(T),
+    Served(usize, T),
     Exhausted,
     Cancelled(CancelReason),
-    Faulted(TransportError),
+    Faulted(usize, TransportError),
 }
 
 /// One batched wire call, its reply checked before it is believed: a
 /// transport is where real providers plug in, so an `Ok` that does not carry
 /// one response and one split per request is malformed output, not an answer
-/// — and so is a partial reply whose delivered answers are not a strict
-/// prefix of the requests with one split each.
+/// — and so is a partial reply without one verdict per member, or, when cut,
+/// one per member before the cut.
 fn batch_reply(
     transport: &dyn LlmTransport,
     requests: &[CompletionRequest],
 ) -> Result<BatchOutcome, TransportError> {
-    let malformed = |outcome: &BatchOutcome| TransportError::MalformedOutput {
-        preview: format!(
-            "{} responses and {} splits for {} requests",
-            outcome.responses.len(),
-            outcome.splits.len(),
-            requests.len()
-        ),
+    let n = requests.len();
+    let (members, splits) = match transport.complete_batch(requests) {
+        Ok(outcome) if outcome.responses.len() != n || outcome.splits.len() != n => {
+            (outcome.responses.len(), outcome.splits.len())
+        }
+        Err(TransportError::Partial { verdicts, cut })
+            if verdicts.len() > n || cut.is_some() != (verdicts.len() < n) =>
+        {
+            (verdicts.len(), verdicts.len())
+        }
+        reply => return reply,
     };
-    match transport.complete_batch(requests) {
-        Ok(outcome)
-            if outcome.responses.len() != requests.len()
-                || outcome.splits.len() != requests.len() =>
-        {
-            Err(malformed(&outcome))
-        }
-        Err(TransportError::Partial { delivered, .. })
-            if delivered.responses.len() >= requests.len()
-                || delivered.splits.len() != delivered.responses.len() =>
-        {
-            Err(malformed(&delivered))
-        }
-        reply => reply,
-    }
+    let preview = format!("{members} members and {splits} splits for {n} requests");
+    Err(TransportError::MalformedOutput { preview })
 }
 
 struct Backend {
@@ -263,7 +255,34 @@ impl Gateway {
         self.stale.get(key)
     }
 
-    /// Run `op` against the backends with retry, breaking, and failover.
+    /// Book a fault the backend at `idx` reported, and the breaker
+    /// transition its call caused, if any.
+    fn book_fault(&self, idx: usize, fault: &TransportError, breaker: Option<(String, String)>) {
+        let backend = &self.backends[idx];
+        self.metrics.fault(idx, fault.class());
+        self.tracer.instant(SpanKind::Gateway, "fault", || {
+            let class = ("class".to_string(), fault.class().label().to_string());
+            [("backend".into(), backend.name.clone()), class].into_iter().chain(breaker).collect()
+        });
+    }
+
+    /// Charge the backoff before `attempts` (1-based) of the request keyed
+    /// `key` against the backend at `idx`, at least `fault`'s retry hint.
+    fn back_off(&self, idx: usize, key: u64, attempts: u32, fault: &TransportError) {
+        let hint = fault.retry_after_ms().unwrap_or(0);
+        let delay = self.config.backoff.delay_ms(key, attempts).max(hint);
+        self.metrics.backoff(idx, delay);
+        self.added_backoff_ms.fetch_add(delay, Ordering::Relaxed);
+        self.tracer.instant(SpanKind::Gateway, "backoff", || {
+            vec![
+                ("backend".into(), self.backends[idx].name.clone()),
+                ("delay_ms".into(), delay.to_string()),
+            ]
+        });
+    }
+
+    /// Run `op` against the backends from `from` on with retry, breaking, and
+    /// failover; the first backend's attempt count starts at `spent`.
     /// `Served` carries the first success; `Exhausted` means every backend
     /// was exhausted and the caller should degrade; `Cancelled` means the
     /// calling job's deadline passed (or it was cancelled) and the loop
@@ -271,133 +290,107 @@ impl Gateway {
     /// request the call is for ([`CompletionRequest::cancelled`]); for a
     /// request without a token it is a strict no-op, so standalone gateway
     /// behavior (and every deterministic counter walk in the chaos tests) is
-    /// unchanged. Without `retry` the first fault ends the call `Faulted` —
-    /// a batched wire call, whose reply tells which members to re-send.
+    /// unchanged. Without `retry` the first fault ends the call `Faulted` — a
+    /// batched placement, whose members are retried one by one. Every call
+    /// is one breaker verdict: a reply that came back is a success.
     fn call_resilient<T>(
         &self,
         key: u64,
         est_tokens: u64,
-        retry: bool,
+        (from, spent, retry): (usize, u32, bool),
         cancelled: impl Fn() -> Option<CancelReason>,
         op: impl Fn(&dyn LlmTransport) -> Result<T, TransportError>,
     ) -> Resilient<T> {
-        for (idx, backend) in self.backends.iter().enumerate() {
+        for (idx, backend) in self.backends.iter().enumerate().skip(from) {
             if let Some(reason) = cancelled() {
                 return Resilient::Cancelled(reason);
             }
+            let name = || vec![("backend".to_string(), backend.name.clone())];
             if idx > 0 {
                 self.metrics.failover();
                 self.tracer.instant(SpanKind::Gateway, "failover", || {
                     vec![("to".into(), backend.name.clone())]
                 });
             }
-            if let Some(budget) = &backend.budget {
-                if !budget.try_consume(est_tokens) {
-                    self.metrics.budget_denied(idx);
-                    self.tracer.instant(SpanKind::Gateway, "budget_denied", || {
-                        vec![("backend".into(), backend.name.clone())]
-                    });
-                    continue;
-                }
+            if !backend.budget.as_ref().map_or(true, |budget| budget.try_consume(est_tokens)) {
+                self.metrics.budget_denied(idx);
+                self.tracer.instant(SpanKind::Gateway, "budget_denied", name);
+                continue;
             }
-            let mut attempt: u32 = 0;
+            let mut attempt = if idx == from { spent } else { 0 };
             loop {
                 if let Some(reason) = (attempt > 0).then(&cancelled).flatten() {
                     return Resilient::Cancelled(reason);
                 }
                 if !backend.breaker.acquire() {
                     self.metrics.breaker_denied(idx);
-                    self.tracer.instant(SpanKind::Gateway, "breaker_denied", || {
-                        vec![("backend".into(), backend.name.clone())]
-                    });
+                    self.tracer.instant(SpanKind::Gateway, "breaker_denied", name);
                     break;
                 }
                 self.metrics.attempt(idx, attempt > 0);
-                let is_retry = attempt > 0;
                 self.tracer.instant(SpanKind::Gateway, "attempt", || {
-                    vec![
-                        ("backend".into(), backend.name.clone()),
-                        ("retry".into(), is_retry.to_string()),
-                    ]
+                    let mut attrs = name();
+                    attrs.push(("retry".into(), (attempt > 0).to_string()));
+                    attrs
                 });
-                match op(backend.transport.as_ref()) {
+                let reply = op(backend.transport.as_ref());
+                let before = backend.breaker.state();
+                match &reply {
+                    Ok(_) => backend.breaker.on_success(),
+                    Err(_) => backend.breaker.on_failure(),
+                }
+                let after = backend.breaker.state();
+                let moved = (after != before).then(|| ("breaker".into(), after.label().into()));
+                let err = match reply {
                     Ok(value) => {
-                        let before = backend.breaker.state();
-                        backend.breaker.on_success();
-                        let after = backend.breaker.state();
                         self.metrics.served(idx);
                         self.tracer.instant(SpanKind::Gateway, "served", || {
-                            let mut attrs = vec![("backend".into(), backend.name.clone())];
-                            if after != before {
-                                attrs.push(("breaker".into(), after.label().into()));
-                            }
-                            attrs
+                            name().into_iter().chain(moved).collect()
                         });
-                        return Resilient::Served(value);
+                        return Resilient::Served(idx, value);
                     }
-                    Err(err) => {
-                        let before = backend.breaker.state();
-                        backend.breaker.on_failure();
-                        let after = backend.breaker.state();
-                        self.metrics.fault(idx, err.class());
-                        self.tracer.instant(SpanKind::Gateway, "fault", || {
-                            let mut attrs = vec![
-                                ("backend".into(), backend.name.clone()),
-                                ("class".into(), err.class().label().into()),
-                            ];
-                            if after != before {
-                                attrs.push(("breaker".into(), after.label().into()));
-                            }
-                            attrs
-                        });
-                        attempt += 1;
-                        if !retry {
-                            return Resilient::Faulted(err);
-                        }
-                        if !err.is_retryable() || attempt >= self.config.backoff.max_attempts {
-                            break;
-                        }
-                        // A job past its deadline must not be charged backoff
-                        // it will never wait out.
-                        if let Some(reason) = cancelled() {
-                            return Resilient::Cancelled(reason);
-                        }
-                        let mut delay = self.config.backoff.delay_ms(key, attempt);
-                        if let Some(hint) = err.retry_after_ms() {
-                            delay = delay.max(hint);
-                        }
-                        self.metrics.backoff(idx, delay);
-                        self.added_backoff_ms.fetch_add(delay, Ordering::Relaxed);
-                        self.tracer.instant(SpanKind::Gateway, "backoff", || {
-                            vec![
-                                ("backend".into(), backend.name.clone()),
-                                ("delay_ms".into(), delay.to_string()),
-                            ]
-                        });
-                    }
+                    Err(err) => err,
+                };
+                self.book_fault(idx, &err, moved);
+                attempt += 1;
+                if !retry {
+                    return Resilient::Faulted(idx, err);
                 }
+                if !err.is_retryable() || attempt >= self.config.backoff.max_attempts {
+                    break;
+                }
+                // A job past its deadline must not be charged backoff it will
+                // never wait out.
+                if let Some(reason) = cancelled() {
+                    return Resilient::Cancelled(reason);
+                }
+                self.back_off(idx, key, attempt, &err);
             }
         }
         Resilient::Exhausted
     }
 
     /// One member through the resilient loop as a batch of one — retry
-    /// schedule, breakers and failover under its *own* token — then down the
-    /// degraded ladder if every backend is exhausted. Returns the member's
-    /// one-member outcome and the `path` its span reports.
-    fn complete_member(&self, request: &CompletionRequest) -> (BatchOutcome, &'static str) {
+    /// schedule, breakers and failover under its *own* token, from the
+    /// backend at `from` with `spent` attempts behind it there — then down
+    /// the degraded ladder if every backend is exhausted. Returns the
+    /// member's one-member outcome and the `path` its span reports.
+    fn complete_member(
+        &self,
+        request: &CompletionRequest,
+        from: (usize, u32),
+    ) -> (BatchOutcome, &'static str) {
         // The memoized fingerprint: whoever hashed this prompt first — serve,
         // the simulator, or this call — every later layer reuses the value.
         let key = request.fingerprint();
-        let est_tokens = count_tokens(&request.prompt) as u64;
         match self.call_resilient(
             key,
-            est_tokens,
-            true,
+            count_tokens(&request.prompt) as u64,
+            (from.0, from.1, true),
             || request.cancelled(),
             |transport| batch_reply(transport, std::slice::from_ref(request)),
         ) {
-            Resilient::Served(single) => {
+            Resilient::Served(_, single) => {
                 self.remember(key, &single.responses[0]);
                 (single, "served")
             }
@@ -407,22 +400,35 @@ impl Gateway {
                 (std::iter::once(refused).collect(), "cancelled")
             }
             Resilient::Exhausted => self.degrade(request),
-            Resilient::Faulted(_) => unreachable!("a retried call never ends Faulted"),
+            Resilient::Faulted(..) => unreachable!("a retried call never ends Faulted"),
         }
     }
 
-    /// Keep the answers one batched wire call delivered for `requests`:
-    /// remember each for degraded recalls and append it to `outcome`.
-    fn keep(
+    /// The verdict for a member the call on the backend at `idx` did not
+    /// answer. One never reached (no `fault`) is re-sent as it was. One that
+    /// drew a fault spends an attempt: it is re-sent while the fault is
+    /// retryable and its budget lasts, its backoff charged; else it goes
+    /// alone down the failover and degraded ladder from the next backend. A
+    /// dead job's member is refused instead.
+    fn unanswered(
         &self,
-        requests: &[CompletionRequest],
-        reply: BatchOutcome,
-        outcome: &mut BatchOutcome,
-    ) {
-        for (request, response) in requests.iter().zip(&reply.responses) {
-            self.remember(request.fingerprint(), response);
+        request: &CompletionRequest,
+        idx: usize,
+        fault: Option<&TransportError>,
+    ) -> (Result<Arc<str>, NoAnswer>, Usage) {
+        if let Some(reason) = request.cancelled() {
+            self.note_cancelled();
+            return (Err(NoAnswer::Cancelled(reason)), Usage::default());
         }
-        outcome.extend(reply.responses.into_iter().zip(reply.splits));
+        let Some(fault) = fault else {
+            return (Err(NoAnswer::Resend { attempts: request.attempts() }), Usage::default());
+        };
+        let attempts = request.attempts() + 1;
+        if fault.is_retryable() && attempts < self.config.backoff.max_attempts {
+            self.back_off(idx, request.fingerprint(), attempts, fault);
+            return (Err(NoAnswer::Resend { attempts }), Usage::default());
+        }
+        self.complete_member(request, (idx + 1, 0)).0.into_single()
     }
 
     /// The degraded ladder for one request no backend could serve: stale
@@ -468,13 +474,14 @@ impl Gateway {
 }
 
 impl LlmService for Gateway {
+    /// A batch of one is a lone request (see [`Gateway`]'s module docs); a
+    /// larger batch is placed once, and a member it did not answer may come
+    /// back [`NoAnswer::Resend`] for the batcher to re-send.
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
         if let [request] = requests {
-            // One request: straight into the resilient loop — no batched
-            // first attempt, no batch metrics.
-            self.metrics.request();
+            self.metrics.requests(1);
             let mut span = self.tracer.span(SpanKind::Gateway, "complete");
-            let (outcome, path) = self.complete_member(request);
+            let (outcome, path) = self.complete_member(request, (0, request.attempts()));
             span.attr("path", path);
             return outcome;
         }
@@ -484,97 +491,87 @@ impl LlmService for Gateway {
         self.metrics.batch(requests.len());
         let mut span = self.tracer.span(SpanKind::Gateway, "complete_batch");
         span.attr("members", requests.len().to_string());
-        // Nobody left to answer. (A batch with *some* dead members is its
-        // assembler's to thin — the batcher's flush filter does.)
-        if let Some(reasons) =
-            requests.iter().map(CompletionRequest::cancelled).collect::<Option<Vec<_>>>()
-        {
-            span.attr("path", "cancelled");
-            return reasons
-                .into_iter()
-                .map(|reason| {
-                    self.note_cancelled();
-                    (Err(NoAnswer::Cancelled(reason)), Usage::default())
-                })
-                .collect();
-        }
-        // The whole batch goes out as ONE wire call on the first backend that
-        // admits it, so the no-fault common case keeps its single-call
-        // amortization. (Never retried, so no backoff key.) Retrying the whole
-        // batch after a fault would re-bill every member already answered and
-        // let one poisoned member drag its siblings into degraded mode. So a
-        // call that dies at member k keeps what it delivered for 0..k, sends
-        // member k alone through the resilient loop under its *own* token, and
-        // places the unreached tail as one more batched call.
-        let mut outcome = BatchOutcome::with_capacity(requests.len());
-        let (mut faulted, mut salvaged) = (false, 0);
-        let mut rest = requests;
-        loop {
-            let est_tokens = rest.iter().map(|r| count_tokens(&r.prompt) as u64).sum();
-            let placed =
-                self.call_resilient(0, est_tokens, false, || None, |t| batch_reply(t, rest));
-            // `None`: a fault that names no member, or no backend admitted
-            // the call.
-            let delivered = match placed {
-                Resilient::Served(reply) => {
-                    self.keep(rest, reply, &mut outcome);
-                    break;
-                }
-                Resilient::Faulted(TransportError::Partial { delivered, .. }) => Some(delivered),
-                _ => None,
-            };
-            faulted = true;
-            let kept = delivered.as_ref().map_or(0, |d| d.responses.len());
-            self.tracer.instant(SpanKind::Gateway, "batch_split", || {
-                vec![
-                    ("members".into(), rest.len().to_string()),
-                    ("delivered".into(), kept.to_string()),
-                ]
-            });
-            if let Some(delivered) = delivered {
-                let (answered, unreached) = rest.split_at(kept);
-                let (member, tail) =
-                    unreached.split_first().expect("batch_reply admits only a strict prefix");
-                salvaged += kept;
-                self.keep(answered, delivered, &mut outcome);
-                outcome.extend([self.complete_member(member).0.into_single()]);
-                rest = tail;
-                // The tail goes out as one more batched call, unless it is a
-                // lone request or a job in it died while member k was retried:
-                // then each member goes alone, and a dead one is refused
-                // before any attempt.
-                if rest.len() > 1 && rest.iter().all(|r| r.cancelled().is_none()) {
-                    continue;
-                }
+        // The batch goes out once, on the first backend that admits it; a
+        // reply that came back, member faults and all, is served. No backend
+        // admitting it, or nobody left to answer (a batch with *some* dead
+        // members is its assembler's to thin), sends every member alone.
+        let placed = if requests.iter().all(|r| r.cancelled().is_some()) {
+            Resilient::Exhausted
+        } else {
+            self.call_resilient(
+                0,
+                requests.iter().map(|r| count_tokens(&r.prompt) as u64).sum(),
+                (0, 0, false),
+                || None,
+                |transport| match batch_reply(transport, requests) {
+                    Ok(outcome) => {
+                        Ok(outcome.responses.into_iter().zip(outcome.splits).map(Ok).collect())
+                    }
+                    Err(TransportError::Partial { verdicts, cut: None }) => Ok(verdicts),
+                    Err(fault) => Err(fault),
+                },
+            )
+        };
+        let (backend, verdicts, mut cut): (usize, Vec<Verdict>, _) = match placed {
+            Resilient::Served(idx, verdicts) => (idx, verdicts, None),
+            Resilient::Faulted(idx, TransportError::Partial { verdicts, cut }) => {
+                (idx, verdicts, cut.map(|cut| *cut))
             }
-            outcome.extend(rest.iter().map(|r| self.complete_member(r).0.into_single()));
-            break;
-        }
-        if faulted {
-            self.metrics.batch_split(salvaged);
-        }
-        match (faulted, salvaged) {
-            (false, _) => span.attr("path", "served"),
-            (true, 0) => span.attr("path", "split"),
-            (true, _) => {
-                span.attr("path", "partial");
-                span.attr("salvaged", salvaged.to_string());
+            Resilient::Faulted(idx, fault) => (idx, Vec::new(), Some(fault)),
+            Resilient::Exhausted | Resilient::Cancelled(_) => {
+                span.attr("path", "alone");
+                self.metrics.requests(requests.len());
+                return requests
+                    .iter()
+                    .map(|r| self.complete_member(r, (0, r.attempts())).0.into_single())
+                    .collect();
             }
+        };
+        for fault in verdicts.iter().filter_map(|verdict| verdict.as_ref().err()) {
+            self.book_fault(backend, fault, None);
         }
+        // The member at `verdicts.len()` drew the cut (a plain fault strikes
+        // the first); the ones after it were never reached.
+        let mut verdicts = verdicts.into_iter();
+        let (mut answered, mut resent) = (0, 0);
+        let outcome: BatchOutcome = requests
+            .iter()
+            .map(|request| {
+                let member = match verdicts.next() {
+                    Some(Ok(answer)) => {
+                        answered += 1;
+                        self.remember(request.fingerprint(), &answer.0);
+                        answer
+                    }
+                    Some(Err(fault)) => self.unanswered(request, backend, Some(&fault)),
+                    None => self.unanswered(request, backend, cut.take().as_ref()),
+                };
+                resent += usize::from(matches!(member.0, Err(NoAnswer::Resend { .. })));
+                member
+            })
+            .collect();
+        self.metrics.requests(requests.len() - resent);
+        self.metrics.placed(requests.len(), answered, resent);
+        span.attr("path", if answered == requests.len() { "served" } else { "partial" });
+        span.attr("resent", resent.to_string());
         outcome
     }
 
     fn embed(&self, text: &str) -> Vec<f64> {
-        self.metrics.request();
+        self.metrics.requests(1);
         let mut span = self.tracer.span(SpanKind::Gateway, "embed");
         let key = prompt_key(text);
         let est_tokens = count_tokens(text) as u64;
         // An embedding carries no request, hence no token: the loop runs
         // its schedule out and the executor's between-op check ends a dead
         // job.
-        if let Resilient::Served(embedding) =
-            self.call_resilient(key, est_tokens, true, || None, |transport| transport.embed(text))
-        {
+        if let Resilient::Served(_, embedding) = self.call_resilient(
+            key,
+            est_tokens,
+            (0, 0, true),
+            || None,
+            |transport| transport.embed(text),
+        ) {
             span.attr("path", "served");
             return embedding;
         }
@@ -635,9 +632,10 @@ impl LlmService for Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultInjector, FaultPlan, ServiceTransport};
+    use crate::{BatchConfig, Batcher, FaultInjector, FaultPlan, ServiceTransport};
     use lingua_dataset::world::WorldSpec;
     use lingua_llm_sim::SimLlm;
+    use std::time::Duration;
 
     fn sim(seed: u64) -> Arc<SimLlm> {
         let world = WorldSpec::generate(13);
@@ -930,95 +928,156 @@ mod tests {
         }
     }
 
-    /// The partial-batch schedule replayed from a transient-only plan over
-    /// one primary: a batched call passes its members in order until one
-    /// faults, keeps the members before it, sends the faulted member alone
-    /// (up to `max_attempts` calls, every fault retryable) and places the
-    /// tail again; a tail of one goes alone from the start. Attempt numbers
-    /// advance per prompt, as the injector counts them. Returns the
-    /// primary's wire calls, the members it served, and the members kept
-    /// from faulted calls.
-    fn replay_partial_walk(plan: &FaultPlan, prompts: &[&str], max_attempts: u32) -> [u64; 3] {
-        let n = prompts.len();
-        let mut next = vec![0u64; n];
-        let [mut calls, mut served, mut salvaged] = [0u64; 3];
-        let mut decide = |i: usize| {
+    /// A lone caller's batcher over `gateway`: each flush places the members
+    /// still unanswered, so the rounds replay deterministically.
+    fn resend_rounds(gateway: &Arc<Gateway>, requests: &[CompletionRequest]) -> BatchOutcome {
+        let config = BatchConfig { max_batch_size: requests.len(), max_wait: Duration::ZERO };
+        Batcher::new(Arc::clone(gateway) as Arc<dyn LlmService>, config).complete_batch(requests)
+    }
+
+    /// What one primary did for a batch under [`resend_rounds`].
+    #[derive(Debug, Default, PartialEq)]
+    struct Rounds {
+        /// Wire calls placed.
+        calls: u64,
+        faults: u64,
+        served: u64,
+        /// Members answered `Resend`, once per time.
+        resent: u64,
+        /// Members that spent their budget and left for the ladder.
+        laddered: u64,
+    }
+
+    /// The per-member placement law replayed from a transient-only plan
+    /// (every fault member-scoped and retryable): each round places the
+    /// members still unanswered as one call, in order, each drawing its next
+    /// attempt; a faulted member rides the next round until `max_attempts`
+    /// are spent, then leaves for the ladder. A round of one is a lone
+    /// request, retried in place from the attempts it carries. Attempt
+    /// numbers advance per prompt, as the injector counts them.
+    fn replay_rounds(plan: &FaultPlan, prompts: &[&str], max_attempts: u32) -> Rounds {
+        let mut next = vec![0u64; prompts.len()];
+        let mut faults = |i: usize| {
             next[i] += 1;
-            plan.decide(prompts[i], next[i] - 1)
+            plan.decide(prompts[i], next[i] - 1).is_some()
         };
-        let mut start = 0;
-        while start < n {
-            let alone = if start + 1 < n {
-                calls += 1;
-                let Some(k) = (start..n).find(|&i| decide(i).is_some()) else {
-                    served += (n - start) as u64;
-                    break;
-                };
-                salvaged += (k - start) as u64;
-                served += (k - start) as u64;
-                k
-            } else {
-                start
-            };
-            for _ in 0..max_attempts {
-                calls += 1;
-                if decide(alone).is_none() {
-                    served += 1;
-                    break;
+        let mut spent = vec![0u32; prompts.len()];
+        let mut open: Vec<usize> = (0..prompts.len()).collect();
+        let mut rounds = Rounds::default();
+        while let [first, ..] = open[..] {
+            if open.len() == 1 {
+                for _ in spent[first]..max_attempts {
+                    rounds.calls += 1;
+                    if !faults(first) {
+                        rounds.served += 1;
+                        return rounds;
+                    }
+                    rounds.faults += 1;
                 }
+                rounds.laddered += 1;
+                return rounds;
             }
-            start = alone + 1;
+            rounds.calls += 1;
+            open.retain(|&i| {
+                if !faults(i) {
+                    rounds.served += 1;
+                    return false;
+                }
+                rounds.faults += 1;
+                spent[i] += 1;
+                let resent = spent[i] < max_attempts;
+                *(if resent { &mut rounds.resent } else { &mut rounds.laddered }) += 1;
+                resent
+            });
         }
-        [calls, served, salvaged]
+        rounds
     }
 
     #[test]
-    fn batch_faults_split_into_per_member_retries() {
-        // A faulted batched call keeps the members it answered before the
-        // fault, retries only the faulted member on its own schedule, and
-        // places the unreached tail again; every expectation is the plan's.
+    fn a_placement_keeps_its_answers_and_returns_the_rest_for_resending() {
+        // One wire call: members that passed are answered, members that
+        // faulted come back `Resend` with one attempt spent and their
+        // backoff charged, and the reply that came back is the breaker's
+        // success. Every expectation is the plan's.
         let service = sim(15);
+        let reference = sim(15);
         let plan = FaultPlan::transient(0.3, 23);
         let requests: Vec<CompletionRequest> = (0..6).map(prompt).collect();
-        let prompts: Vec<&str> = requests.iter().map(|r| r.prompt.as_str()).collect();
-        // Make the first wire call fault deterministically: at least one of
-        // the six members must fault on its attempt 0, after at least one
-        // member passed.
-        let first_fault = prompts.iter().position(|p| plan.decide(p, 0).is_some());
-        assert!(
-            matches!(first_fault, Some(k) if k > 0),
-            "seed must fault the batched first attempt partway"
-        );
-        let injector = Arc::new(FaultInjector::new("flaky", service.clone(), plan));
-        let standby = sim(15);
-        let reference = sim(15);
-        let gateway = Gateway::builder()
-            .backend(injector.clone())
-            .backend(Arc::new(ServiceTransport::new("standby", standby)))
-            .build();
+        let faulted: Vec<bool> =
+            requests.iter().map(|r| plan.decide(&r.prompt, 0).is_some()).collect();
+        assert!(faulted.contains(&true) && faulted.contains(&false), "seed must split the batch");
+        let gateway = Gateway::over(Arc::new(FaultInjector::new("flaky", service.clone(), plan)));
         let outcome = gateway.complete_batch(&requests);
-        for (request, response) in requests.iter().zip(&outcome.responses) {
-            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+        let mut backoff = 0;
+        for ((request, response), faulted) in requests.iter().zip(&outcome.responses).zip(&faulted)
+        {
+            if *faulted {
+                assert_eq!(*response, Err(NoAnswer::Resend { attempts: 1 }));
+                backoff += BackoffPolicy::default().delay_ms(request.fingerprint(), 1);
+            } else {
+                assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+            }
         }
         let mut summed = Usage::default();
         for split in &outcome.splits {
             summed.merge(split);
         }
-        assert_eq!(summed, outcome.batch_usage, "conservation holds across the split");
+        assert_eq!(summed, outcome.batch_usage, "a resent member's split is empty");
+        let resent = faulted.iter().filter(|f| **f).count() as u64;
+        let answered = requests.len() as u64 - resent;
         let snap = gateway.snapshot();
-        assert_eq!(snap.degraded(), 0, "per-member retries absorbed the member faults");
-        assert_eq!(snap.batches, 1);
-        assert_eq!(snap.batch_splits, 1, "the faulted wire calls split the batch once");
+        let primary = &snap.backends[0].counters;
+        assert_eq!((primary.attempts, primary.served, primary.faults()), (1, 1, resent));
+        assert_eq!(primary.backoff_ms, backoff);
+        assert_eq!(snap.resent_members, resent);
+        assert_eq!(snap.requests, answered, "a resent member is not resolved yet");
+        assert_eq!((snap.batch_splits, snap.salvaged_members), (1, answered));
+        let ledger = service.usage();
+        assert_eq!((ledger.calls, ledger.failed_calls), (answered, resent));
+    }
 
-        let [calls, served, salvaged] = replay_partial_walk(&plan, &prompts, 4);
-        assert_eq!(served, 6, "the plan lets the primary answer every member");
-        assert_eq!(snap.backends[0].counters.attempts, calls);
-        assert_eq!(snap.salvaged_members, salvaged);
-        // Nothing answered was computed twice: the injector passed each
-        // member once, and the ledger billed one call per member, as the
-        // reference did.
+    #[test]
+    fn batch_faults_split_into_per_member_retries() {
+        let service = sim(15);
+        let reference = sim(15);
+        let plan = FaultPlan::transient(0.3, 23);
+        let requests: Vec<CompletionRequest> = (0..6).map(prompt).collect();
+        let prompts: Vec<&str> = requests.iter().map(|r| r.prompt.as_str()).collect();
+        let expected = replay_rounds(&plan, &prompts, 4);
+        assert!(expected.resent > 0 && expected.laddered == 0, "seed: resends, all served");
+        let injector = Arc::new(FaultInjector::new("flaky", service.clone(), plan));
+        let gateway = Arc::new(Gateway::over(injector.clone()));
+        let outcome = resend_rounds(&gateway, &requests);
+        for (request, response) in requests.iter().zip(&outcome.responses) {
+            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+        }
+        let snap = gateway.snapshot();
+        let primary = &snap.backends[0].counters;
+        assert_eq!(primary.attempts, expected.calls);
+        assert_eq!(primary.faults(), expected.faults);
+        assert_eq!(snap.resent_members, expected.resent);
+        assert_eq!(snap.requests, 6, "each member resolved once");
+        assert_eq!(snap.degraded(), 0);
+        // Nothing answered was computed twice.
         assert_eq!(injector.counts().passed, 6);
         assert_eq!(service.usage().calls, reference.usage().calls);
+    }
+
+    #[test]
+    fn member_faults_leave_the_breaker_closed() {
+        // Every member faults, every time: a batched reply still came back,
+        // so the breaker books successes; a lone call's fault is the call's.
+        let breaker = BreakerConfig { window: 4, min_calls: 2, ..BreakerConfig::default() };
+        let dead = FaultInjector::new("dead", sim(24), FaultPlan::transient(1.0, 43));
+        let gateway = Gateway::builder().backend(Arc::new(dead)).breaker(breaker).build();
+        let requests: Vec<CompletionRequest> = (0..3).map(prompt).collect();
+        for _ in 0..4 {
+            let outcome = gateway.complete_batch(&requests);
+            assert!(outcome.responses.iter().all(|r| matches!(r, Err(NoAnswer::Resend { .. }))));
+        }
+        assert_eq!(gateway.breaker_state(0), BreakerState::Closed);
+        assert_eq!(answer(&gateway, &prompt(9)), Err(NoAnswer::Unavailable));
+        assert_eq!(gateway.breaker_state(0), BreakerState::Open);
     }
 
     /// A provider that answers at most `max_members` members of any batch
@@ -1068,46 +1127,63 @@ mod tests {
 
     #[test]
     fn a_short_batch_reply_is_a_malformed_fault_and_splits() {
-        // Two members answered for three requests: the `Ok` is not believed,
-        // the batch splits, and each member is served as a batch of one.
+        // Two members answered for three requests: the `Ok` is not believed.
+        // The malformed fault strikes the first member, which is not retried
+        // on the backend that produced it and degrades; the other two were
+        // never reached, ride the next call, and are answered.
         let reference = sim(21);
+        let cheap = sim(25);
         let short = ShortReply { inner: ServiceTransport::new("short", sim(21)), max_members: 2 };
-        let gateway = Gateway::over(Arc::new(short));
+        let gateway = Arc::new(
+            Gateway::builder()
+                .backend(Arc::new(short))
+                .fallback(Arc::new(ServiceTransport::new("cheap", cheap.clone())))
+                .build(),
+        );
         let requests: Vec<CompletionRequest> = (0..3).map(prompt).collect();
-        let outcome = gateway.complete_batch(&requests);
+        let outcome = resend_rounds(&gateway, &requests);
         assert_eq!(outcome.responses.len(), requests.len(), "one response per request");
-        assert_eq!(outcome.splits.len(), requests.len());
-        for (request, response) in requests.iter().zip(&outcome.responses) {
+        assert_eq!(outcome.responses[0].as_deref(), Ok(cheap.complete(&requests[0]).as_str()));
+        for (request, response) in requests.iter().zip(&outcome.responses).skip(1) {
             assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
         }
         let snap = gateway.snapshot();
-        assert_eq!(snap.batch_splits, 1);
+        let short = &snap.backends[0].counters;
+        assert_eq!((snap.batches, snap.batch_splits, snap.resent_members), (2, 1, 2));
         assert_eq!(snap.faults(), 1, "exactly the short wire reply");
-        assert_eq!(snap.backends[0].counters.malformed, 1);
-        assert_eq!(snap.backends[0].counters.served, 3, "the three single-member calls");
-        assert_eq!(snap.degraded(), 0);
+        assert_eq!((short.malformed, short.attempts, short.served), (1, 2, 1));
+        assert_eq!(snap.degraded_fallbacks, 1);
+        assert_eq!(snap.requests, 3);
     }
 
     #[test]
     fn an_empty_batch_reply_degrades_each_member_without_a_panic() {
-        // The primary is down, so the batch splits; the standby then answers
-        // every single-member batch with `Ok` and no members at all.
-        let dead = FaultInjector::new("dead", sim(22), FaultPlan::transient(1.0, 41));
+        // The primary faults every member until their budgets are spent;
+        // each then fails over alone to a standby that answers every batch
+        // of one with `Ok` and no members at all.
+        let plan = FaultPlan::transient(1.0, 41);
+        let dead = FaultInjector::new("dead", sim(22), plan);
         let empty = ShortReply { inner: ServiceTransport::new("empty", sim(22)), max_members: 0 };
         let cheap = sim(22);
-        let gateway = Gateway::builder()
-            .backend(Arc::new(dead))
-            .backend(Arc::new(empty))
-            .fallback(Arc::new(ServiceTransport::new("cheap", cheap.clone())))
-            .build();
+        let gateway = Arc::new(
+            Gateway::builder()
+                .backend(Arc::new(dead))
+                .backend(Arc::new(empty))
+                .fallback(Arc::new(ServiceTransport::new("cheap", cheap.clone())))
+                .build(),
+        );
         let requests: Vec<CompletionRequest> = (0..3).map(prompt).collect();
-        let outcome = gateway.complete_batch(&requests);
+        let outcome = resend_rounds(&gateway, &requests);
         assert_eq!(outcome.responses.len(), requests.len());
         for (request, response) in requests.iter().zip(&outcome.responses) {
             assert_eq!(response.as_deref(), Ok(cheap.complete(request).as_str()));
         }
+        let prompts: Vec<&str> = requests.iter().map(|r| r.prompt.as_str()).collect();
+        let expected = replay_rounds(&plan, &prompts, 4);
         let snap = gateway.snapshot();
-        assert_eq!(snap.batch_splits, 1);
+        assert_eq!(snap.backends[0].counters.attempts, expected.calls);
+        assert_eq!(snap.backends[0].counters.faults(), expected.faults);
+        assert_eq!(snap.failovers, expected.laddered);
         assert_eq!(snap.degraded_fallbacks, 3);
         // One attempt per member: malformed output is not retried on the
         // backend that produced it.
@@ -1119,10 +1195,10 @@ mod tests {
     #[test]
     fn a_poisoned_member_degrades_alone_after_the_split() {
         // One member that faults on every attempt it will ever see must not
-        // drag its healthy siblings into degraded mode: the member before it
-        // is kept from the faulted batched call, the one after it is served
-        // alone as the tail, and only the poisoned member walks the degraded
-        // ladder. Every count is the plan's.
+        // drag its healthy siblings into degraded mode: they are answered by
+        // the call they rode, and only the poisoned member — re-sent, then
+        // alone, then out of budget — walks the degraded ladder. Every count
+        // is the plan's.
         let plan = FaultPlan::transient(0.35, 57);
         let healthy = |p: &str| plan.decide(p, 0).is_none();
         let poisoned = |p: &str| (0..=4).all(|a| plan.decide(p, a).is_some());
@@ -1142,11 +1218,13 @@ mod tests {
         let cheap = sim(20);
         let cheap_reference = sim(20);
         let injector = Arc::new(FaultInjector::new("flaky", service.clone(), plan));
-        let gateway = Gateway::builder()
-            .backend(injector.clone())
-            .fallback(Arc::new(ServiceTransport::new("cheap", cheap)))
-            .build();
-        let outcome = gateway.complete_batch(&requests);
+        let gateway = Arc::new(
+            Gateway::builder()
+                .backend(injector.clone())
+                .fallback(Arc::new(ServiceTransport::new("cheap", cheap)))
+                .build(),
+        );
+        let outcome = resend_rounds(&gateway, &requests);
         assert_eq!(outcome.responses[0].as_deref(), Ok(reference.complete(&requests[0]).as_str()));
         assert_eq!(outcome.responses[2].as_deref(), Ok(reference.complete(&requests[2]).as_str()));
         assert_eq!(
@@ -1154,20 +1232,18 @@ mod tests {
             Ok(cheap_reference.complete(&requests[1]).as_str()),
             "the poisoned member is answered by the fallback"
         );
+        let prompts: Vec<&str> = requests.iter().map(|r| r.prompt.as_str()).collect();
+        let expected = replay_rounds(&plan, &prompts, 4);
+        assert_eq!((expected.served, expected.laddered), (2, 1), "both healthy members");
         let snap = gateway.snapshot();
-        assert_eq!(snap.batch_splits, 1);
         assert_eq!(snap.degraded_fallbacks, 1, "exactly the poisoned member degraded");
         assert_eq!(snap.degraded(), 1);
-
-        let prompts: Vec<&str> = requests.iter().map(|r| r.prompt.as_str()).collect();
-        let [calls, served, salvaged] = replay_partial_walk(&plan, &prompts, 4);
-        assert_eq!((served, salvaged), (2, 1), "both healthy members, the first kept");
-        assert_eq!(snap.backends[0].counters.attempts, calls);
-        assert_eq!(snap.salvaged_members, salvaged);
+        assert_eq!(snap.backends[0].counters.attempts, expected.calls);
+        assert_eq!(snap.resent_members, expected.resent);
         // Each healthy member was computed once, and the poisoned member's
-        // faults are its own: one inside the batch, four alone.
+        // faults are its own: one inside the batch, the rest alone.
         let counts = injector.counts();
-        assert_eq!((counts.passed, counts.injected), (served, 1 + 4));
+        assert_eq!((counts.passed, counts.injected), (expected.served, expected.faults));
         assert_eq!(service.usage().calls, reference.usage().calls);
     }
 
@@ -1176,12 +1252,14 @@ mod tests {
         let service = sim(16);
         let injector = Arc::new(FaultInjector::new("down", service, FaultPlan::transient(1.0, 31)));
         let cheap = sim(16);
-        let gateway = Gateway::builder()
-            .backend(injector)
-            .fallback(Arc::new(ServiceTransport::new("cheap", cheap.clone())))
-            .build();
+        let gateway = Arc::new(
+            Gateway::builder()
+                .backend(injector)
+                .fallback(Arc::new(ServiceTransport::new("cheap", cheap.clone())))
+                .build(),
+        );
         let requests: Vec<CompletionRequest> = (0..4).map(prompt).collect();
-        let outcome = gateway.complete_batch(&requests);
+        let outcome = resend_rounds(&gateway, &requests);
         for (request, response) in requests.iter().zip(&outcome.responses) {
             assert_eq!(response.as_deref(), Ok(cheap.complete(request).as_str()));
         }
@@ -1282,7 +1360,7 @@ mod tests {
         }
         // A later uncancelled job over the same prompts must get real
         // fallback answers, not a replayed refusal.
-        let outcome = gateway.complete_batch(&requests);
+        let outcome = resend_rounds(&Arc::new(gateway), &requests);
         for (request, response) in requests.iter().zip(&outcome.responses) {
             assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
         }

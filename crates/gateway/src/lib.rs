@@ -41,7 +41,7 @@ mod transport;
 pub use backoff::BackoffPolicy;
 pub use batch::{BatchConfig, BatchSnapshot, Batcher, FlushReason, FlushRecord};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
-pub use error::{FaultClass, TransportError};
+pub use error::{FaultClass, TransportError, Verdict};
 pub use fault::{prompt_key, FaultCounts, FaultInjector, FaultPlan};
 pub use gateway::{Gateway, GatewayBuilder, GatewayConfig};
 pub use limiter::{TokenBudget, TokenBudgetConfig};

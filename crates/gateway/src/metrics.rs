@@ -60,6 +60,7 @@ struct MetricsInner {
     batch_members: u64,
     batch_splits: u64,
     salvaged_members: u64,
+    resent_members: u64,
 }
 
 /// Interior-mutable metrics registry owned by the gateway.
@@ -77,8 +78,9 @@ impl GatewayMetrics {
         }
     }
 
-    pub(crate) fn request(&self) {
-        self.inner.lock().requests += 1;
+    /// Book `count` logical requests the gateway resolved.
+    pub(crate) fn requests(&self, count: usize) {
+        self.inner.lock().requests += count as u64;
     }
 
     pub(crate) fn attempt(&self, backend: usize, is_retry: bool) {
@@ -117,22 +119,23 @@ impl GatewayMetrics {
         self.inner.lock().cancelled += 1;
     }
 
-    /// Book one batched call of `members` requests. Members count into
-    /// `requests` too, so the top line keeps meaning "logical requests
-    /// entering the gateway" whichever path they took.
+    /// Book one batched call of `members` requests entering the gateway.
     pub(crate) fn batch(&self, members: usize) {
         let mut inner = self.inner.lock();
         inner.batches += 1;
         inner.batch_members += members as u64;
-        inner.requests += members as u64;
     }
 
-    /// Book a batched call whose wire placement faulted, and the `salvaged`
-    /// members whose answers its faulted wire calls had already delivered.
-    pub(crate) fn batch_split(&self, salvaged: usize) {
+    /// Book how a placed batch of `members` ended: `answered` by its wire
+    /// call, `resent` returned for the batcher to re-send. A call that left
+    /// any member unanswered is a split, and its answers were salvaged.
+    pub(crate) fn placed(&self, members: usize, answered: usize, resent: usize) {
         let mut inner = self.inner.lock();
-        inner.batch_splits += 1;
-        inner.salvaged_members += salvaged as u64;
+        inner.resent_members += resent as u64;
+        if answered < members {
+            inner.batch_splits += 1;
+            inner.salvaged_members += answered as u64;
+        }
     }
 
     pub(crate) fn degraded_cache_hit(&self) {
@@ -176,6 +179,7 @@ impl GatewayMetrics {
             batch_members: inner.batch_members,
             batch_splits: inner.batch_splits,
             salvaged_members: inner.salvaged_members,
+            resent_members: inner.resent_members,
             backends,
         }
     }
@@ -193,10 +197,13 @@ pub struct BackendSnapshot {
 /// Point-in-time view of the whole gateway.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatewaySnapshot {
-    /// Logical requests entering the gateway: one per lone completion or
-    /// `embed` call, and one per member of a batched call.
+    /// Logical requests the gateway resolved: one per lone completion or
+    /// `embed` call, and one per member of a batched call that left with its
+    /// outcome. A member returned for re-sending is counted once, when a
+    /// later call resolves it.
     pub requests: u64,
-    /// Requests that moved past an attempted or shielded backend to the next.
+    /// Requests that moved past an attempted or shielded backend to the next
+    /// (a batched placement moving on counts once).
     pub failovers: u64,
     /// Requests abandoned because the caller's deadline passed or the job was
     /// cancelled mid-flight; the gateway stops retrying and bills nothing.
@@ -210,18 +217,20 @@ pub struct GatewaySnapshot {
     /// Requests whose answer was withheld, `NoAnswer::Unavailable` (nothing
     /// left).
     pub degraded_static: u64,
-    /// Batched calls placed (one per `complete_batch` entering the gateway).
+    /// Batched calls placed (one per `complete_batch` of more than one member
+    /// entering the gateway).
     pub batches: u64,
-    /// Member requests carried by those batched calls (also in `requests`).
+    /// Members carried by those batched calls, a re-sent member once per
+    /// call it rode.
     pub batch_members: u64,
-    /// Batched calls whose wire placement faulted, counted once per batched
-    /// call however many of its wire calls faulted. The member a fault named
-    /// was re-dispatched alone, and so was every member of a call whose fault
-    /// named none.
+    /// Batched calls whose placement left at least one member unanswered.
     pub batch_splits: u64,
-    /// Members answered by the delivered prefix of a faulted batched wire
-    /// call: kept, never re-sent (also in `batch_members`).
+    /// Members those split calls did answer: kept, never re-sent (also in
+    /// `batch_members`).
     pub salvaged_members: u64,
+    /// Members returned `NoAnswer::Resend` for the batcher to re-send in a
+    /// later flush (also in `batch_members`).
+    pub resent_members: u64,
     pub backends: Vec<BackendSnapshot>,
 }
 
@@ -274,12 +283,13 @@ impl GatewaySnapshot {
         if self.batches > 0 {
             out.push_str(&format!(
                 "\x20 batches         {} ({} members, {:.2} mean occupancy, {} split, \
-                 {} salvaged)\n",
+                 {} salvaged, {} resent)\n",
                 self.batches,
                 self.batch_members,
                 self.mean_batch_occupancy(),
                 self.batch_splits,
                 self.salvaged_members,
+                self.resent_members,
             ));
         }
         for backend in &self.backends {
@@ -318,7 +328,7 @@ mod tests {
     #[test]
     fn counters_land_on_the_right_backend() {
         let metrics = GatewayMetrics::new(2);
-        metrics.request();
+        metrics.requests(1);
         metrics.attempt(0, false);
         metrics.fault(0, FaultClass::Timeout);
         metrics.backoff(0, 40);
@@ -363,10 +373,13 @@ mod tests {
     fn salvaged_members_ride_the_batch_line() {
         let metrics = GatewayMetrics::new(1);
         metrics.batch(8);
-        metrics.batch_split(3);
+        metrics.placed(8, 3, 4);
+        metrics.batch(4);
+        metrics.placed(4, 4, 0);
         let snap = metrics
             .snapshot(&["only".to_string()], &[(BreakerState::Closed, BreakerStats::default())]);
-        assert_eq!((snap.batch_splits, snap.salvaged_members), (1, 3));
-        assert!(snap.report().contains("1 split, 3 salvaged"), "{}", snap.report());
+        assert_eq!((snap.batch_splits, snap.salvaged_members, snap.resent_members), (1, 3, 4));
+        assert_eq!(snap.requests, 0, "requests are booked as they resolve");
+        assert!(snap.report().contains("1 split, 3 salvaged, 4 resent"), "{}", snap.report());
     }
 }

@@ -24,15 +24,14 @@ pub trait LlmTransport: Send + Sync {
     /// Batched completion — the one completion method a transport
     /// implements. An `Ok` reply carries one member per request, in order,
     /// each an answer or a typed [`NoAnswer`](lingua_llm_sim::NoAnswer). A
-    /// call that dies at member *k* may return
-    /// [`TransportError::Partial`]: the answers it delivered for members
-    /// `0..k` (computed and billed) beside member *k*'s fault; members after
-    /// *k* were never reached. The gateway keeps that prefix, retries member
-    /// *k* alone and places the tail as one more batched call; a plain error
-    /// names no member, so every member is re-dispatched alone. The gateway
-    /// books any other reply shape — an `Ok` without one member and one split
-    /// per request, or a delivered prefix that is not strictly shorter than
-    /// the batch — as malformed output.
+    /// batch some of whose members drew a fault returns
+    /// [`TransportError::Partial`] with one verdict per member — or, when a
+    /// connection-scoped fault cut the call, one per member before the cut.
+    /// The gateway keeps every answer and has the batcher re-send the rest;
+    /// a plain error strikes the first member and leaves the others
+    /// unreached. The gateway books any other reply shape — an `Ok` without
+    /// one member and one split per request, or a partial reply of the wrong
+    /// length — as malformed output.
     fn complete_batch(
         &self,
         requests: &[CompletionRequest],

@@ -273,11 +273,80 @@ fn single_threaded_replay_is_all_window_flushes() {
     assert_eq!(service.usage(), reference.usage(), "occupancy-1 batching bills identically");
 }
 
-/// Gateway partial-batch replay: a faulted batched first attempt keeps the
-/// members it delivered and re-dispatches the rest, and because the fault
-/// plan is a pure function of `(seed, prompt, attempt)`, the *entire*
-/// per-member attempt schedule replays exactly — which member faulted where,
-/// how many attempts and retries each burned, and what the ledger billed.
+/// A lone caller's batcher over `service`: every flush places the members
+/// still unanswered, so the rounds of a faulted batch replay exactly.
+fn resending(service: Arc<dyn LlmService>, members: usize) -> Batcher {
+    Batcher::new(service, BatchConfig { max_batch_size: members, max_wait: Duration::ZERO })
+}
+
+/// The per-member placement law replayed from `plan` over one primary, as a
+/// lone caller's [`resending`] batcher drives it. Each round places the
+/// members still unanswered as one wire call, in order, each drawing its
+/// next attempt. A member-scoped fault sends its member to the next round
+/// with an attempt spent; a connection-scoped one does the same and leaves
+/// the members after it unreached, for the next round as they were. A
+/// member whose `max_attempts` are spent leaves for the ladder. A round of
+/// one is a lone request, retried in place from the attempts it carries.
+#[derive(Debug, Default)]
+struct Rounds {
+    /// The members of each wire call, in order.
+    calls: Vec<Vec<usize>>,
+    faults: u64,
+    /// Members answered `Resend`, once per time.
+    resent: u64,
+    /// Whether the primary answered each member.
+    answered: Vec<bool>,
+}
+
+fn replay_rounds(plan: &FaultPlan, prompts: &[&str], max_attempts: u32) -> Rounds {
+    let mut next = vec![0u64; prompts.len()];
+    let mut spent = vec![0u32; prompts.len()];
+    let mut rounds = Rounds { answered: vec![false; prompts.len()], ..Rounds::default() };
+    let mut open: Vec<usize> = (0..prompts.len()).collect();
+    while let [first, ..] = open[..] {
+        if open.len() == 1 {
+            while spent[first] < max_attempts {
+                rounds.calls.push(vec![first]);
+                next[first] += 1;
+                if plan.decide(prompts[first], next[first] - 1).is_none() {
+                    rounds.answered[first] = true;
+                    break;
+                }
+                rounds.faults += 1;
+                spent[first] += 1;
+            }
+            break;
+        }
+        rounds.calls.push(open.clone());
+        let mut unanswered = Vec::new();
+        let mut members = open.iter().copied();
+        for i in members.by_ref() {
+            next[i] += 1;
+            let Some(class) = plan.decide(prompts[i], next[i] - 1) else {
+                rounds.answered[i] = true;
+                continue;
+            };
+            rounds.faults += 1;
+            spent[i] += 1;
+            if spent[i] < max_attempts {
+                unanswered.push(i);
+            }
+            if !class.is_member_scoped() {
+                break;
+            }
+        }
+        unanswered.extend(members);
+        rounds.resent += unanswered.len() as u64;
+        open = unanswered;
+    }
+    rounds
+}
+
+/// Gateway resend replay: a faulted member rides the next call beside the
+/// other unanswered members, and because the fault plan is a pure function
+/// of `(seed, prompt, attempt)`, the *entire* per-member attempt schedule
+/// replays exactly — which member faulted where, which calls it rode, and
+/// what the ledger billed.
 #[test]
 fn split_batch_replays_exact_per_member_attempt_schedules() {
     let plan = FaultPlan::transient(0.35, 57);
@@ -289,27 +358,28 @@ fn split_batch_replays_exact_per_member_attempt_schedules() {
             .expect("a matching prompt exists")
     };
     // Pin each member's fault pattern by construction:
-    //   A passes every attempt it will see — attempt 0 inside the batched
-    //     wire call, attempt 1 as its split re-dispatch;
-    //   B faults attempt 0 (failing the wire call, so C is never reached
-    //     there), faults its first split attempt (1), passes the retry (2);
-    //   C first executes during the split — faults attempt 0, passes 1.
-    let a = find(&|p| plan.decide(p, 0).is_none() && plan.decide(p, 1).is_none());
+    //   A passes attempt 0;
+    //   B faults attempts 0 and 1 and passes 2;
+    //   C faults attempt 0 and passes 1.
+    let a = find(&|p| plan.decide(p, 0).is_none());
     let b = find(&|p| {
         plan.decide(p, 0).is_some() && plan.decide(p, 1).is_some() && plan.decide(p, 2).is_none()
     });
     let c = find(&|p| plan.decide(p, 0).is_some() && plan.decide(p, 1).is_none());
     let requests = vec![a, b, c];
+    let prompts: Vec<&str> = requests.iter().map(|r| r.prompt.as_str()).collect();
+    let expected = replay_rounds(&plan, &prompts, 4);
 
     let service = sim(505, false);
     let reference = sim(505, false);
     let injector = Arc::new(FaultInjector::new("flaky", service.clone(), plan));
-    let gateway = Gateway::over(injector.clone());
-    let outcome = gateway.complete_batch(&requests);
+    let gateway = Arc::new(Gateway::over(injector.clone()));
+    let batcher = resending(gateway.clone(), requests.len());
+    let outcome = batcher.complete_batch(&requests);
 
     for (request, response) in requests.iter().zip(&outcome.responses) {
         let expected = reference.complete(request);
-        assert_eq!(response.as_deref(), Ok(expected.as_str()), "split answers diverged");
+        assert_eq!(response.as_deref(), Ok(expected.as_str()), "resent answers diverged");
     }
     let mut summed = Usage::default();
     for split in &outcome.splits {
@@ -317,65 +387,67 @@ fn split_batch_replays_exact_per_member_attempt_schedules() {
     }
     assert_eq!(summed, outcome.batch_usage, "member splits conserve the batch usage");
 
-    // The injector saw exactly the schedule above: A passed 0 inside the
-    // batch and was kept, never re-sent; B faulted 0 and 1 then passed 2
-    // alone; C, the unreached tail of one, faulted 0 then passed 1 alone.
+    // The flushes are the replay's calls: all three, then B and C, then B
+    // alone, each after the one before re-sent its unanswered members.
+    let occupancies: Vec<usize> = batcher.flush_log().iter().map(|f| f.occupancy).collect();
+    let calls: Vec<usize> = expected.calls.iter().map(Vec::len).collect();
+    assert_eq!(occupancies, calls);
+    assert_eq!(calls, [3, 2, 1]);
+    let resent: u64 = batcher.flush_log().iter().map(|f| f.resent as u64).sum();
+    assert_eq!(resent, expected.resent);
+
     let counts = injector.counts();
     assert_eq!(counts.passed, 3, "A, B and C once each");
-    assert_eq!(counts.injected, 3, "B twice, C once");
-    assert_eq!(counts.transient, 3);
-
-    // And the gateway booked the same walk: one batched attempt plus
-    // 1 (A) + 2 (B) + 2 (C) split attempts, with B's and C's second
-    // attempts counted as retries.
+    assert_eq!(counts.injected, expected.faults);
     let snap = gateway.snapshot();
     let primary = &snap.backends[0].counters;
-    assert_eq!(primary.attempts, 5);
-    assert_eq!(primary.retries, 2);
-    assert_eq!(primary.faults(), 3);
-    assert_eq!(primary.served, 2, "B's and C's lone calls; A rode the faulted batch");
-    assert_eq!(snap.salvaged_members, 1, "A was kept");
-    assert_eq!(snap.batches, 1);
-    assert_eq!(snap.batch_members, 3);
-    assert_eq!(snap.batch_splits, 1);
-    assert_eq!(snap.degraded(), 0, "per-member retries absorbed every fault");
-    assert!(snap.added_backoff_ms() > 0, "B's and C's retries charged backoff");
+    assert_eq!(primary.attempts, expected.calls.len() as u64);
+    assert_eq!(primary.served, expected.calls.len() as u64, "every call came back");
+    assert_eq!(primary.faults(), expected.faults);
+    assert_eq!(primary.retries, 1, "B's lone call, with two attempts spent");
+    assert_eq!(snap.resent_members, expected.resent);
+    assert_eq!(snap.requests, 3, "each member resolved once");
+    assert_eq!((snap.batches, snap.batch_members), (2, 5));
+    assert_eq!(snap.degraded(), 0, "re-sending absorbed every fault");
+    assert!(snap.added_backoff_ms() > 0, "every resend charged backoff");
 
-    // Ledger: A was kept, not recomputed, so three billed calls serve three
-    // logical requests, as in the reference, and the three transient faults
-    // billed their aborted prompts.
+    // Ledger: nothing answered was recomputed, so three billed calls serve
+    // three logical requests, as in the reference, and every transient
+    // fault billed its aborted prompt.
     let ledger = service.usage();
     assert_eq!(ledger.calls, 3);
-    assert_eq!(ledger.failed_calls, 3);
+    assert_eq!(ledger.failed_calls, expected.faults);
     assert_eq!(reference.usage().calls, 3);
 }
 
-/// A fault in the middle of a batch: the members before it are kept, the
-/// faulted member is retried alone, and the unreached tail goes out as one
-/// more batched call — exactly three transport calls, whose answers are the
-/// reference's and whose ledger is the reference's, call for call.
+/// A fault in the middle of a batch: every other member is answered by the
+/// call, and only the faulted member rides the next one — two transport
+/// calls, whose answers are the reference's and whose ledger is the
+/// reference's, call for call.
 #[test]
-fn a_mid_batch_fault_keeps_the_head_retries_the_member_and_batches_the_tail() {
+fn a_mid_batch_fault_resends_only_the_faulted_member() {
     let plan = FaultPlan::transient(0.35, 71);
     let candidates = || (0..50_000).map(|i| format!("Summarize. Text: mid-batch candidate {i}"));
     let mut passing = candidates().filter(|p| plan.decide(p, 0).is_none());
     let mut next = || CompletionRequest::new(passing.next().expect("a passing prompt exists"));
     // The faulted member fails its attempt 0 inside the batch and passes
-    // attempt 1 alone; every other member passes the one attempt it sees.
+    // attempt 1; every other member passes the one attempt it sees.
     let faulted = candidates()
         .find(|p| plan.decide(p, 0).is_some() && plan.decide(p, 1).is_none())
         .map(CompletionRequest::new)
         .expect("a fault-then-pass prompt exists");
     let requests = vec![next(), next(), faulted, next(), next()];
+    let prompts: Vec<&str> = requests.iter().map(|r| r.prompt.as_str()).collect();
+    let expected = replay_rounds(&plan, &prompts, 4);
 
     let service = sim(707, false);
     let reference = sim(707, false);
-    let backend =
-        Arc::new(CancelMidSplit::new(FaultInjector::new("flaky", service.clone(), plan), None));
-    let gateway = Gateway::over(backend.clone());
-    let outcome = gateway.complete_batch(&requests);
+    let backend = Arc::new(Logged::new(FaultInjector::new("flaky", service.clone(), plan), None));
+    let gateway = Arc::new(Gateway::over(backend.clone()));
+    let outcome = resending(gateway.clone(), requests.len()).complete_batch(&requests);
 
-    assert_eq!(backend.sizes(), [5, 1, 2], "the batch, the faulted member alone, the tail");
+    assert_eq!(backend.calls(), expected.calls, "the batch, then the faulted member");
+    assert_eq!(backend.sizes(), [5, 1]);
     for (request, response) in requests.iter().zip(&outcome.responses) {
         assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
     }
@@ -385,12 +457,12 @@ fn a_mid_batch_fault_keeps_the_head_retries_the_member_and_batches_the_tail() {
     }
     assert_eq!(summed, outcome.batch_usage);
     let counts = backend.inner.counts();
-    assert_eq!((counts.passed, counts.injected), (5, 1), "each member computed once");
+    assert_eq!((counts.passed, counts.injected), (5, expected.faults), "each member computed once");
     assert_eq!(service.usage().calls, reference.usage().calls);
     let snap = gateway.snapshot();
-    assert_eq!((snap.batch_splits, snap.salvaged_members), (1, 2));
-    assert_eq!(snap.backends[0].counters.attempts, 3);
-    assert_eq!(snap.backends[0].counters.served, 2, "the lone member and the tail");
+    assert_eq!((snap.batch_splits, snap.salvaged_members, snap.resent_members), (1, 4, 1));
+    assert_eq!(snap.backends[0].counters.attempts, 2);
+    assert_eq!(snap.backends[0].counters.served, 2, "the batch and the lone member");
 }
 
 /// Mid-batch cancellation replay: seven members join, three are cancelled
@@ -456,34 +528,42 @@ fn cancelled_members_are_excluded_from_the_replayed_composition() {
     assert_eq!(log[0].usage, ledger, "the flush record carries the exact billed usage");
 }
 
-/// A flaky backend that logs the size of every batch it is sent, with one
-/// hook: when `doomed` arrives as a batch of one — the gateway has begun
-/// re-dispatching a faulted batch's member alone — its job's token is
-/// cancelled before the backend answers.
-struct CancelMidSplit {
+/// A flaky backend that logs the members of every batch it is sent, by
+/// index of first appearance, with one hook: when `doomed` is in a batch,
+/// its job's token is cancelled before the backend answers — the job dies
+/// while the call that carries its member is on the wire.
+struct Logged {
     inner: FaultInjector,
     doomed: Option<u64>,
     token: CancelToken,
-    sizes: Mutex<Vec<usize>>,
+    seen: Mutex<Vec<u64>>,
+    calls: Mutex<Vec<Vec<usize>>>,
 }
 
-impl CancelMidSplit {
-    fn new(inner: FaultInjector, doomed: Option<&CompletionRequest>) -> CancelMidSplit {
-        CancelMidSplit {
+impl Logged {
+    fn new(inner: FaultInjector, doomed: Option<&CompletionRequest>) -> Logged {
+        Logged {
             inner,
             doomed: doomed.map(CompletionRequest::fingerprint),
             token: CancelToken::unbounded(),
-            sizes: Mutex::new(Vec::new()),
+            seen: Mutex::new(Vec::new()),
+            calls: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The members of each batch the backend was sent, in order, each the
+    /// index of the call it first arrived in, counted across calls.
+    fn calls(&self) -> Vec<Vec<usize>> {
+        self.calls.lock().clone()
     }
 
     /// The size of each batch the backend was sent, in order.
     fn sizes(&self) -> Vec<usize> {
-        self.sizes.lock().clone()
+        self.calls().iter().map(Vec::len).collect()
     }
 }
 
-impl LlmTransport for CancelMidSplit {
+impl LlmTransport for Logged {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -492,11 +572,21 @@ impl LlmTransport for CancelMidSplit {
         &self,
         requests: &[CompletionRequest],
     ) -> Result<BatchOutcome, TransportError> {
-        self.sizes.lock().push(requests.len());
-        if let [only] = requests {
-            if Some(only.fingerprint()) == self.doomed {
-                self.token.cancel();
-            }
+        let mut seen = self.seen.lock();
+        let call = requests
+            .iter()
+            .map(|r| {
+                let key = r.fingerprint();
+                seen.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    seen.push(key);
+                    seen.len() - 1
+                })
+            })
+            .collect();
+        drop(seen);
+        self.calls.lock().push(call);
+        if requests.iter().any(|r| Some(r.fingerprint()) == self.doomed) {
+            self.token.cancel();
         }
         self.inner.complete_batch(requests)
     }
@@ -531,11 +621,12 @@ impl LlmTransport for CancelMidSplit {
     }
 }
 
-/// Per-member cancellation inside a flush: the batched wire call faults, the
-/// gateway splits, and one member's job dies *during* the split. That member
-/// is refused as cancelled at once — no retry, no backoff, nothing
-/// remembered — while its siblings are served as if it had never been there,
-/// and the splits, the batch usage and the ledger agree exactly.
+/// A connection-scoped fault cuts the call at the member it struck, and
+/// that member's job dies while the call is on the wire: the member is
+/// refused as cancelled at once — no resend, no backoff, nothing remembered
+/// — while the siblings the cut never reached ride the next flush as if it
+/// had never been there, and the splits, the batch usage and the ledger
+/// agree exactly.
 #[test]
 fn member_cancelled_mid_split_stops_alone_and_unbilled() {
     // Rate limits only: a refused call bills nothing, so the ledger can be
@@ -543,13 +634,13 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
     let plan = FaultPlan { rate_limit_rate: 0.5, ..FaultPlan::none(61) };
     let candidates = || (0..50_000).map(|i| format!("Summarize. Text: mid-split candidate {i}"));
     // The doomed member is refused on every attempt it could ever see: 0
-    // fails the wire call (it joins first, so no sibling is reached there),
-    // 1 is its split dispatch, 2..=5 what a later caller would burn.
+    // cuts the wire call (it joins first, so no sibling is reached there),
+    // 1..=5 what a later caller would burn.
     let doomed = candidates()
         .find(|p| (0..=5).all(|attempt| plan.decide(p, attempt).is_some()))
         .map(CompletionRequest::new)
         .expect("an always-refused prompt exists at 50%");
-    // The siblings first execute during the split, and pass.
+    // The siblings first execute in the second flush, and pass.
     let siblings: Vec<CompletionRequest> = candidates()
         .filter(|p| plan.decide(p, 0).is_none())
         .take(2)
@@ -558,16 +649,16 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
 
     let service = sim(606, false);
     let reference = sim(606, false);
-    let backend = Arc::new(CancelMidSplit::new(
-        FaultInjector::new("flaky", service.clone(), plan),
-        Some(&doomed),
-    ));
+    let backend =
+        Arc::new(Logged::new(FaultInjector::new("flaky", service.clone(), plan), Some(&doomed)));
     let token = backend.token.clone();
     let gateway = Arc::new(Gateway::over(backend.clone()));
     let recording = Arc::new(Recording::new(gateway.clone()));
+    // The window only ever closes the second flush, whose two members
+    // re-enter together the moment the first flush answers them.
     let batcher = Arc::new(Batcher::new(
         recording.clone() as Arc<dyn LlmService>,
-        BatchConfig { max_batch_size: 3, max_wait: Duration::from_secs(3600) },
+        BatchConfig { max_batch_size: 3, max_wait: Duration::from_millis(200) },
     ));
     std::thread::scope(|scope| {
         // Join order is batch order: the doomed member first.
@@ -588,37 +679,43 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
         assert_eq!(cancelled.join().expect("no panic"), REFUSED);
     });
 
-    // The batcher saw three live members: the job died after its filter.
-    let snap = batcher.snapshot();
-    assert_eq!((snap.batches, snap.members, snap.cancelled_members), (1, 3, 0));
-    // One attempt for the batch, which faults at the doomed member before
-    // delivering any answer, one for the doomed member alone, one for the
-    // two siblings as one batch, and nothing after the doomed member's
-    // token fired.
+    // Two flushes: all three live, then the two siblings re-sent.
+    let log = batcher.flush_log();
+    let flushes: Vec<(usize, usize, FlushReason)> =
+        log.iter().map(|f| (f.occupancy, f.resent, f.reason)).collect();
+    assert_eq!(flushes, [(3, 2, FlushReason::Size), (2, 0, FlushReason::Window)]);
+    // The siblings re-enter on their own threads, in either order.
+    let mut calls = backend.calls();
+    calls[1].sort_unstable();
+    assert_eq!(calls, [vec![0, 1, 2], vec![1, 2]]);
+    // The gateway refused the doomed member itself: the batcher never had
+    // to.
+    assert_eq!(batcher.snapshot().cancelled_members, 0);
     let snap = gateway.snapshot();
     let primary = &snap.backends[0].counters;
-    assert_eq!(snap.batch_splits, 1);
-    assert_eq!(snap.salvaged_members, 0);
-    assert_eq!(primary.attempts, 3);
-    assert_eq!(backend.sizes(), [3, 1, 2]);
+    assert_eq!((primary.attempts, primary.rate_limited), (2, 1));
     assert_eq!(primary.retries, 0, "a dead job's member is not retried");
     assert_eq!(snap.added_backoff_ms(), 0, "nor charged backoff");
-    assert_eq!(snap.cancelled, 1);
+    assert_eq!((snap.cancelled, snap.resent_members, snap.requests), (1, 2, 3));
     assert_eq!(snap.degraded(), 0);
     let counts = backend.inner.counts();
-    assert_eq!((counts.injected, counts.passed), (2, 2));
+    assert_eq!((counts.injected, counts.passed), (1, 2));
 
-    // sum(splits) == batch usage == ledger delta: two billed calls, the
-    // siblings'; the cancelled member's split is empty.
+    // sum(splits) == batch usage == ledger delta, per flush: the first
+    // billed nothing, the second the siblings' two calls.
     let outcomes = recording.outcomes();
-    assert_eq!(outcomes.len(), 1);
-    let mut summed = Usage::default();
-    for split in &outcomes[0].splits {
-        summed.merge(split);
+    assert_eq!(outcomes.len(), 2);
+    let mut billed = Usage::default();
+    for outcome in &outcomes {
+        let mut summed = Usage::default();
+        for split in &outcome.splits {
+            summed.merge(split);
+        }
+        assert_eq!(summed, outcome.batch_usage);
+        billed.merge(&outcome.batch_usage);
     }
-    assert_eq!(outcomes[0].splits[0], Usage::default());
-    assert_eq!(summed, outcomes[0].batch_usage);
-    assert_eq!(outcomes[0].batch_usage, service.usage());
+    assert_eq!(outcomes[0].batch_usage, Usage::default());
+    assert_eq!(billed, service.usage());
     assert_eq!(service.usage(), reference.usage());
 
     // The refusal never entered the stale cache: a later live caller that
@@ -627,31 +724,28 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
     assert_eq!(gateway.snapshot().degraded_cache_hits, 0);
 }
 
-/// A tail member whose job dies while the faulted member is retried: the
-/// tail is not placed as a batch, since that would bill a dead job, so each
-/// tail member goes alone and the dead one is refused before any attempt,
-/// counted, and billed nothing.
+/// A member cut off unreached whose job died while the call was on the wire
+/// is not re-sent, since that would bill a dead job: it is refused before
+/// any attempt, counted, and billed nothing, while its live siblings ride
+/// the next call.
 #[test]
 fn a_tail_member_whose_job_died_mid_split_is_refused_unbilled() {
     let plan = FaultPlan { rate_limit_rate: 0.5, ..FaultPlan::none(61) };
     let candidates = || (0..50_000).map(|i| format!("Summarize. Text: mid-split candidate {i}"));
-    // Refused at attempt 0 inside the batch and at attempt 1 alone.
     let doomed = candidates()
-        .find(|p| (0..=1).all(|attempt| plan.decide(p, attempt).is_some()))
+        .find(|p| plan.decide(p, 0).is_some())
         .map(CompletionRequest::new)
-        .expect("a twice-refused prompt exists at 50%");
+        .expect("a refused prompt exists at 50%");
     let mut passing =
         candidates().filter(|p| plan.decide(p, 0).is_none()).map(CompletionRequest::new);
 
     let service = sim(808, false);
     let reference = sim(808, false);
-    let backend = Arc::new(CancelMidSplit::new(
-        FaultInjector::new("flaky", service.clone(), plan),
-        Some(&doomed),
-    ));
+    let backend =
+        Arc::new(Logged::new(FaultInjector::new("flaky", service.clone(), plan), Some(&doomed)));
     let token = backend.token.clone();
-    let gateway = Gateway::over(backend.clone());
-    // The doomed member leads; the last tail member belongs to its job.
+    let gateway = Arc::new(Gateway::over(backend.clone()));
+    // The doomed member leads; the last member belongs to its job.
     let live = [passing.next().unwrap(), passing.next().unwrap()];
     let requests = vec![
         doomed.with_cancel(token.clone()),
@@ -659,17 +753,17 @@ fn a_tail_member_whose_job_died_mid_split_is_refused_unbilled() {
         live[1].clone(),
         passing.next().unwrap().with_cancel(token),
     ];
-    let outcome = gateway.complete_batch(&requests);
+    let outcome = resending(gateway.clone(), requests.len()).complete_batch(&requests);
 
     assert_eq!(outcome.responses[0], REFUSED);
     assert_eq!(outcome.responses[3], REFUSED);
     for (request, response) in live.iter().zip(&outcome.responses[1..3]) {
         assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
     }
-    assert_eq!(backend.sizes(), [4, 1, 1, 1], "the dead member took no call");
+    assert_eq!(backend.calls(), [vec![0, 1, 2, 3], vec![1, 2]], "the dead members took no call");
     assert_eq!(outcome.splits[3], Usage::default());
     let snap = gateway.snapshot();
-    assert_eq!(snap.cancelled, 2, "the doomed member and its job's tail member");
+    assert_eq!(snap.cancelled, 2, "the doomed member and its job's unreached member");
     assert_eq!(snap.backends[0].counters.retries, 0);
     assert_eq!(backend.inner.counts().passed, 2);
     assert_eq!(outcome.batch_usage, service.usage());

@@ -1,28 +1,35 @@
-//! Property suite for partial batches: a batched wire call that dies at
-//! member *k* keeps the answers it delivered for members `0..k`, retries
-//! member *k* alone and places the tail as one more batched call. For any
-//! batch size, mixed fault rate and backend line-up:
+//! Property suite for per-member placement: a batched wire call keeps every
+//! answer it brings back, and each member it did not answer — its own fault,
+//! or never reached past a connection cut — rides a later call beside the
+//! others the batcher re-sends, until its attempt budget is spent and it goes
+//! alone down the failover and degraded ladder. For any batch size, mixed
+//! fault rate and backend line-up, with a lone caller's batcher re-sending:
 //!
 //! ```text
 //!   every Ok answer == the fault-free reference's answer
+//!   no member leaves the batcher NoAnswer::Resend
 //!   sum(member splits) == batch usage
 //!   ledger calls - batch usage calls == malformed faults   (nothing answered is billed twice)
 //!   ledger failed calls == timeouts + transient faults
-//!   transport calls <= 1 + 2 × injected faults
+//!   primary calls <= max_attempts + connection-scoped faults
+//!   other calls == members that left the primary for the ladder
 //! ```
 //!
-//! The last law is the one the old schedule broke: it threw the delivered
-//! prefix away and re-sent every member alone, so one fault cost `1 + n`
-//! calls. A malformed fault bills a whole call by design — the model
-//! answered, the payload broke — so it is the one fault the ledger may bill
-//! beside the member's answer. The breaker is pinned shut so every call the
-//! gateway places follows from a fault it saw; `LINGUA_CHAOS_FAULT_RATE`
-//! (default 0.5) caps the drawn fault rate.
+//! The primary law is the one the old schedule broke: it sent each faulted
+//! member alone for its retries, so the calls grew with the number of
+//! faulted members. Now they share calls, and the member left open longest
+//! bounds them: each call before its last either faulted it (at most
+//! `max_attempts - 1` times, or it would have left for the ladder) or cut
+//! the call before reaching it. A malformed fault bills a whole call by
+//! design — the model answered, the payload broke — so it is the one fault
+//! the ledger may bill beside the member's answer. The breaker is pinned
+//! shut so every call the gateway places follows from a fault it saw;
+//! `LINGUA_CHAOS_FAULT_RATE` (default 0.5) caps the drawn fault rate.
 
 use lingua_dataset::world::WorldSpec;
 use lingua_gateway::{
-    BreakerConfig, FaultInjector, FaultPlan, Gateway, LlmTransport, ServiceTransport,
-    TransportError,
+    BackoffPolicy, BatchConfig, Batcher, BreakerConfig, FaultInjector, FaultPlan, Gateway,
+    LlmTransport, ServiceTransport, TransportError,
 };
 use lingua_llm_sim::{
     BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer, SimLlm,
@@ -31,6 +38,7 @@ use lingua_llm_sim::{
 use lingua_ml::check::check;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const WORLD_SEED: u64 = 89;
 
@@ -135,23 +143,30 @@ fn a_partial_batch_keeps_its_prefix_and_bills_each_answer_once() {
                     ))
                 })
                 .collect();
-            let calls = Arc::new(AtomicU64::new(0));
+            let primary_calls = Arc::new(AtomicU64::new(0));
+            let other_calls = Arc::new(AtomicU64::new(0));
             let plan = FaultPlan::uniform(case.fault_rate, case.plan_seed);
             let injector =
-                counted(FaultInjector::new("flaky", sim(&world, WORLD_SEED), plan), &calls);
+                counted(FaultInjector::new("flaky", sim(&world, WORLD_SEED), plan), &primary_calls);
             let mut builder = Gateway::builder()
                 .breaker(BreakerConfig { min_calls: usize::MAX, ..BreakerConfig::default() })
                 .backend(injector.clone());
             if case.standby {
                 let standby = ServiceTransport::new("standby", sim(&world, WORLD_SEED));
-                builder = builder.backend(counted(standby, &calls));
+                builder = builder.backend(counted(standby, &other_calls));
             }
             if case.fallback {
                 let cheap = ServiceTransport::new("cheap", sim(&world, WORLD_SEED));
-                builder = builder.fallback(counted(cheap, &calls));
+                builder = builder.fallback(counted(cheap, &other_calls));
             }
-            let gateway = builder.build();
-            let outcome = gateway.complete_batch(&requests);
+            let gateway = Arc::new(builder.build());
+            // A lone caller's batcher: each flush places every member still
+            // unanswered.
+            let batcher = Batcher::new(
+                gateway.clone() as Arc<dyn LlmService>,
+                BatchConfig { max_batch_size: case.members, max_wait: Duration::ZERO },
+            );
+            let outcome = batcher.complete_batch(&requests);
 
             let reference = sim(&world, WORLD_SEED);
             assert_eq!(outcome.responses.len(), case.members);
@@ -184,14 +199,26 @@ fn a_partial_batch_keeps_its_prefix_and_bills_each_answer_once() {
                 assert_eq!(ledger, outcome.batch_usage, "a ledger without fault bills");
             }
 
-            let placed = calls.load(Ordering::Relaxed);
+            let placed = primary_calls.load(Ordering::Relaxed);
+            let cuts = counts.timeouts + counts.rate_limited;
+            let max_attempts = u64::from(BackoffPolicy::default().max_attempts);
             assert!(
-                placed <= 1 + 2 * counts.injected,
-                "{placed} transport calls for {} injected faults",
-                counts.injected
+                placed <= max_attempts + cuts,
+                "{placed} primary calls for {cuts} connection-scoped faults"
             );
             let snap = gateway.snapshot();
-            assert_eq!(snap.batch_splits, u64::from(counts.injected > 0));
+            // A member that left the primary makes one more call: the standby
+            // never faults, and without one the fallback answers, if any.
+            let left = if case.standby { snap.failovers } else { snap.degraded_fallbacks };
+            assert_eq!(
+                other_calls.load(Ordering::Relaxed),
+                left,
+                "one call per member that left the primary"
+            );
+            assert_eq!(snap.requests, case.members as u64, "each member resolved once");
+            let resent: u64 = batcher.flush_log().iter().map(|f| f.resent as u64).sum();
+            assert_eq!(snap.resent_members, resent);
+            assert_eq!(snap.batch_splits == 0, counts.injected == 0);
         },
     );
 }

@@ -26,9 +26,13 @@
 //! * The token doubles as the worker **heartbeat**: [`CancelToken::check`]
 //!   and [`CancelToken::touch`] bump a logical progress counter that the
 //!   serve watchdog reads to distinguish "slow but advancing" from "wedged".
+//! * And it tells whether the job is **waiting** on a batch it shares with
+//!   other jobs: the batcher holds a [`WaitMark`] for each member it carries,
+//!   so the serve supervisor can tell a worker that waits from one that
+//!   computes.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,6 +50,12 @@ pub enum NoAnswer {
     /// The batch flush carrying this member failed before its response was
     /// produced.
     Aborted,
+    /// The gateway placed the member and got no answer for it — its own fault,
+    /// or a call cut before it was reached — and it has attempts left: the
+    /// batcher re-sends it in a later flush with its count set to `attempts`
+    /// ([`CompletionRequest::with_attempts`](crate::CompletionRequest::with_attempts)).
+    /// A verdict for the batcher only: it never leaves the batcher.
+    Resend { attempts: u32 },
 }
 
 impl NoAnswer {
@@ -55,6 +65,7 @@ impl NoAnswer {
             NoAnswer::Cancelled(reason) => reason.label(),
             NoAnswer::Unavailable => "unavailable",
             NoAnswer::Aborted => "aborted",
+            NoAnswer::Resend { .. } => "resend",
         }
     }
 }
@@ -70,6 +81,9 @@ impl fmt::Display for NoAnswer {
             }
             NoAnswer::Aborted => {
                 "[batch aborted] the batch flush failed before this member's response was produced"
+            }
+            NoAnswer::Resend { .. } => {
+                "[resend] the provider did not answer this member; it rides a later batch"
             }
         })
     }
@@ -102,6 +116,8 @@ struct TokenInner {
     cancelled: AtomicBool,
     /// Logical heartbeat: bumped on every cooperative check-in.
     progress: AtomicU64,
+    /// Live [`WaitMark`]s: completions of this job waiting in a batcher.
+    waiting: AtomicUsize,
 }
 
 /// Shared deadline + explicit-cancel flag + heartbeat. Clone freely; all
@@ -124,6 +140,7 @@ impl CancelToken {
                 deadline,
                 cancelled: AtomicBool::new(false),
                 progress: AtomicU64::new(0),
+                waiting: AtomicUsize::new(0),
             }),
         }
     }
@@ -201,6 +218,31 @@ impl CancelToken {
     pub fn progress(&self) -> u64 {
         self.inner.progress.load(Ordering::Relaxed)
     }
+
+    /// Mark the job as waiting on a batch until the returned mark drops.
+    /// Marks nest: the job waits while any of them lives.
+    pub fn wait_mark(&self) -> WaitMark {
+        self.inner.waiting.fetch_add(1, Ordering::AcqRel);
+        WaitMark { token: self.clone() }
+    }
+
+    /// True while a [`WaitMark`] of this job is alive.
+    pub fn is_waiting(&self) -> bool {
+        self.inner.waiting.load(Ordering::Acquire) > 0
+    }
+}
+
+/// Proof that a job is waiting on a batch it shares with other jobs (see
+/// [`CancelToken::wait_mark`]); dropping it ends the wait.
+#[derive(Debug)]
+pub struct WaitMark {
+    token: CancelToken,
+}
+
+impl Drop for WaitMark {
+    fn drop(&mut self) {
+        self.token.inner.waiting.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 #[cfg(test)]
@@ -234,6 +276,18 @@ mod tests {
         token.touch();
         clone.touch();
         assert_eq!(token.progress(), 2);
+    }
+
+    #[test]
+    fn wait_marks_nest_and_end_on_drop() {
+        let token = CancelToken::unbounded();
+        assert!(!token.is_waiting());
+        let first = token.wait_mark();
+        let second = token.clone().wait_mark();
+        drop(first);
+        assert!(token.is_waiting(), "a clone's mark is the same job's");
+        drop(second);
+        assert!(!token.is_waiting());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod prompt;
 pub mod service;
 
 pub use calibration::Calibration;
-pub use cancel::{CancelReason, CancelToken, NoAnswer};
+pub use cancel::{CancelReason, CancelToken, NoAnswer, WaitMark};
 pub use codegen::{BugKind, CodeGenSpec, GeneratedCode, TemplateKind};
 pub use cost::{AtomicUsage, TokenPricing, Usage};
 pub use hotpath::{fingerprint, CacheStats, Flight, Fnv1a, ShardedLru, Singleflight};

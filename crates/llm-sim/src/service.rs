@@ -29,18 +29,26 @@ use std::sync::OnceLock;
 ///
 /// And it carries the placing job's [`CancelToken`], so every layer asks the
 /// request it was handed whether its job is still alive — whichever thread
-/// runs the call (a batch flush runs every member's on one).
+/// runs the call (a batch flush runs every member's on one) — and the
+/// attempts the gateway already spent on it, so a member the batcher re-sends
+/// keeps its retry budget across flushes.
 #[derive(Debug, Clone)]
 pub struct CompletionRequest {
     pub prompt: String,
     fingerprint: OnceLock<u64>,
     cancel: Option<CancelToken>,
+    attempts: u32,
 }
 
 impl CompletionRequest {
-    /// A request no job governs: never cancelled.
+    /// A request no job governs: never cancelled, no attempt spent.
     pub fn new(prompt: impl Into<String>) -> Self {
-        CompletionRequest { prompt: prompt.into(), fingerprint: OnceLock::new(), cancel: None }
+        CompletionRequest {
+            prompt: prompt.into(),
+            fingerprint: OnceLock::new(),
+            cancel: None,
+            attempts: 0,
+        }
     }
 
     /// Attach the placing job's token (`ExecContext::complete` does).
@@ -54,6 +62,23 @@ impl CompletionRequest {
     /// token.
     pub fn cancelled(&self) -> Option<CancelReason> {
         self.cancel.as_ref().and_then(CancelToken::status)
+    }
+
+    /// The placing job's token, if a job governs this request.
+    pub fn token(&self) -> Option<&CancelToken> {
+        self.cancel.as_ref()
+    }
+
+    /// Attempts the gateway already placed this request without an answer.
+    pub fn attempts(&self) -> u32 {
+        self.attempts
+    }
+
+    /// The same request with `attempts` already spent — how a member
+    /// answered [`NoAnswer::Resend`] re-enters the batcher.
+    pub fn with_attempts(mut self, attempts: u32) -> Self {
+        self.attempts = attempts;
+        self
     }
 
     /// The prompt's FNV-1a fingerprint, computed on first use and shared by

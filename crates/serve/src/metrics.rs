@@ -47,6 +47,8 @@ struct Inner {
     deadline_exceeded: u64,
     traps: TrapCounters,
     workers_restarted: u64,
+    workers_grown: u64,
+    workers_retired: u64,
     stuck_jobs: u64,
     journal_append_errors: u64,
     latencies_ms: VecDeque<f64>,
@@ -117,6 +119,14 @@ impl Metrics {
         self.inner.lock().workers_restarted += 1;
     }
 
+    pub(crate) fn worker_grown(&self) {
+        self.inner.lock().workers_grown += 1;
+    }
+
+    pub(crate) fn worker_retired(&self) {
+        self.inner.lock().workers_retired += 1;
+    }
+
     pub(crate) fn stuck_job(&self) {
         self.inner.lock().stuck_jobs += 1;
     }
@@ -153,6 +163,9 @@ impl Metrics {
             journal_append_errors: inner.journal_append_errors,
             health: HealthSnapshot {
                 live_workers: 0,
+                peak_workers: 0,
+                workers_grown: inner.workers_grown,
+                workers_retired: inner.workers_retired,
                 workers_restarted: inner.workers_restarted,
                 workers_gave_up: 0,
                 stuck_jobs: inner.stuck_jobs,
@@ -198,8 +211,17 @@ impl TrapCounters {
 /// [`MetricsSnapshot`] by `PipelineServer::metrics`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSnapshot {
-    /// Workers currently alive and serving (after any panics/restarts).
+    /// Workers currently alive and serving (after any panics/restarts, and
+    /// with any the pool grew).
     pub live_workers: usize,
+    /// Most workers alive at once (filled in by `PipelineServer::metrics`).
+    pub peak_workers: usize,
+    /// Workers added past the CPU budget while every worker's job waited in
+    /// the batcher.
+    pub workers_grown: u64,
+    /// Grown workers that exited after a supervisor tick with nothing
+    /// queued. Retiring is not dying: a retired slot is never restarted.
+    pub workers_retired: u64,
     /// Worker threads the supervisor restarted after a crash.
     pub workers_restarted: u64,
     /// Worker slots permanently abandoned (restart budget exhausted).
@@ -241,9 +263,10 @@ pub struct MetricsSnapshot {
     /// Jobs currently waiting in the queue, read from the queue itself by
     /// `PipelineServer::metrics` (zero when a bare `Metrics` is snapshotted).
     pub queue_depth: u64,
-    /// Size of the worker pool serving this snapshot — the resolved value
-    /// when `ServeConfig.workers` was left unset (filled in by
-    /// `PipelineServer::metrics`; zero when a bare `Metrics` is snapshotted).
+    /// The worker pool's CPU budget — `ServeConfig.workers`, or its resolved
+    /// value when left unset (filled in by `PipelineServer::metrics`; zero
+    /// when a bare `Metrics` is snapshotted). The live and peak pool sizes
+    /// are in [`HealthSnapshot`].
     pub workers: usize,
     /// Median end-to-end latency (submit → result) over the sample window.
     pub p50_latency_ms: f64,
@@ -326,7 +349,8 @@ impl MetricsSnapshot {
              \x20 cancelled       {}\n\
              \x20 deadline miss   {}\n\
              \x20 queue depth     {}\n\
-             \x20 workers         {} ({} live, {} restarted, {} gave up, {} stuck jobs)\n\
+             \x20 workers         {} budget ({} live, {} peak, {} grown, {} retired, \
+             {} restarted, {} gave up, {} stuck jobs)\n\
              \x20 latency p50/p95 {:.2} ms / {:.2} ms ({} samples)\n\
              \x20 llm usage       {} call(s), {} tokens in, {} tokens out ({:.2} calls/job)\n\
              \x20 llm partial     {} call(s), {} tokens in, {} tokens out (unfinished jobs)\n",
@@ -349,6 +373,9 @@ impl MetricsSnapshot {
             self.queue_depth,
             self.workers,
             self.health.live_workers,
+            self.health.peak_workers,
+            self.health.workers_grown,
+            self.health.workers_retired,
             self.health.workers_restarted,
             self.health.workers_gave_up,
             self.health.stuck_jobs,

@@ -5,11 +5,13 @@
 //! in [`JobQueue::pop`], which always serves the high lane first: priority
 //! is strict, decided under the lock at the moment an item is taken.
 //! [`JobQueue::close`] stops admission; workers drain what is queued and
-//! then see `None`.
+//! then see `None`. A worker the pool grew parks in [`JobQueue::pop_within`]
+//! instead, which also gives up after a wait with nothing queued.
 
 use crate::config::Priority;
 use lingua_ml::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 /// Why [`JobQueue::try_push`] handed the item back.
 #[derive(Debug)]
@@ -68,13 +70,27 @@ impl<T> JobQueue<T> {
     /// Block for the next item, high lane first. `None` once the queue is
     /// closed *and* empty.
     pub(crate) fn pop(&self) -> Option<T> {
+        self.take(None)
+    }
+
+    /// [`Self::pop`], but `None` also once `wait` passes with nothing to
+    /// take.
+    pub(crate) fn pop_within(&self, wait: Duration) -> Option<T> {
+        self.take(Some(Instant::now() + wait))
+    }
+
+    fn take(&self, deadline: Option<Instant>) -> Option<T> {
         let mut state = self.state.lock();
         loop {
             let next = state.high.pop_front().or_else(|| state.normal.pop_front());
             if next.is_some() || state.closed {
                 return next;
             }
-            state = self.ready.wait(state);
+            state = match deadline {
+                None => self.ready.wait(state),
+                Some(deadline) if Instant::now() >= deadline => return None,
+                Some(deadline) => self.ready.wait_until(state, deadline).0,
+            };
         }
     }
 
@@ -150,6 +166,23 @@ mod tests {
                 popped.iter().filter(|(_, t, _)| *t == thread).map(|(.., n)| *n).collect();
             assert_eq!(order, (0..200).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn pop_within_gives_up_only_after_a_wait_with_nothing_queued() {
+        let queue = Arc::new(JobQueue::new(4));
+        let start = std::time::Instant::now();
+        assert_eq!(queue.pop_within(Duration::from_millis(20)), None::<u8>);
+        assert!(start.elapsed() >= Duration::from_millis(20), "it waited the whole time");
+        let pusher = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                queue.try_push(Priority::Normal, 3).unwrap();
+            })
+        };
+        assert_eq!(queue.pop_within(Duration::from_secs(30)), Some(3));
+        pusher.join().unwrap();
     }
 
     #[test]

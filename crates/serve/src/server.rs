@@ -259,9 +259,14 @@ impl PipelineServer {
             let tracer = shared.factory.tracer().clone();
             let metrics = Arc::clone(&shared.metrics);
             std::thread::Builder::new().name("lingua-serve-supervisor".into()).spawn(move || {
-                supervisor_loop(&supervision_sup, &metrics, &tracer, policy, |index| {
-                    spawn_worker(&shared_sup, &supervision_sup, index)
-                })
+                supervisor_loop(
+                    &supervision_sup,
+                    &metrics,
+                    &tracer,
+                    policy,
+                    || shared_sup.queue.len(),
+                    |index| spawn_worker(&shared_sup, &supervision_sup, index),
+                )
             })
         };
         let supervisor = match supervisor {
@@ -401,10 +406,11 @@ impl PipelineServer {
         self.shared.registry.register_dsl(id, source, compiler, &mut ctx)
     }
 
-    /// Size of the worker pool (slots, whether currently alive or not; see
-    /// [`MetricsSnapshot::health`] for liveness).
+    /// The pool's CPU budget: the workers [`ServeConfig::workers`] resolves
+    /// to. The pool grows past it only while every worker waits in the
+    /// batcher (see [`MetricsSnapshot::health`] for the live count).
     pub fn worker_count(&self) -> usize {
-        self.supervision.slot_count()
+        self.supervision.budget
     }
 
     /// Workers currently alive and serving.
@@ -417,8 +423,9 @@ impl PipelineServer {
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snapshot = self.shared.metrics.snapshot();
         snapshot.queue_depth = self.shared.queue.len() as u64;
-        snapshot.workers = self.supervision.slot_count();
+        snapshot.workers = self.supervision.budget;
         snapshot.health.live_workers = self.supervision.live_workers();
+        snapshot.health.peak_workers = self.supervision.peak_workers();
         snapshot.health.workers_gave_up = self.supervision.gave_up_count();
         if let Some(gateway) = self.shared.gateway.lock().as_ref() {
             let gw = gateway.snapshot();
@@ -614,13 +621,30 @@ fn job_attrs(id: JobId, fingerprint: Option<u64>) -> Vec<(String, String)> {
 }
 
 fn worker_loop(shared: &Arc<Shared>, supervision: &Arc<Supervision>, index: usize) {
-    // Dropped on every exit — clean drain or escaping panic — marking the
-    // slot dead for the supervisor.
+    // Dropped on every exit — clean drain, retirement or escaping panic —
+    // marking the slot dead for the supervisor.
     let _guard = WorkerGuard::new(Arc::clone(supervision), index);
     // Per-worker instance cache: (generation, executable pipeline copy).
     let mut instances: HashMap<String, (u64, PhysicalPipeline)> = HashMap::new();
-    while let Some(job) = shared.queue.pop() {
+    // A worker the pool grew retires after a whole supervisor tick with
+    // nothing queued; the budgeted ones wait for work until shutdown.
+    let grown = supervision.is_grown(index);
+    let next = || {
+        if grown {
+            shared.queue.pop_within(shared.config.supervisor_tick)
+        } else {
+            shared.queue.pop()
+        }
+    };
+    while let Some(job) = next() {
         process(shared, supervision, index, &mut instances, job);
+    }
+    if grown && !supervision.shutdown.load(Ordering::Acquire) {
+        supervision.retire(index);
+        shared.metrics.worker_retired();
+        shared.factory.tracer().instant(SpanKind::Supervisor, "worker_retired", || {
+            vec![("worker".into(), index.to_string())]
+        });
     }
 }
 

@@ -21,16 +21,27 @@
 //!    foreign code cannot be killed — threads are not processes — but the
 //!    nudge stops every cancellation-aware layer under it from doing further
 //!    work, and the flag makes the wedge visible in `HealthSnapshot`.)
+//!
+//! The same tick sizes the pool. `ServeConfig::workers` is a CPU budget, not
+//! a thread count: when a job is queued and every worker's job is waiting in
+//! the batcher (its token carries a `WaitMark`), the supervisor grows the
+//! pool by one worker, up to `GROWTH_CAP` times the budget. A grown worker
+//! retires after a whole tick with nothing queued. A retired slot is not
+//! dead: it is never restarted, and a later growth reuses it.
 
 use crate::error::ServeError;
 use crate::job::JobCore;
 use crate::metrics::Metrics;
 use lingua_ml::sync::Mutex;
 use lingua_trace::{SpanKind, Tracer};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// A pool grows to at most this many times its CPU budget: enough waiting
+/// jobs to fill a default batch (eight members) per budgeted worker.
+pub(crate) const GROWTH_CAP: usize = 8;
 
 /// Panic payload that deliberately escapes the worker's per-job containment.
 ///
@@ -58,6 +69,9 @@ pub(crate) struct WorkerSlot {
     pub(crate) handle: Option<JoinHandle<()>>,
     pub(crate) alive: bool,
     pub(crate) gave_up: bool,
+    /// A grown worker that exited idle (or a grown slot whose spawn failed):
+    /// never restarted, free for the next growth.
+    pub(crate) retired: bool,
     /// Completed restarts of this slot.
     pub(crate) restarts: u32,
     /// Earliest instant the next restart attempt may run (backoff).
@@ -71,6 +85,7 @@ impl WorkerSlot {
             handle: None,
             alive: false,
             gave_up: false,
+            retired: false,
             restarts: 0,
             next_restart_at: None,
             current: None,
@@ -78,18 +93,41 @@ impl WorkerSlot {
     }
 }
 
-/// Shared supervision state: one slot per worker, plus the shutdown latch.
+/// Shared supervision state: one slot per worker — the budgeted ones first,
+/// then any the pool grew — plus the shutdown latch.
 pub(crate) struct Supervision {
     pub(crate) slots: Mutex<Vec<WorkerSlot>>,
     pub(crate) shutdown: AtomicBool,
+    /// Workers the CPU budget pays for: slots `0..budget`.
+    pub(crate) budget: usize,
+    /// Most workers alive at once.
+    peak: AtomicUsize,
 }
 
 impl Supervision {
-    pub(crate) fn new(workers: usize) -> Supervision {
+    pub(crate) fn new(budget: usize) -> Supervision {
         Supervision {
-            slots: Mutex::new((0..workers).map(|_| WorkerSlot::empty()).collect()),
+            slots: Mutex::new((0..budget).map(|_| WorkerSlot::empty()).collect()),
             shutdown: AtomicBool::new(false),
+            budget,
+            peak: AtomicUsize::new(budget),
         }
+    }
+
+    /// Whether the slot at `index` was grown past the budget.
+    pub(crate) fn is_grown(&self, index: usize) -> bool {
+        index >= self.budget
+    }
+
+    /// Mark a grown worker that is about to exit idle as retired — before
+    /// its guard marks the slot dead, so no restart pass mistakes it for a
+    /// crash.
+    pub(crate) fn retire(&self, index: usize) {
+        self.slots.lock()[index].retired = true;
+    }
+
+    pub(crate) fn peak_workers(&self) -> usize {
+        self.peak.load(Ordering::Relaxed)
     }
 
     pub(crate) fn install(&self, index: usize, handle: JoinHandle<()>) {
@@ -118,10 +156,6 @@ impl Supervision {
 
     pub(crate) fn end_job(&self, worker: usize) {
         self.slots.lock()[worker].current = None;
-    }
-
-    pub(crate) fn slot_count(&self) -> usize {
-        self.slots.lock().len()
     }
 
     pub(crate) fn live_workers(&self) -> usize {
@@ -177,22 +211,77 @@ impl SupervisePolicy {
     }
 }
 
-/// The supervisor thread body: tick until shutdown, running the watchdog
-/// pass and the restart pass on every tick. `spawn` re-creates the worker
+/// The supervisor thread body: tick until shutdown, running the watchdog,
+/// restart and growth passes on every tick. `spawn` creates the worker
 /// thread for a slot index (it is the same routine `PipelineServer::start`
-/// used for the original pool).
+/// used for the original pool); `queued` reads the queue depth.
 pub(crate) fn supervisor_loop(
     supervision: &Arc<Supervision>,
     metrics: &Arc<Metrics>,
     tracer: &Tracer,
     policy: SupervisePolicy,
+    queued: impl Fn() -> usize,
     spawn: impl Fn(usize) -> Result<JoinHandle<()>, ServeError>,
 ) {
     while !supervision.shutdown.load(Ordering::Acquire) {
         watchdog_pass(supervision, metrics, tracer, policy);
         restart_pass(supervision, metrics, tracer, policy, &spawn);
+        grow_pass(supervision, metrics, tracer, queued(), &spawn);
         std::thread::sleep(policy.tick);
     }
+}
+
+/// Add one worker when a job is queued and every live worker's job waits in
+/// the batcher — the budget's threads are idle, not busy — reusing a retired
+/// slot if there is one. A pool at [`GROWTH_CAP`] times its budget grows no
+/// further.
+fn grow_pass(
+    supervision: &Arc<Supervision>,
+    metrics: &Arc<Metrics>,
+    tracer: &Tracer,
+    queued: usize,
+    spawn: &impl Fn(usize) -> Result<JoinHandle<()>, ServeError>,
+) {
+    if queued == 0 {
+        return;
+    }
+    let (index, stale) = {
+        let mut slots = supervision.slots.lock();
+        let mut live = slots.iter().filter(|slot| slot.alive).peekable();
+        let all_waiting = live.peek().is_some()
+            && live
+                .all(|slot| slot.current.as_ref().is_some_and(|job| job.core.cancel.is_waiting()));
+        let alive = slots.iter().filter(|slot| slot.alive).count();
+        if !all_waiting || alive >= supervision.budget * GROWTH_CAP {
+            return;
+        }
+        let index = match slots.iter().position(|slot| slot.retired) {
+            Some(index) => index,
+            None => {
+                slots.push(WorkerSlot { retired: true, ..WorkerSlot::empty() });
+                slots.len() - 1
+            }
+        };
+        (index, slots[index].handle.take())
+    };
+    // The retired worker has exited (or is exiting): reap it unlocked.
+    if let Some(handle) = stale {
+        let _ = handle.join();
+    }
+    let Ok(handle) = spawn(index) else { return };
+    let alive = {
+        let mut slots = supervision.slots.lock();
+        let slot = &mut slots[index];
+        slot.handle = Some(handle);
+        slot.alive = true;
+        slot.retired = false;
+        slots.iter().filter(|slot| slot.alive).count()
+    };
+    supervision.peak.fetch_max(alive, Ordering::Relaxed);
+    metrics.worker_grown();
+    tracer.instant(SpanKind::Supervisor, "worker_grown", || {
+        vec![("worker".into(), index.to_string()), ("workers".into(), alive.to_string())]
+    });
 }
 
 /// Flag jobs that blew through `stuck_multiplier ×` their deadline budget
@@ -253,7 +342,7 @@ fn restart_pass(
     {
         let mut slots = supervision.slots.lock();
         for (index, slot) in slots.iter_mut().enumerate() {
-            if slot.alive || slot.gave_up {
+            if slot.alive || slot.gave_up || slot.retired {
                 continue;
             }
             if slot.restarts >= policy.max_worker_restarts {

@@ -2,7 +2,8 @@
 //! answer fails its job (journaled `failed`, never cached, billed nothing),
 //! and a refused call in a dead job ends it `cancelled` / `deadline_exceeded`
 //! — never a success that carries a notice as its output, and never a
-//! `failed` that was really a deadline.
+//! `failed` that was really a deadline. And the gateway's resend verdict is
+//! the batcher's alone: it reaches no module, output or error.
 
 use lingua_core::modules::{LlmModule, LlmgcModule, Module, PromptBuilder};
 use lingua_core::tools::ToolRegistry;
@@ -145,4 +146,83 @@ fn a_deadline_during_a_scripts_call_llm_ends_the_job_deadline_exceeded() {
     let snap = server.metrics();
     assert_eq!((snap.deadline_exceeded, snap.failed), (1, 0));
     assert_eq!(llm.usage().calls, 0, "the refused call was never placed");
+}
+
+fn chaos_rate() -> f64 {
+    std::env::var("LINGUA_CHAOS_FAULT_RATE")
+        .ok()
+        .and_then(|raw| raw.parse::<f64>().ok())
+        .filter(|rate| (0.0..=1.0).contains(rate))
+        .unwrap_or(0.20)
+}
+
+#[test]
+fn a_resend_verdict_never_leaves_the_batcher_and_meters_still_reconcile() {
+    // Member-scoped and connection-scoped faults alike, behind a batcher and
+    // no standby: members are re-sent, cut calls leave members unreached,
+    // and some members spend their budget and are withheld. None of it may
+    // reach a job as anything but an answer or a typed `Unavailable`.
+    let rate = chaos_rate();
+    let plan = FaultPlan {
+        timeout_rate: rate / 3.0,
+        rate_limit_rate: rate / 3.0,
+        transient_rate: rate / 3.0,
+        ..FaultPlan::none(13)
+    };
+    let gateway = Arc::new(Gateway::over(Arc::new(FaultInjector::new("flaky", sim(13), plan))));
+    let server = PipelineServer::start(
+        ContextFactory::new(Arc::clone(&gateway) as Arc<dyn LlmService>),
+        ServeConfig {
+            workers: Some(2),
+            batch: Some(lingua_serve::BatchTuning {
+                max_batch_size: 4,
+                max_wait: Duration::from_millis(1),
+            }),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    server.attach_gateway(Arc::clone(&gateway));
+    server.register_dsl("summ", SUMMARIZE, &Compiler::with_builtins()).unwrap();
+    // Fixed-width inputs: every prompt bills the same input tokens.
+    let handles: Vec<_> = (0..24)
+        .map(|i| {
+            let text = Data::Str(format!("resend document number {i:04}"));
+            server.submit(SubmitRequest::new("summ").input("text", text)).unwrap()
+        })
+        .collect();
+    let notice = NoAnswer::Resend { attempts: 1 }.to_string();
+    let mut prompt_tokens = Vec::new();
+    for handle in handles {
+        match handle.wait() {
+            Ok(output) => {
+                let out = output.get("out").unwrap().render();
+                assert!(!out.contains(&notice), "a resend verdict became output: {out}");
+                prompt_tokens.push(output.llm.tokens_in);
+            }
+            Err(err) => assert_eq!(
+                err,
+                ServeError::Core(CoreError::NoAnswer(NoAnswer::Unavailable)),
+                "only a withheld answer fails a job"
+            ),
+        }
+    }
+    let snap = server.metrics();
+    assert_eq!(snap.completed + snap.failed, 24);
+    let batch = snap.batch.as_ref().expect("batched");
+    let gw = snap.gateway.as_ref().expect("attached");
+    assert_eq!(gw.requests, 24, "each member resolved by the gateway once");
+
+    // The jobs were metered every answer they got; the ledger also billed
+    // the input tokens of each aborted call (timeouts and transient
+    // faults), which no job received. To the token, so to the cent.
+    let mut metered = snap.llm;
+    metered.merge(&snap.llm_partial);
+    let ledger = gateway.usage();
+    let per_prompt = prompt_tokens.first().copied().unwrap_or(0);
+    assert!(prompt_tokens.iter().all(|&tokens| tokens == per_prompt));
+    assert_eq!(metered.calls, ledger.calls);
+    assert_eq!(metered.tokens_out, ledger.tokens_out);
+    assert_eq!(metered.tokens_in + ledger.failed_calls * per_prompt, ledger.tokens_in);
+    assert!(batch.members >= 24, "re-sent members ride again");
 }
