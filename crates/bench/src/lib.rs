@@ -164,7 +164,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation.
-pub fn stddev(values: &[f64]) -> f64 {
+pub(crate) fn stddev(values: &[f64]) -> f64 {
     if values.len() < 2 {
         return 0.0;
     }

@@ -21,13 +21,13 @@ use crate::error::CoreError;
 use crate::modules::{CustomModule, LlmModule, LlmgcModule, Module, ModuleKind, PromptBuilder};
 use crate::pipeline::{LogicalOp, Pipeline};
 use crate::validation::OutputValidator;
-use lingua_dataset::{csv, Record, Schema, Table, Value as CellValue};
+use lingua_dataset::{csv, Table};
 use lingua_llm_sim::{CodeGenSpec, TemplateKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A factory producing a physical module for a logical op.
-pub type ModuleFactory =
+pub(crate) type ModuleFactory =
     Arc<dyn Fn(&LogicalOp, &mut ExecContext) -> Result<Box<dyn Module>, CoreError> + Send + Sync>;
 
 /// A compiled pipeline: logical ops bound to live modules.
@@ -228,7 +228,7 @@ impl Compiler {
     }
 
     /// Bind as an LLMGC module (code generation happens now).
-    pub fn bind_llmgc(
+    pub(crate) fn bind_llmgc(
         &self,
         op: &LogicalOp,
         ctx: &mut ExecContext,
@@ -328,17 +328,6 @@ fn parse_examples(op: &LogicalOp) -> Vec<(String, bool)> {
                 .collect()
         })
         .unwrap_or_default()
-}
-
-/// Build a single-column table from a list of strings (helper shared by
-/// built-in modules and the tasks crate).
-pub fn strings_to_table(name: &str, column: &str, values: &[String]) -> Table {
-    let schema = Schema::of_names([column]);
-    let mut table = Table::new(name, schema);
-    for value in values {
-        table.push(Record::new(vec![CellValue::Str(value.clone())])).expect("single column");
-    }
-    table
 }
 
 #[cfg(test)]
@@ -522,12 +511,5 @@ mod tests {
         let physical = compiler.compile(&pipeline, &mut ctx).unwrap();
         let err = physical.fresh_instance().unwrap_err();
         assert!(matches!(err, CoreError::NotReplicable { module } if module == "counter"));
-    }
-
-    #[test]
-    fn strings_to_table_helper() {
-        let t = strings_to_table("names", "name", &["a".into(), "b".into()]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.schema().len(), 1);
     }
 }

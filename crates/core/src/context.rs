@@ -187,7 +187,7 @@ impl ExecContext {
     ///
     /// Note: a module invoking *itself* through the registry would deadlock
     /// on its own mutex; recursion must go through script functions instead.
-    pub fn invoke_module(&mut self, name: &str, input: Data) -> Result<Data, CoreError> {
+    pub(crate) fn invoke_module(&mut self, name: &str, input: Data) -> Result<Data, CoreError> {
         // Cooperative cancellation: stop before starting new work once the
         // job's deadline passed (also the heartbeat for the watchdog).
         if let Err(reason) = self.cancel.check() {
@@ -219,7 +219,7 @@ impl std::fmt::Debug for ExecContext {
 }
 
 /// Bridges MangaScript host calls back into the context.
-pub struct HostBridge<'a> {
+pub(crate) struct HostBridge<'a> {
     pub ctx: &'a mut ExecContext,
 }
 

@@ -52,7 +52,7 @@ impl Data {
         }
     }
 
-    pub fn into_table(self) -> Result<Table, CoreError> {
+    pub(crate) fn into_table(self) -> Result<Table, CoreError> {
         match self {
             Data::Table(t) => Ok(t),
             other => Err(CoreError::DataShape { expected: "table", got: other.type_name().into() }),
@@ -192,25 +192,13 @@ fn record_to_script(schema: &Schema, record: &Record) -> ScriptValue {
 }
 
 /// Convert a dataset cell into a script value.
-pub fn cell_to_script(value: &CellValue) -> ScriptValue {
+pub(crate) fn cell_to_script(value: &CellValue) -> ScriptValue {
     match value {
         CellValue::Null => ScriptValue::Null,
         CellValue::Bool(b) => ScriptValue::Bool(*b),
         CellValue::Int(i) => ScriptValue::Int(*i),
         CellValue::Float(f) => ScriptValue::Float(*f),
         CellValue::Str(s) => ScriptValue::from(s.as_str()),
-    }
-}
-
-/// Convert a script value into a dataset cell (collections render to text).
-pub fn script_to_cell(value: &ScriptValue) -> CellValue {
-    match value {
-        ScriptValue::Null => CellValue::Null,
-        ScriptValue::Bool(b) => CellValue::Bool(*b),
-        ScriptValue::Int(i) => CellValue::Int(*i),
-        ScriptValue::Float(f) => CellValue::Float(*f),
-        ScriptValue::Str(s) => CellValue::Str(s.to_string()),
-        other => CellValue::Str(other.to_string()),
     }
 }
 
@@ -321,11 +309,6 @@ mod tests {
 
     #[test]
     fn cell_conversions() {
-        assert_eq!(script_to_cell(&ScriptValue::Int(3)), CellValue::Int(3));
-        assert_eq!(
-            script_to_cell(&ScriptValue::from(vec![ScriptValue::Int(1)])),
-            CellValue::Str("[1]".into())
-        );
         assert_eq!(Data::from(CellValue::Str("a".into())), Data::Str("a".into()));
     }
 }

@@ -19,7 +19,7 @@ use crate::modules::ModuleKind;
 use crate::pipeline::{LogicalOp, Pipeline};
 
 /// Parse DSL text into a [`Pipeline`].
-pub fn parse(source: &str) -> Result<Pipeline, CoreError> {
+pub(crate) fn parse(source: &str) -> Result<Pipeline, CoreError> {
     Parser::new(source).parse_pipeline()
 }
 

@@ -15,8 +15,8 @@
 //! * [`modules::LlmgcModule`] — *LLM-generated code*: the LLM emits a real
 //!   MangaScript program which runs in an interpreter with a host bridge
 //!   (`call_llm` / `call_module` / `call_tool`).
-//! * [`modules::DecoratedModule`] — a module wrapped with optimizer
-//!   enhancements (simulator, output validation, call accounting).
+//! * Decorated modules — a module wrapped with optimizer enhancements:
+//!   [`optimizer::Simulated`] reports [`ModuleKind::Decorated`].
 //!
 //! ## The optimizer (§3.2)
 //!
@@ -54,16 +54,16 @@
 //! let physical = compiler.compile(&pipeline, &mut ctx).unwrap();
 //! ```
 
-pub mod compiler;
-pub mod context;
+mod compiler;
+mod context;
 pub mod data;
-pub mod dsl;
-pub mod error;
+mod dsl;
+mod error;
 pub mod executor;
 pub mod modules;
 pub mod optimizer;
 pub mod pipeline;
-pub mod stats;
+mod stats;
 pub mod templates;
 pub mod tools;
 pub mod validation;

@@ -22,7 +22,6 @@ enum Body {
 /// A module wrapping an arbitrary Rust closure.
 pub struct CustomModule {
     name: String,
-    description: String,
     body: Body,
 }
 
@@ -34,12 +33,7 @@ impl CustomModule {
     where
         F: FnMut(Data, &mut ExecContext) -> Result<Data, CoreError> + Send + 'static,
     {
-        let name = name.into();
-        CustomModule {
-            description: format!("custom module `{name}`"),
-            name,
-            body: Body::Stateful(Box::new(f)),
-        }
+        CustomModule { name: name.into(), body: Body::Stateful(Box::new(f)) }
     }
 
     /// Wrap a stateless `Fn` closure. Such modules support
@@ -50,22 +44,7 @@ impl CustomModule {
     where
         F: Fn(Data, &mut ExecContext) -> Result<Data, CoreError> + Send + Sync + 'static,
     {
-        let name = name.into();
-        CustomModule {
-            description: format!("custom module `{name}`"),
-            name,
-            body: Body::Stateless(Arc::new(f)),
-        }
-    }
-
-    pub fn with_description(mut self, description: impl Into<String>) -> CustomModule {
-        self.description = description.into();
-        self
-    }
-
-    /// Whether this module can be replicated with [`Module::fresh_instance`].
-    pub fn is_stateless(&self) -> bool {
-        matches!(self.body, Body::Stateless(_))
+        CustomModule { name: name.into(), body: Body::Stateless(Arc::new(f)) }
     }
 }
 
@@ -86,7 +65,7 @@ impl Module for CustomModule {
     }
 
     fn describe(&self) -> String {
-        self.description.clone()
+        format!("custom module `{}`", self.name)
     }
 
     fn fresh_instance(&self) -> Option<Box<dyn Module>> {
@@ -94,7 +73,6 @@ impl Module for CustomModule {
             Body::Stateful(_) => None,
             Body::Stateless(f) => Some(Box::new(CustomModule {
                 name: self.name.clone(),
-                description: self.description.clone(),
                 body: Body::Stateless(Arc::clone(f)),
             })),
         }
@@ -120,10 +98,9 @@ mod tests {
         let mut module = CustomModule::new("counter", move |input, _| {
             counter += 1;
             Ok(Data::Str(format!("{}#{counter}", input.render())))
-        })
-        .with_description("counts invocations");
+        });
         assert_eq!(module.kind(), ModuleKind::Custom);
-        assert_eq!(module.describe(), "counts invocations");
+        assert_eq!(module.describe(), "custom module `counter`");
         assert_eq!(
             module.invoke(Data::Str("a".into()), &mut ctx).unwrap(),
             Data::Str("a#1".into())
@@ -137,7 +114,6 @@ mod tests {
     #[test]
     fn stateful_modules_cannot_be_replicated() {
         let module = CustomModule::new("stateful", |input, _| Ok(input));
-        assert!(!module.is_stateless());
         assert!(module.fresh_instance().is_none());
     }
 
@@ -146,12 +122,10 @@ mod tests {
         let mut ctx = ctx();
         let module = CustomModule::stateless("upper", |input, _| {
             Ok(Data::Str(input.render().to_uppercase()))
-        })
-        .with_description("uppercases");
-        assert!(module.is_stateless());
+        });
         let mut copy = module.fresh_instance().expect("stateless replicates");
         assert_eq!(copy.name(), "upper");
-        assert_eq!(copy.describe(), "uppercases");
+        assert_eq!(copy.describe(), "custom module `upper`");
         assert_eq!(copy.invoke(Data::Str("ab".into()), &mut ctx).unwrap(), Data::Str("AB".into()));
         // The copy replicates again, too.
         assert!(copy.fresh_instance().is_some());

@@ -110,7 +110,7 @@ impl LlmModule {
 
     /// Disable format pinning and retries — naive prompting (the FMs
     /// baseline of Table 1).
-    pub fn naive(mut self) -> LlmModule {
+    pub(crate) fn naive(mut self) -> LlmModule {
         self.pin_format = false;
         self.retry_on_invalid = false;
         self

@@ -12,7 +12,7 @@ use lingua_script::{parse, CompileCache, CompiledScript, ScriptError, Vm};
 use std::sync::{Arc, OnceLock};
 
 /// Default interpreter fuel for one module invocation.
-pub const DEFAULT_FUEL: u64 = 2_000_000;
+pub(super) const DEFAULT_FUEL: u64 = 2_000_000;
 
 /// The process-wide compiled-program cache, keyed by source fingerprint.
 /// Validator cycles execute one candidate thousands of times; every
@@ -20,7 +20,7 @@ pub const DEFAULT_FUEL: u64 = 2_000_000;
 /// and a repaired program (new source, new fingerprint) recompiles exactly
 /// once. [`CompileCache::stats`] exposes per-key compile/hit counts so
 /// tests can pin that invariant.
-pub fn compile_cache() -> &'static CompileCache {
+pub(super) fn compile_cache() -> &'static CompileCache {
     static CACHE: OnceLock<CompileCache> = OnceLock::new();
     CACHE.get_or_init(CompileCache::new)
 }
@@ -30,7 +30,7 @@ pub fn compile_cache() -> &'static CompileCache {
 /// interpretation, so 20k ticks/ms is conservative — a program cut by this
 /// cap was going to blow its deadline anyway; the cap just stops it from
 /// burning a worker for the rest of its (dead) allowance.
-pub const FUEL_PER_MS: u64 = 20_000;
+pub(super) const FUEL_PER_MS: u64 = 20_000;
 
 /// A module whose body is LLM-generated code.
 pub struct LlmgcModule {
@@ -58,7 +58,7 @@ impl LlmgcModule {
     }
 
     /// Wrap an already-generated program.
-    pub fn from_generated(
+    pub(crate) fn from_generated(
         name: impl Into<String>,
         spec: CodeGenSpec,
         generated: GeneratedCode,
@@ -113,7 +113,7 @@ impl LlmgcModule {
     /// Replace the program (used by the Validator's repair cycle). The new
     /// source carries a new fingerprint, so this is the one place a repair
     /// triggers a recompile.
-    pub fn replace_program(&mut self, generated: GeneratedCode) -> Result<(), CoreError> {
+    pub(crate) fn replace_program(&mut self, generated: GeneratedCode) -> Result<(), CoreError> {
         self.compiled = load(&generated.source)?;
         self.source = generated.source.clone();
         self.generation = Some(generated);

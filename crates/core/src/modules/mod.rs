@@ -1,13 +1,11 @@
 //! The module taxonomy of §3.1: Custom, LLM, LLMGC, and Decorated modules.
 
 mod custom;
-mod decorated;
 mod llm;
 mod llmgc;
 mod map;
 
 pub use custom::CustomModule;
-pub use decorated::DecoratedModule;
 pub use llm::{LlmModule, PromptBuilder};
 pub use llmgc::LlmgcModule;
 pub use map::PipelinedMapModule;

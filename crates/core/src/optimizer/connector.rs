@@ -69,8 +69,7 @@ impl TabularConnector {
     /// Execute an allowlisted query; meters the exposed result.
     pub fn fetch(&mut self, sql: &str) -> Result<Table, CoreError> {
         let normalized = normalize_sql(sql);
-        let allowed =
-            self.allowed_prefixes.iter().any(|prefix| normalized.starts_with(prefix.as_str()));
+        let allowed = self.allowed_prefixes.iter().any(|prefix| admits(prefix, &normalized));
         if !allowed {
             self.meter.queries_denied += 1;
             self.tracer.instant(SpanKind::Connector, "query_denied", || {
@@ -130,7 +129,7 @@ impl TextConnector {
     }
 
     /// Split a document into chunks at sentence boundaries.
-    pub fn chunk(&self, document: &str) -> Vec<String> {
+    pub(crate) fn chunk(&self, document: &str) -> Vec<String> {
         let mut chunks = Vec::new();
         let mut current = String::new();
         for sentence in document.split_inclusive(['.', '!', '?', '\n']) {
@@ -173,6 +172,16 @@ impl TextConnector {
     }
 }
 
+/// Whether `query` starts with `prefix` and the prefix ends at a token
+/// boundary: the allowed `... FROM products` must not admit
+/// `... FROM products_private`.
+fn admits(prefix: &str, query: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    query
+        .strip_prefix(prefix)
+        .is_some_and(|rest| !(prefix.ends_with(is_ident) && rest.starts_with(is_ident)))
+}
+
 fn normalize_sql(sql: &str) -> String {
     sql.split_whitespace().collect::<Vec<_>>().join(" ").to_lowercase()
 }
@@ -213,6 +222,21 @@ mod tests {
         assert!(matches!(err, CoreError::ConnectorDenied(_)));
         assert_eq!(connector.meter().queries_denied, 1);
         assert_eq!(connector.meter().rows_exposed, 0);
+    }
+
+    #[test]
+    fn a_prefix_admits_no_table_whose_name_extends_it() {
+        let mut catalog = catalog();
+        let mut private = catalog.get("products").unwrap().clone();
+        private.set_name("products_private");
+        catalog.register(private);
+        let mut connector =
+            TabularConnector::new(catalog).allow_prefix("SELECT name FROM products");
+        let err = connector.fetch("SELECT name FROM products_private").unwrap_err();
+        assert!(matches!(err, CoreError::ConnectorDenied(_)));
+        assert_eq!(connector.meter().queries_denied, 1);
+        assert_eq!(connector.meter().rows_exposed, 0);
+        assert_eq!(connector.fetch("SELECT name FROM products").unwrap().len(), 3);
     }
 
     #[test]

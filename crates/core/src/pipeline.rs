@@ -45,7 +45,7 @@ impl CurationStage {
     }
 
     /// Classify a logical op by its type name and description keywords.
-    pub fn classify(op: &LogicalOp) -> CurationStage {
+    pub(crate) fn classify(op: &LogicalOp) -> CurationStage {
         let mut text = op.op_type.to_ascii_lowercase();
         if let Some(desc) = op.description() {
             text.push(' ');
@@ -120,7 +120,8 @@ impl LogicalOp {
         self.params.get("desc").map(|s| s.as_str())
     }
 
-    /// The curation stage this op belongs to (see [`CurationStage::classify`]).
+    /// The curation stage this op belongs to, by its type name and description
+    /// keywords.
     pub fn stage(&self) -> CurationStage {
         CurationStage::classify(self)
     }
@@ -143,24 +144,9 @@ impl Pipeline {
         self
     }
 
-    /// Convenience: a `load_csv` source op.
-    pub fn load_csv(self, var: impl Into<String>, path: impl Into<String>) -> Pipeline {
-        self.op(LogicalOp::new("load_csv").output(var).param("path", path))
-    }
-
-    /// Convenience: a `save_csv` sink op.
-    pub fn save_csv(self, var: impl Into<String>, path: impl Into<String>) -> Pipeline {
-        self.op(LogicalOp::new("save_csv").input(var).param("path", path))
-    }
-
-    /// Parse the textual DSL (see [`crate::dsl`]).
+    /// Parse the textual DSL.
     pub fn parse(source: &str) -> Result<Pipeline, crate::error::CoreError> {
         crate::dsl::parse(source)
-    }
-
-    /// Variables produced anywhere in the pipeline.
-    pub fn outputs(&self) -> Vec<&str> {
-        self.ops.iter().filter(|op| !op.output.is_empty()).map(|op| op.output.as_str()).collect()
     }
 
     /// Sanity-check dataflow: every input must be produced by an earlier op
@@ -213,15 +199,14 @@ mod tests {
     #[test]
     fn builder_api_composes() {
         let p = Pipeline::new("demo")
-            .load_csv("records", "in.csv")
+            .op(LogicalOp::new("load_csv").output("records").param("path", "in.csv"))
             .op(LogicalOp::new("entity_resolution")
                 .output("matches")
                 .input("records")
                 .using(ModuleKind::Llm)
                 .param("desc", "match the records"))
-            .save_csv("matches", "out.csv");
+            .op(LogicalOp::new("save_csv").input("matches").param("path", "out.csv"));
         assert_eq!(p.ops.len(), 3);
-        assert_eq!(p.outputs(), vec!["records", "matches"]);
         assert_eq!(p.ops[1].description(), Some("match the records"));
         p.check_dataflow(&[]).unwrap();
     }

@@ -17,16 +17,13 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    pub fn record_invocation(&mut self, module: &str) {
+    pub(crate) fn record_invocation(&mut self, module: &str) {
         *self.invocations.entry(module.to_string()).or_default() += 1;
     }
 
-    pub fn invocations_of(&self, module: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn invocations_of(&self, module: &str) -> u64 {
         self.invocations.get(module).copied().unwrap_or(0)
-    }
-
-    pub fn total_invocations(&self) -> u64 {
-        self.invocations.values().sum()
     }
 
     /// Render a compact text report.
@@ -110,19 +107,6 @@ impl DatasetStats {
         self
     }
 
-    /// Null rate of a column in `[0, 1]`; `None` for unknown columns.
-    pub fn null_rate(&self, column: &str) -> Option<f64> {
-        if self.rows == 0 {
-            return None;
-        }
-        self.columns.iter().find(|c| c.name == column).map(|c| c.nulls as f64 / self.rows as f64)
-    }
-
-    /// Distinct-value count of a column.
-    pub fn cardinality(&self, column: &str) -> Option<u64> {
-        self.columns.iter().find(|c| c.name == column).map(|c| c.distinct)
-    }
-
     /// Expected approximate token length of one whole rendered record: the
     /// sum of per-column averages (the prompt-size driver for LLM-bound ops).
     pub fn avg_record_tokens(&self) -> f64 {
@@ -153,7 +137,6 @@ mod tests {
         stats.record_invocation("b");
         assert_eq!(stats.invocations_of("a"), 2);
         assert_eq!(stats.invocations_of("missing"), 0);
-        assert_eq!(stats.total_invocations(), 3);
     }
 
     #[test]
@@ -184,11 +167,9 @@ mod tests {
     fn dataset_stats_one_pass_scan() {
         let stats = DatasetStats::from_table(&sample_table());
         assert_eq!(stats.rows, 4);
-        assert_eq!(stats.cardinality("name"), Some(2));
-        assert_eq!(stats.cardinality("city"), Some(2));
-        assert_eq!(stats.null_rate("name"), Some(0.25));
-        assert_eq!(stats.null_rate("city"), Some(0.25));
-        assert_eq!(stats.null_rate("missing"), None);
+        let shape: Vec<(&str, u64, u64)> =
+            stats.columns.iter().map(|c| (c.name.as_str(), c.distinct, c.nulls)).collect();
+        assert_eq!(shape, [("name", 2, 1), ("city", 2, 1)]);
         assert!(stats.avg_record_tokens() > 0.0);
         // Best column has 2 distinct values over 4 rows → half the scans repeat.
         assert!((stats.duplicate_rate() - 0.5).abs() < 1e-9);
@@ -201,7 +182,7 @@ mod tests {
         // Zero-denominator sample leaves selectivity unknown.
         let none = DatasetStats::default().with_match_selectivity(0, 0);
         assert_eq!(none.match_selectivity, None);
-        assert_eq!(none.null_rate("name"), None);
+        assert!(none.columns.is_empty());
         assert_eq!(none.duplicate_rate(), 0.0);
     }
 }

@@ -76,7 +76,7 @@ impl TemplateRegistry {
 
 /// Figure 2b: the built-in entity-resolution pipeline — load, resolve with a
 /// calibrated LLM module, save.
-pub fn entity_resolution_template() -> Template {
+pub(crate) fn entity_resolution_template() -> Template {
     Template {
         name: "entity_resolution_basic".into(),
         description: "Match records that refer to the same real-world entity using a \
@@ -100,7 +100,7 @@ pub fn entity_resolution_template() -> Template {
 }
 
 /// Figure 4: imputation via an LLMGC rules module with an LLM fallback.
-pub fn data_imputation_template() -> Template {
+pub(crate) fn data_imputation_template() -> Template {
     Template {
         name: "data_imputation_buy".into(),
         description: "Fill a missing categorical attribute: cheap generated rules resolve the \
@@ -128,7 +128,7 @@ pub fn data_imputation_template() -> Template {
 }
 
 /// Figure 3: tokenize → noun-phrase extraction (LLMGC) → tagging (LLM).
-pub fn name_extraction_template() -> Template {
+pub(crate) fn name_extraction_template() -> Template {
     Template {
         name: "name_extraction".into(),
         description: "Find person names in text passages: generated tokenizer and noun-phrase \
@@ -163,7 +163,7 @@ pub fn name_extraction_template() -> Template {
 }
 
 /// A generic cleaning pipeline: dedup + a generated value normalizer.
-pub fn data_cleaning_template() -> Template {
+pub(crate) fn data_cleaning_template() -> Template {
     Template {
         name: "data_cleaning".into(),
         description: "Normalize messy values and drop exact duplicates.".into(),

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A tool: a named host function over script values.
-pub type ToolFn = dyn Fn(&[ScriptValue]) -> Result<ScriptValue, String> + Send + Sync;
+pub(crate) type ToolFn = dyn Fn(&[ScriptValue]) -> Result<ScriptValue, String> + Send + Sync;
 
 /// A registry of tools, cheap to clone and share.
 #[derive(Clone, Default)]

@@ -57,7 +57,7 @@ impl OutputValidator {
     }
 
     /// The instruction appended to a retry prompt after a failed validation.
-    pub fn strict_instruction(&self) -> &'static str {
+    pub(crate) fn strict_instruction(&self) -> &'static str {
         match self {
             OutputValidator::Passthrough => "Respond concisely.",
             OutputValidator::YesNo => "Respond with exactly `yes` or `no`, nothing else.",

@@ -2,7 +2,7 @@
 //! embedded newlines and commas), written against `std` only.
 //!
 //! The first line is always treated as the header. Cell types are inferred
-//! via [`Value::infer`] unless `read_str` is used.
+//! via `Value::infer` unless `read_str` is used.
 
 use crate::error::DataError;
 use crate::record::Record;

@@ -84,7 +84,7 @@ pub fn case_jitter(rng: &mut Rng, text: &str) -> String {
 }
 
 /// Reformat a `ddd-ddd-dddd` phone number into one of several styles.
-pub fn phone_jitter(rng: &mut Rng, phone: &str) -> String {
+pub(crate) fn phone_jitter(rng: &mut Rng, phone: &str) -> String {
     let digits: String = phone.chars().filter(|c| c.is_ascii_digit()).collect();
     if digits.len() != 10 {
         return phone.to_string();
@@ -101,7 +101,7 @@ pub fn phone_jitter(rng: &mut Rng, phone: &str) -> String {
 
 /// Append a decorative suffix like "(Remastered)" / "[Deluxe Edition]" —
 /// the iTunes-Amazon style of damage that fools naive matchers.
-pub fn decorate_title(rng: &mut Rng, title: &str, probability: f64) -> String {
+pub(crate) fn decorate_title(rng: &mut Rng, title: &str, probability: f64) -> String {
     const SUFFIXES: &[&str] = &[
         "(Remastered)",
         "[Deluxe Edition]",
@@ -120,7 +120,7 @@ pub fn decorate_title(rng: &mut Rng, title: &str, probability: f64) -> String {
 
 /// Format seconds either as `m:ss` or as raw seconds — unit variance across
 /// the two sides of a matched song pair.
-pub fn format_duration(rng: &mut Rng, seconds: u32) -> String {
+pub(crate) fn format_duration(rng: &mut Rng, seconds: u32) -> String {
     if rng.gen_bool(0.5) {
         format!("{}:{:02}", seconds / 60, seconds % 60)
     } else {

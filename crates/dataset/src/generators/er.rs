@@ -43,7 +43,7 @@ impl ErDataset {
     }
 
     /// (total pairs, positive pairs) mirroring the Magellan repository.
-    pub fn paper_sizes(self) -> (usize, usize) {
+    pub(crate) fn paper_sizes(self) -> (usize, usize) {
         match self {
             ErDataset::BeerAdvoRateBeer => (450, 68),
             ErDataset::FodorsZagats => (946, 110),
@@ -89,7 +89,7 @@ pub fn generate(world: &WorldSpec, dataset: ErDataset, seed: u64) -> PairSplit {
 // Beer
 // ---------------------------------------------------------------------------
 
-pub const BEER_SCHEMA: [&str; 4] = ["beer_name", "brewery", "style", "abv"];
+pub(crate) const BEER_SCHEMA: [&str; 4] = ["beer_name", "brewery", "style", "abv"];
 
 pub(crate) fn beer_record(b: &BeerFact) -> Record {
     Record::new(vec![
@@ -207,7 +207,7 @@ fn beer_pairs(
 // Restaurants
 // ---------------------------------------------------------------------------
 
-pub const RESTAURANT_SCHEMA: [&str; 5] = ["name", "addr", "city", "phone", "cuisine"];
+pub(crate) const RESTAURANT_SCHEMA: [&str; 5] = ["name", "addr", "city", "phone", "cuisine"];
 
 fn restaurant_record(r: &RestaurantFact) -> Record {
     Record::new(vec![
@@ -296,7 +296,7 @@ fn restaurant_pairs(
 // Songs
 // ---------------------------------------------------------------------------
 
-pub const SONG_SCHEMA: [&str; 7] =
+pub(crate) const SONG_SCHEMA: [&str; 7] =
     ["song_name", "artist_name", "album_name", "genre", "price", "time", "released"];
 
 fn song_record(s: &SongFact) -> Record {

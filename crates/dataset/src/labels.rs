@@ -50,7 +50,8 @@ impl PairSplit {
     }
 
     /// Count of positive labels across all splits.
-    pub fn positives(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn positives(&self) -> usize {
         self.train.iter().chain(&self.valid).chain(&self.test).filter(|p| p.label).count()
     }
 }

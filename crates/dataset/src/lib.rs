@@ -21,14 +21,14 @@
 //! Everything stochastic takes an explicit `u64` seed and is reproducible.
 
 pub mod csv;
-pub mod error;
+mod error;
 pub mod generators;
 pub mod labels;
 pub mod query;
-pub mod record;
-pub mod schema;
-pub mod table;
-pub mod value;
+mod record;
+mod schema;
+mod table;
+mod value;
 pub mod world;
 
 pub use error::DataError;

@@ -44,11 +44,6 @@ impl Record {
         self.values.iter()
     }
 
-    /// Count of non-null cells.
-    pub fn non_null_count(&self) -> usize {
-        self.values.iter().filter(|v| !v.is_null()).count()
-    }
-
     /// Render as `field=value` pairs given a schema — the serialization used
     /// when a record is shown to the (simulated) LLM.
     pub fn describe(&self, schema: &crate::Schema) -> String {
@@ -107,7 +102,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r[0], Value::Int(1));
         assert_eq!(r.get(5), None);
-        assert_eq!(r.non_null_count(), 2);
     }
 
     #[test]

@@ -78,16 +78,12 @@ impl Schema {
     }
 
     /// Index of a column, or an [`DataError::UnknownColumn`] error.
-    pub fn require(&self, name: &str) -> Result<usize, DataError> {
+    pub(crate) fn require(&self, name: &str) -> Result<usize, DataError> {
         self.index_of(name).ok_or_else(|| DataError::UnknownColumn(name.to_string()))
     }
 
     pub fn name(&self, index: usize) -> &str {
         &self.columns[index].0
-    }
-
-    pub fn column_type(&self, index: usize) -> ColumnType {
-        self.columns[index].1
     }
 
     pub fn names(&self) -> impl Iterator<Item = &str> {
@@ -99,7 +95,7 @@ impl Schema {
     }
 
     /// A new schema containing only the columns at `indices`, in order.
-    pub fn project(&self, indices: &[usize]) -> Schema {
+    pub(crate) fn project(&self, indices: &[usize]) -> Schema {
         Schema { columns: indices.iter().map(|&i| self.columns[i].clone()).collect() }
     }
 
@@ -132,7 +128,7 @@ mod tests {
     fn of_names_builds_any_columns() {
         let schema = Schema::of_names(["a", "b"]);
         assert_eq!(schema.len(), 2);
-        assert_eq!(schema.column_type(0), ColumnType::Any);
+        assert!(schema.iter().all(|(_, ty)| ty == ColumnType::Any));
         assert_eq!(schema.index_of("b"), Some(1));
         assert_eq!(schema.index_of("missing"), None);
     }

@@ -52,10 +52,6 @@ impl Table {
         &self.rows
     }
 
-    pub fn rows_mut(&mut self) -> &mut [Record] {
-        &mut self.rows
-    }
-
     pub fn into_rows(self) -> Vec<Record> {
         self.rows
     }
@@ -135,19 +131,6 @@ impl Table {
             let v = f(row);
             row.push(v);
         }
-    }
-
-    /// Count of nulls per column, in schema order.
-    pub fn null_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.schema.len()];
-        for row in &self.rows {
-            for (i, v) in row.iter().enumerate() {
-                if v.is_null() {
-                    counts[i] += 1;
-                }
-            }
-        }
-        counts
     }
 
     /// Pretty-print the first `limit` rows as an aligned text table
@@ -259,7 +242,9 @@ mod tests {
         t.add_column("has_price", ColumnType::Bool, |r| Value::Bool(!r[2].is_null()));
         assert_eq!(t.schema().len(), 4);
         assert_eq!(t.rows()[2][3], Value::Bool(false));
-        assert_eq!(t.null_counts(), vec![0, 0, 1, 0]);
+        let nulls: Vec<usize> =
+            (0..4).map(|i| t.rows().iter().filter(|r| r[i].is_null()).count()).collect();
+        assert_eq!(nulls, vec![0, 0, 1, 0]);
     }
 
     #[test]

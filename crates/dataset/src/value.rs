@@ -87,7 +87,7 @@ impl Value {
 
     /// Parse a textual cell into the "narrowest" value: empty → Null,
     /// then bool, int, float, falling back to `Str`.
-    pub fn infer(text: &str) -> Value {
+    pub(crate) fn infer(text: &str) -> Value {
         if text.is_empty() {
             return Value::Null;
         }
@@ -142,7 +142,7 @@ impl Value {
 
     /// SQL-style equality: Null equals nothing (not even Null);
     /// Int/Float compare numerically.
-    pub fn sql_eq(&self, other: &Value) -> bool {
+    pub(crate) fn sql_eq(&self, other: &Value) -> bool {
         use Value::*;
         match (self, other) {
             (Null, _) | (_, Null) => false,
@@ -158,7 +158,7 @@ impl Value {
 
 impl PartialEq for Value {
     /// Structural equality (Null == Null); used by tests and containers.
-    /// For SQL semantics use [`Value::sql_eq`].
+    /// The query engine compares with SQL semantics instead (`sql_eq`).
     fn eq(&self, other: &Self) -> bool {
         use Value::*;
         match (self, other) {

@@ -30,7 +30,7 @@ impl Default for BackoffPolicy {
 impl BackoffPolicy {
     /// The exponential ceiling for retry `attempt` (1-based): `min(cap,
     /// base·2ⁿ)`, saturating instead of overflowing for large `attempt`.
-    pub fn ceiling_ms(&self, attempt: u32) -> u64 {
+    pub(crate) fn ceiling_ms(&self, attempt: u32) -> u64 {
         // 128-bit shift: `base · 2ⁿ` must saturate at the cap, not wrap.
         let exp = u128::from(self.base_ms) << attempt.min(64);
         exp.min(u128::from(self.cap_ms)) as u64

@@ -32,7 +32,7 @@ impl BreakerState {
     }
 }
 
-/// Tuning knobs for [`CircuitBreaker`].
+/// Tuning knobs for the gateway's per-backend circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
     /// Rolling outcome-window size.
@@ -90,13 +90,13 @@ struct BreakerInner {
 
 /// A circuit breaker guarding one backend.
 #[derive(Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
     inner: Mutex<BreakerInner>,
 }
 
 impl CircuitBreaker {
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
+    pub(crate) fn new(config: BreakerConfig) -> CircuitBreaker {
         CircuitBreaker {
             config,
             inner: Mutex::new(BreakerInner {
@@ -111,11 +111,11 @@ impl CircuitBreaker {
         }
     }
 
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.inner.lock().state
     }
 
-    pub fn stats(&self) -> BreakerStats {
+    pub(crate) fn stats(&self) -> BreakerStats {
         self.inner.lock().stats
     }
 
@@ -123,7 +123,7 @@ impl CircuitBreaker {
     /// the outcome via [`CircuitBreaker::on_success`] /
     /// [`CircuitBreaker::on_failure`]. `false` means the backend is shielded
     /// — skip it.
-    pub fn acquire(&self) -> bool {
+    pub(crate) fn acquire(&self) -> bool {
         let mut inner = self.inner.lock();
         match inner.state {
             BreakerState::Closed => true,
@@ -155,7 +155,7 @@ impl CircuitBreaker {
     }
 
     /// Report a successful call.
-    pub fn on_success(&self) {
+    pub(crate) fn on_success(&self) {
         let mut inner = self.inner.lock();
         match inner.state {
             BreakerState::Closed => self.push_outcome(&mut inner, false),
@@ -175,7 +175,7 @@ impl CircuitBreaker {
     }
 
     /// Report a failed call.
-    pub fn on_failure(&self) {
+    pub(crate) fn on_failure(&self) {
         let mut inner = self.inner.lock();
         match inner.state {
             BreakerState::Closed => {

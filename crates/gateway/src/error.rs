@@ -110,7 +110,7 @@ impl TransportError {
     /// Malformed output from a temperature-0 backend is deterministic — the
     /// same prompt regenerates the same broken payload — so the gateway fails
     /// over to the next backend instead of burning retries.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         self.class() != FaultClass::MalformedOutput
     }
 

@@ -75,7 +75,7 @@ impl FaultPlan {
     }
 
     /// Sum of the per-class rates.
-    pub fn total_rate(&self) -> f64 {
+    pub(crate) fn total_rate(&self) -> f64 {
         self.timeout_rate + self.rate_limit_rate + self.transient_rate + self.malformed_rate
     }
 

@@ -29,10 +29,13 @@
 //! Backoff delays are charged to the simulated-latency counter rather than
 //! slept, like every latency in this workspace — deterministic and fast.
 
+use crate::breaker::CircuitBreaker;
 use crate::fault::prompt_key;
+use crate::limiter::TokenBudget;
+use crate::metrics::GatewayMetrics;
 use crate::{
-    BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, GatewayMetrics, GatewaySnapshot,
-    LlmTransport, TokenBudget, TokenBudgetConfig, TransportError, Verdict,
+    BackoffPolicy, BreakerConfig, BreakerState, GatewaySnapshot, LlmTransport, TokenBudgetConfig,
+    TransportError, Verdict,
 };
 use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;

@@ -40,10 +40,10 @@ mod transport;
 
 pub use backoff::BackoffPolicy;
 pub use batch::{BatchConfig, BatchSnapshot, Batcher, FlushReason, FlushRecord};
-pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
+pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
 pub use error::{FaultClass, TransportError, Verdict};
 pub use fault::{prompt_key, FaultCounts, FaultInjector, FaultPlan};
 pub use gateway::{Gateway, GatewayBuilder, GatewayConfig};
-pub use limiter::{TokenBudget, TokenBudgetConfig};
-pub use metrics::{BackendCounters, BackendSnapshot, GatewayMetrics, GatewaySnapshot};
+pub use limiter::TokenBudgetConfig;
+pub use metrics::{BackendCounters, BackendSnapshot, GatewaySnapshot};
 pub use transport::{LlmTransport, ServiceTransport};

@@ -23,49 +23,31 @@ impl Default for TokenBudgetConfig {
     }
 }
 
-#[derive(Debug)]
-struct BudgetState {
-    available: u64,
-    denied: u64,
-}
-
 /// A token bucket guarding one backend.
 #[derive(Debug)]
-pub struct TokenBudget {
+pub(crate) struct TokenBudget {
     config: TokenBudgetConfig,
-    state: Mutex<BudgetState>,
+    /// Tokens the bucket holds now.
+    available: Mutex<u64>,
 }
 
 impl TokenBudget {
-    pub fn new(config: TokenBudgetConfig) -> TokenBudget {
-        TokenBudget {
-            state: Mutex::new(BudgetState { available: config.capacity, denied: 0 }),
-            config,
-        }
+    pub(crate) fn new(config: TokenBudgetConfig) -> TokenBudget {
+        TokenBudget { available: Mutex::new(config.capacity), config }
     }
 
     /// Admit a call expected to cost `tokens`; on admission the cost is
     /// debited. Refill happens first, so a drained bucket recovers as
     /// traffic keeps arriving.
-    pub fn try_consume(&self, tokens: u64) -> bool {
-        let mut state = self.state.lock();
-        state.available =
-            (state.available + self.config.refill_per_check).min(self.config.capacity);
-        if state.available >= tokens {
-            state.available -= tokens;
+    pub(crate) fn try_consume(&self, tokens: u64) -> bool {
+        let mut available = self.available.lock();
+        *available = (*available + self.config.refill_per_check).min(self.config.capacity);
+        if *available >= tokens {
+            *available -= tokens;
             true
         } else {
-            state.denied += 1;
             false
         }
-    }
-
-    pub fn available(&self) -> u64 {
-        self.state.lock().available
-    }
-
-    pub fn denied(&self) -> u64 {
-        self.state.lock().denied
     }
 }
 
@@ -79,7 +61,6 @@ mod tests {
         assert!(budget.try_consume(600));
         assert!(budget.try_consume(400));
         assert!(!budget.try_consume(1));
-        assert_eq!(budget.denied(), 1);
     }
 
     #[test]
@@ -98,6 +79,6 @@ mod tests {
         for _ in 0..10 {
             assert!(!budget.try_consume(150), "cost above capacity can never be admitted");
         }
-        assert_eq!(budget.available(), 100);
+        assert_eq!(*budget.available.lock(), 100);
     }
 }

@@ -64,12 +64,12 @@ struct MetricsInner {
 }
 
 /// Interior-mutable metrics registry owned by the gateway.
-pub struct GatewayMetrics {
+pub(crate) struct GatewayMetrics {
     inner: Mutex<MetricsInner>,
 }
 
 impl GatewayMetrics {
-    pub fn new(backend_count: usize) -> GatewayMetrics {
+    pub(crate) fn new(backend_count: usize) -> GatewayMetrics {
         GatewayMetrics {
             inner: Mutex::new(MetricsInner {
                 backends: vec![BackendCounters::default(); backend_count],
@@ -241,7 +241,7 @@ impl GatewaySnapshot {
     }
 
     /// Mean members per batched call (0 when no batch was placed).
-    pub fn mean_batch_occupancy(&self) -> f64 {
+    pub(crate) fn mean_batch_occupancy(&self) -> f64 {
         if self.batches == 0 {
             0.0
         } else {

@@ -28,7 +28,7 @@ use std::fmt;
 /// First byte of every payload: the version of this encoding. Format 1's
 /// `WindowClose` carried two more fields; the format before it (JSON text)
 /// began with `{`. Either is recognised as a log this reader does not speak.
-pub const FORMAT: u8 = 2;
+pub(crate) const FORMAT: u8 = 2;
 
 /// Tag byte of [`JournalRecord::Checkpoint`].
 const CHECKPOINT: u8 = 8;
@@ -55,7 +55,7 @@ fn bad<T>(context: impl Into<String>) -> Result<T, CodecError> {
 
 /// Append `record`'s payload to `out` — the writer passes the frame buffer,
 /// so the payload is never copied.
-pub fn encode_into(record: &JournalRecord, out: &mut Vec<u8>) {
+pub(crate) fn encode_into(record: &JournalRecord, out: &mut Vec<u8>) {
     out.push(FORMAT);
     record.put(out);
 }
@@ -68,7 +68,7 @@ pub(crate) fn encode_checkpoint_into(checkpoint: &Checkpoint, out: &mut Vec<u8>)
 }
 
 /// Decode a frame payload back into a record.
-pub fn decode(payload: &[u8]) -> Result<JournalRecord, CodecError> {
+pub(crate) fn decode(payload: &[u8]) -> Result<JournalRecord, CodecError> {
     let mut reader = Reader { bytes: payload, depth: 0 };
     match reader.array()? {
         [FORMAT] => {}

@@ -17,14 +17,14 @@
 //! failure model: a torn tail write, never interior corruption.
 
 /// Byte length of the `[len][crc32]` frame header.
-pub const FRAME_HEADER: usize = 8;
+pub(crate) const FRAME_HEADER: usize = 8;
 
 /// Largest payload a frame may declare. Guards the scanner against reading
 /// a torn header whose garbage length would otherwise look like a
 /// multi-gigabyte record, and bounds what the journal will write: a frame
 /// past it would be classified as damage and truncated away on reopen.
 #[cfg(not(test))]
-pub const MAX_FRAME_PAYLOAD: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_PAYLOAD: usize = 64 * 1024 * 1024;
 /// Lowered for this crate's unit tests, so the oversize refusals are
 /// reachable without writing 64 MiB of state.
 #[cfg(test)]

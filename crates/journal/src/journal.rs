@@ -42,7 +42,7 @@ pub struct JournalTuning {
     /// size-ratio rule (see [`Journal`]), which is what spaces checkpoints
     /// once the checkpoint outweighs this many records.
     pub checkpoint_interval: usize,
-    /// Crash injector; [`CrashInjector::inert`] in production.
+    /// Crash injector; an inert one in production.
     pub injector: Arc<CrashInjector>,
 }
 

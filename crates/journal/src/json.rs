@@ -1,5 +1,5 @@
 //! Forwarding shim, kept for one caller. The journal's payloads are the binary
-//! encoding of [`crate::codec`]; the parser that lived here is
+//! encoding of the crate's `codec` module; the parser that lived here is
 //! `serde_json::from_slice` (`crates/json`) now. The benchmark crate still
 //! calls `lingua_durable::json::parse` at three sites, and files under
 //! `crates/e2e` can only be edited by a `[benchmark]` PR: ROADMAP item 2(c)

@@ -76,7 +76,7 @@ pub struct CrashInjector {
 
 impl CrashInjector {
     /// An injector that never fires — production configuration.
-    pub fn inert() -> Arc<Self> {
+    pub(crate) fn inert() -> Arc<Self> {
         Arc::new(Self { armed: None, counts: Default::default(), dead: AtomicBool::new(false) })
     }
 
@@ -87,19 +87,6 @@ impl CrashInjector {
             counts: Default::default(),
             dead: AtomicBool::new(false),
         })
-    }
-
-    /// Seeded arming: pick a kill point and an occurrence in `1..=max_occurrence`
-    /// from `seed` via a splitmix64 step, so property tests can sweep seeds
-    /// instead of enumerating the matrix by hand.
-    pub fn seeded(seed: u64, max_occurrence: u64) -> Arc<Self> {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let point = KillPoint::ALL[(z % KillPoint::ALL.len() as u64) as usize];
-        let occurrence = 1 + (z >> 8) % max_occurrence.max(1);
-        Self::armed_at(point, occurrence)
     }
 
     /// Record that execution reached `point`; returns `true` when this
@@ -168,16 +155,5 @@ mod tests {
         }
         assert!(!inj.dead());
         assert_eq!(inj.counts()[&KillPoint::MidWrite], 100);
-    }
-
-    #[test]
-    fn seeded_is_deterministic_and_in_range() {
-        for seed in 0..64 {
-            let a = CrashInjector::seeded(seed, 10);
-            let b = CrashInjector::seeded(seed, 10);
-            assert_eq!(a.armed(), b.armed());
-            let (_, occ) = a.armed().unwrap();
-            assert!((1..=10).contains(&occ));
-        }
     }
 }

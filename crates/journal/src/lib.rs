@@ -7,17 +7,17 @@
 //! - [`frame`]: CRC-32-framed record encoding — a frame is accepted only
 //!   when complete and checksum-valid, so a torn tail is detected, never
 //!   misread.
-//! - [`storage`]: the pluggable byte log — a real file ([`FileStorage`])
+//! - `storage`: the pluggable byte log — a real file ([`FileStorage`])
 //!   and a deterministic in-memory sim ([`SimStorage`]) for the harness.
-//! - [`record`]: the durable vocabulary — serve-job lifecycle and stream
+//! - `record`: the durable vocabulary — serve-job lifecycle and stream
 //!   engine state, plus compacted [`Checkpoint`]s.
-//! - [`codec`]: the payload encoding — one binary form per type, bit-exact
+//! - `codec`: the payload encoding — one binary form per type, bit-exact
 //!   for floats, strict and total on the way back in.
-//! - [`reader`]: the front-to-back scan, which tells a *damaged* tail
+//! - `reader`: the front-to-back scan, which tells a *damaged* tail
 //!   (truncated) from an intact frame it cannot read (never touched).
-//! - [`journal`]: the write-ahead [`Journal`] with an always-current fold,
+//! - `journal`: the write-ahead [`Journal`] with an always-current fold,
 //!   checkpoint compaction, and longest-valid-prefix recovery.
-//! - [`kill`]: the crash-injection harness — named [`KillPoint`]s and a
+//! - `kill`: the crash-injection harness — named [`KillPoint`]s and a
 //!   seeded [`CrashInjector`] that kills the simulated process at an exact
 //!   occurrence of an exact instant.
 //!
@@ -40,14 +40,14 @@
 //! [`json`] is a leftover the journal itself no longer uses; see its
 //! module doc.
 
-pub mod codec;
+mod codec;
 pub mod frame;
-pub mod journal;
+mod journal;
 pub mod json;
-pub mod kill;
-pub mod reader;
-pub mod record;
-pub mod storage;
+mod kill;
+mod reader;
+mod record;
+mod storage;
 
 pub use journal::{Journal, JournalTuning, Recovered};
 pub use kill::{CrashInjector, KillPoint};

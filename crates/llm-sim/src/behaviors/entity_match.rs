@@ -19,7 +19,7 @@ use lingua_ml::textsim;
 use std::collections::BTreeMap;
 
 /// Infer the entity domain from record field names.
-pub fn detect_domain(fields: &BTreeMap<String, String>) -> Option<EntityDomain> {
+pub(crate) fn detect_domain(fields: &BTreeMap<String, String>) -> Option<EntityDomain> {
     if fields.contains_key("brewery") || fields.contains_key("beer_name") {
         Some(EntityDomain::Beer)
     } else if fields.contains_key("cuisine") || fields.contains_key("phone") {
@@ -60,7 +60,7 @@ fn keys(domain: EntityDomain, fields: &BTreeMap<String, String>) -> (String, Str
 ///
 /// `calibrated` switches between the example-conditioned judgment and the
 /// naive one.
-pub fn similarity_verdict(
+pub(crate) fn similarity_verdict(
     a: &BTreeMap<String, String>,
     b: &BTreeMap<String, String>,
     calibrated: bool,
@@ -118,7 +118,7 @@ pub fn pair_score(
 
 /// Parse an in-context example body of the form
 /// `A: field: v; ... | B: field: v; ...` into two field maps.
-pub fn parse_example_pair(
+pub(crate) fn parse_example_pair(
     text: &str,
 ) -> Option<(BTreeMap<String, String>, BTreeMap<String, String>)> {
     let rest = text.trim().strip_prefix("A:").or_else(|| text.trim().strip_prefix("a:"))?;
@@ -131,7 +131,7 @@ pub fn parse_example_pair(
 /// Derive a decision threshold from labeled in-context examples — genuine
 /// in-context calibration: score each example pair, then place the threshold
 /// between the hardest negative and the easiest positive.
-pub fn threshold_from_examples(examples: &[(String, bool)], fallback: f64) -> f64 {
+pub(crate) fn threshold_from_examples(examples: &[(String, bool)], fallback: f64) -> f64 {
     let mut max_negative: Option<f64> = None;
     let mut min_positive: Option<f64> = None;
     for (text, label) in examples {
@@ -153,7 +153,7 @@ pub fn threshold_from_examples(examples: &[(String, bool)], fallback: f64) -> f6
 }
 
 /// Produce the response text for an entity-match prompt.
-pub fn respond(
+pub(crate) fn respond(
     kb: &KnowledgeBase,
     calibration: &Calibration,
     parsed: &ParsedPrompt,

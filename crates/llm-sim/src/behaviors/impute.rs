@@ -16,7 +16,7 @@ use lingua_ml::fnv::fingerprint;
 use lingua_ml::rng::Rng;
 
 /// Produce the response text for an imputation prompt.
-pub fn respond(
+pub(crate) fn respond(
     kb: &KnowledgeBase,
     calibration: &Calibration,
     parsed: &ParsedPrompt,

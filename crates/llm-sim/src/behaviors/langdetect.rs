@@ -8,7 +8,7 @@ use lingua_ml::rng::Rng;
 
 /// Produce the response for a language-detection prompt: the ISO-ish code,
 /// possibly wrapped in prose when the format is not pinned.
-pub fn respond(
+pub(crate) fn respond(
     kb: &KnowledgeBase,
     calibration: &Calibration,
     parsed: &ParsedPrompt,

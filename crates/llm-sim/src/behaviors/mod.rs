@@ -5,8 +5,7 @@
 //! LLM would have produced — including surface-form instability.
 
 pub mod entity_match;
-pub mod impute;
+pub(crate) mod impute;
 pub mod langdetect;
-pub mod schema_match;
-pub mod summarize;
-pub mod tag;
+pub(crate) mod summarize;
+pub(crate) mod tag;

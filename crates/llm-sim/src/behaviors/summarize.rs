@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 /// Produce a short extractive summary: the lead sentence plus the most
 /// frequent content words.
-pub fn respond(parsed: &ParsedPrompt) -> String {
+pub(crate) fn respond(parsed: &ParsedPrompt) -> String {
     let text = parsed.payload.trim();
     if text.is_empty() {
         return "Please provide text to summarize.".to_string();

@@ -17,7 +17,7 @@ use lingua_ml::rng::Rng;
 /// Judge whether `phrase` is a person name under `language` knowledge.
 /// Returns the verdict plus whether the phrase was actually covered by the
 /// lexicon (used for confidence).
-pub fn judge_phrase(kb: &KnowledgeBase, language: Language, phrase: &str) -> (bool, bool) {
+pub(crate) fn judge_phrase(kb: &KnowledgeBase, language: Language, phrase: &str) -> (bool, bool) {
     let tokens: Vec<&str> = phrase.split_whitespace().collect();
     if tokens.is_empty() || tokens.len() > 4 {
         return (false, true);
@@ -57,7 +57,7 @@ pub fn judge_phrase(kb: &KnowledgeBase, language: Language, phrase: &str) -> (bo
 }
 
 /// Produce the response for a tagging prompt.
-pub fn respond(
+pub(crate) fn respond(
     kb: &KnowledgeBase,
     calibration: &Calibration,
     parsed: &ParsedPrompt,

@@ -4,7 +4,7 @@
 //! program template, instantiates it, and — with the calibrated bug rate —
 //! injects one bug from a catalogue of realistic LLM coding mistakes. The
 //! `lingua-core` Validator then executes the program on example test cases;
-//! real failures come back here as [`suggest_fix`] / [`repair`] calls,
+//! real failures come back here as [`suggest_fix`] / `repair` calls,
 //! closing the paper's §3.2 validation cycle with genuine program execution
 //! at every step.
 
@@ -91,7 +91,7 @@ pub enum BugKind {
 
 impl BugKind {
     /// Bugs that can be injected into each template.
-    pub fn applicable(template: TemplateKind) -> &'static [BugKind] {
+    pub(crate) fn applicable(template: TemplateKind) -> &'static [BugKind] {
         use BugKind::*;
         match template {
             TemplateKind::Tokenizer => &[OffByOne, WrongComparison, MissingNullCheck],
@@ -192,7 +192,7 @@ pub fn suggest_fix(source: &str, failures: &[String]) -> String {
 /// Regenerate the program after a failed validation, given the suggestion.
 /// With the calibrated success rate the bug is removed; otherwise a new
 /// attempt (possibly buggy in a different way) is produced.
-pub fn repair(
+pub(crate) fn repair(
     spec: &CodeGenSpec,
     calibration: &Calibration,
     previous: &GeneratedCode,

@@ -1,13 +1,13 @@
 //! Pseudo-embedding helpers built on the hashing vectorizer.
 //!
 //! Real systems would call an embedding endpoint; the simulation uses a
-//! deterministic token-hash vectorizer, which preserves the property data
-//! discovery needs: textually similar inputs land near each other.
+//! deterministic token-hash vectorizer, which preserves the property a
+//! similarity search needs: textually similar inputs land near each other.
 
 /// Light suffix-stripping stemmer so that morphological variants ("beers",
 /// "breweries", "styles") embed near their base forms — a cheap stand-in for
 /// the semantic robustness of a real embedding model.
-pub fn stem(token: &str) -> String {
+pub(crate) fn stem(token: &str) -> String {
     let t = token.to_lowercase();
     if let Some(base) = t.strip_suffix("ies") {
         if base.len() >= 3 {
@@ -30,56 +30,32 @@ pub fn stem(token: &str) -> String {
 
 /// Normalize text before embedding: split identifier underscores and stem
 /// each token.
-pub fn normalize_for_embedding(text: &str) -> String {
+pub(crate) fn normalize_for_embedding(text: &str) -> String {
     text.replace('_', " ").split_whitespace().map(stem).collect::<Vec<_>>().join(" ")
-}
-
-/// Cosine similarity between two embedding vectors.
-pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
-    let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
-
-/// Rank `candidates` by embedding similarity to `query`, descending.
-/// Returns `(index, similarity)` pairs.
-pub fn rank_by_similarity(query: &[f64], candidates: &[Vec<f64>]) -> Vec<(usize, f64)> {
-    let mut scored: Vec<(usize, f64)> =
-        candidates.iter().enumerate().map(|(i, c)| (i, cosine(query, c))).collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    scored
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+
     use crate::service::{LlmService, SimLlm};
     use lingua_dataset::world::WorldSpec;
-
-    #[test]
-    fn cosine_basics() {
-        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(cosine(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
-    }
 
     #[test]
     fn similar_texts_rank_first() {
         let world = WorldSpec::generate(5);
         let svc = SimLlm::with_seed(&world, 5);
         let query = svc.embed("beer brewery styles and abv catalogue");
-        let candidates = vec![
+        let candidates = [
             svc.embed("a catalogue of beer styles from many a brewery with abv"),
             svc.embed("restaurant addresses phone numbers and cuisine"),
             svc.embed("song titles artists albums and prices"),
         ];
-        let ranked = rank_by_similarity(&query, &candidates);
-        assert_eq!(ranked[0].0, 0, "{ranked:?}");
-        assert!(ranked[0].1 > ranked[1].1);
+        let cosine = |v: &[f64]| {
+            let dot: f64 = query.iter().zip(v).map(|(x, y)| x * y).sum();
+            let norm = |u: &[f64]| u.iter().map(|x| x * x).sum::<f64>().sqrt();
+            dot / (norm(&query) * norm(v))
+        };
+        let scores: Vec<f64> = candidates.iter().map(|v| cosine(v)).collect();
+        assert!(scores[0] > scores[1] && scores[0] > scores[2], "{scores:?}");
     }
 }

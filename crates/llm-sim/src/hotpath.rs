@@ -17,7 +17,7 @@
 //!    response cache, and the fault injector — the layers stop re-hashing
 //!    the same bytes.
 //! 3. **Compute once.** Concurrent identical prompts coalesce through
-//!    [`Singleflight`]: one leader computes, followers wait and share the
+//!    `Singleflight`: one leader computes, followers wait and share the
 //!    leader's `Arc`'d response, booked as cache savings.
 //! 4. **Determinism survives.** Sharding changes *where* a response is
 //!    cached and *who* computes it, never *what* is computed: responses stay
@@ -54,7 +54,7 @@ pub struct CacheStats {
     /// Entries currently cached.
     pub len: usize,
     /// Calls that coalesced onto an in-flight identical computation
-    /// (filled by the cache's owner from its [`Singleflight`]).
+    /// (filled by the cache's owner from its `Singleflight`).
     pub coalesced: u64,
 }
 
@@ -278,10 +278,6 @@ impl<V: Clone> ShardedLru<V> {
         self.len() == 0
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Lock-free counter snapshot (`coalesced` is left to the owner).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -297,7 +293,7 @@ impl<V: Clone> ShardedLru<V> {
 }
 
 /// Outcome of a [`Singleflight::join`].
-pub enum Flight<V> {
+pub(crate) enum Flight<V> {
     /// This caller computed the value (and was billed for it).
     Led(V),
     /// This caller attached to a concurrent identical computation and shares
@@ -335,7 +331,7 @@ struct FlightCell<V> {
 /// one becomes the new leader and recomputes. The panic itself propagates
 /// to the leader's caller (serve's `catch_unwind` isolation); no thread is
 /// ever left blocked on a dead flight.
-pub struct Singleflight<V> {
+pub(crate) struct Singleflight<V> {
     inflight: Mutex<HashMap<u64, Arc<FlightCell<V>>>>,
     coalesced: AtomicU64,
 }
@@ -368,16 +364,16 @@ impl<V> Default for Singleflight<V> {
 }
 
 impl<V: Clone> Singleflight<V> {
-    pub fn new() -> Singleflight<V> {
+    pub(crate) fn new() -> Singleflight<V> {
         Singleflight::default()
     }
 
     /// Calls coalesced onto another caller's flight so far.
-    pub fn coalesced(&self) -> u64 {
+    pub(crate) fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    pub fn join(&self, key: u64, compute: impl FnOnce() -> V) -> Flight<V> {
+    pub(crate) fn join(&self, key: u64, compute: impl FnOnce() -> V) -> Flight<V> {
         let mut compute = Some(compute);
         loop {
             let existing = {
@@ -486,7 +482,7 @@ mod tests {
     #[test]
     fn shard_count_is_clamped_to_capacity() {
         let cache: ShardedLru<u32> = ShardedLru::new(3, 16);
-        assert_eq!(cache.shard_count(), 3);
+        assert_eq!(cache.shards.len(), 3);
         for key in 0..100u64 {
             cache.insert(key, key as u32);
             assert!(cache.len() <= 3, "capacity bound holds at every step");

@@ -207,7 +207,11 @@ fn stable_draw(seed: u64, key: &str) -> f64 {
 impl KnowledgeBase {
     /// Build the knowledge base from a world, keeping each fact with its
     /// calibrated coverage probability.
-    pub fn from_world(world: &WorldSpec, calibration: &Calibration, seed: u64) -> KnowledgeBase {
+    pub(crate) fn from_world(
+        world: &WorldSpec,
+        calibration: &Calibration,
+        seed: u64,
+    ) -> KnowledgeBase {
         let beers = Domain::new(
             world
                 .beers
@@ -319,11 +323,6 @@ impl KnowledgeBase {
         }
     }
 
-    /// How many entities the model knows in a domain.
-    pub fn known_count(&self, domain: EntityDomain) -> usize {
-        self.domain(domain).known.len()
-    }
-
     /// Try to resolve a (possibly corrupted) record to a known entity.
     ///
     /// Scores every known entity by a weighted fuzzy similarity over the
@@ -384,7 +383,7 @@ impl KnowledgeBase {
     /// This anchored comparison is much stronger than pairwise text
     /// similarity: the canonical form is clean, so damage on the query only
     /// has to survive one direction.
-    pub fn matches_known(
+    pub(crate) fn matches_known(
         &self,
         domain: EntityDomain,
         id: u64,
@@ -403,7 +402,7 @@ impl KnowledgeBase {
     }
 
     /// Known manufacturer appearing verbatim (case-insensitive) in the text.
-    pub fn manufacturer_in_text(&self, text: &str) -> Option<&str> {
+    pub(crate) fn manufacturer_in_text(&self, text: &str) -> Option<&str> {
         let lowered = text.to_lowercase();
         self.manufacturers
             .iter()
@@ -413,7 +412,7 @@ impl KnowledgeBase {
 
     /// Known product line contained in the text → its manufacturer.
     /// Longest matching line wins.
-    pub fn line_owner_in_text(&self, text: &str) -> Option<&str> {
+    pub(crate) fn line_owner_in_text(&self, text: &str) -> Option<&str> {
         let lowered = text.to_lowercase();
         self.line_owners
             .iter()
@@ -423,29 +422,29 @@ impl KnowledgeBase {
     }
 
     /// The manufacturer vocabulary (all brands; sorted longest-first).
-    pub fn manufacturers(&self) -> &[String] {
+    pub(crate) fn manufacturers(&self) -> &[String] {
         &self.manufacturers
     }
 
     /// Does the model recognize `token` as a given name in `language`?
-    pub fn knows_given_name(&self, language: Language, token: &str) -> bool {
+    pub(crate) fn knows_given_name(&self, language: Language, token: &str) -> bool {
         self.names.get(&language).map(|n| n.given.contains(token)).unwrap_or(false)
     }
 
     /// Does the model recognize `token` as a surname in `language`?
-    pub fn knows_surname(&self, language: Language, token: &str) -> bool {
+    pub(crate) fn knows_surname(&self, language: Language, token: &str) -> bool {
         self.names.get(&language).map(|n| n.surnames.contains(token)).unwrap_or(false)
     }
 
     /// Is this capitalized token a known non-person proper noun?
-    pub fn is_known_place_or_org(&self, token: &str) -> bool {
+    pub(crate) fn is_known_place_or_org(&self, token: &str) -> bool {
         self.distractors.contains(token)
     }
 
     /// Detect a text's language by counting per-language function words.
     /// Returns the best language and its margin over the runner-up (0 when
     /// nothing matched at all).
-    pub fn detect_language(&self, text: &str) -> (Language, f64) {
+    pub(crate) fn detect_language(&self, text: &str) -> (Language, f64) {
         let tokens = textsim::tokens(text);
         let mut scores: Vec<(Language, f64)> = self
             .function_words
@@ -502,9 +501,10 @@ mod tests {
     fn coverage_is_roughly_calibrated() {
         let (world, kb) = kb();
         let cal = Calibration::default();
-        let frac = kb.known_count(EntityDomain::Beer) as f64 / world.beers.len() as f64;
+        let frac = kb.domain(EntityDomain::Beer).known.len() as f64 / world.beers.len() as f64;
         assert!((frac - cal.beer_entity_coverage).abs() < 0.08, "beer coverage {frac}");
-        let frac = kb.known_count(EntityDomain::Restaurant) as f64 / world.restaurants.len() as f64;
+        let frac =
+            kb.domain(EntityDomain::Restaurant).known.len() as f64 / world.restaurants.len() as f64;
         assert!((frac - cal.restaurant_entity_coverage).abs() < 0.08, "restaurant coverage {frac}");
     }
 
@@ -513,10 +513,14 @@ mod tests {
         let world = WorldSpec::generate(11);
         let a = KnowledgeBase::from_world(&world, &Calibration::default(), 7);
         let b = KnowledgeBase::from_world(&world, &Calibration::default(), 7);
-        assert_eq!(a.known_count(EntityDomain::Song), b.known_count(EntityDomain::Song));
+        assert_eq!(
+            a.domain(EntityDomain::Song).known.len(),
+            b.domain(EntityDomain::Song).known.len()
+        );
         // Different seed → different subset (with overwhelming probability).
         let c = KnowledgeBase::from_world(&world, &Calibration::default(), 8);
-        let same = a.known_count(EntityDomain::Beer) == c.known_count(EntityDomain::Beer);
+        let same =
+            a.domain(EntityDomain::Beer).known.len() == c.domain(EntityDomain::Beer).known.len();
         // Counts may coincide, but membership rarely does; check via resolve
         // disagreement on at least one beer.
         let mut disagreements = 0;
@@ -813,7 +817,7 @@ mod tests {
         let (_, kb) = kb();
         for domain in DOMAINS {
             let index = kb.domain(domain).index();
-            assert_eq!(index.entities.len(), kb.known_count(domain));
+            assert_eq!(index.entities.len(), kb.domain(domain).known.len());
             let used: BTreeSet<usize> =
                 index.entities.iter().flat_map(|e| e.primary.iter().copied()).collect();
             assert_eq!(used, (0..index.primary_vocab).collect::<BTreeSet<usize>>());
@@ -838,7 +842,7 @@ mod tests {
             "Fill in the missing manufacturer.\nProduct: name: {}\nAnswer with only the manufacturer name.",
             world.products[0].name
         )));
-        assert!(llm.knowledge().known_count(EntityDomain::Beer) > 0);
+        assert!(!llm.knowledge().domain(EntityDomain::Beer).known.is_empty());
         assert_eq!(built(), [false; 3], "summaries, imputations and counts need none");
 
         let beer = &world.beers[0];

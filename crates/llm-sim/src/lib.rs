@@ -8,10 +8,10 @@
 //! The simulator is *not* a mock that returns canned answers. It is a
 //! parameterized generative model of LLM behaviour:
 //!
-//! * [`prompt`] really parses prompts and routes them to task behaviours
-//!   (entity matching, imputation, name tagging, language detection, schema
-//!   matching, summarisation, fix suggestions).
-//! * [`knowledge`] holds a *calibrated subset* of the ground-truth world
+//! * `prompt` really parses prompts and routes them to task behaviours
+//!   (entity matching, imputation, name tagging, language detection,
+//!   summarisation, fix suggestions).
+//! * [`KnowledgeBase`] holds a *calibrated subset* of the ground-truth world
 //!   ([`lingua_dataset::world::WorldSpec`]) — the LLM "knows" some entities,
 //!   some product lines, some person names, exactly like a real pre-trained
 //!   model partially overlaps enterprise data.
@@ -26,26 +26,25 @@
 //!   measured in.
 //!
 //! Determinism: every response is a pure function of `(service seed, prompt)`.
-//! The calibration constants live in [`calibration`] and are documented
+//! The calibration constants live in [`Calibration`] and are documented
 //! against the paper's published numbers.
 
 pub mod behaviors;
-pub mod calibration;
-pub mod cancel;
+mod calibration;
+mod cancel;
 pub mod codegen;
 pub mod cost;
-pub mod embeddings;
+mod embeddings;
 pub mod hotpath;
-pub mod knowledge;
+mod knowledge;
 pub mod noise;
-pub mod prompt;
-pub mod service;
+mod prompt;
+mod service;
 
 pub use calibration::Calibration;
 pub use cancel::{CancelReason, CancelToken, NoAnswer, WaitMark};
 pub use codegen::{BugKind, CodeGenSpec, GeneratedCode, TemplateKind};
 pub use cost::{AtomicUsage, TokenPricing, Usage};
-pub use hotpath::{fingerprint, CacheStats, Flight, Fnv1a, ShardedLru, Singleflight};
+pub use hotpath::{fingerprint, CacheStats, Fnv1a, ShardedLru};
 pub use knowledge::KnowledgeBase;
-pub use prompt::TaskIntent;
 pub use service::{BatchOutcome, CompletionRequest, LlmService, SimLlm, SimLlmConfig};

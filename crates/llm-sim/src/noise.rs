@@ -27,7 +27,7 @@ const NO_FORMS: &[&str] = &[
 
 /// Render a boolean answer. `verbose_rate` is the probability of a decorated
 /// phrasing instead of the bare token.
-pub fn render_bool(rng: &mut Rng, answer: bool, verbose_rate: f64) -> String {
+pub(crate) fn render_bool(rng: &mut Rng, answer: bool, verbose_rate: f64) -> String {
     if rng.gen_bool(verbose_rate.clamp(0.0, 1.0)) {
         let forms = if answer { YES_FORMS } else { NO_FORMS };
         forms[rng.gen_range(0..forms.len())].to_string()
@@ -42,7 +42,7 @@ pub fn render_bool(rng: &mut Rng, answer: bool, verbose_rate: f64) -> String {
 /// Render a categorical answer (e.g. a manufacturer name). Verbose forms wrap
 /// the value in prose, which breaks exact-match consumers that skip output
 /// validation.
-pub fn render_category(rng: &mut Rng, value: &str, verbose_rate: f64) -> String {
+pub(crate) fn render_category(rng: &mut Rng, value: &str, verbose_rate: f64) -> String {
     if rng.gen_bool(verbose_rate.clamp(0.0, 1.0)) {
         let templates = [
             format!("The manufacturer is {value}."),

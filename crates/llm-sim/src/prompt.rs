@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 /// The tasks the simulated LLM can perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskIntent {
+pub(crate) enum TaskIntent {
     /// "Are these two records the same entity?"
     EntityMatch,
     /// "Fill in the missing manufacturer for this product."
@@ -20,15 +20,13 @@ pub enum TaskIntent {
     DetectLanguage,
     /// "Summarize this text."
     Summarize,
-    /// "Which columns of table A match which columns of table B?"
-    SchemaMatch,
     /// Anything unrecognized.
     Unknown,
 }
 
 /// Everything extracted from one prompt.
 #[derive(Debug, Clone)]
-pub struct ParsedPrompt {
+pub(crate) struct ParsedPrompt {
     pub intent: TaskIntent,
     /// `Record A:` field map (lowercased field names).
     pub record_a: BTreeMap<String, String>,
@@ -49,7 +47,7 @@ pub struct ParsedPrompt {
 }
 
 /// Parse a prompt.
-pub fn parse(prompt: &str) -> ParsedPrompt {
+pub(crate) fn parse(prompt: &str) -> ParsedPrompt {
     let lower = prompt.to_lowercase();
     let intent = detect_intent(&lower);
 
@@ -122,13 +120,6 @@ fn detect_intent(lower: &str) -> TaskIntent {
         || lower.contains("detect the language")
     {
         TaskIntent::DetectLanguage
-    } else if lower.contains("schema matching")
-        || lower.contains("match the columns")
-        || lower.contains("corresponding column")
-    {
-        // Checked before imputation: column *names* often contain words like
-        // "manufacturer" that would otherwise hijack the routing.
-        TaskIntent::SchemaMatch
     } else if lower.contains("manufacturer")
         || lower.contains("impute")
         || lower.contains("fill in the missing")
@@ -161,7 +152,7 @@ fn strip_prefix_ci<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
 }
 
 /// Parse `name: Hoppy Badger; brewery: Stonegate Brewing; abv: 5.2%`.
-pub fn parse_fields(text: &str) -> BTreeMap<String, String> {
+pub(crate) fn parse_fields(text: &str) -> BTreeMap<String, String> {
     let mut out = BTreeMap::new();
     for part in text.split(';') {
         if let Some((key, value)) = part.split_once(':') {
@@ -257,12 +248,8 @@ mod tests {
     }
 
     #[test]
-    fn summarize_and_schema_match() {
+    fn summarize_intent() {
         assert_eq!(parse("Summarize the following. Text: abc").intent, TaskIntent::Summarize);
-        assert_eq!(
-            parse("Match the columns of table A to table B.").intent,
-            TaskIntent::SchemaMatch
-        );
     }
 
     #[test]

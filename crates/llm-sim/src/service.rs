@@ -263,7 +263,7 @@ struct CachedResponse {
 ///
 /// Concurrency: the hot path holds no global lock. The response cache is a
 /// lock-striped [`ShardedLru`], usage metering is [`AtomicUsage`], and
-/// concurrent identical prompts coalesce through a [`Singleflight`] (one
+/// concurrent identical prompts coalesce through a `Singleflight` (one
 /// computes, the rest share the `Arc`'d response and book the saving). See
 /// `DESIGN.md` §"Performance: the LLM hot path".
 pub struct SimLlm {
@@ -302,7 +302,8 @@ impl SimLlm {
         SimLlm::new(world, SimLlmConfig { seed, ..Default::default() })
     }
 
-    pub fn knowledge(&self) -> &KnowledgeBase {
+    #[cfg(test)]
+    pub(crate) fn knowledge(&self) -> &KnowledgeBase {
         &self.knowledge
     }
 
@@ -355,7 +356,6 @@ impl SimLlm {
                 &mut rng,
             ),
             TaskIntent::Summarize => behaviors::summarize::respond(&parsed),
-            TaskIntent::SchemaMatch => behaviors::schema_match::respond(prompt_text),
             TaskIntent::Unknown => {
                 "I'm not sure what task you are asking for. Please describe the data \
                  curation task (entity resolution, imputation, extraction, ...)."

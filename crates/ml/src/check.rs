@@ -28,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The size every case first runs at: collection lengths span their whole
 /// range, and a recursive generator may [`Gen::descend`] this many times.
-pub const FULL_SIZE: u32 = 1000;
+pub(crate) const FULL_SIZE: u32 = 1000;
 
 /// The printable ASCII characters, `[ -~]`.
 pub const PRINTABLE: &str = " !\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefghijklmnopqrstuvwxyz{|}~";
@@ -97,7 +97,7 @@ fn bounds<T: Int>(range: impl RangeBounds<T>) -> (i128, i128) {
 
 impl Gen {
     /// The generator a case with this `seed` runs on. `size` is
-    /// [`FULL_SIZE`] unless a failure is being shrunk.
+    /// `FULL_SIZE` unless a failure is being shrunk.
     pub fn new(seed: u64, size: u32) -> Gen {
         Gen { state: seed, size, budget: size }
     }

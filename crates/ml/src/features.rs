@@ -13,7 +13,7 @@ use crate::FeatureVec;
 /// overlap coefficient, trigram cosine, Monge-Elkan) belong to
 /// [`rich_pair_features`] — that representational gap is precisely what
 /// separates the simulated-Magellan baseline from simulated-Ditto.
-pub const PAIR_FEATURES_PER_FIELD: [&str; 4] =
+pub(crate) const PAIR_FEATURES_PER_FIELD: [&str; 4] =
     ["exact_norm", "levenshtein", "jaccard_tokens", "numeric"];
 
 /// Extract a similarity feature vector for a pair of records given as
@@ -100,10 +100,6 @@ impl HashingVectorizer {
     pub fn new(dims: usize) -> Self {
         assert!(dims > 0);
         HashingVectorizer { dims }
-    }
-
-    pub fn dims(&self) -> usize {
-        self.dims
     }
 
     /// Vectorize text into `dims` dimensions.

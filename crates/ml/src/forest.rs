@@ -56,7 +56,7 @@ impl RandomForest {
     }
 
     /// Mean class-probability distribution across trees.
-    pub fn predict_dist(&self, features: &[f64]) -> Vec<f64> {
+    pub(crate) fn predict_dist(&self, features: &[f64]) -> Vec<f64> {
         let mut dist = vec![0.0; self.n_classes];
         for tree in &self.trees {
             let d = tree.predict_dist(features);

@@ -14,7 +14,7 @@
 //!   for free text.
 //! * [`logreg`] — binary logistic regression trained with mini-batch SGD.
 //! * [`naive_bayes`] — multinomial naive Bayes for multiclass text problems.
-//! * [`tree`] / [`forest`] — CART decision trees and random forests.
+//! * [`forest`] — random forests of CART decision trees.
 //! * [`metrics`] — accuracy, precision/recall/F1, confusion matrices.
 //!
 //! It also hosts the workspace-wide utilities, here because this is the
@@ -36,10 +36,10 @@ pub mod naive_bayes;
 pub mod rng;
 pub mod sync;
 pub mod textsim;
-pub mod tree;
+mod tree;
 
 /// A dense feature vector.
-pub type FeatureVec = Vec<f64>;
+pub(crate) type FeatureVec = Vec<f64>;
 
 /// A labeled training example: features plus a class id.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,4 +1,4 @@
-//! Evaluation metrics: accuracy, precision/recall/F1, confusion matrices.
+//! Evaluation metrics: accuracy, precision/recall/F1 over a binary confusion matrix.
 
 /// Binary classification counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,43 +69,6 @@ impl Confusion {
     }
 }
 
-/// Multiclass accuracy from parallel slices.
-pub fn accuracy<T: PartialEq>(predictions: &[T], labels: &[T]) -> f64 {
-    assert_eq!(predictions.len(), labels.len(), "slices must align");
-    if predictions.is_empty() {
-        return 0.0;
-    }
-    let correct = predictions.iter().zip(labels).filter(|(p, y)| p == y).count();
-    correct as f64 / predictions.len() as f64
-}
-
-/// Set-based precision/recall/F1 for extraction tasks (e.g. name extraction):
-/// compares predicted strings to gold strings as multisets.
-pub fn extraction_prf(predicted: &[String], gold: &[String]) -> (f64, f64, f64) {
-    use std::collections::BTreeMap;
-    let mut gold_counts: BTreeMap<&str, usize> = BTreeMap::new();
-    for g in gold {
-        *gold_counts.entry(g.as_str()).or_default() += 1;
-    }
-    let mut tp = 0usize;
-    for p in predicted {
-        if let Some(c) = gold_counts.get_mut(p.as_str()) {
-            if *c > 0 {
-                *c -= 1;
-                tp += 1;
-            }
-        }
-    }
-    let precision = if predicted.is_empty() { 0.0 } else { tp as f64 / predicted.len() as f64 };
-    let recall = if gold.is_empty() { 0.0 } else { tp as f64 / gold.len() as f64 };
-    let f1 = if precision + recall == 0.0 {
-        0.0
-    } else {
-        2.0 * precision * recall / (precision + recall)
-    };
-    (precision, recall, f1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,25 +111,5 @@ mod tests {
             inc.add(p, y);
         }
         assert_eq!(batch, inc);
-    }
-
-    #[test]
-    fn multiclass_accuracy() {
-        assert_eq!(accuracy(&["a", "b", "c"], &["a", "x", "c"]), 2.0 / 3.0);
-        assert_eq!(accuracy::<u8>(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn extraction_prf_multiset_semantics() {
-        let predicted =
-            vec!["John Smith".to_string(), "John Smith".to_string(), "Mary Brown".to_string()];
-        let gold = vec!["John Smith".to_string(), "Mary Brown".to_string(), "Lee Wong".to_string()];
-        let (p, r, f1) = extraction_prf(&predicted, &gold);
-        assert!((p - 2.0 / 3.0).abs() < 1e-9);
-        assert!((r - 2.0 / 3.0).abs() < 1e-9);
-        assert!(f1 > 0.6);
-        // Empty cases.
-        assert_eq!(extraction_prf(&[], &gold).0, 0.0);
-        assert_eq!(extraction_prf(&predicted, &[]).1, 0.0);
     }
 }

@@ -15,7 +15,6 @@ pub struct NaiveBayes {
     log_likelihood: Vec<BTreeMap<String, f64>>,
     /// log of the smoothed probability for unseen tokens, per class.
     log_unseen: Vec<f64>,
-    vocab_size: usize,
 }
 
 impl NaiveBayes {
@@ -62,19 +61,11 @@ impl NaiveBayes {
                     .collect(),
             );
         }
-        NaiveBayes { classes, log_prior, log_likelihood, log_unseen, vocab_size }
-    }
-
-    pub fn classes(&self) -> &[String] {
-        &self.classes
-    }
-
-    pub fn vocab_size(&self) -> usize {
-        self.vocab_size
+        NaiveBayes { classes, log_prior, log_likelihood, log_unseen }
     }
 
     /// Per-class log joint scores for `text`, in class order.
-    pub fn scores(&self, text: &str) -> Vec<f64> {
+    pub(crate) fn scores(&self, text: &str) -> Vec<f64> {
         let toks = tokens(text);
         (0..self.classes.len())
             .map(|c| {
@@ -140,16 +131,15 @@ mod tests {
         let m = model();
         // Should not panic and should return *some* class.
         let (class, _) = m.predict("zzz yyy xxx");
-        assert!(m.classes().contains(&class.to_string()));
+        assert!(m.classes.contains(&class.to_string()));
     }
 
     #[test]
     fn classes_are_complete() {
         let m = model();
-        let mut classes = m.classes().to_vec();
+        let mut classes = m.classes.clone();
         classes.sort();
         assert_eq!(classes, ["Microsoft", "Nintendo", "Sony"]);
-        assert!(m.vocab_size() > 10);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! want case-insensitive behaviour should lowercase first (the feature
 //! extractor does).
 //!
-//! There is one Jaro loop, over `&[char]`. The `&str` entry points [`jaro`],
+//! There is one Jaro loop, over `&[char]`. The `&str` entry points
 //! [`jaro_winkler`] and [`monge_elkan`] split their arguments and run it; a
 //! caller that compares one side many times (the simulator's knowledge base)
 //! splits once with [`token_chars`] and calls [`jaro_winkler_chars`] itself.
@@ -47,11 +47,6 @@ pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(a, b) as f64 / max_len as f64
 }
 
-/// Jaro similarity.
-pub fn jaro(a: &str, b: &str) -> f64 {
-    jaro_chars(&chars(a), &chars(b))
-}
-
 /// Jaro-Winkler similarity with the standard 0.1 prefix scale, capped at a
 /// 4-character common prefix.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
@@ -62,7 +57,7 @@ fn chars(text: &str) -> Vec<char> {
     text.chars().collect()
 }
 
-/// [`jaro`] over scalar values already split out — the kernel every Jaro,
+/// Jaro similarity over scalar values already split out — the kernel every
 /// Jaro-Winkler and Monge-Elkan in this module runs on. It allocates nothing
 /// for strings of up to 32 characters (a token, a name), and takes any
 /// length.
@@ -86,7 +81,7 @@ const INLINE_FLAGS: usize = 32;
 /// The Jaro loop, over non-empty strings and cleared flag buffers at least as
 /// long as they are. The matching is greedy — each character of `a` takes the
 /// first free equal character of `b` inside the window — and still symmetric:
-/// `jaro(a, b)` and `jaro(b, a)` are the same `f64`
+/// `jaro_chars(a, b)` and `jaro_chars(b, a)` are the same `f64`
 /// (`jaro_is_symmetric_to_the_bit`).
 fn jaro_flagged(a: &[char], b: &[char], a_matched: &mut [bool], b_matched: &mut [bool]) -> f64 {
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
@@ -173,7 +168,7 @@ fn trigrams(text: &str) -> Vec<String> {
 }
 
 /// Cosine similarity over character-trigram counts.
-pub fn trigram_cosine(a: &str, b: &str) -> f64 {
+pub(crate) fn trigram_cosine(a: &str, b: &str) -> f64 {
     use std::collections::BTreeMap;
     let mut ca: BTreeMap<String, f64> = BTreeMap::new();
     let mut cb: BTreeMap<String, f64> = BTreeMap::new();
@@ -214,7 +209,7 @@ pub fn monge_elkan(a: &str, b: &str) -> f64 {
 }
 
 /// Exact-match indicator on the lowercased, whitespace-normalized strings.
-pub fn exact_norm(a: &str, b: &str) -> f64 {
+pub(crate) fn exact_norm(a: &str, b: &str) -> f64 {
     let norm = |s: &str| tokens(s).join(" ");
     if norm(a) == norm(b) {
         1.0
@@ -249,7 +244,7 @@ pub fn numeric_sim(a: &str, b: &str) -> f64 {
 
 /// Pull every decimal number out of a string. `"4:05"` yields `[4, 5]`;
 /// `"$12.99"` yields `[12.99]`.
-pub fn extract_numbers(text: &str) -> Vec<f64> {
+pub(crate) fn extract_numbers(text: &str) -> Vec<f64> {
     let mut out = Vec::new();
     let mut current = String::new();
     for c in text.chars() {
@@ -293,7 +288,7 @@ mod tests {
 
     #[test]
     fn jaro_winkler_known_values() {
-        assert!((jaro("martha", "marhta") - 0.944444).abs() < 1e-4);
+        assert!((jaro_chars(&chars("martha"), &chars("marhta")) - 0.944444).abs() < 1e-4);
         assert!((jaro_winkler("martha", "marhta") - 0.961111).abs() < 1e-4);
         assert_eq!(jaro_winkler("", ""), 1.0);
         assert_eq!(jaro_winkler("a", ""), 0.0);
@@ -376,7 +371,6 @@ mod tests {
                     let expected = jaro_reference(x, y);
                     assert_eq!(jaro_chars(x, y).to_bits(), expected.to_bits());
                     let (sx, sy): (String, String) = (x.iter().collect(), y.iter().collect());
-                    assert_eq!(jaro(&sx, &sy).to_bits(), expected.to_bits());
                     let prefix = x.iter().zip(y.iter()).take(4).take_while(|(p, q)| p == q).count();
                     let winkler = expected + prefix as f64 * 0.1 * (1.0 - expected);
                     assert_eq!(jaro_winkler_chars(x, y).to_bits(), winkler.to_bits());
@@ -473,7 +467,6 @@ mod tests {
         for (a, b) in pairs {
             for f in [
                 levenshtein_sim,
-                jaro,
                 jaro_winkler,
                 jaccard_tokens,
                 trigram_cosine,

@@ -35,27 +35,22 @@ enum Node {
 
 /// A trained decision tree.
 #[derive(Debug, Clone)]
-pub struct DecisionTree {
+pub(crate) struct DecisionTree {
     root: Node,
-    n_classes: usize,
 }
 
 impl DecisionTree {
-    pub fn train(examples: &[Example], config: &TreeConfig) -> DecisionTree {
+    pub(crate) fn train(examples: &[Example], config: &TreeConfig) -> DecisionTree {
         assert!(!examples.is_empty(), "cannot train on an empty set");
         let n_classes = examples.iter().map(|e| e.label).max().unwrap() + 1;
         let indices: Vec<usize> = (0..examples.len()).collect();
         let mut rng_state = config.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let root = grow(examples, &indices, n_classes, config, 0, &mut rng_state);
-        DecisionTree { root, n_classes }
-    }
-
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
+        DecisionTree { root }
     }
 
     /// Class-probability distribution for one input.
-    pub fn predict_dist(&self, features: &[f64]) -> Vec<f64> {
+    pub(crate) fn predict_dist(&self, features: &[f64]) -> Vec<f64> {
         let mut node = &self.root;
         loop {
             match node {
@@ -65,26 +60,6 @@ impl DecisionTree {
                 }
             }
         }
-    }
-
-    pub fn predict(&self, features: &[f64]) -> usize {
-        let dist = self.predict_dist(features);
-        dist.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
-    /// Number of decision nodes (for tests / introspection).
-    pub fn node_count(&self) -> usize {
-        fn count(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => 1 + count(left) + count(right),
-            }
-        }
-        count(&self.root)
     }
 }
 
@@ -204,13 +179,23 @@ mod tests {
         out
     }
 
+    /// The most probable class, as the forest's vote reads it.
+    fn class(tree: &DecisionTree, features: &[f64]) -> usize {
+        let dist = tree.predict_dist(features);
+        (0..dist.len()).max_by(|&a, &b| dist[a].total_cmp(&dist[b])).unwrap()
+    }
+
+    fn is_leaf(tree: &DecisionTree) -> bool {
+        matches!(tree.root, Node::Leaf { .. })
+    }
+
     #[test]
     fn learns_xor() {
         let tree = DecisionTree::train(&xor_data(), &TreeConfig::default());
-        assert_eq!(tree.predict(&[0.0, 0.0]), 0);
-        assert_eq!(tree.predict(&[1.0, 1.0]), 0);
-        assert_eq!(tree.predict(&[0.0, 1.0]), 1);
-        assert_eq!(tree.predict(&[1.0, 0.0]), 1);
+        assert_eq!(class(&tree, &[0.0, 0.0]), 0);
+        assert_eq!(class(&tree, &[1.0, 1.0]), 0);
+        assert_eq!(class(&tree, &[0.0, 1.0]), 1);
+        assert_eq!(class(&tree, &[1.0, 0.0]), 1);
     }
 
     #[test]
@@ -221,15 +206,15 @@ mod tests {
             Example::new(vec![3.0], 0),
         ];
         let tree = DecisionTree::train(&examples, &TreeConfig::default());
-        assert_eq!(tree.node_count(), 1);
-        assert_eq!(tree.predict(&[99.0]), 0);
+        assert!(is_leaf(&tree));
+        assert_eq!(class(&tree, &[99.0]), 0);
     }
 
     #[test]
     fn depth_limit_is_respected() {
         let tree =
             DecisionTree::train(&xor_data(), &TreeConfig { max_depth: 0, ..Default::default() });
-        assert_eq!(tree.node_count(), 1);
+        assert!(is_leaf(&tree));
     }
 
     #[test]
@@ -237,7 +222,7 @@ mod tests {
         let tree = DecisionTree::train(&xor_data(), &TreeConfig::default());
         let dist = tree.predict_dist(&[0.5, 0.5]);
         assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert_eq!(dist.len(), tree.n_classes());
+        assert_eq!(dist.len(), 2);
     }
 
     #[test]
@@ -248,15 +233,14 @@ mod tests {
         );
         // With one random feature per split it may not solve XOR, but it
         // must produce a valid tree.
-        assert!(tree.node_count() >= 1);
-        let _ = tree.predict(&[0.0, 1.0]);
+        assert_eq!(tree.predict_dist(&[0.0, 1.0]).len(), 2);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let a = DecisionTree::train(&xor_data(), &TreeConfig { seed: 5, ..Default::default() });
         let b = DecisionTree::train(&xor_data(), &TreeConfig { seed: 5, ..Default::default() });
-        assert_eq!(a.node_count(), b.node_count());
+        assert_eq!(format!("{:?}", a.root), format!("{:?}", b.root));
         assert_eq!(a.predict_dist(&[0.2, 0.9]), b.predict_dist(&[0.2, 0.9]));
     }
 }

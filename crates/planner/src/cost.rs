@@ -1,32 +1,29 @@
 //! The cost model: objectives, per-op cost estimates, and the evidence-fed
 //! [`CostEstimator`].
 //!
-//! The estimator only speaks from evidence. Three feeds exist, in decreasing
+//! The estimator only speaks from evidence. Two feeds exist, in decreasing
 //! order of fidelity:
 //!
 //! 1. **Calibration runs** ([`crate::Calibrator`]) — a Validator-style sample
 //!    execution that yields usage, latency, *and* accuracy per
 //!    `(stage, alternative)`.
-//! 2. **Live traces** ([`CostEstimator::feed_trace`]) — `Op` spans from
-//!    production `lingua-trace` events, attributed to an alternative via the
-//!    executor's `module_kind` attribute. Traces carry exact token usage but
-//!    no wall latency (the tracer's clock is logical), so they sharpen the
-//!    $-side of an estimate without touching the ms-side.
-//! 3. **Dataset statistics** ([`DatasetStats`]) — shape-only facts
+//! 2. **Dataset statistics** ([`DatasetStats`]) — shape-only facts
 //!    (token lengths, duplicate rates, match selectivity) that scale the
-//!    other two feeds to the target dataset.
+//!    calibration runs to the target dataset.
+//!
+//! Calibrating from production traces is not built: the tracer's clock is
+//! logical, so it waits for measured per-op time (ROADMAP item 10(b)).
 //!
 //! When an alternative has *no* observed usage, [`CostEstimator::estimate`]
 //! returns the typed [`PlanError::InsufficientStats`] — never a silent
 //! default — and the planner falls back to the paper's implementation
 //! ranking with clearly-labeled priors ([`CostEstimator::prior_estimate`]).
 
-use crate::physical::{PhysicalAlt, CACHE_SUFFIX};
+use crate::physical::PhysicalAlt;
 use lingua_core::optimizer::SampleMeasurement;
-use lingua_core::{CurationStage, DatasetStats, LogicalOp};
+use lingua_core::{CurationStage, DatasetStats};
 use lingua_llm_sim::cost::TokenPricing;
 use lingua_llm_sim::Usage;
-use lingua_trace::{SpanKind, TraceEvent, TraceTree};
 use std::collections::BTreeMap;
 
 /// What the planner minimizes: a weighted blend of dollars and milliseconds,
@@ -78,12 +75,12 @@ pub struct CostEstimate {
 
 impl CostEstimate {
     /// Total dollars to push `records` records through this op.
-    pub fn total_usd(&self, records: f64) -> f64 {
+    pub(crate) fn total_usd(&self, records: f64) -> f64 {
         self.setup_usd + records * self.usd_per_record
     }
 
     /// Total milliseconds to push `records` records through this op.
-    pub fn total_ms(&self, records: f64) -> f64 {
+    pub(crate) fn total_ms(&self, records: f64) -> f64 {
         self.setup_ms + records * self.ms_per_record
     }
 
@@ -157,7 +154,7 @@ struct Observed {
 }
 
 /// Accuracy prior when an alternative has observed usage but no judged
-/// accuracy sample (e.g. evidence arrived only via [`CostEstimator::feed_trace`]).
+/// accuracy sample (e.g. evidence booked by [`CostEstimator::record_usage`]).
 fn accuracy_prior(alt: PhysicalAlt) -> f64 {
     match alt {
         PhysicalAlt::DirectLlm | PhysicalAlt::CachedLlm => 0.92,
@@ -228,34 +225,6 @@ impl CostEstimator {
         cell.sim_latency_ms += latency_ms;
     }
 
-    /// Ingest production trace events: every `Op` span's usage rollup is
-    /// attributed to a `(stage, alternative)` cell via the executor's
-    /// `module_kind` attribute (`llm` → direct, `llmgc` → generated program,
-    /// `custom` → custom code; `decorated` splits on the [`CACHE_SUFFIX`]
-    /// naming convention into cached-LLM vs model). Returns how many spans
-    /// were attributed. Traces carry no wall-clock latency (the tracer's
-    /// clock is logical), so this feed sharpens $ estimates only.
-    pub fn feed_trace(&mut self, events: &[TraceEvent]) -> usize {
-        let Ok(tree) = TraceTree::build(events) else { return 0 };
-        let mut attributed = 0usize;
-        for span in tree.spans_of_kind(SpanKind::Op) {
-            let Some(kind) = span.attrs.get("module_kind") else { continue };
-            let module = span.attrs.get("module").map(String::as_str).unwrap_or("");
-            let alt = match kind.as_str() {
-                "llm" => PhysicalAlt::DirectLlm,
-                "llmgc" => PhysicalAlt::LlmgcProgram,
-                "custom" => PhysicalAlt::CustomCode,
-                "decorated" if module.ends_with(CACHE_SUFFIX) => PhysicalAlt::CachedLlm,
-                "decorated" => PhysicalAlt::MlModel,
-                _ => continue,
-            };
-            let stage = LogicalOp::new(span.name.clone()).stage();
-            self.record_usage(stage, alt, &span.rollup(), 1, 0);
-            attributed += 1;
-        }
-        attributed
-    }
-
     /// Observed invocation count for a cell (0 when never seen).
     pub fn samples(&self, stage: CurationStage, alt: PhysicalAlt) -> u64 {
         self.observed.get(&(stage, alt)).map(|cell| cell.invocations).unwrap_or(0)
@@ -316,7 +285,7 @@ impl CostEstimator {
     /// dataset shape and published pricing, never from observations. Marked
     /// `fallback` in the resulting plan so the audit layer can tell prior
     /// guesses from evidence.
-    pub fn prior_estimate(&self, alt: PhysicalAlt, stats: &DatasetStats) -> CostEstimate {
+    pub(crate) fn prior_estimate(&self, alt: PhysicalAlt, stats: &DatasetStats) -> CostEstimate {
         // A pair/record prompt: instruction preamble plus the record text
         // (twice, for pair-shaped ops), answered tersely.
         let prompt_tokens = 64.0 + 2.0 * stats.avg_record_tokens();
@@ -370,7 +339,6 @@ impl CostEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lingua_trace::ring_tracer;
 
     fn stats() -> DatasetStats {
         use lingua_dataset::{Record, Schema, Table, Value};
@@ -457,42 +425,6 @@ mod tests {
         assert!((cached.usd_per_record - direct.usd_per_record * 0.75).abs() < 1e-12);
         assert!((cached.ms_per_record - direct.ms_per_record * 0.75).abs() < 1e-9);
         assert_eq!(cached.accuracy, direct.accuracy);
-    }
-
-    #[test]
-    fn trace_feed_attributes_op_spans_by_module_kind() {
-        let (tracer, sink) = ring_tracer(64);
-        {
-            let mut op = tracer.span(SpanKind::Op, "entity_resolution");
-            op.attr("module", "entity_resolution");
-            op.attr("module_kind", "llm");
-            let mut llm = tracer.span(SpanKind::LlmCall, "llm");
-            let mut usage = Usage::default();
-            usage.record(120, 8);
-            llm.set_usage(usage);
-            drop(llm);
-            drop(op);
-            let mut op = tracer.span(SpanKind::Op, "entity_resolution");
-            op.attr("module", "entity_resolution+cache");
-            op.attr("module_kind", "decorated");
-            drop(op);
-            let mut op = tracer.span(SpanKind::Op, "extract_tags");
-            op.attr("module", "extract_tags");
-            op.attr("module_kind", "custom");
-            drop(op);
-        }
-        let mut estimator = CostEstimator::new();
-        let attributed = estimator.feed_trace(&sink.events());
-        assert_eq!(attributed, 3);
-        assert_eq!(estimator.samples(CurationStage::Match, PhysicalAlt::DirectLlm), 1);
-        assert_eq!(estimator.samples(CurationStage::Match, PhysicalAlt::CachedLlm), 1);
-        assert_eq!(estimator.samples(CurationStage::Extract, PhysicalAlt::CustomCode), 1);
-        // The direct-LLM cell carries the rolled-up token usage; accuracy
-        // falls back to the prior because traces carry no judgments.
-        let est =
-            estimator.estimate(CurationStage::Match, PhysicalAlt::DirectLlm, &stats()).unwrap();
-        assert!((est.usd_per_record - (0.12 * 0.0015 + 0.008 * 0.002)).abs() < 1e-12);
-        assert!((est.accuracy - 0.92).abs() < 1e-12);
     }
 
     #[test]

@@ -9,27 +9,26 @@
 //!   [`lingua_core::CurationStage`] (Extract, Match, Impute, Filter, Join, or
 //!   pass-through Transform).
 //! * **Physical alternatives** — each curation op can compile to a
-//!   [`physical::PhysicalAlt`]: a direct LLM call, an LLM-generated program
+//!   [`PhysicalAlt`]: a direct LLM call, an LLM-generated program
 //!   (LLMGC), registered custom code, a memoized cache over the LLM
-//!   ([`physical::MemoModule`]), or a supervised `lingua-ml` model
-//!   ([`physical::MlPairModule`], the SEED-style distilled student).
-//! * **Cost model** — a [`cost::CostEstimator`] turns *observed* evidence
+//!   ([`MemoModule`]), or a supervised `lingua-ml` model
+//!   ([`MlPairModule`], the SEED-style distilled student).
+//! * **Cost model** — a [`CostEstimator`] turns *observed* evidence
 //!   into per-record $ and latency estimates plus accuracy priors: Validator
-//!   sample runs ([`calibrate::Calibrator`]), live `lingua-trace` usage
-//!   rollups ([`cost::CostEstimator::feed_trace`]), and dataset-shape
-//!   statistics ([`lingua_core::DatasetStats`]: cardinality, null rate,
-//!   token lengths, match selectivity). No samples → the typed
-//!   [`cost::PlanError::InsufficientStats`], never a silent default.
-//! * **Plan enumeration** — [`plan::Planner::plan`] minimizes
+//!   sample runs ([`Calibrator`]) and dataset-shape statistics
+//!   ([`lingua_core::DatasetStats`]: cardinality, null rate, token lengths,
+//!   match selectivity). No samples → the typed
+//!   [`PlanError::InsufficientStats`], never a silent default.
+//! * **Plan enumeration** — [`Planner::plan`] minimizes
 //!   `w_$ · $ + w_ms · ms` subject to a plan-level accuracy floor
 //!   (`Π accuracy ≥ floor`), using memoized Volcano-style search over
-//!   per-op-suffix Pareto frontiers ([`plan::best_assignment`]); an
-//!   exhaustive reference ([`plan::exhaustive_assignment`]) backs the
+//!   per-op-suffix Pareto frontiers ([`best_assignment`]); an
+//!   exhaustive reference ([`exhaustive_assignment`]) backs the
 //!   property tests.
 //! * **Execution** — the winning plan compiles into the existing
-//!   [`lingua_core::PhysicalPipeline`] ([`pipeline::PlannedPipeline`]),
-//!   registers with `lingua-serve` transparently, and records itself as a
-//!   `SpanKind::Plan` span so [`audit::audit_events`] can reconcile
+//!   [`lingua_core::PhysicalPipeline`] ([`PlannedPipeline`]), which any
+//!   consumer of a compiled pipeline takes unchanged, and records itself as a
+//!   `SpanKind::Plan` span so [`audit_events`] can reconcile
 //!   estimated vs actual $ per job.
 //!
 //! ## Quick start
@@ -52,17 +51,17 @@
 //! # }
 //! ```
 
-pub mod audit;
-pub mod calibrate;
-pub mod cost;
-pub mod physical;
-pub mod pipeline;
-pub mod plan;
+mod audit;
+mod calibrate;
+mod cost;
+mod physical;
+mod pipeline;
+mod plan;
 
 pub use audit::{audit_events, OpAudit, PlanAudit};
 pub use calibrate::Calibrator;
 pub use cost::{CostEstimate, CostEstimator, Objective, PlanError};
-pub use physical::{MemoModule, MlPairModule, PhysicalAlt, CACHE_SUFFIX};
+pub use physical::{MemoModule, MlPairModule, PhysicalAlt};
 pub use pipeline::PlannedPipeline;
 pub use plan::{
     best_assignment, exhaustive_assignment, Candidate, Plan, PlannedOp, Planner, SearchOutcome,

@@ -66,7 +66,7 @@ impl std::fmt::Display for PhysicalAlt {
 /// estimator's trace feedback uses it to attribute an `Op` span's usage to
 /// [`PhysicalAlt::CachedLlm`] rather than [`PhysicalAlt::MlModel`] (both
 /// report [`ModuleKind::Decorated`]).
-pub const CACHE_SUFFIX: &str = "+cache";
+pub(crate) const CACHE_SUFFIX: &str = "+cache";
 
 struct MemoState {
     map: BTreeMap<String, Data>,
@@ -226,7 +226,7 @@ impl MlPairModule {
     }
 
     /// Judge one `(a, b)` description pair.
-    pub fn judge(&self, a: &str, b: &str) -> bool {
+    pub(crate) fn judge(&self, a: &str, b: &str) -> bool {
         let features = rich_pair_features(&describe_fields(a), &describe_fields(b));
         self.forest.predict_proba(&features) >= self.threshold
     }

@@ -1,9 +1,8 @@
 //! The compiled output of a planning session: a plan plus the executable
-//! pipeline it materialized to, ready to register with `lingua-serve`.
+//! pipeline it materialized to.
 
 use crate::plan::Plan;
 use lingua_core::PhysicalPipeline;
-use lingua_serve::{PipelineServer, ServeError};
 
 /// A plan married to the physical pipeline it compiled into. The physical
 /// half is a plain [`PhysicalPipeline`] — every existing consumer (executor,
@@ -12,76 +11,4 @@ use lingua_serve::{PipelineServer, ServeError};
 pub struct PlannedPipeline {
     pub plan: Plan,
     pub physical: PhysicalPipeline,
-}
-
-impl PlannedPipeline {
-    /// Register with a serve instance under `id`, transparently: the server
-    /// sees an ordinary compiled pipeline, and the plan summary lands as the
-    /// registry annotation so operators can see why the pipeline runs the
-    /// way it does.
-    pub fn register_with(&self, server: &PipelineServer, id: &str) -> Result<(), ServeError> {
-        let instance = self.physical.fresh_instance().map_err(ServeError::Core)?;
-        server.registry().register_annotated(id, instance, self.plan.summary())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::cost::Objective;
-    use crate::physical::PhysicalAlt;
-    use crate::plan::Planner;
-    use lingua_core::optimizer::SampleMeasurement;
-    use lingua_core::{Compiler, CurationStage, DatasetStats, ExecContext, LogicalOp, Pipeline};
-    use lingua_dataset::world::WorldSpec;
-    use lingua_dataset::{Record, Schema, Table, Value};
-    use lingua_llm_sim::{SimLlm, Usage};
-    use lingua_serve::{PipelineServer, ServeConfig};
-    use lingua_trace::Tracer;
-    use std::sync::Arc;
-
-    #[test]
-    fn planned_pipelines_register_transparently() {
-        let mut planner = Planner::new(Compiler::with_builtins());
-        planner.estimator_mut().record_sample(
-            CurationStage::Match,
-            PhysicalAlt::DirectLlm,
-            &SampleMeasurement {
-                total: 10,
-                passed: 9,
-                errors: 0,
-                usage: Usage { calls: 10, tokens_in: 2000, tokens_out: 100, ..Usage::default() },
-                sim_latency_ms: 3500,
-                wall_ms: 0,
-            },
-        );
-        let schema = Schema::of_names(["name"]);
-        let rows: Vec<Record> =
-            (0..10).map(|i| Record::new(vec![Value::Str(format!("item {i}"))])).collect();
-        let stats = DatasetStats::from_table(&Table::with_rows("t", schema, rows).unwrap());
-        let pipeline = Pipeline::new("er").op(LogicalOp::new("entity_resolution")
-            .input("records")
-            .output("matches")
-            .using(lingua_core::ModuleKind::Llm)
-            .param("desc", "Determine if the two records refer to the same entity"));
-        let world = WorldSpec::generate(11);
-        let mut ctx = ExecContext::new(Arc::new(SimLlm::with_seed(&world, 11)));
-        let planned = planner
-            .plan_and_compile(
-                &pipeline,
-                &stats,
-                &Objective::cheapest_dollars(),
-                &Tracer::disabled(),
-                &mut ctx,
-            )
-            .unwrap();
-        let factory = lingua_core::ContextFactory::new(Arc::new(SimLlm::with_seed(&world, 11)));
-        let mut server = PipelineServer::start(factory, ServeConfig::default()).unwrap();
-        planned.register_with(&server, "er").unwrap();
-        assert!(server.registry().contains("er"));
-        // The annotation carries the plan summary: objective + per-op choice.
-        let note = server.registry().annotation("er").unwrap();
-        assert!(note.contains("cheap_$"), "annotation: {note}");
-        assert!(note.contains("entity_resolution"), "annotation: {note}");
-        server.shutdown();
-    }
 }

@@ -228,11 +228,6 @@ impl Plan {
     pub fn alt_of(&self, op_type: &str) -> Option<PhysicalAlt> {
         self.ops.iter().find(|op| op.op_type() == op_type).map(|op| op.alt)
     }
-
-    /// Whether any op fell back to the default-ranking prior.
-    pub fn is_fallback(&self) -> bool {
-        self.ops.iter().any(|op| op.fallback)
-    }
 }
 
 impl PlannedOp {
@@ -657,7 +652,7 @@ mod tests {
             .plan(&er_pipeline(), &stats, &Objective::cheapest_dollars(), &Tracer::disabled())
             .unwrap();
         assert_eq!(cheap.alt_of("entity_resolution"), Some(PhysicalAlt::MlModel));
-        assert!(!cheap.is_fallback());
+        assert!(!cheap.ops[0].fallback);
         assert!(cheap.est_usd < 1e-9, "the model costs no tokens");
         // Raise the floor past the model's accuracy: an LLM-backed form wins
         // despite costing real dollars.
@@ -686,7 +681,7 @@ mod tests {
         // No evidence at all: the first admissible alternative in the
         // paper's ranking (cache before raw LLM) carries prior pricing.
         assert_eq!(plan.alt_of("entity_resolution"), Some(PhysicalAlt::CachedLlm));
-        assert!(plan.is_fallback());
+        assert!(plan.ops[0].fallback);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
@@ -44,7 +44,7 @@ impl BinOp {
     }
 
     /// Binding power (higher binds tighter).
-    pub fn precedence(self) -> u8 {
+    pub(crate) fn precedence(self) -> u8 {
         match self {
             BinOp::Or => 1,
             BinOp::And => 2,
@@ -188,12 +188,8 @@ pub struct Program {
 }
 
 impl Program {
-    pub fn function(&self, name: &str) -> Option<&FnDecl> {
+    pub(crate) fn function(&self, name: &str) -> Option<&FnDecl> {
         self.functions.iter().find(|f| f.name == name)
-    }
-
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut FnDecl> {
-        self.functions.iter_mut().find(|f| f.name == name)
     }
 
     /// A copy with every span reset to [`Span::default`], so two programs can
@@ -296,10 +292,8 @@ mod tests {
     #[test]
     fn program_function_lookup() {
         let f = FnDecl { name: "main".into(), params: vec![], body: vec![], span: Span::default() };
-        let mut p = Program { functions: vec![f] };
+        let p = Program { functions: vec![f] };
         assert!(p.function("main").is_some());
         assert!(p.function("other").is_none());
-        p.function_mut("main").unwrap().params.push("x".into());
-        assert_eq!(p.function("main").unwrap().params, vec!["x"]);
     }
 }

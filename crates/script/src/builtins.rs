@@ -44,7 +44,7 @@ fn arity(name: &str, args: &[Value], n: usize, span: Span) -> Result<(), ScriptE
 }
 
 /// Dispatch a builtin by name. Returns a runtime error for unknown names.
-pub fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError> {
+pub(crate) fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError> {
     match name {
         // -- inspection -----------------------------------------------------
         "len" => {

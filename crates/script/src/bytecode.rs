@@ -50,7 +50,7 @@ impl MutOp {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<MutOp> {
+    pub(crate) fn from_name(name: &str) -> Option<MutOp> {
         match name {
             "push" => Some(MutOp::Push),
             "pop" => Some(MutOp::Pop),
@@ -63,7 +63,7 @@ impl MutOp {
 
 /// Binary operator subset the `Bin` instruction dispatches on (`&&`/`||` are
 /// compiled to jumps and never reach it).
-pub use crate::ast::BinOp;
+pub(crate) use crate::ast::BinOp;
 
 /// One VM instruction.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,7 +175,7 @@ impl CompiledScript {
 
     /// Index of a function by name (first declaration wins, matching
     /// [`crate::Program::function`]).
-    pub fn function_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn function_index(&self, name: &str) -> Option<usize> {
         self.by_name.get(name).copied()
     }
 

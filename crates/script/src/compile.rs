@@ -14,7 +14,7 @@
 //!   so consecutive ticks with no observable effect between them (parent
 //!   node + first child) merge into one batched fuel check;
 //! * before binding any jump-target label the pending count must be zero —
-//!   loop heads flush it into an explicit [`Instr::Fuel`] no-op so back
+//!   loop heads flush it into an explicit `Instr::Fuel` no-op so back
 //!   edges do not re-pay the loop statement's own entry tick.
 //!
 //! Batching is observably equivalent because nothing (no host call, no
@@ -30,7 +30,7 @@
 //! then the builtin table (unknown names fall through to the builtin
 //! dispatcher at runtime, which raises the same "unknown function" error the
 //! interpreter does). Compile-time-detectable failures — a mutating form
-//! with no arguments or a non-lvalue target — are emitted as [`Instr::Fail`]
+//! with no arguments or a non-lvalue target — are emitted as `Instr::Fail`
 //! *after* the argument code, preserving evaluation order and host-call
 //! sequences on the error path.
 

@@ -20,7 +20,7 @@ impl Span {
     }
 
     /// [`Span::new`] with the starting column attached.
-    pub fn with_col(start: usize, end: usize, line: usize, col: usize) -> Span {
+    pub(crate) fn with_col(start: usize, end: usize, line: usize, col: usize) -> Span {
         Span { start, end, line, col }
     }
 
@@ -78,7 +78,7 @@ pub enum ScriptError {
 }
 
 impl ScriptError {
-    pub fn runtime(span: Span, message: impl Into<String>) -> ScriptError {
+    pub(crate) fn runtime(span: Span, message: impl Into<String>) -> ScriptError {
         ScriptError::Runtime { span, message: message.into() }
     }
 

@@ -42,4 +42,4 @@ pub const DEFAULT_FUEL: u64 = 1_000_000;
 /// frames on the heap but traps at the same depth so the two stay
 /// observationally identical. 64 frames is far deeper than any generated
 /// module calls and far shallower than what a default thread stack absorbs.
-pub const DEFAULT_MAX_DEPTH: usize = 64;
+pub(crate) const DEFAULT_MAX_DEPTH: usize = 64;

@@ -4,7 +4,7 @@ use crate::error::{ScriptError, Span};
 use crate::token::{Token, TokenKind};
 
 /// Lex source text into tokens (terminated by an `Eof` token).
-pub fn lex(source: &str) -> Result<Vec<Token>, ScriptError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, ScriptError> {
     Lexer::new(source).run()
 }
 

@@ -49,25 +49,25 @@
 //! ```
 
 pub mod ast;
-pub mod builtins;
-pub mod bytecode;
+mod builtins;
+mod bytecode;
 pub mod compile;
 pub mod error;
-pub mod host;
-pub mod interp;
-pub mod lexer;
+mod host;
+mod interp;
+mod lexer;
 mod ops;
-pub mod parser;
+mod parser;
 pub mod pretty;
-pub mod token;
-pub mod value;
-pub mod vm;
+mod token;
+mod value;
+mod vm;
 
 pub use ast::{BinOp, Expr, FnDecl, Program, Stmt, UnOp};
 pub use bytecode::CompiledScript;
 pub use compile::{compile, CompileCache};
 pub use error::{ScriptError, Span};
-pub use host::{Host, NoHost, DEFAULT_FUEL, DEFAULT_MAX_DEPTH};
+pub use host::{Host, NoHost, DEFAULT_FUEL};
 pub use interp::Interpreter;
 pub use value::Value;
 pub use vm::Vm;

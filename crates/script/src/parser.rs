@@ -5,7 +5,7 @@ use crate::error::{ScriptError, Span};
 use crate::token::{Token, TokenKind};
 
 /// Parse a token stream (from [`crate::lexer::lex`]) into a [`Program`].
-pub fn parse_tokens(tokens: &[Token]) -> Result<Program, ScriptError> {
+pub(crate) fn parse_tokens(tokens: &[Token]) -> Result<Program, ScriptError> {
     let mut parser = Parser { tokens, pos: 0 };
     let mut functions = Vec::new();
     while !parser.at(&TokenKind::Eof) {

@@ -101,7 +101,7 @@ fn statement(out: &mut String, stmt: &Stmt, depth: usize) {
 /// Render an expression with minimal (but always-correct) parenthesization:
 /// child binary expressions are parenthesized when their precedence is not
 /// higher than the parent's.
-pub fn expr(e: &Expr) -> String {
+pub(crate) fn expr(e: &Expr) -> String {
     expr_prec(e, 0)
 }
 

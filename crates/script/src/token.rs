@@ -4,7 +4,7 @@ use crate::error::Span;
 
 /// The kinds of token MangaScript knows.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     // Literals & identifiers
     Int(i64),
     Float(f64),
@@ -59,7 +59,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// Keyword lookup for identifiers.
-    pub fn keyword(text: &str) -> Option<TokenKind> {
+    pub(crate) fn keyword(text: &str) -> Option<TokenKind> {
         Some(match text {
             "fn" => TokenKind::Fn,
             "let" => TokenKind::Let,
@@ -81,7 +81,7 @@ impl TokenKind {
 
 /// A token with its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     pub span: Span,
 }

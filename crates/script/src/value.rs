@@ -36,7 +36,7 @@ impl Value {
     }
 
     /// Truthiness: `null` and `false` are falsy; everything else truthy.
-    pub fn truthy(&self) -> bool {
+    pub(crate) fn truthy(&self) -> bool {
         !matches!(self, Value::Null | Value::Bool(false))
     }
 

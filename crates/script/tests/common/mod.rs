@@ -64,7 +64,7 @@ fn sp() -> Span {
 }
 
 /// `[a-z][a-z0-9_]{0,6}`, never a keyword or a mutating special form.
-pub fn ident(g: &mut Gen) -> String {
+pub(crate) fn ident(g: &mut Gen) -> String {
     loop {
         let name =
             g.string(LOWER, 1..=1) + &g.string("abcdefghijklmnopqrstuvwxyz0123456789_", 0..=6);
@@ -139,7 +139,7 @@ fn leaf(g: &mut Gen) -> Expr {
     }
 }
 
-pub fn expr(g: &mut Gen, depth: u32) -> Expr {
+pub(crate) fn expr(g: &mut Gen, depth: u32) -> Expr {
     if depth == 0 || !g.descend() {
         return leaf(g);
     }
@@ -217,7 +217,7 @@ fn block(g: &mut Gen, depth: u32) -> Vec<Stmt> {
 /// `f0(a, b)`, `f1(a)`, up to two functions with arbitrary names and
 /// parameter lists, and a `main()` that binds `x` and `y` first — to a list
 /// and a map half of the time, so indexing and mutation often succeed.
-pub fn program(g: &mut Gen) -> Program {
+pub(crate) fn program(g: &mut Gen) -> Program {
     let function =
         |name: String, params: Vec<String>, body| FnDecl { name, params, body, span: sp() };
     let mut functions = vec![
@@ -249,7 +249,7 @@ pub fn program(g: &mut Gen) -> Program {
 
 /// Deterministic host that logs every call it receives.
 #[derive(Default)]
-pub struct RecordingHost {
+pub(crate) struct RecordingHost {
     pub log: Vec<String>,
 }
 
@@ -276,7 +276,11 @@ impl Host for RecordingHost {
 
 /// Run one program through both engines and require full observational
 /// equality. Returns the interpreter outcome for corpus statistics.
-pub fn assert_equivalent(program: &Program, fuel: u64, label: &str) -> Result<Value, ScriptError> {
+pub(crate) fn assert_equivalent(
+    program: &Program,
+    fuel: u64,
+    label: &str,
+) -> Result<Value, ScriptError> {
     let mut interp = Interpreter::new(program).with_fuel(fuel).with_max_depth(16);
     let mut ihost = RecordingHost::default();
     let i = interp.call(&mut ihost, "main", vec![]);

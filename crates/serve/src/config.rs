@@ -81,7 +81,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// The worker-pool size this config resolves to: the explicit setting,
     /// else the machine's available parallelism.
-    pub fn resolved_workers(&self) -> usize {
+    pub(crate) fn resolved_workers(&self) -> usize {
         self.workers
             .unwrap_or_else(|| std::thread::available_parallelism().map(usize::from).unwrap_or(4))
     }

@@ -12,12 +12,12 @@ use std::collections::BTreeMap;
 /// The workspace-wide incremental FNV-1a 64 hasher, re-exported from the LLM
 /// hot path so serve, gateway, and the simulator agree on one fingerprint
 /// function (see `lingua_llm_sim::hotpath`).
-pub use lingua_llm_sim::Fnv1a;
+pub(crate) use lingua_llm_sim::Fnv1a;
 
 /// Combine a pipeline id and an input fingerprint into the single `u64` key
 /// the sharded result cache is addressed by. Length-prefixing the id keeps
 /// `("ab", fp)` and `("a", fp)` from aliasing.
-pub fn job_key(pipeline: &str, fingerprint: u64) -> u64 {
+pub(crate) fn job_key(pipeline: &str, fingerprint: u64) -> u64 {
     let mut h = Fnv1a::new();
     h.write_str(pipeline);
     h.write_u64(fingerprint);

@@ -159,10 +159,6 @@ impl JobCore {
         self.state.lock().status
     }
 
-    fn try_result(&self) -> Option<Result<Arc<JobOutput>, ServeError>> {
-        self.state.lock().result.clone()
-    }
-
     fn wait(&self) -> Result<Arc<JobOutput>, ServeError> {
         let mut state = self.state.lock();
         while state.result.is_none() {
@@ -207,11 +203,6 @@ impl JobHandle {
         self.core.status()
     }
 
-    /// Non-blocking result poll; `None` while the job is still in flight.
-    pub fn try_result(&self) -> Option<Result<Arc<JobOutput>, ServeError>> {
-        self.core.try_result()
-    }
-
     /// Block until the job finishes.
     pub fn wait(&self) -> Result<Arc<JobOutput>, ServeError> {
         self.core.wait()
@@ -252,13 +243,13 @@ mod tests {
         let core = JobCore::new();
         let handle = JobHandle::new(JobId(1), core.clone());
         assert_eq!(handle.status(), JobStatus::Queued);
-        assert!(handle.try_result().is_none());
+        assert!(handle.wait_timeout(Duration::ZERO).is_none());
         core.set_running();
         assert_eq!(handle.status(), JobStatus::Running);
         core.finish(Ok(output()));
         assert_eq!(handle.status(), JobStatus::Done);
         assert!(handle.wait().is_ok());
-        assert!(handle.try_result().unwrap().is_ok());
+        assert!(handle.wait_timeout(Duration::ZERO).unwrap().is_ok());
     }
 
     #[test]

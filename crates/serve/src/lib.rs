@@ -74,17 +74,17 @@
 //! ```
 
 mod config;
-pub mod error;
-pub mod fingerprint;
-pub mod job;
-pub mod metrics;
+mod error;
+mod fingerprint;
+mod job;
+mod metrics;
 mod queue;
-pub mod registry;
-pub mod server;
-pub mod supervisor;
+mod registry;
+mod server;
+mod supervisor;
 
 pub use error::{InvalidConfig, ServeError};
-pub use fingerprint::{fingerprint_inputs, job_key};
+pub use fingerprint::fingerprint_inputs;
 pub use job::{JobHandle, JobId, JobOutput, JobStatus};
 pub use metrics::{HealthSnapshot, Metrics, MetricsSnapshot, TrapCounters};
 pub use registry::PipelineRegistry;

@@ -326,7 +326,7 @@ impl MetricsSnapshot {
     }
 
     /// Mean LLM calls per completed job.
-    pub fn llm_calls_per_job(&self) -> f64 {
+    pub(crate) fn llm_calls_per_job(&self) -> f64 {
         if self.completed == 0 {
             0.0
         } else {
@@ -435,7 +435,7 @@ pub(crate) struct UsageMeter {
 }
 
 impl UsageMeter {
-    pub fn new(inner: Arc<dyn LlmService>) -> UsageMeter {
+    pub(crate) fn new(inner: Arc<dyn LlmService>) -> UsageMeter {
         UsageMeter { inner, local: Mutex::new(Usage::default()) }
     }
 

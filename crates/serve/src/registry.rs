@@ -19,10 +19,6 @@ struct Registered {
     /// The master copy. Never executed — only replicated. The mutex makes
     /// the `Box<dyn Module>`s inside shareable across worker threads.
     master: Mutex<PhysicalPipeline>,
-    /// Provenance note for plan-aware registration: when the cost-based
-    /// planner chose this pipeline's physical form, the plan summary lands
-    /// here so operators can see *why* a served pipeline runs the way it does.
-    annotation: Option<String>,
 }
 
 /// A named collection of compiled pipelines.
@@ -47,40 +43,13 @@ impl PipelineRegistry {
         id: impl Into<String>,
         pipeline: PhysicalPipeline,
     ) -> Result<(), ServeError> {
-        self.register_inner(id.into(), pipeline, None)
-    }
-
-    /// Register a pipeline together with a provenance annotation (the
-    /// cost-based planner passes its plan summary here). Same replication
-    /// probe as [`PipelineRegistry::register`].
-    pub fn register_annotated(
-        &self,
-        id: impl Into<String>,
-        pipeline: PhysicalPipeline,
-        annotation: impl Into<String>,
-    ) -> Result<(), ServeError> {
-        self.register_inner(id.into(), pipeline, Some(annotation.into()))
-    }
-
-    fn register_inner(
-        &self,
-        id: String,
-        pipeline: PhysicalPipeline,
-        annotation: Option<String>,
-    ) -> Result<(), ServeError> {
         let probe = pipeline.fresh_instance()?;
         drop(probe);
         let generation = self.generations.fetch_add(1, Ordering::Relaxed) + 1;
-        self.pipelines.lock().insert(
-            id,
-            Arc::new(Registered { generation, master: Mutex::new(pipeline), annotation }),
-        );
+        self.pipelines
+            .lock()
+            .insert(id.into(), Arc::new(Registered { generation, master: Mutex::new(pipeline) }));
         Ok(())
-    }
-
-    /// The provenance annotation attached at registration, if any.
-    pub fn annotation(&self, id: &str) -> Option<String> {
-        self.pipelines.lock().get(id).and_then(|r| r.annotation.clone())
     }
 
     /// Parse + compile DSL source and register it. Compilation uses the given
@@ -95,12 +64,6 @@ impl PipelineRegistry {
         let logical = Pipeline::parse(source)?;
         let physical = compiler.compile(&logical, ctx)?;
         self.register(id, physical)
-    }
-
-    /// Remove a pipeline. Jobs already queued against it will fail with
-    /// [`ServeError::UnknownPipeline`] when dequeued.
-    pub fn unregister(&self, id: &str) -> bool {
-        self.pipelines.lock().remove(id).is_some()
     }
 
     pub fn contains(&self, id: &str) -> bool {
@@ -118,7 +81,7 @@ impl PipelineRegistry {
     }
 
     /// Stamp out an independent executable instance.
-    pub fn instantiate(&self, id: &str) -> Result<(u64, PhysicalPipeline), ServeError> {
+    pub(crate) fn instantiate(&self, id: &str) -> Result<(u64, PhysicalPipeline), ServeError> {
         let registered = self
             .pipelines
             .lock()
@@ -172,29 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn annotations_survive_registration() {
-        let registry = PipelineRegistry::new();
-        let mut ctx = ctx();
-        let compiler = Compiler::with_builtins();
-        let logical = Pipeline::parse(
-            r#"pipeline p {
-                out = summarize(text) using llm with { desc: "summarize the following document" };
-            }"#,
-        )
-        .unwrap();
-        let physical = compiler.compile(&logical, &mut ctx).unwrap();
-        registry.register_annotated("p", physical, "plan: summarize -> llm ($0.0021/rec)").unwrap();
-        assert_eq!(
-            registry.annotation("p").as_deref(),
-            Some("plan: summarize -> llm ($0.0021/rec)")
-        );
-        // Plain registration carries no annotation.
-        let physical = compiler.compile(&logical, &mut ctx).unwrap();
-        registry.register("q", physical).unwrap();
-        assert_eq!(registry.annotation("q"), None);
-    }
-
-    #[test]
     fn unknown_ids_error() {
         let registry = PipelineRegistry::new();
         assert!(matches!(
@@ -202,7 +142,6 @@ mod tests {
             Err(ServeError::UnknownPipeline(id)) if id == "ghost"
         ));
         assert_eq!(registry.generation("ghost"), None);
-        assert!(!registry.unregister("ghost"));
     }
 
     #[test]
@@ -218,8 +157,6 @@ mod tests {
         registry.register_dsl("p", source, &compiler, &mut ctx).unwrap();
         let second = registry.generation("p").unwrap();
         assert!(second > first);
-        assert!(registry.unregister("p"));
-        assert!(!registry.contains("p"));
     }
 
     #[test]

@@ -380,7 +380,7 @@ impl PipelineServer {
         failure.map_or(Ok(handles), Err)
     }
 
-    /// The pipeline registry (register/unregister/list).
+    /// The pipeline registry (register/list).
     pub fn registry(&self) -> &PipelineRegistry {
         &self.shared.registry
     }

@@ -8,24 +8,24 @@ use std::sync::Arc;
 
 /// Sim storage whose appends fail once [`FailNextAppend::arm`]ed — a
 /// transient write error (disk full, EIO), after which the log works again.
-pub struct FailNextAppend {
+pub(crate) struct FailNextAppend {
     inner: Arc<SimStorage>,
     /// Appends still to let through, then appends to fail.
     plan: Mutex<(usize, usize)>,
 }
 
 impl FailNextAppend {
-    pub fn over(inner: Arc<SimStorage>) -> Arc<FailNextAppend> {
+    pub(crate) fn over(inner: Arc<SimStorage>) -> Arc<FailNextAppend> {
         Arc::new(FailNextAppend { inner, plan: Mutex::new((0, 0)) })
     }
 
     /// Fail the next append.
-    pub fn arm(&self) {
+    pub(crate) fn arm(&self) {
         self.arm_after(0, 1);
     }
 
     /// Let `skip` appends through, then fail the `fail` after them.
-    pub fn arm_after(&self, skip: usize, fail: usize) {
+    pub(crate) fn arm_after(&self, skip: usize, fail: usize) {
         *self.plan.lock() = (skip, fail);
     }
 }

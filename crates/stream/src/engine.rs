@@ -140,7 +140,7 @@ pub struct StreamEngine {
 
 /// The canonical entity-match prompt (the exact shape `SimLlm`'s
 /// entity-match behavior parses and pins its answer format on).
-pub fn entity_prompt(a: &str, b: &str) -> String {
+pub(crate) fn entity_prompt(a: &str, b: &str) -> String {
     format!(
         "Please determine if the following two records refer to the same entity.\n\
          Record A: {a}\nRecord B: {b}\nAnswer yes or no."

@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// Both the streaming index and the bench's full-rescan baseline use this
 /// same function, so incremental-vs-rescan comparisons stay apples to
 /// apples.
-pub fn blocking_keys(key: &str) -> Vec<String> {
+pub(crate) fn blocking_keys(key: &str) -> Vec<String> {
     let mut keys: Vec<String> =
         tokens(key).into_iter().map(|t| t.chars().take(3).collect()).collect();
     keys.sort();
@@ -57,7 +57,7 @@ pub struct InsertOutcome {
 
 /// One open window's entity-resolution state: its records, the window-scoped
 /// blocking index, and the candidate pairs generated so far.
-pub struct WindowState {
+pub(crate) struct WindowState {
     pub id: WindowId,
     /// Shared with the record's other (overlapping) windows.
     records: Vec<Arc<StreamItem>>,
@@ -75,7 +75,7 @@ pub struct WindowState {
 }
 
 impl WindowState {
-    pub fn new(id: WindowId) -> WindowState {
+    pub(crate) fn new(id: WindowId) -> WindowState {
         WindowState {
             id,
             records: Vec::new(),
@@ -94,7 +94,7 @@ impl WindowState {
     /// The candidate partners come only from `self.records`, so
     /// `candidates.len() <= occupancy_before` always holds — per-record work
     /// is O(window occupancy), independent of stream length.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         item: StreamItem,
         key_index: usize,
@@ -140,31 +140,27 @@ impl WindowState {
         InsertOutcome { index, candidates, occupancy_before }
     }
 
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         self.records.len()
     }
 
-    pub fn records(&self) -> &[Arc<StreamItem>] {
-        &self.records
-    }
-
-    pub fn candidates(&self) -> &[(usize, usize)] {
+    pub(crate) fn candidates(&self) -> &[(usize, usize)] {
         &self.candidates
     }
 
-    pub fn comparisons(&self) -> u64 {
+    pub(crate) fn comparisons(&self) -> u64 {
         self.comparisons
     }
 
     /// Render a candidate pair as the `(record A, record B)` descriptions an
     /// entity-match prompt needs.
-    pub fn describe_pair(&self, pair: (usize, usize), schema: &Schema) -> (String, String) {
+    pub(crate) fn describe_pair(&self, pair: (usize, usize), schema: &Schema) -> (String, String) {
         (self.records[pair.0].record.describe(schema), self.records[pair.1].record.describe(schema))
     }
 
     /// Ground-truth duplicate pairs inside this window (same hidden entity
     /// id) — the oracle a report can score matcher output against.
-    pub fn true_duplicate_pairs(&self) -> usize {
+    pub(crate) fn true_duplicate_pairs(&self) -> usize {
         let mut by_entity: BTreeMap<u64, u64> = BTreeMap::new();
         for item in &self.records {
             *by_entity.entry(item.entity).or_default() += 1;
@@ -209,7 +205,7 @@ mod tests {
         let mut dup_found = 0usize;
         for item in items {
             let entity = item.entity;
-            let before: Vec<u64> = window.records().iter().map(|r| r.entity).collect();
+            let before: Vec<u64> = window.records.iter().map(|r| r.entity).collect();
             let outcome = window.insert(item, 0, 32);
             for (i, &e) in before.iter().enumerate() {
                 if e == entity {
@@ -267,7 +263,7 @@ mod tests {
         }
         let truth = window.true_duplicate_pairs();
         // Cross-check against the naive O(n²) count.
-        let records = window.records();
+        let records = &window.records;
         let mut naive = 0usize;
         for i in 0..records.len() {
             for j in i + 1..records.len() {

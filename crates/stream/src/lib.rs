@@ -5,10 +5,10 @@
 //! corpus never fits in one pass. Three ideas make that tractable:
 //!
 //! 1. **Windows bound the work.** Records are assigned to sliding or
-//!    tumbling event-time windows ([`window`]); all curation state is
+//!    tumbling event-time windows ([`windows_for`]); all curation state is
 //!    window-scoped, so per-record cost is O(window occupancy), never
 //!    O(stream history). The blocking index that finds duplicate candidates
-//!    lives and dies with its window ([`incremental`]).
+//!    lives and dies with its window ([`InsertOutcome`]).
 //! 2. **Watermarks bound the waiting.** A monotone watermark trails the
 //!    event-time frontier by a configured lateness allowance; when it passes
 //!    a window's end, the window closes *exactly once* and its results are
@@ -21,7 +21,7 @@
 //!    `stream_window` trace spans ([`lingua_trace`]).
 //!
 //! Everything is deterministic under a seed: the synthetic source
-//! ([`source`]), window assignment, watermark advancement, and the simulated
+//! ([`SyntheticSource`]), window assignment, watermark advancement, and the simulated
 //! matcher all replay identically, which is what lets the property and
 //! sustained-load suites assert conservation laws exactly.
 //!
@@ -48,18 +48,18 @@
 //! println!("{}", engine.metrics().report());
 //! ```
 
-pub mod engine;
-pub mod error;
-pub mod incremental;
-pub mod metrics;
-pub mod report;
-pub mod source;
-pub mod window;
+mod engine;
+mod error;
+mod incremental;
+mod metrics;
+mod report;
+mod source;
+mod window;
 
-pub use engine::{entity_prompt, StreamConfig, StreamEngine, WINDOW_PIPELINE};
+pub use engine::{StreamConfig, StreamEngine, WINDOW_PIPELINE};
 pub use error::StreamError;
-pub use incremental::{blocking_keys, InsertOutcome, WindowState};
-pub use metrics::{StreamMetrics, StreamSnapshot};
+pub use incremental::InsertOutcome;
+pub use metrics::StreamSnapshot;
 pub use report::WindowReport;
 pub use source::{StreamSource, SyntheticSource};
 pub use window::{closed_through, windows_for, StreamTuning, Watermark, WindowId};

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free streaming counters (relaxed atomics; exact under quiescence).
 #[derive(Debug, Default)]
-pub struct StreamMetrics {
+pub(crate) struct StreamMetrics {
     pub(crate) ingested: AtomicU64,
     /// Records that landed in at least one open window.
     pub(crate) assigned_records: AtomicU64,
@@ -40,11 +40,11 @@ pub struct StreamMetrics {
 }
 
 impl StreamMetrics {
-    pub fn new() -> StreamMetrics {
+    pub(crate) fn new() -> StreamMetrics {
         StreamMetrics::default()
     }
 
-    pub fn snapshot(&self) -> StreamSnapshot {
+    pub(crate) fn snapshot(&self) -> StreamSnapshot {
         let max_event_time = self.max_event_time.load(Ordering::Relaxed);
         let watermark = self.watermark.load(Ordering::Relaxed);
         let opened = self.windows_opened.load(Ordering::Relaxed);
@@ -71,7 +71,7 @@ impl StreamMetrics {
     }
 }
 
-/// Point-in-time view of [`StreamMetrics`].
+/// Point-in-time view of the engine's stream counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamSnapshot {
     pub ingested: u64,

@@ -1,6 +1,5 @@
 //! Entity resolution: the Table-1 benchmark harness and its four methods.
 
-pub mod blocking;
 pub mod ditto;
 pub mod fms;
 pub mod lingua;
@@ -25,7 +24,7 @@ pub trait PairMatcher {
 }
 
 /// Render a record's cells as strings, aligned with the schema.
-pub fn record_fields(record: &Record) -> Vec<String> {
+pub(crate) fn record_fields(record: &Record) -> Vec<String> {
     record.iter().map(|v| v.render()).collect()
 }
 
@@ -39,7 +38,7 @@ pub fn evaluate(
 }
 
 /// Evaluate a matcher on an explicit pair list.
-pub fn evaluate_on(
+pub(crate) fn evaluate_on(
     matcher: &mut dyn PairMatcher,
     schema: &Schema,
     pairs: &[LabeledPair],

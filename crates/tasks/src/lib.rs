@@ -6,7 +6,7 @@
 //! * [`er`] — entity resolution (Table 1): simulated-Magellan (random
 //!   forest), simulated-Ditto (rich-feature supervised matcher), the FMs
 //!   prompt-only baseline, and the Lingua Manga solution (calibrated LLM
-//!   module with examples and output validation), plus token blocking.
+//!   module with examples and output validation).
 //! * [`imputation`] — the Buy-dataset manufacturer imputation (§4.3):
 //!   HoloClean-style statistical imputer, IMP-style supervised text
 //!   classifier, pure LLM module, the FMs naive-prompt baseline, and the
@@ -15,12 +15,7 @@
 //!   pipeline (tokenize → noun phrases → tag), its monolingual failure mode,
 //!   and the language-detection + multilingual-tools fix, with optional
 //!   simulator cost reduction.
-//! * [`schema_match`], [`table_search`], [`anomaly`] — the "various extra
-//!   tasks" from the paper's introduction, built on the same system.
 
-pub mod anomaly;
 pub mod er;
 pub mod imputation;
 pub mod names;
-pub mod schema_match;
-pub mod table_search;

@@ -11,23 +11,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A strictly increasing event counter.
 #[derive(Debug, Default)]
-pub struct LogicalClock {
+pub(crate) struct LogicalClock {
     next: AtomicU64,
 }
 
 impl LogicalClock {
-    pub fn new() -> LogicalClock {
+    pub(crate) fn new() -> LogicalClock {
         LogicalClock::default()
     }
 
     /// Take the next timestamp. Each value is handed out exactly once.
-    pub fn tick(&self) -> u64 {
+    pub(crate) fn tick(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Timestamps handed out so far.
-    pub fn now(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
     }
 }
 
@@ -42,7 +37,6 @@ mod tests {
         let b = clock.tick();
         assert_eq!(a, 0);
         assert_eq!(b, 1);
-        assert_eq!(clock.now(), 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! Design points:
 //!
-//! * **Logical clock** ([`clock::LogicalClock`]): timestamps are a
+//! * **Logical clock** (`LogicalClock`): timestamps are a
 //!   process-wide event counter, never wall time, so seeded runs emit
 //!   bit-identical streams.
 //! * **Disabled-by-default** ([`Tracer::disabled`]): every emit is one
@@ -24,23 +24,23 @@
 //!   installed. Production can leave the plumbing in place for free.
 //! * **Ring-buffered sink** ([`RingSink`]): bounded memory with counted
 //!   eviction for always-on tracing.
-//! * **Cost rollups** ([`TraceTree::cost_of`]): usage is attributed only on
+//! * **Cost rollups** ([`SpanNode::rollup`]): usage is attributed only on
 //!   `LlmCall` spans, using the same token formulas the usage meters bill,
 //!   so a subtree rollup reconciles with `Usage` totals exactly.
 //! * **Golden serialization** ([`TraceTree::golden`]): stable fields only,
 //!   roots sorted canonically — byte-identical across runs and worker
 //!   counts.
-//! * **Chrome export** ([`chrome::chrome_trace_json`]): open in
+//! * **Chrome export** ([`chrome_trace_json`]): open in
 //!   `chrome://tracing` or Perfetto.
 
-pub mod chrome;
-pub mod clock;
-pub mod event;
-pub mod llm;
-pub mod sink;
-pub mod summary;
-pub mod tracer;
-pub mod tree;
+mod chrome;
+mod clock;
+mod event;
+mod llm;
+mod sink;
+mod summary;
+mod tracer;
+mod tree;
 
 pub use chrome::chrome_trace_json;
 pub use event::{Phase, SpanKind, TraceEvent};

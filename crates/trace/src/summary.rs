@@ -27,7 +27,9 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    pub fn from_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> TraceSummary {
+    pub(crate) fn from_events<'a>(
+        events: impl IntoIterator<Item = &'a TraceEvent>,
+    ) -> TraceSummary {
         let mut summary = TraceSummary::default();
         for event in events {
             summary.events += 1;

@@ -258,11 +258,6 @@ impl TraceTree {
         self.roots.iter().find_map(|r| walk(r, id))
     }
 
-    /// The cost rollup of one span's subtree (zero if the span is unknown).
-    pub fn cost_of(&self, id: u64) -> Usage {
-        self.find(id).map(|n| n.rollup()).unwrap_or_default()
-    }
-
     /// Total usage attributed across the whole forest.
     pub fn total_usage(&self) -> Usage {
         let mut total = Usage::default();
@@ -347,12 +342,12 @@ mod tests {
         assert_eq!(root.kind, SpanKind::Pipeline);
         assert_eq!(root.children.len(), 2);
         assert_eq!(root.count_kind(SpanKind::LlmCall), 2);
-        let total = tree.cost_of(pipeline_id);
+        let total = tree.find(pipeline_id).unwrap().rollup();
         assert_eq!(total.calls, 2);
         assert_eq!(total.tokens_in, 150);
         assert_eq!(total.tokens_out, 15);
         // Per-op rollup only sees its own call.
-        let first_op = tree.cost_of(root.children[0].id);
+        let first_op = root.children[0].rollup();
         assert_eq!(first_op.tokens_in, 100);
         assert_eq!(tree.total_usage().tokens_in, 150);
         assert_eq!(tree.spans_of_kind(SpanKind::LlmCall).len(), 2);
