@@ -6,7 +6,12 @@ use crate::context::ExecContext;
 use crate::data::Data;
 use crate::error::CoreError;
 use lingua_llm_sim::{CancelToken, Usage};
+use lingua_ml::sync::{Condvar, Mutex};
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
 /// Trace of one operator execution.
@@ -125,7 +130,7 @@ impl Executor {
     }
 }
 
-/// Cancellable parallel map over items, using scoped threads: up to
+/// Cancellable parallel map over owned items on pooled lane threads: up to
 /// `threads` lanes, results in item order. Every lane checks `cancel` before
 /// each item (which also heartbeats the token), so a fired deadline stops the
 /// whole scan within one item per lane instead of finishing it. Returns
@@ -133,20 +138,44 @@ impl Executor {
 /// A panic in `f` propagates to the caller with its original payload after
 /// all lanes have stopped (serve's per-job `catch_unwind` isolation relies
 /// on this).
+///
+/// One lane (or fewer than two items) runs inline on the caller's thread.
+/// Otherwise every lane runs on a parked thread of a process-wide pool and
+/// the caller only waits, so a lane starts with an empty trace span stack and
+/// its spans are roots. The pool spawns a thread only when none is parked,
+/// and grows rather than queues: lanes block on the LLM, so a bounded pool
+/// could starve a map nested in another map's lane, or concurrent maps.
 pub fn try_parallel_map<T, U, F>(
-    items: &[T],
+    items: Vec<T>,
     threads: usize,
     cancel: &CancelToken,
     f: F,
 ) -> Result<Vec<U>, CoreError>
 where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
+    T: Send + 'static,
+    U: Send + 'static,
+    F: Fn(T) -> U + Send + Sync + 'static,
 {
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads <= 1 || items.len() < 2 {
-        let mut out = Vec::with_capacity(items.len());
+    map_on(LanePool::global(), items, threads, cancel, f)
+}
+
+/// [`try_parallel_map`] over the given pool.
+fn map_on<T, U, F>(
+    pool: &Arc<LanePool>,
+    items: Vec<T>,
+    threads: usize,
+    cancel: &CancelToken,
+    f: F,
+) -> Result<Vec<U>, CoreError>
+where
+    T: Send + 'static,
+    U: Send + 'static,
+    F: Fn(T) -> U + Send + Sync + 'static,
+{
+    let count = items.len();
+    let threads = threads.clamp(1, count.max(1));
+    if threads <= 1 || count < 2 {
+        let mut out = Vec::with_capacity(count);
         for item in items {
             if let Err(reason) = cancel.check() {
                 return Err(CoreError::Cancelled { reason });
@@ -155,33 +184,44 @@ where
         }
         return Ok(out);
     }
-    let mut results: Vec<Option<U>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(threads);
-    let panicked = std::thread::scope(|scope| {
-        let lanes: Vec<_> = results
-            .chunks_mut(chunk)
-            .zip(items.chunks(chunk))
-            .map(|(slot_chunk, item_chunk)| {
-                let f = &f;
-                scope.spawn(move || {
-                    for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
+    let chunk = count.div_ceil(threads);
+    let lane_count = count.div_ceil(chunk);
+    let f = Arc::new(f);
+    // One slot per lane: the lane's results, or the payload it panicked with.
+    let outputs: Arc<Mutex<Vec<Option<LaneOutput<U>>>>> =
+        Arc::new(Mutex::new((0..lane_count).map(|_| None).collect()));
+    let mut items = items.into_iter();
+    let lanes = (0..lane_count)
+        .map(|index| {
+            let chunk: Vec<T> = items.by_ref().take(chunk).collect();
+            let (f, cancel, outputs) = (Arc::clone(&f), cancel.clone(), Arc::clone(&outputs));
+            Box::new(move || {
+                let mut done = Vec::with_capacity(chunk.len());
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    for item in chunk {
                         if cancel.check().is_err() {
                             return;
                         }
-                        *slot = Some(f(item));
+                        done.push(f(item));
                     }
-                })
-            })
-            .collect();
-        // Join every lane (an unjoined panic would surface as the scope's
-        // own "a scoped thread panicked") and keep the first payload in
-        // item order.
-        lanes.into_iter().fold(None, |first, lane| {
-            let payload = lane.join().err();
-            first.or(payload)
+                }));
+                outputs.lock()[index] = Some(run.map(|()| done));
+            }) as Lane
         })
-    });
+        .collect();
+    pool.run(lanes);
+    let outputs = std::mem::take(&mut *outputs.lock());
+    let mut results = Vec::with_capacity(count);
+    let mut panicked = None;
+    for output in outputs {
+        match output.expect("every lane ran before the pool returned") {
+            Ok(done) => results.extend(done),
+            // Keep the first payload in item order.
+            Err(payload) => {
+                panicked.get_or_insert(payload);
+            }
+        }
+    }
     if let Some(payload) = panicked {
         // Re-raise what the module actually threw, so the caller's panic
         // isolation reports it.
@@ -190,7 +230,104 @@ where
     if let Some(reason) = cancel.status() {
         return Err(CoreError::Cancelled { reason });
     }
-    Ok(results.into_iter().map(|r| r.expect("all slots filled when not cancelled")).collect())
+    assert_eq!(results.len(), count, "all items mapped when not cancelled");
+    Ok(results)
+}
+
+/// A lane's results, or the payload of the panic that stopped it.
+type LaneOutput<U> = Result<Vec<U>, Box<dyn Any + Send>>;
+
+/// A unit of work for a pooled thread. It must not unwind: lanes catch their
+/// own panics.
+type Lane = Box<dyn FnOnce() + Send>;
+
+/// A lane handed to a parked thread, with the latch its map waits on and the
+/// sender that parks the thread again.
+struct Task {
+    lane: Lane,
+    done: Arc<Latch>,
+    parking: Sender<Task>,
+}
+
+/// Counts a map's lanes down to zero.
+struct Latch {
+    left: Mutex<usize>,
+    zero: Condvar,
+}
+
+impl Latch {
+    fn count_down(&self) {
+        let mut left = self.left.lock();
+        *left -= 1;
+        if *left == 0 {
+            self.zero.notify_all();
+        }
+    }
+
+    fn wait(&self) {
+        let mut left = self.left.lock();
+        while *left > 0 {
+            left = self.zero.wait(left);
+        }
+    }
+}
+
+/// Threads parked between map lanes, each behind its own channel, most
+/// recently parked last. A thread parks itself again before its lane counts
+/// as done, so a map that follows another reuses its threads. Pooled threads
+/// are never joined: a lane catches its own panic and hands it to its map,
+/// so a thread has none to report.
+#[derive(Default)]
+struct LanePool {
+    parked: Mutex<Vec<Sender<Task>>>,
+}
+
+impl LanePool {
+    fn global() -> &'static Arc<LanePool> {
+        static POOL: OnceLock<Arc<LanePool>> = OnceLock::new();
+        POOL.get_or_init(Arc::default)
+    }
+
+    /// Run every lane on a pooled thread; return once each has run and its
+    /// thread is parked again.
+    fn run(self: &Arc<Self>, lanes: Vec<Lane>) {
+        let done = Arc::new(Latch { left: Mutex::new(lanes.len()), zero: Condvar::new() });
+        for lane in lanes {
+            self.dispatch(lane, Arc::clone(&done));
+        }
+        done.wait();
+    }
+
+    /// Hand `lane` to the most recently parked thread, or to a new one.
+    fn dispatch(self: &Arc<Self>, lane: Lane, done: Arc<Latch>) {
+        let parked = self.parked.lock().pop();
+        let thread = parked.unwrap_or_else(|| self.spawn());
+        let task = Task { lane, done, parking: thread.clone() };
+        thread.send(task).expect("a pooled thread waits on its channel while its pool lives");
+    }
+
+    /// A new pooled thread, waiting on the channel behind the returned sender.
+    fn spawn(self: &Arc<Self>) -> Sender<Task> {
+        let (thread, tasks) = mpsc::channel();
+        let pool = Arc::downgrade(self);
+        std::thread::Builder::new()
+            .name("lingua-lane".into())
+            .spawn(move || park_between_lanes(pool, tasks))
+            .expect("spawn a lane thread");
+        thread
+    }
+}
+
+/// A pooled thread's life: run a lane, park, count the lane done, wait for
+/// the next. It ends once its pool is dropped, which drops its sender.
+fn park_between_lanes(pool: Weak<LanePool>, tasks: Receiver<Task>) {
+    while let Ok(Task { lane, done, parking }) = tasks.recv() {
+        lane();
+        if let Some(pool) = pool.upgrade() {
+            pool.parked.lock().push(parking);
+        }
+        done.count_down();
+    }
 }
 
 #[cfg(test)]
@@ -201,7 +338,9 @@ mod tests {
     use crate::pipeline::{LogicalOp, Pipeline};
     use lingua_dataset::world::WorldSpec;
     use lingua_llm_sim::SimLlm;
-    use std::sync::Arc;
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
 
     fn ctx() -> ExecContext {
         let world = WorldSpec::generate(14);
@@ -209,11 +348,12 @@ mod tests {
     }
 
     /// [`try_parallel_map`] under a token that never fires.
-    fn parallel_map<T: Sync, U: Send, F: Fn(&T) -> U + Sync>(
-        items: &[T],
-        threads: usize,
-        f: F,
-    ) -> Vec<U> {
+    fn parallel_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
+    where
+        T: Send + 'static,
+        U: Send + 'static,
+        F: Fn(T) -> U + Send + Sync + 'static,
+    {
         try_parallel_map(items, threads, &CancelToken::unbounded(), f)
             .expect("an unbounded token never cancels")
     }
@@ -296,33 +436,33 @@ mod tests {
         let items: Vec<i64> = (0..1000).collect();
         let sequential: Vec<i64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 4, 7] {
-            let parallel = parallel_map(&items, threads, |x| x * x);
+            let parallel = parallel_map(items.clone(), threads, |x| x * x);
             assert_eq!(parallel, sequential, "threads={threads}");
         }
         // Empty and tiny inputs are fine.
-        assert!(parallel_map::<i64, i64, _>(&[], 4, |x| *x).is_empty());
-        assert_eq!(parallel_map(&[5], 4, |x| x + 1), vec![6]);
+        assert!(parallel_map::<i64, i64, _>(Vec::new(), 4, |x| x).is_empty());
+        assert_eq!(parallel_map(vec![5], 4, |x| x + 1), vec![6]);
     }
 
     #[test]
     fn parallel_map_empty_input() {
         let empty: Vec<String> = Vec::new();
-        let out = parallel_map(&empty, 8, |s: &String| s.len());
+        let out = parallel_map(empty, 8, |s: String| s.len());
         assert!(out.is_empty());
     }
 
     #[test]
     fn parallel_map_single_item() {
-        assert_eq!(parallel_map(&["only"], 1, |s| s.to_uppercase()), vec!["ONLY"]);
-        assert_eq!(parallel_map(&["only"], 64, |s| s.to_uppercase()), vec!["ONLY"]);
+        assert_eq!(parallel_map(vec!["only"], 1, |s| s.to_uppercase()), vec!["ONLY"]);
+        assert_eq!(parallel_map(vec!["only"], 64, |s| s.to_uppercase()), vec!["ONLY"]);
     }
 
     #[test]
     fn parallel_map_more_threads_than_items() {
-        let items = [10, 20, 30];
+        let items = vec![10, 20, 30];
         // Thread count clamps to the item count; results stay ordered.
-        assert_eq!(parallel_map(&items, 100, |x| x / 10), vec![1, 2, 3]);
-        assert_eq!(parallel_map(&items, 0, |x| x / 10), vec![1, 2, 3]);
+        assert_eq!(parallel_map(items.clone(), 100, |x| x / 10), vec![1, 2, 3]);
+        assert_eq!(parallel_map(items, 0, |x| x / 10), vec![1, 2, 3]);
     }
 
     #[test]
@@ -330,7 +470,7 @@ mod tests {
         // Earlier items sleep longer, so later chunks finish first; the
         // output must still line up slot-for-slot with the input.
         let items: Vec<u64> = (0..16).collect();
-        let out = parallel_map(&items, 8, |&i| {
+        let out = parallel_map(items.clone(), 8, |i| {
             std::thread::sleep(std::time::Duration::from_millis((16 - i) / 4));
             i * 10
         });
@@ -380,9 +520,10 @@ mod tests {
         let items: Vec<u64> = (0..512).collect();
         for threads in [1, 4] {
             let token = CancelToken::unbounded();
-            let err = try_parallel_map(&items, threads, &token, |&i| {
+            let lane_token = token.clone();
+            let err = try_parallel_map(items.clone(), threads, &token, move |i| {
                 if i % 64 == 50 {
-                    token.cancel();
+                    lane_token.cancel();
                 }
                 i
             })
@@ -396,7 +537,7 @@ mod tests {
         // An already-expired deadline maps to DeadlineExceeded.
         let expired =
             CancelToken::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
-        let err = try_parallel_map(&items, 4, &expired, |&i| i).unwrap_err();
+        let err = try_parallel_map(items, 4, &expired, |i| i).unwrap_err();
         assert_eq!(err, CoreError::Cancelled { reason: CancelReason::DeadlineExceeded });
     }
 
@@ -404,7 +545,7 @@ mod tests {
     fn parallel_map_propagates_the_original_panic_payload() {
         let items: Vec<u64> = (0..64).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map(&items, 4, |&i| {
+            parallel_map(items, 4, |i| {
                 if i == 37 {
                     panic!("module blew up on item {i}");
                 }
@@ -422,9 +563,9 @@ mod tests {
         let items: Vec<u64> = (0..64).collect();
         // Lanes of 16: items 21 and 58 die on different threads, and 21
         // waits until 58 already has — first means item order, not time.
-        let later_died = AtomicBool::new(false);
+        let later_died = Arc::new(AtomicBool::new(false));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map(&items, 4, |&i| {
+            parallel_map(items, 4, move |i| {
                 if i == 58 {
                     later_died.store(true, Ordering::SeqCst);
                     panic!("module blew up on item {i}");
@@ -450,7 +591,8 @@ mod tests {
         let sequential: Vec<i64> = items.iter().map(|x| x * 3).collect();
         let token = CancelToken::unbounded();
         for depth in [0, 1, 4, 16, 64] {
-            let out = try_parallel_map(&items, depth, &token, |x| x * 3).expect("live token");
+            let out =
+                try_parallel_map(items.clone(), depth, &token, |x| x * 3).expect("live token");
             assert_eq!(out, sequential, "depth={depth}");
         }
     }
@@ -460,9 +602,10 @@ mod tests {
         use lingua_llm_sim::CancelReason;
         let items: Vec<u64> = (0..256).collect();
         let token = CancelToken::unbounded();
-        let err = try_parallel_map(&items, 8, &token, |&i| {
+        let lane_token = token.clone();
+        let err = try_parallel_map(items, 8, &token, move |i| {
             if i == 10 {
-                token.cancel();
+                lane_token.cancel();
             }
             i
         })
@@ -470,19 +613,95 @@ mod tests {
         assert_eq!(err, CoreError::Cancelled { reason: CancelReason::Cancelled });
     }
 
+    /// The threads a `lanes`-lane map over `pool` ran its items on. The
+    /// lanes meet at a barrier, so each holds its own thread.
+    fn lane_threads(pool: &Arc<LanePool>, lanes: usize) -> HashSet<ThreadId> {
+        let live = CancelToken::unbounded();
+        let barrier = Arc::new(Barrier::new(lanes));
+        map_on(pool, (0..lanes).collect(), lanes, &live, move |_: usize| {
+            barrier.wait();
+            std::thread::current().id()
+        })
+        .expect("an unbounded token never cancels")
+        .into_iter()
+        .collect()
+    }
+
+    #[test]
+    fn a_map_runs_on_the_threads_an_earlier_map_parked() {
+        let pool = Arc::new(LanePool::default());
+        let first = lane_threads(&pool, 4);
+        assert_eq!(first.len(), 4, "an empty pool spawns a thread per lane");
+        assert!(!first.contains(&std::thread::current().id()), "the caller only waits");
+        assert_eq!(pool.parked.lock().len(), 4, "every lane thread parked before the map returned");
+        let second = lane_threads(&pool, 4);
+        assert!(second.is_subset(&first), "the second map spawned no thread");
+        assert_eq!(pool.parked.lock().len(), 4);
+    }
+
+    #[test]
+    fn a_lane_that_panicked_leaves_its_thread_serving_the_next_map() {
+        use lingua_ml::sync::Mutex;
+        let pool = Arc::new(LanePool::default());
+        let died_on = Arc::new(Mutex::new(None));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let died_on = Arc::clone(&died_on);
+            let barrier = Barrier::new(2);
+            map_on(&pool, vec![0u32, 1], 2, &CancelToken::unbounded(), move |i| {
+                barrier.wait();
+                if i == 1 {
+                    *died_on.lock() = Some(std::thread::current().id());
+                    panic!("lane {i} blew up");
+                }
+            })
+        }));
+        let payload = result.expect_err("the lane's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("lane 1 blew up"));
+        let died_on = died_on.lock().expect("lane 1 ran");
+        assert_eq!(pool.parked.lock().len(), 2, "the thread whose lane panicked parked again");
+        let next = lane_threads(&pool, 2);
+        assert!(next.contains(&died_on), "and serves the next map");
+        assert_eq!(next.len(), 2);
+    }
+
+    #[test]
+    fn nested_maps_grow_the_pool_instead_of_starving() {
+        // Sixteen inner lanes meet at one barrier, so the outer map only
+        // completes if all of them (and the four outer lanes they run under)
+        // hold a thread at once.
+        const LANES: usize = 4;
+        let barrier = Arc::new(Barrier::new(LANES * LANES));
+        let live = CancelToken::unbounded();
+        let outer: Vec<usize> = (0..LANES).collect();
+        let out = try_parallel_map(outer, LANES, &live, move |o| {
+            let barrier = Arc::clone(&barrier);
+            let inner: Vec<usize> = (0..LANES).collect();
+            try_parallel_map(inner, LANES, &CancelToken::unbounded(), move |i| {
+                barrier.wait();
+                o * LANES + i
+            })
+            .expect("an unbounded token never cancels")
+        })
+        .expect("an unbounded token never cancels");
+        assert_eq!(out.concat(), (0..LANES * LANES).collect::<Vec<_>>());
+    }
+
     #[test]
     fn simllm_usage_counters_are_consistent_under_threads() {
         use lingua_llm_sim::{CompletionRequest, LlmService};
 
         let world = WorldSpec::generate(14);
-        let svc = SimLlm::with_seed(&world, 14);
+        let svc = Arc::new(SimLlm::with_seed(&world, 14));
         // Distinct prompts from many threads: every call is billed once.
         let prompts: Vec<String> =
             (0..64).map(|i| format!("Summarize.\nText: document number {i}")).collect();
-        let responses = parallel_map(&prompts, 8, |p| svc.complete(&CompletionRequest::new(p)));
-        assert_eq!(responses.len(), prompts.len());
+        let responses = parallel_map(prompts, 8, {
+            let svc = Arc::clone(&svc);
+            move |p| svc.complete(&CompletionRequest::new(p))
+        });
+        assert_eq!(responses.len(), 64);
         let usage = svc.usage();
-        assert_eq!(usage.calls, prompts.len() as u64);
+        assert_eq!(usage.calls, 64);
         assert_eq!(usage.cached_calls, 0);
         assert!(usage.tokens_in > 0 && usage.tokens_out > 0);
     }
@@ -492,19 +711,22 @@ mod tests {
         use lingua_llm_sim::{CompletionRequest, LlmService, SimLlmConfig};
 
         let world = WorldSpec::generate(14);
-        let svc = SimLlm::new(
+        let svc = Arc::new(SimLlm::new(
             &world,
             SimLlmConfig { seed: 14, cache_enabled: true, ..Default::default() },
-        );
+        ));
         // Many threads race on the SAME prompt: every request is either a
         // billed call or a cache hit — none double-counted, none lost.
         let requests: Vec<u64> = (0..64).collect();
-        let out = parallel_map(&requests, 8, |_| {
-            svc.complete(&CompletionRequest::new("Summarize.\nText: the contended document"))
+        let out = parallel_map(requests, 8, {
+            let svc = Arc::clone(&svc);
+            move |_| {
+                svc.complete(&CompletionRequest::new("Summarize.\nText: the contended document"))
+            }
         });
         assert!(out.windows(2).all(|w| w[0] == w[1]), "all callers see one answer");
         let usage = svc.usage();
-        assert_eq!(usage.calls + usage.cached_calls, requests.len() as u64);
+        assert_eq!(usage.calls + usage.cached_calls, 64);
         assert!(usage.calls >= 1);
     }
 }

@@ -48,13 +48,6 @@ impl PipelinedMapModule {
     {
         PipelinedMapModule { name: name.into(), depth: depth.max(1), inner: Arc::new(inner) }
     }
-
-    /// Run one element through a fresh inner instance in a lane-private
-    /// context.
-    fn run_one(&self, item: Data, lane_ctx: &mut ExecContext) -> Result<Data, CoreError> {
-        let mut module = (self.inner)();
-        module.invoke(item, lane_ctx)
-    }
 }
 
 /// A lane's private context: shared services, private per-run state. The
@@ -87,21 +80,21 @@ impl Module for PipelinedMapModule {
     fn invoke(&mut self, input: Data, ctx: &mut ExecContext) -> Result<Data, CoreError> {
         let Data::List(items) = input else {
             let mut lane_ctx = lane_context(ctx);
-            let out = self.run_one(input, &mut lane_ctx);
+            let out = (self.inner)().invoke(input, &mut lane_ctx);
             ctx.stats.record_invocation(&self.name);
             return out;
         };
         let count = items.len();
-        // Snapshot the shared pieces so the lanes need no reference to the
-        // caller's (mutably borrowed) context.
+        // Snapshot the shared pieces: the lanes run on pooled threads, so
+        // they own everything they touch.
         let template = lane_context(ctx);
-        let cancel = ctx.cancel.clone();
+        let inner = Arc::clone(&self.inner);
         // The lanes block on the service rather than burn CPU, so `depth` of
         // them from this one worker is what lets a continuous batcher fill
         // size-triggered batches instead of trickling one request a window.
-        let results = try_parallel_map(&items, self.depth, &cancel, |item| {
+        let results = try_parallel_map(items, self.depth, &ctx.cancel, move |item| {
             let mut lane_ctx = lane_context(&template);
-            self.run_one(item.clone(), &mut lane_ctx)
+            inner().invoke(item, &mut lane_ctx)
         })?;
         for _ in 0..count {
             ctx.stats.record_invocation(&self.name);

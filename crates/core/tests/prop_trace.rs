@@ -1,5 +1,5 @@
 //! Property tests for trace well-formedness under `try_parallel_map`: spans
-//! emitted concurrently from scoped worker threads must always reassemble
+//! emitted concurrently from pooled lane threads must always reassemble
 //! into a well-formed forest — every span closed exactly once, every child
 //! strictly nested inside its parent's logical-clock window, timestamps
 //! unique — and per-span usage rollups must reconcile with the workload.
@@ -31,9 +31,18 @@ fn parallel_map_traces_stay_well_formed() {
         48,
         |g| (g.vec(0..24, |g| (g.int(1u32..500), g.int(1u32..200))), g.int(0usize..9)),
         |(items, threads)| {
-            let (tracer, sink) = ring_tracer(1 << 12);
             let live = CancelToken::unbounded();
-            let outputs = try_parallel_map(&items, threads, &live, |&(tokens_in, tokens_out)| {
+            // An earlier traced map leaves its lane threads parked; the map
+            // under test runs on them and must find their span stacks empty.
+            let (earlier, _) = ring_tracer(1 << 8);
+            try_parallel_map(items.clone(), threads, &live, move |_| {
+                let _span = earlier.span(SpanKind::Op, "earlier");
+            })
+            .expect("an unbounded token never cancels");
+            let (tracer, sink) = ring_tracer(1 << 12);
+            let lane_tracer = tracer.clone();
+            let outputs = try_parallel_map(items.clone(), threads, &live, move |item| {
+                let ((tokens_in, tokens_out), tracer) = (item, &lane_tracer);
                 let mut op = tracer.span(SpanKind::Op, "work");
                 op.attr("tokens_in", tokens_in.to_string());
                 tracer.instant(SpanKind::Op, "checkpoint", Vec::new);
@@ -90,8 +99,9 @@ fn logical_clock_is_strictly_monotone_per_stream() {
         |(n, threads)| {
             let (tracer, sink) = ring_tracer(1 << 12);
             let items: Vec<usize> = (0..n).collect();
-            try_parallel_map(&items, threads, &CancelToken::unbounded(), |&i| {
-                tracer.instant(SpanKind::Module, "tick", || vec![("i".into(), i.to_string())]);
+            let lane_tracer = tracer.clone();
+            try_parallel_map(items, threads, &CancelToken::unbounded(), move |i| {
+                lane_tracer.instant(SpanKind::Module, "tick", || vec![("i".into(), i.to_string())]);
             })
             .expect("an unbounded token never cancels");
             let mut seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();

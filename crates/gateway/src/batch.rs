@@ -16,14 +16,28 @@
 //! 1. **Filling.** Members push onto the pending list under the state lock.
 //!    The *first* member of a generation becomes the **timer leader**: it
 //!    waits on a condvar with a deadline of `max_wait` from its arrival.
-//! 2. **Size flush.** The member whose arrival fills the batch to
-//!    `max_batch_size` takes the whole pending list, bumps the generation
-//!    (which wakes the timer leader into follower mode), and flushes on its
-//!    own thread.
+//! 2. **Size flush.** Once the batch holds `max_batch_size` members and
+//!    none of this batcher's flushes is in flight, it is sealed: by the
+//!    arrival that fills it when the backend is idle, or — when it filled
+//!    while a flush was in flight — by the timer leader, woken when the last
+//!    in-flight flush returns. The sealer takes the whole pending list,
+//!    bumps the generation (which wakes the timer leader into follower
+//!    mode), and flushes on its own thread.
 //! 3. **Window flush.** If the deadline fires first, the timer leader takes
-//!    whatever accumulated — possibly just itself — and flushes.
+//!    whatever accumulated — possibly just itself — and flushes, in flight
+//!    or not.
 //!
-//! Members that are neither leader nor filler simply wait on their response
+//! So while a flush is in flight the filling batch keeps growing past
+//! `max_batch_size`, bounded by what arrives within one window. The rule
+//! assumes the backend answers one call at a time (a rate-limited
+//! connection): a second concurrent call would queue behind the first and
+//! buy no earlier answer, while one larger call later pays one round trip
+//! for all of them. With nothing in flight a full batch leaves at once, as
+//! a lone job's fan-out does. The in-flight count goes up under the state
+//! lock when a batch is taken and down (a drop guard) when the backend call
+//! returns or unwinds.
+//!
+//! Members that are neither leader nor sealer simply wait on their response
 //! cell. A panic inside the flush answers every unfilled cell
 //! [`NoAnswer::Aborted`] (RAII guard), so siblings never hang on a poisoned
 //! batch.
@@ -68,8 +82,11 @@ use std::time::{Duration, Instant};
 /// Micro-batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Flush as soon as this many members are pending (size trigger).
-    /// Clamped to at least 1.
+    /// The size an idle backend gets: a batch this full flushes at once
+    /// when none of the batcher's flushes is in flight (size trigger). While
+    /// one is, the batch keeps filling and is sealed when the flush returns,
+    /// so a batch can exceed this; the window bounds how far. Clamped to at
+    /// least 1.
     pub max_batch_size: usize,
     /// Flush when the oldest pending member has waited this long (window
     /// trigger). `ZERO` degenerates to per-call flushing.
@@ -85,7 +102,7 @@ impl Default for BatchConfig {
 /// Why a batch flushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushReason {
-    /// The batch reached `max_batch_size`.
+    /// The batch reached `max_batch_size` with no flush in flight.
     Size,
     /// The `max_wait` window expired on the timer leader.
     Window,
@@ -215,6 +232,8 @@ struct BatchState {
     /// Bumped every time a batch is taken for flushing; the timer leader
     /// watches it to learn that a size flush beat its deadline.
     generation: u64,
+    /// This batcher's flushes whose backend call has not yet returned.
+    in_flight: usize,
 }
 
 #[derive(Default)]
@@ -248,6 +267,23 @@ impl Drop for AbortGuard<'_> {
     }
 }
 
+/// Holds one count of [`BatchState::in_flight`] for a taken batch, from the
+/// take until the backend call returns or unwinds. The last one out wakes
+/// the timer leader, which may now size-flush what filled meanwhile.
+struct InFlight<'a> {
+    batcher: &'a Batcher,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut state = self.batcher.state.lock();
+        state.in_flight -= 1;
+        if self.batcher.size_ready(&state) {
+            self.batcher.flush_cv.notify_all();
+        }
+    }
+}
+
 /// Continuous micro-batcher over any [`LlmService`]. See the module docs
 /// for the flush state machine.
 pub struct Batcher {
@@ -265,7 +301,7 @@ impl Batcher {
         Batcher {
             inner,
             config: BatchConfig { max_batch_size: config.max_batch_size.max(1), ..config },
-            state: Mutex::new(BatchState { pending: Vec::new(), generation: 0 }),
+            state: Mutex::new(BatchState { pending: Vec::new(), generation: 0, in_flight: 0 }),
             flush_cv: Condvar::new(),
             counters: BatchCounters::default(),
             flush_log: Mutex::new(Vec::new()),
@@ -304,9 +340,25 @@ impl Batcher {
         self.flush_log.lock().clone()
     }
 
+    /// Whether the filling batch may be size-flushed now: it is full, and
+    /// the backend has none of this batcher's flushes to answer first.
+    fn size_ready(&self, state: &BatchState) -> bool {
+        state.in_flight == 0 && state.pending.len() >= self.config.max_batch_size
+    }
+
+    /// Seal the filling batch: take it, advance the generation (a waiting
+    /// timer leader wakes, sees it, and falls through to waiting on its
+    /// cell), and count its flush in flight.
+    fn take(&self, state: &mut BatchState) -> (Vec<Member>, InFlight<'_>) {
+        state.generation += 1;
+        state.in_flight += 1;
+        self.flush_cv.notify_all();
+        (std::mem::take(&mut state.pending), InFlight { batcher: self })
+    }
+
     /// Flush one taken batch on the calling thread: drop cancelled members,
     /// place the batched backend call, fill every cell, book the metrics.
-    fn flush(&self, batch: Vec<Member>, reason: FlushReason) {
+    fn flush(&self, (batch, in_flight): (Vec<Member>, InFlight<'_>), reason: FlushReason) {
         let occupancy = batch.len();
         let mut live_requests: Vec<CompletionRequest> = Vec::with_capacity(occupancy);
         let mut live_cells: Vec<Arc<MemberCell>> = Vec::with_capacity(occupancy);
@@ -330,6 +382,7 @@ impl Batcher {
             // `Aborted` before the panic leaves this frame.
             let _abort = AbortGuard { cells: &live_cells };
             let outcome = self.inner.complete_batch(&live_requests);
+            drop(in_flight);
             let answers = outcome.responses.iter().cloned().zip(outcome.splits.iter().copied());
             for (cell, answer) in live_cells.iter().zip(answers) {
                 cell.fill(answer);
@@ -377,26 +430,22 @@ impl Batcher {
     }
 
     /// Push `members` into the filling batch, flushing each batch one of them
-    /// fills, and hold the window open if one of them opened it. Returns
-    /// once this thread has no flush left to run; the members' cells are
-    /// answered by whichever thread flushes them. See the module docs for the
-    /// three exits (filler, timer leader, follower).
+    /// fills while the backend is idle, and hold the window open if one of
+    /// them opened it. Returns once this thread has no flush left to run;
+    /// the members' cells are answered by whichever thread flushes them. See
+    /// the module docs for the three exits (sealer, timer leader, follower).
     fn enqueue(&self, members: Vec<Member>) {
         let mut state = self.state.lock();
         // The generation whose window this thread opened, and its deadline.
         let mut leading = None;
         for member in members {
             state.pending.push(member);
-            if state.pending.len() >= self.config.max_batch_size {
-                // Size trigger: this arrival filled the batch. Take it,
-                // advance the generation (the timer leader wakes, sees the
-                // new generation, and falls through to waiting on its cell),
-                // flush on this thread.
-                let batch = std::mem::take(&mut state.pending);
-                state.generation += 1;
-                self.flush_cv.notify_all();
+            if self.size_ready(&state) {
+                // Size trigger: this arrival filled the batch and nothing is
+                // in flight. Flush it on this thread.
+                let taken = self.take(&mut state);
                 drop(state);
-                self.flush(batch, FlushReason::Size);
+                self.flush(taken, FlushReason::Size);
                 state = self.state.lock();
             } else if state.pending.len() == 1 {
                 // Timer leader: hold the window open for up to `max_wait`.
@@ -404,19 +453,26 @@ impl Batcher {
             }
         }
         let Some((generation, deadline)) = leading else { return };
-        // A size flush took the batch (this thread's members included) once
-        // the generation moves on; otherwise the deadline flushes it here.
+        // Another thread took the batch (this thread's members included) once
+        // the generation moves on. Otherwise this thread seals it: by size
+        // when the last in-flight flush returned with the batch full, or by
+        // the deadline.
+        let mut timed_out = false;
         while state.generation == generation {
-            let timed_out;
-            (state, timed_out) = self.flush_cv.wait_until(state, deadline);
-            if timed_out && state.generation == generation {
-                let batch = std::mem::take(&mut state.pending);
-                state.generation += 1;
-                drop(state);
-                self.flush(batch, FlushReason::Window);
-                return;
-            }
-            // Spurious wakeup: same generation, deadline not reached.
+            let reason = if self.size_ready(&state) {
+                FlushReason::Size
+            } else if timed_out {
+                FlushReason::Window
+            } else {
+                // Not full (or a flush still in flight) and the deadline not
+                // reached: wait for either, or for a spurious wakeup.
+                (state, timed_out) = self.flush_cv.wait_until(state, deadline);
+                continue;
+            };
+            let taken = self.take(&mut state);
+            drop(state);
+            self.flush(taken, reason);
+            return;
         }
     }
 }
@@ -711,38 +767,8 @@ mod tests {
 
     #[test]
     fn panicking_flush_fills_sibling_cells_with_the_abort_notice() {
-        /// A service whose batched entry point always panics.
-        struct Exploding;
-        impl LlmService for Exploding {
-            fn complete_batch(&self, _requests: &[CompletionRequest]) -> BatchOutcome {
-                panic!("backend exploded")
-            }
-            fn embed(&self, _text: &str) -> Vec<f64> {
-                Vec::new()
-            }
-            fn usage(&self) -> Usage {
-                Usage::default()
-            }
-            fn simulated_latency_ms(&self) -> u64 {
-                0
-            }
-            fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
-                unreachable!("not exercised")
-            }
-            fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
-                unreachable!("not exercised")
-            }
-            fn repair_code(
-                &self,
-                _spec: &CodeGenSpec,
-                _previous: &GeneratedCode,
-                _suggestion: &str,
-            ) -> GeneratedCode {
-                unreachable!("not exercised")
-            }
-        }
         let batcher = Arc::new(Batcher::new(
-            Arc::new(Exploding),
+            Arc::new(Gated::exploding(sim(15))),
             BatchConfig { max_batch_size: 2, max_wait: Duration::from_secs(30) },
         ));
         std::thread::scope(|scope| {
@@ -932,6 +958,214 @@ mod tests {
         assert_eq!(service.usage(), reference.usage(), "only the sibling billed");
         let snap = batcher.snapshot();
         assert_eq!((snap.batches, snap.members, snap.cancelled_members), (1, 2, 1));
+    }
+
+    /// Answers from `inner`, but holds its first call until [`Gated::open`]
+    /// — panicking in it instead, if `explode` is set.
+    struct Gated {
+        inner: Arc<SimLlm>,
+        explode: bool,
+        open: Mutex<bool>,
+        opened: Condvar,
+        calls: AtomicU64,
+    }
+
+    impl Gated {
+        fn closed(inner: Arc<SimLlm>) -> Gated {
+            Gated {
+                inner,
+                explode: false,
+                open: Mutex::new(false),
+                opened: Condvar::new(),
+                calls: AtomicU64::new(0),
+            }
+        }
+
+        /// Open, with a first call that panics.
+        fn exploding(inner: Arc<SimLlm>) -> Gated {
+            let gated = Gated { explode: true, ..Gated::closed(inner) };
+            gated.open();
+            gated
+        }
+
+        fn open(&self) {
+            *self.open.lock() = true;
+            self.opened.notify_all();
+        }
+
+        /// Spin until the first call has entered the backend.
+        fn wait_held(&self) {
+            while self.calls.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    impl LlmService for Gated {
+        fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+            if self.calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                let mut open = self.open.lock();
+                while !*open {
+                    open = self.opened.wait(open);
+                }
+                assert!(!self.explode, "backend exploded");
+            }
+            self.inner.complete_batch(requests)
+        }
+        fn embed(&self, text: &str) -> Vec<f64> {
+            self.inner.embed(text)
+        }
+        fn usage(&self) -> Usage {
+            self.inner.usage()
+        }
+        fn simulated_latency_ms(&self) -> u64 {
+            0
+        }
+        fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
+            unreachable!("not exercised")
+        }
+        fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
+            unreachable!("not exercised")
+        }
+        fn repair_code(
+            &self,
+            _spec: &CodeGenSpec,
+            _previous: &GeneratedCode,
+            _suggestion: &str,
+        ) -> GeneratedCode {
+            unreachable!("not exercised")
+        }
+    }
+
+    fn prompts(range: std::ops::Range<usize>) -> Vec<CompletionRequest> {
+        range.map(prompt).collect()
+    }
+
+    /// Every member's answer equals the one `reference` gives it alone.
+    fn assert_answers(outcome: BatchOutcome, requests: &[CompletionRequest], reference: &SimLlm) {
+        for (response, request) in outcome.responses.iter().zip(requests) {
+            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+        }
+    }
+
+    fn flushes(batcher: &Batcher) -> Vec<(usize, FlushReason)> {
+        batcher.flush_log().iter().map(|f| (f.occupancy, f.reason)).collect()
+    }
+
+    #[test]
+    fn a_batch_keeps_filling_while_a_flush_is_in_flight() {
+        const SIZE: usize = 8;
+        let service = sim(11);
+        let reference = sim(11);
+        let backend = Arc::new(Gated::closed(service.clone()));
+        let batcher = Arc::new(Batcher::new(
+            backend.clone(),
+            BatchConfig { max_batch_size: SIZE, max_wait: Duration::from_secs(30) },
+        ));
+        let callers: Vec<Vec<CompletionRequest>> =
+            (0..3).map(|c| prompts(c * SIZE..(c + 1) * SIZE)).collect();
+        std::thread::scope(|scope| {
+            let spawn = |requests: &Vec<CompletionRequest>| {
+                let (batcher, requests) = (Arc::clone(&batcher), requests.clone());
+                scope.spawn(move || batcher.complete_batch(&requests))
+            };
+            // The first caller's members fill a batch on an idle backend and
+            // leave at once; the backend holds that flush.
+            let first = spawn(&callers[0]);
+            backend.wait_held();
+            // Two more callers' members queue behind it, past the size.
+            let later: Vec<_> = callers[1..].iter().map(spawn).collect();
+            while batcher.pending_members() as u64 + batcher.snapshot().members < 2 * SIZE as u64 {
+                std::thread::yield_now();
+            }
+            // Judged once the gate is open: the scope joins the held caller.
+            let waiting = (flushes(&batcher), batcher.pending_members());
+            backend.open();
+            assert_answers(first.join().expect("no panic"), &callers[0], &reference);
+            for (handle, requests) in later.into_iter().zip(&callers[1..]) {
+                assert_answers(handle.join().expect("no panic"), requests, &reference);
+            }
+            assert_eq!(
+                waiting,
+                (vec![], 2 * SIZE),
+                "a full batch waits while a flush is in flight"
+            );
+        });
+        // The held flush books itself after its cells are filled, so the log
+        // may list the second flush first.
+        let mut log = flushes(&batcher);
+        log.sort_by_key(|&(occupancy, _)| occupancy);
+        assert_eq!(log, [(SIZE, FlushReason::Size), (2 * SIZE, FlushReason::Size)]);
+        assert_eq!(service.usage().calls, 2, "two backend calls for three callers");
+        let snap = batcher.snapshot();
+        assert_eq!((snap.size_flushes, snap.window_flushes, snap.max_occupancy), (2, 0, 16));
+    }
+
+    #[test]
+    fn a_lone_callers_full_batch_flushes_at_once() {
+        const SIZE: usize = 8;
+        let service = sim(12);
+        let reference = sim(12);
+        let batcher = Batcher::new(
+            service,
+            BatchConfig { max_batch_size: SIZE, max_wait: Duration::from_secs(30) },
+        );
+        let requests = prompts(0..SIZE);
+        let started = Instant::now();
+        assert_answers(batcher.complete_batch(&requests), &requests, &reference);
+        assert!(started.elapsed() < Duration::from_secs(10), "no window was waited out");
+        assert_eq!(flushes(&batcher), [(SIZE, FlushReason::Size)]);
+    }
+
+    #[test]
+    fn a_batch_behind_a_flush_that_never_returns_leaves_by_its_window() {
+        let service = sim(13);
+        let reference = sim(13);
+        let backend = Arc::new(Gated::closed(service));
+        let batcher = Arc::new(Batcher::new(
+            backend.clone(),
+            BatchConfig { max_batch_size: 2, max_wait: Duration::from_millis(20) },
+        ));
+        let (held, waiting) = (prompts(0..2), prompts(2..4));
+        std::thread::scope(|scope| {
+            let first = {
+                let (batcher, held) = (Arc::clone(&batcher), held.clone());
+                scope.spawn(move || batcher.complete_batch(&held))
+            };
+            backend.wait_held();
+            // Full, but a flush is in flight that does not return: only the
+            // window can send it.
+            let answered = batcher.complete_batch(&waiting);
+            let sent_by = flushes(&batcher);
+            backend.open();
+            assert_answers(first.join().expect("no panic"), &held, &reference);
+            assert_answers(answered, &waiting, &reference);
+            assert_eq!(sent_by, [(2, FlushReason::Window)]);
+        });
+        assert_eq!(flushes(&batcher), [(2, FlushReason::Window), (2, FlushReason::Size)]);
+    }
+
+    #[test]
+    fn a_panicking_flush_leaves_nothing_in_flight() {
+        let service = sim(14);
+        let reference = sim(14);
+        let batcher = Batcher::new(
+            Arc::new(Gated::exploding(service)),
+            BatchConfig { max_batch_size: 2, max_wait: Duration::from_secs(30) },
+        );
+        let flusher = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            batcher.complete_batch(&prompts(0..2))
+        }));
+        assert!(flusher.is_err(), "the flusher observes the panic");
+        assert_eq!(batcher.state.lock().in_flight, 0, "the unwind took its count with it");
+        // So the next full batch size-flushes at once, not after 30 s.
+        let requests = prompts(2..4);
+        assert_answers(batcher.complete_batch(&requests), &requests, &reference);
+        assert_eq!(
+            flushes(&batcher),
+            [(2, FlushReason::Size)],
+            "the panicked flush logged nothing"
+        );
     }
 
     #[test]

@@ -39,8 +39,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A pool grows to at most this many times its CPU budget: enough waiting
-/// jobs to fill a default batch (eight members) per budgeted worker.
+/// A pool grows to at most this many times its CPU budget. The cap bounds
+/// the threads waiting jobs hold, not a batch: a batch keeps filling while
+/// one of the batcher's flushes is in flight, so more waiting jobs make
+/// larger batches rather than more wire calls.
 pub(crate) const GROWTH_CAP: usize = 8;
 
 /// Panic payload that deliberately escapes the worker's per-job containment.
