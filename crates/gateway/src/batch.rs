@@ -66,8 +66,8 @@
 //! The resend verdict never leaves the batcher.
 //!
 //! For the whole of a member's [`LlmService::complete_batch`] its job's token
-//! carries a [`WaitMark`], so the serve supervisor can tell a worker waiting
-//! here from one that computes.
+//! carries a [`WaitMark`], so serve can lend the job's CPU permit to another
+//! job while it waits here.
 
 use lingua_llm_sim::{
     BatchOutcome, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer,

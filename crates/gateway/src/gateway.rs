@@ -31,11 +31,10 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::fault::prompt_key;
-use crate::limiter::TokenBudget;
 use crate::metrics::GatewayMetrics;
 use crate::{
-    BackoffPolicy, BreakerConfig, BreakerState, GatewaySnapshot, LlmTransport, TokenBudgetConfig,
-    TransportError, Verdict,
+    BackoffPolicy, BreakerConfig, BreakerState, GatewaySnapshot, LlmTransport, TransportError,
+    Verdict,
 };
 use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
@@ -58,8 +57,6 @@ pub struct GatewayConfig {
     pub backoff: BackoffPolicy,
     /// Circuit-breaker tuning (one breaker per backend).
     pub breaker: BreakerConfig,
-    /// Optional per-backend token budget; `None` disables rate limiting.
-    pub budget: Option<TokenBudgetConfig>,
     /// Capacity of the degraded-mode stale-response cache.
     pub stale_cache_capacity: usize,
 }
@@ -69,7 +66,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             backoff: BackoffPolicy::default(),
             breaker: BreakerConfig::default(),
-            budget: None,
             stale_cache_capacity: 1_024,
         }
     }
@@ -117,7 +113,6 @@ struct Backend {
     name: String,
     transport: Arc<dyn LlmTransport>,
     breaker: CircuitBreaker,
-    budget: Option<TokenBudget>,
 }
 
 /// Builder for [`Gateway`]. Backends are tried in registration order —
@@ -145,11 +140,6 @@ impl GatewayBuilder {
         self
     }
 
-    pub fn budget(mut self, budget: TokenBudgetConfig) -> GatewayBuilder {
-        self.config.budget = Some(budget);
-        self
-    }
-
     /// Register a backend (priority = registration order).
     pub fn backend(mut self, transport: Arc<dyn LlmTransport>) -> GatewayBuilder {
         self.backends.push(transport);
@@ -157,15 +147,15 @@ impl GatewayBuilder {
     }
 
     /// Register the degraded-mode fallback: a cheap backend consulted only
-    /// after every regular backend has failed. It bypasses retry, breakers,
-    /// and budgets.
+    /// after every regular backend has failed. It bypasses retry and
+    /// breakers.
     pub fn fallback(mut self, transport: Arc<dyn LlmTransport>) -> GatewayBuilder {
         self.fallback = Some(transport);
         self
     }
 
     /// Emit `gateway` spans and routing instants (attempts, faults, backoff,
-    /// failover, breaker/budget denials, degraded serves) to `tracer`.
+    /// failover, breaker denials, degraded serves) to `tracer`.
     pub fn tracer(mut self, tracer: Tracer) -> GatewayBuilder {
         self.tracer = tracer;
         self
@@ -185,7 +175,6 @@ impl GatewayBuilder {
             .map(|transport| Backend {
                 name: transport.name().to_string(),
                 breaker: CircuitBreaker::new(self.config.breaker),
-                budget: self.config.budget.map(TokenBudget::new),
                 transport,
             })
             .collect();
@@ -299,7 +288,6 @@ impl Gateway {
     fn call_resilient<T>(
         &self,
         key: u64,
-        est_tokens: u64,
         (from, spent, retry): (usize, u32, bool),
         cancelled: impl Fn() -> Option<CancelReason>,
         op: impl Fn(&dyn LlmTransport) -> Result<T, TransportError>,
@@ -314,11 +302,6 @@ impl Gateway {
                 self.tracer.instant(SpanKind::Gateway, "failover", || {
                     vec![("to".into(), backend.name.clone())]
                 });
-            }
-            if !backend.budget.as_ref().map_or(true, |budget| budget.try_consume(est_tokens)) {
-                self.metrics.budget_denied(idx);
-                self.tracer.instant(SpanKind::Gateway, "budget_denied", name);
-                continue;
             }
             let mut attempt = if idx == from { spent } else { 0 };
             loop {
@@ -388,7 +371,6 @@ impl Gateway {
         let key = request.fingerprint();
         match self.call_resilient(
             key,
-            count_tokens(&request.prompt) as u64,
             (from.0, from.1, true),
             || request.cancelled(),
             |transport| batch_reply(transport, std::slice::from_ref(request)),
@@ -503,7 +485,6 @@ impl LlmService for Gateway {
         } else {
             self.call_resilient(
                 0,
-                requests.iter().map(|r| count_tokens(&r.prompt) as u64).sum(),
                 (0, 0, false),
                 || None,
                 |transport| match batch_reply(transport, requests) {
@@ -564,17 +545,12 @@ impl LlmService for Gateway {
         self.metrics.requests(1);
         let mut span = self.tracer.span(SpanKind::Gateway, "embed");
         let key = prompt_key(text);
-        let est_tokens = count_tokens(text) as u64;
         // An embedding carries no request, hence no token: the loop runs
         // its schedule out and the executor's between-op check ends a dead
         // job.
-        if let Resilient::Served(_, embedding) = self.call_resilient(
-            key,
-            est_tokens,
-            (0, 0, true),
-            || None,
-            |transport| transport.embed(text),
-        ) {
+        if let Resilient::Served(_, embedding) =
+            self.call_resilient(key, (0, 0, true), || None, |transport| transport.embed(text))
+        {
             span.attr("path", "served");
             return embedding;
         }
@@ -786,28 +762,6 @@ mod tests {
         assert_eq!(snap.backends[1].counters.served, 12);
         assert_eq!(snap.failovers, 12);
         assert_eq!(snap.degraded(), 0);
-    }
-
-    #[test]
-    fn token_budget_sheds_to_the_next_backend() {
-        let service = sim(8);
-        let standby = sim(8);
-        let gateway = Gateway::builder()
-            .backend(Arc::new(ServiceTransport::new("metered", service.clone())))
-            .backend(Arc::new(ServiceTransport::new("standby", standby.clone())))
-            .budget(TokenBudgetConfig { capacity: 1, refill_per_check: 0 })
-            .build();
-        // Every prompt costs more than one token, so the metered backend
-        // denies everything; the standby has its own (also empty) bucket, so
-        // traffic lands degraded-static... unless the standby budget admits.
-        // Give the request somewhere to go: the standby's bucket is
-        // independent and equally empty, so this exercises the budget-denied
-        // counters on both.
-        assert_eq!(answer(&gateway, &prompt(0)), Err(NoAnswer::Unavailable));
-        let snap = gateway.snapshot();
-        assert_eq!(snap.backends[0].counters.budget_denied, 1);
-        assert_eq!(snap.backends[1].counters.budget_denied, 1);
-        assert_eq!(snap.backends[0].counters.attempts, 0);
     }
 
     #[test]

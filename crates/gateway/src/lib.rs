@@ -15,7 +15,7 @@
 //!            │ LlmService (answer or NoAnswer per member)
 //!            ▼
 //!        ┌─────────┐   retry + backoff, circuit breaking,
-//!        │ Gateway │   failover, token budget, degraded mode
+//!        │ Gateway │   failover, degraded mode
 //!        └─────────┘
 //!            │ LlmTransport (Result<_, TransportError>)
 //!      ┌─────┴──────┬───────────────┐
@@ -34,7 +34,6 @@ mod breaker;
 mod error;
 mod fault;
 mod gateway;
-mod limiter;
 mod metrics;
 mod transport;
 
@@ -44,6 +43,5 @@ pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
 pub use error::{FaultClass, TransportError, Verdict};
 pub use fault::{prompt_key, FaultCounts, FaultInjector, FaultPlan};
 pub use gateway::{Gateway, GatewayBuilder, GatewayConfig};
-pub use limiter::TokenBudgetConfig;
 pub use metrics::{BackendCounters, BackendSnapshot, GatewaySnapshot};
 pub use transport::{LlmTransport, ServiceTransport};

@@ -3,7 +3,7 @@
 //! Same discipline as `lingua-serve`'s metrics: all mutation behind one
 //! mutex, snapshots are plain values, and everything the
 //! resilience machinery does — attempts, retries, faults by class, breaker
-//! transitions, budget denials, fallback hits, added latency — is visible in
+//! transitions, breaker denials, fallback hits, added latency — is visible in
 //! one place.
 
 use crate::{BreakerState, BreakerStats, FaultClass};
@@ -24,8 +24,6 @@ pub struct BackendCounters {
     pub rate_limited: u64,
     pub transient: u64,
     pub malformed: u64,
-    /// Calls skipped because the token budget denied admission.
-    pub budget_denied: u64,
     /// Calls skipped because the circuit breaker was open.
     pub breaker_denied: u64,
     /// Total backoff delay charged against this backend, in milliseconds.
@@ -97,10 +95,6 @@ impl GatewayMetrics {
 
     pub(crate) fn fault(&self, backend: usize, class: FaultClass) {
         self.inner.lock().backends[backend].record_fault(class);
-    }
-
-    pub(crate) fn budget_denied(&self, backend: usize) {
-        self.inner.lock().backends[backend].budget_denied += 1;
     }
 
     pub(crate) fn breaker_denied(&self, backend: usize) {
@@ -296,7 +290,7 @@ impl GatewaySnapshot {
             let c = &backend.counters;
             out.push_str(&format!(
                 "\x20 backend {:<12} {} attempts, {} served, {} retries, {} faults \
-                 (t/r/s/m {}/{}/{}/{}), {} budget-denied, {} breaker-denied, \
+                 (t/r/s/m {}/{}/{}/{}), {} breaker-denied, \
                  {} ms backoff, breaker {} (o/h/c {}/{}/{}, {} denied)\n",
                 backend.name,
                 c.attempts,
@@ -307,7 +301,6 @@ impl GatewaySnapshot {
                 c.rate_limited,
                 c.transient,
                 c.malformed,
-                c.budget_denied,
                 c.breaker_denied,
                 c.backoff_ms,
                 backend.breaker_state,

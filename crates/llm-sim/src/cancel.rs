@@ -28,11 +28,13 @@
 //!   serve watchdog reads to distinguish "slow but advancing" from "wedged".
 //! * And it tells whether the job is **waiting** on a batch it shares with
 //!   other jobs: the batcher holds a [`WaitMark`] for each member it carries,
-//!   so the serve supervisor can tell a worker that waits from one that
-//!   computes.
+//!   and an observer installed with [`CancelToken::observe_waits`] hears when
+//!   the job starts and stops waiting, so serve can lend the job's CPU permit
+//!   to another job meanwhile.
 
+use lingua_ml::sync::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -116,8 +118,38 @@ struct TokenInner {
     cancelled: AtomicBool,
     /// Logical heartbeat: bumped on every cooperative check-in.
     progress: AtomicU64,
-    /// Live [`WaitMark`]s: completions of this job waiting in a batcher.
-    waiting: AtomicUsize,
+    waits: Mutex<Waits>,
+}
+
+/// Live [`WaitMark`]s — completions of this job waiting in a batcher — and
+/// who hears when their count leaves zero or returns to it.
+#[derive(Default)]
+struct Waits {
+    live: usize,
+    observer: Option<Box<dyn Fn(bool) + Send + Sync>>,
+}
+
+impl Waits {
+    /// One more live mark (`up`) or one fewer, telling the observer when
+    /// the count leaves zero or returns to it.
+    fn count(&mut self, up: bool) {
+        let edge = if up {
+            self.live += 1;
+            self.live == 1
+        } else {
+            self.live -= 1;
+            self.live == 0
+        };
+        if let (true, Some(observer)) = (edge, &self.observer) {
+            observer(up);
+        }
+    }
+}
+
+impl fmt::Debug for Waits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Waits").field(&self.live).finish()
+    }
 }
 
 /// Shared deadline + explicit-cancel flag + heartbeat. Clone freely; all
@@ -140,7 +172,7 @@ impl CancelToken {
                 deadline,
                 cancelled: AtomicBool::new(false),
                 progress: AtomicU64::new(0),
-                waiting: AtomicUsize::new(0),
+                waits: Mutex::default(),
             }),
         }
     }
@@ -222,13 +254,23 @@ impl CancelToken {
     /// Mark the job as waiting on a batch until the returned mark drops.
     /// Marks nest: the job waits while any of them lives.
     pub fn wait_mark(&self) -> WaitMark {
-        self.inner.waiting.fetch_add(1, Ordering::AcqRel);
+        self.inner.waits.lock().count(true);
         WaitMark { token: self.clone() }
     }
 
     /// True while a [`WaitMark`] of this job is alive.
     pub fn is_waiting(&self) -> bool {
-        self.inner.waiting.load(Ordering::Acquire) > 0
+        self.inner.waits.lock().live > 0
+    }
+
+    /// Tell `observer` when the job starts waiting (`true`: its first live
+    /// [`WaitMark`] was taken) and when it stops (`false`: its last one
+    /// dropped). Each transition reaches it exactly once, in the order the
+    /// transitions happen, on the thread that made it and with this token's
+    /// wait count locked — so the observer must not block for long, nor
+    /// take or drop a mark of this token. Replaces any earlier observer.
+    pub fn observe_waits(&self, observer: impl Fn(bool) + Send + Sync + 'static) {
+        self.inner.waits.lock().observer = Some(Box::new(observer));
     }
 }
 
@@ -241,7 +283,7 @@ pub struct WaitMark {
 
 impl Drop for WaitMark {
     fn drop(&mut self) {
-        self.token.inner.waiting.fetch_sub(1, Ordering::AcqRel);
+        self.token.inner.waits.lock().count(false);
     }
 }
 
@@ -287,6 +329,63 @@ mod tests {
         drop(first);
         assert!(token.is_waiting(), "a clone's mark is the same job's");
         drop(second);
+        assert!(!token.is_waiting());
+    }
+
+    /// A token whose observer logs every call.
+    fn observed() -> (CancelToken, Arc<Mutex<Vec<bool>>>) {
+        let token = CancelToken::unbounded();
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&heard);
+        token.observe_waits(move |waiting| log.lock().push(waiting));
+        (token, heard)
+    }
+
+    #[test]
+    fn the_observer_hears_each_edge_of_nested_and_cloned_marks_once() {
+        let (token, heard) = observed();
+        let outer = token.wait_mark();
+        let inner = token.clone().wait_mark();
+        let innermost = inner.token.wait_mark();
+        drop(inner);
+        drop(outer);
+        assert_eq!(*heard.lock(), [true], "nesting is one wait");
+        drop(innermost);
+        assert_eq!(*heard.lock(), [true, false]);
+        // A clone's mark is the same job's wait: a second, separate edge.
+        let again = token.clone().wait_mark();
+        drop(again);
+        assert_eq!(*heard.lock(), [true, false, true, false]);
+        assert!(!token.is_waiting());
+    }
+
+    #[test]
+    fn the_observer_alternates_under_marks_from_many_threads() {
+        let (token, heard) = observed();
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let token = token.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..500 {
+                        let mark = token.wait_mark();
+                        let nested = token.wait_mark();
+                        drop(mark);
+                        drop(nested);
+                    }
+                })
+            })
+            .collect();
+        threads.into_iter().for_each(|thread| thread.join().unwrap());
+        // A mark taken on one thread and dropped on another ends its wait
+        // there too.
+        let mark = token.wait_mark();
+        std::thread::spawn(move || drop(mark)).join().unwrap();
+        let heard = heard.lock();
+        assert!(heard.len() >= 2 && heard.len() % 2 == 0, "{} calls", heard.len());
+        assert!(
+            heard.iter().enumerate().all(|(n, waiting)| *waiting == (n % 2 == 0)),
+            "every start is followed by exactly one stop"
+        );
         assert!(!token.is_waiting());
     }
 

@@ -11,9 +11,10 @@ use std::time::Duration;
 /// Serving knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads executing pipelines. `None` sizes the pool to
-    /// [`std::thread::available_parallelism`]; the resolved count is surfaced
-    /// in [`MetricsSnapshot::workers`](crate::MetricsSnapshot::workers).
+    /// CPU permits: how many jobs may compute at once. A job waiting in the
+    /// batcher lends its permit out, so threads number up to this plus
+    /// `queue_capacity`. `None` means [`std::thread::available_parallelism`];
+    /// see [`MetricsSnapshot::workers`](crate::MetricsSnapshot::workers).
     pub workers: Option<usize>,
     /// Bounded capacity of each queue lane; submissions beyond it are
     /// rejected with [`ServeError::Full`].

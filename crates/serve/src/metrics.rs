@@ -47,8 +47,6 @@ struct Inner {
     deadline_exceeded: u64,
     traps: TrapCounters,
     workers_restarted: u64,
-    workers_grown: u64,
-    workers_retired: u64,
     stuck_jobs: u64,
     journal_append_errors: u64,
     latencies_ms: VecDeque<f64>,
@@ -119,14 +117,6 @@ impl Metrics {
         self.inner.lock().workers_restarted += 1;
     }
 
-    pub(crate) fn worker_grown(&self) {
-        self.inner.lock().workers_grown += 1;
-    }
-
-    pub(crate) fn worker_retired(&self) {
-        self.inner.lock().workers_retired += 1;
-    }
-
     pub(crate) fn stuck_job(&self) {
         self.inner.lock().stuck_jobs += 1;
     }
@@ -164,8 +154,6 @@ impl Metrics {
             health: HealthSnapshot {
                 live_workers: 0,
                 peak_workers: 0,
-                workers_grown: inner.workers_grown,
-                workers_retired: inner.workers_retired,
                 workers_restarted: inner.workers_restarted,
                 workers_gave_up: 0,
                 stuck_jobs: inner.stuck_jobs,
@@ -211,17 +199,11 @@ impl TrapCounters {
 /// [`MetricsSnapshot`] by `PipelineServer::metrics`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSnapshot {
-    /// Workers currently alive and serving (after any panics/restarts, and
-    /// with any the pool grew).
+    /// Worker threads alive now, with any started for a lent permit: at
+    /// most the budget plus `queue_capacity`, and none ever retires.
     pub live_workers: usize,
-    /// Most workers alive at once (filled in by `PipelineServer::metrics`).
+    /// Most worker threads alive at once (filled in by `PipelineServer::metrics`).
     pub peak_workers: usize,
-    /// Workers added past the CPU budget while every worker's job waited in
-    /// the batcher.
-    pub workers_grown: u64,
-    /// Grown workers that exited after a supervisor tick with nothing
-    /// queued. Retiring is not dying: a retired slot is never restarted.
-    pub workers_retired: u64,
     /// Worker threads the supervisor restarted after a crash.
     pub workers_restarted: u64,
     /// Worker slots permanently abandoned (restart budget exhausted).
@@ -349,8 +331,8 @@ impl MetricsSnapshot {
              \x20 cancelled       {}\n\
              \x20 deadline miss   {}\n\
              \x20 queue depth     {}\n\
-             \x20 workers         {} budget ({} live, {} peak, {} grown, {} retired, \
-             {} restarted, {} gave up, {} stuck jobs)\n\
+             \x20 workers         {} budget ({} live, {} peak, {} restarted, {} gave up, \
+             {} stuck jobs)\n\
              \x20 latency p50/p95 {:.2} ms / {:.2} ms ({} samples)\n\
              \x20 llm usage       {} call(s), {} tokens in, {} tokens out ({:.2} calls/job)\n\
              \x20 llm partial     {} call(s), {} tokens in, {} tokens out (unfinished jobs)\n",
@@ -374,8 +356,6 @@ impl MetricsSnapshot {
             self.workers,
             self.health.live_workers,
             self.health.peak_workers,
-            self.health.workers_grown,
-            self.health.workers_retired,
             self.health.workers_restarted,
             self.health.workers_gave_up,
             self.health.stuck_jobs,

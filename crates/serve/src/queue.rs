@@ -1,17 +1,20 @@
-//! The server's job queue: two bounded FIFO lanes behind one lock.
+//! The server's job queue: two bounded FIFO lanes and the pool's CPU
+//! permits behind one lock.
 //!
 //! Producers never block — [`JobQueue::try_push`] refuses when the lane is
 //! at capacity or the queue is closed and hands the item back. Workers park
-//! in [`JobQueue::pop`], which always serves the high lane first: priority
-//! is strict, decided under the lock at the moment an item is taken.
-//! [`JobQueue::close`] stops admission; workers drain what is queued and
-//! then see `None`. A worker the pool grew parks in [`JobQueue::pop_within`]
-//! instead, which also gives up after a wait with nothing queued.
+//! in [`JobQueue::pop`], which hands out an item only together with a free
+//! permit and always serves the high lane first: priority is strict,
+//! decided under the lock at the moment an item is taken. The [`Permit`]
+//! goes back when it drops, and is lent out while its item waits on the LLM
+//! ([`JobQueue::set_waiting`]). When a lent permit could start a queued item
+//! and no worker is idle to take it, the queue asks for one more worker —
+//! at most `capacity` beyond the permits. [`JobQueue::close`] stops
+//! admission; workers drain what is queued and then see `None`.
 
 use crate::config::Priority;
 use lingua_ml::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// Why [`JobQueue::try_push`] handed the item back.
 #[derive(Debug)]
@@ -26,7 +29,8 @@ pub(crate) struct JobQueue<T> {
     /// Per lane.
     capacity: usize,
     state: Mutex<State<T>>,
-    /// Signalled once per pushed item, and to everyone on close.
+    /// Signalled once per pushed item and per freed permit, and to everyone
+    /// on close.
     ready: Condvar,
 }
 
@@ -34,22 +38,71 @@ struct State<T> {
     high: VecDeque<T>,
     normal: VecDeque<T>,
     closed: bool,
+    permits: usize,
+    /// Permits held by running items; can pass `permits` (see `set_waiting`).
+    held: usize,
+    /// Workers on their way into `pop` or parked there: the ones the server
+    /// starts with, one asked for, one back from an item, and a dead one's
+    /// restart. A worker that never comes — a failed spawn, a slot given up
+    /// on, shutdown — stays counted: it can only make the queue ask for
+    /// fewer.
+    idle: usize,
+    /// Workers the queue may still ask for, beyond the permits' own.
+    spare: usize,
+}
+
+impl<T> State<T> {
+    /// Ask for one more worker if queued items could start on free permits,
+    /// more of them than idle workers can take, and the bound allows it. Only
+    /// a lent permit frees one so. The worker asked for is idle from now.
+    fn hire(&mut self) -> bool {
+        let queued = self.high.len() + self.normal.len();
+        let free = self.permits.saturating_sub(self.held);
+        let short = self.spare > 0 && queued.min(free) > self.idle;
+        if short {
+            (self.spare, self.idle) = (self.spare - 1, self.idle + 1);
+        }
+        short
+    }
+}
+
+/// A running item's CPU permit, handed out by [`JobQueue::pop`]. Dropping
+/// it gives the permit back, and its worker turns idle — or, unwinding,
+/// leaves its place to the supervisor's restart.
+pub(crate) struct Permit<'a, T>(&'a JobQueue<T>);
+
+impl<T> Drop for Permit<'_, T> {
+    fn drop(&mut self) {
+        let mut state = self.0.state.lock();
+        (state.held, state.idle) = (state.held - 1, state.idle + 1);
+        drop(state);
+        self.0.ready.notify_one();
+    }
 }
 
 impl<T> JobQueue<T> {
-    pub(crate) fn new(capacity: usize) -> JobQueue<T> {
+    /// A queue of `capacity` items per lane for a pool of `permits`
+    /// workers, which may ask for `capacity` more.
+    pub(crate) fn new(capacity: usize, permits: usize) -> JobQueue<T> {
         JobQueue {
             capacity,
             state: Mutex::new(State {
                 high: VecDeque::new(),
                 normal: VecDeque::new(),
                 closed: false,
+                permits,
+                held: 0,
+                idle: permits,
+                spare: capacity,
             }),
             ready: Condvar::new(),
         }
     }
 
-    pub(crate) fn try_push(&self, lane: Priority, item: T) -> Result<(), Refused<T>> {
+    /// Queue `item`. `Ok(true)` asks the caller to start a worker: a lent
+    /// permit could start a queued item now, but no idle worker is left to
+    /// take it.
+    pub(crate) fn try_push(&self, lane: Priority, item: T) -> Result<bool, Refused<T>> {
         let mut state = self.state.lock();
         if state.closed {
             return Err(Refused::Closed(item));
@@ -62,36 +115,51 @@ impl<T> JobQueue<T> {
             return Err(Refused::Full(item));
         }
         queue.push_back(item);
+        let hire = state.hire();
         drop(state);
         self.ready.notify_one();
-        Ok(())
+        Ok(hire)
     }
 
-    /// Block for the next item, high lane first. `None` once the queue is
-    /// closed *and* empty.
-    pub(crate) fn pop(&self) -> Option<T> {
-        self.take(None)
-    }
-
-    /// [`Self::pop`], but `None` also once `wait` passes with nothing to
-    /// take.
-    pub(crate) fn pop_within(&self, wait: Duration) -> Option<T> {
-        self.take(Some(Instant::now() + wait))
-    }
-
-    fn take(&self, deadline: Option<Instant>) -> Option<T> {
+    /// Block for the next item, high lane first, and a permit to run it.
+    /// `None` once the queue is closed *and* empty: the worker leaves.
+    pub(crate) fn pop(&self) -> Option<(T, Permit<'_, T>)> {
         let mut state = self.state.lock();
         loop {
-            let next = state.high.pop_front().or_else(|| state.normal.pop_front());
-            if next.is_some() || state.closed {
-                return next;
+            if state.held < state.permits {
+                if let Some(next) = state.high.pop_front().or_else(|| state.normal.pop_front()) {
+                    state.held += 1;
+                    state.idle -= 1;
+                    return Some((next, Permit(self)));
+                }
             }
-            state = match deadline {
-                None => self.ready.wait(state),
-                Some(deadline) if Instant::now() >= deadline => return None,
-                Some(deadline) => self.ready.wait_until(state, deadline).0,
-            };
+            if state.closed && state.high.is_empty() && state.normal.is_empty() {
+                state.idle -= 1;
+                drop(state);
+                // Pass the wake-up on: a worker parked for a permit while the
+                // last items left would otherwise wait for good.
+                self.ready.notify_one();
+                return None;
+            }
+            state = self.ready.wait(state);
         }
+    }
+
+    /// A running item starts waiting — its permit is lent out, while its
+    /// worker stays busy with it — or stops: the permit comes back at once,
+    /// free or not, so the caller never blocks. `true` asks the caller for
+    /// a worker, as [`Self::try_push`] does.
+    pub(crate) fn set_waiting(&self, waiting: bool) -> bool {
+        let mut state = self.state.lock();
+        if !waiting {
+            state.held += 1;
+            return false;
+        }
+        state.held -= 1;
+        let hire = state.hire();
+        drop(state);
+        self.ready.notify_one();
+        hire
     }
 
     /// Stop admitting. Queued items stay for the workers (or [`Self::drain`]).
@@ -121,16 +189,21 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Pop, and give the permit straight back.
+    fn next<T>(queue: &JobQueue<T>) -> Option<T> {
+        queue.pop().map(|(item, _permit)| item)
+    }
+
     #[test]
     fn each_lane_is_full_at_capacity_and_a_closed_queue_refuses() {
-        let queue = JobQueue::new(2);
+        let queue = JobQueue::new(2, 1);
         for lane in [Priority::High, Priority::Normal] {
             assert!(queue.try_push(lane, 1).is_ok());
             assert!(queue.try_push(lane, 2).is_ok());
             assert!(matches!(queue.try_push(lane, 3), Err(Refused::Full(3))));
         }
         assert_eq!(queue.len(), 4, "the lanes fill independently");
-        assert_eq!(queue.pop(), Some(1));
+        assert_eq!(next(&queue), Some(1));
         assert!(queue.try_push(Priority::High, 3).is_ok(), "a pop frees a slot");
         queue.close();
         assert!(matches!(queue.try_push(Priority::Normal, 9), Err(Refused::Closed(9))));
@@ -139,7 +212,7 @@ mod tests {
 
     #[test]
     fn high_items_leave_before_normal_ones_under_concurrent_pushes() {
-        let queue = Arc::new(JobQueue::new(1024));
+        let queue = Arc::new(JobQueue::new(1024, 1));
         let pushers: Vec<_> = [Priority::Normal, Priority::High, Priority::Normal, Priority::High]
             .into_iter()
             .enumerate()
@@ -156,7 +229,7 @@ mod tests {
             pusher.join().unwrap();
         }
         queue.close();
-        let popped: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
+        let popped: Vec<_> = std::iter::from_fn(|| next(&queue)).collect();
         assert_eq!(popped.len(), 800);
         assert!(popped[..400].iter().all(|(lane, ..)| *lane == Priority::High));
         assert!(popped[400..].iter().all(|(lane, ..)| *lane == Priority::Normal));
@@ -169,30 +242,113 @@ mod tests {
     }
 
     #[test]
-    fn pop_within_gives_up_only_after_a_wait_with_nothing_queued() {
-        let queue = Arc::new(JobQueue::new(4));
-        let start = std::time::Instant::now();
-        assert_eq!(queue.pop_within(Duration::from_millis(20)), None::<u8>);
-        assert!(start.elapsed() >= Duration::from_millis(20), "it waited the whole time");
-        let pusher = {
+    fn pop_hands_out_an_item_only_with_a_free_permit() {
+        let queue = Arc::new(JobQueue::new(8, 2));
+        for n in 0..4 {
+            queue.try_push(Priority::Normal, n).unwrap();
+        }
+        let (first, first_permit) = queue.pop().unwrap();
+        let (second, _second_permit) = queue.pop().unwrap();
+        assert_eq!((first, second), (0, 1));
+        let popper = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                queue.try_push(Priority::Normal, 3).unwrap();
-            })
+            std::thread::spawn(move || next(&queue))
         };
-        assert_eq!(queue.pop_within(Duration::from_secs(30)), Some(3));
-        pusher.join().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!popper.is_finished(), "both permits are held: the third item waits");
+        drop(first_permit);
+        assert_eq!(popper.join().unwrap(), Some(2), "a permit given back lets it go");
+    }
+
+    #[test]
+    fn a_lent_permit_runs_another_item_and_a_returning_one_may_overcommit() {
+        let queue = JobQueue::new(8, 1);
+        queue.try_push(Priority::Normal, 'a').unwrap();
+        queue.try_push(Priority::Normal, 'b').unwrap();
+        let (_, a_permit) = queue.pop().unwrap();
+        // `a` waits on the LLM: its permit is lent out. No worker is idle, so
+        // the queue asks for one to run `b`.
+        assert!(queue.set_waiting(true), "a queued item, a free permit and no idle worker");
+        let (_, b_permit) = queue.pop().unwrap();
+        assert!(!queue.set_waiting(true), "`b` waits too, with nothing queued: no worker wanted");
+        // `b`'s wait ends, then `a`'s: two permits held of a budget of one.
+        queue.set_waiting(false);
+        queue.set_waiting(false);
+        assert!(!queue.try_push(Priority::Normal, 'c').unwrap(), "no permit is free");
+        drop(a_permit);
+        assert_eq!(queue.state.lock().held, 1, "still at the budget: `c` stays queued");
+        drop(b_permit);
+        assert_eq!(next(&queue), Some('c'), "back under the budget");
+    }
+
+    #[test]
+    fn a_worker_is_wanted_only_for_a_lent_permit_with_none_idle() {
+        let queue = JobQueue::new(8, 1);
+        assert!(!queue.try_push(Priority::Normal, 1).unwrap(), "the pool's own worker takes it");
+        let (_, first) = queue.pop().unwrap();
+        assert!(!queue.try_push(Priority::Normal, 2).unwrap(), "no permit is free");
+        assert!(queue.set_waiting(true), "a lent permit, a queued item and no idle worker");
+        assert!(!queue.try_push(Priority::Normal, 3).unwrap(), "the worker asked for is idle");
+        let (_, second) = queue.pop().unwrap();
+        drop(second);
+        assert!(!queue.try_push(Priority::Normal, 4).unwrap(), "one back from an item is idle");
+        queue.set_waiting(false);
+        drop(first);
+    }
+
+    #[test]
+    fn the_queue_asks_for_at_most_capacity_workers_beyond_its_permits() {
+        let queue = JobQueue::new(1, 1);
+        queue.try_push(Priority::Normal, 'a').unwrap();
+        let (_, a) = queue.pop().unwrap();
+        assert!(!queue.set_waiting(true), "nothing queued");
+        assert!(queue.try_push(Priority::Normal, 'b').unwrap(), "one worker beyond the permit");
+        let (_, b) = queue.pop().unwrap();
+        assert!(!queue.set_waiting(true));
+        assert!(!queue.try_push(Priority::Normal, 'c').unwrap(), "the bound is reached");
+        queue.set_waiting(false);
+        queue.set_waiting(false);
+        drop((a, b));
+        assert_eq!(next(&queue), Some('c'));
+    }
+
+    #[test]
+    fn a_worker_leaving_a_closed_queue_wakes_the_next_parked_one() {
+        // One permit and four workers: three more than it, as lent permits
+        // leave behind.
+        let queue = Arc::new(JobQueue::new(8, 1));
+        queue.state.lock().idle += 3;
+        queue.try_push(Priority::Normal, 1).unwrap();
+        queue.try_push(Priority::Normal, 2).unwrap();
+        let (_, held) = queue.pop().unwrap();
+        // Three workers park with an item queued and no permit free.
+        let (sender, got) = std::sync::mpsc::channel();
+        for _ in 0..3 {
+            let (queue, sender) = (Arc::clone(&queue), sender.clone());
+            std::thread::spawn(move || sender.send(next(&queue)).unwrap());
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        queue.close();
+        std::thread::sleep(Duration::from_millis(20));
+        // They woke for the close and parked again. One permit drop wakes one
+        // of them for the last item; the other two leave only if each worker
+        // that leaves wakes the next.
+        drop(held);
+        let mut got: Vec<_> = (0..3)
+            .map(|_| got.recv_timeout(Duration::from_secs(10)).expect("a worker stays parked"))
+            .collect();
+        got.sort();
+        assert_eq!(got, [None, None, Some(2)]);
     }
 
     #[test]
     fn pop_blocks_while_open_and_returns_none_only_when_closed_and_empty() {
-        let queue = Arc::new(JobQueue::new(4));
+        let queue = Arc::new(JobQueue::new(4, 1));
         let returned = Arc::new(AtomicBool::new(false));
         let popper = {
             let (queue, returned) = (Arc::clone(&queue), Arc::clone(&returned));
             std::thread::spawn(move || {
-                let got = queue.pop();
+                let got = next(&queue);
                 returned.store(true, Ordering::SeqCst);
                 got
             })
@@ -206,16 +362,16 @@ mod tests {
         queue.try_push(Priority::Normal, 6).unwrap();
         queue.try_push(Priority::High, 7).unwrap();
         queue.close();
-        assert_eq!(queue.pop(), Some(7));
-        assert_eq!(queue.pop(), Some(6));
-        assert_eq!(queue.pop(), None);
+        assert_eq!(next(&queue), Some(7));
+        assert_eq!(next(&queue), Some(6));
+        assert_eq!(next(&queue), None);
 
         // Close wakes every parked popper.
-        let queue = Arc::new(JobQueue::<u8>::new(4));
+        let queue = Arc::new(JobQueue::<u8>::new(4, 3));
         let parked: Vec<_> = (0..3)
             .map(|_| {
                 let queue = Arc::clone(&queue);
-                std::thread::spawn(move || queue.pop())
+                std::thread::spawn(move || next(&queue))
             })
             .collect();
         std::thread::sleep(Duration::from_millis(10));
@@ -227,7 +383,7 @@ mod tests {
 
     #[test]
     fn drain_after_close_empties_both_lanes_high_first() {
-        let queue = JobQueue::new(4);
+        let queue = JobQueue::new(4, 1);
         queue.try_push(Priority::Normal, "n1").unwrap();
         queue.try_push(Priority::High, "h1").unwrap();
         queue.try_push(Priority::Normal, "n2").unwrap();
@@ -236,6 +392,6 @@ mod tests {
         assert_eq!(queue.drain(), ["h1", "n1", "n2"]);
         assert_eq!(queue.len(), 0);
         assert!(queue.drain().is_empty());
-        assert_eq!(queue.pop(), None);
+        assert_eq!(next(&queue), None);
     }
 }

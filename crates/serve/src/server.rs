@@ -43,7 +43,8 @@ struct Shared {
     factory: ContextFactory,
     registry: Arc<PipelineRegistry>,
     metrics: Arc<Metrics>,
-    /// Admitted jobs waiting for a worker; `queue_capacity` per lane.
+    /// Admitted jobs waiting for a worker, `queue_capacity` per lane, and
+    /// the CPU permits running jobs hold.
     queue: JobQueue<Job>,
     /// Jobs admitted but not yet finished, keyed by the exact
     /// `(pipeline id, input fingerprint)` pair — the pipeline string is kept
@@ -114,8 +115,8 @@ pub struct PipelineServer {
     next_id: AtomicU64,
 }
 
-/// Spawn the worker thread for `index`. Used for the initial pool and by the
-/// supervisor for restarts; failures surface as [`ServeError::Spawn`].
+/// Spawn the worker thread for slot `index`, new or restarted; failures
+/// surface as [`ServeError::Spawn`].
 fn spawn_worker(
     shared: &Arc<Shared>,
     supervision: &Arc<Supervision>,
@@ -127,6 +128,30 @@ fn spawn_worker(
         .name(format!("lingua-serve-{index}"))
         .spawn(move || worker_loop(&shared, &supervision, index))
         .map_err(|err| ServeError::Spawn { reason: err.to_string() })
+}
+
+/// Start one more worker, in a new slot.
+fn add_worker(shared: &Arc<Shared>, supervision: &Arc<Supervision>) -> Result<(), ServeError> {
+    supervision.add(|index| spawn_worker(shared, supervision, index))
+}
+
+/// The observer of a running job's waits (see `JobQueue::set_waiting`),
+/// starting the worker the queue asks for. Weak, because the token can
+/// outlive the server.
+fn lend_permit(
+    shared: &Arc<Shared>,
+    supervision: &Arc<Supervision>,
+) -> impl Fn(bool) + Send + Sync {
+    let (shared, supervision) = (Arc::downgrade(shared), Arc::downgrade(supervision));
+    move |waiting| {
+        let (Some(shared), Some(supervision)) = (shared.upgrade(), supervision.upgrade()) else {
+            return;
+        };
+        if shared.queue.set_waiting(waiting) {
+            // One that cannot start leaves the job to the next worker back.
+            let _ = add_worker(&shared, &supervision);
+        }
+    }
 }
 
 impl PipelineServer {
@@ -165,11 +190,12 @@ impl PipelineServer {
         };
         let registry = Arc::new(PipelineRegistry::new());
         let metrics = Arc::new(Metrics::new());
+        let workers = config.resolved_workers();
         let shared = Arc::new(Shared {
             factory,
             registry,
             metrics,
-            queue: JobQueue::new(config.queue_capacity),
+            queue: JobQueue::new(config.queue_capacity, workers),
             in_flight: Mutex::new(HashMap::new()),
             results: ShardedLru::new(config.result_cache_capacity, DEFAULT_SHARDS),
             config: config.clone(),
@@ -225,7 +251,6 @@ impl PipelineServer {
                 stream: recovered.stream,
             };
         }
-        let workers = config.resolved_workers();
         let supervision = Arc::new(Supervision::new(workers));
         // If any spawn fails, unwind what was started: stop the supervisor
         // loop from ever restarting anything, close the queue, and join the
@@ -239,18 +264,10 @@ impl PipelineServer {
             }
             Err(err)
         };
-        let mut spawn_err = None;
-        for index in 0..workers {
-            match spawn_worker(&shared, &supervision, index) {
-                Ok(handle) => supervision.install(index, handle),
-                Err(err) => {
-                    spawn_err = Some(err);
-                    break;
-                }
+        for _ in 0..workers {
+            if let Err(err) = add_worker(&shared, &supervision) {
+                return abort(&supervision, err);
             }
-        }
-        if let Some(err) = spawn_err {
-            return abort(&supervision, err);
         }
         let supervisor = {
             let shared_sup = Arc::clone(&shared);
@@ -259,14 +276,9 @@ impl PipelineServer {
             let tracer = shared.factory.tracer().clone();
             let metrics = Arc::clone(&shared.metrics);
             std::thread::Builder::new().name("lingua-serve-supervisor".into()).spawn(move || {
-                supervisor_loop(
-                    &supervision_sup,
-                    &metrics,
-                    &tracer,
-                    policy,
-                    || shared_sup.queue.len(),
-                    |index| spawn_worker(&shared_sup, &supervision_sup, index),
-                )
+                supervisor_loop(&supervision_sup, &metrics, &tracer, policy, |index| {
+                    spawn_worker(&shared_sup, &supervision_sup, index)
+                })
             })
         };
         let supervisor = match supervisor {
@@ -406,9 +418,11 @@ impl PipelineServer {
         self.shared.registry.register_dsl(id, source, compiler, &mut ctx)
     }
 
-    /// The pool's CPU budget: the workers [`ServeConfig::workers`] resolves
-    /// to. The pool grows past it only while every worker waits in the
-    /// batcher (see [`MetricsSnapshot::health`] for the live count).
+    /// The pool's CPU budget: how many jobs may compute at once, as
+    /// [`ServeConfig::workers`] resolves. Worker threads can outnumber it —
+    /// a job waiting in the batcher lends its permit to a queued job, on a
+    /// worker started for it if none is idle — up to the budget plus
+    /// `queue_capacity` (see [`MetricsSnapshot::health`] for the live count).
     pub fn worker_count(&self) -> usize {
         self.supervision.budget
     }
@@ -543,11 +557,14 @@ impl PipelineServer {
                 match accepted {
                     Err(err) => Terminal::JournalRefused(err.to_string()),
                     Ok(_) => match shared.queue.try_push(request.priority, job) {
-                        Ok(()) => {
+                        Ok(short) => {
                             if let Some((mut table, key)) = in_flight.filter(|_| dedup) {
                                 table.insert(key, Arc::clone(&core));
                             }
                             shared.metrics.accept();
+                            if short {
+                                let _ = add_worker(&self.shared, &self.supervision);
+                            }
                             return Ok(JobHandle::new(id, core));
                         }
                         // Settling journals the refusal, balancing the
@@ -584,6 +601,7 @@ impl PipelineServer {
         self.supervision.shutdown.store(true, Ordering::Release);
         self.shared.queue.close();
         if let Some(supervisor) = self.supervisor.take() {
+            supervisor.thread().unpark();
             let _ = supervisor.join();
         }
         // Join with the slots lock released — a dying worker's guard takes it.
@@ -621,30 +639,14 @@ fn job_attrs(id: JobId, fingerprint: Option<u64>) -> Vec<(String, String)> {
 }
 
 fn worker_loop(shared: &Arc<Shared>, supervision: &Arc<Supervision>, index: usize) {
-    // Dropped on every exit — clean drain, retirement or escaping panic —
-    // marking the slot dead for the supervisor.
+    // Dropped on every exit — clean drain or escaping panic — marking the
+    // slot dead for the supervisor.
     let _guard = WorkerGuard::new(Arc::clone(supervision), index);
     // Per-worker instance cache: (generation, executable pipeline copy).
     let mut instances: HashMap<String, (u64, PhysicalPipeline)> = HashMap::new();
-    // A worker the pool grew retires after a whole supervisor tick with
-    // nothing queued; the budgeted ones wait for work until shutdown.
-    let grown = supervision.is_grown(index);
-    let next = || {
-        if grown {
-            shared.queue.pop_within(shared.config.supervisor_tick)
-        } else {
-            shared.queue.pop()
-        }
-    };
-    while let Some(job) = next() {
+    // The permit goes back however the job ends, an escaping panic included.
+    while let Some((job, _permit)) = shared.queue.pop() {
         process(shared, supervision, index, &mut instances, job);
-    }
-    if grown && !supervision.shutdown.load(Ordering::Acquire) {
-        supervision.retire(index);
-        shared.metrics.worker_retired();
-        shared.factory.tracer().instant(SpanKind::Supervisor, "worker_retired", || {
-            vec![("worker".into(), index.to_string())]
-        });
     }
 }
 
@@ -662,8 +664,8 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn process(
-    shared: &Shared,
-    supervision: &Supervision,
+    shared: &Arc<Shared>,
+    supervision: &Arc<Supervision>,
     worker: usize,
     instances: &mut HashMap<String, (u64, PhysicalPipeline)>,
     mut job: Job,
@@ -688,6 +690,7 @@ fn process(
         // deadline.
         let meter = Arc::new(UsageMeter::new(shared.factory.llm()));
         let token = job.core.cancel.clone();
+        token.observe_waits(lend_permit(shared, supervision));
         let mut ctx = shared
             .factory
             .build_with_llm(Arc::clone(&meter) as Arc<dyn lingua_llm_sim::LlmService>)

@@ -22,12 +22,10 @@
 //!    nudge stops every cancellation-aware layer under it from doing further
 //!    work, and the flag makes the wedge visible in `HealthSnapshot`.)
 //!
-//! The same tick sizes the pool. `ServeConfig::workers` is a CPU budget, not
-//! a thread count: when a job is queued and every worker's job is waiting in
-//! the batcher (its token carries a `WaitMark`), the supervisor grows the
-//! pool by one worker, up to `GROWTH_CAP` times the budget. A grown worker
-//! retires after a whole tick with nothing queued. A retired slot is not
-//! dead: it is never restarted, and a later growth reuses it.
+//! The tick does not size the pool. A worker started when a waiting job lent
+//! its CPU permit to a queued one (`server::add_worker`) gets an ordinary
+//! slot: it parks in the queue like any other, never retires, and is
+//! restarted like any other when it dies.
 
 use crate::error::ServeError;
 use crate::job::JobCore;
@@ -38,12 +36,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A pool grows to at most this many times its CPU budget. The cap bounds
-/// the threads waiting jobs hold, not a batch: a batch keeps filling while
-/// one of the batcher's flushes is in flight, so more waiting jobs make
-/// larger batches rather than more wire calls.
-pub(crate) const GROWTH_CAP: usize = 8;
 
 /// Panic payload that deliberately escapes the worker's per-job containment.
 ///
@@ -71,9 +63,6 @@ pub(crate) struct WorkerSlot {
     pub(crate) handle: Option<JoinHandle<()>>,
     pub(crate) alive: bool,
     pub(crate) gave_up: bool,
-    /// A grown worker that exited idle (or a grown slot whose spawn failed):
-    /// never restarted, free for the next growth.
-    pub(crate) retired: bool,
     /// Completed restarts of this slot.
     pub(crate) restarts: u32,
     /// Earliest instant the next restart attempt may run (backoff).
@@ -87,7 +76,6 @@ impl WorkerSlot {
             handle: None,
             alive: false,
             gave_up: false,
-            retired: false,
             restarts: 0,
             next_restart_at: None,
             current: None,
@@ -95,12 +83,12 @@ impl WorkerSlot {
     }
 }
 
-/// Shared supervision state: one slot per worker — the budgeted ones first,
-/// then any the pool grew — plus the shutdown latch.
+/// Shared supervision state: one slot per worker thread ever started, plus
+/// the shutdown latch.
 pub(crate) struct Supervision {
     pub(crate) slots: Mutex<Vec<WorkerSlot>>,
     pub(crate) shutdown: AtomicBool,
-    /// Workers the CPU budget pays for: slots `0..budget`.
+    /// The CPU budget: how many jobs may compute at once.
     pub(crate) budget: usize,
     /// Most workers alive at once.
     peak: AtomicUsize,
@@ -109,33 +97,33 @@ pub(crate) struct Supervision {
 impl Supervision {
     pub(crate) fn new(budget: usize) -> Supervision {
         Supervision {
-            slots: Mutex::new((0..budget).map(|_| WorkerSlot::empty()).collect()),
+            slots: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             budget,
-            peak: AtomicUsize::new(budget),
+            peak: AtomicUsize::new(0),
         }
-    }
-
-    /// Whether the slot at `index` was grown past the budget.
-    pub(crate) fn is_grown(&self, index: usize) -> bool {
-        index >= self.budget
-    }
-
-    /// Mark a grown worker that is about to exit idle as retired — before
-    /// its guard marks the slot dead, so no restart pass mistakes it for a
-    /// crash.
-    pub(crate) fn retire(&self, index: usize) {
-        self.slots.lock()[index].retired = true;
     }
 
     pub(crate) fn peak_workers(&self) -> usize {
         self.peak.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn install(&self, index: usize, handle: JoinHandle<()>) {
+    /// Start a worker in a new slot, unless shutdown has begun. `spawn` runs
+    /// under the slots lock, so shutdown's [`Self::take_handles`] finds
+    /// every worker ever started.
+    pub(crate) fn add(
+        &self,
+        spawn: impl FnOnce(usize) -> Result<JoinHandle<()>, ServeError>,
+    ) -> Result<(), ServeError> {
         let mut slots = self.slots.lock();
-        slots[index].handle = Some(handle);
-        slots[index].alive = true;
+        if self.shutdown.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let handle = spawn(slots.len())?;
+        slots.push(WorkerSlot { handle: Some(handle), alive: true, ..WorkerSlot::empty() });
+        let alive = slots.iter().filter(|slot| slot.alive).count();
+        self.peak.fetch_max(alive, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Record the job `worker` is about to execute.
@@ -213,77 +201,22 @@ impl SupervisePolicy {
     }
 }
 
-/// The supervisor thread body: tick until shutdown, running the watchdog,
-/// restart and growth passes on every tick. `spawn` creates the worker
-/// thread for a slot index (it is the same routine `PipelineServer::start`
-/// used for the original pool); `queued` reads the queue depth.
+/// The supervisor thread body: tick until shutdown, running the watchdog
+/// and restart passes on every tick. `spawn` creates the worker thread for a
+/// slot index (the same routine that started it). Shutdown unparks the
+/// thread, so a long tick never delays it.
 pub(crate) fn supervisor_loop(
     supervision: &Arc<Supervision>,
     metrics: &Arc<Metrics>,
     tracer: &Tracer,
     policy: SupervisePolicy,
-    queued: impl Fn() -> usize,
     spawn: impl Fn(usize) -> Result<JoinHandle<()>, ServeError>,
 ) {
     while !supervision.shutdown.load(Ordering::Acquire) {
         watchdog_pass(supervision, metrics, tracer, policy);
         restart_pass(supervision, metrics, tracer, policy, &spawn);
-        grow_pass(supervision, metrics, tracer, queued(), &spawn);
-        std::thread::sleep(policy.tick);
+        std::thread::park_timeout(policy.tick);
     }
-}
-
-/// Add one worker when a job is queued and every live worker's job waits in
-/// the batcher — the budget's threads are idle, not busy — reusing a retired
-/// slot if there is one. A pool at [`GROWTH_CAP`] times its budget grows no
-/// further.
-fn grow_pass(
-    supervision: &Arc<Supervision>,
-    metrics: &Arc<Metrics>,
-    tracer: &Tracer,
-    queued: usize,
-    spawn: &impl Fn(usize) -> Result<JoinHandle<()>, ServeError>,
-) {
-    if queued == 0 {
-        return;
-    }
-    let (index, stale) = {
-        let mut slots = supervision.slots.lock();
-        let mut live = slots.iter().filter(|slot| slot.alive).peekable();
-        let all_waiting = live.peek().is_some()
-            && live
-                .all(|slot| slot.current.as_ref().is_some_and(|job| job.core.cancel.is_waiting()));
-        let alive = slots.iter().filter(|slot| slot.alive).count();
-        if !all_waiting || alive >= supervision.budget * GROWTH_CAP {
-            return;
-        }
-        let index = match slots.iter().position(|slot| slot.retired) {
-            Some(index) => index,
-            None => {
-                slots.push(WorkerSlot { retired: true, ..WorkerSlot::empty() });
-                slots.len() - 1
-            }
-        };
-        (index, slots[index].handle.take())
-    };
-    // The retired worker has exited (or is exiting): reap it unlocked.
-    if let Some(handle) = stale {
-        let _ = handle.join();
-    }
-    let Ok(handle) = spawn(index) else { return };
-    let alive = {
-        let mut slots = supervision.slots.lock();
-        let slot = &mut slots[index];
-        slot.handle = Some(handle);
-        slot.alive = true;
-        slot.retired = false;
-        slots.iter().filter(|slot| slot.alive).count()
-    };
-    supervision.peak.fetch_max(alive, Ordering::Relaxed);
-    metrics.worker_grown();
-    tracer.instant(SpanKind::Supervisor, "worker_grown", || {
-        vec![("worker".into(), index.to_string()), ("workers".into(), alive.to_string())]
-    });
 }
 
 /// Flag jobs that blew through `stuck_multiplier ×` their deadline budget
@@ -344,7 +277,7 @@ fn restart_pass(
     {
         let mut slots = supervision.slots.lock();
         for (index, slot) in slots.iter_mut().enumerate() {
-            if slot.alive || slot.gave_up || slot.retired {
+            if slot.alive || slot.gave_up {
                 continue;
             }
             if slot.restarts >= policy.max_worker_restarts {
@@ -408,9 +341,16 @@ mod tests {
     use crate::job::JobHandle;
     use crate::job::JobId;
 
+    /// Supervision over `slots` empty slots, as if their workers had exited.
+    fn supervision(slots: usize) -> Arc<Supervision> {
+        let supervision = Arc::new(Supervision::new(slots));
+        supervision.slots.lock().resize_with(slots, WorkerSlot::empty);
+        supervision
+    }
+
     #[test]
     fn worker_guard_leaves_finished_jobs_alone() {
-        let supervision = Arc::new(Supervision::new(1));
+        let supervision = supervision(1);
         let core = JobCore::new();
         supervision.begin_job(0, &core, "pipe", None);
         core.finish(Err(ServeError::Shutdown));
@@ -418,6 +358,25 @@ mod tests {
         let handle = JobHandle::new(JobId(1), core);
         assert!(matches!(handle.wait().unwrap_err(), ServeError::Shutdown));
         assert_eq!(supervision.live_workers(), 0, "the guard marks its slot dead");
+    }
+
+    #[test]
+    fn add_starts_workers_and_none_after_shutdown() {
+        let supervision = Supervision::new(1);
+        let spawn = |_| Ok(std::thread::spawn(|| {}));
+        for _ in 0..2 {
+            supervision.add(spawn).unwrap();
+        }
+        assert_eq!((supervision.live_workers(), supervision.peak_workers()), (2, 2));
+        let refused = supervision.add(|_| Err(ServeError::Spawn { reason: "no".into() }));
+        assert!(refused.is_err(), "a failed spawn is reported");
+        assert_eq!(supervision.slots.lock().len(), 2, "and leaves no slot behind");
+        supervision.shutdown.store(true, Ordering::Release);
+        supervision.add(spawn).unwrap();
+        assert_eq!(supervision.slots.lock().len(), 2, "nothing starts after shutdown");
+        for handle in supervision.take_handles() {
+            handle.join().unwrap();
+        }
     }
 
     #[test]
@@ -437,7 +396,7 @@ mod tests {
 
     #[test]
     fn watchdog_flags_only_stalled_over_budget_jobs() {
-        let supervision = Arc::new(Supervision::new(2));
+        let supervision = supervision(2);
         let metrics = Arc::new(Metrics::new());
         let tracer = Tracer::disabled();
         let policy = SupervisePolicy {
@@ -467,7 +426,7 @@ mod tests {
 
     #[test]
     fn watchdog_spares_a_job_whose_heartbeat_advances() {
-        let supervision = Arc::new(Supervision::new(1));
+        let supervision = supervision(1);
         let metrics = Arc::new(Metrics::new());
         let tracer = Tracer::disabled();
         let policy = SupervisePolicy {

@@ -1,18 +1,21 @@
-//! The worker pool's CPU budget grows while every busy job waits in the
-//! batcher: `ServeConfig::workers` counts the threads that may compute, not
-//! the jobs that may wait. A queued job and a pool whose every job waits in
-//! the batcher make the supervisor add a worker; a grown worker retires after
-//! a tick with nothing queued; a retired slot is never restarted; and
-//! `shutdown` joins every grown worker. A wait the batcher does not mark — an
-//! LLM call without one, which may well be compute — never grows the pool.
+//! `ServeConfig::workers` is a count of CPU permits held by running jobs, not
+//! of threads. A job whose completion waits in the batcher lends its permit
+//! to a queued job at once — on a worker started for it when none is idle,
+//! with no supervisor tick in the path — and the pool that grows so never
+//! retires a worker, never passes the budget plus `queue_capacity` threads,
+//! and joins every worker at `shutdown`. A wait the batcher does not mark —
+//! an LLM call without one, which may well be compute — lends nothing.
 
+use lingua_core::modules::{CustomModule, Module};
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
 use lingua_llm_sim::{
     BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm, Usage,
 };
 use lingua_ml::sync::{Condvar, Mutex};
-use lingua_serve::{BatchTuning, JobHandle, PipelineServer, ServeConfig, SubmitRequest};
+use lingua_serve::{
+    BatchTuning, JobHandle, PipelineServer, ServeConfig, ServeError, SubmitRequest,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,17 +51,22 @@ impl Gated {
         *self.shut.lock() = false;
         self.opened.notify_all();
     }
-}
 
-impl LlmService for Gated {
-    fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
-        self.held.fetch_add(requests.len(), Ordering::SeqCst);
+    /// Block `members` callers' worth until the gate opens.
+    fn pass(&self, members: usize) {
+        self.held.fetch_add(members, Ordering::SeqCst);
         let mut shut = self.shut.lock();
         while *shut {
             shut = self.opened.wait(shut);
         }
         drop(shut);
-        self.held.fetch_sub(requests.len(), Ordering::SeqCst);
+        self.held.fetch_sub(members, Ordering::SeqCst);
+    }
+}
+
+impl LlmService for Gated {
+    fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+        self.pass(requests.len());
         self.inner.complete_batch(requests)
     }
     fn embed(&self, text: &str) -> Vec<f64> {
@@ -96,13 +104,20 @@ impl Drop for Unblock {
     }
 }
 
-/// One budgeted worker over `llm`, batched or not, with a fast tick.
-fn server(llm: &Arc<Gated>, batch: Option<BatchTuning>) -> PipelineServer {
+/// A budget of one over `llm`, batched or not, with `tick` as the
+/// supervisor's tick and `queue_capacity` per lane.
+fn server(
+    llm: &Arc<Gated>,
+    batch: Option<BatchTuning>,
+    tick: Duration,
+    queue_capacity: usize,
+) -> PipelineServer {
     let server = PipelineServer::start(
         ContextFactory::new(Arc::clone(llm) as Arc<dyn LlmService>),
         ServeConfig {
             workers: Some(1),
-            supervisor_tick: Duration::from_millis(1),
+            queue_capacity,
+            supervisor_tick: tick,
             batch,
             ..Default::default()
         },
@@ -111,6 +126,8 @@ fn server(llm: &Arc<Gated>, batch: Option<BatchTuning>) -> PipelineServer {
     server.register_dsl("summ", SUMMARIZE, &Compiler::with_builtins()).unwrap();
     server
 }
+
+const TICK: Duration = Duration::from_millis(1);
 
 fn batched() -> Option<BatchTuning> {
     Some(BatchTuning { max_batch_size: 8, max_wait: Duration::from_millis(1) })
@@ -124,50 +141,60 @@ fn submit(server: &PipelineServer, jobs: std::ops::Range<usize>) -> Vec<JobHandl
     .collect()
 }
 
-/// Poll `done` for up to ten seconds.
-fn eventually(what: &str, done: impl Fn() -> bool) {
+/// Poll `done` for up to ten seconds; whether it came true.
+fn within_ten_seconds(done: impl Fn() -> bool) -> bool {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !done() {
-        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        if Instant::now() >= deadline {
+            return false;
+        }
         std::thread::sleep(Duration::from_millis(1));
     }
+    true
+}
+
+/// Poll `done` for up to ten seconds.
+fn eventually(what: &str, done: impl Fn() -> bool) {
+    assert!(within_ten_seconds(done), "timed out waiting until {what}");
 }
 
 #[test]
-fn the_pool_grows_while_every_job_waits_in_the_batcher_and_then_retires() {
+fn a_job_waiting_in_the_batcher_lends_its_permit_with_no_tick_in_the_path() {
     let llm = Gated::new();
-    let server = server(&llm, batched());
+    let server = server(&llm, batched(), Duration::from_secs(3600), 256);
     let _unblock = Unblock(Arc::clone(&llm));
     llm.shut();
     let handles = submit(&server, 0..3);
     // Each job's member blocks at the gate, so every running job waits in
-    // the batcher while the next one is queued.
-    eventually("all three jobs run", || llm.held.load(Ordering::SeqCst) == 3);
-    let grown = server.metrics();
-    assert_eq!(grown.workers, 1, "the CPU budget");
-    assert_eq!(grown.health.live_workers, 3);
-    assert_eq!(grown.health.peak_workers, 3);
-    assert_eq!(grown.health.workers_grown, 2);
+    // the batcher while the next one is queued. The supervisor sleeps for
+    // an hour: only the hand-off can start the jobs behind the first.
+    if !within_ten_seconds(|| llm.held.load(Ordering::SeqCst) == 3) {
+        // A pool that needs the tick to run them needs it to shut down too:
+        // leak the server rather than hang the test for an hour.
+        std::mem::forget(server);
+        panic!("a budget of one ran one job while the others waited for a tick");
+    }
+    let lent = server.metrics();
+    assert_eq!(lent.workers, 1, "the CPU budget");
+    assert_eq!((lent.health.live_workers, lent.health.peak_workers), (3, 3));
+    assert_eq!(lent.queue_depth, 0);
     llm.open();
     for handle in handles {
         handle.wait().expect("every job completes");
     }
-    // Nothing is queued any more: each grown worker retires after a tick.
-    eventually("the grown workers retire", || server.metrics().health.live_workers == 1);
+    // The pool that grew stays: its workers park like any other.
     std::thread::sleep(Duration::from_millis(20));
-    let retired = server.metrics();
-    assert_eq!(retired.health.workers_retired, 2);
-    assert_eq!(retired.health.live_workers, 1, "a retired slot is never restarted");
-    assert_eq!(retired.health.workers_restarted, 0);
-    assert_eq!(retired.health.workers_gave_up, 0);
-    assert_eq!(retired.health.peak_workers, 3);
-    assert!(retired.report().contains("1 budget (1 live, 3 peak, 2 grown, 2 retired"));
+    let after = server.metrics();
+    assert_eq!(after.health.live_workers, 3, "no worker retires");
+    assert_eq!(after.health.workers_restarted, 0);
+    assert_eq!(after.health.workers_gave_up, 0);
+    assert!(after.report().contains("1 budget (3 live, 3 peak, 0 restarted"));
 }
 
 #[test]
 fn a_wait_the_batcher_does_not_mark_never_grows_the_pool() {
     let llm = Gated::new();
-    let server = server(&llm, None);
+    let server = server(&llm, None, TICK, 256);
     let _unblock = Unblock(Arc::clone(&llm));
     llm.shut();
     let handles = submit(&server, 0..3);
@@ -175,7 +202,7 @@ fn a_wait_the_batcher_does_not_mark_never_grows_the_pool() {
     // Fifty ticks with two jobs queued behind a blocked job.
     std::thread::sleep(Duration::from_millis(50));
     let snap = server.metrics();
-    assert_eq!((snap.health.live_workers, snap.health.workers_grown), (1, 0));
+    assert_eq!(snap.health.live_workers, 1);
     assert_eq!(snap.queue_depth, 2);
     llm.open();
     for handle in handles {
@@ -185,24 +212,131 @@ fn a_wait_the_batcher_does_not_mark_never_grows_the_pool() {
 }
 
 #[test]
-fn shutdown_joins_every_grown_worker() {
+fn a_flood_at_a_shut_gate_holds_the_pool_to_its_bound() {
+    const QUEUE_CAPACITY: usize = 2;
+    // The budget plus one lane's capacity (`DESIGN.md` §5).
+    const BOUND: usize = 1 + QUEUE_CAPACITY;
     let llm = Gated::new();
-    let mut server = server(&llm, batched());
+    let server = server(&llm, batched(), TICK, QUEUE_CAPACITY);
     let _unblock = Unblock(Arc::clone(&llm));
     llm.shut();
-    let handles = submit(&server, 0..3);
-    eventually("the pool grows", || server.metrics().health.live_workers == 3);
-    let opener = {
-        let llm = Arc::clone(&llm);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            llm.open();
-        })
+    let (mut handles, mut refused) = (Vec::new(), 0);
+    let mut flood = |jobs: std::ops::Range<usize>| {
+        for i in jobs {
+            let text = Data::Str(format!("flood document number {i}"));
+            match server.submit(SubmitRequest::new("summ").input("text", text)) {
+                Ok(handle) => handles.push(handle),
+                Err(ServeError::Full { .. }) => refused += 1,
+                Err(other) => panic!("unexpected refusal: {other}"),
+            }
+            let live = server.metrics().health.live_workers;
+            assert!(live <= BOUND, "{live} workers alive, past the bound of {BOUND}");
+        }
     };
-    server.shutdown();
-    assert_eq!(server.live_worker_count(), 0, "every worker, grown or budgeted, was joined");
-    for handle in handles {
-        handle.wait().expect("jobs running at shutdown finish");
+    // Keep the queue topped up until every worker the bound allows waits at
+    // the gate, then flood on.
+    let mut submitted = 0;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while llm.held.load(Ordering::SeqCst) < BOUND {
+        assert!(Instant::now() < deadline, "timed out waiting for the pool to reach its bound");
+        flood(submitted..submitted + 1);
+        submitted += 1;
+        std::thread::sleep(Duration::from_millis(1));
     }
-    opener.join().unwrap();
+    flood(submitted..submitted + 32);
+    let snap = server.metrics();
+    assert_eq!((snap.health.live_workers, snap.health.peak_workers), (BOUND, BOUND));
+    assert_eq!(snap.queue_depth, QUEUE_CAPACITY as u64, "the rest wait for a worker");
+    assert_eq!(handles.len() + refused, submitted + 32);
+    assert_eq!(handles.len(), BOUND + QUEUE_CAPACITY, "the queue refused the others");
+    llm.open();
+    for handle in handles {
+        handle.wait().expect("every admitted job completes");
+    }
+    assert_eq!(server.metrics().health.peak_workers, BOUND);
+}
+
+#[test]
+fn shutdown_joins_every_grown_worker() {
+    // From racing the first hand-off (a delay) to after the last (`None`:
+    // all three jobs at the gate), shutdown stops the pool growing and joins
+    // every worker it started.
+    for delay_ms in [Some(0), Some(1), Some(2), Some(5), None] {
+        let llm = Gated::new();
+        let mut server = server(&llm, batched(), TICK, 256);
+        let _unblock = Unblock(Arc::clone(&llm));
+        llm.shut();
+        let handles = submit(&server, 0..3);
+        match delay_ms {
+            Some(ms) => std::thread::sleep(Duration::from_millis(ms)),
+            None => eventually("the pool grows", || server.live_worker_count() == 3),
+        }
+        let opener = {
+            let llm = Arc::clone(&llm);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                llm.open();
+            })
+        };
+        server.shutdown();
+        assert_eq!(server.live_worker_count(), 0, "every worker was joined");
+        assert!(server.metrics().health.peak_workers <= 3);
+        for handle in handles {
+            handle.wait().expect("jobs admitted before shutdown finish");
+        }
+        opener.join().unwrap();
+    }
+}
+
+#[test]
+fn shutdown_with_a_job_queued_behind_no_free_permit_joins_every_parked_worker() {
+    let llm = Gated::new();
+    let mut server = server(&llm, batched(), TICK, 256);
+    // `hold` blocks on its own gate with no `WaitMark`: it keeps its permit.
+    let hold = Gated::new();
+    let mut compiler = Compiler::with_builtins();
+    let gate = Arc::clone(&hold);
+    compiler.register("hold", move |_op, _ctx| {
+        let gate = Arc::clone(&gate);
+        Ok(Box::new(CustomModule::stateless("hold", move |input, _| {
+            gate.pass(1);
+            Ok(input)
+        })) as Box<dyn Module>)
+    });
+    server.register_dsl("hold", "pipeline hold { out = hold(text); }", &compiler).unwrap();
+    let (_unblock, _unhold) = (Unblock(Arc::clone(&llm)), Unblock(Arc::clone(&hold)));
+    // Grow the pool to four at the shut gate, then let the jobs go: four
+    // workers park.
+    llm.shut();
+    let grown = submit(&server, 0..4);
+    eventually("the pool grows to four", || llm.held.load(Ordering::SeqCst) == 4);
+    llm.open();
+    for handle in grown {
+        handle.wait().expect("every job completes");
+    }
+    // One `hold` job runs on the one permit; the next stays queued, and
+    // three workers park behind it.
+    hold.shut();
+    let held = |i: usize| {
+        let text = Data::Str(format!("held document number {i}"));
+        server.submit(SubmitRequest::new("hold").input("text", text)).unwrap()
+    };
+    let (running, queued) = (held(0), held(1));
+    eventually("the first hold job runs", || hold.held.load(Ordering::SeqCst) == 1);
+    assert_eq!(server.metrics().queue_depth, 1);
+    let (done, finished) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        let live = server.live_worker_count();
+        done.send(()).unwrap();
+        live
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    hold.open();
+    if finished.recv_timeout(Duration::from_secs(10)).is_err() {
+        panic!("shutdown still waits for a worker parked behind the last job");
+    }
+    assert_eq!(stopper.join().unwrap(), 0, "every worker was joined");
+    running.wait().expect("the running job finishes");
+    queued.wait().expect("the queued job is drained");
 }
