@@ -42,6 +42,21 @@
 //! [`NoAnswer::Aborted`] (RAII guard), so siblings never hang on a poisoned
 //! batch.
 //!
+//! # Owed members
+//!
+//! A member joins a batch with a fresh settle slot on its request
+//! ([`CompletionRequest::with_settle_slot`]), so the backend may answer it
+//! [`NoAnswer::Owed`]: the wire call brought it back, and the call that
+//! computes it waits in the slot. The flusher fills the owed member's cell
+//! like any other, so the in-flight window covers only the wire call, and
+//! the member's own thread computes the answer
+//! ([`CompletionRequest::settle`]) while the next batch's call is in flight.
+//! An owed member bills nothing in the flush's reply; its settlement bills
+//! it, so the flush's usage plus its members' settled splits is what the
+//! ledger grew by. A request the batcher never carried has no slot, and
+//! every layer computes it where it is placed. The owed verdict never leaves
+//! the batcher.
+//!
 //! # Cancellation
 //!
 //! Each member's request carries its job's cancel token
@@ -65,9 +80,11 @@
 //! [`NoAnswer::Cancelled`], unbilled, and counted in `cancelled_members`.
 //! The resend verdict never leaves the batcher.
 //!
-//! For the whole of a member's [`LlmService::complete_batch`] its job's token
-//! carries a [`WaitMark`], so serve can lend the job's CPU permit to another
-//! job while it waits here.
+//! While a caller's members wait in a batch — filling, in flight, or waiting
+//! to re-enter — its job's token carries a [`WaitMark`], so serve can lend
+//! the job's CPU permit to another job. Once the round's cells are answered
+//! the marks drop before any owed member is settled: settling is compute,
+//! so the job takes its permit back first.
 
 use lingua_llm_sim::{
     BatchOutcome, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer,
@@ -132,8 +149,12 @@ pub struct FlushRecord {
     /// Live members the backend answered [`NoAnswer::Resend`]; each rides a
     /// later flush.
     pub resent: usize,
+    /// Live members the backend answered [`NoAnswer::Owed`]; each member's
+    /// own thread computes and bills it after the flush.
+    pub owed: usize,
     pub reason: FlushReason,
-    /// Exact usage the backend booked for this flush.
+    /// Exact usage the backend's reply booked for this flush; owed members'
+    /// settlements bill beside it.
     pub usage: Usage,
 }
 
@@ -149,7 +170,8 @@ pub struct BatchSnapshot {
     pub size_flushes: u64,
     /// Flushes triggered by the `max_wait` window expiring.
     pub window_flushes: u64,
-    /// Live members answered without billing (cache/coalesce savings).
+    /// Live members answered without billing (cache/coalesce savings), in
+    /// the flush's reply or when an owed member settled.
     pub saved_members: u64,
     /// Members dropped from their batch by cancellation, unbilled — at a
     /// flush, or while waiting to re-enter after a resend.
@@ -390,11 +412,11 @@ impl Batcher {
             outcome
         };
         let saved = outcome.saved_members();
-        let resent = outcome
-            .responses
-            .iter()
-            .filter(|response| matches!(response, Err(NoAnswer::Resend { .. })))
-            .count();
+        let count = |verdict: fn(&NoAnswer) -> bool| {
+            outcome.responses.iter().filter(|r| r.as_ref().is_err_and(verdict)).count()
+        };
+        let resent = count(|no_answer| matches!(no_answer, NoAnswer::Resend { .. }));
+        let owed = count(|no_answer| *no_answer == NoAnswer::Owed);
         for (index, split) in outcome.splits.iter().enumerate() {
             self.tracer.instant_under(Some(span.id()), SpanKind::Batch, "split", || {
                 vec![
@@ -423,6 +445,7 @@ impl Batcher {
                 cancelled,
                 saved,
                 resent,
+                owed,
                 reason,
                 usage: outcome.batch_usage,
             });
@@ -479,8 +502,10 @@ impl Batcher {
 
 impl LlmService for Batcher {
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
-        let _waiting: Vec<WaitMark> =
-            requests.iter().filter_map(|r| r.token().map(CancelToken::wait_mark)).collect();
+        let mark = || -> Vec<WaitMark> {
+            requests.iter().filter_map(|r| r.token().map(CancelToken::wait_mark)).collect()
+        };
+        let mut waiting = mark();
         let mut answers: Vec<Option<Answer>> = vec![None; requests.len()];
         // Members still to (re-)enter: index, request, and whether a flush
         // already carried it.
@@ -488,7 +513,8 @@ impl LlmService for Batcher {
             requests.iter().cloned().enumerate().map(|(index, r)| (index, r, false)).collect();
         while !entering.is_empty() {
             // A member whose job is dead never (re-)joins a batch: refused on
-            // the spot, nothing billed anywhere.
+            // the spot, nothing billed anywhere. A live one joins with a fresh
+            // settle slot, so the backend may owe it.
             let mut joined = Vec::with_capacity(entering.len());
             for (index, request, resent) in entering.drain(..) {
                 match request.cancelled() {
@@ -498,11 +524,14 @@ impl LlmService for Batcher {
                         }
                         answers[index] = Some((Err(NoAnswer::Cancelled(why)), Usage::default()));
                     }
-                    None => joined.push((index, request, MemberCell::new())),
+                    None => joined.push((index, request.with_settle_slot(), MemberCell::new())),
                 }
             }
             if joined.is_empty() {
                 break;
+            }
+            if waiting.is_empty() {
+                waiting = mark();
             }
             self.enqueue(
                 joined
@@ -513,13 +542,28 @@ impl LlmService for Batcher {
                     })
                     .collect(),
             );
+            let mut owed = Vec::new();
             for (index, request, cell) in joined {
                 match cell.wait() {
                     (Err(NoAnswer::Resend { attempts }), _) => {
                         entering.push((index, request.with_attempts(attempts), true));
                     }
+                    (Err(NoAnswer::Owed), _) => owed.push((index, request)),
                     answer => answers[index] = Some(answer),
                 }
+            }
+            if owed.is_empty() {
+                continue;
+            }
+            // Settling is compute, not waiting: the job takes its CPU permit
+            // back before it computes what the backend owes it.
+            waiting.clear();
+            for (index, request) in owed {
+                let answer = request.settle();
+                if answer.1.cached_calls > 0 {
+                    self.counters.saved_members.fetch_add(1, Ordering::Relaxed);
+                }
+                answers[index] = Some(answer);
             }
         }
         answers.into_iter().map(|answer| answer.expect("every member answered")).collect()
@@ -958,6 +1002,89 @@ mod tests {
         assert_eq!(service.usage(), reference.usage(), "only the sibling billed");
         let snap = batcher.snapshot();
         assert_eq!((snap.batches, snap.members, snap.cancelled_members), (1, 2, 1));
+    }
+
+    /// Owes every member it is sent, with a call that logs whether the
+    /// member's job still held a [`WaitMark`] when its thread settled it.
+    struct Owing {
+        inner: Arc<SimLlm>,
+        settled_waiting: Arc<Mutex<Vec<bool>>>,
+    }
+
+    impl LlmService for Owing {
+        fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+            requests
+                .iter()
+                .map(|request| {
+                    let (inner, log) = (Arc::clone(&self.inner), Arc::clone(&self.settled_waiting));
+                    request.owe(move |request| {
+                        log.lock().push(request.token().is_some_and(CancelToken::is_waiting));
+                        inner.complete_batch(std::slice::from_ref(request)).into_single()
+                    })
+                })
+                .collect()
+        }
+        fn embed(&self, text: &str) -> Vec<f64> {
+            self.inner.embed(text)
+        }
+        fn usage(&self) -> Usage {
+            self.inner.usage()
+        }
+        fn simulated_latency_ms(&self) -> u64 {
+            0
+        }
+        fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
+            unreachable!("not exercised")
+        }
+        fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
+            unreachable!("not exercised")
+        }
+        fn repair_code(
+            &self,
+            _spec: &CodeGenSpec,
+            _previous: &GeneratedCode,
+            _suggestion: &str,
+        ) -> GeneratedCode {
+            unreachable!("not exercised")
+        }
+    }
+
+    #[test]
+    fn an_owed_member_settles_on_its_own_thread_after_its_marks_drop() {
+        let service = sim(16);
+        let reference = sim(16);
+        let backend = Arc::new(Owing { inner: service.clone(), settled_waiting: Arc::default() });
+        let batcher = Arc::new(Batcher::new(
+            backend.clone(),
+            BatchConfig { max_batch_size: 2, max_wait: Duration::from_secs(30) },
+        ));
+        let tokens = [CancelToken::unbounded(), CancelToken::unbounded()];
+        let requests: Vec<CompletionRequest> =
+            tokens.iter().zip(prompts(0..2)).map(|(t, r)| r.with_cancel(t.clone())).collect();
+        let answers: Vec<Answer> = std::thread::scope(|scope| {
+            let handles: Vec<_> = requests
+                .iter()
+                .map(|request| {
+                    let batcher = Arc::clone(&batcher);
+                    scope.spawn(move || {
+                        batcher.complete_batch(std::slice::from_ref(request)).into_single()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        for (request, (response, _)) in requests.iter().zip(&answers) {
+            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+        }
+        assert_eq!(*backend.settled_waiting.lock(), [false, false], "marks drop first");
+        assert!(tokens.iter().all(|token| !token.is_waiting()));
+        let log = batcher.flush_log();
+        assert_eq!((log.len(), log[0].owed, log[0].usage), (1, 2, Usage::default()));
+        // The flush billed nothing; each caller's split is its settlement's.
+        let mut settled = Usage::default();
+        answers.iter().for_each(|(_, split)| settled.merge(split));
+        assert_eq!(settled, service.usage());
+        assert_eq!(service.usage(), reference.usage());
     }
 
     /// Answers from `inner`, but holds its first call until [`Gated::open`]

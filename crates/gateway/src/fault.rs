@@ -172,12 +172,18 @@ impl FaultInjector {
         self.state.lock().counts
     }
 
-    fn next_attempt(&self, key: u64) -> u64 {
+    /// Draw the fault for the next attempt of the prompt keyed `key`, and
+    /// count it: one lock per member.
+    fn draw(&self, key: u64) -> Option<FaultClass> {
         let mut state = self.state.lock();
         let attempt = state.attempts.entry(key).or_insert(0);
-        let current = *attempt;
+        let class = self.plan.decide_key(key, *attempt);
         *attempt += 1;
-        current
+        match class {
+            Some(class) => state.counts.record(class),
+            None => state.counts.passed += 1,
+        }
+        class
     }
 }
 
@@ -192,32 +198,35 @@ impl LlmTransport for FaultInjector {
         &self.name
     }
 
-    /// Members are decided in order, each as one call to the simulator (its
-    /// cache and singleflight path), and each gets its own verdict, as a
-    /// batch interface reports one per request. A member-scoped fault
-    /// ([`FaultClass::is_member_scoped`]) fails that member alone, billed as
-    /// a lone call's fault would be, and the call goes on; a
-    /// connection-scoped one cuts the call at the member that drew it, and
-    /// the members after it are never reached. Either way the reply is a
-    /// [`TransportError::Partial`]. A batch of one fails with the plain
-    /// fault.
+    /// Members are decided in order, each drawing its prompt's next attempt,
+    /// and each gets its own verdict, as a batch interface reports one per
+    /// request. A passing member is one call to the simulator (its cache and
+    /// singleflight path). In a call of more than one member that call is
+    /// owed, not made: a request the batcher gave a settle slot comes back
+    /// [`NoAnswer::Owed`](lingua_llm_sim::NoAnswer::Owed) with an empty split
+    /// and the call in its slot, so the member's own thread computes it
+    /// after the wire call returns, as a provider computes a batch's members
+    /// in parallel. A member-scoped fault ([`FaultClass::is_member_scoped`])
+    /// fails that member alone, billed as a lone call's fault would be, and
+    /// the call goes on; a connection-scoped one cuts the call at the member
+    /// that drew it, and the members after it are never reached. Either way
+    /// the reply is a [`TransportError::Partial`]. A batch of one fails with
+    /// the plain fault.
     fn complete_batch(
         &self,
         requests: &[CompletionRequest],
     ) -> Result<BatchOutcome, TransportError> {
+        let owing = requests.len() > 1;
         let mut verdicts: Vec<Verdict> = Vec::with_capacity(requests.len());
         for request in requests {
-            let key = request.fingerprint();
-            let attempt = self.next_attempt(key);
-            let Some(class) = self.plan.decide_key(key, attempt) else {
-                self.state.lock().counts.passed += 1;
-                verdicts.push(Ok(self
-                    .inner
-                    .complete_batch(std::slice::from_ref(request))
-                    .into_single()));
+            let Some(class) = self.draw(request.fingerprint()) else {
+                let inner = Arc::clone(&self.inner);
+                let call = move |request: &CompletionRequest| {
+                    inner.complete_batch(std::slice::from_ref(request)).into_single()
+                };
+                verdicts.push(Ok(if owing { request.owe(call) } else { call(request) }));
                 continue;
             };
-            self.state.lock().counts.record(class);
             let fault = match class {
                 // The prompt was transmitted and compute was spent before the
                 // deadline fired: the aborted call still bills input tokens.
@@ -234,7 +243,7 @@ impl LlmTransport for FaultInjector {
                     TransportError::TransientServer { message: "upstream worker crashed".into() }
                 }
                 // The model really answered (and billed) but the payload
-                // arrived broken.
+                // arrived broken: computed here, since the error carries it.
                 FaultClass::MalformedOutput => TransportError::MalformedOutput {
                     preview: mangle(&self.inner.complete(request)),
                 },

@@ -17,7 +17,9 @@
 //!    ([`NoAnswer::Unavailable`]).
 //! 5. **Per-member placement** — a batch of more than one is placed once, as
 //!    one wire call on the first backend that admits it, and every answer it
-//!    brings back is kept. A member it did not answer — its own fault, or
+//!    brings back is kept — a member it brings back [`NoAnswer::Owed`]
+//!    counts as answered, and its answer is kept once its own thread settles
+//!    it. A member it did not answer — its own fault, or
 //!    never reached past a cut — comes back [`NoAnswer::Resend`] with the
 //!    attempts it has spent (its backoff charged), and the batcher re-sends it
 //!    in a later flush beside other jobs' members. A member whose attempt
@@ -182,7 +184,7 @@ impl GatewayBuilder {
             metrics: GatewayMetrics::new(backends.len()),
             backends,
             fallback: self.fallback,
-            stale: ShardedLru::new(self.config.stale_cache_capacity, DEFAULT_SHARDS),
+            stale: Arc::new(ShardedLru::new(self.config.stale_cache_capacity, DEFAULT_SHARDS)),
             config: self.config,
             degraded_usage: AtomicUsage::default(),
             added_backoff_ms: AtomicU64::new(0),
@@ -199,7 +201,8 @@ pub struct Gateway {
     metrics: GatewayMetrics,
     /// Degraded-mode stale-response cache: the same lock-striped sharded LRU
     /// as the simulator's hot path, keyed by the shared prompt fingerprint.
-    stale: ShardedLru<Arc<str>>,
+    /// Shared, so an owed member's settlement can keep its answer.
+    stale: Arc<ShardedLru<Arc<str>>>,
     /// Usage booked by the gateway itself (degraded cache serves).
     degraded_usage: AtomicUsage,
     /// Backoff latency charged (virtually) against this gateway.
@@ -235,11 +238,22 @@ impl Gateway {
         self.metrics.snapshot(&names, &breakers)
     }
 
-    /// Keep an answer for degraded recalls. A [`NoAnswer`] is a verdict
-    /// about one call, not an answer to the prompt, so it is never kept.
-    fn remember(&self, key: u64, response: &Result<Arc<str>, NoAnswer>) {
-        if let Ok(text) = response {
-            self.stale.insert(key, Arc::clone(text));
+    /// Keep an answer to `request` for degraded recalls, an owed member's
+    /// once its own thread has settled it. A [`NoAnswer`] is a verdict about
+    /// one call, not an answer to the prompt, so it is never kept.
+    fn remember(&self, request: &CompletionRequest, response: &Result<Arc<str>, NoAnswer>) {
+        let key = request.fingerprint();
+        match response {
+            Ok(text) => self.stale.insert(key, Arc::clone(text)),
+            Err(NoAnswer::Owed) => {
+                let stale = Arc::clone(&self.stale);
+                request.on_settled(move |(settled, _)| {
+                    if let Ok(text) = settled {
+                        stale.insert(key, Arc::clone(text));
+                    }
+                });
+            }
+            Err(_) => {}
         }
     }
 
@@ -376,7 +390,7 @@ impl Gateway {
             |transport| batch_reply(transport, std::slice::from_ref(request)),
         ) {
             Resilient::Served(_, single) => {
-                self.remember(key, &single.responses[0]);
+                self.remember(request, &single.responses[0]);
                 (single, "served")
             }
             Resilient::Cancelled(reason) => {
@@ -432,7 +446,7 @@ impl Gateway {
             if let Ok(single) = batch_reply(fallback.as_ref(), std::slice::from_ref(request)) {
                 self.metrics.degraded_fallback();
                 self.tracer.instant(SpanKind::Gateway, "degraded_fallback", Vec::new);
-                self.remember(key, &single.responses[0]);
+                self.remember(request, &single.responses[0]);
                 return (single, "degraded_fallback");
             }
         }
@@ -522,9 +536,11 @@ impl LlmService for Gateway {
             .iter()
             .map(|request| {
                 let member = match verdicts.next() {
+                    // An owed member is answered too: the wire call brought
+                    // it back, and only its compute is left, to its own thread.
                     Some(Ok(answer)) => {
                         answered += 1;
-                        self.remember(request.fingerprint(), &answer.0);
+                        self.remember(request, &answer.0);
                         answer
                     }
                     Some(Err(fault)) => self.unanswered(request, backend, Some(&fault)),

@@ -15,7 +15,10 @@
 //!   sum(member splits) == batched call usage == backend ledger delta
 //! ```
 //!
-//! token for token, and therefore dollar for dollar to the cent.
+//! token for token, and therefore dollar for dollar to the cent. Where the
+//! provider owes a member (`NoAnswer::Owed`, computed later on the member's
+//! own thread) the reply bills it nothing and its settlement bills it, so
+//! the ledger delta is the reply's usage plus the settled splits.
 
 use lingua_dataset::world::WorldSpec;
 use lingua_gateway::{
@@ -50,6 +53,14 @@ fn prompt(thread: usize, round: usize) -> CompletionRequest {
 /// The typed answer to one request.
 fn answer(service: &dyn LlmService, request: &CompletionRequest) -> Result<Arc<str>, NoAnswer> {
     service.complete_batch(std::slice::from_ref(request)).into_single().0
+}
+
+/// One request's answer and the usage split its caller was attributed.
+fn settled(
+    service: &dyn LlmService,
+    request: &CompletionRequest,
+) -> (Result<Arc<str>, NoAnswer>, Usage) {
+    service.complete_batch(std::slice::from_ref(request)).into_single()
 }
 
 const REFUSED: Result<Arc<str>, NoAnswer> = Err(NoAnswer::Cancelled(CancelReason::Cancelled));
@@ -271,6 +282,113 @@ fn single_threaded_replay_is_all_window_flushes() {
         assert_eq!(record.reason, FlushReason::Window);
     }
     assert_eq!(service.usage(), reference.usage(), "occupancy-1 batching bills identically");
+}
+
+/// Sixteen rounds of eight members through a fault-free injector behind the
+/// gateway: the provider answers every member of each eight-member flush
+/// `Owed`, with an empty split, and each caller computes its own answer. The
+/// answers and the ledger are the unbatched reference's, token for token.
+#[test]
+fn a_multi_member_flush_owes_every_passing_member_to_its_caller() {
+    let service = sim(909, false);
+    let reference = sim(909, false);
+    let injector = Arc::new(FaultInjector::new("clean", service.clone(), FaultPlan::none(3)));
+    let gateway = Arc::new(Gateway::over(injector.clone()));
+    let recording = Arc::new(Recording::new(gateway.clone()));
+    let batcher = Arc::new(Batcher::new(
+        recording.clone() as Arc<dyn LlmService>,
+        BatchConfig { max_batch_size: THREADS, max_wait: Duration::from_secs(3600) },
+    ));
+    let barrier = Barrier::new(THREADS);
+    let settled: Vec<Usage> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                let (batcher, barrier, reference) = (Arc::clone(&batcher), &barrier, &reference);
+                scope.spawn(move || {
+                    let mut splits = Vec::with_capacity(ROUNDS);
+                    for round in 0..ROUNDS {
+                        barrier.wait();
+                        let request = prompt(thread, round);
+                        let (response, split) =
+                            batcher.complete_batch(std::slice::from_ref(&request)).into_single();
+                        assert_eq!(
+                            response.as_deref(),
+                            Ok(reference.complete(&request).as_str()),
+                            "thread {thread} round {round}"
+                        );
+                        splits.push(split);
+                    }
+                    splits
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("no submitter panicked")).collect()
+    });
+
+    let outcomes = recording.outcomes();
+    assert_eq!(outcomes.len(), ROUNDS, "one flush per barrier round");
+    for (index, outcome) in outcomes.iter().enumerate() {
+        assert_eq!(outcome.responses, vec![Err(NoAnswer::Owed); THREADS], "flush {index}");
+        assert!(outcome.splits.iter().all(|split| *split == Usage::default()));
+        assert_eq!(outcome.batch_usage, Usage::default(), "flush {index} billed nothing");
+    }
+    let log = batcher.flush_log();
+    assert!(log
+        .iter()
+        .all(|f| (f.occupancy, f.owed, f.usage) == (THREADS, THREADS, Usage::default())));
+    assert_eq!(injector.counts().passed, (THREADS * ROUNDS) as u64);
+    // Σ reply usage (nothing) + Σ settled splits == ledger == reference.
+    let mut billed = Usage::default();
+    settled.iter().for_each(|split| billed.merge(split));
+    assert_eq!(billed, service.usage());
+    assert_eq!(service.usage(), reference.usage(), "each member billed once, as alone");
+    let snap = gateway.snapshot();
+    assert_eq!((snap.requests, snap.batches), ((THREADS * ROUNDS) as u64, ROUNDS as u64));
+}
+
+/// The batched placement owes a member to its caller's thread; the answer
+/// it settles must still reach the gateway's stale cache, so a later lone
+/// call that exhausts attempts 1..=4 is served it from there.
+#[test]
+fn a_batched_members_answer_is_recalled_in_a_later_outage() {
+    let plan = FaultPlan::transient(0.7, 77);
+    let passing = |p: &String| plan.decide(p, 0).is_none();
+    let candidates = || (0..5_000).map(|i| format!("Summarize. Text: stale candidate {i}"));
+    let candidate = candidates()
+        .find(|p| passing(p) && (1..=4).all(|a| plan.decide(p, a).is_some()))
+        .expect("a pass-then-fault prompt exists at 70%");
+    let sibling = candidates().filter(passing).find(|p| *p != candidate).unwrap();
+    let requests = [candidate, sibling].map(CompletionRequest::new);
+    let injector = Arc::new(FaultInjector::new("flaky", sim(1010, false), plan));
+    let gateway = Arc::new(Gateway::over(injector));
+    let batched = resending(gateway.clone(), requests.len()).complete_batch(&requests);
+    assert_eq!(gateway.snapshot().batches, 1, "both members rode one wire call");
+    assert!(batched.responses[0].is_ok());
+    assert_eq!(answer(&*gateway, &requests[0]), batched.responses[0]);
+    let snap = gateway.snapshot();
+    assert_eq!((snap.degraded_cache_hits, snap.degraded_static), (1, 0));
+}
+
+/// Only the batcher gives a request a settle slot: a caller that places a
+/// batch on the gateway itself gets every answer computed, none owed.
+#[test]
+fn a_batch_placed_without_a_batcher_owes_no_member() {
+    let service = sim(1111, false);
+    let reference = sim(1111, false);
+    let plan = FaultPlan::transient(0.3, 29);
+    let gateway = Gateway::over(Arc::new(FaultInjector::new("flaky", service, plan)));
+    let requests: Vec<CompletionRequest> = (0..8).map(|i| prompt(i, 0)).collect();
+    let outcome = gateway.complete_batch(&requests);
+    assert!(!outcome.responses.contains(&Err(NoAnswer::Owed)));
+    let mut answered = 0;
+    for (request, response) in requests.iter().zip(&outcome.responses) {
+        if plan.decide(&request.prompt, 0).is_none() {
+            assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
+            answered += 1;
+        }
+    }
+    assert!(answered > 0, "the seed passes some members");
+    assert_eq!(gateway.snapshot().batches, 1);
 }
 
 /// A lone caller's batcher over `service`: every flush places the members
@@ -621,12 +739,48 @@ impl LlmTransport for Logged {
     }
 }
 
+/// Three callers join `batcher` in order — `doomed` first, then the two
+/// `siblings`, the last of which fills the batch and flushes on this thread
+/// — and `doomed`'s job dies while a call carrying it is on the wire. The
+/// doomed member must be refused, unbilled, and each sibling answered as
+/// `reference` answers it. Returns the siblings' splits.
+fn doomed_first(
+    batcher: &Arc<Batcher>,
+    doomed: CompletionRequest,
+    siblings: &[CompletionRequest],
+    reference: &SimLlm,
+) -> Vec<Usage> {
+    std::thread::scope(|scope| {
+        let join = |request: CompletionRequest, pending: usize| {
+            let member = Arc::clone(batcher);
+            let handle = scope.spawn(move || settled(&*member, &request));
+            while batcher.pending_members() < pending {
+                std::thread::yield_now();
+            }
+            handle
+        };
+        let cancelled = join(doomed, 1);
+        let first = join(siblings[0].clone(), 2);
+        let last = settled(&**batcher, &siblings[1]);
+        let first = first.join().expect("no panic");
+        assert_eq!(cancelled.join().expect("no panic"), (REFUSED, Usage::default()));
+        let answers = siblings.iter().zip([first, last]);
+        answers
+            .map(|(sibling, (response, split))| {
+                assert_eq!(response.as_deref(), Ok(reference.complete(sibling).as_str()));
+                split
+            })
+            .collect()
+    })
+}
+
 /// A connection-scoped fault cuts the call at the member it struck, and
 /// that member's job dies while the call is on the wire: the member is
 /// refused as cancelled at once — no resend, no backoff, nothing remembered
 /// — while the siblings the cut never reached ride the next flush as if it
-/// had never been there, and the splits, the batch usage and the ledger
-/// agree exactly.
+/// had never been there. The second call owes both siblings, whose own
+/// threads bill them, so the replies' usage plus the settled splits is the
+/// ledger, exactly.
 #[test]
 fn member_cancelled_mid_split_stops_alone_and_unbilled() {
     // Rate limits only: a refused call bills nothing, so the ledger can be
@@ -660,24 +814,8 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
         recording.clone() as Arc<dyn LlmService>,
         BatchConfig { max_batch_size: 3, max_wait: Duration::from_millis(200) },
     ));
-    std::thread::scope(|scope| {
-        // Join order is batch order: the doomed member first.
-        let join = |request: CompletionRequest, pending: usize| {
-            let member = Arc::clone(&batcher);
-            let handle = scope.spawn(move || answer(&*member, &request));
-            while batcher.pending_members() < pending {
-                std::thread::yield_now();
-            }
-            handle
-        };
-        let cancelled = join(doomed.clone().with_cancel(token.clone()), 1);
-        let first = join(siblings[0].clone(), 2);
-        // The third arrival fills the batch and flushes on this thread.
-        assert_eq!(batcher.complete(&siblings[1]), reference.complete(&siblings[1]));
-        let first = first.join().expect("no panic");
-        assert_eq!(first.as_deref(), Ok(reference.complete(&siblings[0]).as_str()));
-        assert_eq!(cancelled.join().expect("no panic"), REFUSED);
-    });
+    let settled_splits =
+        doomed_first(&batcher, doomed.clone().with_cancel(token), &siblings, &reference);
 
     // Two flushes: all three live, then the two siblings re-sent.
     let log = batcher.flush_log();
@@ -701,8 +839,9 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
     let counts = backend.inner.counts();
     assert_eq!((counts.injected, counts.passed), (1, 2));
 
-    // sum(splits) == batch usage == ledger delta, per flush: the first
-    // billed nothing, the second the siblings' two calls.
+    // sum(splits) == batch usage per reply, and Σ reply usage + Σ settled
+    // splits == ledger: the first reply billed nothing, the second owed both
+    // siblings, and their own threads billed their two calls.
     let outcomes = recording.outcomes();
     assert_eq!(outcomes.len(), 2);
     let mut billed = Usage::default();
@@ -715,6 +854,8 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
         billed.merge(&outcome.batch_usage);
     }
     assert_eq!(outcomes[0].batch_usage, Usage::default());
+    assert_eq!(outcomes[1].responses, [Err(NoAnswer::Owed), Err(NoAnswer::Owed)]);
+    settled_splits.iter().for_each(|split| billed.merge(split));
     assert_eq!(billed, service.usage());
     assert_eq!(service.usage(), reference.usage());
 
@@ -722,6 +863,51 @@ fn member_cancelled_mid_split_stops_alone_and_unbilled() {
     // exhausts the backend on the same prompt finds nothing to recall.
     assert_eq!(answer(&*gateway, &doomed), Err(NoAnswer::Unavailable));
     assert_eq!(gateway.snapshot().degraded_cache_hits, 0);
+}
+
+/// The same death on the wire, but the doomed member passes its fault draw:
+/// the provider owes it like its siblings, and its own thread's settlement
+/// finds its job dead and refuses it, unbilled — what the flusher's member
+/// loop decided before members were owed. Nobody above the simulator refused
+/// it, and the replies' usage plus the settled splits is the ledger.
+#[test]
+fn a_passing_member_whose_job_died_on_the_wire_is_refused_at_settlement() {
+    let plan = FaultPlan { rate_limit_rate: 0.5, ..FaultPlan::none(61) };
+    let mut passing = (0..50_000)
+        .map(|i| format!("Summarize. Text: settled doomed candidate {i}"))
+        .filter(|p| plan.decide(p, 0).is_none())
+        .map(CompletionRequest::new);
+    let (doomed, siblings) =
+        (passing.next().unwrap(), [passing.next().unwrap(), passing.next().unwrap()]);
+
+    let service = sim(616, false);
+    let reference = sim(616, false);
+    let backend =
+        Arc::new(Logged::new(FaultInjector::new("flaky", service.clone(), plan), Some(&doomed)));
+    let token = backend.token.clone();
+    let gateway = Arc::new(Gateway::over(backend.clone()));
+    let recording = Arc::new(Recording::new(gateway.clone()));
+    let batcher = Arc::new(Batcher::new(
+        recording.clone() as Arc<dyn LlmService>,
+        BatchConfig { max_batch_size: 3, max_wait: Duration::from_secs(3600) },
+    ));
+    let settled_splits = doomed_first(&batcher, doomed.with_cancel(token), &siblings, &reference);
+
+    assert_eq!(backend.calls(), [vec![0, 1, 2]], "one wire call");
+    let outcomes = recording.outcomes();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(outcomes[0].responses, vec![Err(NoAnswer::Owed); 3], "all three passed");
+    assert_eq!(outcomes[0].batch_usage, Usage::default());
+    let log = batcher.flush_log();
+    assert_eq!((log[0].live, log[0].owed, log[0].cancelled), (3, 3, 0));
+    assert_eq!(batcher.snapshot().cancelled_members, 0, "the batcher never refused it");
+    let snap = gateway.snapshot();
+    assert_eq!((snap.cancelled, snap.requests, snap.resent_members), (0, 3, 0));
+    assert_eq!(backend.inner.counts().passed, 3);
+    let mut billed = outcomes[0].batch_usage;
+    settled_splits.iter().for_each(|split| billed.merge(split));
+    assert_eq!(billed, service.usage());
+    assert_eq!(service.usage(), reference.usage(), "only the siblings billed");
 }
 
 /// A member cut off unreached whose job died while the call was on the wire

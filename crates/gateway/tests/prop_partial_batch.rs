@@ -8,6 +8,7 @@
 //! ```text
 //!   every Ok answer == the fault-free reference's answer
 //!   no member leaves the batcher NoAnswer::Resend
+//!   no member leaves the batcher NoAnswer::Owed
 //!   sum(member splits) == batch usage
 //!   ledger calls - batch usage calls == malformed faults   (nothing answered is billed twice)
 //!   ledger failed calls == timeouts + transient faults
@@ -175,6 +176,8 @@ fn a_partial_batch_keeps_its_prefix_and_bills_each_answer_once() {
                     Ok(text) => {
                         assert_eq!(text.as_ref(), reference.complete(request), "answer diverged")
                     }
+                    // Neither a resend nor an owed verdict: the batcher
+                    // settles both before its caller returns.
                     Err(no_answer) => {
                         assert_eq!(*no_answer, NoAnswer::Unavailable);
                         assert!(!case.standby && !case.fallback, "a healthy backend was left");

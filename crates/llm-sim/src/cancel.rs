@@ -58,6 +58,13 @@ pub enum NoAnswer {
     /// ([`CompletionRequest::with_attempts`](crate::CompletionRequest::with_attempts)).
     /// A verdict for the batcher only: it never leaves the batcher.
     Resend { attempts: u32 },
+    /// The provider answered the member but left computing it to the
+    /// member's own thread: the call that computes it waits in the request's
+    /// settle slot ([`CompletionRequest::settle`](crate::CompletionRequest::settle)),
+    /// and its split is empty until then. Only a request the batcher gave a
+    /// slot can be owed, and, like `Resend`, the verdict never leaves the
+    /// batcher.
+    Owed,
 }
 
 impl NoAnswer {
@@ -68,6 +75,7 @@ impl NoAnswer {
             NoAnswer::Unavailable => "unavailable",
             NoAnswer::Aborted => "aborted",
             NoAnswer::Resend { .. } => "resend",
+            NoAnswer::Owed => "owed",
         }
     }
 }
@@ -86,6 +94,9 @@ impl fmt::Display for NoAnswer {
             }
             NoAnswer::Resend { .. } => {
                 "[resend] the provider did not answer this member; it rides a later batch"
+            }
+            NoAnswer::Owed => {
+                "[owed] the provider answered this member; its own caller computes the answer"
             }
         })
     }

@@ -16,6 +16,8 @@ use crate::prompt::{self, TaskIntent};
 use lingua_dataset::world::WorldSpec;
 use lingua_ml::features::HashingVectorizer;
 use lingua_ml::rng::Rng;
+use lingua_ml::sync::Mutex;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -29,15 +31,39 @@ use std::sync::OnceLock;
 ///
 /// And it carries the placing job's [`CancelToken`], so every layer asks the
 /// request it was handed whether its job is still alive — whichever thread
-/// runs the call (a batch flush runs every member's on one) — and the
-/// attempts the gateway already spent on it, so a member the batcher re-sends
-/// keeps its retry budget across flushes.
+/// runs the call (a batch flush places every member's on one, and an owed
+/// member is computed on its own) — and the attempts the gateway already
+/// spent on it, so a member the batcher re-sends keeps its retry budget
+/// across flushes.
+///
+/// A request the batcher placed also carries a settle slot, shared by its
+/// clones like the token: a provider may answer such a member
+/// [`NoAnswer::Owed`] and leave the call that computes it there, for the
+/// member's own thread to run ([`CompletionRequest::settle`]). A request
+/// without a slot is always computed where it is placed.
 #[derive(Debug, Clone)]
 pub struct CompletionRequest {
     pub prompt: String,
     fingerprint: OnceLock<u64>,
     cancel: Option<CancelToken>,
     attempts: u32,
+    settle: Option<SettleSlot>,
+}
+
+/// One member's result and the usage attributed to it.
+type Member = (Result<Arc<str>, NoAnswer>, Usage);
+
+/// The call that computes an owed member, handed the member's request.
+type Settlement = Box<dyn FnOnce(&CompletionRequest) -> Member + Send>;
+
+/// Where an owed member's [`Settlement`] waits until its thread runs it.
+#[derive(Clone, Default)]
+struct SettleSlot(Arc<Mutex<Option<Settlement>>>);
+
+impl fmt::Debug for SettleSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("SettleSlot").field(&self.0.lock().is_some()).finish()
+    }
 }
 
 impl CompletionRequest {
@@ -48,6 +74,7 @@ impl CompletionRequest {
             fingerprint: OnceLock::new(),
             cancel: None,
             attempts: 0,
+            settle: None,
         }
     }
 
@@ -81,6 +108,51 @@ impl CompletionRequest {
         self
     }
 
+    /// The same request with a fresh, empty settle slot, so a provider may
+    /// answer it [`NoAnswer::Owed`]. The batcher attaches one each time a
+    /// member enters a batch.
+    pub fn with_settle_slot(mut self) -> Self {
+        self.settle = Some(SettleSlot::default());
+        self
+    }
+
+    /// Answer this member with `call` now, or owe it: with a settle slot,
+    /// `call` waits there and the member is [`NoAnswer::Owed`] with an empty
+    /// split; without one, `call` runs here.
+    pub fn owe(&self, call: impl FnOnce(&CompletionRequest) -> Member + Send + 'static) -> Member {
+        match &self.settle {
+            Some(slot) => {
+                *slot.0.lock() = Some(Box::new(call));
+                (Err(NoAnswer::Owed), Usage::default())
+            }
+            None => call(self),
+        }
+    }
+
+    /// Run `then` on the owed member's answer once it is settled, on the
+    /// thread that settles it. Nothing happens if nothing is owed.
+    pub fn on_settled(&self, then: impl FnOnce(&Member) + Send + 'static) {
+        let Some(slot) = &self.settle else { return };
+        let mut owed = slot.0.lock();
+        if let Some(call) = owed.take() {
+            *owed = Some(Box::new(move |request: &CompletionRequest| {
+                let member = call(request);
+                then(&member);
+                member
+            }));
+        }
+    }
+
+    /// Compute the owed member on the calling thread: run the call its slot
+    /// holds. A request that owes nothing has no answer to give: `Aborted`.
+    pub fn settle(&self) -> Member {
+        let owed = self.settle.as_ref().and_then(|slot| slot.0.lock().take());
+        match owed {
+            Some(call) => call(self),
+            None => (Err(NoAnswer::Aborted), Usage::default()),
+        }
+    }
+
     /// The prompt's FNV-1a fingerprint, computed on first use and shared by
     /// every layer the request flows through.
     pub fn fingerprint(&self) -> u64 {
@@ -93,9 +165,10 @@ impl CompletionRequest {
 /// ledger.
 ///
 /// A member is an answer or a [`NoAnswer`]; a non-answer's split is empty,
-/// so it bills nothing. Conservation law: `sum(splits) == batch_usage`,
-/// field for field — so a suite that prices both sides gets equality to the
-/// cent, not within an epsilon. A simulator batch counts as **one** backend
+/// so it bills nothing — an owed member's too, until it is settled.
+/// Conservation law: `sum(splits) == batch_usage`, field for field — so a
+/// suite that prices both sides gets equality to the cent, not within an
+/// epsilon. A simulator batch counts as **one** backend
 /// call: exactly one split carries `calls == 1` (the first billed member);
 /// cache-answered and coalesced members carry pure savings.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -166,6 +239,9 @@ pub trait LlmService: Send + Sync {
     /// Implementations must uphold `sum(splits) == batch_usage`, attribute
     /// each member the usage of the layer that billed it, and add exactly
     /// `batch_usage` to [`LlmService::usage`] (exact once callers quiesce).
+    /// A member answered [`NoAnswer::Owed`] is billed nothing by the reply:
+    /// its settlement ([`CompletionRequest::settle`]) adds exactly the split
+    /// it returns, so reply usage plus settled splits is the ledger's growth.
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome;
     /// Free-text completion for a human or a test: a batch of one, with a
     /// non-answer rendered as its notice. Code that must tell the two apart

@@ -2,8 +2,8 @@
 //! answer fails its job (journaled `failed`, never cached, billed nothing),
 //! and a refused call in a dead job ends it `cancelled` / `deadline_exceeded`
 //! — never a success that carries a notice as its output, and never a
-//! `failed` that was really a deadline. And the gateway's resend verdict is
-//! the batcher's alone: it reaches no module, output or error.
+//! `failed` that was really a deadline. And the gateway's resend and owed
+//! verdicts are the batcher's alone: they reach no module, output or error.
 
 use lingua_core::modules::{LlmModule, LlmgcModule, Module, PromptBuilder};
 use lingua_core::tools::ToolRegistry;
@@ -192,12 +192,14 @@ fn a_resend_verdict_never_leaves_the_batcher_and_meters_still_reconcile() {
         })
         .collect();
     let notice = NoAnswer::Resend { attempts: 1 }.to_string();
+    let owed = NoAnswer::Owed.to_string();
     let mut prompt_tokens = Vec::new();
     for handle in handles {
         match handle.wait() {
             Ok(output) => {
                 let out = output.get("out").unwrap().render();
                 assert!(!out.contains(&notice), "a resend verdict became output: {out}");
+                assert!(!out.contains(&owed), "an owed verdict became output: {out}");
                 prompt_tokens.push(output.llm.tokens_in);
             }
             Err(err) => assert_eq!(
