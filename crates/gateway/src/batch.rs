@@ -6,7 +6,9 @@
 //! Each [`LlmService::complete_batch`] call *enqueues* its members into the
 //! currently-filling batch and blocks until they flush; the flush itself is
 //! one `complete_batch` call below, so N members pay one backend round trip
-//! between them.
+//! between them. Each member's bill is still its own — one model call, or a
+//! cache saving — so the round trips batching saves show in
+//! [`BatchSnapshot::batches`], not in the ledger.
 //!
 //! # Flush state machine
 //!
@@ -143,7 +145,7 @@ pub struct FlushRecord {
     pub live: usize,
     /// Members refused as cancelled and excluded unbilled.
     pub cancelled: usize,
-    /// Live members answered without billing (cache hits and in-batch
+    /// Live members answered without billing (cache hits and singleflight
     /// coalesces; see [`BatchOutcome::saved_members`]).
     pub saved: usize,
     /// Live members the backend answered [`NoAnswer::Resend`]; each rides a
@@ -153,8 +155,9 @@ pub struct FlushRecord {
     /// own thread computes and bills it after the flush.
     pub owed: usize,
     pub reason: FlushReason,
-    /// Exact usage the backend's reply booked for this flush; owed members'
-    /// settlements bill beside it.
+    /// Exact usage the backend's reply booked for this flush: each answered
+    /// member one model call or one saving, whatever the one round trip
+    /// carried. Owed members' settlements bill beside it.
     pub usage: Usage,
 }
 
@@ -577,6 +580,10 @@ impl LlmService for Batcher {
         self.inner.usage()
     }
 
+    fn restore_usage(&self, usage: &Usage) {
+        self.inner.restore_usage(usage);
+    }
+
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
     }
@@ -675,10 +682,11 @@ mod tests {
         assert_eq!(snap.size_flushes, 1);
         assert_eq!(snap.window_flushes, 0);
         assert_eq!(snap.max_occupancy, MEMBERS as u64);
-        // One batched backend call for the whole group, billed once.
-        assert_eq!(service.usage().calls, 1);
+        // One batched backend call for the whole group, each member billed
+        // as one model call.
         let log = batcher.flush_log();
         assert_eq!(log.len(), 1);
+        assert_eq!(service.usage().calls, MEMBERS as u64);
         assert_eq!(log[0].occupancy, MEMBERS);
         assert_eq!(log[0].reason, FlushReason::Size);
         assert_eq!(log[0].usage, service.usage());
@@ -1223,7 +1231,8 @@ mod tests {
         let mut log = flushes(&batcher);
         log.sort_by_key(|&(occupancy, _)| occupancy);
         assert_eq!(log, [(SIZE, FlushReason::Size), (2 * SIZE, FlushReason::Size)]);
-        assert_eq!(service.usage().calls, 2, "two backend calls for three callers");
+        assert_eq!(backend.calls.load(Ordering::SeqCst), 2, "two backend calls for three callers");
+        assert_eq!(service.usage(), reference.usage(), "each member billed once");
         let snap = batcher.snapshot();
         assert_eq!((snap.size_flushes, snap.window_flushes, snap.max_occupancy), (2, 0, 16));
     }

@@ -7,6 +7,7 @@
 //! across prompts — so chaos tests can *replay* the plan and assert exact
 //! retry/failover counts instead of asserting "roughly 20%".
 
+use crate::transport::answer_member;
 use crate::{FaultClass, LlmTransport, TransportError, Verdict};
 use lingua_llm_sim::{
     BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm, Usage,
@@ -220,11 +221,7 @@ impl LlmTransport for FaultInjector {
         let mut verdicts: Vec<Verdict> = Vec::with_capacity(requests.len());
         for request in requests {
             let Some(class) = self.draw(request.fingerprint()) else {
-                let inner = Arc::clone(&self.inner);
-                let call = move |request: &CompletionRequest| {
-                    inner.complete_batch(std::slice::from_ref(request)).into_single()
-                };
-                verdicts.push(Ok(if owing { request.owe(call) } else { call(request) }));
+                verdicts.push(Ok(answer_member(&self.inner, request, owing)));
                 continue;
             };
             let fault = match class {

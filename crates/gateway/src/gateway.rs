@@ -888,7 +888,7 @@ mod tests {
             summed.merge(split);
         }
         assert_eq!(summed, outcome.batch_usage);
-        assert_eq!(outcome.batch_usage.calls, 1, "one batched backend call");
+        assert_eq!(outcome.batch_usage.calls, 3, "each member is one model call");
         let snap = gateway.snapshot();
         assert_eq!(snap.batches, 1);
         assert_eq!(snap.batch_members, 3);

@@ -8,9 +8,30 @@
 
 use crate::TransportError;
 use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage,
+    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer, Usage,
 };
 use std::sync::Arc;
+
+/// Answer one member of a wire call with a lone call to `service`: owed to
+/// the member's own thread ([`CompletionRequest::owe`]) when the call
+/// carries more than one member (`owing`) and the batcher gave the member a
+/// settle slot, else made here. A provider computes a batch's members in
+/// parallel, and this is how a member's compute leaves the flusher's thread.
+pub(crate) fn answer_member<S: LlmService + ?Sized + 'static>(
+    service: &Arc<S>,
+    request: &CompletionRequest,
+    owing: bool,
+) -> (Result<Arc<str>, NoAnswer>, Usage) {
+    let service = Arc::clone(service);
+    let call = move |request: &CompletionRequest| {
+        service.complete_batch(std::slice::from_ref(request)).into_single()
+    };
+    if owing {
+        request.owe(call)
+    } else {
+        call(request)
+    }
+}
 
 /// A named, fallible LLM backend.
 ///
@@ -62,7 +83,9 @@ pub trait LlmTransport: Send + Sync {
 }
 
 /// Adapter lifting an [`LlmService`] into a transport that never
-/// faults.
+/// faults. Each member is a lone call to the service, owed to its own
+/// thread in a call of more than one member, as [`crate::FaultInjector`]
+/// owes a passing member.
 pub struct ServiceTransport {
     name: String,
     service: Arc<dyn LlmService>,
@@ -83,7 +106,8 @@ impl LlmTransport for ServiceTransport {
         &self,
         requests: &[CompletionRequest],
     ) -> Result<BatchOutcome, TransportError> {
-        Ok(self.service.complete_batch(requests))
+        let owing = requests.len() > 1;
+        Ok(requests.iter().map(|request| answer_member(&self.service, request, owing)).collect())
     }
 
     fn embed(&self, text: &str) -> Result<Vec<f64>, TransportError> {
@@ -149,14 +173,24 @@ mod tests {
         ];
         let outcome = transport.complete_batch(&requests).expect("infallible");
         assert_eq!(outcome.responses.len(), 2);
-        // The override reaches the simulator's genuine batched entry point,
-        // which amortizes the whole flush into one backend call.
-        assert_eq!(outcome.batch_usage.calls, 1);
+        // Without settle slots nothing is owed: each member is one call to
+        // the simulator, made here.
+        assert_eq!(outcome.batch_usage.calls, 2);
         assert_eq!(transport.usage(), outcome.batch_usage);
         let mut summed = Usage::default();
         for split in &outcome.splits {
             summed.merge(split);
         }
         assert_eq!(summed, outcome.batch_usage);
+        // With them, both members are owed and bill when their threads
+        // settle them.
+        let slotted: Vec<_> = requests.iter().map(|r| r.clone().with_settle_slot()).collect();
+        let owed = transport.complete_batch(&slotted).expect("infallible");
+        assert_eq!(owed.responses, [Err(NoAnswer::Owed), Err(NoAnswer::Owed)]);
+        assert_eq!(transport.usage(), outcome.batch_usage, "an owed member bills nothing yet");
+        for (request, response) in slotted.iter().zip(&outcome.responses) {
+            assert_eq!(request.settle().0, *response);
+        }
+        assert_eq!(transport.usage().calls, 4);
     }
 }

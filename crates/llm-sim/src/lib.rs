@@ -47,4 +47,6 @@ pub use codegen::{BugKind, CodeGenSpec, GeneratedCode, TemplateKind};
 pub use cost::{AtomicUsage, TokenPricing, Usage};
 pub use hotpath::{fingerprint, CacheStats, Fnv1a, ShardedLru};
 pub use knowledge::KnowledgeBase;
-pub use service::{BatchOutcome, CompletionRequest, LlmService, SimLlm, SimLlmConfig};
+pub use service::{
+    BatchOutcome, CompletionRequest, EndpointCall, LlmService, SimLlm, SimLlmConfig,
+};

@@ -17,6 +17,7 @@ use lingua_dataset::world::WorldSpec;
 use lingua_ml::features::HashingVectorizer;
 use lingua_ml::rng::Rng;
 use lingua_ml::sync::Mutex;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -165,12 +166,14 @@ impl CompletionRequest {
 /// ledger.
 ///
 /// A member is an answer or a [`NoAnswer`]; a non-answer's split is empty,
-/// so it bills nothing — an owed member's too, until it is settled.
-/// Conservation law: `sum(splits) == batch_usage`, field for field — so a
-/// suite that prices both sides gets equality to the cent, not within an
-/// epsilon. A simulator batch counts as **one** backend
-/// call: exactly one split carries `calls == 1` (the first billed member);
-/// cache-answered and coalesced members carry pure savings.
+/// so it bills nothing — an owed member's too, until it is settled. An
+/// answer's split is decided once, by the layer that billed it: one model
+/// call (`calls == 1`), or a saving (`cached_calls == 1`) for a member the
+/// cache or the singleflight answered. Layers above merge the splits and
+/// re-count nothing. Conservation law: `sum(splits) == batch_usage`, field
+/// for field — so a suite that prices both sides gets equality to the cent,
+/// not within an epsilon. How many round trips carried the members is the
+/// batcher's flush count, not the ledger's.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchOutcome {
     /// One result per request, in request order.
@@ -182,21 +185,6 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    pub fn with_capacity(members: usize) -> BatchOutcome {
-        BatchOutcome {
-            responses: Vec::with_capacity(members),
-            splits: Vec::with_capacity(members),
-            batch_usage: Usage::default(),
-        }
-    }
-
-    /// Append one member's result and the usage attributed to it.
-    pub fn push(&mut self, response: Result<Arc<str>, NoAnswer>, split: Usage) {
-        self.batch_usage.merge(&split);
-        self.splits.push(split);
-        self.responses.push(response);
-    }
-
     /// The first member's result and split — what a batch of one was placed
     /// for. A reply without members produced no answer: `Aborted`.
     pub fn into_single(self) -> (Result<Arc<str>, NoAnswer>, Usage) {
@@ -204,8 +192,8 @@ impl BatchOutcome {
         (response, self.splits.into_iter().next().unwrap_or(self.batch_usage))
     }
 
-    /// Members answered without billing: cache hits, plus members coalesced
-    /// onto an identical prompt computed earlier in the same batch.
+    /// Members answered without billing: cache hits, and members coalesced
+    /// onto an identical prompt in flight (the singleflight).
     pub fn saved_members(&self) -> usize {
         self.splits.iter().filter(|split| split.cached_calls > 0).count()
     }
@@ -223,7 +211,43 @@ impl FromIterator<(Result<Arc<str>, NoAnswer>, Usage)> for BatchOutcome {
 /// Append members, in order, each with the usage attributed to it.
 impl Extend<(Result<Arc<str>, NoAnswer>, Usage)> for BatchOutcome {
     fn extend<I: IntoIterator<Item = (Result<Arc<str>, NoAnswer>, Usage)>>(&mut self, members: I) {
-        members.into_iter().for_each(|(response, split)| self.push(response, split));
+        for (response, split) in members {
+            self.batch_usage.merge(&split);
+            self.splits.push(split);
+            self.responses.push(response);
+        }
+    }
+}
+
+/// A call to an endpoint that answers no [`BatchOutcome`]: an embedding or
+/// a code-generation call. [`EndpointCall::usage`] is the one place such a
+/// call's bill is built, so `SimLlm`'s ledger and every layer that
+/// attributes the call (a per-job meter, a trace span) agree to the token.
+#[derive(Debug, Clone, Copy)]
+pub enum EndpointCall<'a> {
+    Embed(&'a str),
+    GenerateCode(&'a CodeGenSpec),
+    SuggestFix { source: &'a str, failures: &'a [String] },
+    RepairCode { previous: &'a GeneratedCode, suggestion: &'a str },
+}
+
+impl EndpointCall<'_> {
+    /// The usage of this call, answered `response` (empty for an embedding):
+    /// one call, its request text's tokens in and the response's out.
+    pub fn usage(&self, response: &str) -> Usage {
+        let request = match *self {
+            EndpointCall::Embed(text) => Cow::Borrowed(text),
+            EndpointCall::GenerateCode(spec) => Cow::Borrowed(spec.task.as_str()),
+            EndpointCall::SuggestFix { source, failures } => {
+                Cow::Owned(format!("{source}\n{}", failures.join("\n")))
+            }
+            EndpointCall::RepairCode { previous, suggestion } => {
+                Cow::Owned(format!("{}\n{suggestion}", previous.source))
+            }
+        };
+        let mut usage = Usage::default();
+        usage.record(count_tokens(&request), count_tokens(response));
+        usage
     }
 }
 
@@ -237,8 +261,10 @@ pub trait LlmService: Send + Sync {
     /// the gateway withheld it, its flush aborted), never a notice text, so
     /// no cache, meter or validator above can mistake one for the other.
     /// Implementations must uphold `sum(splits) == batch_usage`, attribute
-    /// each member the usage of the layer that billed it, and add exactly
-    /// `batch_usage` to [`LlmService::usage`] (exact once callers quiesce).
+    /// each member the usage of the layer that billed it — a layer that
+    /// bills nothing itself passes the splits it was handed on, and one that
+    /// attributes usage merges them — and add exactly `batch_usage` to
+    /// [`LlmService::usage`] (exact once callers quiesce).
     /// A member answered [`NoAnswer::Owed`] is billed nothing by the reply:
     /// its settlement ([`CompletionRequest::settle`]) adds exactly the split
     /// it returns, so reply usage plus settled splits is the ledger's growth.
@@ -440,11 +466,6 @@ impl SimLlm {
         }
     }
 
-    fn meter(&self, prompt_text: &str, response: &str) {
-        self.usage.record(count_tokens(prompt_text), count_tokens(response));
-        self.latency_ms.fetch_add(self.config.latency_ms_per_call, Ordering::Relaxed);
-    }
-
     /// Book `usage` on the ledger, with one round trip's latency if it
     /// placed a backend call.
     fn bill(&self, usage: &Usage) {
@@ -454,9 +475,9 @@ impl SimLlm {
         }
     }
 
-    /// A batch of one: refused unbilled if its job is dead, else answered
-    /// from the cache, coalesced onto an identical call in flight (the
-    /// singleflight), or computed and billed.
+    /// One member, of a batch of any size: refused unbilled if its job is
+    /// dead, else answered from the cache, coalesced onto an identical call
+    /// in flight (the singleflight), or computed and billed.
     fn complete_one(&self, request: &CompletionRequest) -> (Result<Arc<str>, NoAnswer>, Usage) {
         let mut split = Usage::default();
         if let Some(reason) = request.cancelled() {
@@ -519,14 +540,13 @@ impl SimLlm {
             self.config.seed ^ fingerprint(&spec.task) ^ nonce.wrapping_mul(0x9e37),
         );
         let code = codegen::generate(spec, &self.config.calibration, &mut rng);
-        self.meter(&spec.task, &code.source);
+        self.bill(&EndpointCall::GenerateCode(spec).usage(&code.source));
         code
     }
 
     fn suggest_fix_impl(&self, source: &str, failures: &[String]) -> String {
         let suggestion = codegen::suggest_fix(source, failures);
-        let request = format!("{source}\n{}", failures.join("\n"));
-        self.meter(&request, &suggestion);
+        self.bill(&EndpointCall::SuggestFix { source, failures }.usage(&suggestion));
         suggestion
     }
 
@@ -541,65 +561,20 @@ impl SimLlm {
             self.config.seed ^ fingerprint(&previous.source) ^ nonce.wrapping_mul(0x517c_c1b7),
         );
         let code = codegen::repair(spec, &self.config.calibration, previous, suggestion, &mut rng);
-        let request = format!("{}\n{suggestion}", previous.source);
-        self.meter(&request, &code.source);
+        self.bill(&EndpointCall::RepairCode { previous, suggestion }.usage(&code.source));
         code
     }
 }
 
 impl LlmService for SimLlm {
+    /// Every member is answered as a batch of one is: one model call with
+    /// its own split, from the cache, the singleflight or the model.
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
-        if let [request] = requests {
-            return std::iter::once(self.complete_one(request)).collect();
-        }
-        let mut outcome = BatchOutcome::with_capacity(requests.len());
-        // A larger batch answers every member: whoever assembled it (the
-        // batcher's flush filter) settled which members are alive, and its
-        // `cancelled_members` count is what the per-job meters reconcile
-        // against.
-        //
-        // It also bypasses the singleflight: identical prompts inside one
-        // batch coalesce through the cache insert below, and identical
-        // misses racing across concurrent flushes at worst recompute a
-        // deterministic response (billing stays exact per flush).
-        let mut billed_any = false;
-        for request in requests {
-            let key = request.fingerprint();
-            let mut split = Usage::default();
-            // A hit — or a member coalescing onto an identical prompt
-            // computed earlier in this very batch.
-            if let Some(entry) = self.cache.as_ref().and_then(|cache| cache.get(key)) {
-                split.record_cached(entry.tokens_in, entry.tokens_out);
-                outcome.push(Ok(entry.text), split);
-                continue;
-            }
-            let response = self.respond(&request.prompt);
-            let tokens_in = count_tokens(&request.prompt);
-            let tokens_out = count_tokens(&response);
-            let text: Arc<str> = Arc::from(response);
-            // The whole flush is ONE batched backend call: the first billed
-            // member carries it, siblings contribute tokens only. That keeps
-            // `sum(splits).calls == batch_usage.calls == 1`.
-            if !billed_any {
-                split.calls = 1;
-                billed_any = true;
-            }
-            split.tokens_in += tokens_in as u64;
-            split.tokens_out += tokens_out as u64;
-            if let Some(cache) = &self.cache {
-                cache
-                    .insert(key, CachedResponse { text: Arc::clone(&text), tokens_in, tokens_out });
-            }
-            outcome.push(Ok(text), split);
-        }
-        // Book the ledger once for the whole batch, and accrue one round
-        // trip's latency — the amortization batching exists to buy.
-        self.bill(&outcome.batch_usage);
-        outcome
+        requests.iter().map(|request| self.complete_one(request)).collect()
     }
 
     fn embed(&self, text: &str) -> Vec<f64> {
-        self.usage.record(count_tokens(text), 0);
+        self.usage.merge(&EndpointCall::Embed(text).usage(""));
         self.latency_ms.fetch_add(self.config.latency_ms_per_call / 4, Ordering::Relaxed);
         self.vectorizer.transform(&crate::embeddings::normalize_for_embedding(text))
     }
@@ -833,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_books_one_call_and_splits_tokens_exactly() {
+    fn batch_bills_each_member_as_one_call_and_splits_exactly() {
         let world = WorldSpec::generate(5);
         let svc = SimLlm::new(
             &world,
@@ -846,11 +821,12 @@ mod tests {
         let outcome = svc.complete_batch(&requests);
         assert_eq!(outcome.responses.len(), 4);
         assert_eq!(outcome.splits.len(), 4);
-        // One batched backend call, one round trip of latency.
-        assert_eq!(outcome.batch_usage.calls, 1);
+        // Each member is one model call, as it would be alone.
+        assert_eq!(outcome.batch_usage.calls, 4);
+        assert!(outcome.splits.iter().all(|split| split.calls == 1));
         assert_eq!(
             svc.simulated_latency_ms() - latency_before,
-            SimLlmConfig::default().latency_ms_per_call
+            4 * SimLlmConfig::default().latency_ms_per_call
         );
         // Conservation: the splits sum to the batch, the batch to the ledger.
         let mut summed = Usage::default();
@@ -883,8 +859,8 @@ mod tests {
         ];
         let before = svc.usage();
         let outcome = svc.complete_batch(&requests);
-        // Member 0 hit the warm cache; member 2 coalesced onto member 1's
-        // in-batch compute. Only member 1 billed.
+        // Member 0 hit the warm cache; member 2 hit the entry member 1's
+        // compute left there. Only member 1 billed.
         assert_eq!(outcome.batch_usage.calls, 1);
         assert_eq!(outcome.batch_usage.cached_calls, 2);
         assert_eq!(outcome.saved_members(), 2);
@@ -896,14 +872,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_without_cache_bills_every_member_in_one_call() {
+    fn batch_without_cache_bills_every_member_its_own_call() {
         let svc = service(); // cache disabled
         let requests = vec![
             CompletionRequest::new("Summarize. Text: one"),
             CompletionRequest::new("Summarize. Text: two"),
+            CompletionRequest::new("Summarize. Text: one"),
         ];
         let outcome = svc.complete_batch(&requests);
-        assert_eq!(outcome.batch_usage.calls, 1, "amortized into one backend call");
+        assert_eq!(outcome.batch_usage.calls, 3, "no cache: every member is computed");
+        assert_eq!(outcome.splits[0], outcome.splits[2]);
         assert_eq!(outcome.batch_usage.cached_calls, 0);
         assert!(outcome.splits.iter().all(|s| s.tokens_in > 0));
         assert_eq!(svc.usage(), outcome.batch_usage);

@@ -12,9 +12,8 @@ use crate::job::Terminal;
 use lingua_core::{CoreError, TrapKind};
 use lingua_durable::RecoverySnapshot;
 use lingua_gateway::{BatchSnapshot, GatewaySnapshot};
-use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage,
+    BatchOutcome, CodeGenSpec, CompletionRequest, EndpointCall, GeneratedCode, LlmService, Usage,
 };
 use lingua_ml::sync::Mutex;
 use lingua_trace::TraceSummary;
@@ -409,6 +408,12 @@ impl MetricsSnapshot {
 /// traffic the job generated. Because [`UsageMeter::usage`] reports the
 /// *local* counters, the executor's per-op usage traces are also exact
 /// per job.
+///
+/// The meter decides no bill: a completion books the splits the layer that
+/// billed each member returned (a cache-answered member as saved, a member
+/// without an answer as nothing), and the other endpoints book
+/// [`EndpointCall::usage`], as `SimLlm` bills them. So with no faults the
+/// jobs' meters sum to the shared ledger, field for field.
 pub(crate) struct UsageMeter {
     inner: Arc<dyn LlmService>,
     local: Mutex<Usage>,
@@ -419,34 +424,21 @@ impl UsageMeter {
         UsageMeter { inner, local: Mutex::new(Usage::default()) }
     }
 
-    fn record(&self, prompt: &str, response: &str) {
-        self.local.lock().record(count_tokens(prompt), count_tokens(response));
+    fn book(&self, call: EndpointCall<'_>, response: &str) {
+        self.local.lock().merge(&call.usage(response));
     }
 }
 
 impl LlmService for UsageMeter {
     fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
-        let mut outcome = self.inner.complete_batch(requests);
-        // The job is billed for what it was answered: a member without an
-        // answer was never placed or billed downstream, and metering it here
-        // would make the per-job total diverge from the shared ledger.
-        let mut billed = Usage::default();
-        let members = requests.iter().zip(&outcome.responses).zip(&mut outcome.splits);
-        for ((request, response), split) in members {
-            *split = Usage::default();
-            if let Ok(text) = response {
-                split.record(count_tokens(&request.prompt), count_tokens(text));
-            }
-            billed.merge(split);
-        }
-        outcome.batch_usage = billed;
-        self.local.lock().merge(&billed);
+        let outcome = self.inner.complete_batch(requests);
+        self.local.lock().merge(&outcome.batch_usage);
         outcome
     }
 
     fn embed(&self, text: &str) -> Vec<f64> {
         let embedding = self.inner.embed(text);
-        self.local.lock().record(count_tokens(text), 0);
+        self.book(EndpointCall::Embed(text), "");
         embedding
     }
 
@@ -460,16 +452,13 @@ impl LlmService for UsageMeter {
 
     fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
         let code = self.inner.generate_code(spec);
-        self.record(&spec.task, &code.source);
+        self.book(EndpointCall::GenerateCode(spec), &code.source);
         code
     }
 
     fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
         let suggestion = self.inner.suggest_fix(source, failures);
-        // Bill the same request string `SimLlm::suggest_fix` meters, so the
-        // per-job meter reconciles exactly with the shared service's counters
-        // (and with trace-attributed usage).
-        self.record(&format!("{source}\n{}", failures.join("\n")), &suggestion);
+        self.book(EndpointCall::SuggestFix { source, failures }, &suggestion);
         suggestion
     }
 
@@ -480,8 +469,7 @@ impl LlmService for UsageMeter {
         suggestion: &str,
     ) -> GeneratedCode {
         let code = self.inner.repair_code(spec, previous, suggestion);
-        // Same request string `SimLlm::repair_code` meters.
-        self.record(&format!("{}\n{suggestion}", previous.source), &code.source);
+        self.book(EndpointCall::RepairCode { previous, suggestion }, &code.source);
         code
     }
 }
@@ -591,9 +579,7 @@ mod tests {
     impl LlmService for NoAnswers {
         fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
             let no_answer = self.0.expect("backend exploded");
-            let mut outcome = BatchOutcome::with_capacity(requests.len());
-            requests.iter().for_each(|_| outcome.push(Err(no_answer), Usage::default()));
-            outcome
+            requests.iter().map(|_| (Err(no_answer), Usage::default())).collect()
         }
         fn embed(&self, _text: &str) -> Vec<f64> {
             Vec::new()

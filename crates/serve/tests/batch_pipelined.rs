@@ -93,8 +93,8 @@ fn one_worker_fills_size_triggered_batches_through_the_pipelined_map() {
     assert_eq!(batch.size_flushes, 1, "the size trigger fired, not the window");
     assert_eq!(batch.window_flushes, 0);
     assert_eq!(batch.max_occupancy, BATCH as u64);
-    // One billed backend call for the whole batch.
-    assert_eq!(llm.usage().calls, 1);
+    // Each member billed as the lone reference call billed it.
+    assert_eq!(llm.usage(), reference.usage());
 }
 
 #[test]

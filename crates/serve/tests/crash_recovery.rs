@@ -16,10 +16,13 @@ use lingua_core::modules::{CustomModule, Module};
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
 use lingua_durable::{CrashInjector, Journal, JournalTuning, KillPoint, SimStorage};
-use lingua_llm_sim::{LlmService, SimLlm, TokenPricing};
-use lingua_serve::{fingerprint_inputs, PipelineServer, ServeConfig, ServeError, SubmitRequest};
+use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig, TokenPricing};
+use lingua_serve::{
+    fingerprint_inputs, BatchTuning, PipelineServer, ServeConfig, ServeError, SubmitRequest,
+};
 use lingua_trace::{ring_tracer, SpanKind, TraceTree};
 use std::sync::Arc;
+use std::time::Duration;
 use support::FailNextAppend;
 
 const SEED: u64 = 77;
@@ -337,4 +340,85 @@ fn a_lost_finished_append_is_counted_and_the_job_still_answers() {
     // What the counter warns of: the next incarnation finds the job pending.
     let (_journal, recovered) = Journal::open(JournalTuning::sim(log)).expect("the log reopens");
     assert_eq!(recovered.pending.len(), 1, "the answered job comes back to be run again");
+}
+
+/// After a clean shutdown the journal holds the ledger's bill: the
+/// `cumulative` the next incarnation's `Journal::open` reads equals what
+/// `llm` billed, on every `Usage` field — however the completions were
+/// grouped or served.
+fn assert_journaled_bill_is_the_ledger(storage: Arc<SimStorage>, llm: &SimLlm) {
+    let (_journal, recovered) = Journal::open(JournalTuning::sim(storage)).expect("log reopens");
+    assert_eq!(recovered.cumulative, llm.usage(), "journaled bill != ledger");
+}
+
+/// A journaled server batched over a fresh simulator of its own.
+fn batched_server(storage: &Arc<SimStorage>) -> (PipelineServer, Arc<SimLlm>) {
+    let world = WorldSpec::generate(SEED);
+    let llm = Arc::new(SimLlm::with_seed(&world, SEED));
+    let server = PipelineServer::start(
+        ContextFactory::new(llm.clone()),
+        ServeConfig {
+            workers: Some(4),
+            batch: Some(BatchTuning { max_batch_size: 8, max_wait: Duration::from_millis(20) }),
+            journal: Some(JournalTuning::sim(storage.clone())),
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    server.register_dsl("curate", CURATE, &Compiler::with_builtins()).expect("register");
+    (server, llm)
+}
+
+/// Thirty-two concurrent one-completion jobs through a batcher over a bare
+/// simulator: each member is one model call with its own split, so the jobs
+/// meter, and the journal keeps, what the ledger billed — and the next
+/// incarnation, batched too, restores that bill into its ledger.
+#[test]
+fn a_batched_servers_journaled_bill_is_its_ledger() {
+    const JOBS: usize = 32;
+    let storage = SimStorage::new();
+    let (server, llm) = batched_server(&storage);
+    let handles: Vec<_> = (0..JOBS).map(|i| server.submit(request(i)).unwrap()).collect();
+    for handle in handles {
+        handle.wait().expect("job runs");
+    }
+    let batch = server.metrics().batch.expect("batched server surfaces batch counters");
+    assert!(batch.batches < JOBS as u64, "some flush carried more than one member");
+    drop(server);
+    assert_journaled_bill_is_the_ledger(storage.clone(), &llm);
+    let (_server, restored) = batched_server(&storage);
+    assert_eq!(restored.usage(), llm.usage(), "the batcher passes the restored bill down");
+}
+
+/// Eight jobs that share one prompt over a caching simulator: one is
+/// billed, seven are answered from the cache, and the journal books those
+/// seven as saved, as the ledger does, rather than at list price.
+#[test]
+fn a_cache_served_jobs_journaled_bill_is_its_ledger() {
+    const JOBS: usize = 8;
+    let world = WorldSpec::generate(SEED);
+    let llm = Arc::new(SimLlm::new(
+        &world,
+        SimLlmConfig { seed: SEED, cache_enabled: true, ..Default::default() },
+    ));
+    let storage = SimStorage::new();
+    let server = PipelineServer::start(
+        ContextFactory::new(llm.clone()),
+        ServeConfig {
+            workers: Some(1),
+            dedup_inflight: false,
+            result_cache_capacity: 0,
+            journal: Some(JournalTuning::sim(storage.clone())),
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    server.register_dsl("curate", CURATE, &Compiler::with_builtins()).expect("register");
+    for _ in 0..JOBS {
+        server.run(request(0)).expect("job runs");
+    }
+    let ledger = llm.usage();
+    assert_eq!((ledger.calls, ledger.cached_calls), (1, JOBS as u64 - 1));
+    drop(server);
+    assert_journaled_bill_is_the_ledger(storage, &llm);
 }

@@ -13,7 +13,7 @@
 
 use lingua_core::ContextFactory;
 use lingua_dataset::world::WorldSpec;
-use lingua_durable::{CrashInjector, JournalTuning, KillPoint, SimStorage};
+use lingua_durable::{CrashInjector, Journal, JournalTuning, KillPoint, SimStorage};
 use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig, TokenPricing, Usage};
 use lingua_serve::ServeConfig;
 use lingua_stream::{
@@ -221,4 +221,34 @@ fn recovered_engine_keeps_conservation_laws() {
     assert!(snap.window_conservation_holds(), "{}", snap.report());
     assert_eq!(snap.windows_open, 0, "finish() closes every window");
     assert!(!reports.is_empty());
+}
+
+/// A clean shutdown journals the ledger's bill with the simulator's cache
+/// on, as the streaming benchmark runs it: overlapping windows re-judge
+/// pairs from the cache, and the `cumulative` the next `Journal::open` reads
+/// books those as saved, equal to the ledger on every `Usage` field.
+#[test]
+fn a_caching_streams_journaled_bill_is_its_ledger() {
+    let world = WorldSpec::generate(SEED);
+    let llm = Arc::new(SimLlm::new(
+        &world,
+        SimLlmConfig { seed: SEED, cache_enabled: true, ..Default::default() },
+    ));
+    let storage = SimStorage::new();
+    let source = SyntheticSource::new(&world, StreamSpec { seed: SEED, ..Default::default() });
+    let engine = StreamEngine::start(
+        ContextFactory::new(Arc::clone(&llm) as Arc<dyn LlmService>),
+        source.schema().clone(),
+        stream_config(JournalTuning::sim(storage.clone())),
+    )
+    .expect("engine starts");
+    for item in items() {
+        engine.ingest(item).expect("ingest");
+    }
+    engine.finish().expect("drain");
+    drop(engine);
+    let ledger = llm.usage();
+    assert!(ledger.cached_calls > 0, "overlapping windows re-judge pairs from the cache");
+    let (_journal, recovered) = Journal::open(JournalTuning::sim(storage)).expect("log reopens");
+    assert_eq!(recovered.cumulative, ledger, "journaled bill != ledger");
 }

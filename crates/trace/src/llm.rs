@@ -3,17 +3,16 @@
 //! module places — is a `complete` span; a larger batch one `complete_batch`
 //! span over all its members.
 //!
-//! The accounting mirrors `lingua-serve`'s `UsageMeter` formula for formula:
-//! tokens are recomputed with [`count_tokens`] over the *same strings* the
-//! meter (and `SimLlm`'s own meter) bill, so a span tree's cost rollup
-//! reconciles with the per-job `Usage` total exactly — to the token, and
-//! therefore to the cent.
+//! A span decides no bill: a completion's span carries the merged splits the
+//! layer that billed each member returned, and the other endpoints' spans
+//! [`EndpointCall::usage`], the bill `SimLlm` and serve's per-job meter book
+//! too — so a span tree's cost rollup reconciles with the per-job `Usage`
+//! total exactly, to the token and therefore to the cent.
 
 use crate::event::SpanKind;
 use crate::tracer::Tracer;
-use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, Usage,
+    BatchOutcome, CodeGenSpec, CompletionRequest, EndpointCall, GeneratedCode, LlmService, Usage,
 };
 use std::sync::Arc;
 
@@ -33,12 +32,6 @@ impl TracedLlm {
             inner
         }
     }
-
-    fn call_usage(tokens_in: usize, tokens_out: usize) -> Usage {
-        let mut usage = Usage::default();
-        usage.record(tokens_in, tokens_out);
-        usage
-    }
 }
 
 impl LlmService for TracedLlm {
@@ -46,20 +39,13 @@ impl LlmService for TracedLlm {
         let name = if requests.len() == 1 { "complete" } else { "complete_batch" };
         let mut span = self.tracer.span(SpanKind::LlmCall, name);
         let outcome = self.inner.complete_batch(requests);
-        // Only answers are attributed: a member without one billed nothing
-        // downstream, and the meters skip it too, so the span rollup and the
-        // per-job usage stay equal.
-        let mut usage = Usage::default();
-        let mut unanswered = Vec::new();
-        for (request, response) in requests.iter().zip(&outcome.responses) {
-            match response {
-                Ok(text) => usage.record(count_tokens(&request.prompt), count_tokens(text)),
-                Err(no_answer) => unanswered.push(no_answer.label()),
-            }
+        // A member without an answer has an empty split: it billed nothing
+        // downstream, and the meters book nothing for it either.
+        if outcome.batch_usage != Usage::default() {
+            span.set_usage(outcome.batch_usage);
         }
-        if usage.calls > 0 {
-            span.set_usage(usage);
-        }
+        let unanswered: Vec<&str> =
+            outcome.responses.iter().filter_map(|r| r.as_ref().err()).map(|n| n.label()).collect();
         if !unanswered.is_empty() {
             span.attr("no_answer", unanswered.join(","));
         }
@@ -69,7 +55,7 @@ impl LlmService for TracedLlm {
     fn embed(&self, text: &str) -> Vec<f64> {
         let mut span = self.tracer.span(SpanKind::LlmCall, "embed");
         let embedding = self.inner.embed(text);
-        span.set_usage(Self::call_usage(count_tokens(text), 0));
+        span.set_usage(EndpointCall::Embed(text).usage(""));
         embedding
     }
 
@@ -84,16 +70,14 @@ impl LlmService for TracedLlm {
     fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
         let mut span = self.tracer.span(SpanKind::LlmCall, "generate_code");
         let code = self.inner.generate_code(spec);
-        span.set_usage(Self::call_usage(count_tokens(&spec.task), count_tokens(&code.source)));
+        span.set_usage(EndpointCall::GenerateCode(spec).usage(&code.source));
         code
     }
 
     fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
         let mut span = self.tracer.span(SpanKind::LlmCall, "suggest_fix");
         let suggestion = self.inner.suggest_fix(source, failures);
-        // Bill the same request string `SimLlm::suggest_fix` meters.
-        let request = format!("{source}\n{}", failures.join("\n"));
-        span.set_usage(Self::call_usage(count_tokens(&request), count_tokens(&suggestion)));
+        span.set_usage(EndpointCall::SuggestFix { source, failures }.usage(&suggestion));
         suggestion
     }
 
@@ -105,9 +89,7 @@ impl LlmService for TracedLlm {
     ) -> GeneratedCode {
         let mut span = self.tracer.span(SpanKind::LlmCall, "repair_code");
         let code = self.inner.repair_code(spec, previous, suggestion);
-        // Bill the same request string `SimLlm::repair_code` meters.
-        let request = format!("{}\n{suggestion}", previous.source);
-        span.set_usage(Self::call_usage(count_tokens(&request), count_tokens(&code.source)));
+        span.set_usage(EndpointCall::RepairCode { previous, suggestion }.usage(&code.source));
         code
     }
 }
@@ -118,6 +100,7 @@ mod tests {
     use crate::event::Phase;
     use crate::sink::{RingSink, TraceSink};
     use lingua_dataset::world::WorldSpec;
+    use lingua_llm_sim::cost::count_tokens;
     use lingua_llm_sim::SimLlm;
 
     #[test]
