@@ -96,9 +96,7 @@ impl Module for PipelinedMapModule {
             let mut lane_ctx = lane_context(&template);
             inner().invoke(item, &mut lane_ctx)
         })?;
-        for _ in 0..count {
-            ctx.stats.record_invocation(&self.name);
-        }
+        ctx.stats.record_invocations(&self.name, count as u64);
         Ok(Data::List(results.into_iter().collect::<Result<Vec<Data>, CoreError>>()?))
     }
 

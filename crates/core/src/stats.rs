@@ -18,7 +18,17 @@ pub struct ExecStats {
 
 impl ExecStats {
     pub(crate) fn record_invocation(&mut self, module: &str) {
-        *self.invocations.entry(module.to_string()).or_default() += 1;
+        self.record_invocations(module, 1);
+    }
+
+    /// Book `count` invocations of `module`. The name is copied only the
+    /// first time it is booked; booking none leaves no entry.
+    pub(crate) fn record_invocations(&mut self, module: &str, count: u64) {
+        if let Some(booked) = self.invocations.get_mut(module) {
+            *booked += count;
+        } else if count > 0 {
+            self.invocations.insert(module.to_string(), count);
+        }
     }
 
     #[cfg(test)]
@@ -135,8 +145,12 @@ mod tests {
         stats.record_invocation("a");
         stats.record_invocation("a");
         stats.record_invocation("b");
+        stats.record_invocations("b", 3);
+        stats.record_invocations("none", 0);
         assert_eq!(stats.invocations_of("a"), 2);
+        assert_eq!(stats.invocations_of("b"), 4);
         assert_eq!(stats.invocations_of("missing"), 0);
+        assert!(!stats.invocations.contains_key("none"), "booking none leaves no entry");
     }
 
     #[test]

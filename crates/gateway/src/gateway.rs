@@ -186,7 +186,7 @@ impl GatewayBuilder {
             fallback: self.fallback,
             stale: Arc::new(ShardedLru::new(self.config.stale_cache_capacity, DEFAULT_SHARDS)),
             config: self.config,
-            degraded_usage: AtomicUsage::default(),
+            own_usage: AtomicUsage::default(),
             added_backoff_ms: AtomicU64::new(0),
             tracer: self.tracer,
         }
@@ -203,8 +203,9 @@ pub struct Gateway {
     /// as the simulator's hot path, keyed by the shared prompt fingerprint.
     /// Shared, so an owed member's settlement can keep its answer.
     stale: Arc<ShardedLru<Arc<str>>>,
-    /// Usage booked by the gateway itself (degraded cache serves).
-    degraded_usage: AtomicUsage,
+    /// Usage booked by the gateway itself: degraded cache serves, and a
+    /// bill restored after a crash.
+    own_usage: AtomicUsage,
     /// Backoff latency charged (virtually) against this gateway.
     added_backoff_ms: AtomicU64,
     tracer: Tracer,
@@ -439,7 +440,7 @@ impl Gateway {
             self.tracer.instant(SpanKind::Gateway, "degraded_cache_hit", Vec::new);
             let mut usage = Usage::default();
             usage.record_cached(count_tokens(&request.prompt), count_tokens(&stale));
-            self.degraded_usage.merge(&usage);
+            self.own_usage.merge(&usage);
             return (std::iter::once((Ok(stale), usage)).collect(), "degraded_cache");
         }
         if let Some(fallback) = &self.fallback {
@@ -585,7 +586,7 @@ impl LlmService for Gateway {
     }
 
     fn usage(&self) -> Usage {
-        let mut total = self.degraded_usage.snapshot();
+        let mut total = self.own_usage.snapshot();
         for backend in &self.backends {
             total.merge(&backend.transport.usage());
         }
@@ -593,6 +594,13 @@ impl LlmService for Gateway {
             total.merge(&fallback.usage());
         }
         total
+    }
+
+    /// The gateway keeps a restored bill as its own: a backend's ledger
+    /// holds what that backend billed, and which backend billed a journaled
+    /// job is not journaled.
+    fn restore_usage(&self, usage: &Usage) {
+        self.own_usage.merge(usage);
     }
 
     fn simulated_latency_ms(&self) -> u64 {

@@ -37,7 +37,8 @@ pub(crate) fn respond(
         if parsed.candidates.is_empty() { kb.manufacturers() } else { &parsed.candidates };
 
     // Step 1: brand read-off.
-    if let Some(maker) = kb.manufacturer_in_text(text) {
+    let lowered = text.to_lowercase();
+    if let Some(maker) = kb.manufacturer_in_text(&lowered) {
         if rng.gen_bool(calibration.text_mention_accuracy) {
             return noise::render_category(rng, maker, verbose_rate);
         }
@@ -47,7 +48,7 @@ pub(crate) fn respond(
     }
 
     // Step 2: product-line knowledge.
-    if let Some(owner) = kb.line_owner_in_text(text) {
+    if let Some(owner) = kb.line_owner_in_text(&lowered) {
         let mut answer = owner.to_string();
         if rng.gen_bool(calibration.known_entity_error) {
             answer = pick_other(vocabulary, owner, text);

@@ -8,20 +8,25 @@
 //! first entity question about a domain builds that domain's `DomainIndex`:
 //! every distinct token of the known entities' match keys, interned once as
 //! `Vec<char>`, and each entity reduced to two lists of token ids. A lookup
-//! then scores the record's few primary-key tokens against that *vocabulary*
+//! then reads the record's few primary-key tokens against that *vocabulary*
 //! — one Jaro-Winkler table per record, not one Monge-Elkan per entity — and
 //! every entity's score is row and column maxima of the table, summed in the
 //! order and divided by the count a per-entity `textsim::monge_elkan` would
 //! use, so each `f64`, and with it every verdict, is the one that scan
-//! produced (DESIGN.md §8). A knowledge base that is never asked an entity
-//! question builds no index.
+//! produced (DESIGN.md §8). The table's rows come from a bounded memo keyed
+//! by the token: records repeat their tokens far more often than they
+//! bring new ones, so a token is scored against the vocabulary once per
+//! memo residency rather than once per record. A knowledge base that is
+//! never asked an entity question builds no index and fills no memo.
 
 use crate::calibration::Calibration;
+use crate::hotpath::{ShardedLru, DEFAULT_SHARDS};
 use lingua_dataset::world::{Language, WorldSpec};
-use lingua_ml::fnv::fingerprint;
+use lingua_ml::fnv::{fingerprint, Fnv1a};
 use lingua_ml::textsim;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Which entity universe a record belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +61,7 @@ impl Domain {
     }
 
     fn index(&self) -> &DomainIndex {
-        self.index.get_or_init(|| DomainIndex::build(&self.known))
+        self.index.get_or_init(|| DomainIndex::build(&self.known, ROW_MEMO_TOKENS))
     }
 }
 
@@ -79,16 +84,78 @@ struct DomainIndex {
     primary_vocab: usize,
     /// In [`Domain::known`] order.
     entities: Vec<KbEntity>,
+    /// Entity id → its position in `entities` (the first, should an id
+    /// repeat).
+    positions: HashMap<u64, usize>,
+    /// Primary-vocabulary token → the positions of the entities whose
+    /// primary key uses it, ascending.
+    postings: Vec<Vec<usize>>,
+    /// Query tokens' rows against `vocab[..primary_vocab]`.
+    rows: RowMemo,
+}
+
+/// How many query tokens' rows one domain's memo keeps. A row is
+/// `primary_vocab` `f64`s — 40 for world 11's beers — so a full memo holds
+/// ~1.3 MB of rows; the 8,000 pair prompts of `er_provider` at seed 11
+/// bring 2,123 distinct primary-key tokens.
+const ROW_MEMO_TOKENS: usize = 4096;
+
+/// One query token's Jaro-Winkler against every primary-vocabulary token,
+/// `jw[v] = jaro_winkler_chars(token, vocab[v])`.
+struct Row {
+    token: Box<[char]>,
+    jw: Box<[f64]>,
+}
+
+/// A bounded LRU of [`Row`]s keyed by the FNV-1a hash of the token's
+/// scalar values. A hit counts only if the row's own token is the one
+/// asked for, so a colliding token is scored afresh and never handed
+/// another token's row.
+struct RowMemo {
+    capacity: usize,
+    rows: ShardedLru<Arc<Row>>,
+}
+
+impl RowMemo {
+    fn new(capacity: usize) -> RowMemo {
+        RowMemo { capacity, rows: ShardedLru::new(capacity, DEFAULT_SHARDS) }
+    }
+}
+
+/// A clone starts empty: the memo holds arithmetic, not facts.
+impl Clone for RowMemo {
+    fn clone(&self) -> RowMemo {
+        RowMemo::new(self.capacity)
+    }
+}
+
+impl fmt::Debug for RowMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RowMemo")
+            .field("capacity", &self.capacity)
+            .field("len", &self.rows.len())
+            .finish()
+    }
+}
+
+fn token_key(token: &[char]) -> u64 {
+    let mut hasher = Fnv1a::new();
+    for &c in token {
+        hasher.write(&u32::from(c).to_le_bytes());
+    }
+    hasher.finish()
 }
 
 /// The tokens a match key is compared by, or `None` for a key that
 /// normalises to nothing. They are the tokens of the *normalised* text:
 /// normalising is not idempotent under [`textsim::tokens`] — `İ` lowercases
 /// to `i` plus a combining dot, which a second pass trims — and two passes
-/// are what the comparison has always seen.
+/// are what the comparison has always seen. The second pass never empties a
+/// token (each holds an alphanumeric character, and a lowercase of one
+/// begins with one), so a key that normalises to something has a token.
 fn key_tokens(text: &str) -> Option<Vec<Vec<char>>> {
-    let normalized = normalize(text);
-    (!normalized.is_empty()).then(|| textsim::token_chars(&normalized))
+    let tokens = textsim::token_chars(&normalize(text));
+    (!tokens.is_empty()).then_some(tokens)
 }
 
 /// The Jaro-Winkler of every token of one query key against some of the
@@ -96,40 +163,43 @@ fn key_tokens(text: &str) -> Option<Vec<Vec<char>>> {
 struct JwTable {
     /// Query tokens.
     rows: usize,
-    /// `jw[i * vocab.len() + v]`: query token `i` against vocabulary token
-    /// `v` — and `v` against `i`, Jaro-Winkler being symmetric to the bit
-    /// (`lingua_ml::textsim`'s tests). Zero where `v` was not asked for.
+    /// `jw[i * width + c]`, `width` being `column_max.len()`: query token
+    /// `i` against the vocabulary token of column `c` — and that token
+    /// against `i`, Jaro-Winkler being symmetric to the bit
+    /// (`lingua_ml::textsim`'s tests).
     jw: Vec<f64>,
     /// The maximum of each column.
     column_max: Vec<f64>,
 }
 
 impl JwTable {
-    /// `max(me(query→key), me(key→query))` for a key whose tokens were among
-    /// the columns scored: the symmetric Monge-Elkan both match keys are
-    /// judged by. `me(query→key)` is the sum over rows of the row's maximum
-    /// at `key`'s columns, over the row count; `me(key→query)` is the sum
-    /// over `key`'s columns of the column maximum, over `key`'s length —
-    /// the terms a Monge-Elkan of the two strings adds, in the order it adds
-    /// them, so the result is the same `f64`.
-    fn either_way(&self, key: &[usize]) -> f64 {
-        if self.rows == 0 || key.is_empty() {
+    /// `max(me(query→key), me(key→query))` for a key whose tokens are
+    /// columns of the table, in key order: the symmetric Monge-Elkan both
+    /// match keys are judged by. `me(query→key)` is the sum over rows of the
+    /// row's maximum at `key`'s columns, over the row count; `me(key→query)`
+    /// is the sum over `key`'s columns of the column maximum, over `key`'s
+    /// length — the terms a Monge-Elkan of the two strings adds, in the
+    /// order it adds them, so the result is the same `f64`.
+    fn either_way(&self, key: impl ExactSizeIterator<Item = usize> + Clone) -> f64 {
+        if self.rows == 0 || key.len() == 0 {
             // Monge-Elkan's reading of an empty side.
-            return if self.rows == 0 && key.is_empty() { 1.0 } else { 0.0 };
+            return if self.rows == 0 && key.len() == 0 { 1.0 } else { 0.0 };
         }
         let width = self.column_max.len();
         let forward: f64 = self
             .jw
             .chunks_exact(width)
-            .map(|row| key.iter().map(|&v| row[v]).fold(0.0f64, f64::max))
+            .map(|row| key.clone().map(|v| row[v]).fold(0.0f64, f64::max))
             .sum();
-        let backward: f64 = key.iter().map(|&v| self.column_max[v]).sum();
-        (forward / self.rows as f64).max(backward / key.len() as f64)
+        let length = key.len() as f64;
+        let backward: f64 = key.map(|v| self.column_max[v]).sum();
+        (forward / self.rows as f64).max(backward / length)
     }
 }
 
 impl DomainIndex {
-    fn build(known: &[KnownEntity]) -> DomainIndex {
+    /// Index `known`, with a memo that keeps `memo_tokens` rows.
+    fn build(known: &[KnownEntity], memo_tokens: usize) -> DomainIndex {
         let mut ids: BTreeMap<Vec<char>, usize> = BTreeMap::new();
         let mut intern = |text: &str| -> Vec<usize> {
             key_tokens(text)
@@ -143,7 +213,7 @@ impl DomainIndex {
         };
         let primaries: Vec<Vec<usize>> = known.iter().map(|e| intern(&e.primary)).collect();
         let primary_vocab = primaries.iter().flatten().max().map_or(0, |&last| last + 1);
-        let entities = known
+        let entities: Vec<KbEntity> = known
             .iter()
             .zip(primaries)
             .map(|(e, primary)| KbEntity { id: e.id, primary, secondary: intern(&e.secondary) })
@@ -152,24 +222,111 @@ impl DomainIndex {
         for (token, id) in ids {
             vocab[id] = token;
         }
-        DomainIndex { vocab, primary_vocab, entities }
+        let mut positions = HashMap::with_capacity(entities.len());
+        let mut postings = vec![Vec::new(); primary_vocab];
+        for (position, entity) in entities.iter().enumerate() {
+            positions.entry(entity.id).or_insert(position);
+            for &v in &entity.primary {
+                if postings[v].last() != Some(&position) {
+                    postings[v].push(position);
+                }
+            }
+        }
+        let rows = RowMemo::new(memo_tokens);
+        DomainIndex { vocab, primary_vocab, entities, positions, postings, rows }
     }
 
-    /// Score a query key against the vocabulary tokens `columns` names.
-    fn score(&self, query: &[Vec<char>], columns: impl Iterator<Item = usize>) -> JwTable {
-        let width = self.vocab.len();
-        let mut jw = vec![0.0f64; query.len() * width];
+    fn entity(&self, id: u64) -> Option<&KbEntity> {
+        self.positions.get(&id).map(|&position| &self.entities[position])
+    }
+
+    /// `token`'s row against the primary vocabulary: the memo's, or scored
+    /// now and remembered.
+    fn row(&self, token: &[char]) -> Arc<Row> {
+        self.row_keyed(token_key(token), token)
+    }
+
+    /// [`DomainIndex::row`] under a given memo key, so a test can make two
+    /// tokens collide.
+    fn row_keyed(&self, key: u64, token: &[char]) -> Arc<Row> {
+        if let Some(row) = self.rows.rows.get(key).filter(|row| *row.token == *token) {
+            return row;
+        }
+        let jw = self.vocab[..self.primary_vocab]
+            .iter()
+            .map(|v| textsim::jaro_winkler_chars(token, v))
+            .collect();
+        let row = Arc::new(Row { token: token.into(), jw });
+        self.rows.rows.insert(key, Arc::clone(&row));
+        row
+    }
+
+    /// A query key against the whole primary vocabulary, its rows copied
+    /// from the memo.
+    fn against_primaries(&self, query: &[Vec<char>]) -> JwTable {
+        let width = self.primary_vocab;
+        let mut jw = Vec::with_capacity(query.len() * width);
         let mut column_max = vec![0.0f64; width];
-        for v in columns {
-            for (i, q) in query.iter().enumerate() {
-                let score = textsim::jaro_winkler_chars(q, &self.vocab[v]);
-                jw[i * width + v] = score;
-                column_max[v] = column_max[v].max(score);
+        for token in query {
+            let row = self.row(token);
+            jw.extend_from_slice(&row.jw);
+            for (max, &score) in column_max.iter_mut().zip(row.jw.iter()) {
+                *max = max.max(score);
             }
         }
         JwTable { rows: query.len(), jw, column_max }
     }
+
+    /// A query key judged against one entity's `key` alone, scored now. The
+    /// table's column `j` is `key[j]`'s vocabulary token, repeats kept, so
+    /// `either_way(0..len)` reads the terms `either_way(key)` reads off a
+    /// table over the whole vocabulary.
+    fn judge_key(&self, query: &[Vec<char>], key: &[usize]) -> f64 {
+        let mut jw = Vec::with_capacity(query.len() * key.len());
+        let mut column_max = vec![0.0f64; key.len()];
+        for q in query {
+            for (max, &v) in column_max.iter_mut().zip(key) {
+                let score = textsim::jaro_winkler_chars(q, &self.vocab[v]);
+                jw.push(score);
+                *max = max.max(score);
+            }
+        }
+        JwTable { rows: query.len(), jw, column_max }.either_way(0..key.len())
+    }
+
+    /// The entities whose primary key can reach [`PRIMARY_PASS`] against
+    /// the record `table` was read for, in index order: those with a token
+    /// whose column maximum reaches `PRIMARY_PASS - PASS_SLACK`.
+    ///
+    /// Every other entity scores below the pass, so `resolve` would have
+    /// skipped it. Both directions of its Monge-Elkan average terms no
+    /// greater than `m`, the largest column maximum among its tokens: a row
+    /// maximum at its columns is at most the largest of those columns'
+    /// maxima. A rounded sum of `n` such terms over `n` exceeds `m` by at
+    /// most `m·n·2⁻⁵²`, far below `PASS_SLACK` for any key that fits in
+    /// memory. The table has at least one row ([`key_tokens`]), so an
+    /// entity with an empty primary key scores 0 and is no candidate.
+    fn candidates<'a>(&'a self, table: &JwTable) -> impl Iterator<Item = &'a KbEntity> {
+        let mut positions: Vec<usize> = table
+            .column_max
+            .iter()
+            .zip(&self.postings)
+            .filter(|(&max, _)| max >= PRIMARY_PASS - PASS_SLACK)
+            .flat_map(|(_, users)| users.iter().copied())
+            .collect();
+        positions.sort_unstable();
+        positions.dedup();
+        positions.into_iter().map(|position| &self.entities[position])
+    }
 }
+
+/// The primary-key score an entity must reach before its secondary key is
+/// looked at.
+const PRIMARY_PASS: f64 = 0.88;
+
+/// How far below [`PRIMARY_PASS`] a column maximum may lie and still admit
+/// its entities to the scan: room for the rounding of a Monge-Elkan mean.
+const PASS_SLACK: f64 = 1e-6;
 
 /// Per-language name knowledge.
 #[derive(Debug, Clone, Default)]
@@ -188,6 +345,8 @@ pub struct KnowledgeBase {
     line_owners: BTreeMap<String, String>,
     /// The full manufacturer vocabulary (brand names are common knowledge).
     manufacturers: Vec<String>,
+    /// `manufacturers`, lowercased, in the same order.
+    manufacturers_lowered: Vec<String>,
     names: BTreeMap<Language, NameKnowledge>,
     function_words: BTreeMap<Language, BTreeSet<String>>,
     /// Known non-person proper nouns (places, orgs) across languages.
@@ -272,6 +431,7 @@ impl KnowledgeBase {
             .into_iter()
             .collect();
         manufacturers.sort_by_key(|m| std::cmp::Reverse(m.len()));
+        let manufacturers_lowered = manufacturers.iter().map(|m| m.to_lowercase()).collect();
 
         let mut names = BTreeMap::new();
         let mut function_words = BTreeMap::new();
@@ -309,6 +469,7 @@ impl KnowledgeBase {
             songs,
             line_owners,
             manufacturers,
+            manufacturers_lowered,
             names,
             function_words,
             distractors,
@@ -328,6 +489,15 @@ impl KnowledgeBase {
     /// Scores every known entity by a weighted fuzzy similarity over the
     /// primary and secondary keys; resolves only with a confident, unambiguous
     /// top match. Returns the ground-truth entity id.
+    ///
+    /// The record's primary-key tokens are read against the domain's primary
+    /// vocabulary as one table whose rows come from the domain's row memo, so
+    /// a token seen before costs a row copy instead of one Jaro-Winkler per
+    /// vocabulary token. Only entities with a token some record token comes
+    /// close to are scored off the table — no other can pass — and the
+    /// secondary key only against those whose primary passes. Every score
+    /// is the `f64` a per-entity symmetric Monge-Elkan gives, so the answer
+    /// is the one a scan over every entity gives.
     pub fn resolve(&self, domain: EntityDomain, primary: &str, secondary: &str) -> Option<u64> {
         let primary = key_tokens(primary)?;
         let secondary = key_tokens(secondary);
@@ -337,22 +507,20 @@ impl KnowledgeBase {
         // Token-aligned similarity: each token must find a close partner.
         // Character-level measures (Jaro-Winkler) are too lenient here —
         // shared adjectives ("Howling X" vs "Howling Y") score ~0.9.
-        // The record's primary key meets the vocabulary once, here; the
-        // loop below only reads the table.
-        let against_primaries = index.score(&primary, 0..index.primary_vocab);
-        for entity in &index.entities {
-            let p = against_primaries.either_way(&entity.primary);
+        // The record's primary key meets the vocabulary once, here, by way
+        // of the memo; the loop below only reads the table.
+        let against_primaries = index.against_primaries(&primary);
+        for entity in index.candidates(&against_primaries) {
+            let p = against_primaries.either_way(entity.primary.iter().copied());
             // Both keys must individually be plausible: a same-named entity
             // from a clearly different secondary context (brewery / artist /
             // address) is *not* a recall of this entity.
-            if p < 0.88 {
+            if p < PRIMARY_PASS {
                 continue;
             }
             let s = match &secondary {
                 None => 0.7, // neutral-ish when the record lacks the secondary field
-                Some(secondary) => index
-                    .score(secondary, entity.secondary.iter().copied())
-                    .either_way(&entity.secondary),
+                Some(secondary) => index.judge_key(secondary, &entity.secondary),
             };
             if s < 0.80 {
                 continue;
@@ -391,29 +559,27 @@ impl KnowledgeBase {
         secondary: &str,
     ) -> Option<bool> {
         let index = self.domain(domain).index();
-        let entity = index.entities.iter().find(|e| e.id == id)?;
-        let judged = |query: &[Vec<char>], key: &[usize]| {
-            index.score(query, key.iter().copied()).either_way(key)
-        };
-        let p = judged(&key_tokens(primary)?, &entity.primary);
-        let s =
-            key_tokens(secondary).map_or(0.75, |secondary| judged(&secondary, &entity.secondary));
+        let entity = index.entity(id)?;
+        let p = index
+            .against_primaries(&key_tokens(primary)?)
+            .either_way(entity.primary.iter().copied());
+        let s = key_tokens(secondary)
+            .map_or(0.75, |secondary| index.judge_key(&secondary, &entity.secondary));
         Some(p >= 0.80 && s >= 0.70)
     }
 
-    /// Known manufacturer appearing verbatim (case-insensitive) in the text.
-    pub(crate) fn manufacturer_in_text(&self, text: &str) -> Option<&str> {
-        let lowered = text.to_lowercase();
-        self.manufacturers
+    /// Known manufacturer appearing verbatim in `lowered`, a text already
+    /// lowercased: the match is case-insensitive.
+    pub(crate) fn manufacturer_in_text(&self, lowered: &str) -> Option<&str> {
+        self.manufacturers_lowered
             .iter()
-            .find(|m| contains_word(&lowered, &m.to_lowercase()))
-            .map(|s| s.as_str())
+            .position(|m| contains_word(lowered, m))
+            .map(|at| self.manufacturers[at].as_str())
     }
 
-    /// Known product line contained in the text → its manufacturer.
-    /// Longest matching line wins.
-    pub(crate) fn line_owner_in_text(&self, text: &str) -> Option<&str> {
-        let lowered = text.to_lowercase();
+    /// Known product line contained in `lowered`, a text already
+    /// lowercased → its manufacturer. Longest matching line wins.
+    pub(crate) fn line_owner_in_text(&self, lowered: &str) -> Option<&str> {
         self.line_owners
             .iter()
             .filter(|(line, _)| lowered.contains(line.as_str()))
@@ -490,6 +656,7 @@ fn contains_word(haystack: &str, needle: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hotpath::CacheStats;
 
     fn kb() -> (WorldSpec, KnowledgeBase) {
         let world = WorldSpec::generate(11);
@@ -749,6 +916,20 @@ mod tests {
             }
         };
 
+        let scan_of = |kb: usize, domain: EntityDomain| {
+            &scans[kb][DOMAINS.iter().position(|d| *d == domain).unwrap()]
+        };
+        // Anchored on a known entity, and now and then on an unknown one.
+        let anchor_of = |lookup: &Lookup| {
+            let scan = scan_of(lookup.kb, lookup.domain);
+            match lookup.anchor.of(scan.len() + 1) {
+                unknown if unknown == scan.len() => u64::MAX,
+                known => scan[known].id,
+            }
+        };
+
+        // Each drawn lookup, with what the scan answered to it.
+        let mut corpus: Vec<(Lookup, Answers)> = Vec::new();
         check(
             "the_index_answers_as_the_per_entity_scan_did",
             240,
@@ -764,24 +945,16 @@ mod tests {
                 let (primary, secondary) = key_text(g, &knowledge.domain(domain).known, &names);
                 Lookup { kb, domain, primary, secondary, anchor: g.index() }
             },
-            |Lookup { kb, domain, primary, secondary, anchor }| {
+            |lookup| {
+                let Lookup { kb, domain, ref primary, ref secondary, .. } = lookup;
                 let knowledge = &kbs[kb].1;
-                let scan = &scans[kb][DOMAINS.iter().position(|d| *d == domain).unwrap()];
-                assert_eq!(
-                    knowledge.resolve(domain, &primary, &secondary),
-                    resolve_by_scan(scan, &primary, &secondary),
-                    "resolve"
-                );
-                // Anchored on a known entity, and now and then on an unknown one.
-                let anchor = match anchor.of(scan.len() + 1) {
-                    unknown if unknown == scan.len() => u64::MAX,
-                    known => scan[known].id,
+                let scan = scan_of(kb, domain);
+                let anchor = anchor_of(&lookup);
+                let scanned = Answers {
+                    resolved: resolve_by_scan(scan, primary, secondary),
+                    anchored: matches_known_by_scan(scan, anchor, primary, secondary),
                 };
-                assert_eq!(
-                    knowledge.matches_known(domain, anchor, &primary, &secondary),
-                    matches_known_by_scan(scan, anchor, &primary, &secondary),
-                    "matches_known"
-                );
+                assert_eq!(answers(knowledge, &lookup, anchor), scanned);
 
                 // Not only the verdicts: every score, to the bit, for every
                 // entity — also those the thresholds would not have looked at.
@@ -790,24 +963,147 @@ mod tests {
                     |key: &str,
                      scanned_key: fn(&ScannedEntity) -> &String,
                      indexed_key: fn(&KbEntity) -> &Vec<usize>| {
+                        assert_eq!(key_tokens(key).is_none(), normalize(key).is_empty(), "{key:?}");
                         let Some(tokens) = key_tokens(key) else { return };
-                        let everything = index.score(&tokens, 0..index.vocab.len());
                         for (entity, old) in index.entities.iter().zip(scan) {
-                            let one = index.score(&tokens, indexed_key(entity).iter().copied());
-                            let expected = either_way(&normalize(key), scanned_key(old));
-                            for table in [&everything, &one] {
-                                assert_eq!(
-                                    table.either_way(indexed_key(entity)).to_bits(),
-                                    expected.to_bits(),
-                                    "{key:?} against {:?}",
-                                    scanned_key(old)
-                                );
-                            }
+                            assert_eq!(
+                                index.judge_key(&tokens, indexed_key(entity)).to_bits(),
+                                either_way(&normalize(key), scanned_key(old)).to_bits(),
+                                "{key:?} against {:?}",
+                                scanned_key(old)
+                            );
                         }
                     };
-                every_score_matches(&primary, |e| &e.primary, |e| &e.primary);
-                every_score_matches(&secondary, |e| &e.secondary, |e| &e.secondary);
+                every_score_matches(primary, |e| &e.primary, |e| &e.primary);
+                every_score_matches(secondary, |e| &e.secondary, |e| &e.secondary);
+                // The primary key's scores off the memo-built table too, and
+                // no entity it passes left out of the scan.
+                if let Some(tokens) = key_tokens(primary) {
+                    let table = index.against_primaries(&tokens);
+                    let candidates: BTreeSet<u64> =
+                        index.candidates(&table).map(|e| e.id).collect();
+                    for (entity, old) in index.entities.iter().zip(scan) {
+                        let expected = either_way(&normalize(primary), &old.primary);
+                        assert_eq!(
+                            table.either_way(entity.primary.iter().copied()).to_bits(),
+                            expected.to_bits(),
+                            "{primary:?} against {:?}, off the memo",
+                            old.primary
+                        );
+                        assert!(
+                            expected < PRIMARY_PASS || candidates.contains(&entity.id),
+                            "{primary:?} passes {:?} but left it out of the scan",
+                            old.primary
+                        );
+                    }
+                }
+                corpus.push((lookup, scanned));
             },
+        );
+
+        // The corpus again, through copies of the knowledge bases whose
+        // memos start empty: once cold, once warm, from eight threads at
+        // once, and through memos of four rows, which evict on nearly every
+        // record. Every answer, and every row a key reads, to the bit.
+        let replay = |kbs: &[(WorldSpec, KnowledgeBase)], corpus: &[(Lookup, Answers)]| {
+            for (lookup, scanned) in corpus {
+                let knowledge = &kbs[lookup.kb].1;
+                assert_eq!(answers(knowledge, lookup, anchor_of(lookup)), *scanned, "{lookup:?}");
+                let index = knowledge.domain(lookup.domain).index();
+                for key in [&lookup.primary, &lookup.secondary] {
+                    for token in key_tokens(key).into_iter().flatten() {
+                        let row = index.row(&token);
+                        assert_eq!(*row.token, *token, "{lookup:?}");
+                        assert_eq!(bits(&row.jw), scored_row(index, &token), "{lookup:?}");
+                    }
+                }
+            }
+        };
+        let memos = |kbs: &[(WorldSpec, KnowledgeBase)]| -> Vec<CacheStats> {
+            kbs.iter()
+                .flat_map(|(_, kb)| {
+                    DOMAINS.map(|domain| kb.domain(domain).index().rows.rows.stats())
+                })
+                .collect()
+        };
+        let one = kbs.clone();
+        assert!(memos(&one).iter().all(|memo| memo.len == 0), "a copy starts cold");
+        replay(&one, &corpus);
+        let cold = memos(&one);
+        replay(&one, &corpus);
+        for (cold, warm) in cold.iter().zip(memos(&one)) {
+            assert_eq!(warm.misses, cold.misses, "the warm pass reads every row from the memo");
+            assert_eq!(warm.evictions, 0);
+        }
+
+        let shared = kbs.clone();
+        std::thread::scope(|scope| {
+            for thread in 0..8 {
+                let (corpus, shared) = (&corpus, &shared);
+                scope.spawn(move || {
+                    let start = thread * corpus.len() / 8;
+                    replay(shared, &corpus[start..]);
+                    replay(shared, &corpus[..start]);
+                });
+            }
+        });
+
+        let mut small = kbs.clone();
+        for (_, kb) in &mut small {
+            for domain in [&mut kb.beers, &mut kb.restaurants, &mut kb.songs] {
+                domain.index = OnceLock::from(DomainIndex::build(&domain.known, 4));
+            }
+        }
+        replay(&small, &corpus);
+        replay(&small, &corpus);
+        let evictions: u64 = memos(&small).iter().map(|memo| memo.evictions).sum();
+        assert!(evictions > 100, "only {evictions} rows left a four-row memo");
+        assert!(memos(&small).iter().all(|memo| memo.len <= 4));
+    }
+
+    /// What `resolve` and `matches_known` answer to one lookup.
+    #[derive(Debug, PartialEq)]
+    struct Answers {
+        resolved: Option<u64>,
+        anchored: Option<bool>,
+    }
+
+    fn answers(knowledge: &KnowledgeBase, lookup: &Lookup, anchor: u64) -> Answers {
+        let Lookup { domain, primary, secondary, .. } = lookup;
+        Answers {
+            resolved: knowledge.resolve(*domain, primary, secondary),
+            anchored: knowledge.matches_known(*domain, anchor, primary, secondary),
+        }
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|score| score.to_bits()).collect()
+    }
+
+    /// `token`'s row against the primary vocabulary, scored now.
+    fn scored_row(index: &DomainIndex, token: &[char]) -> Vec<u64> {
+        let row: Vec<f64> = index.vocab[..index.primary_vocab]
+            .iter()
+            .map(|v| textsim::jaro_winkler_chars(token, v))
+            .collect();
+        bits(&row)
+    }
+
+    #[test]
+    fn a_colliding_memo_key_never_hands_over_another_tokens_row() {
+        let (_, kb) = kb();
+        let index = kb.domain(EntityDomain::Beer).index();
+        let [stout, porter] = ["stout", "porter"].map(|t| t.chars().collect::<Vec<char>>());
+        for token in [&stout, &porter, &stout, &stout, &porter] {
+            let row = index.row_keyed(7, token);
+            assert_eq!(*row.token, **token);
+            assert_eq!(bits(&row.jw), scored_row(index, token));
+        }
+        assert_eq!(index.rows.rows.len(), 1, "one key holds one row");
+        assert_eq!(
+            index.rows.rows.stats().hits,
+            4,
+            "each lookup after the first found the key taken"
         );
     }
 
@@ -864,11 +1160,14 @@ mod tests {
             .iter()
             .find(|p| p.mention == lingua_dataset::world::BrandMention::InName)
             .unwrap();
-        assert_eq!(kb.manufacturer_in_text(&in_name.name), Some(in_name.manufacturer.as_str()));
+        assert_eq!(
+            kb.manufacturer_in_text(&in_name.name.to_lowercase()),
+            Some(in_name.manufacturer.as_str())
+        );
         // Line lookup returns the right owner for known lines.
         let mut known_line_hits = 0;
         for p in &world.products {
-            if let Some(owner) = kb.line_owner_in_text(&p.name) {
+            if let Some(owner) = kb.line_owner_in_text(&p.name.to_lowercase()) {
                 assert_eq!(owner, p.manufacturer, "line owner mismatch for {}", p.name);
                 known_line_hits += 1;
             }

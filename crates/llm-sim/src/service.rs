@@ -288,8 +288,9 @@ pub trait LlmService: Send + Sync {
     /// Re-enter previously billed usage into the ledger — crash recovery
     /// restoring a journaled cumulative bill into a fresh process, so that
     /// post-restart ledgers still reconcile against the lifetime bill.
-    /// Default is a no-op: wrappers and transports have no ledger of their
-    /// own to restore.
+    /// Default is a no-op, for a service with no ledger; a wrapper passes
+    /// the bill to the service it wraps, and a gateway keeps it as usage of
+    /// its own.
     fn restore_usage(&self, _usage: &Usage) {}
     /// Simulated wall-clock latency accumulated so far, in milliseconds.
     fn simulated_latency_ms(&self) -> u64;

@@ -16,11 +16,12 @@ use lingua_core::modules::{CustomModule, Module};
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
 use lingua_durable::{CrashInjector, Journal, JournalTuning, KillPoint, SimStorage};
+use lingua_gateway::{Gateway, ServiceTransport};
 use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig, TokenPricing};
 use lingua_serve::{
     fingerprint_inputs, BatchTuning, PipelineServer, ServeConfig, ServeError, SubmitRequest,
 };
-use lingua_trace::{ring_tracer, SpanKind, TraceTree};
+use lingua_trace::{ring_tracer, SpanKind, TraceTree, TracedLlm};
 use std::sync::Arc;
 use std::time::Duration;
 use support::FailNextAppend;
@@ -421,4 +422,49 @@ fn a_cache_served_jobs_journaled_bill_is_its_ledger() {
     assert_eq!((ledger.calls, ledger.cached_calls), (1, JOBS as u64 - 1));
     drop(server);
     assert_journaled_bill_is_the_ledger(storage, &llm);
+}
+
+/// A journaled server over a gateway whose one backend is a simulator: the
+/// journal keeps what the gateway billed, and the next incarnation — a fresh
+/// gateway over a fresh simulator, behind a tracing wrapper — restores that
+/// bill into the gateway's usage, on every `Usage` field.
+#[test]
+fn a_gateway_restores_the_journaled_bill() {
+    const JOBS: usize = 6;
+    let world = WorldSpec::generate(SEED);
+    let storage = SimStorage::new();
+    let gateway_over_sim = || {
+        let llm: Arc<dyn LlmService> = Arc::new(SimLlm::with_seed(&world, SEED));
+        Arc::new(Gateway::over(Arc::new(ServiceTransport::new("sim", llm))))
+    };
+    let start = |llm: Arc<dyn LlmService>| {
+        let server = PipelineServer::start(
+            ContextFactory::new(llm),
+            ServeConfig {
+                workers: Some(2),
+                journal: Some(JournalTuning::sim(storage.clone())),
+                ..Default::default()
+            },
+        )
+        .expect("server starts");
+        server.register_dsl("curate", CURATE, &Compiler::with_builtins()).expect("register");
+        server
+    };
+
+    let first = gateway_over_sim();
+    let server = start(first.clone());
+    for i in 0..JOBS {
+        server.run(request(i)).expect("job runs");
+    }
+    drop(server);
+    let billed = first.usage();
+    assert_eq!(billed.calls, JOBS as u64, "one completion per job");
+    let (journal, recovered) = Journal::open(JournalTuning::sim(storage.clone())).expect("reopens");
+    drop(journal);
+    assert_eq!(recovered.cumulative, billed, "journaled bill != the gateway's usage");
+
+    let second = gateway_over_sim();
+    let (tracer, _sink) = ring_tracer(1 << 10);
+    let _server = start(TracedLlm::wrap(&tracer, second.clone()));
+    assert_eq!(second.usage(), recovered.cumulative, "the restored bill is the gateway's usage");
 }

@@ -63,6 +63,10 @@ impl LlmService for TracedLlm {
         self.inner.usage()
     }
 
+    fn restore_usage(&self, usage: &Usage) {
+        self.inner.restore_usage(usage);
+    }
+
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
     }
