@@ -64,7 +64,7 @@ pub struct ExecContext {
     /// the executor between ops and by `invoke_module`, and attached to every
     /// completion [`ExecContext::complete`] places. Unbounded by default, in
     /// which case every check is a no-op. Doubles as the worker heartbeat
-    /// (each check bumps a logical progress counter the watchdog reads).
+    /// (each check bumps a logical progress counter serve's health read checks).
     pub cancel: CancelToken,
 }
 
@@ -189,7 +189,7 @@ impl ExecContext {
     /// on its own mutex; recursion must go through script functions instead.
     pub(crate) fn invoke_module(&mut self, name: &str, input: Data) -> Result<Data, CoreError> {
         // Cooperative cancellation: stop before starting new work once the
-        // job's deadline passed (also the heartbeat for the watchdog).
+        // job's deadline passed (also the heartbeat serve's health read checks).
         if let Err(reason) = self.cancel.check() {
             return Err(CoreError::Cancelled { reason });
         }

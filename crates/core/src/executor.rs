@@ -75,7 +75,7 @@ impl Executor {
         for (op, module) in &mut pipeline.ops {
             // Cooperative cancellation between ops: a job past its deadline
             // stops here instead of starting the next operator. The check is
-            // also the heartbeat the serve watchdog reads.
+            // also the heartbeat serve's health read checks.
             if let Err(reason) = ctx.cancel.check() {
                 pipeline_span.attr("cancelled", reason.label());
                 return Err(CoreError::Cancelled { reason });

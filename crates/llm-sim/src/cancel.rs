@@ -20,12 +20,13 @@
 //!   state. Cancellation is **cooperative and monotonic** — once a token
 //!   reports cancelled it never un-cancels.
 //! * [`CancelToken::status`] reports `DeadlineExceeded` in preference to
-//!   `Cancelled` when both hold: a watchdog nudging a stuck job with
-//!   [`CancelToken::cancel`] must not mask the fact that the job's deadline
-//!   already passed.
+//!   `Cancelled` when both hold: a [`CancelToken::cancel`] that lands after
+//!   the deadline must not mask the fact that the job's deadline already
+//!   passed.
 //! * The token doubles as the worker **heartbeat**: [`CancelToken::check`]
-//!   and [`CancelToken::touch`] bump a logical progress counter that the
-//!   serve watchdog reads to distinguish "slow but advancing" from "wedged".
+//!   and [`CancelToken::touch`] bump a logical progress counter that serve's
+//!   health read compares between reads to tell "slow but advancing" from
+//!   "wedged".
 //! * And it tells whether the job is **waiting** on a batch it shares with
 //!   other jobs: the batcher holds a [`WaitMark`] for each member it carries,
 //!   and an observer installed with [`CancelToken::observe_waits`] hears when
@@ -109,7 +110,7 @@ impl std::error::Error for NoAnswer {}
 pub enum CancelReason {
     /// The token's deadline passed.
     DeadlineExceeded,
-    /// Someone called [`CancelToken::cancel`] (a client, or the watchdog).
+    /// Someone called [`CancelToken::cancel`] (a client).
     Cancelled,
 }
 
@@ -224,7 +225,7 @@ impl CancelToken {
     }
 
     /// Current cancellation state. Deadline expiry wins over explicit cancel
-    /// so a watchdog nudge cannot mask a deadline overrun.
+    /// so a late cancel cannot mask a deadline overrun.
     pub fn status(&self) -> Option<CancelReason> {
         if let Some(deadline) = self.inner.deadline {
             if Instant::now() >= deadline {
@@ -316,7 +317,7 @@ mod tests {
     fn deadline_expiry_reports_deadline_exceeded_even_after_explicit_cancel() {
         let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         token.cancel();
-        // Deadline wins: a watchdog nudge must not mask the overrun.
+        // Deadline wins: a late cancel must not mask the overrun.
         assert_eq!(token.status(), Some(CancelReason::DeadlineExceeded));
     }
 

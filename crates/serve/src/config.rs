@@ -2,7 +2,6 @@
 //! request per job.
 
 use crate::error::{InvalidConfig, ServeError};
-use crate::supervisor::SupervisePolicy;
 use lingua_core::Data;
 use lingua_durable::JournalTuning;
 use std::collections::BTreeMap;
@@ -27,18 +26,11 @@ pub struct ServeConfig {
     pub result_cache_capacity: usize,
     /// Default queue timeout applied to jobs that don't set their own.
     pub default_timeout: Option<Duration>,
-    /// Times the supervisor will restart any one crashed worker slot before
-    /// abandoning it (see `DESIGN.md` §"Supervised execution").
+    /// Times in a row any one worker slot is restarted — by its dying
+    /// worker, at once — before it is abandoned; a worker that survives a
+    /// job starts its slot's count over (see `DESIGN.md` §"Supervised
+    /// execution").
     pub max_worker_restarts: u32,
-    /// Base delay before a crashed worker is restarted; doubles per restart
-    /// of that slot.
-    pub restart_backoff: Duration,
-    /// Supervisor tick interval (watchdog + restart passes).
-    pub supervisor_tick: Duration,
-    /// A job is "stuck" once it has run this many times its deadline budget
-    /// without heartbeat progress; the watchdog then nudges it with a
-    /// cooperative cancel. Jobs without a deadline are never flagged.
-    pub stuck_multiplier: u32,
     /// Continuous micro-batching knobs. When set, `start()` wraps the
     /// factory's LLM service in a [`Batcher`](lingua_gateway::Batcher) so completions from
     /// concurrent jobs share batched backend calls; its counters surface
@@ -70,9 +62,6 @@ impl Default for ServeConfig {
             result_cache_capacity: 1024,
             default_timeout: None,
             max_worker_restarts: 8,
-            restart_backoff: Duration::from_millis(2),
-            supervisor_tick: Duration::from_millis(2),
-            stuck_multiplier: 4,
             batch: None,
             journal: None,
         }
@@ -101,12 +90,6 @@ impl ServeConfig {
         if self.default_timeout == Some(Duration::ZERO) {
             return Err(ServeError::InvalidConfig(InvalidConfig::ZeroDefaultTimeout));
         }
-        if self.supervisor_tick.is_zero() {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroSupervisorTick));
-        }
-        if self.stuck_multiplier == 0 {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroStuckMultiplier));
-        }
         if let Some(batch) = &self.batch {
             if batch.max_batch_size == 0 {
                 return Err(ServeError::InvalidConfig(InvalidConfig::ZeroBatchSize));
@@ -121,15 +104,6 @@ impl ServeConfig {
             }
         }
         Ok(())
-    }
-
-    pub(crate) fn supervise_policy(&self) -> SupervisePolicy {
-        SupervisePolicy {
-            max_worker_restarts: self.max_worker_restarts,
-            restart_backoff: self.restart_backoff,
-            tick: self.supervisor_tick,
-            stuck_multiplier: self.stuck_multiplier,
-        }
     }
 }
 

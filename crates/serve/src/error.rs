@@ -16,11 +16,6 @@ pub enum InvalidConfig {
     ZeroQueueCapacity,
     /// `default_timeout == Some(ZERO)`: every job would expire in the queue.
     ZeroDefaultTimeout,
-    /// `supervisor_tick == ZERO`: the supervisor would spin.
-    ZeroSupervisorTick,
-    /// `stuck_multiplier == 0`: every deadlined job would be flagged stuck
-    /// immediately.
-    ZeroStuckMultiplier,
     /// Batching: `max_batch_size == 0` — no batch could ever admit a
     /// member, so every completion would block on a flush that never
     /// comes. (The gateway-layer batcher clamps this to 1 defensively;
@@ -47,16 +42,6 @@ impl fmt::Display for InvalidConfig {
             }
             InvalidConfig::ZeroDefaultTimeout => {
                 write!(f, "default_timeout must be nonzero (every job would expire in the queue)")
-            }
-            InvalidConfig::ZeroSupervisorTick => {
-                write!(f, "supervisor_tick must be nonzero (the supervisor would spin)")
-            }
-            InvalidConfig::ZeroStuckMultiplier => {
-                write!(
-                    f,
-                    "stuck_multiplier must be > 0 (every deadlined job would be \
-                     flagged stuck immediately)"
-                )
             }
             InvalidConfig::ZeroBatchSize => {
                 write!(f, "batch max_batch_size must be > 0 (no batch could admit a member)")
@@ -98,8 +83,7 @@ pub enum ServeError {
     /// usage was billed and is reconciled into the server's `llm_partial`
     /// meter.
     DeadlineExceeded { elapsed: Duration },
-    /// The job was cancelled — by its [`crate::JobHandle`], or by the
-    /// watchdog nudging a stuck job.
+    /// The job was cancelled by its [`crate::JobHandle`].
     Cancelled,
     /// The pipeline panicked inside a worker. The panic was isolated: the
     /// worker discarded its (possibly poisoned) pipeline instance, other
@@ -109,7 +93,7 @@ pub enum ServeError {
     UnknownPipeline(String),
     /// Compilation or execution failed inside the core system.
     Core(CoreError),
-    /// A worker (or supervisor) thread could not be spawned.
+    /// A worker thread could not be spawned.
     Spawn { reason: String },
     /// A serving-layer invariant was violated. Jobs fail with this instead
     /// of unwinding the worker on a broken internal assumption.
@@ -187,12 +171,10 @@ mod tests {
     fn invalid_config_names_the_knob() {
         // Every variant's message names the offending knob, so `start()`
         // failures stay actionable even when only the string is logged.
-        let cases: [(InvalidConfig, &str); 8] = [
+        let cases: [(InvalidConfig, &str); 6] = [
             (InvalidConfig::ZeroWorkers, "workers"),
             (InvalidConfig::ZeroQueueCapacity, "queue_capacity"),
             (InvalidConfig::ZeroDefaultTimeout, "default_timeout"),
-            (InvalidConfig::ZeroSupervisorTick, "supervisor_tick"),
-            (InvalidConfig::ZeroStuckMultiplier, "stuck_multiplier"),
             (InvalidConfig::ZeroBatchSize, "max_batch_size"),
             (InvalidConfig::ZeroBatchWindow, "max_wait"),
             (InvalidConfig::ZeroCheckpointInterval, "checkpoint_interval"),

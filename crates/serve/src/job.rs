@@ -67,7 +67,7 @@ pub(crate) enum Terminal {
     JournalRefused(String),
     /// Waited in the queue past its timeout; never ran.
     Timeout { waited: Duration },
-    /// Cancelled by a handle or the watchdog, queued or running.
+    /// Cancelled by a handle, queued or running.
     Cancelled,
     /// Its deadline passed while it ran.
     DeadlineExceeded { elapsed: Duration },
@@ -113,7 +113,7 @@ pub(crate) struct JobCore {
     /// The job's cancellation token: deadline (set at admission from the
     /// request timeout) plus the explicit flag behind [`JobHandle::cancel`].
     /// Propagated into the worker's `ExecContext` for the duration of the
-    /// run, and read by the watchdog as the job's heartbeat.
+    /// run, and read as the job's heartbeat when the pool's health is read.
     pub(crate) cancel: CancelToken,
 }
 

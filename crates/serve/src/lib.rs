@@ -34,12 +34,13 @@
 //!   counters, queue depth, p50/p95 latency, per-job LLM usage.
 //! * Supervised execution (see `DESIGN.md` §"Supervised execution") — jobs
 //!   run under `catch_unwind`, so a panicking pipeline fails *one job*
-//!   ([`ServeError::Panicked`]) instead of the pool; a supervisor thread
-//!   resurrects crashed workers within a restart budget; every job carries a
-//!   [`lingua_llm_sim::CancelToken`] whose deadline flows through the
-//!   executor, gateway, and script fuel cap ([`ServeError::DeadlineExceeded`],
-//!   [`ServeError::Cancelled`]); and a watchdog flags stuck jobs in
-//!   [`HealthSnapshot`].
+//!   ([`ServeError::Panicked`]) instead of the pool; a worker killed by a
+//!   panic that escapes anyway starts its own replacement, within a restart
+//!   budget; every job carries a [`lingua_llm_sim::CancelToken`] whose
+//!   deadline flows through the executor, gateway, and script fuel cap
+//!   ([`ServeError::DeadlineExceeded`], [`ServeError::Cancelled`]); and
+//!   reading [`PipelineServer::metrics`] flags stuck jobs in
+//!   [`HealthSnapshot`]. The server runs no thread but its workers.
 //! * Durability (see `DESIGN.md` §"Durable execution & crash recovery") —
 //!   with [`ServeConfig`]`::journal` set, every job lifecycle event is
 //!   written ahead to a `lingua-durable` journal; `start()` replays the log

@@ -203,11 +203,13 @@ pub struct HealthSnapshot {
     pub live_workers: usize,
     /// Most worker threads alive at once (filled in by `PipelineServer::metrics`).
     pub peak_workers: usize,
-    /// Worker threads the supervisor restarted after a crash.
+    /// Worker threads restarted after a crash, each by the worker that died.
     pub workers_restarted: u64,
-    /// Worker slots permanently abandoned (restart budget exhausted).
+    /// Worker slots permanently abandoned: their restart budget was spent
+    /// by deaths in a row.
     pub workers_gave_up: usize,
-    /// Jobs the watchdog flagged as stuck (and nudged with a cancel).
+    /// Jobs flagged as stuck by a health read (`PipelineServer::metrics`);
+    /// the flag fires nothing.
     pub stuck_jobs: u64,
     /// Circuit-breaker state per gateway backend, when one is attached.
     pub breaker_states: Vec<(String, String)>,
@@ -235,7 +237,7 @@ pub struct MetricsSnapshot {
     pub timed_out: u64,
     /// Jobs that panicked inside a worker (panic isolated, payload kept).
     pub panicked: u64,
-    /// Jobs cancelled during execution (handle or watchdog).
+    /// Jobs cancelled during execution by their handle.
     pub cancelled: u64,
     /// Jobs whose deadline passed mid-execution.
     pub deadline_exceeded: u64,

@@ -43,9 +43,9 @@ struct State<T> {
     held: usize,
     /// Workers on their way into `pop` or parked there: the ones the server
     /// starts with, one asked for, one back from an item, and a dead one's
-    /// restart. A worker that never comes — a failed spawn, a slot given up
-    /// on, shutdown — stays counted: it can only make the queue ask for
-    /// fewer.
+    /// restart. One whose spawn failed is taken back (`unstarted`). One that
+    /// never comes otherwise — a slot given up on, shutdown — stays counted:
+    /// it can only make the queue ask for fewer.
     idle: usize,
     /// Workers the queue may still ask for, beyond the permits' own.
     spare: usize,
@@ -68,7 +68,7 @@ impl<T> State<T> {
 
 /// A running item's CPU permit, handed out by [`JobQueue::pop`]. Dropping
 /// it gives the permit back, and its worker turns idle — or, unwinding,
-/// leaves its place to the supervisor's restart.
+/// leaves its place to the replacement the dying worker starts itself.
 pub(crate) struct Permit<'a, T>(&'a JobQueue<T>);
 
 impl<T> Drop for Permit<'_, T> {
@@ -160,6 +160,16 @@ impl<T> JobQueue<T> {
         drop(state);
         self.ready.notify_one();
         hire
+    }
+
+    /// A worker counted idle never started: its spawn failed. Its place is
+    /// taken back, and `true` asks the caller for a worker, as
+    /// [`Self::try_push`] does — from the spare ones, so retrying a spawn
+    /// that keeps failing ends.
+    pub(crate) fn unstarted(&self) -> bool {
+        let mut state = self.state.lock();
+        state.idle -= 1;
+        state.hire()
     }
 
     /// Stop admitting. Queued items stay for the workers (or [`Self::drain`]).
@@ -310,6 +320,29 @@ mod tests {
         queue.set_waiting(false);
         drop((a, b));
         assert_eq!(next(&queue), Some('c'));
+    }
+
+    /// A one-worker pool whose worker dies with `a` while `b` waits, and
+    /// whose replacement cannot start.
+    fn dead_pool(capacity: usize) -> JobQueue<char> {
+        let queue = JobQueue::new(capacity, 1);
+        queue.try_push(Priority::Normal, 'a').unwrap();
+        let (_, dying) = queue.pop().unwrap();
+        assert!(!queue.try_push(Priority::Normal, 'b').unwrap(), "no permit is free");
+        drop(dying);
+        queue
+    }
+
+    #[test]
+    fn a_worker_that_never_started_is_asked_for_again_while_items_wait() {
+        let queue = dead_pool(2);
+        assert!(queue.unstarted(), "`b` could start and nobody will come for it: ask");
+        assert_eq!(next(&queue), Some('b'), "the worker asked for takes it");
+
+        let queue = dead_pool(2);
+        assert!(queue.unstarted());
+        assert!(queue.unstarted(), "the one asked for failed to start too: ask again");
+        assert!(!queue.unstarted(), "the spare workers are spent: the retries end");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::job::{JobCore, JobHandle, JobId, JobOutput, Terminal};
 use crate::metrics::{Metrics, MetricsSnapshot, UsageMeter};
 use crate::queue::{JobQueue, Refused};
 use crate::registry::PipelineRegistry;
-use crate::supervisor::{supervisor_loop, EscapePanic, Supervision, WorkerGuard};
+use crate::supervisor::{EscapePanic, Supervision};
 use lingua_core::{Compiler, ContextFactory, CoreError, Data, Executor, PhysicalPipeline};
 use lingua_durable::{FinishedJob, Journal, PendingJob, RecoverySnapshot, StreamCheckpoint};
 use lingua_gateway::{Batcher, Gateway};
@@ -111,7 +111,6 @@ struct Job {
 pub struct PipelineServer {
     shared: Arc<Shared>,
     supervision: Arc<Supervision>,
-    supervisor: Option<JoinHandle<()>>,
     next_id: AtomicU64,
 }
 
@@ -135,6 +134,13 @@ fn add_worker(shared: &Arc<Shared>, supervision: &Arc<Supervision>) -> Result<()
     supervision.add(|index| spawn_worker(shared, supervision, index))
 }
 
+/// Start the worker the queue asked for. One that cannot start gives its
+/// place back, and the queue may ask again at once, each time from its spare
+/// workers, so this ends.
+fn hire_worker(shared: &Arc<Shared>, supervision: &Arc<Supervision>) {
+    while add_worker(shared, supervision).is_err() && shared.queue.unstarted() {}
+}
+
 /// The observer of a running job's waits (see `JobQueue::set_waiting`),
 /// starting the worker the queue asks for. Weak, because the token can
 /// outlive the server.
@@ -148,8 +154,7 @@ fn lend_permit(
             return;
         };
         if shared.queue.set_waiting(waiting) {
-            // One that cannot start leaves the job to the next worker back.
-            let _ = add_worker(&shared, &supervision);
+            hire_worker(&shared, &supervision);
         }
     }
 }
@@ -252,47 +257,13 @@ impl PipelineServer {
             };
         }
         let supervision = Arc::new(Supervision::new(workers));
-        // If any spawn fails, unwind what was started: stop the supervisor
-        // loop from ever restarting anything, close the queue, and join the
-        // workers already running — then report the failure instead of
-        // panicking with a half-built pool.
-        let abort = |supervision: &Arc<Supervision>, err: ServeError| {
-            supervision.shutdown.store(true, Ordering::Release);
-            shared.queue.close();
-            for handle in supervision.take_handles() {
-                let _ = handle.join();
-            }
-            Err(err)
-        };
+        let server = PipelineServer { shared, supervision, next_id: AtomicU64::new(1) };
+        // A spawn that fails is reported, not panicked over: the half-built
+        // server drops, and its shutdown joins the workers already started.
         for _ in 0..workers {
-            if let Err(err) = add_worker(&shared, &supervision) {
-                return abort(&supervision, err);
-            }
+            add_worker(&server.shared, &server.supervision)?;
         }
-        let supervisor = {
-            let shared_sup = Arc::clone(&shared);
-            let supervision_sup = Arc::clone(&supervision);
-            let policy = config.supervise_policy();
-            let tracer = shared.factory.tracer().clone();
-            let metrics = Arc::clone(&shared.metrics);
-            std::thread::Builder::new().name("lingua-serve-supervisor".into()).spawn(move || {
-                supervisor_loop(&supervision_sup, &metrics, &tracer, policy, |index| {
-                    spawn_worker(&shared_sup, &supervision_sup, index)
-                })
-            })
-        };
-        let supervisor = match supervisor {
-            Ok(handle) => handle,
-            Err(err) => {
-                return abort(&supervision, ServeError::Spawn { reason: err.to_string() });
-            }
-        };
-        Ok(PipelineServer {
-            shared,
-            supervision,
-            supervisor: Some(supervisor),
-            next_id: AtomicU64::new(1),
-        })
+        Ok(server)
     }
 
     /// Surface a [`Gateway`]'s resilience metrics in this server's
@@ -433,14 +404,18 @@ impl PipelineServer {
     }
 
     /// Point-in-time serving metrics (including gateway resilience counters
-    /// when a gateway is attached, and worker-pool health).
+    /// when a gateway is attached, and worker-pool health). Reading health
+    /// is what flags a stuck job (see `DESIGN.md` §"Restart policy").
     pub fn metrics(&self) -> MetricsSnapshot {
+        // The health read flags stuck jobs first, so this snapshot counts them.
+        let (live, gave_up) =
+            self.supervision.read_health(&self.shared.metrics, self.shared.factory.tracer());
         let mut snapshot = self.shared.metrics.snapshot();
         snapshot.queue_depth = self.shared.queue.len() as u64;
         snapshot.workers = self.supervision.budget;
-        snapshot.health.live_workers = self.supervision.live_workers();
+        snapshot.health.live_workers = live;
         snapshot.health.peak_workers = self.supervision.peak_workers();
-        snapshot.health.workers_gave_up = self.supervision.gave_up_count();
+        snapshot.health.workers_gave_up = gave_up;
         if let Some(gateway) = self.shared.gateway.lock().as_ref() {
             let gw = gateway.snapshot();
             snapshot.health.breaker_states = gw
@@ -563,7 +538,7 @@ impl PipelineServer {
                             }
                             shared.metrics.accept();
                             if short {
-                                let _ = add_worker(&self.shared, &self.supervision);
+                                hire_worker(&self.shared, &self.supervision);
                             }
                             return Ok(JobHandle::new(id, core));
                         }
@@ -589,10 +564,11 @@ impl PipelineServer {
         self.submit(request)?.wait()
     }
 
-    /// Graceful shutdown: stop admitting, stop the supervisor (no restarts
-    /// during teardown), drain queued jobs, join workers. Any job still
-    /// queued after the pool exits — possible only if every worker crashed
-    /// past its restart budget — is failed with a typed
+    /// Graceful shutdown: stop admitting (a worker dying from now on starts
+    /// no replacement), drain queued jobs, and join every worker thread the
+    /// server ever started, replacements included. Any job still queued
+    /// after the pool exits — possible only if every worker crashed past its
+    /// restart budget — is failed with a typed
     /// [`ServeError::ShuttingDown`] rather than left hanging or silently
     /// dropped; with a journal attached those jobs stay journaled as
     /// pending, so the next incarnation resurrects them. Idempotent; also
@@ -600,10 +576,6 @@ impl PipelineServer {
     pub fn shutdown(&mut self) {
         self.supervision.shutdown.store(true, Ordering::Release);
         self.shared.queue.close();
-        if let Some(supervisor) = self.supervisor.take() {
-            supervisor.thread().unpark();
-            let _ = supervisor.join();
-        }
         // Join with the slots lock released — a dying worker's guard takes it.
         for worker in self.supervision.take_handles() {
             let _ = worker.join();
@@ -638,15 +610,47 @@ fn job_attrs(id: JobId, fingerprint: Option<u64>) -> Vec<(String, String)> {
     attrs
 }
 
+/// Drop guard a worker thread holds for its whole life. It runs on every
+/// exit — clean drain or panic unwind — and leaves the slot: a dying worker
+/// starts its own replacement there (see [`Supervision::leave`]), and one
+/// that cannot start gives its place in the queue back. Every job the thread
+/// took was settled before it could die.
+struct WorkerGuard<'a> {
+    shared: &'a Arc<Shared>,
+    supervision: &'a Arc<Supervision>,
+    index: usize,
+}
+
+impl Drop for WorkerGuard<'_> {
+    fn drop(&mut self) {
+        let (shared, supervision) = (self.shared, self.supervision);
+        let unstarted = supervision.leave(
+            self.index,
+            std::thread::panicking(),
+            shared.config.max_worker_restarts,
+            &shared.metrics,
+            shared.factory.tracer(),
+            |index| spawn_worker(shared, supervision, index),
+        );
+        if unstarted && shared.queue.unstarted() {
+            hire_worker(shared, supervision);
+        }
+    }
+}
+
 fn worker_loop(shared: &Arc<Shared>, supervision: &Arc<Supervision>, index: usize) {
-    // Dropped on every exit — clean drain or escaping panic — marking the
-    // slot dead for the supervisor.
-    let _guard = WorkerGuard::new(Arc::clone(supervision), index);
+    let _guard = WorkerGuard { shared, supervision, index };
     // Per-worker instance cache: (generation, executable pipeline copy).
     let mut instances: HashMap<String, (u64, PhysicalPipeline)> = HashMap::new();
     // The permit goes back however the job ends, an escaping panic included.
+    let mut first = true;
     while let Some((job, _permit)) = shared.queue.pop() {
         process(shared, supervision, index, &mut instances, job);
+        // Only this thread's death counts against the slot's budget, so one
+        // reset, at the first job it survives, is enough.
+        if std::mem::take(&mut first) {
+            supervision.survived(index);
+        }
     }
 }
 
@@ -983,12 +987,6 @@ mod tests {
         let err =
             start_err(ServeConfig { default_timeout: Some(Duration::ZERO), ..Default::default() });
         assert_eq!(err, ServeError::InvalidConfig(InvalidConfig::ZeroDefaultTimeout));
-
-        let err = start_err(ServeConfig { supervisor_tick: Duration::ZERO, ..Default::default() });
-        assert_eq!(err, ServeError::InvalidConfig(InvalidConfig::ZeroSupervisorTick));
-
-        let err = start_err(ServeConfig { stuck_multiplier: 0, ..Default::default() });
-        assert_eq!(err, ServeError::InvalidConfig(InvalidConfig::ZeroStuckMultiplier));
 
         // A nonzero deadline is fine.
         let ok =

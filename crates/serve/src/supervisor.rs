@@ -1,5 +1,6 @@
-//! Worker-pool supervision: liveness tracking, crash resurrection with a
-//! budgeted exponential backoff, and a stuck-job watchdog.
+//! Worker-pool supervision: liveness tracking, crash resurrection within a
+//! restart budget, and stuck-job detection. No thread watches the pool: each
+//! is done where its event happens.
 //!
 //! The worker pool's failure story has three tiers:
 //!
@@ -9,23 +10,26 @@
 //!    poisoned pipeline instance, and the *thread keeps serving*.
 //! 2. **Worker death** — a panic that escapes containment (serving-layer
 //!    bookkeeping bugs, or the [`EscapePanic`] test sentinel) kills the
-//!    thread. A drop guard (`WorkerGuard`) marks the slot dead. No job dies
-//!    with it: replication and execution both run inside the containment,
-//!    and the sentinel is re-raised only after its job is settled. The
-//!    supervisor thread notices the dead slot and restarts it — up to
-//!    `ServeConfig::max_worker_restarts` times per slot, with exponential
-//!    backoff — restoring the pool to full strength.
-//! 3. **Stuck jobs** — a job that stops making heartbeat progress after
-//!    running `ServeConfig::stuck_multiplier` times its deadline budget is
-//!    flagged and nudged with a cooperative cancel. (A module wedged in
+//!    thread. No job dies with it: replication and execution both run inside
+//!    the containment, and the sentinel is re-raised only after its job is
+//!    settled. The thread's drop guard (`server::WorkerGuard`) calls
+//!    [`Supervision::leave`] on its way out, which starts the replacement in
+//!    the same slot at once — up to `ServeConfig::max_worker_restarts` times
+//!    in a row, with no job survived between the deaths. The budget, not a
+//!    delay, is what bounds a crash loop.
+//! 3. **Stuck jobs** — a job that has run [`STUCK_MULTIPLIER`] times its
+//!    deadline budget, with its heartbeat where the previous health read
+//!    left it, is flagged when `PipelineServer::metrics` reads the pool's
+//!    health ([`Supervision::read_health`]). The flag fires nothing: the
+//!    job's deadline passed long before, and every cancellation-aware layer
+//!    under it already stops at its next check-in. A module wedged in
 //!    foreign code cannot be killed — threads are not processes — but the
-//!    nudge stops every cancellation-aware layer under it from doing further
-//!    work, and the flag makes the wedge visible in `HealthSnapshot`.)
+//!    flag makes the wedge visible in `HealthSnapshot`.
 //!
-//! The tick does not size the pool. A worker started when a waiting job lent
-//! its CPU permit to a queued one (`server::add_worker`) gets an ordinary
-//! slot: it parks in the queue like any other, never retires, and is
-//! restarted like any other when it dies.
+//! A worker started when a waiting job lent its CPU permit to a queued one
+//! (`server::add_worker`) gets an ordinary slot: it parks in the queue like
+//! any other, never retires, and restarts itself like any other when it
+//! dies.
 
 use crate::error::ServeError;
 use crate::job::JobCore;
@@ -37,56 +41,68 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// A running job with a deadline budget is stuck once it has run this many
+/// times that budget with no heartbeat progress between two health reads.
+pub(crate) const STUCK_MULTIPLIER: u32 = 4;
+
 /// Panic payload that deliberately escapes the worker's per-job containment.
 ///
 /// `server::process` re-raises a panic carrying this payload *after* settling
 /// its job, killing the worker thread. Chaos tests
-/// panic with `std::panic::panic_any(EscapePanic)` to prove the supervisor
+/// panic with `std::panic::panic_any(EscapePanic)` to prove a dead worker
 /// restores the pool; production modules have no reason to use it.
 pub struct EscapePanic;
 
-/// What a worker is executing right now, as the watchdog sees it.
-pub(crate) struct ActiveJob {
-    pub(crate) core: Arc<JobCore>,
-    pub(crate) pipeline: String,
-    pub(crate) started: Instant,
-    /// Deadline budget at execution start (`None` = unbounded job; the
-    /// watchdog has no scale to judge it against and leaves it alone).
-    pub(crate) budget: Option<Duration>,
-    /// Heartbeat reading at the last watchdog tick.
-    pub(crate) last_progress: u64,
-    pub(crate) stuck_flagged: bool,
+/// What a worker is executing right now, as a health read sees it.
+struct ActiveJob {
+    core: Arc<JobCore>,
+    pipeline: String,
+    started: Instant,
+    /// Deadline budget at execution start (`None` = unbounded job; there is
+    /// no scale to judge it against, so it is never flagged).
+    budget: Option<Duration>,
+    /// Heartbeat reading at the last health read that found it over time.
+    last_progress: u64,
+    stuck_flagged: bool,
 }
 
-/// One worker thread's supervision record.
-pub(crate) struct WorkerSlot {
-    pub(crate) handle: Option<JoinHandle<()>>,
-    pub(crate) alive: bool,
-    pub(crate) gave_up: bool,
-    /// Completed restarts of this slot.
-    pub(crate) restarts: u32,
-    /// Earliest instant the next restart attempt may run (backoff).
-    pub(crate) next_restart_at: Option<Instant>,
-    pub(crate) current: Option<ActiveJob>,
-}
-
-impl WorkerSlot {
-    fn empty() -> WorkerSlot {
-        WorkerSlot {
-            handle: None,
-            alive: false,
-            gave_up: false,
-            restarts: 0,
-            next_restart_at: None,
-            current: None,
+impl ActiveJob {
+    /// Whether this read finds the job stuck for the first time; a job
+    /// whose heartbeat moved since the previous read is spared, and read
+    /// again from where it is now.
+    fn newly_stuck(&mut self) -> bool {
+        let Some(budget) = self.budget else { return false };
+        if self.stuck_flagged || self.started.elapsed() <= budget.saturating_mul(STUCK_MULTIPLIER) {
+            return false;
         }
+        let progress = self.core.cancel.progress();
+        if progress != self.last_progress {
+            self.last_progress = progress;
+            return false;
+        }
+        self.stuck_flagged = true;
+        true
     }
 }
 
-/// Shared supervision state: one slot per worker thread ever started, plus
-/// the shutdown latch.
+/// One worker thread's supervision record.
+#[derive(Default)]
+struct WorkerSlot {
+    /// Every thread started in this slot: the first and its replacements.
+    /// Only the last can be alive; shutdown joins them all.
+    handles: Vec<JoinHandle<()>>,
+    alive: bool,
+    gave_up: bool,
+    /// Replacements started in this slot since one of its workers last
+    /// survived a job: the deaths of a crash loop.
+    restarts: u32,
+    current: Option<ActiveJob>,
+}
+
+/// Shared supervision state: one slot per worker the pool started (a
+/// replacement takes its dead worker's slot), plus the shutdown latch.
 pub(crate) struct Supervision {
-    pub(crate) slots: Mutex<Vec<WorkerSlot>>,
+    slots: Mutex<Vec<WorkerSlot>>,
     pub(crate) shutdown: AtomicBool,
     /// The CPU budget: how many jobs may compute at once.
     pub(crate) budget: usize,
@@ -120,10 +136,67 @@ impl Supervision {
             return Ok(());
         }
         let handle = spawn(slots.len())?;
-        slots.push(WorkerSlot { handle: Some(handle), alive: true, ..WorkerSlot::empty() });
+        slots.push(WorkerSlot { handles: vec![handle], alive: true, ..WorkerSlot::default() });
         let alive = slots.iter().filter(|slot| slot.alive).count();
         self.peak.fetch_max(alive, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Worker `index` is leaving its slot: drained, or `dying` of a panic
+    /// that escaped its job. A dying worker starts its replacement in the
+    /// slot with `spawn`, unless the slot has restarted `max_restarts` times
+    /// in a row already (it gives up) or shutdown has begun. That runs under
+    /// the slots lock, where [`Self::add`] reads the shutdown latch too: a
+    /// death racing shutdown either starts its replacement before
+    /// [`Self::take_handles`] runs, which then finds it, or sees the latch
+    /// and starts none. `true` says the replacement could not start: the
+    /// slot stays dead, not given up, and the caller hands its place back to
+    /// the queue (`JobQueue::unstarted`).
+    pub(crate) fn leave(
+        &self,
+        index: usize,
+        dying: bool,
+        max_restarts: u32,
+        metrics: &Metrics,
+        tracer: &Tracer,
+        spawn: impl FnOnce(usize) -> Result<JoinHandle<()>, ServeError>,
+    ) -> bool {
+        let (event, error) = {
+            let mut slots = self.slots.lock();
+            let slot = &mut slots[index];
+            slot.alive = false;
+            if !dying || self.shutdown.load(Ordering::Acquire) {
+                return false;
+            }
+            if slot.restarts >= max_restarts {
+                slot.gave_up = true;
+                ("worker_gave_up", None)
+            } else {
+                match spawn(index) {
+                    Ok(handle) => {
+                        slot.handles.push(handle);
+                        slot.alive = true;
+                        slot.restarts += 1;
+                        metrics.worker_restarted();
+                        ("worker_restarted", None)
+                    }
+                    Err(err) => ("worker_respawn_failed", Some(err)),
+                }
+            }
+        };
+        let unstarted = error.is_some();
+        tracer.instant(SpanKind::Supervisor, event, || {
+            let mut attrs = vec![("worker".into(), index.to_string())];
+            attrs.extend(error.map(|err| ("error".into(), err.to_string())));
+            attrs
+        });
+        unstarted
+    }
+
+    /// Worker `index` survived a job: its slot's deaths so far were no
+    /// crash loop, and its restart budget starts over.
+    pub(crate) fn survived(&self, index: usize) {
+        self.slots.lock()[index].restarts = 0;
     }
 
     /// Record the job `worker` is about to execute.
@@ -152,186 +225,35 @@ impl Supervision {
         self.slots.lock().iter().filter(|slot| slot.alive).count()
     }
 
-    pub(crate) fn gave_up_count(&self) -> usize {
-        self.slots.lock().iter().filter(|slot| slot.gave_up).count()
-    }
-
-    /// Take every worker join handle (for shutdown). Joining MUST happen
-    /// with the slots lock released: a dying worker's [`WorkerGuard`] takes
-    /// the same lock on its way out, so joining under the lock deadlocks.
-    pub(crate) fn take_handles(&self) -> Vec<JoinHandle<()>> {
-        self.slots.lock().iter_mut().filter_map(|slot| slot.handle.take()).collect()
-    }
-}
-
-/// Drop guard a worker thread holds for its whole life. Runs on every exit —
-/// clean drain or panic unwind — and marks the slot dead so the supervisor
-/// can see it. Every job the thread took was settled before it could die.
-pub(crate) struct WorkerGuard {
-    supervision: Arc<Supervision>,
-    index: usize,
-}
-
-impl WorkerGuard {
-    pub(crate) fn new(supervision: Arc<Supervision>, index: usize) -> WorkerGuard {
-        WorkerGuard { supervision, index }
-    }
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        self.supervision.slots.lock()[self.index].alive = false;
-    }
-}
-
-/// Supervisor tuning, extracted from `ServeConfig` at server start.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SupervisePolicy {
-    pub(crate) max_worker_restarts: u32,
-    pub(crate) restart_backoff: Duration,
-    pub(crate) tick: Duration,
-    pub(crate) stuck_multiplier: u32,
-}
-
-impl SupervisePolicy {
-    /// Exponential backoff before restart number `restarts + 1`, capped so
-    /// the shift cannot overflow.
-    fn backoff(&self, restarts: u32) -> Duration {
-        self.restart_backoff.saturating_mul(1u32 << restarts.min(10))
-    }
-}
-
-/// The supervisor thread body: tick until shutdown, running the watchdog
-/// and restart passes on every tick. `spawn` creates the worker thread for a
-/// slot index (the same routine that started it). Shutdown unparks the
-/// thread, so a long tick never delays it.
-pub(crate) fn supervisor_loop(
-    supervision: &Arc<Supervision>,
-    metrics: &Arc<Metrics>,
-    tracer: &Tracer,
-    policy: SupervisePolicy,
-    spawn: impl Fn(usize) -> Result<JoinHandle<()>, ServeError>,
-) {
-    while !supervision.shutdown.load(Ordering::Acquire) {
-        watchdog_pass(supervision, metrics, tracer, policy);
-        restart_pass(supervision, metrics, tracer, policy, &spawn);
-        std::thread::park_timeout(policy.tick);
-    }
-}
-
-/// Flag jobs that blew through `stuck_multiplier ×` their deadline budget
-/// without heartbeat progress, and nudge them with a cooperative cancel.
-fn watchdog_pass(
-    supervision: &Arc<Supervision>,
-    metrics: &Arc<Metrics>,
-    tracer: &Tracer,
-    policy: SupervisePolicy,
-) {
-    let mut stuck: Vec<(usize, String)> = Vec::new();
-    {
-        let mut slots = supervision.slots.lock();
-        for (index, slot) in slots.iter_mut().enumerate() {
+    /// Read the pool's health — `(live, gave_up)` slots — flagging on the
+    /// way every job it finds stuck for the first time (see
+    /// [`STUCK_MULTIPLIER`]). A flag counts in `stuck_jobs` and emits a
+    /// `stuck_job` instant, once per job; it fires no token.
+    pub(crate) fn read_health(&self, metrics: &Metrics, tracer: &Tracer) -> (usize, usize) {
+        let (mut live, mut gave_up, mut stuck) = (0, 0, Vec::new());
+        for (index, slot) in self.slots.lock().iter_mut().enumerate() {
+            live += usize::from(slot.alive);
+            gave_up += usize::from(slot.gave_up);
             let Some(active) = &mut slot.current else { continue };
-            let Some(budget) = active.budget else { continue };
-            if active.stuck_flagged {
-                continue;
+            if active.newly_stuck() {
+                stuck.push((index, active.pipeline.clone()));
             }
-            let allowed = budget.saturating_mul(policy.stuck_multiplier);
-            if active.started.elapsed() <= allowed {
-                continue;
-            }
-            let progress = active.core.cancel.progress();
-            if progress != active.last_progress {
-                // Slow but advancing: the deadline check inside the executor
-                // will stop it at the next cooperative check-in.
-                active.last_progress = progress;
-                continue;
-            }
-            active.stuck_flagged = true;
-            active.core.cancel.cancel();
-            stuck.push((index, active.pipeline.clone()));
         }
+        for (index, pipeline) in stuck {
+            metrics.stuck_job();
+            tracer.instant(SpanKind::Supervisor, "stuck_job", || {
+                vec![("worker".into(), index.to_string()), ("pipeline".into(), pipeline)]
+            });
+        }
+        (live, gave_up)
     }
-    for (index, pipeline) in stuck {
-        metrics.stuck_job();
-        tracer.instant(SpanKind::Supervisor, "stuck_job", || {
-            vec![("worker".into(), index.to_string()), ("pipeline".into(), pipeline.clone())]
-        });
-    }
-}
 
-/// Restart dead worker slots within their budgets. Joins and spawns happen
-/// with the slots lock released (see [`Supervision::take_handles`]).
-fn restart_pass(
-    supervision: &Arc<Supervision>,
-    metrics: &Arc<Metrics>,
-    tracer: &Tracer,
-    policy: SupervisePolicy,
-    spawn: &impl Fn(usize) -> Result<JoinHandle<()>, ServeError>,
-) {
-    let now = Instant::now();
-    // Phase 1 (under the lock): classify dead slots, claim the ones due for
-    // a restart by taking their stale handles.
-    let mut due: Vec<(usize, Option<JoinHandle<()>>)> = Vec::new();
-    let mut exhausted: Vec<usize> = Vec::new();
-    {
-        let mut slots = supervision.slots.lock();
-        for (index, slot) in slots.iter_mut().enumerate() {
-            if slot.alive || slot.gave_up {
-                continue;
-            }
-            if slot.restarts >= policy.max_worker_restarts {
-                slot.gave_up = true;
-                exhausted.push(index);
-                continue;
-            }
-            match slot.next_restart_at {
-                None => {
-                    // Just noticed the death: arm the backoff timer.
-                    slot.next_restart_at = Some(now + policy.backoff(slot.restarts));
-                }
-                Some(at) if now >= at => due.push((index, slot.handle.take())),
-                Some(_) => {}
-            }
-        }
-    }
-    for index in exhausted {
-        tracer.instant(SpanKind::Supervisor, "worker_gave_up", || {
-            vec![("worker".into(), index.to_string())]
-        });
-    }
-    // Phase 2 (lock released): reap the corpse, spawn the replacement.
-    for (index, stale) in due {
-        if let Some(handle) = stale {
-            let _ = handle.join();
-        }
-        match spawn(index) {
-            Ok(handle) => {
-                {
-                    let mut slots = supervision.slots.lock();
-                    let slot = &mut slots[index];
-                    slot.handle = Some(handle);
-                    slot.alive = true;
-                    slot.restarts += 1;
-                    slot.next_restart_at = None;
-                }
-                metrics.worker_restarted();
-                tracer.instant(SpanKind::Supervisor, "worker_restarted", || {
-                    vec![("worker".into(), index.to_string())]
-                });
-            }
-            Err(err) => {
-                // Spawn failure burns a restart attempt and backs off again.
-                let mut slots = supervision.slots.lock();
-                let slot = &mut slots[index];
-                slot.restarts += 1;
-                slot.next_restart_at = Some(Instant::now() + policy.backoff(slot.restarts));
-                drop(slots);
-                tracer.instant(SpanKind::Supervisor, "worker_respawn_failed", || {
-                    vec![("worker".into(), index.to_string()), ("error".into(), err.to_string())]
-                });
-            }
-        }
+    /// Take the join handle of every worker thread ever started (for
+    /// shutdown). Joining MUST happen with the slots lock released: a dying
+    /// worker takes the same lock on its way out ([`Self::leave`]), so
+    /// joining under the lock deadlocks.
+    pub(crate) fn take_handles(&self) -> Vec<JoinHandle<()>> {
+        self.slots.lock().iter_mut().flat_map(|slot| slot.handles.drain(..)).collect()
     }
 }
 
@@ -342,22 +264,35 @@ mod tests {
     use crate::job::JobId;
 
     /// Supervision over `slots` empty slots, as if their workers had exited.
-    fn supervision(slots: usize) -> Arc<Supervision> {
-        let supervision = Arc::new(Supervision::new(slots));
-        supervision.slots.lock().resize_with(slots, WorkerSlot::empty);
+    fn supervision(slots: usize) -> Supervision {
+        let supervision = Supervision::new(slots);
+        supervision.slots.lock().resize_with(slots, WorkerSlot::default);
         supervision
+    }
+
+    fn no_spawn(_: usize) -> Result<JoinHandle<()>, ServeError> {
+        panic!("no worker may start here")
+    }
+
+    fn stuck_flags(supervision: &Supervision) -> Vec<bool> {
+        let slots = supervision.slots.lock();
+        slots
+            .iter()
+            .map(|slot| slot.current.as_ref().is_some_and(|job| job.stuck_flagged))
+            .collect()
     }
 
     #[test]
     fn worker_guard_leaves_finished_jobs_alone() {
         let supervision = supervision(1);
+        supervision.slots.lock()[0].alive = true;
         let core = JobCore::new();
         supervision.begin_job(0, &core, "pipe", None);
         core.finish(Err(ServeError::Shutdown));
-        drop(WorkerGuard::new(Arc::clone(&supervision), 0));
+        supervision.leave(0, false, 8, &Metrics::new(), &Tracer::disabled(), no_spawn);
         let handle = JobHandle::new(JobId(1), core);
         assert!(matches!(handle.wait().unwrap_err(), ServeError::Shutdown));
-        assert_eq!(supervision.live_workers(), 0, "the guard marks its slot dead");
+        assert_eq!(supervision.live_workers(), 0, "a worker leaving marks its slot dead");
     }
 
     #[test]
@@ -374,76 +309,86 @@ mod tests {
         supervision.shutdown.store(true, Ordering::Release);
         supervision.add(spawn).unwrap();
         assert_eq!(supervision.slots.lock().len(), 2, "nothing starts after shutdown");
+        let (metrics, tracer) = (Metrics::new(), Tracer::disabled());
+        supervision.leave(0, true, 8, &metrics, &tracer, no_spawn);
+        assert_eq!(supervision.read_health(&metrics, &tracer), (1, 0), "not even a replacement");
         for handle in supervision.take_handles() {
             handle.join().unwrap();
         }
     }
 
     #[test]
-    fn backoff_grows_exponentially_and_saturates() {
-        let policy = SupervisePolicy {
-            max_worker_restarts: 8,
-            restart_backoff: Duration::from_millis(2),
-            tick: Duration::from_millis(1),
-            stuck_multiplier: 4,
-        };
-        assert_eq!(policy.backoff(0), Duration::from_millis(2));
-        assert_eq!(policy.backoff(1), Duration::from_millis(4));
-        assert_eq!(policy.backoff(3), Duration::from_millis(16));
-        // The shift is capped; huge restart counts must not overflow.
-        assert_eq!(policy.backoff(40), Duration::from_millis(2 * 1024));
+    fn a_dying_worker_restarts_its_slot_until_the_budget_is_spent() {
+        let supervision = supervision(2);
+        let (metrics, tracer) = (Metrics::new(), Tracer::disabled());
+        let restart = |_| Ok(std::thread::spawn(|| {}));
+        assert!(!supervision.leave(0, true, 1, &metrics, &tracer, restart));
+        assert_eq!(supervision.read_health(&metrics, &tracer), (1, 0), "restarted in place");
+        assert_eq!(metrics.snapshot().health.workers_restarted, 1);
+        supervision.survived(0);
+        assert!(!supervision.leave(0, true, 1, &metrics, &tracer, restart));
+        assert_eq!(
+            supervision.read_health(&metrics, &tracer),
+            (1, 0),
+            "a survived job starts the budget over"
+        );
+        supervision.leave(0, true, 1, &metrics, &tracer, no_spawn);
+        assert_eq!(supervision.read_health(&metrics, &tracer), (0, 1), "two deaths in a row");
+        let refused = |_| Err(ServeError::Spawn { reason: "no".into() });
+        assert!(
+            supervision.leave(1, true, 1, &metrics, &tracer, refused),
+            "a replacement that cannot start hands its place back"
+        );
+        assert_eq!(supervision.read_health(&metrics, &tracer), (0, 1), "dead, not given up");
+        assert_eq!(metrics.snapshot().health.workers_restarted, 2);
+        let handles = supervision.take_handles();
+        assert_eq!(handles.len(), 2, "the replacements are kept for shutdown to join");
+        for handle in handles {
+            handle.join().unwrap();
+        }
     }
 
     #[test]
     fn watchdog_flags_only_stalled_over_budget_jobs() {
         let supervision = supervision(2);
-        let metrics = Arc::new(Metrics::new());
-        let tracer = Tracer::disabled();
-        let policy = SupervisePolicy {
-            max_worker_restarts: 8,
-            restart_backoff: Duration::from_millis(1),
-            tick: Duration::from_millis(1),
-            stuck_multiplier: 2,
-        };
-        // Worker 0: over budget and stalled — must be flagged and nudged.
+        let (metrics, tracer) = (Metrics::new(), Tracer::disabled());
+        // Worker 0: over budget and stalled — must be flagged.
         let stalled = JobCore::new();
         supervision.begin_job(0, &stalled, "stalled", Some(Duration::from_millis(1)));
-        // Worker 1: no deadline — the watchdog has no budget to judge by.
+        // Worker 1: no deadline — there is no budget to judge it by.
         let unbounded = JobCore::new();
         supervision.begin_job(1, &unbounded, "unbounded", None);
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(10));
 
-        // First pass: stalled job is over 2×1ms with an unchanged heartbeat.
-        watchdog_pass(&supervision, &metrics, &tracer, policy);
-        assert!(stalled.cancel.explicitly_cancelled(), "watchdog nudges the stuck job");
-        assert!(!unbounded.cancel.explicitly_cancelled());
+        // First read: the stalled job is over 4×1ms with an unchanged heartbeat.
+        supervision.read_health(&metrics, &tracer);
+        assert_eq!(stuck_flags(&supervision), [true, false]);
         assert_eq!(metrics.snapshot().health.stuck_jobs, 1);
+        assert!(!stalled.cancel.explicitly_cancelled(), "the flag fires no token");
 
-        // Second pass: already flagged — not double-counted.
-        watchdog_pass(&supervision, &metrics, &tracer, policy);
+        // Second read: already flagged — not double-counted.
+        supervision.read_health(&metrics, &tracer);
+        assert_eq!(stuck_flags(&supervision), [true, false]);
         assert_eq!(metrics.snapshot().health.stuck_jobs, 1);
     }
 
     #[test]
     fn watchdog_spares_a_job_whose_heartbeat_advances() {
         let supervision = supervision(1);
-        let metrics = Arc::new(Metrics::new());
-        let tracer = Tracer::disabled();
-        let policy = SupervisePolicy {
-            max_worker_restarts: 8,
-            restart_backoff: Duration::from_millis(1),
-            tick: Duration::from_millis(1),
-            stuck_multiplier: 2,
-        };
+        let (metrics, tracer) = (Metrics::new(), Tracer::disabled());
         let core = JobCore::new();
         supervision.begin_job(0, &core, "slow-but-alive", Some(Duration::from_millis(1)));
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(10));
         core.cancel.touch();
-        watchdog_pass(&supervision, &metrics, &tracer, policy);
-        assert!(!core.cancel.explicitly_cancelled(), "progress since the last tick spares it");
-        // Once the heartbeat stalls, the next pass flags it.
-        watchdog_pass(&supervision, &metrics, &tracer, policy);
-        assert!(core.cancel.explicitly_cancelled());
+        supervision.read_health(&metrics, &tracer);
+        assert_eq!(
+            metrics.snapshot().health.stuck_jobs,
+            0,
+            "progress since the last read spares it"
+        );
+        // Once the heartbeat stalls, the next read flags it.
+        supervision.read_health(&metrics, &tracer);
+        assert_eq!(stuck_flags(&supervision), [true]);
         assert_eq!(metrics.snapshot().health.stuck_jobs, 1);
     }
 }

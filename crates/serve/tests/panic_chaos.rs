@@ -85,18 +85,15 @@ fn chaos_compiler(gate: Arc<Gate>) -> Compiler {
     compiler
 }
 
-/// A server with every dedup layer off: chaos jobs must all really run.
 fn chaos_server(workers: usize, gate: Arc<Gate>, llm: Arc<SimLlm>) -> PipelineServer {
-    let server = PipelineServer::start(
-        ContextFactory::new(llm),
-        ServeConfig {
-            workers: Some(workers),
-            dedup_inflight: false,
-            result_cache_capacity: 0,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    chaos_server_with(ServeConfig { workers: Some(workers), ..Default::default() }, gate, llm)
+}
+
+/// A server on `config` with every dedup layer off: chaos jobs must all
+/// really run.
+fn chaos_server_with(config: ServeConfig, gate: Arc<Gate>, llm: Arc<SimLlm>) -> PipelineServer {
+    let config = ServeConfig { dedup_inflight: false, result_cache_capacity: 0, ..config };
+    let server = PipelineServer::start(ContextFactory::new(llm), config).unwrap();
     let compiler = chaos_compiler(gate);
     server.register_dsl("boom", r#"pipeline boom { out = boom(text); }"#, &compiler).unwrap();
     server.register_dsl("kill", r#"pipeline kill { out = kill(text); }"#, &compiler).unwrap();
@@ -317,14 +314,132 @@ fn escaped_panics_kill_workers_and_the_supervisor_restores_the_pool() {
         assert!(normal.wait().is_ok(), "in-flight work survives worker deaths");
     }
 
-    // The supervisor resurrects every killed worker: full strength again.
-    wait_until("pool restored to 4 live workers", || server.live_worker_count() == 4);
+    // Every killed worker starts its replacement — once its kill job is
+    // settled, so the last may still be under way — and the pool is at full
+    // strength again.
+    wait_until("every killed worker to restart", || server.metrics().health.workers_restarted == 6);
     let snap = server.metrics();
     assert_eq!(snap.panicked, 6);
     assert_eq!(snap.completed, 12);
-    assert!(snap.health.workers_restarted >= 1, "at least one resurrection happened");
+    assert_eq!(snap.health.live_workers, 4, "pool restored to 4 live workers");
     assert_eq!(snap.health.workers_gave_up, 0, "budgets were nowhere near exhausted");
     assert_eq!(snap.accepted, snap.finished(), "no job was lost or double-counted");
+}
+
+/// Submit a `kill` job and wait for its error.
+fn kill(server: &PipelineServer, i: usize) -> ServeError {
+    let handle = server
+        .submit(SubmitRequest::new("kill").input("text", Data::Str(format!("kill {i}"))))
+        .unwrap();
+    handle.wait().unwrap_err()
+}
+
+/// A one-worker pool with a budget of one restart, killed twice: the first
+/// death restarts the slot, the second gives it up. A job queued behind the
+/// dead pool never runs, and `shutdown` ends it typed.
+#[test]
+fn a_slot_past_its_restart_budget_gives_up_and_shutdown_ends_the_job_queued_behind_it() {
+    let gate = Gate::new();
+    gate.open();
+    let config = ServeConfig { workers: Some(1), max_worker_restarts: 1, ..Default::default() };
+    let mut server = chaos_server_with(config, gate, sim(80));
+
+    assert!(matches!(kill(&server, 0), ServeError::Panicked { .. }));
+    wait_until("the first death to restart the slot", || {
+        server.metrics().health.workers_restarted == 1
+    });
+    assert_eq!(server.live_worker_count(), 1, "the replacement took the slot");
+    assert!(matches!(kill(&server, 1), ServeError::Panicked { .. }));
+    wait_until("the second death to give the slot up", || {
+        server.metrics().health.workers_gave_up == 1
+    });
+    let health = server.metrics().health;
+    assert_eq!((health.workers_restarted, health.workers_gave_up, health.live_workers), (1, 1, 0));
+
+    let queued = server
+        .submit(SubmitRequest::new("slow").input("text", Data::Str("nobody runs me".into())))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(queued.status(), JobStatus::Queued, "no worker is left to take it");
+    server.shutdown();
+    assert!(matches!(queued.wait(), Err(ServeError::ShuttingDown)));
+    let snap = server.metrics();
+    assert_eq!((snap.panicked, snap.failed, snap.health.workers_restarted), (2, 1, 1));
+    assert_eq!(snap.accepted, snap.finished());
+}
+
+/// The budget bounds deaths in a row: a worker that survives a job starts
+/// its slot's count over, so a one-restart slot outlives kills that a
+/// completed job separates, and gives up on the first two in a row.
+#[test]
+fn a_survived_job_starts_the_restart_budget_over() {
+    let gate = Gate::new();
+    gate.open();
+    let config = ServeConfig { workers: Some(1), max_worker_restarts: 1, ..Default::default() };
+    let server = chaos_server_with(config, gate, sim(82));
+    for round in 1..=3 {
+        assert!(matches!(kill(&server, round), ServeError::Panicked { .. }));
+        wait_until("the death to restart the slot", || {
+            server.metrics().health.workers_restarted == round as u64
+        });
+        let survived = SubmitRequest::new("summ").input("text", Data::Str(format!("doc {round}")));
+        assert!(server.run(survived).is_ok(), "round {round}: the replacement serves");
+    }
+    assert!(matches!(kill(&server, 4), ServeError::Panicked { .. }));
+    assert!(matches!(kill(&server, 5), ServeError::Panicked { .. }));
+    wait_until("two deaths in a row to give the slot up", || {
+        server.metrics().health.workers_gave_up == 1
+    });
+    let health = server.metrics().health;
+    assert_eq!((health.workers_restarted, health.live_workers), (4, 0));
+}
+
+/// A worker killed while `shutdown` runs starts no replacement, and
+/// `shutdown` returns only once every thread the server ever started has
+/// exited, a replacement included: dropping the server then leaves the test
+/// the only holder of the shared service. Shorter delays race the death
+/// against the shutdown latch, so a replacement may start first; a longer
+/// one kills the worker while `shutdown` waits to join it.
+#[test]
+fn a_worker_killed_during_shutdown_starts_no_replacement_and_every_thread_is_joined() {
+    for delay_ms in [0, 1, 2, 50] {
+        let gate = Gate::new();
+        let llm = sim(81);
+        let server = chaos_server(2, Arc::clone(&gate), Arc::clone(&llm));
+        let compiler = chaos_compiler(Arc::clone(&gate));
+        server
+            .register_dsl(
+                "doomed",
+                r#"pipeline doomed { held = gate(text); out = kill(held); }"#,
+                &compiler,
+            )
+            .unwrap();
+        let doomed = server
+            .submit(
+                SubmitRequest::new("doomed").input("text", Data::Str("held, then killed".into())),
+            )
+            .unwrap();
+        wait_until("the doomed job to run", || doomed.status() == JobStatus::Running);
+        let (started, shutting_down) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            let mut server = server;
+            started.send(()).unwrap();
+            server.shutdown();
+            server
+        });
+        shutting_down.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(delay_ms));
+        gate.open();
+        let server = stopper.join().unwrap();
+        assert!(matches!(doomed.wait(), Err(ServeError::Panicked { .. })));
+        let health = server.metrics().health;
+        assert_eq!(health.live_workers, 0, "delay {delay_ms} ms: every worker was joined");
+        if delay_ms >= 50 {
+            assert_eq!(health.workers_restarted, 0, "no replacement once shutdown has begun");
+        }
+        drop(server);
+        assert_eq!(Arc::strong_count(&llm), 1, "delay {delay_ms} ms: a thread outlived shutdown");
+    }
 }
 
 #[test]
@@ -384,18 +499,13 @@ fn cancellation_is_honoured_queued_and_mid_execution() {
 }
 
 #[test]
-fn the_watchdog_flags_a_stuck_job_and_nudges_it() {
+fn a_health_read_flags_a_stuck_job_once() {
     let gate = Gate::new();
     let server = {
         let llm = sim(75);
         let server = PipelineServer::start(
             ContextFactory::new(llm),
-            ServeConfig {
-                workers: Some(1),
-                supervisor_tick: Duration::from_millis(2),
-                stuck_multiplier: 2,
-                ..Default::default()
-            },
+            ServeConfig { workers: Some(1), ..Default::default() },
         )
         .unwrap();
         let compiler = chaos_compiler(Arc::clone(&gate));
@@ -403,8 +513,8 @@ fn the_watchdog_flags_a_stuck_job_and_nudges_it() {
         server
     };
 
-    // A 10 ms budget over a module wedged on the latch: after 2× the budget
-    // with no heartbeat progress the watchdog flags it and fires its token.
+    // A 10 ms budget over a module wedged on the latch: once it has run 4×
+    // the budget with no heartbeat progress, reading health flags it.
     let handle = server
         .submit(
             SubmitRequest::new("hold")
@@ -412,10 +522,12 @@ fn the_watchdog_flags_a_stuck_job_and_nudges_it() {
                 .timeout(Duration::from_millis(10)),
         )
         .unwrap();
-    wait_until("watchdog to flag the wedged job", || server.metrics().health.stuck_jobs >= 1);
+    wait_until("a health read to flag the wedged job", || server.metrics().health.stuck_jobs >= 1);
+    std::thread::sleep(Duration::from_millis(5));
+    assert_eq!(server.metrics().health.stuck_jobs, 1, "a later read flags it no more");
 
-    // The nudge cannot kill a wedged thread, but once the module returns the
-    // executor observes the fired token. The deadline passed long ago, so the
+    // Nothing can kill a wedged thread, but once the module returns the
+    // executor's next check-in sees the deadline, which passed long ago: the
     // typed outcome is DeadlineExceeded.
     gate.open();
     assert!(matches!(handle.wait(), Err(ServeError::DeadlineExceeded { .. })));
@@ -537,8 +649,9 @@ fn supervision_guarantees_hold_over_a_faulty_gateway() {
         ));
     }
 
-    wait_until("pool restored over the faulty gateway", || server.live_worker_count() == 4);
+    wait_until("every killed worker to restart", || server.metrics().health.workers_restarted == 4);
     let snap = server.metrics();
+    assert_eq!(snap.health.live_workers, 4, "pool restored over the faulty gateway");
     assert_eq!(snap.completed, 16);
     assert_eq!(snap.panicked, 4);
     assert_eq!(snap.failed, 0, "no injected fault may surface as a job failure");
@@ -620,7 +733,13 @@ fn conservation_holds_under_contended_chaos() {
     attributed.merge(&snap.llm_partial);
     assert_eq!(llm.usage().since(&billed_before), attributed);
 
-    // And the pool is back at full strength for the next wave.
-    wait_until("pool restored after the storm", || server.live_worker_count() == 4);
-    assert_eq!(server.metrics().health.workers_gave_up, 0);
+    // And the pool is back at full strength for the next wave, at the
+    // default budget, once the last restarts are done: a dying worker
+    // restarts its slot only after its job is settled and its waiter woken.
+    // Two kills per thread, none refused, cancelled or timed out.
+    wait_until("every kill to restart its slot", || {
+        server.metrics().health.workers_restarted == 16
+    });
+    let health = server.metrics().health;
+    assert_eq!((health.live_workers, health.workers_gave_up), (4, 0), "the pool is restored");
 }

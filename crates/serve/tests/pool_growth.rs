@@ -1,7 +1,7 @@
 //! `ServeConfig::workers` is a count of CPU permits held by running jobs, not
 //! of threads. A job whose completion waits in the batcher lends its permit
 //! to a queued job at once — on a worker started for it when none is idle,
-//! with no supervisor tick in the path — and the pool that grows so never
+//! with no tick in the path — and the pool that grows so never
 //! retires a worker, never passes the budget plus `queue_capacity` threads,
 //! and joins every worker at `shutdown`. A wait the batcher does not mark —
 //! an LLM call without one, which may well be compute — lends nothing.
@@ -104,30 +104,17 @@ impl Drop for Unblock {
     }
 }
 
-/// A budget of one over `llm`, batched or not, with `tick` as the
-/// supervisor's tick and `queue_capacity` per lane.
-fn server(
-    llm: &Arc<Gated>,
-    batch: Option<BatchTuning>,
-    tick: Duration,
-    queue_capacity: usize,
-) -> PipelineServer {
+/// A budget of one over `llm`, batched or not, with `queue_capacity` per
+/// lane.
+fn server(llm: &Arc<Gated>, batch: Option<BatchTuning>, queue_capacity: usize) -> PipelineServer {
     let server = PipelineServer::start(
         ContextFactory::new(Arc::clone(llm) as Arc<dyn LlmService>),
-        ServeConfig {
-            workers: Some(1),
-            queue_capacity,
-            supervisor_tick: tick,
-            batch,
-            ..Default::default()
-        },
+        ServeConfig { workers: Some(1), queue_capacity, batch, ..Default::default() },
     )
     .unwrap();
     server.register_dsl("summ", SUMMARIZE, &Compiler::with_builtins()).unwrap();
     server
 }
-
-const TICK: Duration = Duration::from_millis(1);
 
 fn batched() -> Option<BatchTuning> {
     Some(BatchTuning { max_batch_size: 8, max_wait: Duration::from_millis(1) })
@@ -141,39 +128,26 @@ fn submit(server: &PipelineServer, jobs: std::ops::Range<usize>) -> Vec<JobHandl
     .collect()
 }
 
-/// Poll `done` for up to ten seconds; whether it came true.
-fn within_ten_seconds(done: impl Fn() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !done() {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    true
-}
-
 /// Poll `done` for up to ten seconds.
 fn eventually(what: &str, done: impl Fn() -> bool) {
-    assert!(within_ten_seconds(done), "timed out waiting until {what}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
 fn a_job_waiting_in_the_batcher_lends_its_permit_with_no_tick_in_the_path() {
     let llm = Gated::new();
-    let server = server(&llm, batched(), Duration::from_secs(3600), 256);
+    let server = server(&llm, batched(), 256);
     let _unblock = Unblock(Arc::clone(&llm));
     llm.shut();
     let handles = submit(&server, 0..3);
     // Each job's member blocks at the gate, so every running job waits in
-    // the batcher while the next one is queued. The supervisor sleeps for
-    // an hour: only the hand-off can start the jobs behind the first.
-    if !within_ten_seconds(|| llm.held.load(Ordering::SeqCst) == 3) {
-        // A pool that needs the tick to run them needs it to shut down too:
-        // leak the server rather than hang the test for an hour.
-        std::mem::forget(server);
-        panic!("a budget of one ran one job while the others waited for a tick");
-    }
+    // the batcher while the next one is queued. No thread but the workers
+    // runs: only the hand-off can start the jobs behind the first.
+    eventually("a budget of one runs all three jobs", || llm.held.load(Ordering::SeqCst) == 3);
     let lent = server.metrics();
     assert_eq!(lent.workers, 1, "the CPU budget");
     assert_eq!((lent.health.live_workers, lent.health.peak_workers), (3, 3));
@@ -194,12 +168,12 @@ fn a_job_waiting_in_the_batcher_lends_its_permit_with_no_tick_in_the_path() {
 #[test]
 fn a_wait_the_batcher_does_not_mark_never_grows_the_pool() {
     let llm = Gated::new();
-    let server = server(&llm, None, TICK, 256);
+    let server = server(&llm, None, 256);
     let _unblock = Unblock(Arc::clone(&llm));
     llm.shut();
     let handles = submit(&server, 0..3);
     eventually("the one worker blocks", || llm.held.load(Ordering::SeqCst) == 1);
-    // Fifty ticks with two jobs queued behind a blocked job.
+    // Fifty milliseconds with two jobs queued behind a blocked job.
     std::thread::sleep(Duration::from_millis(50));
     let snap = server.metrics();
     assert_eq!(snap.health.live_workers, 1);
@@ -217,7 +191,7 @@ fn a_flood_at_a_shut_gate_holds_the_pool_to_its_bound() {
     // The budget plus one lane's capacity (`DESIGN.md` §5).
     const BOUND: usize = 1 + QUEUE_CAPACITY;
     let llm = Gated::new();
-    let server = server(&llm, batched(), TICK, QUEUE_CAPACITY);
+    let server = server(&llm, batched(), QUEUE_CAPACITY);
     let _unblock = Unblock(Arc::clone(&llm));
     llm.shut();
     let (mut handles, mut refused) = (Vec::new(), 0);
@@ -263,7 +237,7 @@ fn shutdown_joins_every_grown_worker() {
     // every worker it started.
     for delay_ms in [Some(0), Some(1), Some(2), Some(5), None] {
         let llm = Gated::new();
-        let mut server = server(&llm, batched(), TICK, 256);
+        let mut server = server(&llm, batched(), 256);
         let _unblock = Unblock(Arc::clone(&llm));
         llm.shut();
         let handles = submit(&server, 0..3);
@@ -291,7 +265,7 @@ fn shutdown_joins_every_grown_worker() {
 #[test]
 fn shutdown_with_a_job_queued_behind_no_free_permit_joins_every_parked_worker() {
     let llm = Gated::new();
-    let mut server = server(&llm, batched(), TICK, 256);
+    let mut server = server(&llm, batched(), 256);
     // `hold` blocks on its own gate with no `WaitMark`: it keeps its permit.
     let hold = Gated::new();
     let mut compiler = Compiler::with_builtins();

@@ -34,7 +34,7 @@ pub enum SpanKind {
     Gateway,
     /// One call on an `LlmService` (tokens attributed on the end edge).
     LlmCall,
-    /// Serve-layer supervision: worker panics, restarts, watchdog nudges.
+    /// Serve-layer supervision: worker panics, restarts, stuck-job flags.
     Supervisor,
     /// One event-time window in the streaming engine: begins when the first
     /// record lands, ends when the watermark closes it. Watermark advances
