@@ -84,15 +84,17 @@ fn main() {
             let spec =
                 CodeGenSpec { task: task.into(), function_name: "process".into(), hints: vec![] };
             let mut module = LlmgcModule::generate(label, spec, &ctx).expect("generation parses");
-            if module.generation.as_ref().and_then(|g| g.bug).is_some() {
-                buggy += 1;
-            }
             let validator = Validator::new(cases()).with_budgets(6, 3);
             let before = validator.evaluate(&mut module, &mut ctx);
             if before.is_empty() {
                 pass_before += 1;
             }
             let report = validator.validate_and_fix(&mut module, &mut ctx).expect("loop runs");
+            // A first draft is buggy when the validator's first verdict
+            // finds failures.
+            if report.failure_history[0] > 0 {
+                buggy += 1;
+            }
             if report.outcome == ValidationOutcome::Passed {
                 pass_after += 1;
             }

@@ -1,5 +1,6 @@
 //! LLMGC modules: LLM-generated MangaScript programs behind the module
-//! interface (§3.1). The program really executes — compiled once to
+//! interface (§3.1). The program is asked of the LLM as an ordinary
+//! completion (a [`CodeRequest`]) and really executes — compiled once to
 //! bytecode and run on the `lingua-script` VM; the host bridge gives it
 //! `call_llm`, `call_module`, and `call_tool`.
 
@@ -7,7 +8,7 @@ use crate::context::{ExecContext, HostBridge};
 use crate::data::Data;
 use crate::error::{CoreError, TrapKind};
 use crate::modules::{Module, ModuleKind};
-use lingua_llm_sim::{CodeGenSpec, GeneratedCode};
+use lingua_llm_sim::{CodeGenSpec, CodeRequest};
 use lingua_script::{parse, CompileCache, CompiledScript, ScriptError, Vm};
 use std::sync::{Arc, OnceLock};
 
@@ -42,29 +43,22 @@ pub struct LlmgcModule {
     compiled: Arc<CompiledScript>,
     entry: String,
     fuel: u64,
-    /// Generation metadata for experiment introspection.
-    pub generation: Option<GeneratedCode>,
+    /// Drafts asked of the LLM for this module so far: its first draft is
+    /// 1, and each repair or regeneration asks for the next.
+    drafts: u64,
 }
 
 impl LlmgcModule {
-    /// Ask the context's LLM to generate the module's code now.
+    /// Ask the context's LLM for the module's first draft now, through
+    /// [`ExecContext::complete`]: a call without an answer is a typed error.
     pub fn generate(
         name: impl Into<String>,
         spec: CodeGenSpec,
         ctx: &ExecContext,
     ) -> Result<LlmgcModule, CoreError> {
-        let generated = ctx.llm.generate_code(&spec);
-        LlmgcModule::from_generated(name, spec, generated)
-    }
-
-    /// Wrap an already-generated program.
-    pub(crate) fn from_generated(
-        name: impl Into<String>,
-        spec: CodeGenSpec,
-        generated: GeneratedCode,
-    ) -> Result<LlmgcModule, CoreError> {
-        let mut module = LlmgcModule::from_source(name, spec, generated.source.as_str())?;
-        module.generation = Some(generated);
+        let source = ctx.complete(CodeRequest::draft(&spec, 1).render())?;
+        let mut module = LlmgcModule::from_source(name, spec, &*source)?;
+        module.drafts = 1;
         Ok(module)
     }
 
@@ -89,7 +83,7 @@ impl LlmgcModule {
             entry,
             fuel: DEFAULT_FUEL,
             spec,
-            generation: None,
+            drafts: 0,
         })
     }
 
@@ -110,13 +104,43 @@ impl LlmgcModule {
         &self.entry
     }
 
-    /// Replace the program (used by the Validator's repair cycle). The new
-    /// source carries a new fingerprint, so this is the one place a repair
-    /// triggers a recompile.
-    pub(crate) fn replace_program(&mut self, generated: GeneratedCode) -> Result<(), CoreError> {
-        self.compiled = load(&generated.source)?;
-        self.source = generated.source.clone();
-        self.generation = Some(generated);
+    /// Ask the LLM how to fix the current program, given the failures the
+    /// Validator saw it show.
+    pub(crate) fn fix_suggestion(
+        &self,
+        failures: &[String],
+        ctx: &ExecContext,
+    ) -> Result<Arc<str>, CoreError> {
+        let request = CodeRequest::fix(&self.spec, self.drafts, &self.source, failures);
+        Ok(ctx.complete(request.render())?)
+    }
+
+    /// Ask the LLM for the module's next draft — the current program
+    /// repaired along `suggestion`, or without one a regeneration from
+    /// scratch — and swap it in. A draft that does not parse is itself a
+    /// failure: the old program stays, for the next cycle to try again.
+    pub(crate) fn redraft(
+        &mut self,
+        suggestion: Option<&str>,
+        ctx: &ExecContext,
+    ) -> Result<(), CoreError> {
+        self.drafts += 1;
+        let request = match suggestion {
+            Some(suggestion) => {
+                CodeRequest::repair(&self.spec, self.drafts, &self.source, suggestion)
+            }
+            None => CodeRequest::draft(&self.spec, self.drafts),
+        };
+        let source = ctx.complete(request.render())?;
+        let _ = self.replace_program(&source);
+        Ok(())
+    }
+
+    /// Replace the program. The new source carries a new fingerprint, so
+    /// this is the one place a repair triggers a recompile.
+    fn replace_program(&mut self, source: &str) -> Result<(), CoreError> {
+        self.compiled = load(source)?;
+        self.source = source.to_string();
         Ok(())
     }
 }
@@ -194,7 +218,7 @@ impl Module for LlmgcModule {
             compiled: Arc::clone(&self.compiled),
             entry: self.entry.clone(),
             fuel: self.fuel,
-            generation: self.generation.clone(),
+            drafts: self.drafts,
         }))
     }
 }
@@ -381,21 +405,10 @@ mod tests {
             LlmgcModule::from_source("swappable", spec("id"), "fn process(x) { return 1; }")
                 .unwrap();
         assert_eq!(module.invoke(Data::Null, &mut ctx).unwrap(), Data::Int(1));
-        module
-            .replace_program(GeneratedCode {
-                source: "fn process(x) { return 2; }".into(),
-                template: lingua_llm_sim::TemplateKind::Identity,
-                bug: None,
-            })
-            .unwrap();
+        module.replace_program("fn process(x) { return 2; }").unwrap();
         assert_eq!(module.invoke(Data::Null, &mut ctx).unwrap(), Data::Int(2));
         // Broken replacement is rejected and the old program kept.
-        let err = module.replace_program(GeneratedCode {
-            source: "fn process(x) {".into(),
-            template: lingua_llm_sim::TemplateKind::Identity,
-            bug: None,
-        });
-        assert!(err.is_err());
+        assert!(module.replace_program("fn process(x) {").is_err());
         assert_eq!(module.invoke(Data::Null, &mut ctx).unwrap(), Data::Int(2));
     }
 
@@ -428,13 +441,7 @@ mod tests {
         assert_eq!(compile_cache().stats(v1), (1, 1));
 
         // Repair swaps the source: exactly one compile for the new key.
-        module
-            .replace_program(GeneratedCode {
-                source: v2.into(),
-                template: lingua_llm_sim::TemplateKind::Identity,
-                bug: None,
-            })
-            .unwrap();
+        module.replace_program(v2).unwrap();
         for i in 0..50 {
             assert_eq!(module.invoke(Data::Int(i), &mut ctx).unwrap(), Data::Int(i + 2));
         }

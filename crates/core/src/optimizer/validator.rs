@@ -8,7 +8,9 @@
 //! Every step is real: the module's generated program actually executes on
 //! the test inputs, failures carry the actual error/output, the suggestion is
 //! derived from the actual code, and the repaired program actually replaces
-//! the old one.
+//! the old one. Suggestions and repairs are asked of the LLM as completions
+//! through [`ExecContext::complete`], so a call without an answer ends the
+//! cycle with a typed error.
 
 use crate::context::ExecContext;
 use crate::data::Data;
@@ -214,17 +216,8 @@ impl Validator {
                     break;
                 }
                 cycles += 1;
-                let suggestion = ctx.llm.suggest_fix(module.source(), &failures);
-                let previous =
-                    module.generation.clone().unwrap_or_else(|| lingua_llm_sim::GeneratedCode {
-                        source: module.source().to_string(),
-                        template: lingua_llm_sim::TemplateKind::Identity,
-                        bug: None,
-                    });
-                let repaired = ctx.llm.repair_code(module.spec(), &previous, &suggestion);
-                // A syntactically-broken repair is itself a failure; keep the
-                // old program and let the next cycle try again.
-                let _ = module.replace_program(repaired);
+                let suggestion = module.fix_suggestion(&failures, ctx)?;
+                module.redraft(Some(&suggestion), ctx)?;
                 ctx.tracer.instant(lingua_trace::SpanKind::Validator, "repair", Vec::new);
             }
 
@@ -244,8 +237,7 @@ impl Validator {
             // Regenerate from scratch.
             regenerations += 1;
             ctx.tracer.instant(lingua_trace::SpanKind::Validator, "regenerate", Vec::new);
-            let fresh = ctx.llm.generate_code(module.spec());
-            let _ = module.replace_program(fresh);
+            module.redraft(None, ctx)?;
         }
     }
 }
@@ -254,12 +246,20 @@ impl Validator {
 mod tests {
     use super::*;
     use lingua_dataset::world::WorldSpec;
-    use lingua_llm_sim::{CodeGenSpec, SimLlm};
+    use lingua_llm_sim::{Calibration, CodeGenSpec, SimLlm, SimLlmConfig};
     use std::sync::Arc;
 
     fn ctx() -> ExecContext {
         let world = WorldSpec::generate(8);
         ExecContext::new(Arc::new(SimLlm::with_seed(&world, 8)))
+    }
+
+    /// A context whose LLM drafts a bug into a program at `bug_rate`.
+    fn ctx_with_bug_rate(bug_rate: f64) -> ExecContext {
+        let world = WorldSpec::generate(8);
+        let calibration = Calibration { codegen_bug_rate: bug_rate, ..Default::default() };
+        let config = SimLlmConfig { seed: 8, calibration, ..Default::default() };
+        ExecContext::new(Arc::new(SimLlm::new(&world, config)))
     }
 
     fn tokenizer_cases() -> Vec<TestCase> {
@@ -293,13 +293,8 @@ mod tests {
 
     #[test]
     fn clean_module_passes_immediately() {
-        let mut ctx = ctx();
-        let clean = lingua_llm_sim::codegen::generate(
-            &spec(),
-            &lingua_llm_sim::Calibration { codegen_bug_rate: 0.0, ..Default::default() },
-            &mut lingua_ml::rng::Rng::seed_from_u64(1),
-        );
-        let mut module = LlmgcModule::from_generated("tok", spec(), clean).unwrap();
+        let mut ctx = ctx_with_bug_rate(0.0);
+        let mut module = LlmgcModule::generate("tok", spec(), &ctx).unwrap();
         let validator = Validator::new(tokenizer_cases());
         let report = validator.validate_and_fix(&mut module, &mut ctx).unwrap();
         assert_eq!(report.outcome, ValidationOutcome::Passed);
@@ -309,18 +304,13 @@ mod tests {
 
     #[test]
     fn buggy_module_gets_repaired() {
-        let mut ctx = ctx();
-        // Force a buggy first generation.
-        let buggy = lingua_llm_sim::codegen::generate(
-            &spec(),
-            &lingua_llm_sim::Calibration { codegen_bug_rate: 1.0, ..Default::default() },
-            &mut lingua_ml::rng::Rng::seed_from_u64(3),
-        );
-        assert!(buggy.bug.is_some());
-        let mut module = LlmgcModule::from_generated("tok", spec(), buggy).unwrap();
+        // Force a buggy first draft; the cases see every tokenizer bug.
+        let mut ctx = ctx_with_bug_rate(1.0);
+        let mut module = LlmgcModule::generate("tok", spec(), &ctx).unwrap();
         let validator = Validator::new(tokenizer_cases()).with_budgets(6, 3);
         let report = validator.validate_and_fix(&mut module, &mut ctx).unwrap();
         assert_eq!(report.outcome, ValidationOutcome::Passed, "{report:?}");
+        assert!(report.failure_history[0] > 0, "{report:?}");
         assert!(report.cycles >= 1, "{report:?}");
         // The final program really passes the cases.
         assert!(validator.evaluate(&mut module, &mut ctx).is_empty());
@@ -349,8 +339,7 @@ mod tests {
             function_name: "process".into(),
             hints: vec![],
         };
-        let generated = ctx.llm.generate_code(&hopeless_spec);
-        let mut module = LlmgcModule::from_generated("hopeless", hopeless_spec, generated).unwrap();
+        let mut module = LlmgcModule::generate("hopeless", hopeless_spec, &ctx).unwrap();
         let validator =
             Validator::new(vec![TestCase::new(Data::Int(1), Data::Int(2))]).with_budgets(2, 1);
         let report = validator.validate_and_fix(&mut module, &mut ctx).unwrap();

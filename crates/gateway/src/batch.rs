@@ -89,8 +89,7 @@
 //! so the job takes its permit back first.
 
 use lingua_llm_sim::{
-    BatchOutcome, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer,
-    Usage, WaitMark,
+    BatchOutcome, CancelToken, CompletionRequest, LlmService, NoAnswer, Usage, WaitMark,
 };
 use lingua_ml::sync::{Condvar, Mutex};
 use lingua_trace::{SpanKind, Tracer};
@@ -587,23 +586,6 @@ impl LlmService for Batcher {
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
     }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        self.inner.generate_code(spec)
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        self.inner.suggest_fix(source, failures)
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        self.inner.repair_code(spec, previous, suggestion)
-    }
 }
 
 #[cfg(test)]
@@ -915,20 +897,6 @@ mod tests {
         fn simulated_latency_ms(&self) -> u64 {
             0
         }
-        fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
-            unreachable!("not exercised")
-        }
-        fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
-            unreachable!("not exercised")
-        }
-        fn repair_code(
-            &self,
-            _spec: &CodeGenSpec,
-            _previous: &GeneratedCode,
-            _suggestion: &str,
-        ) -> GeneratedCode {
-            unreachable!("not exercised")
-        }
     }
 
     #[test]
@@ -1041,20 +1009,6 @@ mod tests {
         fn simulated_latency_ms(&self) -> u64 {
             0
         }
-        fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
-            unreachable!("not exercised")
-        }
-        fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
-            unreachable!("not exercised")
-        }
-        fn repair_code(
-            &self,
-            _spec: &CodeGenSpec,
-            _previous: &GeneratedCode,
-            _suggestion: &str,
-        ) -> GeneratedCode {
-            unreachable!("not exercised")
-        }
     }
 
     #[test]
@@ -1155,20 +1109,6 @@ mod tests {
         }
         fn simulated_latency_ms(&self) -> u64 {
             0
-        }
-        fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
-            unreachable!("not exercised")
-        }
-        fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
-            unreachable!("not exercised")
-        }
-        fn repair_code(
-            &self,
-            _spec: &CodeGenSpec,
-            _previous: &GeneratedCode,
-            _suggestion: &str,
-        ) -> GeneratedCode {
-            unreachable!("not exercised")
         }
     }
 

@@ -9,9 +9,7 @@
 
 use crate::transport::answer_member;
 use crate::{FaultClass, LlmTransport, TransportError, Verdict};
-use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm, Usage,
-};
+use lingua_llm_sim::{BatchOutcome, CompletionRequest, LlmService, SimLlm, Usage};
 use lingua_ml::rng::Rng;
 use lingua_ml::sync::Mutex;
 use std::collections::HashMap;
@@ -269,23 +267,6 @@ impl LlmTransport for FaultInjector {
 
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
-    }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        self.inner.generate_code(spec)
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        self.inner.suggest_fix(source, failures)
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        self.inner.repair_code(spec, previous, suggestion)
     }
 }
 

@@ -41,8 +41,8 @@ use crate::{
 use lingua_llm_sim::cost::count_tokens;
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
 use lingua_llm_sim::{
-    AtomicUsage, BatchOutcome, CancelReason, CodeGenSpec, CompletionRequest, GeneratedCode,
-    LlmService, NoAnswer, ShardedLru, Usage,
+    AtomicUsage, BatchOutcome, CancelReason, CompletionRequest, LlmService, NoAnswer, ShardedLru,
+    Usage,
 };
 use lingua_trace::{SpanKind, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -462,15 +462,6 @@ impl Gateway {
         self.metrics.cancelled();
         self.tracer.instant(SpanKind::Gateway, "cancelled", Vec::new);
     }
-
-    /// The backend the infallible code-generation endpoints route to: the
-    /// first one whose breaker isn't open, else the primary.
-    fn codegen_backend(&self) -> &Backend {
-        self.backends
-            .iter()
-            .find(|b| b.breaker.state() != BreakerState::Open)
-            .unwrap_or(&self.backends[0])
-    }
 }
 
 impl LlmService for Gateway {
@@ -612,23 +603,6 @@ impl LlmService for Gateway {
             total += fallback.simulated_latency_ms();
         }
         total
-    }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        self.codegen_backend().transport.generate_code(spec)
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        self.codegen_backend().transport.suggest_fix(source, failures)
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        self.codegen_backend().transport.repair_code(spec, previous, suggestion)
     }
 }
 
@@ -851,20 +825,6 @@ mod tests {
             }
             fn simulated_latency_ms(&self) -> u64 {
                 0
-            }
-            fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
-                unreachable!("not exercised")
-            }
-            fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
-                unreachable!("not exercised")
-            }
-            fn repair_code(
-                &self,
-                _spec: &CodeGenSpec,
-                _previous: &GeneratedCode,
-                _suggestion: &str,
-            ) -> GeneratedCode {
-                unreachable!("not exercised")
             }
         }
 
@@ -1090,20 +1050,6 @@ mod tests {
         fn simulated_latency_ms(&self) -> u64 {
             self.inner.simulated_latency_ms()
         }
-        fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-            self.inner.generate_code(spec)
-        }
-        fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-            self.inner.suggest_fix(source, failures)
-        }
-        fn repair_code(
-            &self,
-            spec: &CodeGenSpec,
-            previous: &GeneratedCode,
-            suggestion: &str,
-        ) -> GeneratedCode {
-            self.inner.repair_code(spec, previous, suggestion)
-        }
     }
 
     #[test]
@@ -1300,20 +1246,6 @@ mod tests {
             fn simulated_latency_ms(&self) -> u64 {
                 0
             }
-            fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
-                unreachable!("not exercised")
-            }
-            fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
-                unreachable!("not exercised")
-            }
-            fn repair_code(
-                &self,
-                _spec: &CodeGenSpec,
-                _previous: &GeneratedCode,
-                _suggestion: &str,
-            ) -> GeneratedCode {
-                unreachable!("not exercised")
-            }
         }
 
         let cheap = sim(18);
@@ -1345,34 +1277,5 @@ mod tests {
         for (request, response) in requests.iter().zip(&outcome.responses) {
             assert_eq!(response.as_deref(), Ok(reference.complete(request).as_str()));
         }
-    }
-
-    #[test]
-    fn codegen_routes_around_an_open_breaker() {
-        let dead = sim(11);
-        let injector = Arc::new(FaultInjector::new("dead", dead, FaultPlan::transient(1.0, 13)));
-        let healthy = sim(11);
-        let gateway = Gateway::builder()
-            .backend(injector)
-            .backend(Arc::new(ServiceTransport::new("healthy", healthy.clone())))
-            .backoff(BackoffPolicy { max_attempts: 1, ..BackoffPolicy::default() })
-            .breaker(BreakerConfig { window: 4, min_calls: 2, ..BreakerConfig::default() })
-            .build();
-        // Trip the primary's breaker with completions.
-        for i in 0..4 {
-            gateway.complete(&prompt(i));
-        }
-        assert_eq!(gateway.breaker_state(0), BreakerState::Open);
-        let healthy_calls_before = healthy.usage().calls;
-        let spec = CodeGenSpec {
-            task: "tokenize the text".into(),
-            function_name: "process".into(),
-            hints: vec![],
-        };
-        gateway.generate_code(&spec);
-        assert!(
-            healthy.usage().calls > healthy_calls_before,
-            "codegen must route to the healthy backend"
-        );
     }
 }

@@ -8,7 +8,8 @@
 
 use crate::TransportError;
 use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer, Usage,
+    BatchOutcome, CodeGenSpec, CodeRequest, CompletionRequest, GeneratedCode, LlmService, NoAnswer,
+    Usage,
 };
 use std::sync::Arc;
 
@@ -33,12 +34,14 @@ pub(crate) fn answer_member<S: LlmService + ?Sized + 'static>(
     }
 }
 
-/// A named, fallible LLM backend.
+/// A named, fallible LLM backend: completions and embeddings can fail.
 ///
-/// Completions and embeddings — the hot, per-record paths — are fallible.
-/// The structured code-generation endpoints stay infallible: they are called
-/// a handful of times at pipeline-compile time and the repair loop around
-/// them already tolerates bad output.
+/// Five methods are required. Code generation is not one of them: LLMGC
+/// places a [`CodeRequest`] as a completion, which crosses the gateway's
+/// faults, retries and breakers like any other. `generate_code`,
+/// `suggest_fix` and `repair_code` are provided over `complete_batch`, and
+/// kept only because the benchmark crate (`lingua-e2e`) overrides them;
+/// nothing calls them.
 pub trait LlmTransport: Send + Sync {
     /// Stable backend name, used as the metrics key.
     fn name(&self) -> &str;
@@ -69,17 +72,35 @@ pub trait LlmTransport: Send + Sync {
     fn usage(&self) -> Usage;
     /// Simulated wall-clock latency accumulated so far, in milliseconds.
     fn simulated_latency_ms(&self) -> u64;
-    /// Generate an LLMGC module program.
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode;
-    /// Ask for a fix suggestion given code and failure descriptions.
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String;
-    /// Regenerate code after a failed validation.
+    // The provided code-generation methods: each a batch of one, where a
+    // call without an answer gives an empty program or suggestion.
+    /// A first draft of a program for `spec`.
+    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
+        GeneratedCode { source: code_answer(self, CodeRequest::draft(spec, 1)) }
+    }
+    /// A fix suggestion for `source`, given its failures.
+    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
+        let spec = CodeGenSpec::default();
+        code_answer(self, CodeRequest::fix(&spec, 1, source, failures))
+    }
+    /// A first repair of `previous`, along `suggestion`.
     fn repair_code(
         &self,
         spec: &CodeGenSpec,
         previous: &GeneratedCode,
         suggestion: &str,
-    ) -> GeneratedCode;
+    ) -> GeneratedCode {
+        let request = CodeRequest::repair(spec, 2, &previous.source, suggestion);
+        GeneratedCode { source: code_answer(self, request) }
+    }
+}
+
+/// What `transport` answers a provided code-generation method's request.
+fn code_answer<T: LlmTransport + ?Sized>(transport: &T, request: CodeRequest<'_>) -> String {
+    let request = CompletionRequest::new(request.render());
+    let reply = transport.complete_batch(std::slice::from_ref(&request)).ok();
+    let answer = reply.and_then(|outcome| outcome.into_single().0.ok());
+    answer.map_or_else(String::new, |text| text.to_string())
 }
 
 /// Adapter lifting an [`LlmService`] into a transport that never
@@ -120,23 +141,6 @@ impl LlmTransport for ServiceTransport {
 
     fn simulated_latency_ms(&self) -> u64 {
         self.service.simulated_latency_ms()
-    }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        self.service.generate_code(spec)
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        self.service.suggest_fix(source, failures)
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        self.service.repair_code(spec, previous, suggestion)
     }
 }
 

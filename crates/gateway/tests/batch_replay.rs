@@ -26,8 +26,8 @@ use lingua_gateway::{
     TransportError,
 };
 use lingua_llm_sim::{
-    BatchOutcome, CancelReason, CancelToken, CodeGenSpec, CompletionRequest, GeneratedCode,
-    LlmService, NoAnswer, SimLlm, SimLlmConfig, TokenPricing, Usage,
+    BatchOutcome, CancelReason, CancelToken, CompletionRequest, LlmService, NoAnswer, SimLlm,
+    SimLlmConfig, TokenPricing, Usage,
 };
 use lingua_ml::sync::Mutex;
 use std::sync::{Arc, Barrier};
@@ -100,23 +100,6 @@ impl LlmService for Recording {
 
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
-    }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        self.inner.generate_code(spec)
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        self.inner.suggest_fix(source, failures)
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        self.inner.repair_code(spec, previous, suggestion)
     }
 }
 
@@ -716,23 +699,6 @@ impl LlmTransport for Logged {
 
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
-    }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        self.inner.generate_code(spec)
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        self.inner.suggest_fix(source, failures)
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        self.inner.repair_code(spec, previous, suggestion)
     }
 }
 

@@ -33,8 +33,7 @@ use lingua_gateway::{
     LlmTransport, ServiceTransport, TransportError,
 };
 use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, NoAnswer, SimLlm,
-    SimLlmConfig, Usage,
+    BatchOutcome, CompletionRequest, LlmService, NoAnswer, SimLlm, SimLlmConfig, Usage,
 };
 use lingua_ml::check::check;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,23 +91,6 @@ impl<T: LlmTransport> LlmTransport for Counting<T> {
 
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
-    }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        self.inner.generate_code(spec)
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        self.inner.suggest_fix(source, failures)
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        self.inner.repair_code(spec, previous, suggestion)
     }
 }
 

@@ -1,15 +1,19 @@
 //! LLM code generation: emits real MangaScript programs.
 //!
-//! Given a [`CodeGenSpec`] (task description + hints), the generator picks a
-//! program template, instantiates it, and — with the calibrated bug rate —
-//! injects one bug from a catalogue of realistic LLM coding mistakes. The
-//! `lingua-core` Validator then executes the program on example test cases;
-//! real failures come back here as [`suggest_fix`] / `repair` calls,
-//! closing the paper's §3.2 validation cycle with genuine program execution
-//! at every step.
+//! LLMGC asks for code the way it asks for anything: a completion whose
+//! prompt is a [`CodeRequest`]. Given a [`CodeGenSpec`] (task description +
+//! hints), the simulated model picks a program template, instantiates it,
+//! and — with the calibrated bug rate — injects one bug from a catalogue of
+//! realistic LLM coding mistakes. The `lingua-core` Validator then executes
+//! the program on example test cases; real failures come back here as fix
+//! and repair requests, closing the paper's §3.2 validation cycle with
+//! genuine program execution at every step.
 
 use crate::calibration::Calibration;
+use crate::hotpath::fingerprint;
 use lingua_ml::rng::Rng;
+use std::borrow::Cow;
+use std::fmt::Write;
 
 /// The program templates the simulated LLM can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +76,7 @@ impl TemplateKind {
 /// The catalogue of injectable bugs — each a realistic LLM coding slip that
 /// produces a *behavioural* failure the Validator can observe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BugKind {
+pub(crate) enum BugKind {
     /// Forgot to lowercase before a dictionary/substring lookup.
     MissingLowercase,
     /// Off-by-one in an index bound (crashes or drops the last element).
@@ -108,7 +112,7 @@ impl BugKind {
 }
 
 /// What the user (or the compiler) asks the LLM to implement.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CodeGenSpec {
     /// Natural-language task description.
     pub task: String,
@@ -118,32 +122,210 @@ pub struct CodeGenSpec {
     pub hints: Vec<String>,
 }
 
-/// A generated program plus generation metadata (the metadata is *not*
-/// consumed by the Validator — it validates behaviourally — but is recorded
-/// for experiment introspection).
+/// A generated program, as the provided code-generation methods of
+/// `LlmService` and `LlmTransport` return it.
 #[derive(Debug, Clone)]
 pub struct GeneratedCode {
     pub source: String,
-    pub template: TemplateKind,
-    pub bug: Option<BugKind>,
 }
 
-/// Generate a (possibly buggy) program for the spec.
-pub fn generate(spec: &CodeGenSpec, calibration: &Calibration, rng: &mut Rng) -> GeneratedCode {
+// ---------------------------------------------------------------------------
+// The request format
+// ---------------------------------------------------------------------------
+
+/// The line that opens every code-generation prompt, followed by the ask
+/// and the draft's ordinal (`MangaScript code request: repair 3`). The
+/// router checks it before any substring cue: a spec's task may well say
+/// "manufacturer" or "impute".
+pub(crate) const HEADER: &str = "MangaScript code request:";
+
+/// What a code-generation prompt asks for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum CodeAsk<'a> {
+    /// A program for the spec, written from scratch.
+    Draft,
+    /// A fix suggestion for `source`, read from the code and the failures
+    /// it showed.
+    Fix { source: &'a str, failures: Vec<&'a str> },
+    /// The program again: `previous`, reworked along `suggestion`.
+    Repair { previous: &'a str, suggestion: &'a str },
+}
+
+/// One code-generation prompt: how LLMGC asks the LLM for a draft, a fix
+/// suggestion or a repair, as an ordinary completion.
+/// [`CodeRequest::render`] writes the prompt and `CodeRequest::parse`
+/// reads it back, so the format has this one home.
+///
+/// Every prompt carries the spec and the draft's ordinal within its
+/// module's build: 1 for the first draft, one more for each repair or
+/// regeneration; a fix request carries the ordinal of the draft it reads.
+/// The ordinal is in the text, so two drafts of one spec are two prompts to
+/// every fingerprint and cache, and one request always gets one answer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CodeRequest<'a> {
+    spec: Cow<'a, CodeGenSpec>,
+    ordinal: u64,
+    ask: CodeAsk<'a>,
+}
+
+impl<'a> CodeRequest<'a> {
+    /// Draft `ordinal` of a program for `spec`, written from scratch.
+    pub fn draft(spec: &'a CodeGenSpec, ordinal: u64) -> Self {
+        CodeRequest { spec: Cow::Borrowed(spec), ordinal, ask: CodeAsk::Draft }
+    }
+
+    /// A fix suggestion for draft `ordinal`, whose `source` showed
+    /// `failures`.
+    pub fn fix(
+        spec: &'a CodeGenSpec,
+        ordinal: u64,
+        source: &'a str,
+        failures: &'a [String],
+    ) -> Self {
+        let failures = failures.iter().map(String::as_str).collect();
+        CodeRequest { spec: Cow::Borrowed(spec), ordinal, ask: CodeAsk::Fix { source, failures } }
+    }
+
+    /// Draft `ordinal`: `previous`, repaired along `suggestion`.
+    pub fn repair(
+        spec: &'a CodeGenSpec,
+        ordinal: u64,
+        previous: &'a str,
+        suggestion: &'a str,
+    ) -> Self {
+        let ask = CodeAsk::Repair { previous, suggestion };
+        CodeRequest { spec: Cow::Borrowed(spec), ordinal, ask }
+    }
+
+    /// The prompt: the header line, then one sized field per line
+    /// (`Task (28 bytes): tokenize the text into words`). The size lets a
+    /// value hold anything, newlines included, as a program does.
+    pub fn render(&self) -> String {
+        let ask = match self.ask {
+            CodeAsk::Draft => "draft",
+            CodeAsk::Fix { .. } => "fix",
+            CodeAsk::Repair { .. } => "repair",
+        };
+        let mut out = format!("{HEADER} {ask} {}\n", self.ordinal);
+        field(&mut out, "Task", &self.spec.task);
+        field(&mut out, "Entry", &self.spec.function_name);
+        for hint in &self.spec.hints {
+            field(&mut out, "Hint", hint);
+        }
+        match &self.ask {
+            CodeAsk::Draft => {}
+            CodeAsk::Fix { source, failures } => {
+                field(&mut out, "Program", source);
+                for failure in failures {
+                    field(&mut out, "Failure", failure);
+                }
+            }
+            CodeAsk::Repair { previous, suggestion } => {
+                field(&mut out, "Program", previous);
+                field(&mut out, "Suggestion", suggestion);
+            }
+        }
+        out
+    }
+
+    /// Read back a prompt [`CodeRequest::render`] wrote; `None` for any
+    /// other text.
+    pub(crate) fn parse(prompt: &'a str) -> Option<CodeRequest<'a>> {
+        let (head, mut rest) = prompt.strip_prefix(HEADER)?.split_once('\n')?;
+        let (ask, ordinal) = head.trim_start().split_once(' ')?;
+        let ordinal = ordinal.parse().ok()?;
+        let task = take(&mut rest, "Task")?.to_string();
+        let function_name = take(&mut rest, "Entry")?.to_string();
+        let hints = std::iter::from_fn(|| take(&mut rest, "Hint")).map(str::to_string).collect();
+        let ask = match ask {
+            "draft" => CodeAsk::Draft,
+            "fix" => {
+                let source = take(&mut rest, "Program")?;
+                let failures = std::iter::from_fn(|| take(&mut rest, "Failure")).collect();
+                CodeAsk::Fix { source, failures }
+            }
+            "repair" => CodeAsk::Repair {
+                previous: take(&mut rest, "Program")?,
+                suggestion: take(&mut rest, "Suggestion")?,
+            },
+            _ => return None,
+        };
+        let spec = Cow::Owned(CodeGenSpec { task, function_name, hints });
+        rest.is_empty().then_some(CodeRequest { spec, ordinal, ask })
+    }
+}
+
+fn field(out: &mut String, name: &str, value: &str) {
+    let _ = writeln!(out, "{name} ({} bytes): {value}", value.len());
+}
+
+/// Take field `name` off the front of `rest`, which is left as it was when
+/// the next field is another.
+fn take<'a>(rest: &mut &'a str, name: &str) -> Option<&'a str> {
+    let sized = rest.strip_prefix(name)?.strip_prefix(" (")?;
+    let (len, tail) = sized.split_once(" bytes): ")?;
+    let len: usize = len.parse().ok()?;
+    let value = tail.get(..len)?;
+    *rest = tail[len..].strip_prefix('\n')?;
+    Some(value)
+}
+
+// ---------------------------------------------------------------------------
+// The simulated model's answers
+// ---------------------------------------------------------------------------
+
+/// Answer a code-generation prompt, which the router sends here by its
+/// header: a draft or a repair with a program's source, a fix request with
+/// a suggestion. A draft is seeded by `seed ^ fp(task) ^ ordinal·0x9e37`
+/// and a repair by `seed ^ fp(previous) ^ ordinal·0x517c_c1b7`, so each
+/// answer is a pure function of the service seed and the prompt.
+pub(crate) fn respond(prompt: &str, calibration: &Calibration, seed: u64) -> String {
+    let Some(request) = CodeRequest::parse(prompt) else {
+        return "The code request is malformed; I cannot tell what to write.".to_string();
+    };
+    let spec = &request.spec;
+    match request.ask {
+        CodeAsk::Draft => {
+            let nonce = request.ordinal.wrapping_mul(0x9e37);
+            let mut rng = Rng::seed_from_u64(seed ^ fingerprint(&spec.task) ^ nonce);
+            draft(spec, calibration.codegen_bug_rate, &mut rng).0
+        }
+        CodeAsk::Fix { source, failures } => fix_suggestion(source, &failures),
+        CodeAsk::Repair { previous, .. } => {
+            let nonce = request.ordinal.wrapping_mul(0x517c_c1b7);
+            let mut rng = Rng::seed_from_u64(seed ^ fingerprint(previous) ^ nonce);
+            repair(spec, calibration, &mut rng).0
+        }
+    }
+}
+
+/// A program for the spec, from the template the spec detects, carrying one
+/// bug from that template's catalogue with probability `bug_rate`; and the
+/// bug.
+fn draft(spec: &CodeGenSpec, bug_rate: f64, rng: &mut Rng) -> (String, Option<BugKind>) {
     let template = TemplateKind::detect(&spec.task, &spec.hints);
     let candidates = BugKind::applicable(template);
-    let bug = if !candidates.is_empty() && rng.gen_bool(calibration.codegen_bug_rate) {
-        Some(candidates[rng.gen_range(0..candidates.len())])
-    } else {
-        None
-    };
-    GeneratedCode { source: render(template, spec, bug), template, bug }
+    let bug = (!candidates.is_empty() && rng.gen_bool(bug_rate))
+        .then(|| candidates[rng.gen_range(0..candidates.len())]);
+    (render(template, spec, bug), bug)
+}
+
+/// Regenerate the program after a failed validation: with the calibrated
+/// success rate the bug is removed; otherwise a fresh roll of the dice, which
+/// may bring a new bug.
+fn repair(
+    spec: &CodeGenSpec,
+    calibration: &Calibration,
+    rng: &mut Rng,
+) -> (String, Option<BugKind>) {
+    let bug_rate = if rng.gen_bool(calibration.repair_success_rate) { 0.0 } else { 0.5 };
+    draft(spec, bug_rate, rng)
 }
 
 /// Produce a fix suggestion by *reading the code* for bug signatures —
 /// the first LLM call of the paper's validation cycle ("generate the
 /// suggestion by reading the code and the failure cases").
-pub fn suggest_fix(source: &str, failures: &[String]) -> String {
+fn fix_suggestion(source: &str, failures: &[&str]) -> String {
     let mut suggestions = Vec::new();
     if source.contains("contains(stop, t)") && !source.contains("contains(stop, lower(t))") {
         suggestions.push(
@@ -186,38 +368,6 @@ pub fn suggest_fix(source: &str, failures: &[String]) -> String {
         )
     } else {
         suggestions.join(" ")
-    }
-}
-
-/// Regenerate the program after a failed validation, given the suggestion.
-/// With the calibrated success rate the bug is removed; otherwise a new
-/// attempt (possibly buggy in a different way) is produced.
-pub(crate) fn repair(
-    spec: &CodeGenSpec,
-    calibration: &Calibration,
-    previous: &GeneratedCode,
-    _suggestion: &str,
-    rng: &mut Rng,
-) -> GeneratedCode {
-    if rng.gen_bool(calibration.repair_success_rate) {
-        GeneratedCode {
-            source: render(previous.template, spec, None),
-            template: previous.template,
-            bug: None,
-        }
-    } else {
-        // A fresh roll of the dice — the repair may introduce a new bug.
-        let candidates = BugKind::applicable(previous.template);
-        let bug = if !candidates.is_empty() && rng.gen_bool(0.5) {
-            Some(candidates[rng.gen_range(0..candidates.len())])
-        } else {
-            None
-        };
-        GeneratedCode {
-            source: render(previous.template, spec, bug),
-            template: previous.template,
-            bug,
-        }
     }
 }
 
@@ -568,7 +718,7 @@ mod tests {
         let s = spec("extract noun phrases");
         for bug in BugKind::applicable(TemplateKind::NounPhraseExtractor) {
             let code = render(TemplateKind::NounPhraseExtractor, &s, Some(*bug));
-            let suggestion = suggest_fix(&code, &["case 1 failed".into()]);
+            let suggestion = fix_suggestion(&code, &["case 1 failed"]);
             assert!(
                 !suggestion.starts_with("Re-examine"),
                 "no targeted suggestion for {bug:?}: {suggestion}"
@@ -576,7 +726,7 @@ mod tests {
         }
         // Clean code gets the generic suggestion.
         let clean = render(TemplateKind::NounPhraseExtractor, &s, None);
-        assert!(suggest_fix(&clean, &["x".into()]).starts_with("Re-examine"));
+        assert!(fix_suggestion(&clean, &["x"]).starts_with("Re-examine"));
     }
 
     #[test]
@@ -586,8 +736,7 @@ mod tests {
         let mut buggy = 0;
         for seed in 0..200 {
             let mut rng = Rng::seed_from_u64(seed);
-            let code = generate(&s, &cal, &mut rng);
-            if code.bug.is_some() {
+            if draft(&s, cal.codegen_bug_rate, &mut rng).1.is_some() {
                 buggy += 1;
             }
         }
@@ -596,19 +745,54 @@ mod tests {
 
         // Repair loop converges quickly.
         let mut rng = Rng::seed_from_u64(42);
-        let mut code = GeneratedCode {
-            source: render(TemplateKind::Tokenizer, &s, Some(BugKind::OffByOne)),
-            template: TemplateKind::Tokenizer,
-            bug: Some(BugKind::OffByOne),
-        };
+        let mut bug = Some(BugKind::OffByOne);
         let mut rounds = 0;
-        while code.bug.is_some() && rounds < 10 {
-            let suggestion = suggest_fix(&code.source, &["fail".into()]);
-            code = repair(&s, &cal, &code, &suggestion, &mut rng);
+        while bug.is_some() && rounds < 10 {
+            bug = repair(&s, &cal, &mut rng).1;
             rounds += 1;
         }
-        assert!(code.bug.is_none(), "repair failed to converge in {rounds} rounds");
+        assert!(bug.is_none(), "repair failed to converge in {rounds} rounds");
         assert!(rounds <= 5);
+    }
+
+    #[test]
+    fn every_request_form_reads_back_as_written() {
+        let s = CodeGenSpec {
+            task: "impute the missing manufacturer".into(),
+            function_name: "process".into(),
+            hints: vec!["tool:vocabulary".into(), "two\nlines (3 bytes): x".into()],
+        };
+        let source = render(TemplateKind::ManufacturerRules, &s, Some(BugKind::MissingLowercase));
+        let failures = vec!["case 0: input `a\nb` expected `x`".to_string(), String::new()];
+        let empty = CodeGenSpec::default();
+        for request in [
+            CodeRequest::draft(&s, 1),
+            CodeRequest::draft(&empty, u64::MAX),
+            CodeRequest::fix(&s, 2, &source, &failures),
+            CodeRequest::fix(&s, 2, "", &[]),
+            CodeRequest::repair(&s, 3, &source, "lowercase the brand.\n"),
+        ] {
+            let prompt = request.render();
+            assert!(prompt.starts_with(HEADER), "{prompt}");
+            assert_eq!(CodeRequest::parse(&prompt), Some(request), "{prompt}");
+        }
+        // Any other text, or a request cut short, is not a code request.
+        let whole = CodeRequest::repair(&s, 3, &source, "fix it").render();
+        assert_eq!(CodeRequest::parse(&whole[..whole.len() - 1]), None);
+        assert_eq!(CodeRequest::parse("Summarize.\nText: impute the manufacturer"), None);
+    }
+
+    #[test]
+    fn one_request_gets_one_answer_and_the_ordinal_tells_drafts_apart() {
+        let cal = Calibration::default();
+        let s = spec("tokenize the text");
+        let answer = |ordinal| respond(&CodeRequest::draft(&s, ordinal).render(), &cal, 7);
+        assert_eq!(answer(1), answer(1));
+        let drafts: std::collections::BTreeSet<String> = (1..=12).map(answer).collect();
+        assert!(drafts.len() > 1, "twelve drafts of one spec were all the same program");
+        // A draft answers the same program the seeded generator writes.
+        let mut rng = Rng::seed_from_u64(7 ^ fingerprint(&s.task) ^ 0x9e37);
+        assert_eq!(answer(1), draft(&s, cal.codegen_bug_rate, &mut rng).0);
     }
 
     #[test]

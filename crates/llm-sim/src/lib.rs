@@ -10,7 +10,7 @@
 //!
 //! * `prompt` really parses prompts and routes them to task behaviours
 //!   (entity matching, imputation, name tagging, language detection,
-//!   summarisation, fix suggestions).
+//!   summarisation, and code generation: drafts, fix suggestions, repairs).
 //! * [`KnowledgeBase`] holds a *calibrated subset* of the ground-truth world
 //!   ([`lingua_dataset::world::WorldSpec`]) — the LLM "knows" some entities,
 //!   some product lines, some person names, exactly like a real pre-trained
@@ -18,7 +18,8 @@
 //! * [`noise`] models output instability: verbose phrasings, hedging, and
 //!   occasional hallucinations, all seeded.
 //! * [`codegen`] emits **real MangaScript programs** (ASTs, pretty-printed to
-//!   source) with a seeded bug-injection model; the `lingua-core` Validator
+//!   source) with a seeded bug-injection model, answering the
+//!   [`CodeRequest`] prompts it also renders; the `lingua-core` Validator
 //!   executes them, observes genuine failures, and drives the paper's
 //!   suggest-and-regenerate repair loop.
 //! * [`cost`] meters tokens and dollars for every call, which is what the
@@ -43,7 +44,7 @@ mod service;
 
 pub use calibration::Calibration;
 pub use cancel::{CancelReason, CancelToken, NoAnswer, WaitMark};
-pub use codegen::{BugKind, CodeGenSpec, GeneratedCode, TemplateKind};
+pub use codegen::{CodeGenSpec, CodeRequest, GeneratedCode, TemplateKind};
 pub use cost::{AtomicUsage, TokenPricing, Usage};
 pub use hotpath::{fingerprint, CacheStats, Fnv1a, ShardedLru};
 pub use knowledge::KnowledgeBase;

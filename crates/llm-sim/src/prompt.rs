@@ -3,8 +3,11 @@
 //! The simulated LLM receives ordinary text prompts (the same strings a real
 //! service would). This module classifies the task the prompt is asking for
 //! and extracts its structured payload: records, examples, passages, output
-//! format pins, language hints.
+//! format pins, language hints. A code-generation prompt is recognised by
+//! its header line and answered by [`crate::codegen`], which reads its own
+//! format.
 
+use crate::codegen;
 use std::collections::BTreeMap;
 
 /// The tasks the simulated LLM can perform.
@@ -20,6 +23,8 @@ pub(crate) enum TaskIntent {
     DetectLanguage,
     /// "Summarize this text."
     Summarize,
+    /// A code-generation prompt: a draft, a fix suggestion or a repair.
+    Code,
     /// Anything unrecognized.
     Unknown,
 }
@@ -49,7 +54,7 @@ pub(crate) struct ParsedPrompt {
 /// Parse a prompt.
 pub(crate) fn parse(prompt: &str) -> ParsedPrompt {
     let lower = prompt.to_lowercase();
-    let intent = detect_intent(&lower);
+    let intent = detect_intent(prompt, &lower);
 
     let mut record_a = BTreeMap::new();
     let mut record_b = BTreeMap::new();
@@ -108,9 +113,12 @@ pub(crate) fn parse(prompt: &str) -> ParsedPrompt {
     }
 }
 
-fn detect_intent(lower: &str) -> TaskIntent {
-    // Order matters: more specific cues first.
-    if lower.contains("person name")
+fn detect_intent(prompt: &str, lower: &str) -> TaskIntent {
+    // Order matters: more specific cues first, and the code-generation
+    // header before every cue, since a spec's task may say "manufacturer".
+    if prompt.starts_with(codegen::HEADER) {
+        TaskIntent::Code
+    } else if lower.contains("person name")
         || lower.contains("names of people")
         || lower.contains("extract all names")
     {
@@ -250,6 +258,52 @@ mod tests {
     #[test]
     fn summarize_intent() {
         assert_eq!(parse("Summarize the following. Text: abc").intent, TaskIntent::Summarize);
+    }
+
+    #[test]
+    fn every_prompt_form_routes_to_its_behaviour() {
+        use crate::codegen::{CodeGenSpec, CodeRequest};
+        let intent = |prompt: &str| parse(prompt).intent;
+        // The forms the workspace's modules and tests send, each to its
+        // behaviour, exactly as before code generation was a prompt.
+        let table = [
+            ("Please determine if the following two records refer to the same entity.\nRecord A: name: x\nRecord B: name: y\nAnswer yes or no.", TaskIntent::EntityMatch),
+            ("Are these records duplicates?\nRecord A: a\nRecord B: b", TaskIntent::EntityMatch),
+            ("Fill in the missing manufacturer for this product.\nProduct: PS2 card\nAnswer with only the manufacturer name.", TaskIntent::Impute),
+            ("Impute the missing value.\nProduct: x", TaskIntent::Impute),
+            ("Is the following phrase a person name?\nLanguage: fr\nText: Jean", TaskIntent::TagNames),
+            ("Extract all person names from the passage.\nPassage: Jean met Anna.", TaskIntent::TagNames),
+            ("What language is this text? Text: hallo welt", TaskIntent::DetectLanguage),
+            ("Summarize the following.\nText: abc", TaskIntent::Summarize),
+            ("Tell me a joke about databases.", TaskIntent::Unknown),
+        ];
+        for (prompt, expected) in table {
+            assert_eq!(intent(prompt), expected, "{prompt}");
+        }
+        // A code request goes to code generation whatever its spec says:
+        // the Fig. 4 spec names the manufacturer an impute prompt asks for.
+        let fig4 = CodeGenSpec {
+            task: "impute the missing manufacturer from the product name".into(),
+            function_name: "process".into(),
+            hints: vec!["tool:vocabulary".into()],
+        };
+        let matcher = CodeGenSpec {
+            task: "decide if two records refer to the same entity".into(),
+            ..CodeGenSpec::default()
+        };
+        let failures = ["case 0: expected `Sony`; summarize the person names".to_string()];
+        for request in [
+            CodeRequest::draft(&fig4, 1),
+            CodeRequest::fix(&fig4, 1, "fn process(p) { return null; }", &failures),
+            CodeRequest::repair(&fig4, 2, "fn process(p) { return null; }", "impute it"),
+            CodeRequest::draft(&matcher, 1),
+        ] {
+            let prompt = request.render();
+            assert_eq!(intent(&prompt), TaskIntent::Code, "{prompt}");
+        }
+        // The header must open the prompt; quoting it is no code request.
+        let quoted = format!("Summarize.\nText: {}", CodeRequest::draft(&fig4, 1).render());
+        assert_ne!(intent(&quoted), TaskIntent::Code);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The LLM service facade.
 //!
 //! [`SimLlm`] is the single entry point the rest of the system talks to. It
-//! routes prompts through [`crate::prompt`] to the behaviours, meters every
-//! call in tokens and dollars, optionally caches responses, and exposes the
-//! structured code-generation endpoints used by LLMGC modules.
+//! routes prompts through [`crate::prompt`] to the behaviours (code
+//! generation among them), meters every call in tokens and dollars, and
+//! optionally caches responses.
 
 use crate::behaviors;
 use crate::calibration::Calibration;
 use crate::cancel::{CancelReason, CancelToken, NoAnswer};
-use crate::codegen::{self, CodeGenSpec, GeneratedCode};
+use crate::codegen::{self, CodeGenSpec, CodeRequest, GeneratedCode};
 use crate::cost::{count_tokens, AtomicUsage, TokenPricing, Usage};
 use crate::hotpath::{fingerprint, CacheStats, Flight, ShardedLru, Singleflight, DEFAULT_SHARDS};
 use crate::knowledge::KnowledgeBase;
@@ -17,7 +17,6 @@ use lingua_dataset::world::WorldSpec;
 use lingua_ml::features::HashingVectorizer;
 use lingua_ml::rng::Rng;
 use lingua_ml::sync::Mutex;
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -219,40 +218,34 @@ impl Extend<(Result<Arc<str>, NoAnswer>, Usage)> for BatchOutcome {
     }
 }
 
-/// A call to an endpoint that answers no [`BatchOutcome`]: an embedding or
-/// a code-generation call. [`EndpointCall::usage`] is the one place such a
-/// call's bill is built, so `SimLlm`'s ledger and every layer that
-/// attributes the call (a per-job meter, a trace span) agree to the token.
+/// A call to an endpoint that answers no [`BatchOutcome`]: an embedding.
+/// [`EndpointCall::usage`] is the one place such a call's bill is built, so
+/// `SimLlm`'s ledger and every layer that attributes the call (a per-job
+/// meter, a trace span) agree to the token.
 #[derive(Debug, Clone, Copy)]
 pub enum EndpointCall<'a> {
     Embed(&'a str),
-    GenerateCode(&'a CodeGenSpec),
-    SuggestFix { source: &'a str, failures: &'a [String] },
-    RepairCode { previous: &'a GeneratedCode, suggestion: &'a str },
 }
 
 impl EndpointCall<'_> {
     /// The usage of this call, answered `response` (empty for an embedding):
     /// one call, its request text's tokens in and the response's out.
     pub fn usage(&self, response: &str) -> Usage {
-        let request = match *self {
-            EndpointCall::Embed(text) => Cow::Borrowed(text),
-            EndpointCall::GenerateCode(spec) => Cow::Borrowed(spec.task.as_str()),
-            EndpointCall::SuggestFix { source, failures } => {
-                Cow::Owned(format!("{source}\n{}", failures.join("\n")))
-            }
-            EndpointCall::RepairCode { previous, suggestion } => {
-                Cow::Owned(format!("{}\n{suggestion}", previous.source))
-            }
-        };
+        let EndpointCall::Embed(request) = *self;
         let mut usage = Usage::default();
-        usage.record(count_tokens(&request), count_tokens(response));
+        usage.record(count_tokens(request), count_tokens(response));
         usage
     }
 }
 
 /// The service interface `lingua-core` programs against. Implementations must
 /// be shareable across threads (the executor may parallelize record batches).
+///
+/// Four methods are required. Code generation is not one of them: LLMGC
+/// places a [`CodeRequest`] through `complete_batch`, like any completion.
+/// `generate_code`, `suggest_fix` and `repair_code` are provided over it,
+/// and kept only because the benchmark crate (`lingua-e2e`) overrides them;
+/// nothing calls them.
 pub trait LlmService: Send + Sync {
     /// Answer a batch of requests — the one completion method a layer
     /// implements; a single call is a batch of one.
@@ -294,17 +287,34 @@ pub trait LlmService: Send + Sync {
     fn restore_usage(&self, _usage: &Usage) {}
     /// Simulated wall-clock latency accumulated so far, in milliseconds.
     fn simulated_latency_ms(&self) -> u64;
-    /// Generate an LLMGC module program (metered like a completion).
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode;
-    /// Ask for a fix suggestion given code and failure descriptions.
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String;
-    /// Regenerate code after a failed validation, given the suggestion.
+    // The provided code-generation methods: each a batch of one, where a
+    // member without an answer gives an empty program or suggestion.
+    /// A first draft of a program for `spec`.
+    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
+        GeneratedCode { source: code_answer(self, CodeRequest::draft(spec, 1)) }
+    }
+    /// A fix suggestion for `source`, given its failures.
+    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
+        let spec = CodeGenSpec::default();
+        code_answer(self, CodeRequest::fix(&spec, 1, source, failures))
+    }
+    /// A first repair of `previous`, along `suggestion`.
     fn repair_code(
         &self,
         spec: &CodeGenSpec,
         previous: &GeneratedCode,
         suggestion: &str,
-    ) -> GeneratedCode;
+    ) -> GeneratedCode {
+        let request = CodeRequest::repair(spec, 2, &previous.source, suggestion);
+        GeneratedCode { source: code_answer(self, request) }
+    }
+}
+
+/// What `service` answers a provided code-generation method's request.
+fn code_answer<S: LlmService + ?Sized>(service: &S, request: CodeRequest<'_>) -> String {
+    let request = CompletionRequest::new(request.render());
+    let (answer, _) = service.complete_batch(std::slice::from_ref(&request)).into_single();
+    answer.map_or_else(|_| String::new(), |text| text.to_string())
 }
 
 /// Configuration for [`SimLlm`].
@@ -378,8 +388,6 @@ pub struct SimLlm {
     flights: Singleflight<CachedResponse>,
     usage: AtomicUsage,
     latency_ms: AtomicU64,
-    /// Monotonic nonce so repeated code-generation attempts differ.
-    codegen_counter: AtomicU64,
 }
 
 impl SimLlm {
@@ -395,7 +403,6 @@ impl SimLlm {
             flights: Singleflight::new(),
             usage: AtomicUsage::new(),
             latency_ms: AtomicU64::new(0),
-            codegen_counter: AtomicU64::new(0),
             config,
         }
     }
@@ -459,6 +466,9 @@ impl SimLlm {
                 &mut rng,
             ),
             TaskIntent::Summarize => behaviors::summarize::respond(&parsed),
+            TaskIntent::Code => {
+                codegen::respond(prompt_text, &self.config.calibration, self.config.seed)
+            }
             TaskIntent::Unknown => {
                 "I'm not sure what task you are asking for. Please describe the data \
                  curation task (entity resolution, imputation, extraction, ...)."
@@ -532,39 +542,6 @@ impl SimLlm {
         self.usage.record_failed(count_tokens(prompt_text));
         self.latency_ms.fetch_add(self.config.latency_ms_per_call, Ordering::Relaxed);
     }
-
-    // -- structured code-generation endpoints (see the LlmService trait) -----
-
-    fn generate_code_impl(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        let nonce = self.codegen_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut rng = Rng::seed_from_u64(
-            self.config.seed ^ fingerprint(&spec.task) ^ nonce.wrapping_mul(0x9e37),
-        );
-        let code = codegen::generate(spec, &self.config.calibration, &mut rng);
-        self.bill(&EndpointCall::GenerateCode(spec).usage(&code.source));
-        code
-    }
-
-    fn suggest_fix_impl(&self, source: &str, failures: &[String]) -> String {
-        let suggestion = codegen::suggest_fix(source, failures);
-        self.bill(&EndpointCall::SuggestFix { source, failures }.usage(&suggestion));
-        suggestion
-    }
-
-    fn repair_code_impl(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        let nonce = self.codegen_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut rng = Rng::seed_from_u64(
-            self.config.seed ^ fingerprint(&previous.source) ^ nonce.wrapping_mul(0x517c_c1b7),
-        );
-        let code = codegen::repair(spec, &self.config.calibration, previous, suggestion, &mut rng);
-        self.bill(&EndpointCall::RepairCode { previous, suggestion }.usage(&code.source));
-        code
-    }
 }
 
 impl LlmService for SimLlm {
@@ -590,23 +567,6 @@ impl LlmService for SimLlm {
 
     fn simulated_latency_ms(&self) -> u64 {
         self.latency_ms.load(Ordering::Relaxed)
-    }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        self.generate_code_impl(spec)
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        self.suggest_fix_impl(source, failures)
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        self.repair_code_impl(spec, previous, suggestion)
     }
 }
 
@@ -726,41 +686,114 @@ mod tests {
         assert!(response.contains("not sure"));
     }
 
+    fn spec(task: &str) -> CodeGenSpec {
+        CodeGenSpec { task: task.into(), function_name: "process".into(), hints: vec![] }
+    }
+
     #[test]
-    fn codegen_endpoints_are_metered_and_vary_per_attempt() {
+    fn code_requests_are_metered_completions_and_the_ordinal_varies_the_draft() {
         let svc = service();
-        let spec = CodeGenSpec {
-            task: "tokenize the text".into(),
-            function_name: "process".into(),
-            hints: vec![],
-        };
-        let first = svc.generate_code(&spec);
-        let mut attempts = vec![first.bug];
-        for _ in 0..10 {
-            attempts.push(svc.generate_code(&spec).bug);
-        }
-        // Across 11 attempts at a 45% bug rate we should see both outcomes.
-        assert!(attempts.iter().any(|b| b.is_some()));
-        assert!(attempts.iter().any(|b| b.is_none()));
-        assert!(svc.usage().calls >= 11);
+        let spec = spec("tokenize the text");
+        let prompts: Vec<String> =
+            (1..=11).map(|ordinal| CodeRequest::draft(&spec, ordinal).render()).collect();
+        let drafts: Vec<String> =
+            prompts.iter().map(|p| svc.complete(&CompletionRequest::new(p.as_str()))).collect();
+        // Across 11 drafts at a 45% bug rate the programs differ.
+        let distinct: std::collections::BTreeSet<&String> = drafts.iter().collect();
+        assert!(distinct.len() > 1, "every draft was the same program");
+        assert!(drafts.iter().all(|d| d.starts_with("fn process(text)")));
+        // Each is one model call, billed its whole prompt and its program.
+        let usage = svc.usage();
+        assert_eq!(usage.calls, 11);
+        let tokens_in: usize = prompts.iter().map(|p| count_tokens(p)).sum();
+        assert_eq!(usage.tokens_in, tokens_in as u64);
+        // One request, one answer, however often it is asked.
+        assert_eq!(svc.complete(&CompletionRequest::new(prompts[3].as_str())), drafts[3]);
     }
 
     #[test]
     fn repair_loop_terminates() {
         let svc = service();
-        let spec = CodeGenSpec {
-            task: "extract noun phrases from the tokens".into(),
-            function_name: "process".into(),
-            hints: vec![],
-        };
-        let mut code = svc.generate_code(&spec);
+        let spec = spec("extract noun phrases from the tokens");
+        let ask =
+            |request: CodeRequest<'_>| svc.complete(&CompletionRequest::new(request.render()));
+        let mut ordinal = 1;
+        let mut source = ask(CodeRequest::draft(&spec, ordinal));
+        // The extractor's every bug draws a targeted suggestion, and clean
+        // code the generic one.
+        let failures = ["failing case".to_string()];
         let mut rounds = 0;
-        while code.bug.is_some() && rounds < 12 {
-            let suggestion = svc.suggest_fix(&code.source, &["failing case".into()]);
-            code = svc.repair_code(&spec, &code, &suggestion);
+        loop {
+            let suggestion = ask(CodeRequest::fix(&spec, ordinal, &source, &failures));
+            if suggestion.starts_with("Re-examine") || rounds == 12 {
+                break;
+            }
+            ordinal += 1;
+            source = ask(CodeRequest::repair(&spec, ordinal, &source, &suggestion));
             rounds += 1;
         }
-        assert!(code.bug.is_none(), "did not converge");
+        assert!(rounds < 12, "did not converge");
+    }
+
+    #[test]
+    fn the_provided_code_generation_methods_place_code_requests() {
+        let svc = service();
+        let spec = spec("tokenize the text");
+        let ask =
+            |request: CodeRequest<'_>| svc.complete(&CompletionRequest::new(request.render()));
+        let draft = svc.generate_code(&spec);
+        assert_eq!(draft.source, ask(CodeRequest::draft(&spec, 1)));
+        let failures = ["case 1 failed".to_string()];
+        let fix = svc.suggest_fix(&draft.source, &failures);
+        let unnamed = CodeGenSpec::default();
+        assert_eq!(fix, ask(CodeRequest::fix(&unnamed, 1, &draft.source, &failures)));
+        let repaired = svc.repair_code(&spec, &draft, &fix);
+        assert_eq!(repaired.source, ask(CodeRequest::repair(&spec, 2, &draft.source, &fix)));
+    }
+
+    #[test]
+    fn code_requests_from_eight_threads_get_the_sequential_programs() {
+        // Drafts and repairs of three specs, each asked once in order...
+        let specs = [
+            spec("tokenize the text into words"),
+            spec("extract noun phrases: group consecutive capitalized tokens"),
+            CodeGenSpec {
+                task: "impute the missing manufacturer from the product name".into(),
+                function_name: "impute".into(),
+                hints: vec!["tool:vocabulary".into()],
+            },
+        ];
+        let sequential = service();
+        let mut prompts = Vec::new();
+        for spec in &specs {
+            for ordinal in 1..=4 {
+                let draft = CodeRequest::draft(spec, ordinal).render();
+                let source = sequential.complete(&CompletionRequest::new(draft.as_str()));
+                prompts.push(draft);
+                let repair = CodeRequest::repair(spec, ordinal + 1, &source, "fix the bug");
+                prompts.push(repair.render());
+            }
+        }
+        let expected: Vec<String> = prompts
+            .iter()
+            .map(|p| sequential.complete(&CompletionRequest::new(p.as_str())))
+            .collect();
+        // ...then by 8 threads at once, each in its own shuffled order, on a
+        // fresh simulator: every thread gets the sequential programs.
+        let shared = service();
+        std::thread::scope(|scope| {
+            for thread in 0..8u64 {
+                let (shared, prompts, expected) = (&shared, &prompts, &expected);
+                scope.spawn(move || {
+                    let mut order: Vec<usize> = (0..prompts.len()).collect();
+                    Rng::seed_from_u64(thread).shuffle(&mut order);
+                    for i in order {
+                        let answer = shared.complete(&CompletionRequest::new(prompts[i].as_str()));
+                        assert_eq!(answer, expected[i], "thread {thread}, request {i}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -916,20 +949,6 @@ mod tests {
             }
             fn simulated_latency_ms(&self) -> u64 {
                 self.0.simulated_latency_ms()
-            }
-            fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-                self.0.generate_code(spec)
-            }
-            fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-                self.0.suggest_fix(source, failures)
-            }
-            fn repair_code(
-                &self,
-                spec: &CodeGenSpec,
-                previous: &GeneratedCode,
-                suggestion: &str,
-            ) -> GeneratedCode {
-                self.0.repair_code(spec, previous, suggestion)
             }
         }
         let world = WorldSpec::generate(5);

@@ -12,9 +12,7 @@ use crate::job::Terminal;
 use lingua_core::{CoreError, TrapKind};
 use lingua_durable::RecoverySnapshot;
 use lingua_gateway::{BatchSnapshot, GatewaySnapshot};
-use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, EndpointCall, GeneratedCode, LlmService, Usage,
-};
+use lingua_llm_sim::{BatchOutcome, CompletionRequest, EndpointCall, LlmService, Usage};
 use lingua_ml::sync::Mutex;
 use lingua_trace::TraceSummary;
 use std::collections::VecDeque;
@@ -451,29 +449,6 @@ impl LlmService for UsageMeter {
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
     }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        let code = self.inner.generate_code(spec);
-        self.book(EndpointCall::GenerateCode(spec), &code.source);
-        code
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        let suggestion = self.inner.suggest_fix(source, failures);
-        self.book(EndpointCall::SuggestFix { source, failures }, &suggestion);
-        suggestion
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        let code = self.inner.repair_code(spec, previous, suggestion);
-        self.book(EndpointCall::RepairCode { previous, suggestion }, &code.source);
-        code
-    }
 }
 
 #[cfg(test)]
@@ -591,20 +566,6 @@ mod tests {
         }
         fn simulated_latency_ms(&self) -> u64 {
             0
-        }
-        fn generate_code(&self, _spec: &CodeGenSpec) -> GeneratedCode {
-            unreachable!()
-        }
-        fn suggest_fix(&self, _source: &str, _failures: &[String]) -> String {
-            unreachable!()
-        }
-        fn repair_code(
-            &self,
-            _spec: &CodeGenSpec,
-            _previous: &GeneratedCode,
-            _suggestion: &str,
-        ) -> GeneratedCode {
-            unreachable!()
         }
     }
 

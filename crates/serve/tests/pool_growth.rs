@@ -9,9 +9,7 @@
 use lingua_core::modules::{CustomModule, Module};
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
-use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, GeneratedCode, LlmService, SimLlm, Usage,
-};
+use lingua_llm_sim::{BatchOutcome, CompletionRequest, LlmService, SimLlm, Usage};
 use lingua_ml::sync::{Condvar, Mutex};
 use lingua_serve::{
     BatchTuning, JobHandle, PipelineServer, ServeConfig, ServeError, SubmitRequest,
@@ -77,20 +75,6 @@ impl LlmService for Gated {
     }
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
-    }
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        self.inner.generate_code(spec)
-    }
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        self.inner.suggest_fix(source, failures)
-    }
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        self.inner.repair_code(spec, previous, suggestion)
     }
 }
 

@@ -4,16 +4,15 @@
 //! span over all its members.
 //!
 //! A span decides no bill: a completion's span carries the merged splits the
-//! layer that billed each member returned, and the other endpoints' spans
+//! layer that billed each member returned, and an embedding's span
 //! [`EndpointCall::usage`], the bill `SimLlm` and serve's per-job meter book
 //! too — so a span tree's cost rollup reconciles with the per-job `Usage`
-//! total exactly, to the token and therefore to the cent.
+//! total exactly, to the token and therefore to the cent. Code generation is
+//! a completion, so its spans are completion spans.
 
 use crate::event::SpanKind;
 use crate::tracer::Tracer;
-use lingua_llm_sim::{
-    BatchOutcome, CodeGenSpec, CompletionRequest, EndpointCall, GeneratedCode, LlmService, Usage,
-};
+use lingua_llm_sim::{BatchOutcome, CompletionRequest, EndpointCall, LlmService, Usage};
 use std::sync::Arc;
 
 /// Wraps a shared LLM service, emitting an `LlmCall` span per call.
@@ -70,32 +69,6 @@ impl LlmService for TracedLlm {
     fn simulated_latency_ms(&self) -> u64 {
         self.inner.simulated_latency_ms()
     }
-
-    fn generate_code(&self, spec: &CodeGenSpec) -> GeneratedCode {
-        let mut span = self.tracer.span(SpanKind::LlmCall, "generate_code");
-        let code = self.inner.generate_code(spec);
-        span.set_usage(EndpointCall::GenerateCode(spec).usage(&code.source));
-        code
-    }
-
-    fn suggest_fix(&self, source: &str, failures: &[String]) -> String {
-        let mut span = self.tracer.span(SpanKind::LlmCall, "suggest_fix");
-        let suggestion = self.inner.suggest_fix(source, failures);
-        span.set_usage(EndpointCall::SuggestFix { source, failures }.usage(&suggestion));
-        suggestion
-    }
-
-    fn repair_code(
-        &self,
-        spec: &CodeGenSpec,
-        previous: &GeneratedCode,
-        suggestion: &str,
-    ) -> GeneratedCode {
-        let mut span = self.tracer.span(SpanKind::LlmCall, "repair_code");
-        let code = self.inner.repair_code(spec, previous, suggestion);
-        span.set_usage(EndpointCall::RepairCode { previous, suggestion }.usage(&code.source));
-        code
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +78,7 @@ mod tests {
     use crate::sink::{RingSink, TraceSink};
     use lingua_dataset::world::WorldSpec;
     use lingua_llm_sim::cost::count_tokens;
-    use lingua_llm_sim::SimLlm;
+    use lingua_llm_sim::{CodeGenSpec, CodeRequest, SimLlm};
 
     #[test]
     fn disabled_tracer_returns_the_inner_service() {
@@ -150,14 +123,17 @@ mod tests {
 
         llm.complete(&CompletionRequest::new("Summarize.\nText: one two three"));
         llm.complete(&CompletionRequest::new("Determine if the records match.\nA: x\nB: y"));
+        // Code generation is a completion too, and bills the same way.
         let spec = CodeGenSpec {
             task: "tokenize the text into words".into(),
             function_name: "process".into(),
             hints: vec![],
         };
-        let code = llm.generate_code(&spec);
-        let fix = llm.suggest_fix(&code.source, &["case 3 failed".to_string()]);
-        llm.repair_code(&spec, &code, &fix);
+        let ask =
+            |request: CodeRequest<'_>| llm.complete(&CompletionRequest::new(request.render()));
+        let code = ask(CodeRequest::draft(&spec, 1));
+        let fix = ask(CodeRequest::fix(&spec, 1, &code, &["case 3 failed".to_string()]));
+        ask(CodeRequest::repair(&spec, 2, &code, &fix));
 
         let mut rolled = Usage::default();
         for event in sink.events() {

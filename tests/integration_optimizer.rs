@@ -38,7 +38,6 @@ fn validator_repairs_every_forced_bug() {
             hints: vec![],
         };
         let mut module = LlmgcModule::generate("tok", spec, &ctx).unwrap();
-        assert!(module.generation.as_ref().unwrap().bug.is_some());
         let validator = Validator::new(vec![
             TestCase::new(Data::Str("Hello, world!".into()), str_list(&["Hello", "world"])),
             TestCase::new(Data::Str("I saw a cat".into()), str_list(&["I", "saw", "a", "cat"])),
@@ -46,6 +45,8 @@ fn validator_repairs_every_forced_bug() {
         ])
         .with_budgets(6, 3);
         let report = validator.validate_and_fix(&mut module, &mut ctx).unwrap();
+        // Every first draft is buggy, and the cases see every tokenizer bug.
+        assert!(report.failure_history[0] > 0, "trial {trial}: {report:?}");
         assert_eq!(report.outcome, ValidationOutcome::Passed, "trial {trial}: {report:?}");
         // The installed program genuinely passes.
         assert!(validator.evaluate(&mut module, &mut ctx).is_empty());
