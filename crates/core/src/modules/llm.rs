@@ -4,12 +4,19 @@
 //! paper's "proper validation" of LLM output. A non-answer is not output:
 //! it is neither validated nor retried, but fails the invocation
 //! (`CoreError::Cancelled` for a dead job, `CoreError::NoAnswer` otherwise).
+//!
+//! A pair judgment also has a list form: one numbered prompt
+//! ([`ListRequest`]) asks every pair's own prompt at once, so the shared
+//! instruction and format pin are sent once. A pair whose answer line is
+//! missing or fails validation is asked again alone, by the same steps
+//! `invoke` takes, so the list form's outputs are `invoke`'s.
 
 use crate::context::ExecContext;
 use crate::data::Data;
 use crate::error::CoreError;
 use crate::modules::{Module, ModuleKind};
 use crate::validation::OutputValidator;
+use lingua_llm_sim::ListRequest;
 
 /// How the module turns its input [`Data`] into a prompt.
 #[derive(Debug, Clone)]
@@ -115,6 +122,44 @@ impl LlmModule {
         self.retry_on_invalid = false;
         self
     }
+
+    /// The format pin the first prompt ends with, if any.
+    fn pin(&self) -> &'static str {
+        if self.pin_format {
+            self.validator.strict_instruction()
+        } else {
+            ""
+        }
+    }
+
+    /// Judge `inputs` with one numbered prompt of their own prompts. A pair
+    /// whose answer line is missing or unusable goes through
+    /// [`Module::invoke`] alone: its prompt, the strict retry, the raw text.
+    fn judge_list(
+        &mut self,
+        inputs: &[Data],
+        ctx: &mut ExecContext,
+    ) -> Result<Vec<Data>, CoreError> {
+        if inputs.len() < 2 {
+            return inputs.iter().map(|input| self.invoke(input.clone(), ctx)).collect();
+        }
+        let pin = self.pin();
+        let prompts = inputs
+            .iter()
+            .map(|input| self.builder.build(input, pin))
+            .collect::<Result<Vec<_>, _>>()?;
+        let request = ListRequest::new(&prompts);
+        let response = ctx.complete(request.render())?;
+        let answers = request.answers(&response);
+        inputs
+            .iter()
+            .zip(answers)
+            .map(|(input, answer)| match answer.and_then(|text| self.validator.validate(text)) {
+                Some(data) => Ok(data),
+                None => self.invoke(input.clone(), ctx),
+            })
+            .collect()
+    }
 }
 
 impl Module for LlmModule {
@@ -127,8 +172,7 @@ impl Module for LlmModule {
     }
 
     fn invoke(&mut self, input: Data, ctx: &mut ExecContext) -> Result<Data, CoreError> {
-        let pin = if self.pin_format { self.validator.strict_instruction() } else { "" };
-        let prompt = self.builder.build(&input, pin)?;
+        let prompt = self.builder.build(&input, self.pin())?;
         let raw = ctx.complete(&prompt)?;
         if let Some(data) = self.validator.validate(&raw) {
             return Ok(data);
@@ -145,6 +189,17 @@ impl Module for LlmModule {
         // pipeline; downstream consumers decide.
         ctx.tracer.instant(lingua_trace::SpanKind::Module, "output_unvalidated", Vec::new);
         Ok(Data::Str(raw.to_string()))
+    }
+
+    /// A pair judgment's list form: one numbered prompt for all the pairs.
+    /// Other prompt builders have none.
+    fn invoke_list(
+        &mut self,
+        inputs: &[Data],
+        ctx: &mut ExecContext,
+    ) -> Option<Result<Vec<Data>, CoreError>> {
+        matches!(self.builder, PromptBuilder::PairJudgment { .. })
+            .then(|| self.judge_list(inputs, ctx))
     }
 
     fn describe(&self) -> String {

@@ -9,6 +9,12 @@
 //! invocation sit inside the service layer concurrently, which is exactly
 //! the oversubscription a batcher needs to fill batches from a single
 //! worker.
+//!
+//! When the per-record module has a list form ([`Module::invoke_list`]: a
+//! pair-judging LLM module), the map hands it the list instead, cut into
+//! prompts of at most [`LIST_PROMPT_MEMBERS`] that go out over the same
+//! lanes: a job of eight pairs is one numbered prompt, placed on the
+//! worker's own thread.
 
 use crate::context::{ExecContext, ModuleRegistry};
 use crate::data::Data;
@@ -16,7 +22,13 @@ use crate::error::CoreError;
 use crate::executor::try_parallel_map;
 use crate::modules::{Module, ModuleKind};
 use crate::stats::ExecStats;
-use std::sync::Arc;
+use lingua_ml::sync::Mutex;
+use lingua_trace::SpanKind;
+use std::sync::{Arc, OnceLock};
+
+/// The most elements one call of a list form is handed; a longer list is cut
+/// into calls of this many, placed over the map's lanes.
+const LIST_PROMPT_MEMBERS: usize = 8;
 
 /// Builds a fresh per-lane instance of the inner module. Shared (immutably)
 /// by every instance of the map, so a compiled pipeline can be replicated
@@ -33,10 +45,15 @@ type InnerFactory = dyn Fn() -> Box<dyn Module> + Send + Sync;
 /// holds a clone of the job's [`CancelToken`](lingua_llm_sim::CancelToken),
 /// so every completion a lane places carries the job's deadline exactly as
 /// one placed on the worker thread would.
+///
+/// Whether the inner module has a list form is decided once, by the first
+/// list the map or any of its replicas is handed; the instance that answers
+/// the question then does that list's first share of the work.
 pub struct PipelinedMapModule {
     name: String,
     depth: usize,
     inner: Arc<InnerFactory>,
+    list_form: Arc<OnceLock<bool>>,
 }
 
 impl PipelinedMapModule {
@@ -46,7 +63,12 @@ impl PipelinedMapModule {
     where
         F: Fn() -> Box<dyn Module> + Send + Sync + 'static,
     {
-        PipelinedMapModule { name: name.into(), depth: depth.max(1), inner: Arc::new(inner) }
+        PipelinedMapModule {
+            name: name.into(),
+            depth: depth.max(1),
+            inner: Arc::new(inner),
+            list_form: Arc::new(OnceLock::new()),
+        }
     }
 }
 
@@ -85,19 +107,49 @@ impl Module for PipelinedMapModule {
             return out;
         };
         let count = items.len();
+        let mut spare = None;
+        let list_form = *self.list_form.get_or_init(|| {
+            let mut probe = (self.inner)();
+            let has = probe.invoke_list(&[], &mut lane_context(ctx)).is_some();
+            spare = Some(probe);
+            has
+        });
         // Snapshot the shared pieces: the lanes run on pooled threads, so
         // they own everything they touch.
         let template = lane_context(ctx);
         let inner = Arc::clone(&self.inner);
+        let spare = Mutex::new(spare);
+        let instance = move || spare.lock().take().unwrap_or_else(|| inner());
         // The lanes block on the service rather than burn CPU, so `depth` of
         // them from this one worker is what lets a continuous batcher fill
         // size-triggered batches instead of trickling one request a window.
-        let results = try_parallel_map(items, self.depth, &ctx.cancel, move |item| {
-            let mut lane_ctx = lane_context(&template);
-            inner().invoke(item, &mut lane_ctx)
-        })?;
+        let outputs = if list_form {
+            let mut rest = items.into_iter();
+            let chunks: Vec<Vec<Data>> = (0..count.div_ceil(LIST_PROMPT_MEMBERS))
+                .map(|_| rest.by_ref().take(LIST_PROMPT_MEMBERS).collect())
+                .collect();
+            for chunk in &chunks {
+                ctx.tracer.instant(SpanKind::Module, "list_prompt", || {
+                    vec![("members".to_string(), chunk.len().to_string())]
+                });
+            }
+            let judged = try_parallel_map(chunks, self.depth, &ctx.cancel, move |chunk| {
+                let mut lane_ctx = lane_context(&template);
+                let mut module = instance();
+                module.invoke_list(&chunk, &mut lane_ctx).unwrap_or_else(|| {
+                    chunk.into_iter().map(|item| module.invoke(item, &mut lane_ctx)).collect()
+                })
+            })?;
+            judged.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().flatten().collect()
+        } else {
+            let results = try_parallel_map(items, self.depth, &ctx.cancel, move |item| {
+                let mut lane_ctx = lane_context(&template);
+                instance().invoke(item, &mut lane_ctx)
+            })?;
+            results.into_iter().collect::<Result<Vec<Data>, CoreError>>()?
+        };
         ctx.stats.record_invocations(&self.name, count as u64);
-        Ok(Data::List(results.into_iter().collect::<Result<Vec<Data>, CoreError>>()?))
+        Ok(Data::List(outputs))
     }
 
     fn fresh_instance(&self) -> Option<Box<dyn Module>> {
@@ -105,6 +157,7 @@ impl Module for PipelinedMapModule {
             name: self.name.clone(),
             depth: self.depth,
             inner: Arc::clone(&self.inner),
+            list_form: Arc::clone(&self.list_form),
         }))
     }
 }
@@ -226,6 +279,78 @@ mod tests {
         assert_eq!(ctx.llm.usage().calls, 0, "a dead job's calls are never placed");
     }
 
+    /// A module with a list form: upper-cases its input, logging the size of
+    /// every list it is handed.
+    struct Listed {
+        lists: Arc<lingua_ml::sync::Mutex<Vec<usize>>>,
+    }
+
+    impl Module for Listed {
+        fn name(&self) -> &str {
+            "listed"
+        }
+
+        fn kind(&self) -> ModuleKind {
+            ModuleKind::Llm
+        }
+
+        fn invoke(&mut self, input: Data, _ctx: &mut ExecContext) -> Result<Data, CoreError> {
+            Ok(Data::Str(input.render().to_uppercase()))
+        }
+
+        fn invoke_list(
+            &mut self,
+            inputs: &[Data],
+            ctx: &mut ExecContext,
+        ) -> Option<Result<Vec<Data>, CoreError>> {
+            self.lists.lock().push(inputs.len());
+            Some(inputs.iter().map(|input| self.invoke(input.clone(), ctx)).collect())
+        }
+    }
+
+    #[test]
+    fn a_list_form_gets_the_list_in_prompts_of_at_most_the_cap() {
+        use lingua_trace::{Phase, RingSink, Tracer};
+        let lists = Arc::new(lingua_ml::sync::Mutex::new(Vec::new()));
+        let built = Arc::new(AtomicUsize::new(0));
+        let module = PipelinedMapModule::new("map_listed", 4, {
+            let (lists, built) = (Arc::clone(&lists), Arc::clone(&built));
+            move || {
+                built.fetch_add(1, Ordering::Relaxed);
+                Box::new(Listed { lists: Arc::clone(&lists) }) as Box<dyn Module>
+            }
+        });
+        let mut replica = module.fresh_instance().expect("replicable");
+        let sink = Arc::new(RingSink::new(256));
+        let mut ctx = ctx();
+        ctx.tracer = Tracer::new(sink.clone());
+        let input = Data::List((0..20).map(|i| Data::Str(format!("item {i}"))).collect());
+        let out = replica.invoke(input, &mut ctx).unwrap();
+        let expected: Vec<Data> = (0..20).map(|i| Data::Str(format!("ITEM {i}"))).collect();
+        assert_eq!(out, Data::List(expected));
+        // The probe (an empty list) decided the path and judged a share.
+        let mut sizes = lists.lock().clone();
+        sizes.sort_unstable();
+        assert_eq!(sizes, vec![0, 4, 8, 8]);
+        assert_eq!(built.load(Ordering::Relaxed), 3, "one instance per prompt");
+        assert_eq!(ctx.stats.invocations_of("map_listed"), 20);
+        let instants: Vec<Vec<(String, String)>> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.phase == Phase::Instant && e.name == "list_prompt")
+            .map(|e| e.attrs)
+            .collect();
+        let members = |n: &str| vec![("members".to_string(), n.to_string())];
+        assert_eq!(instants, vec![members("8"), members("8"), members("4")]);
+        // Decided once for every replica: the next job builds no probe.
+        let mut other = module.fresh_instance().expect("replicable");
+        let input = Data::List((0..8).map(Data::Int).collect());
+        assert_eq!(other.invoke(input, &mut ctx).unwrap().as_list().unwrap().len(), 8);
+        assert_eq!(built.load(Ordering::Relaxed), 4, "one prompt, one instance");
+        assert_eq!(lists.lock().len(), 5);
+        assert_eq!(ctx.stats.invocations_of("map_listed"), 28);
+    }
+
     #[test]
     fn fresh_instances_share_the_factory_but_not_state() {
         let counter = Arc::new(AtomicUsize::new(0));
@@ -242,5 +367,9 @@ mod tests {
         assert_eq!(out.as_list().unwrap().len(), 2);
         assert_eq!(counter.load(Ordering::Relaxed), 2, "one fresh inner per element");
         assert_eq!(replica.describe(), "pipelined map `counted` (depth 2)");
+        // The path was decided by the first list: no probe for the next one.
+        let out = replica.invoke(Data::List(vec![Data::Int(3)]), &mut ctx).unwrap();
+        assert_eq!(out.as_list().unwrap().len(), 1);
+        assert_eq!(counter.load(Ordering::Relaxed), 3);
     }
 }

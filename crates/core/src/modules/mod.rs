@@ -53,6 +53,17 @@ pub trait Module: Send {
     fn kind(&self) -> ModuleKind;
     /// Run the module.
     fn invoke(&mut self, input: Data, ctx: &mut ExecContext) -> Result<Data, CoreError>;
+    /// The module's list form: all of `inputs` in one call, element for
+    /// element what [`Module::invoke`] gives each. `None`, the default, for a
+    /// module without one, which its caller then invokes per element. An
+    /// empty `inputs` only asks whether the form exists, and places no call.
+    fn invoke_list(
+        &mut self,
+        _inputs: &[Data],
+        _ctx: &mut ExecContext,
+    ) -> Option<Result<Vec<Data>, CoreError>> {
+        None
+    }
     /// Human-readable description (source code for LLMGC, prompt for LLM...).
     fn describe(&self) -> String {
         format!("{} module `{}`", self.kind().name(), self.name())

@@ -26,8 +26,8 @@ use lingua_gateway::{
     TransportError,
 };
 use lingua_llm_sim::{
-    BatchOutcome, CancelReason, CancelToken, CompletionRequest, LlmService, NoAnswer, SimLlm,
-    SimLlmConfig, TokenPricing, Usage,
+    BatchOutcome, CancelReason, CancelToken, CompletionRequest, ListRequest, LlmService, NoAnswer,
+    SimLlm, SimLlmConfig, TokenPricing, Usage,
 };
 use lingua_ml::sync::Mutex;
 use std::sync::{Arc, Barrier};
@@ -48,6 +48,23 @@ fn prompt(thread: usize, round: usize) -> CompletionRequest {
     CompletionRequest::new(format!(
         "Summarize. Text: replay workload thread {thread} round {round}"
     ))
+}
+
+/// A job's pairs asked as one numbered prompt ([`ListRequest`]), the shape
+/// a pipelined map over a pair judge places: eight pairs per member.
+fn numbered_prompt(thread: usize, round: usize) -> CompletionRequest {
+    let pairs: Vec<String> = (0..8)
+        .map(|i| {
+            format!(
+                "Please determine if the following two records refer to the same entity.\n\
+                 Record A: beer_name: Hoppy Badger {thread}-{round}-{i}; brewery: Stonegate\n\
+                 Record B: beer_name: hoppy badger {thread}-{round}-{}; brewery: Stonegate\n\
+                 Respond with exactly `yes` or `no`, nothing else.",
+                i % 3
+            )
+        })
+        .collect();
+    CompletionRequest::new(ListRequest::new(&pairs).render())
 }
 
 /// The typed answer to one request.
@@ -105,9 +122,15 @@ impl LlmService for Recording {
 
 /// Eight threads, sixteen rounds, one barrier per round: every round's eight
 /// members must land in exactly one size-triggered flush. The composition
-/// replay is exact — batch count, occupancy, flush reason, and the ledger.
+/// replay is exact — batch count, occupancy, flush reason, and the ledger —
+/// for one-task prompts and for numbered prompts of eight pairs alike.
 #[test]
 fn eight_thread_rounds_replay_as_exact_size_flushes() {
+    replay_size_flushes(prompt);
+    replay_size_flushes(numbered_prompt);
+}
+
+fn replay_size_flushes(prompt: fn(usize, usize) -> CompletionRequest) {
     let service = sim(101, false);
     let batcher = Arc::new(Batcher::new(
         service.clone() as Arc<dyn LlmService>,

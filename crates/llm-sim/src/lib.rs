@@ -10,7 +10,8 @@
 //!
 //! * `prompt` really parses prompts and routes them to task behaviours
 //!   (entity matching, imputation, name tagging, language detection,
-//!   summarisation, and code generation: drafts, fix suggestions, repairs).
+//!   summarisation, and code generation: drafts, fix suggestions, repairs),
+//!   and answers a numbered [`ListRequest`] member by member.
 //! * [`KnowledgeBase`] holds a *calibrated subset* of the ground-truth world
 //!   ([`lingua_dataset::world::WorldSpec`]) — the LLM "knows" some entities,
 //!   some product lines, some person names, exactly like a real pre-trained
@@ -38,6 +39,7 @@ pub mod cost;
 mod embeddings;
 pub mod hotpath;
 mod knowledge;
+mod list;
 pub mod noise;
 mod prompt;
 mod service;
@@ -48,6 +50,7 @@ pub use codegen::{CodeGenSpec, CodeRequest, GeneratedCode, TemplateKind};
 pub use cost::{AtomicUsage, TokenPricing, Usage};
 pub use hotpath::{fingerprint, CacheStats, Fnv1a, ShardedLru};
 pub use knowledge::KnowledgeBase;
+pub use list::ListRequest;
 pub use service::{
     BatchOutcome, CompletionRequest, EndpointCall, LlmService, SimLlm, SimLlmConfig,
 };

@@ -3,11 +3,11 @@
 //! The simulated LLM receives ordinary text prompts (the same strings a real
 //! service would). This module classifies the task the prompt is asking for
 //! and extracts its structured payload: records, examples, passages, output
-//! format pins, language hints. A code-generation prompt is recognised by
-//! its header line and answered by [`crate::codegen`], which reads its own
-//! format.
+//! format pins, language hints. A code-generation prompt and a numbered
+//! request are recognised by their header lines and answered by
+//! [`crate::codegen`] and [`crate::list`], which read their own formats.
 
-use crate::codegen;
+use crate::{codegen, list};
 use std::collections::BTreeMap;
 
 /// The tasks the simulated LLM can perform.
@@ -25,6 +25,8 @@ pub(crate) enum TaskIntent {
     Summarize,
     /// A code-generation prompt: a draft, a fix suggestion or a repair.
     Code,
+    /// A numbered request: several prompts asked as one.
+    List,
     /// Anything unrecognized.
     Unknown,
 }
@@ -53,72 +55,74 @@ pub(crate) struct ParsedPrompt {
 
 /// Parse a prompt.
 pub(crate) fn parse(prompt: &str) -> ParsedPrompt {
+    let mut parsed = ParsedPrompt {
+        intent: TaskIntent::Unknown,
+        record_a: BTreeMap::new(),
+        record_b: BTreeMap::new(),
+        examples: Vec::new(),
+        payload: String::new(),
+        format_pinned: false,
+        language_hint: None,
+        candidates: Vec::new(),
+    };
+    // The two headers come before every cue, since a spec's task may say
+    // "manufacturer" and a numbered request's members may ask anything; each
+    // such prompt is read by its own format's parser.
+    if prompt.starts_with(list::HEADER) {
+        parsed.intent = TaskIntent::List;
+        return parsed;
+    }
+    if prompt.starts_with(codegen::HEADER) {
+        parsed.intent = TaskIntent::Code;
+        return parsed;
+    }
     let lower = prompt.to_lowercase();
-    let intent = detect_intent(prompt, &lower);
-
-    let mut record_a = BTreeMap::new();
-    let mut record_b = BTreeMap::new();
-    let mut examples = Vec::new();
-    let mut payload = String::new();
-    let mut language_hint = None;
-    let mut candidates = Vec::new();
+    parsed.intent = detect_intent(&lower);
 
     for line in prompt.lines() {
         let trimmed = line.trim();
         let lower_line = trimmed.to_lowercase();
         if let Some(rest) = strip_prefix_ci(trimmed, "record a:") {
-            record_a = parse_fields(rest);
+            parsed.record_a = parse_fields(rest);
         } else if let Some(rest) = strip_prefix_ci(trimmed, "record b:") {
-            record_b = parse_fields(rest);
+            parsed.record_b = parse_fields(rest);
         } else if let Some(rest) = strip_prefix_ci(trimmed, "example:") {
             if let Some(ex) = parse_example(rest) {
-                examples.push(ex);
+                parsed.examples.push(ex);
             }
         } else if let Some(rest) = strip_prefix_ci(trimmed, "text:")
             .or_else(|| strip_prefix_ci(trimmed, "passage:"))
             .or_else(|| strip_prefix_ci(trimmed, "product:"))
         {
-            if !payload.is_empty() {
-                payload.push('\n');
+            if !parsed.payload.is_empty() {
+                parsed.payload.push('\n');
             }
-            payload.push_str(rest.trim());
+            parsed.payload.push_str(rest.trim());
         } else if let Some(rest) = strip_prefix_ci(trimmed, "language:") {
-            language_hint = Some(rest.trim().to_lowercase());
+            parsed.language_hint = Some(rest.trim().to_lowercase());
         } else if let Some(rest) = strip_prefix_ci(trimmed, "candidates:") {
-            candidates =
+            parsed.candidates =
                 rest.split(',').map(|c| c.trim().to_string()).filter(|c| !c.is_empty()).collect();
         } else if lower_line.starts_with("continue:") {
             // Multi-line payload continuation.
-            if !payload.is_empty() {
-                payload.push(' ');
+            if !parsed.payload.is_empty() {
+                parsed.payload.push(' ');
             }
-            payload.push_str(trimmed["continue:".len()..].trim());
+            parsed.payload.push_str(trimmed["continue:".len()..].trim());
         }
     }
 
-    let format_pinned = lower.contains("answer yes or no")
+    parsed.format_pinned = lower.contains("answer yes or no")
         || lower.contains("answer with only")
         || lower.contains("respond with exactly")
         || lower.contains("output only");
-
-    ParsedPrompt {
-        intent,
-        record_a,
-        record_b,
-        examples,
-        payload,
-        format_pinned,
-        language_hint,
-        candidates,
-    }
+    parsed
 }
 
-fn detect_intent(prompt: &str, lower: &str) -> TaskIntent {
-    // Order matters: more specific cues first, and the code-generation
-    // header before every cue, since a spec's task may say "manufacturer".
-    if prompt.starts_with(codegen::HEADER) {
-        TaskIntent::Code
-    } else if lower.contains("person name")
+/// The task a prompt without a header asks for, by its cues.
+fn detect_intent(lower: &str) -> TaskIntent {
+    // Order matters: more specific cues first.
+    if lower.contains("person name")
         || lower.contains("names of people")
         || lower.contains("extract all names")
     {
@@ -304,6 +308,21 @@ mod tests {
         // The header must open the prompt; quoting it is no code request.
         let quoted = format!("Summarize.\nText: {}", CodeRequest::draft(&fig4, 1).render());
         assert_ne!(intent(&quoted), TaskIntent::Code);
+        // A numbered request goes to its members whatever they ask, a code
+        // request among them, and again only by a header that opens it.
+        let members: Vec<String> = vec![
+            table[0].0.to_string(),
+            table[2].0.to_string(),
+            CodeRequest::draft(&fig4, 1).render(),
+        ];
+        for count in 1..=members.len() {
+            let prompt = crate::ListRequest::new(&members[..count]).render();
+            assert_eq!(intent(&prompt), TaskIntent::List, "{prompt}");
+        }
+        let listed = crate::ListRequest::new(&members).render();
+        for quoted in [format!("Summarize.\nText: {listed}"), format!(" {listed}")] {
+            assert_ne!(intent(&quoted), TaskIntent::List, "{quoted}");
+        }
     }
 
     #[test]

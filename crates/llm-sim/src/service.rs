@@ -12,6 +12,7 @@ use crate::codegen::{self, CodeGenSpec, CodeRequest, GeneratedCode};
 use crate::cost::{count_tokens, AtomicUsage, TokenPricing, Usage};
 use crate::hotpath::{fingerprint, CacheStats, Flight, ShardedLru, Singleflight, DEFAULT_SHARDS};
 use crate::knowledge::KnowledgeBase;
+use crate::list::ListRequest;
 use crate::prompt::{self, TaskIntent};
 use lingua_dataset::world::WorldSpec;
 use lingua_ml::features::HashingVectorizer;
@@ -317,6 +318,10 @@ fn code_answer<S: LlmService + ?Sized>(service: &S, request: CodeRequest<'_>) ->
     answer.map_or_else(|_| String::new(), |text| text.to_string())
 }
 
+/// The answer to a prompt that asks for no task the model knows.
+const UNKNOWN_TASK: &str = "I'm not sure what task you are asking for. Please describe the data \
+                            curation task (entity resolution, imputation, extraction, ...).";
+
 /// Configuration for [`SimLlm`].
 #[derive(Debug, Clone)]
 pub struct SimLlmConfig {
@@ -469,11 +474,12 @@ impl SimLlm {
             TaskIntent::Code => {
                 codegen::respond(prompt_text, &self.config.calibration, self.config.seed)
             }
-            TaskIntent::Unknown => {
-                "I'm not sure what task you are asking for. Please describe the data \
-                 curation task (entity resolution, imputation, extraction, ...)."
-                    .to_string()
-            }
+            // Each member is answered as its own prompt is, seeded by it.
+            TaskIntent::List => match ListRequest::parse(prompt_text) {
+                Some(request) => request.respond(|member| self.respond(member)),
+                None => UNKNOWN_TASK.to_string(),
+            },
+            TaskIntent::Unknown => UNKNOWN_TASK.to_string(),
         }
     }
 
@@ -589,6 +595,35 @@ mod tests {
              Answer yes or no.",
         );
         assert_eq!(svc.complete(&req), svc.complete(&req));
+    }
+
+    #[test]
+    fn a_numbered_request_answers_each_member_as_its_own_prompt_is_answered() {
+        let svc = service();
+        let alone = service();
+        let prompts: Vec<String> = (0..6)
+            .map(|i| {
+                format!(
+                    "Determine if these refer to the same entity.\n\
+                     Record A: beer_name: Hoppy Badger {i}; brewery: Stonegate Brewing\n\
+                     Record B: beer_name: hoppy badger {}; brewery: Stonegate\n\
+                     Respond with exactly `yes` or `no`, nothing else.",
+                    i % 3
+                )
+            })
+            .collect();
+        let request = ListRequest::new(&prompts);
+        let response = svc.complete(&CompletionRequest::new(request.render()));
+        let answers = request.answers(&response);
+        for (prompt, answer) in prompts.iter().zip(&answers) {
+            assert_eq!(*answer, Some(alone.complete(&CompletionRequest::new(prompt)).as_str()));
+        }
+        assert_eq!(svc.usage().calls, 1, "one request, one model call");
+        assert!(svc.usage().tokens_in < alone.usage().tokens_in);
+        // Foreign text behind the header gets no numbered answer at all.
+        let broken = format!("{}\n#7 (0 lines)", request.render());
+        let response = svc.complete(&CompletionRequest::new(broken));
+        assert!(request.answers(&response).iter().all(Option::is_none), "{response}");
     }
 
     #[test]
