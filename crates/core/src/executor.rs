@@ -27,7 +27,8 @@ pub struct OpTrace {
 /// The result of a pipeline run.
 #[derive(Debug)]
 pub struct RunReport {
-    /// Final variable environment (every op output).
+    /// Final variable environment: every op output, and none of the job's
+    /// inputs (each moved into the op that read it last).
     pub env: BTreeMap<String, Data>,
     pub traces: Vec<OpTrace>,
 }
@@ -63,16 +64,38 @@ impl Executor {
     /// Run every op in order. Ops with one input receive that variable's
     /// value; multi-input ops receive a map keyed by variable name; source
     /// ops receive `Data::Null`.
+    ///
+    /// Each of the job's `inputs` moves into the op that reads it last, and
+    /// is cloned only for the reads before that one; an op output of the
+    /// same name shadows it. The report's env holds op outputs only.
     pub fn run(
         pipeline: &mut PhysicalPipeline,
         ctx: &mut ExecContext,
-        initial_env: BTreeMap<String, Data>,
+        mut inputs: BTreeMap<String, Data>,
     ) -> Result<RunReport, CoreError> {
-        let mut env = initial_env;
+        // The (op, input slot) of each job input's last read.
+        let mut last_reads = BTreeMap::new();
+        for (index, (op, _)) in pipeline.ops.iter().enumerate() {
+            for (slot, var) in op.inputs.iter().enumerate() {
+                if inputs.contains_key(var) {
+                    last_reads.insert(var.as_str(), (index, slot));
+                }
+            }
+        }
+        let last_reads: Vec<(usize, usize)> = last_reads.into_values().collect();
+        let mut env = BTreeMap::new();
+        let mut read = |env: &BTreeMap<String, Data>, at: (usize, usize), var: &String| {
+            let value = match env.get(var) {
+                Some(output) => Some(output.clone()),
+                None if last_reads.contains(&at) => inputs.remove(var),
+                None => inputs.get(var).cloned(),
+            };
+            value.ok_or_else(|| CoreError::UnknownVariable(var.clone()))
+        };
         let mut traces = Vec::with_capacity(pipeline.ops.len());
         let mut pipeline_span = ctx.tracer.span(lingua_trace::SpanKind::Pipeline, &pipeline.name);
         pipeline_span.attr("ops", pipeline.ops.len().to_string());
-        for (op, module) in &mut pipeline.ops {
+        for (index, (op, module)) in pipeline.ops.iter_mut().enumerate() {
             // Cooperative cancellation between ops: a job past its deadline
             // stops here instead of starting the next operator. The check is
             // also the heartbeat serve's health read checks.
@@ -82,18 +105,11 @@ impl Executor {
             }
             let input = match op.inputs.len() {
                 0 => Data::Null,
-                1 => env
-                    .get(&op.inputs[0])
-                    .cloned()
-                    .ok_or_else(|| CoreError::UnknownVariable(op.inputs[0].clone()))?,
+                1 => read(&env, (index, 0), &op.inputs[0])?,
                 _ => {
                     let mut map = BTreeMap::new();
-                    for var in &op.inputs {
-                        let value = env
-                            .get(var)
-                            .cloned()
-                            .ok_or_else(|| CoreError::UnknownVariable(var.clone()))?;
-                        map.insert(var.clone(), value);
+                    for (slot, var) in op.inputs.iter().enumerate() {
+                        map.insert(var.clone(), read(&env, (index, slot), var)?);
                     }
                     Data::Map(map)
                 }
@@ -156,37 +172,59 @@ where
     U: Send + 'static,
     F: Fn(T) -> U + Send + Sync + 'static,
 {
-    map_on(LanePool::global(), items, threads, cancel, f)
+    map_on(LanePool::global(), items, threads, cancel, || (), move |_: &mut (), item| f(item))
 }
 
-/// [`try_parallel_map`] over the given pool.
-fn map_on<T, U, F>(
-    pool: &Arc<LanePool>,
+/// [`try_parallel_map`] with a state of each lane's own: a lane builds it
+/// with `init` before its first item and hands it to `f` with every item.
+/// `init` runs once per lane that maps an item, never per item.
+pub(crate) fn try_lane_map<T, U, S, I, F>(
     items: Vec<T>,
     threads: usize,
     cancel: &CancelToken,
+    init: I,
     f: F,
 ) -> Result<Vec<U>, CoreError>
 where
     T: Send + 'static,
     U: Send + 'static,
-    F: Fn(T) -> U + Send + Sync + 'static,
+    I: Fn() -> S + Send + Sync + 'static,
+    F: Fn(&mut S, T) -> U + Send + Sync + 'static,
+{
+    map_on(LanePool::global(), items, threads, cancel, init, f)
+}
+
+/// [`try_lane_map`] over the given pool.
+fn map_on<T, U, S, I, F>(
+    pool: &Arc<LanePool>,
+    items: Vec<T>,
+    threads: usize,
+    cancel: &CancelToken,
+    init: I,
+    f: F,
+) -> Result<Vec<U>, CoreError>
+where
+    T: Send + 'static,
+    U: Send + 'static,
+    I: Fn() -> S + Send + Sync + 'static,
+    F: Fn(&mut S, T) -> U + Send + Sync + 'static,
 {
     let count = items.len();
     let threads = threads.clamp(1, count.max(1));
     if threads <= 1 || count < 2 {
         let mut out = Vec::with_capacity(count);
+        let mut state = None;
         for item in items {
             if let Err(reason) = cancel.check() {
                 return Err(CoreError::Cancelled { reason });
             }
-            out.push(f(item));
+            out.push(f(state.get_or_insert_with(&init), item));
         }
         return Ok(out);
     }
     let chunk = count.div_ceil(threads);
     let lane_count = count.div_ceil(chunk);
-    let f = Arc::new(f);
+    let work = Arc::new((init, f));
     // One slot per lane: the lane's results, or the payload it panicked with.
     let outputs: Arc<Mutex<Vec<Option<LaneOutput<U>>>>> =
         Arc::new(Mutex::new((0..lane_count).map(|_| None).collect()));
@@ -194,15 +232,17 @@ where
     let lanes = (0..lane_count)
         .map(|index| {
             let chunk: Vec<T> = items.by_ref().take(chunk).collect();
-            let (f, cancel, outputs) = (Arc::clone(&f), cancel.clone(), Arc::clone(&outputs));
+            let (work, cancel, outputs) = (Arc::clone(&work), cancel.clone(), Arc::clone(&outputs));
             Box::new(move || {
+                let (init, f) = &*work;
                 let mut done = Vec::with_capacity(chunk.len());
                 let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    let mut state = None;
                     for item in chunk {
                         if cancel.check().is_err() {
                             return;
                         }
-                        done.push(f(item));
+                        done.push(f(state.get_or_insert_with(init), item));
                     }
                 }));
                 outputs.lock()[index] = Some(run.map(|()| done));
@@ -432,6 +472,43 @@ mod tests {
     }
 
     #[test]
+    fn the_env_holds_op_outputs_and_no_input() {
+        let compiler = compiler_with_test_ops();
+        let mut ctx = ctx();
+        // `seed` is read twice, by a single-input and a multi-input op;
+        // `unread` by no op; `a` is an output that a later op reads.
+        let pipeline = Pipeline::new("t")
+            .op(LogicalOp::new("exclaim").output("a").input("seed"))
+            .op(LogicalOp::new("concat").output("b").input("seed").input("a"))
+            .op(LogicalOp::new("exclaim").output("c").input("a"));
+        let mut physical = compiler.compile(&pipeline, &mut ctx).unwrap();
+        let inputs = BTreeMap::from([
+            ("seed".to_string(), Data::Str("go".into())),
+            ("unread".to_string(), Data::Int(1)),
+        ]);
+        let report = Executor::run(&mut physical, &mut ctx, inputs).unwrap();
+        assert_eq!(report.env.keys().collect::<Vec<_>>(), ["a", "b", "c"]);
+        assert_eq!(report.get("b").unwrap(), &Data::Str("go!+go".into()));
+        assert_eq!(report.get("c").unwrap(), &Data::Str("go!!".into()));
+    }
+
+    #[test]
+    fn an_op_output_shadows_an_input_of_its_name() {
+        let compiler = compiler_with_test_ops();
+        let mut ctx = ctx();
+        let pipeline = Pipeline::new("t")
+            .op(LogicalOp::new("exclaim").output("x").input("x"))
+            .op(LogicalOp::new("concat").output("y").input("x").input("x"))
+            .op(LogicalOp::new("exclaim").output("z").input("x"));
+        let mut physical = compiler.compile(&pipeline, &mut ctx).unwrap();
+        let inputs = BTreeMap::from([("x".to_string(), Data::Str("in".into()))]);
+        let report = Executor::run(&mut physical, &mut ctx, inputs).unwrap();
+        assert_eq!(report.get("x").unwrap(), &Data::Str("in!".into()));
+        assert_eq!(report.get("y").unwrap(), &Data::Str("in!".into()));
+        assert_eq!(report.get("z").unwrap(), &Data::Str("in!!".into()));
+    }
+
+    #[test]
     fn parallel_map_matches_sequential() {
         let items: Vec<i64> = (0..1000).collect();
         let sequential: Vec<i64> = items.iter().map(|x| x * x).collect();
@@ -618,13 +695,14 @@ mod tests {
     fn lane_threads(pool: &Arc<LanePool>, lanes: usize) -> HashSet<ThreadId> {
         let live = CancelToken::unbounded();
         let barrier = Arc::new(Barrier::new(lanes));
-        map_on(pool, (0..lanes).collect(), lanes, &live, move |_: usize| {
+        let lane = move |_: &mut (), _: usize| {
             barrier.wait();
             std::thread::current().id()
-        })
-        .expect("an unbounded token never cancels")
-        .into_iter()
-        .collect()
+        };
+        map_on(pool, (0..lanes).collect(), lanes, &live, || (), lane)
+            .expect("an unbounded token never cancels")
+            .into_iter()
+            .collect()
     }
 
     #[test]
@@ -647,13 +725,14 @@ mod tests {
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let died_on = Arc::clone(&died_on);
             let barrier = Barrier::new(2);
-            map_on(&pool, vec![0u32, 1], 2, &CancelToken::unbounded(), move |i| {
+            let lane = move |_: &mut (), i: u32| {
                 barrier.wait();
                 if i == 1 {
                     *died_on.lock() = Some(std::thread::current().id());
                     panic!("lane {i} blew up");
                 }
-            })
+            };
+            map_on(&pool, vec![0u32, 1], 2, &CancelToken::unbounded(), || (), lane)
         }));
         let payload = result.expect_err("the lane's panic reaches the caller");
         assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("lane 1 blew up"));

@@ -173,20 +173,21 @@ impl Module for LlmModule {
 
     fn invoke(&mut self, input: Data, ctx: &mut ExecContext) -> Result<Data, CoreError> {
         let prompt = self.builder.build(&input, self.pin())?;
-        let raw = ctx.complete(&prompt)?;
+        let mut raw = ctx.complete(&prompt)?;
         if let Some(data) = self.validator.validate(&raw) {
             return Ok(data);
         }
         if self.retry_on_invalid {
             ctx.tracer.instant(lingua_trace::SpanKind::Module, "output_retry", Vec::new);
             let strict_prompt = format!("{prompt}\n{}", self.validator.strict_instruction());
-            let raw = ctx.complete(strict_prompt)?;
+            raw = ctx.complete(strict_prompt)?;
             if let Some(data) = self.validator.validate(&raw) {
                 return Ok(data);
             }
         }
-        // Unvalidatable output: surface the raw text rather than fail the
-        // pipeline; downstream consumers decide.
+        // Unvalidatable output: surface the last raw text (the retry's, when
+        // one was paid for) rather than fail the pipeline; downstream
+        // consumers decide.
         ctx.tracer.instant(lingua_trace::SpanKind::Module, "output_unvalidated", Vec::new);
         Ok(Data::Str(raw.to_string()))
     }

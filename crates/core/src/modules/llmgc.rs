@@ -36,16 +36,23 @@ pub(super) const FUEL_PER_MS: u64 = 20_000;
 /// A module whose body is LLM-generated code.
 pub struct LlmgcModule {
     name: String,
-    spec: CodeGenSpec,
-    source: String,
+    /// Shared by every replica; a repair swaps in a copy of its own.
+    program: Arc<Program>,
     /// Bytecode compiled once per generation (shared through the global
     /// [`compile_cache`]); every invocation runs this, not the AST.
     compiled: Arc<CompiledScript>,
-    entry: String,
     fuel: u64,
     /// Drafts asked of the LLM for this module so far: its first draft is
     /// 1, and each repair or regeneration asks for the next.
     drafts: u64,
+}
+
+/// What was asked for, what came back and where it is entered.
+#[derive(Clone)]
+struct Program {
+    spec: CodeGenSpec,
+    source: String,
+    entry: String,
 }
 
 impl LlmgcModule {
@@ -78,11 +85,9 @@ impl LlmgcModule {
         };
         Ok(LlmgcModule {
             name: name.into(),
-            source,
+            program: Arc::new(Program { spec, source, entry }),
             compiled,
-            entry,
             fuel: DEFAULT_FUEL,
-            spec,
             drafts: 0,
         })
     }
@@ -93,15 +98,15 @@ impl LlmgcModule {
     }
 
     pub fn source(&self) -> &str {
-        &self.source
+        &self.program.source
     }
 
     pub fn spec(&self) -> &CodeGenSpec {
-        &self.spec
+        &self.program.spec
     }
 
     pub fn entry(&self) -> &str {
-        &self.entry
+        &self.program.entry
     }
 
     /// Ask the LLM how to fix the current program, given the failures the
@@ -111,7 +116,8 @@ impl LlmgcModule {
         failures: &[String],
         ctx: &ExecContext,
     ) -> Result<Arc<str>, CoreError> {
-        let request = CodeRequest::fix(&self.spec, self.drafts, &self.source, failures);
+        let Program { spec, source, .. } = &*self.program;
+        let request = CodeRequest::fix(spec, self.drafts, source, failures);
         Ok(ctx.complete(request.render())?)
     }
 
@@ -125,11 +131,10 @@ impl LlmgcModule {
         ctx: &ExecContext,
     ) -> Result<(), CoreError> {
         self.drafts += 1;
+        let Program { spec, source, .. } = &*self.program;
         let request = match suggestion {
-            Some(suggestion) => {
-                CodeRequest::repair(&self.spec, self.drafts, &self.source, suggestion)
-            }
-            None => CodeRequest::draft(&self.spec, self.drafts),
+            Some(suggestion) => CodeRequest::repair(spec, self.drafts, source, suggestion),
+            None => CodeRequest::draft(spec, self.drafts),
         };
         let source = ctx.complete(request.render())?;
         let _ = self.replace_program(&source);
@@ -140,7 +145,7 @@ impl LlmgcModule {
     /// this is the one place a repair triggers a recompile.
     fn replace_program(&mut self, source: &str) -> Result<(), CoreError> {
         self.compiled = load(source)?;
-        self.source = source.to_string();
+        Arc::make_mut(&mut self.program).source = source.to_string();
         Ok(())
     }
 }
@@ -179,7 +184,7 @@ impl Module for LlmgcModule {
         let mut vm = Vm::new(Arc::clone(&self.compiled)).with_fuel(fuel);
         let mut bridge = HostBridge { ctx };
         let result =
-            vm.call(&mut bridge, &self.entry, vec![script_input]).map_err(|e| match e {
+            vm.call(&mut bridge, &self.program.entry, vec![script_input]).map_err(|e| match e {
                 ScriptError::OutOfFuel if deadline_capped => {
                     CoreError::Trap { module: self.name.clone(), trap: TrapKind::DeadlineFuel }
                 }
@@ -203,20 +208,18 @@ impl Module for LlmgcModule {
     }
 
     fn describe(&self) -> String {
-        format!("llmgc module `{}`:\n{}", self.name, self.source)
+        format!("llmgc module `{}`:\n{}", self.name, self.program.source)
     }
 
     fn fresh_instance(&self) -> Option<Box<dyn Module>> {
         // The generated program is immutable between repair cycles and each
         // invocation builds its own VM over the shared bytecode, so
-        // replication bumps an `Arc` without re-running (or re-billing) code
-        // generation — and without recompiling.
+        // replication bumps two `Arc`s without re-running (or re-billing)
+        // code generation — and without recompiling or copying the source.
         Some(Box::new(LlmgcModule {
             name: self.name.clone(),
-            spec: self.spec.clone(),
-            source: self.source.clone(),
+            program: Arc::clone(&self.program),
             compiled: Arc::clone(&self.compiled),
-            entry: self.entry.clone(),
             fuel: self.fuel,
             drafts: self.drafts,
         }))
@@ -410,6 +413,19 @@ mod tests {
         // Broken replacement is rejected and the old program kept.
         assert!(module.replace_program("fn process(x) {").is_err());
         assert_eq!(module.invoke(Data::Null, &mut ctx).unwrap(), Data::Int(2));
+    }
+
+    #[test]
+    fn a_repair_gives_the_repaired_module_a_program_of_its_own() {
+        let mut ctx = ctx();
+        let mut module =
+            LlmgcModule::from_source("shared", spec("id"), "fn process(x) { return 1; }").unwrap();
+        let mut replica = module.fresh_instance().unwrap();
+        module.replace_program("fn process(x) { return 2; }").unwrap();
+        assert_eq!(module.invoke(Data::Null, &mut ctx).unwrap(), Data::Int(2));
+        assert_eq!(replica.invoke(Data::Null, &mut ctx).unwrap(), Data::Int(1));
+        assert!(replica.describe().contains("return 1"));
+        assert_eq!(module.source(), "fn process(x) { return 2; }");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::context::{ExecContext, ModuleRegistry};
 use crate::data::Data;
 use crate::error::CoreError;
-use crate::executor::try_parallel_map;
+use crate::executor::try_lane_map;
 use crate::modules::{Module, ModuleKind};
 use crate::stats::ExecStats;
 use lingua_ml::sync::Mutex;
@@ -30,7 +30,7 @@ use std::sync::{Arc, OnceLock};
 /// into calls of this many, placed over the map's lanes.
 const LIST_PROMPT_MEMBERS: usize = 8;
 
-/// Builds a fresh per-lane instance of the inner module. Shared (immutably)
+/// Builds a lane's instance of the inner module. Shared (immutably)
 /// by every instance of the map, so a compiled pipeline can be replicated
 /// per serving worker without re-running code generation.
 type InnerFactory = dyn Fn() -> Box<dyn Module> + Send + Sync;
@@ -40,11 +40,14 @@ type InnerFactory = dyn Fn() -> Box<dyn Module> + Send + Sync;
 /// single inline invocation, so the module is a drop-in wrapper around its
 /// inner stage.
 ///
-/// Each lane runs a **fresh instance** of the inner module against a private
-/// context (shared LLM service and tools, private registry and stats) that
-/// holds a clone of the job's [`CancelToken`](lingua_llm_sim::CancelToken),
-/// so every completion a lane places carries the job's deadline exactly as
-/// one placed on the worker thread would.
+/// Each lane builds **one instance** of the inner module, and one private
+/// context (shared LLM service and tools, private registry and stats), before
+/// its first element, and runs every element of its share through them — the
+/// per-worker contract of [`Module::fresh_instance`], with a lane for a
+/// worker. The context holds a clone of the job's
+/// [`CancelToken`](lingua_llm_sim::CancelToken), so every completion a lane
+/// places carries the job's deadline exactly as one placed on the worker
+/// thread would.
 ///
 /// Whether the inner module has a list form is decided once, by the first
 /// list the map or any of its replicas is handed; the instance that answers
@@ -71,6 +74,10 @@ impl PipelinedMapModule {
         }
     }
 }
+
+/// What a lane runs its elements through: its instance of the inner module
+/// and its private context.
+type Lane = (Box<dyn Module>, ExecContext);
 
 /// A lane's private context: shared services, private per-run state. The
 /// tracer field is assigned directly (not via `with_tracer`, which would
@@ -119,7 +126,8 @@ impl Module for PipelinedMapModule {
         let template = lane_context(ctx);
         let inner = Arc::clone(&self.inner);
         let spare = Mutex::new(spare);
-        let instance = move || spare.lock().take().unwrap_or_else(|| inner());
+        let lane =
+            move || (spare.lock().take().unwrap_or_else(|| inner()), lane_context(&template));
         // The lanes block on the service rather than burn CPU, so `depth` of
         // them from this one worker is what lets a continuous batcher fill
         // size-triggered batches instead of trickling one request a window.
@@ -133,19 +141,26 @@ impl Module for PipelinedMapModule {
                     vec![("members".to_string(), chunk.len().to_string())]
                 });
             }
-            let judged = try_parallel_map(chunks, self.depth, &ctx.cancel, move |chunk| {
-                let mut lane_ctx = lane_context(&template);
-                let mut module = instance();
-                module.invoke_list(&chunk, &mut lane_ctx).unwrap_or_else(|| {
-                    chunk.into_iter().map(|item| module.invoke(item, &mut lane_ctx)).collect()
-                })
-            })?;
+            let judged = try_lane_map(
+                chunks,
+                self.depth,
+                &ctx.cancel,
+                lane,
+                |(module, lane_ctx): &mut Lane, chunk| {
+                    module.invoke_list(&chunk, lane_ctx).unwrap_or_else(|| {
+                        chunk.into_iter().map(|item| module.invoke(item, lane_ctx)).collect()
+                    })
+                },
+            )?;
             judged.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().flatten().collect()
         } else {
-            let results = try_parallel_map(items, self.depth, &ctx.cancel, move |item| {
-                let mut lane_ctx = lane_context(&template);
-                instance().invoke(item, &mut lane_ctx)
-            })?;
+            let results = try_lane_map(
+                items,
+                self.depth,
+                &ctx.cancel,
+                lane,
+                |(module, lane_ctx): &mut Lane, item| module.invoke(item, lane_ctx),
+            )?;
             results.into_iter().collect::<Result<Vec<Data>, CoreError>>()?
         };
         ctx.stats.record_invocations(&self.name, count as u64);
@@ -332,7 +347,7 @@ mod tests {
         let mut sizes = lists.lock().clone();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![0, 4, 8, 8]);
-        assert_eq!(built.load(Ordering::Relaxed), 3, "one instance per prompt");
+        assert_eq!(built.load(Ordering::Relaxed), 3, "one instance per lane, a prompt each");
         assert_eq!(ctx.stats.invocations_of("map_listed"), 20);
         let instants: Vec<Vec<(String, String)>> = sink
             .events()
@@ -346,9 +361,45 @@ mod tests {
         let mut other = module.fresh_instance().expect("replicable");
         let input = Data::List((0..8).map(Data::Int).collect());
         assert_eq!(other.invoke(input, &mut ctx).unwrap().as_list().unwrap().len(), 8);
-        assert_eq!(built.load(Ordering::Relaxed), 4, "one prompt, one instance");
+        assert_eq!(built.load(Ordering::Relaxed), 4, "one prompt, one lane, one instance");
         assert_eq!(lists.lock().len(), 5);
         assert_eq!(ctx.stats.invocations_of("map_listed"), 28);
+    }
+
+    #[test]
+    fn each_lane_builds_one_instance_on_either_path() {
+        // 32 elements are 32 items per element, or four prompts of eight:
+        // `depth` lanes either way, and one factory call per lane — the
+        // first job's probe included, as it does a lane's share.
+        for depth in [1, 4] {
+            for listed in [false, true] {
+                let built = Arc::new(AtomicUsize::new(0));
+                let module = PipelinedMapModule::new("counted", depth, {
+                    let built = Arc::clone(&built);
+                    move || {
+                        built.fetch_add(1, Ordering::Relaxed);
+                        if listed {
+                            Box::new(Listed { lists: Arc::default() }) as Box<dyn Module>
+                        } else {
+                            Box::new(CustomModule::stateless("counted", |input, _| Ok(input)))
+                        }
+                    }
+                });
+                let mut ctx = ctx();
+                for job in 0..3 {
+                    let mut replica = module.fresh_instance().expect("replicable");
+                    let before = built.load(Ordering::Relaxed);
+                    let input = Data::List((0..32).map(Data::Int).collect());
+                    let out = replica.invoke(input, &mut ctx).unwrap();
+                    assert_eq!(out.as_list().map(<[Data]>::len), Some(32));
+                    assert_eq!(
+                        built.load(Ordering::Relaxed) - before,
+                        depth,
+                        "depth {depth}, list form {listed}, job {job}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -365,7 +416,7 @@ mod tests {
         let mut ctx = ctx();
         let out = replica.invoke(Data::List(vec![Data::Int(1), Data::Int(2)]), &mut ctx).unwrap();
         assert_eq!(out.as_list().unwrap().len(), 2);
-        assert_eq!(counter.load(Ordering::Relaxed), 2, "one fresh inner per element");
+        assert_eq!(counter.load(Ordering::Relaxed), 2, "one fresh inner per lane");
         assert_eq!(replica.describe(), "pipelined map `counted` (depth 2)");
         // The path was decided by the first list: no probe for the next one.
         let out = replica.invoke(Data::List(vec![Data::Int(3)]), &mut ctx).unwrap();

@@ -9,10 +9,11 @@ use std::sync::Arc;
 /// A tool: a named host function over script values.
 pub(crate) type ToolFn = dyn Fn(&[ScriptValue]) -> Result<ScriptValue, String> + Send + Sync;
 
-/// A registry of tools, cheap to clone and share.
+/// A registry of tools, cheap to clone and share: a clone bumps one `Arc`,
+/// and [`ToolRegistry::register`] on a shared registry copies the map first.
 #[derive(Clone, Default)]
 pub struct ToolRegistry {
-    tools: BTreeMap<String, Arc<ToolFn>>,
+    tools: Arc<BTreeMap<String, Arc<ToolFn>>>,
 }
 
 impl ToolRegistry {
@@ -25,7 +26,7 @@ impl ToolRegistry {
     where
         F: Fn(&[ScriptValue]) -> Result<ScriptValue, String> + Send + Sync + 'static,
     {
-        self.tools.insert(name.into(), Arc::new(tool));
+        Arc::make_mut(&mut self.tools).insert(name.into(), Arc::new(tool));
     }
 
     pub fn contains(&self, name: &str) -> bool {
@@ -132,7 +133,12 @@ mod tests {
     fn registry_clone_shares_tools() {
         let mut registry = ToolRegistry::new();
         registry.register_list("x", vec!["a".into()]);
-        let cloned = registry.clone();
+        let mut cloned = registry.clone();
         assert!(cloned.contains("x"));
+        // A tool registered on one copy is not seen by the other.
+        cloned.register_list("y", vec!["b".into()]);
+        assert!(cloned.contains("y"));
+        assert!(!registry.contains("y"));
+        assert_eq!(registry.names().collect::<Vec<_>>(), ["x"]);
     }
 }

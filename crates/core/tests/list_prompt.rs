@@ -307,8 +307,8 @@ fn a_verbose_line_is_validated_like_a_verbose_answer() {
 #[test]
 fn an_unparseable_line_takes_invokes_steps_to_the_same_raw_text() {
     // Pair 1 is unreadable in the list, alone, and after the strict retry:
-    // both paths place the retry and end in the raw text of the pair's own
-    // prompt, as `invoke` does. Pair 4 recovers on the retry.
+    // both paths place the retry and end in the retry's raw text, as
+    // `invoke` does. Pair 4 recovers on the retry.
     let answer = || {
         script(
             |i, m| {
@@ -329,7 +329,7 @@ fn an_unparseable_line_takes_invokes_steps_to_the_same_raw_text() {
     let pairs = scripted_pairs(6);
     let (got, want, asked) = run_both(Scripted::new(answer()), Scripted::new(answer()), &pairs);
     let want = want.unwrap();
-    assert_eq!(want[1], Data::Str("hard to say".into()));
+    assert_eq!(want[1], Data::Str("perhaps".into()));
     assert_eq!(want[4], Data::Bool(false));
     assert_eq!(got.unwrap(), Data::List(want));
     // The numbered prompt, then each unusable pair's prompt and retry.

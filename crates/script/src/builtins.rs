@@ -43,6 +43,46 @@ fn arity(name: &str, args: &[Value], n: usize, span: Span) -> Result<(), ScriptE
     }
 }
 
+/// The longest ASCII string [`recase`] cases on the stack.
+const INLINE_CASE: usize = 256;
+
+/// `lower` or `upper` of the one argument, as `full_case` gives it: the
+/// argument itself when no character changes. An ASCII string is cased
+/// byte by byte (`ascii_changes` picks the bytes that change), on the stack
+/// up to [`INLINE_CASE`] bytes, so the result's is the one allocation.
+fn recase(
+    name: &str,
+    args: &[Value],
+    span: Span,
+    ascii_changes: fn(&u8) -> bool,
+    ascii_case: fn(&mut str),
+    full_case: fn(&str) -> String,
+) -> Result<Value, ScriptError> {
+    arity(name, args, 1, span)?;
+    let s = want_str(name, args, 0, span)?;
+    if !s.is_ascii() {
+        let cased = full_case(s);
+        return Ok(if cased == s { args[0].clone() } else { Value::from(cased) });
+    }
+    if !s.bytes().any(|b| ascii_changes(&b)) {
+        return Ok(args[0].clone());
+    }
+    let mut inline = [0u8; INLINE_CASE];
+    Ok(match inline.get_mut(..s.len()) {
+        Some(bytes) => {
+            bytes.copy_from_slice(s.as_bytes());
+            let cased = std::str::from_utf8_mut(bytes).expect("a copy of a str is UTF-8");
+            ascii_case(cased);
+            Value::from(&*cased)
+        }
+        None => {
+            let mut cased = s.to_owned();
+            ascii_case(&mut cased);
+            Value::from(cased)
+        }
+    })
+}
+
 /// Dispatch a builtin by name. Returns a runtime error for unknown names.
 pub(crate) fn call(name: &str, args: &[Value], span: Span) -> Result<Value, ScriptError> {
     match name {
@@ -69,14 +109,22 @@ pub(crate) fn call(name: &str, args: &[Value], span: Span) -> Result<Value, Scri
         }
 
         // -- strings ----------------------------------------------------------
-        "lower" => {
-            arity(name, args, 1, span)?;
-            Ok(Value::from(want_str(name, args, 0, span)?.to_lowercase()))
-        }
-        "upper" => {
-            arity(name, args, 1, span)?;
-            Ok(Value::from(want_str(name, args, 0, span)?.to_uppercase()))
-        }
+        "lower" => recase(
+            name,
+            args,
+            span,
+            u8::is_ascii_uppercase,
+            str::make_ascii_lowercase,
+            str::to_lowercase,
+        ),
+        "upper" => recase(
+            name,
+            args,
+            span,
+            u8::is_ascii_lowercase,
+            str::make_ascii_uppercase,
+            str::to_uppercase,
+        ),
         "trim" => {
             arity(name, args, 1, span)?;
             Ok(Value::from(want_str(name, args, 0, span)?.trim()))

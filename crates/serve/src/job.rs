@@ -33,7 +33,10 @@ pub enum JobStatus {
 /// What a successful run produced.
 #[derive(Debug)]
 pub struct JobOutput {
-    /// Final variable environment (every op output).
+    /// Final variable environment: every op output, and none of the job's
+    /// inputs ([`lingua_core::Executor::run`] moves each into the op that
+    /// reads it last). The result cache and the journal's `finished` record
+    /// hold this env, so neither grows with a job's input.
     pub env: BTreeMap<String, Data>,
     /// LLM usage this run consumed (per-job metered; zero for cache hits).
     pub llm: Usage,
