@@ -1,20 +1,15 @@
 //! **Ablation A2** — The cost claim (§3.2 Simulator + response caching):
 //! LLM calls, tokens, simulated latency, and dollars for a tagging stream
-//! under four configurations: plain LLM module, +cache, +simulator, +both —
-//! plus an optimizer-on arm where the cost-based planner, calibrated on a
-//! 100-item prefix, chooses the physical form itself.
+//! under four configurations: plain LLM module, +cache, +simulator, +both.
 
 use lingua_bench::{arg_usize, write_json, TextTable};
 use lingua_core::modules::{LlmModule, Module, PromptBuilder};
 use lingua_core::optimizer::{Simulated, SimulatorConfig, StudentKind};
 use lingua_core::validation::OutputValidator;
-use lingua_core::{Compiler, CurationStage, Data, DatasetStats, ExecContext, LogicalOp, Pipeline};
+use lingua_core::{Data, ExecContext};
 use lingua_dataset::generators::names::{generate, NamesConfig};
 use lingua_dataset::world::WorldSpec;
-use lingua_dataset::{Record, Schema, Table, Value};
 use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig};
-use lingua_plan::{MemoModule, Objective, PhysicalAlt, Planner};
-use lingua_trace::Tracer;
 use std::sync::Arc;
 
 fn tagger() -> LlmModule {
@@ -109,101 +104,11 @@ fn main() {
         }));
     }
 
-    // -----------------------------------------------------------------
-    // Optimizer-on arm: calibrate the direct LLM on a 100-item prefix,
-    // hand the stream's duplicate statistics to the cost-based planner,
-    // and run whichever physical form it picks (the memoized LLM should
-    // win: ~42% of the stream is exact repeats).
-    // -----------------------------------------------------------------
-    let cal_n = 100.min(stream.len());
-    let cal_llm = Arc::new(SimLlm::new(&world, SimLlmConfig { seed: 7000, ..Default::default() }));
-    let mut cal_ctx = ExecContext::new(cal_llm.clone());
-    let mut cal_module = tagger();
-    for (phrase, language) in &stream[..cal_n] {
-        let input = Data::map([
-            ("phrase".to_string(), Data::Str(phrase.clone())),
-            ("language".to_string(), Data::Str(language.clone())),
-        ]);
-        let _ = cal_module.invoke(input, &mut cal_ctx).expect("calibration runs");
-    }
-    let mut planner = Planner::new(Compiler::with_builtins());
-    planner.estimator_mut().record_usage(
-        CurationStage::Extract,
-        PhysicalAlt::DirectLlm,
-        &cal_llm.usage(),
-        cal_n as u64,
-        cal_llm.simulated_latency_ms(),
-    );
-    let cal_cost = cal_llm.usage().cost_usd(cal_llm.pricing());
-    let stats = DatasetStats::from_table(
-        &Table::with_rows(
-            "phrases",
-            Schema::of_names(["phrase", "language"]),
-            stream
-                .iter()
-                .map(|(p, l)| Record::new(vec![Value::Str(p.clone()), Value::Str(l.clone())]))
-                .collect(),
-        )
-        .unwrap(),
-    );
-    let pipeline = Pipeline::new("tagging").op(LogicalOp::new("tag_names")
-        .input("phrases")
-        .output("tags")
-        .param("desc", "Tag whether the phrase is a person name"));
-    let plan = planner
-        .plan(&pipeline, &stats, &Objective::cheapest_dollars(), &Tracer::disabled())
-        .expect("planning succeeds");
-    let chosen = plan.alt_of("tag_names").expect("tagging op planned");
-
-    let llm = Arc::new(SimLlm::new(&world, SimLlmConfig { seed: 7000, ..Default::default() }));
-    let mut ctx = ExecContext::new(llm.clone());
-    let run_stream = |module: &mut dyn Module, ctx: &mut ExecContext| {
-        for (phrase, language) in &stream {
-            let input = Data::map([
-                ("phrase".to_string(), Data::Str(phrase.clone())),
-                ("language".to_string(), Data::Str(language.clone())),
-            ]);
-            let _ = module.invoke(input, ctx).expect("planned tagging runs");
-        }
-    };
-    let memo_hits = match chosen {
-        PhysicalAlt::CachedLlm => {
-            let mut module = MemoModule::new(Box::new(tagger()), 4096);
-            run_stream(&mut module, &mut ctx);
-            module.hits()
-        }
-        _ => {
-            let mut module = tagger();
-            run_stream(&mut module, &mut ctx);
-            0
-        }
-    };
-    let usage = llm.usage();
-    let run_cost = usage.cost_usd(llm.pricing());
-    let label = format!("optimizer on ({})", chosen.name());
-    table.row([
-        label.clone(),
-        (cal_n as u64 + usage.calls).to_string(),
-        memo_hits.to_string(),
-        usage.tokens_in.to_string(),
-        format!("{:.1}", llm.simulated_latency_ms() as f64 / 1000.0),
-        format!("{:.4}", cal_cost + run_cost),
-    ]);
-    json_rows.push(serde_json::json!({
-        "config": label, "optimizer": true, "calls": cal_n as u64 + usage.calls,
-        "cached_calls": memo_hits,
-        "tokens_in": usage.tokens_in, "cost_usd": cal_cost + run_cost,
-        "calibration_calls": cal_n, "est_usd": plan.est_usd,
-        "duplicate_rate": stats.duplicate_rate(),
-    }));
-
     table.print();
     println!(
         "\nShape: the simulator bounds LLM spend to the warm-up prefix regardless of \
          stream length; the cache only helps on exact repeats. Combined they make the \
-         marginal cost of a new record ~zero — the §3.2 economics. The optimizer arm \
-         recovers the cache's savings without being told: the duplicate rate in the \
-         dataset statistics prices the memoized form below the direct LLM."
+         marginal cost of a new record ~zero — the §3.2 economics."
     );
     write_json(
         "ablation_llm_cost",

@@ -11,12 +11,12 @@
 //! ```
 //!
 //! The multi-seed experiments (`table1_*`, `table2_*`, `fig3_*`,
-//! `ablation_label_efficiency`, `plan_quality`) accept `--seeds N`; each
+//! `ablation_label_efficiency`) accept `--seeds N`; each
 //! binary's header names the flags it reads. All but `trace_export` write a
 //! JSON record to `results/<bin>.json`. Performance and resilience of the
 //! serving stack are measured by `lingua-e2e` (`crates/e2e/run.sh`), not
-//! here; `script_vm` and `plan_quality` stay because they have no serving
-//! path for it to drive, and end in a `--check-baseline` gate.
+//! here; `script_vm` stays because it has no serving path for it to drive,
+//! and ends in a `--check-baseline` gate.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -252,11 +252,9 @@ mod tests {
 
     #[test]
     fn the_committed_files_hold_the_values_ci_gates_on() {
-        for (file, key) in [("script_vm.json", "gate_speedup"), ("plan_quality.json", "gate_ratio")]
-        {
-            let baseline = load_baseline(&committed(file), key).expect("committed baseline");
-            assert!(baseline > 1.0, "{file} {key} = {baseline}");
-        }
+        let baseline = load_baseline(&committed("script_vm.json"), "gate_speedup")
+            .expect("committed baseline");
+        assert!(baseline > 1.0, "script_vm.json gate_speedup = {baseline}");
     }
 
     #[test]

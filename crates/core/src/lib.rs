@@ -74,8 +74,7 @@ pub use data::Data;
 pub use error::{CoreError, TrapKind};
 pub use executor::Executor;
 pub use modules::{Module, ModuleKind};
-pub use pipeline::{CurationStage, LogicalOp, Pipeline};
-pub use stats::{ColumnStats, DatasetStats};
+pub use pipeline::{LogicalOp, Pipeline};
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -85,7 +84,6 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::executor::Executor;
     pub use crate::modules::{Module, ModuleKind};
-    pub use crate::pipeline::{CurationStage, LogicalOp, Pipeline};
-    pub use crate::stats::DatasetStats;
+    pub use crate::pipeline::{LogicalOp, Pipeline};
     pub use crate::validation::OutputValidator;
 }

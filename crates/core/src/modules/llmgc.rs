@@ -9,22 +9,11 @@ use crate::data::Data;
 use crate::error::{CoreError, TrapKind};
 use crate::modules::{Module, ModuleKind};
 use lingua_llm_sim::{CodeGenSpec, CodeRequest};
-use lingua_script::{parse, CompileCache, CompiledScript, ScriptError, Vm};
-use std::sync::{Arc, OnceLock};
+use lingua_script::{compile, parse, CompiledScript, ScriptError, Vm};
+use std::sync::Arc;
 
 /// Default interpreter fuel for one module invocation.
 pub(super) const DEFAULT_FUEL: u64 = 2_000_000;
-
-/// The process-wide compiled-program cache, keyed by source fingerprint.
-/// Validator cycles execute one candidate thousands of times; every
-/// execution shares the `Arc<CompiledScript>` compiled here exactly once,
-/// and a repaired program (new source, new fingerprint) recompiles exactly
-/// once. [`CompileCache::stats`] exposes per-key compile/hit counts so
-/// tests can pin that invariant.
-pub(super) fn compile_cache() -> &'static CompileCache {
-    static CACHE: OnceLock<CompileCache> = OnceLock::new();
-    CACHE.get_or_init(CompileCache::new)
-}
 
 /// Deadline→fuel conversion: how many interpreter ticks one millisecond of
 /// remaining job deadline buys. Ticks are tens of nanoseconds of pure
@@ -34,12 +23,13 @@ pub(super) fn compile_cache() -> &'static CompileCache {
 pub(super) const FUEL_PER_MS: u64 = 20_000;
 
 /// A module whose body is LLM-generated code.
+#[derive(Clone)]
 pub struct LlmgcModule {
     name: String,
     /// Shared by every replica; a repair swaps in a copy of its own.
     program: Arc<Program>,
-    /// Bytecode compiled once per generation (shared through the global
-    /// [`compile_cache`]); every invocation runs this, not the AST.
+    /// Bytecode compiled once per draft and shared by every replica; every
+    /// invocation runs this, not the AST.
     compiled: Arc<CompiledScript>,
     fuel: u64,
     /// Drafts asked of the LLM for this module so far: its first draft is
@@ -141,8 +131,8 @@ impl LlmgcModule {
         Ok(())
     }
 
-    /// Replace the program. The new source carries a new fingerprint, so
-    /// this is the one place a repair triggers a recompile.
+    /// Replace the program: the one place a repair compiles again. Replicas
+    /// made before keep the old program.
     fn replace_program(&mut self, source: &str) -> Result<(), CoreError> {
         self.compiled = load(source)?;
         Arc::make_mut(&mut self.program).source = source.to_string();
@@ -150,11 +140,10 @@ impl LlmgcModule {
     }
 }
 
-/// Parse `source` and fetch (or build) its bytecode from [`compile_cache`] —
-/// the one path every constructor and the repair cycle load a program by.
+/// Parse `source` and compile it to bytecode — the one path every
+/// constructor and the repair cycle load a program by.
 fn load(source: &str) -> Result<Arc<CompiledScript>, CoreError> {
-    let program = parse(source)?;
-    Ok(compile_cache().get_or_compile(source, &program))
+    Ok(Arc::new(compile(&parse(source)?)))
 }
 
 impl Module for LlmgcModule {
@@ -216,13 +205,7 @@ impl Module for LlmgcModule {
         // invocation builds its own VM over the shared bytecode, so
         // replication bumps two `Arc`s without re-running (or re-billing)
         // code generation — and without recompiling or copying the source.
-        Some(Box::new(LlmgcModule {
-            name: self.name.clone(),
-            program: Arc::clone(&self.program),
-            compiled: Arc::clone(&self.compiled),
-            fuel: self.fuel,
-            drafts: self.drafts,
-        }))
+        Some(Box::new(self.clone()))
     }
 }
 
@@ -435,33 +418,30 @@ mod tests {
 
     #[test]
     fn n_executions_compile_exactly_once_and_repair_recompiles_once() {
-        // Sources unique to this test so the global cache's per-key stats
-        // are deterministic even with other tests running concurrently.
-        let v1 = "fn process(x) { let cache_probe_v1 = 0; return x + 1; }";
-        let v2 = "fn process(x) { let cache_probe_v2 = 0; return x + 2; }";
+        let v1 = "fn process(x) { return x + 1; }";
+        let v2 = "fn process(x) { return x + 2; }";
         let mut ctx = ctx();
-        let mut module = LlmgcModule::from_source("cached", spec("inc"), v1).unwrap();
+        let mut module = LlmgcModule::from_source("compiled", spec("inc"), v1).unwrap();
+        let first = Arc::clone(&module.compiled);
         for i in 0..50 {
             assert_eq!(module.invoke(Data::Int(i), &mut ctx).unwrap(), Data::Int(i + 1));
         }
-        // 50 executions, one compile; invocations never touch the compiler.
-        assert_eq!(compile_cache().stats(v1), (1, 0));
+        // 50 executions run the one program compiled at construction.
+        assert!(Arc::ptr_eq(&module.compiled, &first));
 
-        // Replicas share the compiled program without consulting the cache.
-        let mut replica = module.fresh_instance().unwrap();
+        // A replica runs the same program; replicating never compiles.
+        let mut replica = module.clone();
+        assert!(Arc::ptr_eq(&replica.compiled, &first));
         assert_eq!(replica.invoke(Data::Int(1), &mut ctx).unwrap(), Data::Int(2));
-        assert_eq!(compile_cache().stats(v1), (1, 0));
 
-        // A second module over identical source is a cache hit, not a compile.
-        let _twin = LlmgcModule::from_source("twin", spec("inc"), v1).unwrap();
-        assert_eq!(compile_cache().stats(v1), (1, 1));
-
-        // Repair swaps the source: exactly one compile for the new key.
+        // Repair installs one new program; the replica keeps the old one.
         module.replace_program(v2).unwrap();
+        let repaired = Arc::clone(&module.compiled);
+        assert!(!Arc::ptr_eq(&repaired, &first));
         for i in 0..50 {
             assert_eq!(module.invoke(Data::Int(i), &mut ctx).unwrap(), Data::Int(i + 2));
         }
-        assert_eq!(compile_cache().stats(v2), (1, 0));
-        assert_eq!(compile_cache().stats(v1), (1, 1));
+        assert!(Arc::ptr_eq(&module.compiled, &repaired));
+        assert!(Arc::ptr_eq(&replica.compiled, &first));
     }
 }

@@ -12,4 +12,4 @@ mod validator;
 
 pub use connector::{ExposureMeter, TabularConnector, TextConnector};
 pub use simulator::{Simulated, SimulatorConfig, SimulatorStats, StudentKind};
-pub use validator::{SampleMeasurement, TestCase, ValidationOutcome, ValidationReport, Validator};
+pub use validator::{TestCase, ValidationOutcome, ValidationReport, Validator};

@@ -30,37 +30,6 @@ impl TestCase {
     }
 }
 
-/// What one sample run of a candidate module measured — the calibration
-/// signal the cost-based planner (`lingua-plan`) turns into accuracy priors
-/// and per-record cost estimates. Produced by [`Validator::measure`].
-#[derive(Debug, Clone, Default)]
-pub struct SampleMeasurement {
-    /// Cases executed.
-    pub total: usize,
-    /// Cases whose output loosely matched the expectation.
-    pub passed: usize,
-    /// Cases that raised an error (counted as failures).
-    pub errors: usize,
-    /// Exact LLM usage delta booked across the sample.
-    pub usage: lingua_llm_sim::Usage,
-    /// Simulated LLM latency accumulated across the sample (ms).
-    pub sim_latency_ms: u64,
-    /// Wall-clock time spent in module invocations (ms) — the local-compute
-    /// component for physical forms that never touch the LLM.
-    pub wall_ms: u64,
-}
-
-impl SampleMeasurement {
-    /// Fraction of cases passed, in `[0, 1]`; zero-case samples score 0.
-    pub fn accuracy(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.passed as f64 / self.total as f64
-        }
-    }
-}
-
 /// What the validation loop concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValidationOutcome {
@@ -142,30 +111,6 @@ impl Validator {
             }
         }
         failures
-    }
-
-    /// Calibration hook for the planner: run *any* module over the sample
-    /// cases and measure accuracy, exact LLM usage, simulated latency, and
-    /// local wall time. Unlike [`Validator::evaluate`] this never repairs —
-    /// it only observes, so the same sample can rank physical alternatives
-    /// (direct LLM vs generated code vs custom code vs a trained model)
-    /// on identical inputs.
-    pub fn measure(&self, module: &mut dyn Module, ctx: &mut ExecContext) -> SampleMeasurement {
-        let usage_before = ctx.llm.usage();
-        let latency_before = ctx.llm.simulated_latency_ms();
-        let started = std::time::Instant::now();
-        let mut out = SampleMeasurement { total: self.cases.len(), ..Default::default() };
-        for case in &self.cases {
-            match module.invoke(case.input.clone(), ctx) {
-                Ok(actual) if actual.loose_eq(&case.expected) => out.passed += 1,
-                Ok(_) => {}
-                Err(_) => out.errors += 1,
-            }
-        }
-        out.wall_ms = started.elapsed().as_millis() as u64;
-        out.usage = ctx.llm.usage().since(&usage_before);
-        out.sim_latency_ms = ctx.llm.simulated_latency_ms().saturating_sub(latency_before);
-        out
     }
 
     /// The §3.2 validation cycle: evaluate → suggest → repair → repeat, with

@@ -4,70 +4,6 @@
 use crate::modules::ModuleKind;
 use std::collections::BTreeMap;
 
-/// The curation stage a logical operator belongs to — the planner's unit of
-/// logical algebra. Classification is by operator name and description
-/// keywords, mirroring how the paper names its scenarios (§4): entity
-/// resolution (Match), data imputation (Impute), extraction/tagging
-/// (Extract), filtering/selection (Filter), and dataset joins (Join).
-/// Source/sink plumbing (`load_csv`, `save_csv`, `limit`, ...) is
-/// `Transform`: it has exactly one sensible physical form and the planner
-/// passes it through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CurationStage {
-    Extract,
-    Match,
-    Impute,
-    Filter,
-    Join,
-    Transform,
-}
-
-impl CurationStage {
-    pub const ALL: [CurationStage; 6] = [
-        CurationStage::Extract,
-        CurationStage::Match,
-        CurationStage::Impute,
-        CurationStage::Filter,
-        CurationStage::Join,
-        CurationStage::Transform,
-    ];
-
-    /// Stable lowercase label (trace attrs, bench JSON).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CurationStage::Extract => "extract",
-            CurationStage::Match => "match",
-            CurationStage::Impute => "impute",
-            CurationStage::Filter => "filter",
-            CurationStage::Join => "join",
-            CurationStage::Transform => "transform",
-        }
-    }
-
-    /// Classify a logical op by its type name and description keywords.
-    pub(crate) fn classify(op: &LogicalOp) -> CurationStage {
-        let mut text = op.op_type.to_ascii_lowercase();
-        if let Some(desc) = op.description() {
-            text.push(' ');
-            text.push_str(&desc.to_ascii_lowercase());
-        }
-        let has = |needles: &[&str]| needles.iter().any(|n| text.contains(n));
-        if has(&["join", "merge datasets", "link tables"]) {
-            CurationStage::Join
-        } else if has(&["resolution", "same entity", "match", "dedup", "duplicate"]) {
-            CurationStage::Match
-        } else if has(&["imput", "fill in", "missing value"]) {
-            CurationStage::Impute
-        } else if has(&["extract", "tag", "tokenize", "detect", "classify", "parse names"]) {
-            CurationStage::Extract
-        } else if has(&["filter", "select rows", "anomal", "clean", "discard"]) {
-            CurationStage::Filter
-        } else {
-            CurationStage::Transform
-        }
-    }
-}
-
 /// One logical operator in a pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogicalOp {
@@ -118,12 +54,6 @@ impl LogicalOp {
     /// The natural-language description, if provided.
     pub fn description(&self) -> Option<&str> {
         self.params.get("desc").map(|s| s.as_str())
-    }
-
-    /// The curation stage this op belongs to, by its type name and description
-    /// keywords.
-    pub fn stage(&self) -> CurationStage {
-        CurationStage::classify(self)
     }
 }
 
@@ -216,22 +146,6 @@ mod tests {
         let p = Pipeline::new("bad").op(LogicalOp::new("x").input("nowhere"));
         assert!(p.check_dataflow(&[]).is_err());
         assert!(p.check_dataflow(&["nowhere"]).is_ok());
-    }
-
-    #[test]
-    fn stage_classification_by_name_and_desc() {
-        let er = LogicalOp::new("entity_resolution").param("desc", "same entity?");
-        assert_eq!(er.stage(), CurationStage::Match);
-        let imp = LogicalOp::new("fix_table").param("desc", "impute the missing city");
-        assert_eq!(imp.stage(), CurationStage::Impute);
-        let ext = LogicalOp::new("pull_names").param("desc", "extract person names");
-        assert_eq!(ext.stage(), CurationStage::Extract);
-        let filt = LogicalOp::new("drop_bad").param("desc", "filter malformed rows");
-        assert_eq!(filt.stage(), CurationStage::Filter);
-        let join = LogicalOp::new("join_tables");
-        assert_eq!(join.stage(), CurationStage::Join);
-        assert_eq!(LogicalOp::new("load_csv").stage(), CurationStage::Transform);
-        assert_eq!(LogicalOp::new("save_csv").stage(), CurationStage::Transform);
     }
 
     #[test]

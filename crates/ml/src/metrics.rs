@@ -10,21 +10,6 @@ pub struct Confusion {
 }
 
 impl Confusion {
-    /// Tally from parallel prediction/label slices.
-    pub fn from_pairs(predictions: &[bool], labels: &[bool]) -> Confusion {
-        assert_eq!(predictions.len(), labels.len(), "slices must align");
-        let mut c = Confusion::default();
-        for (&p, &y) in predictions.iter().zip(labels) {
-            match (p, y) {
-                (true, true) => c.tp += 1,
-                (true, false) => c.fp += 1,
-                (false, true) => c.fn_ += 1,
-                (false, false) => c.tn += 1,
-            }
-        }
-        c
-    }
-
     pub fn add(&mut self, prediction: bool, label: bool) {
         match (prediction, label) {
             (true, true) => self.tp += 1,
@@ -73,11 +58,19 @@ impl Confusion {
 mod tests {
     use super::*;
 
+    fn tally(predictions: &[bool], labels: &[bool]) -> Confusion {
+        let mut c = Confusion::default();
+        for (&p, &y) in predictions.iter().zip(labels) {
+            c.add(p, y);
+        }
+        c
+    }
+
     #[test]
     fn confusion_counts_and_metrics() {
         let preds = [true, true, false, false, true];
         let labels = [true, false, true, false, true];
-        let c = Confusion::from_pairs(&preds, &labels);
+        let c = tally(&preds, &labels);
         assert_eq!(c, Confusion { tp: 2, fp: 1, tn: 1, fn_: 1 });
         assert!((c.accuracy() - 0.6).abs() < 1e-9);
         assert!((c.precision() - 2.0 / 3.0).abs() < 1e-9);
@@ -96,20 +89,17 @@ mod tests {
 
     #[test]
     fn perfect_predictions() {
-        let c = Confusion::from_pairs(&[true, false], &[true, false]);
+        let c = tally(&[true, false], &[true, false]);
         assert_eq!(c.f1(), 1.0);
         assert_eq!(c.accuracy(), 1.0);
     }
 
     #[test]
     fn incremental_add_matches_batch() {
-        let preds = [true, false, true];
-        let labels = [false, false, true];
-        let batch = Confusion::from_pairs(&preds, &labels);
         let mut inc = Confusion::default();
-        for (&p, &y) in preds.iter().zip(&labels) {
+        for (p, y) in [(true, false), (false, false), (true, true)] {
             inc.add(p, y);
         }
-        assert_eq!(batch, inc);
+        assert_eq!(inc, Confusion { tp: 1, fp: 1, tn: 1, fn_: 0 });
     }
 }

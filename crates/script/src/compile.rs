@@ -1,4 +1,4 @@
-//! AST → bytecode lowering, plus the process-wide compile cache.
+//! AST → bytecode lowering.
 //!
 //! ## Fuel parity (the load-bearing invariant)
 //!
@@ -38,9 +38,7 @@ use crate::ast::*;
 use crate::bytecode::{CompiledFn, CompiledScript, Instr, MutOp};
 use crate::error::Span;
 use crate::value::Value;
-use lingua_ml::fnv::fingerprint;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// Compile a parsed program. Compilation is total: every name resolves to an
 /// instruction (unknown ones to the runtime-failing builtin dispatch), so
@@ -579,68 +577,5 @@ impl<'p> FnCompiler<'p> {
                 self.emit(Instr::Fail(m), span);
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Compile cache
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct CacheEntry {
-    script: Arc<CompiledScript>,
-    compiles: u64,
-    hits: u64,
-}
-
-/// A shared source-fingerprint → [`CompiledScript`] cache.
-///
-/// The LLMGC layer keys compilations by generation fingerprint: a candidate
-/// program compiles once, the thousands of repeat executions per validator
-/// cycle share the `Arc`, and a repaired program (different source) misses
-/// and compiles exactly once more. Per-key hit/compile counters let tests
-/// pin that contract.
-#[derive(Debug, Default)]
-pub struct CompileCache {
-    inner: Mutex<HashMap<u64, CacheEntry>>,
-}
-
-impl CompileCache {
-    pub fn new() -> CompileCache {
-        CompileCache::default()
-    }
-
-    /// Fetch the compiled form of `source`, compiling `program` on a miss.
-    /// Compilation happens under the lock, so a key compiles at most once.
-    pub fn get_or_compile(&self, source: &str, program: &Program) -> Arc<CompiledScript> {
-        let key = fingerprint(source);
-        let mut inner = self.inner.lock().expect("compile cache poisoned");
-        match inner.get_mut(&key) {
-            Some(entry) => {
-                entry.hits += 1;
-                Arc::clone(&entry.script)
-            }
-            None => {
-                let script = Arc::new(compile(program));
-                inner.insert(key, CacheEntry { script: Arc::clone(&script), compiles: 1, hits: 0 });
-                script
-            }
-        }
-    }
-
-    /// `(compiles, hits)` recorded for this source (0, 0 if never seen).
-    pub fn stats(&self, source: &str) -> (u64, u64) {
-        let key = fingerprint(source);
-        let inner = self.inner.lock().expect("compile cache poisoned");
-        inner.get(&key).map(|e| (e.compiles, e.hits)).unwrap_or((0, 0))
-    }
-
-    /// Number of distinct programs ever compiled.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("compile cache poisoned").len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }

@@ -65,7 +65,7 @@ mod vm;
 
 pub use ast::{BinOp, Expr, FnDecl, Program, Stmt, UnOp};
 pub use bytecode::CompiledScript;
-pub use compile::{compile, CompileCache};
+pub use compile::compile;
 pub use error::{ScriptError, Span};
 pub use host::{Host, NoHost, DEFAULT_FUEL};
 pub use interp::Interpreter;

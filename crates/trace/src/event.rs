@@ -40,11 +40,6 @@ pub enum SpanKind {
     /// record lands, ends when the watermark closes it. Watermark advances
     /// and late-record drops are instants of this kind.
     StreamWindow,
-    /// One cost-based planning session (`lingua-plan`): the span records the
-    /// objective and plan-level totals; per-op `choose` instants under it
-    /// carry the chosen physical alternative and its estimated $/ms/accuracy,
-    /// so estimated-vs-actual cost is auditable per job afterwards.
-    Plan,
     /// One micro-batch flush in the continuous batcher: the span carries the
     /// member count and flush reason; per-member `split` instants under it
     /// carry each member's usage split as attributes (never as `usage` —
@@ -73,7 +68,6 @@ impl SpanKind {
             SpanKind::LlmCall => "llm_call",
             SpanKind::Supervisor => "supervisor",
             SpanKind::StreamWindow => "stream_window",
-            SpanKind::Plan => "plan",
             SpanKind::Batch => "batch",
             SpanKind::Recovery => "recovery",
         }
