@@ -61,7 +61,7 @@ pub(crate) fn encode_into(record: &JournalRecord, out: &mut Vec<u8>) {
 }
 
 /// Append the payload of `JournalRecord::Checkpoint(checkpoint)` without
-/// owning the checkpoint: the journal passes its live fold.
+/// owning the checkpoint: the journal's compactor passes its fold.
 pub(crate) fn encode_checkpoint_into(checkpoint: &Checkpoint, out: &mut Vec<u8>) {
     out.extend_from_slice(&[FORMAT, CHECKPOINT]);
     checkpoint.put(out);

@@ -1,11 +1,14 @@
-//! The [`Journal`]: a write-ahead log with an always-current fold.
+//! The [`Journal`]: a write-ahead log with a fold kept by its compactor.
 //!
-//! Every append both frames the record to storage *and* folds it into an
-//! in-memory [`Checkpoint`]. That one fold serves three masters: it is the
-//! checkpoint payload when compaction fires (encoded by reference, never
-//! copied), it is the recovery state when a journal is reopened, and it
-//! keeps compaction O(1) in journal length (no re-scan to build a
-//! checkpoint).
+//! An append writes its record's frame under the journal's one lock and
+//! leaves the record, with its frame, on a list of what the fold has not
+//! seen yet. Folding and checkpoint encoding happen in compaction, off that
+//! lock: the compactor moves the listed records into its own
+//! [`Checkpoint`] (the state at its last compaction) and encodes the frame
+//! from it by reference. Under the lock it then only swaps the log for that
+//! frame plus the frames appended meanwhile, which are still on the list.
+//! The same fold is the recovery state when a journal is reopened, and it
+//! keeps compaction O(1) in journal length (no re-scan of the log).
 //!
 //! Compaction rewrites the whole fold, so it fires by *size ratio*, not by
 //! count alone: only once the bytes appended behind the last checkpoint
@@ -95,9 +98,11 @@ pub struct Recovered {
     pub replayed: u64,
     /// Damaged tail records skipped (see `ScanResult`).
     pub corrupt_records_skipped: u64,
-    /// Jobs that finished before the crash, in journal order.
+    /// Jobs that finished before the crash, in `(pipeline, fingerprint)`
+    /// order (the fold's key order), not in the order they finished.
     pub finished: Vec<FinishedJob>,
-    /// Jobs accepted but never finished, in journal order.
+    /// Jobs accepted but never finished, in `(pipeline, fingerprint)`
+    /// order, not in the order they were accepted.
     pub pending: Vec<PendingJob>,
     /// Total usage billed by the crashed process, as journaled.
     pub cumulative: Usage,
@@ -160,9 +165,11 @@ impl Checkpoint {
     }
 }
 
+/// What an append touches, under the journal's one lock.
 struct Inner {
-    /// The live mirror of what a checkpoint would say right now.
-    fold: Checkpoint,
+    /// Records in the log that the compactor's fold has not taken yet, each
+    /// with its frame, in log order. Their frames are the log's last bytes.
+    unfolded: Vec<(JournalRecord, Vec<u8>)>,
     appends_since_checkpoint: usize,
     /// Bytes of the checkpoint frame the log starts with (0: none yet).
     checkpoint_bytes: usize,
@@ -171,6 +178,18 @@ struct Inner {
     /// The fold no longer fits one frame: `append` stops trying to compact
     /// (each try encodes the whole fold) and the log just grows.
     checkpoint_refused: bool,
+    /// An appender found a compaction due and runs it; the appends behind
+    /// it do not queue up for another one.
+    compacting: bool,
+}
+
+impl Inner {
+    /// The size-ratio rule (see [`Journal`]).
+    fn due(&self, checkpoint_interval: usize) -> bool {
+        self.appends_since_checkpoint >= checkpoint_interval
+            && self.tail_bytes >= self.checkpoint_bytes
+            && !self.checkpoint_refused
+    }
 }
 
 /// Frame one payload, refusing what no reader would accept: a frame past
@@ -200,6 +219,11 @@ fn bounded_frame(what: &str, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<Vec<
 /// of appending, and the log stays within twice its leading checkpoint plus
 /// one interval of records — which bounds what [`Journal::open`] replays.
 ///
+/// Appenders serialise only on the write, the counters and that decision.
+/// The append that finds a compaction due runs it after dropping the lock,
+/// so its caller pays for it and no other append waits on the fold or the
+/// encoding; one compaction runs at a time.
+///
 /// Every storage write is threaded through the crash injector. Once it
 /// reports dead, every write is silently dropped — the simulated process
 /// no longer exists, so nothing it "does" can reach storage.
@@ -208,6 +232,10 @@ pub struct Journal {
     injector: Arc<CrashInjector>,
     checkpoint_interval: usize,
     inner: Mutex<Inner>,
+    /// The state of the log up to the records still on `Inner::unfolded`.
+    /// Holding this lock is what makes a compaction the only one running;
+    /// it is taken before `inner`, never under it.
+    fold: Mutex<Checkpoint>,
 }
 
 impl Journal {
@@ -259,12 +287,14 @@ impl Journal {
             injector: tuning.injector,
             checkpoint_interval: tuning.checkpoint_interval.max(1),
             inner: Mutex::new(Inner {
-                fold,
+                unfolded: Vec::new(),
                 appends_since_checkpoint: replayed - usize::from(leading_checkpoint),
                 checkpoint_bytes,
                 tail_bytes: scan.valid_len - checkpoint_bytes,
                 checkpoint_refused: false,
+                compacting: false,
             }),
+            fold: Mutex::new(fold),
         };
         Ok((journal, recovered))
     }
@@ -279,68 +309,94 @@ impl Journal {
         self.injector.dead()
     }
 
-    /// Append one record, fold it, and compact if the log has doubled.
-    /// Returns whether the record was durably written — `false` only when
-    /// the crash injector killed the simulated process before or during the
-    /// write, so harnesses can tell "journaled" from "lost" exactly.
+    /// Append one record, and compact if the log has doubled. Returns
+    /// whether the record was durably written — `false` only when the crash
+    /// injector killed the simulated process before or during the write, so
+    /// harnesses can tell "journaled" from "lost" exactly.
     ///
     /// An error from the compaction step (storage, or the one-time
     /// oversize-checkpoint refusal) arrives after the record itself was
     /// written.
     fn append(&self, record: JournalRecord) -> io::Result<bool> {
-        // Encoded and checksummed before the lock: writers serialise only
-        // on the write, the fold and the compaction decision.
+        // Encoded and checksummed before the lock, folded after it: writers
+        // serialise only on the write and the compaction decision.
         let frame = bounded_frame("record", |out| crate::codec::encode_into(&record, out))?;
-        let mut inner = self.inner.lock();
-        if self.injector.fire(KillPoint::BeforeJournal) {
-            return Ok(false);
-        }
-        if self.injector.fire(KillPoint::MidWrite) {
-            // Torn write: the first half of the frame reaches storage, the
-            // process dies before the rest.
-            self.storage.append(&frame[..frame.len() / 2])?;
-            return Ok(false);
-        }
-        self.storage.append(&frame)?;
-        self.injector.fire(KillPoint::AfterJournal);
-        inner.fold.apply(record);
-        inner.appends_since_checkpoint += 1;
-        inner.tail_bytes += frame.len();
-        if inner.appends_since_checkpoint >= self.checkpoint_interval
-            && inner.tail_bytes >= inner.checkpoint_bytes
-            && !inner.checkpoint_refused
-        {
-            self.compact(&mut inner)?;
+        let compact = {
+            let mut inner = self.inner.lock();
+            if self.injector.fire(KillPoint::BeforeJournal) {
+                return Ok(false);
+            }
+            if self.injector.fire(KillPoint::MidWrite) {
+                // Torn write: the first half of the frame reaches storage,
+                // the process dies before the rest.
+                self.storage.append(&frame[..frame.len() / 2])?;
+                return Ok(false);
+            }
+            self.storage.append(&frame)?;
+            self.injector.fire(KillPoint::AfterJournal);
+            inner.appends_since_checkpoint += 1;
+            inner.tail_bytes += frame.len();
+            inner.unfolded.push((record, frame));
+            let due = !inner.compacting && inner.due(self.checkpoint_interval);
+            inner.compacting |= due;
+            due
+        };
+        if compact {
+            self.compact(false)?;
         }
         Ok(true)
     }
 
-    /// Checkpoint and compact: atomically replace the whole log with one
-    /// checkpoint frame, encoded from the live fold by reference, so
-    /// recovery replays only records appended after it.
+    /// Checkpoint and compact: atomically replace the log with one
+    /// checkpoint frame followed by the records appended since the
+    /// checkpoint's state was taken, so recovery replays only those.
+    ///
+    /// Off the journal lock, the records still unfolded move into the fold
+    /// and the frame is encoded from it by reference. Under the lock, the
+    /// log is replaced and the counters restart from what it now holds.
+    /// Unless `forced`, it first checks that a compaction is still due: a
+    /// forced one may have run while this one waited for the fold.
     ///
     /// A fold too large for one frame is refused with the log left as it
     /// is: replacing it would leave a frame the scanner calls damage at
     /// offset 0, and the next `open` would truncate the log to nothing.
-    fn compact(&self, inner: &mut Inner) -> io::Result<()> {
+    fn compact(&self, forced: bool) -> io::Result<()> {
+        let mut fold = self.fold.lock();
+        let unfolded = {
+            let mut inner = self.inner.lock();
+            if self.injector.dead() || !(forced || inner.due(self.checkpoint_interval)) {
+                inner.compacting = false;
+                return Ok(());
+            }
+            std::mem::take(&mut inner.unfolded)
+        };
+        for (record, _frame) in unfolded {
+            fold.apply(record);
+        }
+        let framed =
+            bounded_frame("checkpoint", |out| crate::codec::encode_checkpoint_into(&fold, out));
+
+        let mut inner = self.inner.lock();
+        inner.compacting = false;
+        inner.checkpoint_refused = framed.is_err();
+        let mut log = framed?;
         if self.injector.dead() {
             return Ok(());
         }
-        let framed = bounded_frame("checkpoint", |out| {
-            crate::codec::encode_checkpoint_into(&inner.fold, out)
-        });
-        inner.checkpoint_refused = framed.is_err();
-        let frame = framed?;
         if self.injector.fire(KillPoint::MidCheckpoint) {
             // The checkpoint frame tears mid-append, before compaction
             // replaced anything: the old log survives with a damaged tail.
-            return self.storage.append(&frame[..frame.len() / 2]);
+            return self.storage.append(&log[..log.len() / 2]);
         }
-        self.storage.replace(&frame)?;
+        let checkpoint_bytes = log.len();
+        for (_, frame) in &inner.unfolded {
+            log.extend_from_slice(frame);
+        }
+        self.storage.replace(&log)?;
         self.injector.fire(KillPoint::AfterCheckpoint);
-        inner.appends_since_checkpoint = 0;
-        inner.checkpoint_bytes = frame.len();
-        inner.tail_bytes = 0;
+        inner.appends_since_checkpoint = inner.unfolded.len();
+        inner.checkpoint_bytes = checkpoint_bytes;
+        inner.tail_bytes = log.len() - checkpoint_bytes;
         Ok(())
     }
 
@@ -357,6 +413,8 @@ impl Journal {
         }))
     }
 
+    /// Journal a [`JournalRecord::JobStarted`], which recovery folds to
+    /// nothing; serve does not call this.
     pub fn record_job_started(&self, pipeline: &str, fingerprint: u64) -> io::Result<bool> {
         self.append(JournalRecord::JobStarted { pipeline: pipeline.to_string(), fingerprint })
     }
@@ -401,9 +459,9 @@ impl Journal {
     }
 
     /// Force a checkpoint + compaction now, whatever the log's size
-    /// (shutdown path).
+    /// (shutdown path). A compaction already running finishes first.
     pub fn checkpoint_now(&self) -> io::Result<()> {
-        self.compact(&mut self.inner.lock())
+        self.compact(true)
     }
 
     pub fn flush(&self) -> io::Result<()> {

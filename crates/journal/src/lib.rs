@@ -15,8 +15,9 @@
 //!   for floats, strict and total on the way back in.
 //! - `reader`: the front-to-back scan, which tells a *damaged* tail
 //!   (truncated) from an intact frame it cannot read (never touched).
-//! - `journal`: the write-ahead [`Journal`] with an always-current fold,
-//!   checkpoint compaction, and longest-valid-prefix recovery.
+//! - `journal`: the write-ahead [`Journal`] — appends that only write
+//!   under its lock, checkpoint compaction that folds and encodes off it,
+//!   and longest-valid-prefix recovery.
 //! - `kill`: the crash-injection harness — named [`KillPoint`]s and a
 //!   seeded [`CrashInjector`] that kills the simulated process at an exact
 //!   occurrence of an exact instant.

@@ -91,9 +91,9 @@ pub struct WindowReportRecord {
 pub enum JournalRecord {
     /// A job entered the serve queue.
     JobAccepted(PendingJob),
-    /// A worker picked the job up. Purely diagnostic — recovery treats
-    /// started-but-unfinished exactly like queued (the work is lost either
-    /// way) — but it dates the crash within the job lifecycle.
+    /// A worker picked the job up. Recovery treats started-but-unfinished
+    /// exactly like queued (the work is lost either way), so serve no longer
+    /// writes it; the variant stays so that older logs still decode.
     JobStarted { pipeline: String, fingerprint: u64 },
     /// The job completed and its output is durable.
     JobFinished(FinishedJob),
@@ -116,8 +116,8 @@ pub enum JournalRecord {
     Checkpoint(Checkpoint),
 }
 
-/// The compacted state the journal folds every record into — the journal's
-/// live fold *is* one of these. A checkpoint frame carries it verbatim
+/// The compacted state the journal folds every record into — the
+/// compactor's fold *is* one of these. A checkpoint frame carries it verbatim
 /// (encoded from the fold by reference); recovery seeds its fold from the
 /// last checkpoint and replays only the records after it.
 #[derive(Debug, Clone, Default, PartialEq)]

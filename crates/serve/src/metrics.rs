@@ -260,8 +260,8 @@ pub struct MetricsSnapshot {
     /// LLM usage billed by jobs that did not complete. `llm + llm_partial`
     /// reconciles with the shared service's ledger to the token.
     pub llm_partial: Usage,
-    /// Journal appends that failed after their job was accepted (`started`,
-    /// `finished`, `failed` records). The jobs' outcomes stood, but recovery
+    /// Journal appends that failed after their job was accepted (`finished`
+    /// and `failed` records). The jobs' outcomes stood, but recovery
     /// will not see those records: a lost `finished` is a job the next
     /// incarnation re-executes and re-bills. Always zero without a journal.
     pub journal_append_errors: u64,

@@ -31,6 +31,7 @@ use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
 use lingua_llm_sim::{CancelReason, CancelToken, LlmService, ShardedLru, Usage};
 use lingua_ml::sync::Mutex;
 use lingua_trace::{ManualSpan, SpanKind};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -466,21 +467,17 @@ impl PipelineServer {
             let key = job_key(&request.pipeline, fp);
             shared.results.get(key).map(|output| (key, output))
         });
-        // A fingerprinted job that missed the cache holds the in-flight lock
-        // across the (non-blocking) push so that reservation + admission are
-        // atomic: workers can't complete-and-remove a key between our lookup
-        // and our reservation. (A job finishing between the cache probe
-        // above and this lock re-executes at worst — the result cache is fed
-        // before the reservation is released, so the window is the probe
-        // itself.)
-        let dedup = shared.config.dedup_inflight;
-        let in_flight = match cached {
-            Some(_) => None,
-            None => fp.map(|fp| (shared.in_flight.lock(), (request.pipeline.clone(), fp))),
+        // The job's cancel token carries the same deadline the queue
+        // enforces, so once execution starts the executor, gateway, and
+        // script fuel cap all race the identical instant.
+        let fresh = || {
+            JobCore::with_cancel(match deadline {
+                Some(at) => CancelToken::with_deadline(at),
+                None => CancelToken::unbounded(),
+            })
         };
-        let leader = in_flight.as_ref().filter(|_| dedup).and_then(|(table, key)| table.get(key));
-        let (core, ended) = match (cached, leader) {
-            (Some((key, output)), _) => {
+        let (core, ended) = match cached {
+            Some((key, output)) => {
                 // A hit served from a journal-restored output is a crash
                 // retry the exactly-once guard answered without
                 // re-execution; count it for the recovery snapshot.
@@ -494,17 +491,26 @@ impl PipelineServer {
                 }
                 (JobCore::finished(Ok(output)), Some(Terminal::CacheHit))
             }
-            (None, Some(leader)) => (Arc::clone(leader), Some(Terminal::DedupHit)),
-            // The job's cancel token carries the same deadline the queue
-            // enforces, so once execution starts the executor, gateway, and
-            // script fuel cap all race the identical instant.
-            (None, None) => (
-                JobCore::with_cancel(match deadline {
-                    Some(at) => CancelToken::with_deadline(at),
-                    None => CancelToken::unbounded(),
-                }),
-                None,
-            ),
+            // A fingerprinted miss attaches to the key's leader or reserves
+            // the key for itself, in one critical section that journals
+            // nothing: the accept is journaled after the lock is released.
+            // The reservation comes before the push, so no worker can
+            // settle the job before it is reserved. (A job finishing
+            // between the cache probe above and this lock re-executes at
+            // worst — the result cache is fed before the reservation is
+            // released, so the window is the probe itself.)
+            None => match fp.filter(|_| shared.config.dedup_inflight) {
+                Some(fp) => {
+                    let key = (request.pipeline.clone(), fp);
+                    match shared.in_flight.lock().entry(key) {
+                        Entry::Occupied(leader) => {
+                            (Arc::clone(leader.get()), Some(Terminal::DedupHit))
+                        }
+                        Entry::Vacant(slot) => (Arc::clone(slot.insert(fresh())), None),
+                    }
+                }
+                None => (fresh(), None),
+            },
         };
         let mut job = Job {
             core: Arc::clone(&core),
@@ -519,10 +525,11 @@ impl PipelineServer {
             Some(terminal) => terminal,
             None => {
                 tracer.instant_under(Some(job.span.id()), SpanKind::ServeJob, "queued", Vec::new);
-                // WAL ordering: the accept is durable *before* the job can be
-                // observed queued, so a crash at any later instant recovers
-                // it. A storage failure refuses the submission — a silently
-                // non-durable server would be worse than a rejected job.
+                // WAL ordering: the accept is durable *before* the job is
+                // queued, so a crash at any later instant recovers it. A
+                // storage failure refuses the submission — a silently
+                // non-durable server would be worse than a rejected job —
+                // and `settle` hands the refusal to every follower too.
                 let accepted = match (&shared.journal, fp) {
                     (Some(journal), Some(fp)) => {
                         journal.record_job_accepted(&job.pipeline, fp, &job.inputs)
@@ -533,9 +540,6 @@ impl PipelineServer {
                     Err(err) => Terminal::JournalRefused(err.to_string()),
                     Ok(_) => match shared.queue.try_push(request.priority, job) {
                         Ok(short) => {
-                            if let Some((mut table, key)) = in_flight.filter(|_| dedup) {
-                                table.insert(key, Arc::clone(&core));
-                            }
                             shared.metrics.accept();
                             if short {
                                 hire_worker(&self.shared, &self.supervision);
@@ -681,12 +685,9 @@ fn process(
         // Cancelled while queued: settled before spending any execution.
         (Terminal::Cancelled, Usage::default())
     } else {
+        // No `started` record: recovery treats a started job exactly like a
+        // queued one, so the journal holds a job's accept and its ending only.
         job.core.set_running();
-        if let (Some(journal), Some(fp)) = (&shared.journal, job.fingerprint) {
-            // Diagnostic only (recovery treats started exactly like queued),
-            // so best-effort: a failed append must not fail the job.
-            book_append(shared, &job, "started", journal.record_job_started(&job.pipeline, fp));
-        }
         // Fresh context per run: shared LLM + tools behind a per-job meter,
         // the job's cancel token threaded in so the executor,
         // `try_parallel_map`, the script fuel cap, and — on every completion
@@ -799,12 +800,13 @@ fn book_append(shared: &Shared, job: &Job, record: &str, appended: std::io::Resu
 ///    resurrects it;
 /// 2. the counter;
 /// 3. the `path` of the job's `serve_job` span;
-/// 4. the outcome. A refusal at submission is returned as the submitter's
-///    error; a cache or dedup hit already holds its answer; any other ending
-///    feeds the result cache (an output), then releases the in-flight
-///    reservation and wakes every waiter. The cache is fed *before* the
-///    reservation is dropped, so a concurrent duplicate always finds the
-///    job in one of the two tables.
+/// 4. the outcome. A cache or dedup hit already holds its answer; any other
+///    ending feeds the result cache (an output), then releases the
+///    in-flight reservation and wakes every waiter. The cache is fed
+///    *before* the reservation is dropped, so a concurrent duplicate always
+///    finds the job in one of the two tables. A refusal at submission is
+///    also returned as the submitter's error: followers that attached while
+///    the accept was being journaled wait on the same cell and get it too.
 fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result<(), ServeError> {
     let latency = job.enqueued.elapsed();
     if let (Some(journal), Some(fp)) = (&shared.journal, job.fingerprint) {
@@ -835,12 +837,11 @@ fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result
     shared.metrics.settle(&terminal, latency, usage);
     let path = terminal.path();
     shared.factory.tracer().end(job.span, || vec![("path".into(), path.into())]);
+    let refused = matches!(terminal, Terminal::RejectedFull | Terminal::JournalRefused(_));
     let result = match terminal {
         Terminal::CacheHit | Terminal::DedupHit => return Ok(()),
-        Terminal::RejectedFull => {
-            return Err(ServeError::Full { capacity: shared.config.queue_capacity })
-        }
-        Terminal::JournalRefused(reason) => return Err(ServeError::Journal { reason }),
+        Terminal::RejectedFull => Err(ServeError::Full { capacity: shared.config.queue_capacity }),
+        Terminal::JournalRefused(reason) => Err(ServeError::Journal { reason }),
         Terminal::Executed(output) => Ok(output),
         Terminal::Timeout { waited } => Err(ServeError::Timeout { waited }),
         Terminal::Cancelled => Err(ServeError::Cancelled),
@@ -855,10 +856,21 @@ fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result
         if let Ok(output) = &result {
             shared.results.insert(job_key(&job.pipeline, fp), Arc::clone(output));
         }
-        shared.in_flight.lock().remove(&(job.pipeline, fp));
+        if shared.config.dedup_inflight {
+            shared.in_flight.lock().remove(&(job.pipeline, fp));
+        }
     }
-    job.core.finish(result);
-    Ok(())
+    match result {
+        // Followers that attached to the refused job share its error.
+        Err(err) if refused => {
+            job.core.finish(Err(err.clone()));
+            Err(err)
+        }
+        result => {
+            job.core.finish(result);
+            Ok(())
+        }
+    }
 }
 
 #[cfg(test)]

@@ -15,15 +15,22 @@ mod support;
 use lingua_core::modules::{CustomModule, Module};
 use lingua_core::{Compiler, ContextFactory, Data};
 use lingua_dataset::world::WorldSpec;
-use lingua_durable::{CrashInjector, Journal, JournalTuning, KillPoint, SimStorage};
+use lingua_durable::{
+    CrashInjector, Journal, JournalReader, JournalRecord, JournalTuning, KillPoint, SimStorage,
+    Storage,
+};
 use lingua_gateway::{Gateway, ServiceTransport};
 use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig, TokenPricing};
+use lingua_ml::sync::{Condvar, Mutex};
 use lingua_serve::{
-    fingerprint_inputs, BatchTuning, PipelineServer, ServeConfig, ServeError, SubmitRequest,
+    fingerprint_inputs, BatchTuning, JobHandle, PipelineServer, ServeConfig, ServeError,
+    SubmitRequest,
 };
 use lingua_trace::{ring_tracer, SpanKind, TraceTree, TracedLlm};
-use std::sync::Arc;
-use std::time::Duration;
+use std::io;
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::{Duration, Instant};
 use support::FailNextAppend;
 
 const SEED: u64 = 77;
@@ -300,8 +307,8 @@ fn a_lost_finished_append_is_counted_and_the_job_still_answers() {
         },
     )
     .expect("server starts");
-    // `arm` runs inside the job — after its `accepted` and `started` records,
-    // before its `finished` — so the append it fails is exactly that one.
+    // `arm` runs inside the job — after its `accepted` record, before its
+    // `finished` — so the append it fails is exactly that one.
     let mut compiler = Compiler::with_builtins();
     let armed = Arc::clone(&storage);
     compiler.register("arm", move |_op, _ctx| {
@@ -467,4 +474,160 @@ fn a_gateway_restores_the_journaled_bill() {
     let (tracer, _sink) = ring_tracer(1 << 10);
     let _server = start(TracedLlm::wrap(&tracer, second.clone()));
     assert_eq!(second.usage(), recovered.cumulative, "the restored bill is the gateway's usage");
+}
+
+/// The records a log holds, by kind, in log order.
+fn record_kinds(storage: &SimStorage) -> Vec<&'static str> {
+    let records = JournalReader::scan(&storage.snapshot()).records;
+    let kind = |record: &JournalRecord| match record {
+        JournalRecord::JobAccepted(_) => "accepted",
+        JournalRecord::JobStarted { .. } => "started",
+        JournalRecord::JobFinished(_) => "finished",
+        JournalRecord::JobFailed { .. } => "failed",
+        _ => "other",
+    };
+    records.iter().map(kind).collect()
+}
+
+/// A journaled job appends two records, its accept and its ending. Recovery
+/// treats a started job exactly like a queued one, so a `started` record
+/// would buy nothing, and serve writes none.
+#[test]
+fn a_journaled_job_appends_its_accept_and_its_ending_only() {
+    let storage = SimStorage::new();
+    let (server, _llm) = server_with(JournalTuning::sim(storage.clone()));
+    for i in 0..3 {
+        server.run(request(i)).unwrap();
+    }
+    assert_eq!(record_kinds(&storage), ["accepted", "finished"].repeat(3));
+}
+
+/// Sim storage that parks the next append, once armed, until the test lets
+/// it through or fails it.
+struct ParkNextAppend {
+    inner: Arc<SimStorage>,
+    state: Mutex<Park>,
+    changed: Condvar,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Park {
+    Off,
+    Armed,
+    Parked,
+    Released { fail: bool },
+}
+
+impl ParkNextAppend {
+    fn over(inner: Arc<SimStorage>) -> Arc<ParkNextAppend> {
+        Arc::new(ParkNextAppend { inner, state: Mutex::new(Park::Off), changed: Condvar::new() })
+    }
+
+    fn arm(&self) {
+        *self.state.lock() = Park::Armed;
+    }
+
+    fn wait_parked(&self) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut state = self.state.lock();
+        while *state != Park::Parked {
+            let (next, timed_out) = self.changed.wait_until(state, deadline);
+            assert!(!timed_out, "no append reached the park");
+            state = next;
+        }
+    }
+
+    fn release(&self, fail: bool) {
+        *self.state.lock() = Park::Released { fail };
+        self.changed.notify_all();
+    }
+}
+
+impl Storage for ParkNextAppend {
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
+        let mut state = self.state.lock();
+        if *state == Park::Armed {
+            *state = Park::Parked;
+            self.changed.notify_all();
+            while *state == Park::Parked {
+                state = self.changed.wait(state);
+            }
+            if *state == (Park::Released { fail: true }) {
+                *state = Park::Off;
+                return Err(io::Error::other("injected append failure"));
+            }
+            *state = Park::Off;
+        }
+        drop(state);
+        self.inner.append(bytes)
+    }
+
+    fn read(&self) -> io::Result<Vec<u8>> {
+        self.inner.read()
+    }
+
+    fn replace(&self, bytes: &[u8]) -> io::Result<()> {
+        self.inner.replace(bytes)
+    }
+
+    fn flush(&self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Submit a leader whose accept parks inside its append, then a duplicate
+/// of it, then let the accept through (`fail == false`) or fail it. The
+/// duplicate must be answered while the accept is still parked: it attaches
+/// to the leader and journals nothing. Returns the server, the log, the
+/// leader's submission and the follower's handle.
+fn follow_a_parked_accept(
+    fail: bool,
+) -> (PipelineServer, Arc<SimStorage>, Result<JobHandle, ServeError>, JobHandle) {
+    let log = SimStorage::new();
+    let storage = ParkNextAppend::over(log.clone());
+    let (server, _llm) = server_with(JournalTuning::over(storage.clone()));
+    storage.arm();
+    let (leader, follower) = thread::scope(|scope| {
+        let leader = scope.spawn(|| server.submit(request(0)));
+        storage.wait_parked();
+        let (sent, follower) = mpsc::channel();
+        let server = &server;
+        scope.spawn(move || sent.send(server.submit(request(0))).unwrap());
+        let follower = follower.recv_timeout(Duration::from_secs(10));
+        storage.release(fail);
+        (leader.join().unwrap(), follower)
+    });
+    let follower = follower
+        .expect("the follower was answered while its leader's accept was parked")
+        .expect("the follower attaches to its leader");
+    (server, log, leader, follower)
+}
+
+/// A follower submitted while its leader's accept is being journaled gets
+/// the leader's output, and the log holds the leader's two records only.
+#[test]
+fn a_follower_of_an_accept_in_flight_journals_nothing_and_shares_the_output() {
+    let (server, log, leader, follower) = follow_a_parked_accept(false);
+    let output = leader.expect("the accept went through").wait().unwrap();
+    assert!(Arc::ptr_eq(&output, &follower.wait().unwrap()), "one execution, one output");
+    assert_eq!(record_kinds(&log), ["accepted", "finished"]);
+    let metrics = server.metrics();
+    assert_eq!((metrics.accepted, metrics.coalesced, metrics.completed), (2, 1, 1));
+}
+
+/// When the journal refuses the leader's accept, the follower that attached
+/// meanwhile gets the same typed refusal; the key's reservation is released,
+/// so the next submission runs.
+#[test]
+fn a_follower_of_a_refused_accept_gets_the_typed_refusal() {
+    let (server, log, leader, follower) = follow_a_parked_accept(true);
+    let refusal = leader.expect_err("the journal refused the accept");
+    assert!(matches!(refusal, ServeError::Journal { .. }), "got {refusal:?}");
+    assert_eq!(follower.wait().unwrap_err(), refusal);
+    assert!(record_kinds(&log).is_empty(), "neither submission is journaled");
+    let metrics = server.metrics();
+    assert_eq!((metrics.journal_refused, metrics.coalesced), (1, 1));
+
+    server.run(request(0)).expect("the refused key is free again");
+    assert_eq!(record_kinds(&log), ["accepted", "finished"]);
 }

@@ -288,8 +288,8 @@ fn every_way_a_job_ends_settles_its_span_waiter_counter_and_journal_record() {
         },
     )
     .unwrap();
-    // `arm` runs inside its job, after the `accepted` and `started` records,
-    // so the append it fails is the job's terminal record.
+    // `arm` runs inside its job, after its `accepted` record, so the append
+    // it fails is the job's terminal record.
     let gate = Gate::new();
     let mut compiler = test_compiler(Arc::clone(&gate));
     let armed = Arc::clone(&storage);
@@ -345,7 +345,7 @@ fn every_way_a_job_ends_settles_its_span_waiter_counter_and_journal_record() {
     assert!(matches!(err, ServeError::DeadlineExceeded { .. }), "got {err:?}");
     step(&server, &["deadline_exceeded", "journal_append_errors"]);
 
-    // Park a job at the gate: its `started` record is written before it runs.
+    // Park a job at the gate.
     let blocker = server.submit(request("park", "blocker")).unwrap();
     wait_until("the blocker to reach the gate", || gate.arrived.load(Ordering::SeqCst) == 1);
     let follower = server.submit(request("park", "blocker")).unwrap();
