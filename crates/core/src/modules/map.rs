@@ -27,8 +27,9 @@ use lingua_trace::SpanKind;
 use std::sync::{Arc, OnceLock};
 
 /// The most elements one call of a list form is handed; a longer list is cut
-/// into calls of this many, placed over the map's lanes.
-const LIST_PROMPT_MEMBERS: usize = 8;
+/// into calls of this many, placed over the map's lanes. A stream window's
+/// judge cuts its pairs the same way.
+pub const LIST_PROMPT_MEMBERS: usize = 8;
 
 /// Builds a lane's instance of the inner module. Shared (immutably)
 /// by every instance of the map, so a compiled pipeline can be replicated

@@ -8,7 +8,7 @@ mod map;
 pub use custom::CustomModule;
 pub use llm::{LlmModule, PromptBuilder};
 pub use llmgc::LlmgcModule;
-pub use map::PipelinedMapModule;
+pub use map::{PipelinedMapModule, LIST_PROMPT_MEMBERS};
 
 use crate::context::ExecContext;
 use crate::data::Data;

@@ -25,10 +25,11 @@ use lingua_llm_sim::Usage;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// First byte of every payload: the version of this encoding. Format 1's
-/// `WindowClose` carried two more fields; the format before it (JSON text)
-/// began with `{`. Either is recognised as a log this reader does not speak.
-pub(crate) const FORMAT: u8 = 2;
+/// First byte of every payload: the version of this encoding. Format 2's
+/// window records carried no pair keys, format 1's `WindowClose` two more
+/// fields, and the format before it (JSON text) began with `{`. Each is
+/// recognised as a log this reader does not speak.
+pub(crate) const FORMAT: u8 = 3;
 
 /// Tag byte of [`JournalRecord::Checkpoint`].
 const CHECKPOINT: u8 = 8;
@@ -283,11 +284,11 @@ wire_structs! {
     PendingJob { pipeline, fingerprint, inputs }
     FinishedJob { pipeline, fingerprint, env, llm, wall_us }
     WindowCloseRecord {
-        window, start, end, records, candidate_pairs, comparisons, true_duplicates, inputs
+        window, start, end, records, candidate_pairs, comparisons, true_duplicates, inputs, carried
     }
     WindowReportRecord {
         window, start, end, records, candidate_pairs, comparisons, judged, matched,
-        true_duplicates, llm
+        true_duplicates, llm, owned
     }
     StreamCheckpoint { watermark, max_event_time, open_windows, closed_unreported, reported }
 }
@@ -419,6 +420,7 @@ mod tests {
             comparisons: 30,
             true_duplicates: 2,
             inputs: sample_env(),
+            carried: vec![u64::MAX, 7, 7],
         };
         let report = WindowReportRecord {
             window: 4,
@@ -431,6 +433,7 @@ mod tests {
             matched: 2,
             true_duplicates: 2,
             llm,
+            owned: BTreeMap::from([(0, false), (u64::MAX, true)]),
         };
         let finished = FinishedJob {
             pipeline: "clean".into(),

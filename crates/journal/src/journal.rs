@@ -158,6 +158,21 @@ impl Checkpoint {
             }
             JournalRecord::ReportSubmitted(report) => {
                 self.stream.closed_unreported.remove(&report.window);
+                // A reported window's verdicts matter while a later window
+                // may carry from it: one that overlaps it in event time.
+                // Reports arrive in window order, so a window ending by this
+                // report's start overlaps no window still to be reported;
+                // those that ended by the previous report's start were
+                // dropped then.
+                let previous = self.stream.reported.last_key_value().map(|(_, last)| last.start);
+                for (_, earlier) in self.stream.reported.range_mut(..report.window).rev() {
+                    if previous.is_some_and(|start| earlier.end <= start) {
+                        break;
+                    }
+                    if earlier.end <= report.start {
+                        earlier.owned = BTreeMap::new();
+                    }
+                }
                 self.stream.reported.insert(report.window, report);
             }
             JournalRecord::Checkpoint(checkpoint) => *self = checkpoint,
@@ -181,6 +196,11 @@ struct Inner {
     /// An appender found a compaction due and runs it; the appends behind
     /// it do not queue up for another one.
     compacting: bool,
+    /// A storage append failed, and may have left part of its frame at the
+    /// log's end. Nothing is appended behind it until the log is cut back to
+    /// the frames written (or a compaction rewrites it): the next `open`
+    /// would cut every frame from the damage on.
+    damaged: bool,
 }
 
 impl Inner {
@@ -293,6 +313,7 @@ impl Journal {
                 tail_bytes: scan.valid_len - checkpoint_bytes,
                 checkpoint_refused: false,
                 compacting: false,
+                damaged: false,
             }),
             fold: Mutex::new(fold),
         };
@@ -317,6 +338,11 @@ impl Journal {
     /// An error from the compaction step (storage, or the one-time
     /// oversize-checkpoint refusal) arrives after the record itself was
     /// written.
+    ///
+    /// A failed storage append may leave part of its frame in the log. The
+    /// next append first cuts the log back to the frames written
+    /// ([`Journal::cut_failed_append`]); if that fails too, the append is
+    /// refused with its error and nothing is written behind the damage.
     fn append(&self, record: JournalRecord) -> io::Result<bool> {
         // Encoded and checksummed before the lock, folded after it: writers
         // serialise only on the write and the compaction decision.
@@ -326,13 +352,19 @@ impl Journal {
             if self.injector.fire(KillPoint::BeforeJournal) {
                 return Ok(false);
             }
+            if inner.damaged {
+                self.cut_failed_append(&mut inner)?;
+            }
             if self.injector.fire(KillPoint::MidWrite) {
                 // Torn write: the first half of the frame reaches storage,
                 // the process dies before the rest.
                 self.storage.append(&frame[..frame.len() / 2])?;
                 return Ok(false);
             }
-            self.storage.append(&frame)?;
+            if let Err(error) = self.storage.append(&frame) {
+                inner.damaged = true;
+                return Err(error);
+            }
             self.injector.fire(KillPoint::AfterJournal);
             inner.appends_since_checkpoint += 1;
             inner.tail_bytes += frame.len();
@@ -345,6 +377,21 @@ impl Journal {
             self.compact(false)?;
         }
         Ok(true)
+    }
+
+    /// Remove what a failed append may have left at the log's end: read the
+    /// log back and, if it is longer than the frames this journal wrote,
+    /// replace it with them. A rare path, so it runs under the journal's
+    /// lock; an error leaves the journal damaged, and the next append tries
+    /// again.
+    fn cut_failed_append(&self, inner: &mut Inner) -> io::Result<()> {
+        let log = self.storage.read()?;
+        let written = inner.checkpoint_bytes + inner.tail_bytes;
+        if log.len() > written {
+            self.storage.replace(&log[..written])?;
+        }
+        inner.damaged = false;
+        Ok(())
     }
 
     /// Checkpoint and compact: atomically replace the log with one
@@ -393,6 +440,7 @@ impl Journal {
             log.extend_from_slice(frame);
         }
         self.storage.replace(&log)?;
+        inner.damaged = false;
         self.injector.fire(KillPoint::AfterCheckpoint);
         inner.appends_since_checkpoint = inner.unfolded.len();
         inner.checkpoint_bytes = checkpoint_bytes;
@@ -660,6 +708,134 @@ mod tests {
         assert_eq!(again.replayed, 2);
         assert_eq!(again.corrupt_records_skipped, 0);
         assert_eq!(again.pending.len(), 2);
+    }
+
+    /// Storage whose next append writes the first half of its bytes and
+    /// then fails, as a `write_all` that runs out of disk part-way does;
+    /// while `full`, a replace fails too.
+    struct TearNextAppend {
+        inner: Arc<SimStorage>,
+        tear: std::sync::atomic::AtomicBool,
+        full: std::sync::atomic::AtomicBool,
+    }
+
+    impl TearNextAppend {
+        fn over(inner: Arc<SimStorage>) -> Arc<TearNextAppend> {
+            Arc::new(TearNextAppend { inner, tear: Default::default(), full: Default::default() })
+        }
+    }
+
+    impl Storage for TearNextAppend {
+        fn append(&self, bytes: &[u8]) -> io::Result<()> {
+            if self.tear.swap(false, std::sync::atomic::Ordering::Relaxed) {
+                self.inner.append(&bytes[..bytes.len() / 2])?;
+                return Err(io::Error::other("no space left on device"));
+            }
+            self.inner.append(bytes)
+        }
+        fn read(&self) -> io::Result<Vec<u8>> {
+            self.inner.read()
+        }
+        fn replace(&self, bytes: &[u8]) -> io::Result<()> {
+            if self.full.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(io::Error::other("no space left on device"));
+            }
+            self.inner.replace(bytes)
+        }
+        fn flush(&self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn appends_after_a_failed_append_survive_a_reopen() {
+        let sim = SimStorage::new();
+        let storage = TearNextAppend::over(sim.clone());
+        let (journal, _) = Journal::open(JournalTuning::over(storage.clone())).unwrap();
+        journal.record_job_accepted("p", 1, &inputs(1)).unwrap();
+        let intact = sim.snapshot();
+        storage.tear.store(true, std::sync::atomic::Ordering::Relaxed);
+        journal.record_job_accepted("p", 2, &inputs(2)).expect_err("the append failed");
+        assert!(sim.len() > intact.len(), "part of the failed frame is in the log");
+        journal.record_job_accepted("p", 3, &inputs(3)).unwrap();
+        assert!(sim.snapshot().starts_with(&intact), "the intact frames are kept as they were");
+        journal.record_job_finished(finished("p", 1, 10)).unwrap();
+        drop(journal);
+
+        let (_journal, recovered) = Journal::open(JournalTuning::sim(sim)).unwrap();
+        assert_eq!(recovered.corrupt_records_skipped, 0, "no damage is left in the log");
+        assert_eq!(recovered.replayed, 3);
+        let pending: Vec<u64> = recovered.pending.iter().map(|job| job.fingerprint).collect();
+        assert_eq!(pending, [3], "the failed record is gone, the later ones are not");
+        assert_eq!(recovered.finished.len(), 1);
+    }
+
+    /// While the damage cannot be cut away, appends are refused and nothing
+    /// lands behind it; once it can, they go through.
+    #[test]
+    fn an_append_behind_damage_that_cannot_be_cut_is_refused() {
+        let sim = SimStorage::new();
+        let storage = TearNextAppend::over(sim.clone());
+        let (journal, _) = Journal::open(JournalTuning::over(storage.clone())).unwrap();
+        journal.record_job_accepted("p", 1, &inputs(1)).unwrap();
+        storage.tear.store(true, std::sync::atomic::Ordering::Relaxed);
+        storage.full.store(true, std::sync::atomic::Ordering::Relaxed);
+        journal.record_job_accepted("p", 2, &inputs(2)).expect_err("torn");
+        let torn = sim.snapshot();
+        for fp in 3..5 {
+            journal.record_job_accepted("p", fp, &inputs(fp as i64)).expect_err("refused");
+            assert_eq!(sim.snapshot(), torn, "nothing lands behind the damage");
+        }
+        storage.full.store(false, std::sync::atomic::Ordering::Relaxed);
+        journal.record_job_accepted("p", 5, &inputs(5)).unwrap();
+        drop(journal);
+        let (_journal, recovered) = Journal::open(JournalTuning::sim(sim)).unwrap();
+        assert_eq!(recovered.corrupt_records_skipped, 0);
+        let pending: Vec<u64> = recovered.pending.iter().map(|job| job.fingerprint).collect();
+        assert_eq!(pending, [1, 5]);
+    }
+
+    /// A report with `owned` verdicts for window `k` of 32-tick windows
+    /// sliding by 16.
+    fn report(k: u64) -> WindowReportRecord {
+        WindowReportRecord {
+            window: k,
+            start: k * 16,
+            end: k * 16 + 32,
+            records: 2,
+            candidate_pairs: 1,
+            comparisons: 1,
+            judged: 1,
+            matched: 1,
+            true_duplicates: 1,
+            llm: Usage::default(),
+            owned: BTreeMap::from([(k, true)]),
+        }
+    }
+
+    /// The fold keeps a reported window's verdicts while a later window can
+    /// still overlap it, and only then, across a reopen too.
+    #[test]
+    fn the_fold_keeps_the_verdicts_of_overlapping_reports_only() {
+        let kept = |checkpoint: &StreamCheckpoint| -> Vec<u64> {
+            let reported = checkpoint.reported.values();
+            reported.filter(|report| !report.owned.is_empty()).map(|report| report.window).collect()
+        };
+        let storage = SimStorage::new();
+        let (journal, _) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
+        // Window 3 is never reported: 4 uncovers windows 1 and 2 at once.
+        for k in [0, 1, 2, 4, 5, 6] {
+            journal.record_report_submitted(report(k)).unwrap();
+        }
+        drop(journal);
+        let (journal, recovered) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
+        assert_eq!(recovered.stream.reported.len(), 6);
+        assert_eq!(kept(&recovered.stream), [5, 6], "window 6 starts at 96, where 4 ends");
+        journal.record_report_submitted(report(7)).unwrap();
+        journal.checkpoint_now().unwrap();
+        drop(journal);
+        let (_journal, again) = Journal::open(JournalTuning::sim(storage)).unwrap();
+        assert_eq!(kept(&again.stream), [6, 7]);
     }
 
     #[test]

@@ -67,8 +67,12 @@ pub struct WindowCloseRecord {
     pub candidate_pairs: usize,
     pub comparisons: u64,
     pub true_duplicates: usize,
-    /// Inputs of the window-report serve job.
+    /// Inputs of the window-report serve job: the pairs this window owns.
     pub inputs: BTreeMap<String, Data>,
+    /// Keys of the candidate pairs whose verdict this window takes from an
+    /// overlapping earlier window (or from its own first ask of the same
+    /// pair), in candidate order.
+    pub carried: Vec<u64>,
 }
 
 /// A fully reported window — the durable mirror of a stream `WindowReport`.
@@ -84,6 +88,9 @@ pub struct WindowReportRecord {
     pub matched: u64,
     pub true_duplicates: usize,
     pub llm: Usage,
+    /// Verdict of each pair this window's job asked, by pair key: what a
+    /// later window carrying one of them reads after a restart.
+    pub owned: BTreeMap<u64, bool>,
 }
 
 /// One durable event.

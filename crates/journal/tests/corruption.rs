@@ -63,10 +63,11 @@ fn pristine(items: &[StreamItem]) -> Arc<SimStorage> {
             start: 48,
             end: 80,
             records: 2,
-            candidate_pairs: 1,
-            comparisons: 1,
+            candidate_pairs: 2,
+            comparisons: 2,
             true_duplicates: 1,
             inputs: inputs(3),
+            carried: vec![0xBEEF],
         })
         .unwrap();
     journal
@@ -75,12 +76,13 @@ fn pristine(items: &[StreamItem]) -> Arc<SimStorage> {
             start: 48,
             end: 80,
             records: 2,
-            candidate_pairs: 1,
-            comparisons: 1,
-            judged: 1,
-            matched: 1,
+            candidate_pairs: 2,
+            comparisons: 2,
+            judged: 2,
+            matched: 2,
             true_duplicates: 1,
             llm: Usage::default(),
+            owned: BTreeMap::from([(0xF00D, true)]),
         })
         .unwrap();
     journal.record_job_accepted("curate", 9, &inputs(9)).unwrap();

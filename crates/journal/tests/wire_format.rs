@@ -5,7 +5,9 @@
 use lingua_core::Data;
 use lingua_dataset::{Record, Schema, Table, Value};
 use lingua_durable::frame::encode_frame;
-use lingua_durable::{FinishedJob, Journal, JournalTuning, SimStorage, Storage};
+use lingua_durable::{
+    FinishedJob, Journal, JournalTuning, SimStorage, Storage, WindowCloseRecord, WindowReportRecord,
+};
 use lingua_llm_sim::Usage;
 use std::collections::BTreeMap;
 use std::io;
@@ -14,11 +16,11 @@ fn inputs(n: i64) -> BTreeMap<String, Data> {
     BTreeMap::from([("n".to_string(), Data::Int(n))])
 }
 
-/// A `WindowClose` as format 1 encoded it: the tag, nine `u64` fields — the
-/// last two the inline verdict counts format 2 dropped — and `{"n": 3}`.
-fn format_1_window_close() -> Vec<u8> {
-    let mut payload = vec![1, 6];
-    for field in [3u64, 48, 80, 2, 1, 1, 1, 1, 1] {
+/// A `WindowClose` in an older format: its format byte, the tag, the `u64`
+/// fields listed and `{"n": 3}`.
+fn old_window_close(format: u8, fields: &[u64]) -> Vec<u8> {
+    let mut payload = vec![format, 6];
+    for field in fields {
         payload.extend_from_slice(&field.to_le_bytes());
     }
     payload.extend_from_slice(&[1, 0, 0, 0, 1, 0, 0, 0, b'n', 2]);
@@ -29,14 +31,17 @@ fn format_1_window_close() -> Vec<u8> {
 /// Valid records followed by a CRC-valid frame whose payload is a record in
 /// a format this build does not speak: JSON text (the commit before the
 /// binary codec, which filed such a frame under "damage" and cut the log),
-/// format 1, or a future format. Opening must fail with `InvalidData` and
-/// leave storage byte-for-byte untouched.
+/// format 1 (nine `u64` fields, the last two the inline verdict counts
+/// format 2 dropped), format 2 (no carried pair keys after the inputs), or
+/// a future format. Opening must fail with `InvalidData` and leave storage
+/// byte-for-byte untouched.
 #[test]
 fn unreadable_frame_fails_open_and_leaves_storage_untouched() {
     let json_payload: &[u8] = br#"{"kind":"job_started","pipeline":"curate","fingerprint":2}"#;
-    let format_1_payload = format_1_window_close();
+    let format_1_payload = old_window_close(1, &[3, 48, 80, 2, 1, 1, 1, 1, 1]);
+    let format_2_payload = old_window_close(2, &[3, 48, 80, 2, 1, 1, 1]);
     let future_payload: &[u8] = &[0xFF, 1, 2, 3];
-    for payload in [json_payload, &format_1_payload, future_payload] {
+    for payload in [json_payload, &format_1_payload, &format_2_payload, future_payload] {
         let storage = SimStorage::new();
         let (journal, _) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
         journal.record_job_accepted("curate", 1, &inputs(1)).unwrap();
@@ -115,4 +120,52 @@ fn non_finite_floats_survive_a_reopen_bit_for_bit() {
     };
     assert_eq!(cell(0), f64::NAN.to_bits());
     assert_eq!(cell(1), (-0.0f64).to_bits());
+}
+
+/// A window's carried pair keys and a report's owned verdicts come back from
+/// a reopen as they went in: a closed-unreported window with its carried
+/// keys in candidate order (a repeat included), a reported one with every
+/// verdict.
+#[test]
+fn pair_keys_and_verdicts_survive_a_reopen() {
+    let close = |window: u64, carried: Vec<u64>| WindowCloseRecord {
+        window,
+        start: window * 16,
+        end: window * 16 + 32,
+        records: 4,
+        candidate_pairs: 3,
+        comparisons: 3,
+        true_duplicates: 1,
+        inputs: inputs(window as i64),
+        carried,
+    };
+    let storage = SimStorage::new();
+    let (journal, _) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
+    journal.record_window_close(close(3, vec![])).unwrap();
+    journal.record_window_close(close(4, vec![u64::MAX, 0, u64::MAX])).unwrap();
+    let report = WindowReportRecord {
+        window: 3,
+        start: 48,
+        end: 80,
+        records: 4,
+        candidate_pairs: 3,
+        comparisons: 3,
+        judged: 3,
+        matched: 1,
+        true_duplicates: 1,
+        llm: Usage::default(),
+        owned: BTreeMap::from([(0, true), (7, false), (u64::MAX, false)]),
+    };
+    journal.record_report_submitted(report.clone()).unwrap();
+    drop(journal);
+
+    let (journal, recovered) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
+    assert_eq!(recovered.stream.reported[&3], report);
+    assert_eq!(recovered.stream.closed_unreported[&4], close(4, vec![u64::MAX, 0, u64::MAX]));
+    // And from a checkpoint frame, not only from the records.
+    journal.checkpoint_now().unwrap();
+    drop(journal);
+    let (_journal, again) = Journal::open(JournalTuning::sim(storage)).unwrap();
+    assert_eq!(again.replayed, 1, "one checkpoint frame");
+    assert_eq!(again.stream, recovered.stream);
 }

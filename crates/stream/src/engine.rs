@@ -9,9 +9,10 @@
 //! - window-close work is submitted as **jobs to `lingua-serve`**, so it
 //!   gets panic isolation, deadlines, dedup, and the sharded result cache
 //!   for free;
-//! - candidate judgments go through the **LLM service the context factory
-//!   provides** (wrap it in a gateway for retries/hedging — the engine
-//!   doesn't care);
+//! - candidate judgments are the **standard pair judge's numbered prompts**,
+//!   through the LLM service the context factory provides (wrap it in a
+//!   gateway for retries/hedging — the engine doesn't care), and a pair two
+//!   overlapping windows share is asked once ([`crate::carry`]);
 //! - every window is a **cross-thread trace span** (`stream_window`), with
 //!   watermark advances and late drops as instants, so `lingua-trace` tools
 //!   reconstruct stream behavior the same way they do batch jobs.
@@ -22,12 +23,13 @@
 //! ([`StreamSnapshot::record_conservation_holds`]) are enforced by tests
 //! under sustained concurrent load.
 
+use crate::carry::{pair_key, payload_keys, Horizon};
 use crate::error::StreamError;
 use crate::incremental::{record_keys, WindowState};
 use crate::metrics::{StreamMetrics, StreamSnapshot};
 use crate::report::WindowReport;
 use crate::window::{closed_through, windows_for, StreamTuning, Watermark, WindowId};
-use lingua_core::modules::{CustomModule, Module};
+use lingua_core::modules::{CustomModule, LlmModule, Module, PromptBuilder, LIST_PROMPT_MEMBERS};
 use lingua_core::validation::OutputValidator;
 use lingua_core::{Compiler, ContextFactory, CoreError, Data, LogicalOp, Pipeline};
 use lingua_dataset::generators::stream::StreamItem;
@@ -101,12 +103,19 @@ struct EngineState {
     /// watermark past the window's end), but the set makes the invariant
     /// structural rather than emergent.
     reported: BTreeSet<u64>,
+    /// Pair keys owned by the closed windows a closing window overlaps.
+    owners: Horizon<()>,
+    /// Verdicts of the reported windows that a window still to be reported
+    /// overlaps: restored from the journal, or left by the last `finish`.
+    verdicts: Horizon<bool>,
 }
 
 /// A submitted window job awaiting its result: the window's close record,
-/// whose inputs went into the submission, and the job's handle.
+/// whose inputs went into the submission, the keys of the pairs they ask
+/// about, and the job's handle.
 struct PendingWindow {
     close: WindowCloseRecord,
+    owned: Vec<u64>,
     handle: JobHandle,
 }
 
@@ -138,58 +147,43 @@ pub struct StreamEngine {
     last_ingest_durable: AtomicBool,
 }
 
-/// The canonical entity-match prompt (the exact shape `SimLlm`'s
-/// entity-match behavior parses and pins its answer format on).
-pub(crate) fn entity_prompt(a: &str, b: &str) -> String {
-    format!(
-        "Please determine if the following two records refer to the same entity.\n\
-         Record A: {a}\nRecord B: {b}\nAnswer yes or no."
+/// The standard pair judge: a pair-judgment prompt, yes/no validation and
+/// one strict retry — the module `er_provider`'s jobs judge with.
+fn pair_judge() -> LlmModule {
+    LlmModule::new(
+        "window_judge",
+        PromptBuilder::PairJudgment {
+            description: "Please determine if the following two records refer to the same entity."
+                .into(),
+            examples: Vec::new(),
+        },
+        OutputValidator::YesNo,
     )
 }
 
-/// Conservative verdict parse: anything the yes/no validator can't read with
-/// confidence is a non-match (same policy as the batch matcher).
-fn is_yes(response: &str) -> bool {
-    matches!(OutputValidator::YesNo.validate(response), Some(Data::Bool(true)))
-}
-
-fn int_field(map: &BTreeMap<String, Data>, key: &str) -> i64 {
-    match map.get(key) {
-        Some(Data::Int(n)) => *n,
-        _ => 0,
-    }
-}
-
-/// The window-close module: judges the payload's candidate pairs (if any)
-/// and returns the `{judged, matched}` totals.
+/// The window-close module: asks the pair judge about the payload's pairs,
+/// [`LIST_PROMPT_MEMBERS`] to a numbered prompt, and returns one verdict per
+/// pair in payload order — `Bool`, or the raw text of an answer that failed
+/// validation twice.
 fn window_report_module() -> CustomModule {
     CustomModule::stateless("window_report", |input, ctx| {
         let payload = input.as_map().ok_or(CoreError::DataShape {
             expected: "map payload with pairs",
             got: "non-map window payload".to_string(),
         })?;
-        let (mut judged, mut matched) = (0, 0);
-        if let Some(pairs) = payload.get("pairs").and_then(Data::as_list) {
-            for pair in pairs {
-                // Cooperative cancellation between judgments, so a deadline
-                // on a window job stops the batch rather than finishing it.
-                ctx.cancel.check().map_err(|reason| CoreError::Cancelled { reason })?;
-                let Some(pair) = pair.as_map() else { continue };
-                let a = pair.get("a").and_then(Data::as_str).unwrap_or("");
-                let b = pair.get("b").and_then(Data::as_str).unwrap_or("");
-                // A non-answer fails the window job, typed (cancelled for a
-                // dead job); it is never read as a verdict.
-                let response = ctx.complete(entity_prompt(a, b))?;
-                judged += 1;
-                if is_yes(&response) {
-                    matched += 1;
-                }
-            }
+        let pairs = payload.get("pairs").and_then(Data::as_list).unwrap_or_default();
+        let mut judge = pair_judge();
+        let mut verdicts = Vec::with_capacity(pairs.len());
+        for prompt in pairs.chunks(LIST_PROMPT_MEMBERS) {
+            // Cooperative cancellation between prompts, so a deadline on a
+            // window job stops it rather than finishing it.
+            ctx.cancel.check().map_err(|reason| CoreError::Cancelled { reason })?;
+            // A non-answer fails the window job, typed (cancelled for a dead
+            // job); it is never read as a verdict.
+            let judged = judge.invoke_list(prompt, ctx).expect("a pair judgment has a list form");
+            verdicts.extend(judged?);
         }
-        Ok(Data::map([
-            ("judged".to_string(), Data::Int(judged)),
-            ("matched".to_string(), Data::Int(matched)),
-        ]))
+        Ok(Data::List(verdicts))
     })
 }
 
@@ -246,6 +240,8 @@ impl StreamEngine {
                 max_event_time: 0,
                 since_advance: 0,
                 reported: BTreeSet::new(),
+                owners: Horizon::new(&config.tuning),
+                verdicts: Horizon::new(&config.tuning),
             }),
             pending: Mutex::new(Vec::new()),
             journal,
@@ -257,11 +253,12 @@ impl StreamEngine {
     }
 
     /// Rebuild stream state from a journaled [`StreamCheckpoint`]: restore
-    /// the watermark and frontier, reopen every open window by re-inserting
-    /// its items (the index is deterministic, so candidates and comparison
-    /// counts come back identical), resubmit every closed-but-unreported
-    /// window job, and remember reported windows so they are never closed
-    /// twice.
+    /// the watermark and frontier, the pair keys and verdicts of the closed
+    /// windows that later ones overlap, reopen every open window by
+    /// re-inserting its items (the index is deterministic, so candidates and
+    /// comparison counts come back identical), resubmit every
+    /// closed-but-unreported window job, and remember reported windows so
+    /// they are never closed twice.
     fn restore(&self, checkpoint: StreamCheckpoint) -> Result<(), StreamError> {
         use std::sync::atomic::Ordering::Relaxed;
         if checkpoint == StreamCheckpoint::default() {
@@ -280,6 +277,29 @@ impl StreamEngine {
             self.metrics.max_event_time.store(checkpoint.max_event_time, Relaxed);
             state.watermark.advance(checkpoint.watermark);
             state.reported = checkpoint.reported.keys().copied().collect();
+            // Before anything re-closes: the keys owned by the closed windows
+            // the next close overlaps, and the verdicts of the reported
+            // windows the next report overlaps. Reports go out in window
+            // order, so every reported window precedes every unreported one.
+            let closed = checkpoint.reported.keys().chain(checkpoint.closed_unreported.keys());
+            let next_close = checkpoint.open_windows.keys().next().copied();
+            let next_close = next_close.or(closed.max().map(|k| k + 1)).unwrap_or(0);
+            let next_report = checkpoint.closed_unreported.keys().next().copied();
+            let next_report = next_report.map_or(next_close, |k| k.min(next_close));
+            for (&k, report) in &checkpoint.reported {
+                if k >= state.owners.reach(next_close) {
+                    state.owners.restore(k, report.owned.keys().map(|&key| (key, ())).collect());
+                }
+                if k >= state.verdicts.reach(next_report) {
+                    state.verdicts.restore(k, report.owned.clone());
+                }
+            }
+            for (&k, close) in &checkpoint.closed_unreported {
+                if k >= state.owners.reach(next_close) {
+                    let owned = payload_keys(&close.inputs).into_iter().map(|key| (key, ()));
+                    state.owners.restore(k, owned.collect());
+                }
+            }
             for (k, items) in checkpoint.open_windows {
                 self.metrics.windows_opened.fetch_add(1, Relaxed);
                 let mut window = WindowState::new(WindowId(k));
@@ -316,7 +336,7 @@ impl StreamEngine {
                     // Key just came from a range scan of this map under the
                     // same lock.
                     let window = state.open.remove(&k).expect("ready window is open");
-                    closings.push(self.close_window(window));
+                    closings.push(self.close_window(&mut state.owners, window));
                 }
             }
             closings
@@ -465,14 +485,16 @@ impl StreamEngine {
                 // Invariant: the key came from a range scan of this same map
                 // under the same lock, so the entry must still be present.
                 let window = state.open.remove(&k).expect("ready window is open");
-                self.close_window(window)
+                self.close_window(&mut state.owners, window)
             })
             .collect()
     }
 
-    /// Turn a closed window into its close record: the report's metadata and
-    /// the inputs of the window job that judges its candidate pairs.
-    fn close_window(&self, mut window: WindowState) -> WindowCloseRecord {
+    /// Turn a closed window into its close record: the report's metadata,
+    /// the inputs of the window job that asks about the candidate pairs this
+    /// window owns, and the keys of those it carries (see [`crate::carry`]).
+    /// Called under the state lock, in window order.
+    fn close_window(&self, owners: &mut Horizon<()>, mut window: WindowState) -> WindowCloseRecord {
         use std::sync::atomic::Ordering::Relaxed;
         self.metrics.windows_closed.fetch_add(1, Relaxed);
         let records = window.occupancy();
@@ -487,14 +509,23 @@ impl StreamEngine {
             });
         }
         let (start, end) = window.id.range(&self.tuning);
-        let pairs = window
-            .candidates()
-            .iter()
-            .map(|&pair| {
-                let (a, b) = window.describe_pair(pair, &self.schema);
-                Data::map([("a".to_string(), Data::Str(a)), ("b".to_string(), Data::Str(b))])
-            })
-            .collect();
+        let described = window.describe_records(&self.schema);
+        let (mut own, mut pairs, mut carried) = (BTreeMap::new(), Vec::new(), Vec::new());
+        for &(i, j) in window.candidates() {
+            let (a, b) = (&described[i], &described[j]);
+            let key = pair_key(a, b);
+            // Owned once: neither an overlapping earlier window nor this one
+            // has asked about the pair yet.
+            if owners.held(window.id.0, key).is_none() && own.insert(key, ()).is_none() {
+                pairs.push(Data::map([
+                    ("a".to_string(), Data::Str(a.clone())),
+                    ("b".to_string(), Data::Str(b.clone())),
+                ]));
+            } else {
+                carried.push(key);
+            }
+        }
+        owners.close(window.id.0, own);
         let payload = Data::map([
             ("pairs".to_string(), Data::List(pairs)),
             ("window".to_string(), Data::Int(window.id.0 as i64)),
@@ -508,6 +539,7 @@ impl StreamEngine {
             comparisons,
             true_duplicates: window.true_duplicate_pairs(),
             inputs: BTreeMap::from([("payload".to_string(), payload)]),
+            carried,
         }
     }
 
@@ -544,9 +576,10 @@ impl StreamEngine {
     /// with jittered backoff until the retry budget is exhausted, then
     /// surface [`StreamError::Saturated`] with the exact attempt count. The
     /// close's inputs go into the submission; the pending window keeps the
-    /// rest of the record.
+    /// rest of the record and the keys of the pairs they ask about.
     fn submit_pending(&self, mut close: WindowCloseRecord) -> Result<(), StreamError> {
         use std::sync::atomic::Ordering::Relaxed;
+        let owned = payload_keys(&close.inputs);
         let mut request = SubmitRequest::new(WINDOW_PIPELINE).priority(Priority::High);
         request.inputs = std::mem::take(&mut close.inputs);
         let mut attempts = 0u32;
@@ -564,13 +597,15 @@ impl StreamEngine {
                 Err(err) => return Err(err.into()),
             }
         };
-        self.pending.lock().push(PendingWindow { close, handle });
+        self.pending.lock().push(PendingWindow { close, owned, handle });
         Ok(())
     }
 
     /// Drain the stream: push the watermark past the frontier so every open
-    /// window closes, wait for every window job, and return the reports in
-    /// window order. Call after all ingesting threads have quiesced.
+    /// window closes, wait for every window job, and build, journal and
+    /// return the reports in window order — a window's carried verdicts come
+    /// from the earlier windows that own them. Call after all ingesting
+    /// threads have quiesced.
     pub fn finish(&self) -> Result<Vec<WindowReport>, StreamError> {
         use std::sync::atomic::Ordering::Relaxed;
         if self.journal.as_ref().is_some_and(|journal| journal.dead()) {
@@ -580,33 +615,59 @@ impl StreamEngine {
         }
         let closings = {
             let mut state = self.state.lock();
-            let horizon = state.max_event_time + self.tuning.window + self.allowed_lateness + 1;
-            self.advance_watermark_locked(&mut state, horizon)
+            let beyond = state.max_event_time + self.tuning.window + self.allowed_lateness + 1;
+            self.advance_watermark_locked(&mut state, beyond)
         };
         for close in closings {
             self.submit_close(close)?;
         }
-        let pending = std::mem::take(&mut *self.pending.lock());
-        let mut reports = Vec::with_capacity(pending.len());
-        for PendingWindow { close, handle } in pending {
-            if self.journal.as_ref().is_some_and(|journal| journal.dead()) {
+        let mut pending = std::mem::take(&mut *self.pending.lock());
+        pending.sort_by_key(|window| window.close.window);
+        let mut finished = Vec::with_capacity(pending.len());
+        for PendingWindow { close, owned, handle } in pending {
+            if self.dead() {
                 // Simulated crash: unreported windows stay journaled as
                 // closed-unreported; the next incarnation reports them.
+                return Ok(Vec::new());
+            }
+            finished.push((close, owned, handle.wait()?));
+        }
+        let mut verdicts =
+            std::mem::replace(&mut self.state.lock().verdicts, Horizon::new(&self.tuning));
+        let mut reports = Vec::with_capacity(finished.len());
+        for (close, keys, output) in finished {
+            if self.dead() {
                 break;
             }
-            let output = handle.wait()?;
-            let verdicts = output.get("report")?.as_map().cloned().unwrap_or_default();
-            let report = WindowReportRecord {
+            let lost = || StreamError::MissingVerdict { window: close.window };
+            let answers = output.get("report")?.as_list().unwrap_or_default();
+            if answers.len() != keys.len() {
+                return Err(lost());
+            }
+            let mut owned = BTreeMap::new();
+            let (mut matched, mut unvalidated) = (0, 0);
+            for (&key, answer) in keys.iter().zip(answers) {
+                let yes = *answer == Data::Bool(true);
+                matched += u64::from(yes);
+                unvalidated += u64::from(matches!(answer, Data::Str(_)));
+                owned.insert(key, yes);
+            }
+            for key in &close.carried {
+                let yes = owned.get(key).copied().or_else(|| verdicts.held(close.window, *key));
+                matched += u64::from(yes.ok_or_else(lost)?);
+            }
+            let mut report = WindowReportRecord {
                 window: close.window,
                 start: close.start,
                 end: close.end,
                 records: close.records,
                 candidate_pairs: close.candidate_pairs,
                 comparisons: close.comparisons,
-                judged: int_field(&verdicts, "judged").max(0) as u64,
-                matched: int_field(&verdicts, "matched").max(0) as u64,
+                judged: (keys.len() + close.carried.len()) as u64,
+                matched,
                 true_duplicates: close.true_duplicates,
                 llm: output.llm,
+                owned,
             };
             if let Some(journal) = &self.journal {
                 // Write-ahead ordering: the report is journaled as submitted
@@ -627,10 +688,14 @@ impl StreamEngine {
             self.state.lock().reported.insert(report.window);
             self.metrics.pairs_judged.fetch_add(report.judged, Relaxed);
             self.metrics.pairs_matched.fetch_add(report.matched, Relaxed);
+            self.metrics.pairs_carried.fetch_add(close.carried.len() as u64, Relaxed);
+            self.metrics.pairs_unvalidated.fetch_add(unvalidated, Relaxed);
             self.metrics.reports.fetch_add(1, Relaxed);
+            verdicts.close(report.window, std::mem::take(&mut report.owned));
             reports.push(WindowReport::from(report));
         }
-        reports.sort_by_key(|r| r.window.0);
+        // A window that closes later may still carry from these.
+        self.state.lock().verdicts = verdicts;
         Ok(reports)
     }
 
@@ -679,7 +744,9 @@ impl StreamEngine {
 mod tests {
     use super::*;
     use crate::source::{StreamSource, SyntheticSource};
+    use lingua_dataset::generators::stream::StreamSpec;
     use lingua_dataset::world::WorldSpec;
+    use lingua_durable::{JournalReader, JournalRecord, JournalTuning, SimStorage};
     use lingua_llm_sim::{SimLlm, SimLlmConfig};
 
     fn engine() -> (StreamEngine, SyntheticSource) {
@@ -770,8 +837,12 @@ mod tests {
         assert_eq!(judged, snap.pairs_judged);
         assert_eq!(matched, snap.pairs_matched);
         assert!(matched > 0, "seeded duplicates must surface as matches");
-        // Every judgment is a window job's call.
-        assert!(engine.server_metrics().llm.calls >= judged);
+        // Overlapping windows carry pairs, and the pairs a window asks about
+        // share numbered prompts: fewer calls than asked pairs.
+        let asked = judged - snap.pairs_carried;
+        let calls = engine.server_metrics().llm.calls;
+        assert!(snap.pairs_carried > 0, "overlapping windows share pairs");
+        assert!(calls > 0 && calls < asked, "{calls} calls for {asked} asked pairs");
         // Window ids are sorted and unique.
         for pair in reports.windows(2) {
             assert!(pair[0].window.0 < pair[1].window.0);
@@ -851,6 +922,129 @@ mod tests {
         let after = engine.metrics();
         assert_eq!(after.ingested, counters.ingested + 1);
         assert_eq!(after.assigned_records, counters.assigned_records + 1);
+        engine.shutdown();
+    }
+
+    /// What `stream_dedup` runs: the default tuning, one ingest thread, the
+    /// seeded stream — here with a journal that never compacts, so its
+    /// ingest records say which windows took each record, in order.
+    fn dedup_run(seed: u64, records: usize) -> (StreamEngine, Vec<WindowReport>, Arc<SimStorage>) {
+        let world = WorldSpec::generate(seed);
+        let llm = Arc::new(SimLlm::new(&world, SimLlmConfig { seed, ..Default::default() }));
+        let mut source = SyntheticSource::new(&world, StreamSpec { seed, ..Default::default() });
+        let storage = SimStorage::new();
+        let journal = JournalTuning::sim(storage.clone()).with_checkpoint_interval(usize::MAX);
+        let config = StreamConfig {
+            serve: ServeConfig {
+                workers: Some(2),
+                journal: Some(journal),
+                ..ServeConfig::default()
+            },
+            ..StreamConfig::default()
+        };
+        let engine = StreamEngine::start(ContextFactory::new(llm), source.schema().clone(), config)
+            .expect("engine starts");
+        for item in source.take_records(records) {
+            engine.ingest(item).expect("ingest");
+        }
+        let reports = engine.finish().expect("finish");
+        (engine, reports, storage)
+    }
+
+    /// Carrying a verdict is asking again: every window's `(judged, matched)`
+    /// equals a reference that rebuilds each window from the journal's
+    /// ingest records and asks the judge about every candidate pair alone.
+    #[test]
+    fn carried_verdicts_equal_asking_every_pair() {
+        for seed in [11, 7919] {
+            let (mut engine, reports, storage) = dedup_run(seed, 1_200);
+            let snap = engine.metrics();
+            assert!(snap.pairs_carried > 0, "seed {seed}: {}", snap.report());
+            let mut windows: BTreeMap<u64, WindowState> = BTreeMap::new();
+            for record in JournalReader::scan(&storage.snapshot()).records {
+                if let JournalRecord::StreamIngest { item, windows: landed } = record {
+                    for k in landed {
+                        let window =
+                            windows.entry(k).or_insert_with(|| WindowState::new(WindowId(k)));
+                        window.insert(item.clone(), engine.key_index, engine.max_block_size);
+                    }
+                }
+            }
+            let world = WorldSpec::generate(seed);
+            let llm = Arc::new(SimLlm::new(&world, SimLlmConfig { seed, ..Default::default() }));
+            let mut ctx = ContextFactory::new(llm).build();
+            let mut judge = pair_judge();
+            let reference: Vec<(u64, u64, u64)> = windows
+                .values()
+                .map(|window| {
+                    let described = window.describe_records(&engine.schema);
+                    let matched = window.candidates().iter().filter(|&&(i, j)| {
+                        let pair = Data::map([
+                            ("a".to_string(), Data::Str(described[i].clone())),
+                            ("b".to_string(), Data::Str(described[j].clone())),
+                        ]);
+                        judge.invoke(pair, &mut ctx).expect("the judge answers") == Data::Bool(true)
+                    });
+                    (window.id.0, window.candidates().len() as u64, matched.count() as u64)
+                })
+                .collect();
+            let got: Vec<(u64, u64, u64)> =
+                reports.iter().map(|r| (r.window.0, r.judged, r.matched)).collect();
+            assert_eq!(got, reference, "seed {seed}");
+            engine.shutdown();
+        }
+    }
+
+    /// A model that answers every prompt with text no validator reads.
+    struct Shrugs;
+
+    impl lingua_llm_sim::LlmService for Shrugs {
+        fn complete_batch(
+            &self,
+            requests: &[lingua_llm_sim::CompletionRequest],
+        ) -> lingua_llm_sim::BatchOutcome {
+            let mut usage = lingua_llm_sim::Usage::default();
+            usage.record(10, 4);
+            requests.iter().map(|_| (Ok(Arc::from("It is hard to tell.")), usage)).collect()
+        }
+        fn embed(&self, _text: &str) -> Vec<f64> {
+            Vec::new()
+        }
+        fn usage(&self) -> lingua_llm_sim::Usage {
+            lingua_llm_sim::Usage::default()
+        }
+        fn simulated_latency_ms(&self) -> u64 {
+            0
+        }
+    }
+
+    /// An answer that fails validation twice is no match, and counted: every
+    /// asked pair is unvalidated, none matched, and the report says so.
+    #[test]
+    fn unvalidated_answers_are_counted_not_hidden() {
+        let source = SyntheticSource::with_seed(5);
+        let config = StreamConfig {
+            serve: ServeConfig { workers: Some(2), ..ServeConfig::default() },
+            ..StreamConfig::default()
+        };
+        let mut engine = StreamEngine::start(
+            ContextFactory::new(Arc::new(Shrugs)),
+            source.schema().clone(),
+            config,
+        )
+        .expect("engine starts");
+        let mut source = source;
+        for item in source.take_records(400) {
+            engine.ingest(item).expect("ingest");
+        }
+        let reports = engine.finish().expect("finish");
+        let snap = engine.metrics();
+        let asked = snap.pairs_judged - snap.pairs_carried;
+        assert!(asked > 0 && snap.pairs_carried > 0, "{}", snap.report());
+        assert_eq!(snap.pairs_unvalidated, asked, "{}", snap.report());
+        assert_eq!(snap.pairs_matched, 0);
+        assert!(reports.iter().all(|r| r.matched == 0));
+        assert!(snap.report().contains(&format!("unvalidated {asked}")), "{}", snap.report());
         engine.shutdown();
     }
 

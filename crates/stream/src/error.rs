@@ -28,6 +28,10 @@ pub enum StreamError {
     /// reporting that backoff did not help — the source must slow down or
     /// the pool must grow. `attempts` is how many retries were burned.
     Saturated { attempts: u32 },
+    /// A window's report lacks a verdict: its job returned fewer than the
+    /// pairs it asked about, or a pair it carries has no verdict from the
+    /// earlier window that owns it (a journal from another tuning).
+    MissingVerdict { window: u64 },
 }
 
 impl fmt::Display for StreamError {
@@ -59,6 +63,9 @@ impl fmt::Display for StreamError {
                     "serve queue stayed saturated through {attempts} backpressure \
                      retries; slow the source or grow the worker pool"
                 )
+            }
+            StreamError::MissingVerdict { window } => {
+                write!(f, "window {window} has a candidate pair without a verdict")
             }
         }
     }

@@ -152,10 +152,10 @@ impl WindowState {
         self.comparisons
     }
 
-    /// Render a candidate pair as the `(record A, record B)` descriptions an
-    /// entity-match prompt needs.
-    pub(crate) fn describe_pair(&self, pair: (usize, usize), schema: &Schema) -> (String, String) {
-        (self.records[pair.0].record.describe(schema), self.records[pair.1].record.describe(schema))
+    /// Render every record as the description an entity-match prompt
+    /// needs, by index: each once, however many candidate pairs it is in.
+    pub(crate) fn describe_records(&self, schema: &Schema) -> Vec<String> {
+        self.records.iter().map(|item| item.record.describe(schema)).collect()
     }
 
     /// Ground-truth duplicate pairs inside this window (same hidden entity
@@ -273,7 +273,8 @@ mod tests {
             }
         }
         assert_eq!(truth, naive);
-        let (a, b) = window.describe_pair((0, 1), &schema);
-        assert!(a.contains("beer_name") && b.contains("brewery"));
+        let described = window.describe_records(&schema);
+        assert_eq!(described.len(), records.len());
+        assert!(described[0].contains("beer_name") && described[1].contains("brewery"));
     }
 }

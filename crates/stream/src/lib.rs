@@ -48,6 +48,7 @@
 //! println!("{}", engine.metrics().report());
 //! ```
 
+mod carry;
 mod engine;
 mod error;
 mod incremental;

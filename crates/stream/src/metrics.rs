@@ -26,9 +26,15 @@ pub(crate) struct StreamMetrics {
     pub(crate) windows_closed: AtomicU64,
     /// Blocking-index probes (candidate comparisons generated).
     pub(crate) comparisons: AtomicU64,
-    /// Candidate pairs judged by the matcher in window jobs.
+    /// Candidate pairs judged in reported windows: asked by the window's
+    /// job, or carried.
     pub(crate) pairs_judged: AtomicU64,
     pub(crate) pairs_matched: AtomicU64,
+    /// Judged pairs whose verdict came from another ask: an overlapping
+    /// earlier window's, or the window's own ask of the same pair.
+    pub(crate) pairs_carried: AtomicU64,
+    /// Asked pairs whose answer failed validation twice (read as no match).
+    pub(crate) pairs_unvalidated: AtomicU64,
     /// Watermark advances observed.
     pub(crate) watermark_advances: AtomicU64,
     /// Submissions that hit a full serve queue and had to retry.
@@ -61,6 +67,8 @@ impl StreamMetrics {
             comparisons: self.comparisons.load(Ordering::Relaxed),
             pairs_judged: self.pairs_judged.load(Ordering::Relaxed),
             pairs_matched: self.pairs_matched.load(Ordering::Relaxed),
+            pairs_carried: self.pairs_carried.load(Ordering::Relaxed),
+            pairs_unvalidated: self.pairs_unvalidated.load(Ordering::Relaxed),
             watermark_advances: self.watermark_advances.load(Ordering::Relaxed),
             backpressure_stalls: self.backpressure_stalls.load(Ordering::Relaxed),
             reports: self.reports.load(Ordering::Relaxed),
@@ -85,6 +93,10 @@ pub struct StreamSnapshot {
     pub comparisons: u64,
     pub pairs_judged: u64,
     pub pairs_matched: u64,
+    /// Judged pairs whose verdict was carried, not asked.
+    pub pairs_carried: u64,
+    /// Asked pairs whose answer failed validation twice.
+    pub pairs_unvalidated: u64,
     pub watermark_advances: u64,
     pub backpressure_stalls: u64,
     pub reports: u64,
@@ -109,7 +121,8 @@ impl StreamSnapshot {
     pub fn report(&self) -> String {
         format!(
             "ingested {} (assigned {}, late {}) | windows {}/{} closed ({} open) | \
-             comparisons {} | judged {} matched {} | watermark {} (lag {}) | stalls {}",
+             comparisons {} | judged {} (carried {}, unvalidated {}) matched {} | \
+             watermark {} (lag {}) | stalls {}",
             self.ingested,
             self.assigned_records,
             self.late_dropped,
@@ -118,6 +131,8 @@ impl StreamSnapshot {
             self.windows_open,
             self.comparisons,
             self.pairs_judged,
+            self.pairs_carried,
+            self.pairs_unvalidated,
             self.pairs_matched,
             self.watermark,
             self.watermark_lag,
@@ -140,12 +155,15 @@ mod tests {
         m.windows_closed.fetch_add(2, Ordering::Relaxed);
         m.max_event_time.store(100, Ordering::Relaxed);
         m.watermark.store(92, Ordering::Relaxed);
+        m.pairs_carried.store(3, Ordering::Relaxed);
+        m.pairs_unvalidated.store(2, Ordering::Relaxed);
         let snap = m.snapshot();
         assert!(snap.record_conservation_holds());
         assert!(snap.window_conservation_holds());
         assert_eq!(snap.windows_open, 1);
         assert_eq!(snap.watermark_lag, 8);
         assert!(snap.report().contains("lag 8"));
+        assert!(snap.report().contains("carried 3, unvalidated 2"), "{}", snap.report());
     }
 
     #[test]

@@ -91,6 +91,9 @@ fn stream_recovery_matches_uninterrupted_at_every_kill_point() {
     let reference_usage = llm.usage();
     assert!(!reference.is_empty(), "the stream must actually close windows");
     assert!(reference_usage.calls > 0, "the workload must actually bill the LLM");
+    // The kill points must also land around windows that carry verdicts.
+    let carried = engine.metrics().pairs_carried;
+    assert!(carried > 0, "overlapping windows must carry pairs: {}", engine.metrics().report());
     // The checkpoint rows must crash a compaction the run itself triggered,
     // not only the one shutdown forces.
     let fired = engine.journal().expect("journal attached").injector().counts();
@@ -224,9 +227,11 @@ fn recovered_engine_keeps_conservation_laws() {
 }
 
 /// A clean shutdown journals the ledger's bill with the simulator's cache
-/// on, as the streaming benchmark runs it: overlapping windows re-judge
-/// pairs from the cache, and the `cumulative` the next `Journal::open` reads
-/// books those as saved, equal to the ledger on every `Usage` field.
+/// on, as the streaming benchmark runs it. Each pair is asked once per
+/// stream, so the hits come from replaying the same stream over the same
+/// simulator: the replay's numbered prompts are the first run's, answered
+/// from the cache, and the `cumulative` the next `Journal::open` reads books
+/// them as saved, equal to the replay's ledger on every `Usage` field.
 #[test]
 fn a_caching_streams_journaled_bill_is_its_ledger() {
     let world = WorldSpec::generate(SEED);
@@ -234,21 +239,25 @@ fn a_caching_streams_journaled_bill_is_its_ledger() {
         &world,
         SimLlmConfig { seed: SEED, cache_enabled: true, ..Default::default() },
     ));
-    let storage = SimStorage::new();
     let source = SyntheticSource::new(&world, StreamSpec { seed: SEED, ..Default::default() });
-    let engine = StreamEngine::start(
-        ContextFactory::new(Arc::clone(&llm) as Arc<dyn LlmService>),
-        source.schema().clone(),
-        stream_config(JournalTuning::sim(storage.clone())),
-    )
-    .expect("engine starts");
-    for item in items() {
-        engine.ingest(item).expect("ingest");
-    }
-    engine.finish().expect("drain");
-    drop(engine);
-    let ledger = llm.usage();
-    assert!(ledger.cached_calls > 0, "overlapping windows re-judge pairs from the cache");
+    let run = |storage: Arc<SimStorage>| {
+        let engine = StreamEngine::start(
+            ContextFactory::new(Arc::clone(&llm) as Arc<dyn LlmService>),
+            source.schema().clone(),
+            stream_config(JournalTuning::sim(storage)),
+        )
+        .expect("engine starts");
+        for item in items() {
+            engine.ingest(item).expect("ingest");
+        }
+        engine.finish().expect("drain");
+    };
+    run(SimStorage::new());
+    let first = llm.usage();
+    let storage = SimStorage::new();
+    run(storage.clone());
+    let ledger = llm.usage().since(&first);
+    assert!(ledger.cached_calls > 0, "the replay's prompts are answered from the cache");
     let (_journal, recovered) = Journal::open(JournalTuning::sim(storage)).expect("log reopens");
     assert_eq!(recovered.cumulative, ledger, "journaled bill != ledger");
 }

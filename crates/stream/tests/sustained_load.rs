@@ -14,6 +14,10 @@
 //!    call and the token, what the serve layer's job meters booked: every
 //!    call the stream makes is a window job's. No call is lost or
 //!    double-billed.
+//! 4. **Each pair asked once** — a census of the calls, taken by a wrapper
+//!    around the simulator, accounts for every judged pair as asked or
+//!    carried, and for every call as a numbered prompt, a lone ask or a
+//!    strict retry.
 //!
 //! How many records arrive *late* is not among them: with eight threads on
 //! fewer cores a descheduled thread falls behind the event-time frontier the
@@ -23,24 +27,108 @@
 //! never reaches the allowed lateness: nothing is dropped
 //! (`single_threaded_ingest_drops_nothing_late`).
 
+use lingua_core::validation::OutputValidator;
 use lingua_core::ContextFactory;
 use lingua_dataset::world::WorldSpec;
 use lingua_gateway::{Gateway, ServiceTransport};
-use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig, TokenPricing, Usage};
+use lingua_llm_sim::{
+    BatchOutcome, CompletionRequest, ListRequest, LlmService, SimLlm, SimLlmConfig, TokenPricing,
+    Usage,
+};
 use lingua_serve::ServeConfig;
 use lingua_stream::{
     StreamConfig, StreamEngine, StreamItem, StreamSource, StreamSpec, StreamTuning, SyntheticSource,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const THREADS: usize = 8;
 const TOTAL: usize = 10_000;
 
-/// The simulator, an engine over it, and the seeded 10k records.
-fn start(max_block_size: usize) -> (Arc<SimLlm>, Arc<StreamEngine>, Vec<StreamItem>) {
+/// The yes/no format pin a pair prompt ends with; a strict retry repeats it.
+const PIN: &str = "Respond with exactly `yes` or `no`, nothing else.";
+
+/// The calls the window jobs placed, by kind.
+#[derive(Debug, Default, Clone, Copy)]
+struct Census {
+    numbered: u64,
+    /// Pairs the numbered prompts asked about.
+    members: u64,
+    /// Members whose answer line was missing or unusable: each is asked
+    /// again alone.
+    unusable_members: u64,
+    lone: u64,
+    unusable_lone: u64,
+    strict: u64,
+    unusable_strict: u64,
+    /// Anything else: must stay 0.
+    other: u64,
+}
+
+/// The simulator, counting each request by what its text asks.
+struct Counted {
+    inner: Arc<SimLlm>,
+    census: Mutex<Census>,
+}
+
+impl Counted {
+    fn census(&self) -> Census {
+        *self.census.lock().unwrap()
+    }
+}
+
+fn usable(answer: &str) -> bool {
+    OutputValidator::YesNo.validate(answer).is_some()
+}
+
+impl LlmService for Counted {
+    fn complete_batch(&self, requests: &[CompletionRequest]) -> BatchOutcome {
+        let outcome = self.inner.complete_batch(requests);
+        let mut census = self.census.lock().unwrap();
+        for (request, response) in requests.iter().zip(&outcome.responses) {
+            let (prompt, answer) = (&request.prompt, response.as_deref().unwrap_or(""));
+            let pins = prompt.matches(PIN).count();
+            if let Some(head) = prompt.strip_prefix("Numbered request: ") {
+                let members = head.split(' ').next().and_then(|n| n.parse().ok()).unwrap_or(0);
+                let blanks = vec![String::new(); members];
+                let answers = ListRequest::new(&blanks).answers(answer);
+                census.numbered += 1;
+                census.members += members as u64;
+                census.unusable_members +=
+                    answers.iter().filter(|line| !line.is_some_and(usable)).count() as u64;
+            } else if prompt.contains("Record A: ") && pins == 1 {
+                census.lone += 1;
+                census.unusable_lone += u64::from(!usable(answer));
+            } else if prompt.contains("Record A: ") && pins == 2 {
+                census.strict += 1;
+                census.unusable_strict += u64::from(!usable(answer));
+            } else {
+                census.other += 1;
+            }
+        }
+        outcome
+    }
+    fn embed(&self, text: &str) -> Vec<f64> {
+        self.inner.embed(text)
+    }
+    fn usage(&self) -> Usage {
+        self.inner.usage()
+    }
+    fn restore_usage(&self, usage: &Usage) {
+        self.inner.restore_usage(usage)
+    }
+    fn simulated_latency_ms(&self) -> u64 {
+        self.inner.simulated_latency_ms()
+    }
+}
+
+/// The counted simulator, an engine over it, and the seeded 10k records.
+fn start(max_block_size: usize) -> (Arc<Counted>, Arc<StreamEngine>, Vec<StreamItem>) {
     let seed = 99;
     let world = WorldSpec::generate(seed);
-    let llm = Arc::new(SimLlm::new(&world, SimLlmConfig { seed, ..Default::default() }));
+    let llm = Arc::new(Counted {
+        inner: Arc::new(SimLlm::new(&world, SimLlmConfig { seed, ..Default::default() })),
+        census: Mutex::default(),
+    });
     let mut source = SyntheticSource::new(&world, StreamSpec { seed, ..Default::default() });
     let schema = source.schema().clone();
     let records = source.take_records(TOTAL);
@@ -140,7 +228,20 @@ fn sustained_load_on_window_close() {
     // The matcher actually did work under load.
     assert!(snap.pairs_judged > 0);
     assert!(snap.pairs_matched > 0);
-    assert_eq!(snap.pairs_judged, serve.llm.calls, "one window-job call per judged pair");
+
+    // 4. Each pair asked once. A lone ask is a prompt's one pair, or a member
+    //    the numbered prompt left without a usable answer; an unusable lone
+    //    answer gets one strict retry, and an unusable retry is a pair the
+    //    window reads as no match.
+    let census = llm.census();
+    assert_eq!(census.other, 0, "every call is a pair judge's: {census:?}");
+    assert_eq!(serve.llm.calls, census.numbered + census.lone + census.strict, "{census:?}");
+    let asked = census.members + census.lone - census.unusable_members;
+    assert_eq!(snap.pairs_judged, asked + snap.pairs_carried, "{census:?}");
+    assert_eq!(census.strict, census.unusable_lone, "{census:?}");
+    assert_eq!(snap.pairs_unvalidated, census.unusable_strict, "{census:?}");
+    assert!(snap.pairs_carried > 0, "overlapping windows carry pairs");
+    assert!(census.numbered > 0 && census.members > census.numbered, "{census:?}");
 
     // Serve-side books for the window jobs themselves.
     assert_eq!(serve.accepted, snap.windows_closed, "one job per closed window");

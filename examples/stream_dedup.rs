@@ -2,7 +2,9 @@
 //! flows through sliding event-time windows; each arriving record is
 //! compared only against its own window (incremental blocking — O(window)
 //! work per record), and when the watermark closes a window, one serve job
-//! judges its candidate pairs with the LLM and emits a match report.
+//! asks the LLM about the candidate pairs no overlapping earlier window has
+//! asked about, in numbered prompts, and the window's match report carries
+//! the other verdicts over.
 //!
 //! ```text
 //! cargo run --release -p lingua-stream --example stream_dedup
@@ -58,6 +60,14 @@ fn main() {
         "incremental work: {} blocking probes for {} records — bounded by window \
          occupancy, not stream length",
         snapshot.comparisons, snapshot.ingested,
+    );
+    println!(
+        "shared verdicts: {} of {} judged pairs carried from an earlier ask, {} asked \
+         in {} calls",
+        snapshot.pairs_carried,
+        snapshot.pairs_judged,
+        snapshot.pairs_judged - snapshot.pairs_carried,
+        job_usage.calls,
     );
 
     assert!(snapshot.record_conservation_holds());
