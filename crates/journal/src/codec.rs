@@ -25,11 +25,12 @@ use lingua_llm_sim::Usage;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// First byte of every payload: the version of this encoding. Format 2's
+/// First byte of every payload: the version of this encoding. Format 3's
+/// reports did not say which windows the engine still remembers, format 2's
 /// window records carried no pair keys, format 1's `WindowClose` two more
 /// fields, and the format before it (JSON text) began with `{`. Each is
 /// recognised as a log this reader does not speak.
-pub(crate) const FORMAT: u8 = 3;
+pub(crate) const FORMAT: u8 = 4;
 
 /// Tag byte of [`JournalRecord::Checkpoint`].
 const CHECKPOINT: u8 = 8;
@@ -288,7 +289,7 @@ wire_structs! {
     }
     WindowReportRecord {
         window, start, end, records, candidate_pairs, comparisons, judged, matched,
-        true_duplicates, llm, owned
+        true_duplicates, llm, owned, remembered_from
     }
     StreamCheckpoint { watermark, max_event_time, open_windows, closed_unreported, reported }
 }
@@ -434,6 +435,7 @@ mod tests {
             true_duplicates: 2,
             llm,
             owned: BTreeMap::from([(0, false), (u64::MAX, true)]),
+            remembered_from: 1 << 40,
         };
         let finished = FinishedJob {
             pipeline: "clean".into(),

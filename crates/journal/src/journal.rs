@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How a journal is attached to a server or stream engine.
@@ -159,17 +160,17 @@ impl Checkpoint {
             JournalRecord::ReportSubmitted(report) => {
                 self.stream.closed_unreported.remove(&report.window);
                 // A reported window's verdicts matter while a later window
-                // may carry from it: one that overlaps it in event time.
-                // Reports arrive in window order, so a window ending by this
-                // report's start overlaps no window still to be reported;
-                // those that ended by the previous report's start were
-                // dropped then.
-                let previous = self.stream.reported.last_key_value().map(|(_, last)| last.start);
-                for (_, earlier) in self.stream.reported.range_mut(..report.window).rev() {
-                    if previous.is_some_and(|start| earlier.end <= start) {
-                        break;
-                    }
-                    if earlier.end <= report.start {
+                // may carry from it, and the report says from which window
+                // on that is. Reports arrive in window order, so the windows
+                // before the previous report's mark were emptied then. A
+                // mark that moved back (a restart that remembers more) empties
+                // nothing: the engine asks those pairs again.
+                let previous = self.stream.reported.last_key_value();
+                let previous = previous.map_or(0, |(_, last)| last.remembered_from);
+                if previous < report.remembered_from {
+                    let forgotten =
+                        self.stream.reported.range_mut(previous..report.remembered_from);
+                    for (_, earlier) in forgotten {
                         earlier.owned = BTreeMap::new();
                     }
                 }
@@ -242,7 +243,11 @@ fn bounded_frame(what: &str, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<Vec<
 /// Appenders serialise only on the write, the counters and that decision.
 /// The append that finds a compaction due runs it after dropping the lock,
 /// so its caller pays for it and no other append waits on the fold or the
-/// encoding; one compaction runs at a time.
+/// encoding; one compaction runs at a time. A compaction that fails is the
+/// compactor's failure, not the append's: the append's record is written,
+/// so it returns `Ok`, the failure is counted
+/// ([`Journal::compactions_failed`]), and the next append that finds a
+/// compaction due tries again.
 ///
 /// Every storage write is threaded through the crash injector. Once it
 /// reports dead, every write is silently dropped — the simulated process
@@ -256,6 +261,9 @@ pub struct Journal {
     /// Holding this lock is what makes a compaction the only one running;
     /// it is taken before `inner`, never under it.
     fold: Mutex<Checkpoint>,
+    /// Compactions an append triggered that failed (storage, or a fold too
+    /// large for one frame).
+    compactions_failed: AtomicU64,
 }
 
 impl Journal {
@@ -316,6 +324,7 @@ impl Journal {
                 damaged: false,
             }),
             fold: Mutex::new(fold),
+            compactions_failed: AtomicU64::new(0),
         };
         Ok((journal, recovered))
     }
@@ -333,11 +342,13 @@ impl Journal {
     /// Append one record, and compact if the log has doubled. Returns
     /// whether the record was durably written — `false` only when the crash
     /// injector killed the simulated process before or during the write, so
-    /// harnesses can tell "journaled" from "lost" exactly.
+    /// harnesses can tell "journaled" from "lost" exactly. An error means
+    /// the record is not in the log.
     ///
-    /// An error from the compaction step (storage, or the one-time
-    /// oversize-checkpoint refusal) arrives after the record itself was
-    /// written.
+    /// The compaction step's own failure (storage, or the one-time
+    /// oversize-checkpoint refusal) is not returned: the record is written
+    /// by then. It is counted in [`Journal::compactions_failed`], and a
+    /// storage failure is retried at the next due point.
     ///
     /// A failed storage append may leave part of its frame in the log. The
     /// next append first cuts the log back to the frames written
@@ -373,8 +384,8 @@ impl Journal {
             inner.compacting |= due;
             due
         };
-        if compact {
-            self.compact(false)?;
+        if compact && self.compact(false).is_err() {
+            self.compactions_failed.fetch_add(1, Ordering::Relaxed);
         }
         Ok(true)
     }
@@ -507,9 +518,17 @@ impl Journal {
     }
 
     /// Force a checkpoint + compaction now, whatever the log's size
-    /// (shutdown path). A compaction already running finishes first.
+    /// (shutdown path). A compaction already running finishes first. Its
+    /// error is the caller's, and is not counted.
     pub fn checkpoint_now(&self) -> io::Result<()> {
         self.compact(true)
+    }
+
+    /// Compactions that appends triggered and that failed, since this
+    /// journal was opened. The records stay in the log, which grows until a
+    /// compaction succeeds (or, after an oversize refusal, for good).
+    pub fn compactions_failed(&self) -> u64 {
+        self.compactions_failed.load(Ordering::Relaxed)
     }
 
     pub fn flush(&self) -> io::Result<()> {
@@ -622,33 +641,27 @@ mod tests {
         let storage = SimStorage::new();
         let tuning = JournalTuning::sim(storage.clone()).with_checkpoint_interval(4);
         let (journal, _) = Journal::open(tuning).unwrap();
-        let mut refusals = 0;
         for fp in 0..jobs {
-            match journal.record_job_finished(bulky(fp, 1024)) {
-                Ok(written) => assert!(written),
-                Err(err) => {
-                    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-                    refusals += 1;
-                }
-            }
+            assert!(journal.record_job_finished(bulky(fp, 1024)).unwrap(), "every record lands");
         }
         // Asking outright is refused too.
         let before = storage.snapshot();
         let forced = journal.checkpoint_now();
         let after_forced = storage.snapshot();
+        let refusals = journal.compactions_failed();
         drop(journal);
 
         // Every frame in the log is one a reader accepts, so reopening cuts
         // nothing — an oversize checkpoint frame would read as damage at
         // offset 0 and be "repaired" to an empty log. The job whose append
-        // carried the refusal is there too.
+        // met the refusal is there too.
         let (_journal, recovered) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
         assert_eq!(recovered.finished.len(), jobs as usize);
         assert_eq!(recovered.corrupt_records_skipped, 0);
         assert_eq!(storage.snapshot(), before);
 
         assert!(before.len() > MAX_FRAME_PAYLOAD);
-        assert_eq!(refusals, 1, "the refusal is reported once, then appends carry on");
+        assert_eq!(refusals, 1, "the refusal is counted once, then appends carry on");
         assert_eq!(forced.unwrap_err().kind(), io::ErrorKind::InvalidInput);
         assert_eq!(after_forced, before, "a refused checkpoint touches nothing");
     }
@@ -795,9 +808,36 @@ mod tests {
         assert_eq!(pending, [1, 5]);
     }
 
+    /// A compaction that fails is not its append's error: the record is in
+    /// the log, the failure is counted, and the next append that finds a
+    /// compaction due tries again, until one succeeds.
+    #[test]
+    fn a_failed_compaction_is_counted_and_retried_not_returned() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let sim = SimStorage::new();
+        let storage = TearNextAppend::over(sim.clone());
+        storage.full.store(true, Relaxed);
+        let tuning = JournalTuning::over(storage.clone()).with_checkpoint_interval(1);
+        let (journal, _) = Journal::open(tuning).unwrap();
+        for fp in 0..3 {
+            assert!(journal.record_job_accepted("p", fp, &inputs(fp as i64)).unwrap());
+            assert_eq!(journal.compactions_failed(), fp + 1, "each due append tries again");
+        }
+        storage.full.store(false, Relaxed);
+        journal.record_job_finished(finished("p", 0, 10)).unwrap();
+        assert_eq!(journal.compactions_failed(), 3, "the retry succeeded");
+        let records = JournalReader::scan(&sim.snapshot()).records;
+        assert!(matches!(records[..], [JournalRecord::Checkpoint(_)]), "{records:?}");
+        drop(journal);
+        let (_journal, recovered) = Journal::open(JournalTuning::sim(sim)).unwrap();
+        let pending: Vec<u64> = recovered.pending.iter().map(|job| job.fingerprint).collect();
+        assert_eq!(pending, [1, 2]);
+        assert_eq!(recovered.finished.len(), 1);
+    }
+
     /// A report with `owned` verdicts for window `k` of 32-tick windows
-    /// sliding by 16.
-    fn report(k: u64) -> WindowReportRecord {
+    /// sliding by 16, from an engine that remembers `depth` windows back.
+    fn report(k: u64, depth: u64) -> WindowReportRecord {
         WindowReportRecord {
             window: k,
             start: k * 16,
@@ -810,32 +850,43 @@ mod tests {
             true_duplicates: 1,
             llm: Usage::default(),
             owned: BTreeMap::from([(k, true)]),
+            remembered_from: (k + 1).saturating_sub(depth),
         }
     }
 
-    /// The fold keeps a reported window's verdicts while a later window can
-    /// still overlap it, and only then, across a reopen too.
+    /// The fold keeps a reported window's verdicts while the latest report
+    /// says its engine remembers the window, and only then, across a reopen
+    /// too.
     #[test]
-    fn the_fold_keeps_the_verdicts_of_overlapping_reports_only() {
+    fn the_fold_keeps_the_verdicts_of_remembered_reports_only() {
         let kept = |checkpoint: &StreamCheckpoint| -> Vec<u64> {
             let reported = checkpoint.reported.values();
             reported.filter(|report| !report.owned.is_empty()).map(|report| report.window).collect()
         };
         let storage = SimStorage::new();
         let (journal, _) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
-        // Window 3 is never reported: 4 uncovers windows 1 and 2 at once.
-        for k in [0, 1, 2, 4, 5, 6] {
-            journal.record_report_submitted(report(k)).unwrap();
+        // Window 3 is never reported: 4 forgets windows 0 and 1 at once.
+        for k in [0, 1, 2, 4] {
+            journal.record_report_submitted(report(k, 3)).unwrap();
         }
         drop(journal);
         let (journal, recovered) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
-        assert_eq!(recovered.stream.reported.len(), 6);
-        assert_eq!(kept(&recovered.stream), [5, 6], "window 6 starts at 96, where 4 ends");
-        journal.record_report_submitted(report(7)).unwrap();
+        assert_eq!(kept(&recovered.stream), [2, 4], "window 5 may carry from 2 on");
+        // Far more windows than it overlaps: a restart that remembers 6
+        // windows back forgets nothing more, one that remembers 2 forgets
+        // everything before 7.
+        journal.record_report_submitted(report(5, 3)).unwrap();
+        journal.record_report_submitted(report(6, 6)).unwrap();
+        drop(journal);
+        let (journal, recovered) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
+        assert_eq!(kept(&recovered.stream), [4, 5, 6]);
+        journal.record_report_submitted(report(8, 2)).unwrap();
         journal.checkpoint_now().unwrap();
         drop(journal);
         let (_journal, again) = Journal::open(JournalTuning::sim(storage)).unwrap();
-        assert_eq!(kept(&again.stream), [6, 7]);
+        assert_eq!(again.replayed, 1, "one checkpoint frame");
+        assert_eq!(again.stream.reported.len(), 7);
+        assert_eq!(kept(&again.stream), [8]);
     }
 
     #[test]

@@ -70,8 +70,8 @@ pub struct WindowCloseRecord {
     /// Inputs of the window-report serve job: the pairs this window owns.
     pub inputs: BTreeMap<String, Data>,
     /// Keys of the candidate pairs whose verdict this window takes from an
-    /// overlapping earlier window (or from its own first ask of the same
-    /// pair), in candidate order.
+    /// earlier window the engine remembers (or from its own first ask of the
+    /// same pair), in candidate order.
     pub carried: Vec<u64>,
 }
 
@@ -91,6 +91,10 @@ pub struct WindowReportRecord {
     /// Verdict of each pair this window's job asked, by pair key: what a
     /// later window carrying one of them reads after a restart.
     pub owned: BTreeMap<u64, bool>,
+    /// The oldest window a window still to be reported may carry from, as
+    /// the engine remembers at this report: the fold empties the `owned` of
+    /// every reported window before it.
+    pub remembered_from: u64,
 }
 
 /// One durable event.

@@ -83,6 +83,7 @@ fn pristine(items: &[StreamItem]) -> Arc<SimStorage> {
             true_duplicates: 1,
             llm: Usage::default(),
             owned: BTreeMap::from([(0xF00D, true)]),
+            remembered_from: 2,
         })
         .unwrap();
     journal.record_job_accepted("curate", 9, &inputs(9)).unwrap();

@@ -32,16 +32,22 @@ fn old_window_close(format: u8, fields: &[u64]) -> Vec<u8> {
 /// a format this build does not speak: JSON text (the commit before the
 /// binary codec, which filed such a frame under "damage" and cut the log),
 /// format 1 (nine `u64` fields, the last two the inline verdict counts
-/// format 2 dropped), format 2 (no carried pair keys after the inputs), or
-/// a future format. Opening must fail with `InvalidData` and leave storage
+/// format 2 dropped), format 2 (no carried pair keys after the inputs),
+/// format 3 (a close whose fields this format shares: its reports said
+/// nothing of what the engine remembers, so the whole log is refused), or a
+/// future format. Opening must fail with `InvalidData` and leave storage
 /// byte-for-byte untouched.
 #[test]
 fn unreadable_frame_fails_open_and_leaves_storage_untouched() {
     let json_payload: &[u8] = br#"{"kind":"job_started","pipeline":"curate","fingerprint":2}"#;
     let format_1_payload = old_window_close(1, &[3, 48, 80, 2, 1, 1, 1, 1, 1]);
     let format_2_payload = old_window_close(2, &[3, 48, 80, 2, 1, 1, 1]);
+    let mut format_3_payload = old_window_close(3, &[3, 48, 80, 2, 1, 1, 1]);
+    format_3_payload.extend_from_slice(&0u32.to_le_bytes());
     let future_payload: &[u8] = &[0xFF, 1, 2, 3];
-    for payload in [json_payload, &format_1_payload, &format_2_payload, future_payload] {
+    let payloads =
+        [json_payload, &format_1_payload, &format_2_payload, &format_3_payload, future_payload];
+    for payload in payloads {
         let storage = SimStorage::new();
         let (journal, _) = Journal::open(JournalTuning::sim(storage.clone())).unwrap();
         journal.record_job_accepted("curate", 1, &inputs(1)).unwrap();
@@ -125,7 +131,7 @@ fn non_finite_floats_survive_a_reopen_bit_for_bit() {
 /// A window's carried pair keys and a report's owned verdicts come back from
 /// a reopen as they went in: a closed-unreported window with its carried
 /// keys in candidate order (a repeat included), a reported one with every
-/// verdict.
+/// verdict and the oldest window its engine remembered.
 #[test]
 fn pair_keys_and_verdicts_survive_a_reopen() {
     let close = |window: u64, carried: Vec<u64>| WindowCloseRecord {
@@ -155,6 +161,7 @@ fn pair_keys_and_verdicts_survive_a_reopen() {
         true_duplicates: 1,
         llm: Usage::default(),
         owned: BTreeMap::from([(0, true), (7, false), (u64::MAX, false)]),
+        remembered_from: 2,
     };
     journal.record_report_submitted(report.clone()).unwrap();
     drop(journal);

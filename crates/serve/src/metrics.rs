@@ -155,6 +155,7 @@ impl Metrics {
                 workers_gave_up: 0,
                 stuck_jobs: inner.stuck_jobs,
                 breaker_states: Vec::new(),
+                journal_compactions_failed: 0,
             },
             gateway: None,
             batch: None,
@@ -211,6 +212,10 @@ pub struct HealthSnapshot {
     pub stuck_jobs: u64,
     /// Circuit-breaker state per gateway backend, when one is attached.
     pub breaker_states: Vec<(String, String)>,
+    /// Journal compactions that failed since start (filled in by
+    /// `PipelineServer::metrics`). No record is lost: the log keeps growing
+    /// until a later compaction succeeds, and the next recovery replays it.
+    pub journal_compactions_failed: u64,
 }
 
 /// A point-in-time view of the server's counters.
@@ -263,7 +268,10 @@ pub struct MetricsSnapshot {
     /// Journal appends that failed after their job was accepted (`finished`
     /// and `failed` records). The jobs' outcomes stood, but recovery
     /// will not see those records: a lost `finished` is a job the next
-    /// incarnation re-executes and re-bills. Always zero without a journal.
+    /// incarnation re-executes and re-bills. A record that was written is
+    /// not counted here, whatever its append's compaction did (see
+    /// [`HealthSnapshot::journal_compactions_failed`]). Always zero without
+    /// a journal.
     pub journal_append_errors: u64,
     /// Worker-pool vital signs (live workers filled in by
     /// `PipelineServer::metrics`; counter fields always populated).
@@ -374,6 +382,12 @@ impl MetricsSnapshot {
         }
         if let Some(batch) = &self.batch {
             out.push_str(&batch.report());
+        }
+        if self.health.journal_compactions_failed > 0 {
+            out.push_str(&format!(
+                "\x20 journal errors  {} compaction(s) failed (records kept; the log grows)\n",
+                self.health.journal_compactions_failed,
+            ));
         }
         if self.journal_append_errors > 0 {
             out.push_str(&format!(

@@ -429,6 +429,9 @@ impl PipelineServer {
         if let Some(batcher) = self.shared.batcher.lock().as_ref() {
             snapshot.batch = Some(batcher.snapshot());
         }
+        if let Some(journal) = &self.shared.journal {
+            snapshot.health.journal_compactions_failed = journal.compactions_failed();
+        }
         snapshot.recovery = self.shared.recovery.lock().snapshot;
         snapshot.trace = self.shared.factory.tracer().summary();
         snapshot

@@ -631,3 +631,52 @@ fn a_follower_of_a_refused_accept_gets_the_typed_refusal() {
     server.run(request(0)).expect("the refused key is free again");
     assert_eq!(record_kinds(&log), ["accepted", "finished"]);
 }
+
+/// Sim storage whose `replace` always fails, as on a full disk: every
+/// append lands, no compaction does.
+struct NoRoomToCompact(Arc<SimStorage>);
+
+impl Storage for NoRoomToCompact {
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
+        self.0.append(bytes)
+    }
+
+    fn read(&self) -> io::Result<Vec<u8>> {
+        self.0.read()
+    }
+
+    fn replace(&self, _bytes: &[u8]) -> io::Result<()> {
+        Err(io::Error::other("disk full"))
+    }
+
+    fn flush(&self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// A compaction that fails after a job's accept was written does not
+/// refuse the job: the caller gets its answer, and the reopened log holds
+/// it finished, not pending for the next incarnation to run and bill again.
+/// With a checkpoint interval of 1, every append's compaction fails.
+#[test]
+fn a_failed_compaction_refuses_no_job_the_log_holds() {
+    const JOBS: usize = 3;
+    let log = SimStorage::new();
+    let storage = Arc::new(NoRoomToCompact(log.clone()));
+    let (server, _llm) = server_with(JournalTuning::over(storage).with_checkpoint_interval(1));
+    for i in 0..JOBS {
+        server.run(request(i)).expect("the accept is in the log, so the job runs");
+    }
+    let metrics = server.metrics();
+    assert_eq!((metrics.completed, metrics.journal_refused), (JOBS as u64, 0));
+    assert_eq!(metrics.journal_append_errors, 0, "every record was written");
+    assert_eq!(metrics.health.journal_compactions_failed, 2 * JOBS as u64);
+    let line = format!("{} compaction(s) failed", 2 * JOBS);
+    assert!(metrics.report().contains(&line), "{}", metrics.report());
+    drop(server);
+
+    assert_eq!(record_kinds(&log), ["accepted", "finished"].repeat(JOBS));
+    let (_journal, recovered) = Journal::open(JournalTuning::sim(log)).expect("the log reopens");
+    assert!(recovered.pending.is_empty(), "{:?}", recovered.pending);
+    assert_eq!(recovered.finished.len(), JOBS);
+}

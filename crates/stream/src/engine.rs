@@ -11,8 +11,9 @@
 //!   for free;
 //! - candidate judgments are the **standard pair judge's numbered prompts**,
 //!   through the LLM service the context factory provides (wrap it in a
-//!   gateway for retries/hedging — the engine doesn't care), and a pair two
-//!   overlapping windows share is asked once ([`crate::carry`]);
+//!   gateway for retries/hedging — the engine doesn't care), and a pair is
+//!   asked once for as long as the engine remembers it, whether overlapping
+//!   windows share it or the stream repeats it ([`crate::carry`]);
 //! - every window is a **cross-thread trace span** (`stream_window`), with
 //!   watermark advances and late drops as instants, so `lingua-trace` tools
 //!   reconstruct stream behavior the same way they do batch jobs.
@@ -103,10 +104,10 @@ struct EngineState {
     /// watermark past the window's end), but the set makes the invariant
     /// structural rather than emergent.
     reported: BTreeSet<u64>,
-    /// Pair keys owned by the closed windows a closing window overlaps.
+    /// Pair keys owned by the closed windows a closing window may carry from.
     owners: Horizon<()>,
     /// Verdicts of the reported windows that a window still to be reported
-    /// overlaps: restored from the journal, or left by the last `finish`.
+    /// may carry from: restored from the journal, or left by the last `finish`.
     verdicts: Horizon<bool>,
 }
 
@@ -126,6 +127,9 @@ struct PendingWindow {
 /// then the driver drains).
 pub struct StreamEngine {
     tuning: StreamTuning,
+    /// How many windows back a closing window may carry from, beyond its
+    /// overlap: the server's `result_cache_capacity` (see [`crate::carry`]).
+    remembered: usize,
     allowed_lateness: u64,
     key_index: usize,
     max_block_size: usize,
@@ -219,12 +223,14 @@ impl StreamEngine {
             .compile(&logical, &mut ctx)
             .map_err(|err| StreamError::Serve(ServeError::Core(err)))?;
 
+        let remembered = config.serve.result_cache_capacity;
         let server = PipelineServer::start(factory, config.serve)?;
         server.register_pipeline(WINDOW_PIPELINE, physical)?;
 
         let journal = server.journal();
         let engine = StreamEngine {
             tuning: config.tuning,
+            remembered,
             allowed_lateness: config.allowed_lateness,
             key_index,
             max_block_size: config.max_block_size,
@@ -240,8 +246,8 @@ impl StreamEngine {
                 max_event_time: 0,
                 since_advance: 0,
                 reported: BTreeSet::new(),
-                owners: Horizon::new(&config.tuning),
-                verdicts: Horizon::new(&config.tuning),
+                owners: Horizon::new(&config.tuning, remembered),
+                verdicts: Horizon::new(&config.tuning, remembered),
             }),
             pending: Mutex::new(Vec::new()),
             journal,
@@ -254,7 +260,7 @@ impl StreamEngine {
 
     /// Rebuild stream state from a journaled [`StreamCheckpoint`]: restore
     /// the watermark and frontier, the pair keys and verdicts of the closed
-    /// windows that later ones overlap, reopen every open window by
+    /// windows that later ones may carry from, reopen every open window by
     /// re-inserting its items (the index is deterministic, so candidates and
     /// comparison counts come back identical), resubmit every
     /// closed-but-unreported window job, and remember reported windows so
@@ -278,9 +284,10 @@ impl StreamEngine {
             state.watermark.advance(checkpoint.watermark);
             state.reported = checkpoint.reported.keys().copied().collect();
             // Before anything re-closes: the keys owned by the closed windows
-            // the next close overlaps, and the verdicts of the reported
-            // windows the next report overlaps. Reports go out in window
-            // order, so every reported window precedes every unreported one.
+            // the next close may carry from, and the verdicts of the reported
+            // windows the next report may carry from (the fold kept those).
+            // Reports go out in window order, so every reported window
+            // precedes every unreported one.
             let closed = checkpoint.reported.keys().chain(checkpoint.closed_unreported.keys());
             let next_close = checkpoint.open_windows.keys().next().copied();
             let next_close = next_close.or(closed.max().map(|k| k + 1)).unwrap_or(0);
@@ -288,16 +295,16 @@ impl StreamEngine {
             let next_report = next_report.map_or(next_close, |k| k.min(next_close));
             for (&k, report) in &checkpoint.reported {
                 if k >= state.owners.reach(next_close) {
-                    state.owners.restore(k, report.owned.keys().map(|&key| (key, ())).collect());
+                    state.owners.restore(k, report.owned.keys().map(|&key| (key, ())));
                 }
                 if k >= state.verdicts.reach(next_report) {
-                    state.verdicts.restore(k, report.owned.clone());
+                    state.verdicts.restore(k, report.owned.iter().map(|(&key, &yes)| (key, yes)));
                 }
             }
             for (&k, close) in &checkpoint.closed_unreported {
                 if k >= state.owners.reach(next_close) {
                     let owned = payload_keys(&close.inputs).into_iter().map(|key| (key, ()));
-                    state.owners.restore(k, owned.collect());
+                    state.owners.restore(k, owned);
                 }
             }
             for (k, items) in checkpoint.open_windows {
@@ -514,7 +521,7 @@ impl StreamEngine {
         for &(i, j) in window.candidates() {
             let (a, b) = (&described[i], &described[j]);
             let key = pair_key(a, b);
-            // Owned once: neither an overlapping earlier window nor this one
+            // Owned once: neither a remembered earlier window nor this one
             // has asked about the pair yet.
             if owners.held(window.id.0, key).is_none() && own.insert(key, ()).is_none() {
                 pairs.push(Data::map([
@@ -604,8 +611,9 @@ impl StreamEngine {
     /// Drain the stream: push the watermark past the frontier so every open
     /// window closes, wait for every window job, and build, journal and
     /// return the reports in window order — a window's carried verdicts come
-    /// from the earlier windows that own them. Call after all ingesting
-    /// threads have quiesced.
+    /// from the earlier windows that own them. Each report names the oldest
+    /// window a later one may still carry from, so the journal keeps those
+    /// verdicts and no others. Call after all ingesting threads have quiesced.
     pub fn finish(&self) -> Result<Vec<WindowReport>, StreamError> {
         use std::sync::atomic::Ordering::Relaxed;
         if self.journal.as_ref().is_some_and(|journal| journal.dead()) {
@@ -632,8 +640,10 @@ impl StreamEngine {
             }
             finished.push((close, owned, handle.wait()?));
         }
-        let mut verdicts =
-            std::mem::replace(&mut self.state.lock().verdicts, Horizon::new(&self.tuning));
+        let mut verdicts = std::mem::replace(
+            &mut self.state.lock().verdicts,
+            Horizon::new(&self.tuning, self.remembered),
+        );
         let mut reports = Vec::with_capacity(finished.len());
         for (close, keys, output) in finished {
             if self.dead() {
@@ -645,7 +655,7 @@ impl StreamEngine {
                 return Err(lost());
             }
             let mut owned = BTreeMap::new();
-            let (mut matched, mut unvalidated) = (0, 0);
+            let (mut matched, mut unvalidated, mut far) = (0, 0, 0);
             for (&key, answer) in keys.iter().zip(answers) {
                 let yes = *answer == Data::Bool(true);
                 matched += u64::from(yes);
@@ -653,8 +663,15 @@ impl StreamEngine {
                 owned.insert(key, yes);
             }
             for key in &close.carried {
-                let yes = owned.get(key).copied().or_else(|| verdicts.held(close.window, *key));
-                matched += u64::from(yes.ok_or_else(lost)?);
+                let yes = match owned.get(key) {
+                    Some(&yes) => yes,
+                    None => {
+                        let (owner, yes) = verdicts.held(close.window, *key).ok_or_else(lost)?;
+                        far += u64::from(verdicts.far(close.window, owner));
+                        yes
+                    }
+                };
+                matched += u64::from(yes);
             }
             let mut report = WindowReportRecord {
                 window: close.window,
@@ -668,6 +685,7 @@ impl StreamEngine {
                 true_duplicates: close.true_duplicates,
                 llm: output.llm,
                 owned,
+                remembered_from: verdicts.reach(close.window + 1),
             };
             if let Some(journal) = &self.journal {
                 // Write-ahead ordering: the report is journaled as submitted
@@ -689,6 +707,7 @@ impl StreamEngine {
             self.metrics.pairs_judged.fetch_add(report.judged, Relaxed);
             self.metrics.pairs_matched.fetch_add(report.matched, Relaxed);
             self.metrics.pairs_carried.fetch_add(close.carried.len() as u64, Relaxed);
+            self.metrics.pairs_far_carried.fetch_add(far, Relaxed);
             self.metrics.pairs_unvalidated.fetch_add(unvalidated, Relaxed);
             self.metrics.reports.fetch_add(1, Relaxed);
             verdicts.close(report.window, std::mem::take(&mut report.owned));
@@ -850,10 +869,12 @@ mod tests {
         engine.shutdown();
     }
 
-    /// Sim storage that fails one append on request (a full disk, an EIO).
+    /// Sim storage that fails one append on request (a full disk, an EIO),
+    /// and every replace while `full`.
     struct FlakyStorage {
         inner: Arc<lingua_durable::SimStorage>,
         fail_next_append: AtomicBool,
+        full: AtomicBool,
     }
 
     impl lingua_durable::Storage for FlakyStorage {
@@ -867,6 +888,9 @@ mod tests {
             self.inner.read()
         }
         fn replace(&self, bytes: &[u8]) -> std::io::Result<()> {
+            if self.full.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(std::io::Error::other("no space left on device"));
+            }
             self.inner.replace(bytes)
         }
         fn flush(&self) -> std::io::Result<()> {
@@ -882,6 +906,7 @@ mod tests {
         let storage = Arc::new(FlakyStorage {
             inner: lingua_durable::SimStorage::new(),
             fail_next_append: AtomicBool::new(false),
+            full: AtomicBool::new(false),
         });
         let config = StreamConfig {
             serve: ServeConfig {
@@ -925,10 +950,70 @@ mod tests {
         engine.shutdown();
     }
 
+    /// A compaction that fails behind an ingest or a window close refuses
+    /// neither: their records are in the log. With a checkpoint interval of
+    /// 1 every append's compaction fails, yet every ingest and the drain
+    /// succeed, and the reopened log holds each ingested record and reports
+    /// every window the caller was handed.
+    #[test]
+    fn a_failed_compaction_refuses_no_ingest_and_no_close() {
+        let world = WorldSpec::generate(5);
+        let llm = Arc::new(SimLlm::new(&world, SimLlmConfig::default()));
+        let mut source = SyntheticSource::with_seed(5);
+        let storage = Arc::new(FlakyStorage {
+            inner: SimStorage::new(),
+            fail_next_append: AtomicBool::new(false),
+            full: AtomicBool::new(true),
+        });
+        let journal = JournalTuning::over(storage.clone()).with_checkpoint_interval(1);
+        let config = StreamConfig {
+            serve: ServeConfig {
+                workers: Some(2),
+                journal: Some(journal),
+                ..ServeConfig::default()
+            },
+            ..StreamConfig::default()
+        };
+        let mut engine =
+            StreamEngine::start(ContextFactory::new(llm), source.schema().clone(), config)
+                .expect("engine starts");
+        const RECORDS: usize = 200;
+        for item in source.take_records(RECORDS) {
+            engine.ingest(item).expect("the record is in the log, so the ingest stands");
+        }
+        assert!(engine.metrics().windows_closed > 0, "ingests closed windows");
+        let reports = engine.finish().expect("every close and report is in the log");
+        let failed = engine.server_metrics().health.journal_compactions_failed;
+        assert!(failed > RECORDS as u64, "{failed} compactions failed");
+        engine.shutdown();
+
+        let log = storage.inner.snapshot();
+        let ingests = JournalReader::scan(&log).records.into_iter();
+        let ingests = ingests.filter(|r| matches!(r, JournalRecord::StreamIngest { .. }));
+        assert_eq!(ingests.count(), RECORDS);
+        let (_journal, recovered) =
+            lingua_durable::Journal::open(JournalTuning::sim(storage.inner.clone()))
+                .expect("the log reopens");
+        let windows: Vec<u64> = reports.iter().map(|report| report.window.0).collect();
+        assert_eq!(recovered.stream.reported.keys().copied().collect::<Vec<_>>(), windows);
+        assert!(recovered.stream.closed_unreported.is_empty());
+        assert!(recovered.stream.open_windows.is_empty());
+    }
+
     /// What `stream_dedup` runs: the default tuning, one ingest thread, the
     /// seeded stream — here with a journal that never compacts, so its
     /// ingest records say which windows took each record, in order.
     fn dedup_run(seed: u64, records: usize) -> (StreamEngine, Vec<WindowReport>, Arc<SimStorage>) {
+        dedup_run_remembering(seed, records, ServeConfig::default().result_cache_capacity)
+    }
+
+    /// [`dedup_run`] with a server that keeps `remembered` job outputs, so
+    /// its engine remembers that many windows back.
+    fn dedup_run_remembering(
+        seed: u64,
+        records: usize,
+        remembered: usize,
+    ) -> (StreamEngine, Vec<WindowReport>, Arc<SimStorage>) {
         let world = WorldSpec::generate(seed);
         let llm = Arc::new(SimLlm::new(&world, SimLlmConfig { seed, ..Default::default() }));
         let mut source = SyntheticSource::new(&world, StreamSpec { seed, ..Default::default() });
@@ -938,6 +1023,7 @@ mod tests {
             serve: ServeConfig {
                 workers: Some(2),
                 journal: Some(journal),
+                result_cache_capacity: remembered,
                 ..ServeConfig::default()
             },
             ..StreamConfig::default()
@@ -949,6 +1035,67 @@ mod tests {
         }
         let reports = engine.finish().expect("finish");
         (engine, reports, storage)
+    }
+
+    /// An engine remembers `result_cache_capacity` windows back however long
+    /// the stream runs. Over many more windows than that, what it remembers
+    /// and what the journal's fold keeps are the last that many windows'
+    /// asked pairs; a pair is asked again only past them, and some are; and
+    /// every window's verdicts are those of an engine that remembers all.
+    #[test]
+    fn a_pair_repeated_past_the_remembered_windows_is_asked_again() {
+        const REMEMBERED: u64 = 4;
+        let (mut engine, reports, storage) = dedup_run_remembering(11, 1_200, REMEMBERED as usize);
+        let (mut whole, whole_reports, _) = dedup_run(11, 1_200);
+        let verdicts = |reports: &[WindowReport]| -> Vec<(u64, u64, u64)> {
+            reports.iter().map(|r| (r.window.0, r.judged, r.matched)).collect()
+        };
+        assert_eq!(verdicts(&reports), verdicts(&whole_reports));
+        let last = reports.last().expect("windows closed").window.0;
+        assert!(reports.len() as u64 > 10 * REMEMBERED, "{} windows", reports.len());
+
+        // Who asked each pair, in window order, from the journal.
+        let records = JournalReader::scan(&storage.snapshot()).records;
+        let mut askers: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        let mut asked_by_window: BTreeMap<u64, usize> = BTreeMap::new();
+        for record in records {
+            if let JournalRecord::WindowClose(close) = record {
+                let keys = payload_keys(&close.inputs);
+                asked_by_window.insert(close.window, keys.len());
+                for key in keys {
+                    askers.entry(key).or_default().push(close.window);
+                }
+            }
+        }
+        let mut asked_again = 0;
+        for windows in askers.values() {
+            for pair in windows.windows(2) {
+                assert!(pair[1] - pair[0] > REMEMBERED, "asked by {pair:?} while remembered");
+                asked_again += 1;
+            }
+        }
+        assert!(asked_again > 0, "the stream repeats pairs past {REMEMBERED} windows");
+        let (snap, whole_snap) = (engine.metrics(), whole.metrics());
+        let asked = |snap: &StreamSnapshot| snap.pairs_judged - snap.pairs_carried;
+        assert!(asked(&snap) > asked(&whole_snap), "{} | {}", snap.report(), whole_snap.report());
+
+        // What is remembered: the asked pairs of the last windows, no more.
+        let recent = last + 1 - REMEMBERED;
+        let recent_keys: usize = asked_by_window.range(recent..).map(|(_, n)| n).sum();
+        {
+            let state = engine.state.lock();
+            let (owners, verdicts) = (state.owners.remembered(), state.verdicts.remembered());
+            assert_eq!(owners, (REMEMBERED as usize, recent_keys));
+            assert_eq!(verdicts, (REMEMBERED as usize, recent_keys));
+        }
+        let (_journal, recovered) =
+            lingua_durable::Journal::open(JournalTuning::sim(storage)).expect("the log reopens");
+        let kept = recovered.stream.reported.iter().filter(|(_, report)| !report.owned.is_empty());
+        let kept: Vec<(u64, usize)> = kept.map(|(&k, report)| (k, report.owned.len())).collect();
+        assert!(kept.iter().all(|&(k, _)| k >= recent), "{kept:?}");
+        assert_eq!(kept.iter().map(|(_, n)| n).sum::<usize>(), recent_keys);
+        engine.shutdown();
+        whole.shutdown();
     }
 
     /// Carrying a verdict is asking again: every window's `(judged, matched)`

@@ -30,9 +30,12 @@ pub(crate) struct StreamMetrics {
     /// job, or carried.
     pub(crate) pairs_judged: AtomicU64,
     pub(crate) pairs_matched: AtomicU64,
-    /// Judged pairs whose verdict came from another ask: an overlapping
+    /// Judged pairs whose verdict came from another ask: a remembered
     /// earlier window's, or the window's own ask of the same pair.
     pub(crate) pairs_carried: AtomicU64,
+    /// Carried pairs whose owner is an earlier window that does not overlap
+    /// the carrier: repeats the stream brought back, not shared pairs.
+    pub(crate) pairs_far_carried: AtomicU64,
     /// Asked pairs whose answer failed validation twice (read as no match).
     pub(crate) pairs_unvalidated: AtomicU64,
     /// Watermark advances observed.
@@ -68,6 +71,7 @@ impl StreamMetrics {
             pairs_judged: self.pairs_judged.load(Ordering::Relaxed),
             pairs_matched: self.pairs_matched.load(Ordering::Relaxed),
             pairs_carried: self.pairs_carried.load(Ordering::Relaxed),
+            pairs_far_carried: self.pairs_far_carried.load(Ordering::Relaxed),
             pairs_unvalidated: self.pairs_unvalidated.load(Ordering::Relaxed),
             watermark_advances: self.watermark_advances.load(Ordering::Relaxed),
             backpressure_stalls: self.backpressure_stalls.load(Ordering::Relaxed),
@@ -95,6 +99,9 @@ pub struct StreamSnapshot {
     pub pairs_matched: u64,
     /// Judged pairs whose verdict was carried, not asked.
     pub pairs_carried: u64,
+    /// Carried pairs whose owner does not overlap the carrier (a subset of
+    /// `pairs_carried`).
+    pub pairs_far_carried: u64,
     /// Asked pairs whose answer failed validation twice.
     pub pairs_unvalidated: u64,
     pub watermark_advances: u64,
@@ -121,7 +128,7 @@ impl StreamSnapshot {
     pub fn report(&self) -> String {
         format!(
             "ingested {} (assigned {}, late {}) | windows {}/{} closed ({} open) | \
-             comparisons {} | judged {} (carried {}, unvalidated {}) matched {} | \
+             comparisons {} | judged {} (carried {}, unvalidated {}, far carried {}) matched {} | \
              watermark {} (lag {}) | stalls {}",
             self.ingested,
             self.assigned_records,
@@ -133,6 +140,7 @@ impl StreamSnapshot {
             self.pairs_judged,
             self.pairs_carried,
             self.pairs_unvalidated,
+            self.pairs_far_carried,
             self.pairs_matched,
             self.watermark,
             self.watermark_lag,
@@ -157,13 +165,18 @@ mod tests {
         m.watermark.store(92, Ordering::Relaxed);
         m.pairs_carried.store(3, Ordering::Relaxed);
         m.pairs_unvalidated.store(2, Ordering::Relaxed);
+        m.pairs_far_carried.store(1, Ordering::Relaxed);
         let snap = m.snapshot();
         assert!(snap.record_conservation_holds());
         assert!(snap.window_conservation_holds());
         assert_eq!(snap.windows_open, 1);
         assert_eq!(snap.watermark_lag, 8);
         assert!(snap.report().contains("lag 8"));
-        assert!(snap.report().contains("carried 3, unvalidated 2"), "{}", snap.report());
+        assert!(
+            snap.report().contains("carried 3, unvalidated 2, far carried 1"),
+            "{}",
+            snap.report()
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! from the journaled frontier at restore).
 
 use lingua_core::ContextFactory;
-use lingua_dataset::world::WorldSpec;
+use lingua_dataset::world::{WorldConfig, WorldSpec};
 use lingua_durable::{CrashInjector, Journal, JournalTuning, KillPoint, SimStorage};
 use lingua_llm_sim::{LlmService, SimLlm, SimLlmConfig, TokenPricing, Usage};
 use lingua_serve::ServeConfig;
@@ -25,6 +25,15 @@ use std::sync::Arc;
 const SEED: u64 = 83;
 const RECORDS: usize = 160;
 const CHECKPOINT_INTERVAL: usize = 48;
+/// Beers in the world's catalogue. The stream re-emits the catalogue about
+/// every `CATALOGUE / (1 − dup_rate)` records, so a small one brings clean
+/// pairs back windows after they were first asked: far carries, within the
+/// kill matrix's records.
+const CATALOGUE: usize = 24;
+
+fn world() -> WorldSpec {
+    WorldSpec::generate_with(SEED, &WorldConfig { beers: CATALOGUE, ..WorldConfig::default() })
+}
 
 fn stream_config(journal: JournalTuning) -> StreamConfig {
     StreamConfig {
@@ -36,7 +45,7 @@ fn stream_config(journal: JournalTuning) -> StreamConfig {
 }
 
 fn engine_with(journal: JournalTuning) -> (StreamEngine, Arc<SimLlm>) {
-    let world = WorldSpec::generate(SEED);
+    let world = world();
     let llm = Arc::new(SimLlm::new(&world, SimLlmConfig { seed: SEED, ..Default::default() }));
     let source = SyntheticSource::new(&world, StreamSpec { seed: SEED, ..Default::default() });
     let schema = source.schema().clone();
@@ -50,7 +59,7 @@ fn engine_with(journal: JournalTuning) -> (StreamEngine, Arc<SimLlm>) {
 }
 
 fn items() -> Vec<StreamItem> {
-    let world = WorldSpec::generate(SEED);
+    let world = world();
     let mut source = SyntheticSource::new(&world, StreamSpec { seed: SEED, ..Default::default() });
     source.take_records(RECORDS)
 }
@@ -92,8 +101,9 @@ fn stream_recovery_matches_uninterrupted_at_every_kill_point() {
     assert!(!reference.is_empty(), "the stream must actually close windows");
     assert!(reference_usage.calls > 0, "the workload must actually bill the LLM");
     // The kill points must also land around windows that carry verdicts.
-    let carried = engine.metrics().pairs_carried;
-    assert!(carried > 0, "overlapping windows must carry pairs: {}", engine.metrics().report());
+    let snap = engine.metrics();
+    assert!(snap.pairs_carried > 0, "overlapping windows must carry pairs: {}", snap.report());
+    assert!(snap.pairs_far_carried > 0, "repeats must carry from far windows: {}", snap.report());
     // The checkpoint rows must crash a compaction the run itself triggered,
     // not only the one shutdown forces.
     let fired = engine.journal().expect("journal attached").injector().counts();
@@ -192,6 +202,93 @@ fn stream_recovery_matches_uninterrupted_at_every_kill_point() {
     }
 }
 
+/// Ticks between the two halves of [`halves`]: past the first half's drain,
+/// which pushes the watermark a window and the lateness beyond its frontier.
+const GAP: u64 = 128;
+
+/// The kill matrix's stream cut in two, the second half moved `GAP` ticks
+/// later so that it lands after the first half has been drained.
+fn halves() -> (Vec<StreamItem>, Vec<StreamItem>) {
+    let mut first = items();
+    let mut second = first.split_off(RECORDS / 2);
+    for item in &mut second {
+        item.event_time += GAP;
+    }
+    (first, second)
+}
+
+fn feed(engine: &StreamEngine, items: &[StreamItem]) {
+    for item in items {
+        engine.ingest(item.clone()).expect("ingest");
+    }
+}
+
+/// Reports go out only when a stream drains, so a restart between an
+/// owner's report and a far carrier's close falls between two drains. The
+/// first half of the stream is drained and reported; the process restarts,
+/// cleanly or by dying at its next journal write; the second half then
+/// closes windows that carry verdicts the first half's windows asked. Its
+/// reports and the bill equal those of a run that never restarted — whose
+/// second half asks fewer pairs than an engine that never saw the first.
+#[test]
+fn a_far_carry_reads_an_owner_reported_before_a_restart() {
+    let (first, second) = halves();
+    let tuning = |storage: &Arc<SimStorage>| {
+        JournalTuning::sim(storage.clone()).with_checkpoint_interval(CHECKPOINT_INTERVAL)
+    };
+
+    // Reference: one engine drains twice.
+    let (engine, llm) = engine_with(tuning(&SimStorage::new()));
+    feed(&engine, &first);
+    let reference_first: Vec<ReportKey> = engine.finish().expect("drain").iter().map(key).collect();
+    let drained = llm.usage();
+    let appends = engine.journal().expect("journal").injector().counts()[&KillPoint::BeforeJournal];
+    feed(&engine, &second);
+    let reference_second: Vec<ReportKey> =
+        engine.finish().expect("drain").iter().map(key).collect();
+    let reference_usage = llm.usage();
+    assert!(!reference_first.is_empty() && !reference_second.is_empty());
+    drop(engine);
+    let (fresh, fresh_llm) = engine_with(tuning(&SimStorage::new()));
+    feed(&fresh, &second);
+    fresh.finish().expect("drain");
+    let asked = reference_usage.since(&drained).calls;
+    assert!(
+        asked < fresh_llm.usage().calls,
+        "the second half carries from the first: {asked} calls vs {} without it",
+        fresh_llm.usage().calls
+    );
+    drop(fresh);
+
+    for crash in [false, true] {
+        let storage = SimStorage::new();
+        let mut journal = tuning(&storage);
+        if crash {
+            journal = journal
+                .with_injector(CrashInjector::armed_at(KillPoint::BeforeJournal, appends + 1));
+        }
+        let (engine, _llm1) = engine_with(journal);
+        feed(&engine, &first);
+        let reports1: Vec<ReportKey> = engine.finish().expect("drain").iter().map(key).collect();
+        assert_eq!(reports1, reference_first, "crash {crash}");
+        let mut resume_from = 0;
+        if crash {
+            engine.ingest(second[0].clone()).expect("a dead engine's ingest is a no-op");
+            assert!(engine.dead(), "the next journal write kills the process");
+            resume_from = usize::from(engine.last_ingest_durable());
+        }
+        drop(engine);
+
+        let (engine, llm) = engine_with(tuning(&storage));
+        feed(&engine, &second[resume_from..]);
+        let reports2: Vec<ReportKey> = engine.finish().expect("drain").iter().map(key).collect();
+        assert_eq!(reports2, reference_second, "crash {crash}");
+        let snap = engine.metrics();
+        assert!(snap.pairs_far_carried > 0, "crash {crash}: {}", snap.report());
+        assert_eq!(llm.usage(), reference_usage, "crash {crash}: the restart re-asked nothing");
+    }
+}
+
 /// Recovery restores stream conservation laws, not just outputs: after a
 /// crash mid-stream, the recovered engine's books (windows opened == closed,
 /// records assigned or dropped) balance over the replayed tail.
@@ -234,7 +331,7 @@ fn recovered_engine_keeps_conservation_laws() {
 /// them as saved, equal to the replay's ledger on every `Usage` field.
 #[test]
 fn a_caching_streams_journaled_bill_is_its_ledger() {
-    let world = WorldSpec::generate(SEED);
+    let world = world();
     let llm = Arc::new(SimLlm::new(
         &world,
         SimLlmConfig { seed: SEED, cache_enabled: true, ..Default::default() },

@@ -2,9 +2,10 @@
 //! flows through sliding event-time windows; each arriving record is
 //! compared only against its own window (incremental blocking — O(window)
 //! work per record), and when the watermark closes a window, one serve job
-//! asks the LLM about the candidate pairs no overlapping earlier window has
+//! asks the LLM about the candidate pairs no remembered earlier window has
 //! asked about, in numbered prompts, and the window's match report carries
-//! the other verdicts over.
+//! the other verdicts over — from overlapping windows, and from far ones
+//! when the stream repeats a pair.
 //!
 //! ```text
 //! cargo run --release -p lingua-stream --example stream_dedup
@@ -68,6 +69,12 @@ fn main() {
         snapshot.pairs_judged,
         snapshot.pairs_judged - snapshot.pairs_carried,
         job_usage.calls,
+    );
+    println!(
+        "far repeats: {} of the carried pairs ({:.1} %) came from a window that does not \
+         overlap their own",
+        snapshot.pairs_far_carried,
+        100.0 * snapshot.pairs_far_carried as f64 / snapshot.pairs_carried.max(1) as f64,
     );
 
     assert!(snapshot.record_conservation_holds());
