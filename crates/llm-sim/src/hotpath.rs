@@ -27,7 +27,7 @@
 use lingua_ml::sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 /// The canonical 64-bit prompt fingerprint and its incremental hasher:
 /// FNV-1a, defined once in `lingua-ml` and re-exported here for the serving
@@ -49,7 +49,8 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Inserts that overwrote a live entry (a racing recompute).
     pub updates: u64,
-    /// Entries displaced to respect the capacity bound.
+    /// Entries that left the cache: displaced to respect the capacity
+    /// bound, or taken out by [`ShardedLru::remove_if`].
     pub evictions: u64,
     /// Entries currently cached.
     pub len: usize,
@@ -72,8 +73,8 @@ struct Slot<V> {
 struct LruShard<V> {
     capacity: usize,
     map: HashMap<u64, usize>,
+    /// Dense: one slot per entry, so `slots.len() == map.len()`.
     slots: Vec<Slot<V>>,
-    free: Vec<usize>,
     head: usize,
     tail: usize,
 }
@@ -84,7 +85,6 @@ impl<V> LruShard<V> {
             capacity,
             map: HashMap::with_capacity(capacity.min(1024)),
             slots: Vec::with_capacity(capacity.min(1024)),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
         }
@@ -112,6 +112,13 @@ impl<V> LruShard<V> {
         self.head = idx;
     }
 
+    /// The value under `key`, now the most recently used.
+    fn get(&mut self, key: u64) -> Option<&V> {
+        let idx = *self.map.get(&key)?;
+        self.touch(idx);
+        Some(&self.slots[idx].value)
+    }
+
     fn touch(&mut self, idx: usize) {
         if self.head != idx {
             self.unlink(idx);
@@ -119,52 +126,56 @@ impl<V> LruShard<V> {
         }
     }
 
-    /// Insert or refresh `key`.
-    fn insert(&mut self, key: u64, value: V) -> InsertOutcome {
-        if self.capacity == 0 {
-            return InsertOutcome::Noop;
-        }
+    /// Insert or refresh `key` in a shard with room for one entry at
+    /// least: `None` if it refreshed a live entry in place, else whether
+    /// the new entry displaced the LRU one.
+    fn insert(&mut self, key: u64, value: V) -> Option<bool> {
         if let Some(&idx) = self.map.get(&key) {
             self.slots[idx].value = value;
             self.touch(idx);
-            return InsertOutcome::Updated;
+            return None;
         }
-        let mut evicted = false;
-        if self.map.len() >= self.capacity {
+        let slot = Slot { key, value, prev: NIL, next: NIL };
+        // At capacity the new entry takes the LRU entry's slot.
+        let evicted = self.map.len() >= self.capacity;
+        let idx = if evicted {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "full shard has a tail");
             self.unlink(victim);
             self.map.remove(&self.slots[victim].key);
-            self.free.push(victim);
-            evicted = true;
-        }
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx] = Slot { key, value, prev: NIL, next: NIL };
-                idx
-            }
-            None => {
-                self.slots.push(Slot { key, value, prev: NIL, next: NIL });
-                self.slots.len() - 1
-            }
+            self.slots[victim] = slot;
+            victim
+        } else {
+            self.slots.push(slot);
+            self.slots.len() - 1
         };
         self.map.insert(key, idx);
         self.push_front(idx);
-        InsertOutcome::Inserted { evicted }
+        Some(evicted)
+    }
+
+    /// Drop the entry at `idx`, value and all. The slab's last slot moves
+    /// into the hole, and its map entry and list neighbours follow it.
+    fn remove(&mut self, idx: usize) {
+        self.unlink(idx);
+        let removed = self.slots.swap_remove(idx);
+        self.map.remove(&removed.key);
+        if let Some(moved) = self.slots.get(idx) {
+            let (key, prev, next) = (moved.key, moved.prev, moved.next);
+            self.map.insert(key, idx);
+            match prev {
+                NIL => self.head = idx,
+                p => self.slots[p].next = idx,
+            }
+            match next {
+                NIL => self.tail = idx,
+                n => self.slots[n].prev = idx,
+            }
+        }
     }
 }
 
-/// What an [`LruShard::insert`] actually did, so the owning [`ShardedLru`]
-/// only counts events that happened (a zero-capacity shard stores nothing
-/// and must report nothing, or `insertions == len + evictions` breaks).
-enum InsertOutcome {
-    /// Capacity is zero: nothing was stored.
-    Noop,
-    /// The key was live; its value was refreshed in place.
-    Updated,
-    /// A new entry was stored, displacing the shard's LRU entry if full.
-    Inserted { evicted: bool },
-}
+type ShardGuard<'a, V> = MutexGuard<'a, LruShard<V>>;
 
 struct Shard<V> {
     lru: Mutex<LruShard<V>>,
@@ -224,48 +235,79 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Look `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: u64) -> Option<V> {
-        let shard = self.shard(key);
-        let mut lru = shard.lru.lock();
-        match lru.map.get(&key).copied() {
-            Some(idx) => {
-                lru.touch(idx);
-                let value = lru.slots[idx].value.clone();
-                drop(lru);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                drop(lru);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.shard(key).lru.lock().get(key).cloned();
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Insert (or refresh) `key`, evicting the shard's LRU entry at
     /// capacity.
     pub fn insert(&self, key: u64, value: V) {
         let shard = self.shard(key);
+        self.store(shard, shard.lru.lock(), key, value);
+    }
+
+    /// Look `key` up, or store `make()` under it, in one shard lock, which
+    /// `make` runs under. Returns the value now under `key` and whether it
+    /// was there already. A zero-capacity cache stores and counts nothing,
+    /// and hands back `make()` as a miss.
+    pub fn get_or_reserve(&self, key: u64, make: impl FnOnce() -> V) -> (V, bool) {
+        let shard = self.shard(key);
         let mut lru = shard.lru.lock();
-        let outcome = lru.insert(key, value);
+        if let Some(value) = lru.get(key).cloned() {
+            drop(lru);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (value, true);
+        }
+        let value = make();
+        if self.store(shard, lru, key, value.clone()) {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        (value, false)
+    }
+
+    /// Remove `key` if its value satisfies `pred`, and say whether it did.
+    /// A removal counts as an eviction, so `insertions == len + evictions`
+    /// still holds.
+    pub fn remove_if(&self, key: u64, pred: impl FnOnce(&V) -> bool) -> bool {
+        let shard = self.shard(key);
+        let mut lru = shard.lru.lock();
+        let Some(&idx) = lru.map.get(&key).filter(|&&idx| pred(&lru.slots[idx].value)) else {
+            return false;
+        };
+        lru.remove(idx);
+        shard.len.store(lru.map.len(), Ordering::Relaxed);
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Store `value` under `key` in `shard`, whose lock `lru` holds, and
+    /// count what that did: `false` when a zero capacity stored nothing.
+    fn store(&self, shard: &Shard<V>, mut lru: ShardGuard<'_, V>, key: u64, value: V) -> bool {
+        // A zero-capacity shard stores nothing and must count nothing, or
+        // `insertions == len + evictions` breaks.
+        if lru.capacity == 0 {
+            return false;
+        }
+        let inserted = lru.insert(key, value);
         // The len mirror must be stored while the shard lock is still held:
         // publishing it after unlock would let two racing inserts land their
         // stores out of lock order, leaving a stale (smaller) len visible
         // forever and breaking `insertions == len + evictions`.
         shard.len.store(lru.map.len(), Ordering::Relaxed);
         drop(lru);
-        match outcome {
-            InsertOutcome::Noop => {}
-            InsertOutcome::Updated => {
-                self.updates.fetch_add(1, Ordering::Relaxed);
-            }
-            InsertOutcome::Inserted { evicted } => {
-                self.insertions.fetch_add(1, Ordering::Relaxed);
+        let counter = match inserted {
+            None => &self.updates,
+            Some(evicted) => {
                 if evicted {
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
+                &self.insertions
             }
-        }
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Entries currently cached. Reads per-shard atomics only — never blocks
@@ -501,6 +543,45 @@ mod tests {
     }
 
     #[test]
+    fn get_or_reserve_finds_a_live_key_or_stores_a_fresh_one() {
+        let cache: ShardedLru<u32> = ShardedLru::new(2, 1);
+        assert_eq!(cache.get_or_reserve(1, || 10), (10, false));
+        assert_eq!(cache.get_or_reserve(1, || unreachable!("1 is live")), (10, true));
+        assert_eq!(cache.get_or_reserve(2, || 20), (20, false));
+        // 2 was reserved last, but finding 1 refreshed it: 2 is the LRU.
+        assert_eq!(cache.get_or_reserve(1, || 11), (10, true));
+        assert_eq!(cache.get_or_reserve(3, || 30), (30, false));
+        assert_eq!(cache.get(2), None, "2 was least recently used");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 4), "three reserves missed, and the get");
+        assert_eq!((stats.insertions, stats.evictions, stats.len), (3, 1, 2));
+    }
+
+    #[test]
+    fn remove_if_takes_out_only_the_value_the_predicate_names() {
+        let cache: ShardedLru<u32> = ShardedLru::new(4, 1);
+        cache.insert(1, 10);
+        cache.insert(2, 20);
+        assert!(!cache.remove_if(1, |v| *v == 11), "another value under the key stays");
+        assert!(!cache.remove_if(9, |_| true), "an absent key removes nothing");
+        assert!(cache.remove_if(1, |v| *v == 10));
+        assert_eq!(cache.get(1), None);
+        assert_eq!(cache.get(2), Some(20), "the moved slot is still found");
+        let stats = cache.stats();
+        assert_eq!((stats.insertions, stats.evictions, stats.len), (2, 1, 1));
+        assert_eq!(stats.insertions, stats.len as u64 + stats.evictions, "conservation holds");
+    }
+
+    #[test]
+    fn zero_capacity_reserves_nothing_and_counts_nothing() {
+        let cache: ShardedLru<u32> = ShardedLru::new(0, 8);
+        assert_eq!(cache.get_or_reserve(1, || 10), (10, false));
+        assert_eq!(cache.get_or_reserve(1, || 11), (11, false), "nothing was reserved");
+        assert!(!cache.remove_if(1, |_| true));
+        assert_eq!(cache.stats(), CacheStats::default(), "nothing is counted");
+    }
+
+    #[test]
     fn singleflight_coalesces_concurrent_identical_keys() {
         let flights: Arc<Singleflight<u64>> = Arc::new(Singleflight::new());
         let computes = Arc::new(AtomicU64::new(0));
@@ -642,6 +723,54 @@ mod tests {
                         assert_eq!(hit, model_get(&mut model, key));
                     }
                     assert_eq!(cache.len(), model.len());
+                }
+            },
+        );
+    }
+
+    /// Reserving and removing keep a one-shard cache an exact LRU, and keep
+    /// `insertions == len + evictions` at any shard count.
+    #[test]
+    fn reserve_and_remove_keep_lru_order_and_conservation() {
+        check(
+            "reserve_and_remove_keep_lru_order_and_conservation",
+            256,
+            |g| {
+                let ops = g.vec(0..300, |g| (g.int(0u8..4), g.int(0u64..32)));
+                (g.int(0usize..16), g.int(1usize..6), ops)
+            },
+            |(capacity, shards, ops)| {
+                let exact: ShardedLru<u64> = ShardedLru::new(capacity, 1);
+                let sharded: ShardedLru<u64> = ShardedLru::new(capacity, shards);
+                let mut model: Vec<u64> = Vec::new();
+                for (op, key) in ops {
+                    let found = model_get(&mut model, key);
+                    match op {
+                        0 => assert_eq!(exact.get(key).is_some(), found),
+                        1 => {
+                            assert_eq!(exact.get_or_reserve(key, || key).1, found);
+                            if !found {
+                                model_insert(&mut model, key, capacity);
+                            }
+                            sharded.get_or_reserve(key, || key);
+                        }
+                        2 => {
+                            assert_eq!(exact.remove_if(key, |_| true), found);
+                            model.retain(|&k| k != key);
+                            sharded.remove_if(key, |_| true);
+                        }
+                        _ => {
+                            exact.insert(key, key);
+                            model_insert(&mut model, key, capacity);
+                            sharded.insert(key, key);
+                        }
+                    }
+                    assert_eq!(exact.len(), model.len());
+                    for cache in [&exact, &sharded] {
+                        let stats = cache.stats();
+                        assert!(stats.len <= capacity);
+                        assert_eq!(stats.insertions, stats.len as u64 + stats.evictions);
+                    }
                 }
             },
         );

@@ -18,11 +18,11 @@ pub struct ServeConfig {
     /// Bounded capacity of each queue lane; submissions beyond it are
     /// rejected with [`ServeError::Full`].
     pub queue_capacity: usize,
-    /// Coalesce identical in-flight submissions onto one execution.
-    pub dedup_inflight: bool,
-    /// Completed results cached in a sharded LRU keyed by
-    /// `job_key(pipeline, input fingerprint)`, capped at this many entries.
-    /// `0` disables the result cache.
+    /// Cells in the job table: a sharded LRU of job completion cells keyed
+    /// by `job_key(pipeline, input fingerprint)`. An identical submission
+    /// attaches to a running cell and is answered by a finished one, so
+    /// this bounds both coalescing and the result cache. `0` turns both
+    /// off: every submission runs.
     pub result_cache_capacity: usize,
     /// Default queue timeout applied to jobs that don't set their own.
     pub default_timeout: Option<Duration>,
@@ -41,11 +41,12 @@ pub struct ServeConfig {
     /// failing over.
     pub batch: Option<BatchTuning>,
     /// Write-ahead journaling (`lingua-durable`). When set, `start()`
-    /// replays the journal — restoring finished results into the result
-    /// cache, the billed ledger into the LLM service, and queued-but-
-    /// unfinished jobs for [`PipelineServer::resume_recovered`](crate::PipelineServer::resume_recovered) — and every
-    /// job lifecycle event is journaled before its effect becomes
-    /// observable. `None` keeps the server purely in-memory.
+    /// replays the journal — restoring finished results into the job table
+    /// as finished cells, the billed ledger into the LLM service, and
+    /// queued-but-unfinished jobs for
+    /// [`PipelineServer::resume_recovered`](crate::PipelineServer::resume_recovered)
+    /// — and every job lifecycle event is journaled before its effect
+    /// becomes observable. `None` keeps the server purely in-memory.
     pub journal: Option<JournalTuning>,
 }
 
@@ -58,7 +59,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: None,
             queue_capacity: 256,
-            dedup_inflight: true,
             result_cache_capacity: 1024,
             default_timeout: None,
             max_worker_restarts: 8,

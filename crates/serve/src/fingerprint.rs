@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 pub(crate) use lingua_llm_sim::Fnv1a;
 
 /// Combine a pipeline id and an input fingerprint into the single `u64` key
-/// the sharded result cache is addressed by. Length-prefixing the id keeps
+/// serve's job table is addressed by. Length-prefixing the id keeps
 /// `("ab", fp)` and `("a", fp)` from aliasing.
 pub(crate) fn job_key(pipeline: &str, fingerprint: u64) -> u64 {
     let mut h = Fnv1a::new();

@@ -35,12 +35,13 @@ pub enum JobStatus {
 pub struct JobOutput {
     /// Final variable environment: every op output, and none of the job's
     /// inputs ([`lingua_core::Executor::run`] moves each into the op that
-    /// reads it last). The result cache and the journal's `finished` record
+    /// reads it last). Serve's job table and the journal's `finished` record
     /// hold this env, so neither grows with a job's input.
     pub env: BTreeMap<String, Data>,
-    /// LLM usage this run consumed (per-job metered; zero for cache hits).
+    /// LLM usage this run consumed (per-job metered). A cache or dedup hit
+    /// shares the output of the run that answered it, usage included.
     pub llm: Usage,
-    /// Execution wall time (excludes queue wait; zero for cache hits).
+    /// Execution wall time (excludes queue wait).
     pub wall: Duration,
 }
 
@@ -60,9 +61,9 @@ impl JobOutput {
 pub(crate) enum Terminal {
     /// Ran to completion.
     Executed(Arc<JobOutput>),
-    /// Answered from the result cache at submission.
+    /// Answered at submission by the key's finished cell.
     CacheHit,
-    /// Attached to an identical in-flight job at submission.
+    /// Attached at submission to the key's running cell.
     DedupHit,
     /// Refused at submission: its queue lane was full (or closing).
     RejectedFull,
@@ -108,8 +109,9 @@ struct JobState {
     result: Option<Result<Arc<JobOutput>, ServeError>>,
 }
 
-/// Shared completion cell. Duplicated submissions hold the *same* core, so
-/// one execution wakes every waiter with one shared output.
+/// Shared completion cell, and what serve's job table holds: duplicated
+/// submissions hold the *same* core, so one execution wakes every waiter
+/// with one shared output, and a finished core answers later ones.
 pub(crate) struct JobCore {
     state: Mutex<JobState>,
     done: Condvar,
@@ -118,27 +120,31 @@ pub(crate) struct JobCore {
     /// Propagated into the worker's `ExecContext` for the duration of the
     /// run, and read as the job's heartbeat when the pool's health is read.
     pub(crate) cancel: CancelToken,
+    /// Born finished from a journaled output: a hit on this cell is a crash
+    /// retry answered without re-execution.
+    pub(crate) restored: bool,
 }
 
 impl JobCore {
-    pub(crate) fn new() -> Arc<JobCore> {
-        JobCore::with_cancel(CancelToken::unbounded())
-    }
-
     /// A core whose execution is governed by `cancel`.
     pub(crate) fn with_cancel(cancel: CancelToken) -> Arc<JobCore> {
         Arc::new(JobCore {
             state: Mutex::new(JobState { status: JobStatus::Queued, result: None }),
             done: Condvar::new(),
             cancel,
+            restored: false,
         })
     }
 
-    /// A core born finished (result-cache hits).
-    pub(crate) fn finished(result: Result<Arc<JobOutput>, ServeError>) -> Arc<JobCore> {
-        let core = JobCore::new();
-        core.finish(result);
-        core
+    /// A core born finished from a journaled output, as `start()` recovers
+    /// it.
+    pub(crate) fn restored(output: Arc<JobOutput>) -> Arc<JobCore> {
+        Arc::new(JobCore {
+            state: Mutex::new(JobState { status: JobStatus::Done, result: Some(Ok(output)) }),
+            done: Condvar::new(),
+            cancel: CancelToken::unbounded(),
+            restored: true,
+        })
     }
 
     pub(crate) fn set_running(&self) {
@@ -158,7 +164,7 @@ impl JobCore {
         self.done.notify_all();
     }
 
-    fn status(&self) -> JobStatus {
+    pub(crate) fn status(&self) -> JobStatus {
         self.state.lock().status
     }
 
@@ -237,13 +243,17 @@ impl std::fmt::Debug for JobHandle {
 mod tests {
     use super::*;
 
+    fn core() -> Arc<JobCore> {
+        JobCore::with_cancel(CancelToken::unbounded())
+    }
+
     fn output() -> Arc<JobOutput> {
         Arc::new(JobOutput { env: BTreeMap::new(), llm: Usage::default(), wall: Duration::ZERO })
     }
 
     #[test]
     fn handle_observes_lifecycle() {
-        let core = JobCore::new();
+        let core = core();
         let handle = JobHandle::new(JobId(1), core.clone());
         assert_eq!(handle.status(), JobStatus::Queued);
         assert!(handle.wait_timeout(Duration::ZERO).is_none());
@@ -257,7 +267,7 @@ mod tests {
 
     #[test]
     fn wait_blocks_until_finish_from_another_thread() {
-        let core = JobCore::new();
+        let core = core();
         let handle = JobHandle::new(JobId(2), core.clone());
         let waiter = std::thread::spawn(move || handle.wait());
         std::thread::sleep(Duration::from_millis(20));
@@ -267,14 +277,14 @@ mod tests {
 
     #[test]
     fn wait_timeout_returns_none_while_in_flight() {
-        let core = JobCore::new();
+        let core = core();
         let handle = JobHandle::new(JobId(3), core);
         assert!(handle.wait_timeout(Duration::from_millis(10)).is_none());
     }
 
     #[test]
     fn duplicated_handles_share_one_result() {
-        let core = JobCore::new();
+        let core = core();
         let a = JobHandle::new(JobId(4), core.clone());
         let b = JobHandle::new(JobId(5), core.clone());
         core.finish(Ok(output()));
@@ -286,13 +296,13 @@ mod tests {
 
     #[test]
     fn finished_cores_are_born_done() {
-        let handle = JobHandle::new(JobId(6), JobCore::finished(Ok(output())));
+        let handle = JobHandle::new(JobId(6), JobCore::restored(output()));
         assert_eq!(handle.status(), JobStatus::Done);
     }
 
     #[test]
     fn finish_is_idempotent_first_completion_wins() {
-        let core = JobCore::new();
+        let core = core();
         core.finish(Ok(output()));
         core.finish(Err(ServeError::Shutdown));
         let handle = JobHandle::new(JobId(7), core);
@@ -302,7 +312,7 @@ mod tests {
 
     #[test]
     fn handle_cancel_flags_the_shared_token() {
-        let core = JobCore::new();
+        let core = core();
         let a = JobHandle::new(JobId(8), core.clone());
         let b = JobHandle::new(JobId(9), core.clone());
         assert!(core.cancel.status().is_none());

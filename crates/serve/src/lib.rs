@@ -12,10 +12,10 @@
 //!                │    │                       │
 //!                │    └─ Full{capacity}       ▼
 //!                │                      worker pool (N threads)
-//!                ├─ result cache hit      │  per-worker pipeline instances
-//!                │   (no execution)       │  per-job UsageMeter over the
-//!                └─ in-flight dedup       │  shared LlmService
-//!                    (attach to leader)   ▼
+//!                ├─ job table: finished   │  per-worker pipeline instances
+//!                │   cell (no execution)  │  per-job UsageMeter over the
+//!                └─ job table: running    │  shared LlmService
+//!                    cell (attach to it)  ▼
 //!                                   completion cell ──► waiters + metrics
 //! ```
 //!
@@ -27,9 +27,9 @@
 //! * [`PipelineRegistry`] — compile once (paying any code-generation LLM
 //!   calls once), replicate per worker via
 //!   [`lingua_core::PhysicalPipeline::fresh_instance`].
-//! * Request dedup — identical `(pipeline, input fingerprint)` submissions
-//!   coalesce onto one in-flight execution, and completed results are served
-//!   from a FIFO-bounded cache.
+//! * Request dedup — one LRU-bounded table of job cells keyed by
+//!   `(pipeline, input fingerprint)`: an identical submission attaches to a
+//!   running cell and is answered by a finished one.
 //! * [`Metrics`] / [`MetricsSnapshot`] — accepted/rejected/deduplicated
 //!   counters, queue depth, p50/p95 latency, per-job LLM usage.
 //! * Supervised execution (see `DESIGN.md` §"Supervised execution") — jobs

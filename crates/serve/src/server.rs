@@ -1,13 +1,14 @@
 //! The serving engine: a bounded two-lane job queue (`queue.rs`), a worker
-//! pool over per-worker pipeline instances, request deduplication, and
-//! graceful shutdown.
+//! pool over per-worker pipeline instances, one table of job cells for
+//! deduplication, and graceful shutdown.
 //!
 //! Life of a request:
 //!
-//! 1. [`PipelineServer::submit`] fingerprints the inputs. A result-cache hit
-//!    returns a completed handle immediately; a duplicate of an in-flight
-//!    job attaches to that job's completion cell; otherwise the job enters
-//!    the bounded queue — or is rejected with [`ServeError::Full`].
+//! 1. [`PipelineServer::submit`] fingerprints the inputs and, in one shard
+//!    lock of the job table, finds the key's cell or reserves a fresh one.
+//!    A finished cell answers at once; a running one is attached to; a
+//!    fresh one's job enters the bounded queue — or is rejected with
+//!    [`ServeError::Full`].
 //! 2. A worker dequeues (high-priority lane first), replicates the compiled
 //!    pipeline if its cached instance is stale, and executes it on a fresh
 //!    [`ExecContext`](lingua_core::ExecContext) whose LLM is a per-job
@@ -19,7 +20,7 @@
 pub use crate::config::{BatchTuning, Priority, ServeConfig, SubmitRequest};
 use crate::error::ServeError;
 use crate::fingerprint::{fingerprint_inputs, job_key};
-use crate::job::{JobCore, JobHandle, JobId, JobOutput, Terminal};
+use crate::job::{JobCore, JobHandle, JobId, JobOutput, JobStatus, Terminal};
 use crate::metrics::{Metrics, MetricsSnapshot, UsageMeter};
 use crate::queue::{JobQueue, Refused};
 use crate::registry::PipelineRegistry;
@@ -31,8 +32,7 @@ use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
 use lingua_llm_sim::{CancelReason, CancelToken, LlmService, ShardedLru, Usage};
 use lingua_ml::sync::Mutex;
 use lingua_trace::{ManualSpan, SpanKind};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,19 +47,12 @@ struct Shared {
     /// Admitted jobs waiting for a worker, `queue_capacity` per lane, and
     /// the CPU permits running jobs hold.
     queue: JobQueue<Job>,
-    /// Jobs admitted but not yet finished, keyed by the exact
-    /// `(pipeline id, input fingerprint)` pair — the pipeline string is kept
-    /// verbatim so a fingerprint collision across pipelines can never attach
-    /// a submission to the wrong in-flight job. Later identical submissions
-    /// attach to the same completion cell.
-    in_flight: Mutex<HashMap<(String, u64), Arc<JobCore>>>,
-    /// Completed outputs: the same lock-striped sharded LRU as the LLM hot
-    /// path, keyed by the combined 64-bit `job_key(pipeline, fingerprint)` —
-    /// hits never touch the in-flight mutex. The u64 key accepts a
-    /// birthday-bound (~2^-64 per pair) collision risk in exchange for the
-    /// compact sharded layout; the input fingerprint itself is already a
-    /// 64-bit hash, so the cache key adds no new failure mode beyond it.
-    results: ShardedLru<Arc<JobOutput>>,
+    /// Every job's completion cell, running or finished, under
+    /// `job_key(pipeline, fingerprint)`: the same lock-striped sharded LRU as
+    /// the LLM hot path, `result_cache_capacity` cells in all. A submission
+    /// attaches to a running cell and is answered by a finished one, and
+    /// `start()` restores journaled outputs into it as finished cells.
+    jobs: ShardedLru<Arc<JobCore>>,
     config: ServeConfig,
     /// Gateway backing the factory's LLM service, when one is attached; its
     /// resilience counters are folded into [`MetricsSnapshot`].
@@ -83,10 +76,6 @@ struct RecoveryState {
     snapshot: Option<RecoverySnapshot>,
     /// Journaled-but-unfinished jobs awaiting [`PipelineServer::resume_recovered`].
     pending: Vec<PendingJob>,
-    /// Result-cache keys restored from journaled finished jobs; a cache hit
-    /// on one of these is a crash-retry answered without re-execution and
-    /// counts toward `skipped_duplicates`.
-    restored: HashSet<u64>,
     /// Stream-engine state recovered from the journal, for a
     /// `lingua-stream` engine attaching to this server.
     stream: StreamCheckpoint,
@@ -98,9 +87,9 @@ struct Job {
     core: Arc<JobCore>,
     pipeline: String,
     inputs: BTreeMap<String, Data>,
-    /// Input fingerprint, when dedup/result caching is on; combined with
-    /// `pipeline` it addresses both the in-flight table and the result cache.
-    fingerprint: Option<u64>,
+    /// Input fingerprint: with `pipeline` it keys the job's cell in the
+    /// table, and it is the job's durable identity in the journal.
+    fingerprint: u64,
     enqueued: Instant,
     deadline: Option<Instant>,
     /// The job's `serve_job` span, begun at submission; `settle` closes it
@@ -170,7 +159,7 @@ impl PipelineServer {
     ) -> Result<PipelineServer, ServeError> {
         config.validate()?;
         // Open (and replay) the journal before anything else: recovery must
-        // finish restoring the result cache and the ledger before the first
+        // finish restoring the job table and the ledger before the first
         // submission can race it.
         let opened = match &config.journal {
             Some(tuning) => {
@@ -202,8 +191,7 @@ impl PipelineServer {
             registry,
             metrics,
             queue: JobQueue::new(config.queue_capacity, workers),
-            in_flight: Mutex::new(HashMap::new()),
-            results: ShardedLru::new(config.result_cache_capacity, DEFAULT_SHARDS),
+            jobs: ShardedLru::new(config.result_cache_capacity, DEFAULT_SHARDS),
             config: config.clone(),
             gateway: Mutex::new(None),
             batcher: Mutex::new(batcher),
@@ -215,21 +203,17 @@ impl PipelineServer {
             let span = tracer.begin(SpanKind::Recovery, "journal_replay", || {
                 vec![("replayed".into(), recovered.replayed.to_string())]
             });
-            // Finished jobs re-enter the result cache, so a crash retry (or
-            // a recovered resubmission) is answered from the journal instead
-            // of re-executing — the exactly-once guard.
-            let mut restored = HashSet::new();
+            // Finished jobs re-enter the job table as finished cells, so a
+            // crash retry (or a recovered resubmission) is answered from the
+            // journal instead of re-executing — the exactly-once guard.
             for job in &recovered.finished {
+                let output = JobOutput {
+                    env: job.env.clone(),
+                    llm: job.llm,
+                    wall: Duration::from_micros(job.wall_us),
+                };
                 let key = job_key(&job.pipeline, job.fingerprint);
-                shared.results.insert(
-                    key,
-                    Arc::new(JobOutput {
-                        env: job.env.clone(),
-                        llm: job.llm,
-                        wall: Duration::from_micros(job.wall_us),
-                    }),
-                );
-                restored.insert(key);
+                shared.jobs.insert(key, JobCore::restored(Arc::new(output)));
             }
             // The journaled lifetime bill re-enters the shared ledger (a
             // no-op for services without one), so billing reconciles across
@@ -253,7 +237,6 @@ impl PipelineServer {
                     corrupt_records_skipped: recovered.corrupt_records_skipped,
                 }),
                 pending: recovered.pending,
-                restored,
                 stream: recovered.stream,
             };
         }
@@ -312,7 +295,7 @@ impl PipelineServer {
     /// Resubmit every journaled-but-unfinished job recovered at `start()`.
     ///
     /// Call after registering the pipelines those jobs referenced. Jobs
-    /// whose results were restored into the cache are skipped (counted as
+    /// whose key holds a finished cell are skipped (counted as
     /// `skipped_duplicates`); the rest re-enter the queue through the
     /// normal admission path (counted as `resumed_jobs`). Jobs naming an
     /// unregistered pipeline, or bounced by a full queue, stay pending for
@@ -331,7 +314,8 @@ impl PipelineServer {
                 stranded.push(job);
                 continue;
             }
-            if self.shared.results.get(job_key(&job.pipeline, job.fingerprint)).is_some() {
+            let key = job_key(&job.pipeline, job.fingerprint);
+            if self.shared.jobs.get(key).is_some_and(|cell| cell.status() == JobStatus::Done) {
                 skipped += 1;
                 continue;
             }
@@ -448,15 +432,7 @@ impl PipelineServer {
             return Err(ServeError::Shutdown);
         }
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        // A journal needs the fingerprint even with dedup off: it is the
-        // durable identity that recovery and the exactly-once guard key on.
-        let dedup_enabled = shared.config.dedup_inflight
-            || shared.config.result_cache_capacity > 0
-            || shared.journal.is_some();
-        // Fingerprint the inputs once; the result cache hashes it with the
-        // pipeline id into a compact u64 job key, while the in-flight table
-        // keeps the pipeline id exact.
-        let fp = dedup_enabled.then(|| fingerprint_inputs(&request.inputs));
+        let fp = fingerprint_inputs(&request.inputs);
 
         let now = Instant::now();
         let timeout = request.timeout.or(shared.config.default_timeout);
@@ -464,12 +440,6 @@ impl PipelineServer {
         let tracer = shared.factory.tracer();
         let span = tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, fp));
 
-        // Result-cache hits resolve against the sharded LRU without ever
-        // touching the in-flight mutex.
-        let cached = fp.and_then(|fp| {
-            let key = job_key(&request.pipeline, fp);
-            shared.results.get(key).map(|output| (key, output))
-        });
         // The job's cancel token carries the same deadline the queue
         // enforces, so once execution starts the executor, gateway, and
         // script fuel cap all race the identical instant.
@@ -479,41 +449,26 @@ impl PipelineServer {
                 None => CancelToken::unbounded(),
             })
         };
-        let (core, ended) = match cached {
-            Some((key, output)) => {
-                // A hit served from a journal-restored output is a crash
-                // retry the exactly-once guard answered without
-                // re-execution; count it for the recovery snapshot.
-                if shared.journal.is_some() {
-                    let mut recovery = shared.recovery.lock();
-                    if recovery.restored.contains(&key) {
-                        if let Some(snapshot) = recovery.snapshot.as_mut() {
-                            snapshot.skipped_duplicates += 1;
-                        }
+        // One shard lock finds the key's cell or reserves a fresh one for
+        // this job, and journals nothing: the accept is journaled after it
+        // is released. The reservation comes before the push, so no worker
+        // can settle the job before it is reserved. A found cell is the
+        // answer: finished, it is a cache hit; running, this submission
+        // attaches to its leader.
+        let key = job_key(&request.pipeline, fp);
+        let (core, ended) = match shared.jobs.get_or_reserve(key, fresh) {
+            (cell, false) => (cell, None),
+            (cell, true) if cell.status() == JobStatus::Done => {
+                // A hit on a journal-restored cell is a crash retry the
+                // exactly-once guard answered without re-execution.
+                if cell.restored {
+                    if let Some(snapshot) = shared.recovery.lock().snapshot.as_mut() {
+                        snapshot.skipped_duplicates += 1;
                     }
                 }
-                (JobCore::finished(Ok(output)), Some(Terminal::CacheHit))
+                (cell, Some(Terminal::CacheHit))
             }
-            // A fingerprinted miss attaches to the key's leader or reserves
-            // the key for itself, in one critical section that journals
-            // nothing: the accept is journaled after the lock is released.
-            // The reservation comes before the push, so no worker can
-            // settle the job before it is reserved. (A job finishing
-            // between the cache probe above and this lock re-executes at
-            // worst — the result cache is fed before the reservation is
-            // released, so the window is the probe itself.)
-            None => match fp.filter(|_| shared.config.dedup_inflight) {
-                Some(fp) => {
-                    let key = (request.pipeline.clone(), fp);
-                    match shared.in_flight.lock().entry(key) {
-                        Entry::Occupied(leader) => {
-                            (Arc::clone(leader.get()), Some(Terminal::DedupHit))
-                        }
-                        Entry::Vacant(slot) => (Arc::clone(slot.insert(fresh())), None),
-                    }
-                }
-                None => (fresh(), None),
-            },
+            (cell, true) => (cell, Some(Terminal::DedupHit)),
         };
         let mut job = Job {
             core: Arc::clone(&core),
@@ -533,11 +488,9 @@ impl PipelineServer {
                 // storage failure refuses the submission — a silently
                 // non-durable server would be worse than a rejected job —
                 // and `settle` hands the refusal to every follower too.
-                let accepted = match (&shared.journal, fp) {
-                    (Some(journal), Some(fp)) => {
-                        journal.record_job_accepted(&job.pipeline, fp, &job.inputs)
-                    }
-                    _ => Ok(true),
+                let accepted = match &shared.journal {
+                    Some(journal) => journal.record_job_accepted(&job.pipeline, fp, &job.inputs),
+                    None => Ok(true),
                 };
                 match accepted {
                     Err(err) => Terminal::JournalRefused(err.to_string()),
@@ -609,12 +562,11 @@ impl Drop for PipelineServer {
 }
 
 /// Begin-edge attributes for a `serve_job` span.
-fn job_attrs(id: JobId, fingerprint: Option<u64>) -> Vec<(String, String)> {
-    let mut attrs = vec![("job".to_string(), id.0.to_string())];
-    if let Some(fp) = fingerprint {
-        attrs.push(("fingerprint".to_string(), format!("{fp:016x}")));
-    }
-    attrs
+fn job_attrs(id: JobId, fingerprint: u64) -> Vec<(String, String)> {
+    vec![
+        ("job".to_string(), id.0.to_string()),
+        ("fingerprint".to_string(), format!("{fingerprint:016x}")),
+    ]
 }
 
 /// Drop guard a worker thread holds for its whole life. It runs on every
@@ -803,16 +755,17 @@ fn book_append(shared: &Shared, job: &Job, record: &str, appended: std::io::Resu
 ///    resurrects it;
 /// 2. the counter;
 /// 3. the `path` of the job's `serve_job` span;
-/// 4. the outcome. A cache or dedup hit already holds its answer; any other
-///    ending feeds the result cache (an output), then releases the
-///    in-flight reservation and wakes every waiter. The cache is fed
-///    *before* the reservation is dropped, so a concurrent duplicate always
-///    finds the job in one of the two tables. A refusal at submission is
-///    also returned as the submitter's error: followers that attached while
-///    the accept was being journaled wait on the same cell and get it too.
+/// 4. the outcome. A cache or dedup hit already holds its answer. Any other
+///    ending settles the job's cell in the table, then finishes it and wakes
+///    every waiter. An output puts the cell back if it was evicted while it
+///    ran, unless a newer cell took its key; an error takes it out if it is
+///    still there, so no later submission attaches to a failed job. A
+///    refusal at submission is also returned as the submitter's error:
+///    followers that attached while the accept was being journaled wait on
+///    the same cell and get it too.
 fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result<(), ServeError> {
     let latency = job.enqueued.elapsed();
-    if let (Some(journal), Some(fp)) = (&shared.journal, job.fingerprint) {
+    if let Some(journal) = &shared.journal {
         let appended = match &terminal {
             Terminal::CacheHit
             | Terminal::DedupHit
@@ -822,7 +775,7 @@ fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result
                 "finished",
                 journal.record_job_finished(FinishedJob {
                     pipeline: job.pipeline.clone(),
-                    fingerprint: fp,
+                    fingerprint: job.fingerprint,
                     env: output.env.clone(),
                     llm: output.llm,
                     wall_us: output.wall.as_micros() as u64,
@@ -830,7 +783,7 @@ fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result
             )),
             _ => Some((
                 "failed",
-                journal.record_job_failed(&job.pipeline, fp, usage, terminal.path()),
+                journal.record_job_failed(&job.pipeline, job.fingerprint, usage, terminal.path()),
             )),
         };
         if let Some((record, appended)) = appended {
@@ -855,13 +808,11 @@ fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result
         }
         Terminal::ShuttingDown => Err(ServeError::ShuttingDown),
     };
-    if let Some(fp) = job.fingerprint {
-        if let Ok(output) = &result {
-            shared.results.insert(job_key(&job.pipeline, fp), Arc::clone(output));
-        }
-        if shared.config.dedup_inflight {
-            shared.in_flight.lock().remove(&(job.pipeline, fp));
-        }
+    let key = job_key(&job.pipeline, job.fingerprint);
+    if result.is_ok() {
+        shared.jobs.get_or_reserve(key, || Arc::clone(&job.core));
+    } else {
+        shared.jobs.remove_if(key, |cell| Arc::ptr_eq(cell, &job.core));
     }
     match result {
         // Followers that attached to the refused job share its error.
@@ -968,7 +919,6 @@ mod tests {
     fn shutdown_drains_queued_jobs() {
         let mut server = summarize_server(ServeConfig {
             workers: Some(1),
-            dedup_inflight: false,
             result_cache_capacity: 0,
             ..Default::default()
         });
@@ -1029,7 +979,6 @@ mod tests {
     fn batching_config_wraps_the_llm_and_surfaces_counters() {
         let mut server = summarize_server(ServeConfig {
             workers: Some(2),
-            dedup_inflight: false,
             result_cache_capacity: 0,
             batch: Some(BatchTuning { max_batch_size: 4, max_wait: Duration::from_millis(1) }),
             ..Default::default()

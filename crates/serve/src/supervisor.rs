@@ -262,6 +262,7 @@ mod tests {
     use super::*;
     use crate::job::JobHandle;
     use crate::job::JobId;
+    use lingua_llm_sim::CancelToken;
 
     /// Supervision over `slots` empty slots, as if their workers had exited.
     fn supervision(slots: usize) -> Supervision {
@@ -286,7 +287,7 @@ mod tests {
     fn worker_guard_leaves_finished_jobs_alone() {
         let supervision = supervision(1);
         supervision.slots.lock()[0].alive = true;
-        let core = JobCore::new();
+        let core = JobCore::with_cancel(CancelToken::unbounded());
         supervision.begin_job(0, &core, "pipe", None);
         core.finish(Err(ServeError::Shutdown));
         supervision.leave(0, false, 8, &Metrics::new(), &Tracer::disabled(), no_spawn);
@@ -353,10 +354,10 @@ mod tests {
         let supervision = supervision(2);
         let (metrics, tracer) = (Metrics::new(), Tracer::disabled());
         // Worker 0: over budget and stalled — must be flagged.
-        let stalled = JobCore::new();
+        let stalled = JobCore::with_cancel(CancelToken::unbounded());
         supervision.begin_job(0, &stalled, "stalled", Some(Duration::from_millis(1)));
         // Worker 1: no deadline — there is no budget to judge it by.
-        let unbounded = JobCore::new();
+        let unbounded = JobCore::with_cancel(CancelToken::unbounded());
         supervision.begin_job(1, &unbounded, "unbounded", None);
         std::thread::sleep(Duration::from_millis(10));
 
@@ -376,7 +377,7 @@ mod tests {
     fn watchdog_spares_a_job_whose_heartbeat_advances() {
         let supervision = supervision(1);
         let (metrics, tracer) = (Metrics::new(), Tracer::disabled());
-        let core = JobCore::new();
+        let core = JobCore::with_cancel(CancelToken::unbounded());
         supervision.begin_job(0, &core, "slow-but-alive", Some(Duration::from_millis(1)));
         std::thread::sleep(Duration::from_millis(10));
         core.cancel.touch();

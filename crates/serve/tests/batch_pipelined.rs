@@ -81,7 +81,6 @@ fn server(llm: &Arc<SimLlm>, size: usize, pipeline: PhysicalPipeline) -> Pipelin
         ContextFactory::new(Arc::clone(llm) as Arc<dyn LlmService>),
         ServeConfig {
             workers: Some(1),
-            dedup_inflight: false,
             result_cache_capacity: 0,
             // A window no test run ever waits out: only a size flush can
             // answer within the suite's lifetime.

@@ -414,7 +414,6 @@ fn a_cache_served_jobs_journaled_bill_is_its_ledger() {
         ContextFactory::new(llm.clone()),
         ServeConfig {
             workers: Some(1),
-            dedup_inflight: false,
             result_cache_capacity: 0,
             journal: Some(JournalTuning::sim(storage.clone())),
             ..Default::default()
@@ -679,4 +678,55 @@ fn a_failed_compaction_refuses_no_job_the_log_holds() {
     let (_journal, recovered) = Journal::open(JournalTuning::sim(log)).expect("the log reopens");
     assert!(recovered.pending.is_empty(), "{:?}", recovered.pending);
     assert_eq!(recovered.finished.len(), JOBS);
+}
+
+/// A journaled server whose job table holds `cells` cells, over `storage`.
+fn server_with_cells(storage: &Arc<SimStorage>, cells: usize) -> PipelineServer {
+    let world = WorldSpec::generate(SEED);
+    let server = PipelineServer::start(
+        ContextFactory::new(Arc::new(SimLlm::with_seed(&world, SEED))),
+        ServeConfig {
+            workers: Some(1),
+            result_cache_capacity: cells,
+            journal: Some(JournalTuning::sim(storage.clone())),
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    server.register_dsl("curate", CURATE, &Compiler::with_builtins()).expect("register");
+    server
+}
+
+/// `skipped_duplicates` counts the hits that a journal-restored output
+/// answers, and no other. With one cell, a third job evicts whichever
+/// restored output survived the restore, so jobs 0 and 1 each re-execute
+/// once and their repeats are hits on the fresh outputs: none is a crash
+/// retry the journal answered. With room for every output, a resubmission
+/// is one.
+#[test]
+fn only_a_hit_on_a_restored_output_is_a_skipped_duplicate() {
+    let storage = SimStorage::new();
+    let server = server_with_cells(&storage, 1);
+    for i in 0..2 {
+        server.run(request(i)).expect("job runs");
+    }
+    drop(server);
+
+    let server = server_with_cells(&storage, 1);
+    server.run(request(2)).expect("job runs");
+    for i in 0..2 {
+        for _ in 0..2 {
+            server.run(request(i)).expect("job runs");
+        }
+    }
+    let metrics = server.metrics();
+    assert_eq!((metrics.completed, metrics.cache_hits), (3, 2));
+    assert_eq!(metrics.recovery.expect("journal attached").skipped_duplicates, 0);
+    drop(server);
+
+    let server = server_with_cells(&storage, 8);
+    server.run(request(0)).expect("job runs");
+    let metrics = server.metrics();
+    assert_eq!((metrics.completed, metrics.cache_hits), (0, 1));
+    assert_eq!(metrics.recovery.expect("journal attached").skipped_duplicates, 1);
 }

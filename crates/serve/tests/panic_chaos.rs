@@ -89,10 +89,10 @@ fn chaos_server(workers: usize, gate: Arc<Gate>, llm: Arc<SimLlm>) -> PipelineSe
     chaos_server_with(ServeConfig { workers: Some(workers), ..Default::default() }, gate, llm)
 }
 
-/// A server on `config` with every dedup layer off: chaos jobs must all
+/// A server on `config` with the job table off: chaos jobs must all
 /// really run.
 fn chaos_server_with(config: ServeConfig, gate: Arc<Gate>, llm: Arc<SimLlm>) -> PipelineServer {
-    let config = ServeConfig { dedup_inflight: false, result_cache_capacity: 0, ..config };
+    let config = ServeConfig { result_cache_capacity: 0, ..config };
     let server = PipelineServer::start(ContextFactory::new(llm), config).unwrap();
     let compiler = chaos_compiler(gate);
     server.register_dsl("boom", r#"pipeline boom { out = boom(text); }"#, &compiler).unwrap();
@@ -583,7 +583,6 @@ fn supervision_guarantees_hold_over_a_faulty_gateway() {
         ContextFactory::new(Arc::clone(&gateway) as Arc<dyn LlmService>),
         ServeConfig {
             workers: Some(4),
-            dedup_inflight: false,
             result_cache_capacity: 0,
             queue_capacity: 64,
             ..Default::default()

@@ -102,7 +102,6 @@ fn server_over(
         ContextFactory::new(llm),
         ServeConfig {
             workers: Some(workers),
-            dedup_inflight: false,
             result_cache_capacity: 0,
             batch,
             ..Default::default()

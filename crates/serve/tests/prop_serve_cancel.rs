@@ -29,7 +29,6 @@ fn cancellation_never_loses_usage_accounting() {
                 ContextFactory::new(llm.clone()),
                 ServeConfig {
                     workers: Some(workers),
-                    dedup_inflight: false,
                     result_cache_capacity: 0,
                     ..Default::default()
                 },

@@ -124,6 +124,110 @@ fn concurrent_identical_submissions_execute_once() {
     assert_eq!(server.metrics().cache_hits - metrics_before.cache_hits, 1);
 }
 
+/// A latch that lets one caller through per ticket.
+struct Turnstile {
+    tickets: Mutex<usize>,
+    cv: Condvar,
+}
+
+impl Turnstile {
+    fn admit(&self, tickets: usize) {
+        *self.tickets.lock() += tickets;
+        self.cv.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut tickets = self.tickets.lock();
+        while *tickets == 0 {
+            tickets = self.cv.wait(tickets);
+        }
+        *tickets -= 1;
+    }
+}
+
+/// Lets everyone through the turnstile when dropped: declared after the
+/// server, it unparks the worker before the server's shutdown joins it, so
+/// a failed assertion fails the test instead of hanging it.
+struct OpenOnDrop(Arc<Turnstile>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.admit(1 << 20);
+    }
+}
+
+/// One worker and a one-cell job table. A's cell, which a follower F
+/// attached to, is evicted by B's while A runs, and a resubmission of A's
+/// input reserves a newer cell, A2, behind B. However A ends (`cancel_a`
+/// makes it end `Cancelled`), F shares A's answer, and A's settle leaves A2
+/// in place: one more submission of that input attaches to A2.
+fn an_evicted_cell_keeps_its_waiters_and_the_newer_cell(cancel_a: bool) {
+    let world = WorldSpec::generate(36);
+    let turnstile = Arc::new(Turnstile { tickets: Mutex::new(0), cv: Condvar::new() });
+    let mut compiler = Compiler::with_builtins();
+    let gate = Arc::clone(&turnstile);
+    compiler.register("turnstile", move |_op, _ctx| {
+        let gate = Arc::clone(&gate);
+        Ok(Box::new(CustomModule::stateless("turnstile", move |input, _| {
+            gate.pass();
+            Ok(input)
+        })) as Box<dyn Module>)
+    });
+    let server = PipelineServer::start(
+        ContextFactory::new(Arc::new(SimLlm::with_seed(&world, 36))),
+        ServeConfig { workers: Some(1), result_cache_capacity: 1, ..Default::default() },
+    )
+    .unwrap();
+    server.register_dsl("hold", r#"pipeline hold { out = turnstile(text); }"#, &compiler).unwrap();
+    let _open = OpenOnDrop(Arc::clone(&turnstile));
+    let submit = |text: &str| {
+        server.submit(SubmitRequest::new("hold").input("text", Data::Str(text.into())))
+    };
+
+    let a = submit("a").unwrap();
+    wait_until("the worker to pick up A", || a.status() == JobStatus::Running);
+    let f = submit("a").unwrap();
+    assert_eq!(server.metrics().coalesced, 1, "F attached to A's running cell");
+    let b = submit("b").unwrap();
+    let a2 = submit("a").unwrap();
+    assert_eq!(server.metrics().coalesced, 1, "B's cell evicted A's, so A2 reserved anew");
+
+    if cancel_a {
+        a.cancel();
+    }
+    turnstile.admit(1);
+    let answer = a.wait();
+    match (&answer, f.wait()) {
+        (Ok(ours), Ok(theirs)) => assert!(Arc::ptr_eq(ours, &theirs), "F shares A's output"),
+        (Err(ours), Err(theirs)) => assert_eq!(*ours, theirs, "F shares A's error"),
+        (ours, theirs) => panic!("A ended {ours:?}, its follower {theirs:?}"),
+    }
+    assert_eq!(answer.is_err(), cancel_a);
+
+    let g = submit("a").unwrap();
+    assert_eq!(server.metrics().coalesced, 2, "A's settle left A2's cell in place");
+    assert_eq!(server.metrics().cache_hits, 0, "nor put A's answer over it");
+    turnstile.admit(2);
+    let (b, a2, g) = (b.wait().unwrap(), a2.wait().unwrap(), g.wait().unwrap());
+    assert!(Arc::ptr_eq(&a2, &g), "G shares A2's output");
+    assert!(!Arc::ptr_eq(&a2, &b));
+    if let Ok(a) = answer {
+        assert!(!Arc::ptr_eq(&a, &a2), "A2 ran on its own");
+    }
+    let metrics = server.metrics();
+    assert_eq!(metrics.completed, 2 + u64::from(!cancel_a), "A (unless cancelled), B and A2 ran");
+}
+
+#[test]
+fn an_evicted_cell_that_succeeds_answers_its_waiters_and_leaves_the_newer_cell() {
+    an_evicted_cell_keeps_its_waiters_and_the_newer_cell(false);
+}
+
+#[test]
+fn an_evicted_cell_that_fails_answers_its_waiters_and_leaves_the_newer_cell() {
+    an_evicted_cell_keeps_its_waiters_and_the_newer_cell(true);
+}
+
 #[test]
 fn bounded_queue_rejects_overflow_with_typed_full() {
     let world = WorldSpec::generate(32);
@@ -261,12 +365,7 @@ fn multi_worker_results_match_direct_execution() {
     // Served runs across 4 workers (dedup off: every job must really run).
     let server = PipelineServer::start(
         factory,
-        ServeConfig {
-            workers: Some(4),
-            dedup_inflight: false,
-            result_cache_capacity: 0,
-            ..Default::default()
-        },
+        ServeConfig { workers: Some(4), result_cache_capacity: 0, ..Default::default() },
     )
     .unwrap();
     server.register_dsl("summ", source, &compiler).unwrap();
