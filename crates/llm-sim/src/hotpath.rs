@@ -27,7 +27,7 @@
 use lingua_ml::sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 
 /// The canonical 64-bit prompt fingerprint and its incremental hasher:
 /// FNV-1a, defined once in `lingua-ml` and re-exported here for the serving
@@ -52,7 +52,7 @@ pub struct CacheStats {
     /// Entries that left the cache: displaced to respect the capacity
     /// bound, or taken out by [`ShardedLru::remove_if`].
     pub evictions: u64,
-    /// Entries currently cached.
+    /// Entries currently cached, pinned ones included.
     pub len: usize,
     /// Calls that coalesced onto an in-flight identical computation
     /// (filled by the cache's owner from its `Singleflight`).
@@ -66,17 +66,22 @@ struct Slot<V> {
     value: V,
     prev: usize,
     next: usize,
+    /// Reserved by [`ShardedLru::get_or_reserve`] and not stored since: off
+    /// the recency list, so never evicted.
+    pinned: bool,
 }
 
 /// One shard: an O(1) LRU over a slab-backed intrusive list. `head` is the
-/// most recently used entry, `tail` the eviction candidate.
+/// most recently used entry, `tail` the eviction candidate. Pinned entries
+/// are in `map` but not on the list, and not counted against `capacity`.
 struct LruShard<V> {
     capacity: usize,
     map: HashMap<u64, usize>,
-    /// Dense: one slot per entry, so `slots.len() == map.len()`.
     slots: Vec<Slot<V>>,
+    free: Vec<usize>,
     head: usize,
     tail: usize,
+    pinned: usize,
 }
 
 impl<V> LruShard<V> {
@@ -85,8 +90,10 @@ impl<V> LruShard<V> {
             capacity,
             map: HashMap::with_capacity(capacity.min(1024)),
             slots: Vec::with_capacity(capacity.min(1024)),
+            free: Vec::new(),
             head: NIL,
             tail: NIL,
+            pinned: 0,
         }
     }
 
@@ -112,70 +119,113 @@ impl<V> LruShard<V> {
         self.head = idx;
     }
 
-    /// The value under `key`, now the most recently used.
-    fn get(&mut self, key: u64) -> Option<&V> {
-        let idx = *self.map.get(&key)?;
-        self.touch(idx);
-        Some(&self.slots[idx].value)
-    }
-
+    /// Make `idx` the most recently used entry. A pinned entry has no
+    /// place on the list, so it stays off it.
     fn touch(&mut self, idx: usize) {
-        if self.head != idx {
+        if self.head != idx && !self.slots[idx].pinned {
             self.unlink(idx);
             self.push_front(idx);
         }
     }
 
-    /// Insert or refresh `key` in a shard with room for one entry at
-    /// least: `None` if it refreshed a live entry in place, else whether
-    /// the new entry displaced the LRU one.
-    fn insert(&mut self, key: u64, value: V) -> Option<bool> {
+    /// Insert or refresh `key`; refreshing a pinned entry stores it, and
+    /// a zero-capacity shard displaces it at once.
+    fn insert(&mut self, key: u64, value: V) -> InsertOutcome {
         if let Some(&idx) = self.map.get(&key) {
             self.slots[idx].value = value;
-            self.touch(idx);
-            return None;
+            if !self.slots[idx].pinned {
+                self.touch(idx);
+                return InsertOutcome::Updated { evicted: false };
+            }
+            if self.capacity == 0 {
+                self.remove(idx);
+                return InsertOutcome::Updated { evicted: true };
+            }
+            let evicted = self.make_room();
+            self.slots[idx].pinned = false;
+            self.pinned -= 1;
+            self.push_front(idx);
+            return InsertOutcome::Updated { evicted };
         }
-        let slot = Slot { key, value, prev: NIL, next: NIL };
-        // At capacity the new entry takes the LRU entry's slot.
-        let evicted = self.map.len() >= self.capacity;
-        let idx = if evicted {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL, "full shard has a tail");
-            self.unlink(victim);
-            self.map.remove(&self.slots[victim].key);
-            self.slots[victim] = slot;
-            victim
-        } else {
-            self.slots.push(slot);
-            self.slots.len() - 1
-        };
+        if self.capacity == 0 {
+            return InsertOutcome::Noop;
+        }
+        let evicted = self.make_room();
+        let idx = self.alloc(Slot { key, value, prev: NIL, next: NIL, pinned: false });
         self.map.insert(key, idx);
         self.push_front(idx);
-        Some(evicted)
+        InsertOutcome::Inserted { evicted }
     }
 
-    /// Drop the entry at `idx`, value and all. The slab's last slot moves
-    /// into the hole, and its map entry and list neighbours follow it.
+    /// Pin `value` under `key`, which is absent.
+    fn pin(&mut self, key: u64, value: V) {
+        let idx = self.alloc(Slot { key, value, prev: NIL, next: NIL, pinned: true });
+        self.map.insert(key, idx);
+        self.pinned += 1;
+    }
+
+    /// Displace the LRU entry if the stored entries fill the capacity, and
+    /// say whether it did.
+    fn make_room(&mut self) -> bool {
+        if self.map.len() - self.pinned < self.capacity {
+            return false;
+        }
+        let victim = self.tail;
+        debug_assert_ne!(victim, NIL, "full shard has a tail");
+        self.remove(victim);
+        true
+    }
+
+    /// Drop the entry at `idx`. Its slot goes on the free list, and its
+    /// value is dropped when the next entry reuses the slot.
     fn remove(&mut self, idx: usize) {
-        self.unlink(idx);
-        let removed = self.slots.swap_remove(idx);
-        self.map.remove(&removed.key);
-        if let Some(moved) = self.slots.get(idx) {
-            let (key, prev, next) = (moved.key, moved.prev, moved.next);
-            self.map.insert(key, idx);
-            match prev {
-                NIL => self.head = idx,
-                p => self.slots[p].next = idx,
+        if self.slots[idx].pinned {
+            self.pinned -= 1;
+        } else {
+            self.unlink(idx);
+        }
+        let key = self.slots[idx].key;
+        self.map.remove(&key);
+        self.free.push(idx);
+    }
+
+    fn alloc(&mut self, slot: Slot<V>) -> usize {
+        match self.free.pop() {
+            Some(idx) => {
+                self.slots[idx] = slot;
+                idx
             }
-            match next {
-                NIL => self.tail = idx,
-                n => self.slots[n].prev = idx,
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
             }
         }
     }
 }
 
-type ShardGuard<'a, V> = MutexGuard<'a, LruShard<V>>;
+/// What an [`LruShard::insert`] actually did, so the owning [`ShardedLru`]
+/// only counts events that happened (a zero-capacity shard stores nothing
+/// and must report nothing, or `insertions == len + evictions` breaks).
+enum InsertOutcome {
+    /// Capacity is zero: nothing was stored.
+    Noop,
+    /// The key was live; its value was refreshed in place, and a pinned
+    /// entry stored, displacing the shard's LRU entry if full.
+    Updated { evicted: bool },
+    /// A new entry was stored, displacing the shard's LRU entry if full.
+    Inserted { evicted: bool },
+}
+
+/// What [`ShardedLru::get_or_reserve`] found under its key.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reserved<V> {
+    /// Nothing: the new value, now pinned under the key.
+    Fresh(V),
+    /// A value an earlier reservation pinned and nothing has stored since.
+    Pinned(V),
+    /// A stored value, now the most recently used.
+    Stored(V),
+}
 
 struct Shard<V> {
     lru: Mutex<LruShard<V>>,
@@ -188,9 +238,15 @@ struct Shard<V> {
 ///
 /// The total `capacity` is partitioned across the shards exactly (the first
 /// `capacity % shards` shards hold one extra slot), so the cache as a whole
-/// **never** holds more than `capacity` entries — the bound sharding must
+/// **never** stores more than `capacity` entries — the bound sharding must
 /// not relax. The shard count is clamped to the capacity so no shard
 /// degenerates to zero slots while others starve.
+///
+/// [`ShardedLru::get_or_reserve`] can also *pin* an entry: a reservation
+/// kept off the recency list and outside the bound, so nothing evicts it,
+/// until [`ShardedLru::insert`] stores it or [`ShardedLru::remove_if`] takes
+/// it out. `len` counts pinned entries too, and a zero-capacity cache pins
+/// as any other does but stores nothing.
 pub struct ShardedLru<V> {
     shards: Box<[Shard<V>]>,
     hits: AtomicU64,
@@ -235,78 +291,91 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Look `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: u64) -> Option<V> {
-        let found = self.shard(key).lru.lock().get(key).cloned();
-        let counter = if found.is_some() { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+        let shard = self.shard(key);
+        let mut lru = shard.lru.lock();
+        match lru.map.get(&key).copied() {
+            Some(idx) => {
+                lru.touch(idx);
+                let value = lru.slots[idx].value.clone();
+                drop(lru);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(value)
+            }
+            None => {
+                drop(lru);
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
     }
 
     /// Insert (or refresh) `key`, evicting the shard's LRU entry at
     /// capacity.
     pub fn insert(&self, key: u64, value: V) {
         let shard = self.shard(key);
-        self.store(shard, shard.lru.lock(), key, value);
-    }
-
-    /// Look `key` up, or store `make()` under it, in one shard lock, which
-    /// `make` runs under. Returns the value now under `key` and whether it
-    /// was there already. A zero-capacity cache stores and counts nothing,
-    /// and hands back `make()` as a miss.
-    pub fn get_or_reserve(&self, key: u64, make: impl FnOnce() -> V) -> (V, bool) {
-        let shard = self.shard(key);
         let mut lru = shard.lru.lock();
-        if let Some(value) = lru.get(key).cloned() {
-            drop(lru);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (value, true);
-        }
-        let value = make();
-        if self.store(shard, lru, key, value.clone()) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        (value, false)
-    }
-
-    /// Remove `key` if its value satisfies `pred`, and say whether it did.
-    /// A removal counts as an eviction, so `insertions == len + evictions`
-    /// still holds.
-    pub fn remove_if(&self, key: u64, pred: impl FnOnce(&V) -> bool) -> bool {
-        let shard = self.shard(key);
-        let mut lru = shard.lru.lock();
-        let Some(&idx) = lru.map.get(&key).filter(|&&idx| pred(&lru.slots[idx].value)) else {
-            return false;
-        };
-        lru.remove(idx);
-        shard.len.store(lru.map.len(), Ordering::Relaxed);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Store `value` under `key` in `shard`, whose lock `lru` holds, and
-    /// count what that did: `false` when a zero capacity stored nothing.
-    fn store(&self, shard: &Shard<V>, mut lru: ShardGuard<'_, V>, key: u64, value: V) -> bool {
-        // A zero-capacity shard stores nothing and must count nothing, or
-        // `insertions == len + evictions` breaks.
-        if lru.capacity == 0 {
-            return false;
-        }
-        let inserted = lru.insert(key, value);
+        let outcome = lru.insert(key, value);
         // The len mirror must be stored while the shard lock is still held:
         // publishing it after unlock would let two racing inserts land their
         // stores out of lock order, leaving a stale (smaller) len visible
         // forever and breaking `insertions == len + evictions`.
         shard.len.store(lru.map.len(), Ordering::Relaxed);
         drop(lru);
-        let counter = match inserted {
-            None => &self.updates,
-            Some(evicted) => {
-                if evicted {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                &self.insertions
+        let evicted = match outcome {
+            InsertOutcome::Noop => false,
+            InsertOutcome::Updated { evicted } => {
+                self.updates.fetch_add(1, Ordering::Relaxed);
+                evicted
+            }
+            InsertOutcome::Inserted { evicted } => {
+                self.insertions.fetch_add(1, Ordering::Relaxed);
+                evicted
             }
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if evicted {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Look `key` up, or pin `make()` under it, in one shard lock (which
+    /// `make` runs under). A hit refreshes a stored entry's recency. A pin
+    /// takes no room, so a zero-capacity cache pins too.
+    pub fn get_or_reserve(&self, key: u64, make: impl FnOnce() -> V) -> Reserved<V> {
+        let shard = self.shard(key);
+        let mut lru = shard.lru.lock();
+        if let Some(&idx) = lru.map.get(&key) {
+            lru.touch(idx);
+            let slot = &lru.slots[idx];
+            let found = match slot.pinned {
+                true => Reserved::Pinned(slot.value.clone()),
+                false => Reserved::Stored(slot.value.clone()),
+            };
+            drop(lru);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return found;
+        }
+        let value = make();
+        lru.pin(key, value.clone());
+        shard.len.store(lru.map.len(), Ordering::Relaxed);
+        drop(lru);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.insertions.fetch_add(1, Ordering::Relaxed);
+        Reserved::Fresh(value)
+    }
+
+    /// Remove `key`, pinned or stored, if its value satisfies `pred`, and
+    /// say whether it did. A removal counts as an eviction, so
+    /// `insertions == len + evictions` still holds.
+    pub fn remove_if(&self, key: u64, pred: impl FnOnce(&V) -> bool) -> bool {
+        let shard = self.shard(key);
+        let mut lru = shard.lru.lock();
+        match lru.map.get(&key) {
+            Some(&idx) if pred(&lru.slots[idx].value) => lru.remove(idx),
+            _ => return false,
+        }
+        shard.len.store(lru.map.len(), Ordering::Relaxed);
+        drop(lru);
+        self.evictions.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -543,42 +612,55 @@ mod tests {
     }
 
     #[test]
-    fn get_or_reserve_finds_a_live_key_or_stores_a_fresh_one() {
-        let cache: ShardedLru<u32> = ShardedLru::new(2, 1);
-        assert_eq!(cache.get_or_reserve(1, || 10), (10, false));
-        assert_eq!(cache.get_or_reserve(1, || unreachable!("1 is live")), (10, true));
-        assert_eq!(cache.get_or_reserve(2, || 20), (20, false));
-        // 2 was reserved last, but finding 1 refreshed it: 2 is the LRU.
-        assert_eq!(cache.get_or_reserve(1, || 11), (10, true));
-        assert_eq!(cache.get_or_reserve(3, || 30), (30, false));
-        assert_eq!(cache.get(2), None, "2 was least recently used");
+    fn get_or_reserve_pins_a_fresh_key_and_finds_a_live_one() {
+        let cache: ShardedLru<u32> = ShardedLru::new(1, 1);
+        assert_eq!(cache.get_or_reserve(1, || 10), Reserved::Fresh(10));
+        assert_eq!(cache.get_or_reserve(1, || unreachable!("1 is pinned")), Reserved::Pinned(10));
+        // A pin takes no room: two pins and a stored entry share one slot.
+        assert_eq!(cache.get_or_reserve(2, || 20), Reserved::Fresh(20));
+        cache.insert(3, 30);
+        cache.insert(4, 40);
+        assert_eq!(cache.get(3), None, "the stored entries respect the bound");
+        assert_eq!((cache.get(1), cache.get(2)), (Some(10), Some(20)), "no pin was evicted");
+        // Storing a pin makes it the stored entry, displacing 4.
+        cache.insert(1, 11);
+        assert_eq!(cache.get_or_reserve(1, || unreachable!("1 is stored")), Reserved::Stored(11));
+        assert_eq!(cache.get(4), None);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 4), "three reserves missed, and the get");
-        assert_eq!((stats.insertions, stats.evictions, stats.len), (3, 1, 2));
+        assert_eq!((stats.hits, stats.misses), (4, 4), "two reserves and two gets missed");
+        assert_eq!((stats.insertions, stats.updates), (4, 1));
+        assert_eq!((stats.evictions, stats.len), (2, 2), "1 stored, 2 pinned");
     }
 
     #[test]
     fn remove_if_takes_out_only_the_value_the_predicate_names() {
         let cache: ShardedLru<u32> = ShardedLru::new(4, 1);
         cache.insert(1, 10);
-        cache.insert(2, 20);
+        cache.get_or_reserve(2, || 20);
         assert!(!cache.remove_if(1, |v| *v == 11), "another value under the key stays");
         assert!(!cache.remove_if(9, |_| true), "an absent key removes nothing");
         assert!(cache.remove_if(1, |v| *v == 10));
-        assert_eq!(cache.get(1), None);
-        assert_eq!(cache.get(2), Some(20), "the moved slot is still found");
+        assert!(cache.remove_if(2, |v| *v == 20), "a pinned entry is removed too");
+        assert_eq!((cache.get(1), cache.get(2)), (None, None));
+        cache.insert(3, 30);
+        assert_eq!(cache.get(3), Some(30), "a freed slot is reused");
         let stats = cache.stats();
-        assert_eq!((stats.insertions, stats.evictions, stats.len), (2, 1, 1));
+        assert_eq!((stats.insertions, stats.evictions, stats.len), (3, 2, 1));
         assert_eq!(stats.insertions, stats.len as u64 + stats.evictions, "conservation holds");
     }
 
     #[test]
-    fn zero_capacity_reserves_nothing_and_counts_nothing() {
+    fn zero_capacity_pins_but_stores_nothing() {
         let cache: ShardedLru<u32> = ShardedLru::new(0, 8);
-        assert_eq!(cache.get_or_reserve(1, || 10), (10, false));
-        assert_eq!(cache.get_or_reserve(1, || 11), (11, false), "nothing was reserved");
-        assert!(!cache.remove_if(1, |_| true));
-        assert_eq!(cache.stats(), CacheStats::default(), "nothing is counted");
+        assert_eq!(cache.get_or_reserve(1, || 10), Reserved::Fresh(10));
+        assert_eq!(cache.get_or_reserve(1, || 11), Reserved::Pinned(10));
+        cache.insert(1, 12);
+        assert_eq!(cache.get(1), None, "storing the pin displaced it");
+        assert_eq!(cache.get_or_reserve(2, || 20), Reserved::Fresh(20));
+        assert!(cache.remove_if(2, |_| true));
+        cache.insert(3, 30);
+        let stats = cache.stats();
+        assert_eq!((stats.insertions, stats.updates, stats.evictions, stats.len), (2, 1, 2, 0));
     }
 
     #[test]
@@ -728,12 +810,13 @@ mod tests {
         );
     }
 
-    /// Reserving and removing keep a one-shard cache an exact LRU, and keep
+    /// Reserving, storing and removing keep a one-shard cache an exact LRU
+    /// over its stored entries with every pin kept, and keep
     /// `insertions == len + evictions` at any shard count.
     #[test]
-    fn reserve_and_remove_keep_lru_order_and_conservation() {
+    fn pins_are_never_evicted_and_conservation_holds() {
         check(
-            "reserve_and_remove_keep_lru_order_and_conservation",
+            "pins_are_never_evicted_and_conservation_holds",
             256,
             |g| {
                 let ops = g.vec(0..300, |g| (g.int(0u8..4), g.int(0u64..32)));
@@ -742,35 +825,56 @@ mod tests {
             |(capacity, shards, ops)| {
                 let exact: ShardedLru<u64> = ShardedLru::new(capacity, 1);
                 let sharded: ShardedLru<u64> = ShardedLru::new(capacity, shards);
-                let mut model: Vec<u64> = Vec::new();
+                let (mut stored, mut pinned): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+                // The many-shard cache evicts other keys, so it pins others.
+                let mut sharded_pins: Vec<u64> = Vec::new();
                 for (op, key) in ops {
-                    let found = model_get(&mut model, key);
+                    let is_pinned = pinned.contains(&key);
                     match op {
-                        0 => assert_eq!(exact.get(key).is_some(), found),
+                        0 => {
+                            let found = is_pinned || model_get(&mut stored, key);
+                            assert_eq!(exact.get(key).is_some(), found);
+                        }
                         1 => {
-                            assert_eq!(exact.get_or_reserve(key, || key).1, found);
-                            if !found {
-                                model_insert(&mut model, key, capacity);
+                            let want = if is_pinned {
+                                Reserved::Pinned(key)
+                            } else if model_get(&mut stored, key) {
+                                Reserved::Stored(key)
+                            } else {
+                                pinned.push(key);
+                                Reserved::Fresh(key)
+                            };
+                            assert_eq!(exact.get_or_reserve(key, || key), want);
+                            if sharded.get_or_reserve(key, || key) == Reserved::Fresh(key) {
+                                sharded_pins.push(key);
                             }
-                            sharded.get_or_reserve(key, || key);
                         }
                         2 => {
+                            let found = is_pinned || stored.contains(&key);
                             assert_eq!(exact.remove_if(key, |_| true), found);
-                            model.retain(|&k| k != key);
+                            stored.retain(|&k| k != key);
                             sharded.remove_if(key, |_| true);
                         }
                         _ => {
                             exact.insert(key, key);
-                            model_insert(&mut model, key, capacity);
+                            model_insert(&mut stored, key, capacity);
                             sharded.insert(key, key);
                         }
                     }
-                    assert_eq!(exact.len(), model.len());
-                    for cache in [&exact, &sharded] {
+                    if op >= 2 {
+                        pinned.retain(|&k| k != key);
+                        sharded_pins.retain(|&k| k != key);
+                    }
+                    assert_eq!(exact.len(), stored.len() + pinned.len());
+                    for (cache, pins) in [(&exact, &pinned), (&sharded, &sharded_pins)] {
                         let stats = cache.stats();
-                        assert!(stats.len <= capacity);
+                        assert!(stats.len <= capacity + pins.len());
                         assert_eq!(stats.insertions, stats.len as u64 + stats.evictions);
                     }
+                }
+                for key in sharded_pins {
+                    let found = sharded.get_or_reserve(key, || unreachable!("{key} is pinned"));
+                    assert_eq!(found, Reserved::Pinned(key), "no shard evicted a pin");
                 }
             },
         );

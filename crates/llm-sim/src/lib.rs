@@ -48,7 +48,7 @@ pub use calibration::Calibration;
 pub use cancel::{CancelReason, CancelToken, NoAnswer, WaitMark};
 pub use codegen::{CodeGenSpec, CodeRequest, GeneratedCode, TemplateKind};
 pub use cost::{AtomicUsage, TokenPricing, Usage};
-pub use hotpath::{fingerprint, CacheStats, Fnv1a, ShardedLru};
+pub use hotpath::{fingerprint, CacheStats, Fnv1a, Reserved, ShardedLru};
 pub use knowledge::KnowledgeBase;
 pub use list::ListRequest;
 pub use service::{

@@ -18,11 +18,12 @@ pub struct ServeConfig {
     /// Bounded capacity of each queue lane; submissions beyond it are
     /// rejected with [`ServeError::Full`].
     pub queue_capacity: usize,
-    /// Cells in the job table: a sharded LRU of job completion cells keyed
-    /// by `job_key(pipeline, input fingerprint)`. An identical submission
-    /// attaches to a running cell and is answered by a finished one, so
-    /// this bounds both coalescing and the result cache. `0` turns both
-    /// off: every submission runs.
+    /// Finished outputs the job table keeps: a sharded LRU of job completion
+    /// cells keyed by `job_key(pipeline, input fingerprint)`. An identical
+    /// submission attaches to a live job's cell, which is held outside this
+    /// bound until the job ends, and is answered by a finished one. `0`
+    /// turns the result cache off; identical submissions still coalesce
+    /// while one of them is live, which the journal needs.
     pub result_cache_capacity: usize,
     /// Default queue timeout applied to jobs that don't set their own.
     pub default_timeout: Option<Duration>,

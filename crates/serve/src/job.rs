@@ -63,7 +63,7 @@ pub(crate) enum Terminal {
     Executed(Arc<JobOutput>),
     /// Answered at submission by the key's finished cell.
     CacheHit,
-    /// Attached at submission to the key's running cell.
+    /// Attached at submission to the key's live (queued or running) cell.
     DedupHit,
     /// Refused at submission: its queue lane was full (or closing).
     RejectedFull,

@@ -27,9 +27,10 @@
 //! * [`PipelineRegistry`] — compile once (paying any code-generation LLM
 //!   calls once), replicate per worker via
 //!   [`lingua_core::PhysicalPipeline::fresh_instance`].
-//! * Request dedup — one LRU-bounded table of job cells keyed by
+//! * Request dedup — one table of job cells keyed by
 //!   `(pipeline, input fingerprint)`: an identical submission attaches to a
-//!   running cell and is answered by a finished one.
+//!   live job's cell and is answered by a finished one, which an LRU
+//!   bounds.
 //! * [`Metrics`] / [`MetricsSnapshot`] — accepted/rejected/deduplicated
 //!   counters, queue depth, p50/p95 latency, per-job LLM usage.
 //! * Supervised execution (see `DESIGN.md` §"Supervised execution") — jobs

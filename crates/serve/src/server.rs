@@ -5,9 +5,9 @@
 //! Life of a request:
 //!
 //! 1. [`PipelineServer::submit`] fingerprints the inputs and, in one shard
-//!    lock of the job table, finds the key's cell or reserves a fresh one.
-//!    A finished cell answers at once; a running one is attached to; a
-//!    fresh one's job enters the bounded queue — or is rejected with
+//!    lock of the job table, finds the key's cell or pins a fresh one. A
+//!    finished cell answers at once; a live one is attached to; a fresh
+//!    one's job enters the bounded queue — or is rejected with
 //!    [`ServeError::Full`].
 //! 2. A worker dequeues (high-priority lane first), replicates the compiled
 //!    pipeline if its cached instance is stale, and executes it on a fresh
@@ -29,7 +29,7 @@ use lingua_core::{Compiler, ContextFactory, CoreError, Data, Executor, PhysicalP
 use lingua_durable::{FinishedJob, Journal, PendingJob, RecoverySnapshot, StreamCheckpoint};
 use lingua_gateway::{Batcher, Gateway};
 use lingua_llm_sim::hotpath::DEFAULT_SHARDS;
-use lingua_llm_sim::{CancelReason, CancelToken, LlmService, ShardedLru, Usage};
+use lingua_llm_sim::{CancelReason, CancelToken, LlmService, Reserved, ShardedLru, Usage};
 use lingua_ml::sync::Mutex;
 use lingua_trace::{ManualSpan, SpanKind};
 use std::collections::{BTreeMap, HashMap};
@@ -47,11 +47,12 @@ struct Shared {
     /// Admitted jobs waiting for a worker, `queue_capacity` per lane, and
     /// the CPU permits running jobs hold.
     queue: JobQueue<Job>,
-    /// Every job's completion cell, running or finished, under
-    /// `job_key(pipeline, fingerprint)`: the same lock-striped sharded LRU as
-    /// the LLM hot path, `result_cache_capacity` cells in all. A submission
-    /// attaches to a running cell and is answered by a finished one, and
-    /// `start()` restores journaled outputs into it as finished cells.
+    /// Every job's completion cell under `job_key(pipeline, fingerprint)`,
+    /// in the same lock-striped sharded LRU as the LLM hot path. A live
+    /// job's cell is pinned (never evicted) until `settle`; a finished
+    /// output's is stored, `result_cache_capacity` of them in all. A
+    /// submission attaches to a pinned cell and is answered by a stored
+    /// one, and `start()` restores journaled outputs as stored cells.
     jobs: ShardedLru<Arc<JobCore>>,
     config: ServeConfig,
     /// Gateway backing the factory's LLM service, when one is attached; its
@@ -449,16 +450,16 @@ impl PipelineServer {
                 None => CancelToken::unbounded(),
             })
         };
-        // One shard lock finds the key's cell or reserves a fresh one for
-        // this job, and journals nothing: the accept is journaled after it
-        // is released. The reservation comes before the push, so no worker
-        // can settle the job before it is reserved. A found cell is the
-        // answer: finished, it is a cache hit; running, this submission
-        // attaches to its leader.
+        // One shard lock finds the key's cell or pins a fresh one for this
+        // job, and journals nothing: the accept is journaled after it is
+        // released. The reservation comes before the push, so no worker can
+        // settle the job before it is reserved. A found cell is the answer:
+        // a stored one holds an output, so it is a cache hit; a pinned one
+        // is a job not yet settled, so this submission attaches to it.
         let key = job_key(&request.pipeline, fp);
         let (core, ended) = match shared.jobs.get_or_reserve(key, fresh) {
-            (cell, false) => (cell, None),
-            (cell, true) if cell.status() == JobStatus::Done => {
+            Reserved::Fresh(cell) => (cell, None),
+            Reserved::Stored(cell) => {
                 // A hit on a journal-restored cell is a crash retry the
                 // exactly-once guard answered without re-execution.
                 if cell.restored {
@@ -468,7 +469,7 @@ impl PipelineServer {
                 }
                 (cell, Some(Terminal::CacheHit))
             }
-            (cell, true) => (cell, Some(Terminal::DedupHit)),
+            Reserved::Pinned(cell) => (cell, Some(Terminal::DedupHit)),
         };
         let mut job = Job {
             core: Arc::clone(&core),
@@ -756,13 +757,13 @@ fn book_append(shared: &Shared, job: &Job, record: &str, appended: std::io::Resu
 /// 2. the counter;
 /// 3. the `path` of the job's `serve_job` span;
 /// 4. the outcome. A cache or dedup hit already holds its answer. Any other
-///    ending settles the job's cell in the table, then finishes it and wakes
-///    every waiter. An output puts the cell back if it was evicted while it
-///    ran, unless a newer cell took its key; an error takes it out if it is
-///    still there, so no later submission attaches to a failed job. A
-///    refusal at submission is also returned as the submitter's error:
-///    followers that attached while the accept was being journaled wait on
-///    the same cell and get it too.
+///    ending releases the job's pin in the table, then finishes its cell and
+///    wakes every waiter. An output stores the cell, so a caller that saw
+///    the answer finds it cached and a stored cell only ever answers `Ok`;
+///    an error takes the cell out, so no later submission attaches to a
+///    failed job. A refusal at submission is also returned as the
+///    submitter's error: followers that attached while the accept was being
+///    journaled wait on the same cell and get it too.
 fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result<(), ServeError> {
     let latency = job.enqueued.elapsed();
     if let Some(journal) = &shared.journal {
@@ -808,9 +809,11 @@ fn settle(shared: &Shared, job: Job, terminal: Terminal, usage: Usage) -> Result
         }
         Terminal::ShuttingDown => Err(ServeError::ShuttingDown),
     };
+    // The job's cell has been pinned under `key` since submission, so
+    // nothing else holds the key.
     let key = job_key(&job.pipeline, job.fingerprint);
     if result.is_ok() {
-        shared.jobs.get_or_reserve(key, || Arc::clone(&job.core));
+        shared.jobs.insert(key, Arc::clone(&job.core));
     } else {
         shared.jobs.remove_if(key, |cell| Arc::ptr_eq(cell, &job.core));
     }

@@ -730,3 +730,82 @@ fn only_a_hit_on_a_restored_output_is_a_skipped_duplicate() {
     assert_eq!((metrics.completed, metrics.cache_hits), (0, 1));
     assert_eq!(metrics.recovery.expect("journal attached").skipped_duplicates, 1);
 }
+
+/// A live job's cell is pinned in the job table, so the journal never holds
+/// two live jobs under one key. One worker, one queue slot, `cells` cells:
+/// A runs (held), B waits in the queue, a duplicate of A attaches to A and
+/// journals nothing, and C is refused `Full`, which journals C's refusal
+/// only. A crash at that instant recovers A and B as pending.
+fn a_live_jobs_duplicate_journals_nothing(cells: usize) {
+    let storage = SimStorage::new();
+    let (ticket, tickets) = mpsc::channel::<()>();
+    let tickets = Arc::new(Mutex::new(tickets));
+    let mut compiler = Compiler::with_builtins();
+    compiler.register("hold", move |_op, _ctx| {
+        let tickets = Arc::clone(&tickets);
+        Ok(Box::new(CustomModule::stateless("hold", move |input, _| {
+            // One job through per ticket; all of them once the sender drops.
+            let _ = tickets.lock().recv();
+            Ok(input)
+        })) as Box<dyn Module>)
+    });
+    let world = WorldSpec::generate(SEED);
+    let server = PipelineServer::start(
+        ContextFactory::new(Arc::new(SimLlm::with_seed(&world, SEED))),
+        ServeConfig {
+            workers: Some(1),
+            queue_capacity: 1,
+            result_cache_capacity: cells,
+            journal: Some(JournalTuning::sim(storage.clone())),
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    server.register_dsl("hold", "pipeline hold { out = hold(text); }", &compiler).unwrap();
+    // Declared after the server, so a failed assertion drops it first and
+    // the held worker lets go before shutdown joins it.
+    let ticket = ticket;
+    let request = |text: &str| SubmitRequest::new("hold").input("text", Data::Str(text.into()));
+
+    let a = server.submit(request("a")).expect("A is admitted");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while a.status() != lingua_serve::JobStatus::Running {
+        assert!(Instant::now() < deadline, "timed out waiting for the worker to take A");
+        thread::sleep(Duration::from_millis(2));
+    }
+    let b = server.submit(request("b")).expect("B is queued");
+    let follower = server.submit(request("a")).expect("A's duplicate attaches to A");
+    assert_eq!(server.submit(request("c")).unwrap_err(), ServeError::Full { capacity: 1 });
+    assert_eq!(record_kinds(&storage), ["accepted", "accepted", "accepted", "failed"]);
+    let metrics = server.metrics();
+    assert_eq!((metrics.accepted, metrics.coalesced, metrics.rejected), (3, 1, 1));
+
+    let image = SimStorage::new();
+    image.replace(&storage.snapshot()).unwrap();
+    let (_journal, recovered) = Journal::open(JournalTuning::sim(image)).expect("the image opens");
+    let mut pending: Vec<u64> = recovered.pending.iter().map(|job| job.fingerprint).collect();
+    let mut live: Vec<u64> =
+        ["a", "b"].map(|text| fingerprint_inputs(&request(text).inputs)).into();
+    pending.sort_unstable();
+    live.sort_unstable();
+    assert_eq!(pending, live, "the crash image holds A and B pending");
+
+    ticket.send(()).unwrap();
+    ticket.send(()).unwrap();
+    let output = a.wait().expect("A runs");
+    assert!(Arc::ptr_eq(&output, &follower.wait().unwrap()), "the duplicate shares A's output");
+    b.wait().expect("B runs");
+}
+
+#[test]
+fn a_live_jobs_duplicate_journals_nothing_and_a_crash_recovers_it() {
+    a_live_jobs_duplicate_journals_nothing(1);
+}
+
+/// With no result cache a duplicate still attaches to the live job: were
+/// it to run on its own, its refusal would journal `failed` under A's key
+/// and the crash image would lose A.
+#[test]
+fn without_a_result_cache_a_live_jobs_duplicate_still_journals_nothing() {
+    a_live_jobs_duplicate_journals_nothing(0);
+}

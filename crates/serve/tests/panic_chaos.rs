@@ -89,8 +89,8 @@ fn chaos_server(workers: usize, gate: Arc<Gate>, llm: Arc<SimLlm>) -> PipelineSe
     chaos_server_with(ServeConfig { workers: Some(workers), ..Default::default() }, gate, llm)
 }
 
-/// A server on `config` with the job table off: chaos jobs must all
-/// really run.
+/// A server on `config` with no result cache: a chaos job submitted again
+/// after it ended must really run again.
 fn chaos_server_with(config: ServeConfig, gate: Arc<Gate>, llm: Arc<SimLlm>) -> PipelineServer {
     let config = ServeConfig { result_cache_capacity: 0, ..config };
     let server = PipelineServer::start(ContextFactory::new(llm), config).unwrap();

@@ -156,12 +156,15 @@ impl Drop for OpenOnDrop {
     }
 }
 
-/// One worker and a one-cell job table. A's cell, which a follower F
-/// attached to, is evicted by B's while A runs, and a resubmission of A's
-/// input reserves a newer cell, A2, behind B. However A ends (`cancel_a`
-/// makes it end `Cancelled`), F shares A's answer, and A's settle leaves A2
-/// in place: one more submission of that input attaches to A2.
-fn an_evicted_cell_keeps_its_waiters_and_the_newer_cell(cancel_a: bool) {
+/// One worker, one queue slot and a one-cell job table holding a cached
+/// output. A runs (held) with a follower F, and Q waits in the queue. A
+/// burst of distinct submissions is refused `Full`: none of them evicts the
+/// cached output, and neither A's nor Q's pinned cell is evicted by them or
+/// by the cache's own bound. So a duplicate of each still attaches, and the
+/// cached input is still a hit. However A ends (`cancel_a` makes it end
+/// `Cancelled`), its followers share its answer; its output is then cached,
+/// and its failure leaves no cell, so its input runs anew.
+fn live_cells_outlast_a_burst_of_refusals(cancel_a: bool) {
     let world = WorldSpec::generate(36);
     let turnstile = Arc::new(Turnstile { tickets: Mutex::new(0), cv: Condvar::new() });
     let mut compiler = Compiler::with_builtins();
@@ -175,7 +178,12 @@ fn an_evicted_cell_keeps_its_waiters_and_the_newer_cell(cancel_a: bool) {
     });
     let server = PipelineServer::start(
         ContextFactory::new(Arc::new(SimLlm::with_seed(&world, 36))),
-        ServeConfig { workers: Some(1), result_cache_capacity: 1, ..Default::default() },
+        ServeConfig {
+            workers: Some(1),
+            queue_capacity: 1,
+            result_cache_capacity: 1,
+            ..Default::default()
+        },
     )
     .unwrap();
     server.register_dsl("hold", r#"pipeline hold { out = turnstile(text); }"#, &compiler).unwrap();
@@ -184,48 +192,60 @@ fn an_evicted_cell_keeps_its_waiters_and_the_newer_cell(cancel_a: bool) {
         server.submit(SubmitRequest::new("hold").input("text", Data::Str(text.into())))
     };
 
+    turnstile.admit(1);
+    let cached = submit("cached").unwrap().wait().unwrap();
     let a = submit("a").unwrap();
     wait_until("the worker to pick up A", || a.status() == JobStatus::Running);
     let f = submit("a").unwrap();
-    assert_eq!(server.metrics().coalesced, 1, "F attached to A's running cell");
-    let b = submit("b").unwrap();
-    let a2 = submit("a").unwrap();
-    assert_eq!(server.metrics().coalesced, 1, "B's cell evicted A's, so A2 reserved anew");
+    let q = submit("q").unwrap();
+    for i in 0..8 {
+        assert_eq!(submit(&format!("refused {i}")).unwrap_err(), ServeError::Full { capacity: 1 });
+    }
+    let f2 = submit("a").unwrap();
+    let q2 = submit("q").unwrap();
+    let metrics = server.metrics();
+    assert_eq!((metrics.rejected, metrics.coalesced), (8, 3), "F, F2 and Q2 attached");
+    let hit = submit("cached").unwrap().wait().unwrap();
+    assert!(Arc::ptr_eq(&hit, &cached), "the refusals evicted no cached output");
+    assert_eq!(server.metrics().cache_hits, 1);
 
     if cancel_a {
         a.cancel();
     }
     turnstile.admit(1);
     let answer = a.wait();
-    match (&answer, f.wait()) {
-        (Ok(ours), Ok(theirs)) => assert!(Arc::ptr_eq(ours, &theirs), "F shares A's output"),
-        (Err(ours), Err(theirs)) => assert_eq!(*ours, theirs, "F shares A's error"),
-        (ours, theirs) => panic!("A ended {ours:?}, its follower {theirs:?}"),
+    for follower in [f, f2] {
+        match (&answer, follower.wait()) {
+            (Ok(ours), Ok(theirs)) => assert!(Arc::ptr_eq(ours, &theirs), "shares A's output"),
+            (Err(ours), Err(theirs)) => assert_eq!(*ours, theirs, "shares A's error"),
+            (ours, theirs) => panic!("A ended {ours:?}, its follower {theirs:?}"),
+        }
     }
     assert_eq!(answer.is_err(), cancel_a);
-
-    let g = submit("a").unwrap();
-    assert_eq!(server.metrics().coalesced, 2, "A's settle left A2's cell in place");
-    assert_eq!(server.metrics().cache_hits, 0, "nor put A's answer over it");
-    turnstile.admit(2);
-    let (b, a2, g) = (b.wait().unwrap(), a2.wait().unwrap(), g.wait().unwrap());
-    assert!(Arc::ptr_eq(&a2, &g), "G shares A2's output");
-    assert!(!Arc::ptr_eq(&a2, &b));
-    if let Ok(a) = answer {
-        assert!(!Arc::ptr_eq(&a, &a2), "A2 ran on its own");
+    wait_until("the worker to pick up Q", || q.status() == JobStatus::Running);
+    let again = submit("a").unwrap();
+    match &answer {
+        Ok(output) => assert!(Arc::ptr_eq(output, &again.wait().unwrap()), "A's output is cached"),
+        Err(_) => {
+            assert_eq!(server.metrics().queue_depth, 1, "a failed A left no cell to attach to")
+        }
     }
+    turnstile.admit(2);
+    assert!(Arc::ptr_eq(&q.wait().unwrap(), &q2.wait().unwrap()), "Q2 shares Q's output");
+    again.wait().expect("the input runs anew after A failed");
     let metrics = server.metrics();
-    assert_eq!(metrics.completed, 2 + u64::from(!cancel_a), "A (unless cancelled), B and A2 ran");
+    assert_eq!((metrics.coalesced, metrics.cache_hits), (3, 1 + u64::from(!cancel_a)));
+    assert_eq!(metrics.completed, 3, "the cached input, Q, and A or its rerun");
 }
 
 #[test]
-fn an_evicted_cell_that_succeeds_answers_its_waiters_and_leaves_the_newer_cell() {
-    an_evicted_cell_keeps_its_waiters_and_the_newer_cell(false);
+fn live_cells_that_succeed_outlast_a_burst_of_refusals() {
+    live_cells_outlast_a_burst_of_refusals(false);
 }
 
 #[test]
-fn an_evicted_cell_that_fails_answers_its_waiters_and_leaves_the_newer_cell() {
-    an_evicted_cell_keeps_its_waiters_and_the_newer_cell(true);
+fn live_cells_that_fail_outlast_a_burst_of_refusals() {
+    live_cells_outlast_a_burst_of_refusals(true);
 }
 
 #[test]
@@ -362,7 +382,8 @@ fn multi_worker_results_match_direct_execution() {
         })
         .collect();
 
-    // Served runs across 4 workers (dedup off: every job must really run).
+    // Served runs across 4 workers (no result cache, and distinct inputs:
+    // every job must really run).
     let server = PipelineServer::start(
         factory,
         ServeConfig { workers: Some(4), result_cache_capacity: 0, ..Default::default() },
