@@ -6,12 +6,7 @@ use crate::context::ExecContext;
 use crate::data::Data;
 use crate::error::CoreError;
 use lingua_llm_sim::{CancelToken, Usage};
-use lingua_ml::sync::{Condvar, Mutex};
-use std::any::Any;
 use std::collections::BTreeMap;
-use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
 /// Trace of one operator execution.
@@ -146,38 +141,23 @@ impl Executor {
     }
 }
 
-/// Cancellable parallel map over owned items on pooled lane threads: up to
-/// `threads` lanes, results in item order. Every lane checks `cancel` before
-/// each item (which also heartbeats the token), so a fired deadline stops the
-/// whole scan within one item per lane instead of finishing it. Returns
-/// `CoreError::Cancelled` if the token fired; partial results are discarded.
-/// A panic in `f` propagates to the caller with its original payload after
-/// all lanes have stopped (serve's per-job `catch_unwind` isolation relies
-/// on this).
+/// Cancellable parallel map over owned items, each lane with a state of its
+/// own: up to `threads` lanes, results in item order. A lane builds its state
+/// with `init` before its first item and hands it to `f` with every item, so
+/// `init` runs once per lane that maps an item, never per item. Every lane
+/// checks `cancel` before each item (which also heartbeats the token), so a
+/// fired deadline stops the whole scan within one item per lane instead of
+/// finishing it. Returns `CoreError::Cancelled` if the token fired; partial
+/// results are discarded. A panic in `f` propagates to the caller with its
+/// original payload after all lanes have stopped (serve's per-job
+/// `catch_unwind` isolation relies on this).
 ///
 /// One lane (or fewer than two items) runs inline on the caller's thread.
-/// Otherwise every lane runs on a parked thread of a process-wide pool and
-/// the caller only waits, so a lane starts with an empty trace span stack and
-/// its spans are roots. The pool spawns a thread only when none is parked,
-/// and grows rather than queues: lanes block on the LLM, so a bounded pool
-/// could starve a map nested in another map's lane, or concurrent maps.
-pub fn try_parallel_map<T, U, F>(
-    items: Vec<T>,
-    threads: usize,
-    cancel: &CancelToken,
-    f: F,
-) -> Result<Vec<U>, CoreError>
-where
-    T: Send + 'static,
-    U: Send + 'static,
-    F: Fn(T) -> U + Send + Sync + 'static,
-{
-    map_on(LanePool::global(), items, threads, cancel, || (), move |_: &mut (), item| f(item))
-}
-
-/// [`try_parallel_map`] with a state of each lane's own: a lane builds it
-/// with `init` before its first item and hands it to `f` with every item.
-/// `init` runs once per lane that maps an item, never per item.
+/// Otherwise every lane runs on a scoped thread of its own, spawned for the
+/// map and joined before it returns, and the caller only waits, so a lane
+/// starts with an empty trace span stack and its spans are roots. A map
+/// nested in another map's lane spawns threads of its own: lanes block on the
+/// LLM, so waiting for a busy thread could starve it.
 pub(crate) fn try_lane_map<T, U, S, I, F>(
     items: Vec<T>,
     threads: usize,
@@ -186,28 +166,10 @@ pub(crate) fn try_lane_map<T, U, S, I, F>(
     f: F,
 ) -> Result<Vec<U>, CoreError>
 where
-    T: Send + 'static,
-    U: Send + 'static,
-    I: Fn() -> S + Send + Sync + 'static,
-    F: Fn(&mut S, T) -> U + Send + Sync + 'static,
-{
-    map_on(LanePool::global(), items, threads, cancel, init, f)
-}
-
-/// [`try_lane_map`] over the given pool.
-fn map_on<T, U, S, I, F>(
-    pool: &Arc<LanePool>,
-    items: Vec<T>,
-    threads: usize,
-    cancel: &CancelToken,
-    init: I,
-    f: F,
-) -> Result<Vec<U>, CoreError>
-where
-    T: Send + 'static,
-    U: Send + 'static,
-    I: Fn() -> S + Send + Sync + 'static,
-    F: Fn(&mut S, T) -> U + Send + Sync + 'static,
+    T: Send,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> U + Sync,
 {
     let count = items.len();
     let threads = threads.clamp(1, count.max(1));
@@ -223,151 +185,44 @@ where
         return Ok(out);
     }
     let chunk = count.div_ceil(threads);
-    let lane_count = count.div_ceil(chunk);
-    let work = Arc::new((init, f));
-    // One slot per lane: the lane's results, or the payload it panicked with.
-    let outputs: Arc<Mutex<Vec<Option<LaneOutput<U>>>>> =
-        Arc::new(Mutex::new((0..lane_count).map(|_| None).collect()));
+    let (init, f) = (&init, &f);
     let mut items = items.into_iter();
-    let lanes = (0..lane_count)
-        .map(|index| {
-            let chunk: Vec<T> = items.by_ref().take(chunk).collect();
-            let (work, cancel, outputs) = (Arc::clone(&work), cancel.clone(), Arc::clone(&outputs));
-            Box::new(move || {
-                let (init, f) = &*work;
-                let mut done = Vec::with_capacity(chunk.len());
-                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    // Each handle is joined here, in item order, so `scope` has no panic of
+    // its own to raise: a lane's result, or the payload it panicked with.
+    let lanes: Vec<std::thread::Result<Vec<U>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..count.div_ceil(chunk))
+            .map(|_| {
+                let chunk: Vec<T> = items.by_ref().take(chunk).collect();
+                let lane = move || {
                     let mut state = None;
+                    let mut done = Vec::with_capacity(chunk.len());
                     for item in chunk {
                         if cancel.check().is_err() {
-                            return;
+                            break;
                         }
                         done.push(f(state.get_or_insert_with(init), item));
                     }
-                }));
-                outputs.lock()[index] = Some(run.map(|()| done));
-            }) as Lane
-        })
-        .collect();
-    pool.run(lanes);
-    let outputs = std::mem::take(&mut *outputs.lock());
+                    done
+                };
+                std::thread::Builder::new()
+                    .name("lingua-lane".into())
+                    .spawn_scoped(scope, lane)
+                    .expect("spawn a lane thread")
+            })
+            .collect();
+        handles.into_iter().map(|handle| handle.join()).collect()
+    });
     let mut results = Vec::with_capacity(count);
-    let mut panicked = None;
-    for output in outputs {
-        match output.expect("every lane ran before the pool returned") {
-            Ok(done) => results.extend(done),
-            // Keep the first payload in item order.
-            Err(payload) => {
-                panicked.get_or_insert(payload);
-            }
-        }
-    }
-    if let Some(payload) = panicked {
-        // Re-raise what the module actually threw, so the caller's panic
-        // isolation reports it.
-        std::panic::resume_unwind(payload);
+    for lane in lanes {
+        // Re-raise the first payload in item order, what the module actually
+        // threw, so the caller's panic isolation reports it.
+        results.extend(lane.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
     }
     if let Some(reason) = cancel.status() {
         return Err(CoreError::Cancelled { reason });
     }
     assert_eq!(results.len(), count, "all items mapped when not cancelled");
     Ok(results)
-}
-
-/// A lane's results, or the payload of the panic that stopped it.
-type LaneOutput<U> = Result<Vec<U>, Box<dyn Any + Send>>;
-
-/// A unit of work for a pooled thread. It must not unwind: lanes catch their
-/// own panics.
-type Lane = Box<dyn FnOnce() + Send>;
-
-/// A lane handed to a parked thread, with the latch its map waits on and the
-/// sender that parks the thread again.
-struct Task {
-    lane: Lane,
-    done: Arc<Latch>,
-    parking: Sender<Task>,
-}
-
-/// Counts a map's lanes down to zero.
-struct Latch {
-    left: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl Latch {
-    fn count_down(&self) {
-        let mut left = self.left.lock();
-        *left -= 1;
-        if *left == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut left = self.left.lock();
-        while *left > 0 {
-            left = self.zero.wait(left);
-        }
-    }
-}
-
-/// Threads parked between map lanes, each behind its own channel, most
-/// recently parked last. A thread parks itself again before its lane counts
-/// as done, so a map that follows another reuses its threads. Pooled threads
-/// are never joined: a lane catches its own panic and hands it to its map,
-/// so a thread has none to report.
-#[derive(Default)]
-struct LanePool {
-    parked: Mutex<Vec<Sender<Task>>>,
-}
-
-impl LanePool {
-    fn global() -> &'static Arc<LanePool> {
-        static POOL: OnceLock<Arc<LanePool>> = OnceLock::new();
-        POOL.get_or_init(Arc::default)
-    }
-
-    /// Run every lane on a pooled thread; return once each has run and its
-    /// thread is parked again.
-    fn run(self: &Arc<Self>, lanes: Vec<Lane>) {
-        let done = Arc::new(Latch { left: Mutex::new(lanes.len()), zero: Condvar::new() });
-        for lane in lanes {
-            self.dispatch(lane, Arc::clone(&done));
-        }
-        done.wait();
-    }
-
-    /// Hand `lane` to the most recently parked thread, or to a new one.
-    fn dispatch(self: &Arc<Self>, lane: Lane, done: Arc<Latch>) {
-        let parked = self.parked.lock().pop();
-        let thread = parked.unwrap_or_else(|| self.spawn());
-        let task = Task { lane, done, parking: thread.clone() };
-        thread.send(task).expect("a pooled thread waits on its channel while its pool lives");
-    }
-
-    /// A new pooled thread, waiting on the channel behind the returned sender.
-    fn spawn(self: &Arc<Self>) -> Sender<Task> {
-        let (thread, tasks) = mpsc::channel();
-        let pool = Arc::downgrade(self);
-        std::thread::Builder::new()
-            .name("lingua-lane".into())
-            .spawn(move || park_between_lanes(pool, tasks))
-            .expect("spawn a lane thread");
-        thread
-    }
-}
-
-/// A pooled thread's life: run a lane, park, count the lane done, wait for
-/// the next. It ends once its pool is dropped, which drops its sender.
-fn park_between_lanes(pool: Weak<LanePool>, tasks: Receiver<Task>) {
-    while let Ok(Task { lane, done, parking }) = tasks.recv() {
-        lane();
-        if let Some(pool) = pool.upgrade() {
-            pool.parked.lock().push(parking);
-        }
-        done.count_down();
-    }
 }
 
 #[cfg(test)]
@@ -379,22 +234,30 @@ mod tests {
     use lingua_dataset::world::WorldSpec;
     use lingua_llm_sim::SimLlm;
     use std::collections::HashSet;
-    use std::sync::Barrier;
-    use std::thread::ThreadId;
+    use std::sync::{Arc, Barrier};
 
     fn ctx() -> ExecContext {
         let world = WorldSpec::generate(14);
         ExecContext::new(Arc::new(SimLlm::with_seed(&world, 14)))
     }
 
-    /// [`try_parallel_map`] under a token that never fires.
-    fn parallel_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
-    where
-        T: Send + 'static,
-        U: Send + 'static,
-        F: Fn(T) -> U + Send + Sync + 'static,
-    {
-        try_parallel_map(items, threads, &CancelToken::unbounded(), f)
+    /// [`try_lane_map`] with no lane state.
+    fn try_map<T: Send, U: Send>(
+        items: Vec<T>,
+        threads: usize,
+        cancel: &CancelToken,
+        f: impl Fn(T) -> U + Sync,
+    ) -> Result<Vec<U>, CoreError> {
+        try_lane_map(items, threads, cancel, || (), |_: &mut (), item| f(item))
+    }
+
+    /// [`try_map`] under a token that never fires.
+    fn parallel_map<T: Send, U: Send>(
+        items: Vec<T>,
+        threads: usize,
+        f: impl Fn(T) -> U + Sync,
+    ) -> Vec<U> {
+        try_map(items, threads, &CancelToken::unbounded(), f)
             .expect("an unbounded token never cancels")
     }
 
@@ -517,7 +380,7 @@ mod tests {
             assert_eq!(parallel, sequential, "threads={threads}");
         }
         // Empty and tiny inputs are fine.
-        assert!(parallel_map::<i64, i64, _>(Vec::new(), 4, |x| x).is_empty());
+        assert!(parallel_map::<i64, i64>(Vec::new(), 4, |x| x).is_empty());
         assert_eq!(parallel_map(vec![5], 4, |x| x + 1), vec![6]);
     }
 
@@ -597,10 +460,9 @@ mod tests {
         let items: Vec<u64> = (0..512).collect();
         for threads in [1, 4] {
             let token = CancelToken::unbounded();
-            let lane_token = token.clone();
-            let err = try_parallel_map(items.clone(), threads, &token, move |i| {
+            let err = try_map(items.clone(), threads, &token, |i| {
                 if i % 64 == 50 {
-                    lane_token.cancel();
+                    token.cancel();
                 }
                 i
             })
@@ -614,7 +476,7 @@ mod tests {
         // An already-expired deadline maps to DeadlineExceeded.
         let expired =
             CancelToken::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
-        let err = try_parallel_map(items, 4, &expired, |i| i).unwrap_err();
+        let err = try_map(items, 4, &expired, |i| i).unwrap_err();
         assert_eq!(err, CoreError::Cancelled { reason: CancelReason::DeadlineExceeded });
     }
 
@@ -640,9 +502,9 @@ mod tests {
         let items: Vec<u64> = (0..64).collect();
         // Lanes of 16: items 21 and 58 die on different threads, and 21
         // waits until 58 already has — first means item order, not time.
-        let later_died = Arc::new(AtomicBool::new(false));
+        let later_died = AtomicBool::new(false);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map(items, 4, move |i| {
+            parallel_map(items, 4, |i| {
                 if i == 58 {
                     later_died.store(true, Ordering::SeqCst);
                     panic!("module blew up on item {i}");
@@ -663,13 +525,12 @@ mod tests {
 
     #[test]
     fn pipelined_map_matches_sequential_at_any_depth() {
-        // `PipelinedMapModule` is `try_parallel_map` at `depth` lanes.
+        // `PipelinedMapModule` is `try_lane_map` at `depth` lanes.
         let items: Vec<i64> = (0..200).collect();
         let sequential: Vec<i64> = items.iter().map(|x| x * 3).collect();
         let token = CancelToken::unbounded();
         for depth in [0, 1, 4, 16, 64] {
-            let out =
-                try_parallel_map(items.clone(), depth, &token, |x| x * 3).expect("live token");
+            let out = try_map(items.clone(), depth, &token, |x| x * 3).expect("live token");
             assert_eq!(out, sequential, "depth={depth}");
         }
     }
@@ -679,10 +540,9 @@ mod tests {
         use lingua_llm_sim::CancelReason;
         let items: Vec<u64> = (0..256).collect();
         let token = CancelToken::unbounded();
-        let lane_token = token.clone();
-        let err = try_parallel_map(items, 8, &token, move |i| {
+        let err = try_map(items, 8, &token, |i| {
             if i == 10 {
-                lane_token.cancel();
+                token.cancel();
             }
             i
         })
@@ -690,78 +550,50 @@ mod tests {
         assert_eq!(err, CoreError::Cancelled { reason: CancelReason::Cancelled });
     }
 
-    /// The threads a `lanes`-lane map over `pool` ran its items on. The
-    /// lanes meet at a barrier, so each holds its own thread.
-    fn lane_threads(pool: &Arc<LanePool>, lanes: usize) -> HashSet<ThreadId> {
-        let live = CancelToken::unbounded();
-        let barrier = Arc::new(Barrier::new(lanes));
-        let lane = move |_: &mut (), _: usize| {
+    #[test]
+    fn lanes_run_off_the_callers_thread_and_end_with_their_map() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static ENDED: AtomicUsize = AtomicUsize::new(0);
+        /// Counts its thread's end: a thread-local's destructor runs as the
+        /// thread exits, before a join of it returns.
+        struct CountsItsEnd;
+        impl Drop for CountsItsEnd {
+            fn drop(&mut self) {
+                ENDED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static END: CountsItsEnd = const { CountsItsEnd });
+        // The lanes meet at a barrier, so each holds its own thread.
+        const LANES: usize = 4;
+        let barrier = Barrier::new(LANES);
+        let lanes = parallel_map((0..LANES).collect(), LANES, |_| {
+            END.with(|_| ());
             barrier.wait();
-            std::thread::current().id()
-        };
-        map_on(pool, (0..lanes).collect(), lanes, &live, || (), lane)
-            .expect("an unbounded token never cancels")
-            .into_iter()
-            .collect()
+            let lane = std::thread::current();
+            (lane.id(), lane.name().map(str::to_owned))
+        });
+        let threads: HashSet<_> = lanes.iter().map(|(id, _)| *id).collect();
+        assert_eq!(threads.len(), LANES, "a thread per lane");
+        assert!(!threads.contains(&std::thread::current().id()), "the caller only waits");
+        assert!(lanes.iter().all(|(_, name)| name.as_deref() == Some("lingua-lane")));
+        assert_eq!(ENDED.load(Ordering::SeqCst), LANES, "every lane thread ended with its map");
     }
 
     #[test]
-    fn a_map_runs_on_the_threads_an_earlier_map_parked() {
-        let pool = Arc::new(LanePool::default());
-        let first = lane_threads(&pool, 4);
-        assert_eq!(first.len(), 4, "an empty pool spawns a thread per lane");
-        assert!(!first.contains(&std::thread::current().id()), "the caller only waits");
-        assert_eq!(pool.parked.lock().len(), 4, "every lane thread parked before the map returned");
-        let second = lane_threads(&pool, 4);
-        assert!(second.is_subset(&first), "the second map spawned no thread");
-        assert_eq!(pool.parked.lock().len(), 4);
-    }
-
-    #[test]
-    fn a_lane_that_panicked_leaves_its_thread_serving_the_next_map() {
-        use lingua_ml::sync::Mutex;
-        let pool = Arc::new(LanePool::default());
-        let died_on = Arc::new(Mutex::new(None));
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let died_on = Arc::clone(&died_on);
-            let barrier = Barrier::new(2);
-            let lane = move |_: &mut (), i: u32| {
-                barrier.wait();
-                if i == 1 {
-                    *died_on.lock() = Some(std::thread::current().id());
-                    panic!("lane {i} blew up");
-                }
-            };
-            map_on(&pool, vec![0u32, 1], 2, &CancelToken::unbounded(), || (), lane)
-        }));
-        let payload = result.expect_err("the lane's panic reaches the caller");
-        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("lane 1 blew up"));
-        let died_on = died_on.lock().expect("lane 1 ran");
-        assert_eq!(pool.parked.lock().len(), 2, "the thread whose lane panicked parked again");
-        let next = lane_threads(&pool, 2);
-        assert!(next.contains(&died_on), "and serves the next map");
-        assert_eq!(next.len(), 2);
-    }
-
-    #[test]
-    fn nested_maps_grow_the_pool_instead_of_starving() {
+    fn nested_maps_spawn_their_own_lanes_instead_of_starving() {
         // Sixteen inner lanes meet at one barrier, so the outer map only
         // completes if all of them (and the four outer lanes they run under)
         // hold a thread at once.
         const LANES: usize = 4;
-        let barrier = Arc::new(Barrier::new(LANES * LANES));
-        let live = CancelToken::unbounded();
+        let barrier = Barrier::new(LANES * LANES);
         let outer: Vec<usize> = (0..LANES).collect();
-        let out = try_parallel_map(outer, LANES, &live, move |o| {
-            let barrier = Arc::clone(&barrier);
+        let out = parallel_map(outer, LANES, |o| {
             let inner: Vec<usize> = (0..LANES).collect();
-            try_parallel_map(inner, LANES, &CancelToken::unbounded(), move |i| {
+            parallel_map(inner, LANES, |i| {
                 barrier.wait();
                 o * LANES + i
             })
-            .expect("an unbounded token never cancels")
-        })
-        .expect("an unbounded token never cancels");
+        });
         assert_eq!(out.concat(), (0..LANES * LANES).collect::<Vec<_>>());
     }
 
@@ -770,14 +602,11 @@ mod tests {
         use lingua_llm_sim::{CompletionRequest, LlmService};
 
         let world = WorldSpec::generate(14);
-        let svc = Arc::new(SimLlm::with_seed(&world, 14));
+        let svc = SimLlm::with_seed(&world, 14);
         // Distinct prompts from many threads: every call is billed once.
         let prompts: Vec<String> =
             (0..64).map(|i| format!("Summarize.\nText: document number {i}")).collect();
-        let responses = parallel_map(prompts, 8, {
-            let svc = Arc::clone(&svc);
-            move |p| svc.complete(&CompletionRequest::new(p))
-        });
+        let responses = parallel_map(prompts, 8, |p| svc.complete(&CompletionRequest::new(p)));
         assert_eq!(responses.len(), 64);
         let usage = svc.usage();
         assert_eq!(usage.calls, 64);
@@ -790,18 +619,15 @@ mod tests {
         use lingua_llm_sim::{CompletionRequest, LlmService, SimLlmConfig};
 
         let world = WorldSpec::generate(14);
-        let svc = Arc::new(SimLlm::new(
+        let svc = SimLlm::new(
             &world,
             SimLlmConfig { seed: 14, cache_enabled: true, ..Default::default() },
-        ));
+        );
         // Many threads race on the SAME prompt: every request is either a
         // billed call or a cache hit — none double-counted, none lost.
         let requests: Vec<u64> = (0..64).collect();
-        let out = parallel_map(requests, 8, {
-            let svc = Arc::clone(&svc);
-            move |_| {
-                svc.complete(&CompletionRequest::new("Summarize.\nText: the contended document"))
-            }
+        let out = parallel_map(requests, 8, |_| {
+            svc.complete(&CompletionRequest::new("Summarize.\nText: the contended document"))
         });
         assert!(out.windows(2).all(|w| w[0] == w[1]), "all callers see one answer");
         let usage = svc.usage();

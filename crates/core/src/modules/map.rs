@@ -1,5 +1,5 @@
-//! Pipelined fan-out over a list: [`crate::executor::try_parallel_map`] at
-//! `depth` lanes.
+//! Pipelined fan-out over a list at up to `depth` lanes; two or more run each
+//! on a thread of its own for the length of the map.
 //!
 //! An LLM-bound stage spends its time *waiting*, not computing — so a worker
 //! that dispatches one record at a time can never fill a continuous batcher's
@@ -122,13 +122,9 @@ impl Module for PipelinedMapModule {
             spare = Some(probe);
             has
         });
-        // Snapshot the shared pieces: the lanes run on pooled threads, so
-        // they own everything they touch.
-        let template = lane_context(ctx);
-        let inner = Arc::clone(&self.inner);
         let spare = Mutex::new(spare);
-        let lane =
-            move || (spare.lock().take().unwrap_or_else(|| inner()), lane_context(&template));
+        let (inner, shared) = (&self.inner, &*ctx);
+        let lane = || (spare.lock().take().unwrap_or_else(|| inner()), lane_context(shared));
         // The lanes block on the service rather than burn CPU, so `depth` of
         // them from this one worker is what lets a continuous batcher fill
         // size-triggered batches instead of trickling one request a window.

@@ -1,13 +1,37 @@
-//! Property tests for trace well-formedness under `try_parallel_map`: spans
-//! emitted concurrently from pooled lane threads must always reassemble
-//! into a well-formed forest — every span closed exactly once, every child
-//! strictly nested inside its parent's logical-clock window, timestamps
-//! unique — and per-span usage rollups must reconcile with the workload.
+//! Property tests for trace well-formedness under a pipelined map: spans
+//! emitted concurrently from its lane threads must always reassemble into a
+//! well-formed forest — every span closed exactly once, every child strictly
+//! nested inside its parent's logical-clock window, timestamps unique — and
+//! per-span usage rollups must reconcile with the workload.
 
-use lingua_core::executor::try_parallel_map;
-use lingua_llm_sim::{CancelToken, Usage};
+use lingua_core::modules::{CustomModule, Module, PipelinedMapModule};
+use lingua_core::{CoreError, Data, ExecContext};
+use lingua_dataset::world::WorldSpec;
+use lingua_llm_sim::{SimLlm, Usage};
 use lingua_ml::check::check;
-use lingua_trace::{ring_tracer, SpanKind, SpanNode, TraceTree};
+use lingua_trace::{ring_tracer, SpanKind, SpanNode, TraceTree, Tracer};
+use std::sync::{Arc, OnceLock};
+
+/// Map `body` over `items` at `depth` lanes, each lane's context tracing to
+/// `tracer`; the outputs in item order.
+fn traced_map(
+    items: Vec<Data>,
+    depth: usize,
+    tracer: Tracer,
+    body: fn(Data, &mut ExecContext) -> Result<Data, CoreError>,
+) -> Vec<Data> {
+    static WORLD: OnceLock<WorldSpec> = OnceLock::new();
+    let world = WORLD.get_or_init(|| WorldSpec::generate(3));
+    let mut ctx = ExecContext::new(Arc::new(SimLlm::with_seed(world, 3)));
+    ctx.tracer = tracer;
+    let mut map = PipelinedMapModule::new("work", depth, move || {
+        Box::new(CustomModule::stateless("work", body)) as Box<dyn Module>
+    });
+    match map.invoke(Data::List(items), &mut ctx).expect("an unbounded token never cancels") {
+        Data::List(outputs) => outputs,
+        other => panic!("a map over a list answers a list, not {other:?}"),
+    }
+}
 
 /// A child's clock window must sit strictly inside its parent's, all the way
 /// down — "parent opens before child, child closes before parent".
@@ -31,18 +55,19 @@ fn parallel_map_traces_stay_well_formed() {
         48,
         |g| (g.vec(0..24, |g| (g.int(1u32..500), g.int(1u32..200))), g.int(0usize..9)),
         |(items, threads)| {
-            let live = CancelToken::unbounded();
-            // An earlier traced map leaves its lane threads parked; the map
-            // under test runs on them and must find their span stacks empty.
-            let (earlier, _) = ring_tracer(1 << 8);
-            try_parallel_map(items.clone(), threads, &live, move |_| {
-                let _span = earlier.span(SpanKind::Op, "earlier");
-            })
-            .expect("an unbounded token never cancels");
             let (tracer, sink) = ring_tracer(1 << 12);
-            let lane_tracer = tracer.clone();
-            let outputs = try_parallel_map(items.clone(), threads, &live, move |item| {
-                let ((tokens_in, tokens_out), tracer) = (item, &lane_tracer);
+            let input = items
+                .iter()
+                .map(|&(tokens_in, tokens_out)| {
+                    Data::List(vec![Data::Int(tokens_in.into()), Data::Int(tokens_out.into())])
+                })
+                .collect();
+            let outputs = traced_map(input, threads, tracer.clone(), |item, ctx| {
+                let Data::List(pair) = item else { unreachable!("each item is a pair") };
+                let [Data::Int(tokens_in), Data::Int(tokens_out)] = pair[..] else {
+                    unreachable!("of token counts")
+                };
+                let tracer = &ctx.tracer;
                 let mut op = tracer.span(SpanKind::Op, "work");
                 op.attr("tokens_in", tokens_in.to_string());
                 tracer.instant(SpanKind::Op, "checkpoint", Vec::new);
@@ -52,9 +77,8 @@ fn parallel_map_traces_stay_well_formed() {
                     usage.record(tokens_in as usize, tokens_out as usize);
                     call.set_usage(usage);
                 }
-                tokens_in as u64 + tokens_out as u64
-            })
-            .expect("an unbounded token never cancels");
+                Ok(Data::Int(tokens_in + tokens_out))
+            });
             assert_eq!(outputs.len(), items.len());
             assert_eq!(tracer.dropped(), 0);
 
@@ -98,12 +122,11 @@ fn logical_clock_is_strictly_monotone_per_stream() {
         |g| (g.int(0usize..64), g.int(0usize..9)),
         |(n, threads)| {
             let (tracer, sink) = ring_tracer(1 << 12);
-            let items: Vec<usize> = (0..n).collect();
-            let lane_tracer = tracer.clone();
-            try_parallel_map(items, threads, &CancelToken::unbounded(), move |i| {
-                lane_tracer.instant(SpanKind::Module, "tick", || vec![("i".into(), i.to_string())]);
-            })
-            .expect("an unbounded token never cancels");
+            let items = (0..n as i64).map(Data::Int).collect();
+            traced_map(items, threads, tracer, |i, ctx| {
+                ctx.tracer.instant(SpanKind::Module, "tick", || vec![("i".into(), i.render())]);
+                Ok(i)
+            });
             let mut seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
             assert_eq!(seqs.len(), n);
             seqs.sort_unstable();

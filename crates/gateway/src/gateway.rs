@@ -52,26 +52,9 @@ use std::sync::Arc;
 /// hashing-vectorizer width).
 const DEGRADED_EMBED_DIM: usize = 512;
 
-/// Gateway tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GatewayConfig {
-    /// Retry budget and backoff schedule (shared by all backends).
-    pub backoff: BackoffPolicy,
-    /// Circuit-breaker tuning (one breaker per backend).
-    pub breaker: BreakerConfig,
-    /// Capacity of the degraded-mode stale-response cache.
-    pub stale_cache_capacity: usize,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            backoff: BackoffPolicy::default(),
-            breaker: BreakerConfig::default(),
-            stale_cache_capacity: 1_024,
-        }
-    }
-}
+/// Capacity of the degraded-mode stale-response cache, over
+/// [`DEFAULT_SHARDS`] shards.
+const STALE_CACHE_CAPACITY: usize = 1_024;
 
 /// Outcome of the resilient call loop, with the index of the backend that
 /// served or faulted. `Cancelled` is distinct from `Exhausted` so a job whose
@@ -120,25 +103,23 @@ struct Backend {
 /// Builder for [`Gateway`]. Backends are tried in registration order —
 /// register the preferred backend first.
 pub struct GatewayBuilder {
-    config: GatewayConfig,
+    backoff: BackoffPolicy,
+    breaker: BreakerConfig,
     backends: Vec<Arc<dyn LlmTransport>>,
     fallback: Option<Arc<dyn LlmTransport>>,
     tracer: Tracer,
 }
 
 impl GatewayBuilder {
-    pub fn config(mut self, config: GatewayConfig) -> GatewayBuilder {
-        self.config = config;
-        self
-    }
-
+    /// Retry budget and backoff schedule (shared by all backends).
     pub fn backoff(mut self, backoff: BackoffPolicy) -> GatewayBuilder {
-        self.config.backoff = backoff;
+        self.backoff = backoff;
         self
     }
 
+    /// Circuit-breaker tuning (one breaker per backend).
     pub fn breaker(mut self, breaker: BreakerConfig) -> GatewayBuilder {
-        self.config.breaker = breaker;
+        self.breaker = breaker;
         self
     }
 
@@ -176,7 +157,7 @@ impl GatewayBuilder {
             .into_iter()
             .map(|transport| Backend {
                 name: transport.name().to_string(),
-                breaker: CircuitBreaker::new(self.config.breaker),
+                breaker: CircuitBreaker::new(self.breaker),
                 transport,
             })
             .collect();
@@ -184,8 +165,8 @@ impl GatewayBuilder {
             metrics: GatewayMetrics::new(backends.len()),
             backends,
             fallback: self.fallback,
-            stale: Arc::new(ShardedLru::new(self.config.stale_cache_capacity, DEFAULT_SHARDS)),
-            config: self.config,
+            stale: Arc::new(ShardedLru::new(STALE_CACHE_CAPACITY, DEFAULT_SHARDS)),
+            backoff: self.backoff,
             own_usage: AtomicUsage::default(),
             added_backoff_ms: AtomicU64::new(0),
             tracer: self.tracer,
@@ -197,7 +178,7 @@ impl GatewayBuilder {
 pub struct Gateway {
     backends: Vec<Backend>,
     fallback: Option<Arc<dyn LlmTransport>>,
-    config: GatewayConfig,
+    backoff: BackoffPolicy,
     metrics: GatewayMetrics,
     /// Degraded-mode stale-response cache: the same lock-striped sharded LRU
     /// as the simulator's hot path, keyed by the shared prompt fingerprint.
@@ -214,7 +195,8 @@ pub struct Gateway {
 impl Gateway {
     pub fn builder() -> GatewayBuilder {
         GatewayBuilder {
-            config: GatewayConfig::default(),
+            backoff: BackoffPolicy::default(),
+            breaker: BreakerConfig::default(),
             backends: Vec::new(),
             fallback: None,
             tracer: Tracer::disabled(),
@@ -277,7 +259,7 @@ impl Gateway {
     /// `key` against the backend at `idx`, at least `fault`'s retry hint.
     fn back_off(&self, idx: usize, key: u64, attempts: u32, fault: &TransportError) {
         let hint = fault.retry_after_ms().unwrap_or(0);
-        let delay = self.config.backoff.delay_ms(key, attempts).max(hint);
+        let delay = self.backoff.delay_ms(key, attempts).max(hint);
         self.metrics.backoff(idx, delay);
         self.added_backoff_ms.fetch_add(delay, Ordering::Relaxed);
         self.tracer.instant(SpanKind::Gateway, "backoff", || {
@@ -357,7 +339,7 @@ impl Gateway {
                 if !retry {
                     return Resilient::Faulted(idx, err);
                 }
-                if !err.is_retryable() || attempt >= self.config.backoff.max_attempts {
+                if !err.is_retryable() || attempt >= self.backoff.max_attempts {
                     break;
                 }
                 // A job past its deadline must not be charged backoff it will
@@ -424,7 +406,7 @@ impl Gateway {
             return (Err(NoAnswer::Resend { attempts: request.attempts() }), Usage::default());
         };
         let attempts = request.attempts() + 1;
-        if fault.is_retryable() && attempts < self.config.backoff.max_attempts {
+        if fault.is_retryable() && attempts < self.backoff.max_attempts {
             self.back_off(idx, request.fingerprint(), attempts, fault);
             return (Err(NoAnswer::Resend { attempts }), Usage::default());
         }

@@ -42,6 +42,6 @@ pub use batch::{BatchConfig, BatchSnapshot, Batcher, FlushReason, FlushRecord};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
 pub use error::{FaultClass, TransportError, Verdict};
 pub use fault::{prompt_key, FaultCounts, FaultInjector, FaultPlan};
-pub use gateway::{Gateway, GatewayBuilder, GatewayConfig};
+pub use gateway::{Gateway, GatewayBuilder};
 pub use metrics::{BackendCounters, BackendSnapshot, GatewaySnapshot};
 pub use transport::{LlmTransport, ServiceTransport};

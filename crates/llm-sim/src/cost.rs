@@ -27,9 +27,13 @@ pub struct TokenPricing {
     pub output_per_1k: f64,
 }
 
+/// The rates the simulator bills at: [`TokenPricing::default`].
+pub(crate) const SIM_PRICING: TokenPricing =
+    TokenPricing { input_per_1k: 0.0015, output_per_1k: 0.002 };
+
 impl Default for TokenPricing {
     fn default() -> Self {
-        TokenPricing { input_per_1k: 0.0015, output_per_1k: 0.002 }
+        SIM_PRICING
     }
 }
 

@@ -9,7 +9,7 @@ use crate::behaviors;
 use crate::calibration::Calibration;
 use crate::cancel::{CancelReason, CancelToken, NoAnswer};
 use crate::codegen::{self, CodeGenSpec, CodeRequest, GeneratedCode};
-use crate::cost::{count_tokens, AtomicUsage, TokenPricing, Usage};
+use crate::cost::{count_tokens, AtomicUsage, TokenPricing, Usage, SIM_PRICING};
 use crate::hotpath::{fingerprint, CacheStats, Flight, ShardedLru, Singleflight, DEFAULT_SHARDS};
 use crate::knowledge::KnowledgeBase;
 use crate::list::ListRequest;
@@ -318,6 +318,9 @@ fn code_answer<S: LlmService + ?Sized>(service: &S, request: CodeRequest<'_>) ->
     answer.map_or_else(|_| String::new(), |text| text.to_string())
 }
 
+/// Simulated per-call latency, accumulated in a counter (never slept).
+const LATENCY_MS_PER_CALL: u64 = 350;
+
 /// The answer to a prompt that asks for no task the model knows.
 const UNKNOWN_TASK: &str = "I'm not sure what task you are asking for. Please describe the data \
                             curation task (entity resolution, imputation, extraction, ...).";
@@ -327,7 +330,6 @@ const UNKNOWN_TASK: &str = "I'm not sure what task you are asking for. Please de
 pub struct SimLlmConfig {
     pub seed: u64,
     pub calibration: Calibration,
-    pub pricing: TokenPricing,
     /// Response cache (identical prompt → cached answer, no tokens billed).
     pub cache_enabled: bool,
     /// Maximum cached responses across all shards; each shard evicts its
@@ -337,8 +339,6 @@ pub struct SimLlmConfig {
     /// Lock stripes in the response cache; `0` picks a default sized for the
     /// machine. Tests pin `1` to get a deterministic global LRU.
     pub cache_shards: usize,
-    /// Simulated per-call latency, accumulated in a counter (never slept).
-    pub latency_ms_per_call: u64,
 }
 
 impl Default for SimLlmConfig {
@@ -346,11 +346,9 @@ impl Default for SimLlmConfig {
         SimLlmConfig {
             seed: 0,
             calibration: Calibration::default(),
-            pricing: TokenPricing::default(),
             cache_enabled: false,
             cache_capacity: 4096,
             cache_shards: 0,
-            latency_ms_per_call: 350,
         }
     }
 }
@@ -423,7 +421,7 @@ impl SimLlm {
     }
 
     pub fn pricing(&self) -> &TokenPricing {
-        &self.config.pricing
+        &SIM_PRICING
     }
 
     /// Number of responses currently held in the cache. Reads per-shard
@@ -488,7 +486,7 @@ impl SimLlm {
     fn bill(&self, usage: &Usage) {
         self.usage.merge(usage);
         if usage.calls > 0 {
-            self.latency_ms.fetch_add(self.config.latency_ms_per_call, Ordering::Relaxed);
+            self.latency_ms.fetch_add(LATENCY_MS_PER_CALL, Ordering::Relaxed);
         }
     }
 
@@ -546,7 +544,7 @@ impl SimLlm {
     /// latency — but no response tokens were produced.
     pub fn meter_failed_call(&self, prompt_text: &str) {
         self.usage.record_failed(count_tokens(prompt_text));
-        self.latency_ms.fetch_add(self.config.latency_ms_per_call, Ordering::Relaxed);
+        self.latency_ms.fetch_add(LATENCY_MS_PER_CALL, Ordering::Relaxed);
     }
 }
 
@@ -559,7 +557,7 @@ impl LlmService for SimLlm {
 
     fn embed(&self, text: &str) -> Vec<f64> {
         self.usage.merge(&EndpointCall::Embed(text).usage(""));
-        self.latency_ms.fetch_add(self.config.latency_ms_per_call / 4, Ordering::Relaxed);
+        self.latency_ms.fetch_add(LATENCY_MS_PER_CALL / 4, Ordering::Relaxed);
         self.vectorizer.transform(&crate::embeddings::normalize_for_embedding(text))
     }
 
@@ -893,10 +891,7 @@ mod tests {
         // Each member is one model call, as it would be alone.
         assert_eq!(outcome.batch_usage.calls, 4);
         assert!(outcome.splits.iter().all(|split| split.calls == 1));
-        assert_eq!(
-            svc.simulated_latency_ms() - latency_before,
-            4 * SimLlmConfig::default().latency_ms_per_call
-        );
+        assert_eq!(svc.simulated_latency_ms() - latency_before, 4 * LATENCY_MS_PER_CALL);
         // Conservation: the splits sum to the batch, the batch to the ledger.
         let mut summed = Usage::default();
         for split in &outcome.splits {

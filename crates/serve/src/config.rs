@@ -25,8 +25,6 @@ pub struct ServeConfig {
     /// turns the result cache off; identical submissions still coalesce
     /// while one of them is live, which the journal needs.
     pub result_cache_capacity: usize,
-    /// Default queue timeout applied to jobs that don't set their own.
-    pub default_timeout: Option<Duration>,
     /// Times in a row any one worker slot is restarted — by its dying
     /// worker, at once — before it is abandoned; a worker that survives a
     /// job starts its slot's count over (see `DESIGN.md` §"Supervised
@@ -61,7 +59,6 @@ impl Default for ServeConfig {
             workers: None,
             queue_capacity: 256,
             result_cache_capacity: 1024,
-            default_timeout: None,
             max_worker_restarts: 8,
             batch: None,
             journal: None,
@@ -78,8 +75,7 @@ impl ServeConfig {
     }
 
     /// Reject unusable configurations up front: zero workers would hang
-    /// every job, a zero-capacity queue would reject every submission, a
-    /// zero default deadline would time every job out before it ran. Each
+    /// every job, a zero-capacity queue would reject every submission. Each
     /// rejection is a typed [`InvalidConfig`] naming the knob.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.workers == Some(0) {
@@ -87,9 +83,6 @@ impl ServeConfig {
         }
         if self.queue_capacity == 0 {
             return Err(ServeError::InvalidConfig(InvalidConfig::ZeroQueueCapacity));
-        }
-        if self.default_timeout == Some(Duration::ZERO) {
-            return Err(ServeError::InvalidConfig(InvalidConfig::ZeroDefaultTimeout));
         }
         if let Some(batch) = &self.batch {
             if batch.max_batch_size == 0 {

@@ -14,8 +14,6 @@ pub enum InvalidConfig {
     ZeroWorkers,
     /// `queue_capacity == 0`: every submission would be rejected.
     ZeroQueueCapacity,
-    /// `default_timeout == Some(ZERO)`: every job would expire in the queue.
-    ZeroDefaultTimeout,
     /// Batching: `max_batch_size == 0` — no batch could ever admit a
     /// member, so every completion would block on a flush that never
     /// comes. (The gateway-layer batcher clamps this to 1 defensively;
@@ -39,9 +37,6 @@ impl fmt::Display for InvalidConfig {
             }
             InvalidConfig::ZeroQueueCapacity => {
                 write!(f, "queue_capacity must be > 0 (every submission would be rejected)")
-            }
-            InvalidConfig::ZeroDefaultTimeout => {
-                write!(f, "default_timeout must be nonzero (every job would expire in the queue)")
             }
             InvalidConfig::ZeroBatchSize => {
                 write!(f, "batch max_batch_size must be > 0 (no batch could admit a member)")
@@ -171,10 +166,9 @@ mod tests {
     fn invalid_config_names_the_knob() {
         // Every variant's message names the offending knob, so `start()`
         // failures stay actionable even when only the string is logged.
-        let cases: [(InvalidConfig, &str); 6] = [
+        let cases: [(InvalidConfig, &str); 5] = [
             (InvalidConfig::ZeroWorkers, "workers"),
             (InvalidConfig::ZeroQueueCapacity, "queue_capacity"),
-            (InvalidConfig::ZeroDefaultTimeout, "default_timeout"),
             (InvalidConfig::ZeroBatchSize, "max_batch_size"),
             (InvalidConfig::ZeroBatchWindow, "max_wait"),
             (InvalidConfig::ZeroCheckpointInterval, "checkpoint_interval"),

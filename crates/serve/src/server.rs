@@ -436,8 +436,7 @@ impl PipelineServer {
         let fp = fingerprint_inputs(&request.inputs);
 
         let now = Instant::now();
-        let timeout = request.timeout.or(shared.config.default_timeout);
-        let deadline = timeout.map(|t| now + t);
+        let deadline = request.timeout.map(|t| now + t);
         let tracer = shared.factory.tracer();
         let span = tracer.begin(SpanKind::ServeJob, &request.pipeline, || job_attrs(id, fp));
 
@@ -645,8 +644,8 @@ fn process(
         // queued one, so the journal holds a job's accept and its ending only.
         job.core.set_running();
         // Fresh context per run: shared LLM + tools behind a per-job meter,
-        // the job's cancel token threaded in so the executor,
-        // `try_parallel_map`, the script fuel cap, and — on every completion
+        // the job's cancel token threaded in so the executor, the map's
+        // lanes, the script fuel cap, and — on every completion
         // `ctx.complete` places — the LLM layers all observe the same
         // deadline.
         let meter = Arc::new(UsageMeter::new(shared.factory.llm()));
@@ -951,15 +950,6 @@ mod tests {
 
         let err = start_err(ServeConfig { queue_capacity: 0, ..Default::default() });
         assert_eq!(err, ServeError::InvalidConfig(InvalidConfig::ZeroQueueCapacity));
-
-        let err =
-            start_err(ServeConfig { default_timeout: Some(Duration::ZERO), ..Default::default() });
-        assert_eq!(err, ServeError::InvalidConfig(InvalidConfig::ZeroDefaultTimeout));
-
-        // A nonzero deadline is fine.
-        let ok =
-            ServeConfig { default_timeout: Some(Duration::from_secs(30)), ..Default::default() };
-        assert!(ok.validate().is_ok());
     }
 
     #[test]

@@ -35,6 +35,17 @@ impl Gate {
     }
 }
 
+/// Runs its closure when dropped. Declared after the server, a guard that
+/// opens what holds the worker unparks it before the server's shutdown joins
+/// it, so a failed assertion fails the test instead of hanging it.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
 /// Builtins plus two test ops: `gate` (passes input through once the gate
 /// opens) and `log` (appends the rendered input to a shared trace).
 fn test_compiler(gate: Arc<Gate>, log: Arc<Mutex<Vec<String>>>) -> Compiler {
@@ -96,6 +107,7 @@ fn concurrent_identical_submissions_execute_once() {
     // N identical submissions while the leader is held at the gate: the
     // followers must coalesce onto the leader's execution.
     let gate = Gate::new();
+    let _open = OnDrop(|| gate.open());
     let log = Arc::new(Mutex::new(Vec::new()));
     let compiler = test_compiler(Arc::clone(&gate), log);
     server.register_dsl("gated", GATED_LLM_PIPELINE, &compiler).unwrap();
@@ -145,17 +157,6 @@ impl Turnstile {
     }
 }
 
-/// Lets everyone through the turnstile when dropped: declared after the
-/// server, it unparks the worker before the server's shutdown joins it, so
-/// a failed assertion fails the test instead of hanging it.
-struct OpenOnDrop(Arc<Turnstile>);
-
-impl Drop for OpenOnDrop {
-    fn drop(&mut self) {
-        self.0.admit(1 << 20);
-    }
-}
-
 /// One worker, one queue slot and a one-cell job table holding a cached
 /// output. A runs (held) with a follower F, and Q waits in the queue. A
 /// burst of distinct submissions is refused `Full`: none of them evicts the
@@ -187,7 +188,7 @@ fn live_cells_outlast_a_burst_of_refusals(cancel_a: bool) {
     )
     .unwrap();
     server.register_dsl("hold", r#"pipeline hold { out = turnstile(text); }"#, &compiler).unwrap();
-    let _open = OpenOnDrop(Arc::clone(&turnstile));
+    let _open = OnDrop(|| turnstile.admit(1 << 20));
     let submit = |text: &str| {
         server.submit(SubmitRequest::new("hold").input("text", Data::Str(text.into())))
     };
@@ -260,6 +261,7 @@ fn bounded_queue_rejects_overflow_with_typed_full() {
     )
     .unwrap();
     server.register_dsl("hold", r#"pipeline hold { out = gate(text); }"#, &compiler).unwrap();
+    let _open = OnDrop(|| gate.open());
 
     let submit = |text: &str| {
         server.submit(SubmitRequest::new("hold").input("text", Data::Str(text.into())))
@@ -300,6 +302,7 @@ fn high_priority_jobs_jump_the_queue() {
             &compiler,
         )
         .unwrap();
+    let _open = OnDrop(|| gate.open());
 
     let submit = |text: &str, priority: Priority| {
         server
@@ -338,6 +341,7 @@ fn queue_timeouts_cancel_stale_jobs() {
     )
     .unwrap();
     server.register_dsl("hold", r#"pipeline hold { out = gate(text); }"#, &compiler).unwrap();
+    let _open = OnDrop(|| gate.open());
 
     let blocker = server
         .submit(SubmitRequest::new("hold").input("text", Data::Str("blocker".into())))

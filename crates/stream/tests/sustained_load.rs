@@ -122,7 +122,7 @@ impl LlmService for Counted {
 }
 
 /// The counted simulator, an engine over it, and the seeded 10k records.
-fn start(max_block_size: usize) -> (Arc<Counted>, Arc<StreamEngine>, Vec<StreamItem>) {
+fn start() -> (Arc<Counted>, Arc<StreamEngine>, Vec<StreamItem>) {
     let seed = 99;
     let world = WorldSpec::generate(seed);
     let llm = Arc::new(Counted {
@@ -139,7 +139,6 @@ fn start(max_block_size: usize) -> (Arc<Counted>, Arc<StreamEngine>, Vec<StreamI
         // a descheduled thread can fall arbitrarily far behind the frontier
         // the others advance — give the watermark generous slack.
         allowed_lateness: 256,
-        max_block_size,
         // This test measures conservation under load, not backpressure (that
         // is `tiny_queue_backpressure_survives`). An undersized queue couples
         // ingest progress to drain speed: on a small machine the 8 producers
@@ -162,7 +161,7 @@ fn start(max_block_size: usize) -> (Arc<Counted>, Arc<StreamEngine>, Vec<StreamI
 
 #[test]
 fn sustained_load_on_window_close() {
-    let (llm, engine, records) = start(StreamConfig::default().max_block_size);
+    let (llm, engine, records) = start();
 
     // Strided split: thread i takes records i, i+8, i+16, … so all threads
     // move through event time together (a contiguous split would have the
@@ -250,12 +249,10 @@ fn sustained_load_on_window_close() {
 }
 
 /// The same records from one thread: lateness is the generator's disorder
-/// alone, far inside `allowed_lateness`, so every record lands. Lateness does
-/// not depend on the matcher, so this run gets none (a zero block size
-/// yields no candidate pairs) and costs what assigning 10k records costs.
+/// alone, far inside `allowed_lateness`, so every record lands.
 #[test]
 fn single_threaded_ingest_drops_nothing_late() {
-    let (_, engine, records) = start(0);
+    let (_, engine, records) = start();
     for item in records {
         engine.ingest(item).expect("ingest");
     }
@@ -280,7 +277,6 @@ fn tiny_queue_backpressure_survives() {
     let config = StreamConfig {
         tuning: StreamTuning { window: 32, slide: 32, watermark_interval: 4 },
         serve: ServeConfig { workers: Some(1), queue_capacity: 1, ..ServeConfig::default() },
-        submit_retries: 10_000,
         ..StreamConfig::default()
     };
     let engine =
